@@ -190,6 +190,74 @@ func BenchmarkTopK(b *testing.B) {
 	})
 }
 
+// BenchmarkDegree times the exact-degree kernel on the three overlap shapes
+// a search meets: no shared cell at all (the coarse-to-fine cascade stops
+// after level 1), shared coarse cells only, and overlap down to the base
+// level.
+func BenchmarkDegree(b *testing.B) {
+	ix := spindex.NewUniform(4, []int{3, 3, 4})
+	m, err := adm.NewPaperADM(4, 2, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	visits := func(e trace.EntityID, base spindex.BaseID, t0 trace.Time) *trace.Sequences {
+		recs := make([]trace.Record, 12)
+		for i := range recs {
+			start := t0 + trace.Time(3*i)
+			recs[i] = trace.Record{Entity: e, Base: base, Start: start, End: start + 1}
+		}
+		return trace.NewSequences(ix, e, recs)
+	}
+	q := visits(0, 0, 0)
+	for _, tc := range []struct {
+		name  string
+		other *trace.Sequences
+	}{
+		{"disjoint", visits(1, 0, 1)},
+		// Bases 0 and NumBase-1 meet only at the root.
+		{"coarse-only", visits(1, spindex.BaseID(ix.NumBase()-1), 0)},
+		{"overlapping", visits(1, 0, 18)},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			sum := 0.0
+			for i := 0; i < b.N; i++ {
+				sum += m.Degree(q, tc.other)
+			}
+			benchSink = sum
+		})
+	}
+}
+
+// benchSink keeps the compiler from discarding a benchmarked result.
+var benchSink float64
+
+// BenchmarkStoreGet times the sequence lookup a search pays once per checked
+// entity: on a root store (one indexed load) and on a derived generation
+// whose overlay holds a refresh's worth of rewritten entities (a map probe
+// in front of the load).
+func BenchmarkStoreGet(b *testing.B) {
+	_, root, _, _ := benchWorld(b, 1000, 16)
+	ids := root.Entities()
+	derived := root.Clone().Derive()
+	for _, e := range ids[:8] {
+		derived.Put(root.Get(e))
+	}
+	for _, tc := range []struct {
+		name string
+		st   *trace.Store
+	}{{"root", root}, {"derived", derived}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			cells := 0
+			for i := 0; i < b.N; i++ {
+				cells += tc.st.Get(ids[i%len(ids)]).Size(1)
+			}
+			benchSink = float64(cells)
+		})
+	}
+}
+
 // BenchmarkTopKParallel measures concurrent query throughput against one
 // immutable MinSigTree: core.Tree.TopK is read-only, so goroutines share the
 // index with no locking at all. Compare ns/op with BenchmarkTopK k=10 to see

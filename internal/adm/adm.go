@@ -159,16 +159,24 @@ func (m *LevelWeighted) Levels() int { return len(m.weights) }
 // Kind returns the per-level ratio kind.
 func (m *LevelWeighted) Kind() Kind { return m.kind }
 
-// Degree implements Measure using exact per-level overlap durations.
+// Degree implements Measure using exact per-level overlap durations,
+// coarsest level first. By the Section 4.1 derivation every shared level-l
+// cell has its parent cell shared at level l-1, so the first level with no
+// overlap ends the evaluation: every finer overlap is 0 as well, and each
+// term left out is exactly +0.0.
 func (m *LevelWeighted) Degree(a, b *trace.Sequences) float64 {
 	if a.Levels() != len(m.weights) || b.Levels() != len(m.weights) {
 		panic(fmt.Sprintf("adm: measure over %d levels applied to sequences with %d/%d levels",
 			len(m.weights), a.Levels(), b.Levels()))
 	}
 	score := 0.0
-	for l := 1; l <= len(m.weights); l++ {
-		inter := trace.IntersectionSize(a.At(l), b.At(l))
-		score += m.weights[l-1] * math.Pow(m.ratio(inter, a.Size(l), b.Size(l)), m.v)
+	for l, w := range m.weights {
+		al, bl := a.At(l+1), b.At(l+1)
+		inter := trace.IntersectionSize(al, bl)
+		if inter == 0 {
+			break
+		}
+		score += w * m.pow(m.ratio(inter, len(al), len(bl)))
 	}
 	return score / m.norm
 }
@@ -177,9 +185,23 @@ func (m *LevelWeighted) Degree(a, b *trace.Sequences) float64 {
 func (m *LevelWeighted) DegreeFromCounts(overlap, aSize, bSize []int) float64 {
 	score := 0.0
 	for l := range m.weights {
-		score += m.weights[l] * math.Pow(m.ratio(overlap[l], aSize[l], bSize[l]), m.v)
+		score += m.weights[l] * m.pow(m.ratio(overlap[l], aSize[l], bSize[l]))
 	}
 	return score / m.norm
+}
+
+// pow returns r^v for a ratio r ∈ [0, 1]. The two exponents in use skip
+// math.Pow: v = 1 is the identity, and for v = 2 the product r*r is the
+// correctly rounded square math.Pow also returns (it squares the mantissa
+// once and rescales by a power of two, which is exact for normal results).
+func (m *LevelWeighted) pow(r float64) float64 {
+	switch m.v {
+	case 1:
+		return r
+	case 2:
+		return r * r
+	}
+	return math.Pow(r, m.v)
 }
 
 // UpperBound implements Measure: the degree of the artificial entity of
@@ -205,7 +227,7 @@ func (m *LevelWeighted) UpperBound(surviving, qSize []int) float64 {
 				r = 1
 			}
 		}
-		score += m.weights[l] * math.Pow(r, m.v)
+		score += m.weights[l] * m.pow(r)
 	}
 	return score / m.norm
 }

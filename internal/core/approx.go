@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"fmt"
 
 	"digitaltraces/internal/adm"
@@ -55,31 +54,17 @@ func (t *Tree) ApproxTopK(q *trace.Sequences, k int, measure adm.Measure, opts A
 	if opts.Epsilon < 0 || opts.Epsilon >= 1 {
 		return nil, stats, fmt.Errorf("core: epsilon %v outside [0,1)", opts.Epsilon)
 	}
-	if q.Levels() != t.m {
-		return nil, stats, fmt.Errorf("core: query has %d levels, index has %d", q.Levels(), t.m)
+	f, err := t.newFrontier(q, measure)
+	if err != nil {
+		return nil, stats, err
 	}
-	qCounts := make([]int, t.m)
-	for l := 1; l <= t.m; l++ {
-		qCounts[l-1] = q.Size(l)
-	}
-	var cands candidateHeap
-	heap.Init(&cands)
-	heap.Push(&cands, &candidate{
-		n:         t.root,
-		ub:        measure.UpperBound(qCounts, qCounts),
-		surviving: q.Base(),
-		counts:    qCounts,
-	})
-	var results resultHeap
-	seq := 1
+	best := newKBest(k)
 	remainingUB := 0.0
-
-	for cands.Len() > 0 {
-		c := heap.Pop(&cands).(*candidate)
-		stats.NodesPopped++
+	for len(f.cands) > 0 {
+		c := f.pop()
 		// Strict, mirroring TopK: at equality a remaining node may hide an
 		// equal-degree entity with a smaller ID.
-		if results.Len() == k && results[0].Degree > (1-opts.Epsilon)*c.ub {
+		if best.full() && best.kth().Degree > (1-opts.Epsilon)*c.ub {
 			remainingUB = c.ub
 			break
 		}
@@ -87,67 +72,27 @@ func (t *Tree) ApproxTopK(q *trace.Sequences, k int, measure adm.Measure, opts A
 			// Same zero shortcut as TopK: everything left has degree exactly
 			// 0, so the answer completes without further degree computations
 			// and stays exact.
-			offerZeros(c.n, q.Entity, k, &results)
-			for _, rc := range cands {
-				offerZeros(rc.n, q.Entity, k, &results)
-			}
+			f.offerZeros(c, best.offer)
 			break
 		}
-		if opts.MaxChecked > 0 && stats.Checked >= opts.MaxChecked {
+		if opts.MaxChecked > 0 && f.stats.Checked >= opts.MaxChecked {
 			stats.BudgetExhausted = true
 			remainingUB = c.ub
 			break
 		}
-		if c.n.level == t.m {
-			stats.LeavesRead++
-			for _, e := range c.n.entities {
-				if e == q.Entity {
-					continue
-				}
-				s := t.src.Get(e)
-				if s == nil {
-					return nil, stats, fmt.Errorf("core: indexed entity %d missing from source", e)
-				}
-				stats.Checked++
-				d := measure.Degree(q, s)
-				if results.Len() < k {
-					heap.Push(&results, Result{Entity: e, Degree: d})
-				} else if d > results[0].Degree || (d == results[0].Degree && e < results[0].Entity) {
-					results[0] = Result{Entity: e, Degree: d}
-					heap.Fix(&results, 0)
-				}
-			}
-			continue
-		}
-		for _, child := range c.n.sortedChildren() {
-			cc := t.expand(c, child, qCounts, measure, &stats.SearchStats)
-			cc.seq = seq
-			seq++
-			heap.Push(&cands, cc)
+		if err := f.visit(c, best.offer); err != nil {
+			stats.SearchStats = f.stats
+			return nil, stats, err
 		}
 	}
-
-	out := make([]Result, results.Len())
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(&results).(Result)
-	}
+	out := best.ranked()
+	stats.SearchStats = f.finish(len(out))
 	// Achieved quality: smallest ε such that kth ≥ (1−ε)·remainingUB.
 	if remainingUB > 0 && len(out) > 0 {
 		kth := out[len(out)-1].Degree
 		if kth < remainingUB {
 			stats.AchievedEpsilon = 1 - kth/remainingUB
 		}
-	}
-	n := t.Len()
-	if t.Contains(q.Entity) {
-		n--
-	}
-	if n > 0 {
-		stats.PE = float64(stats.Checked-len(out)) / float64(n)
-		if stats.PE < 0 {
-			stats.PE = 0
-		}
-		stats.Pruned = 1 - float64(stats.Checked)/float64(n)
 	}
 	return out, stats, nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 
 	"digitaltraces/internal/parallel"
@@ -103,30 +102,29 @@ func (t *Tree) signDirty(src SequenceSource, dirty []trace.EntityID) ([]sighash.
 }
 
 // copyNode returns a private copy of a shared node: the scalar fields, a
-// shallow copy of the child map (children stay shared until they are copied
+// shallow copy of the child list (children stay shared until they are copied
 // themselves) and, for leaves, a fresh entity slice.
 func copyNode(n *node) *node {
-	c := &node{routing: n.routing, value: n.value, level: n.level, count: n.count}
-	if n.children != nil {
-		c.children = maps.Clone(n.children)
-	}
-	if n.entities != nil {
-		c.entities = slices.Clone(n.entities)
-	}
-	return c
+	c := *n
+	c.children = slices.Clone(n.children)
+	c.entities = slices.Clone(n.entities)
+	return &c
 }
 
 // ownedChild returns parent's child at routing r as a node private to this
 // derivation, copying it first if it is still shared. parent must already be
 // owned.
 func ownedChild(parent *node, r uint32, owned map[*node]bool) *node {
-	child := parent.children[r]
-	if child == nil || owned[child] {
-		return child
+	i, ok := parent.childIndex(r)
+	if !ok {
+		return nil
 	}
-	child = copyNode(child)
-	owned[child] = true
-	parent.children[r] = child
+	child := parent.children[i]
+	if !owned[child] {
+		child = copyNode(child)
+		owned[child] = true
+		parent.children[i] = child
+	}
 	return child
 }
 
@@ -144,29 +142,7 @@ func (t *Tree) removeCOW(e trace.EntityID, sig sighash.EntitySig, owned map[*nod
 		}
 		path = append(path, cur)
 	}
-	leaf := cur
-	found := false
-	for i, id := range leaf.entities {
-		if id == e {
-			leaf.entities = append(leaf.entities[:i], leaf.entities[i+1:]...)
-			found = true
-			break
-		}
-	}
-	if !found {
-		panic(fmt.Sprintf("core: index corrupt: entity %d missing from its leaf", e))
-	}
-	for _, n := range path {
-		n.count--
-	}
-	// Prune emptied nodes bottom-up; every node on the path is owned, so the
-	// child-map deletes never touch shared state.
-	for l := t.m; l >= 1; l-- {
-		n := path[l]
-		if n.count == 0 {
-			delete(path[l-1].children, n.routing)
-		}
-	}
+	removeEntity(path, e)
 }
 
 // insertCOW descends by the new signature like insertWithSig, copying shared
@@ -174,18 +150,11 @@ func (t *Tree) removeCOW(e trace.EntityID, sig sighash.EntitySig, owned map[*nod
 func (t *Tree) insertCOW(e trace.EntityID, sig sighash.EntitySig, owned map[*node]bool) {
 	cur := t.root
 	cur.count++
-	for l := 1; l <= t.m; l++ {
-		ls := sig[l-1]
-		child := ownedChild(cur, ls.Routing, owned)
-		if child == nil {
-			child = &node{routing: ls.Routing, value: ls.Value, level: l}
-			if l < t.m {
-				child.children = make(map[uint32]*node)
-			}
+	for _, ls := range sig {
+		ownedChild(cur, ls.Routing, owned) // an existing child must be private before childFor writes it
+		child, created := cur.childFor(ls)
+		if created {
 			owned[child] = true
-			cur.children[ls.Routing] = child
-		} else if ls.Value < child.value {
-			child.value = ls.Value
 		}
 		child.count++
 		cur = child

@@ -136,16 +136,17 @@ func TestDeriveSharesUntouchedSubtrees(t *testing.T) {
 	newSig, _ := derived.sigs.get(5)
 	touched := map[uint32]bool{oldSig[0].Routing: true, newSig[0].Routing: true}
 	shared, copied := 0, 0
-	for r, n := range tree.root.children {
+	for _, n := range tree.root.children {
+		r := n.routing
 		if touched[r] {
 			copied++
-			if derived.root.children[r] == n {
+			if derived.root.child(r) == n {
 				t.Fatalf("level-1 node %d on the dirty path is shared, must be copied", r)
 			}
 			continue
 		}
 		shared++
-		if derived.root.children[r] != n {
+		if derived.root.child(r) != n {
 			t.Errorf("level-1 node %d off the dirty path was copied, must be shared", r)
 		}
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"digitaltraces/internal/sighash"
 	"digitaltraces/internal/spindex"
 	"digitaltraces/internal/trace"
@@ -29,7 +31,7 @@ func BuildWithOptions(ix *spindex.Index, hasher sighash.Hasher, src SequenceSour
 		ix:     ix,
 		hasher: hasher,
 		src:    src,
-		root:   &node{level: 0, children: make(map[uint32]*node)},
+		root:   &node{},
 		sigs:   newSigTable(len(entities)),
 		m:      ix.Height(),
 		full:   opts.FullSignatures,
@@ -62,21 +64,12 @@ func (t *Tree) insertFull(e trace.EntityID, s *trace.Sequences) {
 	t.sigs.put(e, digest)
 	cur := t.root
 	cur.count++
-	for l := 1; l <= t.m; l++ {
-		ls := digest[l-1]
-		child, ok := cur.children[ls.Routing]
-		if !ok {
-			child = &node{routing: ls.Routing, value: ls.Value, level: l}
-			if l < t.m {
-				child.children = make(map[uint32]*node)
-			}
-			child.fullSig = append([]uint64(nil), fulls[l-1]...)
-			cur.children[ls.Routing] = child
+	for l, ls := range digest {
+		child, created := cur.childFor(ls)
+		if created {
+			child.fullSig = slices.Clone(fulls[l])
 		} else {
-			if ls.Value < child.value {
-				child.value = ls.Value
-			}
-			for u, v := range fulls[l-1] {
+			for u, v := range fulls[l] {
 				if v < child.fullSig[u] {
 					child.fullSig[u] = v
 				}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"container/heap"
-	"fmt"
 	"slices"
 
 	"digitaltraces/internal/adm"
@@ -35,62 +33,19 @@ import (
 // opening iterators on immutable snapshot trees). An Iter is not safe for
 // concurrent use; open one per goroutine.
 type Iter struct {
-	t       *Tree
-	q       *trace.Sequences
-	measure adm.Measure
-	qCounts []int
-
-	cands candidateHeap    // unexpanded nodes, max-heap on upper bound
-	exact exactHeap        // scored entities, max-heap on (degree, -entity)
-	zeros []trace.EntityID // zero-flush tail, ascending ID (nil until the frontier's bound hits 0)
-	seq   int
-
-	stats SearchStats
-}
-
-// exactHeap orders scored entities exactly like TopK's output: degree
-// descending, ties by ascending entity ID.
-type exactHeap []Result
-
-func (h exactHeap) Len() int { return len(h) }
-func (h exactHeap) Less(i, j int) bool {
-	if h[i].Degree != h[j].Degree {
-		return h[i].Degree > h[j].Degree
-	}
-	return h[i].Entity < h[j].Entity
-}
-func (h exactHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *exactHeap) Push(x any)   { *h = append(*h, x.(Result)) }
-func (h *exactHeap) Pop() any {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
+	frontier                  // unexpanded nodes, max-heap on upper bound
+	exact    []Result         // scored entities, heap in canonical answer order
+	zeros    []trace.EntityID // zero-flush tail, ascending ID (nil until the frontier's bound hits 0)
 }
 
 // NewIter opens an incremental search for the query sequences q (excluding
 // the entity q.Entity itself, like TopK). The validation mirrors TopK's.
 func (t *Tree) NewIter(q *trace.Sequences, measure adm.Measure) (*Iter, error) {
-	if q.Levels() != t.m {
-		return nil, fmt.Errorf("core: query has %d levels, index has %d", q.Levels(), t.m)
+	f, err := t.newFrontier(q, measure)
+	if err != nil {
+		return nil, err
 	}
-	if measure.Levels() != t.m {
-		return nil, fmt.Errorf("core: measure scores %d levels, index has %d", measure.Levels(), t.m)
-	}
-	it := &Iter{t: t, q: q, measure: measure, seq: 1}
-	it.qCounts = make([]int, t.m)
-	for l := 1; l <= t.m; l++ {
-		it.qCounts[l-1] = q.Size(l)
-	}
-	heap.Init(&it.cands)
-	heap.Push(&it.cands, &candidate{
-		n:         t.root,
-		ub:        measure.UpperBound(it.qCounts, it.qCounts),
-		surviving: q.Base(),
-		counts:    it.qCounts,
-	})
-	heap.Init(&it.exact)
-	return it, nil
+	return &Iter{frontier: *f}, nil
 }
 
 // Next returns the next entity in exact rank order (degree descending, ties
@@ -105,7 +60,7 @@ func (it *Iter) Next() (Result, bool, error) {
 	// unexpanded subtree. The expansion condition is ≥, not >: a node whose
 	// bound equals the best degree may contain an equal-degree entity with a
 	// smaller ID, which the tie order puts first.
-	for it.cands.Len() > 0 && (it.exact.Len() == 0 || it.cands[0].ub >= it.exact[0].Degree) {
+	for len(it.cands) > 0 && (len(it.exact) == 0 || it.cands[0].ub >= it.exact[0].Degree) {
 		if it.cands[0].ub == 0 {
 			// Everything left — already scored or still behind a candidate —
 			// has degree exactly 0 (admissible bounds, non-negative degrees,
@@ -115,7 +70,7 @@ func (it *Iter) Next() (Result, bool, error) {
 			// cost of a single int sort instead of O(N log N) Result heap
 			// sifts, and no per-entity work after the pull a caller stops at
 			// (the gather caps pulls at k+1).
-			zeros := make([]trace.EntityID, 0, it.exact.Len())
+			zeros := make([]trace.EntityID, 0, len(it.exact))
 			for _, r := range it.exact {
 				zeros = append(zeros, r.Entity)
 			}
@@ -130,34 +85,19 @@ func (it *Iter) Next() (Result, bool, error) {
 			it.zeros = zeros
 			return it.nextZero()
 		}
-		c := heap.Pop(&it.cands).(*candidate)
-		it.stats.NodesPopped++
-		if c.n.level == it.t.m {
-			it.stats.LeavesRead++
-			for _, e := range c.n.entities {
-				if e == it.q.Entity {
-					continue
-				}
-				s := it.t.src.Get(e)
-				if s == nil {
-					return Result{}, false, fmt.Errorf("core: indexed entity %d missing from source", e)
-				}
-				it.stats.Checked++
-				heap.Push(&it.exact, Result{Entity: e, Degree: it.measure.Degree(it.q, s)})
-			}
-			continue
-		}
-		for _, child := range c.n.sortedChildren() {
-			cc := it.t.expand(c, child, it.qCounts, it.measure, &it.stats)
-			cc.seq = it.seq
-			it.seq++
-			heap.Push(&it.cands, cc)
+		err := it.visit(it.pop(), func(r Result) {
+			it.exact = heapPush(it.exact, r, ranksBefore)
+		})
+		if err != nil {
+			return Result{}, false, err
 		}
 	}
-	if it.exact.Len() == 0 {
+	if len(it.exact) == 0 {
 		return Result{}, false, nil
 	}
-	return heap.Pop(&it.exact).(Result), true, nil
+	var r Result
+	r, it.exact = heapPop(it.exact, ranksBefore)
+	return r, true, nil
 }
 
 // nextZero drains the zero-flush tail: every remaining entity has degree 0,
@@ -179,10 +119,10 @@ func (it *Iter) nextZero() (Result, bool, error) {
 // behind a Bound of 0).
 func (it *Iter) Bound() float64 {
 	b := 0.0
-	if it.cands.Len() > 0 {
+	if len(it.cands) > 0 {
 		b = it.cands[0].ub
 	}
-	if it.exact.Len() > 0 && it.exact[0].Degree > b {
+	if len(it.exact) > 0 && it.exact[0].Degree > b {
 		b = it.exact[0].Degree
 	}
 	return b

@@ -133,7 +133,7 @@ func (t *Tree) leafOrder() map[trace.EntityID]int {
 			}
 			return
 		}
-		for _, c := range nd.sortedChildren() {
+		for _, c := range nd.children {
 			walk(c)
 		}
 	}
@@ -154,7 +154,7 @@ func (t *Tree) LeafOrderedEntities() []trace.EntityID {
 			out = append(out, sorted...)
 			return
 		}
-		for _, c := range nd.sortedChildren() {
+		for _, c := range nd.children {
 			walk(c)
 		}
 	}

@@ -412,7 +412,7 @@ func (ms *MappedSnapshot) BuildTree(ix *spindex.Index, src SequenceSource) (*Tre
 		ix:     ix,
 		hasher: fam,
 		src:    src,
-		root:   &node{level: 0, children: make(map[uint32]*node)},
+		root:   &node{},
 		sigs:   newSigTable(hint),
 		m:      m,
 	}

@@ -1,9 +1,8 @@
 package core
 
 import (
-	"container/heap"
 	"fmt"
-	"sort"
+	"slices"
 
 	"digitaltraces/internal/adm"
 	"digitaltraces/internal/trace"
@@ -42,44 +41,203 @@ type candidate struct {
 	seq       int          // tie-break: FIFO among equal bounds
 }
 
-// candidateHeap is a max-heap on upper bound (FIFO among ties).
-type candidateHeap []*candidate
-
-func (h candidateHeap) Len() int { return len(h) }
-func (h candidateHeap) Less(i, j int) bool {
-	if h[i].ub != h[j].ub {
-		return h[i].ub > h[j].ub
+// boundBefore orders the candidate queue: larger upper bound first, FIFO
+// among ties.
+func boundBefore(a, b *candidate) bool {
+	if a.ub != b.ub {
+		return a.ub > b.ub
 	}
-	return h[i].seq < h[j].seq
-}
-func (h candidateHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *candidateHeap) Push(x any)   { *h = append(*h, x.(*candidate)) }
-func (h *candidateHeap) Pop() any {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
+	return a.seq < b.seq
 }
 
-// resultHeap keeps the current k best answers as a min-heap on degree, so
-// the threshold (Result.minKey in Algorithm 2) is O(1). Ties prefer keeping
-// the smaller entity ID, for deterministic output.
-type resultHeap []Result
-
-func (h resultHeap) Len() int { return len(h) }
-func (h resultHeap) Less(i, j int) bool {
-	if h[i].Degree != h[j].Degree {
-		return h[i].Degree < h[j].Degree
+// ranksBefore is the canonical answer order: degree descending, ties by
+// ascending entity ID.
+func ranksBefore(a, b Result) bool {
+	if a.Degree != b.Degree {
+		return a.Degree > b.Degree
 	}
-	return h[i].Entity > h[j].Entity
+	return a.Entity < b.Entity
 }
-func (h resultHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *resultHeap) Push(x any)   { *h = append(*h, x.(Result)) }
-func (h *resultHeap) Pop() any {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
+
+func ranksAfter(a, b Result) bool { return ranksBefore(b, a) }
+
+// heapPush, heapFix and heapPop are container/heap's sift algorithms over a
+// plain slice ordered by before (the root is the element before all others),
+// so queue entries are never boxed into interfaces.
+func heapPush[T any](h []T, x T, before func(a, b T) bool) []T {
+	h = append(h, x)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !before(h[i], h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	return h
+}
+
+// heapFix restores the order after the root was replaced.
+func heapFix[T any](h []T, before func(a, b T) bool) {
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && before(h[c+1], h[c]) {
+			c++
+		}
+		if !before(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+func heapPop[T any](h []T, before func(a, b T) bool) (T, []T) {
+	var zero T
+	top, last := h[0], len(h)-1
+	h[0], h[last] = h[last], zero
+	h = h[:last]
+	heapFix(h, before)
+	return top, h
+}
+
+// kBest is the bounded k-best selection every exact search and the scan
+// share: a heap of at most k results whose root is the current k-th answer
+// (Result.minKey in Algorithm 2), so the threshold is O(1). Ties prefer
+// keeping the smaller entity ID, for deterministic output.
+type kBest struct {
+	k int
+	h []Result
+}
+
+// newKBest sizes the selection for k answers up front; k is caller-supplied,
+// so very large values grow on demand instead.
+func newKBest(k int) kBest { return kBest{k: k, h: make([]Result, 0, min(k, 1024))} }
+
+func (b *kBest) full() bool { return len(b.h) == b.k }
+
+// kth returns the worst kept result; valid once the selection is non-empty.
+func (b *kBest) kth() Result { return b.h[0] }
+
+func (b *kBest) offer(r Result) {
+	if len(b.h) < b.k {
+		b.h = heapPush(b.h, r, ranksAfter)
+	} else if b.k > 0 && ranksBefore(r, b.h[0]) {
+		b.h[0] = r
+		heapFix(b.h, ranksAfter)
+	}
+}
+
+// ranked returns the kept results in canonical order, consuming the
+// selection.
+func (b *kBest) ranked() []Result {
+	slices.SortFunc(b.h, func(x, y Result) int {
+		if ranksBefore(x, y) {
+			return -1
+		}
+		return 1
+	})
+	return b.h
+}
+
+// frontier is the best-first traversal state Algorithm 2 and its variants
+// (TopK, ApproxTopK, Iter) share: the queue of unexpanded nodes ordered by
+// upper bound, and the per-query scratch their expansion reuses.
+type frontier struct {
+	t       *Tree
+	q       *trace.Sequences
+	measure adm.Measure
+	qCounts []int
+	cands   []*candidate // max-heap on upper bound
+	seq     int
+	scratch []trace.Cell // expand's ancestor-cell buffer
+	stats   SearchStats
+}
+
+// newFrontier validates the query and the measure against the index and
+// seeds the queue with the root candidate.
+func (t *Tree) newFrontier(q *trace.Sequences, measure adm.Measure) (*frontier, error) {
+	if q.Levels() != t.m {
+		return nil, fmt.Errorf("core: query has %d levels, index has %d", q.Levels(), t.m)
+	}
+	if measure.Levels() != t.m {
+		return nil, fmt.Errorf("core: measure scores %d levels, index has %d", measure.Levels(), t.m)
+	}
+	f := &frontier{t: t, q: q, measure: measure, qCounts: make([]int, t.m), seq: 1}
+	for l := 1; l <= t.m; l++ {
+		f.qCounts[l-1] = q.Size(l)
+	}
+	f.cands = append(f.cands, &candidate{
+		n:         t.root,
+		ub:        measure.UpperBound(f.qCounts, f.qCounts),
+		surviving: q.Base(),
+		counts:    f.qCounts,
+	})
+	return f, nil
+}
+
+// pop dequeues the candidate with the largest upper bound.
+func (f *frontier) pop() *candidate {
+	var c *candidate
+	c, f.cands = heapPop(f.cands, boundBefore)
+	f.stats.NodesPopped++
+	return c
+}
+
+// visit processes a popped candidate: a leaf's entities are scored exactly
+// and handed to offer; an internal node's children are queued.
+func (f *frontier) visit(c *candidate, offer func(Result)) error {
+	if c.n.level < f.t.m {
+		for _, child := range c.n.children {
+			cc := f.expand(c, child)
+			cc.seq = f.seq
+			f.seq++
+			f.cands = heapPush(f.cands, cc, boundBefore)
+		}
+		return nil
+	}
+	f.stats.LeavesRead++
+	for _, e := range c.n.entities {
+		if e == f.q.Entity {
+			continue
+		}
+		s := f.t.src.Get(e)
+		if s == nil {
+			return fmt.Errorf("core: indexed entity %d missing from source", e)
+		}
+		f.stats.Checked++
+		offer(Result{Entity: e, Degree: f.measure.Degree(f.q, s)})
+	}
+	return nil
+}
+
+// offerZeros feeds every entity under the popped candidate c and behind the
+// queue into offer with degree 0, without touching the sequence source.
+// Sound only when c's upper bound is 0: admissibility plus non-negative
+// degrees then force every remaining degree to exactly 0.
+func (f *frontier) offerZeros(c *candidate, offer func(Result)) {
+	zero := func(e trace.EntityID) { offer(Result{Entity: e}) }
+	subtreeEntities(c.n, f.q.Entity, zero)
+	for _, rc := range f.cands {
+		subtreeEntities(rc.n, f.q.Entity, zero)
+	}
+}
+
+// finish fills the answer-relative statistics for a search that returned
+// answers results.
+func (f *frontier) finish(answers int) SearchStats {
+	n := f.t.Len()
+	if f.t.Contains(f.q.Entity) {
+		n-- // the query entity itself is never an answer
+	}
+	if n > 0 {
+		f.stats.PE = max(0, float64(f.stats.Checked-answers)/float64(n))
+		f.stats.Pruned = 1 - float64(f.stats.Checked)/float64(n)
+	}
+	return f.stats
 }
 
 // TopK answers a top-k query over digital traces (Definition 4) for the
@@ -113,100 +271,36 @@ func (h *resultHeap) Pop() any {
 // ever querying immutable snapshot trees and applying maintenance to a
 // Clone that is atomically swapped in afterwards).
 func (t *Tree) TopK(q *trace.Sequences, k int, measure adm.Measure) ([]Result, SearchStats, error) {
-	var stats SearchStats
 	if k < 1 {
-		return nil, stats, fmt.Errorf("core: k = %d < 1", k)
+		return nil, SearchStats{}, fmt.Errorf("core: k = %d < 1", k)
 	}
-	if q.Levels() != t.m {
-		return nil, stats, fmt.Errorf("core: query has %d levels, index has %d", q.Levels(), t.m)
+	f, err := t.newFrontier(q, measure)
+	if err != nil {
+		return nil, SearchStats{}, err
 	}
-	if measure.Levels() != t.m {
-		return nil, stats, fmt.Errorf("core: measure scores %d levels, index has %d", measure.Levels(), t.m)
-	}
-
-	qCounts := make([]int, t.m)
-	for l := 1; l <= t.m; l++ {
-		qCounts[l-1] = q.Size(l)
-	}
-	rootCand := &candidate{
-		n:         t.root,
-		ub:        measure.UpperBound(qCounts, qCounts),
-		surviving: q.Base(),
-		counts:    qCounts,
-	}
-
-	var cands candidateHeap
-	heap.Init(&cands)
-	heap.Push(&cands, rootCand)
-	var results resultHeap
-	seq := 1
-
-	for cands.Len() > 0 {
-		c := heap.Pop(&cands).(*candidate)
-		stats.NodesPopped++
+	best := newKBest(k)
+	for len(f.cands) > 0 {
+		c := f.pop()
 		// Early termination: the k-th best exact degree strictly beats every
 		// remaining upper bound. Strict, not ≥: at equality the node may hide
 		// an equal-degree entity with a smaller ID, which the canonical tie
 		// order puts ahead of the current k-th.
-		if results.Len() == k && results[0].Degree > c.ub {
+		if best.full() && best.kth().Degree > c.ub {
 			break
 		}
 		if c.ub == 0 {
 			// Every entity under this candidate — and, by heap order, under
 			// all remaining ones — has degree exactly 0. Offer them to the
 			// selection without computing degrees.
-			offerZeros(c.n, q.Entity, k, &results)
-			for _, rc := range cands {
-				offerZeros(rc.n, q.Entity, k, &results)
-			}
+			f.offerZeros(c, best.offer)
 			break
 		}
-		if c.n.level == t.m {
-			stats.LeavesRead++
-			for _, e := range c.n.entities {
-				if e == q.Entity {
-					continue
-				}
-				s := t.src.Get(e)
-				if s == nil {
-					return nil, stats, fmt.Errorf("core: indexed entity %d missing from source", e)
-				}
-				stats.Checked++
-				d := measure.Degree(q, s)
-				if results.Len() < k {
-					heap.Push(&results, Result{Entity: e, Degree: d})
-				} else if d > results[0].Degree ||
-					(d == results[0].Degree && e < results[0].Entity) {
-					results[0] = Result{Entity: e, Degree: d}
-					heap.Fix(&results, 0)
-				}
-			}
-			continue
-		}
-		for _, child := range c.n.sortedChildren() {
-			cc := t.expand(c, child, qCounts, measure, &stats)
-			cc.seq = seq
-			seq++
-			heap.Push(&cands, cc)
+		if err := f.visit(c, best.offer); err != nil {
+			return nil, f.stats, err
 		}
 	}
-
-	out := make([]Result, results.Len())
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(&results).(Result)
-	}
-	n := t.Len()
-	if t.Contains(q.Entity) {
-		n-- // the query entity itself is never an answer
-	}
-	if n > 0 {
-		stats.PE = float64(stats.Checked-len(out)) / float64(n)
-		if stats.PE < 0 {
-			stats.PE = 0
-		}
-		stats.Pruned = 1 - float64(stats.Checked)/float64(n)
-	}
-	return out, stats, nil
+	out := best.ranked()
+	return out, f.finish(len(out)), nil
 }
 
 // expand builds the candidate for a child node: filter the surviving query
@@ -214,41 +308,58 @@ func (t *Tree) TopK(q *trace.Sequences, k int, measure adm.Measure) ([]Result, S
 // partial pruned set of Section 5.1), then refresh the per-level surviving
 // ancestor counts for the child's level and below. Counts for coarser
 // levels are inherited — they were fixed by the ancestors at those levels
-// (Theorem 3 keeps the bound monotone).
-func (t *Tree) expand(parent *candidate, child *node, qCounts []int, measure adm.Measure, stats *SearchStats) *candidate {
+// (Theorem 3 keeps the bound monotone). A child that prunes nothing shares
+// its parent's cells and counts.
+func (f *frontier) expand(parent *candidate, child *node) *candidate {
+	t := f.t
 	fn := int(child.routing)
-	surviving := make([]trace.Cell, 0, len(parent.surviving))
-	for _, s := range parent.surviving {
+	surviving := parent.surviving
+	kept := 0
+	for i, s := range parent.surviving {
 		var keep bool
 		if child.fullSig != nil {
 			// Full-signature mode (Section 5.1 ablation): prune with the
 			// complete pruned set PS_N across all nh coordinates.
-			keep = t.fullSurvives(child, s, stats)
+			keep = t.fullSurvives(child, s, &f.stats)
 		} else {
-			stats.CellsHashed++
+			f.stats.CellsHashed++
 			// h_fn(s) < SIG_N[fn] would put s in the partial pruned set:
 			// no entity under child can be present at s (Theorem 2).
 			keep = t.hasher.Hash(fn, s) >= child.value
 		}
-		if keep {
-			surviving = append(surviving, s)
+		switch {
+		case keep && kept < i:
+			surviving[kept] = s
+			kept++
+		case keep:
+			kept++
+		case kept == i:
+			// First pruned cell: stop sharing the parent's slice.
+			surviving = make([]trace.Cell, len(parent.surviving)-1)
+			copy(surviving, parent.surviving[:i])
 		}
 	}
-	cc := &candidate{n: child, surviving: surviving}
-	if len(surviving) == len(parent.surviving) {
-		// Nothing pruned: ancestor counts are unchanged.
-		cc.counts = parent.counts
-	} else {
-		counts := make([]int, t.m)
-		copy(counts, parent.counts[:child.level-1])
+	cc := &candidate{n: child, surviving: surviving[:kept], counts: parent.counts}
+	if kept < len(parent.surviving) {
+		cc.counts = make([]int, t.m)
+		copy(cc.counts, parent.counts[:child.level-1])
+		cc.counts[t.m-1] = kept
 		// Theorem 2 exclusions propagate to every level ≥ the node's own:
-		// recount distinct ancestor cells of the survivors.
-		for l := child.level; l <= t.m; l++ {
-			counts[l-1] = distinctAncestors(t, surviving, l)
+		// recount the distinct ancestor cells of the survivors, coarsening
+		// one level at a time (the level-l ancestors are the parents of the
+		// level-(l+1) ancestors).
+		anc := append(f.scratch[:0], cc.surviving...)
+		for l := t.m - 1; l >= child.level; l-- {
+			for i, c := range anc {
+				anc[i] = trace.MakeCell(c.Time(), t.ix.Parent(c.Unit()))
+			}
+			slices.Sort(anc)
+			anc = slices.Compact(anc)
+			cc.counts[l-1] = len(anc)
 		}
-		cc.counts = counts
+		f.scratch = anc
 	}
-	cc.ub = measure.UpperBound(cc.counts, qCounts)
+	cc.ub = f.measure.UpperBound(cc.counts, f.qCounts)
 	return cc
 }
 
@@ -268,57 +379,18 @@ func subtreeEntities(n *node, skip trace.EntityID, fn func(trace.EntityID)) {
 	}
 }
 
-// offerZeros feeds every entity under n into the k-best selection with
-// degree 0, without touching the sequence source. Sound only when the
-// node's upper bound is 0 (then admissibility forces every degree to 0).
-func offerZeros(n *node, skip trace.EntityID, k int, results *resultHeap) {
-	subtreeEntities(n, skip, func(e trace.EntityID) {
-		if results.Len() < k {
-			heap.Push(results, Result{Entity: e})
-		} else if r := &(*results)[0]; r.Degree == 0 && e < r.Entity {
-			r.Entity = e
-			heap.Fix(results, 0)
-		}
-	})
-}
-
-// distinctAncestors counts the distinct level-l cells covering the given
-// base cells.
-func distinctAncestors(t *Tree, cells []trace.Cell, l int) int {
-	if l == t.m {
-		return len(cells)
-	}
-	seen := make(map[trace.Cell]struct{}, len(cells))
-	for _, c := range cells {
-		a := trace.MakeCell(c.Time(), t.ix.AncestorAt(c.Unit(), l))
-		seen[a] = struct{}{}
-	}
-	return len(seen)
-}
-
 // BruteForceTopK computes the exact top-k answers by scanning every entity
 // in the source — the paper's ground-truth comparator (Chapter 4 opening).
 // It shares the tie-breaking of TopK so results are directly comparable.
 func BruteForceTopK(src SequenceSource, entities []trace.EntityID, q *trace.Sequences, k int, measure adm.Measure) []Result {
-	all := make([]Result, 0, len(entities))
+	best := newKBest(k)
 	for _, e := range entities {
 		if e == q.Entity {
 			continue
 		}
-		s := src.Get(e)
-		if s == nil {
-			continue
+		if s := src.Get(e); s != nil {
+			best.offer(Result{Entity: e, Degree: measure.Degree(q, s)})
 		}
-		all = append(all, Result{Entity: e, Degree: measure.Degree(q, s)})
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Degree != all[j].Degree {
-			return all[i].Degree > all[j].Degree
-		}
-		return all[i].Entity < all[j].Entity
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	return all[:k]
+	return best.ranked()
 }

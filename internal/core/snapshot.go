@@ -314,7 +314,7 @@ func ReadSnapshotWith(r io.Reader, ix *spindex.Index, src SequenceSource, resolv
 		ix:     ix,
 		hasher: fam,
 		src:    src,
-		root:   &node{level: 0, children: make(map[uint32]*node)},
+		root:   &node{},
 		sigs:   newSigTable(hint),
 		m:      m,
 	}
@@ -403,20 +403,9 @@ func (t *Tree) insertWithSig(e trace.EntityID, sig sighash.EntitySig) {
 	t.sigs.put(e, sig)
 	cur := t.root
 	cur.count++
-	for l := 1; l <= t.m; l++ {
-		ls := sig[l-1]
-		child, ok := cur.children[ls.Routing]
-		if !ok {
-			child = &node{routing: ls.Routing, value: ls.Value, level: l}
-			if l < t.m {
-				child.children = make(map[uint32]*node)
-			}
-			cur.children[ls.Routing] = child
-		} else if ls.Value < child.value {
-			child.value = ls.Value
-		}
-		child.count++
-		cur = child
+	for _, ls := range sig {
+		cur, _ = cur.childFor(ls)
+		cur.count++
 	}
 	cur.entities = append(cur.entities, e)
 }

@@ -17,6 +17,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -42,11 +43,64 @@ type SequenceSource interface {
 type node struct {
 	routing  uint32
 	value    uint64
-	level    int // 1..m; the root sits at virtual level 0
-	children map[uint32]*node
+	level    int              // 1..m; the root sits at virtual level 0
+	children []*node          // ascending routing index: the traversal order, and binary-searchable
 	entities []trace.EntityID // leaves only
 	count    int              // entities in the subtree
 	fullSig  []uint64         // full-signature mode only (Options.FullSignatures)
+}
+
+// childIndex returns the position of the child with routing index r among
+// n's children, or the position it would be inserted at.
+func (n *node) childIndex(r uint32) (int, bool) {
+	return slices.BinarySearchFunc(n.children, r, func(c *node, r uint32) int {
+		return cmp.Compare(c.routing, r)
+	})
+}
+
+// child returns n's child with routing index r, or nil.
+func (n *node) child(r uint32) *node {
+	if i, ok := n.childIndex(r); ok {
+		return n.children[i]
+	}
+	return nil
+}
+
+// childFor is the descent step every insertion shares: it returns n's child
+// for the level signature ls with its group coordinate lowered to cover
+// ls.Value, creating the child (at level n.level+1) when there is none.
+func (n *node) childFor(ls sighash.LevelSig) (child *node, created bool) {
+	i, ok := n.childIndex(ls.Routing)
+	if !ok {
+		child = &node{routing: ls.Routing, value: ls.Value, level: n.level + 1}
+		n.children = slices.Insert(n.children, i, child)
+		return child, true
+	}
+	child = n.children[i]
+	if ls.Value < child.value {
+		child.value = ls.Value
+	}
+	return child, false
+}
+
+// removeEntity deletes e from the leaf at the end of path and prunes the
+// nodes it empties, bottom-up. Every node on path must be writable.
+func removeEntity(path []*node, e trace.EntityID) {
+	leaf := path[len(path)-1]
+	i := slices.Index(leaf.entities, e)
+	if i < 0 {
+		panic(fmt.Sprintf("core: index corrupt: entity %d missing from its leaf", e))
+	}
+	leaf.entities = slices.Delete(leaf.entities, i, i+1)
+	for _, n := range path {
+		n.count--
+	}
+	for l := len(path) - 1; l >= 1; l-- {
+		if n := path[l]; n.count == 0 {
+			i, _ := path[l-1].childIndex(n.routing)
+			path[l-1].children = slices.Delete(path[l-1].children, i, i+1)
+		}
+	}
 }
 
 // Tree is the MinSigTree index over a fixed entity population. It is not
@@ -94,7 +148,7 @@ func Build(ix *spindex.Index, hasher sighash.Hasher, src SequenceSource, entitie
 		ix:     ix,
 		hasher: hasher,
 		src:    src,
-		root:   &node{level: 0, children: make(map[uint32]*node)},
+		root:   &node{},
 		sigs:   newSigTable(len(entities)),
 		m:      ix.Height(),
 	}
@@ -197,34 +251,13 @@ func (t *Tree) Remove(e trace.EntityID) error {
 	cur := t.root
 	path = append(path, cur)
 	for l := 1; l <= t.m; l++ {
-		cur = cur.children[sig[l-1].Routing]
+		cur = cur.child(sig[l-1].Routing)
 		if cur == nil {
 			panic(fmt.Sprintf("core: index corrupt: entity %d signature path broken at level %d", e, l))
 		}
 		path = append(path, cur)
 	}
-	leaf := cur
-	found := false
-	for i, id := range leaf.entities {
-		if id == e {
-			leaf.entities = append(leaf.entities[:i], leaf.entities[i+1:]...)
-			found = true
-			break
-		}
-	}
-	if !found {
-		panic(fmt.Sprintf("core: index corrupt: entity %d missing from its leaf", e))
-	}
-	for _, n := range path {
-		n.count--
-	}
-	// Prune emptied nodes bottom-up.
-	for l := t.m; l >= 1; l-- {
-		n := path[l]
-		if n.count == 0 {
-			delete(path[l-1].children, n.routing)
-		}
-	}
+	removeEntity(path, e)
 	t.removals++
 	return nil
 }
@@ -267,7 +300,7 @@ func (t *Tree) Clone(src SequenceSource) (*Tree, error) {
 		ix:     t.ix,
 		hasher: t.hasher,
 		src:    src,
-		root:   &node{level: 0, children: make(map[uint32]*node)},
+		root:   &node{},
 		sigs:   newSigTable(t.sigs.len()),
 		m:      t.m,
 	}
@@ -364,9 +397,9 @@ func (t *Tree) Validate() error {
 			return n.count, nil
 		}
 		total := 0
-		for r, c := range n.children {
-			if c.routing != r {
-				return 0, fmt.Errorf("core: child keyed %d has routing %d", r, c.routing)
+		for i, c := range n.children {
+			if i > 0 && n.children[i-1].routing >= c.routing {
+				return 0, fmt.Errorf("core: children of a level-%d node out of routing order at %d", n.level, c.routing)
 			}
 			if c.level != n.level+1 {
 				return 0, fmt.Errorf("core: child of level-%d node at level %d", n.level, c.level)
@@ -396,7 +429,7 @@ func (t *Tree) Validate() error {
 		sig, _ := t.sigs.get(e)
 		cur := t.root
 		for l := 1; l <= t.m; l++ {
-			cur = cur.children[sig[l-1].Routing]
+			cur = cur.child(sig[l-1].Routing)
 			if cur == nil {
 				return fmt.Errorf("core: entity %d path broken at level %d", e, l)
 			}
@@ -407,17 +440,6 @@ func (t *Tree) Validate() error {
 		}
 	}
 	return nil
-}
-
-// sortedChildren returns a node's children ordered by routing index, for
-// deterministic traversal.
-func (n *node) sortedChildren() []*node {
-	out := make([]*node, 0, len(n.children))
-	for _, c := range n.children {
-		out = append(out, c)
-	}
-	slices.SortFunc(out, func(a, b *node) int { return int(a.routing) - int(b.routing) })
-	return out
 }
 
 // ensure interface compliance of the in-memory store.

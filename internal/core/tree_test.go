@@ -66,8 +66,8 @@ func TestMinSigTreeFigure41(t *testing.T) {
 	if len(tree.root.children) != 2 {
 		t.Fatalf("root has %d children, want 2", len(tree.root.children))
 	}
-	n1 := tree.root.children[0]
-	n2 := tree.root.children[1]
+	n1 := tree.root.child(0)
+	n2 := tree.root.child(1)
 	if n1 == nil || n2 == nil {
 		t.Fatalf("missing root children: %v", tree.root.children)
 	}
@@ -78,8 +78,8 @@ func TestMinSigTreeFigure41(t *testing.T) {
 		t.Errorf("N2 = (value %d, count %d), want (2, 3)", n2.value, n2.count)
 	}
 	// Level 2 under N2: N21 (h1, value 4) = {ea, ec}; N22 (h2, value 5) = {eb}.
-	n21 := n2.children[0]
-	n22 := n2.children[1]
+	n21 := n2.child(0)
+	n22 := n2.child(1)
 	if n21 == nil || n21.value != 4 || len(n21.entities) != 2 {
 		t.Fatalf("N21 = %+v, want value 4 holding {ea,ec}", n21)
 	}
@@ -226,26 +226,23 @@ func TestUpperBoundDominatesSubtree(t *testing.T) {
 		for _, m := range measuresFor(t, 3) {
 			for _, qe := range st.Entities()[:10] {
 				q := st.Get(qe)
-				qCounts := []int{q.Size(1), q.Size(2), q.Size(3)}
 				for _, e := range st.Entities() {
 					if e == qe {
 						continue
 					}
 					deg := m.Degree(q, st.Get(e))
 					sig, _ := tree.sigs.get(e)
-					var stats SearchStats
-					cand := &candidate{
-						n:         tree.root,
-						ub:        m.UpperBound(qCounts, qCounts),
-						surviving: q.Base(),
-						counts:    qCounts,
+					f, err := tree.newFrontier(q, m)
+					if err != nil {
+						t.Fatal(err)
 					}
+					cand := f.cands[0]
 					for l := 1; l <= tree.m; l++ {
-						child := cand.n.children[sig[l-1].Routing]
+						child := cand.n.child(sig[l-1].Routing)
 						if child == nil {
 							t.Fatalf("entity %d path broken at level %d", e, l)
 						}
-						next := tree.expand(cand, child, qCounts, m, &stats)
+						next := f.expand(cand, child)
 						if next.ub > cand.ub+1e-12 {
 							t.Fatalf("bound grew along path: %v -> %v (level %d)", cand.ub, next.ub, l)
 						}
@@ -550,6 +547,27 @@ func TestSingleLevelIndex(t *testing.T) {
 	for i := range want {
 		if got[i].Degree != want[i].Degree {
 			t.Fatalf("m=1 degrees diverge: %v vs %v", got, want)
+		}
+	}
+}
+
+// TestBruteForceTopKEdges: the scan keeps its contract at the edges — k = 0
+// is an empty, non-nil answer and a k beyond the population returns everyone
+// but the query entity, in canonical order.
+func TestBruteForceTopKEdges(t *testing.T) {
+	_, st, _ := buildRandomWorld(t, 5, 12, 6)
+	m := measuresFor(t, 3)[0]
+	q := st.Get(0)
+	if got := BruteForceTopK(st, st.Entities(), q, 0, m); got == nil || len(got) != 0 {
+		t.Errorf("k=0: got %#v, want an empty non-nil slice", got)
+	}
+	all := BruteForceTopK(st, st.Entities(), q, 100, m)
+	if len(all) != st.Len()-1 {
+		t.Fatalf("k=100 over %d entities: %d results", st.Len(), len(all))
+	}
+	for i := 1; i < len(all); i++ {
+		if !ranksBefore(all[i-1], all[i]) {
+			t.Errorf("results %d and %d out of canonical order: %v", i-1, i, all)
 		}
 	}
 }

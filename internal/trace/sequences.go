@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 
 	"digitaltraces/internal/spindex"
 )
@@ -16,48 +15,52 @@ import (
 // deduplicated, so set operations are linear merges.
 type Sequences struct {
 	Entity EntityID
-	sets   [][]Cell // sets[l-1] is seq^l, sorted ascending
+	// flat is the whole sequence in one allocation: m+1 level offsets, then
+	// the m level sets, coarsest first. Level l is flat[flat[l-1]:flat[l]],
+	// so flat[0] = m+1 and an exact-degree evaluation reaches the offsets
+	// and the first levels through a single pointer, usually on one cache
+	// line. A Sequences with no levels has an empty flat.
+	flat []Cell
 }
 
 // Levels returns m, the number of levels in the sequence.
-func (s *Sequences) Levels() int { return len(s.sets) }
+func (s *Sequences) Levels() int {
+	if len(s.flat) == 0 {
+		return 0
+	}
+	return int(s.flat[0]) - 1
+}
 
 // At returns seq^level, the sorted cell set at the given level (1-indexed,
 // 1 = coarsest). The returned slice is shared; callers must not modify it.
-func (s *Sequences) At(level int) []Cell { return s.sets[level-1] }
+// Its capacity is clipped to its length, so an append reallocates instead of
+// overwriting the next level.
+func (s *Sequences) At(level int) []Cell {
+	lo, hi := s.flat[level-1], s.flat[level]
+	return s.flat[lo:hi:hi]
+}
 
 // Base returns seq^m: the entity's base ST-cells (S_q for a query entity,
 // Section 5.1).
-func (s *Sequences) Base() []Cell { return s.sets[len(s.sets)-1] }
+func (s *Sequences) Base() []Cell { return s.At(s.Levels()) }
 
 // Size returns |seq^level|.
-func (s *Sequences) Size(level int) int { return len(s.sets[level-1]) }
+func (s *Sequences) Size(level int) int { return int(s.flat[level] - s.flat[level-1]) }
 
 // TotalCells returns the summed size over all levels; used for memory and
 // index-cost accounting (the constant C of Section 4.3 is TotalCells/Levels
 // averaged over entities).
-func (s *Sequences) TotalCells() int {
-	n := 0
-	for _, set := range s.sets {
-		n += len(set)
-	}
-	return n
-}
+func (s *Sequences) TotalCells() int { return len(s.flat) - s.Levels() - 1 }
 
 // Contains reports whether seq^level contains the cell.
 func (s *Sequences) Contains(level int, c Cell) bool {
-	set := s.sets[level-1]
-	i := sort.Search(len(set), func(i int) bool { return set[i] >= c })
-	return i < len(set) && set[i] == c
+	_, ok := slices.BinarySearch(s.At(level), c)
+	return ok
 }
 
 // Clone returns a deep copy (used by update paths that mutate sequences).
 func (s *Sequences) Clone() *Sequences {
-	cp := &Sequences{Entity: s.Entity, sets: make([][]Cell, len(s.sets))}
-	for i, set := range s.sets {
-		cp.sets[i] = append([]Cell(nil), set...)
-	}
-	return cp
+	return &Sequences{Entity: s.Entity, flat: slices.Clone(s.flat)}
 }
 
 // NewSequences builds the ST-cell set sequence of an entity from its raw
@@ -67,25 +70,14 @@ func (s *Sequences) Clone() *Sequences {
 //
 // Records may overlap and repeat; the resulting sets are deduplicated.
 func NewSequences(ix *spindex.Index, entity EntityID, recs []Record) *Sequences {
-	span := 0
-	for _, r := range recs {
-		span += r.Span()
-	}
-	base := make([]Cell, 0, span)
-	for _, r := range recs {
-		u := ix.BaseUnit(r.Base)
-		for t := r.Start; t < r.End; t++ {
-			base = append(base, MakeCell(t, u))
-		}
-	}
-	return newSequencesFromBase(ix, entity, base)
+	return NewSequencesMerged(ix, entity, recs, nil)
 }
 
 // NewSequencesFromCells builds a sequence directly from base-level cells
 // (each cell's unit must be a level-m unit). Generators that already operate
 // on cells use this to skip record materialization.
 func NewSequencesFromCells(ix *spindex.Index, entity EntityID, base []Cell) *Sequences {
-	return newSequencesFromBase(ix, entity, append([]Cell(nil), base...))
+	return newSequencesFromBase(ix, entity, slices.Clone(base))
 }
 
 // NewSequencesMerged builds an entity's sequence from raw records unioned
@@ -94,12 +86,13 @@ func NewSequencesFromCells(ix *spindex.Index, entity EntityID, base []Cell) *Seq
 // entity's full history, only the suffix since prev was folded, or any
 // overlapping mix — re-unioning already-folded cells is idempotent. This is
 // how mmap-loaded snapshots (which never re-ingest the visit log) fold new
-// visits on refresh. prev == nil degrades to NewSequences.
+// visits on refresh. prev == nil means there is nothing to union with.
 func NewSequencesMerged(ix *spindex.Index, entity EntityID, recs []Record, prev *Sequences) *Sequences {
-	if prev == nil {
-		return NewSequences(ix, entity, recs)
+	var folded []Cell
+	if prev != nil {
+		folded = prev.Base()
 	}
-	span := len(prev.Base())
+	span := len(folded)
 	for _, r := range recs {
 		span += r.Span()
 	}
@@ -110,23 +103,45 @@ func NewSequencesMerged(ix *spindex.Index, entity EntityID, recs []Record, prev 
 			base = append(base, MakeCell(t, u))
 		}
 	}
-	base = append(base, prev.Base()...)
+	base = append(base, folded...)
 	return newSequencesFromBase(ix, entity, base)
 }
 
+// newSequencesFromBase derives every level from the (unsorted, owned) base
+// cells directly in the flat layout. The buffer is sized for the worst case —
+// every level as large as the base — and filled from the back: each level is
+// derived from the one after it and packed against it. Coarsening rarely
+// merges cells (it takes two presences in one time unit under one parent),
+// so the levels usually end up flush with the offsets; otherwise the gap is
+// closed by one copy into an exactly sized buffer.
 func newSequencesFromBase(ix *spindex.Index, entity EntityID, base []Cell) *Sequences {
 	m := ix.Height()
-	s := &Sequences{Entity: entity, sets: make([][]Cell, m)}
-	s.sets[m-1] = sortDedup(base)
-	for l := m - 1; l >= 1; l-- {
-		finer := s.sets[l]
-		coarser := make([]Cell, len(finer))
+	base = sortDedup(base)
+	flat := make([]Cell, m+1+m*len(base))
+	hi := len(flat)
+	lo := hi - len(base)
+	copy(flat[lo:], base)
+	for l := m; l > 1; l-- {
+		flat[l] = Cell(hi)
+		finer := flat[lo:hi]
+		coarser := flat[lo-len(finer) : lo]
 		for i, c := range finer {
 			coarser[i] = MakeCell(c.Time(), ix.Parent(c.Unit()))
 		}
-		s.sets[l-1] = sortDedup(coarser)
+		k := len(sortDedup(coarser))
+		copy(flat[lo-k:lo], coarser[:k])
+		hi, lo = lo, lo-k
 	}
-	return s
+	flat[1], flat[0] = Cell(hi), Cell(lo)
+	if gap := lo - (m + 1); gap > 0 {
+		exact := make([]Cell, len(flat)-gap)
+		for l := 0; l <= m; l++ {
+			exact[l] = flat[l] - Cell(gap)
+		}
+		copy(exact[m+1:], flat[lo:])
+		flat = exact
+	}
+	return &Sequences{Entity: entity, flat: flat}
 }
 
 // PresenceInstances reconstructs the entity's presence instances at a given
@@ -247,35 +262,47 @@ func Intersection(a, b []Cell) []Cell {
 }
 
 // Store is an in-memory collection of entity sequences, the "digital-trace
-// database" the index and the query processor read from. Entity IDs need not
-// be dense, but dense IDs keep it compact.
+// database" the index and the query processor read from.
 //
-// A Store supports two copying modes. Clone is the flat copy: a fresh entity
-// map sharing the *Sequences values, O(|E|). Derive is the copy-on-write
-// derivation the root package's incremental Refresh runs on: the derived
-// store shares the parent's entries through a frozen base map and records
-// its own writes in a private overlay, so deriving costs O(|parent overlay|)
-// — the entities written since the last compaction — never O(|E|). Layering
-// is capped at two (base is a plain map, not another store) and a derive
-// whose parent overlay has grown to half its base folds the layers back into
-// one, so reads stay at two map probes and the occasional O(|E|) fold
+// Entries live in two heap layers over an optional Backing. The base layer
+// is a dense table indexed by entity ID — the facade allocates IDs from 0
+// upward by arrival, so a read is one indexed load. The overlay is a small
+// map holding whatever the table cannot: a derived store's private writes,
+// and IDs that are negative, sparse or far beyond the population (the table
+// is only ever grown to about twice the live entity count, so memory stays
+// O(|E|) whatever IDs arrive; an early ID moves in once the table reaches it).
+//
+// A Store supports two copying modes. Clone is the flat copy: a fresh table
+// and overlay sharing the *Sequences values, O(|E|). Derive is the
+// copy-on-write derivation the root package's incremental Refresh runs on:
+// the derived store shares the parent's table, frozen from then on, and
+// records its own writes in its overlay, so deriving costs O(|parent
+// overlay|) — the entities written since the last compaction — never O(|E|).
+// A derive whose parent overlay has grown to half its base folds the layers
+// back into one, so the overlay stays small and the occasional O(|E|) fold
 // amortizes to O(1) per write. Both modes rely on ingest treating *Sequences
 // values as immutable: AddRecords replaces an entity's entry with a newly
 // built Sequences rather than mutating the old one in place.
 type Store struct {
-	ix      *spindex.Index
-	seqs    map[EntityID]*Sequences // this store's own (possibly shadowing) entries
-	ids     []EntityID              // entities first inserted here, in insertion order
-	base    map[EntityID]*Sequences // frozen shared layer (Derive); nil for a root store
-	baseIDs []EntityID              // the base layer's insertion order, frozen with it
-	backing Backing                 // optional lowest layer (mmap/disk); nil for pure in-heap stores
-	n       int                     // live entities across all layers
-	frozen  bool                    // set once Derive shares seqs as a child's base
+	ix       *spindex.Index
+	base     []*Sequences            // base[e] for 0 ≤ e < len(base); nil = absent here
+	baseLen  int                     // non-nil entries of base
+	ownsBase bool                    // base is private and written in place; false once shared by Derive
+	overlay  map[EntityID]*Sequences // private entries shadowing base, plus IDs base cannot hold
+	ids      []EntityID              // entities first inserted here, in insertion order
+	baseIDs  []EntityID              // insertion order of the generations before, frozen with base
+	backing  Backing                 // optional lowest layer (mmap/disk); nil for pure in-heap stores
+	n        int                     // live entities across all layers
+	frozen   bool                    // set once Derive shares this store's layers with a child
 }
+
+// denseSlack lets a small or empty store take its first few IDs into the
+// table without waiting for the population to justify them.
+const denseSlack = 16
 
 // Backing is a read-only lowest layer of sequences living outside the heap —
 // a disk block file or a memory-mapped snapshot region. Reads that miss both
-// in-heap layers fall through to it; writes always land in the heap overlay
+// in-heap layers fall through to it; writes always land in the heap layers
 // and shadow it. storage.Store satisfies this.
 type Backing interface {
 	Get(EntityID) *Sequences
@@ -285,7 +312,7 @@ type Backing interface {
 
 // NewStore returns an empty store over the given sp-index.
 func NewStore(ix *spindex.Index) *Store {
-	return &Store{ix: ix, seqs: make(map[EntityID]*Sequences)}
+	return &Store{ix: ix, ownsBase: true, overlay: make(map[EntityID]*Sequences)}
 }
 
 // NewBackedStore returns a store whose lowest layer is b: every entity of b
@@ -293,7 +320,9 @@ func NewStore(ix *spindex.Index) *Store {
 // shadows b's entries in the heap without touching them. The backing
 // survives Clone and Derive — it is the permanent floor of the layer stack.
 func NewBackedStore(ix *spindex.Index, b Backing) *Store {
-	return &Store{ix: ix, seqs: make(map[EntityID]*Sequences), backing: b, n: len(b.Entities())}
+	st := NewStore(ix)
+	st.backing, st.n = b, len(b.Entities())
+	return st
 }
 
 // Index returns the sp-index the store's sequences are built against.
@@ -306,84 +335,121 @@ func (st *Store) Put(s *Sequences) {
 	if st.frozen {
 		panic("trace: Put on a frozen store (Derive shared its entries with a newer generation); mutate the derived store instead")
 	}
-	if _, ok := st.seqs[s.Entity]; !ok {
-		if _, shadowing := st.base[s.Entity]; !shadowing {
-			if st.backing == nil || !st.backing.Has(s.Entity) {
-				st.ids = append(st.ids, s.Entity)
-				st.n++
+	if st.heapGet(s.Entity) == nil && (st.backing == nil || !st.backing.Has(s.Entity)) {
+		st.ids = append(st.ids, s.Entity)
+		st.n++
+		// The table's reach (tableReach) just grew by two IDs: move them in if
+		// they arrived early, so a root store's overlay only ever holds what
+		// the table cannot and a later Derive copies nothing it need not.
+		if st.ownsBase && len(st.overlay) != 0 {
+			for e := st.tableReach() - 2; e < st.tableReach(); e++ {
+				if early, ok := st.overlay[EntityID(e)]; ok {
+					delete(st.overlay, EntityID(e))
+					st.place(early)
+				}
 			}
 		}
 	}
-	st.seqs[s.Entity] = s
+	st.place(s)
 }
 
-// Get returns the sequences of an entity, or nil if absent.
-func (st *Store) Get(e EntityID) *Sequences {
-	if s, ok := st.seqs[e]; ok {
-		return s
+// tableReach bounds the IDs the table may hold: about twice the population,
+// so memory stays O(|E|) whatever IDs arrive.
+func (st *Store) tableReach() int { return 2*st.n + denseSlack }
+
+// place stores s in the table when this store owns it and the ID is within
+// reach, in the overlay otherwise.
+func (st *Store) place(s *Sequences) {
+	e := int(s.Entity)
+	if !st.ownsBase || e < 0 || e >= st.tableReach() {
+		st.overlay[s.Entity] = s
+		return
 	}
-	if s, ok := st.base[e]; ok { // nil map lookup is fine for a root store
-		return s
+	if e >= len(st.base) {
+		st.base = append(st.base, make([]*Sequences, e+1-len(st.base))...)
 	}
-	if st.backing != nil {
-		return st.backing.Get(e)
+	if st.base[e] == nil {
+		st.baseLen++
+	}
+	st.base[e] = s
+}
+
+// heapGet resolves an entity through the two in-heap layers: an overlay
+// probe, skipped while the overlay is empty, then one indexed load.
+func (st *Store) heapGet(e EntityID) *Sequences {
+	if len(st.overlay) != 0 {
+		if s, ok := st.overlay[e]; ok {
+			return s
+		}
+	}
+	if uint(e) < uint(len(st.base)) {
+		return st.base[e]
 	}
 	return nil
 }
 
-// Clone returns a flat copy — one fresh entity map resolving both layers,
-// sharing the *Sequences values. Put/AddRecords on the clone never disturb
-// the original. Cost is O(|E|); Derive is the O(dirty) alternative.
+// Get returns the sequences of an entity, or nil if absent.
+func (st *Store) Get(e EntityID) *Sequences {
+	if s := st.heapGet(e); s != nil || st.backing == nil {
+		return s
+	}
+	return st.backing.Get(e)
+}
+
+// Clone returns a flat copy — a fresh table and overlay resolving both
+// layers, sharing the *Sequences values. Put/AddRecords on the clone never
+// disturb the original. Overlay entries the table can now hold move into it.
+// Cost is O(|E|); Derive is the O(dirty) alternative.
 func (st *Store) Clone() *Store {
 	cp := &Store{
-		ix:      st.ix,
-		seqs:    make(map[EntityID]*Sequences, st.n),
-		ids:     slices.Concat(st.baseIDs, st.ids),
-		backing: st.backing,
-		n:       st.n,
+		ix:       st.ix,
+		base:     slices.Clone(st.base),
+		baseLen:  st.baseLen,
+		ownsBase: true,
+		overlay:  make(map[EntityID]*Sequences),
+		ids:      slices.Concat(st.baseIDs, st.ids),
+		backing:  st.backing,
+		n:        st.n,
 	}
-	maps.Copy(cp.seqs, st.base)
-	maps.Copy(cp.seqs, st.seqs)
+	for _, s := range st.overlay {
+		cp.place(s)
+	}
 	return cp
 }
 
 // Derive returns a copy-on-write child sharing this store's entries: reads
-// fall through to the shared frozen layer, writes land in the child's
+// fall through to the shared frozen table, writes land in the child's
 // private overlay. The receiver is frozen from here on (Put panics) — the
 // copy-on-write seam the root package's incremental Refresh derives new
 // index snapshots through. Cost is O(|overlay|), not O(|E|); see the Store
 // comment for the layering and compaction rules.
 func (st *Store) Derive() *Store {
 	st.frozen = true
-	if st.base == nil {
-		// This store's map becomes the child's frozen base; nothing copies.
-		return &Store{ix: st.ix, seqs: map[EntityID]*Sequences{}, base: st.seqs, baseIDs: st.ids, backing: st.backing, n: st.n}
-	}
-	if OverlayNeedsCompaction(len(st.seqs), len(st.base)) {
-		// Fold both layers into a fresh root so lookups stay two probes and
-		// future derives start small.
+	d := &Store{ix: st.ix, base: st.base, baseLen: st.baseLen, overlay: maps.Clone(st.overlay), backing: st.backing, n: st.n}
+	switch {
+	case st.ownsBase:
+		// This store's table becomes the child's frozen base; only the
+		// entries the table could not hold are copied.
+		d.baseIDs = st.ids
+	case OverlayNeedsCompaction(len(st.overlay), st.baseLen):
+		// Fold both layers into a fresh root so the overlay stays small and
+		// future derives start from it.
 		return st.Clone().Derive()
+	default:
+		d.ids, d.baseIDs = slices.Clone(st.ids), st.baseIDs
 	}
-	return &Store{
-		ix:      st.ix,
-		seqs:    maps.Clone(st.seqs),
-		ids:     slices.Clone(st.ids),
-		base:    st.base,
-		baseIDs: st.baseIDs,
-		backing: st.backing,
-		n:       st.n,
-	}
+	return d
 }
 
 // Len returns the number of entities (|E|).
 func (st *Store) Len() int { return st.n }
 
 // Entities returns entity IDs in insertion order: backing first (its file
-// order), then base layer, then this store's own inserts. For an unbacked
-// root store the slice is shared — do not modify; other shapes allocate the
-// concatenation.
+// order), then the earlier generations' inserts, then this store's own. For
+// an unbacked root store the slice is shared — do not modify; other shapes
+// allocate the concatenation.
 func (st *Store) Entities() []EntityID {
-	if st.base == nil && st.backing == nil {
+	if st.ownsBase && st.backing == nil {
 		return st.ids
 	}
 	out := make([]EntityID, 0, st.n)
