@@ -11,31 +11,6 @@
 // single-DB run is the baseline the N-shard parallel build speedup is read
 // against.
 //
-// The -scenario rebuild mode measures the mixed read/write workload the
-// snapshot-swap refactor exists for: query latency sampled while BuildIndex
-// runs concurrently (plus a writer streaming visits), once against a
-// lock-holding baseline — an RWMutex wrapper that recreates the old
-// "BuildIndex holds the write lock, queries wait" contract — and once
-// against the DB's native atomically-swapped snapshots:
-//
-//	bench -label snapshot -scenario rebuild -entities 4000
-//
-// writes BENCH_snapshot.json with both rows and the p99 speedup. That
-// speedup is the headline number: queries that used to serialize behind a
-// multi-hundred-millisecond rebuild keep answering at microsecond latency.
-//
-// The -scenario refresh mode measures incremental index maintenance cost:
-// Refresh latency at a fixed dirty-entity count across increasing population
-// sizes, once with the pre-COW full-copy path (WithCloneRefresh: shallow
-// store clone + full tree replay, O(|E|) per swap) and once with the default
-// copy-on-write derive (structural sharing, O(dirty)):
-//
-//	bench -label refresh -scenario refresh -refresh-sizes 1000,4000,16000 -dirty 64
-//
-// writes BENCH_refresh.json. The headline is the per-size speedup: the clone
-// rows grow roughly linearly with |E| while the cow rows stay near-flat, so
-// the ratio widens with the database.
-//
 // The -scenario restart mode measures the warm-restart path: the time to a
 // query-ready index on a freshly re-ingested population, once cold
 // (BuildIndex: O(|E|·C·nh) signature hashing) and once warm (LoadIndex over
@@ -51,19 +26,6 @@
 // the header and replaying digests, faulting sequence pages in lazily, so
 // its time-to-first-query should sit well under the load row and grow
 // sub-linearly with the population.
-//
-// The -scenario cache mode measures the generation-keyed hot-query cache
-// under a Zipfian query mix (a few celebrity entities dominate, the
-// workload the cache exists for): sequential latency and throughput on the
-// single DB and on an N-shard cluster, each with the cache off and on,
-// plus the observed hit rate:
-//
-//	bench -label cache -scenario cache -entities 2000 -cache-shards 8
-//
-// writes BENCH_cache.json. The headline is the cached-vs-uncached
-// throughput speedup at the reported hit rate; the uncached cluster row
-// doubles as the threshold-pruned scatter-gather's single-query latency
-// (the bounded gather is always on).
 //
 // The -scenario trace mode measures the cost of leaving per-query tracing
 // on: sequential latency over the same query sequence with the trace ring
@@ -129,8 +91,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"digitaltraces"
@@ -155,40 +115,6 @@ type Run struct {
 	OpsPerSec                float64 `json:"ops_per_sec"` // parallel batch throughput
 	P50Micros                float64 `json:"p50_us"`      // sequential single-query latency
 	P99Micros                float64 `json:"p99_us"`
-}
-
-// RebuildRun is one engine mode's measurements under the -scenario rebuild
-// mixed read/write workload: sequential query latency sampled only for
-// queries issued while a BuildIndex was in flight, with a writer streaming
-// visits throughout. Mode "locked" recreates the pre-snapshot design (an
-// RWMutex wrapper whose BuildIndex holds the write lock, stalling queries);
-// mode "snapshot" is the DB's native build-aside + atomic swap.
-type RebuildRun struct {
-	Mode           string  `json:"mode"` // "locked" or "snapshot"
-	Rebuilds       int     `json:"rebuilds"`
-	RebuildSeconds float64 `json:"rebuild_seconds"` // mean wall clock per rebuild
-	Queries        int     `json:"queries"`         // issued while a rebuild was in flight
-	P50Micros      float64 `json:"p50_us"`
-	P99Micros      float64 `json:"p99_us"`
-	MaxMicros      float64 `json:"max_us"`
-	// P99Speedup is p99(locked)/p99(this run), on the snapshot row only.
-	P99Speedup float64 `json:"p99_speedup_vs_locked,omitempty"`
-}
-
-// RefreshRun is one (mode, population) cell of the -scenario refresh
-// matrix: Refresh latency with exactly Dirty dirty entities per swap. Mode
-// "clone" is the pre-COW full-copy path (O(|E|) per swap); mode "cow" is the
-// copy-on-write derive (O(dirty)). SpeedupVsClone is mean(clone)/mean(cow)
-// at the same population, on the cow rows only.
-type RefreshRun struct {
-	Mode           string  `json:"mode"` // "clone" or "cow"
-	Entities       int     `json:"entities"`
-	Dirty          int     `json:"dirty"`
-	Refreshes      int     `json:"refreshes"`
-	MeanMicros     float64 `json:"mean_us"`
-	P50Micros      float64 `json:"p50_us"`
-	P99Micros      float64 `json:"p99_us"`
-	SpeedupVsClone float64 `json:"speedup_vs_clone,omitempty"`
 }
 
 // RestartRun is one (mode, population) cell of the -scenario restart
@@ -227,28 +153,6 @@ type IngestRun struct {
 	TheoreticalPageIO int     `json:"theoretical_page_io,omitempty"`
 }
 
-// CacheRun is one (engine, cached) cell of the -scenario cache matrix:
-// sequential query latency and throughput over one fixed Zipfian query
-// sequence. HitRate is the fraction of queries answered from the
-// generation-keyed cache (0 on uncached rows); SpeedupVsUncached is
-// throughput(this)/throughput(uncached same engine), cached rows only.
-type CacheRun struct {
-	Engine string `json:"engine"` // "db" or "cluster"
-	Shards int    `json:"shards"`
-	// Gather names the cluster fan-out measured: "naive" (full local top-k
-	// per shard, the pre-pruning design) or "pruned" (threshold early
-	// termination). Empty on single-DB rows, which have no fan-out.
-	Gather            string  `json:"gather,omitempty"`
-	Cached            bool    `json:"cached"`
-	CacheEntries      int     `json:"cache_entries,omitempty"` // capacity
-	Queries           int     `json:"queries"`
-	HitRate           float64 `json:"hit_rate"`
-	OpsPerSec         float64 `json:"ops_per_sec"`
-	P50Micros         float64 `json:"p50_us"`
-	P99Micros         float64 `json:"p99_us"`
-	SpeedupVsUncached float64 `json:"speedup_vs_uncached,omitempty"`
-}
-
 // TraceRun is one (engine, traced) cell of the -scenario trace matrix:
 // sequential query latency over one fixed query sequence with the trace
 // ring off or on. Quantiles are the median of per-round quantiles across
@@ -283,15 +187,16 @@ type Report struct {
 		GoVersion  string `json:"go_version"`
 	} `json:"config"`
 	Runs          []Run          `json:"runs,omitempty"`
-	RebuildRuns   []RebuildRun   `json:"rebuild_runs,omitempty"`
-	RefreshRuns   []RefreshRun   `json:"refresh_runs,omitempty"`
 	RestartRuns   []RestartRun   `json:"restart_runs,omitempty"`
 	IngestRuns    []IngestRun    `json:"ingest_runs,omitempty"`
-	CacheRuns     []CacheRun     `json:"cache_runs,omitempty"`
 	TraceRuns     []TraceRun     `json:"trace_runs,omitempty"`
 	RemoteRuns    []RemoteRun    `json:"remote_runs,omitempty"`
 	RebalanceRuns []RebalanceRun `json:"rebalance_runs,omitempty"`
 }
+
+// scenarios lists the -scenario modes, in the order the package comment
+// describes them.
+var scenarios = []string{"serve", "restart", "trace", "ingest", "remote", "rebalance"}
 
 func main() {
 	log.SetFlags(0)
@@ -308,19 +213,11 @@ func main() {
 		k        = flag.Int("k", 10, "top-k result size")
 		queries  = flag.Int("queries", 200, "queries per latency/throughput sample")
 		shardSet = flag.String("shards", "1,2,4,8", "comma-separated cluster sizes to benchmark alongside the single DB")
-		scenario = flag.String("scenario", "serve", `"serve" (build/latency/throughput per engine size), "rebuild" (query latency during a concurrent BuildIndex, locked baseline vs snapshot swap), "refresh" (Refresh latency at fixed dirty count across population sizes, full-copy baseline vs copy-on-write derive), "restart" (time to a query-ready index on a fresh process, cold BuildIndex vs warm LoadIndex vs mapped LoadMappedIndex) or "ingest" (time to a query-ready index from a record file larger than the sort buffer budget, in-memory vs out-of-core bulk load)`)
-		rebuilds = flag.Int("rebuilds", 3, "rebuild scenario: concurrent BuildIndex runs to sample queries against")
-		refSizes = flag.String("refresh-sizes", "1000,4000,16000", "refresh scenario: comma-separated population sizes")
-		dirtyN   = flag.Int("dirty", 64, "refresh scenario: dirty entities per swap")
-		refCount = flag.Int("refreshes", 30, "refresh scenario: measured swaps per (mode, size) cell")
+		scenario = flag.String("scenario", "serve", "one of "+strings.Join(scenarios, ", ")+" (see the package comment for what each measures)")
 		rstSizes = flag.String("restart-sizes", "1000,4000,16000", "restart scenario: comma-separated population sizes")
 		ingVis   = flag.Int("ingest-visits", 40, "ingest scenario: visits per entity (records = entities × this)")
 		ingBufs  = flag.Int("ingest-buffers", 8, "ingest scenario: external-sort buffer pages (resident budget = pages × page size)")
 		ingPage  = flag.Int("ingest-page", 4096, "ingest scenario: external-sort page size in bytes")
-		cacheCap = flag.Int("cache-entries", 4096, "cache scenario: query cache capacity")
-		cacheQ   = flag.Int("cache-queries", 1000, "cache scenario: Zipfian queries per cell")
-		cacheSh  = flag.Int("cache-shards", 8, "cache scenario: cluster size to measure alongside the single DB")
-		zipfS    = flag.Float64("zipf-s", 1.5, "cache scenario: Zipf skew exponent (>1; higher = hotter head)")
 		trcRing  = flag.Int("trace-ring", 512, "trace scenario: trace ring capacity for the traced rows")
 		trcRds   = flag.Int("trace-rounds", 6, "trace scenario: alternating off/on measurement rounds")
 		trcSh    = flag.Int("trace-shards", 4, "trace scenario: cluster size to measure alongside the single DB")
@@ -336,10 +233,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	switch *scenario {
-	case "serve", "rebuild", "refresh", "restart", "cache", "trace", "ingest", "remote", "rebalance":
-	default:
-		log.Fatalf("unknown -scenario %q (want serve, rebuild, refresh, restart, cache, trace, ingest, remote or rebalance)", *scenario)
+	if !slices.Contains(scenarios, *scenario) {
+		log.Fatalf("unknown -scenario %q (want one of %s)", *scenario, strings.Join(scenarios, ", "))
 	}
 	opts := []digitaltraces.Option{
 		digitaltraces.WithHashFunctions(*nh),
@@ -359,19 +254,6 @@ func main() {
 	report.Config.K = *k
 	report.Config.GoMaxProcs = runtime.GOMAXPROCS(0)
 	report.Config.GoVersion = runtime.Version()
-
-	if *scenario == "refresh" {
-		popSizes, err := parseSizes(*refSizes)
-		if err != nil {
-			log.Fatal(err)
-		}
-		report.RefreshRuns, err = refreshScenario(cfg, opts, popSizes, *dirtyN, *refCount)
-		if err != nil {
-			log.Fatal(err)
-		}
-		writeReport(report, *out, *label)
-		return
-	}
 
 	if *scenario == "restart" {
 		popSizes, err := parseSizes(*rstSizes)
@@ -427,15 +309,6 @@ func main() {
 		return
 	}
 
-	if *scenario == "cache" {
-		report.CacheRuns, err = cacheScenario(cfg, opts, *side, *levels, *k, *cacheQ, *cacheSh, *cacheCap, *zipfS, *seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		writeReport(report, *out, *label)
-		return
-	}
-
 	if *scenario == "trace" {
 		report.TraceRuns, err = traceScenario(cfg, opts, *side, *levels, *k, *queries, *trcSh, *trcRing, *trcRds)
 		if err != nil {
@@ -462,15 +335,6 @@ func main() {
 	names := make([]string, 0, *queries)
 	for i := 0; i < *queries; i++ {
 		names = append(names, fmt.Sprintf("entity-%d", (i*37)%*entities))
-	}
-
-	if *scenario == "rebuild" {
-		report.RebuildRuns, err = rebuildScenario(src, names, *k, *rebuilds)
-		if err != nil {
-			log.Fatal(err)
-		}
-		writeReport(report, *out, *label)
-		return
 	}
 
 	// Baseline: the single DB. Build timing measures BuildIndex only (the
@@ -518,80 +382,6 @@ func writeReport(report Report, out, label string) {
 	log.Printf("wrote %s", path)
 }
 
-// refreshScenario measures one fold-and-swap (Refresh) with exactly dirtyN
-// dirty entities, refreshes times per cell, for every population size ×
-// {clone, cow}. Each cell gets its own deterministically regenerated city
-// (same seed ⇒ identical data across modes), a warm initial BuildIndex, and
-// a rotating dirty set so successive swaps touch different signature paths.
-func refreshScenario(cfg digitaltraces.CityConfig, opts []digitaltraces.Option, popSizes []int, dirtyN, refreshes int) ([]RefreshRun, error) {
-	if dirtyN < 1 || refreshes < 1 {
-		return nil, fmt.Errorf("refresh scenario: need -dirty ≥ 1 and -refreshes ≥ 1")
-	}
-	var runs []RefreshRun
-	for _, pop := range popSizes {
-		if dirtyN > pop {
-			return nil, fmt.Errorf("refresh scenario: -dirty %d exceeds population %d", dirtyN, pop)
-		}
-		var cloneMean float64
-		for _, mode := range []string{"clone", "cow"} {
-			ccfg := cfg
-			ccfg.Entities = pop
-			dbOpts := opts
-			if mode == "clone" {
-				dbOpts = append(append([]digitaltraces.Option{}, opts...), digitaltraces.WithCloneRefresh())
-			}
-			log.Printf("refresh scenario: generating city (%d entities, mode %s)", pop, mode)
-			db, err := digitaltraces.SyntheticCity(ccfg, dbOpts...)
-			if err != nil {
-				return nil, fmt.Errorf("refresh scenario: %w", err)
-			}
-			if err := db.BuildIndex(); err != nil {
-				return nil, fmt.Errorf("refresh scenario: initial build: %w", err)
-			}
-			run := RefreshRun{Mode: mode, Entities: pop, Dirty: dirtyN, Refreshes: refreshes}
-			lat := make([]time.Duration, 0, refreshes)
-			venues := db.NumVenues()
-			// One warmup swap, then the measured ones.
-			for r := 0; r <= refreshes; r++ {
-				for j := 0; j < dirtyN; j++ {
-					name := fmt.Sprintf("entity-%d", (r*dirtyN+j*131)%pop)
-					h := (r + j) % 20
-					if err := db.AddVisit(name, fmt.Sprintf("venue-%d", j%venues), digitaltraces.TimeAt(h), digitaltraces.TimeAt(h+1)); err != nil {
-						return nil, fmt.Errorf("refresh scenario: dirtying: %w", err)
-					}
-				}
-				start := time.Now()
-				if err := db.Refresh(); err != nil {
-					return nil, fmt.Errorf("refresh scenario (%s/%d): Refresh: %w", mode, pop, err)
-				}
-				if r > 0 {
-					lat = append(lat, time.Since(start))
-				}
-			}
-			var sum time.Duration
-			for _, d := range lat {
-				sum += d
-			}
-			slices.Sort(lat)
-			run.MeanMicros = float64(sum.Microseconds()) / float64(len(lat))
-			run.P50Micros = float64(percentile(lat, 50).Microseconds())
-			run.P99Micros = float64(percentile(lat, 99).Microseconds())
-			if mode == "clone" {
-				cloneMean = run.MeanMicros
-			} else if run.MeanMicros > 0 {
-				run.SpeedupVsClone = cloneMean / run.MeanMicros
-			}
-			log.Printf("refresh scenario %s |E|=%d dirty=%d: mean %.0fµs, p50 %.0fµs, p99 %.0fµs",
-				mode, pop, dirtyN, run.MeanMicros, run.P50Micros, run.P99Micros)
-			if run.SpeedupVsClone > 0 {
-				log.Printf("  cow speedup vs clone at |E|=%d: %.1fx", pop, run.SpeedupVsClone)
-			}
-			runs = append(runs, run)
-		}
-	}
-	return runs, nil
-}
-
 // restartScenario measures, per population size, the wall clock from a
 // freshly ingested DB to a query-ready published index: cold (BuildIndex)
 // versus warm (LoadIndex from a SaveIndex snapshot of an identically
@@ -613,7 +403,7 @@ func restartScenario(cfg digitaltraces.CityConfig, opts []digitaltraces.Option, 
 		}
 
 		// The snapshots a restart would load: built and saved once per size,
-		// in both formats (v2 buffer for LoadIndex, mapped file for
+		// in both formats (heap snapshot for LoadIndex, mapped file for
 		// LoadMappedIndex).
 		src, err := fresh()
 		if err != nil {
@@ -837,145 +627,6 @@ func ingestScenario(entities, visitsPer, side, levels, days, buffers, page, k in
 	return runs, nil
 }
 
-// cacheScenario measures the generation-keyed hot-query cache under a
-// Zipfian query mix: one fixed query sequence (rank-r entity drawn with
-// probability ∝ 1/(1+r)^s) replayed sequentially against the single DB and
-// an N-shard cluster, cache off then on. Every engine answers from its own
-// deterministically regenerated city, so all four cells serve identical
-// data; the cached cells also verify sampled answers against their uncached
-// twin before reporting.
-func cacheScenario(cfg digitaltraces.CityConfig, opts []digitaltraces.Option, side, levels, k, queries, shards, capacity int, zipfS float64, seed int64) ([]CacheRun, error) {
-	if queries < 1 || shards < 1 || capacity < 1 {
-		return nil, fmt.Errorf("cache scenario: need -cache-queries, -cache-shards and -cache-entries ≥ 1")
-	}
-	if zipfS <= 1 {
-		return nil, fmt.Errorf("cache scenario: -zipf-s must be > 1, got %v", zipfS)
-	}
-	zrng := rand.New(rand.NewSource(seed))
-	zipf := rand.NewZipf(zrng, zipfS, 1, uint64(cfg.Entities-1))
-	names := make([]string, queries)
-	distinct := map[string]bool{}
-	for i := range names {
-		names[i] = fmt.Sprintf("entity-%d", zipf.Uint64())
-		distinct[names[i]] = true
-	}
-	log.Printf("cache scenario: %d Zipfian queries (s=%.2f) over %d distinct entities", queries, zipfS, len(distinct))
-
-	newEngine := func(kind string, cached, naive bool) (digitaltraces.Engine, error) {
-		dbOpts := opts
-		if cached && kind == "db" {
-			dbOpts = append(append([]digitaltraces.Option{}, opts...), digitaltraces.WithQueryCache(capacity))
-		}
-		src, err := digitaltraces.SyntheticCity(cfg, dbOpts...)
-		if err != nil {
-			return nil, err
-		}
-		if kind == "db" {
-			return src, nil
-		}
-		clusterCap := 0
-		if cached {
-			clusterCap = capacity
-		}
-		return shard.Partition(src, shard.Config{
-			Shards:      shards,
-			CacheSize:   clusterCap,
-			NaiveGather: naive,
-			NewShard: func(int) (*digitaltraces.DB, error) {
-				return digitaltraces.NewGridDB(side, levels, opts...)
-			},
-		})
-	}
-
-	type cell struct {
-		kind          string
-		cached, naive bool
-	}
-	cells := []cell{
-		{kind: "db", cached: false},
-		{kind: "db", cached: true},
-		// The naive row is the PR 2 design measured on today's host — the
-		// honest baseline the pruned row's latency is read against.
-		{kind: "cluster", cached: false, naive: true},
-		{kind: "cluster", cached: false},
-		{kind: "cluster", cached: true},
-	}
-
-	var runs []CacheRun
-	baseline := map[string]float64{} // uncached pruned ops/sec per engine kind
-	reference := map[string][]digitaltraces.Match{}
-	for _, cl := range cells {
-		kind, cached := cl.kind, cl.cached
-		{
-			eng, err := newEngine(kind, cached, cl.naive)
-			if err != nil {
-				return nil, fmt.Errorf("cache scenario (%s cached=%v): %w", kind, cached, err)
-			}
-			if err := eng.BuildIndex(); err != nil {
-				return nil, fmt.Errorf("cache scenario (%s cached=%v): build: %w", kind, cached, err)
-			}
-			run := CacheRun{Engine: kind, Cached: cached, Queries: queries, Shards: 1}
-			if kind == "cluster" {
-				run.Shards = shards
-				run.Gather = "pruned"
-				if cl.naive {
-					run.Gather = "naive"
-				}
-			}
-			if cached {
-				run.CacheEntries = capacity
-			}
-			lat := make([]time.Duration, 0, queries)
-			hits := 0
-			// Collect the previous cell's dead engine before timing: on small
-			// hosts a GC pause mid-loop would otherwise land in this cell's
-			// tail latency.
-			runtime.GC()
-			start := time.Now()
-			for _, name := range names {
-				qStart := time.Now()
-				ms, qs, err := eng.TopK(name, k)
-				if err != nil {
-					return nil, fmt.Errorf("cache scenario (%s cached=%v): TopK(%s): %w", kind, cached, name, err)
-				}
-				lat = append(lat, time.Since(qStart))
-				if qs.CacheHit {
-					hits++
-				}
-				// Exactness spot-check: every cell of one engine kind —
-				// naive, pruned, cached — must answer identically over the
-				// same data.
-				key := kind + "|" + name
-				if want, ok := reference[key]; !ok {
-					reference[key] = ms
-				} else if !reflect.DeepEqual(ms, want) {
-					return nil, fmt.Errorf("cache scenario (%s cached=%v naive=%v): answer for %s diverges: %v vs %v", kind, cached, cl.naive, name, ms, want)
-				}
-			}
-			elapsed := time.Since(start)
-			slices.Sort(lat)
-			run.HitRate = float64(hits) / float64(queries)
-			run.OpsPerSec = float64(queries) / elapsed.Seconds()
-			run.P50Micros = float64(percentile(lat, 50).Microseconds())
-			run.P99Micros = float64(percentile(lat, 99).Microseconds())
-			if !cached {
-				if !cl.naive {
-					baseline[kind] = run.OpsPerSec
-				}
-			} else if baseline[kind] > 0 {
-				run.SpeedupVsUncached = run.OpsPerSec / baseline[kind]
-			}
-			log.Printf("cache scenario %s shards=%d gather=%s cached=%v: %.0f q/s, p50 %.0fµs, p99 %.0fµs, hit rate %.1f%%",
-				kind, run.Shards, run.Gather, cached, run.OpsPerSec, run.P50Micros, run.P99Micros, 100*run.HitRate)
-			if run.SpeedupVsUncached > 0 {
-				log.Printf("  throughput speedup vs uncached %s: %.1fx", kind, run.SpeedupVsUncached)
-			}
-			runs = append(runs, run)
-		}
-	}
-	return runs, nil
-}
-
 // traceScenario measures the latency cost of leaving the trace ring on.
 // Per engine kind, two engines serve identical deterministically regenerated
 // data — one untraced, one with a ring — and the same query sequence runs
@@ -1090,157 +741,6 @@ func traceScenario(cfg digitaltraces.CityConfig, opts []digitaltraces.Option, si
 		}
 	}
 	return runs, nil
-}
-
-// lockedEngine recreates the pre-snapshot concurrency design around a DB:
-// one RWMutex, queries under the read lock, BuildIndex and ingest under the
-// write lock. It is the honest baseline for the rebuild scenario — exactly
-// the contract the root package had before index maintenance moved to
-// atomically swapped snapshots.
-type lockedEngine struct {
-	mu sync.RWMutex
-	db *digitaltraces.DB
-}
-
-func (l *lockedEngine) TopK(entity string, k int) ([]digitaltraces.Match, digitaltraces.QueryStats, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.db.TopK(entity, k)
-}
-
-func (l *lockedEngine) BuildIndex() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.db.BuildIndex()
-}
-
-func (l *lockedEngine) AddVisit(entity, venue string, start, end time.Time) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.db.AddVisit(entity, venue, start, end)
-}
-
-// rebuildEngine is the slice of Engine the rebuild scenario exercises, so
-// the same driver measures the locked wrapper and the bare snapshot DB.
-type rebuildEngine interface {
-	TopK(entity string, k int) ([]digitaltraces.Match, digitaltraces.QueryStats, error)
-	BuildIndex() error
-	AddVisit(entity, venue string, start, end time.Time) error
-}
-
-// rebuildScenario measures query latency while BuildIndex runs concurrently,
-// first against the lock-holding baseline and then against the snapshot DB,
-// and reports the p99 speedup. A writer goroutine streams visits (well
-// inside the indexed horizon) throughout, making the workload genuinely
-// mixed read/write.
-func rebuildScenario(db *digitaltraces.DB, names []string, k, rebuilds int) ([]RebuildRun, error) {
-	if err := db.BuildIndex(); err != nil {
-		return nil, fmt.Errorf("rebuild scenario: initial build: %w", err)
-	}
-	runs := make([]RebuildRun, 0, 2)
-	for _, mode := range []string{"locked", "snapshot"} {
-		var eng rebuildEngine = db
-		if mode == "locked" {
-			eng = &lockedEngine{db: db}
-		}
-		run, err := measureRebuild(mode, eng, db.NumVenues(), names, k, rebuilds)
-		if err != nil {
-			return nil, err
-		}
-		runs = append(runs, run)
-	}
-	if runs[0].P99Micros > 0 && runs[1].P99Micros > 0 {
-		runs[1].P99Speedup = runs[0].P99Micros / runs[1].P99Micros
-		log.Printf("rebuild scenario: p99 during rebuild %.0fµs (locked) → %.0fµs (snapshot): %.0fx",
-			runs[0].P99Micros, runs[1].P99Micros, runs[1].P99Speedup)
-	}
-	return runs, nil
-}
-
-func measureRebuild(mode string, eng rebuildEngine, venues int, names []string, k, rebuilds int) (RebuildRun, error) {
-	run := RebuildRun{Mode: mode, Rebuilds: rebuilds}
-
-	var inFlight atomic.Bool
-	var buildSecs float64
-	buildErr := make(chan error, 1)
-	stopWriter := make(chan struct{})
-	var writerWG sync.WaitGroup
-
-	// Writer: a steady visit stream onto existing entities, inside the
-	// horizon so the data never forces a horizon extension mid-run.
-	writerWG.Add(1)
-	go func() {
-		defer writerWG.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stopWriter:
-				return
-			default:
-			}
-			name := names[i%len(names)]
-			h := i % 24
-			if err := eng.AddVisit(name, fmt.Sprintf("venue-%d", i%venues), digitaltraces.TimeAt(h), digitaltraces.TimeAt(h+1)); err != nil {
-				log.Printf("rebuild scenario: writer: %v", err)
-				return
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}()
-
-	go func() {
-		defer inFlight.Store(false)
-		start := time.Now()
-		for i := 0; i < rebuilds; i++ {
-			inFlight.Store(true)
-			if err := eng.BuildIndex(); err != nil {
-				buildErr <- err
-				return
-			}
-		}
-		buildSecs = time.Since(start).Seconds() / float64(rebuilds)
-		buildErr <- nil
-	}()
-
-	// Querier: sequential latency sampling; only queries issued while a
-	// rebuild was in flight count (that is the stall the old design caused).
-	var lat []time.Duration
-	for {
-		if !inFlight.Load() {
-			select {
-			case err := <-buildErr:
-				close(stopWriter)
-				writerWG.Wait()
-				if err != nil {
-					return run, fmt.Errorf("rebuild scenario (%s): build: %w", mode, err)
-				}
-				if len(lat) == 0 {
-					return run, fmt.Errorf("rebuild scenario (%s): no query overlapped a rebuild; increase -entities or -hash", mode)
-				}
-				slices.Sort(lat)
-				run.RebuildSeconds = buildSecs
-				run.Queries = len(lat)
-				run.P50Micros = float64(percentile(lat, 50).Microseconds())
-				run.P99Micros = float64(percentile(lat, 99).Microseconds())
-				run.MaxMicros = float64(lat[len(lat)-1].Microseconds())
-				log.Printf("rebuild scenario %s: %d rebuilds (%.3fs each), %d overlapping queries, p50 %.0fµs, p99 %.0fµs, max %.0fµs",
-					mode, rebuilds, run.RebuildSeconds, run.Queries, run.P50Micros, run.P99Micros, run.MaxMicros)
-				return run, nil
-			default:
-				continue
-			}
-		}
-		name := names[len(lat)%len(names)]
-		started := inFlight.Load()
-		qStart := time.Now()
-		if _, _, err := eng.TopK(name, k); err != nil {
-			close(stopWriter)
-			writerWG.Wait()
-			return run, fmt.Errorf("rebuild scenario (%s): TopK(%s): %w", mode, name, err)
-		}
-		if started {
-			lat = append(lat, time.Since(qStart))
-		}
-	}
 }
 
 // measure times an engine's index build, then samples sequential query

@@ -74,21 +74,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		// v2 snapshots resolve by the record-file naming convention
+		// Snapshots resolve by the record-file naming convention
 		// ("entity-<fileID>") and cross-check the covered visit counts, so a
 		// snapshot built over a different or stale record set errors instead
-		// of silently binding signatures to the wrong entities. v1 snapshots
-		// have no name table; their raw IDs are trusted (they are stable
-		// here — the store is keyed by file IDs — but the data may have
-		// drifted undetectably; rebuild with buildindex -index to upgrade).
+		// of silently binding signatures to the wrong entities.
 		byName := make(map[string]trace.EntityID, len(ids))
 		for _, e := range ids {
 			byName[fmt.Sprintf("entity-%d", e)] = e
 		}
 		resolve := func(se core.SnapshotEntity) (trace.EntityID, bool, error) {
-			if !se.Named {
-				return se.ID, true, nil
-			}
 			e, ok := byName[se.Name]
 			if !ok {
 				return 0, false, fmt.Errorf("snapshot entity %q is not in %s — the snapshot was built over a different record set", se.Name, *in)
@@ -97,7 +91,7 @@ func main() {
 				// Stamped "dirty while the save ran": the signature covers an
 				// unknown visit prefix, so binding it to the full record file
 				// would serve wrong pruning bounds — exactly the silent
-				// misalignment v2 exists to refuse.
+				// misalignment the name table exists to refuse.
 				return 0, false, fmt.Errorf("snapshot's signature for %q is stale (the entity was receiving visits while the snapshot was saved); rebuild it with buildindex -index", se.Name)
 			}
 			if int(se.Folded) != counts[e] {

@@ -127,15 +127,37 @@ func TestRefreshCOWIsolation(t *testing.T) {
 	}
 }
 
-// TestRefreshCloneAndCOWAgree: the two refresh implementations — full copy
-// (WithCloneRefresh) and path-copying derive — must produce bit-identical
-// answers over the same data and updates.
+// requireSameAsRebuilt asserts db answers TopK bit-identically to twin for
+// every entity, after twin — fed the same visits — rebuilds from scratch.
+func requireSameAsRebuilt(t *testing.T, label string, db, twin *DB, population, k int) {
+	t.Helper()
+	if err := twin.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	for q := 0; q < population; q++ {
+		name := fmt.Sprintf("entity-%d", q)
+		got, _, err := db.TopK(name, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := twin.TopK(name, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s, %s: refreshed %v != rebuilt %v", label, name, got, want)
+		}
+	}
+}
+
+// TestRefreshCloneAndCOWAgree: a DB maintained by copy-on-write refreshes
+// must answer bit-identically, for every entity, to a twin over the same
+// data and updates that rebuilds its index from scratch after each round.
 func TestRefreshCloneAndCOWAgree(t *testing.T) {
 	const population = 80
-	mk := func(opts ...Option) *DB {
+	mk := func() *DB {
 		t.Helper()
-		opts = append([]Option{WithHashFunctions(32)}, opts...)
-		db, err := SyntheticCity(CityConfig{Side: 4, Entities: population, Days: 3}, opts...)
+		db, err := SyntheticCity(CityConfig{Side: 4, Entities: population, Days: 3}, WithHashFunctions(32))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,12 +166,12 @@ func TestRefreshCloneAndCOWAgree(t *testing.T) {
 		}
 		return db
 	}
-	cow, clone := mk(), mk(WithCloneRefresh())
+	cow, rebuilt := mk(), mk()
 	for round := 0; round < 3; round++ {
 		for j := 0; j < 15; j++ {
 			name := fmt.Sprintf("entity-%d", (round*17+j*3)%population)
 			h := (round*2 + j) % 24
-			for _, db := range []*DB{cow, clone} {
+			for _, db := range []*DB{cow, rebuilt} {
 				if err := db.AddVisit(name, VenueName(j%db.NumVenues()), TimeAt(h), TimeAt(h+1)); err != nil {
 					t.Fatal(err)
 				}
@@ -158,88 +180,74 @@ func TestRefreshCloneAndCOWAgree(t *testing.T) {
 		if err := cow.Refresh(); err != nil {
 			t.Fatal(err)
 		}
-		if err := clone.Refresh(); err != nil {
-			t.Fatal(err)
-		}
-		for q := 0; q < population; q += 7 {
-			name := fmt.Sprintf("entity-%d", q)
-			a, _, err := cow.TopK(name, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, _, err := clone.TopK(name, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("round %d, %s: cow %v != clone %v", round, name, a, b)
-			}
-		}
+		requireSameAsRebuilt(t, fmt.Sprintf("round %d", round), cow, rebuilt, population, 5)
 	}
 }
 
 // BenchmarkRefresh measures one fold-and-swap at a fixed population under
-// varying dirty fractions, for both refresh implementations. The COW rows
-// should scale with the dirty count where the clone rows stay pinned to
-// O(|E|); cmd/bench -scenario refresh measures the |E|-scaling curve.
+// varying dirty fractions: the cost should scale with the dirty count, not
+// with |E|.
 func BenchmarkRefresh(b *testing.B) {
 	const entities = 2000
-	for _, mode := range []string{"cow", "clone"} {
-		for _, frac := range []float64{0.01, 0.05, 0.25} {
-			b.Run(fmt.Sprintf("mode=%s/dirty=%g", mode, frac), func(b *testing.B) {
-				opts := []Option{WithHashFunctions(32)}
-				if mode == "clone" {
-					opts = append(opts, WithCloneRefresh())
-				}
-				db, err := SyntheticCity(CityConfig{Side: 8, Entities: entities, Days: 3}, opts...)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := db.BuildIndex(); err != nil {
-					b.Fatal(err)
-				}
-				dirtyN := max(int(frac*entities), 1)
-				venues := db.NumVenues()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					for j := 0; j < dirtyN; j++ {
-						name := fmt.Sprintf("entity-%d", (i*131+j)%entities)
-						h := (i + j) % 24
-						if err := db.AddVisit(name, VenueName(j%venues), TimeAt(h), TimeAt(h+1)); err != nil {
-							b.Fatal(err)
-						}
-					}
-					b.StartTimer()
-					if err := db.Refresh(); err != nil {
+	for _, frac := range []float64{0.01, 0.05, 0.25} {
+		b.Run(fmt.Sprintf("dirty=%g", frac), func(b *testing.B) {
+			db, err := SyntheticCity(CityConfig{Side: 8, Entities: entities, Days: 3}, WithHashFunctions(32))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := db.BuildIndex(); err != nil {
+				b.Fatal(err)
+			}
+			dirtyN := max(int(frac*entities), 1)
+			venues := db.NumVenues()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for j := 0; j < dirtyN; j++ {
+					name := fmt.Sprintf("entity-%d", (i*131+j)%entities)
+					h := (i + j) % 24
+					if err := db.AddVisit(name, VenueName(j%venues), TimeAt(h), TimeAt(h+1)); err != nil {
 						b.Fatal(err)
 					}
 				}
-			})
-		}
+				b.StartTimer()
+				if err := db.Refresh(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 // TestRefreshRetightensAfterManyUpdates: the COW lineage carries its
 // removal count, and once it exceeds the population one refresh escalates
 // to a full-copy replay (resetting the count and re-tightening group
-// signatures) before returning to O(dirty) derives.
+// signatures) before returning to O(dirty) derives. This is the only test
+// that reaches the clone-and-replay branch, so every escalated refresh's
+// answers are also checked against a twin rebuilt from scratch.
 func TestRefreshRetightensAfterManyUpdates(t *testing.T) {
 	const population = 10
-	db, err := SyntheticCity(CityConfig{Side: 4, Entities: population, Days: 2}, WithHashFunctions(16))
-	if err != nil {
-		t.Fatal(err)
+	mk := func() *DB {
+		t.Helper()
+		db, err := SyntheticCity(CityConfig{Side: 4, Entities: population, Days: 2}, WithHashFunctions(16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.BuildIndex(); err != nil {
+			t.Fatal(err)
+		}
+		return db
 	}
-	if err := db.BuildIndex(); err != nil {
-		t.Fatal(err)
-	}
+	db, twin := mk(), mk()
 	sawReset := false
 	last := 0
 	for round := 0; round < 2*population; round++ {
 		for j := 0; j < 3; j++ {
 			name := fmt.Sprintf("entity-%d", (round*3+j)%population)
-			if err := db.AddVisit(name, VenueName(j), TimeAt((round+j)%40), TimeAt((round+j)%40+1)); err != nil {
-				t.Fatal(err)
+			for _, d := range []*DB{db, twin} {
+				if err := d.AddVisit(name, VenueName(j), TimeAt((round+j)%40), TimeAt((round+j)%40+1)); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		if err := db.Refresh(); err != nil {
@@ -250,6 +258,7 @@ func TestRefreshRetightensAfterManyUpdates(t *testing.T) {
 		r := db.snap.Load().tree.Removals()
 		if r < last {
 			sawReset = true
+			requireSameAsRebuilt(t, fmt.Sprintf("retightened at round %d", round), db, twin, population, 5)
 		}
 		if r > population+3 {
 			t.Fatalf("round %d: removals %d never re-tightened (population %d)", round, r, population)

@@ -281,23 +281,6 @@ func WithSeed(seed uint64) Option {
 	}
 }
 
-// WithCloneRefresh makes Refresh build the next snapshot by full copy — a
-// shallow store clone plus a complete signature replay of the tree, O(|E|)
-// per swap — instead of the default copy-on-write derive, which shares every
-// clean entity's state with the previous snapshot and costs O(dirty).
-//
-// Answers are identical either way. The full copy is retained as the
-// reference baseline cmd/bench -scenario refresh (and BenchmarkRefresh)
-// measures the COW path against, and as an escape hatch: a cloned snapshot
-// re-tightens group signatures that repeated incremental updates leave
-// conservatively loose, restoring maximal pruning.
-func WithCloneRefresh() Option {
-	return func(db *DB) error {
-		db.cloneRefresh = true
-		return nil
-	}
-}
-
 // DB is a digital-trace database: a store of entity visits plus, after
 // BuildIndex, a MinSigTree serving exact top-k association queries.
 //
@@ -347,10 +330,6 @@ type DB struct {
 	// query path's lazy escalation). Readers never block on it: a query that
 	// finds it held answers from the current snapshot instead.
 	buildMu sync.Mutex
-
-	// cloneRefresh selects the pre-COW full-copy refresh path (see
-	// WithCloneRefresh); the default is the O(dirty) copy-on-write derive.
-	cloneRefresh bool
 
 	// unionFold marks a DB whose serving snapshots may cover visits the
 	// ingest log does not retain (mapped loads, bulk loads without visit

@@ -2,25 +2,30 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"digitaltraces/internal/trace"
 )
 
-// TestSnapshotRoundTrip: WriteTo + ReadSnapshot reproduces an identical
-// index: same structure, same stats, same query answers, and still
-// updatable.
+// snapshotNames is the entity info callback the snapshot tests write with.
+func snapshotNames(e trace.EntityID) (string, uint32) { return fmt.Sprintf("e%d", e), 1 }
+
+// TestSnapshotRoundTrip: WriteSnapshot + ReadSnapshot reproduces an
+// identical index: same structure, same stats, same query answers, and
+// still updatable.
 func TestSnapshotRoundTrip(t *testing.T) {
 	ix, st, tree := buildRandomWorld(t, 17, 60, 24)
 	var buf bytes.Buffer
-	n, err := tree.WriteTo(&buf)
+	n, err := tree.WriteSnapshot(&buf, SnapshotMeta{TimeUnit: time.Hour}, snapshotNames)
 	if err != nil {
-		t.Fatalf("WriteTo: %v", err)
+		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	if n != int64(buf.Len()) {
-		t.Errorf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
+		t.Errorf("WriteSnapshot reported %d bytes, wrote %d", n, buf.Len())
 	}
 	loaded, err := ReadSnapshot(&buf, ix, st)
 	if err != nil {
@@ -58,7 +63,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestSnapshotErrors(t *testing.T) {
 	ix, st, tree := buildRandomWorld(t, 19, 10, 8)
 	var buf bytes.Buffer
-	if _, err := tree.WriteTo(&buf); err != nil {
+	if _, err := tree.WriteSnapshot(&buf, SnapshotMeta{TimeUnit: time.Hour}, snapshotNames); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
@@ -84,7 +89,7 @@ func TestSnapshotErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := exTree.WriteTo(&bytes.Buffer{}); err == nil {
+	if _, err := exTree.WriteSnapshot(&bytes.Buffer{}, SnapshotMeta{TimeUnit: time.Hour}, snapshotNames); err == nil {
 		t.Error("TableHasher tree persisted")
 	}
 }

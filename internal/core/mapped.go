@@ -13,13 +13,13 @@ import (
 	"digitaltraces/internal/trace"
 )
 
-// MSIGMAP1 is the memory-mappable sibling of MSIGTREE2. Where v2 is a
+// MSIGMAP1 is the memory-mappable sibling of MSIGTREE2. Where that is a
 // decode-the-whole-stream format (the loader re-stages every entity's
 // sequences into the heap), MSIGMAP1 lays the file out so a loader can
 // syscall.Mmap it read-only and serve queries straight off the mapping:
 //
 //	page 0          header: magic, page size, claimed file size, the ten
-//	                v2 scalar words, and a three-entry section table
+//	                MSIGTREE2 scalar words, and a three-entry section table
 //	                (entities, names, seqs), each page-aligned
 //	entities        fixed-width records: id, name span, sequence span and
 //	                the m-level signature digest — everything the tree
@@ -128,7 +128,7 @@ func (t *Tree) WriteMappedSnapshot(w io.Writer, meta SnapshotMeta, pageSize int,
 
 	var flags uint64
 	if meta.Jaccard {
-		flags |= v2FlagJaccard
+		flags |= flagJaccard
 	}
 	hdr := make([]byte, pageSize)
 	copy(hdr, mappedMagic)
@@ -308,7 +308,7 @@ func OpenMappedSnapshot(r io.ReaderAt, size int64, ix *spindex.Index) (*MappedSn
 	if count < 0 || scalars[4] > math.MaxInt32 {
 		return nil, fmt.Errorf("core: corrupt mapped snapshot header: %d entities", scalars[4])
 	}
-	if scalars[9]&^uint64(v2FlagJaccard) != 0 {
+	if scalars[9]&^uint64(flagJaccard) != 0 {
 		return nil, fmt.Errorf("core: mapped snapshot header has unknown flag bits %#x (written by a newer version?)", scalars[9])
 	}
 	meta := SnapshotMeta{
@@ -316,7 +316,7 @@ func OpenMappedSnapshot(r io.ReaderAt, size int64, ix *spindex.Index) (*MappedSn
 		EpochNanos: int64(scalars[6]),
 		MeasureU:   math.Float64frombits(scalars[7]),
 		MeasureV:   math.Float64frombits(scalars[8]),
-		Jaccard:    scalars[9]&v2FlagJaccard != 0,
+		Jaccard:    scalars[9]&flagJaccard != 0,
 	}
 	if meta.TimeUnit <= 0 {
 		return nil, fmt.Errorf("core: corrupt mapped snapshot header: non-positive time unit %d", meta.TimeUnit)
@@ -344,7 +344,6 @@ func OpenMappedSnapshot(r io.ReaderAt, size int64, ix *spindex.Index) (*MappedSn
 	}
 	out := &MappedSnapshot{
 		Info: &SnapshotInfo{
-			Version:  2,
 			NH:       nh,
 			Seed:     seed,
 			Horizon:  horizon,

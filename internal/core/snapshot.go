@@ -21,42 +21,29 @@ import (
 // lives in the caller's SequenceSource (trace.Store in memory, or a
 // storage.Store block file).
 //
-// Two format versions exist:
-//
-//   - MSIGTREE1 identifies entities by raw save-time IDs only. Loading one
-//     against a data set whose ID assignment differs from save time (a
-//     re-ingest in a different order, a regenerated record file) silently
-//     binds signatures to the wrong entities — the reader must trust that
-//     the ID space is unchanged.
-//   - MSIGTREE2 adds a per-entity name table plus the covered visit count,
-//     and stamps the engine-level scalars (time unit, epoch, measure) into
-//     the header, so a loaded tree is self-describing: readers resolve
-//     entities by name, never by ID order, and can detect a data set that
-//     drifted from the one the snapshot was built over.
-//
-// WriteSnapshot writes v2; ReadSnapshot / ReadSnapshotWith read both.
+// The format (MSIGTREE2) carries a per-entity name table plus the covered
+// visit count, and stamps the engine-level scalars (time unit, epoch,
+// measure) into the header, so a loaded tree is self-describing: readers
+// resolve entities by name, never by ID order, and can detect a data set
+// that drifted from the one the snapshot was built over.
 
-const (
-	snapshotMagicV1 = "MSIGTREE1\n"
-	snapshotMagicV2 = "MSIGTREE2\n"
-)
+const snapshotMagic = "MSIGTREE2\n"
 
-// v2Flag* are the bit assignments of the v2 header flags word. Unknown bits
+// flagJaccard is the one assigned bit of the header flags word. Unknown bits
 // are a read error: a future writer that sets one changed semantics this
 // reader does not understand.
-const v2FlagJaccard = 1 << 0
+const flagJaccard = 1 << 0
 
-// FoldedUnknown is the v2 folded-count sentinel for an entity whose exact
+// FoldedUnknown is the folded-count sentinel for an entity whose exact
 // covered visit count was unknown at save time (it had visits newer than the
 // saved tree). Readers must treat such an entity's signature as stale: usable
 // only after re-signing from current data, never served as-is.
 const FoldedUnknown = ^uint32(0)
 
-// SnapshotMeta carries the engine-level scalars stamped into a v2 snapshot
+// SnapshotMeta carries the engine-level scalars stamped into the snapshot
 // header. They describe how the visit data the signatures were computed from
 // was discretized and scored, so a loader can verify its own configuration
-// matches instead of silently answering under different semantics. The zero
-// value means "unknown" (a v1 snapshot).
+// matches instead of silently answering under different semantics.
 type SnapshotMeta struct {
 	TimeUnit   time.Duration // base temporal unit visits were discretized into
 	EpochNanos int64         // observation-horizon start, Unix nanoseconds
@@ -65,25 +52,23 @@ type SnapshotMeta struct {
 	Jaccard    bool          // uniformly weighted Jaccard measure instead of Eq 7.1
 }
 
-// SnapshotInfo describes a snapshot as read: its format version, the
-// hash-family scalars every version records, and for v2 the engine meta.
+// SnapshotInfo describes a snapshot as read: the hash-family scalars and the
+// engine meta.
 type SnapshotInfo struct {
-	Version  int
-	NH       int          // hash functions the family was built with
-	Seed     uint64       // hash-family seed
-	Horizon  trace.Time   // indexed time horizon
-	Entities int          // entities stored in the file
-	Skipped  int          // entities a Resolve callback chose to leave out
-	Meta     SnapshotMeta // zero value for v1
+	NH       int        // hash functions the family was built with
+	Seed     uint64     // hash-family seed
+	Horizon  trace.Time // indexed time horizon
+	Entities int        // entities stored in the file
+	Skipped  int        // entities a Resolve callback chose to leave out
+	Meta     SnapshotMeta
 }
 
 // SnapshotEntity is one stored entity as presented to a Resolve callback.
 type SnapshotEntity struct {
 	ID     trace.EntityID // the entity's ID at save time
-	Name   string         // the entity's name (v2 only)
-	Named  bool           // false for v1 snapshots, which store no name table
-	Folded uint32         // visits the signature covers; FoldedUnknown for v1
-	//                       snapshots and for entities dirty at save time
+	Name   string         // the entity's name
+	Folded uint32         // visits the signature covers; FoldedUnknown for
+	//                       entities dirty at save time
 }
 
 // Resolve maps a stored entity into the reader's ID space. Returning
@@ -93,70 +78,19 @@ type SnapshotEntity struct {
 // the entity is resolved — ReadSnapshotWith validates exactly that.
 type Resolve func(se SnapshotEntity) (mapped trace.EntityID, keep bool, err error)
 
-// WriteTo serializes the index in the legacy v1 format: raw entity IDs, no
-// name table, no engine meta. Retained for format-compatibility tests and
-// for pipelines that guarantee a stable ID space; new writers should use
-// WriteSnapshot, whose name table makes the load order-independent. Only
-// trees built over a *sighash.Family can be persisted (worked-example
-// TableHashers have no compact description). Implements io.WriterTo.
-func (t *Tree) WriteTo(w io.Writer) (int64, error) {
-	fam, ok := t.hasher.(*sighash.Family)
-	if !ok {
-		return 0, fmt.Errorf("core: only Family-hashed trees can be persisted, have %T", t.hasher)
-	}
-	bw := bufio.NewWriter(w)
-	n := int64(0)
-	write := func(v any) error {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-		n += int64(binary.Size(v))
-		return nil
-	}
-	if _, err := bw.WriteString(snapshotMagicV1); err != nil {
-		return n, err
-	}
-	n += int64(len(snapshotMagicV1))
-	hdr := []uint64{
-		uint64(t.m),
-		uint64(fam.NumFuncs()),
-		fam.Seed(),
-		uint64(fam.Horizon()),
-		uint64(t.sigs.len()),
-	}
-	if err := write(hdr); err != nil {
-		return n, err
-	}
-	for _, e := range t.sigs.entities() {
-		if err := write(uint32(e)); err != nil {
-			return n, err
-		}
-		sig, _ := t.sigs.get(e)
-		for _, ls := range sig {
-			if err := write(ls.Routing); err != nil {
-				return n, err
-			}
-			if err := write(ls.Value); err != nil {
-				return n, err
-			}
-		}
-	}
-	return n, bw.Flush()
-}
-
-// WriteSnapshot serializes the index in the v2 format: the v1 signature
-// digests plus the engine meta scalars and, per entity, its name and the
-// visit count its signature covers (info supplies both; pass FoldedUnknown
-// for an entity whose signature is stale relative to its latest visits).
-// Names longer than 64 KiB are rejected. Like WriteTo, only Family-hashed
-// trees can be persisted.
+// WriteSnapshot serializes the index: the engine meta scalars and, per
+// entity, its signature digests, its name and the visit count its signature
+// covers (info supplies both; pass FoldedUnknown for an entity whose
+// signature is stale relative to its latest visits). Names longer than
+// 64 KiB are rejected. Only trees built over a *sighash.Family can be
+// persisted (worked-example TableHashers have no compact description).
 func (t *Tree) WriteSnapshot(w io.Writer, meta SnapshotMeta, info func(e trace.EntityID) (name string, folded uint32)) (int64, error) {
 	fam, ok := t.hasher.(*sighash.Family)
 	if !ok {
 		return 0, fmt.Errorf("core: only Family-hashed trees can be persisted, have %T", t.hasher)
 	}
 	if info == nil {
-		return 0, fmt.Errorf("core: WriteSnapshot needs an entity info callback (name table is what v2 exists for)")
+		return 0, fmt.Errorf("core: WriteSnapshot needs an entity info callback (readers resolve entities by name)")
 	}
 	bw := bufio.NewWriter(w)
 	n := int64(0)
@@ -167,13 +101,13 @@ func (t *Tree) WriteSnapshot(w io.Writer, meta SnapshotMeta, info func(e trace.E
 		n += int64(binary.Size(v))
 		return nil
 	}
-	if _, err := bw.WriteString(snapshotMagicV2); err != nil {
+	if _, err := bw.WriteString(snapshotMagic); err != nil {
 		return n, err
 	}
-	n += int64(len(snapshotMagicV2))
+	n += int64(len(snapshotMagic))
 	var flags uint64
 	if meta.Jaccard {
-		flags |= v2FlagJaccard
+		flags |= flagJaccard
 	}
 	hdr := []uint64{
 		uint64(t.m),
@@ -221,46 +155,35 @@ func (t *Tree) WriteSnapshot(w io.Writer, meta SnapshotMeta, info func(e trace.E
 	return n, bw.Flush()
 }
 
-// ReadSnapshot reconstructs a tree from a v1 or v2 snapshot, trusting stored
-// entity IDs verbatim (for v1 that trust is the only option; see the format
-// comment for the ordering caveat). Every loaded entity is validated against
-// src at load time — an entity without sequences is a descriptive error
-// immediately, not a failure deferred to the first query that reaches it.
-// Callers that need to re-map entities by name, skip stale ones, or read the
-// engine meta use ReadSnapshotWith.
+// ReadSnapshot reconstructs a tree from a snapshot, trusting stored entity
+// IDs verbatim. Every loaded entity is validated against src at load time —
+// an entity without sequences is a descriptive error immediately, not a
+// failure deferred to the first query that reaches it. Callers that need to
+// re-map entities by name, skip stale ones, or read the engine meta use
+// ReadSnapshotWith.
 func ReadSnapshot(r io.Reader, ix *spindex.Index, src SequenceSource) (*Tree, error) {
 	t, _, err := ReadSnapshotWith(r, ix, src, nil)
 	return t, err
 }
 
-// ReadSnapshotWith reconstructs a tree from a v1 or v2 snapshot, rebuilding
-// the hash family over the given sp-index (which must be the one the tree
-// was built against) and replaying the stored signature digests. A non-nil
-// resolve callback maps each stored entity into the caller's ID space (v2
-// supplies the saved name and covered visit count; v1 only the raw ID) and
-// may skip entities; nil trusts stored IDs and keeps everything. Every kept
-// entity must have sequences in src — a missing one fails the load with an
-// error naming it. src supplies entity sequences at query time.
+// ReadSnapshotWith reconstructs a tree from a snapshot, rebuilding the hash
+// family over the given sp-index (which must be the one the tree was built
+// against) and replaying the stored signature digests. A non-nil resolve
+// callback maps each stored entity (saved ID, name and covered visit count)
+// into the caller's ID space and may skip entities; nil trusts stored IDs
+// and keeps everything. Every kept entity must have sequences in src — a
+// missing one fails the load with an error naming it. src supplies entity
+// sequences at query time.
 func ReadSnapshotWith(r io.Reader, ix *spindex.Index, src SequenceSource, resolve Resolve) (*Tree, *SnapshotInfo, error) {
 	br := bufio.NewReader(r)
-	magic := make([]byte, len(snapshotMagicV1))
+	magic := make([]byte, len(snapshotMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, nil, fmt.Errorf("core: reading snapshot magic: %w", err)
 	}
-	version := 0
-	switch string(magic) {
-	case snapshotMagicV1:
-		version = 1
-	case snapshotMagicV2:
-		version = 2
-	default:
+	if string(magic) != snapshotMagic {
 		return nil, nil, fmt.Errorf("core: not a MinSigTree snapshot (magic %q)", magic)
 	}
-	hdrLen := 5
-	if version == 2 {
-		hdrLen = 10
-	}
-	hdr := make([]uint64, hdrLen)
+	hdr := make([]uint64, 10)
 	if err := binary.Read(br, binary.LittleEndian, hdr); err != nil {
 		return nil, nil, fmt.Errorf("core: reading snapshot header: %w", err)
 	}
@@ -284,21 +207,18 @@ func ReadSnapshotWith(r io.Reader, ix *spindex.Index, src SequenceSource, resolv
 	if count < 0 || hdr[4] > math.MaxInt32 {
 		return nil, nil, fmt.Errorf("core: corrupt snapshot header: %d entities", hdr[4])
 	}
-	info := &SnapshotInfo{Version: version, NH: nh, Seed: seed, Horizon: horizon, Entities: count}
-	if version == 2 {
-		if hdr[9]&^uint64(v2FlagJaccard) != 0 {
-			return nil, nil, fmt.Errorf("core: snapshot header has unknown flag bits %#x (written by a newer version?)", hdr[9])
-		}
-		info.Meta = SnapshotMeta{
-			TimeUnit:   time.Duration(int64(hdr[5])),
-			EpochNanos: int64(hdr[6]),
-			MeasureU:   math.Float64frombits(hdr[7]),
-			MeasureV:   math.Float64frombits(hdr[8]),
-			Jaccard:    hdr[9]&v2FlagJaccard != 0,
-		}
-		if info.Meta.TimeUnit <= 0 {
-			return nil, nil, fmt.Errorf("core: corrupt snapshot header: non-positive time unit %d", info.Meta.TimeUnit)
-		}
+	if hdr[9]&^uint64(flagJaccard) != 0 {
+		return nil, nil, fmt.Errorf("core: snapshot header has unknown flag bits %#x (written by a newer version?)", hdr[9])
+	}
+	info := &SnapshotInfo{NH: nh, Seed: seed, Horizon: horizon, Entities: count, Meta: SnapshotMeta{
+		TimeUnit:   time.Duration(int64(hdr[5])),
+		EpochNanos: int64(hdr[6]),
+		MeasureU:   math.Float64frombits(hdr[7]),
+		MeasureV:   math.Float64frombits(hdr[8]),
+		Jaccard:    hdr[9]&flagJaccard != 0,
+	}}
+	if info.Meta.TimeUnit <= 0 {
+		return nil, nil, fmt.Errorf("core: corrupt snapshot header: non-positive time unit %d", info.Meta.TimeUnit)
 	}
 	fam, err := sighash.NewFamily(ix, horizon, nh, seed)
 	if err != nil {
@@ -319,32 +239,25 @@ func ReadSnapshotWith(r io.Reader, ix *spindex.Index, src SequenceSource, resolv
 		m:      m,
 	}
 	// Per-entity decoding reads whole regions into a scratch buffer and
-	// decodes manually — at v2's three reads per entity (fixed prefix, name,
+	// decodes manually — at three reads per entity (fixed prefix, name,
 	// signature block) the loop is I/O-shaped instead of reflection-shaped
 	// (binary.Read per field measurably drags a large restore).
-	prefixLen := 4 // v1: id
-	if version == 2 {
-		prefixLen = 10 // v2: id, folded, nameLen
-	}
+	const prefixLen = 10 // id, folded, nameLen
 	scratch := make([]byte, prefixLen+12*m)
 	name := make([]byte, 0, 64)
 	for i := 0; i < count; i++ {
-		se := SnapshotEntity{Folded: FoldedUnknown}
 		prefix := scratch[:prefixLen]
 		if _, err := io.ReadFull(br, prefix); err != nil {
 			return nil, nil, fmt.Errorf("core: snapshot truncated at entity %d: %w", i, err)
 		}
 		id := binary.LittleEndian.Uint32(prefix[0:4])
-		se.ID = trace.EntityID(id)
-		if version == 2 {
-			se.Folded = binary.LittleEndian.Uint32(prefix[4:8])
-			nameLen := binary.LittleEndian.Uint16(prefix[8:10])
-			name = append(name[:0], make([]byte, nameLen)...)
-			if _, err := io.ReadFull(br, name); err != nil {
-				return nil, nil, fmt.Errorf("core: snapshot truncated at entity %d (reading %d-byte name): %w", i, nameLen, err)
-			}
-			se.Name, se.Named = string(name), true
+		se := SnapshotEntity{ID: trace.EntityID(id), Folded: binary.LittleEndian.Uint32(prefix[4:8])}
+		nameLen := binary.LittleEndian.Uint16(prefix[8:10])
+		name = append(name[:0], make([]byte, nameLen)...)
+		if _, err := io.ReadFull(br, name); err != nil {
+			return nil, nil, fmt.Errorf("core: snapshot truncated at entity %d (reading %d-byte name): %w", i, nameLen, err)
 		}
+		se.Name = string(name)
 		sigBuf := scratch[prefixLen : prefixLen+12*m]
 		if _, err := io.ReadFull(br, sigBuf); err != nil {
 			return nil, nil, fmt.Errorf("core: snapshot truncated at entity %d: %w", i, err)
@@ -370,8 +283,7 @@ func ReadSnapshotWith(r io.Reader, ix *spindex.Index, src SequenceSource, resolv
 			e = mapped
 		}
 		// Load-time validation: a loaded entity with no sequences would only
-		// fail when a query reached it — and a v1 ID from a drifted data set
-		// might reach the *wrong* entity instead. Fail now, naming it.
+		// fail when a query reached it. Fail now, naming it.
 		if src.Get(e) == nil {
 			return nil, nil, fmt.Errorf("core: snapshot %s has no sequences in the source (data set differs from the one the snapshot was built over)", describeEntity(se, e))
 		}
@@ -383,18 +295,13 @@ func ReadSnapshotWith(r io.Reader, ix *spindex.Index, src SequenceSource, resolv
 	return t, info, nil
 }
 
-// describeEntity names a snapshot entity for error messages: by name when
-// the format stored one, by ID otherwise (plus the mapped ID when a resolver
-// changed it).
+// describeEntity names a snapshot entity for error messages (plus the mapped
+// ID when a resolver changed it).
 func describeEntity(se SnapshotEntity, mapped trace.EntityID) string {
-	switch {
-	case se.Named && mapped != se.ID:
+	if mapped != se.ID {
 		return fmt.Sprintf("entity %q (saved as ID %d, resolved to %d)", se.Name, se.ID, mapped)
-	case se.Named:
-		return fmt.Sprintf("entity %q (ID %d)", se.Name, se.ID)
-	default:
-		return fmt.Sprintf("entity %d", se.ID)
 	}
+	return fmt.Sprintf("entity %q (ID %d)", se.Name, se.ID)
 }
 
 // insertWithSig replays an insertion from a stored signature digest,

@@ -37,8 +37,8 @@ func TestSnapshotV2RoundTrip(t *testing.T) {
 	if got, want := loaded.Stats(), tree.Stats(); got != want {
 		t.Errorf("stats diverge: %+v vs %+v", got, want)
 	}
-	if info.Version != 2 || info.Meta != meta {
-		t.Errorf("info = %+v, want version 2 and meta %+v", info, meta)
+	if info.Meta != meta {
+		t.Errorf("info = %+v, want meta %+v", info, meta)
 	}
 	if info.NH != 16 || info.Entities != 40 || info.Skipped != 0 {
 		t.Errorf("info scalars = %+v", info)
@@ -47,7 +47,7 @@ func TestSnapshotV2RoundTrip(t *testing.T) {
 		t.Fatalf("resolver saw %d entities, want 40", len(seen))
 	}
 	for _, se := range seen {
-		if !se.Named || se.Name != fmt.Sprintf("e%d", se.ID) || se.Folded != uint32(se.ID) {
+		if se.Name != fmt.Sprintf("e%d", se.ID) || se.Folded != uint32(se.ID) {
 			t.Fatalf("resolver saw %+v, want name e%d and folded %d", se, se.ID, se.ID)
 		}
 	}
@@ -129,22 +129,13 @@ func TestSnapshotV2ResolverRemapsAndSkips(t *testing.T) {
 }
 
 // TestSnapshotLoadTimeSourceValidation: an entity the source has no
-// sequences for fails at load time with an error naming it — for v1 (raw
-// out-of-range IDs) and v2 (name in the message) alike.
+// sequences for fails at load time with an error naming it.
 func TestSnapshotLoadTimeSourceValidation(t *testing.T) {
 	ix, bigStore, tree := buildRandomWorld(t, 41, 30, 8)
 	// A store that only knows the first 10 entities.
 	small := trace.NewStore(ix)
 	for e := trace.EntityID(0); e < 10; e++ {
 		small.Put(bigStore.Get(e))
-	}
-
-	var v1 bytes.Buffer
-	if _, err := tree.WriteTo(&v1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadSnapshot(&v1, ix, small); err == nil || !strings.Contains(err.Error(), "entity 10") {
-		t.Errorf("v1 load against a smaller source did not name the first missing entity: %v", err)
 	}
 
 	var v2 bytes.Buffer
@@ -154,13 +145,13 @@ func TestSnapshotLoadTimeSourceValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := ReadSnapshot(&v2, ix, small); err == nil || !strings.Contains(err.Error(), `"name-10"`) {
-		t.Errorf("v2 load against a smaller source did not name the first missing entity: %v", err)
+		t.Errorf("load against a smaller source did not name the first missing entity: %v", err)
 	}
 }
 
-// TestSnapshotV2Errors mirrors the v1 error table for the v2 layout:
-// truncations at every region, bad magic, unknown flag bits, corrupt
-// scalars, and oversized names at write time.
+// TestSnapshotV2Errors is the per-region error table: truncations at every
+// region, bad magic, unknown flag bits, corrupt scalars, and oversized names
+// at write time.
 func TestSnapshotV2Errors(t *testing.T) {
 	ix, st, tree := buildRandomWorld(t, 43, 10, 8)
 	var buf bytes.Buffer
@@ -218,7 +209,7 @@ func TestSnapshotV2Errors(t *testing.T) {
 		t.Errorf("oversized name accepted: %v", err)
 	}
 
-	// A nil info callback is refused (v2 without names is v1).
+	// A nil info callback is refused (readers resolve by name).
 	if _, err := tree.WriteSnapshot(&bytes.Buffer{}, SnapshotMeta{TimeUnit: time.Hour}, nil); err == nil {
 		t.Error("nil info callback accepted")
 	}

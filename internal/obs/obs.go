@@ -83,8 +83,7 @@ type ShardTrace struct {
 	Checked int
 	// Cut reports the stream was stopped by the coordinator (threshold cut
 	// or the k+1 per-shard cap) while it still had candidates; Exhausted
-	// reports it ran dry. Both false means the gather ended for other
-	// reasons (naive fan-out rows, or k was satisfied at open).
+	// reports it ran dry. Exactly one is set on every gathered row.
 	Cut       bool
 	Exhausted bool
 	// Bound is the shard's final admissible remainder bound — compare with

@@ -31,11 +31,11 @@ var ErrNoVisits = errors.New("digitaltraces: LoadIndex on an empty DB — re-ing
 // snapshot swap BuildIndex uses, so queries racing the load keep answering
 // from whatever was published before (nothing, on a fresh start: they wait).
 //
-// MSIGTREE2 snapshots resolve entities by name against the current visit
-// log; the save-time ID order is irrelevant, so the log may have been
-// re-ingested in any entity order. The header scalars (time unit, epoch,
-// measure, hash family) must match this DB's configuration — a mismatch is
-// a descriptive error, never a silently different answer. Entities whose
+// The snapshot resolves entities by name against the current visit log; the
+// save-time ID order is irrelevant, so the log may have been re-ingested in
+// any entity order. The header scalars (time unit, epoch, measure, hash
+// family) must match this DB's configuration — a mismatch is a descriptive
+// error, never a silently different answer. Entities whose
 // logs grew past what the snapshot covers (and entities the snapshot does
 // not know at all) land in the dirty set and serve from the snapshot state
 // until the next Refresh — or the next query — folds them, exactly like
@@ -43,13 +43,6 @@ var ErrNoVisits = errors.New("digitaltraces: LoadIndex on an empty DB — re-ing
 // as ingested for the covered-prefix reconstruction to hold. A log that
 // fell *behind* the snapshot (fewer visits than a signature covers) cannot
 // be reconstructed and errors.
-//
-// Legacy MSIGTREE1 snapshots have no name table: stored IDs are trusted to
-// match the current log's ID assignment, which holds only when the log was
-// re-ingested in the original order — prefer re-saving in the current
-// format. v1 loads validate the ID range and visit presence, but an
-// order-permuted re-ingest is undetectable and yields wrong answers; v2
-// exists to close exactly that hole.
 func (db *DB) LoadIndex(r io.Reader) error { return db.loadIndex(r, false) }
 
 // LoadIndexLenient loads like LoadIndex but skips snapshot entities whose
@@ -61,8 +54,7 @@ func (db *DB) LoadIndex(r io.Reader) error { return db.loadIndex(r, false) }
 // entities simply stay absent here (and warm wherever they now live); every
 // entity the names do resolve loads with LoadIndex's full validation, and
 // unresolved *residents* still land dirty via the post-load recompute, so
-// leniency can only cost warmth, never exactness. v1 sections (no names)
-// have nothing to resolve leniently and keep their strict ID-range check.
+// leniency can only cost warmth, never exactness.
 func (db *DB) LoadIndexLenient(r io.Reader) error { return db.loadIndex(r, true) }
 
 func (db *DB) loadIndex(r io.Reader, lenient bool) error {
@@ -99,17 +91,6 @@ func (db *DB) loadIndex(r io.Reader, lenient bool) error {
 	store := trace.NewStore(db.ix)
 	clean := make(map[trace.EntityID]int) // entities whose dirt publication retires
 	resolve := func(se core.SnapshotEntity) (trace.EntityID, bool, error) {
-		if !se.Named {
-			// v1: no name table — trust the stored ID (see the doc caveat),
-			// but never one outside the current log.
-			e := se.ID
-			if e < 0 || int(e) >= len(v.byID) {
-				return 0, false, fmt.Errorf("digitaltraces: v1 snapshot entity %d outside the %d-entity visit log (v1 stores no names; the log must be re-ingested in its original order)", e, len(v.byID))
-			}
-			store.Put(stagedBy[e])
-			clean[e] = len(v.visits[e])
-			return e, true, nil
-		}
 		e, ok := byName[se.Name]
 		if !ok {
 			if lenient {
@@ -185,19 +166,15 @@ func (db *DB) loadIndex(r io.Reader, lenient bool) error {
 }
 
 // checkSnapshotInfo verifies a loaded snapshot's recorded scalars against
-// this DB's configuration. The hash family (both versions) and the
-// discretization + measure scalars (v2) all change what an answer means, so
-// any mismatch is an error naming both sides rather than a silent semantic
-// shift.
+// this DB's configuration. The hash family and the discretization + measure
+// scalars all change what an answer means, so any mismatch is an error
+// naming both sides rather than a silent semantic shift.
 func (db *DB) checkSnapshotInfo(info *core.SnapshotInfo) error {
 	if info.NH != db.nh {
 		return fmt.Errorf("digitaltraces: snapshot was built with %d hash functions, DB is configured with %d (WithHashFunctions)", info.NH, db.nh)
 	}
 	if info.Seed != db.seed {
 		return fmt.Errorf("digitaltraces: snapshot was built with hash seed %d, DB is configured with %d (WithSeed)", info.Seed, db.seed)
-	}
-	if info.Version < 2 {
-		return nil // v1 records no engine meta; trust is all it offers
 	}
 	m := info.Meta
 	if m.TimeUnit != db.unit {

@@ -44,8 +44,6 @@ type Backend interface {
 	// the visits so the coordinator can fan the same snapshot out to sibling
 	// shards (TopK must never mix two states of the query entity).
 	OpenSearchEntity(entity string) ([]digitaltraces.Visit, Stream, error)
-	// TopKByExample is the full local top-k (the naive-gather A/B path).
-	TopKByExample(visits []digitaltraces.Visit, k int) ([]digitaltraces.Match, digitaltraces.QueryStats, error)
 	// BuildIndex rebuilds the shard's index; Refresh folds pending dirt,
 	// escalating to a local rebuild itself when the dirt extends past the
 	// indexed horizon (a remote shard cannot surface ErrBeyondHorizon

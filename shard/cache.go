@@ -103,23 +103,6 @@ func (c *Cluster) cachePut(version string, versionOK bool, byShard []Stream, key
 	c.cache.Put(version, key, stored)
 }
 
-// naiveCachePut stores a naive (unpruned) fan-out's answer. The naive path
-// has no per-shard searches to read pinned generations from, so it
-// revalidates by re-deriving the version vector after the fan-out:
-// generations only ever grow, so an identical usable vector before and after
-// proves every shard served exactly that generation for the whole fan-out.
-func (c *Cluster) naiveCachePut(version string, versionOK bool, key string, out []digitaltraces.Match) {
-	if c.cache == nil || !versionOK {
-		return
-	}
-	if after, ok := c.cacheVersion(); !ok || after != version {
-		return
-	}
-	stored := make([]digitaltraces.Match, len(out))
-	copy(stored, out)
-	c.cache.Put(version, key, stored)
-}
-
 // entityCacheKey keys a TopK query. The answer depends on the query
 // entity's visits too, but those are covered by the version vector: a clean
 // home shard's snapshot holds exactly the entity's ingested visits.

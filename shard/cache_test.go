@@ -85,11 +85,11 @@ func TestClusterCacheHitMatchesFanOut(t *testing.T) {
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("hit changed answer: %v vs %v", first, second)
 	}
-	naive, _, err := c.topKNaive("e000", 5)
+	full, err := c.fullMerge("e000", nil, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameMatches(t, "cached vs naive", second, naive)
+	requireSameMatches(t, "cached vs full merge", second, full)
 
 	// Ingest one visit — it lands on exactly one shard, but the version
 	// vector covers all of them, so the entry must become unreachable and
@@ -108,11 +108,11 @@ func TestClusterCacheHitMatchesFanOut(t *testing.T) {
 	if qs.CacheHit {
 		t.Fatal("query after ingest served from stale shard generations")
 	}
-	naive, _, err = c.topKNaive("e000", 5)
+	full, err = c.fullMerge("e000", nil, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameMatches(t, "post-ingest cached vs naive", after, naive)
+	requireSameMatches(t, "post-ingest cached vs full merge", after, full)
 }
 
 // TestClusterCacheByExample: the by-example path caches too, keyed by the
@@ -151,11 +151,11 @@ func TestClusterCacheByExample(t *testing.T) {
 	if reflect.DeepEqual(a1, b1) {
 		t.Fatal("two different examples produced identical answers — test data too weak")
 	}
-	naive, _, err := c.topKByExampleNaive(exA, 5)
+	full, err := c.fullMerge("", exA, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameMatches(t, "example cached vs naive", a2, naive)
+	requireSameMatches(t, "example cached vs full merge", a2, full)
 }
 
 // TestClusterCacheStatsAggregation: cluster-level hits/misses/entries show
@@ -193,16 +193,16 @@ func TestClusterCacheStatsAggregation(t *testing.T) {
 	if qs.CacheHit {
 		t.Fatal("hit while a shard was dirty")
 	}
-	naive, _, err := c.topKNaive("e001", 3)
+	full, err := c.fullMerge("e001", nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameMatches(t, "dirty-window cached vs naive", got, naive)
+	requireSameMatches(t, "dirty-window cached vs full merge", got, full)
 }
 
 // TestClusterCacheConcurrentIngest is the -race interleaving stress: a
 // writer ingests while readers query with the cache on; after every ingest
-// the writer asserts the pruned+cached answer equals the naive fan-out over
+// the writer asserts the pruned+cached answer equals the full-merge reference over
 // the same state (read-your-writes, never stale).
 func TestClusterCacheConcurrentIngest(t *testing.T) {
 	db := cacheTestDB(t)
@@ -241,11 +241,11 @@ func TestClusterCacheConcurrentIngest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		naive, _, err := c.topKNaive("e000", 4)
+		full, err := c.fullMerge("e000", nil, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameMatches(t, fmt.Sprintf("round %d", round), got, naive)
+		requireSameMatches(t, fmt.Sprintf("round %d", round), got, full)
 	}
 	close(stop)
 	wg.Wait()
@@ -257,76 +257,4 @@ func TestClusterCacheConcurrentIngest(t *testing.T) {
 	if _, qs, err := c.TopK("e003", 4); err != nil || !qs.CacheHit {
 		t.Fatalf("post-stress repeat: err=%v hit=%v, want hit", err, qs.CacheHit)
 	}
-}
-
-// TestNaiveGatherConfig covers the Config.NaiveGather A/B switch used by
-// cmd/bench: the naive fan-out must answer bit-identically to the pruned
-// one, and its cache path (revalidated via naiveCachePut) must hit on
-// repeats and invalidate on ingest exactly like the pruned path.
-func TestNaiveGatherConfig(t *testing.T) {
-	src := cacheTestDB(t)
-	pruned := cachedCluster(t, src, 4, 32)
-	naive, err := Partition(cacheTestDB(t), Config{
-		Shards:      4,
-		CacheSize:   32,
-		NaiveGather: true,
-		NewShard: func(int) (*digitaltraces.DB, error) {
-			return digitaltraces.NewGridDB(propSide, propLevels, digitaltraces.WithHashFunctions(propHash))
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := naive.BuildIndex(); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, k := range []int{1, 3, 25} {
-		want, _, err := pruned.TopK("e003", k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, qs, err := naive.TopK("e003", k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if qs.CacheHit {
-			t.Fatalf("k=%d: first naive query claims a cache hit", k)
-		}
-		requireSameMatches(t, fmt.Sprintf("naive vs pruned k=%d", k), got, want)
-
-		again, qs, err := naive.TopK("e003", k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !qs.CacheHit {
-			t.Fatalf("k=%d: repeat naive query missed the cache", k)
-		}
-		requireSameMatches(t, fmt.Sprintf("naive cache hit k=%d", k), again, want)
-	}
-
-	// Ingest into any shard bumps the version vector: the next query must
-	// not hit, and must answer over the new data.
-	if _, err := naive.AddVisits([]digitaltraces.VisitRecord{{
-		Entity: "e007", Venue: digitaltraces.VenueName(0), Start: digitaltraces.TimeAt(0), End: digitaltraces.TimeAt(1),
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pruned.AddVisits([]digitaltraces.VisitRecord{{
-		Entity: "e007", Venue: digitaltraces.VenueName(0), Start: digitaltraces.TimeAt(0), End: digitaltraces.TimeAt(1),
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := pruned.TopK("e003", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, qs, err := naive.TopK("e003", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if qs.CacheHit {
-		t.Fatal("naive query after ingest claims a cache hit")
-	}
-	requireSameMatches(t, "naive vs pruned after ingest", got, want)
 }

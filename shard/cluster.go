@@ -1,23 +1,25 @@
 // Package shard scales digitaltraces horizontally inside one process: a
-// Cluster hash-partitions entities across N independent digitaltraces.DB
-// shards, routes ingest to each entity's owning shard, builds and refreshes
-// all shards in parallel, and answers top-k queries by scatter-gather —
-// resolve the query entity's visits on its home shard, fan the query out to
-// every shard through the query-by-example path, and merge the per-shard
-// exact answers into the global top-k.
+// Cluster partitions entities across N independent digitaltraces.DB shards
+// through a versioned slot map, routes ingest to each entity's owning shard,
+// builds and refreshes all shards in parallel, and answers top-k queries by
+// threshold-pruned scatter-gather — resolve the query entity's visits on its
+// home shard, open one incremental exact-rank search per shard over that one
+// visit snapshot, and pull per-shard results only down to the merged k-th
+// degree (gather.go).
 //
 // # Exactness
 //
 // Partitioning preserves the paper's exact-answer guarantee. The association
 // degree between the query and a candidate depends only on their two ST-cell
 // sequences, so each shard computes exact degrees for its own entities; and
-// because every shard returns its local top-k under the same total order the
-// single-DB search uses (degree descending, ties by ingest order), any
-// entity a shard cuts from its local list is dominated by at least k
-// entities from that shard alone and can never enter the global top-k.
-// Merging the ≤ N·k candidates and truncating to k is therefore lossless:
-// a Cluster returns bit-identical entities and degrees to a single DB over
-// the same data — the invariant TestClusterExactness locks in for
+// because every shard streams its results under the same total order the
+// single-DB search uses (degree descending, ties by ingest order), an entity
+// a shard has not yet surrendered when the gather cuts it is either strictly
+// below the merged k-th degree or preceded by at least k entities from that
+// shard alone, and can never enter the global top-k (gather.go's prefix-cut
+// argument). Merging the pulled prefixes and truncating to k is therefore
+// lossless: a Cluster returns bit-identical entities and degrees to a single
+// DB over the same data — the invariant TestClusterExactness locks in for
 // N ∈ {1, 2, 4, 8}.
 //
 // Placement itself is a versioned slot map rather than a fixed hash
@@ -30,7 +32,7 @@
 // Two mechanical preconditions make the degree computations line up:
 // every shard must share one epoch and time unit (NewCluster verifies this),
 // and the fan-out must reproduce the query entity's stored cells exactly,
-// which DB.VisitsOf / DB.TopKByExample guarantee by round-tripping the
+// which DB.VisitsOf / DB.SearchByExample guarantee by round-tripping the
 // discretization.
 //
 // # Concurrency and locking
@@ -54,7 +56,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -92,12 +93,6 @@ type Config struct {
 	// independent and unnecessary here — cluster queries stream through the
 	// incremental search path, which bypasses them.
 	CacheSize int
-	// NaiveGather disables the threshold-pruned fan-out: every shard runs a
-	// full local top-k and the lists are merged whole — the pre-pruning
-	// design. Answers are bit-identical either way (the equivalence the
-	// property suite locks in); the switch exists so cmd/bench -scenario
-	// cache can A/B the two gathers on the same host and data.
-	NaiveGather bool
 	// InitialSlots, when non-nil, is the slot→shard assignment the cluster
 	// starts from instead of the default s mod N table: NumSlots entries,
 	// each a valid shard ordinal, applied (via AssignSlots) before anything
@@ -143,10 +138,6 @@ type Cluster struct {
 	// Config.CacheSize > 0); see cache.go for the version-vector soundness
 	// argument.
 	cache *qcache.Cache[[]digitaltraces.Match]
-
-	// naive switches TopK/TopKByExample to the unpruned full fan-out
-	// (Config.NaiveGather) — the benchmarking A/B escape hatch.
-	naive bool
 
 	// tracer is the coordinator-level query-trace ring (nil unless
 	// Config.TraceSize > 0); see trace.go.
@@ -238,7 +229,7 @@ func NewCluster(cfg Config) (_ *Cluster, err error) {
 			return nil, fmt.Errorf("shard: shard %d is pre-populated with %d entities; route all ingest through the Cluster", i, sh.NumEntities())
 		}
 	}
-	c := &Cluster{shards: shards, ord: map[string]int{}, naive: cfg.NaiveGather, tracer: obs.New(cfg.TraceSize)}
+	c := &Cluster{shards: shards, ord: map[string]int{}, tracer: obs.New(cfg.TraceSize)}
 	c.slots.Store(DefaultSlotMap(len(shards)))
 	if cfg.InitialSlots != nil {
 		if err := c.AssignSlots(cfg.InitialSlots); err != nil {
@@ -394,9 +385,8 @@ func (c *Cluster) AddVisits(visits []digitaltraces.VisitRecord) (int, error) {
 // coordinator pulls per-shard results in doubling rounds and stops pulling
 // from a shard once the merged k-th degree strictly dominates that shard's
 // remainder bound, so shards whose candidates are quickly dominated never
-// run a full local top-k — while the answer stays bit-identical to the
-// naive full fan-out (TestGatherEquivalence) and to a single DB
-// (TestClusterExactness). The query entity itself is excluded during the
+// run a full local top-k — while the answer stays bit-identical to a single
+// DB (TestClusterExactness). The query entity itself is excluded during the
 // merge. Stats aggregate across shards: Checked sums the exact degree
 // computations actually performed and PE/Pruned are recomputed over the
 // cluster-wide population, so they are comparable with single-DB numbers.
@@ -443,14 +433,6 @@ func (c *Cluster) topKDetail(entity string, k int, start time.Time) ([]digitaltr
 	key := entityCacheKey(entity, k)
 	if out, qs, ok := c.cacheGet(version, versionOK, key, start); ok {
 		return out, qs, gatherDetail{generations: versionGenerations(version)}, nil
-	}
-	if c.naive {
-		out, qs, d, err := c.topKNaiveDetail(entity, k)
-		if err != nil {
-			return nil, qs, d, err
-		}
-		c.naiveCachePut(version, versionOK, key, out)
-		return out, qs, d, nil
 	}
 	// Resolve the entity's visits and open its home-shard stream in one
 	// call (one round trip on a remote home shard), then fan the same visit
@@ -505,14 +487,6 @@ func (c *Cluster) topKByExampleDetail(visits []digitaltraces.Visit, k int, start
 	if out, qs, ok := c.cacheGet(version, versionOK, key, start); ok {
 		return out, qs, gatherDetail{generations: versionGenerations(version)}, nil
 	}
-	if c.naive {
-		out, qs, d, err := c.topKByExampleNaiveDetail(visits, k)
-		if err != nil {
-			return nil, qs, d, err
-		}
-		c.naiveCachePut(version, versionOK, key, out)
-		return out, qs, d, nil
-	}
 	byShard, err := c.openSearches(-1, nil, visits)
 	if err != nil {
 		return nil, digitaltraces.QueryStats{}, gatherDetail{}, err
@@ -530,165 +504,14 @@ func (c *Cluster) topKByExampleDetail(visits []digitaltraces.Visit, k int, start
 	return out, c.gatherStats(checked, len(out), c.NumEntities(), start, d), d, nil
 }
 
-// topKNaive is the pre-pruning reference fan-out: every shard computes a
-// full local top-k (k+1 on the home shard, whose example search ranks the
-// query entity itself) and the lists are merged whole. Kept unexported as
-// the oracle the property and equivalence tests compare the pruned path
-// against — both must return bit-identical answers.
-func (c *Cluster) topKNaive(entity string, k int) ([]digitaltraces.Match, digitaltraces.QueryStats, error) {
-	out, qs, _, err := c.topKNaiveDetail(entity, k)
-	return out, qs, err
-}
-
-func (c *Cluster) topKNaiveDetail(entity string, k int) ([]digitaltraces.Match, digitaltraces.QueryStats, gatherDetail, error) {
-	start := time.Now()
-	if k < 1 {
-		return nil, digitaltraces.QueryStats{}, gatherDetail{}, fmt.Errorf("shard: k = %d < 1", k)
-	}
-	sm := c.slotmap()
-	homeOrd := sm.Owner(entity)
-	visits, err := c.shards[homeOrd].VisitsOf(entity)
-	if err != nil {
-		return nil, digitaltraces.QueryStats{}, gatherDetail{}, err
-	}
-	lists, d, checked, err := c.scatter(func(i int, sh Backend) ([]digitaltraces.Match, digitaltraces.QueryStats, error) {
-		K := k
-		if i == homeOrd {
-			K = k + 1 // the home example search ranks the query entity itself
-		}
-		return c.naiveLocalTopK(i, sh, sm, visits, K)
-	})
-	if err != nil {
-		return nil, digitaltraces.QueryStats{}, gatherDetail{}, err
-	}
-	mergeStart := time.Now()
-	out, excluded := c.mergeExcluding(lists, k, entity)
-	d.merge = time.Since(mergeStart)
-	if len(out) == k && k > 0 {
-		d.kth = out[k-1].Degree
-	}
-	// The home shard's example search scored the query entity itself (a
-	// single DB never does); subtract it so Checked/PE/Pruned stay
-	// comparable with single-DB numbers.
-	checked -= excluded
-	return out, c.gatherStats(checked, len(out), c.NumEntities()-1, start, d), d, nil
-}
-
-// topKByExampleNaive is TopKByExample's full-fan-out reference; see
-// topKNaive.
-func (c *Cluster) topKByExampleNaive(visits []digitaltraces.Visit, k int) ([]digitaltraces.Match, digitaltraces.QueryStats, error) {
-	out, qs, _, err := c.topKByExampleNaiveDetail(visits, k)
-	return out, qs, err
-}
-
-func (c *Cluster) topKByExampleNaiveDetail(visits []digitaltraces.Visit, k int) ([]digitaltraces.Match, digitaltraces.QueryStats, gatherDetail, error) {
-	start := time.Now()
-	sm := c.slotmap()
-	lists, d, checked, err := c.scatter(func(i int, sh Backend) ([]digitaltraces.Match, digitaltraces.QueryStats, error) {
-		return c.naiveLocalTopK(i, sh, sm, visits, k)
-	})
-	if err != nil {
-		return nil, digitaltraces.QueryStats{}, gatherDetail{}, err
-	}
-	mergeStart := time.Now()
-	out := c.merge(lists, k)
-	d.merge = time.Since(mergeStart)
-	if len(out) == k && k > 0 {
-		d.kth = out[k-1].Degree
-	}
-	return out, c.gatherStats(checked, len(out), c.NumEntities(), start, d), d, nil
-}
-
-// naiveLocalTopK is one shard's share of a naive scatter under the pinned
-// slot map sm: the shard's local top-K restricted to the entities sm says it
-// owns. On an untouched shard the plain TopKByExample list is simply
-// filtered — foreign copies only appear there when a migration ship races
-// this very query, and if the filter dropped anything from a full
-// (truncated) list the truncation may have hidden owned candidates, so that
-// rare case falls through to the loose fetch. On a touched shard local
-// order and local truncation are both unreliable, so the loose fetch runs
-// directly.
-func (c *Cluster) naiveLocalTopK(i int, sh Backend, sm *SlotMap, visits []digitaltraces.Visit, K int) ([]digitaltraces.Match, digitaltraces.QueryStats, error) {
-	if !sm.touched[i] {
-		ms, qs, err := sh.TopKByExample(visits, K)
-		if err != nil {
-			return nil, qs, err
-		}
-		owned := ms[:0:0]
-		for _, m := range ms {
-			if sm.Owner(m.Entity) == i {
-				owned = append(owned, m)
-			}
-		}
-		if len(owned) == len(ms) || len(ms) < K {
-			// Nothing foreign, or the shard ran dry before K — the filtered
-			// list is the shard's complete owned top-K, still in the shard's
-			// exact (aligned) order.
-			return owned, qs, nil
-		}
-	}
-	return c.looseLocalTopK(i, sh, sm, visits, K)
-}
-
-// looseLocalTopK computes a touched shard's owned top-K through the stream
-// interface: pull in doubling batches until K *owned* results are pulled and
-// the stream's bound is strictly below the K-th owned degree (or the stream
-// runs dry) — so every unpulled entity is strictly dominated by K owned
-// entities of this shard alone and can never reach the global top-k — then
-// sort the owned results under the global total order, repairing the local
-// ID misalignment a migration left behind.
-func (c *Cluster) looseLocalTopK(i int, sh Backend, sm *SlotMap, visits []digitaltraces.Visit, K int) ([]digitaltraces.Match, digitaltraces.QueryStats, error) {
-	begin := time.Now()
-	st, err := sh.OpenSearch(visits)
-	if err != nil {
-		return nil, digitaltraces.QueryStats{}, err
-	}
-	defer st.Close()
-	var owned []entry
-	bound := 1.0
-	live := true
-	batch := K
-	for live && (len(owned) < K || bound >= owned[K-1].m.Degree) {
-		ms, b, more, err := st.Pull(batch)
-		if err != nil {
-			return nil, digitaltraces.QueryStats{}, err
-		}
-		for _, m := range ms {
-			if sm.Owner(m.Entity) == i {
-				owned = append(owned, entry{m: m})
-			}
-		}
-		bound, live = b, more
-		if len(ms) == 0 {
-			live = false
-		}
-		batch *= 2
-	}
-	c.mu.RLock()
-	for j := range owned {
-		owned[j].rank = c.rankLocked(owned[j].m.Entity)
-	}
-	c.mu.RUnlock()
-	sort.SliceStable(owned, func(a, b int) bool { return entryBefore(owned[a], owned[b]) })
-	if len(owned) > K {
-		owned = owned[:K]
-	}
-	out := make([]digitaltraces.Match, len(owned))
-	for j, e := range owned {
-		out[j] = e.m
-	}
-	return out, digitaltraces.QueryStats{Checked: st.Checked(), Elapsed: time.Since(begin)}, nil
-}
-
 // openSearches opens one incremental search stream per non-empty shard, in
-// parallel (opening may fold a shard's dirt, so the builds overlap like
-// scatter's searches did; on remote shards the opens are concurrent round
-// trips). A pre-opened home stream (TopK's combined resolve-and-open) slots
-// in at homeOrd; pass homeOrd = -1 for the example path. The result is
-// aligned to c.shards, nil for shards that held no entities — cache.go
-// renders the generation vector from it, and gatherByShard compacts it for
-// the bounded merge. On error every stream opened here is closed (not the
-// caller's pre-opened one).
+// parallel (opening may fold a shard's dirt, so the builds overlap; on
+// remote shards the opens are concurrent round trips). A pre-opened home
+// stream (TopK's combined resolve-and-open) slots in at homeOrd; pass
+// homeOrd = -1 for the example path. The result is aligned to c.shards, nil
+// for shards that held no entities — cache.go renders the generation vector
+// from it, and gatherByShard compacts it for the bounded merge. On error
+// every stream opened here is closed (not the caller's pre-opened one).
 func (c *Cluster) openSearches(homeOrd int, homeStream Stream, visits []digitaltraces.Visit) ([]Stream, error) {
 	byShard := make([]Stream, len(c.shards))
 	errs := make([]error, len(c.shards))
@@ -795,63 +618,10 @@ func (c *Cluster) TopKBatch(entities []string, k, workers int) (map[string][]dig
 	return out, stats, nil
 }
 
-// scatter runs query against every shard that holds entities, concurrently,
-// and collects the per-shard match lists, the per-shard trace detail
-// (generation vector included) and the summed Checked count. The first
-// error (by shard index) wins. Naive scatter rows report Rounds 1 and
-// neither Cut nor Exhausted — the shard itself truncated at its local k.
-func (c *Cluster) scatter(query func(i int, sh Backend) ([]digitaltraces.Match, digitaltraces.QueryStats, error)) ([][]digitaltraces.Match, gatherDetail, int, error) {
-	lists := make([][]digitaltraces.Match, len(c.shards))
-	statsArr := make([]digitaltraces.QueryStats, len(c.shards))
-	gens := make([]uint64, len(c.shards))
-	errs := make([]error, len(c.shards))
-	queriedBy := make([]bool, len(c.shards))
-	var wg sync.WaitGroup
-	queried := 0
-	for i, sh := range c.shards {
-		if sh.NumEntities() == 0 {
-			continue // an empty shard has no candidates (and no index to search)
-		}
-		queried++
-		queriedBy[i] = true
-		wg.Add(1)
-		go func(i int, sh Backend) {
-			defer wg.Done()
-			lists[i], statsArr[i], errs[i] = query(i, sh)
-			gens[i], _ = sh.SnapshotGeneration()
-		}(i, sh)
-	}
-	if queried == 0 {
-		return nil, gatherDetail{}, 0, fmt.Errorf("shard: cluster has no visits to index")
-	}
-	wg.Wait()
-	d := gatherDetail{generations: gens, shards: make([]obs.ShardTrace, 0, queried)}
-	checked := 0
-	for i := range c.shards {
-		if errs[i] != nil {
-			return nil, gatherDetail{}, 0, errs[i]
-		}
-		if !queriedBy[i] {
-			continue
-		}
-		checked += statsArr[i].Checked
-		d.pulled += len(lists[i])
-		d.shards = append(d.shards, obs.ShardTrace{
-			Shard:      i,
-			Generation: gens[i],
-			Pulled:     len(lists[i]),
-			Rounds:     1,
-			Checked:    statsArr[i].Checked,
-			Latency:    statsArr[i].Elapsed,
-		})
-	}
-	return lists, d, checked, nil
-}
-
 // gatherStats recomputes the Definition 5 statistics over the cluster-wide
 // candidate population n, mirroring the single-DB formulas, and carries the
 // gather detail's fan-out shape (shards touched, candidates pulled, merge
-// time — the merge/scatter attribution split) into the QueryStats.
+// time — the merge/pull attribution split) into the QueryStats.
 func (c *Cluster) gatherStats(checked, returned, n int, start time.Time, d gatherDetail) digitaltraces.QueryStats {
 	qs := digitaltraces.QueryStats{
 		Checked: checked,

@@ -414,11 +414,11 @@ func TestClusterAddVisitsPartialFailure(t *testing.T) {
 	if n != 3 {
 		t.Errorf("stored %d visits, want 3", n)
 	}
-	va, err := c.shards[c.owner("a")].VisitsOf("a")
+	va, err := c.shards[c.slotmap().Owner("a")].VisitsOf("a")
 	if err != nil || len(va) != 1 {
 		t.Errorf("a has %d visits (%v), want 1", len(va), err)
 	}
-	vb, err := c.shards[c.owner("b")].VisitsOf("b")
+	vb, err := c.shards[c.slotmap().Owner("b")].VisitsOf("b")
 	if err != nil || len(vb) != 2 {
 		t.Errorf("b has %d visits (%v), want 2", len(vb), err)
 	}
@@ -463,12 +463,13 @@ func TestClusterShardStats(t *testing.T) {
 // TestRouterDeterminism pins the routing function: stable across runs and
 // uniform enough that no shard is starved on a realistic population.
 func TestRouterDeterminism(t *testing.T) {
-	if OwnerOf("entity-42", 8) != OwnerOf("entity-42", 8) {
+	sm := DefaultSlotMap(8)
+	if sm.Owner("entity-42") != DefaultSlotMap(8).Owner("entity-42") {
 		t.Fatal("router not deterministic")
 	}
 	counts := make([]int, 8)
 	for i := 0; i < 1000; i++ {
-		counts[OwnerOf(fmt.Sprintf("entity-%d", i), 8)]++
+		counts[sm.Owner(fmt.Sprintf("entity-%d", i))]++
 	}
 	for s, n := range counts {
 		if n == 0 {

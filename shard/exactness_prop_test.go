@@ -3,7 +3,7 @@ package shard
 // Randomized exactness property suite for the threshold-pruned scatter-
 // gather: over random visit logs — varying entity counts, time horizons,
 // deliberately duplicated visit patterns (exact degree ties) and post-build
-// dirty fractions — the pruned fan-out, the naive full fan-out and a single
+// dirty fractions — the pruned fan-out, the full-merge reference and a single
 // DB must return bit-identical answers, tie order included, for
 // N ∈ {1, 2, 4, 8} shards. Run under -race this also exercises the
 // coordinator's parallel pull rounds against concurrent lazy refreshes.
@@ -11,6 +11,7 @@ package shard
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"digitaltraces"
@@ -53,7 +54,50 @@ func propCluster(t *testing.T, src *digitaltraces.DB, n int) *Cluster {
 	return c
 }
 
-// comparePaths asserts pruned ≡ naive ≡ single for one query set.
+// fullMerge is the test-only full-merge reference for the bounded gather,
+// over the same cluster state TopK reads: every non-empty shard's stream is
+// drained completely, filtered to the entities the pinned slot map assigns
+// to that shard, put under the global total order and merged whole — no
+// threshold cut, no k+1 cap. A non-empty entity names the query entity: its
+// visits are resolved on its home shard and it is excluded from the answer.
+func (c *Cluster) fullMerge(entity string, visits []digitaltraces.Visit, k int) ([]digitaltraces.Match, error) {
+	sm := c.slotmap()
+	if entity != "" {
+		var err error
+		if visits, err = c.shards[sm.Owner(entity)].VisitsOf(entity); err != nil {
+			return nil, err
+		}
+	}
+	lists := make([][]entry, len(c.shards))
+	for i, sh := range c.shards {
+		if sh.NumEntities() == 0 {
+			continue
+		}
+		st, err := sh.OpenSearch(visits)
+		if err != nil {
+			return nil, err
+		}
+		defer st.Close()
+		for more := true; more; {
+			var ms []digitaltraces.Match
+			if ms, _, more, err = st.Pull(64); err != nil {
+				return nil, err
+			}
+			c.mu.RLock()
+			for _, m := range ms {
+				if sm.Owner(m.Entity) == i {
+					lists[i] = append(lists[i], entry{m: m, rank: c.rankLocked(m.Entity)})
+				}
+			}
+			c.mu.RUnlock()
+		}
+		sort.SliceStable(lists[i], func(a, b int) bool { return entryBefore(lists[i][a], lists[i][b]) })
+	}
+	out, _ := mergeEntries(lists, k, entity)
+	return out, nil
+}
+
+// comparePaths asserts pruned ≡ full merge ≡ single for one query set.
 func comparePaths(t *testing.T, label string, db *digitaltraces.DB, c *Cluster, entities []string, ks []int) {
 	t.Helper()
 	for _, q := range entities {
@@ -66,12 +110,12 @@ func comparePaths(t *testing.T, label string, db *digitaltraces.DB, c *Cluster, 
 			if err != nil {
 				t.Fatalf("%s: pruned TopK(%s,%d): %v", label, q, k, err)
 			}
-			naive, _, err := c.topKNaive(q, k)
+			full, err := c.fullMerge(q, nil, k)
 			if err != nil {
-				t.Fatalf("%s: naive TopK(%s,%d): %v", label, q, k, err)
+				t.Fatalf("%s: full-merge TopK(%s,%d): %v", label, q, k, err)
 			}
 			requireSameMatches(t, fmt.Sprintf("%s: pruned vs single TopK(%s,%d)", label, q, k), pruned, want)
-			requireSameMatches(t, fmt.Sprintf("%s: naive vs single TopK(%s,%d)", label, q, k), naive, want)
+			requireSameMatches(t, fmt.Sprintf("%s: full merge vs single TopK(%s,%d)", label, q, k), full, want)
 		}
 		// Query-by-example through the same three paths, using the entity's
 		// own visits (the densest overlap structure available).
@@ -88,12 +132,12 @@ func comparePaths(t *testing.T, label string, db *digitaltraces.DB, c *Cluster, 
 		if err != nil {
 			t.Fatal(err)
 		}
-		naive, _, err := c.topKByExampleNaive(visits, k)
+		full, err := c.fullMerge("", visits, k)
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireSameMatches(t, fmt.Sprintf("%s: pruned vs single ByExample(%s,%d)", label, q, k), pruned, want)
-		requireSameMatches(t, fmt.Sprintf("%s: naive vs single ByExample(%s,%d)", label, q, k), naive, want)
+		requireSameMatches(t, fmt.Sprintf("%s: full merge vs single ByExample(%s,%d)", label, q, k), full, want)
 	}
 }
 

@@ -3,22 +3,22 @@ package shard
 // Threshold-pruned scatter-gather — the Fagin-style early-termination
 // coordinator over per-shard incremental searches.
 //
-// The naive fan-out asks every shard for a full local top-k and merges the
-// ≤ N·k candidates; at 8 shards that is 8 complete searches per query, which
-// is why single-query latency *rises* with the shard count even as build
-// throughput scales. The threshold-algorithm observation (Fagin et al.; see
-// also the incremental access in PAPERS.md's trajectory and personal-trace
-// search entries) is that the coordinator only needs each shard's results
-// down to the global k-th degree: every digitaltraces.Search streams results
-// in exact rank order together with an admissible upper bound on its
-// remainder (Search.Bound), so once the merged k-th result strictly beats a
-// shard's bound, nothing that shard has not yet emitted can enter the global
-// answer — that shard's search stops where it stands, leaf scans unperformed.
+// Asking every shard for a full local top-k and merging the ≤ N·k candidates
+// costs N complete searches per query, so single-query latency would *rise*
+// with the shard count even as build throughput scales. The threshold-
+// algorithm observation (Fagin et al.; see also the incremental access in
+// PAPERS.md's trajectory and personal-trace search entries) is that the
+// coordinator only needs each shard's results down to the global k-th
+// degree: every digitaltraces.Search streams results in exact rank order
+// together with an admissible upper bound on its remainder (Search.Bound),
+// so once the merged k-th result strictly beats a shard's bound, nothing
+// that shard has not yet emitted can enter the global answer — that shard's
+// search stops where it stands, leaf scans unperformed.
 //
 // # Exactness
 //
 // boundedGather returns exactly mergeEntries over the full per-shard streams
-// (the naive answer), by the prefix-cut argument:
+// (the full merge), by the prefix-cut argument:
 //
 //   - Each stream is in its shard's exact order, so a pulled prefix is a
 //     prefix of the full list; the k-way merge consumes lists in order, so
@@ -36,7 +36,7 @@ package shard
 //     precede every unpulled element in the shard's own exact order; if an
 //     unpulled element made the global top-k, those k would too — k+1 > k.
 //     This cap also bounds the worst case (a degree plateau across shards)
-//     at the naive fan-out's k+1 per shard, never worse.
+//     at k+1 results per shard.
 //
 // Rounds double the per-shard batch size, so a hot shard that owns the whole
 // answer is drained in O(log k) rounds while shards whose first result is
@@ -208,8 +208,8 @@ func boundedGather(n, k int, exclude string, loose []bool, pull func([]pullReq) 
 // is physically on two shards — exactly the copy sm says is the owner
 // survives), and streams on sm-touched shards run loose. checked sums every
 // stream's exact degree computations after termination (the quantity the
-// pruning saves versus the naive full fan-out). The report's streams are
-// aligned with streams.
+// pruning saves versus a full local top-k on every shard). The report's
+// streams are aligned with streams.
 func (c *Cluster) gatherSearches(sm *SlotMap, streams []Stream, ords []int, k int, exclude string) (out []digitaltraces.Match, checked int, rep gatherReport, err error) {
 	loose := make([]bool, len(streams))
 	for si, o := range ords {

@@ -46,8 +46,3 @@ func BenchmarkClusterTopKPruned(b *testing.B) {
 	c := gatherBenchCluster(b, 8)
 	benchQueries(c, b, c.TopK)
 }
-
-func BenchmarkClusterTopKNaive(b *testing.B) {
-	c := gatherBenchCluster(b, 8)
-	benchQueries(c, b, c.topKNaive)
-}

@@ -14,10 +14,24 @@ type entry struct {
 	rank int
 }
 
-// merge folds per-shard exact top-k lists into the global top-k by k-way
-// merge: repeatedly take the best list head under (degree descending, global
-// ingest ordinal ascending, name ascending). Entries within one shard's list
-// are never reordered.
+// rankLocked resolves an entity's global first-arrival ordinal; callers hold
+// c.mu. Unknown names (defensive: every answer was ingested through the
+// router) sort last.
+func (c *Cluster) rankLocked(entity string) int {
+	if o, ok := c.ord[entity]; ok {
+		return o
+	}
+	return math.MaxInt
+}
+
+// mergeEntries is the pure k-way selection the bounded gather runs on:
+// per-shard candidate lists, each already in its shard's exact order, folded
+// into the global top-k by repeatedly taking the best list head under
+// (degree descending, global ingest ordinal ascending, name ascending),
+// skipping the excluded entity (the query-by-example fan-out has no notion of
+// "self", so TopK excludes the query entity here). It returns the merged
+// matches and how many entries were excluded. Entries within one shard's
+// list are never reordered.
 //
 // That last property carries the losslessness proof. The load-bearing degree
 // ties are between entities of the *same* shard — they competed for that
@@ -37,44 +51,8 @@ type entry struct {
 // ranking bit-for-bit — the TestClusterExactness invariant. Under racing
 // ingest the answer remains the exact top-k by degree; only the order among
 // racing tied entities depends on arrival interleaving.
-func (c *Cluster) merge(lists [][]digitaltraces.Match, k int) []digitaltraces.Match {
-	out, _ := c.mergeExcluding(lists, k, "")
-	return out
-}
-
-// mergeExcluding merges like merge but drops the named entity, returning how
-// many entries were dropped (the query-by-example fan-out has no notion of
-// "self", so TopK excludes the query entity here and corrects the Checked
-// statistic by the dropped count).
-func (c *Cluster) mergeExcluding(lists [][]digitaltraces.Match, k int, exclude string) ([]digitaltraces.Match, int) {
-	entries := make([][]entry, len(lists))
-	c.mu.RLock()
-	for i, l := range lists {
-		entries[i] = make([]entry, len(l))
-		for j, m := range l {
-			entries[i][j] = entry{m: m, rank: c.rankLocked(m.Entity)}
-		}
-	}
-	c.mu.RUnlock()
-	return mergeEntries(entries, k, exclude)
-}
-
-// rankLocked resolves an entity's global first-arrival ordinal; callers hold
-// c.mu. Unknown names (defensive: every answer was ingested through the
-// router) sort last.
-func (c *Cluster) rankLocked(entity string) int {
-	if o, ok := c.ord[entity]; ok {
-		return o
-	}
-	return math.MaxInt
-}
-
-// mergeEntries is the pure k-way selection the cluster's merge — and the
-// bounded gather's termination checks — run on: per-shard candidate lists,
-// each already in its shard's exact order, folded into the global top-k
-// under (degree descending, rank ascending, name ascending), skipping the
-// excluded entity. It returns the merged matches and how many entries were
-// excluded. Pure over its inputs (no cluster state), which is what makes the
+//
+// Pure over its inputs (no cluster state), which is what makes the
 // merge/termination logic fuzzable in isolation (FuzzBoundedGather).
 func mergeEntries(lists [][]entry, k int, exclude string) ([]digitaltraces.Match, int) {
 	pos := make([]int, len(lists))

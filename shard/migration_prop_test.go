@@ -6,7 +6,7 @@ package shard
 // answer must stay bit-identical to the single-DB reference before, during
 // and after each move, for N ∈ {2, 4, 8} shards. A second phase migrates
 // while a concurrent ingester streams fresh visits through the per-slot
-// fence; after both settle, the pruned gather, the naive gather and a single
+// fence; after both settle, the pruned gather, the full-merge reference and a single
 // DB fed the identical log must again agree bit-for-bit. Run under -race
 // this is the acceptance check that the ingest fence, the atomic map publish
 // and the per-pull ownership filter compose into "never a non-exact answer".

@@ -27,13 +27,10 @@ import (
 
 // clusterMagic identifies the envelope; bump the trailing digit on layout
 // changes. The payload format inside each section is versioned separately
-// (by the root package's snapshot magic). V2 prepends the slot map (epoch,
-// 256×uint16 assignment, per-shard touched flags) to the V1 layout.
+// (by the root package's snapshot magic). The header carries the slot map
+// (epoch, 256×uint16 assignment, per-shard touched flags) ahead of the
+// section count.
 const clusterMagic = "MSIGCLUST2\n"
-
-// clusterMagicV1 is the pre-slot-map envelope: no slot map, sections loaded
-// strictly i→i, shard count pinned to the save.
-const clusterMagicV1 = "MSIGCLUST1\n"
 
 // maxShardSection caps a section length read from the envelope before
 // allocation — corrupt headers must not look like a 2^60-byte index.
@@ -109,20 +106,13 @@ func (c *Cluster) SaveIndex(w io.Writer) (int64, error) {
 // 8-shard cluster (and vice versa); only entities whose section landed
 // elsewhere pay a rebuild on their first refresh. Shards empty under the
 // current routing stay index-less and build lazily.
-//
-// Legacy MSIGCLUST1 envelopes carry no slot map: their sections load i→i,
-// so the shard count must match the save's.
 func (c *Cluster) LoadIndex(r io.Reader) error {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(clusterMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return fmt.Errorf("shard: reading cluster snapshot magic: %w", err)
 	}
-	switch string(magic) {
-	case clusterMagic:
-	case clusterMagicV1:
-		return c.loadIndexV1(br)
-	default:
+	if string(magic) != clusterMagic {
 		return fmt.Errorf("shard: not a cluster index snapshot (magic %q; a single-DB snapshot loads via DB.LoadIndex)", magic)
 	}
 	var epoch uint64
@@ -214,45 +204,6 @@ func (c *Cluster) LoadIndex(r io.Reader) error {
 	return nil
 }
 
-// loadIndexV1 loads a pre-slot-map envelope: sections were saved under the
-// implicit default map of their shard count and carry no assignment, so they
-// can only be matched i→i — the shard count must equal the save's. The load
-// is still lenient (the current cluster's map may have migrated slots since
-// the re-ingest), so a matched count always loads; re-save to get a
-// MSIGCLUST2 envelope that survives topology changes.
-func (c *Cluster) loadIndexV1(br *bufio.Reader) error {
-	var count uint64
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return fmt.Errorf("shard: reading cluster snapshot shard count: %w", err)
-	}
-	if int(count) != len(c.shards) {
-		return fmt.Errorf("shard: legacy (MSIGCLUST1) snapshot has %d shard sections, cluster has %d shards — pre-slot-map envelopes pin their shard count; load into a %d-shard cluster and re-save to get a slot-mapped envelope that loads at any count", count, len(c.shards), count)
-	}
-	for i := range c.shards {
-		var length uint64
-		if err := binary.Read(br, binary.LittleEndian, &length); err != nil {
-			return fmt.Errorf("shard: snapshot truncated at shard %d section header: %w", i, err)
-		}
-		if length == 0 {
-			continue
-		}
-		if length > maxShardSection {
-			return fmt.Errorf("shard: snapshot shard %d section claims %d bytes — corrupt envelope", i, length)
-		}
-		section := make([]byte, length)
-		if _, err := io.ReadFull(br, section); err != nil {
-			return fmt.Errorf("shard: snapshot truncated inside shard %d section (want %d bytes): %w", i, length, err)
-		}
-		if c.shards[i].NumEntities() == 0 {
-			continue // nothing re-ingested here under the current map
-		}
-		if err := c.shards[i].LoadIndexLenient(bytes.NewReader(section)); err != nil {
-			return fmt.Errorf("shard: loading shard %d index: %w", i, err)
-		}
-	}
-	return nil
-}
-
 // clusterMappedMagic identifies the memory-mappable cluster envelope: a
 // page-aligned header (carrying the slot map: epoch, 256×uint16 assignment,
 // per-shard touched flags), the global entity-ordinal table, then one
@@ -264,11 +215,6 @@ func (c *Cluster) loadIndexV1(br *bufio.Reader) error {
 // change across a mapped load: sections are physical images served in place,
 // not name-resolved replays (change topology through a heap envelope).
 const clusterMappedMagic = "MSIGCMAP2\n"
-
-// clusterMappedMagicV1 is the pre-slot-map mapped envelope: no slot map in
-// the header; loadable only while the cluster's map is still the default
-// assignment its implicit hash-mod-N placement assumed.
-const clusterMappedMagicV1 = "MSIGCMAP1\n"
 
 // mappedBackend is the optional mapped-persistence surface of a Backend. The
 // local adapter satisfies it through its embedded *digitaltraces.DB; remote
@@ -443,13 +389,7 @@ func (c *Cluster) LoadMappedIndex(path string) error {
 		m.Close()
 		return fmt.Errorf("shard: reading mapped cluster header: %w", err)
 	}
-	var version int
-	switch string(hdr[:len(clusterMappedMagic)]) {
-	case clusterMappedMagic:
-		version = 2
-	case clusterMappedMagicV1:
-		version = 1
-	default:
+	if string(hdr[:len(clusterMappedMagic)]) != clusterMappedMagic {
 		m.Close()
 		return fmt.Errorf("shard: not a mapped cluster envelope (magic %q; a single-DB mapped index loads via DB.LoadMappedIndex)", hdr[:len(clusterMappedMagic)])
 	}
@@ -474,26 +414,20 @@ func (c *Cluster) LoadMappedIndex(path string) error {
 	}
 	// The slot-map gate: a mapped image is served physically, so the serving
 	// map must match the placement the image froze.
-	secBase := fixedLen
-	if version == 2 {
-		extra := make([]byte, 8+2*NumSlots+int64(count))
-		if m.Size() < fixedLen+int64(len(extra)) {
-			m.Close()
-			return fmt.Errorf("shard: mapped cluster envelope truncated inside its slot map")
-		}
-		if _, err := m.ReadAt(extra, fixedLen); err != nil {
-			m.Close()
-			return fmt.Errorf("shard: reading mapped cluster slot map: %w", err)
-		}
-		if err := c.reconcileMappedSlotMap(extra, int(count)); err != nil {
-			m.Close()
-			return err
-		}
-		secBase = fixedLen + int64(len(extra))
-	} else if !c.slotmap().isDefault() {
+	extra := make([]byte, 8+2*NumSlots+int64(count))
+	if m.Size() < fixedLen+int64(len(extra)) {
 		m.Close()
-		return fmt.Errorf("shard: legacy (MSIGCMAP1) mapped envelope carries no slot map, but this cluster's slot assignment is not the default hash-mod-%d placement the save assumed — re-save with the current format", count)
+		return fmt.Errorf("shard: mapped cluster envelope truncated inside its slot map")
 	}
+	if _, err := m.ReadAt(extra, fixedLen); err != nil {
+		m.Close()
+		return fmt.Errorf("shard: reading mapped cluster slot map: %w", err)
+	}
+	if err := c.reconcileMappedSlotMap(extra, int(count)); err != nil {
+		m.Close()
+		return err
+	}
+	secBase := fixedLen + int64(len(extra))
 	if m.Size() < secBase+16*int64(count) {
 		m.Close()
 		return fmt.Errorf("shard: mapped cluster envelope truncated inside its section table")
@@ -577,7 +511,7 @@ func (c *Cluster) LoadMappedIndex(path string) error {
 	return nil
 }
 
-// reconcileMappedSlotMap applies a v2 mapped envelope's slot map (epoch,
+// reconcileMappedSlotMap applies a mapped envelope's slot map (epoch,
 // 256×uint16 assignment, per-shard touched flags, concatenated in extra)
 // against the cluster's. A populated registry (a re-ingested log) must
 // already be routed exactly as the image was saved — the image is served

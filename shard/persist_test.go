@@ -2,8 +2,9 @@ package shard
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -123,32 +124,68 @@ func TestClusterLoadIndexShardCountChange(t *testing.T) {
 	}
 }
 
-// TestClusterLoadIndexLegacyShardCountMismatch: a pre-slot-map (MSIGCLUST1)
-// envelope carries no slot map, so its sections can only load i→i and a
-// different shard count is refused with an error that names the way out.
-func TestClusterLoadIndexLegacyShardCountMismatch(t *testing.T) {
+// TestLegacyMagicsRejected: the retired formats (MSIGTREE1, MSIGCLUST1,
+// MSIGCMAP1) are not snapshots to any loader. Each of DB.LoadIndex,
+// Cluster.LoadIndex and Cluster.LoadMappedIndex refuses each of them with an
+// error naming the magic it found — never a panic — and keeps serving its
+// previous snapshot unchanged.
+func TestLegacyMagicsRejected(t *testing.T) {
 	log := cityLog(t, 20)
-	// Synthesize a legacy envelope: the V1 layout is magic + shard count +
-	// per-shard length-prefixed sections, with no slot map.
-	var legacy bytes.Buffer
-	legacy.WriteString("MSIGCLUST1\n")
-	binary.Write(&legacy, binary.LittleEndian, uint64(4))
-	for i := 0; i < 4; i++ {
-		binary.Write(&legacy, binary.LittleEndian, uint64(0))
+	queries := []string{"entity-0", "entity-7", "entity-19"}
+	db, err := digitaltraces.NewGridDB(4, 0, digitaltraces.WithHashFunctions(32))
+	if err != nil {
+		t.Fatal(err)
 	}
-	c2 := persistCluster(t, 2, log)
-	err := c2.LoadIndex(bytes.NewReader(legacy.Bytes()))
-	if err == nil || !strings.Contains(err.Error(), "shard count") {
-		t.Fatalf("want shard-count mismatch error, got: %v", err)
+	if _, err := db.AddVisits(log); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "re-save") {
-		t.Fatalf("legacy refusal should point at re-saving under the slot-mapped format, got: %v", err)
+	c := persistCluster(t, 2, log)
+	loaders := []struct {
+		name string
+		eng  digitaltraces.Engine
+		load func(path string, b []byte) error
+	}{
+		{"DB.LoadIndex", db, func(_ string, b []byte) error { return db.LoadIndex(bytes.NewReader(b)) }},
+		{"Cluster.LoadIndex", c, func(_ string, b []byte) error { return c.LoadIndex(bytes.NewReader(b)) }},
+		{"Cluster.LoadMappedIndex", c, func(path string, _ []byte) error { return c.LoadMappedIndex(path) }},
 	}
-	// At the matching count the same legacy envelope loads (empty sections:
-	// every shard just stays index-less).
-	c4 := persistCluster(t, 4, log)
-	if err := c4.LoadIndex(bytes.NewReader(legacy.Bytes())); err != nil {
-		t.Fatalf("legacy envelope at matching count: %v", err)
+	for _, l := range loaders {
+		if err := l.eng.BuildIndex(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, magic := range []string{"MSIGTREE1", "MSIGCLUST1", "MSIGCMAP1"} {
+		// Magic plus a few zero words: long enough that every loader gets
+		// past its minimum-header check and fails on the magic itself.
+		b := append([]byte(magic+"\n"), make([]byte, 64)...)
+		path := filepath.Join(t.TempDir(), magic)
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range loaders {
+			gen := l.eng.IndexStats().Generation
+			var before [][]digitaltraces.Match
+			for _, q := range queries {
+				ms, _, err := l.eng.TopK(q, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before = append(before, ms)
+			}
+			err := l.load(path, b)
+			if err == nil || !strings.Contains(err.Error(), magic) {
+				t.Errorf("%s(%s): want an error naming the magic, got: %v", l.name, magic, err)
+			}
+			if got := l.eng.IndexStats().Generation; got != gen {
+				t.Errorf("%s(%s): generation moved %d → %d on a refused load", l.name, magic, gen, got)
+			}
+			for i, q := range queries {
+				ms, _, err := l.eng.TopK(q, 5)
+				if err != nil || !reflect.DeepEqual(ms, before[i]) {
+					t.Errorf("%s(%s): TopK(%s) changed after a refused load: %v (err %v), want %v", l.name, magic, q, ms, err, before[i])
+				}
+			}
+		}
 	}
 }
 

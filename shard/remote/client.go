@@ -29,9 +29,9 @@ const (
 // Options tunes a Client.
 type Options struct {
 	// CallTimeout bounds each hot-path RPC (open, pull, visits, ingest,
-	// topk, ping). A pull that outlives it returns a named shard error —
-	// never a hang — and is not retried: the deadline already spent the
-	// latency budget. Default DefaultCallTimeout.
+	// ping). A pull that outlives it returns a named shard error — never a
+	// hang — and is not retried: the deadline already spent the latency
+	// budget. Default DefaultCallTimeout.
 	CallTimeout time.Duration
 	// ControlTimeout bounds slow control-plane RPCs: build, refresh and
 	// index save/load, which scale with the shard's data. Default
@@ -426,24 +426,6 @@ func (c *Client) VisitsOf(entity string) ([]digitaltraces.Visit, error) {
 	}
 	c.adopt(resp.State)
 	return resp.Visits, nil
-}
-
-func (c *Client) TopKByExample(visits []digitaltraces.Visit, k int) ([]digitaltraces.Match, digitaltraces.QueryStats, error) {
-	out, err := c.call("/shard/topk", encodeTopKReq(topKReq{Visits: visits, K: uint64(k)}), c.callT, true)
-	if err != nil {
-		return nil, digitaltraces.QueryStats{}, err
-	}
-	resp, err := decodeTopKResp(out)
-	if err != nil {
-		return nil, digitaltraces.QueryStats{}, fmt.Errorf("shard %s: decoding topk response: %w", c.addr, err)
-	}
-	c.adopt(resp.State)
-	return resp.Matches, digitaltraces.QueryStats{
-		Checked: int(resp.Checked),
-		PE:      resp.PE,
-		Pruned:  resp.Pruned,
-		Elapsed: time.Duration(resp.ElapsedNS),
-	}, nil
 }
 
 // --- shard.Backend: maintenance ---

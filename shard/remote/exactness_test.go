@@ -3,10 +3,9 @@ package remote
 // The acceptance bar for the network transport: the PR 6 exactness property
 // suite, re-run with every shard behind a loopback HTTP server. Over random
 // adversarial visit logs (clones forcing exact degree ties, strangers
-// forcing zero-degree boundaries, post-build dirt), the remote pruned
-// gather, the remote naive gather, the in-process cluster and a single DB
-// must return bit-identical answers — tie order included — for
-// N ∈ {1, 2, 4, 8} shards. Nothing in the wire protocol, the positional
+// forcing zero-degree boundaries, post-build dirt), the remote cluster, the
+// in-process cluster and a single DB must return bit-identical answers — tie
+// order included — for N ∈ {1, 2, 4, 8} shards. Nothing in the wire protocol, the positional
 // pull buffering or the client's state caching may perturb a single bit.
 
 import (
@@ -37,9 +36,9 @@ func remoteCluster(t *testing.T, n int, cfg shard.Config) *shard.Cluster {
 	return c
 }
 
-// compareEngines asserts single ≡ local cluster ≡ remote pruned ≡ remote
-// naive for one query set, bit-for-bit.
-func compareEngines(t *testing.T, label string, db *digitaltraces.DB, local, remote, naive *shard.Cluster, entities []string, ks []int) {
+// compareEngines asserts single ≡ local cluster ≡ remote cluster for one
+// query set, bit-for-bit.
+func compareEngines(t *testing.T, label string, db *digitaltraces.DB, local, remote *shard.Cluster, entities []string, ks []int) {
 	t.Helper()
 	for _, q := range entities {
 		for _, k := range ks {
@@ -55,15 +54,10 @@ func compareEngines(t *testing.T, label string, db *digitaltraces.DB, local, rem
 			if err != nil {
 				t.Fatalf("%s: remote TopK(%s,%d): %v", label, q, k, err)
 			}
-			nms, _, err := naive.TopK(q, k)
-			if err != nil {
-				t.Fatalf("%s: remote naive TopK(%s,%d): %v", label, q, k, err)
-			}
 			sameMatches(t, fmt.Sprintf("%s: local vs single TopK(%s,%d)", label, q, k), lms, want)
 			sameMatches(t, fmt.Sprintf("%s: remote vs single TopK(%s,%d)", label, q, k), rms, want)
-			sameMatches(t, fmt.Sprintf("%s: remote naive vs single TopK(%s,%d)", label, q, k), nms, want)
 		}
-		// Query-by-example through all four engines with the entity's own
+		// Query-by-example through all three engines with the entity's own
 		// visits (the densest overlap structure available).
 		visits, err := db.VisitsOf(q)
 		if err != nil {
@@ -82,22 +76,17 @@ func compareEngines(t *testing.T, label string, db *digitaltraces.DB, local, rem
 		if err != nil {
 			t.Fatal(err)
 		}
-		nms, _, err := naive.TopKByExample(visits, k)
-		if err != nil {
-			t.Fatal(err)
-		}
 		sameMatches(t, fmt.Sprintf("%s: local vs single ByExample(%s,%d)", label, q, k), lms, want)
 		sameMatches(t, fmt.Sprintf("%s: remote vs single ByExample(%s,%d)", label, q, k), rms, want)
-		sameMatches(t, fmt.Sprintf("%s: remote naive vs single ByExample(%s,%d)", label, q, k), nms, want)
 	}
 }
 
 // TestRemoteGatherExactnessProperty is the randomized acceptance property
 // for the transport. Each trial builds one random log, replays it into a
-// single DB, an in-process cluster, a loopback-remote pruned cluster and a
-// loopback-remote naive cluster of N shards, compares every query path
-// bit-for-bit, then dirties a random fraction of entities and compares
-// again (each engine folds the dirt lazily on its own side of the wire).
+// single DB, an in-process cluster and a loopback-remote cluster of N
+// shards, compares every query path bit-for-bit, then dirties a random
+// fraction of entities and compares again (each engine folds the dirt lazily
+// on its own side of the wire).
 func TestRemoteGatherExactnessProperty(t *testing.T) {
 	trials := []struct {
 		seed         int64
@@ -138,18 +127,15 @@ func TestRemoteGatherExactnessProperty(t *testing.T) {
 					t.Fatal(err)
 				}
 				remoteC := remoteCluster(t, n, shard.Config{})
-				naiveC := remoteCluster(t, n, shard.Config{NaiveGather: true})
-				for _, c := range []*shard.Cluster{remoteC, naiveC} {
-					if _, err := c.AddVisits(db.AllVisits()); err != nil {
-						t.Fatal(err)
-					}
+				if _, err := remoteC.AddVisits(db.AllVisits()); err != nil {
+					t.Fatal(err)
 				}
-				for _, c := range []*shard.Cluster{localC, remoteC, naiveC} {
+				for _, c := range []*shard.Cluster{localC, remoteC} {
 					if err := c.BuildIndex(); err != nil {
 						t.Fatal(err)
 					}
 				}
-				compareEngines(t, fmt.Sprintf("clean/shards=%d", n), db, localC, remoteC, naiveC, entities, ks)
+				compareEngines(t, fmt.Sprintf("clean/shards=%d", n), db, localC, remoteC, entities, ks)
 
 				// Dirty a random ~30% of entities with fresh in-horizon
 				// visits, replayed identically into every engine; answers
@@ -158,12 +144,12 @@ func TestRemoteGatherExactnessProperty(t *testing.T) {
 					if _, err := db.AddVisits(dirt); err != nil {
 						t.Fatal(err)
 					}
-					for _, c := range []*shard.Cluster{localC, remoteC, naiveC} {
+					for _, c := range []*shard.Cluster{localC, remoteC} {
 						if _, err := c.AddVisits(dirt); err != nil {
 							t.Fatal(err)
 						}
 					}
-					compareEngines(t, fmt.Sprintf("dirty/shards=%d", n), db, localC, remoteC, naiveC, entities, ks)
+					compareEngines(t, fmt.Sprintf("dirty/shards=%d", n), db, localC, remoteC, entities, ks)
 					// Re-sync the single DB for the next cluster size: fold
 					// everything so the next replay sees one state.
 					if err := db.Refresh(); err != nil {
@@ -172,7 +158,6 @@ func TestRemoteGatherExactnessProperty(t *testing.T) {
 				}
 				localC.Close()
 				remoteC.Close()
-				naiveC.Close()
 			}
 		})
 	}

@@ -44,7 +44,7 @@ func remoteClusterClients(t *testing.T, n int, cfg shard.Config) (*shard.Cluster
 // TestRemoteMigrationExactness migrates random slots between loopback shard
 // servers while a concurrent query stream compares every answer against the
 // single-DB reference, then checks the epoch piggyback and a final
-// three-way (remote pruned vs remote naive vs single) agreement.
+// three-way (migrated remote vs never-migrated local vs single) agreement.
 func TestRemoteMigrationExactness(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	log := proptest.RandomLog(rng, 40, 24)
@@ -62,11 +62,18 @@ func TestRemoteMigrationExactness(t *testing.T) {
 	}
 
 	c, clients := remoteClusterClients(t, 4, shard.Config{})
-	naive, _ := remoteClusterClients(t, 4, shard.Config{NaiveGather: true})
-	for _, eng := range []*shard.Cluster{c, naive} {
-		if _, err := eng.AddVisits(log); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := c.AddVisits(log); err != nil {
+		t.Fatal(err)
+	}
+	local, err := shard.Partition(db, shard.Config{
+		Shards:   4,
+		NewShard: func(int) (*digitaltraces.DB, error) { return proptest.NewDB() },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { local.Close() })
+	for _, eng := range []*shard.Cluster{c, local} {
 		if err := eng.BuildIndex(); err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +161,7 @@ func TestRemoteMigrationExactness(t *testing.T) {
 	}
 
 	// Final three-way agreement, including by-example.
-	compareEngines(t, "post-migration", db, naive, c, naive, queries, ks)
+	compareEngines(t, "post-migration", db, local, c, queries, ks)
 }
 
 // TestRemoteClusterShardCountReload saves a 4-shard local cluster's envelope

@@ -122,20 +122,6 @@ func TestRemoteBackendEndToEnd(t *testing.T) {
 		t.Fatalf("VisitsOf(nobody) should fail naming the shard, got %v", err)
 	}
 
-	// TopKByExample over the wire equals the DB's own answer bit-for-bit.
-	wantMs, _, err := db.TopKByExample(want, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotMs, qs, err := c.TopKByExample(got, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameMatches(t, "TopKByExample", gotMs, wantMs)
-	if qs.Checked == 0 {
-		t.Fatal("TopKByExample stats did not cross the wire")
-	}
-
 	// The remote stream and a local stream over the same DB emit identical
 	// (matches, bound, live) sequences under the same pull schedule.
 	lVisits, lst, err := shard.Local(db).OpenSearchEntity("e003")
@@ -421,6 +407,20 @@ func TestProtoVersionRejected(t *testing.T) {
 	}
 }
 
+// TestShardTopKRouteGone: the full-local-top-k op is not part of the shard
+// protocol; the pull-based search (open/pull/close) is the only query path.
+func TestShardTopKRouteGone(t *testing.T) {
+	_, _, hs := newShardServer(t, ServerConfig{})
+	resp, err := http.Post(hs.URL+"/shard/topk", "application/octet-stream", strings.NewReader(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /shard/topk got HTTP %d, want 404", resp.StatusCode)
+	}
+}
+
 // TestClusterHealthNamesDeadShard: the coordinator's readiness probe marks a
 // killed shard unhealthy and names its address; queries against the degraded
 // cluster fail naming the same address.
@@ -587,13 +587,17 @@ func TestRemoteIndexSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantMs, _, err := ca.TopKByExample(visits, 8)
-	if err != nil {
-		t.Fatal(err)
+	top := func(c *Client) []digitaltraces.Match {
+		st, err := c.OpenSearch(visits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		ms, _, _, err := st.Pull(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ms
 	}
-	gotMs, _, err := cb.TopKByExample(visits, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameMatches(t, "loaded index answers", gotMs, wantMs)
+	sameMatches(t, "loaded index answers", top(cb), top(ca))
 }

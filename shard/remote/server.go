@@ -172,7 +172,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /shard/close", s.handleClose)
 	mux.HandleFunc("POST /shard/visitsof", s.handleVisitsOf)
 	mux.HandleFunc("POST /shard/ingest", s.handleIngest)
-	mux.HandleFunc("POST /shard/topk", s.handleTopK)
 	mux.HandleFunc("GET /shard/stats", s.handleStats)
 	mux.HandleFunc("POST /shard/build", s.handleBuild)
 	mux.HandleFunc("POST /shard/refresh", s.handleRefresh)
@@ -383,31 +382,6 @@ func innerIngestError(err error) string {
 		}
 	}
 	return err.Error()
-}
-
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	req, err := decodeTopKReq(body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad topk request: %v", err))
-		return
-	}
-	ms, qs, err := s.db.TopKByExample(req.Visits, int(req.K))
-	if err != nil {
-		httpError(w, http.StatusUnprocessableEntity, err.Error())
-		return
-	}
-	writeBinary(w, encodeTopKResp(topKResp{
-		Matches:   ms,
-		Checked:   uint64(qs.Checked),
-		PE:        qs.PE,
-		Pruned:    qs.Pruned,
-		ElapsedNS: uint64(qs.Elapsed.Nanoseconds()),
-		State:     s.state(),
-	}))
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -68,8 +68,6 @@ const (
 	tagVisitsOfResp
 	tagIngestReq
 	tagIngestResp
-	tagTopKReq
-	tagTopKResp
 )
 
 // Decode limits: corrupt length prefixes must not look like a 2^60-element
@@ -162,21 +160,6 @@ type ingestResp struct {
 	Stored    uint64
 	FailIndex int64 // -1: all stored
 	ErrMsg    string
-	State     shardState
-}
-
-// topKReq runs the shard's full local top-k (the naive-gather A/B path).
-type topKReq struct {
-	Visits []digitaltraces.Visit
-	K      uint64
-}
-
-type topKResp struct {
-	Matches   []digitaltraces.Match
-	Checked   uint64
-	PE        float64
-	Pruned    float64
-	ElapsedNS uint64
 	State     shardState
 }
 
@@ -291,20 +274,6 @@ func encodeIngestResp(m ingestResp) []byte {
 	b := binary.AppendUvarint([]byte{tagIngestResp}, m.Stored)
 	b = appendI64(b, m.FailIndex)
 	b = appendString(b, m.ErrMsg)
-	return appendState(b, m.State)
-}
-
-func encodeTopKReq(m topKReq) []byte {
-	b := appendVisits([]byte{tagTopKReq}, m.Visits)
-	return binary.AppendUvarint(b, m.K)
-}
-
-func encodeTopKResp(m topKResp) []byte {
-	b := appendMatches([]byte{tagTopKResp}, m.Matches)
-	b = binary.AppendUvarint(b, m.Checked)
-	b = appendF64(b, m.PE)
-	b = appendF64(b, m.Pruned)
-	b = binary.AppendUvarint(b, m.ElapsedNS)
 	return appendState(b, m.State)
 }
 
@@ -547,19 +516,5 @@ func decodeIngestResp(b []byte) (ingestResp, error) {
 	r := reader{b: b}
 	r.tag(tagIngestResp)
 	m := ingestResp{Stored: r.uvarint(), FailIndex: r.i64(), ErrMsg: r.str(), State: r.state()}
-	return m, r.finish()
-}
-
-func decodeTopKReq(b []byte) (topKReq, error) {
-	r := reader{b: b}
-	r.tag(tagTopKReq)
-	m := topKReq{Visits: r.visits(), K: r.uvarint()}
-	return m, r.finish()
-}
-
-func decodeTopKResp(b []byte) (topKResp, error) {
-	r := reader{b: b}
-	r.tag(tagTopKResp)
-	m := topKResp{Matches: r.matches(), Checked: r.uvarint(), PE: r.f64(), Pruned: r.f64(), ElapsedNS: r.uvarint(), State: r.state()}
 	return m, r.finish()
 }

@@ -102,18 +102,6 @@ func roundTrips(t *testing.T) map[string][]byte {
 		t.Fatalf("ingestResp round trip: %+v, %v", got, err)
 	}
 
-	tr := topKReq{Visits: wireVisits(), K: 5}
-	msgs["topKReq"] = encodeTopKReq(tr)
-	if got, err := decodeTopKReq(msgs["topKReq"]); err != nil || got.K != 5 || len(got.Visits) != 3 {
-		t.Fatalf("topKReq round trip: %+v, %v", got, err)
-	}
-
-	tresp := topKResp{Matches: wireMatches(), Checked: 12, PE: 0.25, Pruned: 0.5, ElapsedNS: 1e6, State: shardState{Entities: 20, Generation: 3, GenOK: true}}
-	msgs["topKResp"] = encodeTopKResp(tresp)
-	if got, err := decodeTopKResp(msgs["topKResp"]); err != nil || len(got.Matches) != 4 || got.PE != 0.25 || got.Pruned != 0.5 {
-		t.Fatalf("topKResp round trip: %+v, %v", got, err)
-	}
-
 	return msgs
 }
 
@@ -143,10 +131,6 @@ func decodeAny(name string, b []byte) error {
 		_, err = decodeIngestReq(b)
 	case "ingestResp":
 		_, err = decodeIngestResp(b)
-	case "topKReq":
-		_, err = decodeTopKReq(b)
-	case "topKResp":
-		_, err = decodeTopKResp(b)
 	default:
 		panic("unknown message " + name)
 	}
@@ -235,7 +219,7 @@ func TestWireFloatBitExact(t *testing.T) {
 // TestWireTagsDistinct guards against two messages sharing a tag byte.
 func TestWireTagsDistinct(t *testing.T) {
 	tags := []byte{tagOpenReq, tagOpenResp, tagPullReq, tagPullResp, tagCloseReq,
-		tagVisitsOfReq, tagVisitsOfResp, tagIngestReq, tagIngestResp, tagTopKReq, tagTopKResp}
+		tagVisitsOfReq, tagVisitsOfResp, tagIngestReq, tagIngestResp}
 	seen := map[byte]bool{}
 	for _, tag := range tags {
 		if seen[tag] {
@@ -243,8 +227,8 @@ func TestWireTagsDistinct(t *testing.T) {
 		}
 		seen[tag] = true
 	}
-	if len(seen) != 11 {
-		t.Fatalf("expected 11 distinct tags, got %d", len(seen))
+	if len(seen) != 9 {
+		t.Fatalf("expected 9 distinct tags, got %d", len(seen))
 	}
 	_ = fmt.Sprintf // keep fmt hooked for debugging edits
 }

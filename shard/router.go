@@ -3,44 +3,13 @@ package shard
 // The router decides which shard owns an entity and remembers the order
 // entities first arrived. Ownership is two-level (slotmap.go): the stable
 // FNV-1a hash places an entity in one of 256 fixed slots, and the cluster's
-// versioned slot map assigns each slot to a shard — so placement is still
-// computable by any process holding the (tiny) current map, but the map can
+// versioned slot map assigns each slot to a shard — so placement is
+// computable by any process holding the (tiny) current map, and the map can
 // change: MigrateSlot moves a slot's entities to another shard and publishes
 // a new map under a bumped epoch. The arrival order is the cluster-wide
 // substitute for the single DB's entity-ID assignment order, used only to
 // break exact-degree ties across shards deterministically; it is placement-
 // independent, which is why answers stay bit-identical across migrations.
-
-import "fmt"
-
-// OwnerOf is the legacy direct entity→shard hash: 32-bit FNV-1a over the raw
-// name bytes (offset basis 2166136261, prime 16777619), mod the shard count.
-// Routing no longer uses it — ownership goes entity → SlotOf → SlotMap — but
-// the function remains exported as the fixed-point reference: for shard
-// counts dividing NumSlots, DefaultSlotMap(n).Owner(e) == OwnerOf(e, n), the
-// compatibility contract that lets pre-slot-map envelopes re-ingest onto the
-// shards that saved them. Panics if shards < 1, like an out-of-range slice
-// index would.
-func OwnerOf(entity string, shards int) int {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	if shards < 1 {
-		panic(fmt.Sprintf("shard: OwnerOf with %d shards", shards))
-	}
-	h := uint32(offset32)
-	for i := 0; i < len(entity); i++ {
-		h ^= uint32(entity[i])
-		h *= prime32
-	}
-	return int(h % uint32(shards))
-}
-
-// owner returns the shard index owning the entity under the current slot
-// map. Callers that must correlate routing with filtering pin one map via
-// c.slotmap() and use its Owner directly.
-func (c *Cluster) owner(entity string) int { return c.slotmap().Owner(entity) }
 
 // register assigns global first-arrival ordinals to any names not seen
 // before, in slice order, under one lock acquisition.

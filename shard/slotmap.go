@@ -2,16 +2,15 @@ package shard
 
 // The slot map: ownership as a data structure instead of a formula.
 //
-// Entity placement used to be FNV-1a mod N baked into the router — the shard
-// count could never change and a hot shard stayed hot forever. Routing is now
-// two-level:
+// A fixed entity→shard hash would pin the shard count and leave a hot shard
+// hot forever, so routing is two-level:
 //
 //	entity ──FNV-1a mod NumSlots──▶ slot ──SlotMap──▶ shard
 //
-// The first hop is a fixed pure function (SlotOf) with the same stability
-// contract OwnerOf always had: any process computes it with no lookup. The
-// second hop is a small versioned table the cluster owns: 256 slots → shard
-// ordinals, published atomically under a monotonically increasing epoch.
+// The first hop is a fixed pure function (SlotOf): any process computes it
+// with no lookup. The second hop is a small versioned table the cluster
+// owns: 256 slots → shard ordinals, published atomically under a
+// monotonically increasing epoch.
 // Rebalancing moves a slot's entities to another shard and republishes the
 // table; nothing about the entity→slot hop ever changes, so a saved envelope,
 // a remote shard server and a coordinator only need to agree on the table —
@@ -54,9 +53,8 @@ const NumSlots = 256
 // SlotOf routes an entity name to a slot: 32-bit FNV-1a over the raw name
 // bytes (offset basis 2166136261, prime 16777619) mod NumSlots. This is the
 // stable half of routing — a pure function fixed across processes, platforms
-// and Go versions, exactly the contract OwnerOf carries — so any client or
-// shard server locates an entity's slot with no lookup, and only the small
-// slot→shard table needs distributing.
+// and Go versions — so any client or shard server locates an entity's slot
+// with no lookup, and only the small slot→shard table needs distributing.
 func SlotOf(entity string) int {
 	const (
 		offset32 = 2166136261
@@ -87,9 +85,6 @@ type SlotMap struct {
 }
 
 // DefaultSlotMap is the epoch-0 assignment for n shards: slot s → s mod n.
-// When n divides NumSlots this reproduces the legacy direct FNV-mod-N
-// placement exactly ((h mod 256) mod n == h mod n), so pre-slot-map clusters
-// of 1/2/4/8/… shards re-ingest onto identical shards.
 func DefaultSlotMap(n int) *SlotMap {
 	m := &SlotMap{touched: make([]bool, n)}
 	for s := range m.assign {
@@ -116,23 +111,6 @@ func (m *SlotMap) clone() *SlotMap {
 	n := &SlotMap{epoch: m.epoch, assign: m.assign, touched: make([]bool, len(m.touched))}
 	copy(n.touched, m.touched)
 	return n
-}
-
-// isDefault reports whether the assignment is exactly DefaultSlotMap's for
-// len(touched) shards with no shard touched — the only state a pre-slot-map
-// (MSIGCMAP1) envelope may load into.
-func (m *SlotMap) isDefault() bool {
-	for s, sh := range m.assign {
-		if sh != s%len(m.touched) {
-			return false
-		}
-	}
-	for _, t := range m.touched {
-		if t {
-			return false
-		}
-	}
-	return true
 }
 
 // slotmap returns the cluster's current map. Callers that correlate several

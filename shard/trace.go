@@ -16,9 +16,9 @@ import (
 )
 
 // gatherDetail is the trace-grade breakdown of one cluster query, threaded
-// from the gather (or the naive scatter) up to the trace recorder. It is
-// collected unconditionally — QueryStats.Shards/Pulled/Merge report from it
-// even with tracing off — and costs one small slice per query.
+// from the gather up to the trace recorder. It is collected unconditionally
+// — QueryStats.Shards/Pulled/Merge report from it even with tracing off —
+// and costs one small slice per query.
 type gatherDetail struct {
 	shards      []obs.ShardTrace
 	generations []uint64 // per-shard generation vector, aligned with c.shards

@@ -13,14 +13,13 @@ import (
 
 // tracedCluster partitions the synthetic city into n shards with tracing
 // (and optionally a cluster cache) on.
-func tracedCluster(t *testing.T, n, traceSize, cacheSize int, naive bool) *Cluster {
+func tracedCluster(t *testing.T, n, traceSize, cacheSize int) *Cluster {
 	t.Helper()
 	src := testCity(t)
 	c, err := Partition(src, Config{
-		Shards:      n,
-		TraceSize:   traceSize,
-		CacheSize:   cacheSize,
-		NaiveGather: naive,
+		Shards:    n,
+		TraceSize: traceSize,
+		CacheSize: cacheSize,
 		NewShard: func(i int) (*digitaltraces.DB, error) {
 			return digitaltraces.NewGridDB(citySide, cityLevels, digitaltraces.WithHashFunctions(cityHash))
 		},
@@ -40,7 +39,7 @@ func tracedCluster(t *testing.T, n, traceSize, cacheSize int, naive bool) *Clust
 // matches what the shards serve.
 func TestClusterTraceConsistency(t *testing.T) {
 	const shards = 4
-	c := tracedCluster(t, shards, 16, 0, false)
+	c := tracedCluster(t, shards, 16, 0)
 	defer c.Close()
 
 	entity := c.shards[0].(local).Entities()[0]
@@ -107,7 +106,7 @@ func TestClusterTraceConsistency(t *testing.T) {
 // TestClusterCacheHitTrace: a cache-hit trace carries the decoded
 // generation vector and no per-shard breakdown.
 func TestClusterCacheHitTrace(t *testing.T) {
-	c := tracedCluster(t, 4, 16, 32, false)
+	c := tracedCluster(t, 4, 16, 32)
 	defer c.Close()
 
 	entity := c.shards[0].(local).Entities()[0]
@@ -135,30 +134,9 @@ func TestClusterCacheHitTrace(t *testing.T) {
 	}
 }
 
-// TestClusterNaiveTrace: the naive fan-out traces one single-round row per
-// touched shard, with neither cut nor exhausted set.
-func TestClusterNaiveTrace(t *testing.T) {
-	c := tracedCluster(t, 4, 16, 0, true)
-	defer c.Close()
-
-	entity := c.shards[0].(local).Entities()[0]
-	if _, qs, err := c.TopK(entity, 5); err != nil || qs.Shards == 0 {
-		t.Fatalf("naive query: err=%v stats=%+v", err, qs)
-	}
-	qt := c.Tracer().Snapshot()[0]
-	if len(qt.Shards) == 0 {
-		t.Fatalf("naive trace has no shard rows: %+v", qt)
-	}
-	for _, st := range qt.Shards {
-		if st.Rounds != 1 || st.Cut || st.Exhausted {
-			t.Fatalf("naive shard row = %+v, want rounds=1 and neither cut nor exhausted", st)
-		}
-	}
-}
-
 // TestClusterBatchTraceLinkage: cluster batch items share one batch ID.
 func TestClusterBatchTraceLinkage(t *testing.T) {
-	c := tracedCluster(t, 2, 32, 0, false)
+	c := tracedCluster(t, 2, 32, 0)
 	defer c.Close()
 
 	names := append(append([]string{}, c.shards[0].(local).Entities()[:2]...), c.shards[1].(local).Entities()[0])
@@ -186,7 +164,7 @@ func TestClusterBatchTraceLinkage(t *testing.T) {
 // TestClusterTracingDisabled: TraceSize 0 keeps everything off while the
 // QueryStats fan-out shape still reports.
 func TestClusterTracingDisabled(t *testing.T) {
-	c := tracedCluster(t, 2, 0, 0, false)
+	c := tracedCluster(t, 2, 0, 0)
 	defer c.Close()
 
 	if c.Tracer() != nil {

@@ -244,13 +244,11 @@ func (db *DB) rebuildUnionSnapshot(prev *snapshot, start time.Time) (*snapshot, 
 // (Section 4.2.3 incremental maintenance) and publishes it. prev is never
 // mutated, so queries pinned to it keep searching it bit-identically.
 //
-// The default path is copy-on-write: the store derives a child sharing every
+// The refresh is copy-on-write: the store derives a child sharing every
 // clean entity's sequences (trace.Store.Derive) and the tree path-copies
 // only the nodes the dirty entities' signatures route through
 // (core.Tree.Derive), so the whole refresh costs O(dirty) — independent of
-// |E| — and swaps can run at very high frequency. WithCloneRefresh selects
-// the pre-COW full-copy path (shallow store clone + full signature replay,
-// O(|E|)); cmd/bench -scenario refresh measures one against the other.
+// |E| — and swaps can run at very high frequency.
 //
 // A dirty visit past prev's indexed horizon fails with ErrBeyondHorizon: the
 // hash family is parameterized by the horizon, so only a full buildSnapshot
@@ -281,7 +279,7 @@ func (db *DB) refreshSnapshot(prev *snapshot) (*snapshot, error) {
 	// At most one O(|E|) replay per |E| updates keeps the amortized cost
 	// O(1) per update.
 	retighten := prev.tree.Removals() > prev.tree.Len()
-	if db.cloneRefresh || retighten {
+	if retighten {
 		store = prev.store.Clone()
 		if tree, err = prev.tree.Clone(store); err != nil {
 			return nil, err

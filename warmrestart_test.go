@@ -147,28 +147,6 @@ func TestLoadIndexPermutedIngest(t *testing.T) {
 	assertSameAnswers(t, rebuilt, loaded, someEntities, 5)
 }
 
-// TestLoadIndexV1TrustsOrder: a legacy v1 snapshot (no name table) loads
-// over an in-order replay and answers identically — the documented
-// order-trust caveat's happy path.
-func TestLoadIndexV1TrustsOrder(t *testing.T) {
-	src, _, log := restartWorld(t, 30)
-	var v1 bytes.Buffer
-	if _, err := src.snap.Load().tree.WriteTo(&v1); err != nil {
-		t.Fatal(err)
-	}
-	db := freshGrid(t, log)
-	if err := db.LoadIndex(bytes.NewReader(v1.Bytes())); err != nil {
-		t.Fatalf("LoadIndex(v1): %v", err)
-	}
-	assertSameAnswers(t, src, db, someEntities, 5)
-
-	// A v1 entity ID outside the log's range errors at load time.
-	small := freshGrid(t, log[:3])
-	if err := small.LoadIndex(bytes.NewReader(v1.Bytes())); err == nil {
-		t.Error("v1 snapshot with out-of-range IDs accepted against a smaller log")
-	}
-}
-
 // TestLoadIndexNewerVisitsGoDirty: entities whose logs grew past the save
 // serve the covered prefix first, land in the dirty set, and fold to full
 // freshness on the next query — ending bit-identical to a cold rebuild over
