@@ -12,7 +12,8 @@ import (
 // queries out over the bounded worker pool of core.Tree.KNNJoin (queries are
 // scheduled in MinSigTree leaf order for locality; workers ≤ 0 selects
 // GOMAXPROCS). It returns the per-entity matches plus aggregate statistics
-// across the whole batch: Checked sums the exact degree computations, PE
+// across the whole batch: Checked sums the exact degree computations
+// (ZeroSkipped and BoundSkipped the ones the cell index spared), PE
 // averages the per-query pruning effectiveness (Definition 5), Pruned is the
 // batch-wide pruned fraction, and Elapsed is wall-clock for the batch.
 //
@@ -55,24 +56,29 @@ func (db *DB) TopKBatch(entities []string, k, workers int) (map[string][]Match, 
 	}
 	batchID := db.tracer.NextBatchID()
 	out := make(map[string][]Match, len(joined))
+	stats := QueryStats{Checked: js.TotalChecked, PE: js.AvgPE}
 	for _, jr := range joined {
 		ms := make([]Match, len(jr.Matches))
 		for i, r := range jr.Matches {
 			ms[i] = Match{Entity: s.byID[r.Entity], Degree: r.Degree}
 		}
 		out[s.byID[jr.Query]] = ms
+		stats.ZeroSkipped += jr.Stats.ZeroSkipped
+		stats.BoundSkipped += jr.Stats.BoundSkipped
 		if batchID != 0 {
 			// Each batch item records its own trace, linked by the shared
 			// batch ID so tracetool can group a batch and explain its skew.
 			qt := obs.QueryTrace{
-				Kind:       obs.KindTopK,
-				BatchID:    batchID,
-				Entity:     s.byID[jr.Query],
-				K:          k,
-				Generation: s.generation,
-				Checked:    jr.Stats.Checked,
-				Start:      startT,
-				Total:      jr.Elapsed,
+				Kind:         obs.KindTopK,
+				BatchID:      batchID,
+				Entity:       s.byID[jr.Query],
+				K:            k,
+				Generation:   s.generation,
+				Checked:      jr.Stats.Checked,
+				ZeroSkipped:  jr.Stats.ZeroSkipped,
+				BoundSkipped: jr.Stats.BoundSkipped,
+				Start:        startT,
+				Total:        jr.Elapsed,
 			}
 			if len(ms) == k && k > 0 {
 				qt.KthDegree = ms[k-1].Degree
@@ -80,7 +86,7 @@ func (db *DB) TopKBatch(entities []string, k, workers int) (map[string][]Match, 
 			db.tracer.Record(qt)
 		}
 	}
-	stats := QueryStats{Checked: js.TotalChecked, PE: js.AvgPE, Elapsed: time.Since(startT)}
+	stats.Elapsed = time.Since(startT)
 	// Batch-wide pruned fraction: each query scans at most |E|−1 candidates.
 	if n := s.tree.Len() - 1; n > 0 && js.Queries > 0 {
 		stats.Pruned = 1 - float64(js.TotalChecked)/float64(js.Queries*n)

@@ -196,11 +196,17 @@ type Match struct {
 // QueryStats reports how much work a query performed. PE is Definition 5 of
 // the paper: the fraction of extra entities whose exact degree had to be
 // computed (lower is better); Pruned is the complementary fraction.
+// ZeroSkipped and BoundSkipped count the entities the search reached but the
+// level-1 cell index settled without a degree computation — provably 0, or
+// unable to displace the k-th answer even at their bound; the three sum to
+// what the signatures alone failed to prune. Shard streams report Checked only.
 type QueryStats struct {
-	Checked int
-	PE      float64
-	Pruned  float64
-	Elapsed time.Duration
+	Checked      int
+	ZeroSkipped  int
+	BoundSkipped int
+	PE           float64
+	Pruned       float64
+	Elapsed      time.Duration
 	// CacheHit reports that the answer was served from the generation-keyed
 	// query cache (WithQueryCache / shard.Config.CacheSize) without running a
 	// search: Checked is then 0 and PE/Pruned describe no work at all.

@@ -58,6 +58,7 @@ func (t *Tree) ApproxTopK(q *trace.Sequences, k int, measure adm.Measure, opts A
 	if err != nil {
 		return nil, stats, err
 	}
+	defer f.release()
 	best := newKBest(k)
 	remainingUB := 0.0
 	for len(f.cands) > 0 {
@@ -80,7 +81,7 @@ func (t *Tree) ApproxTopK(q *trace.Sequences, k int, measure adm.Measure, opts A
 			remainingUB = c.ub
 			break
 		}
-		if err := f.visit(c, best.offer); err != nil {
+		if err := f.visit(c, &best, best.offer); err != nil {
 			stats.SearchStats = f.stats
 			return nil, stats, err
 		}

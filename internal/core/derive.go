@@ -45,7 +45,7 @@ func (t *Tree) Derive(src SequenceSource, dirty []trace.EntityID) (*Tree, error)
 	// sequential and deterministic. Running it first also means an errored
 	// Derive (missing sequences, level mismatch) returns before anything is
 	// shared — the receiver is only frozen once sharing actually begins.
-	sigs, err := t.signDirty(src, dirty)
+	seqs, sigs, err := t.signDirty(src, dirty)
 	if err != nil {
 		return nil, err
 	}
@@ -58,6 +58,9 @@ func (t *Tree) Derive(src SequenceSource, dirty []trace.EntityID) (*Tree, error)
 		sigs:     t.sigs.derive(),
 		m:        t.m,
 		removals: t.removals,
+	}
+	if t.cells != nil {
+		d.cells = t.cells.derive()
 	}
 	// owned marks nodes private to this derivation (fresh copies or fresh
 	// inserts); everything else is shared with the receiver and must be
@@ -73,24 +76,27 @@ func (t *Tree) Derive(src SequenceSource, dirty []trace.EntityID) (*Tree, error)
 		}
 		d.sigs.put(e, sigs[i])
 		d.insertCOW(e, sigs[i], d.owned)
+		if d.cells != nil {
+			d.cells.add(e, seqs[i].At(1))
+		}
 	}
 	return d, nil
 }
 
-// signDirty computes fresh signature digests for the dirty entities,
-// fanning the hashing across a bounded worker pool once the set is big
-// enough to amortize it. Signature computation only reads the immutable
-// hasher and each entity's own sequences, so the workers share nothing but
-// the work counter.
-func (t *Tree) signDirty(src SequenceSource, dirty []trace.EntityID) ([]sighash.EntitySig, error) {
+// signDirty fetches the dirty entities' sequences and computes fresh
+// signature digests for them, fanning the hashing across a bounded worker
+// pool once the set is big enough to amortize it. Signature computation only
+// reads the immutable hasher and each entity's own sequences, so the workers
+// share nothing but the work counter.
+func (t *Tree) signDirty(src SequenceSource, dirty []trace.EntityID) ([]*trace.Sequences, []sighash.EntitySig, error) {
 	seqs := make([]*trace.Sequences, len(dirty))
 	for i, e := range dirty {
 		s := src.Get(e)
 		if s == nil {
-			return nil, fmt.Errorf("core: entity %d has no sequences in the source", e)
+			return nil, nil, fmt.Errorf("core: entity %d has no sequences in the source", e)
 		}
 		if s.Levels() != t.m {
-			return nil, fmt.Errorf("core: entity %d has %d levels, index has %d", e, s.Levels(), t.m)
+			return nil, nil, fmt.Errorf("core: entity %d has %d levels, index has %d", e, s.Levels(), t.m)
 		}
 		seqs[i] = s
 	}
@@ -98,7 +104,7 @@ func (t *Tree) signDirty(src SequenceSource, dirty []trace.EntityID) ([]sighash.
 	parallel.For(len(seqs), func(i int) {
 		sigs[i] = sighash.Signature(t.hasher, seqs[i])
 	})
-	return sigs, nil
+	return seqs, sigs, nil
 }
 
 // copyNode returns a private copy of a shared node: the scalar fields, a

@@ -115,8 +115,8 @@ func TestApproxExactWhenEpsilonZero(t *testing.T) {
 		if as.AchievedEpsilon != 0 {
 			t.Errorf("ε=0 reported achieved epsilon %v", as.AchievedEpsilon)
 		}
-		if as.Checked != es.Checked {
-			t.Errorf("ε=0 work differs: %d vs %d", as.Checked, es.Checked)
+		if as.SearchStats != es {
+			t.Errorf("ε=0 work differs: %+v vs %+v", as.SearchStats, es)
 		}
 	}
 }
@@ -184,12 +184,13 @@ func TestApproxBudget(t *testing.T) {
 	}
 }
 
-// TestApproxSavesWork: on a clustered world a generous ε must not check
-// more entities than the exact search.
+// TestApproxSavesWork: on a clustered world a generous ε must neither reach
+// nor check more entities than the exact search.
 func TestApproxSavesWork(t *testing.T) {
 	_, st, tree := buildRandomWorld(t, 37, 150, 64)
 	m := measuresFor(t, 3)[0]
 	exactChecked, approxChecked := 0, 0
+	exactReached, approxReached := 0, 0
 	for e := trace.EntityID(0); e < 15; e++ {
 		_, es, err := tree.TopK(st.Get(e), 3, m)
 		if err != nil {
@@ -201,9 +202,14 @@ func TestApproxSavesWork(t *testing.T) {
 		}
 		exactChecked += es.Checked
 		approxChecked += as.Checked
+		exactReached += es.Reached()
+		approxReached += as.Reached()
 	}
 	if approxChecked > exactChecked {
 		t.Errorf("ε=0.5 checked %d > exact %d", approxChecked, exactChecked)
+	}
+	if approxReached > exactReached {
+		t.Errorf("ε=0.5 reached %d > exact %d", approxReached, exactReached)
 	}
 }
 

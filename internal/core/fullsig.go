@@ -25,7 +25,8 @@ type Options struct {
 	FullSignatures bool
 }
 
-// BuildWithOptions is Build with construction options.
+// BuildWithOptions is Build with construction options. The level-1 cell
+// index is sealed once, from the sequences the insertions just read.
 func BuildWithOptions(ix *spindex.Index, hasher sighash.Hasher, src SequenceSource, entities []trace.EntityID, opts Options) (*Tree, error) {
 	t := &Tree{
 		ix:     ix,
@@ -41,6 +42,7 @@ func BuildWithOptions(ix *spindex.Index, hasher sighash.Hasher, src SequenceSour
 			return nil, err
 		}
 	}
+	t.cells = sealCells(src, entities)
 	return t, nil
 }
 

@@ -49,7 +49,9 @@ func TestFullSignaturesExact(t *testing.T) {
 }
 
 // TestFullPrunesAtLeastAsWell: the full pruned set subsumes the partial one
-// (Section 5.1), so the full-signature index never checks more entities.
+// (Section 5.1), so the full-signature index never reaches more entities
+// (Reached: what the signatures alone failed to prune — both trees carry the
+// same level-1 cell index, which decides what happens to an entity after).
 func TestFullPrunesAtLeastAsWell(t *testing.T) {
 	st, partial, full := buildBothModes(t, 9, 150, 32)
 	m := measuresFor(t, 3)[0]
@@ -63,11 +65,11 @@ func TestFullPrunesAtLeastAsWell(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		totPartial += ps.Checked
-		totFull += fs.Checked
+		totPartial += ps.Reached()
+		totFull += fs.Reached()
 	}
 	if totFull > totPartial {
-		t.Errorf("full signatures checked %d entities, partial %d — full pruning must dominate",
+		t.Errorf("full signatures reached %d entities, partial %d — full pruning must dominate",
 			totFull, totPartial)
 	}
 }

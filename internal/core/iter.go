@@ -34,8 +34,9 @@ import (
 // concurrent use; open one per goroutine.
 type Iter struct {
 	frontier                  // unexpanded nodes, max-heap on upper bound
-	exact    []Result         // scored entities, heap in canonical answer order
-	zeros    []trace.EntityID // zero-flush tail, ascending ID (nil until the frontier's bound hits 0)
+	exact    []Result         // reached entities of positive degree, heap in canonical answer order
+	skipped  []trace.EntityID // reached entities of degree 0 (most never scored: the cell index proved it), unordered
+	zeros    []trace.EntityID // zero-flush tail, ascending ID (nil until everything left has degree 0)
 }
 
 // NewIter opens an incremental search for the query sequences q (excluding
@@ -60,44 +61,40 @@ func (it *Iter) Next() (Result, bool, error) {
 	// unexpanded subtree. The expansion condition is ≥, not >: a node whose
 	// bound equals the best degree may contain an equal-degree entity with a
 	// smaller ID, which the tie order puts first.
-	for len(it.cands) > 0 && (len(it.exact) == 0 || it.cands[0].ub >= it.exact[0].Degree) {
-		if it.cands[0].ub == 0 {
-			// Everything left — already scored or still behind a candidate —
-			// has degree exactly 0 (admissible bounds, non-negative degrees,
-			// and the loop condition puts the best scored degree at ≤ the
-			// zero bound). Score-free flush into one ID slice sorted once,
-			// emitted incrementally: the canonical ascending-ID order at the
-			// cost of a single int sort instead of O(N log N) Result heap
-			// sifts, and no per-entity work after the pull a caller stops at
-			// (the gather caps pulls at k+1).
-			zeros := make([]trace.EntityID, 0, len(it.exact))
-			for _, r := range it.exact {
-				zeros = append(zeros, r.Entity)
+	for len(it.cands) > 0 && it.cands[0].ub > 0 && (len(it.exact) == 0 || it.cands[0].ub >= it.exact[0].Degree) {
+		err := it.visit(it.pop(), nil, func(r Result) {
+			if r.Degree == 0 {
+				it.skipped = append(it.skipped, r.Entity)
+			} else {
+				it.exact = heapPush(it.exact, r, ranksBefore)
 			}
-			for _, c := range it.cands {
-				subtreeEntities(c.n, it.q.Entity, func(e trace.EntityID) {
-					zeros = append(zeros, e)
-				})
-			}
-			slices.Sort(zeros)
-			it.exact = it.exact[:0]
-			it.cands = it.cands[:0]
-			it.zeros = zeros
-			return it.nextZero()
-		}
-		err := it.visit(it.pop(), func(r Result) {
-			it.exact = heapPush(it.exact, r, ranksBefore)
 		})
 		if err != nil {
 			return Result{}, false, err
 		}
 	}
-	if len(it.exact) == 0 {
-		return Result{}, false, nil
+	if len(it.exact) > 0 {
+		var r Result
+		r, it.exact = heapPop(it.exact, ranksBefore)
+		return r, true, nil
 	}
-	var r Result
-	r, it.exact = heapPop(it.exact, ranksBefore)
-	return r, true, nil
+	// The queue drained or its bound hit 0 with every positive degree
+	// emitted, so everything left — set aside above, or still behind a
+	// candidate (admissible bounds, non-negative degrees) — has degree
+	// exactly 0. Score-free flush into one ID slice sorted once, emitted
+	// incrementally: the canonical ascending-ID order at the cost of a single
+	// int sort instead of O(N log N) Result heap sifts, and no per-entity
+	// work after the pull a caller stops at (the gather caps pulls at k+1).
+	zeros := slices.Grow(it.skipped, 1) // non-nil even when empty: it marks the flush as done
+	for _, c := range it.cands {
+		subtreeEntities(c.n, it.q.Entity, func(e trace.EntityID) {
+			zeros = append(zeros, e)
+		})
+	}
+	slices.Sort(zeros)
+	it.skipped, it.zeros = nil, zeros
+	it.release()
+	return it.nextZero()
 }
 
 // nextZero drains the zero-flush tail: every remaining entity has degree 0,
@@ -129,7 +126,8 @@ func (it *Iter) Bound() float64 {
 }
 
 // Stats reports the work performed so far: Checked counts exact degree
-// computations, the cost early termination exists to cut. PE and Pruned are
+// computations, the cost early termination exists to cut (ZeroSkipped the
+// reached entities the cell index spared one). PE and Pruned are
 // left zero — an incremental search has no fixed answer size to normalize
 // against; coordinators recompute them over their own population.
 func (it *Iter) Stats() SearchStats { return it.stats }

@@ -397,6 +397,8 @@ func OpenMappedSnapshot(r io.ReaderAt, size int64, ix *spindex.Index) (*MappedSn
 // src (normally a trace store backed by the mapped sequence region). The
 // replay is O(entities · levels) and never touches src — sequence pages
 // fault in lazily at query time; spans were already bounds-checked at open.
+// For the same reason the tree, and every generation Derive and Clone take
+// from it, carries no level-1 cell index: signatures alone, until a Build.
 func (ms *MappedSnapshot) BuildTree(ix *spindex.Index, src SequenceSource) (*Tree, error) {
 	fam, err := sighash.NewFamily(ix, ms.Info.Horizon, ms.Info.NH, ms.Info.Seed)
 	if err != nil {

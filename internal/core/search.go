@@ -21,13 +21,19 @@ type Result struct {
 // complementary fraction 1 − checked/|E| (higher is better), the quantity
 // Figure 7.3 plots.
 type SearchStats struct {
-	Checked     int     // entities whose exact degree was computed
-	NodesPopped int     // candidate nodes dequeued
-	LeavesRead  int     // leaf nodes whose entities were scanned
-	CellsHashed int     // query-cell hash evaluations
-	PE          float64 // (Checked − k) / |E|, Definition 5
-	Pruned      float64 // 1 − Checked/|E|
+	Checked      int     // entities whose exact degree was computed
+	ZeroSkipped  int     // reached entities the cell index proved to have degree 0
+	BoundSkipped int     // reached entities whose cell-index bound could not displace the k-th answer
+	NodesPopped  int     // candidate nodes dequeued
+	LeavesRead   int     // leaf nodes whose entities were scanned
+	CellsHashed  int     // query-cell hash evaluations
+	PE           float64 // (Checked − k) / |E|, Definition 5
+	Pruned       float64 // 1 − Checked/|E|
 }
+
+// Reached returns the entities the traversal arrived at in a read leaf: what
+// the signatures alone failed to prune, scored or skipped afterwards.
+func (s SearchStats) Reached() int { return s.Checked + s.ZeroSkipped + s.BoundSkipped }
 
 // candidate is a queue entry of Algorithm 2: a tree node together with the
 // query's surviving base ST-cells (S_q minus the partial pruned sets of the
@@ -154,11 +160,14 @@ type frontier struct {
 	cands   []*candidate // max-heap on upper bound
 	seq     int
 	scratch []trace.Cell // expand's ancestor-cell buffer
+	pooled  *scratch     // where cands and scratch live, and the query's marks; nil once released
+	marked  bool         // the level-1 cell index applies and pooled holds the query's view of it
 	stats   SearchStats
 }
 
-// newFrontier validates the query and the measure against the index and
-// seeds the queue with the root candidate.
+// newFrontier validates the query and the measure against the index, marks
+// the entities the cell index lets the query reach, and seeds the queue with
+// the root candidate. A search that ends calls release.
 func (t *Tree) newFrontier(q *trace.Sequences, measure adm.Measure) (*frontier, error) {
 	if q.Levels() != t.m {
 		return nil, fmt.Errorf("core: query has %d levels, index has %d", q.Levels(), t.m)
@@ -166,16 +175,18 @@ func (t *Tree) newFrontier(q *trace.Sequences, measure adm.Measure) (*frontier, 
 	if measure.Levels() != t.m {
 		return nil, fmt.Errorf("core: measure scores %d levels, index has %d", measure.Levels(), t.m)
 	}
-	f := &frontier{t: t, q: q, measure: measure, qCounts: make([]int, t.m), seq: 1}
+	sc := scratchPool.Get().(*scratch)
+	f := &frontier{t: t, q: q, measure: measure, qCounts: make([]int, t.m), seq: 1, pooled: sc, scratch: sc.anc}
 	for l := 1; l <= t.m; l++ {
 		f.qCounts[l-1] = q.Size(l)
 	}
-	f.cands = append(f.cands, &candidate{
+	f.cands = append(sc.cands, &candidate{
 		n:         t.root,
 		ub:        measure.UpperBound(f.qCounts, f.qCounts),
 		surviving: q.Base(),
 		counts:    f.qCounts,
 	})
+	f.marked = f.mark()
 	return f, nil
 }
 
@@ -187,9 +198,13 @@ func (f *frontier) pop() *candidate {
 	return c
 }
 
-// visit processes a popped candidate: a leaf's entities are scored exactly
-// and handed to offer; an internal node's children are queued.
-func (f *frontier) visit(c *candidate, offer func(Result)) error {
+// visit processes a popped candidate: an internal node's children are
+// queued; a leaf's entities are scored exactly and handed to offer, except
+// those the cell index settles first. An entity under none of the query's
+// level-1 cells has degree exactly 0 and is offered as such; with a selection
+// to fill (best non-nil), one that could not displace the k-th answer even at
+// its cell-index bound, ties included, is dropped as offer would drop it.
+func (f *frontier) visit(c *candidate, best *kBest, offer func(Result)) error {
 	if c.n.level < f.t.m {
 		for _, child := range c.n.children {
 			cc := f.expand(c, child)
@@ -203,6 +218,18 @@ func (f *frontier) visit(c *candidate, offer func(Result)) error {
 	for _, e := range c.n.entities {
 		if e == f.q.Entity {
 			continue
+		}
+		if f.marked && uint(e) < uint(len(f.pooled.mask)) {
+			mask := f.pooled.mask[e]
+			if mask == 0 {
+				f.stats.ZeroSkipped++
+				offer(Result{Entity: e})
+				continue
+			}
+			if best != nil && best.full() && !ranksBefore(Result{e, f.bound(mask)}, best.kth()) {
+				f.stats.BoundSkipped++
+				continue
+			}
 		}
 		s := f.t.src.Get(e)
 		if s == nil {
@@ -278,6 +305,7 @@ func (t *Tree) TopK(q *trace.Sequences, k int, measure adm.Measure) ([]Result, S
 	if err != nil {
 		return nil, SearchStats{}, err
 	}
+	defer f.release()
 	best := newKBest(k)
 	for len(f.cands) > 0 {
 		c := f.pop()
@@ -295,7 +323,7 @@ func (t *Tree) TopK(q *trace.Sequences, k int, measure adm.Measure) ([]Result, S
 			f.offerZeros(c, best.offer)
 			break
 		}
-		if err := f.visit(c, best.offer); err != nil {
+		if err := f.visit(c, &best, best.offer); err != nil {
 			return nil, f.stats, err
 		}
 	}

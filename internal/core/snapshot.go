@@ -292,6 +292,9 @@ func ReadSnapshotWith(r io.Reader, ix *spindex.Index, src SequenceSource, resolv
 		}
 		t.insertWithSig(e, sig)
 	}
+	// The level-1 cell index is not stored: it is sealed from the kept
+	// entities' sequences, just validated present.
+	t.cells = sealCells(src, t.Entities())
 	return t, info, nil
 }
 

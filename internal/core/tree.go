@@ -116,6 +116,7 @@ type Tree struct {
 	src    SequenceSource
 	root   *node
 	sigs   *sigTable
+	cells  *cellIndex // level-1 cell index (cellindex.go); nil on a tree replayed without its sequences
 	m      int
 	full   bool // full-signature mode (Options.FullSignatures)
 
@@ -144,20 +145,7 @@ type Tree struct {
 // Build constructs a MinSigTree over the given entities (Algorithm 1).
 // Sequences are fetched from src; entities without sequences are rejected.
 func Build(ix *spindex.Index, hasher sighash.Hasher, src SequenceSource, entities []trace.EntityID) (*Tree, error) {
-	t := &Tree{
-		ix:     ix,
-		hasher: hasher,
-		src:    src,
-		root:   &node{},
-		sigs:   newSigTable(len(entities)),
-		m:      ix.Height(),
-	}
-	for _, e := range entities {
-		if err := t.Insert(e); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
+	return BuildWithOptions(ix, hasher, src, entities, Options{})
 }
 
 // Len returns the number of indexed entities (|E|).
@@ -212,6 +200,9 @@ func (t *Tree) Insert(e trace.EntityID) error {
 	}
 	if s.Levels() != t.m {
 		return fmt.Errorf("core: entity %d has %d levels, index has %d", e, s.Levels(), t.m)
+	}
+	if t.cells != nil {
+		t.cells.add(e, s.At(1))
 	}
 	if t.full {
 		t.insertFull(e, s)
@@ -290,8 +281,11 @@ func (t *Tree) Update(e trace.EntityID) error {
 // prunes at least as well as the original. The stored per-entity digests are
 // shared with the receiver; that is safe because no maintenance operation
 // mutates a digest in place (Update replaces the map entry with a freshly
-// computed one). Full-signature trees (Options.FullSignatures) are an
-// ablation-only configuration and are not cloneable.
+// computed one). The level-1 cell index is re-sealed from the sequences in
+// src, dropping the stale pairs Remove and Update left behind; a tree without
+// one (a mapped snapshot's) clones without one, never reading src.
+// Full-signature trees (Options.FullSignatures) are an ablation-only
+// configuration and are not cloneable.
 func (t *Tree) Clone(src SequenceSource) (*Tree, error) {
 	if t.full {
 		return nil, fmt.Errorf("core: full-signature trees do not support Clone")
@@ -304,9 +298,13 @@ func (t *Tree) Clone(src SequenceSource) (*Tree, error) {
 		sigs:   newSigTable(t.sigs.len()),
 		m:      t.m,
 	}
-	for _, e := range t.Entities() {
+	entities := t.Entities()
+	for _, e := range entities {
 		sig, _ := t.sigs.get(e)
 		c.insertWithSig(e, sig)
+	}
+	if t.cells != nil {
+		c.cells = sealCells(src, entities)
 	}
 	return c, nil
 }
@@ -337,7 +335,7 @@ type IndexStats struct {
 	Nodes       int // internal + leaf nodes, excluding the virtual root
 	Leaves      int
 	MaxLeafSize int
-	MemoryBytes int // nodes + per-entity digests + hash-family tables
+	MemoryBytes int // nodes + per-entity digests + level-1 cell index + hash-family tables
 }
 
 // Stats computes current index statistics.
@@ -359,9 +357,13 @@ func (t *Tree) Stats() IndexStats {
 		}
 	}
 	walk(t.root)
-	// Per node: routing (4) + value (8) + level (1) + child-map overhead
-	// estimate (16); per entity: m LevelSig digests (12 each) + leaf slot.
+	// Per node: routing (4) + value (8) + level (1) + child-slice slot and
+	// header (16); per entity: m LevelSig digests (12 each) + leaf slot; per
+	// level-1 cell key 12 and per posting 4, added layer included.
 	st.MemoryBytes = st.Nodes*29 + st.Entities*(t.m*12+4)
+	if c := t.cells; c != nil {
+		st.MemoryBytes += 12*(len(c.keys)+len(c.added)) + 4*(len(c.posts)+c.addedPairs)
+	}
 	if t.full {
 		// Full-signature mode stores nh coordinates per node (§5.1).
 		st.MemoryBytes += st.Nodes * t.hasher.NumFuncs() * 8

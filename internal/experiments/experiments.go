@@ -38,7 +38,7 @@ type Scale struct {
 	Days      int     // horizon in days
 	Detection float64 // venue-hour observation probability (trace sparsity)
 	Queries   int     // query entities averaged per data point
-	HashSweep []int   // nh values standing in for the paper's 200..2000
+	HashSweep []int   // nh values standing in for the paper's 200..2000, after nh = 1 (no tree: one leaf)
 	DefaultNH int     // nh used where the paper uses 2000
 	Seed      int64
 }
@@ -46,13 +46,13 @@ type Scale struct {
 // Small is the test/bench preset (seconds per figure).
 var Small = Scale{
 	Name: "small", Entities: 600, Side: 7, Days: 7, Detection: 0.06, Queries: 6,
-	HashSweep: []int{16, 32, 64, 128, 256}, DefaultNH: 256, Seed: 1,
+	HashSweep: []int{1, 16, 32, 64, 128, 256}, DefaultNH: 256, Seed: 1,
 }
 
 // Medium is the EXPERIMENTS.md preset (minutes per figure).
 var Medium = Scale{
 	Name: "medium", Entities: 3000, Side: 10, Days: 14, Detection: 0.05, Queries: 10,
-	HashSweep: []int{32, 64, 128, 256, 512}, DefaultNH: 512, Seed: 1,
+	HashSweep: []int{1, 32, 64, 128, 256, 512}, DefaultNH: 512, Seed: 1,
 }
 
 // Table is a rendered experiment result.
@@ -162,8 +162,11 @@ func (d *dataset) paperADM(u, v float64) (adm.Measure, error) {
 }
 
 // avgPE runs top-k queries from the first sc.Queries entities and averages
-// the Definition-5 PE (fraction checked beyond k) and the pruned fraction.
-func avgPE(t *core.Tree, d *dataset, queries, k int, m adm.Measure) (pe, pruned float64, err error) {
+// the Definition-5 PE (fraction checked beyond k), the pruned fraction
+// 1 − Checked/|E| the index as a whole achieves, and the share the
+// signatures alone prune, 1 − Reached/|E| — the quantity the Section 6.3
+// model predicts, which the level-1 cell index does not enter.
+func avgPE(t *core.Tree, d *dataset, queries, k int, m adm.Measure) (pe, pruned, sigPruned float64, err error) {
 	n := 0
 	for _, e := range d.store.Entities() {
 		if n >= queries {
@@ -171,16 +174,17 @@ func avgPE(t *core.Tree, d *dataset, queries, k int, m adm.Measure) (pe, pruned 
 		}
 		_, stats, qerr := t.TopK(d.store.Get(e), k, m)
 		if qerr != nil {
-			return 0, 0, qerr
+			return 0, 0, 0, qerr
 		}
 		pe += stats.PE
 		pruned += stats.Pruned
+		sigPruned += 1 - float64(stats.Reached())/float64(t.Len()-1)
 		n++
 	}
 	if n == 0 {
-		return 0, 0, fmt.Errorf("experiments: no queries ran")
+		return 0, 0, 0, fmt.Errorf("experiments: no queries ran")
 	}
-	return pe / float64(n), pruned / float64(n), nil
+	return pe / float64(n), pruned / float64(n), sigPruned / float64(n), nil
 }
 
 func f(v float64) string { return fmt.Sprintf("%.4f", v) }
@@ -333,14 +337,14 @@ func Fig73PEvsHashFunctions(sc Scale) ([]Table, error) {
 		avgC /= d.store.Len()
 		t := Table{
 			Title:   fmt.Sprintf("Figure 7.3(%s): pruned fraction vs number of hash functions", d.name),
-			Columns: []string{"nh", "measured", "predicted"},
+			Columns: []string{"nh", "measured (signatures)", "predicted", "with cell index"},
 		}
 		for _, nh := range sc.HashSweep {
 			tree, err := d.tree(nh, uint64(sc.Seed))
 			if err != nil {
 				return nil, err
 			}
-			_, pruned, err := avgPE(tree, d, sc.Queries, k, m)
+			_, pruned, sigPruned, err := avgPE(tree, d, sc.Queries, k, m)
 			if err != nil {
 				return nil, err
 			}
@@ -373,11 +377,13 @@ func Fig73PEvsHashFunctions(sc Scale) ([]Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", nh), f(pruned), f(pred)})
+			t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", nh), f(sigPruned), f(pred), f(pruned)})
 		}
 		t.Notes = append(t.Notes,
 			"pruned fraction rises with nh with diminishing returns (paper Fig 7.3)",
-			"prediction uses Eq 6.12-6.15 with nc from the measured k-th degree")
+			"prediction uses Eq 6.12-6.15 with nc from the measured k-th degree",
+			"measured (signatures) = 1 − Reached/|E|, the paper's quantity; with cell index = 1 − Checked/|E|, after the level-1 cell index settled the reached entities it could",
+			"nh = 1 routes every entity to one leaf the search reads whole: that row is the cell index alone, with no tree")
 		tables = append(tables, t)
 	}
 	return tables, nil
@@ -441,7 +447,7 @@ func Fig74DataCharacteristics(sc Scale) ([]Table, error) {
 			}
 			row := []string{fmt.Sprintf("%g", v)}
 			for _, k := range []int{1, 10, 50} {
-				pe, _, err := avgPE(tree, d, sc.Queries, k, m)
+				pe, _, _, err := avgPE(tree, d, sc.Queries, k, m)
 				if err != nil {
 					return nil, err
 				}
@@ -478,7 +484,7 @@ func Fig75ADMParams(sc Scale) ([]Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				pe, _, err := avgPE(tree, d, sc.Queries, 10, m)
+				pe, _, _, err := avgPE(tree, d, sc.Queries, 10, m)
 				if err != nil {
 					return nil, err
 				}
@@ -587,11 +593,11 @@ func Fig77ResultSize(sc Scale) ([]Table, error) {
 			if k >= d.store.Len() {
 				break
 			}
-			_, prLow, err := avgPE(treeLow, d, sc.Queries, k, m)
+			_, prLow, _, err := avgPE(treeLow, d, sc.Queries, k, m)
 			if err != nil {
 				return nil, err
 			}
-			_, prHigh, err := avgPE(treeHigh, d, sc.Queries, k, m)
+			_, prHigh, _, err := avgPE(treeHigh, d, sc.Queries, k, m)
 			if err != nil {
 				return nil, err
 			}

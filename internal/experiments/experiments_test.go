@@ -9,7 +9,7 @@ import (
 // micro is a fast test preset.
 var micro = Scale{
 	Name: "micro", Entities: 150, Side: 6, Days: 4, Detection: 0.15, Queries: 3,
-	HashSweep: []int{16, 64}, DefaultNH: 64, Seed: 1,
+	HashSweep: []int{1, 16, 64}, DefaultNH: 64, Seed: 1,
 }
 
 func checkTables(t *testing.T, tables []Table, err error, wantMin int) {
@@ -95,11 +95,19 @@ func TestFig73(t *testing.T) {
 		if last < first-0.15 {
 			t.Errorf("%s: pruning degraded with nh: %v -> %v", tb.Title, first, last)
 		}
+		// nh = 1 is one leaf holding everyone: the signatures prune nothing.
+		if tb.Rows[0][0] != "1" || first != 0 {
+			t.Errorf("%s: row %v, want nh = 1 with no signature pruning", tb.Title, tb.Rows[0])
+		}
 		for r := range tb.Rows {
-			for c := 1; c <= 2; c++ {
+			for c := 1; c <= 3; c++ {
 				if v := cell(t, tb, r, c); v < 0 || v > 1 {
 					t.Errorf("%s: fraction %v outside [0,1]", tb.Title, v)
 				}
+			}
+			// The cell index only ever spares reached entities a degree.
+			if sig, all := cell(t, tb, r, 1), cell(t, tb, r, 3); all < sig {
+				t.Errorf("%s row %d: with the cell index %v < signatures alone %v", tb.Title, r, all, sig)
 			}
 		}
 	}

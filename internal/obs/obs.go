@@ -125,6 +125,11 @@ type QueryTrace struct {
 	// Checked counts exact degree computations across all shards (the
 	// QueryStats.Checked of this query).
 	Checked int
+	// ZeroSkipped and BoundSkipped are QueryStats' fields of the same names:
+	// reached entities the level-1 cell index spared a degree computation
+	// (zero on a cluster, whose streams report Checked only).
+	ZeroSkipped  int
+	BoundSkipped int
 	// Pulled counts candidates drawn across shards by the gather; equals
 	// the sum of per-shard Pulled. Zero on a single DB (no fan-out).
 	Pulled int

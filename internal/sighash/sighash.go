@@ -121,15 +121,11 @@ type Family struct {
 	aSpan   uint64 // A values lie in [0, aSpan); aSpan = |S| - n + 1
 	seed    uint64 // the construction seed, for persistence
 	seeds   []uint64
-	// minB[u] holds, for every spatial unit (indexed by UnitID), the
-	// minimum of B_u over the unit's base descendants. For base units this
-	// is B_u itself.
-	minB [][]uint32
-	// minBT is minB transposed and flattened, laid out [unit*nh+u]: the
-	// signature inner loop sweeps all nh functions for one cell, and the
-	// function-major minB makes that sweep stride NumUnits×4 bytes per
-	// step. The unit-major copy turns it into one contiguous row read,
-	// matching aTab's layout, at nh·NumUnits·4 bytes of duplication.
+	// minBT holds, for every spatial unit and function, the minimum of B_u
+	// over the unit's base descendants (B_u itself for a base unit), laid
+	// out [unit*nh+u]: the signature inner loop sweeps all nh functions for
+	// one cell, so the unit-major layout makes that sweep one contiguous row
+	// read, matching aTab's layout.
 	minBT []uint32
 	// aTab memoizes A_u(t) for every in-horizon t, laid out [t*nh+u] so the
 	// per-function inner loops stream contiguously. A's domain is only
@@ -166,7 +162,7 @@ func NewFamily(ix *spindex.Index, horizon trace.Time, nh int, seed uint64) (*Fam
 		aSpan:   n*uint64(horizon) - n + 1,
 		seed:    seed,
 		seeds:   make([]uint64, nh),
-		minB:    make([][]uint32, nh),
+		minBT:   make([]uint32, ix.NumUnits()*nh),
 	}
 	// Units ordered by level descending so children are filled before
 	// parents.
@@ -177,6 +173,7 @@ func NewFamily(ix *spindex.Index, horizon trace.Time, nh int, seed uint64) (*Fam
 	if uint64(nh)*uint64(horizon) <= maxATabEntries {
 		f.aTab = make([]uint64, int(horizon)*nh)
 	}
+	mb := make([]uint32, ix.NumUnits()) // one function's column, reused
 	for u := 0; u < nh; u++ {
 		f.seeds[u] = splitmix64(seed + uint64(u)*0x9e3779b97f4a7c15)
 		if f.aTab != nil {
@@ -184,7 +181,6 @@ func NewFamily(ix *spindex.Index, horizon trace.Time, nh int, seed uint64) (*Fam
 				f.aTab[int(t)*nh+u] = f.computeA(u, t)
 			}
 		}
-		mb := make([]uint32, ix.NumUnits())
 		for _, unit := range order {
 			if ix.Level(unit) == ix.Height() {
 				b := uint64(ix.BaseOf(unit))
@@ -199,11 +195,7 @@ func NewFamily(ix *spindex.Index, horizon trace.Time, nh int, seed uint64) (*Fam
 			}
 			mb[unit] = best
 		}
-		f.minB[u] = mb
-	}
-	f.minBT = make([]uint32, ix.NumUnits()*nh)
-	for u := 0; u < nh; u++ {
-		for unit, b := range f.minB[u] {
+		for unit, b := range mb {
 			f.minBT[unit*nh+u] = b
 		}
 	}
@@ -226,7 +218,7 @@ func (f *Family) Seed() uint64 { return f.seed }
 
 // Hash returns h_u(cell) = A_u(t) + minB_u(unit).
 func (f *Family) Hash(fn int, c trace.Cell) uint64 {
-	return f.hashA(fn, c.Time()) + uint64(f.minB[fn][c.Unit()])
+	return f.hashA(fn, c.Time()) + uint64(f.minBT[int(c.Unit())*f.nh+fn])
 }
 
 func (f *Family) hashA(fn int, t trace.Time) uint64 {
@@ -271,7 +263,7 @@ func (f *Family) signatureInto(cells []trace.Cell, mins []uint64) {
 // MemoryBytes reports the approximate memory footprint of the family's
 // precomputed tables (Figure 7.8 accounts index size including hash state).
 func (f *Family) MemoryBytes() int {
-	return f.nh*f.ix.NumUnits()*4 + f.nh*8 + len(f.aTab)*8 + len(f.minBT)*4
+	return f.nh*8 + len(f.aTab)*8 + len(f.minBT)*4
 }
 
 // TableHasher is a Hasher defined by an explicit table of base-cell hash

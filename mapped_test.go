@@ -8,6 +8,7 @@ package digitaltraces
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -171,6 +172,86 @@ func TestMappedUnionFoldRefresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameAnswers(t, rebuilt2, db, append([]string{"newcomer", "entity-7"}, someEntities...), 5)
+}
+
+// TestMappedIndexGainsCellIndexAtBuild: a mapped load replays signatures and
+// never reads a sequence, so the tree it serves carries no level-1 cell
+// index — it answers exactly from the signatures alone, skips nothing, and
+// accounts no memory for one — through refreshes too, until the next
+// BuildIndex reads every sequence anyway and seals one.
+func TestMappedIndexGainsCellIndexAtBuild(t *testing.T) {
+	// A sparse world: everyone is somewhere else in time, so most of what a
+	// search reaches shares nothing with the query.
+	var log []VisitRecord
+	var names []string
+	for i := 0; i < 30; i++ {
+		name := fmt.Sprintf("p%02d", i)
+		names = append(names, name)
+		h := 3 * (i / 2) // pairs share an hour
+		log = append(log, VisitRecord{Entity: name, Venue: VenueName(i % 16), Start: TimeAt(h), End: TimeAt(h + 2)},
+			VisitRecord{Entity: name, Venue: VenueName(i / 2 % 16), Start: TimeAt(h + 1), End: TimeAt(h + 2)})
+	}
+	src := freshGrid(t, log)
+	if err := src.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "index.map")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.SaveMappedIndex(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db := emptyGrid(t)
+	defer db.Close()
+	if err := db.LoadMappedIndex(path); err != nil {
+		t.Fatal(err)
+	}
+	skipped := func(e Engine) (n int) {
+		for _, name := range names {
+			_, qs, err := e.TopK(name, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += qs.ZeroSkipped + qs.BoundSkipped
+		}
+		return n
+	}
+	built := skipped(src)
+	if built == 0 {
+		t.Fatal("fixture: the built index skips nothing")
+	}
+	assertSameAnswers(t, src, db, names, 3)
+	if n := skipped(db); n != 0 {
+		t.Errorf("mapped index skipped %d entities; it has no cell index to skip by", n)
+	}
+	if got, want := db.IndexStats().MemoryBytes, src.IndexStats().MemoryBytes; got >= want {
+		t.Errorf("mapped index reports %d bytes, the built one %d with its cell index", got, want)
+	}
+	grown := VisitRecord{Entity: "p03", Venue: VenueName(9), Start: TimeAt(40), End: TimeAt(41)}
+	for _, e := range []*DB{src, db} {
+		if _, err := e.AddVisits([]VisitRecord{grown}); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertSameAnswers(t, src, db, names, 3)
+	if n := skipped(db); n != 0 {
+		t.Errorf("refreshed mapped index skipped %d entities", n)
+	}
+	if err := db.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	assertSameAnswers(t, src, db, names, 3)
+	if n := skipped(db); n == 0 {
+		t.Error("BuildIndex over a mapped lineage sealed no cell index")
+	}
 }
 
 // TestLoadMappedIndexValidationErrors: configuration drift between the file

@@ -134,19 +134,22 @@ type Match struct {
 // microseconds). Shards, Pulled and MergeUS describe the scatter-gather
 // fan-out on a sharded engine; a plain DB omits them.
 type Stats struct {
-	Checked   int     `json:"checked"`
-	PE        float64 `json:"pe"`
-	Pruned    float64 `json:"pruned"`
-	ElapsedUS int64   `json:"elapsed_us"`
-	CacheHit  bool    `json:"cache_hit,omitempty"`
-	Shards    int     `json:"shards,omitempty"`
-	Pulled    int     `json:"pulled,omitempty"`
-	MergeUS   int64   `json:"merge_us,omitempty"`
+	Checked      int     `json:"checked"`
+	ZeroSkipped  int     `json:"zero_skipped,omitempty"`
+	BoundSkipped int     `json:"bound_skipped,omitempty"`
+	PE           float64 `json:"pe"`
+	Pruned       float64 `json:"pruned"`
+	ElapsedUS    int64   `json:"elapsed_us"`
+	CacheHit     bool    `json:"cache_hit,omitempty"`
+	Shards       int     `json:"shards,omitempty"`
+	Pulled       int     `json:"pulled,omitempty"`
+	MergeUS      int64   `json:"merge_us,omitempty"`
 }
 
 func toStats(qs digitaltraces.QueryStats) Stats {
 	return Stats{
-		Checked: qs.Checked, PE: qs.PE, Pruned: qs.Pruned,
+		Checked: qs.Checked, ZeroSkipped: qs.ZeroSkipped, BoundSkipped: qs.BoundSkipped,
+		PE: qs.PE, Pruned: qs.Pruned,
 		ElapsedUS: qs.Elapsed.Microseconds(), CacheHit: qs.CacheHit,
 		Shards: qs.Shards, Pulled: qs.Pulled, MergeUS: qs.Merge.Microseconds(),
 	}

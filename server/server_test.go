@@ -72,7 +72,7 @@ func postJSON(t *testing.T, url string, req, dst any) (int, string) {
 // TestTopKOverHTTP: GET and POST answers are exactly the library's answers.
 func TestTopKOverHTTP(t *testing.T) {
 	db, ts := newTestServer(t)
-	want, _, err := db.TopK("entity-3", 5)
+	want, qs, err := db.TopK("entity-3", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,6 +85,9 @@ func TestTopKOverHTTP(t *testing.T) {
 	}
 	if got.Stats.Checked < len(want) || got.Stats.Pruned < 0 {
 		t.Errorf("stats missing: %+v", got.Stats)
+	}
+	if got.Stats.Checked != qs.Checked || got.Stats.ZeroSkipped != qs.ZeroSkipped || got.Stats.BoundSkipped != qs.BoundSkipped {
+		t.Errorf("reply counters %+v differ from the library's %+v", got.Stats, qs)
 	}
 
 	var posted TopKResponse

@@ -34,23 +34,25 @@ type TraceShard struct {
 // ("slow", "shard-skew") under the request's thresholds — present on every
 // matching trace, not only under ?anomalies=1, so clients see why.
 type Trace struct {
-	ID          uint64       `json:"id"`
-	BatchID     uint64       `json:"batch_id,omitempty"`
-	Kind        string       `json:"kind"`
-	Entity      string       `json:"entity,omitempty"`
-	K           int          `json:"k"`
-	Generation  uint64       `json:"generation,omitempty"`
-	Generations []uint64     `json:"generations,omitempty"`
-	CacheHit    bool         `json:"cache_hit,omitempty"`
-	Checked     int          `json:"checked"`
-	Pulled      int          `json:"pulled,omitempty"`
-	KthDegree   float64      `json:"kth_degree"`
-	Shards      []TraceShard `json:"shards,omitempty"`
-	MergeUS     int64        `json:"merge_us,omitempty"`
-	Start       string       `json:"start"`
-	TotalUS     int64        `json:"total_us"`
-	Err         string       `json:"error,omitempty"`
-	Anomalies   []string     `json:"anomalies,omitempty"`
+	ID           uint64       `json:"id"`
+	BatchID      uint64       `json:"batch_id,omitempty"`
+	Kind         string       `json:"kind"`
+	Entity       string       `json:"entity,omitempty"`
+	K            int          `json:"k"`
+	Generation   uint64       `json:"generation,omitempty"`
+	Generations  []uint64     `json:"generations,omitempty"`
+	CacheHit     bool         `json:"cache_hit,omitempty"`
+	Checked      int          `json:"checked"`
+	ZeroSkipped  int          `json:"zero_skipped,omitempty"`
+	BoundSkipped int          `json:"bound_skipped,omitempty"`
+	Pulled       int          `json:"pulled,omitempty"`
+	KthDegree    float64      `json:"kth_degree"`
+	Shards       []TraceShard `json:"shards,omitempty"`
+	MergeUS      int64        `json:"merge_us,omitempty"`
+	Start        string       `json:"start"`
+	TotalUS      int64        `json:"total_us"`
+	Err          string       `json:"error,omitempty"`
+	Anomalies    []string     `json:"anomalies,omitempty"`
 }
 
 // TracesResponse is the /traces reply. Total counts traces live in the ring
@@ -66,22 +68,24 @@ type TracesResponse struct {
 
 func toTrace(qt obs.QueryTrace, anomalies []string) Trace {
 	t := Trace{
-		ID:          qt.ID,
-		BatchID:     qt.BatchID,
-		Kind:        string(qt.Kind),
-		Entity:      qt.Entity,
-		K:           qt.K,
-		Generation:  qt.Generation,
-		Generations: qt.Generations,
-		CacheHit:    qt.CacheHit,
-		Checked:     qt.Checked,
-		Pulled:      qt.Pulled,
-		KthDegree:   qt.KthDegree,
-		MergeUS:     qt.Merge.Microseconds(),
-		Start:       qt.Start.UTC().Format(time.RFC3339Nano),
-		TotalUS:     qt.Total.Microseconds(),
-		Err:         qt.Err,
-		Anomalies:   anomalies,
+		ID:           qt.ID,
+		BatchID:      qt.BatchID,
+		Kind:         string(qt.Kind),
+		Entity:       qt.Entity,
+		K:            qt.K,
+		Generation:   qt.Generation,
+		Generations:  qt.Generations,
+		CacheHit:     qt.CacheHit,
+		Checked:      qt.Checked,
+		ZeroSkipped:  qt.ZeroSkipped,
+		BoundSkipped: qt.BoundSkipped,
+		Pulled:       qt.Pulled,
+		KthDegree:    qt.KthDegree,
+		MergeUS:      qt.Merge.Microseconds(),
+		Start:        qt.Start.UTC().Format(time.RFC3339Nano),
+		TotalUS:      qt.Total.Microseconds(),
+		Err:          qt.Err,
+		Anomalies:    anomalies,
 	}
 	for _, st := range qt.Shards {
 		t.Shards = append(t.Shards, TraceShard{

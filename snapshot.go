@@ -64,10 +64,12 @@ func (s *snapshot) topK(q *trace.Sequences, k int) ([]Match, QueryStats, error) 
 		out[i] = Match{Entity: s.byID[r.Entity], Degree: r.Degree}
 	}
 	return out, QueryStats{
-		Checked: stats.Checked,
-		PE:      stats.PE,
-		Pruned:  stats.Pruned,
-		Elapsed: time.Since(startT),
+		Checked:      stats.Checked,
+		ZeroSkipped:  stats.ZeroSkipped,
+		BoundSkipped: stats.BoundSkipped,
+		PE:           stats.PE,
+		Pruned:       stats.Pruned,
+		Elapsed:      time.Since(startT),
 	}, nil
 }
 

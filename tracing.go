@@ -47,13 +47,15 @@ func (db *DB) tracedQuery(kind obs.Kind, entity string, k int, run func() (*snap
 	start := time.Now()
 	s, out, qs, err := run()
 	qt := obs.QueryTrace{
-		Kind:     kind,
-		Entity:   entity,
-		K:        k,
-		CacheHit: qs.CacheHit,
-		Checked:  qs.Checked,
-		Start:    start,
-		Total:    time.Since(start),
+		Kind:         kind,
+		Entity:       entity,
+		K:            k,
+		CacheHit:     qs.CacheHit,
+		Checked:      qs.Checked,
+		ZeroSkipped:  qs.ZeroSkipped,
+		BoundSkipped: qs.BoundSkipped,
+		Start:        start,
+		Total:        time.Since(start),
 	}
 	if s != nil {
 		qt.Generation = s.generation

@@ -91,8 +91,9 @@ func TestTopKTraced(t *testing.T) {
 	if miss.Kind != "topk" || miss.CacheHit || miss.Entity != entityName(0) || miss.K != 3 {
 		t.Fatalf("cache-miss trace = %+v", miss)
 	}
-	if miss.Checked != qs.Checked {
-		t.Fatalf("trace Checked %d != QueryStats.Checked %d", miss.Checked, qs.Checked)
+	if miss.Checked != qs.Checked || miss.ZeroSkipped != qs.ZeroSkipped || miss.BoundSkipped != qs.BoundSkipped {
+		t.Fatalf("trace checked/zero-skipped/bound-skipped %d/%d/%d != QueryStats' %d/%d/%d",
+			miss.Checked, miss.ZeroSkipped, miss.BoundSkipped, qs.Checked, qs.ZeroSkipped, qs.BoundSkipped)
 	}
 	gen, ok := db.SnapshotGeneration()
 	if !ok || miss.Generation != gen {
