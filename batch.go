@@ -13,7 +13,7 @@ import (
 // scheduled in MinSigTree leaf order for locality; workers ≤ 0 selects
 // GOMAXPROCS). It returns the per-entity matches plus aggregate statistics
 // across the whole batch: Checked sums the exact degree computations
-// (ZeroSkipped and BoundSkipped the ones the cell index spared), PE
+// (ZeroSkipped and BoundSkipped the entities settled without one), PE
 // averages the per-query pruning effectiveness (Definition 5), Pruned is the
 // batch-wide pruned fraction, and Elapsed is wall-clock for the batch.
 //

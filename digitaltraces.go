@@ -196,10 +196,12 @@ type Match struct {
 // QueryStats reports how much work a query performed. PE is Definition 5 of
 // the paper: the fraction of extra entities whose exact degree had to be
 // computed (lower is better); Pruned is the complementary fraction.
-// ZeroSkipped and BoundSkipped count the entities the search reached but the
-// level-1 cell index settled without a degree computation — provably 0, or
-// unable to displace the k-th answer even at their bound; the three sum to
-// what the signatures alone failed to prune. Shard streams report Checked only.
+// ZeroSkipped and BoundSkipped count the entities a posting-driven search
+// settled without a degree computation — under none of the query's level-1
+// cells, so provably 0, or unable to displace the k-th answer even at their
+// bound; with Checked they sum to the indexed entities other than the query.
+// Both are 0 where Algorithm 2 ran instead (a mapped index). Shard streams
+// report Checked only.
 type QueryStats struct {
 	Checked      int
 	ZeroSkipped  int

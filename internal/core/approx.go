@@ -12,9 +12,9 @@ import (
 // very short delay and approximate answers would suffice ... with certain
 // quality guarantees."
 //
-// ApproxTopK runs the same best-first search as TopK but relaxes the
-// termination condition: the search stops as soon as the current k-th best
-// exact degree reaches (1−ε) times the largest remaining upper bound. Every
+// ApproxTopK runs TopK's search (Tree.search) but relaxes the termination
+// condition: the search stops as soon as the current k-th best exact degree
+// reaches (1−ε) times the largest remaining upper bound. Every
 // entity left unexplored then has degree at most UBmax ≤ kth/(1−ε), which
 // yields the guarantee below. An optional budget caps the number of exact
 // degree computations for hard latency ceilings; when the budget trips
@@ -24,9 +24,9 @@ import (
 type ApproxOptions struct {
 	// Epsilon ∈ [0, 1): relative slack. 0 reproduces the exact search.
 	Epsilon float64
-	// MaxChecked caps exact degree computations (0 = unlimited). When the
-	// cap fires before the ε-condition holds, the result carries the
-	// achieved epsilon instead.
+	// MaxChecked caps exact degree computations (0 = unlimited; on the
+	// traversal a leaf in progress completes). When the cap fires before the
+	// ε-condition holds, the result carries the achieved epsilon instead.
 	MaxChecked int
 }
 
@@ -47,53 +47,8 @@ type ApproxStats struct {
 // the returned k-th degree is at least (1−AchievedEpsilon) times the true
 // k-th degree. With Epsilon = 0 and MaxChecked = 0 it is exactly TopK.
 func (t *Tree) ApproxTopK(q *trace.Sequences, k int, measure adm.Measure, opts ApproxOptions) ([]Result, ApproxStats, error) {
-	var stats ApproxStats
-	if k < 1 {
-		return nil, stats, fmt.Errorf("core: k = %d < 1", k)
-	}
 	if opts.Epsilon < 0 || opts.Epsilon >= 1 {
-		return nil, stats, fmt.Errorf("core: epsilon %v outside [0,1)", opts.Epsilon)
+		return nil, ApproxStats{}, fmt.Errorf("core: epsilon %v outside [0,1)", opts.Epsilon)
 	}
-	f, err := t.newFrontier(q, measure)
-	if err != nil {
-		return nil, stats, err
-	}
-	defer f.release()
-	best := newKBest(k)
-	remainingUB := 0.0
-	for len(f.cands) > 0 {
-		c := f.pop()
-		// Strict, mirroring TopK: at equality a remaining node may hide an
-		// equal-degree entity with a smaller ID.
-		if best.full() && best.kth().Degree > (1-opts.Epsilon)*c.ub {
-			remainingUB = c.ub
-			break
-		}
-		if c.ub == 0 {
-			// Same zero shortcut as TopK: everything left has degree exactly
-			// 0, so the answer completes without further degree computations
-			// and stays exact.
-			f.offerZeros(c, best.offer)
-			break
-		}
-		if opts.MaxChecked > 0 && f.stats.Checked >= opts.MaxChecked {
-			stats.BudgetExhausted = true
-			remainingUB = c.ub
-			break
-		}
-		if err := f.visit(c, &best, best.offer); err != nil {
-			stats.SearchStats = f.stats
-			return nil, stats, err
-		}
-	}
-	out := best.ranked()
-	stats.SearchStats = f.finish(len(out))
-	// Achieved quality: smallest ε such that kth ≥ (1−ε)·remainingUB.
-	if remainingUB > 0 && len(out) > 0 {
-		kth := out[len(out)-1].Degree
-		if kth < remainingUB {
-			stats.AchievedEpsilon = 1 - kth/remainingUB
-		}
-	}
-	return out, stats, nil
+	return t.search(q, k, measure, opts, true)
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,10 +17,12 @@ import (
 	"digitaltraces/internal/trace"
 )
 
-// The level-1 cell index can only be wrong by omission: a missing (cell,
-// entity) pair turns a real answer into a skipped zero. These tests hunt
-// omissions — through every constructor, across copy-on-write generations,
-// and for every entity-ID shape the mask table treats differently.
+// The level-1 cell index can be wrong by omission — a missing (cell, entity)
+// pair turns a real answer into a skipped zero — and, now that its postings
+// are the candidate list, by a stale pair of a removed entity or an order
+// that stops a bucket too early. These tests hunt all three — through every
+// constructor, across copy-on-write generations, and for every entity-ID
+// shape the mask table treats differently.
 
 // forest returns a 3-level sp-index with several roots (so that sharing a
 // time unit does not imply sharing a level-1 cell): roots × 2 × 2 base units.
@@ -299,7 +302,7 @@ func lateCells(ix *spindex.Index) []trace.Cell {
 // bound dominates its degree.
 func requireMarksSound(t *testing.T, label string, tree *Tree, q *trace.Sequences, m adm.Measure) {
 	t.Helper()
-	f, err := tree.newFrontier(q, m)
+	f, err := tree.newFrontier(q, m, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,10 +311,10 @@ func requireMarksSound(t *testing.T, label string, tree *Tree, q *trace.Sequence
 		t.Fatalf("%s %s: the cell index does not apply", label, m.Name())
 	}
 	for _, e := range tree.Entities() {
-		if uint(e) >= uint(len(f.pooled.mask)) || e == q.Entity {
+		if e == q.Entity {
 			continue
 		}
-		deg, mask := m.Degree(q, tree.src.Get(e)), f.pooled.mask[e]
+		deg, mask := m.Degree(q, tree.src.Get(e)), f.pooled.maskOf(e)
 		if mask == 0 && deg != 0 {
 			t.Fatalf("%s %s: entity %d is unmarked but has degree %v", label, m.Name(), e, deg)
 		}
@@ -322,7 +325,9 @@ func requireMarksSound(t *testing.T, label string, tree *Tree, q *trace.Sequence
 }
 
 // requireExact checks TopK, ApproxTopK(ε=0) and the Iter prefix against the
-// scan, bit for bit.
+// scan, bit for bit; the counters' identity; Iter.Bound non-increasing and
+// above every later degree; and ApproxTopK's guarantee with ε > 0 and with a
+// budget.
 func requireExact(t *testing.T, label string, tree *Tree, q *trace.Sequences, k int, m adm.Measure) SearchStats {
 	t.Helper()
 	want := BruteForceTopK(tree.src, tree.Entities(), q, k, m)
@@ -340,14 +345,49 @@ func requireExact(t *testing.T, label string, tree *Tree, q *trace.Sequences, k 
 	if !slices.Equal(approx, want) || as.SearchStats != stats {
 		t.Fatalf("%s k=%d %s: ApproxTopK(ε=0)\n got  %v %+v\n want %v %+v", label, k, m.Name(), approx, as.SearchStats, want, stats)
 	}
+	others := tree.Len()
+	if tree.Contains(q.Entity) {
+		others--
+	}
+	if stats.Reached() != others || stats.NodesPopped != 0 {
+		t.Fatalf("%s k=%d %s: %+v does not account for %d entities once each, without a traversal", label, k, m.Name(), stats, others)
+	}
+	for _, opts := range []ApproxOptions{{Epsilon: 0.3}, {MaxChecked: 2}, {Epsilon: 0.1, MaxChecked: 4}} {
+		approx, as, err := tree.ApproxTopK(q, k, m, opts)
+		if err != nil || len(approx) > len(want) || len(approx) == 0 && len(want) > 0 {
+			t.Fatalf("%s k=%d %s: ApproxTopK(%+v) = %v, %v; the scan has %d", label, k, m.Name(), opts, approx, err, len(want))
+		}
+		if opts.MaxChecked > 0 && as.Checked > opts.MaxChecked {
+			t.Fatalf("%s k=%d %s: ApproxTopK(%+v) computed %d degrees", label, k, m.Name(), opts, as.Checked)
+		}
+		if !as.BudgetExhausted && (as.AchievedEpsilon > opts.Epsilon+1e-12 || len(approx) < len(want)) {
+			t.Fatalf("%s k=%d %s: ApproxTopK(%+v) = %v, achieved ε %v, with budget to spare", label, k, m.Name(), opts, approx, as.AchievedEpsilon)
+		}
+		// The guarantee: no entity left out beats the last one returned by
+		// more than the achieved ε.
+		for _, e := range tree.Entities() {
+			if e == q.Entity || slices.ContainsFunc(approx, func(r Result) bool { return r.Entity == e }) {
+				continue
+			}
+			if last, deg := approx[len(approx)-1].Degree, m.Degree(q, tree.src.Get(e)); last < (1-as.AchievedEpsilon)*deg-1e-12 {
+				t.Fatalf("%s k=%d %s: ApproxTopK(%+v) ends at %v with achieved ε %v, entity %d left out has %v", label, k, m.Name(), opts, last, as.AchievedEpsilon, e, deg)
+			}
+		}
+	}
 	it, err := tree.NewIter(q, m)
 	if err != nil {
 		t.Fatalf("%s: NewIter: %v", label, err)
 	}
+	bound := it.Bound()
 	for i, wr := range want {
 		r, ok, err := it.Next()
 		if err != nil || !ok || r != wr {
 			t.Fatalf("%s k=%d %s: Iter[%d] = %v %t %v, want %v (scan %v)", label, k, m.Name(), i, r, ok, err, wr, want)
+		}
+		if b := it.Bound(); r.Degree > bound || b > bound {
+			t.Fatalf("%s k=%d %s: Iter[%d] = %v under Bound %v, then Bound %v", label, k, m.Name(), i, r, bound, b)
+		} else {
+			bound = b
 		}
 	}
 	if len(want) < k {
@@ -619,8 +659,8 @@ func TestIterInterleavesScoredZeros(t *testing.T) {
 	if _, ok, _ := it.Next(); ok {
 		t.Fatal("Iter emitted past the population")
 	}
-	if s := it.Stats(); s.ZeroSkipped != 3 || s.Checked != 4 {
-		t.Fatalf("Iter stats %+v, want 3 zero-skipped (other root) and 4 scored (3 of them to degree 0)", s)
+	if s := it.Stats(); s.Checked != 4 || s.Checked+s.BoundSkipped+s.ZeroSkipped != len(ids)-1 {
+		t.Fatalf("Iter stats %+v, want 4 scored (3 of them to degree 0) and every other entity but the query (other root) zero-skipped", s)
 	}
 }
 
@@ -691,4 +731,189 @@ func FuzzTopKAgainstScan(f *testing.F) {
 		requireExact(t, "derived", derived, q, k, m)
 		requireExact(t, "parent", tree, q, k, m)
 	})
+}
+
+// TestPostingOrderEdges drives the candidate order through the shapes where
+// it could change an answer: a tie plateau of entities whose degree equals
+// their bucket's bound, split over two buckets of equal bound with the smallest
+// IDs in whichever is scanned last (a search that stopped at a tied bound would
+// miss them); k beyond the candidates (zero-fill in ascending ID, with the
+// scored zeros of the w1 = 0 measure interleaved); and IDs negative, huge and
+// past the mask table both as posted candidates and as zeros.
+func TestPostingOrderEdges(t *testing.T) {
+	ix := forest(4)
+	at := func(t trace.Time, base int) trace.Cell { return trace.MakeCell(t, ix.BaseUnit(spindex.BaseID(base))) }
+	const query = trace.EntityID(500)
+	for _, lowIDsUnder := range []int{0, 4} { // the base cell whose plateau holds the small IDs
+		st := trace.NewStore(ix)
+		var ids []trace.EntityID
+		put := func(e trace.EntityID, cells ...trace.Cell) {
+			st.Put(trace.NewSequencesFromCells(ix, e, cells))
+			ids = append(ids, e)
+		}
+		put(query, at(1, 0), at(1, 4)) // two level-1 cells, alike underneath
+		for i := trace.EntityID(0); i < 6; i++ {
+			put(1+i, at(1, lowIDsUnder))
+			put(100+i, at(1, 4-lowIDsUnder))
+		}
+		put(-3, at(1, 0), at(1, 4)) // posted under both cells, IDs the table does not hold
+		put(1<<30, at(1, 0), at(1, 4))
+		put(77777, at(1, 3)) // shares a root only: degree 0 under w1 = 0
+		put(-9, at(1, 7))
+		put(50, at(1, 2))
+		for _, e := range []trace.EntityID{-7, 0, 60, 2000, 1<<30 + 1} { // posted nowhere the query is
+			put(e, at(2, 0), at(1, 9))
+		}
+		fam, err := sighash.NewFamily(ix, 8, 8, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, err := Build(ix, fam, st, ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := st.Get(query)
+		for _, m := range cellMeasures(t) {
+			label := fmt.Sprintf("low IDs under base %d", lowIDsUnder)
+			requireMarksSound(t, label, tree, q, m)
+			f, err := tree.newFrontier(q, m, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range []trace.EntityID{1, 100} {
+				if ub, deg := f.bound(f.pooled.maskOf(e)), m.Degree(q, st.Get(e)); ub != deg {
+					t.Fatalf("fixture %s: entity %d has degree %v under a bucket bound of %v: no plateau", m.Name(), e, deg, ub)
+				}
+			}
+			if len(f.pooled.mask) > 500 || len(f.pooled.far) < 4 {
+				t.Fatalf("fixture: mask table of %d with %d far IDs; the query, -3, 1<<30, 77777 and -9 must be past it", len(f.pooled.mask), len(f.pooled.far))
+			}
+			f.release()
+			for k := 1; k <= len(ids)+2; k++ {
+				requireExact(t, label, tree, q, k, m)
+			}
+		}
+	}
+}
+
+// TestRemovedEntityIsNoCandidate: the index keeps a removed entity's pairs,
+// and postings are the candidate list — so a query on exactly its cells must
+// not bring it back, on the tree it was removed from or on any generation
+// derived from that, the compaction fold included, until it is inserted again.
+func TestRemovedEntityIsNoCandidate(t *testing.T) {
+	ix := forest(2)
+	at := func(t trace.Time, base int) trace.Cell { return trace.MakeCell(t, ix.BaseUnit(spindex.BaseID(base))) }
+	st := trace.NewStore(ix)
+	var ids []trace.EntityID
+	for e := trace.EntityID(1); e <= 12; e++ {
+		st.Put(trace.NewSequencesFromCells(ix, e, []trace.Cell{at(trace.Time(e%4), int(e%8)), at(2, 5)}))
+		ids = append(ids, e)
+	}
+	const victim, second = trace.EntityID(7), trace.EntityID(3)
+	fam, err := sighash.NewFamily(ix, 8, 8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := Build(ix, fam, st, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := cellMeasures(t)[0]
+	example := trace.NewSequencesFromCells(ix, -1, st.Get(victim).Base())
+	check := func(label string, tree *Tree, present bool) {
+		t.Helper()
+		for _, k := range []int{1, 3, tree.Len() + 1} {
+			requireExact(t, label, tree, example, k, m) // against the scan of tree.Entities(), through TopK, ApproxTopK and Iter
+		}
+		got, _, err := tree.TopK(example, 1, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first := got[0].Entity == victim && got[0].Degree == 1; first != present {
+			t.Fatalf("%s: TopK = %v, victim present = %t", label, got, present)
+		}
+	}
+	check("built", tree, true)
+	if err := tree.Remove(victim); err != nil {
+		t.Fatal(err)
+	}
+	check("removed", tree, false)
+	// Derive until the added pairs fold into a fresh base, which rebuilds
+	// from pairs and so keeps the victim's.
+	folded := false
+	for next := trace.EntityID(100); !folded; next++ {
+		dst := st.Derive()
+		dst.Put(trace.NewSequencesFromCells(ix, next, []trace.Cell{at(trace.Time(next%8), int(next%8)), at(3, 7)}))
+		derived, err := tree.Derive(dst, []trace.EntityID{next})
+		if err != nil {
+			t.Fatal(err)
+		}
+		folded = &derived.cells.posts[0] != &tree.cells.posts[0]
+		st, tree = dst, derived
+		check(fmt.Sprintf("derived with %d", next), tree, false)
+	}
+	if sealed, _ := tree.cells.postings(trace.MakeCell(3, ix.Root(ix.BaseUnit(7)))); !slices.Contains(sealed, victim) {
+		t.Fatal("fixture: the fold dropped the victim's pairs; the test checks nothing")
+	}
+	// A copy-on-write Remove on the derived generation is tracked too.
+	if err := tree.Remove(second); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, _ := tree.TopK(trace.NewSequencesFromCells(ix, -1, st.Get(second).Base()), tree.Len(), m); slices.ContainsFunc(got, func(r Result) bool { return r.Entity == second }) {
+		t.Fatalf("removed entity %d returned: %v", second, got)
+	}
+	if err := tree.Insert(victim); err != nil {
+		t.Fatal(err)
+	}
+	check("re-inserted", tree, true)
+	if n := len(tree.cells.gone); n != 1 {
+		t.Fatalf("gone holds %d entities, want only %d", n, second)
+	}
+}
+
+// TestConcurrentSearchesShareNoScratch runs TopK, ApproxTopK and Iters that
+// stay open across them on one tree from several goroutines (go test -race):
+// the pooled scratch holds a query's masks, buckets and ordered candidates,
+// and an Iter keeps its own until its flush.
+func TestConcurrentSearchesShareNoScratch(t *testing.T) {
+	_, st, tree := buildRandomWorld(t, 71, 120, 16)
+	m := measuresFor(t, 3)[0]
+	want := make([][]Result, 8)
+	for e := range want {
+		want[e] = BruteForceTopK(st, tree.Entities(), st.Get(trace.EntityID(e)), tree.Len(), m)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 25; round++ {
+				a, b := (g+round)%len(want), (g+3*round+1)%len(want)
+				open, err := tree.NewIter(st.Get(trace.EntityID(a)), m)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				pull := func(from, to int) {
+					for i := from; i < to; i++ {
+						if r, ok, err := open.Next(); err != nil || !ok || r != want[a][i] {
+							t.Errorf("goroutine %d round %d: Iter(%d)[%d] = %v %t %v, want %v", g, round, a, i, r, ok, err, want[a][i])
+						}
+					}
+				}
+				pull(0, 4)
+				if got, _, err := tree.TopK(st.Get(trace.EntityID(b)), 7, m); err != nil || !slices.Equal(got, want[b][:7]) {
+					t.Errorf("goroutine %d round %d: TopK(%d) = %v %v, want %v", g, round, b, got, err, want[b][:7])
+				}
+				pull(4, 9)
+				if got, _, err := tree.ApproxTopK(st.Get(trace.EntityID(b)), 3, m, ApproxOptions{}); err != nil || !slices.Equal(got, want[b][:3]) {
+					t.Errorf("goroutine %d round %d: ApproxTopK(%d) = %v %v, want %v", g, round, b, got, err, want[b][:3])
+				}
+				if round%2 == 0 {
+					pull(9, len(want[a])) // through the flush, which returns the scratch; odd rounds abandon theirs
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -50,18 +50,18 @@ func TestFullSignaturesExact(t *testing.T) {
 
 // TestFullPrunesAtLeastAsWell: the full pruned set subsumes the partial one
 // (Section 5.1), so the full-signature index never reaches more entities
-// (Reached: what the signatures alone failed to prune — both trees carry the
-// same level-1 cell index, which decides what happens to an entity after).
+// (Reached: what the signatures alone failed to prune, so the search asked is
+// Algorithm 2 — the posting-driven TopK never consults a signature).
 func TestFullPrunesAtLeastAsWell(t *testing.T) {
 	st, partial, full := buildBothModes(t, 9, 150, 32)
 	m := measuresFor(t, 3)[0]
 	totPartial, totFull := 0, 0
 	for e := trace.EntityID(0); e < 25; e++ {
-		_, ps, err := partial.TopK(st.Get(e), 1, m)
+		_, ps, err := partial.SignatureTopK(st.Get(e), 1, m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, fs, err := full.TopK(st.Get(e), 1, m)
+		_, fs, err := full.SignatureTopK(st.Get(e), 1, m)
 		if err != nil {
 			t.Fatal(err)
 		}

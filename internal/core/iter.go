@@ -18,14 +18,16 @@ import (
 // fanning out as soon as it does — no shard ever computes a full local top-k
 // for a query the first handful of its entities already settles.
 //
-// It is Algorithm 2 recast as a best-first emitter (the incremental
-// nearest-neighbor transformation of Hjaltason & Samet applied to the
-// MinSigTree): one priority queue holds both unexpanded tree nodes, keyed by
-// their Theorem-4 upper bound, and exactly-scored entities, keyed by their
-// true degree. Nodes are expanded whenever their bound ties or beats the best
-// scored entity — an equal bound may still hide an equal-degree entity with a
-// smaller ID, which must be emitted first to preserve TopK's tie order — so
-// when an entity finally surfaces, nothing unexamined can outrank it.
+// It is TopK's search recast as a best-first emitter (the incremental
+// nearest-neighbor transformation of Hjaltason & Samet): the frontier queues
+// the groups not yet examined — buckets of cell-index candidates, or the
+// MinSigTree nodes of Algorithm 2 where the index cannot serve — keyed by
+// their Theorem-4 upper bound, beside a heap of exactly-scored entities keyed
+// by their true degree. A group is examined whenever its bound ties or beats
+// the best scored entity — an equal bound may still hide an equal-degree
+// entity with a smaller ID, which must be emitted first to preserve TopK's tie
+// order — so when an entity finally surfaces, nothing unexamined can outrank
+// it.
 //
 // An Iter pins the tree it was opened on: like TopK it is read-only, but it
 // holds its search frontier across calls, so the tree must stay unmutated for
@@ -33,16 +35,16 @@ import (
 // opening iterators on immutable snapshot trees). An Iter is not safe for
 // concurrent use; open one per goroutine.
 type Iter struct {
-	frontier                  // unexpanded nodes, max-heap on upper bound
-	exact    []Result         // reached entities of positive degree, heap in canonical answer order
-	skipped  []trace.EntityID // reached entities of degree 0 (most never scored: the cell index proved it), unordered
+	frontier                  // groups not yet examined, in descending bound order
+	exact    []Result         // scored entities of positive degree, heap in canonical answer order
+	skipped  []trace.EntityID // scored entities of degree 0, unordered
 	zeros    []trace.EntityID // zero-flush tail, ascending ID (nil until everything left has degree 0)
 }
 
 // NewIter opens an incremental search for the query sequences q (excluding
 // the entity q.Entity itself, like TopK). The validation mirrors TopK's.
 func (t *Tree) NewIter(q *trace.Sequences, measure adm.Measure) (*Iter, error) {
-	f, err := t.newFrontier(q, measure)
+	f, err := t.newFrontier(q, measure, true)
 	if err != nil {
 		return nil, err
 	}
@@ -57,19 +59,19 @@ func (it *Iter) Next() (Result, bool, error) {
 	if it.zeros != nil {
 		return it.nextZero()
 	}
-	// Expand nodes until the best scored entity provably outranks every
-	// unexpanded subtree. The expansion condition is ≥, not >: a node whose
-	// bound equals the best degree may contain an equal-degree entity with a
-	// smaller ID, which the tie order puts first.
-	for len(it.cands) > 0 && it.cands[0].ub > 0 && (len(it.exact) == 0 || it.cands[0].ub >= it.exact[0].Degree) {
-		err := it.visit(it.pop(), nil, func(r Result) {
-			if r.Degree == 0 {
-				it.skipped = append(it.skipped, r.Entity)
-			} else {
-				it.exact = heapPush(it.exact, r, ranksBefore)
-			}
-		})
-		if err != nil {
+	// Examine groups until the best scored entity provably outranks every
+	// queued one. The condition is ≥, not >: a group whose bound equals the
+	// best degree may contain an equal-degree entity with a smaller ID, which
+	// the tie order puts first.
+	keep := func(r Result) {
+		if r.Degree == 0 {
+			it.skipped = append(it.skipped, r.Entity)
+		} else {
+			it.exact = heapPush(it.exact, r, ranksBefore)
+		}
+	}
+	for ub, ok := it.peek(); ok && ub > 0 && (len(it.exact) == 0 || ub >= it.exact[0].Degree); ub, ok = it.peek() {
+		if err := it.visit(nil, keep); err != nil {
 			return Result{}, false, err
 		}
 	}
@@ -79,18 +81,14 @@ func (it *Iter) Next() (Result, bool, error) {
 		return r, true, nil
 	}
 	// The queue drained or its bound hit 0 with every positive degree
-	// emitted, so everything left — set aside above, or still behind a
-	// candidate (admissible bounds, non-negative degrees) — has degree
-	// exactly 0. Score-free flush into one ID slice sorted once, emitted
-	// incrementally: the canonical ascending-ID order at the cost of a single
-	// int sort instead of O(N log N) Result heap sifts, and no per-entity
-	// work after the pull a caller stops at (the gather caps pulls at k+1).
+	// emitted, so everything left — set aside above, or still queued
+	// (admissible bounds, non-negative degrees) — has degree exactly 0.
+	// Score-free flush into one ID slice sorted once, emitted incrementally:
+	// the canonical ascending-ID order at the cost of a single int sort
+	// instead of O(N log N) Result heap sifts, and no per-entity work after
+	// the pull a caller stops at (the gather caps pulls at k+1).
 	zeros := slices.Grow(it.skipped, 1) // non-nil even when empty: it marks the flush as done
-	for _, c := range it.cands {
-		subtreeEntities(c.n, it.q.Entity, func(e trace.EntityID) {
-			zeros = append(zeros, e)
-		})
-	}
+	it.rest(func(e trace.EntityID) { zeros = append(zeros, e) })
 	slices.Sort(zeros)
 	it.skipped, it.zeros = nil, zeros
 	it.release()
@@ -115,10 +113,7 @@ func (it *Iter) nextZero() (Result, bool, error) {
 // cut on Next's ok = false, since a real entity with degree 0 may remain
 // behind a Bound of 0).
 func (it *Iter) Bound() float64 {
-	b := 0.0
-	if len(it.cands) > 0 {
-		b = it.cands[0].ub
-	}
+	b, _ := it.peek()
 	if len(it.exact) > 0 && it.exact[0].Degree > b {
 		b = it.exact[0].Degree
 	}
@@ -126,8 +121,8 @@ func (it *Iter) Bound() float64 {
 }
 
 // Stats reports the work performed so far: Checked counts exact degree
-// computations, the cost early termination exists to cut (ZeroSkipped the
-// reached entities the cell index spared one). PE and Pruned are
-// left zero — an incremental search has no fixed answer size to normalize
-// against; coordinators recompute them over their own population.
+// computations, the cost early termination exists to cut (BoundSkipped the
+// candidates not scored yet, ZeroSkipped the entities that are none). PE and
+// Pruned are left zero — an incremental search has no fixed answer size to
+// normalize against; coordinators recompute them over their own population.
 func (it *Iter) Stats() SearchStats { return it.stats }

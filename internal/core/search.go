@@ -20,10 +20,15 @@ type Result struct {
 // exact degree had to be computed (lower is better). Pruned is the
 // complementary fraction 1 − checked/|E| (higher is better), the quantity
 // Figure 7.3 plots.
+//
+// A posting-driven search accounts for every entity other than the query
+// once — Checked + BoundSkipped + ZeroSkipped is their number — and runs no
+// traversal, so NodesPopped, LeavesRead and CellsHashed read 0. The traversal
+// (Algorithm 2) skips nothing it reaches: there both skip counts read 0.
 type SearchStats struct {
 	Checked      int     // entities whose exact degree was computed
-	ZeroSkipped  int     // reached entities the cell index proved to have degree 0
-	BoundSkipped int     // reached entities whose cell-index bound could not displace the k-th answer
+	ZeroSkipped  int     // entities under none of the query's level-1 cells: degree exactly 0, never scored
+	BoundSkipped int     // candidates never scored: their cell bound could not displace the k-th answer, or the search ended first
 	NodesPopped  int     // candidate nodes dequeued
 	LeavesRead   int     // leaf nodes whose entities were scanned
 	CellsHashed  int     // query-cell hash evaluations
@@ -31,8 +36,9 @@ type SearchStats struct {
 	Pruned       float64 // 1 − Checked/|E|
 }
 
-// Reached returns the entities the traversal arrived at in a read leaf: what
-// the signatures alone failed to prune, scored or skipped afterwards.
+// Reached returns the entities the search arrived at, scored or not. On the
+// traversal that is what the signatures alone failed to prune (and equals
+// Checked); a posting-driven search reaches every entity other than the query.
 func (s SearchStats) Reached() int { return s.Checked + s.ZeroSkipped + s.BoundSkipped }
 
 // candidate is a queue entry of Algorithm 2: a tree node together with the
@@ -149,26 +155,34 @@ func (b *kBest) ranked() []Result {
 	return b.h
 }
 
-// frontier is the best-first traversal state Algorithm 2 and its variants
-// (TopK, ApproxTopK, Iter) share: the queue of unexpanded nodes ordered by
-// upper bound, and the per-query scratch their expansion reuses.
+// frontier is the best-first state TopK, ApproxTopK and Iter share: groups of
+// entities queued in descending order of an admissible upper bound on their
+// degrees. Where the level-1 cell index applies (marked) the groups are the
+// buckets of candidates its postings yield, already in order in the pooled
+// scratch, with the rest of the population behind them at bound 0; otherwise
+// they are the nodes of Algorithm 2's traversal, in a heap that grows as
+// nodes are expanded.
 type frontier struct {
 	t       *Tree
 	q       *trace.Sequences
 	measure adm.Measure
 	qCounts []int
-	cands   []*candidate // max-heap on upper bound
+	n       int          // indexed entities other than the query
+	cands   []*candidate // traversal: max-heap on upper bound
 	seq     int
 	scratch []trace.Cell // expand's ancestor-cell buffer
-	pooled  *scratch     // where cands and scratch live, and the query's marks; nil once released
-	marked  bool         // the level-1 cell index applies and pooled holds the query's view of it
+	pooled  *scratch     // where cands and scratch live, and the query's candidates; nil once released
+	marked  bool         // the search is posting-driven
+	pos     int          // posting-driven: the next bucket is pooled.rank[pos]
+	limit   int          // posting-driven: stop scoring at this many exact degrees (0 = never)
 	stats   SearchStats
 }
 
-// newFrontier validates the query and the measure against the index, marks
-// the entities the cell index lets the query reach, and seeds the queue with
-// the root candidate. A search that ends calls release.
-func (t *Tree) newFrontier(q *trace.Sequences, measure adm.Measure) (*frontier, error) {
+// newFrontier validates the query and the measure against the index and
+// queues the search: the buckets of the cell index's candidates where postings
+// asks for them and the index applies, the root candidate otherwise. A search
+// that ends calls release.
+func (t *Tree) newFrontier(q *trace.Sequences, measure adm.Measure, postings bool) (*frontier, error) {
 	if q.Levels() != t.m {
 		return nil, fmt.Errorf("core: query has %d levels, index has %d", q.Levels(), t.m)
 	}
@@ -176,35 +190,68 @@ func (t *Tree) newFrontier(q *trace.Sequences, measure adm.Measure) (*frontier, 
 		return nil, fmt.Errorf("core: measure scores %d levels, index has %d", measure.Levels(), t.m)
 	}
 	sc := scratchPool.Get().(*scratch)
-	f := &frontier{t: t, q: q, measure: measure, qCounts: make([]int, t.m), seq: 1, pooled: sc, scratch: sc.anc}
+	f := &frontier{t: t, q: q, measure: measure, qCounts: make([]int, t.m), n: t.Len(), seq: 1, pooled: sc, cands: sc.cands, scratch: sc.anc}
+	if t.Contains(q.Entity) {
+		f.n-- // the query entity itself is never an answer
+	}
 	for l := 1; l <= t.m; l++ {
 		f.qCounts[l-1] = q.Size(l)
 	}
-	f.cands = append(sc.cands, &candidate{
-		n:         t.root,
-		ub:        measure.UpperBound(f.qCounts, f.qCounts),
-		surviving: q.Base(),
-		counts:    f.qCounts,
-	})
-	f.marked = f.mark()
+	if f.marked = postings && f.mark(); !f.marked {
+		f.cands = append(f.cands, &candidate{
+			n:         t.root,
+			ub:        measure.UpperBound(f.qCounts, f.qCounts),
+			surviving: q.Base(),
+			counts:    f.qCounts,
+		})
+	}
 	return f, nil
 }
 
-// pop dequeues the candidate with the largest upper bound.
-func (f *frontier) pop() *candidate {
+// peek returns the largest upper bound among the queued groups; ok is false
+// once nothing is queued.
+func (f *frontier) peek() (ub float64, ok bool) {
+	if f.marked {
+		if sc := f.pooled; f.pos < len(sc.rank) {
+			return sc.buckets[sc.rank[f.pos]].ub, true
+		}
+		return 0, f.pos == len(f.pooled.rank) // behind the last bucket: the entities no posting list named
+	}
+	if len(f.cands) == 0 {
+		return 0, false
+	}
+	return f.cands[0].ub, true
+}
+
+// visit dequeues the group peek reported. A bucket's candidates, and a leaf's
+// entities, are scored exactly and handed to offer; an internal node's
+// children are queued. With a selection to fill (best non-nil), a candidate
+// that could not displace the k-th answer even at its bucket's bound, ties
+// included, is dropped as offer would drop it; a bucket the limit interrupts
+// keeps its unscored rest queued.
+func (f *frontier) visit(best *kBest, offer func(Result)) error {
+	if f.marked {
+		sc := f.pooled
+		b := &sc.buckets[sc.rank[f.pos]]
+		for i, e := range sc.order[b.end-b.n : b.end] {
+			if f.limit > 0 && f.stats.Checked >= f.limit {
+				b.n -= i // the rest of the bucket stays queued
+				return nil
+			}
+			if best != nil && best.full() && !ranksBefore(Result{e, b.ub}, best.kth()) {
+				continue
+			}
+			if err := f.score(e, offer); err != nil {
+				return err
+			}
+			f.stats.BoundSkipped--
+		}
+		f.pos++
+		return nil
+	}
 	var c *candidate
 	c, f.cands = heapPop(f.cands, boundBefore)
 	f.stats.NodesPopped++
-	return c
-}
-
-// visit processes a popped candidate: an internal node's children are
-// queued; a leaf's entities are scored exactly and handed to offer, except
-// those the cell index settles first. An entity under none of the query's
-// level-1 cells has degree exactly 0 and is offered as such; with a selection
-// to fill (best non-nil), one that could not displace the k-th answer even at
-// its cell-index bound, ties included, is dropped as offer would drop it.
-func (f *frontier) visit(c *candidate, best *kBest, offer func(Result)) error {
 	if c.n.level < f.t.m {
 		for _, child := range c.n.children {
 			cc := f.expand(c, child)
@@ -216,119 +263,164 @@ func (f *frontier) visit(c *candidate, best *kBest, offer func(Result)) error {
 	}
 	f.stats.LeavesRead++
 	for _, e := range c.n.entities {
-		if e == f.q.Entity {
-			continue
-		}
-		if f.marked && uint(e) < uint(len(f.pooled.mask)) {
-			mask := f.pooled.mask[e]
-			if mask == 0 {
-				f.stats.ZeroSkipped++
-				offer(Result{Entity: e})
-				continue
-			}
-			if best != nil && best.full() && !ranksBefore(Result{e, f.bound(mask)}, best.kth()) {
-				f.stats.BoundSkipped++
-				continue
+		if e != f.q.Entity {
+			if err := f.score(e, offer); err != nil {
+				return err
 			}
 		}
-		s := f.t.src.Get(e)
-		if s == nil {
-			return fmt.Errorf("core: indexed entity %d missing from source", e)
-		}
-		f.stats.Checked++
-		offer(Result{Entity: e, Degree: f.measure.Degree(f.q, s)})
 	}
 	return nil
 }
 
-// offerZeros feeds every entity under the popped candidate c and behind the
-// queue into offer with degree 0, without touching the sequence source.
-// Sound only when c's upper bound is 0: admissibility plus non-negative
-// degrees then force every remaining degree to exactly 0.
-func (f *frontier) offerZeros(c *candidate, offer func(Result)) {
-	zero := func(e trace.EntityID) { offer(Result{Entity: e}) }
-	subtreeEntities(c.n, f.q.Entity, zero)
-	for _, rc := range f.cands {
-		subtreeEntities(rc.n, f.q.Entity, zero)
+// score computes e's exact degree and offers it.
+func (f *frontier) score(e trace.EntityID, offer func(Result)) error {
+	s := f.t.src.Get(e)
+	if s == nil {
+		return fmt.Errorf("core: indexed entity %d missing from source", e)
+	}
+	f.stats.Checked++
+	offer(Result{Entity: e, Degree: f.measure.Degree(f.q, s)})
+	return nil
+}
+
+// rest calls fn for every entity still queued, in no particular order. Sound
+// as a way to settle them without touching the sequence source only once peek
+// reports 0: admissibility plus non-negative degrees then force every
+// remaining degree to exactly 0.
+func (f *frontier) rest(fn func(trace.EntityID)) {
+	if f.marked {
+		sc := f.pooled
+		if f.pos < len(sc.rank) {
+			b := sc.buckets[sc.rank[f.pos]]
+			for _, e := range sc.order[b.end-b.n:] {
+				fn(e)
+			}
+		}
+		subtreeEntities(f.t.root, f.q.Entity, func(e trace.EntityID) {
+			if sc.maskOf(e) == 0 {
+				fn(e)
+			}
+		})
+		return
+	}
+	for _, c := range f.cands {
+		subtreeEntities(c.n, f.q.Entity, fn)
 	}
 }
 
 // finish fills the answer-relative statistics for a search that returned
 // answers results.
 func (f *frontier) finish(answers int) SearchStats {
-	n := f.t.Len()
-	if f.t.Contains(f.q.Entity) {
-		n-- // the query entity itself is never an answer
-	}
-	if n > 0 {
-		f.stats.PE = max(0, float64(f.stats.Checked-answers)/float64(n))
-		f.stats.Pruned = 1 - float64(f.stats.Checked)/float64(n)
+	if f.n > 0 {
+		f.stats.PE = max(0, float64(f.stats.Checked-answers)/float64(f.n))
+		f.stats.Pruned = 1 - float64(f.stats.Checked)/float64(f.n)
 	}
 	return f.stats
 }
 
 // TopK answers a top-k query over digital traces (Definition 4) for the
 // query sequences q, excluding the entity q.Entity itself, under the given
-// association degree measure. It implements Algorithm 2: best-first search
-// over MinSigTree nodes ordered by upper bound, with early termination once
-// k exact degrees strictly dominate every remaining bound. Results are
-// ordered by descending degree (ties by ascending entity ID).
+// association degree measure: exact degrees are computed in descending order
+// of an admissible Theorem-4 upper bound, with early termination once k of
+// them strictly dominate every remaining bound — Algorithm 2's rule. Results
+// are ordered by descending degree (ties by ascending entity ID).
+//
+// Where the bounds come from is decided by what the search observes, never by
+// the caller. When the tree carries its level-1 cell index and the measure
+// bounds an entity that shares no cell with the query by 0, the search is
+// posting-driven: the candidates are the entities posted under the query's
+// level-1 cells, bucketed by which of them they occupy and scored bucket by
+// bucket in bound order; the tree is not traversed. Otherwise — a measure
+// whose zero-overlap bound is not 0, a mapped tree without an index — it is
+// Algorithm 2 itself, SignatureTopK.
 //
 // The answer is canonical: it is exactly the first k entries of the total
 // order (degree descending, entity ID ascending) over the population,
-// independent of tree shape. Termination is therefore strict — a node whose
-// bound ties the current k-th degree may still hide an equal-degree entity
-// with a smaller ID, so it must be examined. The one case where a tied
+// independent of tree shape. Termination is therefore strict — a bucket or
+// node whose bound ties the current k-th degree may still hide an equal-degree
+// entity with a smaller ID, so it must be examined. The one case where a tied
 // bound need not force exact degree computations is 0: admissibility plus
-// non-negative degrees mean every entity under a 0-bound node has degree
-// exactly 0, so those entities are offered to the selection directly. The
-// canonical guarantee is what lets package shard reproduce this answer
-// bit-identically from per-shard searches over differently-shaped trees.
+// non-negative degrees mean every entity still queued has degree exactly 0,
+// so those entities are offered to the selection directly. The canonical
+// guarantee is what lets package shard reproduce this answer bit-identically
+// from per-shard searches over differently-shaped trees.
 //
 // The returned answers are exact for any admissible measure: pruning relies
 // only on Theorems 2-4, never on hash quality.
 //
 // TopK is read-only: it never mutates the tree, the hasher, the sequence
-// source, or the measure — all search state (candidate heap, result heap,
-// surviving-cell sets, ancestor counts) lives on this call's stack. Any
-// number of TopK/ApproxTopK/KNNJoin calls may therefore run concurrently
-// against the same tree, provided no Insert/Remove/Update/Rebuild runs at
-// the same time; callers who interleave maintenance with queries must
-// provide that exclusion themselves (the public DB facade does, by only
-// ever querying immutable snapshot trees and applying maintenance to a
-// Clone that is atomically swapped in afterwards).
+// source, or the measure — all search state lives on this call's stack or in
+// scratch no other call holds. Any number of TopK/ApproxTopK/KNNJoin calls
+// may therefore run concurrently against the same tree, provided no
+// Insert/Remove/Update/Rebuild runs at the same time; callers who interleave
+// maintenance with queries must provide that exclusion themselves (the public
+// DB facade does, by only ever querying immutable snapshot trees and applying
+// maintenance to a Clone that is atomically swapped in afterwards).
 func (t *Tree) TopK(q *trace.Sequences, k int, measure adm.Measure) ([]Result, SearchStats, error) {
+	res, stats, err := t.search(q, k, measure, ApproxOptions{}, true)
+	return res, stats.SearchStats, err
+}
+
+// SignatureTopK is TopK by Algorithm 2 alone: best-first search over
+// MinSigTree nodes ordered by the upper bound their signatures yield, whatever
+// the cell index could have contributed. It is the search TopK runs on inputs
+// the index cannot serve, under its own name so that the paper's algorithm
+// and its pruning (Reached) stay directly testable and measurable.
+func (t *Tree) SignatureTopK(q *trace.Sequences, k int, measure adm.Measure) ([]Result, SearchStats, error) {
+	res, stats, err := t.search(q, k, measure, ApproxOptions{}, false)
+	return res, stats.SearchStats, err
+}
+
+// search is the one loop behind TopK, SignatureTopK and ApproxTopK: score
+// groups in bound order until the k-th exact degree beats (1−ε) times every
+// remaining bound, or the budget is spent.
+func (t *Tree) search(q *trace.Sequences, k int, measure adm.Measure, opts ApproxOptions, postings bool) ([]Result, ApproxStats, error) {
+	var stats ApproxStats
 	if k < 1 {
-		return nil, SearchStats{}, fmt.Errorf("core: k = %d < 1", k)
+		return nil, stats, fmt.Errorf("core: k = %d < 1", k)
 	}
-	f, err := t.newFrontier(q, measure)
+	f, err := t.newFrontier(q, measure, postings)
 	if err != nil {
-		return nil, SearchStats{}, err
+		return nil, stats, err
 	}
 	defer f.release()
+	f.limit = opts.MaxChecked
 	best := newKBest(k)
-	for len(f.cands) > 0 {
-		c := f.pop()
+	remainingUB := 0.0
+	for ub, ok := f.peek(); ok; ub, ok = f.peek() {
 		// Early termination: the k-th best exact degree strictly beats every
-		// remaining upper bound. Strict, not ≥: at equality the node may hide
-		// an equal-degree entity with a smaller ID, which the canonical tie
-		// order puts ahead of the current k-th.
-		if best.full() && best.kth().Degree > c.ub {
+		// remaining upper bound (relaxed by ε). Strict, not ≥: at equality the
+		// group may hide an equal-degree entity with a smaller ID, which the
+		// canonical tie order puts ahead of the current k-th.
+		if best.full() && best.kth().Degree > (1-opts.Epsilon)*ub {
+			remainingUB = ub
 			break
 		}
-		if c.ub == 0 {
-			// Every entity under this candidate — and, by heap order, under
-			// all remaining ones — has degree exactly 0. Offer them to the
-			// selection without computing degrees.
-			f.offerZeros(c, best.offer)
+		if ub == 0 {
+			// Everything still queued has degree exactly 0: offer it to the
+			// selection without computing degrees. The answer stays exact.
+			f.rest(func(e trace.EntityID) { best.offer(Result{Entity: e}) })
 			break
 		}
-		if err := f.visit(c, &best, best.offer); err != nil {
-			return nil, f.stats, err
+		if opts.MaxChecked > 0 && f.stats.Checked >= opts.MaxChecked {
+			stats.BudgetExhausted = true
+			remainingUB = ub
+			break
+		}
+		if err := f.visit(&best, best.offer); err != nil {
+			stats.SearchStats = f.stats
+			return nil, stats, err
 		}
 	}
 	out := best.ranked()
-	return out, f.finish(len(out)), nil
+	stats.SearchStats = f.finish(len(out))
+	// Achieved quality: smallest ε such that kth ≥ (1−ε)·remainingUB.
+	if remainingUB > 0 && len(out) > 0 {
+		if kth := out[len(out)-1].Degree; kth < remainingUB {
+			stats.AchievedEpsilon = 1 - kth/remainingUB
+		}
+	}
+	return out, stats, nil
 }
 
 // expand builds the candidate for a child node: filter the surviving query

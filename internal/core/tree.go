@@ -12,8 +12,10 @@
 // admissible upper bound on the association degree (Theorem 4) that
 // tightens monotonically along root-to-leaf paths (Theorem 3).
 //
-// Build is Algorithm 1; Tree.TopK is Algorithm 2 with early termination;
-// Insert/Remove/Update realize the incremental maintenance of Section 4.2.3.
+// Build is Algorithm 1; Tree.SignatureTopK is Algorithm 2 with early
+// termination, and Tree.TopK the same search fed by the level-1 cell index's
+// postings wherever those apply; Insert/Remove/Update realize the incremental
+// maintenance of Section 4.2.3.
 package core
 
 import (
@@ -116,7 +118,7 @@ type Tree struct {
 	src    SequenceSource
 	root   *node
 	sigs   *sigTable
-	cells  *cellIndex // level-1 cell index (cellindex.go); nil on a tree replayed without its sequences
+	cells  *cellIndex // level-1 cell index (cellindex.go): the postings searches draw candidates from; nil on a tree replayed without its sequences
 	m      int
 	full   bool // full-signature mode (Options.FullSignatures)
 
@@ -233,6 +235,9 @@ func (t *Tree) Remove(e trace.EntityID) error {
 		return fmt.Errorf("core: entity %d not indexed", e)
 	}
 	t.sigs.del(e)
+	if t.cells != nil {
+		t.cells.gone[e] = struct{}{} // its pairs stay posted; no search may score it
+	}
 	if t.owned != nil {
 		t.removeCOW(e, sig, t.owned)
 		t.removals++
@@ -359,10 +364,10 @@ func (t *Tree) Stats() IndexStats {
 	walk(t.root)
 	// Per node: routing (4) + value (8) + level (1) + child-slice slot and
 	// header (16); per entity: m LevelSig digests (12 each) + leaf slot; per
-	// level-1 cell key 12 and per posting 4, added layer included.
+	// level-1 cell key 12 and per posting 4, added layer and gone set included.
 	st.MemoryBytes = st.Nodes*29 + st.Entities*(t.m*12+4)
 	if c := t.cells; c != nil {
-		st.MemoryBytes += 12*(len(c.keys)+len(c.added)) + 4*(len(c.posts)+c.addedPairs)
+		st.MemoryBytes += 12*(len(c.keys)+len(c.added)) + 4*(len(c.posts)+c.addedPairs+len(c.gone))
 	}
 	if t.full {
 		// Full-signature mode stores nh coordinates per node (§5.1).

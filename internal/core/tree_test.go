@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"digitaltraces/internal/adm"
@@ -118,9 +119,14 @@ func TestSearchExample521(t *testing.T) {
 		t.Fatalf("Build: %v", err)
 	}
 	m := adm.NewDiceExample()
-	res, stats, err := tree.TopK(st.Get(2), 1, m)
+	// The thesis walks through Algorithm 2: the signatures prune ed's branch,
+	// which the level-1 bounds TopK orders its candidates by cannot.
+	res, stats, err := tree.SignatureTopK(st.Get(2), 1, m)
 	if err != nil {
-		t.Fatalf("TopK: %v", err)
+		t.Fatalf("SignatureTopK: %v", err)
+	}
+	if got, _, _ := tree.TopK(st.Get(2), 1, m); !slices.Equal(got, res) {
+		t.Fatalf("TopK = %v, SignatureTopK = %v", got, res)
 	}
 	if len(res) != 1 || res[0].Entity != 0 {
 		t.Fatalf("top-1 for ec = %v, want ea (entity 0)", res)
@@ -232,7 +238,7 @@ func TestUpperBoundDominatesSubtree(t *testing.T) {
 					}
 					deg := m.Degree(q, st.Get(e))
 					sig, _ := tree.sigs.get(e)
-					f, err := tree.newFrontier(q, m)
+					f, err := tree.newFrontier(q, m, false)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -469,7 +475,7 @@ func TestPruningImprovesWithHashFunctions(t *testing.T) {
 		m := measuresFor(t, 3)[0]
 		total := 0
 		for e := 0; e < 20; e++ {
-			_, stats, err := tree.TopK(st.Get(trace.EntityID(e)), 1, m)
+			_, stats, err := tree.SignatureTopK(st.Get(trace.EntityID(e)), 1, m)
 			if err != nil {
 				t.Fatal(err)
 			}

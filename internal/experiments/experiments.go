@@ -161,30 +161,29 @@ func (d *dataset) paperADM(u, v float64) (adm.Measure, error) {
 	return adm.NewPaperADM(d.ix.Height(), u, v)
 }
 
-// avgPE runs top-k queries from the first sc.Queries entities and averages
-// the Definition-5 PE (fraction checked beyond k), the pruned fraction
-// 1 − Checked/|E| the index as a whole achieves, and the share the
-// signatures alone prune, 1 − Reached/|E| — the quantity the Section 6.3
-// model predicts, which the level-1 cell index does not enter.
-func avgPE(t *core.Tree, d *dataset, queries, k int, m adm.Measure) (pe, pruned, sigPruned float64, err error) {
+// avgPE runs search — a tree's TopK, the posting-driven search that is
+// served, or its SignatureTopK, Algorithm 2 and the search the Section 6.3
+// model predicts — from the first sc.Queries entities and averages the
+// Definition-5 PE (fraction checked beyond k) and the pruned fraction
+// 1 − Checked/|E|.
+func avgPE(search func(*trace.Sequences, int, adm.Measure) ([]core.Result, core.SearchStats, error), d *dataset, queries, k int, m adm.Measure) (pe, pruned float64, err error) {
 	n := 0
 	for _, e := range d.store.Entities() {
 		if n >= queries {
 			break
 		}
-		_, stats, qerr := t.TopK(d.store.Get(e), k, m)
+		_, stats, qerr := search(d.store.Get(e), k, m)
 		if qerr != nil {
-			return 0, 0, 0, qerr
+			return 0, 0, qerr
 		}
 		pe += stats.PE
 		pruned += stats.Pruned
-		sigPruned += 1 - float64(stats.Reached())/float64(t.Len()-1)
 		n++
 	}
 	if n == 0 {
-		return 0, 0, 0, fmt.Errorf("experiments: no queries ran")
+		return 0, 0, fmt.Errorf("experiments: no queries ran")
 	}
-	return pe / float64(n), pruned / float64(n), sigPruned / float64(n), nil
+	return pe / float64(n), pruned / float64(n), nil
 }
 
 func f(v float64) string { return fmt.Sprintf("%.4f", v) }
@@ -344,7 +343,11 @@ func Fig73PEvsHashFunctions(sc Scale) ([]Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			_, pruned, sigPruned, err := avgPE(tree, d, sc.Queries, k, m)
+			_, sigPruned, err := avgPE(tree.SignatureTopK, d, sc.Queries, k, m)
+			if err != nil {
+				return nil, err
+			}
+			_, pruned, err := avgPE(tree.TopK, d, sc.Queries, k, m)
 			if err != nil {
 				return nil, err
 			}
@@ -382,8 +385,8 @@ func Fig73PEvsHashFunctions(sc Scale) ([]Table, error) {
 		t.Notes = append(t.Notes,
 			"pruned fraction rises with nh with diminishing returns (paper Fig 7.3)",
 			"prediction uses Eq 6.12-6.15 with nc from the measured k-th degree",
-			"measured (signatures) = 1 − Reached/|E|, the paper's quantity; with cell index = 1 − Checked/|E|, after the level-1 cell index settled the reached entities it could",
-			"nh = 1 routes every entity to one leaf the search reads whole: that row is the cell index alone, with no tree")
+			"measured (signatures) = 1 − Checked/|E| of SignatureTopK, Algorithm 2 alone: the paper's quantity; with cell index = the same of TopK, the posting-driven search, which never consults a signature and so cannot move with nh",
+			"nh = 1 routes every entity to one leaf Algorithm 2 reads whole: no signature pruning by construction")
 		tables = append(tables, t)
 	}
 	return tables, nil
@@ -447,7 +450,7 @@ func Fig74DataCharacteristics(sc Scale) ([]Table, error) {
 			}
 			row := []string{fmt.Sprintf("%g", v)}
 			for _, k := range []int{1, 10, 50} {
-				pe, _, _, err := avgPE(tree, d, sc.Queries, k, m)
+				pe, _, err := avgPE(tree.TopK, d, sc.Queries, k, m)
 				if err != nil {
 					return nil, err
 				}
@@ -484,7 +487,7 @@ func Fig75ADMParams(sc Scale) ([]Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				pe, _, _, err := avgPE(tree, d, sc.Queries, 10, m)
+				pe, _, err := avgPE(tree.TopK, d, sc.Queries, 10, m)
 				if err != nil {
 					return nil, err
 				}
@@ -593,11 +596,11 @@ func Fig77ResultSize(sc Scale) ([]Table, error) {
 			if k >= d.store.Len() {
 				break
 			}
-			_, prLow, _, err := avgPE(treeLow, d, sc.Queries, k, m)
+			_, prLow, err := avgPE(treeLow.TopK, d, sc.Queries, k, m)
 			if err != nil {
 				return nil, err
 			}
-			_, prHigh, _, err := avgPE(treeHigh, d, sc.Queries, k, m)
+			_, prHigh, err := avgPE(treeHigh.TopK, d, sc.Queries, k, m)
 			if err != nil {
 				return nil, err
 			}

@@ -126,7 +126,7 @@ type QueryTrace struct {
 	// QueryStats.Checked of this query).
 	Checked int
 	// ZeroSkipped and BoundSkipped are QueryStats' fields of the same names:
-	// reached entities the level-1 cell index spared a degree computation
+	// entities the posting-driven search settled without a degree computation
 	// (zero on a cluster, whose streams report Checked only).
 	ZeroSkipped  int
 	BoundSkipped int
