@@ -6,9 +6,10 @@
 //
 //	buildindex -in traces.bin -side 24 -levels 4 -hash 256 -buffers 64
 //
-// -index writes the v2 snapshot (warm restart over a re-ingested log);
-// -index-mmap writes the page-aligned MSIGMAP1 snapshot that serve
-// -index-mmap maps and serves in place, no re-ingest needed.
+// -index writes the index without its sequence section (warm restart over a
+// re-ingested log); -index-mmap writes it with the sequences, page-aligned,
+// so serve -index-mmap maps and serves it in place, no re-ingest needed (and
+// topk -index still loads it by name).
 package main
 
 import (
@@ -104,22 +105,17 @@ func main() {
 	}
 	fmt.Println("index validation: ok")
 
-	if *out != "" {
-		f, err := os.Create(*out)
+	// Entity names follow the record-file convention ("entity-<fileID>", the
+	// naming LoadRecordFile and the synthetic cities use), so topk and serve
+	// -index-load resolve entities by name regardless of ingest order; the
+	// meta records the tracegen discretization (Unix epoch, hourly units).
+	save := func(path string, seqs core.SequenceSource) int64 {
+		f, err := os.Create(path)
 		if err != nil {
 			log.Fatal(err)
 		}
-		// v2 snapshot: entity names follow the record-file convention
-		// ("entity-<fileID>", the naming LoadRecordFile and the synthetic
-		// cities use), so topk and serve -index-load resolve entities by
-		// name regardless of ingest order; the meta records the tracegen
-		// discretization (Unix epoch, hourly units).
-		meta := core.SnapshotMeta{
-			TimeUnit: time.Hour,
-			MeasureU: *u,
-			MeasureV: *v,
-		}
-		n, err := tree.WriteSnapshot(f, meta, func(e trace.EntityID) (string, uint32) {
+		meta := core.SnapshotMeta{TimeUnit: time.Hour, MeasureU: *u, MeasureV: *v}
+		n, err := tree.WriteSnapshot(f, meta, seqs, func(e trace.EntityID) (string, uint32) {
 			return fmt.Sprintf("entity-%d", e), counts[e]
 		})
 		if err != nil {
@@ -128,31 +124,14 @@ func main() {
 		if err := f.Close(); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("snapshot: %d bytes written to %s\n", n, *out)
+		return n
+	}
+	if *out != "" {
+		fmt.Printf("snapshot: %d bytes written to %s\n", save(*out, nil), *out)
 	}
 	if *outMap != "" {
-		f, err := os.Create(*outMap)
-		if err != nil {
-			log.Fatal(err)
-		}
-		// Mapped (MSIGMAP1) snapshot: same meta and naming as the v2
-		// snapshot above, but carrying the sequence data page-aligned so
-		// serve -index-mmap can fault it in lazily without re-ingesting
-		// the record file.
-		meta := core.SnapshotMeta{
-			TimeUnit: time.Hour,
-			MeasureU: *u,
-			MeasureV: *v,
-		}
-		n, err := tree.WriteMappedSnapshot(f, meta, 0, store, func(e trace.EntityID) (string, uint32) {
-			return fmt.Sprintf("entity-%d", e), counts[e]
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("mapped snapshot: %d bytes (%d pages) written to %s\n", n, n/int64(core.DefaultMapPage), *outMap)
+		// With the sequence data, so serve -index-mmap can fault it in lazily
+		// without re-ingesting the record file.
+		fmt.Printf("mapped snapshot: %d bytes written to %s\n", save(*outMap, store), *outMap)
 	}
 }

@@ -93,9 +93,9 @@ func main() {
 		maxBatch  = flag.Int("maxbatch", 10000, "most entities one /topk/batch request may name")
 		refDirty  = flag.Int("refresh-dirty", 0, "auto-refresh: fold ingested visits into the index once this many entities are dirty (0 = no dirty trigger)")
 		refStale  = flag.Duration("refresh-staleness", 0, "auto-refresh: fold dirt once the serving snapshot is older than this (0 = no staleness trigger)")
-		idxSave   = flag.String("index-save", "", "persist the index snapshot to this file on SIGTERM/SIGINT and on POST /index/save")
-		idxLoad   = flag.String("index-load", "", "warm restart: publish the index snapshot at this path instead of rebuilding (cold-builds when the file does not exist yet)")
-		idxMmap   = flag.String("index-mmap", "", "serve the index off a read-only mapping of this file (no re-ingest; boots without -in/-synthetic when the file exists) and save it there mapped on shutdown and POST /index/save; wins over -index-load/-index-save")
+		idxSave   = flag.String("index-save", "", "persist the index (without its sequence section) to this file on SIGTERM/SIGINT and on POST /index/save")
+		idxLoad   = flag.String("index-load", "", "warm restart: publish the index file at this path (saved with or without its sequence section) over the re-ingested records instead of rebuilding (cold-builds when the file does not exist yet)")
+		idxMmap   = flag.String("index-mmap", "", "serve the index off a read-only mapping of this file (no re-ingest; boots without -in/-synthetic when the file exists) and save it there, sequence section included, on shutdown and POST /index/save; wins over -index-load/-index-save")
 		rebAuto   = flag.Duration("rebalance-auto", 0, "skew-aware auto-rebalance period for sharded engines (0 = manual via POST /rebalance): every period, plan slot moves from per-shard owned-entity skew and migrate them live")
 		slotsInit = flag.String("slots-initial", "", `initial slot→shard placement as shard:slots pairs summing to 256 (e.g. "0:192,1:32,2:32" gives shard 0 three quarters of the keyspace); empty = even; applied before any ingest`)
 		bulk      = flag.Bool("bulk", false, "out-of-core ingest: external-sort -in by entity under the -sort-* buffer budget instead of loading the raw log into the heap")

@@ -20,6 +20,7 @@ import (
 	"digitaltraces/internal/adm"
 	"digitaltraces/internal/core"
 	"digitaltraces/internal/extsort"
+	"digitaltraces/internal/secfile"
 	"digitaltraces/internal/sighash"
 	"digitaltraces/internal/spindex"
 	"digitaltraces/internal/trace"
@@ -38,7 +39,7 @@ func main() {
 		u       = flag.Float64("u", 2, "ADM level exponent")
 		v       = flag.Float64("v", 2, "ADM duration exponent")
 		seed    = flag.Uint64("seed", 1, "hash-family seed")
-		index   = flag.String("index", "", "optional snapshot from buildindex -index; skips re-hashing")
+		index   = flag.String("index", "", "optional snapshot from buildindex -index or -index-mmap; skips re-hashing")
 	)
 	flag.Parse()
 
@@ -99,9 +100,16 @@ func main() {
 			}
 			return e, true, nil
 		}
-		tree, _, err = core.ReadSnapshotWith(f, ix, store, resolve)
+		sr, err := secfile.NewReader(f)
+		if err != nil {
+			log.Fatal(err)
+		}
+		snap, err := core.DecodeSnapshot(sr, ix)
 		f.Close()
 		if err != nil {
+			log.Fatal(err)
+		}
+		if tree, err = snap.Tree(ix, store, resolve); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("loaded snapshot %s (%d entities)\n", *index, tree.Len())

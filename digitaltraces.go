@@ -667,22 +667,35 @@ func (db *DB) KNNJoin(entities []string, k int, workers int) (map[string][]Match
 	return out, err
 }
 
-// SaveIndex persists the built index to w in the self-describing MSIGTREE2
-// format: per-entity signature digests plus each entity's name and covered
-// visit count, and the hash-family / time-unit / epoch / measure scalars in
-// the header. The visit data itself is not included — LoadIndex republishes
-// the snapshot over a re-ingested visit log, resolving entities by name.
+// SaveIndex persists the built index to w without the sequence section:
+// per-entity signature digests plus each entity's name and covered visit
+// count, and the hash-family / time-unit / epoch / measure scalars. The visit
+// data itself is not included — LoadIndex republishes the snapshot over a
+// re-ingested visit log, resolving entities by name.
 //
 // Pending dirt is folded (or the index built, if absent) before saving, so
 // the snapshot covers everything ingested when the save began; entities that
 // receive visits while the save is in flight are stamped with an unknown
 // covered count and re-signed on load instead of served stale.
-func (db *DB) SaveIndex(w io.Writer) (int64, error) {
+func (db *DB) SaveIndex(w io.Writer) (int64, error) { return db.saveIndex(w, false) }
+
+// SaveMappedIndex persists the built index to w with the sequence section:
+// everything SaveIndex writes, folded first the same way, plus every entity's
+// serialized sequences, page-aligned, and the level-1 cell index — so
+// LoadMappedIndex can serve queries straight off a read-only mapping of the
+// file with no visit re-ingest at all, and LoadIndex can still load it by name
+// over a re-ingested log.
+func (db *DB) SaveMappedIndex(w io.Writer) (int64, error) { return db.saveIndex(w, true) }
+
+// saveIndex is the one save routine: fold first, capture the covered counts,
+// write outside every lock — with the sequence section (and the cell index
+// that goes with it) or without.
+func (db *DB) saveIndex(w io.Writer, withSeqs bool) (int64, error) {
 	db.buildMu.Lock()
-	if db.unionFold {
+	if db.unionFold && !withSeqs {
 		// The visit log no longer covers the index (mapped or bulk load), so
-		// the per-entity covered counts this format stores would be wrong —
-		// and LoadIndex could not reconstruct the store from the log anyway.
+		// the per-entity covered counts would be wrong — and LoadIndex could
+		// not reconstruct the store from the log anyway.
 		db.buildMu.Unlock()
 		return 0, fmt.Errorf("digitaltraces: SaveIndex on a mapped- or bulk-loaded DB whose visit log does not cover the index; use SaveMappedIndex, which persists the sequences themselves")
 	}
@@ -708,7 +721,10 @@ func (db *DB) SaveIndex(w io.Writer) (int64, error) {
 	// Capture the per-entity covered counts while buildMu still serializes
 	// publishers: a clean entity's count is exactly what s folded (publish
 	// retires dirt only when the counts match), and an entity dirtied since
-	// the fold above gets the stale sentinel.
+	// the fold above gets the stale sentinel. On a union-fold DB with no
+	// retained visits this records 0 — a mapped load treats an empty log as
+	// clean regardless, and a re-ingested log simply refolds (unions are
+	// idempotent).
 	ents := s.tree.Entities()
 	folded := make([]uint32, len(s.byID))
 	db.mu.RLock()
@@ -729,9 +745,13 @@ func (db *DB) SaveIndex(w io.Writer) (int64, error) {
 		MeasureV:   db.measureV,
 		Jaccard:    db.jaccard,
 	}
-	// The tree and its captured tables are immutable from here; write
+	var seqs core.SequenceSource
+	if withSeqs {
+		seqs = s.store
+	}
+	// The tree, store and captured tables are immutable from here; write
 	// outside every lock.
-	return s.tree.WriteSnapshot(w, meta, func(e trace.EntityID) (string, uint32) {
+	return s.tree.WriteSnapshot(w, meta, seqs, func(e trace.EntityID) (string, uint32) {
 		return s.byID[e], folded[e]
 	})
 }

@@ -41,9 +41,10 @@ type Engine interface {
 	// partitioned implementations may instead absorb it internally by
 	// rebuilding just the affected partition.
 	Refresh() error
-	// SaveIndex persists the serving index (signature digests, hash-family
-	// scalars, entity names — not the visit data) to w, folding pending
-	// dirt first so the snapshot covers everything ingested so far.
+	// SaveIndex persists the serving index without the sequence section
+	// (signature digests, hash-family scalars, entity names — not the visit
+	// data) to w, folding pending dirt first so the snapshot covers
+	// everything ingested so far.
 	SaveIndex(w io.Writer) (int64, error)
 	// LoadIndex publishes a previously saved index over the engine's
 	// re-ingested visit log — the warm-restart path that skips the
@@ -65,13 +66,13 @@ type Engine interface {
 var _ Engine = (*DB)(nil)
 
 // MappedPersister is the optional out-of-core persistence surface: engines
-// that can write the memory-mappable MSIGMAP1 snapshot format and republish
-// one straight off a read-only file mapping, skipping both the index rebuild
+// that can write the index with its sequence section and republish such a
+// file straight off a read-only mapping, skipping both the index rebuild
 // and the visit re-ingest of the SaveIndex/LoadIndex warm-restart path.
 // *DB and shard.Cluster implement it.
 type MappedPersister interface {
-	// SaveMappedIndex persists the serving index together with its sequence
-	// data in the page-aligned MSIGMAP1 layout, folding pending dirt first.
+	// SaveMappedIndex persists the serving index with the sequence section
+	// (page-aligned) and the cell index, folding pending dirt first.
 	SaveMappedIndex(w io.Writer) (int64, error)
 	// LoadMappedIndex maps the file at path read-only and serves queries
 	// straight off it: restart cost is the signature replay plus lazy page

@@ -19,8 +19,9 @@ import (
 // answer. Pairs are only ever added. The stale pairs of an entity that is
 // still indexed (Update with different data) only loosen its bound; an entity
 // removed outright stays in gone until it is inserted again, so that no
-// search scores it. Build, Clone and ReadSnapshot seal from the sequences,
-// which drops the stale pairs.
+// search scores it. Build, Clone and Snapshot.Tree seal from the sequences,
+// which drops the stale pairs; an image written with its sequences stores the
+// pairs minus those of gone, and Snapshot.MappedTree adopts them as the base.
 //
 // By the Section 4.1 derivation every shared level-l cell has its level-1
 // ancestor shared. So an entity in none of the postings of a query's level-1
@@ -104,6 +105,26 @@ func (ci *cellIndex) add(e trace.EntityID, cells []trace.Cell) {
 	ci.maxID = max(ci.maxID, e)
 }
 
+// pairs yields every posted pair, sealed then added, except those of the
+// entities in drop.
+func (ci *cellIndex) pairs(drop map[trace.EntityID]struct{}) func(post func(trace.Cell, trace.EntityID)) {
+	return func(post func(trace.Cell, trace.EntityID)) {
+		each := func(c trace.Cell, es []trace.EntityID) {
+			for _, e := range es {
+				if _, dropped := drop[e]; !dropped {
+					post(c, e)
+				}
+			}
+		}
+		for i, c := range ci.keys {
+			each(c, ci.posts[ci.offs[i]:ci.offs[i+1]])
+		}
+		for c, es := range ci.added {
+			each(c, es)
+		}
+	}
+}
+
 // derive returns an independently writable index over the same pairs for the
 // next tree generation: the base is shared, the added pairs are copied — or,
 // once they reach the compaction threshold, both fold into a fresh base, an
@@ -112,18 +133,7 @@ func (ci *cellIndex) add(e trace.EntityID, cells []trace.Cell) {
 func (ci *cellIndex) derive() *cellIndex {
 	var d *cellIndex
 	if trace.OverlayNeedsCompaction(ci.addedPairs, len(ci.posts)) {
-		d = seal(func(post func(trace.Cell, trace.EntityID)) {
-			for i, c := range ci.keys {
-				for _, e := range ci.posts[ci.offs[i]:ci.offs[i+1]] {
-					post(c, e)
-				}
-			}
-			for c, es := range ci.added {
-				for _, e := range es {
-					post(c, e)
-				}
-			}
-		})
+		d = seal(ci.pairs(nil))
 	} else {
 		d = new(cellIndex)
 		*d = *ci
@@ -187,12 +197,12 @@ func (sc *scratch) maskOf(e trace.EntityID) uint64 {
 
 // mark fills the scratch's view of the cell index for the query — masks,
 // bounds and the candidates in bound order — and reports whether the index
-// applies: the tree has one, and the measure bounds an entity with no overlap
-// by 0, so that an entity no posting list names has degree exactly 0.
+// applies: the measure bounds an entity with no overlap by 0, so that an
+// entity no posting list names has degree exactly 0.
 func (f *frontier) mark() bool {
 	sc, ci, m := f.pooled, f.t.cells, f.t.m
 	sc.x = append(sc.x[:0], make([]int, m)...)
-	if ci == nil || f.measure.UpperBound(sc.x, f.qCounts) != 0 {
+	if f.measure.UpperBound(sc.x, f.qCounts) != 0 {
 		return false
 	}
 	// The table stays within a constant factor of the population whatever

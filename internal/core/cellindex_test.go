@@ -218,14 +218,26 @@ func (w *cellWorld) clone() {
 	w.st, w.tree = st, tree
 }
 
-func (w *cellWorld) reload() {
+// reload replaces the tree by what an image of it loads as: replayed over the
+// store with its cell index re-sealed (a stream read of an image without
+// sequences), or served in place with the stored cell index — base, added
+// pairs and stale pairs folded by the writer — adopted as is.
+func (w *cellWorld) reload(mapped bool) {
 	var buf bytes.Buffer
-	if _, err := w.tree.WriteSnapshot(&buf, SnapshotMeta{TimeUnit: time.Hour}, snapshotNames); err != nil {
+	var seqs SequenceSource
+	if mapped {
+		seqs = w.st
+	}
+	if _, err := w.tree.WriteSnapshot(&buf, SnapshotMeta{TimeUnit: time.Hour}, seqs, snapshotNames); err != nil {
 		w.t.Fatalf("WriteSnapshot: %v", err)
 	}
-	tree, _, err := ReadSnapshotWith(&buf, w.ix, w.st, nil)
+	load := func() (*Tree, error) { return readSnapshot(&buf, w.ix, w.st) }
+	if mapped {
+		load = func() (*Tree, error) { return openMapped(buf.Bytes(), w.ix, w.st) }
+	}
+	tree, err := load()
 	if err != nil {
-		w.t.Fatalf("ReadSnapshotWith: %v", err)
+		w.t.Fatalf("reloading the tree (mapped %t): %v", mapped, err)
 	}
 	w.tree = tree
 }
@@ -233,7 +245,7 @@ func (w *cellWorld) reload() {
 // step advances the world by one generation; the schedule strings several
 // derives together so the added layer reaches its compaction fold.
 func (w *cellWorld) step(gen int) string {
-	switch []string{"derive", "derive", "update", "derive", "remove", "derive", "derive", "clone", "derive", "update", "reload"}[gen%11] {
+	switch []string{"derive", "derive", "update", "derive", "remove", "derive", "derive", "remap", "clone", "derive", "update", "reload"}[gen%12] {
 	case "derive":
 		w.derive()
 		return "derive"
@@ -246,8 +258,11 @@ func (w *cellWorld) step(gen int) string {
 	case "clone":
 		w.clone()
 		return "clone"
+	case "remap":
+		w.reload(true)
+		return "remap"
 	}
-	w.reload()
+	w.reload(false)
 	return "reload"
 }
 
@@ -471,7 +486,7 @@ func TestCellIndexExactnessProperty(t *testing.T) {
 func TestCellIndexInvariantModel(t *testing.T) {
 	w := newCellWorld(t, 11)
 	requireCellInvariant(t, "build", w.tree)
-	folds := 0
+	folds, remaps := 0, 0
 	for gen := 0; gen < 33; gen++ {
 		before := w.tree.cells
 		op := w.step(gen)
@@ -484,6 +499,20 @@ func TestCellIndexInvariantModel(t *testing.T) {
 				t.Fatalf("%s: derived base shares the parent's array but not its length", label)
 			}
 		}
+		if op == "remap" {
+			// A stored index is the writer's fold: nothing added, nothing
+			// gone, every pair of base and added outside the removed entities.
+			got := w.tree.cells
+			if len(got.added)+len(got.gone) != 0 {
+				t.Fatalf("%s: adopted index has %d added cells and %d removed entities", label, len(got.added), len(got.gone))
+			}
+			if want := seal(before.pairs(before.gone)); !slices.Equal(got.keys, want.keys) || !slices.Equal(got.offs, want.offs) || !slices.Equal(got.posts, want.posts) {
+				t.Fatalf("%s: adopted index differs from the saved one's pairs", label)
+			}
+			if before.addedPairs > 0 && len(before.gone) > 0 {
+				remaps++
+			}
+		}
 		if op == "clone" || op == "reload" {
 			// A re-sealed index is exactly the current sequences' pairs.
 			want := sealCells(w.st, w.tree.Entities())
@@ -494,6 +523,9 @@ func TestCellIndexInvariantModel(t *testing.T) {
 	}
 	if folds == 0 {
 		t.Fatal("no derive reached the compaction fold")
+	}
+	if remaps == 0 {
+		t.Fatal("no image was written from an index with added pairs and removed entities")
 	}
 	for i, fz := range w.past {
 		ci := fz.tree.cells

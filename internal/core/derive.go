@@ -58,9 +58,7 @@ func (t *Tree) Derive(src SequenceSource, dirty []trace.EntityID) (*Tree, error)
 		sigs:     t.sigs.derive(),
 		m:        t.m,
 		removals: t.removals,
-	}
-	if t.cells != nil {
-		d.cells = t.cells.derive()
+		cells:    t.cells.derive(),
 	}
 	// owned marks nodes private to this derivation (fresh copies or fresh
 	// inserts); everything else is shared with the receiver and must be
@@ -76,9 +74,7 @@ func (t *Tree) Derive(src SequenceSource, dirty []trace.EntityID) (*Tree, error)
 		}
 		d.sigs.put(e, sigs[i])
 		d.insertCOW(e, sigs[i], d.owned)
-		if d.cells != nil {
-			d.cells.add(e, seqs[i].At(1))
-		}
+		d.cells.add(e, seqs[i].At(1))
 	}
 	return d, nil
 }

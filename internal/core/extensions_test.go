@@ -3,31 +3,53 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 
+	"digitaltraces/internal/secfile"
+	"digitaltraces/internal/spindex"
 	"digitaltraces/internal/trace"
 )
 
 // snapshotNames is the entity info callback the snapshot tests write with.
 func snapshotNames(e trace.EntityID) (string, uint32) { return fmt.Sprintf("e%d", e), 1 }
 
-// TestSnapshotRoundTrip: WriteSnapshot + ReadSnapshot reproduces an
+// decodeSnapshot decodes an image from a stream.
+func decodeSnapshot(r io.Reader, ix *spindex.Index) (*Snapshot, error) {
+	sr, err := secfile.NewReader(r)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeSnapshot(sr, ix)
+}
+
+// readSnapshot decodes an image from a stream and replays it over src,
+// trusting stored IDs.
+func readSnapshot(r io.Reader, ix *spindex.Index, src SequenceSource) (*Tree, error) {
+	snap, err := decodeSnapshot(r, ix)
+	if err != nil {
+		return nil, err
+	}
+	return snap.Tree(ix, src, nil)
+}
+
+// TestSnapshotRoundTrip: WriteSnapshot + DecodeSnapshot + Tree reproduces an
 // identical index: same structure, same stats, same query answers, and
 // still updatable.
 func TestSnapshotRoundTrip(t *testing.T) {
 	ix, st, tree := buildRandomWorld(t, 17, 60, 24)
 	var buf bytes.Buffer
-	n, err := tree.WriteSnapshot(&buf, SnapshotMeta{TimeUnit: time.Hour}, snapshotNames)
+	n, err := tree.WriteSnapshot(&buf, SnapshotMeta{TimeUnit: time.Hour}, nil, snapshotNames)
 	if err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	if n != int64(buf.Len()) {
 		t.Errorf("WriteSnapshot reported %d bytes, wrote %d", n, buf.Len())
 	}
-	loaded, err := ReadSnapshot(&buf, ix, st)
+	loaded, err := readSnapshot(&buf, ix, st)
 	if err != nil {
 		t.Fatalf("ReadSnapshot: %v", err)
 	}
@@ -63,24 +85,24 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestSnapshotErrors(t *testing.T) {
 	ix, st, tree := buildRandomWorld(t, 19, 10, 8)
 	var buf bytes.Buffer
-	if _, err := tree.WriteSnapshot(&buf, SnapshotMeta{TimeUnit: time.Hour}, snapshotNames); err != nil {
+	if _, err := tree.WriteSnapshot(&buf, SnapshotMeta{TimeUnit: time.Hour}, nil, snapshotNames); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
 	// Bad magic.
-	bad := append([]byte("NOTATREE0\n"), good[10:]...)
-	if _, err := ReadSnapshot(bytes.NewReader(bad), ix, st); err == nil {
+	bad := append([]byte("NOTATREE\n"), good[len(secfile.Magic):]...)
+	if _, err := readSnapshot(bytes.NewReader(bad), ix, st); err == nil {
 		t.Error("bad magic accepted")
 	}
 	// Truncations at every prefix length must error, not panic.
 	for _, cut := range []int{0, 5, 12, 40, len(good) - 3} {
-		if _, err := ReadSnapshot(bytes.NewReader(good[:cut]), ix, st); err == nil {
+		if _, err := readSnapshot(bytes.NewReader(good[:cut]), ix, st); err == nil {
 			t.Errorf("truncated snapshot (%d bytes) accepted", cut)
 		}
 	}
 	// Wrong sp-index height.
 	wrongIx, _, _ := fixture411(t) // height 2, snapshot has 3
-	if _, err := ReadSnapshot(bytes.NewReader(good), wrongIx, st); err == nil {
+	if _, err := readSnapshot(bytes.NewReader(good), wrongIx, st); err == nil {
 		t.Error("mismatched sp-index accepted")
 	}
 	// TableHasher-based trees cannot persist.
@@ -89,7 +111,7 @@ func TestSnapshotErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := exTree.WriteSnapshot(&bytes.Buffer{}, SnapshotMeta{TimeUnit: time.Hour}, snapshotNames); err == nil {
+	if _, err := exTree.WriteSnapshot(&bytes.Buffer{}, SnapshotMeta{TimeUnit: time.Hour}, nil, snapshotNames); err == nil {
 		t.Error("TableHasher tree persisted")
 	}
 }

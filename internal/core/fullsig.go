@@ -38,7 +38,7 @@ func BuildWithOptions(ix *spindex.Index, hasher sighash.Hasher, src SequenceSour
 		full:   opts.FullSignatures,
 	}
 	for _, e := range entities {
-		if err := t.Insert(e); err != nil {
+		if _, err := t.insert(e); err != nil {
 			return nil, err
 		}
 	}

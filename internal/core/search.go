@@ -326,12 +326,11 @@ func (f *frontier) finish(answers int) SearchStats {
 // are ordered by descending degree (ties by ascending entity ID).
 //
 // Where the bounds come from is decided by what the search observes, never by
-// the caller. When the tree carries its level-1 cell index and the measure
-// bounds an entity that shares no cell with the query by 0, the search is
-// posting-driven: the candidates are the entities posted under the query's
-// level-1 cells, bucketed by which of them they occupy and scored bucket by
-// bucket in bound order; the tree is not traversed. Otherwise — a measure
-// whose zero-overlap bound is not 0, a mapped tree without an index — it is
+// the caller. When the measure bounds an entity that shares no cell with the
+// query by 0, the search is posting-driven: the candidates are the entities
+// posted under the query's level-1 cells, bucketed by which of them they
+// occupy and scored bucket by bucket in bound order; the tree is not
+// traversed. Otherwise — a measure whose zero-overlap bound is not 0 — it is
 // Algorithm 2 itself, SignatureTopK.
 //
 // The answer is canonical: it is exactly the first k entries of the total

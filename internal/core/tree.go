@@ -118,7 +118,7 @@ type Tree struct {
 	src    SequenceSource
 	root   *node
 	sigs   *sigTable
-	cells  *cellIndex // level-1 cell index (cellindex.go): the postings searches draw candidates from; nil on a tree replayed without its sequences
+	cells  *cellIndex // level-1 cell index (cellindex.go): the postings searches draw candidates from
 	m      int
 	full   bool // full-signature mode (Options.FullSignatures)
 
@@ -139,7 +139,7 @@ type Tree struct {
 	// everything else is shared with the frozen parent generation. Mutating
 	// operations copy a shared node before the first write (derive.go), so
 	// Insert/Remove/Update on a derived tree can never corrupt the parent.
-	// nil on fully private trees (Build, Clone, ReadSnapshot), whose
+	// nil on fully private trees (Build, Clone, snapshot replay), whose
 	// mutations write in place.
 	owned map[*node]bool
 }
@@ -169,8 +169,8 @@ func (t *Tree) Contains(e trace.EntityID) bool {
 }
 
 // Removals reports how many Remove operations this tree's lineage has
-// absorbed since the last tight construction (Build, Rebuild, Clone replay
-// or ReadSnapshot) — Update and Derive count their embedded removals, and
+// absorbed since the last tight construction (Build, Rebuild, Clone or
+// snapshot replay) — Update and Derive count their embedded removals, and
 // Derive carries the total across generations. Group signatures are
 // conservative (never too large, possibly too small) after removals, so
 // answers stay exact but pruning loosens; callers use this to schedule a
@@ -186,38 +186,45 @@ func (t *Tree) errFrozen(op string) error {
 
 // Insert adds an entity to the index: compute its signature list, descend by
 // per-level routing indexes (creating nodes as needed), lower group
-// signature coordinates along the path, and append the entity to the level-m
-// leaf. Cost is O(C·nh + m) where C is the entity's cell count
-// (Section 4.2.3).
+// signature coordinates along the path, append the entity to the level-m
+// leaf, and post it under its level-1 cells. Cost is O(C·nh + m) where C is
+// the entity's cell count (Section 4.2.3).
 func (t *Tree) Insert(e trace.EntityID) error {
 	if t.frozen {
 		return t.errFrozen("Insert")
 	}
+	s, err := t.insert(e)
+	if err != nil {
+		return err
+	}
+	t.cells.add(e, s.At(1))
+	return nil
+}
+
+// insert is Insert without the cell index, which Build seals in one pass
+// once every entity is in. It returns the sequences it signed.
+func (t *Tree) insert(e trace.EntityID) (*trace.Sequences, error) {
 	if _, dup := t.sigs.get(e); dup {
-		return fmt.Errorf("core: entity %d already indexed", e)
+		return nil, fmt.Errorf("core: entity %d already indexed", e)
 	}
 	s := t.src.Get(e)
 	if s == nil {
-		return fmt.Errorf("core: entity %d has no sequences in the source", e)
+		return nil, fmt.Errorf("core: entity %d has no sequences in the source", e)
 	}
 	if s.Levels() != t.m {
-		return fmt.Errorf("core: entity %d has %d levels, index has %d", e, s.Levels(), t.m)
+		return nil, fmt.Errorf("core: entity %d has %d levels, index has %d", e, s.Levels(), t.m)
 	}
-	if t.cells != nil {
-		t.cells.add(e, s.At(1))
-	}
-	if t.full {
+	switch {
+	case t.full:
 		t.insertFull(e, s)
-		return nil
-	}
-	if t.owned != nil {
+	case t.owned != nil:
 		sig := sighash.Signature(t.hasher, s)
 		t.sigs.put(e, sig)
 		t.insertCOW(e, sig, t.owned)
-		return nil
+	default:
+		t.insertWithSig(e, sighash.Signature(t.hasher, s))
 	}
-	t.insertWithSig(e, sighash.Signature(t.hasher, s))
-	return nil
+	return s, nil
 }
 
 // Remove deletes an entity from the index by retracing its signature path
@@ -235,9 +242,7 @@ func (t *Tree) Remove(e trace.EntityID) error {
 		return fmt.Errorf("core: entity %d not indexed", e)
 	}
 	t.sigs.del(e)
-	if t.cells != nil {
-		t.cells.gone[e] = struct{}{} // its pairs stay posted; no search may score it
-	}
+	t.cells.gone[e] = struct{}{} // its pairs stay posted; no search may score it
 	if t.owned != nil {
 		t.removeCOW(e, sig, t.owned)
 		t.removals++
@@ -275,7 +280,7 @@ func (t *Tree) Update(e trace.EntityID) error {
 // Clone returns a structurally independent copy of the tree reading entity
 // sequences from src (pass t.Source() to keep the same source): fresh nodes
 // and a fresh signature map, replayed from the stored signature digests in
-// ascending entity order — the ReadSnapshot replay, so the cost is O(|E|·m)
+// ascending entity order — the snapshot replay, so the cost is O(|E|·m)
 // with no re-hashing. The receiver is not touched and keeps serving
 // concurrent queries; the clone is the build-aside entry point for
 // maintenance that must never mutate a live tree (the root package's
@@ -287,8 +292,7 @@ func (t *Tree) Update(e trace.EntityID) error {
 // shared with the receiver; that is safe because no maintenance operation
 // mutates a digest in place (Update replaces the map entry with a freshly
 // computed one). The level-1 cell index is re-sealed from the sequences in
-// src, dropping the stale pairs Remove and Update left behind; a tree without
-// one (a mapped snapshot's) clones without one, never reading src.
+// src, dropping the stale pairs Remove and Update left behind.
 // Full-signature trees (Options.FullSignatures) are an ablation-only
 // configuration and are not cloneable.
 func (t *Tree) Clone(src SequenceSource) (*Tree, error) {
@@ -308,9 +312,7 @@ func (t *Tree) Clone(src SequenceSource) (*Tree, error) {
 		sig, _ := t.sigs.get(e)
 		c.insertWithSig(e, sig)
 	}
-	if t.cells != nil {
-		c.cells = sealCells(src, entities)
-	}
+	c.cells = sealCells(src, entities)
 	return c, nil
 }
 
@@ -365,10 +367,8 @@ func (t *Tree) Stats() IndexStats {
 	// Per node: routing (4) + value (8) + level (1) + child-slice slot and
 	// header (16); per entity: m LevelSig digests (12 each) + leaf slot; per
 	// level-1 cell key 12 and per posting 4, added layer and gone set included.
-	st.MemoryBytes = st.Nodes*29 + st.Entities*(t.m*12+4)
-	if c := t.cells; c != nil {
-		st.MemoryBytes += 12*(len(c.keys)+len(c.added)) + 4*(len(c.posts)+c.addedPairs+len(c.gone))
-	}
+	c := t.cells
+	st.MemoryBytes = st.Nodes*29 + st.Entities*(t.m*12+4) + 12*(len(c.keys)+len(c.added)) + 4*(len(c.posts)+c.addedPairs+len(c.gone))
 	if t.full {
 		// Full-signature mode stores nh coordinates per node (§5.1).
 		st.MemoryBytes += st.Nodes * t.hasher.NumFuncs() * 8

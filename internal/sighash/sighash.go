@@ -8,10 +8,6 @@
 // constraint makes signatures at different levels comparable (Theorem 1:
 // sig^i[u] ≤ sig^(i+1)[u]) and powers the pruning rule of Theorem 2: if
 // sig^i[u] > h_u(s) for any u, the entity cannot be present at ST-cell s.
-//
-// The package also ships a classic set-MinHash with LSH banding (Section
-// 2.3), used by the thesis' worked example and available for approximate
-// variants.
 package sighash
 
 import (

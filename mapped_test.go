@@ -13,6 +13,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"digitaltraces/internal/secfile"
+	"digitaltraces/internal/spindex"
 )
 
 // mappedWorld builds a city, indexes it, and saves a mapped snapshot file,
@@ -174,11 +178,12 @@ func TestMappedUnionFoldRefresh(t *testing.T) {
 	assertSameAnswers(t, rebuilt2, db, append([]string{"newcomer", "entity-7"}, someEntities...), 5)
 }
 
-// TestMappedIndexGainsCellIndexAtBuild: a mapped load replays signatures and
-// never reads a sequence, so the tree it serves carries no level-1 cell
-// index — it answers exactly from the signatures alone, skips nothing, and
-// accounts no memory for one — through refreshes too, until the next
-// BuildIndex reads every sequence anyway and seals one.
+// TestMappedIndexGainsCellIndexAtBuild: the level-1 cell index a mapped DB
+// serves with is gained at the *saver's* build — the file carries it — so
+// right after LoadMappedIndex — no BuildIndex, no sequence read — the mapped
+// DB is the DB that saved it: same answers, the same entities
+// skipped per query (so the search is posting-driven, ZeroSkipped > 0), the
+// same index memory; and it stays that DB through a refresh and a rebuild.
 func TestMappedIndexGainsCellIndexAtBuild(t *testing.T) {
 	// A sparse world: everyone is somewhere else in time, so most of what a
 	// search reaches shares nothing with the query.
@@ -211,27 +216,33 @@ func TestMappedIndexGainsCellIndexAtBuild(t *testing.T) {
 	if err := db.LoadMappedIndex(path); err != nil {
 		t.Fatal(err)
 	}
-	skipped := func(e Engine) (n int) {
+	requireSameIndex := func(stage string) {
+		t.Helper()
+		assertSameAnswers(t, src, db, names, 3)
+		zero := 0
 		for _, name := range names {
-			_, qs, err := e.TopK(name, 3)
+			_, want, err := src.TopK(name, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
-			n += qs.ZeroSkipped + qs.BoundSkipped
+			_, got, err := db.TopK(name, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.ZeroSkipped+got.BoundSkipped != want.ZeroSkipped+want.BoundSkipped || got.Checked != want.Checked {
+				t.Errorf("%s, TopK(%s): mapped index checked %d and skipped %d+%d, the saver %d and %d+%d", stage, name,
+					got.Checked, got.ZeroSkipped, got.BoundSkipped, want.Checked, want.ZeroSkipped, want.BoundSkipped)
+			}
+			zero += got.ZeroSkipped
 		}
-		return n
+		if zero == 0 {
+			t.Errorf("%s: the mapped index skipped no entity as a provable zero — its searches are not posting-driven", stage)
+		}
+		if got, want := db.IndexStats().MemoryBytes, src.IndexStats().MemoryBytes; got != want {
+			t.Errorf("%s: mapped index reports %d bytes, the saver %d", stage, got, want)
+		}
 	}
-	built := skipped(src)
-	if built == 0 {
-		t.Fatal("fixture: the built index skips nothing")
-	}
-	assertSameAnswers(t, src, db, names, 3)
-	if n := skipped(db); n != 0 {
-		t.Errorf("mapped index skipped %d entities; it has no cell index to skip by", n)
-	}
-	if got, want := db.IndexStats().MemoryBytes, src.IndexStats().MemoryBytes; got >= want {
-		t.Errorf("mapped index reports %d bytes, the built one %d with its cell index", got, want)
-	}
+	requireSameIndex("after the load")
 	grown := VisitRecord{Entity: "p03", Venue: VenueName(9), Start: TimeAt(40), End: TimeAt(41)}
 	for _, e := range []*DB{src, db} {
 		if _, err := e.AddVisits([]VisitRecord{grown}); err != nil {
@@ -241,16 +252,176 @@ func TestMappedIndexGainsCellIndexAtBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	assertSameAnswers(t, src, db, names, 3)
-	if n := skipped(db); n != 0 {
-		t.Errorf("refreshed mapped index skipped %d entities", n)
+	requireSameIndex("after a refresh")
+	for _, e := range []*DB{src, db} {
+		if err := e.BuildIndex(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := db.BuildIndex(); err != nil {
+	requireSameIndex("after a rebuild")
+}
+
+// TestOneFileLoadsBothWays: a file saved with its sequence section loads by
+// name over the re-ingested log (LoadIndex stops reading before the
+// sequences) and in place on an empty DB (LoadMappedIndex), both bit-identical
+// to the saver; a file saved without one loads only the first way — the
+// second refuses it by name.
+func TestOneFileLoadsBothWays(t *testing.T) {
+	src, path, log := mappedWorld(t, 40)
+	withSeqs, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameAnswers(t, src, db, names, 3)
-	if n := skipped(db); n == 0 {
-		t.Error("BuildIndex over a mapped lineage sealed no cell index")
+	heap := freshGrid(t, log)
+	if err := heap.LoadIndex(bytes.NewReader(withSeqs)); err != nil {
+		t.Fatalf("LoadIndex of a file that carries sequences: %v", err)
+	}
+	if st := heap.IndexStats(); st.DirtyCount != 0 || st.Mapped {
+		t.Errorf("after LoadIndex: %d dirty, mapped %t — want a clean heap-served index", st.DirtyCount, st.Mapped)
+	}
+	mapped := emptyGrid(t)
+	defer mapped.Close()
+	if err := mapped.LoadMappedIndex(path); err != nil {
+		t.Fatal(err)
+	}
+	assertSameAnswers(t, src, heap, someEntities, 5)
+	assertSameAnswers(t, src, mapped, someEntities, 5)
+
+	var without bytes.Buffer
+	if _, err := src.SaveIndex(&without); err != nil {
+		t.Fatal(err)
+	}
+	bare := filepath.Join(t.TempDir(), "index.snap")
+	if err := os.WriteFile(bare, without.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fresh := emptyGrid(t)
+	defer fresh.Close()
+	err = fresh.LoadMappedIndex(bare)
+	if err == nil || !strings.Contains(err.Error(), "carries no sequence section — load it with LoadIndex over a re-ingested log") {
+		t.Fatalf("LoadMappedIndex of a SaveIndex file: want the named refusal, got: %v", err)
+	}
+	if fresh.NumEntities() != 0 || fresh.IndexStats().Generation != 0 {
+		t.Error("the refused file left entities or an index behind")
+	}
+}
+
+// TestRefusedMappedLoadLeavesDBUntouched: every check runs before the first
+// write, so a refused LoadMappedIndex — scalar mismatch, an entity table that
+// cannot seed a registry (IDs not dense, a name twice) — leaves no epoch, no
+// names and no index behind: the DB then ingests, builds and answers like one
+// that never saw the file, and a good file still loads.
+func TestRefusedMappedLoadLeavesDBUntouched(t *testing.T) {
+	// No grid convention here: the DBs start without an epoch, so a load that
+	// adopted the file's before refusing it would show.
+	newDB := func(opts ...Option) *DB {
+		ix, err := spindex.NewGrid(spindex.GridConfig{Side: 4, Levels: 4, WidthExp: 2, DensityExp: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		venues := map[string]spindex.BaseID{}
+		for b := 0; b < ix.NumBase(); b++ {
+			venues[VenueName(b)] = spindex.BaseID(b)
+		}
+		db, err := newDB(ix, venues, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		return db
+	}
+	day := 24 * time.Hour
+	visits := func(base time.Time) (log []VisitRecord) {
+		for i := 0; i < 12; i++ {
+			log = append(log, VisitRecord{Entity: fmt.Sprintf("e%d", i), Venue: VenueName(i % 5), Start: base.Add(time.Duration(i%4) * time.Hour), End: base.Add(time.Duration(i%4+2) * time.Hour)})
+		}
+		return log
+	}
+	saver := newDB(WithHashFunctions(32))
+	if _, err := saver.AddVisits(visits(TimeAt(0).Add(1000 * day))); err != nil {
+		t.Fatal(err)
+	}
+	var img bytes.Buffer
+	if _, err := saver.SaveMappedIndex(&img); err != nil {
+		t.Fatal(err)
+	}
+	good := img.Bytes()
+	sr, err := secfile.NewReaderAt(bytes.NewReader(good), int64(len(good)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ents := sr.Secs[2]
+	const rec = 32 + 12*4
+	write := func(b []byte) string {
+		p := filepath.Join(t.TempDir(), "index.map")
+		if err := os.WriteFile(p, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	mutated := func(mutate func(b []byte)) string {
+		b := append([]byte(nil), good...)
+		mutate(b)
+		return write(b)
+	}
+	cases := []struct {
+		name string
+		path string
+		opts []Option
+		want string
+	}{
+		{"scalar mismatch", write(good), []Option{WithHashFunctions(16)}, "hash functions"},
+		{"IDs not dense", mutated(func(b []byte) {
+			// Swap the first two records: still distinct IDs, no longer 0, 1, 2 …
+			x, y := b[ents.Off:ents.Off+rec], b[ents.Off+rec:ents.Off+2*rec]
+			for i := range x {
+				x[i], y[i] = y[i], x[i]
+			}
+		}), []Option{WithHashFunctions(32)}, "not dense"},
+		{"repeated name", mutated(func(b []byte) {
+			copy(b[ents.Off+rec+4:ents.Off+rec+14], b[ents.Off+4:ents.Off+14]) // entity 1 takes entity 0's name span
+		}), []Option{WithHashFunctions(32)}, "repeats entity name"},
+	}
+	// The log the refused DB ingests afterwards starts a thousand days before
+	// the file's epoch: against an adopted epoch every visit would be refused.
+	later := visits(TimeAt(0))
+	ref := newDB(WithHashFunctions(16))
+	if _, err := ref.AddVisits(later); err != nil {
+		t.Fatal(err)
+	}
+	queries := []string{"e0", "e5", "e11"}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			db := newDB(tc.opts...)
+			if err := db.LoadMappedIndex(tc.path); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("want a refusal containing %q, got: %v", tc.want, err)
+			}
+			if _, set := db.Epoch(); set {
+				t.Error("the refused load fixed the DB's epoch")
+			}
+			if n := db.NumEntities(); n != 0 {
+				t.Errorf("the refused load registered %d entities", n)
+			}
+			if st := db.IndexStats(); st.Generation != 0 || st.Mapped {
+				t.Errorf("the refused load published an index: %+v", st)
+			}
+			// A good file still loads …
+			if tc.name != "scalar mismatch" {
+				if err := db.LoadMappedIndex(write(good)); err != nil {
+					t.Fatalf("good load after the refused one: %v", err)
+				}
+				assertSameAnswers(t, saver, db, queries, 4)
+				return
+			}
+			// … and a DB it cannot load into works as if it never saw one.
+			if n, err := db.AddVisits(later); err != nil || n != len(later) {
+				t.Fatalf("ingest after the refused load: %d of %d visits, err %v", n, len(later), err)
+			}
+			if err := db.BuildIndex(); err != nil {
+				t.Fatal(err)
+			}
+			assertSameAnswers(t, ref, db, queries, 4)
+		})
 	}
 }
 
@@ -298,25 +469,33 @@ func TestLoadMappedIndexValidationErrors(t *testing.T) {
 	}
 }
 
-// TestMappedCorruption is the satellite-3 contract: truncation and corruption
-// of every region of the file fail at load time with a descriptive error —
-// never a panic now or a SIGBUS when a query later faults a missing page.
+// TestMappedCorruption: truncation and corruption of a mapped file fail at
+// load time with a descriptive error — never a panic now or a SIGBUS when a
+// query later faults a missing page. One case per layer here, through the
+// public loader; the full tables are internal/secfile's (container) and
+// internal/core's (image).
 func TestMappedCorruption(t *testing.T) {
 	_, path, _ := mappedWorld(t, 30)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Header byte offsets (see internal/core mapped.go): magic is 9 bytes,
-	// pageSize u32 at 9, claimed file size u64 at 13, ten u64 scalars at 21
-	// (entity count is scalar 4 → offset 53), then the section table at 101:
-	// entities {off,len} at 101/109, names at 117/125, seqs at 133/141.
-	const (
-		offClaimed  = 13
-		offCount    = 21 + 4*8
-		offNamesOff = 101 + 16
-		pageSize    = 4096
+	// Offsets come from the file's own section table (internal/secfile's
+	// layout: magic, page size u32, claimed size u64, section count u32, then
+	// {kind u32, offset u64, length u64} per section); the entity count is
+	// the fifth word of the meta section, the first entity record opens the
+	// entities section (the third) with its sequence length at record offset 24.
+	sr, err := secfile.NewReaderAt(bytes.NewReader(raw), int64(len(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		offClaimed  = len(secfile.Magic) + 4
+		offSeqsOff  = len(secfile.Magic) + 16 + 20*4 + 4 // fifth table entry, its offset word
+		offCount    = sr.Secs[0].Off + 4*8
+		offFirstRec = sr.Secs[2].Off
 	)
+	const pageSize = secfile.Page
 	load := func(t *testing.T, mutate func(b []byte) []byte) error {
 		t.Helper()
 		b := mutate(append([]byte(nil), raw...))
@@ -350,8 +529,8 @@ func TestMappedCorruption(t *testing.T) {
 	})
 	t.Run("misaligned region offset", func(t *testing.T) {
 		err := load(t, func(b []byte) []byte {
-			off := binary.LittleEndian.Uint64(b[offNamesOff:])
-			binary.LittleEndian.PutUint64(b[offNamesOff:], off+8)
+			off := binary.LittleEndian.Uint64(b[offSeqsOff:])
+			binary.LittleEndian.PutUint64(b[offSeqsOff:], off+8)
 			return b
 		})
 		if !strings.Contains(err.Error(), "aligned") {
@@ -364,15 +543,13 @@ func TestMappedCorruption(t *testing.T) {
 			binary.LittleEndian.PutUint64(b[offCount:], count+3)
 			return b
 		})
-		if !strings.Contains(err.Error(), "truncated section table") {
-			t.Fatalf("want truncated-table error, got: %v", err)
+		if !strings.Contains(err.Error(), "entity table is") {
+			t.Fatalf("want entity-table size error, got: %v", err)
 		}
 	})
 	t.Run("sequence span outside region", func(t *testing.T) {
 		err := load(t, func(b []byte) []byte {
-			// First entity record sits at the top of the entities region
-			// (one page in); its seqLen u32 lives at record offset 24.
-			binary.LittleEndian.PutUint32(b[pageSize+24:], 0xFFFFFFF0)
+			binary.LittleEndian.PutUint32(b[offFirstRec+24:], 0x7FFFFFF0)
 			return b
 		})
 		if !strings.Contains(err.Error(), "sequence span") {
@@ -380,7 +557,7 @@ func TestMappedCorruption(t *testing.T) {
 		}
 	})
 	t.Run("short header", func(t *testing.T) {
-		err := load(t, func(b []byte) []byte { return b[:64] })
+		err := load(t, func(b []byte) []byte { return b[:16] })
 		if !strings.Contains(err.Error(), "too short") {
 			t.Fatalf("want short-header error, got: %v", err)
 		}

@@ -93,7 +93,7 @@ func WithIndexPath(path string) Option {
 }
 
 // WithMappedIndexPath names the file POST /index/save persists the serving
-// index to in the memory-mappable MSIGMAP1 layout (sequence data included),
+// index to with its sequence section (page-aligned, memory-mappable),
 // loadable with no visit re-ingest via LoadMappedIndex (cmd/serve
 // -index-mmap). The engine must implement digitaltraces.MappedPersister (*DB
 // and *shard.Cluster both do). When both paths are configured the mapped one
@@ -347,9 +347,9 @@ func (s *Server) failVisits(w http.ResponseWriter, status, added int, err error)
 	json.NewEncoder(w).Encode(VisitsResponse{Added: added, Error: err.Error()})
 }
 
-// SaveIndexResponse is the /index/save reply. Mapped reports which format
-// was written: the memory-mappable MSIGMAP1 layout (WithMappedIndexPath) or
-// the heap snapshot (WithIndexPath).
+// SaveIndexResponse is the /index/save reply. Mapped reports whether the
+// file was written with the sequence section (WithMappedIndexPath) or without
+// (WithIndexPath).
 type SaveIndexResponse struct {
 	Path      string  `json:"path"`
 	Bytes     int64   `json:"bytes"`
@@ -403,9 +403,9 @@ func SaveIndexFile(eng digitaltraces.Engine, path string) (int64, error) {
 	return saveAtomic(path, eng.SaveIndex)
 }
 
-// SaveMappedIndexFile is SaveIndexFile for the memory-mappable MSIGMAP1
-// format (digitaltraces.MappedPersister.SaveMappedIndex), with the same
-// atomic temp-file + rename durability. Shared by the /index/save handler
+// SaveMappedIndexFile is SaveIndexFile with the sequence section
+// (digitaltraces.MappedPersister.SaveMappedIndex), with the same atomic
+// temp-file + rename durability. Shared by the /index/save handler
 // and cmd/serve's -index-mmap shutdown hook.
 func SaveMappedIndexFile(eng digitaltraces.Engine, path string) (int64, error) {
 	mp, ok := eng.(digitaltraces.MappedPersister)

@@ -64,7 +64,7 @@ type Backend interface {
 	SnapshotGeneration() (uint64, bool)
 	PendingEntities() int
 	IndexStats() digitaltraces.IndexStats
-	// SaveIndex / LoadIndex move the shard's MSIGTREE2 snapshot bytes, for
+	// SaveIndex / LoadIndex move the shard's index image bytes, for
 	// the cluster envelope (persist.go). A remote backend streams them over
 	// the wire; the shard server folds/loads on its side. LoadIndexLenient
 	// skips section entities absent from the shard's current log instead of

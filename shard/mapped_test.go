@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"digitaltraces"
+	"digitaltraces/internal/secfile"
 )
 
 // emptyCluster builds a shard-compatible cluster with nothing ingested.
@@ -166,8 +167,9 @@ func TestClusterMappedEmptyShard(t *testing.T) {
 	sameTopK(t, c1, c2, []string{"entity-0"}, 3)
 }
 
-// TestClusterMappedEnvelopeErrors: wrong shard count, wrong magic (a
-// single-DB mapped file), and truncation all fail descriptively.
+// TestClusterMappedEnvelopeErrors: wrong shard count, a single-DB mapped file,
+// and truncation all fail descriptively (the envelope's own tables:
+// TestClusterLoadIndexEnvelopeErrors, through both loaders).
 func TestClusterMappedEnvelopeErrors(t *testing.T) {
 	log := cityLog(t, 20)
 	c1 := persistCluster(t, 4, log)
@@ -198,8 +200,8 @@ func TestClusterMappedEnvelopeErrors(t *testing.T) {
 		c2 := emptyCluster(t, 4)
 		defer c2.Close()
 		err = c2.LoadMappedIndex(dbPath)
-		if err == nil || !strings.Contains(err.Error(), "magic") {
-			t.Fatalf("want magic error, got: %v", err)
+		if err == nil || !strings.Contains(err.Error(), "not a cluster envelope") {
+			t.Fatalf("want a not-an-envelope error, got: %v", err)
 		}
 	})
 	t.Run("truncated envelope", func(t *testing.T) {
@@ -218,4 +220,95 @@ func TestClusterMappedEnvelopeErrors(t *testing.T) {
 			t.Fatalf("want size-mismatch error, got: %v", err)
 		}
 	})
+}
+
+// TestClusterMappedEnvelopeLoadsByName: the envelope SaveMappedIndex writes is
+// the one format — Cluster.LoadIndex loads it by name over a re-ingested log
+// (each shard stops reading its section before the sequences), at the saved
+// shard count or another, with the saver's answers.
+func TestClusterMappedEnvelopeLoadsByName(t *testing.T) {
+	log := cityLog(t, 40)
+	c1 := persistCluster(t, 4, log)
+	defer c1.Close()
+	if err := c1.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(saveMapped(t, c1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{4, 2} {
+		c2 := persistCluster(t, shards, log)
+		defer c2.Close()
+		if err := c2.LoadIndex(bytes.NewReader(raw)); err != nil {
+			t.Fatalf("LoadIndex of a mapped envelope into %d shards: %v", shards, err)
+		}
+		// At another shard count the entities whose section landed elsewhere
+		// stay dirty until their first refresh; at the saved one nothing does.
+		if st := c2.IndexStats(); st.Mapped || (shards == 4 && st.DirtyCount != 0) {
+			t.Errorf("%d shards: mapped %t, %d dirty — want a heap-served cluster, clean at the saved count", shards, st.Mapped, st.DirtyCount)
+		}
+		sameTopK(t, c1, c2, []string{"entity-0", "entity-7", "entity-19", "entity-33"}, 5)
+	}
+}
+
+// TestClusterRefusedMappedLoadKeepsSlotMap: the slot map an empty cluster
+// adopts from an envelope is published only once every check that needs no
+// shard load has passed — an envelope refused for its ordinal table leaves the
+// cluster's routing, registry and shards as they were, and the intact envelope
+// still loads.
+func TestClusterRefusedMappedLoadKeepsSlotMap(t *testing.T) {
+	log := cityLog(t, 30)
+	skewed := make([]int, NumSlots)
+	for s := range skewed {
+		skewed[s] = s % 3 // shard 3 owns nothing
+	}
+	c1, err := NewCluster(Config{Shards: 4, InitialSlots: skewed, NewShard: func(int) (*digitaltraces.DB, error) {
+		return digitaltraces.NewGridDB(4, 0, digitaltraces.WithHashFunctions(32))
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c1.Close()
+	if _, err := c1.AddVisits(log); err != nil {
+		t.Fatal(err)
+	}
+	if err := c1.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	path := saveMapped(t, c1)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := secfile.NewReaderAt(bytes.NewReader(raw), int64(len(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]byte(nil), raw...)
+	bad[sr.Secs[1].Off]++ // one more ordinal claimed than stored
+	badPath := filepath.Join(t.TempDir(), "bad.map")
+	if err := os.WriteFile(badPath, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c2 := emptyCluster(t, 4)
+	defer c2.Close()
+	epoch, assign := c2.SlotEpoch(), c2.SlotAssignment()
+	if err := c2.LoadMappedIndex(badPath); err == nil || !strings.Contains(err.Error(), "ordinal table truncated") {
+		t.Fatalf("want the ordinal-table refusal, got: %v", err)
+	}
+	if c2.SlotEpoch() != epoch || !reflect.DeepEqual(c2.SlotAssignment(), assign) {
+		t.Errorf("refused load changed the slot map: epoch %d → %d", epoch, c2.SlotEpoch())
+	}
+	if n := c2.NumEntities(); n != 0 {
+		t.Errorf("refused load left %d entities", n)
+	}
+	if err := c2.LoadMappedIndex(path); err != nil {
+		t.Fatalf("intact envelope after the refused one: %v", err)
+	}
+	if !reflect.DeepEqual(c2.SlotAssignment(), skewed) {
+		t.Error("the loaded cluster did not adopt the envelope's slot map")
+	}
+	sameTopK(t, c1, c2, []string{"entity-0", "entity-7", "entity-19"}, 5)
 }

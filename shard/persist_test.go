@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"digitaltraces"
+	"digitaltraces/internal/secfile"
 )
 
 // persistCluster builds an N-shard cluster over a deterministic synthetic
@@ -124,11 +126,13 @@ func TestClusterLoadIndexShardCountChange(t *testing.T) {
 	}
 }
 
-// TestLegacyMagicsRejected: the retired formats (MSIGTREE1, MSIGCLUST1,
-// MSIGCMAP1) are not snapshots to any loader. Each of DB.LoadIndex,
-// Cluster.LoadIndex and Cluster.LoadMappedIndex refuses each of them with an
-// error naming the magic it found — never a panic — and keeps serving its
-// previous snapshot unchanged.
+// TestLegacyMagicsRejected: the retired formats are not snapshots to any
+// loader. Each of DB.LoadIndex, DB.LoadMappedIndex, Cluster.LoadIndex and
+// Cluster.LoadMappedIndex refuses each of them with an error naming the magic
+// it found — never a panic — and keeps serving its previous snapshot
+// unchanged. The four the one container replaced (MSIGTREE2, MSIGMAP1,
+// MSIGCLUST2, MSIGCMAP2) are the ones a deployment may still hold: for those
+// the error also says what to do, re-save.
 func TestLegacyMagicsRejected(t *testing.T) {
 	log := cityLog(t, 20)
 	queries := []string{"entity-0", "entity-7", "entity-19"}
@@ -146,6 +150,7 @@ func TestLegacyMagicsRejected(t *testing.T) {
 		load func(path string, b []byte) error
 	}{
 		{"DB.LoadIndex", db, func(_ string, b []byte) error { return db.LoadIndex(bytes.NewReader(b)) }},
+		{"DB.LoadMappedIndex", db, func(path string, _ []byte) error { return db.LoadMappedIndex(path) }},
 		{"Cluster.LoadIndex", c, func(_ string, b []byte) error { return c.LoadIndex(bytes.NewReader(b)) }},
 		{"Cluster.LoadMappedIndex", c, func(path string, _ []byte) error { return c.LoadMappedIndex(path) }},
 	}
@@ -154,7 +159,7 @@ func TestLegacyMagicsRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, magic := range []string{"MSIGTREE1", "MSIGCLUST1", "MSIGCMAP1"} {
+	for i, magic := range []string{"MSIGTREE1", "MSIGCLUST1", "MSIGCMAP1", "MSIGTREE2", "MSIGMAP1", "MSIGCLUST2", "MSIGCMAP2"} {
 		// Magic plus a few zero words: long enough that every loader gets
 		// past its minimum-header check and fails on the magic itself.
 		b := append([]byte(magic+"\n"), make([]byte, 64)...)
@@ -175,6 +180,8 @@ func TestLegacyMagicsRejected(t *testing.T) {
 			err := l.load(path, b)
 			if err == nil || !strings.Contains(err.Error(), magic) {
 				t.Errorf("%s(%s): want an error naming the magic, got: %v", l.name, magic, err)
+			} else if i >= 3 && !strings.Contains(err.Error(), "retired index format — re-save") {
+				t.Errorf("%s(%s): want the error to call the format retired and say re-save, got: %v", l.name, magic, err)
 			}
 			if got := l.eng.IndexStats().Generation; got != gen {
 				t.Errorf("%s(%s): generation moved %d → %d on a refused load", l.name, magic, gen, got)
@@ -189,9 +196,9 @@ func TestLegacyMagicsRejected(t *testing.T) {
 	}
 }
 
-// TestClusterLoadIndexEnvelopeErrors: bad magic and truncation are
-// descriptive errors, and a single-DB snapshot fed to a cluster is caught
-// at the magic.
+// TestClusterLoadIndexEnvelopeErrors: truncation and every corruption of the
+// envelope's own tables are descriptive errors from both loaders, and a
+// single-DB image fed to a cluster is told apart by its sections.
 func TestClusterLoadIndexEnvelopeErrors(t *testing.T) {
 	log := cityLog(t, 20)
 	c := persistCluster(t, 2, log)
@@ -211,12 +218,53 @@ func TestClusterLoadIndexEnvelopeErrors(t *testing.T) {
 		}
 	}
 
+	sr, err := secfile.NewReaderAt(bytes.NewReader(good), int64(len(good)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots, ord := sr.Secs[0], sr.Secs[1]
+	entry := func(i int) int { return len(secfile.Magic) + 16 + 20*i } // section i's table entry: kind tag, offset u64, length u64
+	cases := []struct {
+		name   string
+		mutate func(b []byte)
+		want   string
+	}{
+		{"slot assigned past the section count", func(b []byte) { binary.LittleEndian.PutUint16(b[slots.Off+8+2*17:], 2) }, "slot 17 assigned to shard 2 of 2"},
+		{"slot map not sized for the sections", func(b []byte) { b[entry(0)+12]-- }, "slot map of"},
+		{"oversized section", func(b []byte) {
+			// A shard section of 2^35 bytes in a file the header says is larger still.
+			binary.LittleEndian.PutUint64(b[len(secfile.Magic)+4:], 1<<36)
+			binary.LittleEndian.PutUint64(b[entry(3)+12:], 1<<35)
+		}, "claims 34359738368 bytes"},
+		{"truncated ordinals", func(b []byte) { b[ord.End()-int64(len("entity-19"))-2] = 200 }, "ordinal table truncated inside entry 19"},
+		{"a table where a shard image belongs", func(b []byte) { copy(b[entry(2):], secfile.Names) }, "want a shard image"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := append([]byte(nil), good...)
+			tc.mutate(b)
+			if err := c2.LoadIndex(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("LoadIndex: want an error containing %q, got: %v", tc.want, err)
+			}
+			if tc.name == "oversized section" {
+				return // a mapping knows the file's real size: the header's claim fails first
+			}
+			path := filepath.Join(t.TempDir(), "corrupt.env")
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := c2.LoadMappedIndex(path); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("LoadMappedIndex: want an error containing %q, got: %v", tc.want, err)
+			}
+		})
+	}
+
 	// A single-DB snapshot is not a cluster envelope.
 	var dbSnap bytes.Buffer
 	if _, err := c.shards[0].SaveIndex(&dbSnap); err != nil {
 		t.Fatal(err)
 	}
-	if err := c2.LoadIndex(bytes.NewReader(dbSnap.Bytes())); err == nil || !strings.Contains(err.Error(), "magic") {
+	if err := c2.LoadIndex(bytes.NewReader(dbSnap.Bytes())); err == nil || !strings.Contains(err.Error(), "not a cluster envelope") {
 		t.Errorf("single-DB snapshot accepted as cluster envelope: %v", err)
 	}
 }

@@ -563,16 +563,23 @@ func TestRemoteClusterCache(t *testing.T) {
 }
 
 // TestRemoteIndexSaveLoad: an index snapshot streamed off one shard server
-// restores into another hosting the same log, and answers are identical.
+// restores into another hosting the same log, and answers are identical —
+// also when the image sent carries its sequence section, which the receiving
+// server stops reading before (a file saved for a mapped boot, loaded by name
+// over the wire).
 func TestRemoteIndexSaveLoad(t *testing.T) {
-	_, _, hsA := newShardServer(t, ServerConfig{})
+	dbA, _, hsA := newShardServer(t, ServerConfig{})
 	_, _, hsB := newShardServer(t, ServerConfig{})
+	_, _, hsC := newShardServer(t, ServerConfig{})
 	ca := dialTest(t, hsA.URL, Options{})
 	cb := dialTest(t, hsB.URL, Options{})
+	cc := dialTest(t, hsC.URL, Options{})
 
 	log := seedLog(t, ca, 16, 30)
-	if n, err := cb.AddVisits(log); err != nil || n != len(log) {
-		t.Fatalf("replaying log into B: %d, %v", n, err)
+	for _, c := range []*Client{cb, cc} {
+		if n, err := c.AddVisits(log); err != nil || n != len(log) {
+			t.Fatalf("replaying log: %d, %v", n, err)
+		}
 	}
 
 	var buf strings.Builder
@@ -581,6 +588,16 @@ func TestRemoteIndexSaveLoad(t *testing.T) {
 	}
 	if err := cb.LoadIndex(strings.NewReader(buf.String())); err != nil {
 		t.Fatal(err)
+	}
+	var withSeqs strings.Builder
+	if _, err := dbA.SaveMappedIndex(&withSeqs); err != nil {
+		t.Fatal(err)
+	}
+	if withSeqs.Len() <= buf.Len() {
+		t.Fatalf("image with sequences is %d bytes, without %d", withSeqs.Len(), buf.Len())
+	}
+	if err := cc.LoadIndex(strings.NewReader(withSeqs.String())); err != nil {
+		t.Fatalf("loading an image that carries sequences over the wire: %v", err)
 	}
 
 	visits, err := ca.VisitsOf("e001")
@@ -600,4 +617,5 @@ func TestRemoteIndexSaveLoad(t *testing.T) {
 		return ms
 	}
 	sameMatches(t, "loaded index answers", top(cb), top(ca))
+	sameMatches(t, "index loaded from an image with sequences answers", top(cc), top(ca))
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"digitaltraces/internal/core"
+	"digitaltraces/internal/secfile"
 )
 
 // TestQueriesDuringRebuildNeverTorn: queries issued while BuildIndex runs
@@ -201,7 +202,7 @@ func TestSnapshotGenerationAndSwapTime(t *testing.T) {
 }
 
 // TestSwappedSnapshotSaveLoad: SaveIndex on a refresh-swapped snapshot round
-// trips through core.ReadSnapshot — the loaded tree validates, matches the
+// trips through core.DecodeSnapshot — the replayed tree validates, matches the
 // serving tree's shape, and answers queries identically.
 func TestSwappedSnapshotSaveLoad(t *testing.T) {
 	db, err := SyntheticCity(CityConfig{Side: 4, Entities: 30, Days: 3}, WithHashFunctions(32))
@@ -233,7 +234,15 @@ func TestSwappedSnapshotSaveLoad(t *testing.T) {
 	}
 
 	serving := db.snap.Load()
-	loaded, err := core.ReadSnapshot(&buf, db.ix, serving.store)
+	sr, err := secfile.NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := core.DecodeSnapshot(sr, db.ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := decoded.Tree(db.ix, serving.store, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,7 +111,7 @@ func TestLoadIndexEquivalence(t *testing.T) {
 	assertSameAnswers(t, src, db, someEntities, 5)
 }
 
-// TestLoadIndexPermutedIngest: the acceptance-criteria scenario — a v2
+// TestLoadIndexPermutedIngest: the acceptance-criteria scenario — a
 // snapshot loaded against a re-ingest whose entity order was permuted (so
 // every entity ID differs from save time) either answers identically to a
 // rebuilt DB over the same permuted log, or errors; here it must answer.
@@ -199,7 +199,7 @@ func TestLoadIndexStaleEntitySkipped(t *testing.T) {
 	var buf bytes.Buffer
 	epoch, _, _ := src.epochInfo()
 	meta := core.SnapshotMeta{TimeUnit: src.unit, EpochNanos: epoch.UnixNano(), MeasureU: src.measureU, MeasureV: src.measureV}
-	if _, err := s.tree.WriteSnapshot(&buf, meta, func(e trace.EntityID) (string, uint32) {
+	if _, err := s.tree.WriteSnapshot(&buf, meta, nil, func(e trace.EntityID) (string, uint32) {
 		if s.byID[e] == "entity-5" {
 			return s.byID[e], core.FoldedUnknown
 		}
