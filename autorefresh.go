@@ -102,7 +102,7 @@ func (db *DB) autoRefreshTick() {
 	if s == nil {
 		return
 	}
-	dirty := db.dirtyCount()
+	dirty := db.PendingEntities()
 	if dirty == 0 {
 		return
 	}

@@ -241,9 +241,7 @@ func BulkLoadRecordFile(path string, side, levels int, cfg BulkConfig, opts ...O
 		buildTime: stats.BuildTime,
 	}
 	// The DB is still private — publish without the usual locking dance.
-	ns.generation = 1
-	ns.swappedAt = time.Now()
-	db.snap.Store(ns)
+	db.swapIn(ns)
 	if !cfg.RetainVisits {
 		db.unionFold = true
 	}

@@ -1,20 +1,12 @@
 package digitaltraces
 
-// Generation-keyed hot-query cache.
-//
-// Snapshot generations (snapshot.go) give exact cache invalidation for free:
-// a query's answer is a pure function of (snapshot, query), every snapshot
-// carries a generation that bumps on publish, and snapshotForQuery refreshes
-// a dirty snapshot before answering. Keying cached answers by the generation
-// of the snapshot the query actually pinned therefore makes stale service
-// impossible — any ingest that could change an answer dirties the entity,
-// the next query folds it in and pins a new generation, and the cache treats
-// the new generation as an empty cache. No invalidation hooks, no TTLs.
+// The DB's side of the hot-query cache (internal/qcache, whose doc comment
+// carries the soundness argument): the version is the serving snapshot's
+// generation, usable while that snapshot covers every acknowledged write.
 
 import (
 	"encoding/binary"
 	"strconv"
-	"time"
 
 	"digitaltraces/internal/qcache"
 	"digitaltraces/internal/trace"
@@ -22,13 +14,11 @@ import (
 
 // WithQueryCache equips the DB with a generation-keyed answer cache holding
 // up to capacity entries (FIFO displacement). TopK and TopKByExample consult
-// it; a cache hit returns the memoized exact answer with QueryStats.CacheHit
-// set and no search work. Correctness is unconditional: entries are keyed by
-// the generation of the immutable snapshot that produced them, so any
-// BuildIndex/Refresh/lazy fold — anything that could change an answer —
-// switches generations and starts from a cold cache. Hot repeated queries
-// (the Zipfian celebrity-lookup mix cmd/bench -scenario cache models) skip
-// the search entirely.
+// it; a hit returns the memoized exact answer with QueryStats.CacheHit set
+// and no search work, and is always the current answer (internal/qcache
+// argues why): any BuildIndex/Refresh/lazy fold starts from a cold cache.
+// Hot repeated queries (the Zipfian celebrity-lookup mix cmd/bench -scenario
+// cache models) skip the search entirely.
 func WithQueryCache(capacity int) Option {
 	return func(db *DB) error {
 		db.cache = qcache.New[[]Match](capacity)
@@ -36,61 +26,16 @@ func WithQueryCache(capacity int) Option {
 	}
 }
 
-// SnapshotGeneration returns the serving snapshot's generation (1 for the
-// first build, +1 per swap) and whether a snapshot exists at all. One atomic
-// load — cheap enough for per-query version checks, unlike IndexStats, which
-// walks the whole tree. Note a generation alone does not promise freshness:
-// pair it with IndexStats().DirtyCount (or rely on the query path's own
-// lazy fold) when unfolded ingest matters, as shard's cluster cache does.
-func (db *DB) SnapshotGeneration() (uint64, bool) {
-	s := db.snap.Load()
+// cacheVersion is the DB's cache version: the serving generation, usable
+// while its snapshot covers every acknowledged write — covering, the check
+// snapshotForQuery's fast path makes. The snapshot is returned for a hit's
+// trace.
+func (db *DB) cacheVersion() (string, *snapshot, bool) {
+	s, _ := db.covering()
 	if s == nil {
-		return 0, false
+		return "", nil, false
 	}
-	return s.generation, true
-}
-
-// PendingEntities returns the number of entities with visits the serving
-// snapshot does not cover yet — IndexStats().DirtyCount without the index
-// walk, cheap enough for per-query freshness checks (shard's cluster cache
-// pairs it with SnapshotGeneration to validate its version vector).
-func (db *DB) PendingEntities() int { return db.dirtyCount() }
-
-// cachedTopK answers s.topK(q, k) through the cache when one is configured.
-// The caller passes the snapshot it pinned via snapshotForQuery, so keying
-// by s.generation is exact (see the file comment).
-func (db *DB) cachedTopK(s *snapshot, q *trace.Sequences, k int, key string) ([]Match, QueryStats, error) {
-	if db.cache == nil {
-		return s.topK(q, k)
-	}
-	start := time.Now()
-	version := generationVersion(s.generation)
-	if ms, ok := db.cache.Get(version, key); ok {
-		// Copy: callers may append to or reorder their result slice.
-		out := make([]Match, len(ms))
-		copy(out, ms)
-		return out, QueryStats{CacheHit: true, Elapsed: time.Since(start)}, nil
-	}
-	out, qs, err := s.topK(q, k)
-	if err != nil {
-		return nil, qs, err
-	}
-	stored := make([]Match, len(out))
-	copy(stored, out)
-	db.cache.Put(version, key, stored)
-	return out, qs, nil
-}
-
-// generationVersion renders a generation as a cache version string.
-func generationVersion(gen uint64) string {
-	return strconv.FormatUint(gen, 16)
-}
-
-// entityKey builds the cache key of a TopK query: kind tag, k, entity name.
-// The name can contain anything, so it goes last, length-delimited by the
-// key's own end.
-func entityKey(entity string, k int) string {
-	return "e|" + strconv.Itoa(k) + "|" + entity
+	return strconv.FormatUint(s.generation, 16), s, true
 }
 
 // exampleKey builds the cache key of a TopKByExample query from the

@@ -27,8 +27,8 @@
 //
 // # Concurrency
 //
-// A DB is safe for concurrent use, and reads never wait for index
-// maintenance. Queries (TopK, TopKByExample, TopKApprox, TopKBatch, KNNJoin,
+// A DB is safe for concurrent use, and reads wait for index maintenance
+// only to see a write acknowledged before they began. Queries (TopK, TopKByExample, TopKApprox, TopKBatch, KNNJoin,
 // Degree) answer against an immutable index snapshot loaded through one
 // atomic pointer read, so any number run in parallel — with each other and
 // with BuildIndex/Refresh, which construct the next snapshot off to the side
@@ -36,12 +36,12 @@
 // shares every clean entity's state with the previous one and copies only
 // the dirty entities' signature paths, so a fold-and-swap costs O(dirty),
 // independent of database size. Ingest (AddVisit, AddVisits) touches only a
-// small mutex-guarded visit log. Queries against a stale index (visits added
-// since the last swap) transparently refresh it first, unless a rebuild is
-// already in flight, in which case they answer from the published snapshot
-// rather than stall — and WithAutoRefresh folds dirt proactively from a
-// background goroutine (stop it with Close), so queries virtually never
-// find a stale index at all.
+// small mutex-guarded visit log. A query always reads every write
+// acknowledged before it began: against a stale index (visits added since
+// the last swap) it waits for the build in flight or folds the dirt itself
+// first — and WithAutoRefresh folds dirt proactively from a background
+// goroutine (stop it with Close), so queries virtually never find a stale
+// index at all.
 //
 // # Scaling out
 //
@@ -300,11 +300,11 @@ func WithSeed(seed uint64) Option {
 // through an atomic pointer: queries load it once and search lock-free
 // (core.Tree.TopK is documented read-only), while BuildIndex and Refresh
 // construct the next snapshot aside and atomically swap it in, so a
-// multi-second rebuild never blocks a read. A query that finds the snapshot
-// stale (entities with visits newer than the last swap) refreshes it first —
-// unless a build is already in flight, in which case it answers from the
-// published snapshot; every query answers exactly over the one frozen
-// snapshot it pinned.
+// multi-second rebuild never blocks a read that the published snapshot
+// serves. A query is served only by a snapshot covering every write
+// acknowledged before it began; if the published one does not, the query
+// waits for the build in flight and re-checks, or folds the dirt itself.
+// Every query answers exactly over the one frozen snapshot it pinned.
 type DB struct {
 	// Immutable after construction.
 	ix        *spindex.Index
@@ -319,13 +319,18 @@ type DB struct {
 	jaccard  bool
 
 	// mu guards the small ingest side: the entity name registry, the raw
-	// visit log, the dirty set and the (write-once) epoch. Nothing under mu
-	// is ever held across an index build or a search.
-	mu            sync.RWMutex
-	names         map[string]trace.EntityID
-	byID          []string
-	visits        map[trace.EntityID][]trace.Record
-	dirty         map[trace.EntityID]bool
+	// visit log, the dirty set, the write sequence and the (write-once)
+	// epoch. Nothing under mu is ever held across an index build or a search.
+	mu     sync.RWMutex
+	names  map[string]trace.EntityID
+	byID   []string
+	visits map[trace.EntityID][]trace.Record
+	dirty  map[trace.EntityID]bool
+	// writeSeq counts ingested visits, from 1: a built snapshot records the
+	// count its view captured and covers every visit up to it, while a
+	// loaded one records 0 and so covers by the dirt check alone
+	// (snapshotForQuery).
+	writeSeq      uint64
 	epoch         time.Time
 	epochSet      bool
 	epochExplicit bool // epoch came from WithEpoch, not from data
@@ -334,9 +339,9 @@ type DB struct {
 	// pointer swap. Queries load it once and search lock-free; builders
 	// construct the next snapshot aside and publish it (snapshot.go).
 	snap atomic.Pointer[snapshot]
-	// buildMu serializes snapshot builders (BuildIndex, Refresh, and the
-	// query path's lazy escalation). Readers never block on it: a query that
-	// finds it held answers from the current snapshot instead.
+	// buildMu serializes snapshot publishers (BuildIndex, Refresh, loads and
+	// the query path's lazy escalation). A query waits on it only when the
+	// published snapshot misses a write acknowledged before the query began.
 	buildMu sync.Mutex
 
 	// unionFold marks a DB whose serving snapshots may cover visits the
@@ -397,6 +402,7 @@ func newDB(ix *spindex.Index, venues map[string]spindex.BaseID, opts ...Option) 
 		names:     map[string]trace.EntityID{},
 		visits:    map[trace.EntityID][]trace.Record{},
 		dirty:     map[trace.EntityID]bool{},
+		writeSeq:  1,
 	}
 	for _, opt := range opts {
 		if err := opt(db); err != nil {
@@ -490,6 +496,7 @@ func (db *DB) addVisitLocked(entity, venue string, start, end time.Time) error {
 	}
 	db.visits[e] = append(db.visits[e], trace.Record{Entity: e, Base: base, Start: trace.Time(su), End: trace.Time(eu)})
 	db.dirty[e] = true
+	db.writeSeq++
 	return nil
 }
 
@@ -533,20 +540,12 @@ func (db *DB) Refresh() error {
 
 // TopK returns the k entities most closely associated with the named entity
 // (Definition 4), with exact degrees, plus query statistics. Safe to call
-// from any number of goroutines, and never blocked by a concurrent
-// BuildIndex/Refresh; see the DB concurrency contract.
+// from any number of goroutines, and blocked by a concurrent
+// BuildIndex/Refresh only while it folds a write acknowledged before the
+// call; see the DB concurrency contract.
 func (db *DB) TopK(entity string, k int) ([]Match, QueryStats, error) {
-	return db.tracedQuery(obs.KindTopK, entity, k, func() (*snapshot, []Match, QueryStats, error) {
-		s, err := db.snapshotForQuery()
-		if err != nil {
-			return nil, nil, QueryStats{}, err
-		}
-		q, err := db.lookup(s, entity)
-		if err != nil {
-			return s, nil, QueryStats{}, err
-		}
-		out, qs, err := db.cachedTopK(s, q, k, entityKey(entity, k))
-		return s, out, qs, err
+	return db.query(obs.KindTopK, entity, k, qcache.EntityKey(entity, k), func(s *snapshot) (*trace.Sequences, error) {
+		return db.lookup(s, entity)
 	})
 }
 
@@ -564,31 +563,55 @@ type Visit struct {
 // reproduces that entity's stored ST-cells bit-for-bit — the property the
 // shard.Cluster scatter-gather path relies on for exact merged answers.
 func (db *DB) TopKByExample(visits []Visit, k int) ([]Match, QueryStats, error) {
-	return db.tracedQuery(obs.KindExample, "", k, func() (*snapshot, []Match, QueryStats, error) {
-		s, err := db.snapshotForQuery()
-		if err != nil {
-			return nil, nil, QueryStats{}, err
+	start := time.Now()
+	q, err := db.exampleSequences(visits)
+	if err != nil {
+		db.record(obs.KindExample, "", k, nil, nil, QueryStats{}, err, start)
+		return nil, QueryStats{}, err
+	}
+	return db.query(obs.KindExample, "", k, exampleKey(q, k), func(*snapshot) (*trace.Sequences, error) { return q, nil })
+}
+
+// query answers one top-k query and records its trace. It runs through the
+// cache (qcache.Do under cacheVersion), and a miss searches the snapshot
+// snapshotForQuery pins, for the sequences resolve finds in it.
+func (db *DB) query(kind obs.Kind, entity string, k int, key string, resolve func(*snapshot) (*trace.Sequences, error)) ([]Match, QueryStats, error) {
+	start := time.Now()
+	var (
+		seen, pinned *snapshot
+		qs           QueryStats
+	)
+	out, hit, err := qcache.Do(db.cache, key, func() (v string, ok bool) {
+		v, seen, ok = db.cacheVersion()
+		return v, ok
+	}, func() (out []Match, err error) {
+		if pinned, err = db.snapshotForQuery(); err != nil {
+			return nil, err
 		}
-		q, err := db.exampleSequences(visits)
+		q, err := resolve(pinned)
 		if err != nil {
-			return s, nil, QueryStats{}, err
+			return nil, err
 		}
-		out, qs, err := db.cachedTopK(s, q, k, exampleKey(q, k))
-		return s, out, qs, err
+		out, qs, err = pinned.topK(q, k)
+		return out, err
 	})
+	if hit {
+		pinned, qs = seen, QueryStats{CacheHit: true, Elapsed: time.Since(start)}
+	}
+	db.record(kind, entity, k, pinned, out, qs, err, start)
+	return out, qs, err
 }
 
 // exampleSequences discretizes example visits into the hypothetical entity's
 // ST-cell sequences (entity ID −1), applying exactly the ingest-path rounding
 // so an example built from VisitsOf output reproduces the entity's stored
-// cells bit-for-bit. Callers must hold a built snapshot (the epoch is fixed
-// once one exists); TopKByExample and SearchByExample share this so the
-// one-shot and incremental example paths can never discretize differently.
+// cells bit-for-bit. The epoch is write-once, so the result is stable once
+// it is set; TopKByExample and SearchByExample share this so the one-shot
+// and incremental example paths can never discretize differently.
 func (db *DB) exampleSequences(visits []Visit) (*trace.Sequences, error) {
 	epoch, set, explicit := db.epochInfo()
 	if !set {
-		// Unreachable after snapshotForQuery (indexing requires visits, and
-		// the first visit fixes the epoch), but guard it: converting with the
+		// No visit yet (the first one fixes the epoch): converting with the
 		// zero epoch would silently produce nonsense unit offsets.
 		return nil, fmt.Errorf("digitaltraces: no epoch to anchor example visits (ingest a visit or set WithEpoch)")
 	}
@@ -704,7 +727,7 @@ func (db *DB) saveIndex(w io.Writer, withSeqs bool) (int64, error) {
 	switch {
 	case s == nil:
 		s, err = db.buildSnapshot()
-	case db.hasDirty():
+	case db.PendingEntities() > 0:
 		var ns *snapshot
 		ns, err = db.refreshSnapshot(s)
 		if errors.Is(err, ErrBeyondHorizon) {
@@ -809,7 +832,7 @@ type IndexStats struct {
 	// misses count lookups; evictions count capacity displacements only —
 	// generation bumps invalidate by keying, they never evict. Entries is
 	// the current live entry count for the serving generation. An aggregated
-	// engine sums its members' counters plus its own cluster-level cache's.
+	// engine reports its own cluster-level cache's.
 	CacheHits      uint64
 	CacheMisses    uint64
 	CacheEvictions uint64
@@ -833,7 +856,7 @@ type IndexStats struct {
 // IndexStats returns current index statistics — one atomic snapshot load
 // plus a shared-lock dirty count, never blocked by rebuilds.
 func (db *DB) IndexStats() IndexStats {
-	out := IndexStats{DirtyCount: db.dirtyCount(), Latencies: db.tracer.Summaries()}
+	out := IndexStats{DirtyCount: db.PendingEntities(), Latencies: db.tracer.Summaries()}
 	if db.cache != nil {
 		cs := db.cache.Stats()
 		out.CacheHits = cs.Hits

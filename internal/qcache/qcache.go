@@ -1,20 +1,29 @@
 // Package qcache is a version-keyed answer cache for exact query engines
-// whose serving state advances through discrete published versions (the
-// snapshot generations of the root package, or a cluster's vector of shard
-// generations).
+// whose serving state advances through discrete published versions (a DB's
+// snapshot generation, a cluster's slot epoch plus shard generations), and
+// the one protocol both engines answer through, Do.
 //
-// The invalidation model is the whole point: entries are stored under the
-// version that produced them, and a lookup presents the version it is about
-// to answer over. When the cache sees a version it has not seen before, it
-// discards everything it holds — a single map swap — so a generation bump
-// invalidates every cached answer at zero per-entry cost, and a stale answer
-// can never be served as long as callers key lookups by the state they
-// actually query. The cache never extends an answer's life across versions;
-// it only short-circuits repeats within one.
+// Invalidation is free: entries are stored under the version that produced
+// them, and a lookup presenting a version the cache has not seen discards
+// everything it holds — a single map swap — so a publish invalidates every
+// cached answer at zero per-entry cost. The cache never extends an answer's
+// life across versions; it only short-circuits repeats within one.
+//
+// Soundness rests on two engine facts: versions only grow, and a version is
+// usable only while its state covers every acknowledged write — dirt is
+// retired only by a publish, which moves the version. So a version read
+// usable and equal before and after a computation proves the computation saw
+// exactly that version's state, every read it made included (a cluster
+// TopK's home-shard visits, say): a change in between would have moved the
+// version or made it unusable. Do stores only under that condition, and looks
+// up only under a usable version, so a hit is the exact current answer and a
+// racing write can cost a missed store, never a stale entry.
 package qcache
 
 import (
 	"hash/fnv"
+	"slices"
+	"strconv"
 	"sync"
 )
 
@@ -70,6 +79,38 @@ func (c *Cache[V]) Get(version, key string) (V, bool) {
 // but can never surface a stale answer.
 func (c *Cache[V]) Put(version, key string, v V) {
 	c.putHashed(version, hashKey(key), key, v)
+}
+
+// Do answers one query through c: it reads the engine's version and, if it
+// is usable and holds key, returns a copy of the stored answer (hit).
+// Otherwise it runs compute, and stores a copy of a successful answer only if
+// the version, re-read, is still usable and unchanged (see the package
+// comment). An unusable version runs compute without touching the cache or
+// its counters; a nil cache just computes.
+func Do[E any](c *Cache[[]E], key string, version func() (string, bool), compute func() ([]E, error)) (out []E, hit bool, err error) {
+	if c == nil {
+		out, err = compute()
+		return out, false, err
+	}
+	v, ok := version()
+	if ok {
+		if stored, found := c.Get(v, key); found {
+			return slices.Clone(stored), true, nil
+		}
+	}
+	if out, err = compute(); err != nil || !ok {
+		return out, false, err
+	}
+	if after, ok := version(); ok && after == v {
+		c.Put(v, key, slices.Clone(out))
+	}
+	return out, false, nil
+}
+
+// EntityKey keys a query for a named entity: kind tag, k, then the name,
+// which can contain anything and so goes last, delimited by the key's end.
+func EntityKey(entity string, k int) string {
+	return "e|" + strconv.Itoa(k) + "|" + entity
 }
 
 // getHashed is Get with the hash precomputed — split out so tests can force

@@ -1,9 +1,12 @@
 package qcache
 
 import (
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestGetPutRoundTrip(t *testing.T) {
@@ -137,5 +140,163 @@ func TestConcurrentMixedVersions(t *testing.T) {
 			}
 		}(w)
 	}
+	wg.Wait()
+}
+
+// fixedVersion is a version function that always reports v as usable.
+func fixedVersion(v string) func() (string, bool) {
+	return func() (string, bool) { return v, true }
+}
+
+// TestDoMissThenHit: the first Do computes and stores, the second is a hit
+// that never runs compute.
+func TestDoMissThenHit(t *testing.T) {
+	c := New[[]int](4)
+	calls := 0
+	compute := func() ([]int, error) { calls++; return []int{1, 2}, nil }
+	for i, wantHit := range []bool{false, true} {
+		out, hit, err := Do(c, "k", fixedVersion("v"), compute)
+		if err != nil || hit != wantHit || len(out) != 2 || out[0] != 1 || out[1] != 2 {
+			t.Fatalf("call %d: out=%v hit=%v err=%v, want [1 2] hit=%v", i, out, hit, err, wantHit)
+		}
+	}
+	if calls != 1 {
+		t.Fatalf("compute ran %d times, want 1", calls)
+	}
+}
+
+// TestDoVersionBumpStoresNothing: a version that moves between the lookup
+// and the store means the answer may belong to neither, so nothing is kept.
+func TestDoVersionBumpStoresNothing(t *testing.T) {
+	c := New[[]int](4)
+	gen := 1
+	version := func() (string, bool) { return fmt.Sprint(gen), true }
+	if _, hit, err := Do(c, "k", version, func() ([]int, error) { gen++; return []int{7}, nil }); hit || err != nil {
+		t.Fatalf("hit=%v err=%v, want a plain miss", hit, err)
+	}
+	if st := c.Stats(); st.Entries != 0 {
+		t.Fatalf("entries = %d after a mid-compute version bump, want 0", st.Entries)
+	}
+	for _, v := range []string{"1", "2"} {
+		if _, ok := c.Get(v, "k"); ok {
+			t.Fatalf("answer stored under version %s", v)
+		}
+	}
+}
+
+// TestDoUnusableVersionBypassesCache: an unusable version computes without
+// looking up, storing or counting anything.
+func TestDoUnusableVersionBypassesCache(t *testing.T) {
+	c := New[[]int](4)
+	c.Put("v", "k", []int{1})
+	unusable := func() (string, bool) { return "v", false }
+	out, hit, err := Do(c, "k", unusable, func() ([]int, error) { return []int{2}, nil })
+	if err != nil || hit || len(out) != 1 || out[0] != 2 {
+		t.Fatalf("out=%v hit=%v err=%v, want the computed [2], no hit", out, hit, err)
+	}
+	if st := c.Stats(); st != (Stats{Entries: 1}) {
+		t.Fatalf("stats = %+v, want untouched {Entries: 1}", st)
+	}
+	if got, _ := c.Get("v", "k"); got[0] != 1 {
+		t.Fatalf("stored value = %v, want the original [1]", got)
+	}
+}
+
+// TestDoComputeErrorStoresNothing: a failed computation is returned as is
+// and leaves no entry behind.
+func TestDoComputeErrorStoresNothing(t *testing.T) {
+	c := New[[]int](4)
+	boom := errors.New("boom")
+	if _, hit, err := Do(c, "k", fixedVersion("v"), func() ([]int, error) { return []int{3}, boom }); hit || err != boom {
+		t.Fatalf("hit=%v err=%v, want the compute error", hit, err)
+	}
+	if _, ok := c.Get("v", "k"); ok {
+		t.Fatal("failed computation was stored")
+	}
+}
+
+// TestDoIsolatesSlices: neither the caller's miss result nor its hit result
+// shares an array with the stored answer, so clobbering either leaves the
+// cache intact.
+func TestDoIsolatesSlices(t *testing.T) {
+	c := New[[]int](4)
+	compute := func() ([]int, error) { return []int{1, 2, 3}, nil }
+	miss, _, _ := Do(c, "k", fixedVersion("v"), compute)
+	miss[0] = -1
+	hit1, wasHit, _ := Do(c, "k", fixedVersion("v"), compute)
+	if !wasHit || hit1[0] != 1 {
+		t.Fatalf("after clobbering the miss result: hit=%v %v, want hit [1 2 3]", wasHit, hit1)
+	}
+	hit1[1] = -1
+	hit2, _, _ := Do(c, "k", fixedVersion("v"), compute)
+	if hit2[1] != 2 {
+		t.Fatalf("after clobbering a hit result: %v, want [1 2 3]", hit2)
+	}
+	if stored, _ := c.Get("v", "k"); &stored[0] == &hit2[0] {
+		t.Fatal("hit shares the stored array")
+	}
+}
+
+// TestDoNilCacheComputes: an engine without a cache passes nil and always
+// computes, never reading the version.
+func TestDoNilCacheComputes(t *testing.T) {
+	version := func() (string, bool) { t.Fatal("version read without a cache"); return "", false }
+	out, hit, err := Do[int](nil, "k", version, func() ([]int, error) { return []int{5}, nil })
+	if err != nil || hit || len(out) != 1 || out[0] != 5 {
+		t.Fatalf("out=%v hit=%v err=%v", out, hit, err)
+	}
+}
+
+// TestDoRacingVersionBumps drives Do from several goroutines while another
+// bumps the version; a computation answers with the version it reads. Every
+// hit must carry exactly the version it was looked up under (an answer
+// stored under a version it does not belong to is the failure), and every
+// miss a version no older than the one current when its Do began. Run with
+// -race this also proves the protocol's locking.
+func TestDoRacingVersionBumps(t *testing.T) {
+	c := New[[]uint64](8)
+	var gen atomic.Uint64
+	compute := func() ([]uint64, error) { return []uint64{gen.Load()}, nil }
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				gen.Add(1)
+				time.Sleep(10 * time.Microsecond)
+			}
+		}
+	}()
+	var readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			var seen string
+			version := func() (string, bool) { seen = fmt.Sprint(gen.Load()); return seen, true }
+			for i := 0; i < 2000; i++ {
+				before := gen.Load()
+				out, hit, err := Do(c, fmt.Sprint("k", i%3), version, compute)
+				switch {
+				case err != nil || len(out) != 1:
+					t.Errorf("reader %d: %v, %v", r, out, err)
+				case hit && fmt.Sprint(out[0]) != seen:
+					t.Errorf("reader %d: hit under version %s answered %d", r, seen, out[0])
+				case !hit && out[0] < before:
+					t.Errorf("reader %d: miss answered %d, older than version %d", r, out[0], before)
+				default:
+					continue
+				}
+				return
+			}
+		}(r)
+	}
+	readers.Wait()
+	close(stop)
 	wg.Wait()
 }

@@ -298,12 +298,7 @@ func (db *DB) loadedSnapshot(store *trace.Store, tree *core.Tree, horizon trace.
 // next Refresh folds it in. Entities registered after ns.byID was captured
 // were marked dirty by their own ingest and are untouched.
 func (db *DB) publishLoaded(ns *snapshot, covered map[trace.EntityID]uint32) {
-	ns.generation = 1
-	if prev := db.snap.Load(); prev != nil {
-		ns.generation = prev.generation + 1
-	}
-	ns.swappedAt = time.Now()
-	db.snap.Store(ns)
+	db.swapIn(ns)
 	for id := range ns.byID {
 		e := trace.EntityID(id)
 		n := len(db.visits[e])

@@ -86,6 +86,6 @@ func (sr *Search) Checked() int { return sr.it.Stats().Checked }
 
 // Generation identifies the snapshot this Search answers over (the value
 // IndexStats reports as Generation). Two Searches with equal generations
-// answer over identical index states — what shard's cluster-level cache
-// keys its entries by.
+// answer over identical index states — what a cluster trace reports per
+// shard.
 func (sr *Search) Generation() uint64 { return sr.snap.generation }

@@ -473,13 +473,6 @@ type ShardStat struct {
 	LastSwap      string  `json:"last_swap,omitempty"` // RFC 3339; empty before first build
 	DirtyCount    int     `json:"dirty_count"`
 	LastRefreshMS float64 `json:"last_refresh_ms"` // 0 when the shard's snapshot came from a full build
-	// Query-cache counters for the shard's own digitaltraces.WithQueryCache
-	// cache (all zero when the shard runs uncached, the cluster-level cache
-	// being the usual configuration — see StatsResponse.Index).
-	CacheHits      uint64 `json:"cache_hits,omitempty"`
-	CacheMisses    uint64 `json:"cache_misses,omitempty"`
-	CacheEvictions uint64 `json:"cache_evictions,omitempty"`
-	CacheEntries   int    `json:"cache_entries,omitempty"`
 }
 
 // StatsResponse is the /stats reply: the index shape (cluster totals for a
@@ -504,8 +497,8 @@ type StatsResponse struct {
 		// Query-cache counters (zero unless the engine was built with a
 		// query cache — digitaltraces.WithQueryCache or a cluster
 		// CacheSize). Hits and misses count lookups, evictions count
-		// capacity displacements; a sharded engine sums its shards'
-		// counters plus its cluster-level cache's.
+		// capacity displacements; a sharded engine reports its
+		// cluster-level cache's.
 		CacheHits      uint64 `json:"cache_hits"`
 		CacheMisses    uint64 `json:"cache_misses"`
 		CacheEvictions uint64 `json:"cache_evictions"`
@@ -584,23 +577,19 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if sh, ok := s.eng.(interface{ ShardStats() []shard.ShardStat }); ok {
 		for _, st := range sh.ShardStats() {
 			resp.Shards = append(resp.Shards, ShardStat{
-				Shard:          st.Shard,
-				Entities:       st.Entities,
-				Owned:          st.Owned,
-				Slots:          st.Slots,
-				IndexEntities:  st.Index.Entities,
-				Nodes:          st.Index.Nodes,
-				Leaves:         st.Index.Leaves,
-				MemoryBytes:    st.Index.MemoryBytes,
-				BuildMS:        float64(st.Index.BuildTime.Microseconds()) / 1e3,
-				Generation:     st.Index.Generation,
-				LastSwap:       swapTime(st.Index.LastSwap),
-				DirtyCount:     st.Index.DirtyCount,
-				LastRefreshMS:  float64(st.Index.LastRefreshDuration.Microseconds()) / 1e3,
-				CacheHits:      st.Index.CacheHits,
-				CacheMisses:    st.Index.CacheMisses,
-				CacheEvictions: st.Index.CacheEvictions,
-				CacheEntries:   st.Index.CacheEntries,
+				Shard:         st.Shard,
+				Entities:      st.Entities,
+				Owned:         st.Owned,
+				Slots:         st.Slots,
+				IndexEntities: st.Index.Entities,
+				Nodes:         st.Index.Nodes,
+				Leaves:        st.Index.Leaves,
+				MemoryBytes:   st.Index.MemoryBytes,
+				BuildMS:       float64(st.Index.BuildTime.Microseconds()) / 1e3,
+				Generation:    st.Index.Generation,
+				LastSwap:      swapTime(st.Index.LastSwap),
+				DirtyCount:    st.Index.DirtyCount,
+				LastRefreshMS: float64(st.Index.LastRefreshDuration.Microseconds()) / 1e3,
 			})
 		}
 	}

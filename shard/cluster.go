@@ -43,10 +43,11 @@
 // wall-clock build speedup cmd/bench records). Every shard serves queries
 // from its own atomically swapped immutable index snapshot, so a
 // scatter-gather query pins one frozen snapshot per shard for its whole
-// fan-out and is never blocked by a shard rebuilding — a shard absorbing new
-// data builds the next snapshot aside and swaps it in when done. The Cluster
-// itself adds only a small mutex around the entity→ordinal routing registry;
-// no query ever holds a global lock.
+// fan-out and is blocked by a shard rebuilding only to see a write
+// acknowledged before it began — a shard absorbing new data builds the next
+// snapshot aside and swaps it in when done. The Cluster itself adds only a
+// small mutex around the entity→ordinal routing registry; no query ever
+// holds a global lock.
 //
 // A Cluster satisfies digitaltraces.Engine, so package server serves it with
 // zero endpoint changes (cmd/serve -shards N).
@@ -87,11 +88,12 @@ type Config struct {
 	Backends []Backend
 	// CacheSize, when positive, equips the cluster with a generation-keyed
 	// hot-query cache of that many entries: TopK/TopKByExample answers are
-	// memoized under the vector of shard snapshot generations and served
-	// without any fan-out while no shard's serving state has changed
-	// (cache.go). Per-shard digitaltraces.WithQueryCache caches are
-	// independent and unnecessary here — cluster queries stream through the
-	// incremental search path, which bypasses them.
+	// memoized under the slot-map epoch plus the vector of shard snapshot
+	// generations and served without any fan-out while every shard's
+	// snapshot covers its acknowledged writes and none has changed
+	// (cache.go). Per-shard digitaltraces.WithQueryCache caches are never
+	// consulted — cluster queries stream through the incremental search
+	// path, which bypasses them.
 	CacheSize int
 	// InitialSlots, when non-nil, is the slot→shard assignment the cluster
 	// starts from instead of the default s mod N table: NumSlots entries,
@@ -135,8 +137,8 @@ type Cluster struct {
 	ord map[string]int
 
 	// cache is the cluster-level generation-keyed query cache (nil unless
-	// Config.CacheSize > 0); see cache.go for the version-vector soundness
-	// argument.
+	// Config.CacheSize > 0); cache.go supplies its version, internal/qcache
+	// the protocol and its soundness argument.
 	cache *qcache.Cache[[]digitaltraces.Match]
 
 	// tracer is the coordinator-level query-trace ring (nil unless
@@ -401,107 +403,70 @@ func (c *Cluster) TopK(entity string, k int) ([]digitaltraces.Match, digitaltrac
 // topKTraced is TopK with trace linkage: batchID groups the item traces of
 // one TopKBatch call (0 outside a batch).
 func (c *Cluster) topKTraced(entity string, k int, batchID uint64) ([]digitaltraces.Match, digitaltraces.QueryStats, error) {
-	start := time.Now()
-	out, qs, d, err := c.topKDetail(entity, k, start)
-	c.record(obs.KindTopK, entity, k, batchID, out, qs, d, err, start)
-	return out, qs, err
-}
-
-func (c *Cluster) topKDetail(entity string, k int, start time.Time) ([]digitaltraces.Match, digitaltraces.QueryStats, gatherDetail, error) {
-	if k < 1 {
-		return nil, digitaltraces.QueryStats{}, gatherDetail{}, fmt.Errorf("shard: k = %d < 1", k)
-	}
-	// Pin one slot map for the whole query: home resolution, the per-pull
-	// ownership filter and the loose-stream decision all read this map, so
-	// a migration publishing mid-query can never split the query's view of
-	// who owns what (slotmap.go's exactness argument).
-	sm := c.slotmap()
-	homeOrd := sm.Owner(entity)
-	home := c.shards[homeOrd]
-	// The version vector is derived on both sides of the visits resolve
-	// (the home shard's OpenSearchEntity below): generations only grow and
-	// an unfolded ingest leaves its shard dirty, so an identical usable
-	// vector before and after proves the visits are exactly the entity's
-	// state at that version. Pinning the version only after the resolve
-	// would let an ingest for this entity land in between and fold before
-	// the pin — the searches would then agree with the new generation and
-	// cachePut would store an answer computed from stale visits under it, a
-	// wrong hit served until the next bump. (A cache hit needs no visits at
-	// all, so the lookup happens first; a miss for an unknown entity still
-	// errors below, since unknown entities are never cached.)
-	version, versionOK := c.cacheVersion()
-	key := entityCacheKey(entity, k)
-	if out, qs, ok := c.cacheGet(version, versionOK, key, start); ok {
-		return out, qs, gatherDetail{generations: versionGenerations(version)}, nil
-	}
-	// Resolve the entity's visits and open its home-shard stream in one
-	// call (one round trip on a remote home shard), then fan the same visit
-	// snapshot out to every sibling — the merged answer never mixes two
-	// states of the query entity even when a writer races the query.
-	visits, homeStream, err := home.OpenSearchEntity(entity)
-	if err != nil {
-		return nil, digitaltraces.QueryStats{}, gatherDetail{}, err
-	}
-	byShard, err := c.openSearches(homeOrd, homeStream, visits)
-	if err != nil {
-		homeStream.Close()
-		return nil, digitaltraces.QueryStats{}, gatherDetail{}, err
-	}
-	defer closeStreams(byShard)
-	if err := c.checkSlotEpoch(); err != nil {
-		return nil, digitaltraces.QueryStats{}, gatherDetail{}, err
-	}
-	if versionOK {
-		// Re-derive after every stream is open: on remote shards the open
-		// responses refreshed the client-side state this reads.
-		if after, ok := c.cacheVersion(); !ok || after != version {
-			versionOK = false
+	return c.query(obs.KindTopK, entity, k, batchID, qcache.EntityKey(entity, k), func(sm *SlotMap) ([]Stream, error) {
+		// Resolve the entity's visits and open its home-shard stream in one
+		// call (one round trip on a remote home shard), then fan the same
+		// visit snapshot out to every sibling — the merged answer never
+		// mixes two states of the query entity even when a writer races the
+		// query.
+		homeOrd := sm.Owner(entity)
+		visits, homeStream, err := c.shards[homeOrd].OpenSearchEntity(entity)
+		if err != nil {
+			return nil, err
 		}
-	}
-	out, checked, d, err := c.gatherByShard(sm, byShard, k, entity)
-	if err != nil {
-		return nil, digitaltraces.QueryStats{}, d, err
-	}
-	d.generations = searchGenerations(byShard)
-	c.cachePut(version, versionOK, byShard, key, out)
-	return out, c.gatherStats(checked, len(out), c.NumEntities()-1, start, d), d, nil
+		byShard, err := c.openSearches(homeOrd, homeStream, visits)
+		if err != nil {
+			homeStream.Close()
+		}
+		return byShard, err
+	})
 }
 
 // TopKByExample answers for a hypothetical entity described by visits,
 // fanning the example out to every shard through the same threshold-pruned
 // gather as TopK, with no self to exclude.
 func (c *Cluster) TopKByExample(visits []digitaltraces.Visit, k int) ([]digitaltraces.Match, digitaltraces.QueryStats, error) {
-	start := time.Now()
-	out, qs, d, err := c.topKByExampleDetail(visits, k, start)
-	c.record(obs.KindExample, "", k, 0, out, qs, d, err, start)
-	return out, qs, err
+	return c.query(obs.KindExample, "", k, 0, exampleCacheKey(visits, k), func(*SlotMap) ([]Stream, error) {
+		return c.openSearches(-1, nil, visits)
+	})
 }
 
-func (c *Cluster) topKByExampleDetail(visits []digitaltraces.Visit, k int, start time.Time) ([]digitaltraces.Match, digitaltraces.QueryStats, gatherDetail, error) {
+// query answers one top-k query (entity is the one to exclude, "" for an
+// example) and records its trace. It runs through the cluster cache
+// (qcache.Do under cacheVersion), and a miss gathers over the streams open
+// opens under one pinned slot map: home resolution, the per-pull ownership
+// filter and the loose-stream decision all read that map, so a migration
+// publishing mid-query can never split the query's view of who owns what
+// (slotmap.go's exactness argument).
+func (c *Cluster) query(kind obs.Kind, entity string, k int, batchID uint64, key string, open func(*SlotMap) ([]Stream, error)) ([]digitaltraces.Match, digitaltraces.QueryStats, error) {
+	start := time.Now()
 	if k < 1 {
-		return nil, digitaltraces.QueryStats{}, gatherDetail{}, fmt.Errorf("shard: k = %d < 1", k)
+		err := fmt.Errorf("shard: k = %d < 1", k)
+		c.record(kind, entity, k, batchID, nil, digitaltraces.QueryStats{}, gatherDetail{}, err, start)
+		return nil, digitaltraces.QueryStats{}, err
 	}
-	sm := c.slotmap()
-	version, versionOK := c.cacheVersion()
-	key := exampleCacheKey(visits, k)
-	if out, qs, ok := c.cacheGet(version, versionOK, key, start); ok {
-		return out, qs, gatherDetail{generations: versionGenerations(version)}, nil
+	var (
+		qs   digitaltraces.QueryStats
+		d    gatherDetail
+		gens []uint64
+	)
+	out, hit, err := qcache.Do(c.cache, key, func() (v string, ok bool) {
+		v, gens, ok = c.cacheVersion()
+		return v, ok
+	}, func() (out []digitaltraces.Match, err error) {
+		sm := c.slotmap()
+		byShard, err := open(sm)
+		if err != nil {
+			return nil, err
+		}
+		out, qs, d, err = c.gatherByShard(sm, byShard, k, entity, start)
+		return out, err
+	})
+	if hit {
+		qs, d = digitaltraces.QueryStats{CacheHit: true, Elapsed: time.Since(start)}, gatherDetail{generations: gens}
 	}
-	byShard, err := c.openSearches(-1, nil, visits)
-	if err != nil {
-		return nil, digitaltraces.QueryStats{}, gatherDetail{}, err
-	}
-	defer closeStreams(byShard)
-	if err := c.checkSlotEpoch(); err != nil {
-		return nil, digitaltraces.QueryStats{}, gatherDetail{}, err
-	}
-	out, checked, d, err := c.gatherByShard(sm, byShard, k, "")
-	if err != nil {
-		return nil, digitaltraces.QueryStats{}, d, err
-	}
-	d.generations = searchGenerations(byShard)
-	c.cachePut(version, versionOK, byShard, key, out)
-	return out, c.gatherStats(checked, len(out), c.NumEntities(), start, d), d, nil
+	c.record(kind, entity, k, batchID, out, qs, d, err, start)
+	return out, qs, err
 }
 
 // openSearches opens one incremental search stream per non-empty shard, in
@@ -509,9 +474,9 @@ func (c *Cluster) topKByExampleDetail(visits []digitaltraces.Visit, k int, start
 // remote shards the opens are concurrent round trips). A pre-opened home
 // stream (TopK's combined resolve-and-open) slots in at homeOrd; pass
 // homeOrd = -1 for the example path. The result is aligned to c.shards, nil
-// for shards that held no entities — cache.go renders the generation vector
-// from it, and gatherByShard compacts it for the bounded merge. On error
-// every stream opened here is closed (not the caller's pre-opened one).
+// for shards that held no entities, which gatherByShard compacts for the
+// bounded merge. On error every stream opened here is closed (not the
+// caller's pre-opened one).
 func (c *Cluster) openSearches(homeOrd int, homeStream Stream, visits []digitaltraces.Visit) ([]Stream, error) {
 	byShard := make([]Stream, len(c.shards))
 	errs := make([]error, len(c.shards))
@@ -550,23 +515,37 @@ func (c *Cluster) openSearches(homeOrd int, homeStream Stream, visits []digitalt
 	return byShard, nil
 }
 
-// gatherByShard compacts an openSearches result, runs the threshold-pruned
-// gather over the active streams under the query's pinned slot map, and maps
-// the stream-indexed report back to shard ordinals for the trace detail.
-func (c *Cluster) gatherByShard(sm *SlotMap, byShard []Stream, k int, exclude string) ([]digitaltraces.Match, int, gatherDetail, error) {
+// gatherByShard finishes a fan-out over an openSearches result: it checks
+// the slot epoch, compacts the streams, runs the threshold-pruned gather
+// under the query's pinned slot map, maps the stream-indexed report back to
+// shard ordinals and the streams' generations for the trace detail, and
+// closes every stream.
+func (c *Cluster) gatherByShard(sm *SlotMap, byShard []Stream, k int, exclude string, start time.Time) ([]digitaltraces.Match, digitaltraces.QueryStats, gatherDetail, error) {
+	defer closeStreams(byShard)
+	if err := c.checkSlotEpoch(); err != nil {
+		return nil, digitaltraces.QueryStats{}, gatherDetail{}, err
+	}
 	active := make([]Stream, 0, len(byShard))
 	ords := make([]int, 0, len(byShard))
+	gens := make([]uint64, len(byShard)) // 0 for shards that were empty
 	for i, s := range byShard {
 		if s != nil {
 			active = append(active, s)
 			ords = append(ords, i)
+			gens[i] = s.Generation()
 		}
 	}
 	out, checked, rep, err := c.gatherSearches(sm, active, ords, k, exclude)
 	if err != nil {
-		return nil, 0, gatherDetail{}, err
+		return nil, digitaltraces.QueryStats{}, gatherDetail{}, err
 	}
-	return out, checked, detailFromReport(rep, ords, active), nil
+	d := detailFromReport(rep, ords, active)
+	d.generations = gens
+	n := c.NumEntities()
+	if exclude != "" {
+		n-- // the query entity is no candidate
+	}
+	return out, c.gatherStats(checked, len(out), n, start, d), d, nil
 }
 
 // TopKBatch answers top-k for every named entity over a bounded worker pool
@@ -678,7 +657,9 @@ func (c *Cluster) Levels() int {
 // awaiting a fold anywhere in the cluster), except BuildTime and
 // LastRefreshDuration — the slowest shard's, the parallel critical path a
 // machine with ≥ NumShards cores sees — and LastSwap, the latest shard swap
-// (when the cluster's serving state last changed anywhere).
+// (when the cluster's serving state last changed anywhere). The cache
+// counters are the cluster-level cache's own: shards' caches never serve a
+// cluster query.
 func (c *Cluster) IndexStats() digitaltraces.IndexStats {
 	agg := digitaltraces.IndexStats{Latencies: c.tracer.Summaries()}
 	if c.cache != nil {
@@ -696,10 +677,6 @@ func (c *Cluster) IndexStats() digitaltraces.IndexStats {
 		agg.MemoryBytes += s.MemoryBytes
 		agg.Generation += s.Generation
 		agg.DirtyCount += s.DirtyCount
-		agg.CacheHits += s.CacheHits
-		agg.CacheMisses += s.CacheMisses
-		agg.CacheEvictions += s.CacheEvictions
-		agg.CacheEntries += s.CacheEntries
 		if s.Mapped {
 			agg.Mapped = true
 		}

@@ -68,12 +68,12 @@ type Metrics struct {
 // coordinator's cache-version derivation costs no round trips. This is
 // sound for the cluster cache under one coordinator — all ingest routes
 // through this client, so state the cache check reads can lag only behind
-// responses still in flight, and the cluster re-validates against the
-// generations the streams actually pinned before storing (a stale cache
-// can cost a missed store, never a wrong hit). Running several
-// coordinators against one shard server keeps answers exact (every query
-// pins real server-side snapshots) but is outside the cache's soundness
-// argument; disable Config.CacheSize in that topology.
+// responses still in flight, and the cluster stores only when the version
+// it re-reads after the fan-out (whose open responses refresh this state)
+// is unchanged — a stale cache can cost a missed store, never a wrong hit.
+// Running several coordinators against one shard server keeps answers
+// exact (every query pins real server-side snapshots) but is outside the
+// cache's soundness argument; disable Config.CacheSize in that topology.
 type Client struct {
 	addr string
 	base string

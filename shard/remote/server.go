@@ -200,11 +200,15 @@ func httpError(w http.ResponseWriter, code int, msg string) {
 	json.NewEncoder(w).Encode(errResp{Error: msg})
 }
 
+// state reads the shard's serving state, pending before generation: zero
+// pending then proves the reported generation covers every acknowledged
+// write (the order shard.Cluster's cache version reads them in).
 func (s *Server) state() shardState {
+	pending := s.db.PendingEntities()
 	gen, ok := s.db.SnapshotGeneration()
 	return shardState{
 		Entities:   uint64(s.db.NumEntities()),
-		Pending:    uint64(s.db.PendingEntities()),
+		Pending:    uint64(pending),
 		Generation: gen,
 		GenOK:      ok,
 		SlotEpoch:  s.slotEpoch.Load(),

@@ -8,7 +8,6 @@ package shard
 // ≤ 0 (the default) leaves the tracer nil and every record call a no-op.
 
 import (
-	"encoding/binary"
 	"time"
 
 	"digitaltraces"
@@ -89,33 +88,4 @@ func detailFromReport(rep gatherReport, ords []int, streams []Stream) gatherDeta
 		}
 	}
 	return d
-}
-
-// searchGenerations renders the per-shard generation vector of a fan-out,
-// aligned with c.shards (0 for shards that were empty when it opened) — the
-// []uint64 twin of cache.go's searchesVersion.
-func searchGenerations(byShard []Stream) []uint64 {
-	out := make([]uint64, len(byShard))
-	for i, s := range byShard {
-		if s != nil {
-			out[i] = s.Generation()
-		}
-	}
-	return out
-}
-
-// versionGenerations decodes a cache version string (8-byte little-endian
-// slot-map epoch, then one 8-byte generation per shard, cache.go) back into
-// the generation vector, so cache-hit traces still report which index
-// states answered. The epoch prefix is stripped — it is not a shard.
-func versionGenerations(version string) []uint64 {
-	if len(version) < 8 || len(version)%8 != 0 {
-		return nil
-	}
-	version = version[8:]
-	out := make([]uint64, len(version)/8)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64([]byte(version[i*8 : i*8+8]))
-	}
-	return out
 }

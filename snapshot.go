@@ -6,8 +6,9 @@ package digitaltraces
 // atomic.Pointer. Builders (BuildIndex, Refresh, and the query path's lazy
 // escalation) construct the next snapshot entirely off to the side — from a
 // visit view captured under the ingest lock — and then swap the pointer, so
-// a multi-second rebuild never blocks a read: queries arriving while a build
-// is in flight keep answering from the previous snapshot. See DESIGN.md
+// a multi-second rebuild never blocks a read the previous snapshot can
+// serve: queries arriving while a build is in flight keep answering from it
+// unless it misses a write acknowledged before they began. See DESIGN.md
 // "Concurrency model" for the full contract.
 
 import (
@@ -46,6 +47,7 @@ type snapshot struct {
 	pool *storage.Store
 
 	generation  uint64        // 1 for the first build, +1 per swap
+	seq         uint64        // write sequence the build's view captured (0 for a load)
 	buildTime   time.Duration // duration of the lineage's last full BuildIndex
 	refreshTime time.Duration // duration of the last incremental Refresh (0 if this lineage ends in a full build)
 	swappedAt   time.Time     // when this snapshot was published
@@ -78,12 +80,15 @@ func (s *snapshot) topK(q *trace.Sequences, k int) ([]Match, QueryStats, error) 
 // reallocate, so the captured headers are stable), the name-table prefix, the
 // per-entity visit count the new snapshot will cover (publish retires exactly
 // that dirt — an entity that received further visits mid-build stays dirty),
-// and the refresh work list.
+// the refresh work list, and the write sequence at capture: the new snapshot
+// covers every visit counted up to it (the dirty entities' whole logs are
+// folded, and every other entity is clean in the snapshot it derives from).
 type view struct {
 	visits map[trace.EntityID][]trace.Record
 	byID   []string
 	folded map[trace.EntityID]int // entity → visit count folded into the build
 	dirty  []trace.EntityID       // dirty entities at capture, ascending
+	seq    uint64
 }
 
 // captureView snapshots the ingest side. dirtyOnly restricts the visit copy
@@ -92,7 +97,7 @@ type view struct {
 func (db *DB) captureView(dirtyOnly bool) view {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	v := view{byID: db.byID[:len(db.byID):len(db.byID)]}
+	v := view{byID: db.byID[:len(db.byID):len(db.byID)], seq: db.writeSeq}
 	if dirtyOnly {
 		v.visits = make(map[trace.EntityID][]trace.Record, len(db.dirty))
 		v.folded = make(map[trace.EntityID]int, len(db.dirty))
@@ -113,20 +118,6 @@ func (db *DB) captureView(dirtyOnly bool) view {
 		}
 	}
 	return v
-}
-
-// hasDirty reports whether any entity has visits newer than the serving
-// snapshot covers.
-func (db *DB) hasDirty() bool {
-	return db.dirtyCount() > 0
-}
-
-// dirtyCount returns the number of entities with visits the serving snapshot
-// does not cover yet.
-func (db *DB) dirtyCount() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.dirty)
 }
 
 // buildSnapshot constructs a full snapshot from a freshly captured visit view
@@ -346,18 +337,27 @@ func (db *DB) stageDirtySequences(v view, prev *snapshot) []*trace.Sequences {
 func (db *DB) publish(ns *snapshot, v view) *snapshot {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	ns.generation = 1
-	if prev := db.snap.Load(); prev != nil {
-		ns.generation = prev.generation + 1
-	}
-	ns.swappedAt = time.Now()
-	db.snap.Store(ns)
+	ns.seq = v.seq
+	db.swapIn(ns)
 	for e, n := range v.folded {
 		if db.dirty[e] && len(db.visits[e]) == n {
 			delete(db.dirty, e)
 		}
 	}
 	return ns
+}
+
+// swapIn publishes ns as the serving snapshot under the next generation —
+// the one place a generation moves, so generations only grow and every
+// publish, the only thing that retires dirt, moves the cache version.
+// Callers serialize publishers (buildMu, or a DB no one else holds yet).
+func (db *DB) swapIn(ns *snapshot) {
+	ns.generation = 1
+	if prev := db.snap.Load(); prev != nil {
+		ns.generation = prev.generation + 1
+	}
+	ns.swappedAt = time.Now()
+	db.snap.Store(ns)
 }
 
 // newMeasure constructs the configured association degree measure.
@@ -368,53 +368,75 @@ func (db *DB) newMeasure() (adm.Measure, error) {
 	return adm.NewPaperADM(db.ix.Height(), db.measureU, db.measureV)
 }
 
-// snapshotForQuery returns the snapshot a query answers over, preserving the
-// lazy-freshness contract without ever stalling reads behind an in-flight
-// build:
-//
-//   - index built and nothing dirty — the hot path: one atomic load plus one
-//     shared-lock staleness check, then a lock-free search;
-//   - stale index, no build running — the query becomes the builder: it folds
-//     the dirt aside (escalating to a full rebuild when a dirty visit extends
-//     past the indexed horizon, so one out-of-horizon ingest can never wedge
-//     the query path) and swaps before answering — sequential callers always
-//     read their own writes;
-//   - stale index, build in flight — the query answers from the published
-//     snapshot instead of waiting: the racing visits were never promised to
-//     be visible (they are exactly the "visits arriving after the refresh
-//     decision" of the old write-lock design) and the in-flight build
-//     publishes them shortly;
-//   - no index at all — first queries must wait for one to exist.
-func (db *DB) snapshotForQuery() (*snapshot, error) {
+// covering returns the serving snapshot if it covers every write
+// acknowledged so far — nil if there is none, or dirt is pending — and the
+// write sequence. Both are read under the ingest lock publish swaps under,
+// so no publish can land between the dirt check and the load. The query
+// path's fast path and the DB's cache version make exactly this check.
+func (db *DB) covering() (*snapshot, uint64) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	if len(db.dirty) > 0 {
+		return nil, db.writeSeq
+	}
+	return db.snap.Load(), db.writeSeq
+}
+
+// SnapshotGeneration returns the serving snapshot's generation (1 for the
+// first build, +1 per swap) and whether a snapshot exists at all — one atomic
+// load. A generation alone does not promise freshness: read PendingEntities
+// first, as shard's cluster cache does, to know it covers every write.
+func (db *DB) SnapshotGeneration() (uint64, bool) {
 	s := db.snap.Load()
-	if s != nil && !db.hasDirty() {
+	if s == nil {
+		return 0, false
+	}
+	return s.generation, true
+}
+
+// PendingEntities returns the number of entities with visits the serving
+// snapshot does not cover yet — IndexStats().DirtyCount without the index
+// walk. Zero means the generation SnapshotGeneration reports afterwards
+// covers every write acknowledged before this call (dirt is only retired by
+// a publish, and generations only grow).
+func (db *DB) PendingEntities() int {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return len(db.dirty)
+}
+
+// snapshotForQuery returns the snapshot a query answers over: one covering
+// every write acknowledged before the query began (read-your-writes).
+//
+//   - nothing dirty — the hot path: one shared-lock check, then a lock-free
+//     search, never waiting on a build;
+//   - otherwise the query waits on buildMu. If the build it waited out
+//     published a snapshot covering the write sequence the query read at
+//     start, it answers from that even if newer writes have arrived since;
+//     else it becomes the builder: it folds the dirt aside (escalating to a
+//     full rebuild when a dirty visit extends past the indexed horizon, so
+//     one out-of-horizon ingest can never wedge the query path), or builds
+//     the first index, and swaps before answering.
+func (db *DB) snapshotForQuery() (*snapshot, error) {
+	s, seq := db.covering()
+	if s != nil {
 		return s, nil
 	}
-	if s != nil {
-		if !db.buildMu.TryLock() {
-			return s, nil
-		}
-	} else {
-		db.buildMu.Lock()
-	}
+	db.buildMu.Lock()
 	defer db.buildMu.Unlock()
-	// Re-check under buildMu: the builder we waited on (or raced) may have
-	// already published exactly what we need.
+	// Every publisher holds buildMu, so s is stable from here on.
 	s = db.snap.Load()
-	if s == nil {
+	switch {
+	case s == nil:
 		return db.buildSnapshot()
-	}
-	if !db.hasDirty() {
+	case s.seq >= seq:
 		return s, nil
 	}
 	ns, err := db.refreshSnapshot(s)
-	if err != nil {
-		if errors.Is(err, ErrBeyondHorizon) {
-			return db.buildSnapshot()
-		}
-		return nil, err
+	if errors.Is(err, ErrBeyondHorizon) {
+		return db.buildSnapshot()
 	}
-	return ns, nil
+	return ns, err
 }
 
 // lookup resolves an entity name against a snapshot: the ID comes from the

@@ -35,17 +35,13 @@ func WithTracing(size int) Option {
 // nil-receiver safe, so callers may use the result unconditionally.
 func (db *DB) Tracer() *obs.Tracer { return db.tracer }
 
-// tracedQuery wraps one query-path execution with trace capture. run
-// returns the snapshot it pinned (nil if it failed before pinning one) so
-// the trace records the answering generation. When tracing is disabled the
-// only overhead is the nil check.
-func (db *DB) tracedQuery(kind obs.Kind, entity string, k int, run func() (*snapshot, []Match, QueryStats, error)) ([]Match, QueryStats, error) {
+// record writes one query's trace: s is the snapshot that answered (nil if
+// the query failed before pinning one), so the trace names the answering
+// generation. No-op when tracing is disabled.
+func (db *DB) record(kind obs.Kind, entity string, k int, s *snapshot, out []Match, qs QueryStats, err error, start time.Time) {
 	if db.tracer == nil {
-		_, out, qs, err := run()
-		return out, qs, err
+		return
 	}
-	start := time.Now()
-	s, out, qs, err := run()
 	qt := obs.QueryTrace{
 		Kind:         kind,
 		Entity:       entity,
@@ -67,5 +63,4 @@ func (db *DB) tracedQuery(kind obs.Kind, entity string, k int, run func() (*snap
 		qt.Err = err.Error()
 	}
 	db.tracer.Record(qt)
-	return out, qs, err
 }
