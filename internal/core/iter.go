@@ -29,16 +29,17 @@ import (
 // order — so when an entity finally surfaces, nothing unexamined can outrank
 // it.
 //
-// An Iter pins the tree it was opened on: like TopK it is read-only, but it
-// holds its search frontier across calls, so the tree must stay unmutated for
-// the iterator's whole lifetime (the root package guarantees this by only
-// opening iterators on immutable snapshot trees). An Iter is not safe for
-// concurrent use; open one per goroutine.
+// An Iter pins the tree it was opened on until Close: like TopK it is
+// read-only, but it holds its search frontier across calls, so the tree must
+// stay unmutated for the iterator's whole lifetime (the root package
+// guarantees this by only opening iterators on immutable snapshot trees). An
+// Iter is not safe for concurrent use; open one per goroutine.
 type Iter struct {
 	frontier                  // groups not yet examined, in descending bound order
 	exact    []Result         // scored entities of positive degree, heap in canonical answer order
 	skipped  []trace.EntityID // scored entities of degree 0, unordered
 	zeros    []trace.EntityID // zero-flush tail, ascending ID (nil until everything left has degree 0)
+	floor    float64          // nothing bounded below it is examined or returned
 }
 
 // NewIter opens an incremental search for the query sequences q (excluding
@@ -53,8 +54,8 @@ func (t *Tree) NewIter(q *trace.Sequences, measure adm.Measure) (*Iter, error) {
 
 // Next returns the next entity in exact rank order (degree descending, ties
 // by ascending entity ID), or ok = false when every indexed entity has been
-// emitted. The first k results of an iterator are bit-identical to
-// Tree.TopK(q, k) for every k.
+// emitted — or, under a positive floor, every one at or above it. The first k
+// results of an iterator are bit-identical to Tree.TopK(q, k) for every k.
 func (it *Iter) Next() (Result, bool, error) {
 	if it.zeros != nil {
 		return it.nextZero()
@@ -62,7 +63,8 @@ func (it *Iter) Next() (Result, bool, error) {
 	// Examine groups until the best scored entity provably outranks every
 	// queued one. The condition is ≥, not >: a group whose bound equals the
 	// best degree may contain an equal-degree entity with a smaller ID, which
-	// the tie order puts first.
+	// the tie order puts first. For the same reason a group bounded exactly at
+	// the floor is still examined.
 	keep := func(r Result) {
 		if r.Degree == 0 {
 			it.skipped = append(it.skipped, r.Entity)
@@ -70,15 +72,18 @@ func (it *Iter) Next() (Result, bool, error) {
 			it.exact = heapPush(it.exact, r, ranksBefore)
 		}
 	}
-	for ub, ok := it.peek(); ok && ub > 0 && (len(it.exact) == 0 || ub >= it.exact[0].Degree); ub, ok = it.peek() {
+	for ub, ok := it.peek(); ok && ub > 0 && ub >= it.floor && (len(it.exact) == 0 || ub >= it.exact[0].Degree); ub, ok = it.peek() {
 		if err := it.visit(nil, keep); err != nil {
 			return Result{}, false, err
 		}
 	}
-	if len(it.exact) > 0 {
+	if len(it.exact) > 0 && it.exact[0].Degree >= it.floor {
 		var r Result
 		r, it.exact = heapPop(it.exact, ranksBefore)
 		return r, true, nil
+	}
+	if it.floor > 0 {
+		return Result{}, false, nil // everything left is below the floor
 	}
 	// The queue drained or its bound hit 0 with every positive degree
 	// emitted, so everything left — set aside above, or still queued
@@ -96,9 +101,9 @@ func (it *Iter) Next() (Result, bool, error) {
 }
 
 // nextZero drains the zero-flush tail: every remaining entity has degree 0,
-// pre-sorted by ascending ID.
+// pre-sorted by ascending ID, and below any positive floor.
 func (it *Iter) nextZero() (Result, bool, error) {
-	if len(it.zeros) == 0 {
+	if len(it.zeros) == 0 || it.floor > 0 {
 		return Result{}, false, nil
 	}
 	e := it.zeros[0]
@@ -118,6 +123,21 @@ func (it *Iter) Bound() float64 {
 		b = it.exact[0].Degree
 	}
 	return b
+}
+
+// RaiseFloor lifts the floor to floor; a lower value than the current one is
+// ignored. From then on Next examines no group bounded below the floor,
+// returns no entity below it, and reports ok = false once Bound() < floor.
+// Entities exactly at the floor are still returned: they can win a tie.
+func (it *Iter) RaiseFloor(floor float64) { it.floor = max(it.floor, floor) }
+
+// Close ends the iterator before it is drained: its pooled scratch goes back
+// for reuse and the tree is no longer referenced, so Next reports ok = false
+// and Bound 0 from then on. Stats stay readable. Calling it again is a no-op.
+func (it *Iter) Close() {
+	it.release()
+	it.t = nil
+	it.exact, it.skipped, it.zeros = nil, nil, []trace.EntityID{}
 }
 
 // Stats reports the work performed so far: Checked counts exact degree

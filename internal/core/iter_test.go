@@ -103,6 +103,87 @@ func TestIterBoundIsAdmissible(t *testing.T) {
 	}
 }
 
+// TestIterFloor: under a floor an Iter returns exactly the prefix of its
+// full order at or above it — ties at the floor included — then ends with
+// Bound() below it, having scored no more than an unfloored drain; raising
+// the floor after the zero-degree tail began ends it too; and Close ends the
+// stream with its statistics intact.
+func TestIterFloor(t *testing.T) {
+	ix, st, tree := buildRandomWorld(t, 23, 70, 16)
+	m := measuresFor(t, ix.Height())[0]
+	q := st.Get(3)
+	full := BruteForceTopK(st, tree.Entities(), q, tree.Len(), m)
+	drain := func(it *Iter) (out []Result) {
+		for {
+			r, ok, err := it.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				return out
+			}
+			out = append(out, r)
+		}
+	}
+	unfloored, err := tree.NewIter(q, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain(unfloored)
+	for _, i := range []int{0, 3, 9, 20} {
+		floor := full[i].Degree
+		if floor == 0 {
+			continue
+		}
+		it, err := tree.NewIter(q, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		it.RaiseFloor(floor)
+		it.RaiseFloor(floor / 2) // ignored: floors only rise
+		got := drain(it)
+		n := 0
+		for n < len(full) && full[n].Degree >= floor {
+			n++
+		}
+		if len(got) != n {
+			t.Fatalf("floor %v: %d results, want the %d at or above it", floor, len(got), n)
+		}
+		for j := range got {
+			if got[j] != full[j] {
+				t.Fatalf("floor %v: result %d = %+v, want %+v", floor, j, got[j], full[j])
+			}
+		}
+		if it.Bound() >= floor {
+			t.Fatalf("floor %v: ended with Bound() %v", floor, it.Bound())
+		}
+		if it.Stats().Checked > unfloored.Stats().Checked {
+			t.Fatalf("floor %v: scored %d, an unfloored drain %d", floor, it.Stats().Checked, unfloored.Stats().Checked)
+		}
+		checked := it.Stats().Checked
+		it.Close()
+		it.Close()
+		if _, ok, _ := it.Next(); ok || it.Bound() != 0 || it.Stats().Checked != checked {
+			t.Fatalf("closed iterator: ok=%v bound=%v checked=%d", ok, it.Bound(), it.Stats().Checked)
+		}
+	}
+
+	// Into the zero-degree tail at floor 0, then a positive floor.
+	it, err := tree.NewIter(q, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for it.zeros == nil {
+		if _, ok, err := it.Next(); err != nil || !ok {
+			t.Skipf("no zero-degree tail in this world (ok=%v, %v)", ok, err)
+		}
+	}
+	it.RaiseFloor(full[0].Degree)
+	if r, ok, _ := it.Next(); ok {
+		t.Fatalf("zero-degree tail returned %+v under a positive floor", r)
+	}
+}
+
 // TestIterByExample exercises the query-by-example shape the shard fan-out
 // uses (Entity = -1, so no self-exclusion): the drain must cover every
 // indexed entity.

@@ -76,14 +76,16 @@ type ShardTrace struct {
 	// coordinator (including a later-excluded self entity). Summed over
 	// shards it equals the trace's Pulled and QueryStats.Pulled.
 	Pulled int
-	// Rounds counts the doubling pull rounds this shard participated in.
+	// Rounds counts the pull rounds this shard participated in, its open's
+	// first pull included.
 	Rounds int
 	// Checked counts the exact degree computations the shard's search
 	// performed — the work early termination exists to bound.
 	Checked int
-	// Cut reports the stream was stopped by the coordinator (threshold cut
-	// or the k+1 per-shard cap) while it still had candidates; Exhausted
-	// reports it ran dry. Exactly one is set on every gathered row.
+	// Cut reports the stream was stopped while it still had candidates: by
+	// the coordinator (threshold cut or the k+1 per-shard cap) or on the
+	// shard by its floor; Exhausted reports it ran dry. Exactly one is set
+	// on every gathered row.
 	Cut       bool
 	Exhausted bool
 	// Bound is the shard's final admissible remainder bound — compare with

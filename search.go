@@ -20,10 +20,12 @@ import (
 // TopK(·, k) for every k — same entities, degrees and tie order.
 //
 // A Search holds its frontier across calls and is not safe for concurrent
-// use; open one per goroutine. It pins the snapshot's memory until dropped.
+// use; open one per goroutine. It pins the snapshot's memory, and pooled
+// search scratch, until Close (or until it runs dry).
 type Search struct {
-	snap *snapshot
+	snap *snapshot // nil once closed
 	it   *core.Iter
+	gen  uint64
 }
 
 // Search opens an incremental query for the named entity, excluding the
@@ -60,7 +62,7 @@ func newSearch(s *snapshot, q *trace.Sequences) (*Search, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Search{snap: s, it: it}, nil
+	return &Search{snap: s, it: it, gen: s.generation}, nil
 }
 
 // Next returns the next entity in exact rank order, or ok = false once every
@@ -80,6 +82,22 @@ func (sr *Search) Next() (Match, bool, error) {
 // at exactly Bound may remain, which is why the cut must be strict).
 func (sr *Search) Bound() float64 { return sr.it.Bound() }
 
+// RaiseFloor tells the search that nothing below floor matters — a
+// coordinator passes the k-th degree it already holds: Next then scores no
+// candidate bounded below it, returns no match below it, and reports ok =
+// false once Bound() < floor. Matches at the floor still count (they can win
+// the tie-break). A floor lower than the current one is ignored.
+func (sr *Search) RaiseFloor(floor float64) { sr.it.RaiseFloor(floor) }
+
+// Close releases the search before it is drained: the pooled scratch goes
+// back for reuse and the snapshot is no longer pinned. Next then reports
+// ok = false; Checked and Generation still answer. Calling it again is a
+// no-op.
+func (sr *Search) Close() {
+	sr.it.Close()
+	sr.snap = nil
+}
+
 // Checked reports how many exact degree computations the search has
 // performed so far — the work early termination exists to avoid.
 func (sr *Search) Checked() int { return sr.it.Stats().Checked }
@@ -88,4 +106,4 @@ func (sr *Search) Checked() int { return sr.it.Stats().Checked }
 // IndexStats reports as Generation). Two Searches with equal generations
 // answer over identical index states — what a cluster trace reports per
 // shard.
-func (sr *Search) Generation() uint64 { return sr.snap.generation }
+func (sr *Search) Generation() uint64 { return sr.gen }

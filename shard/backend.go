@@ -9,10 +9,11 @@ package shard
 // preserves bit-identical answers as long as each implementation honors it.
 //
 // The search half is deliberately *pull-batched* rather than item-at-a-time:
-// Stream.Pull(want) surrenders up to want ranked results and the bound after
-// them in one call, so an entire gather round against a remote shard costs
-// one network round trip, not want of them. The local adapter simply loops
-// digitaltraces.Search.Next under the same contract.
+// Stream.Pull(want, floor) surrenders up to want ranked results at or above
+// the coordinator's floor and the bound after them in one call, and opening a
+// stream already carries its first pull, so an entire gather round against a
+// remote shard costs one network round trip, not want of them. The local
+// adapter simply loops digitaltraces.Search.Next under the same contract.
 
 import (
 	"io"
@@ -37,13 +38,16 @@ type Backend interface {
 	// discretization guarantee of digitaltraces.DB.VisitsOf.
 	VisitsOf(entity string) ([]digitaltraces.Visit, error)
 	// OpenSearch opens an incremental exact-rank stream for a hypothetical
-	// entity described by visits, pinned to one immutable index snapshot.
-	OpenSearch(visits []digitaltraces.Visit) (Stream, error)
+	// entity described by visits, pinned to one immutable index snapshot, and
+	// returns its first Pull(want, floor) with it — one round trip on a
+	// remote shard.
+	OpenSearch(visits []digitaltraces.Visit, want int, floor float64) (Stream, Batch, error)
 	// OpenSearchEntity resolves the named entity's visits and opens a stream
-	// over them in one call — one round trip on a remote shard — returning
-	// the visits so the coordinator can fan the same snapshot out to sibling
-	// shards (TopK must never mix two states of the query entity).
-	OpenSearchEntity(entity string) ([]digitaltraces.Visit, Stream, error)
+	// over them, first Pull(want, 0) included, in one call — one round trip
+	// on a remote shard — returning the visits so the coordinator can fan the
+	// same snapshot out to sibling shards (TopK must never mix two states of
+	// the query entity).
+	OpenSearchEntity(entity string, want int) ([]digitaltraces.Visit, Stream, Batch, error)
 	// BuildIndex rebuilds the shard's index; Refresh folds pending dirt,
 	// escalating to a local rebuild itself when the dirt extends past the
 	// indexed horizon (a remote shard cannot surface ErrBeyondHorizon
@@ -78,17 +82,31 @@ type Backend interface {
 	Close() error
 }
 
+// Batch is what one pull surrenders: matches in the shard's exact order, all
+// at or above the pull's floor; an admissible upper bound on the degree of
+// everything not yet returned (0 once exhausted); and whether anything at or
+// above the floor may remain. Fewer than want matches with Live set never
+// happens: a short batch means the stream ran dry or reached the floor.
+type Batch struct {
+	Matches []digitaltraces.Match
+	Bound   float64
+	Live    bool
+}
+
 // Stream is one shard's half of an in-progress incremental top-k: results
 // arrive in the shard's exact rank order (degree descending, ties by the
-// shard's own ingest order), batched. A Stream pins one index snapshot for
-// its whole life and is not safe for concurrent use; the coordinator drives
+// shard's own ingest order), batched. A Stream pins one index snapshot until
+// it is closed and is not safe for concurrent use; the coordinator drives
 // each stream from a single goroutine per pull round.
 type Stream interface {
-	// Pull returns up to want further matches, an admissible upper bound on
-	// the degree of everything not yet returned (0 once exhausted), and
-	// whether more results may remain. Fewer than want matches with
-	// more == true never happens: a short batch means the stream ran dry.
-	Pull(want int) ([]digitaltraces.Match, float64, bool, error)
+	// Pull returns the next batch of up to want matches. floor is the
+	// coordinator's current k-th degree (0 while it holds fewer than k): the
+	// shard scores nothing bounded below it, returns no match below it and
+	// ends the stream (Live false) once its bound drops below it. Matches at
+	// the floor are still returned — they can win the ordinal tie-break — so
+	// a pulled prefix stays a prefix of the shard's exact order. Successive
+	// floors never decrease.
+	Pull(want int, floor float64) (Batch, error)
 	// Checked reports the exact degree computations performed so far (for a
 	// remote stream, as of the last pull — exact after the final pull, since
 	// a cut stream does no further work).
@@ -96,9 +114,10 @@ type Stream interface {
 	// Generation identifies the pinned snapshot (the cluster cache's
 	// version-vector component for this shard).
 	Generation() uint64
-	// Close releases the stream. A remote Close is fire-and-forget — the
-	// shard server also expires idle streams — and a local Close is a no-op;
-	// either way the Stream must not be used afterwards.
+	// Close releases the stream's search, snapshot and pooled scratch: at
+	// once for a local stream, on the client's next request to that shard
+	// for a remote one (no round trip of its own; the server's TTL is the
+	// backstop). The Stream must not be pulled afterwards.
 	Close() error
 }
 
@@ -108,24 +127,30 @@ type local struct {
 	*digitaltraces.DB
 }
 
-func (l local) OpenSearch(visits []digitaltraces.Visit) (Stream, error) {
+func (l local) OpenSearch(visits []digitaltraces.Visit, want int, floor float64) (Stream, Batch, error) {
 	s, err := l.DB.SearchByExample(visits)
 	if err != nil {
-		return nil, err
+		return nil, Batch{}, err
 	}
-	return &localStream{s: s}, nil
+	ls := &localStream{s: s}
+	b, err := ls.Pull(want, floor)
+	if err != nil {
+		ls.Close()
+		return nil, Batch{}, err
+	}
+	return ls, b, nil
 }
 
-func (l local) OpenSearchEntity(entity string) ([]digitaltraces.Visit, Stream, error) {
+func (l local) OpenSearchEntity(entity string, want int) ([]digitaltraces.Visit, Stream, Batch, error) {
 	visits, err := l.DB.VisitsOf(entity)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, Batch{}, err
 	}
-	st, err := l.OpenSearch(visits)
+	st, b, err := l.OpenSearch(visits, want, 0)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, Batch{}, err
 	}
-	return visits, st, nil
+	return visits, st, b, nil
 }
 
 // localStream adapts digitaltraces.Search to the batched Stream contract by
@@ -135,31 +160,26 @@ type localStream struct {
 	s *digitaltraces.Search
 }
 
-func (ls *localStream) Pull(want int) ([]digitaltraces.Match, float64, bool, error) {
-	out := make([]digitaltraces.Match, 0, want)
+func (ls *localStream) Pull(want int, floor float64) (Batch, error) {
+	ls.s.RaiseFloor(floor)
+	out := make([]digitaltraces.Match, 0, min(want, 64)) // want may come off the wire: grow, don't trust it
 	for len(out) < want {
 		m, ok, err := ls.s.Next()
 		if err != nil {
-			return nil, 0, false, err
+			return Batch{}, err
 		}
 		if !ok {
-			return out, ls.s.Bound(), false, nil
+			return Batch{Matches: out, Bound: ls.s.Bound()}, nil
 		}
 		out = append(out, m)
 	}
-	return out, ls.s.Bound(), true, nil
+	b := ls.s.Bound()
+	return Batch{Matches: out, Bound: b, Live: b >= floor}, nil
 }
 
 func (ls *localStream) Checked() int       { return ls.s.Checked() }
 func (ls *localStream) Generation() uint64 { return ls.s.Generation() }
-func (ls *localStream) Close() error       { return nil }
-
-// closeStreams releases every non-nil stream (remote streams notify their
-// shard server; local ones are no-ops).
-func closeStreams(streams []Stream) {
-	for _, s := range streams {
-		if s != nil {
-			s.Close()
-		}
-	}
+func (ls *localStream) Close() error {
+	ls.s.Close()
+	return nil
 }

@@ -384,11 +384,12 @@ func (c *Cluster) AddVisits(visits []digitaltraces.VisitRecord) (int, error) {
 // that one snapshot through the incremental query-by-example search, so the
 // merged answer never mixes two states of the query entity even when a
 // writer races the query. The fan-out is threshold-pruned (gather.go): the
-// coordinator pulls per-shard results in doubling rounds and stops pulling
-// from a shard once the merged k-th degree strictly dominates that shard's
-// remainder bound, so shards whose candidates are quickly dominated never
-// run a full local top-k — while the answer stays bit-identical to a single
-// DB (TestClusterExactness). The query entity itself is excluded during the
+// home shard's first k+1 results give a k-th degree the siblings open at as
+// their floor, every later pull carries the merged k-th as the floor, and a
+// shard stops once that floor strictly dominates its remainder bound, so
+// shards whose candidates are quickly dominated never run a full local top-k
+// — while the answer stays bit-identical to a single DB
+// (TestClusterExactness). The query entity itself is excluded during the
 // merge. Stats aggregate across shards: Checked sums the exact degree
 // computations actually performed and PE/Pruned are recomputed over the
 // cluster-wide population, so they are comparable with single-DB numbers.
@@ -403,20 +404,33 @@ func (c *Cluster) TopK(entity string, k int) ([]digitaltraces.Match, digitaltrac
 // topKTraced is TopK with trace linkage: batchID groups the item traces of
 // one TopKBatch call (0 outside a batch).
 func (c *Cluster) topKTraced(entity string, k int, batchID uint64) ([]digitaltraces.Match, digitaltraces.QueryStats, error) {
-	return c.query(obs.KindTopK, entity, k, batchID, qcache.EntityKey(entity, k), func(sm *SlotMap) ([]Stream, error) {
-		// Resolve the entity's visits and open its home-shard stream in one
-		// call (one round trip on a remote home shard), then fan the same
-		// visit snapshot out to every sibling — the merged answer never
-		// mixes two states of the query entity even when a writer races the
-		// query.
+	return c.query(obs.KindTopK, entity, k, batchID, qcache.EntityKey(entity, k), func(sm *SlotMap) ([]opened, error) {
+		// Resolve the entity's visits, open its home-shard stream and pull
+		// k+1 from it in one call (one round trip on a remote home shard),
+		// then fan the same visit snapshot out to every sibling — the merged
+		// answer never mixes two states of the query entity even when a
+		// writer races the query.
 		homeOrd := sm.Owner(entity)
-		visits, homeStream, err := c.shards[homeOrd].OpenSearchEntity(entity)
+		start := time.Now()
+		visits, st, first, err := c.shards[homeOrd].OpenSearchEntity(entity, k+1)
 		if err != nil {
 			return nil, err
 		}
-		byShard, err := c.openSearches(homeOrd, homeStream, visits)
+		home := opened{st: st, first: first, took: time.Since(start)}
+		// The k-th owned match other than the entity itself is a floor the
+		// siblings can open at: the merged k-th can only be higher.
+		floor, n := 0.0, 0
+		for _, m := range first.Matches {
+			if m.Entity != entity && sm.Owner(m.Entity) == homeOrd {
+				if n++; n == k {
+					floor = m.Degree
+					break
+				}
+			}
+		}
+		byShard, err := c.openSearches(visits, homeOrd, home, k, floor)
 		if err != nil {
-			homeStream.Close()
+			st.Close()
 		}
 		return byShard, err
 	})
@@ -426,9 +440,19 @@ func (c *Cluster) topKTraced(entity string, k int, batchID uint64) ([]digitaltra
 // fanning the example out to every shard through the same threshold-pruned
 // gather as TopK, with no self to exclude.
 func (c *Cluster) TopKByExample(visits []digitaltraces.Visit, k int) ([]digitaltraces.Match, digitaltraces.QueryStats, error) {
-	return c.query(obs.KindExample, "", k, 0, exampleCacheKey(visits, k), func(*SlotMap) ([]Stream, error) {
-		return c.openSearches(-1, nil, visits)
+	return c.query(obs.KindExample, "", k, 0, exampleCacheKey(visits, k), func(*SlotMap) ([]opened, error) {
+		return c.openSearches(visits, -1, opened{}, k, 0)
 	})
+}
+
+// opened is one shard's search after its fused open: the stream, the first
+// batch the open returned with it, the floor that batch was pulled at, and
+// the wall-clock the open took.
+type opened struct {
+	st    Stream
+	first Batch
+	floor float64
+	took  time.Duration
 }
 
 // query answers one top-k query (entity is the one to exclude, "" for an
@@ -438,7 +462,7 @@ func (c *Cluster) TopKByExample(visits []digitaltraces.Visit, k int) ([]digitalt
 // filter and the loose-stream decision all read that map, so a migration
 // publishing mid-query can never split the query's view of who owns what
 // (slotmap.go's exactness argument).
-func (c *Cluster) query(kind obs.Kind, entity string, k int, batchID uint64, key string, open func(*SlotMap) ([]Stream, error)) ([]digitaltraces.Match, digitaltraces.QueryStats, error) {
+func (c *Cluster) query(kind obs.Kind, entity string, k int, batchID uint64, key string, open func(*SlotMap) ([]opened, error)) ([]digitaltraces.Match, digitaltraces.QueryStats, error) {
 	start := time.Now()
 	if k < 1 {
 		err := fmt.Errorf("shard: k = %d < 1", k)
@@ -471,48 +495,64 @@ func (c *Cluster) query(kind obs.Kind, entity string, k int, batchID uint64, key
 
 // openSearches opens one incremental search stream per non-empty shard, in
 // parallel (opening may fold a shard's dirt, so the builds overlap; on
-// remote shards the opens are concurrent round trips). A pre-opened home
-// stream (TopK's combined resolve-and-open) slots in at homeOrd; pass
-// homeOrd = -1 for the example path. The result is aligned to c.shards, nil
-// for shards that held no entities, which gatherByShard compacts for the
-// bounded merge. On error every stream opened here is closed (not the
-// caller's pre-opened one).
-func (c *Cluster) openSearches(homeOrd int, homeStream Stream, visits []digitaltraces.Visit) ([]Stream, error) {
-	byShard := make([]Stream, len(c.shards))
+// remote shards the opens are concurrent round trips), each with its first
+// pull at floor: the shard's even share of k, ⌈k/N⌉. Asking for more would
+// score deeper than the floor the gather's next round carries; asking for
+// less leaves that round a lower floor. A pre-opened home stream (TopK's
+// combined resolve-and-open) slots in at homeOrd; pass homeOrd = -1 for the
+// example path. The result is aligned to c.shards, empty for shards that
+// held no entities, which gatherByShard compacts for the bounded merge. On
+// error every stream opened here is closed (not the caller's pre-opened
+// one).
+func (c *Cluster) openSearches(visits []digitaltraces.Visit, homeOrd int, home opened, k int, floor float64) ([]opened, error) {
+	want := (k + len(c.shards) - 1) / len(c.shards)
+	byShard := make([]opened, len(c.shards))
 	errs := make([]error, len(c.shards))
 	var wg sync.WaitGroup
-	opened := 0
+	n := 0
 	for i, sh := range c.shards {
 		if i == homeOrd {
-			byShard[i] = homeStream
-			opened++
+			byShard[i] = home
+			n++
 			continue
 		}
 		if sh.NumEntities() == 0 {
 			continue // an empty shard has no candidates (and no index to search)
 		}
-		opened++
+		n++
 		wg.Add(1)
 		go func(i int, sh Backend) {
 			defer wg.Done()
-			byShard[i], errs[i] = sh.OpenSearch(visits)
+			start := time.Now()
+			o := opened{floor: floor}
+			o.st, o.first, errs[i] = sh.OpenSearch(visits, want, floor)
+			o.took = time.Since(start)
+			byShard[i] = o
 		}(i, sh)
 	}
-	if opened == 0 {
+	if n == 0 {
 		return nil, fmt.Errorf("shard: cluster has no visits to index")
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			for j, s := range byShard {
-				if s != nil && j != homeOrd {
-					s.Close()
-				}
+			if homeOrd >= 0 {
+				byShard[homeOrd] = opened{}
 			}
+			closeAll(byShard)
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
 	return byShard, nil
+}
+
+// closeAll releases every opened stream.
+func closeAll(byShard []opened) {
+	for _, o := range byShard {
+		if o.st != nil {
+			o.st.Close()
+		}
+	}
 }
 
 // gatherByShard finishes a fan-out over an openSearches result: it checks
@@ -520,19 +560,19 @@ func (c *Cluster) openSearches(homeOrd int, homeStream Stream, visits []digitalt
 // under the query's pinned slot map, maps the stream-indexed report back to
 // shard ordinals and the streams' generations for the trace detail, and
 // closes every stream.
-func (c *Cluster) gatherByShard(sm *SlotMap, byShard []Stream, k int, exclude string, start time.Time) ([]digitaltraces.Match, digitaltraces.QueryStats, gatherDetail, error) {
-	defer closeStreams(byShard)
+func (c *Cluster) gatherByShard(sm *SlotMap, byShard []opened, k int, exclude string, start time.Time) ([]digitaltraces.Match, digitaltraces.QueryStats, gatherDetail, error) {
+	defer closeAll(byShard)
 	if err := c.checkSlotEpoch(); err != nil {
 		return nil, digitaltraces.QueryStats{}, gatherDetail{}, err
 	}
-	active := make([]Stream, 0, len(byShard))
+	active := make([]opened, 0, len(byShard))
 	ords := make([]int, 0, len(byShard))
 	gens := make([]uint64, len(byShard)) // 0 for shards that were empty
-	for i, s := range byShard {
-		if s != nil {
-			active = append(active, s)
+	for i, o := range byShard {
+		if o.st != nil {
+			active = append(active, o)
 			ords = append(ords, i)
-			gens[i] = s.Generation()
+			gens[i] = o.st.Generation()
 		}
 	}
 	out, checked, rep, err := c.gatherSearches(sm, active, ords, k, exclude)

@@ -73,23 +73,25 @@ func (c *Cluster) fullMerge(entity string, visits []digitaltraces.Visit, k int) 
 		if sh.NumEntities() == 0 {
 			continue
 		}
-		st, err := sh.OpenSearch(visits)
+		st, b, err := sh.OpenSearch(visits, 64, 0)
 		if err != nil {
 			return nil, err
 		}
 		defer st.Close()
-		for more := true; more; {
-			var ms []digitaltraces.Match
-			if ms, _, more, err = st.Pull(64); err != nil {
-				return nil, err
-			}
+		for {
 			c.mu.RLock()
-			for _, m := range ms {
+			for _, m := range b.Matches {
 				if sm.Owner(m.Entity) == i {
 					lists[i] = append(lists[i], entry{m: m, rank: c.rankLocked(m.Entity)})
 				}
 			}
 			c.mu.RUnlock()
+			if !b.Live {
+				break
+			}
+			if b, err = st.Pull(64, 0); err != nil {
+				return nil, err
+			}
 		}
 		sort.SliceStable(lists[i], func(a, b int) bool { return entryBefore(lists[i][a], lists[i][b]) })
 	}

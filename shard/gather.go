@@ -38,9 +38,19 @@ package shard
 //     This cap also bounds the worst case (a degree plateau across shards)
 //     at k+1 results per shard.
 //
-// Rounds double the per-shard batch size, so a hot shard that owns the whole
-// answer is drained in O(log k) rounds while shards whose first result is
-// already dominated are pulled exactly once.
+//   - Every pull carries the merged k-th degree as the stream's floor (0
+//     while fewer than k are merged): the shard returns nothing below it and
+//     ends the stream once its bound drops below it. That is the strict cut
+//     above, taken on the shard instead of at the coordinator: what the
+//     stream withholds has degree < floor ≤ the final k-th. Matches at the
+//     floor are still returned, so a pulled prefix is still a prefix of the
+//     shard's exact order, and the k+1 cap argument is untouched.
+//
+// The opens already carry each stream's first pull (Backend.OpenSearch), so
+// the gather usually starts with every stream's first batch in hand. After
+// that an aligned stream is asked for everything up to its cap at once — the
+// floor, not the batch size, bounds the shard's work — and loose streams
+// double their batch per round.
 
 import (
 	"fmt"
@@ -51,10 +61,11 @@ import (
 	"digitaltraces"
 )
 
-// pullReq asks one stream for up to want more results.
+// pullReq asks one stream for up to want more results at or above floor.
 type pullReq struct {
 	stream int
 	want   int
+	floor  float64
 }
 
 // pullResp carries one stream's round: the results pulled (in stream order,
@@ -62,13 +73,15 @@ type pullReq struct {
 // before filtering (raw — liveness must be judged pre-filter, or a stream
 // whose whole batch was foreign copies would be declared dry with owned
 // candidates still unpulled), the stream's bound after the pull, whether
-// more results may remain, and the wall-clock the pull cost (attributed to
-// the stream's shard).
+// more results may remain, the floor the pull carried (a stream that ends
+// under a positive floor was cut by it), and the wall-clock the pull cost
+// (attributed to the stream's shard).
 type pullResp struct {
 	entries []entry
 	raw     int
 	bound   float64
 	live    bool
+	floor   float64
 	took    time.Duration
 }
 
@@ -77,7 +90,7 @@ type pullResp struct {
 type streamReport struct {
 	pulled    int
 	rounds    int
-	cut       bool // stopped by the threshold or the k+1 cap while live
+	cut       bool // stopped by the threshold, the k+1 cap or its floor
 	exhausted bool // ran dry
 	bound     float64
 	latency   time.Duration
@@ -94,10 +107,11 @@ type gatherReport struct {
 }
 
 // boundedGather merges n incremental streams into the global top-k with
-// threshold early termination, excluding the named entity. pull must
-// fulfill every request of a round (it may fan out in parallel) and return
-// responses in request order. Returns the merged answer, the number of
-// excluded entries skipped, and the per-stream gather report.
+// threshold early termination, excluding the named entity. first, when not
+// nil, is every stream's first round, already pulled (by the fused opens).
+// pull must fulfill every request of a round (it may fan out in parallel)
+// and return responses in request order. Returns the merged answer, the
+// number of excluded entries skipped, and the per-stream gather report.
 //
 // loose (nil = none) marks streams whose shard-local emission order no
 // longer matches the global arrival order restricted to the shard — shards
@@ -110,7 +124,7 @@ type gatherReport struct {
 // merged k-th degree — so sorting the prefix agrees with sorting the full
 // list on everything that can reach the answer. For an aligned stream the
 // sort is a no-op, so loose streams trade only pruning, never exactness.
-func boundedGather(n, k int, exclude string, loose []bool, pull func([]pullReq) ([]pullResp, error)) ([]digitaltraces.Match, int, gatherReport, error) {
+func boundedGather(n, k int, exclude string, loose []bool, first []pullResp, pull func([]pullReq) ([]pullResp, error)) ([]digitaltraces.Match, int, gatherReport, error) {
 	bufs := make([][]entry, n)
 	bounds := make([]float64, n)
 	live := make([]bool, n)
@@ -121,49 +135,67 @@ func boundedGather(n, k int, exclude string, loose []bool, pull func([]pullReq) 
 		bounds[i] = 1 // degrees live in [0, 1]; an unpulled stream may hold anything
 	}
 	isLoose := func(i int) bool { return loose != nil && loose[i] }
+	absorb := func(i int, r pullResp) {
+		bufs[i] = append(bufs[i], r.entries...)
+		bounds[i] = r.bound
+		// No progress from a live stream would loop forever; a stream that
+		// surrendered nothing (pre-filter) is done.
+		live[i] = r.live && r.raw > 0
+		// Ended under a positive floor, a stream was cut by it; at floor 0
+		// it ran dry.
+		rep.streams[i].exhausted = !live[i] && r.floor == 0
+		pulled[i] += len(r.entries)
+		rep.streams[i].rounds++
+		rep.streams[i].latency += r.took
+		if isLoose(i) && len(r.entries) > 0 {
+			// Restore the merge's sorted-input precondition under the
+			// global order; stable, so equal entries keep stream order.
+			sort.SliceStable(bufs[i], func(a, b int) bool {
+				return entryBefore(bufs[i][a], bufs[i][b])
+			})
+		}
+	}
+	for i, r := range first {
+		absorb(i, r)
+	}
 	// The self entity consumes one slot wherever it ranks, so k+1 entries
 	// from one shard always contain that shard's full possible contribution.
 	// pulled counts post-filter (owned) entries, so the cap argument counts
 	// the same entries the merge sees even when foreign copies interleave.
 	limit := k + 1
-	batch := (k + n - 1) / n
-	if batch < 1 {
-		batch = 1
-	}
+	batch := limit // a loose stream's want; it has no cap, so it doubles per round
 	for {
 		mergeStart := time.Now()
 		merged, excluded := mergeEntries(bufs, k, exclude)
 		rep.merge += time.Since(mergeStart)
+		floor := 0.0
+		if len(merged) == k {
+			floor = merged[k-1].Degree
+		}
 		var reqs []pullReq
 		for i := 0; i < n; i++ {
 			if !live[i] || (!isLoose(i) && pulled[i] >= limit) {
 				continue
 			}
-			// Pull while the stream could still contribute: the answer is
-			// short of k, or the stream's bound ties-or-beats the k-th
-			// merged degree (ties can win on ordinal, so ≥, cut on <).
-			if len(merged) < k || bounds[i] >= merged[k-1].Degree {
+			// Pull while the stream could still contribute: its bound
+			// ties-or-beats the floor (ties can win on ordinal, so ≥, cut
+			// on <).
+			if bounds[i] >= floor {
 				want := batch
 				if !isLoose(i) {
-					if w := limit - pulled[i]; w < want {
-						want = w
-					}
+					want = limit - pulled[i]
 				}
-				reqs = append(reqs, pullReq{stream: i, want: want})
+				reqs = append(reqs, pullReq{stream: i, want: want, floor: floor})
 			}
 		}
 		if len(reqs) == 0 {
-			if len(merged) == k && k > 0 {
-				rep.kth = merged[k-1].Degree
-			}
+			rep.kth = floor
 			for i := 0; i < n; i++ {
 				rep.streams[i].pulled = pulled[i]
 				rep.streams[i].bound = bounds[i]
-				// A stream that still had candidates was stopped by the
-				// coordinator (threshold cut or the k+1 cap); one that ran
-				// dry exhausted itself.
-				rep.streams[i].cut = live[i]
-				rep.streams[i].exhausted = !live[i]
+				// A stream that did not run dry was stopped by the coordinator
+				// (threshold cut or the k+1 cap) or by its floor.
+				rep.streams[i].cut = !rep.streams[i].exhausted
 			}
 			return merged, excluded, rep, nil
 		}
@@ -175,70 +207,67 @@ func boundedGather(n, k int, exclude string, loose []bool, pull func([]pullReq) 
 			return nil, 0, rep, fmt.Errorf("shard: pull returned %d responses for %d requests", len(resps), len(reqs))
 		}
 		for j, r := range reqs {
-			i := r.stream
-			bufs[i] = append(bufs[i], resps[j].entries...)
-			bounds[i] = resps[j].bound
-			live[i] = resps[j].live
-			pulled[i] += len(resps[j].entries)
-			rep.streams[i].rounds++
-			rep.streams[i].latency += resps[j].took
-			if resps[j].raw == 0 {
-				// No progress from a live stream would loop forever; a
-				// stream that surrendered nothing (pre-filter) is done.
-				live[i] = false
-			}
-			if isLoose(i) && len(resps[j].entries) > 0 {
-				// Restore the merge's sorted-input precondition under the
-				// global order; stable, so equal entries keep stream order.
-				sort.SliceStable(bufs[i], func(a, b int) bool {
-					return entryBefore(bufs[i][a], bufs[i][b])
-				})
-			}
+			resps[j].floor = r.floor
+			absorb(r.stream, resps[j])
 		}
 		batch *= 2
 	}
 }
 
-// gatherSearches runs boundedGather over opened per-shard streams, pulling
-// each round's requests in parallel — one Stream.Pull per stream per round,
-// so a whole gather round against remote shards costs one concurrent wave of
-// round trips — and resolving global ordinals for the pulled matches.
-// streams must be non-nil and ords maps each stream to its shard ordinal;
-// every pulled match is filtered by sm's ownership (an entity mid-migration
-// is physically on two shards — exactly the copy sm says is the owner
+// gatherSearches runs boundedGather over opened per-shard streams, starting
+// from the first batches their opens returned and pulling each later round's
+// requests in parallel — one Stream.Pull per stream per round, so a whole
+// gather round against remote shards costs one concurrent wave of round
+// trips — and resolving global ordinals for the pulled matches. streams
+// must hold open streams and ords maps each to its shard ordinal; every
+// pulled match is filtered by sm's ownership (an entity mid-migration is
+// physically on two shards — exactly the copy sm says is the owner
 // survives), and streams on sm-touched shards run loose. checked sums every
 // stream's exact degree computations after termination (the quantity the
 // pruning saves versus a full local top-k on every shard). The report's
 // streams are aligned with streams.
-func (c *Cluster) gatherSearches(sm *SlotMap, streams []Stream, ords []int, k int, exclude string) (out []digitaltraces.Match, checked int, rep gatherReport, err error) {
+func (c *Cluster) gatherSearches(sm *SlotMap, streams []opened, ords []int, k int, exclude string) (out []digitaltraces.Match, checked int, rep gatherReport, err error) {
 	loose := make([]bool, len(streams))
 	for si, o := range ords {
 		loose[si] = sm.touched[o]
 	}
+	owned := func(i int, b Batch, took time.Duration) pullResp {
+		es := make([]entry, 0, len(b.Matches))
+		for _, m := range b.Matches {
+			if sm.Owner(m.Entity) == ords[i] { // else a foreign copy: migrated away, or shipped here under a newer map
+				es = append(es, entry{m: m})
+			}
+		}
+		return pullResp{entries: es, raw: len(b.Matches), bound: b.Bound, live: b.Live, took: took}
+	}
+	// Resolve ordinals once per round, outside the pull goroutines.
+	rank := func(resps []pullResp) {
+		c.mu.RLock()
+		defer c.mu.RUnlock()
+		for j := range resps {
+			for i := range resps[j].entries {
+				resps[j].entries[i].rank = c.rankLocked(resps[j].entries[i].m.Entity)
+			}
+		}
+	}
+	first := make([]pullResp, len(streams))
+	for i, o := range streams {
+		first[i] = owned(i, o.first, o.took)
+		first[i].floor = o.floor
+	}
+	rank(first)
 	pull := func(reqs []pullReq) ([]pullResp, error) {
 		resps := make([]pullResp, len(reqs))
 		errs := make([]error, len(reqs))
 		var wg sync.WaitGroup
-		for j := range reqs {
+		for j, r := range reqs {
 			wg.Add(1)
-			go func(j int) {
+			go func() {
 				defer wg.Done()
 				pullStart := time.Now()
-				ms, bound, live, err := streams[reqs[j].stream].Pull(reqs[j].want)
-				if err != nil {
-					errs[j] = err
-					return
-				}
-				ord := ords[reqs[j].stream]
-				es := make([]entry, 0, len(ms))
-				for _, m := range ms {
-					if sm.Owner(m.Entity) != ord {
-						continue // foreign copy: migrated away, or shipped here under a newer map
-					}
-					es = append(es, entry{m: m})
-				}
-				resps[j] = pullResp{entries: es, raw: len(ms), bound: bound, live: live, took: time.Since(pullStart)}
-			}(j)
+				b, err := streams[r.stream].st.Pull(r.want, r.floor)
+				resps[j], errs[j] = owned(r.stream, b, time.Since(pullStart)), err
+			}()
 		}
 		wg.Wait()
 		for _, e := range errs {
@@ -246,22 +275,15 @@ func (c *Cluster) gatherSearches(sm *SlotMap, streams []Stream, ords []int, k in
 				return nil, e
 			}
 		}
-		// Resolve ordinals once per round, outside the pull goroutines.
-		c.mu.RLock()
-		for j := range resps {
-			for i := range resps[j].entries {
-				resps[j].entries[i].rank = c.rankLocked(resps[j].entries[i].m.Entity)
-			}
-		}
-		c.mu.RUnlock()
+		rank(resps)
 		return resps, nil
 	}
-	out, excluded, rep, err := boundedGather(len(streams), k, exclude, loose, pull)
+	out, excluded, rep, err := boundedGather(len(streams), k, exclude, loose, first, pull)
 	if err != nil {
 		return nil, 0, rep, err
 	}
 	for _, s := range streams {
-		checked += s.Checked()
+		checked += s.st.Checked()
 	}
 	// The home shard's example search scores the query entity itself (a
 	// single DB never does); subtract what the merge skipped so

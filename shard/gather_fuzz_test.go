@@ -6,7 +6,11 @@ package shard
 // (coarse degrees to force ties, colliding ordinals to force name
 // tie-breaks, an optional excluded entity, and per-stream bound slack) and
 // drives boundedGather over simulated streams that serve prefixes of those
-// lists with admissible bounds. The invariant is the acceptance property in
+// lists with admissible bounds and honour each pull's floor: nothing below
+// it is served, and a stream whose bound drops below it ends. Some cases
+// start from a pre-filled first round shaped like the cluster's fused opens:
+// stream 0 pulled k+1 at floor 0, every other stream pulled at the k-th
+// degree of that batch. The invariant is the acceptance property in
 // miniature: the pruned gather must return exactly what mergeEntries over
 // the FULL lists returns — it never surfaces a result a full merge wouldn't,
 // never drops or reorders one, for any list shape the decoder can produce.
@@ -32,11 +36,12 @@ import (
 // per-stream looseness (a migration-touched shard: degree order only, ties
 // in arbitrary — not global — order, no k+1 cap).
 type gatherCase struct {
-	lists   [][]entry
-	k       int
-	exclude string
-	slack   []float64
-	loose   []bool
+	lists     [][]entry
+	k         int
+	exclude   string
+	slack     []float64
+	loose     []bool
+	firstWant int // > 0: pre-fill the first round, the other streams pulling this many
 }
 
 // decodeGatherCase maps fuzz bytes onto a gather case. Every byte string
@@ -100,6 +105,9 @@ func decodeGatherCase(data []byte) gatherCase {
 	case 1:
 		g.exclude = "absent"
 	}
+	if b := next(); b%2 == 1 {
+		g.firstWant = 1 + int(b/2)%(g.k+1)
+	}
 	return g
 }
 
@@ -109,31 +117,62 @@ func decodeGatherCase(data []byte) gatherCase {
 func runBoundedGather(t *testing.T, g gatherCase) ([]digitaltraces.Match, []int) {
 	t.Helper()
 	pos := make([]int, len(g.lists))
+	floors := make([]float64, len(g.lists))
+	// serve is one simulated Stream.Pull: the next matches at or above the
+	// floor, up to want; live while the bound after them reaches the floor.
+	serve := func(i, want int, floor float64) pullResp {
+		if want < 1 {
+			t.Fatalf("pull requested want=%d", want)
+		}
+		if floor < floors[i] {
+			t.Fatalf("stream %d: floor fell from %v to %v", i, floors[i], floor)
+		}
+		floors[i] = floor
+		l, p := g.lists[i], pos[i]
+		var es []entry
+		for len(es) < want && p < len(l) && l[p].m.Degree >= floor {
+			es = append(es, l[p])
+			p++
+		}
+		pos[i] = p
+		r := pullResp{entries: es, raw: len(es), floor: floor}
+		switch {
+		case p == len(l): // exhausted: bound 0
+		case len(es) < want: // stopped by the floor: the exact bound is below it
+			r.bound = l[p].m.Degree
+		default: // admissible bound on the remainder: the next degree plus slack
+			r.bound = l[p].m.Degree + g.slack[i]
+			r.live = r.bound >= floor
+		}
+		return r
+	}
+	var first []pullResp
+	if g.firstWant > 0 {
+		// The cluster's fused opens: stream 0 is the home shard, pulled k+1
+		// at floor 0; its k-th match other than the excluded entity is the
+		// floor every sibling opens at.
+		first = make([]pullResp, len(g.lists))
+		first[0] = serve(0, g.k+1, 0)
+		floor, n := 0.0, 0
+		for _, e := range first[0].entries {
+			if e.m.Entity != g.exclude {
+				if n++; n == g.k {
+					floor = e.m.Degree
+				}
+			}
+		}
+		for i := 1; i < len(g.lists); i++ {
+			first[i] = serve(i, g.firstWant, floor)
+		}
+	}
 	pull := func(reqs []pullReq) ([]pullResp, error) {
 		resps := make([]pullResp, len(reqs))
 		for j, r := range reqs {
-			if r.want < 1 {
-				t.Fatalf("pull requested want=%d", r.want)
-			}
-			l := g.lists[r.stream]
-			p := pos[r.stream]
-			end := p + r.want
-			if end > len(l) {
-				end = len(l)
-			}
-			es := append([]entry(nil), l[p:end]...)
-			pos[r.stream] = end
-			// Admissible bound on the remainder: the next (largest
-			// remaining) degree, plus the stream's slack.
-			bound := 0.0
-			if end < len(l) {
-				bound = l[end].m.Degree + g.slack[r.stream]
-			}
-			resps[j] = pullResp{entries: es, raw: len(es), bound: bound, live: end < len(l)}
+			resps[j] = serve(r.stream, r.want, r.floor)
 		}
 		return resps, nil
 	}
-	got, _, rep, err := boundedGather(len(g.lists), g.k, g.exclude, g.loose, pull)
+	got, _, rep, err := boundedGather(len(g.lists), g.k, g.exclude, g.loose, first, pull)
 	if err != nil {
 		t.Fatalf("boundedGather: %v", err)
 	}
@@ -158,6 +197,10 @@ func FuzzBoundedGather(f *testing.F) {
 	f.Add([]byte{3, 2, 4, 0, 7, 1, 7, 2, 6, 3, 4, 0, 5, 1, 5, 2, 3, 3, 0, 0})
 	f.Add([]byte{0, 3, 2, 1, 0, 0, 0, 1, 5, 2, 7, 0, 7, 0, 7, 0, 4, 1, 0, 2, 1})
 	f.Add([]byte{11, 4, 9, 3, 7, 7, 7, 7, 7, 7, 0, 0, 0, 0, 9, 0, 7, 7, 7, 7, 7, 7, 0, 0, 0, 0, 0, 0, 1})
+	// Pre-filled first rounds (the last byte odd): a home stream owning
+	// most of the answer, and siblings tied at the home floor.
+	f.Add([]byte{2, 2, 6, 0, 0, 7, 1, 6, 2, 5, 3, 4, 4, 3, 5, 6, 1, 0, 4, 0, 0, 3, 1, 6, 2, 1, 3, 0, 4, 3})
+	f.Add([]byte{3, 3, 4, 1, 0, 5, 1, 5, 2, 5, 3, 5, 4, 4, 2, 0, 5, 0, 6, 5, 7, 5, 8, 3, 3, 0, 5, 0, 9, 5, 10, 1, 7})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := decodeGatherCase(data)
 		got, _ := runBoundedGather(t, g)
@@ -220,7 +263,7 @@ func TestBoundedGatherPrunes(t *testing.T) {
 // TestBoundedGatherPullError verifies pull failures surface to the caller.
 func TestBoundedGatherPullError(t *testing.T) {
 	pull := func([]pullReq) ([]pullResp, error) { return nil, fmt.Errorf("shard down") }
-	if _, _, _, err := boundedGather(2, 3, "", nil, pull); err == nil || err.Error() != "shard down" {
+	if _, _, _, err := boundedGather(2, 3, "", nil, nil, pull); err == nil || err.Error() != "shard down" {
 		t.Fatalf("err = %v, want shard down", err)
 	}
 }

@@ -52,7 +52,7 @@ type Options struct {
 // remote's round-trips-per-query accounting.
 type Metrics struct {
 	RPCs    int64 // requests issued, retries included
-	Pulls   int64 // pull RPCs (one per shard per gather round)
+	Pulls   int64 // pulls, one per shard per gather round — an open counts, since it carries its stream's first pull
 	Retries int64 // transport-level retries performed
 }
 
@@ -91,8 +91,9 @@ type Client struct {
 	venues  int
 	levels  int
 
-	mu sync.Mutex
-	st shardState
+	mu  sync.Mutex
+	st  shardState
+	rel []uint64 // closed streams whose release rides on the next open or pull
 
 	// slotEpoch is the max slot-map epoch seen on any response, held apart
 	// from st: adopt replaces st wholesale on a generation advance, and the
@@ -381,38 +382,42 @@ func (c *Client) ingest(records []digitaltraces.VisitRecord) (ingestResp, error)
 
 // --- shard.Backend: search ---
 
-func (c *Client) OpenSearch(visits []digitaltraces.Visit) (shard.Stream, error) {
-	resp, err := c.open(openReq{Visits: visits})
-	if err != nil {
-		return nil, err
-	}
-	return &remoteStream{c: c, id: resp.StreamID, gen: resp.Generation}, nil
+func (c *Client) OpenSearch(visits []digitaltraces.Visit, want int, floor float64) (shard.Stream, shard.Batch, error) {
+	_, st, b, err := c.open(openReq{Visits: visits, Want: uint64(want), Floor: floor})
+	return st, b, err
 }
 
-func (c *Client) OpenSearchEntity(entity string) ([]digitaltraces.Visit, shard.Stream, error) {
+func (c *Client) OpenSearchEntity(entity string, want int) ([]digitaltraces.Visit, shard.Stream, shard.Batch, error) {
 	if entity == "" {
-		return nil, nil, fmt.Errorf("shard %s: empty entity name", c.addr)
+		return nil, nil, shard.Batch{}, fmt.Errorf("shard %s: empty entity name", c.addr)
 	}
-	resp, err := c.open(openReq{Entity: entity})
-	if err != nil {
-		return nil, nil, err
-	}
-	return resp.Visits, &remoteStream{c: c, id: resp.StreamID, gen: resp.Generation}, nil
+	return c.open(openReq{Entity: entity, Want: uint64(want)})
 }
 
-func (c *Client) open(req openReq) (openResp, error) {
+func (c *Client) open(req openReq) ([]digitaltraces.Visit, shard.Stream, shard.Batch, error) {
 	// Idempotent in effect: a duplicate open only costs an orphan stream,
 	// which the server's TTL expires.
+	c.pulls.Add(1)
+	req.Release = c.takeReleases()
 	out, err := c.call("/shard/open", encodeOpenReq(req), c.callT, true)
 	if err != nil {
-		return openResp{}, err
+		return nil, nil, shard.Batch{}, err
 	}
 	resp, err := decodeOpenResp(out)
 	if err != nil {
-		return openResp{}, fmt.Errorf("shard %s: decoding open response: %w", c.addr, err)
+		return nil, nil, shard.Batch{}, fmt.Errorf("shard %s: decoding open response: %w", c.addr, err)
 	}
-	c.adopt(resp.State)
-	return resp, nil
+	st := &remoteStream{c: c, id: resp.StreamID, gen: resp.Generation}
+	return resp.Visits, st, st.absorb(resp.First), nil
+}
+
+// takeReleases hands the pending releases to the request about to be sent.
+func (c *Client) takeReleases() []uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ids := c.rel
+	c.rel = nil
+	return ids
 }
 
 func (c *Client) VisitsOf(entity string) ([]digitaltraces.Visit, error) {
@@ -549,21 +554,27 @@ type remoteStream struct {
 
 var _ shard.Stream = (*remoteStream)(nil)
 
-func (r *remoteStream) Pull(want int) ([]digitaltraces.Match, float64, bool, error) {
+func (r *remoteStream) Pull(want int, floor float64) (shard.Batch, error) {
 	r.c.pulls.Add(1)
-	body := encodePullReq(pullReq{StreamID: r.id, Offset: uint64(r.received), Want: uint64(want)})
+	body := encodePullReq(pullReq{StreamID: r.id, Offset: uint64(r.received), Want: uint64(want), Floor: floor, Release: r.c.takeReleases()})
 	out, err := r.c.call("/shard/pull", body, r.c.callT, true)
 	if err != nil {
-		return nil, 0, false, err
+		return shard.Batch{}, err
 	}
 	resp, err := decodePullResp(out)
 	if err != nil {
-		return nil, 0, false, fmt.Errorf("shard %s: decoding pull response: %w", r.c.addr, err)
+		return shard.Batch{}, fmt.Errorf("shard %s: decoding pull response: %w", r.c.addr, err)
 	}
+	return r.absorb(resp), nil
+}
+
+// absorb records a pull's answer: the position the next pull starts at, the
+// shard's work so far and its piggybacked state.
+func (r *remoteStream) absorb(resp pullResp) shard.Batch {
 	r.received += len(resp.Matches)
 	r.checked = int(resp.Checked)
 	r.c.adopt(resp.State)
-	return resp.Matches, resp.Bound, resp.Live, nil
+	return shard.Batch{Matches: resp.Matches, Bound: resp.Bound, Live: resp.Live}
 }
 
 func (r *remoteStream) Checked() int       { return r.checked }
@@ -572,19 +583,15 @@ func (r *remoteStream) Generation() uint64 { return r.gen }
 // Addr names the stream's shard server, recorded in per-shard trace rows.
 func (r *remoteStream) Addr() string { return r.c.addr }
 
-// Close notifies the server fire-and-forget: stream teardown is off the
-// query's critical path, and the server's TTL sweeper is the backstop for
-// a lost close.
+// Close costs no round trip: the stream's ID rides on the client's next
+// open or pull to the same server, whose TTL sweeper is the backstop.
 func (r *remoteStream) Close() error {
 	if r.closed {
 		return nil
 	}
 	r.closed = true
-	body := encodeCloseReq(closeReq{StreamID: r.id})
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		r.c.do(ctx, http.MethodPost, "/shard/close", body, nil)
-	}()
+	r.c.mu.Lock()
+	r.c.rel = append(r.c.rel, r.id)
+	r.c.mu.Unlock()
 	return nil
 }

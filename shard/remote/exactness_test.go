@@ -164,14 +164,19 @@ func TestRemoteGatherExactnessProperty(t *testing.T) {
 }
 
 // FuzzRemotePullSchedule fuzzes the pull schedule against one remote stream:
-// whatever (possibly duplicated, possibly tiny) want-sizes the coordinator
-// asks for, the concatenated emission must equal the local stream's — the
-// positional buffering may never skip, duplicate or reorder a match.
+// whatever (possibly tiny) want-size the coordinator asks for, from the
+// fused open on, and whatever rising floors it sends, every batch must equal
+// the local stream's under the same schedule (bound and liveness included),
+// and the concatenated emission must be the local stream's full exact order
+// cut where a match first falls below the floor of its pull — the positional
+// buffering may never skip, duplicate or reorder a match.
 func FuzzRemotePullSchedule(f *testing.F) {
-	f.Add(int64(1), uint8(3))
-	f.Add(int64(2), uint8(1))
-	f.Add(int64(3), uint8(17))
-	f.Fuzz(func(t *testing.T, seed int64, wantByte uint8) {
+	f.Add(int64(1), uint8(3), uint8(0))
+	f.Add(int64(2), uint8(1), uint8(0))
+	f.Add(int64(3), uint8(17), uint8(0))
+	f.Add(int64(4), uint8(2), uint8(1))
+	f.Add(int64(5), uint8(5), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, wantByte, floorByte uint8) {
 		db, err := proptest.NewDB()
 		if err != nil {
 			t.Fatal(err)
@@ -195,47 +200,73 @@ func FuzzRemotePullSchedule(f *testing.F) {
 		}
 		defer c.Close()
 
-		_, lst, err := shard.Local(db).OpenSearchEntity("e000")
+		// The full exact order, drained at floor 0.
+		visits, full, b, err := shard.Local(db).OpenSearchEntity("e000", 1<<20)
+		if err != nil || b.Live {
+			t.Fatalf("draining: live=%v, %v", b.Live, err)
+		}
+		full.Close()
+		exact := b.Matches
+		// The floor schedule: 0 throughout, or rising through the list's
+		// distinct degrees, step levels per round.
+		var levels []float64
+		for i := len(exact) - 1; i >= 0; i-- {
+			if d := exact[i].Degree; len(levels) == 0 || d != levels[len(levels)-1] {
+				levels = append(levels, d)
+			}
+		}
+		step := int(floorByte % 4)
+		floorAt := func(round int) float64 {
+			if step == 0 || len(levels) == 0 {
+				return 0
+			}
+			return levels[min(round*step, len(levels)-1)]
+		}
+
+		want := int(wantByte%16) + 1
+		lst, lb, err := shard.Local(db).OpenSearch(visits, want, floorAt(0))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer lst.Close()
-		_, rst, err := c.OpenSearchEntity("e000")
+		rst, rb, err := c.OpenSearch(visits, want, floorAt(0))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer rst.Close()
-
-		// Drain both streams fully under a fuzzed schedule: the remote side
-		// uses the fuzzed want, the local side drains with a fixed large
-		// want; only the concatenations must match (the per-round split is
-		// schedule-dependent by design).
-		var local []digitaltraces.Match
-		for {
-			ms, _, live, err := lst.Pull(64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			local = append(local, ms...)
-			if !live {
-				break
-			}
-		}
-		want := int(wantByte%16) + 1
 		var remote []digitaltraces.Match
-		for rounds := 0; ; rounds++ {
-			ms, _, live, err := rst.Pull(want)
-			if err != nil {
-				t.Fatal(err)
+		for round := 0; ; round++ {
+			label := fmt.Sprintf("schedule want=%d step=%d round %d", want, step, round)
+			if round > 0 {
+				var lerr, rerr error
+				lb, lerr = lst.Pull(want, floorAt(round))
+				rb, rerr = rst.Pull(want, floorAt(round))
+				if lerr != nil || rerr != nil {
+					t.Fatalf("%s: local %v, remote %v", label, lerr, rerr)
+				}
 			}
-			remote = append(remote, ms...)
-			if !live {
+			sameMatches(t, label, rb.Matches, lb.Matches)
+			if rb.Bound != lb.Bound || rb.Live != lb.Live {
+				t.Fatalf("%s: (bound, live) remote (%v, %t), local (%v, %t)", label, rb.Bound, rb.Live, lb.Bound, lb.Live)
+			}
+			for _, m := range rb.Matches {
+				if m.Degree < floorAt(round) {
+					t.Fatalf("%s: %+v below the floor %v", label, m, floorAt(round))
+				}
+			}
+			remote = append(remote, rb.Matches...)
+			if !rb.Live {
+				// Ended: exhausted, or the next match in exact order is
+				// below the floor that ended it.
+				if n := len(remote); n < len(exact) && exact[n].Degree >= floorAt(round) {
+					t.Fatalf("%s: ended before %+v, at or above its floor %v", label, exact[n], floorAt(round))
+				}
 				break
 			}
-			if rounds > 10_000 {
-				t.Fatal("remote stream never exhausted")
+			if round > 10_000 {
+				t.Fatal("remote stream never ended")
 			}
 		}
-		sameMatches(t, fmt.Sprintf("schedule want=%d", want), remote, local)
+		sameMatches(t, fmt.Sprintf("schedule want=%d step=%d", want, step), remote, exact[:len(remote)])
 	})
 }

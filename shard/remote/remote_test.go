@@ -7,11 +7,15 @@ package remote
 // probing of a dead shard.
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -123,13 +127,14 @@ func TestRemoteBackendEndToEnd(t *testing.T) {
 	}
 
 	// The remote stream and a local stream over the same DB emit identical
-	// (matches, bound, live) sequences under the same pull schedule.
-	lVisits, lst, err := shard.Local(db).OpenSearchEntity("e003")
+	// (matches, bound, live) sequences under the same pull schedule, the
+	// open's fused first pull included.
+	lVisits, lst, lb, err := shard.Local(db).OpenSearchEntity("e003", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lst.Close()
-	rVisits, rst, err := c.OpenSearchEntity("e003")
+	rVisits, rst, rb, err := c.OpenSearchEntity("e003", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,16 +146,19 @@ func TestRemoteBackendEndToEnd(t *testing.T) {
 		t.Fatalf("stream generations differ: remote %d, local %d", rst.Generation(), lst.Generation())
 	}
 	for round, want := range []int{1, 2, 4, 8, 16} {
-		lm, lb, llive, lerr := lst.Pull(want)
-		rm, rb, rlive, rerr := rst.Pull(want)
-		if lerr != nil || rerr != nil {
-			t.Fatalf("round %d: pull errors local=%v remote=%v", round, lerr, rerr)
+		if round > 0 {
+			var lerr, rerr error
+			lb, lerr = lst.Pull(want, 0)
+			rb, rerr = rst.Pull(want, 0)
+			if lerr != nil || rerr != nil {
+				t.Fatalf("round %d: pull errors local=%v remote=%v", round, lerr, rerr)
+			}
 		}
-		sameMatches(t, fmt.Sprintf("round %d", round), rm, lm)
-		if lb != rb || llive != rlive {
-			t.Fatalf("round %d: (bound, live) remote (%v, %t) vs local (%v, %t)", round, rb, rlive, lb, llive)
+		sameMatches(t, fmt.Sprintf("round %d", round), rb.Matches, lb.Matches)
+		if lb.Bound != rb.Bound || lb.Live != rb.Live {
+			t.Fatalf("round %d: (bound, live) remote (%v, %t) vs local (%v, %t)", round, rb.Bound, rb.Live, lb.Bound, lb.Live)
 		}
-		if !llive {
+		if !lb.Live {
 			break
 		}
 	}
@@ -160,47 +168,189 @@ func TestRemoteBackendEndToEnd(t *testing.T) {
 }
 
 // TestPullResendIdempotent re-sends the same positional pull and requires a
-// byte-identical response — the property that makes transport retries safe.
+// byte-identical response — the property that makes transport retries safe —
+// for plain and floored pulls, the final pull of a stream included. A re-sent
+// fused open answers with a fresh stream and the same first batch.
 func TestPullResendIdempotent(t *testing.T) {
 	_, _, hs := newShardServer(t, ServerConfig{})
 	c := dialTest(t, hs.URL, Options{})
 	seedLog(t, c, 8, 30)
 
-	_, st, err := c.OpenSearchEntity("e001")
+	resend := func(path string, body []byte) []byte {
+		t.Helper()
+		first, err := c.call(path, body, c.callT, true)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		second, err := c.call(path, body, c.callT, true)
+		if err != nil {
+			t.Fatalf("re-sent %s: %v", path, err)
+		}
+		if string(first) != string(second) {
+			t.Fatalf("re-sent %s returned different bytes:\n%x\n%x", path, first, second)
+		}
+		return first
+	}
+
+	// The fused open: everything but the stream handle repeats.
+	open := encodeOpenReq(openReq{Entity: "e001", Want: 4})
+	a, err := c.call("/shard/open", open, c.callT, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
-	id := st.(*remoteStream).id
-
-	// Advance the stream a little first, then replay ranges both at and
-	// before the high-water mark.
-	if _, _, _, err := st.Pull(4); err != nil {
+	b, err := c.call("/shard/open", open, c.callT, true)
+	if err != nil {
 		t.Fatal(err)
 	}
+	ra, errA := decodeOpenResp(a)
+	rb, errB := decodeOpenResp(b)
+	if errA != nil || errB != nil || ra.StreamID == rb.StreamID || !ra.First.Live {
+		t.Fatalf("re-sent open: %+v (%v) and %+v (%v)", ra, errA, rb, errB)
+	}
+	id, id2 := ra.StreamID, rb.StreamID
+	if rb.StreamID = id; !bytes.Equal(encodeOpenResp(ra), encodeOpenResp(rb)) {
+		t.Fatalf("re-sent open answered differently:\n%+v\n%+v", ra, rb)
+	}
+
+	// Replay ranges both at and before the high-water mark (4, from the
+	// open's first pull).
 	for _, req := range []pullReq{
 		{StreamID: id, Offset: 0, Want: 4},  // fully re-served range
 		{StreamID: id, Offset: 2, Want: 2},  // interior range
 		{StreamID: id, Offset: 4, Want: 8},  // extends past the high-water mark
 		{StreamID: id, Offset: 4, Want: 8},  // ...and its exact replay
-		{StreamID: id, Offset: 0, Want: 50}, // spans old and new
+		{StreamID: id, Offset: 0, Want: 50}, // spans old and new, and drains the stream
 	} {
-		first, err := c.call("/shard/pull", encodePullReq(req), c.callT, true)
-		if err != nil {
-			t.Fatalf("pull %+v: %v", req, err)
-		}
-		second, err := c.call("/shard/pull", encodePullReq(req), c.callT, true)
-		if err != nil {
-			t.Fatalf("re-sent pull %+v: %v", req, err)
-		}
-		if string(first) != string(second) {
-			t.Fatalf("re-sent pull %+v returned different bytes:\n%x\n%x", req, first, second)
-		}
+		resend("/shard/pull", encodePullReq(req))
+	}
+
+	// Floored pulls on the second stream: one that stays live, then one
+	// that ends the stream below its floor — re-served after the search is
+	// released.
+	lo, hi := rb.First.Matches[3].Degree/2, rb.First.Matches[1].Degree // [0] is e001 itself
+	if lo == 0 {
+		t.Fatal("test premise broken: e001 shares too little with anyone")
+	}
+	resp, err := decodePullResp(resend("/shard/pull", encodePullReq(pullReq{StreamID: id2, Offset: 4, Want: 1, Floor: lo})))
+	if err != nil || len(resp.Matches) != 1 || resp.Matches[0].Degree < lo {
+		t.Fatalf("pull at floor %v: %+v, %v — want one match at or above it", lo, resp, err)
+	}
+	resp, err = decodePullResp(resend("/shard/pull", encodePullReq(pullReq{StreamID: id2, Offset: 5, Want: 50, Floor: hi})))
+	if err != nil || resp.Live || resp.Bound >= hi {
+		t.Fatalf("pull at floor %v: %+v, %v — want the stream ended below it", hi, resp, err)
 	}
 
 	// An offset beyond anything emitted is a protocol error, not a hang.
 	if _, err := c.call("/shard/pull", encodePullReq(pullReq{StreamID: id, Offset: 10_000, Want: 1}), c.callT, true); err == nil || !strings.Contains(err.Error(), "beyond") {
 		t.Fatalf("far-future offset should be rejected, got %v", err)
+	}
+}
+
+// TestMalformedPullRejected: a pull whose want no response could carry is
+// refused at decode time with a 400, and the stream and the server keep
+// serving — within the call timeout — afterwards.
+func TestMalformedPullRejected(t *testing.T) {
+	_, _, hs := newShardServer(t, ServerConfig{})
+	c := dialTest(t, hs.URL, Options{CallTimeout: 5 * time.Second})
+	seedLog(t, c, 12, 20)
+
+	_, st, _, err := c.OpenSearchEntity("e001", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	id := st.(*remoteStream).id
+	for _, want := range []uint64{math.MaxUint64, 1 << 62} {
+		body := encodePullReq(pullReq{StreamID: id, Offset: 1, Want: want})
+		resp, err := http.Post(hs.URL+"/shard/pull", "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("want %d got HTTP %d, want 400", want, resp.StatusCode)
+		}
+	}
+	if _, err := st.Pull(2, 0); err != nil {
+		t.Fatalf("pull after the malformed ones: %v", err)
+	}
+	if _, _, _, err := c.OpenSearchEntity("e002", 1); err != nil {
+		t.Fatalf("open after the malformed pulls: %v", err)
+	}
+}
+
+// TestHealthzSlotEpoch: a pushed slot epoch is reported by /shard/healthz,
+// so a coordinator's Ping learns it.
+func TestHealthzSlotEpoch(t *testing.T) {
+	_, _, hs := newShardServer(t, ServerConfig{})
+	c := dialTest(t, hs.URL, Options{}) // before the push: its stats read epoch 0
+	pusher := dialTest(t, hs.URL, Options{})
+	if err := pusher.PushSlotEpoch(7); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.SlotEpoch(); got != 7 {
+		t.Fatalf("Ping learned slot epoch %d, want 7", got)
+	}
+}
+
+// TestStreamsReleasedWithoutClose: a stream's release rides on the next
+// request to its server, so across many queries the server holds at most one
+// query's streams and no close request is ever sent.
+func TestStreamsReleasedWithoutClose(t *testing.T) {
+	db, err := proptest.NewDB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	srv := NewServer(db, ServerConfig{})
+	defer srv.Close()
+	inner := srv.Handler()
+	var mu sync.Mutex
+	paths := map[string]int{}
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		paths[r.URL.Path]++
+		mu.Unlock()
+		inner.ServeHTTP(w, r)
+	}))
+	defer hs.Close()
+	c := dialTest(t, hs.URL, Options{})
+	cl, err := shard.NewCluster(shard.Config{Backends: []shard.Backend{c}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := proptest.RandomLog(rand.New(rand.NewSource(17)), 30, 24)
+	if _, err := cl.AddVisits(log); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	health := func() healthResp {
+		resp, err := http.Get(hs.URL + "/shard/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var h healthResp
+		if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	for i := 0; i < 200; i++ {
+		if _, _, err := cl.TopK(fmt.Sprintf("e%03d", i%30), 3); err != nil {
+			t.Fatal(err)
+		}
+		if n := health().Streams; n > 1 {
+			t.Fatalf("after query %d the server holds %d streams, want at most one query's (1)", i, n)
+		}
+	}
+	if n := paths["/shard/close"]; n != 0 {
+		t.Fatalf("%d close requests sent", n)
 	}
 }
 
@@ -226,14 +376,14 @@ func TestPullDeadlineNamed(t *testing.T) {
 
 	c := dialTest(t, hs.URL, Options{CallTimeout: 80 * time.Millisecond})
 	seedLog(t, c, 9, 10)
-	_, st, err := c.OpenSearchEntity("e001")
+	_, st, _, err := c.OpenSearchEntity("e001", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
 
 	start := time.Now()
-	_, _, _, err = st.Pull(4)
+	_, err = st.Pull(4, 0)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("deadline-expired pull returned no error")
@@ -339,13 +489,13 @@ func TestStreamExpiry(t *testing.T) {
 	c := dialTest(t, hs.URL, Options{})
 	seedLog(t, c, 11, 10)
 
-	_, st, err := c.OpenSearchEntity("e001")
+	_, st, _, err := c.OpenSearchEntity("e001", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
 	time.Sleep(300 * time.Millisecond) // several sweep ticks past the TTL
-	_, _, _, err = st.Pull(4)
+	_, err = st.Pull(4, 0)
 	if err == nil {
 		t.Fatal("pull on an expired stream returned no error")
 	}
@@ -388,27 +538,33 @@ func TestIngestPartialFailure(t *testing.T) {
 	}
 }
 
-// TestProtoVersionRejected: a mismatched protocol version is refused before
-// any payload is decoded.
+// TestProtoVersionRejected: a mismatched protocol version — the previous
+// one, which had no fused open, included — is refused before any payload is
+// decoded.
 func TestProtoVersionRejected(t *testing.T) {
+	if ProtoVersion != "3" {
+		t.Fatalf("ProtoVersion = %q, want 3", ProtoVersion)
+	}
 	_, _, hs := newShardServer(t, ServerConfig{})
-	req, err := http.NewRequest(http.MethodGet, hs.URL+"/shard/stats", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set(protoHeader, "99")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("version 99 got HTTP %d, want 400", resp.StatusCode)
+	for _, v := range []string{"2", "99"} {
+		req, err := http.NewRequest(http.MethodGet, hs.URL+"/shard/stats", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(protoHeader, v)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("version %s got HTTP %d, want 400", v, resp.StatusCode)
+		}
 	}
 }
 
 // TestShardTopKRouteGone: the full-local-top-k op is not part of the shard
-// protocol; the pull-based search (open/pull/close) is the only query path.
+// protocol; the pull-based search (open/pull) is the only query path.
 func TestShardTopKRouteGone(t *testing.T) {
 	_, _, hs := newShardServer(t, ServerConfig{})
 	resp, err := http.Post(hs.URL+"/shard/topk", "application/octet-stream", strings.NewReader(""))
@@ -605,16 +761,12 @@ func TestRemoteIndexSaveLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	top := func(c *Client) []digitaltraces.Match {
-		st, err := c.OpenSearch(visits)
+		st, b, err := c.OpenSearch(visits, 8, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer st.Close()
-		ms, _, _, err := st.Pull(8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ms
+		return b.Matches
 	}
 	sameMatches(t, "loaded index answers", top(cb), top(ca))
 	sameMatches(t, "index loaded from an image with sequences answers", top(cc), top(ca))

@@ -28,9 +28,9 @@ const maxRequestBytes = 1 << 30
 // ServerConfig tunes a shard server.
 type ServerConfig struct {
 	// StreamTTL expires search streams idle for this long (DefaultStreamTTL
-	// when zero). Expiry is the backstop for lost close requests — the
-	// client's Close is fire-and-forget — so a crashed coordinator cannot
-	// pin snapshots forever.
+	// when zero). Expiry is the backstop for releases that never arrive —
+	// the client's releases ride on its next request to this server — so a
+	// crashed or idle coordinator cannot pin snapshots forever.
 	StreamTTL time.Duration
 }
 
@@ -59,16 +59,61 @@ type Server struct {
 
 // serverStream is one open incremental search plus everything the stream
 // has emitted, buffered so a positional pull can re-serve any range
-// identically (the retry-idempotence contract). Extended only under mu —
-// the coordinator drives a stream from one goroutine, so contention is nil.
+// identically (the retry-idempotence contract). Its search is pulled and
+// closed only under mu — the coordinator drives a stream from one
+// goroutine, so contention is nil — and closed as soon as it ends.
 type serverStream struct {
 	mu       sync.Mutex
 	st       shard.Stream
-	gen      uint64
 	buf      []digitaltraces.Match
 	bound    float64
 	live     bool
-	lastUsed time.Time
+	lastUsed atomic.Int64 // UnixNano, read by the sweeper without mu
+}
+
+// pull serves the positional pull [off, off+want) at floor, extending the
+// buffer past its high-water mark from the search; a search that ends is
+// closed at once. want is wire-capped, so off+want cannot overflow. A
+// failure comes with the HTTP status it answers with.
+func (ss *serverStream) pull(off, want uint64, floor float64) (pullResp, int, error) {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	ss.lastUsed.Store(time.Now().UnixNano())
+	have := uint64(len(ss.buf))
+	if off > have {
+		return pullResp{}, http.StatusBadRequest, fmt.Errorf("pull offset %d beyond the %d results emitted", off, have)
+	}
+	// Any range already emitted is re-served from the buffer byte-for-byte,
+	// which is what makes a re-sent pull idempotent.
+	end := off + want
+	if end > have && ss.live {
+		b, err := ss.st.Pull(int(end-have), floor)
+		if err != nil {
+			return pullResp{}, http.StatusInternalServerError, err
+		}
+		ss.buf = append(ss.buf, b.Matches...)
+		ss.bound, ss.live = b.Bound, b.Live
+		if !ss.live {
+			ss.st.Close()
+		}
+	}
+	end = min(end, uint64(len(ss.buf)))
+	return pullResp{
+		Matches: ss.buf[off:end],
+		Bound:   ss.bound,
+		// More remains if the stream is live or the response stopped short
+		// of the buffered high-water mark (a re-served older range).
+		Live:    ss.live || end < uint64(len(ss.buf)),
+		Checked: uint64(ss.st.Checked()),
+	}, 0, nil
+}
+
+// close releases the stream's search (a no-op if it already ended).
+func (ss *serverStream) close() {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	ss.st.Close()
+	ss.live = false
 }
 
 // NewServer wraps db as a shard server. The caller keeps ownership of db
@@ -94,12 +139,37 @@ func NewServer(db *digitaltraces.DB, cfg ServerConfig) *Server {
 // DB is not closed.
 func (s *Server) Close() {
 	s.once.Do(func() { close(s.stop) })
+	s.release(s.streamIDs(func(*serverStream) bool { return true }))
+}
+
+// streamIDs lists the registered streams pick selects.
+func (s *Server) streamIDs(pick func(*serverStream) bool) []uint64 {
 	s.mu.Lock()
-	streams := s.streams
-	s.streams = map[uint64]*serverStream{}
+	defer s.mu.Unlock()
+	var ids []uint64
+	for id, ss := range s.streams {
+		if pick(ss) {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// release unregisters the named streams, then closes each under its own
+// lock, outside the registry's. Unknown IDs are ignored: a release may
+// repeat, or follow the TTL.
+func (s *Server) release(ids []uint64) {
+	gone := make([]*serverStream, 0, len(ids))
+	s.mu.Lock()
+	for _, id := range ids {
+		if ss := s.streams[id]; ss != nil {
+			delete(s.streams, id)
+			gone = append(gone, ss)
+		}
+	}
 	s.mu.Unlock()
-	for _, st := range streams {
-		st.st.Close()
+	for _, ss := range gone {
+		ss.close()
 	}
 }
 
@@ -112,21 +182,9 @@ func (s *Server) sweep() {
 		case <-s.stop:
 			return
 		case now := <-t.C:
-			var expired []*serverStream
-			s.mu.Lock()
-			for id, st := range s.streams {
-				st.mu.Lock()
-				idle := now.Sub(st.lastUsed)
-				st.mu.Unlock()
-				if idle > s.ttl {
-					delete(s.streams, id)
-					expired = append(expired, st)
-				}
-			}
-			s.mu.Unlock()
-			for _, st := range expired {
-				st.st.Close()
-			}
+			s.release(s.streamIDs(func(ss *serverStream) bool {
+				return now.Sub(time.Unix(0, ss.lastUsed.Load())) > s.ttl
+			}))
 		}
 	}
 }
@@ -169,7 +227,6 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /shard/open", s.handleOpen)
 	mux.HandleFunc("POST /shard/pull", s.handlePull)
-	mux.HandleFunc("POST /shard/close", s.handleClose)
 	mux.HandleFunc("POST /shard/visitsof", s.handleVisitsOf)
 	mux.HandleFunc("POST /shard/ingest", s.handleIngest)
 	mux.HandleFunc("GET /shard/stats", s.handleStats)
@@ -240,26 +297,34 @@ func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad open request: %v", err))
 		return
 	}
+	s.release(req.Release)
 	var (
 		visits []digitaltraces.Visit
 		st     shard.Stream
+		first  shard.Batch
 	)
 	if req.Entity != "" {
-		visits, st, err = s.eng.OpenSearchEntity(req.Entity)
+		visits, st, first, err = s.eng.OpenSearchEntity(req.Entity, int(req.Want))
 	} else {
-		st, err = s.eng.OpenSearch(req.Visits)
+		st, first, err = s.eng.OpenSearch(req.Visits, int(req.Want), req.Floor)
 	}
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
-	ss := &serverStream{st: st, gen: st.Generation(), bound: 1, live: true, lastUsed: time.Now()}
+	if !first.Live {
+		st.Close()
+	}
+	ss := &serverStream{st: st, buf: first.Matches, bound: first.Bound, live: first.Live}
+	ss.lastUsed.Store(time.Now().UnixNano())
 	s.mu.Lock()
 	s.nextID++
 	id := s.nextID
 	s.streams[id] = ss
 	s.mu.Unlock()
-	writeBinary(w, encodeOpenResp(openResp{StreamID: id, Generation: ss.gen, Visits: visits, State: s.state()}))
+	writeBinary(w, encodeOpenResp(openResp{StreamID: id, Generation: st.Generation(), Visits: visits, First: pullResp{
+		Matches: first.Matches, Bound: first.Bound, Live: first.Live, Checked: uint64(st.Checked()), State: s.state(),
+	}}))
 }
 
 func (s *Server) handlePull(w http.ResponseWriter, r *http.Request) {
@@ -272,6 +337,7 @@ func (s *Server) handlePull(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad pull request: %v", err))
 		return
 	}
+	s.release(req.Release)
 	s.mu.Lock()
 	ss := s.streams[req.StreamID]
 	s.mu.Unlock()
@@ -279,60 +345,13 @@ func (s *Server) handlePull(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, fmt.Sprintf("stream %d not found (closed or expired)", req.StreamID))
 		return
 	}
-	ss.mu.Lock()
-	ss.lastUsed = time.Now()
-	if req.Offset > uint64(len(ss.buf)) {
-		off := req.Offset
-		have := len(ss.buf)
-		ss.mu.Unlock()
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("pull offset %d beyond the %d results emitted", off, have))
-		return
-	}
-	// Extend the emission buffer only past its high-water mark; any range
-	// already emitted is re-served from the buffer byte-for-byte, which is
-	// what makes a re-sent pull idempotent.
-	if need := int(req.Offset+req.Want) - len(ss.buf); need > 0 && ss.live {
-		ms, bound, live, err := ss.st.Pull(need)
-		if err != nil {
-			ss.mu.Unlock()
-			httpError(w, http.StatusInternalServerError, fmt.Sprintf("pulling stream %d: %v", req.StreamID, err))
-			return
-		}
-		ss.buf = append(ss.buf, ms...)
-		ss.bound, ss.live = bound, live
-	}
-	end := min(int(req.Offset+req.Want), len(ss.buf))
-	out := encodePullResp(pullResp{
-		Matches: ss.buf[req.Offset:end],
-		Bound:   ss.bound,
-		// More remains if the stream is live or the response stopped short
-		// of the buffered high-water mark (a re-served older range).
-		Live:    ss.live || end < len(ss.buf),
-		Checked: uint64(ss.st.Checked()),
-		State:   s.state(),
-	})
-	ss.mu.Unlock()
-	writeBinary(w, out)
-}
-
-func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	req, err := decodeCloseReq(body)
+	resp, code, err := ss.pull(req.Offset, req.Want, req.Floor)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad close request: %v", err))
+		httpError(w, code, fmt.Sprintf("pulling stream %d: %v", req.StreamID, err))
 		return
 	}
-	s.mu.Lock()
-	ss := s.streams[req.StreamID]
-	delete(s.streams, req.StreamID)
-	s.mu.Unlock()
-	if ss != nil {
-		ss.st.Close()
-	}
-	w.WriteHeader(http.StatusNoContent)
+	resp.State = s.state()
+	writeBinary(w, encodePullResp(resp))
 }
 
 func (s *Server) handleVisitsOf(w http.ResponseWriter, r *http.Request) {
@@ -491,6 +510,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Pending:    int(st.Pending),
 		Generation: st.Generation,
 		GenOK:      st.GenOK,
+		SlotEpoch:  st.SlotEpoch,
 		Streams:    n,
 	})
 }

@@ -8,24 +8,30 @@
 //
 // # RTT amortization
 //
-// The coordinator's bounded gather pulls per-shard results in doubling
-// rounds. Ported naively — one RPC per result — a round asking a shard for
+// Ported naively — one RPC per result — a gather round asking a shard for
 // want results would cost want round trips, and the pruning's work savings
 // would drown in network latency. The protocol therefore transports the
 // shard.Stream contract itself: one pull request carries (streamID, offset,
-// want) and one response carries up to want ranked matches plus the
-// admissible remainder bound, so an entire gather round against a shard is
-// exactly one round trip and a whole query costs O(pull rounds), not
-// O(candidates), RTTs. cmd/bench -scenario remote measures precisely this
-// ratio.
+// want, floor) and one response carries up to want ranked matches at or
+// above the floor plus the admissible remainder bound, so an entire gather
+// round against a shard is exactly one round trip. The open carries the
+// stream's first pull and answers it with the handle, and a closed stream's
+// release rides, as a list of IDs, on the client's next open or pull to the
+// same shard, so a TopK costs at most three serial stages: the home open,
+// the sibling opens at the home's k-th degree as their floor, and one pull
+// round.
 //
 // # Idempotence
 //
 // Pulls are positional: the client names the offset it has received up to,
-// and the server buffers everything a stream has emitted, so a re-sent pull
-// (a retry after a lost response) returns byte-identical results instead of
-// skipping a batch. Retries are bounded, only for transport-level failures,
-// and only on idempotent calls — ingest is never retried.
+// and the server buffers everything a stream has emitted until the stream is
+// released, so a re-sent pull (a retry after a lost response) returns
+// byte-identical results instead of skipping a batch — floors only rise, so
+// a re-served range is the one first served. A stream that ends on the shard
+// releases its search at once and keeps only that buffer. A re-sent open
+// opens a second stream over the same state; the orphan expires. Releasing
+// is idempotent. Retries are bounded, only for transport-level failures, and
+// only on idempotent calls — ingest is never retried.
 //
 // # Encoding
 //
@@ -33,7 +39,9 @@
 // counts, 8-byte little-endian float64 degrees and nanosecond timestamps),
 // each tagged with a leading type byte so a payload routed to the wrong
 // endpoint is rejected instead of misparsed; decoding rejects truncated and
-// trailing bytes. Control-plane messages (stats, health, errors) are JSON.
+// trailing bytes, non-canonical uvarints and out-of-range pull arguments, so
+// a decoded message re-encodes to exactly the bytes it came from.
+// Control-plane messages (stats, health, errors) are JSON.
 // Every response carries the shard's serving state (entities, pending,
 // snapshot generation), which the client caches so the coordinator's
 // cache-version derivation costs no extra round trips; see the
@@ -52,7 +60,7 @@ import (
 // ProtoVersion identifies the wire protocol; requests carry it in the
 // X-Shard-Proto header and the server rejects mismatches, so a rolling
 // upgrade fails loudly instead of misdecoding.
-const ProtoVersion = "2"
+const ProtoVersion = "3"
 
 // protoHeader is the HTTP header carrying ProtoVersion.
 const protoHeader = "X-Shard-Proto"
@@ -63,7 +71,6 @@ const (
 	tagOpenResp
 	tagPullReq
 	tagPullResp
-	tagCloseReq
 	tagVisitsOfReq
 	tagVisitsOfResp
 	tagIngestReq
@@ -94,31 +101,39 @@ type shardState struct {
 	SlotEpoch uint64
 }
 
-// openReq opens an incremental search stream. Entity != "" resolves that
-// entity's visits server-side and opens over them in one round trip (the
-// home-shard path), returning the visits in the response for sibling
-// fan-out; otherwise Visits is the example snapshot to search by.
+// openReq opens an incremental search stream and pulls its first Want
+// matches at Floor. Entity != "" resolves that entity's visits server-side
+// and opens over them in one round trip (the home-shard path), returning the
+// visits in the response for sibling fan-out; otherwise Visits is the
+// example snapshot to search by. Release lists streams the client is done
+// with (on opens and pulls alike).
 type openReq struct {
-	Entity string
-	Visits []digitaltraces.Visit
+	Entity  string
+	Visits  []digitaltraces.Visit
+	Want    uint64
+	Floor   float64
+	Release []uint64
 }
 
 // openResp answers an open: the stream handle, the snapshot generation the
-// stream pinned, and (entity mode only) the resolved visits.
+// stream pinned, (entity mode only) the resolved visits, and the first pull.
 type openResp struct {
 	StreamID   uint64
 	Generation uint64
 	Visits     []digitaltraces.Visit
-	State      shardState
+	First      pullResp
 }
 
-// pullReq asks a stream for results: up to Want matches starting at
-// position Offset in the stream's emission order. Offset makes the request
-// idempotent — the server re-serves any already-emitted range identically.
+// pullReq asks a stream for results: up to Want matches at or above Floor,
+// starting at position Offset in the stream's emission order. Offset makes
+// the request idempotent — the server re-serves any already-emitted range
+// identically.
 type pullReq struct {
 	StreamID uint64
 	Offset   uint64
 	Want     uint64
+	Floor    float64
+	Release  []uint64
 }
 
 // pullResp carries one gather round's worth of a stream: the matches (in
@@ -131,11 +146,6 @@ type pullResp struct {
 	Live    bool
 	Checked uint64
 	State   shardState
-}
-
-// closeReq releases a stream early (the server also expires idle streams).
-type closeReq struct {
-	StreamID uint64
 }
 
 type visitsOfReq struct {
@@ -223,29 +233,21 @@ func appendState(b []byte, st shardState) []byte {
 	return binary.AppendUvarint(b, st.SlotEpoch)
 }
 
-func encodeOpenReq(m openReq) []byte {
-	b := []byte{tagOpenReq}
-	b = appendString(b, m.Entity)
-	return appendVisits(b, m.Visits)
+// appendPull encodes the fields every pull carries: want, floor and the
+// piggybacked releases.
+func appendPull(b []byte, want uint64, floor float64, release []uint64) []byte {
+	b = binary.AppendUvarint(b, want)
+	b = appendF64(b, floor)
+	b = binary.AppendUvarint(b, uint64(len(release)))
+	for _, id := range release {
+		b = binary.AppendUvarint(b, id)
+	}
+	return b
 }
 
-func encodeOpenResp(m openResp) []byte {
-	b := []byte{tagOpenResp}
-	b = binary.AppendUvarint(b, m.StreamID)
-	b = binary.AppendUvarint(b, m.Generation)
-	b = appendVisits(b, m.Visits)
-	return appendState(b, m.State)
-}
-
-func encodePullReq(m pullReq) []byte {
-	b := []byte{tagPullReq}
-	b = binary.AppendUvarint(b, m.StreamID)
-	b = binary.AppendUvarint(b, m.Offset)
-	return binary.AppendUvarint(b, m.Want)
-}
-
-func encodePullResp(m pullResp) []byte {
-	b := []byte{tagPullResp}
+// appendBatch encodes a pull's answer (the body of a pullResp, and the tail
+// of an openResp).
+func appendBatch(b []byte, m pullResp) []byte {
 	b = appendMatches(b, m.Matches)
 	b = appendF64(b, m.Bound)
 	b = appendBool(b, m.Live)
@@ -253,8 +255,30 @@ func encodePullResp(m pullResp) []byte {
 	return appendState(b, m.State)
 }
 
-func encodeCloseReq(m closeReq) []byte {
-	return binary.AppendUvarint([]byte{tagCloseReq}, m.StreamID)
+func encodeOpenReq(m openReq) []byte {
+	b := []byte{tagOpenReq}
+	b = appendString(b, m.Entity)
+	b = appendVisits(b, m.Visits)
+	return appendPull(b, m.Want, m.Floor, m.Release)
+}
+
+func encodeOpenResp(m openResp) []byte {
+	b := []byte{tagOpenResp}
+	b = binary.AppendUvarint(b, m.StreamID)
+	b = binary.AppendUvarint(b, m.Generation)
+	b = appendVisits(b, m.Visits)
+	return appendBatch(b, m.First)
+}
+
+func encodePullReq(m pullReq) []byte {
+	b := []byte{tagPullReq}
+	b = binary.AppendUvarint(b, m.StreamID)
+	b = binary.AppendUvarint(b, m.Offset)
+	return appendPull(b, m.Want, m.Floor, m.Release)
+}
+
+func encodePullResp(m pullResp) []byte {
+	return appendBatch([]byte{tagPullResp}, m)
 }
 
 func encodeVisitsOfReq(m visitsOfReq) []byte {
@@ -316,6 +340,10 @@ func (r *reader) uvarint() uint64 {
 	v, n := binary.Uvarint(r.b[r.off:])
 	if n <= 0 {
 		r.fail("truncated or oversized uvarint at byte %d", r.off)
+		return 0
+	}
+	if n > 1 && r.b[r.off+n-1] == 0 {
+		r.fail("non-canonical uvarint at byte %d", r.off) // a padded encoding of a smaller value
 		return 0
 	}
 	r.off += n
@@ -436,6 +464,26 @@ func (r *reader) matches() []digitaltraces.Match {
 	return ms
 }
 
+// pull decodes appendPull's fields, capping them: want at the wire's list
+// cap (no response could carry more), the floor to the degree range [0, 1].
+func (r *reader) pull() (want uint64, floor float64, release []uint64) {
+	if want = r.uvarint(); want > maxWireList {
+		r.fail("want %d exceeds the %d-match wire cap", want, maxWireList)
+	}
+	if floor = r.f64(); !(floor >= 0 && floor <= 1) {
+		r.fail("floor %v outside [0, 1]", floor)
+	}
+	n := r.count()
+	for i := 0; i < n && r.err == nil; i++ {
+		release = append(release, r.uvarint())
+	}
+	return want, floor, release
+}
+
+func (r *reader) batch() pullResp {
+	return pullResp{Matches: r.matches(), Bound: r.f64(), Live: r.boolean(), Checked: r.uvarint(), State: r.state()}
+}
+
 func (r *reader) state() shardState {
 	return shardState{
 		Entities:   r.uvarint(),
@@ -460,34 +508,29 @@ func decodeOpenReq(b []byte) (openReq, error) {
 	r := reader{b: b}
 	r.tag(tagOpenReq)
 	m := openReq{Entity: r.str(), Visits: r.visits()}
+	m.Want, m.Floor, m.Release = r.pull()
 	return m, r.finish()
 }
 
 func decodeOpenResp(b []byte) (openResp, error) {
 	r := reader{b: b}
 	r.tag(tagOpenResp)
-	m := openResp{StreamID: r.uvarint(), Generation: r.uvarint(), Visits: r.visits(), State: r.state()}
+	m := openResp{StreamID: r.uvarint(), Generation: r.uvarint(), Visits: r.visits(), First: r.batch()}
 	return m, r.finish()
 }
 
 func decodePullReq(b []byte) (pullReq, error) {
 	r := reader{b: b}
 	r.tag(tagPullReq)
-	m := pullReq{StreamID: r.uvarint(), Offset: r.uvarint(), Want: r.uvarint()}
+	m := pullReq{StreamID: r.uvarint(), Offset: r.uvarint()}
+	m.Want, m.Floor, m.Release = r.pull()
 	return m, r.finish()
 }
 
 func decodePullResp(b []byte) (pullResp, error) {
 	r := reader{b: b}
 	r.tag(tagPullResp)
-	m := pullResp{Matches: r.matches(), Bound: r.f64(), Live: r.boolean(), Checked: r.uvarint(), State: r.state()}
-	return m, r.finish()
-}
-
-func decodeCloseReq(b []byte) (closeReq, error) {
-	r := reader{b: b}
-	r.tag(tagCloseReq)
-	m := closeReq{StreamID: r.uvarint()}
+	m := r.batch()
 	return m, r.finish()
 }
 

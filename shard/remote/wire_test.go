@@ -8,6 +8,10 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,26 +41,30 @@ func roundTrips(t *testing.T) map[string][]byte {
 	t.Helper()
 	msgs := map[string][]byte{}
 
-	or := openReq{Entity: "e007"}
+	or := openReq{Entity: "e007", Want: 11}
 	msgs["openReq/entity"] = encodeOpenReq(or)
-	if got, err := decodeOpenReq(msgs["openReq/entity"]); err != nil || got.Entity != "e007" || got.Visits != nil {
+	if got, err := decodeOpenReq(msgs["openReq/entity"]); err != nil || got.Entity != "e007" || got.Visits != nil || got.Want != 11 || got.Floor != 0 || got.Release != nil {
 		t.Fatalf("openReq entity round trip: %+v, %v", got, err)
 	}
-	or2 := openReq{Visits: wireVisits()}
+	or2 := openReq{Visits: wireVisits(), Want: 3, Floor: 0.375, Release: []uint64{1, 300, 1 << 40}}
 	msgs["openReq/visits"] = encodeOpenReq(or2)
-	if got, err := decodeOpenReq(msgs["openReq/visits"]); err != nil || len(got.Visits) != 3 || got.Visits[2].Venue != or2.Visits[2].Venue || !got.Visits[0].Start.Equal(or2.Visits[0].Start) {
+	if got, err := decodeOpenReq(msgs["openReq/visits"]); err != nil || len(got.Visits) != 3 || got.Visits[2].Venue != or2.Visits[2].Venue || !got.Visits[0].Start.Equal(or2.Visits[0].Start) ||
+		got.Want != 3 || got.Floor != 0.375 || !slices.Equal(got.Release, or2.Release) {
 		t.Fatalf("openReq visits round trip: %+v, %v", got, err)
 	}
 
-	osr := openResp{StreamID: 42, Generation: 7, Visits: wireVisits(), State: shardState{Entities: 10, Pending: 3, Generation: 7, GenOK: true}}
+	osr := openResp{StreamID: 42, Generation: 7, Visits: wireVisits(), First: pullResp{
+		Matches: wireMatches(), Bound: 0.25, Live: true, Checked: 12, State: shardState{Entities: 10, Pending: 3, Generation: 7, GenOK: true},
+	}}
 	msgs["openResp"] = encodeOpenResp(osr)
-	if got, err := decodeOpenResp(msgs["openResp"]); err != nil || got.StreamID != 42 || got.Generation != 7 || len(got.Visits) != 3 || got.State != osr.State {
+	if got, err := decodeOpenResp(msgs["openResp"]); err != nil || got.StreamID != 42 || got.Generation != 7 || len(got.Visits) != 3 ||
+		!slices.Equal(got.First.Matches, osr.First.Matches) || got.First.Bound != 0.25 || !got.First.Live || got.First.Checked != 12 || got.First.State != osr.First.State {
 		t.Fatalf("openResp round trip: %+v, %v", got, err)
 	}
 
-	pr := pullReq{StreamID: 42, Offset: 17, Want: 8}
+	pr := pullReq{StreamID: 42, Offset: 17, Want: 8, Floor: 0.5, Release: []uint64{41}}
 	msgs["pullReq"] = encodePullReq(pr)
-	if got, err := decodePullReq(msgs["pullReq"]); err != nil || got != pr {
+	if got, err := decodePullReq(msgs["pullReq"]); err != nil || got.StreamID != 42 || got.Offset != 17 || got.Want != 8 || got.Floor != 0.5 || !slices.Equal(got.Release, pr.Release) {
 		t.Fatalf("pullReq round trip: %+v, %v", got, err)
 	}
 
@@ -70,11 +78,6 @@ func roundTrips(t *testing.T) map[string][]byte {
 		if m != psr.Matches[i] {
 			t.Fatalf("pullResp match %d: %+v != %+v (degrees must survive bit-exactly)", i, m, psr.Matches[i])
 		}
-	}
-
-	msgs["closeReq"] = encodeCloseReq(closeReq{StreamID: 9000})
-	if got, err := decodeCloseReq(msgs["closeReq"]); err != nil || got.StreamID != 9000 {
-		t.Fatalf("closeReq round trip: %+v, %v", got, err)
 	}
 
 	msgs["visitsOfReq"] = encodeVisitsOfReq(visitsOfReq{Entity: "e001"})
@@ -121,8 +124,6 @@ func decodeAny(name string, b []byte) error {
 		_, err = decodePullReq(b)
 	case "pullResp":
 		_, err = decodePullResp(b)
-	case "closeReq":
-		_, err = decodeCloseReq(b)
 	case "visitsOfReq":
 		_, err = decodeVisitsOfReq(b)
 	case "visitsOfResp":
@@ -182,6 +183,19 @@ func TestWireGarbageRejected(t *testing.T) {
 			t.Errorf("%s: garbage accepted", name)
 		}
 	}
+	// Pull arguments out of range: a want no response could carry, floors
+	// outside the degree range, and a padded uvarint.
+	for _, m := range []pullReq{{Want: maxWireList + 1}, {Want: math.MaxUint64}, {Floor: -0.5}, {Floor: 1.5}, {Floor: math.NaN()}} {
+		if _, err := decodePullReq(encodePullReq(m)); err == nil {
+			t.Errorf("pull request %+v accepted", m)
+		}
+		if _, err := decodeOpenReq(encodeOpenReq(openReq{Want: m.Want, Floor: m.Floor})); err == nil {
+			t.Errorf("open request with want %d, floor %v accepted", m.Want, m.Floor)
+		}
+	}
+	if _, err := decodeVisitsOfReq([]byte{tagVisitsOfReq, 0x81, 0x00, 'e'}); err == nil {
+		t.Error("non-canonical uvarint length accepted")
+	}
 }
 
 // TestWireBoolStrict pins that bools reject bytes other than 0/1 (a
@@ -218,7 +232,7 @@ func TestWireFloatBitExact(t *testing.T) {
 
 // TestWireTagsDistinct guards against two messages sharing a tag byte.
 func TestWireTagsDistinct(t *testing.T) {
-	tags := []byte{tagOpenReq, tagOpenResp, tagPullReq, tagPullResp, tagCloseReq,
+	tags := []byte{tagOpenReq, tagOpenResp, tagPullReq, tagPullResp,
 		tagVisitsOfReq, tagVisitsOfResp, tagIngestReq, tagIngestResp}
 	seen := map[byte]bool{}
 	for _, tag := range tags {
@@ -227,8 +241,63 @@ func TestWireTagsDistinct(t *testing.T) {
 		}
 		seen[tag] = true
 	}
-	if len(seen) != 9 {
-		t.Fatalf("expected 9 distinct tags, got %d", len(seen))
+	if len(seen) != 8 {
+		t.Fatalf("expected 8 distinct tags, got %d", len(seen))
 	}
-	_ = fmt.Sprintf // keep fmt hooked for debugging edits
+}
+
+// FuzzWireDecode feeds arbitrary bytes to every decoder: each returns a
+// value or an error and never panics, and a message that decodes re-encodes
+// to exactly the bytes it came from. The seed corpus under
+// testdata/fuzz/FuzzWireDecode holds one valid message of every type.
+//
+//	go test -run=^$ -fuzz=FuzzWireDecode -fuzztime=15s ./shard/remote/
+func FuzzWireDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		check := func(name string, err error, reencode func() []byte) {
+			if err == nil && !bytes.Equal(reencode(), b) {
+				t.Fatalf("%s: decoded message re-encodes to\n%x\nnot\n%x", name, reencode(), b)
+			}
+		}
+		openReq, err := decodeOpenReq(b)
+		check("openReq", err, func() []byte { return encodeOpenReq(openReq) })
+		openResp, err := decodeOpenResp(b)
+		check("openResp", err, func() []byte { return encodeOpenResp(openResp) })
+		pullReq, err := decodePullReq(b)
+		check("pullReq", err, func() []byte { return encodePullReq(pullReq) })
+		pullResp, err := decodePullResp(b)
+		check("pullResp", err, func() []byte { return encodePullResp(pullResp) })
+		visitsOfReq, err := decodeVisitsOfReq(b)
+		check("visitsOfReq", err, func() []byte { return encodeVisitsOfReq(visitsOfReq) })
+		visitsOfResp, err := decodeVisitsOfResp(b)
+		check("visitsOfResp", err, func() []byte { return encodeVisitsOfResp(visitsOfResp) })
+		ingestReq, err := decodeIngestReq(b)
+		check("ingestReq", err, func() []byte { return encodeIngestReq(ingestReq) })
+		ingestResp, err := decodeIngestResp(b)
+		check("ingestResp", err, func() []byte { return encodeIngestResp(ingestResp) })
+	})
+}
+
+// TestWireFuzzCorpus keeps the committed FuzzWireDecode seed corpus in step
+// with the encoders: one file per message of roundTrips, byte for byte.
+// GEN_WIRE_CORPUS=1 rewrites it.
+func TestWireFuzzCorpus(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzWireDecode")
+	for name, msg := range roundTrips(t) {
+		path := filepath.Join(dir, strings.ReplaceAll(name, "/", "-"))
+		want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", msg)
+		if os.Getenv("GEN_WIRE_CORPUS") == "1" {
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		got, err := os.ReadFile(path)
+		if err != nil || string(got) != want {
+			t.Errorf("%s is stale or missing (%v); regenerate with GEN_WIRE_CORPUS=1", path, err)
+		}
+	}
 }

@@ -68,22 +68,22 @@ func (c *Cluster) record(kind obs.Kind, entity string, k int, batchID uint64, ou
 // detailFromReport maps a gatherReport (stream-indexed) back to shard
 // ordinals and fills in what only the coordinator knows: each stream's
 // shard, pinned generation and raw checked count.
-func detailFromReport(rep gatherReport, ords []int, streams []Stream) gatherDetail {
+func detailFromReport(rep gatherReport, ords []int, streams []opened) gatherDetail {
 	d := gatherDetail{merge: rep.merge, kth: rep.kth, shards: make([]obs.ShardTrace, len(rep.streams))}
 	for i, sr := range rep.streams {
 		d.pulled += sr.pulled
 		d.shards[i] = obs.ShardTrace{
 			Shard:      ords[i],
-			Generation: streams[i].Generation(),
+			Generation: streams[i].st.Generation(),
 			Pulled:     sr.pulled,
 			Rounds:     sr.rounds,
-			Checked:    streams[i].Checked(),
+			Checked:    streams[i].st.Checked(),
 			Cut:        sr.cut,
 			Exhausted:  sr.exhausted,
 			Bound:      sr.bound,
 			Latency:    sr.latency,
 		}
-		if a, ok := streams[i].(interface{ Addr() string }); ok {
+		if a, ok := streams[i].st.(interface{ Addr() string }); ok {
 			d.shards[i].Addr = a.Addr() // remote streams name their shard server
 		}
 	}
