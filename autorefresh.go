@@ -8,7 +8,6 @@ package digitaltraces
 // the query path.
 
 import (
-	"errors"
 	"fmt"
 	"time"
 )
@@ -24,8 +23,7 @@ import (
 // snapshot, so enabling it on a DB that is still bulk-loading costs
 // nothing until BuildIndex (or the first query) publishes one.
 //
-// The goroutine escalates ErrBeyondHorizon to a full BuildIndex (matching
-// the query path) and otherwise retries on its next tick; it never fires
+// A failed refresh is retried on the next tick; the goroutine never fires
 // while nothing is dirty. Stop it with Close — a DB with auto-refresh must
 // be Closed or the goroutine (and the DB) leak. /stats exposes the policy's
 // behavior: generation and last_swap show swaps happening, dirty_count and
@@ -91,12 +89,9 @@ func (db *DB) autoRefreshLoop(poll time.Duration) {
 // autoRefreshTick fires one policy decision: refresh if either threshold is
 // crossed. The policy never builds the *first* snapshot — before one exists
 // the DB is typically mid bulk-load, and eagerly indexing a partial dataset
-// would trigger a premature build plus, for time-ordered ingest, a
-// beyond-horizon full rebuild on every subsequent tick; the first
-// BuildIndex (or the first query's lazy build) starts the clock instead.
-// Errors are not fatal to the loop — the dirt stays recorded and the next
-// tick retries — and a horizon overrun escalates to a full rebuild exactly
-// like the query path's lazy escalation.
+// would pay a premature build; the first BuildIndex (or the first query's
+// lazy build) starts the clock instead. Errors are not fatal to the loop —
+// the dirt stays recorded and the next tick retries.
 func (db *DB) autoRefreshTick() {
 	s := db.snap.Load()
 	if s == nil {
@@ -113,9 +108,7 @@ func (db *DB) autoRefreshTick() {
 	if !due {
 		return
 	}
-	if err := db.Refresh(); errors.Is(err, ErrBeyondHorizon) {
-		db.BuildIndex() //nolint:errcheck // recorded dirt makes the next tick retry
-	}
+	db.Refresh() //nolint:errcheck // recorded dirt makes the next tick retry
 }
 
 // Close stops the background auto-refresh goroutine, blocking until it has

@@ -25,7 +25,6 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, desc string) {
 // dirt, so tests start from a clean, quiescent serving snapshot.
 func autoCity(t *testing.T, opts ...Option) *DB {
 	t.Helper()
-	opts = append([]Option{WithHashFunctions(16)}, opts...)
 	db, err := SyntheticCity(CityConfig{Side: 4, Entities: 20, Days: 2}, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -93,24 +92,23 @@ func TestAutoRefreshStaleness(t *testing.T) {
 	}
 }
 
-// TestAutoRefreshHorizonEscalation: dirt beyond the indexed horizon cannot
-// be folded incrementally; the policy must escalate to a full rebuild, just
-// like the lazy query path.
+// TestAutoRefreshHorizonEscalation: dirt past everything the first build
+// covered needs no escalation — the policy folds it incrementally like any
+// other dirt, and the lineage keeps its build.
 func TestAutoRefreshHorizonEscalation(t *testing.T) {
 	db := autoCity(t, WithAutoRefresh(1, 0))
 	defer db.Close()
-	gen := db.IndexStats().Generation
-	// Days: 2 → indexed horizon 48h; hour 100 is far past it.
+	before := db.IndexStats()
+	// Days: 2 → the city's visits end by hour 48; hour 100 is far past them.
 	if err := db.AddVisit("entity-0", VenueName(0), TimeAt(100), TimeAt(102)); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 10*time.Second, func() bool {
 		st := db.IndexStats()
-		return st.Generation > gen && st.DirtyCount == 0
-	}, "horizon-escalated rebuild")
-	// A full rebuild resets the incremental-refresh stat.
-	if d := db.IndexStats().LastRefreshDuration; d != 0 {
-		t.Fatalf("LastRefreshDuration = %v after a full rebuild, want 0", d)
+		return st.Generation > before.Generation && st.DirtyCount == 0
+	}, "incremental fold")
+	if st := db.IndexStats(); st.LastRefreshDuration <= 0 || st.BuildTime != before.BuildTime {
+		t.Fatalf("LastRefreshDuration %v, BuildTime %v (was %v): want an incremental refresh, not a rebuild", st.LastRefreshDuration, st.BuildTime, before.BuildTime)
 	}
 }
 
@@ -140,7 +138,7 @@ func TestAutoRefreshClose(t *testing.T) {
 	// pre-construction level, give or take runtime noise).
 	waitFor(t, 5*time.Second, func() bool { return runtime.NumGoroutine() <= before+1 }, "goroutine to exit")
 
-	plain, err := SyntheticCity(CityConfig{Side: 4, Entities: 5, Days: 1}, WithHashFunctions(8))
+	plain, err := SyntheticCity(CityConfig{Side: 4, Entities: 5, Days: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +171,7 @@ func TestWithAutoRefreshValidation(t *testing.T) {
 // much dirt accumulates.
 func TestAutoRefreshWaitsForFirstBuild(t *testing.T) {
 	db, err := SyntheticCity(CityConfig{Side: 4, Entities: 30, Days: 2},
-		WithHashFunctions(16), WithAutoRefresh(1, time.Millisecond))
+		WithAutoRefresh(1, time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,9 +9,8 @@ import (
 )
 
 // TopKBatch answers top-k for every named entity in one call, fanning the
-// queries out over the bounded worker pool of core.Tree.KNNJoin (queries are
-// scheduled in MinSigTree leaf order for locality; workers ≤ 0 selects
-// GOMAXPROCS). It returns the per-entity matches plus aggregate statistics
+// queries out over the bounded worker pool of core.Postings.KNNJoin (workers
+// ≤ 0 selects GOMAXPROCS). It returns the per-entity matches plus aggregate statistics
 // across the whole batch: Checked sums the exact degree computations
 // (ZeroSkipped and BoundSkipped the entities settled without one), PE
 // averages the per-query pruning effectiveness (Definition 5), Pruned is the
@@ -19,7 +18,7 @@ import (
 //
 // The whole batch answers against one pinned index snapshot, so results are
 // identical to issuing TopK for each entity sequentially against that
-// snapshot — the tree search is deterministic, and no Refresh or BuildIndex
+// snapshot — the search is deterministic, and no Refresh or BuildIndex
 // swap can slide in between two queries of one batch (concurrent maintenance
 // only publishes new snapshots; it never mutates the pinned one).
 func (db *DB) TopKBatch(entities []string, k, workers int) (map[string][]Match, QueryStats, error) {
@@ -50,7 +49,7 @@ func (db *DB) TopKBatch(entities []string, k, workers int) (map[string][]Match, 
 			return nil, QueryStats{}, err
 		}
 	}
-	joined, js, err := s.tree.KNNJoin(ids, k, s.measure, workers)
+	joined, js, err := s.post.KNNJoin(ids, k, s.measure, workers)
 	if err != nil {
 		return nil, QueryStats{}, err
 	}
@@ -88,7 +87,7 @@ func (db *DB) TopKBatch(entities []string, k, workers int) (map[string][]Match, 
 	}
 	stats.Elapsed = time.Since(startT)
 	// Batch-wide pruned fraction: each query scans at most |E|−1 candidates.
-	if n := s.tree.Len() - 1; n > 0 && js.Queries > 0 {
+	if n := s.post.Len() - 1; n > 0 && js.Queries > 0 {
 		stats.Pruned = 1 - float64(js.TotalChecked)/float64(js.Queries*n)
 	}
 	// The whole batch is histogram-only under its own kind; the items above

@@ -15,6 +15,7 @@ package digitaltraces
 
 import (
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"testing"
 
@@ -208,11 +209,7 @@ func BenchmarkTopKSparse(b *testing.B) {
 		b.Fatal(err)
 	}
 	st := gen.GenerateStore(5000)
-	fam, err := sighash.NewFamily(ix, cfg.Horizon, 256, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tree, err := core.Build(ix, fam, st, st.Entities())
+	post, err := core.BuildPostings(ix, st, st.Entities())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -224,7 +221,7 @@ func BenchmarkTopKSparse(b *testing.B) {
 		b.ReportAllocs()
 		checked, marked := 0, 0
 		for i := 0; i < b.N; i++ {
-			_, stats, err := tree.TopK(st.Get(trace.EntityID(i%500)), 10, m)
+			_, stats, err := post.TopK(st.Get(trace.EntityID(i%500)), 10, m)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -238,6 +235,104 @@ func BenchmarkTopKSparse(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			core.BruteForceTopK(st, st.Entities(), st.Get(trace.EntityID(i%500)), 10, m)
+		}
+	})
+}
+
+// BenchmarkPostingsDerive measures folding one writer batch of the serving
+// benchmark's zipf_mixed_ingest workload — 32 visits over 8 existing
+// entities — into a 20 000-device sparse population (benchmark/'s full
+// size). "derive" times core.Postings.Derive alone, chaining generations as
+// a refreshing DB does (so the added layer's folds are amortized in);
+// "refresh" times DB.Refresh end to end — capture, sequence staging, store
+// and postings derive, publish — for a batch ingested untimed.
+func BenchmarkPostingsDerive(b *testing.B) {
+	const devices, batchEntities, batchVisits = 20000, 8, 32
+	ix, err := spindex.NewGrid(spindex.DefaultGridConfig(32))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := mobility.DefaultWiFiConfig()
+	cfg.Horizon = 14 * 24
+	cfg.DetectionProb = 0.05
+	gen, err := mobility.NewWiFiGenerator(ix, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := gen.GenerateStore(devices)
+	ids := st.Entities()
+	// batch draws the next batch: batchVisits one-hour visits, a quarter of
+	// them on each of batchEntities distinct existing entities.
+	rng := rand.New(rand.NewSource(1))
+	batch := func() map[trace.EntityID][]trace.Record {
+		out := map[trace.EntityID][]trace.Record{}
+		for len(out) < batchEntities {
+			e := ids[rng.Intn(len(ids))]
+			for v := 0; v < batchVisits/batchEntities; v++ {
+				h := trace.Time(rng.Intn(int(cfg.Horizon) - 1))
+				out[e] = append(out[e], trace.Record{Entity: e, Base: spindex.BaseID(rng.Intn(ix.NumBase())), Start: h, End: h + 1})
+			}
+		}
+		return out
+	}
+	b.Run("derive", func(b *testing.B) {
+		post, err := core.BuildPostings(ix, st, ids)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cur := st
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			next := cur.Derive()
+			var dirty []trace.EntityID
+			for e, recs := range batch() {
+				next.Put(trace.NewSequencesMerged(ix, e, recs, cur.Get(e)))
+				dirty = append(dirty, e)
+			}
+			b.StartTimer()
+			if post, err = post.Derive(next, dirty); err != nil {
+				b.Fatal(err)
+			}
+			cur = next
+		}
+	})
+	b.Run("refresh", func(b *testing.B) {
+		db, err := newGridDB(ix)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer db.Close()
+		var log []VisitRecord
+		for _, e := range ids {
+			for _, v := range st.Get(e).PresenceInstances(ix.Height()) {
+				log = append(log, VisitRecord{Entity: fmt.Sprintf("d%d", e), Venue: VenueName(int(ix.BaseOf(v.Unit))), Start: TimeAt(int(v.Start)), End: TimeAt(int(v.End))})
+			}
+		}
+		if _, err := db.AddVisits(log); err != nil {
+			b.Fatal(err)
+		}
+		if err := db.BuildIndex(); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			var visits []VisitRecord
+			for e, recs := range batch() {
+				for _, r := range recs {
+					visits = append(visits, VisitRecord{Entity: fmt.Sprintf("d%d", e), Venue: VenueName(int(r.Base)), Start: TimeAt(int(r.Start)), End: TimeAt(int(r.End))})
+				}
+			}
+			if _, err := db.AddVisits(visits); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if err := db.Refresh(); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }
@@ -334,7 +429,7 @@ func BenchmarkTopKParallel(b *testing.B) {
 // facade: same search plus name resolution and the shared read lock, i.e.
 // what one HTTP query costs the server before JSON encoding.
 func BenchmarkDBTopKParallel(b *testing.B) {
-	db, err := SyntheticCity(CityConfig{Side: 7, Entities: 1000, Days: 7}, WithHashFunctions(128))
+	db, err := SyntheticCity(CityConfig{Side: 7, Entities: 1000, Days: 7})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -357,7 +452,7 @@ func BenchmarkDBTopKParallel(b *testing.B) {
 // BenchmarkTopKBatch measures the batch API end to end at different pool
 // widths (workers=0 selects GOMAXPROCS).
 func BenchmarkTopKBatch(b *testing.B) {
-	db, err := SyntheticCity(CityConfig{Side: 7, Entities: 500, Days: 7}, WithHashFunctions(64))
+	db, err := SyntheticCity(CityConfig{Side: 7, Entities: 500, Days: 7})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -468,7 +563,7 @@ func BenchmarkAblationSignatures(b *testing.B) {
 			checked := 0
 			for i := 0; i < b.N; i++ {
 				q := st.Get(trace.EntityID(i % 50))
-				_, stats, err := tc.tree.TopK(q, 10, m)
+				_, stats, err := tc.tree.SignatureTopK(q, 10, m)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -499,12 +594,16 @@ func BenchmarkApproxTopK(b *testing.B) {
 
 // BenchmarkKNNJoin measures the future-work join mode (§8.2).
 func BenchmarkKNNJoin(b *testing.B) {
-	_, st, tree, m := benchWorld(b, 500, 64)
+	ix, st, _, m := benchWorld(b, 500, 64)
+	post, err := core.BuildPostings(ix, st, st.Entities())
+	if err != nil {
+		b.Fatal(err)
+	}
 	queries := st.Entities()[:50]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := tree.KNNJoin(queries, 5, m, 1); err != nil {
+		if _, _, err := post.KNNJoin(queries, 5, m, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

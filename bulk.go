@@ -21,7 +21,6 @@ import (
 	"digitaltraces/internal/core"
 	"digitaltraces/internal/extsort"
 	"digitaltraces/internal/parallel"
-	"digitaltraces/internal/sighash"
 	"digitaltraces/internal/spindex"
 	"digitaltraces/internal/trace"
 )
@@ -105,7 +104,6 @@ func BulkLoadRecordFile(path string, side, levels int, cfg BulkConfig, opts ...O
 	// paths name and tie-break identically). Only the ID map is resident.
 	dense := make(map[trace.EntityID]trace.EntityID)
 	var fileIDs []trace.EntityID
-	var horizon trace.Time
 	remapped := filepath.Join(work, "remapped.rec")
 	if err := func() error {
 		in, err := os.Open(path)
@@ -147,9 +145,6 @@ func BulkLoadRecordFile(path string, side, levels int, cfg BulkConfig, opts ...O
 				fileIDs = append(fileIDs, r.Entity)
 			}
 			r.Entity = d
-			if r.End > horizon {
-				horizon = r.End
-			}
 			if err := w.Write(r); err != nil {
 				return err
 			}
@@ -177,7 +172,7 @@ func BulkLoadRecordFile(path string, side, levels int, cfg BulkConfig, opts ...O
 
 	// Pass 3: stream sorted groups (ascending dense ID) into sequences —
 	// batched across the worker pool, since cell expansion + sort-dedup
-	// dominates — and build the tree over the finished store.
+	// dominates — and seal the postings over the finished store.
 	buildStart := time.Now()
 	store := trace.NewStore(db.ix)
 	type group struct {
@@ -219,11 +214,7 @@ func BulkLoadRecordFile(path string, side, levels int, cfg BulkConfig, opts ...O
 	for i := range ids {
 		ids[i] = trace.EntityID(i)
 	}
-	fam, err := sighash.NewFamily(db.ix, horizon, db.nh, db.seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	tree, err := core.Build(db.ix, fam, store, ids)
+	post, err := core.BuildPostings(db.ix, store, ids)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -234,9 +225,8 @@ func BulkLoadRecordFile(path string, side, levels int, cfg BulkConfig, opts ...O
 	stats.BuildTime = time.Since(buildStart)
 	ns := &snapshot{
 		store:     store,
-		tree:      tree,
+		post:      post,
 		measure:   measure,
-		horizon:   horizon,
 		byID:      db.byID[:len(db.byID):len(db.byID)],
 		buildTime: stats.BuildTime,
 	}

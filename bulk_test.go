@@ -58,7 +58,7 @@ func TestBulkLoadMatchesInMemory(t *testing.T) {
 		t.Fatalf("log is not ≥4x the buffer budget (size %d, err %v)", st.Size(), err)
 	}
 
-	bulk, stats, err := BulkLoadRecordFile(path, 4, 3, cfg, WithHashFunctions(32))
+	bulk, stats, err := BulkLoadRecordFile(path, 4, 3, cfg)
 	if err != nil {
 		t.Fatalf("BulkLoadRecordFile: %v", err)
 	}
@@ -73,7 +73,7 @@ func TestBulkLoadMatchesInMemory(t *testing.T) {
 		t.Errorf("only %d sorted runs — the budget did not force an external merge; shrink it", stats.Sort.Runs)
 	}
 
-	mem, err := LoadRecordFile(path, 4, 3, WithHashFunctions(32))
+	mem, err := LoadRecordFile(path, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestBulkLoadMatchesInMemory(t *testing.T) {
 func TestBulkLoadUnionFold(t *testing.T) {
 	path := bulkLog(t, 40, 12, 2)
 	cfg := BulkConfig{PageSize: 256, BufferPages: 4}
-	bulk, _, err := BulkLoadRecordFile(path, 4, 4, cfg, WithHashFunctions(32))
+	bulk, _, err := BulkLoadRecordFile(path, 4, 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestBulkLoadUnionFold(t *testing.T) {
 	if _, err := bulk.AddVisits(added); err != nil {
 		t.Fatal(err)
 	}
-	mem, err := LoadRecordFile(path, 4, 4, WithHashFunctions(32))
+	mem, err := LoadRecordFile(path, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestBulkLoadUnionFold(t *testing.T) {
 // LoadRecordFile+BuildIndex in every way, including SaveIndex.
 func TestBulkLoadRetainVisits(t *testing.T) {
 	path := bulkLog(t, 30, 10, 3)
-	bulk, _, err := BulkLoadRecordFile(path, 4, 4, BulkConfig{PageSize: 256, BufferPages: 4, RetainVisits: true}, WithHashFunctions(32))
+	bulk, _, err := BulkLoadRecordFile(path, 4, 4, BulkConfig{PageSize: 256, BufferPages: 4, RetainVisits: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestBulkLoadRejectsBadInput(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := BulkLoadRecordFile(tc.path, 4, 3, BulkConfig{}, WithHashFunctions(32))
+			_, _, err := BulkLoadRecordFile(tc.path, 4, 3, BulkConfig{})
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("want error containing %q, got: %v", tc.want, err)
 			}

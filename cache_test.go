@@ -18,10 +18,10 @@ import (
 func cachePair(t *testing.T, capacity int, visits []VisitRecord) (cached, control *DB) {
 	t.Helper()
 	var err error
-	if cached, err = NewGridDB(4, 3, WithHashFunctions(16), WithQueryCache(capacity)); err != nil {
+	if cached, err = NewGridDB(4, 3, WithQueryCache(capacity)); err != nil {
 		t.Fatal(err)
 	}
-	if control, err = NewGridDB(4, 3, WithHashFunctions(16)); err != nil {
+	if control, err = NewGridDB(4, 3); err != nil {
 		t.Fatal(err)
 	}
 	for _, db := range []*DB{cached, control} {

@@ -13,9 +13,10 @@
 //
 // The -scenario restart mode measures the warm-restart path: the time to a
 // query-ready index on a freshly re-ingested population, once cold
-// (BuildIndex: O(|E|·C·nh) signature hashing) and once warm (LoadIndex over
-// a SaveIndex snapshot: sequence staging + digest replay, no hashing),
-// across population sizes, verifying the two serve identical answers:
+// (BuildIndex: sequence staging + sealing the postings) and once warm
+// (LoadIndex over a SaveIndex snapshot: sequence staging against the stored
+// entity table), across population sizes, verifying the two serve identical
+// answers:
 //
 //	bench -label restart -scenario restart -restart-sizes 1000,4000,16000
 //
@@ -23,7 +24,8 @@
 // what a restarted server saves before its first query. A third "mmap" row
 // per size measures LoadMappedIndex over a SaveMappedIndex file: the mapped
 // boot needs no re-ingested visit log at all and publishes after validating
-// the header and replaying digests, faulting sequence pages in lazily, so
+// the header and decoding the entity table and cell index, faulting sequence
+// pages in lazily, so
 // its time-to-first-query should sit well under the load row and grow
 // sub-linearly with the population.
 //
@@ -180,7 +182,6 @@ type Report struct {
 		Side       int    `json:"side"`
 		Levels     int    `json:"levels"`
 		Days       int    `json:"days"`
-		Hash       int    `json:"hash"`
 		Seed       int64  `json:"seed"`
 		K          int    `json:"k"`
 		GoMaxProcs int    `json:"gomaxprocs"`
@@ -208,8 +209,7 @@ func main() {
 		side     = flag.Int("side", 16, "venue grid side")
 		levels   = flag.Int("levels", 4, "sp-index height")
 		days     = flag.Int("days", 7, "horizon in days")
-		nh       = flag.Int("hash", 128, "number of hash functions")
-		seed     = flag.Int64("seed", 1, "generator + hash seed")
+		seed     = flag.Int64("seed", 1, "synthetic generator seed")
 		k        = flag.Int("k", 10, "top-k result size")
 		queries  = flag.Int("queries", 200, "queries per latency/throughput sample")
 		shardSet = flag.String("shards", "1,2,4,8", "comma-separated cluster sizes to benchmark alongside the single DB")
@@ -236,10 +236,6 @@ func main() {
 	if !slices.Contains(scenarios, *scenario) {
 		log.Fatalf("unknown -scenario %q (want one of %s)", *scenario, strings.Join(scenarios, ", "))
 	}
-	opts := []digitaltraces.Option{
-		digitaltraces.WithHashFunctions(*nh),
-		digitaltraces.WithSeed(uint64(*seed)),
-	}
 	cfg := digitaltraces.CityConfig{Side: *side, Levels: *levels, Entities: *entities, Days: *days, Seed: *seed}
 
 	var report Report
@@ -249,7 +245,6 @@ func main() {
 	report.Config.Side = *side
 	report.Config.Levels = *levels
 	report.Config.Days = *days
-	report.Config.Hash = *nh
 	report.Config.Seed = *seed
 	report.Config.K = *k
 	report.Config.GoMaxProcs = runtime.GOMAXPROCS(0)
@@ -260,7 +255,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		report.RestartRuns, err = restartScenario(cfg, opts, popSizes, *k)
+		report.RestartRuns, err = restartScenario(cfg, popSizes, *k)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -269,7 +264,7 @@ func main() {
 	}
 
 	if *scenario == "ingest" {
-		report.IngestRuns, err = ingestScenario(*entities, *ingVis, *side, *levels, *days, *ingBufs, *ingPage, *k, *seed, opts)
+		report.IngestRuns, err = ingestScenario(*entities, *ingVis, *side, *levels, *days, *ingBufs, *ingPage, *k, *seed)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -278,7 +273,7 @@ func main() {
 	}
 
 	if *scenario == "remote" {
-		report.RemoteRuns, err = remoteScenario(cfg, opts, *side, *levels, *k, *queries, *remSh, *seed)
+		report.RemoteRuns, err = remoteScenario(cfg, *side, *levels, *k, *queries, *remSh, *seed)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -294,7 +289,7 @@ func main() {
 	}
 
 	if *scenario == "rebalance" {
-		report.RebalanceRuns, err = rebalanceScenario(cfg, opts, *side, *levels, *k, *queries, *rebalSh)
+		report.RebalanceRuns, err = rebalanceScenario(cfg, *side, *levels, *k, *queries, *rebalSh)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -310,7 +305,7 @@ func main() {
 	}
 
 	if *scenario == "trace" {
-		report.TraceRuns, err = traceScenario(cfg, opts, *side, *levels, *k, *queries, *trcSh, *trcRing, *trcRds)
+		report.TraceRuns, err = traceScenario(cfg, *side, *levels, *k, *queries, *trcSh, *trcRing, *trcRds)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -326,8 +321,8 @@ func main() {
 		return
 	}
 
-	log.Printf("generating city: %d entities, %d² venues, %d days, nh=%d", *entities, *side, *days, *nh)
-	src, err := digitaltraces.SyntheticCity(cfg, opts...)
+	log.Printf("generating city: %d entities, %d² venues, %d days", *entities, *side, *days)
+	src, err := digitaltraces.SyntheticCity(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -350,7 +345,7 @@ func main() {
 		cluster, err := shard.Partition(src, shard.Config{
 			Shards: n,
 			NewShard: func(i int) (*digitaltraces.DB, error) {
-				return digitaltraces.NewGridDB(*side, *levels, opts...)
+				return digitaltraces.NewGridDB(*side, *levels)
 			},
 		})
 		if err != nil {
@@ -391,12 +386,12 @@ func writeReport(report Report, out, label string) {
 // reporting. Each timed mode runs with only its own DB live (the previous
 // mode's is released and the heap compacted first) — a real restart has one
 // process image, not three populations sharing a garbage collector.
-func restartScenario(cfg digitaltraces.CityConfig, opts []digitaltraces.Option, popSizes []int, k int) ([]RestartRun, error) {
+func restartScenario(cfg digitaltraces.CityConfig, popSizes []int, k int) ([]RestartRun, error) {
 	var runs []RestartRun
 	for _, pop := range popSizes {
 		ccfg := cfg
 		ccfg.Entities = pop
-		fresh := func() (*digitaltraces.DB, error) { return digitaltraces.SyntheticCity(ccfg, opts...) }
+		fresh := func() (*digitaltraces.DB, error) { return digitaltraces.SyntheticCity(ccfg) }
 		queries := make([]string, 5)
 		for q := range queries {
 			queries[q] = fmt.Sprintf("entity-%d", (q*97)%pop)
@@ -484,7 +479,7 @@ func restartScenario(cfg digitaltraces.CityConfig, opts []digitaltraces.Option, 
 		// Mapped boot: no re-ingested log to stand up at all — an empty grid
 		// DB publishes straight off the file mapping, so the measured time is
 		// the whole restart, not just the index phase.
-		mapped, err := digitaltraces.NewGridDB(ccfg.Side, ccfg.Levels, opts...)
+		mapped, err := digitaltraces.NewGridDB(ccfg.Side, ccfg.Levels)
 		if err != nil {
 			return nil, fmt.Errorf("restart scenario: %w", err)
 		}
@@ -526,7 +521,7 @@ func restartScenario(cfg digitaltraces.CityConfig, opts []digitaltraces.Option, 
 // sampled top-k queries bit-identically, and the bulk sort's measured page
 // I/O must stay within 2× the paper's 2N·(1+⌈log_B⌈N/B⌉⌉) bound — either
 // violation is an error, not a data point.
-func ingestScenario(entities, visitsPer, side, levels, days, buffers, page, k int, seed int64, opts []digitaltraces.Option) ([]IngestRun, error) {
+func ingestScenario(entities, visitsPer, side, levels, days, buffers, page, k int, seed int64) ([]IngestRun, error) {
 	if entities < 1 || visitsPer < 1 || buffers < 1 || page < extsort.RecordSize {
 		return nil, fmt.Errorf("ingest scenario: need -entities, -ingest-visits, -ingest-buffers ≥ 1 and -ingest-page ≥ %d", extsort.RecordSize)
 	}
@@ -576,7 +571,7 @@ func ingestScenario(entities, visitsPer, side, levels, days, buffers, page, k in
 
 	runtime.GC()
 	t0 := time.Now()
-	memDB, err := digitaltraces.LoadRecordFile(path, side, levels, opts...)
+	memDB, err := digitaltraces.LoadRecordFile(path, side, levels)
 	if err != nil {
 		return nil, fmt.Errorf("ingest scenario: LoadRecordFile: %w", err)
 	}
@@ -597,7 +592,7 @@ func ingestScenario(entities, visitsPer, side, levels, days, buffers, page, k in
 	runtime.GC()
 	t0 = time.Now()
 	bulkDB, stats, err := digitaltraces.BulkLoadRecordFile(path, side, levels,
-		digitaltraces.BulkConfig{PageSize: page, BufferPages: buffers}, opts...)
+		digitaltraces.BulkConfig{PageSize: page, BufferPages: buffers})
 	if err != nil {
 		return nil, fmt.Errorf("ingest scenario: BulkLoadRecordFile: %w", err)
 	}
@@ -636,7 +631,7 @@ func ingestScenario(entities, visitsPer, side, levels, days, buffers, page, k in
 // descheduled round then shifts one sample of the estimator instead of
 // owning the pooled tail, which matters because the effect being measured
 // (one ring write per query) is orders of magnitude below scheduler noise.
-func traceScenario(cfg digitaltraces.CityConfig, opts []digitaltraces.Option, side, levels, k, queries, shards, ring, rounds int) ([]TraceRun, error) {
+func traceScenario(cfg digitaltraces.CityConfig, side, levels, k, queries, shards, ring, rounds int) ([]TraceRun, error) {
 	if queries < 1 || shards < 1 || ring < 1 || rounds < 1 {
 		return nil, fmt.Errorf("trace scenario: need -queries, -trace-shards, -trace-ring and -trace-rounds ≥ 1")
 	}
@@ -646,9 +641,9 @@ func traceScenario(cfg digitaltraces.CityConfig, opts []digitaltraces.Option, si
 	}
 
 	newEngine := func(kind string, traced bool) (digitaltraces.Engine, error) {
-		dbOpts := opts
+		var dbOpts []digitaltraces.Option
 		if traced && kind == "db" {
-			dbOpts = append(append([]digitaltraces.Option{}, opts...), digitaltraces.WithTracing(ring))
+			dbOpts = append(dbOpts, digitaltraces.WithTracing(ring))
 		}
 		src, err := digitaltraces.SyntheticCity(cfg, dbOpts...)
 		if err != nil {
@@ -665,7 +660,7 @@ func traceScenario(cfg digitaltraces.CityConfig, opts []digitaltraces.Option, si
 			Shards:    shards,
 			TraceSize: traceSize,
 			NewShard: func(int) (*digitaltraces.DB, error) {
-				return digitaltraces.NewGridDB(side, levels, opts...)
+				return digitaltraces.NewGridDB(side, levels)
 			},
 		})
 	}

@@ -65,7 +65,7 @@ func skewedSlots(shards int) []int {
 	return assign
 }
 
-func rebalanceScenario(cfg digitaltraces.CityConfig, opts []digitaltraces.Option, side, levels, k, queries, shards int) ([]RebalanceRun, error) {
+func rebalanceScenario(cfg digitaltraces.CityConfig, side, levels, k, queries, shards int) ([]RebalanceRun, error) {
 	if queries < 1 || shards < 2 {
 		return nil, fmt.Errorf("rebalance scenario: need -queries ≥ 1 and -rebalance-shards ≥ 2")
 	}
@@ -74,7 +74,7 @@ func rebalanceScenario(cfg digitaltraces.CityConfig, opts []digitaltraces.Option
 		names[i] = fmt.Sprintf("entity-%d", (i*37)%cfg.Entities)
 	}
 
-	src, err := digitaltraces.SyntheticCity(cfg, opts...)
+	src, err := digitaltraces.SyntheticCity(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -85,7 +85,7 @@ func rebalanceScenario(cfg digitaltraces.CityConfig, opts []digitaltraces.Option
 			Shards:       shards,
 			InitialSlots: skewedSlots(shards),
 			NewShard: func(int) (*digitaltraces.DB, error) {
-				return digitaltraces.NewGridDB(side, levels, opts...)
+				return digitaltraces.NewGridDB(side, levels)
 			},
 		})
 	}

@@ -49,7 +49,7 @@ type RemoteRun struct {
 	P99VsInProcess     float64 `json:"p99_vs_in_process,omitempty"`
 }
 
-func remoteScenario(cfg digitaltraces.CityConfig, opts []digitaltraces.Option, side, levels, k, queries, shards int, seed int64) ([]RemoteRun, error) {
+func remoteScenario(cfg digitaltraces.CityConfig, side, levels, k, queries, shards int, seed int64) ([]RemoteRun, error) {
 	if queries < 1 || shards < 1 {
 		return nil, fmt.Errorf("remote scenario: need -queries and -remote-shards ≥ 1")
 	}
@@ -59,7 +59,7 @@ func remoteScenario(cfg digitaltraces.CityConfig, opts []digitaltraces.Option, s
 		names[i] = fmt.Sprintf("entity-%d", rng.Intn(cfg.Entities))
 	}
 
-	src, err := digitaltraces.SyntheticCity(cfg, opts...)
+	src, err := digitaltraces.SyntheticCity(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +69,7 @@ func remoteScenario(cfg digitaltraces.CityConfig, opts []digitaltraces.Option, s
 	localC, err := shard.Partition(src, shard.Config{
 		Shards: shards,
 		NewShard: func(int) (*digitaltraces.DB, error) {
-			return digitaltraces.NewGridDB(side, levels, opts...)
+			return digitaltraces.NewGridDB(side, levels)
 		},
 	})
 	if err != nil {
@@ -122,7 +122,7 @@ func remoteScenario(cfg digitaltraces.CityConfig, opts []digitaltraces.Option, s
 		}
 	}()
 	for i := 0; i < shards; i++ {
-		sdb, err := digitaltraces.NewGridDB(side, levels, opts...)
+		sdb, err := digitaltraces.NewGridDB(side, levels)
 		if err != nil {
 			return nil, err
 		}

@@ -1,10 +1,10 @@
 // Command buildindex ingests a raw record file, external-sorts it by entity
-// (Section 4.3), builds the MinSigTree, and reports indexing cost — the
-// pipeline behind Figure 7.8.
+// (Section 4.3), builds the served index (the entity table and the level-1
+// cell index), and reports indexing cost.
 //
 // Usage:
 //
-//	buildindex -in traces.bin -side 24 -levels 4 -hash 256 -buffers 64
+//	buildindex -in traces.bin -side 24 -levels 4 -buffers 64
 //
 // -index writes the index without its sequence section (warm restart over a
 // re-ingested log); -index-mmap writes it with the sequences, page-aligned,
@@ -22,7 +22,6 @@ import (
 
 	"digitaltraces/internal/core"
 	"digitaltraces/internal/extsort"
-	"digitaltraces/internal/sighash"
 	"digitaltraces/internal/spindex"
 	"digitaltraces/internal/trace"
 )
@@ -34,10 +33,8 @@ func main() {
 		in      = flag.String("in", "traces.bin", "input record file (tracegen format)")
 		side    = flag.Int("side", 16, "venue grid side used at generation time")
 		levels  = flag.Int("levels", 4, "sp-index height used at generation time")
-		nh      = flag.Int("hash", 256, "number of hash functions")
 		buffers = flag.Int("buffers", 64, "buffer pages for the external sort (B)")
 		page    = flag.Int("page", 4096, "page size in bytes")
-		seed    = flag.Uint64("seed", 1, "hash-family seed")
 		out     = flag.String("index", "", "optional path to persist the index snapshot (loadable by topk -index and serve -index-load)")
 		outMap  = flag.String("index-mmap", "", "optional path to persist the page-aligned mapped snapshot (servable in place by serve -index-mmap)")
 		u       = flag.Float64("u", 2, "ADM level exponent stamped into the snapshot meta")
@@ -64,17 +61,6 @@ func main() {
 		sortStats.PageIO(), extsort.TheoreticalPageIO(sortStats.DataPages, *buffers), sortTime.Round(time.Millisecond))
 
 	// Phase 2: stream one entity at a time into the store and index.
-	var horizon trace.Time
-	if err := extsort.GroupByEntity(sorted, func(e trace.EntityID, recs []trace.Record) error {
-		for _, r := range recs {
-			if r.End > horizon {
-				horizon = r.End
-			}
-		}
-		return nil
-	}); err != nil {
-		log.Fatal(err)
-	}
 	store := trace.NewStore(ix)
 	var ids []trace.EntityID
 	counts := map[trace.EntityID]uint32{}
@@ -88,22 +74,12 @@ func main() {
 	}
 
 	t1 := time.Now()
-	fam, err := sighash.NewFamily(ix, horizon, *nh, *seed)
+	post, err := core.BuildPostings(ix, store, ids)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tree, err := core.Build(ix, fam, store, ids)
-	if err != nil {
-		log.Fatal(err)
-	}
-	buildTime := time.Since(t1)
-	st := tree.Stats()
-	fmt.Printf("index: %d entities, %d nodes (%d leaves, max leaf %d), %.1f KB, built in %v (nh=%d)\n",
-		st.Entities, st.Nodes, st.Leaves, st.MaxLeafSize, float64(st.MemoryBytes)/1024, buildTime.Round(time.Millisecond), *nh)
-	if err := tree.Validate(); err != nil {
-		log.Fatalf("index validation failed: %v", err)
-	}
-	fmt.Println("index validation: ok")
+	fmt.Printf("index: %d entities, %.1f KB, built in %v\n",
+		post.Len(), float64(post.MemoryBytes())/1024, time.Since(t1).Round(time.Millisecond))
 
 	// Entity names follow the record-file convention ("entity-<fileID>", the
 	// naming LoadRecordFile and the synthetic cities use), so topk and serve
@@ -115,7 +91,7 @@ func main() {
 			log.Fatal(err)
 		}
 		meta := core.SnapshotMeta{TimeUnit: time.Hour, MeasureU: *u, MeasureV: *v}
-		n, err := tree.WriteSnapshot(f, meta, seqs, func(e trace.EntityID) (string, uint32) {
+		n, err := post.WriteSnapshot(f, meta, seqs, func(e trace.EntityID) (string, uint32) {
 			return fmt.Sprintf("entity-%d", e), counts[e]
 		})
 		if err != nil {

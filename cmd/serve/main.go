@@ -30,8 +30,8 @@
 // external-sorting it under a bounded buffer budget (-sort-page, -sort-buffers)
 // instead of materializing the raw log in the heap, and -index-mmap serves the
 // index straight off a read-only file mapping — the server is query-ready in
-// the time it takes to replay signatures, resident memory grows only with the
-// hot entities, and no record re-ingest is needed at all:
+// the time it takes to decode the entity table and cell index, resident memory
+// grows only with the hot entities, and no record re-ingest is needed at all:
 //
 //	serve -addr :8080 -in huge.bin -side 24 -bulk -index-mmap idx.map   # first boot
 //	serve -addr :8080 -side 24 -index-mmap idx.map                      # restarts
@@ -79,8 +79,7 @@ func main() {
 		side      = flag.Int("side", 16, "venue grid side (must match tracegen -side for -in)")
 		levels    = flag.Int("levels", 4, "sp-index height")
 		days      = flag.Int("days", 14, "synthetic horizon in days")
-		nh        = flag.Int("hash", 256, "number of hash functions")
-		seed      = flag.Int64("seed", 1, "generator + hash seed")
+		seed      = flag.Int64("seed", 1, "synthetic generator seed")
 		u         = flag.Float64("u", 2, "ADM level exponent")
 		v         = flag.Float64("v", 2, "ADM duration exponent")
 		shards    = flag.Int("shards", 1, "entity-partitioned shards (1 = single DB; >1 builds in parallel and scatter-gathers queries)")
@@ -104,11 +103,7 @@ func main() {
 	)
 	flag.Parse()
 
-	opts := []digitaltraces.Option{
-		digitaltraces.WithHashFunctions(*nh),
-		digitaltraces.WithSeed(uint64(*seed)),
-		digitaltraces.WithPaperMeasure(*u, *v),
-	}
+	opts := []digitaltraces.Option{digitaltraces.WithPaperMeasure(*u, *v)}
 	clustered := *shards > 1 || *shardsRem != ""
 	if *shardsRem != "" {
 		if *shards > 1 {
@@ -283,15 +278,14 @@ func main() {
 		}
 	}
 	st := engine.IndexStats()
-	log.Printf("indexed %d entities in %v: %d nodes, %d leaves, ~%.1f MiB",
-		st.Entities, time.Since(start).Round(time.Millisecond), st.Nodes, st.Leaves,
-		float64(st.MemoryBytes)/(1<<20))
+	log.Printf("indexed %d entities in %v: ~%.1f MiB",
+		st.Entities, time.Since(start).Round(time.Millisecond), float64(st.MemoryBytes)/(1<<20))
 	if st.Mapped {
 		log.Printf("serving mapped: sequence pages fault in lazily from %s", *idxMmap)
 	}
 	if c, ok := engine.(*shard.Cluster); ok {
 		for _, ss := range c.ShardStats() {
-			log.Printf("  shard %d: %d entities, %d nodes", ss.Shard, ss.Entities, ss.Index.Nodes)
+			log.Printf("  shard %d: %d entities, ~%.1f MiB", ss.Shard, ss.Entities, float64(ss.Index.MemoryBytes)/(1<<20))
 		}
 	}
 
@@ -385,7 +379,7 @@ func main() {
 // does not match the data must stop the boot, not degrade into a silent
 // rebuild the operator did not budget for.
 // mappedWarmStart publishes a mapped index over the engine: restart cost is
-// the signature replay, with sequence pages faulting in lazily as queries
+// the decode, with sequence pages faulting in lazily as queries
 // touch them. A missing file is a normal first boot — unless the mapped file
 // was the only data source, in which case there is nothing to serve. Any
 // load failure is fatal, like warmStart.

@@ -15,7 +15,7 @@
 //	      -shards-remote localhost:9001,localhost:9002,localhost:9003
 //
 // Every shard must be constructed with the same grid parameters as the
-// coordinator's data source (-side, -levels, -hash, -seed, -u, -v); the
+// coordinator's data source (-side, -levels, -u, -v); the
 // coordinator verifies hierarchy, time unit and epoch compatibility at dial
 // time and refuses to start on a mismatch.
 package main
@@ -41,8 +41,6 @@ func main() {
 		addr      = flag.String("addr", ":9001", "listen address")
 		side      = flag.Int("side", 16, "venue grid side (must match the coordinator's)")
 		levels    = flag.Int("levels", 4, "sp-index height (must match the coordinator's)")
-		nh        = flag.Int("hash", 256, "number of hash functions (must match the coordinator's)")
-		seed      = flag.Int64("seed", 1, "hash seed (must match the coordinator's)")
 		u         = flag.Float64("u", 2, "ADM level exponent")
 		v         = flag.Float64("v", 2, "ADM duration exponent")
 		refDirty  = flag.Int("refresh-dirty", 0, "auto-refresh: fold ingested visits once this many entities are dirty (0 = no dirty trigger)")
@@ -51,11 +49,7 @@ func main() {
 	)
 	flag.Parse()
 
-	opts := []digitaltraces.Option{
-		digitaltraces.WithHashFunctions(*nh),
-		digitaltraces.WithSeed(uint64(*seed)),
-		digitaltraces.WithPaperMeasure(*u, *v),
-	}
+	opts := []digitaltraces.Option{digitaltraces.WithPaperMeasure(*u, *v)}
 	if *refDirty > 0 || *refStale > 0 {
 		// The shard folds its own dirt in the background; the coordinator's
 		// generation-vector cache observes the bumps through the protocol's

@@ -21,7 +21,6 @@ import (
 	"digitaltraces/internal/core"
 	"digitaltraces/internal/extsort"
 	"digitaltraces/internal/secfile"
-	"digitaltraces/internal/sighash"
 	"digitaltraces/internal/spindex"
 	"digitaltraces/internal/trace"
 )
@@ -33,13 +32,11 @@ func main() {
 		in      = flag.String("in", "traces.bin", "input record file (tracegen format)")
 		side    = flag.Int("side", 16, "venue grid side used at generation time")
 		levels  = flag.Int("levels", 4, "sp-index height used at generation time")
-		nh      = flag.Int("hash", 256, "number of hash functions")
 		k       = flag.Int("k", 10, "result size")
 		queries = flag.String("query", "0", "comma-separated entity ids to query")
 		u       = flag.Float64("u", 2, "ADM level exponent")
 		v       = flag.Float64("v", 2, "ADM duration exponent")
-		seed    = flag.Uint64("seed", 1, "hash-family seed")
-		index   = flag.String("index", "", "optional snapshot from buildindex -index or -index-mmap; skips re-hashing")
+		index   = flag.String("index", "", "optional snapshot from buildindex -index or -index-mmap, checked against the record file")
 	)
 	flag.Parse()
 
@@ -54,14 +51,8 @@ func main() {
 	}
 	store := trace.NewStore(ix)
 	var ids []trace.EntityID
-	var horizon trace.Time
 	counts := map[trace.EntityID]int{}
 	if err := extsort.GroupByEntity(sorted, func(e trace.EntityID, recs []trace.Record) error {
-		for _, r := range recs {
-			if r.End > horizon {
-				horizon = r.End
-			}
-		}
 		store.AddRecords(e, recs)
 		ids = append(ids, e)
 		counts[e] = len(recs)
@@ -69,7 +60,7 @@ func main() {
 	}); err != nil {
 		log.Fatal(err)
 	}
-	var tree *core.Tree
+	var post *core.Postings
 	if *index != "" {
 		f, err := os.Open(*index)
 		if err != nil {
@@ -78,7 +69,7 @@ func main() {
 		// Snapshots resolve by the record-file naming convention
 		// ("entity-<fileID>") and cross-check the covered visit counts, so a
 		// snapshot built over a different or stale record set errors instead
-		// of silently binding signatures to the wrong entities.
+		// of silently serving another data set.
 		byName := make(map[string]trace.EntityID, len(ids))
 		for _, e := range ids {
 			byName[fmt.Sprintf("entity-%d", e)] = e
@@ -89,11 +80,9 @@ func main() {
 				return 0, false, fmt.Errorf("snapshot entity %q is not in %s — the snapshot was built over a different record set", se.Name, *in)
 			}
 			if se.Folded == core.FoldedUnknown {
-				// Stamped "dirty while the save ran": the signature covers an
-				// unknown visit prefix, so binding it to the full record file
-				// would serve wrong pruning bounds — exactly the silent
-				// misalignment the name table exists to refuse.
-				return 0, false, fmt.Errorf("snapshot's signature for %q is stale (the entity was receiving visits while the snapshot was saved); rebuild it with buildindex -index", se.Name)
+				// Stamped "dirty while the save ran": the snapshot covers an
+				// unknown visit prefix of this entity.
+				return 0, false, fmt.Errorf("snapshot's entry for %q is stale (the entity was receiving visits while the snapshot was saved); rebuild it with buildindex -index", se.Name)
 			}
 			if int(se.Folded) != counts[e] {
 				return 0, false, fmt.Errorf("snapshot covers %d visits for %q but %s has %d — stale snapshot; rebuild it with buildindex -index", se.Folded, se.Name, *in, counts[e])
@@ -109,19 +98,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if tree, err = snap.Tree(ix, store, resolve); err != nil {
+		if post, err = snap.Postings(ix, store, resolve); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("loaded snapshot %s (%d entities)\n", *index, tree.Len())
-	} else {
-		fam, err := sighash.NewFamily(ix, horizon, *nh, *seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tree, err = core.Build(ix, fam, store, ids)
-		if err != nil {
-			log.Fatal(err)
-		}
+		fmt.Printf("loaded snapshot %s (%d entities)\n", *index, post.Len())
+	} else if post, err = core.BuildPostings(ix, store, ids); err != nil {
+		log.Fatal(err)
 	}
 	measure, err := adm.NewPaperADM(*levels, *u, *v)
 	if err != nil {
@@ -138,13 +120,13 @@ func main() {
 			log.Fatalf("entity %d not in the data", id)
 		}
 		start := time.Now()
-		res, stats, err := tree.TopK(q, *k, measure)
+		res, stats, err := post.TopK(q, *k, measure)
 		if err != nil {
 			log.Fatal(err)
 		}
 		el := time.Since(start)
 		fmt.Printf("top-%d for entity %d (%v, checked %d of %d, PE %.4f):\n",
-			*k, id, el.Round(time.Microsecond), stats.Checked, tree.Len()-1, stats.PE)
+			*k, id, el.Round(time.Microsecond), stats.Checked, post.Len()-1, stats.PE)
 		for i, r := range res {
 			fmt.Printf("  %2d. entity %-8d deg=%.6f\n", i+1, r.Entity, r.Degree)
 		}

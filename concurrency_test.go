@@ -1,7 +1,6 @@
 package digitaltraces
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -28,7 +27,7 @@ func TestConcurrentQueriesWithWriters(t *testing.T) {
 		perReader  = 120
 		perWriter  = 40
 	)
-	db, err := SyntheticCity(CityConfig{Side: 4, Entities: population, Days: days}, WithHashFunctions(32))
+	db, err := SyntheticCity(CityConfig{Side: 4, Entities: population, Days: days})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +78,7 @@ func TestConcurrentQueriesWithWriters(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				// Alternate between new entities and churn on existing ones,
-				// staying well inside the indexed horizon so Refresh succeeds.
+				// Alternate between new entities and churn on existing ones.
 				name := fmt.Sprintf("hot-%d-%d", g, i)
 				if i%2 == 1 {
 					name = fmt.Sprintf("entity-%d", (g*13+i)%population)
@@ -113,41 +111,63 @@ func TestConcurrentQueriesWithWriters(t *testing.T) {
 	}
 }
 
-// TestQueryAfterBeyondHorizonVisit: an ingested visit past the indexed
-// horizon must not wedge the query path — explicit Refresh surfaces
-// ErrBeyondHorizon, but queries transparently rebuild and keep serving.
+// TestQueryAfterBeyondHorizonVisit: visits past the last time unit of the
+// first build fold in incrementally, by an explicit Refresh and by a query's
+// lazy fold alike — the index has no time horizon. Each fold moves the
+// generation by one, keeps the lineage's BuildTime, reports its own
+// LastRefreshDuration, and leaves every answer equal to a twin built from
+// scratch over the same data.
 func TestQueryAfterBeyondHorizonVisit(t *testing.T) {
-	const days = 2
-	db, err := SyntheticCity(CityConfig{Side: 4, Entities: 20, Days: days}, WithHashFunctions(16))
-	if err != nil {
-		t.Fatal(err)
+	const days, population = 2, 20
+	mk := func() *DB {
+		db, err := SyntheticCity(CityConfig{Side: 4, Entities: population, Days: days})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
 	}
+	db, twin := mk(), mk()
 	if err := db.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	far := days*24 + 100
-	if err := db.AddVisit("traveler", VenueName(0), TimeAt(far), TimeAt(far+2)); err != nil {
-		t.Fatal(err)
+	folds := map[string]func() error{
+		"Refresh": db.Refresh,
+		"a query": func() error { _, _, err := db.TopK("entity-0", 3); return err },
 	}
-	if err := db.Refresh(); !errors.Is(err, ErrBeyondHorizon) {
-		t.Fatalf("Refresh = %v, want ErrBeyondHorizon", err)
-	}
-	matches, _, err := db.TopK("entity-0", 3)
-	if err != nil {
-		t.Fatalf("TopK after beyond-horizon visit: %v (query path wedged)", err)
-	}
-	if len(matches) != 3 {
-		t.Fatalf("got %d matches", len(matches))
-	}
-	if _, _, err := db.TopK("traveler", 3); err != nil {
-		t.Fatalf("traveler not folded in by rebuild: %v", err)
+	for round, how := range []string{"Refresh", "a query"} {
+		before := db.IndexStats()
+		far := days*24 + 100*(round+1)
+		for _, d := range []*DB{db, twin} {
+			if err := d.AddVisit("traveler", VenueName(0), TimeAt(far), TimeAt(far+2)); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.AddVisit("entity-3", VenueName(0), TimeAt(far+1), TimeAt(far+3)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := folds[how](); err != nil {
+			t.Fatalf("fold by %s: %v", how, err)
+		}
+		after := db.IndexStats()
+		if after.Generation != before.Generation+1 || after.BuildTime != before.BuildTime || after.LastRefreshDuration <= 0 || after.DirtyCount != 0 {
+			t.Fatalf("fold by %s: generation %d → %d, build time %v → %v, last refresh %v, dirty %d; want one incremental refresh",
+				how, before.Generation, after.Generation, before.BuildTime, after.BuildTime, after.LastRefreshDuration, after.DirtyCount)
+		}
+		requireSameAsRebuilt(t, "fold by "+how, db, twin, population, 5)
+		got, _, err := db.TopK("traveler", 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _, _ := twin.TopK("traveler", 3); !reflect.DeepEqual(got, want) || got[0].Entity != "entity-3" {
+			t.Fatalf("fold by %s: traveler's matches %v, rebuilt twin %v", how, got, want)
+		}
 	}
 }
 
 // TestTopKBatchMatchesSequential: a batch answer is exactly the per-entity
 // sequential answers, and the aggregate stats add up.
 func TestTopKBatchMatchesSequential(t *testing.T) {
-	db, err := SyntheticCity(CityConfig{Side: 6, Entities: 80, Days: 4}, WithHashFunctions(32))
+	db, err := SyntheticCity(CityConfig{Side: 6, Entities: 80, Days: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +235,7 @@ func TestLoadRecordFile(t *testing.T) {
 	if err := extsort.WriteRecords(path, recs); err != nil {
 		t.Fatal(err)
 	}
-	db, err := LoadRecordFile(path, side, levels, WithHashFunctions(32))
+	db, err := LoadRecordFile(path, side, levels)
 	if err != nil {
 		t.Fatal(err)
 	}

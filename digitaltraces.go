@@ -2,8 +2,9 @@
 // traces — "which k entities are most closely associated with this one,
 // given where and when they have been?" — implementing the system of
 // "Top-k Queries over Digital Traces" (Li, SIGMOD 2019 / York University
-// thesis 2018): hierarchical MinHash signatures, the MinSigTree index, and
-// exact top-k search with early termination.
+// thesis 2018): exact top-k search with early termination under the paper's
+// Theorem-4 bounds, served from an inverted index of level-1 ST-cells. The
+// paper's MinSigTree is reproduced in internal/core and cmd/experiments.
 //
 // # Model
 //
@@ -33,9 +34,9 @@
 // atomic pointer read, so any number run in parallel — with each other and
 // with BuildIndex/Refresh, which construct the next snapshot off to the side
 // and atomically swap it in. Refresh is copy-on-write: the next snapshot
-// shares every clean entity's state with the previous one and copies only
-// the dirty entities' signature paths, so a fold-and-swap costs O(dirty),
-// independent of database size. Ingest (AddVisit, AddVisits) touches only a
+// shares every clean entity's state with the previous one and adds only the
+// dirty entities' postings, so a fold-and-swap costs O(dirty), independent
+// of database size. Ingest (AddVisit, AddVisits) touches only a
 // small mutex-guarded visit log. A query always reads every write
 // acknowledged before it began: against a stale index (visits added since
 // the last swap) it waits for the build in flight or folds the dirt itself
@@ -52,7 +53,7 @@
 //
 // # Persistence
 //
-// SaveIndex persists the serving index (signature digests, entity names and
+// SaveIndex persists the serving index (the entity table, entity names and
 // the engine scalars — not the visit data) and LoadIndex republishes it over
 // a re-ingested visit log, so a restarted process serves queries without
 // rebuilding: the warm-restart path (cmd/serve -index-save / -index-load).
@@ -65,7 +66,6 @@
 package digitaltraces
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -226,18 +226,12 @@ type QueryStats struct {
 // Option customizes a DB.
 type Option func(*DB) error
 
-// WithHashFunctions sets nh, the signature width (default 256). More
-// functions prune better at higher indexing cost (the Figure 7.3 / 7.8
-// trade-off).
-func WithHashFunctions(n int) Option {
-	return func(db *DB) error {
-		if n < 1 {
-			return fmt.Errorf("digitaltraces: hash functions %d < 1", n)
-		}
-		db.nh = n
-		return nil
-	}
-}
+// WithHashFunctions does nothing: the index carries no signatures, so there
+// is no hash family to size.
+//
+// Deprecated: the served index hashes nothing; drop the option. The
+// MinSigTree's signature width is an experiment parameter (cmd/experiments).
+func WithHashFunctions(int) Option { return func(*DB) error { return nil } }
 
 // WithTimeUnit sets the base temporal unit (default time.Hour).
 func WithTimeUnit(d time.Duration) Option {
@@ -280,25 +274,16 @@ func WithJaccardMeasure() Option {
 	}
 }
 
-// WithSeed fixes the hash-family seed (default 1). Two DBs with the same
-// seed, data and options behave identically.
-func WithSeed(seed uint64) Option {
-	return func(db *DB) error {
-		db.seed = seed
-		return nil
-	}
-}
-
 // DB is a digital-trace database: a store of entity visits plus, after
-// BuildIndex, a MinSigTree serving exact top-k association queries.
+// BuildIndex, the postings serving exact top-k association queries.
 //
 // A DB is safe for concurrent use by multiple goroutines, and its two halves
 // have independent synchronization. The ingest side (the entity registry,
 // the raw visit log and the dirty set) lives under a small read-write lock
 // whose critical sections are O(visits added). The index side is an
-// immutable snapshot — store, tree, measure, horizon, name table — published
+// immutable snapshot — store, postings, measure, name table — published
 // through an atomic pointer: queries load it once and search lock-free
-// (core.Tree.TopK is documented read-only), while BuildIndex and Refresh
+// (core.Postings searches are read-only), while BuildIndex and Refresh
 // construct the next snapshot aside and atomically swap it in, so a
 // multi-second rebuild never blocks a read that the published snapshot
 // serves. A query is served only by a snapshot covering every write
@@ -312,8 +297,6 @@ type DB struct {
 	baseNames []string // venue name by BaseID, the inverse of venues
 
 	unit     time.Duration
-	nh       int
-	seed     uint64
 	measureU float64
 	measureV float64
 	jaccard  bool
@@ -395,8 +378,6 @@ func newDB(ix *spindex.Index, venues map[string]spindex.BaseID, opts ...Option) 
 		venues:    venues,
 		baseNames: baseNames,
 		unit:      time.Hour,
-		nh:        256,
-		seed:      1,
 		measureU:  2,
 		measureV:  2,
 		names:     map[string]trace.EntityID{},
@@ -500,12 +481,12 @@ func (db *DB) addVisitLocked(entity, venue string, start, end time.Time) error {
 	return nil
 }
 
-// BuildIndex (re)builds the MinSigTree over all current visits. Cost is
-// O(|E|·C·nh) signature hashing plus tree insertion (Section 4.3), but the
-// work happens entirely off to the side: the build captures a frozen visit
-// view, constructs the next snapshot, and atomically swaps it in — in-flight
-// and newly arriving queries keep answering from the previous snapshot
-// instead of stalling behind the rebuild.
+// BuildIndex (re)builds the index over all current visits. Cost is the
+// sequence building plus sealing the postings, O(total cells), but the work
+// happens entirely off to the side: the build captures a frozen visit view,
+// constructs the next snapshot, and atomically swaps it in — in-flight and
+// newly arriving queries keep answering from the previous snapshot instead of
+// stalling behind the rebuild.
 func (db *DB) BuildIndex() error {
 	db.buildMu.Lock()
 	defer db.buildMu.Unlock()
@@ -513,19 +494,11 @@ func (db *DB) BuildIndex() error {
 	return err
 }
 
-// ErrBeyondHorizon reports that Refresh cannot fold in a visit whose span
-// extends past the indexed time horizon: the hash family is parameterized by
-// the horizon, so only BuildIndex (which re-hashes everything over the new
-// horizon) can absorb it. Queries hitting this state transparently rebuild;
-// an explicit Refresh surfaces it so batch ingest loops can decide when to
-// pay for the rebuild.
-var ErrBeyondHorizon = errors.New("digitaltraces: visit beyond indexed horizon; call BuildIndex")
-
 // Refresh folds dirty entities (those with visits added since the last
 // BuildIndex/Refresh) into the index incrementally (Section 4.2.3) — like
 // BuildIndex, built aside on a copy of the serving snapshot and atomically
-// swapped, never blocking queries. New visits with timestamps beyond the
-// indexed horizon fail with ErrBeyondHorizon and require BuildIndex.
+// swapped, never blocking queries. Visits at any time fold in, however far
+// past the data the index was built over.
 func (db *DB) Refresh() error {
 	db.buildMu.Lock()
 	defer db.buildMu.Unlock()
@@ -671,7 +644,7 @@ func (db *DB) TopKApprox(entity string, k int, epsilon float64) ([]Match, float6
 	if err != nil {
 		return nil, 0, err
 	}
-	res, stats, err := s.tree.ApproxTopK(q, k, s.measure, core.ApproxOptions{Epsilon: epsilon})
+	res, stats, err := s.post.ApproxTopK(q, k, s.measure, core.ApproxOptions{Epsilon: epsilon})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -690,16 +663,16 @@ func (db *DB) KNNJoin(entities []string, k int, workers int) (map[string][]Match
 	return out, err
 }
 
-// SaveIndex persists the built index to w without the sequence section:
-// per-entity signature digests plus each entity's name and covered visit
-// count, and the hash-family / time-unit / epoch / measure scalars. The visit
-// data itself is not included — LoadIndex republishes the snapshot over a
-// re-ingested visit log, resolving entities by name.
+// SaveIndex persists the built index to w without the sequence section: the
+// entity table with each entity's name and covered visit count, and the
+// time-unit / epoch / measure scalars. The visit data itself is not included
+// — LoadIndex republishes the snapshot over a re-ingested visit log,
+// resolving entities by name.
 //
 // Pending dirt is folded (or the index built, if absent) before saving, so
 // the snapshot covers everything ingested when the save began; entities that
 // receive visits while the save is in flight are stamped with an unknown
-// covered count and re-signed on load instead of served stale.
+// covered count and re-indexed on load instead of served stale.
 func (db *DB) SaveIndex(w io.Writer) (int64, error) { return db.saveIndex(w, false) }
 
 // SaveMappedIndex persists the built index to w with the sequence section:
@@ -728,14 +701,7 @@ func (db *DB) saveIndex(w io.Writer, withSeqs bool) (int64, error) {
 	case s == nil:
 		s, err = db.buildSnapshot()
 	case db.PendingEntities() > 0:
-		var ns *snapshot
-		ns, err = db.refreshSnapshot(s)
-		if errors.Is(err, ErrBeyondHorizon) {
-			ns, err = db.buildSnapshot()
-		}
-		if err == nil {
-			s = ns
-		}
+		s, err = db.refreshSnapshot(s)
 	}
 	if err != nil {
 		db.buildMu.Unlock()
@@ -748,7 +714,7 @@ func (db *DB) saveIndex(w io.Writer, withSeqs bool) (int64, error) {
 	// retained visits this records 0 — a mapped load treats an empty log as
 	// clean regardless, and a re-ingested log simply refolds (unions are
 	// idempotent).
-	ents := s.tree.Entities()
+	ents := s.post.Entities()
 	folded := make([]uint32, len(s.byID))
 	db.mu.RLock()
 	epoch := db.epoch
@@ -772,9 +738,9 @@ func (db *DB) saveIndex(w io.Writer, withSeqs bool) (int64, error) {
 	if withSeqs {
 		seqs = s.store
 	}
-	// The tree, store and captured tables are immutable from here; write
+	// The postings, store and captured tables are immutable from here; write
 	// outside every lock.
-	return s.tree.WriteSnapshot(w, meta, seqs, func(e trace.EntityID) (string, uint32) {
+	return s.post.WriteSnapshot(w, meta, seqs, func(e trace.EntityID) (string, uint32) {
 		return s.byID[e], folded[e]
 	})
 }
@@ -806,9 +772,7 @@ func (db *DB) Degree(a, b string) (float64, error) {
 // many cores as shards sees.
 type IndexStats struct {
 	Entities    int
-	Nodes       int
-	Leaves      int
-	MemoryBytes int
+	MemoryBytes int // the postings: entity table and level-1 cell index
 	BuildTime   time.Duration
 	// Generation counts snapshot swaps: 0 before the first build, 1 after
 	// it, +1 for every subsequent BuildIndex/Refresh swap. An aggregated
@@ -868,11 +832,8 @@ func (db *DB) IndexStats() IndexStats {
 	if s == nil {
 		return out
 	}
-	st := s.tree.Stats()
-	out.Entities = st.Entities
-	out.Nodes = st.Nodes
-	out.Leaves = st.Leaves
-	out.MemoryBytes = st.MemoryBytes
+	out.Entities = s.post.Len()
+	out.MemoryBytes = s.post.MemoryBytes()
 	out.BuildTime = s.buildTime
 	out.Generation = s.generation
 	out.LastSwap = s.swappedAt

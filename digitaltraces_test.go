@@ -1,7 +1,6 @@
 package digitaltraces
 
 import (
-	"strings"
 	"testing"
 	"time"
 )
@@ -47,7 +46,7 @@ func TestHierarchyErrors(t *testing.T) {
 }
 
 func TestQuickstartFlow(t *testing.T) {
-	db, err := NewDB(smallHierarchy(t), WithHashFunctions(32))
+	db, err := NewDB(smallHierarchy(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +97,7 @@ func TestQuickstartFlow(t *testing.T) {
 		t.Errorf("self degree = %v", self)
 	}
 	st := db.IndexStats()
-	if st.Entities != 4 || st.Nodes == 0 || st.MemoryBytes <= 0 {
+	if st.Entities != 4 || st.MemoryBytes <= 0 {
 		t.Errorf("IndexStats = %+v", st)
 	}
 }
@@ -127,18 +126,13 @@ func TestVisitValidation(t *testing.T) {
 }
 
 func TestOptions(t *testing.T) {
-	if _, err := NewDB(smallHierarchy(t), WithHashFunctions(0)); err == nil {
-		t.Error("nh=0 accepted")
-	}
 	if _, err := NewDB(smallHierarchy(t), WithTimeUnit(0)); err == nil {
 		t.Error("zero time unit accepted")
 	}
 	db, err := NewDB(smallHierarchy(t),
-		WithHashFunctions(16),
 		WithTimeUnit(30*time.Minute),
 		WithEpoch(t0),
 		WithJaccardMeasure(),
-		WithSeed(7),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +153,7 @@ func TestOptions(t *testing.T) {
 }
 
 func TestTopKByExample(t *testing.T) {
-	db, err := NewDB(smallHierarchy(t), WithHashFunctions(16), WithEpoch(t0))
+	db, err := NewDB(smallHierarchy(t), WithEpoch(t0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +176,7 @@ func TestTopKByExample(t *testing.T) {
 }
 
 func TestRefreshIncremental(t *testing.T) {
-	db, err := NewDB(smallHierarchy(t), WithHashFunctions(16), WithEpoch(t0))
+	db, err := NewDB(smallHierarchy(t), WithEpoch(t0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +196,7 @@ func TestRefreshIncremental(t *testing.T) {
 	if m[0].Degree != 0 {
 		t.Fatalf("a and b should be unassociated: %+v", m)
 	}
-	// b moves to alice's cafe within the indexed horizon: Refresh folds it in.
+	// b moves to alice's cafe: Refresh folds it in.
 	if err := db.AddVisit("b", "cafe-a", t0.Add(2*time.Hour), t0.Add(5*time.Hour)); err != nil {
 		t.Fatal(err)
 	}
@@ -213,15 +207,12 @@ func TestRefreshIncremental(t *testing.T) {
 	if m[0].Entity != "b" || m[0].Degree <= 0 {
 		t.Fatalf("after refresh: %+v, want associated b", m[0])
 	}
-	// A visit beyond the horizon demands a rebuild.
+	// A visit far past everything the index was built over folds in too.
 	if err := db.AddVisit("b", "cafe-a", t0.Add(100*time.Hour), t0.Add(101*time.Hour)); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Refresh(); err == nil || !strings.Contains(err.Error(), "horizon") {
-		t.Fatalf("Refresh beyond horizon: %v, want horizon error", err)
-	}
-	if err := db.BuildIndex(); err != nil {
-		t.Fatal(err)
+	if err := db.Refresh(); err != nil {
+		t.Fatalf("Refresh of a visit past the built data: %v", err)
 	}
 	if _, _, err := db.TopK("a", 1); err != nil {
 		t.Fatal(err)
@@ -229,7 +220,7 @@ func TestRefreshIncremental(t *testing.T) {
 }
 
 func TestSyntheticCity(t *testing.T) {
-	db, err := SyntheticCity(CityConfig{Side: 8, Entities: 40, Days: 3}, WithHashFunctions(32))
+	db, err := SyntheticCity(CityConfig{Side: 8, Entities: 40, Days: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +254,7 @@ func TestSyntheticCity(t *testing.T) {
 }
 
 func TestSyntheticWiFiCity(t *testing.T) {
-	db, err := SyntheticWiFiCity(WiFiCityConfig{Side: 8, Devices: 30, Days: 3}, WithHashFunctions(32))
+	db, err := SyntheticWiFiCity(WiFiCityConfig{Side: 8, Devices: 30, Days: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

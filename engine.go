@@ -36,20 +36,17 @@ type Engine interface {
 	AddVisits(visits []VisitRecord) (int, error)
 	// BuildIndex (re)builds the index over all current visits.
 	BuildIndex() error
-	// Refresh folds visits added since the last build into the index,
-	// failing with ErrBeyondHorizon when only a rebuild can absorb them;
-	// partitioned implementations may instead absorb it internally by
-	// rebuilding just the affected partition.
+	// Refresh folds visits added since the last build into the index.
 	Refresh() error
 	// SaveIndex persists the serving index without the sequence section
-	// (signature digests, hash-family scalars, entity names — not the visit
-	// data) to w, folding pending dirt first so the snapshot covers
-	// everything ingested so far.
+	// (the entity table, engine scalars, entity names — not the visit data)
+	// to w, folding pending dirt first so the snapshot covers everything
+	// ingested so far.
 	SaveIndex(w io.Writer) (int64, error)
 	// LoadIndex publishes a previously saved index over the engine's
-	// re-ingested visit log — the warm-restart path that skips the
-	// O(|E|·C·nh) rebuild. Entities resolve by name, and a log that drifted
-	// from the snapshot's data is an error, never a silently wrong answer.
+	// re-ingested visit log — the warm-restart path. Entities resolve by
+	// name, and a log that drifted from the snapshot's data is an error,
+	// never a silently wrong answer.
 	LoadIndex(r io.Reader) error
 	// NumEntities, NumVenues and Levels describe the data shape.
 	NumEntities() int
@@ -75,8 +72,8 @@ type MappedPersister interface {
 	// (page-aligned) and the cell index, folding pending dirt first.
 	SaveMappedIndex(w io.Writer) (int64, error)
 	// LoadMappedIndex maps the file at path read-only and serves queries
-	// straight off it: restart cost is the signature replay plus lazy page
-	// faults, and resident memory is bounded by the hot entities.
+	// straight off it: restart cost is the decode plus lazy page faults, and
+	// resident memory is bounded by the hot entities.
 	LoadMappedIndex(path string) error
 }
 

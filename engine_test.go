@@ -10,7 +10,7 @@ import (
 // returned count is the number of visits stored, visits before the failing
 // one are kept, and the error names the failing index.
 func TestAddVisitsPartialFailure(t *testing.T) {
-	db, err := NewDB(smallHierarchy(t), WithHashFunctions(16), WithEpoch(t0))
+	db, err := NewDB(smallHierarchy(t), WithEpoch(t0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestAddVisitsPartialFailure(t *testing.T) {
 // of erroring.
 func TestTopKByExampleValidation(t *testing.T) {
 	// Epoch inferred from data: the error should say so.
-	db, err := NewDB(smallHierarchy(t), WithHashFunctions(16))
+	db, err := NewDB(smallHierarchy(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestTopKByExampleValidation(t *testing.T) {
 		t.Errorf("pre-epoch example against data-inferred epoch: %v", err)
 	}
 	// Explicit epoch: the error names WithEpoch as the origin.
-	db2, err := NewDB(smallHierarchy(t), WithHashFunctions(16), WithEpoch(t0))
+	db2, err := NewDB(smallHierarchy(t), WithEpoch(t0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestTopKByExampleValidation(t *testing.T) {
 // that re-discretize to the identical stored cells — the invariant the
 // cluster fan-out and Partition depend on.
 func TestVisitRoundTrip(t *testing.T) {
-	db, err := NewDB(smallHierarchy(t), WithHashFunctions(16), WithEpoch(t0), WithTimeUnit(30*time.Minute))
+	db, err := NewDB(smallHierarchy(t), WithEpoch(t0), WithTimeUnit(30*time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestVisitRoundTrip(t *testing.T) {
 	if all[0].Entity != "a" || all[2].Entity != "b" {
 		t.Errorf("AllVisits not in ingest order: %+v", all)
 	}
-	db2, err := NewDB(smallHierarchy(t), WithHashFunctions(16), WithEpoch(t0), WithTimeUnit(30*time.Minute))
+	db2, err := NewDB(smallHierarchy(t), WithEpoch(t0), WithTimeUnit(30*time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func main() {
 		Entities: population,
 		Days:     14,
 		Seed:     42,
-	}, digitaltraces.WithHashFunctions(256))
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

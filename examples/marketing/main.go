@@ -22,7 +22,7 @@ func main() {
 		Devices: 1500,
 		Days:    21,
 		Seed:    11,
-	}, digitaltraces.WithHashFunctions(256), digitaltraces.WithPaperMeasure(2, 3))
+	}, digitaltraces.WithPaperMeasure(2, 3))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func main() {
 	h.AddPath("downtown", "bay-street", "gym")
 	h.AddPath("uptown", "eglinton", "mall")
 
-	db, err := digitaltraces.NewDB(h, digitaltraces.WithHashFunctions(64))
+	db, err := digitaltraces.NewDB(h)
 	if err != nil {
 		log.Fatal(err)
 	}

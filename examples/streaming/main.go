@@ -1,6 +1,6 @@
 // Streaming scenario (Section 4.2.3 of the paper): digital traces arrive
-// continuously — new devices appear, known devices move — and the
-// MinSigTree absorbs them incrementally while queries keep running.
+// continuously — new devices appear, known devices move — and the index
+// absorbs them incrementally while queries keep running.
 //
 // The program indexes an initial day of data, then streams six more days
 // hour by hour; after each day it refreshes the index incrementally and
@@ -33,10 +33,7 @@ func main() {
 		}
 	}
 	epoch := time.Date(2019, 6, 1, 0, 0, 0, 0, time.UTC)
-	db, err := digitaltraces.NewDB(h,
-		digitaltraces.WithHashFunctions(64),
-		digitaltraces.WithEpoch(epoch),
-	)
+	db, err := digitaltraces.NewDB(h, digitaltraces.WithEpoch(epoch))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,11 +49,6 @@ func main() {
 		}
 	}
 
-	// Pre-load the full week's horizon with a sentinel visit so incremental
-	// refreshes stay within the indexed horizon.
-	if err := db.AddVisit("sentinel", venues[0], at(days*24-1), at(days*24)); err != nil {
-		log.Fatal(err)
-	}
 	// Day 0: 60 devices with random traces; "target" and "shadow" do not
 	// overlap yet.
 	for d := 0; d < 60; d++ {

@@ -9,7 +9,7 @@ import (
 // TestTopKApprox: epsilon 0 matches the exact TopK; larger epsilons honor
 // the reported guarantee.
 func TestTopKApprox(t *testing.T) {
-	db, err := SyntheticCity(CityConfig{Side: 8, Entities: 60, Days: 4}, WithHashFunctions(32))
+	db, err := SyntheticCity(CityConfig{Side: 8, Entities: 60, Days: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestTopKApprox(t *testing.T) {
 
 // TestKNNJoinFacade: the join equals per-entity TopK for every query.
 func TestKNNJoinFacade(t *testing.T) {
-	db, err := SyntheticCity(CityConfig{Side: 8, Entities: 40, Days: 4}, WithHashFunctions(32))
+	db, err := SyntheticCity(CityConfig{Side: 8, Entities: 40, Days: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestKNNJoinFacade(t *testing.T) {
 // TestSaveIndex: a snapshot is produced and non-trivial.
 func TestSaveIndex(t *testing.T) {
 	h := NewHierarchy(2).AddPath("a", "v1").AddPath("a", "v2")
-	db, err := NewDB(h, WithHashFunctions(16), WithEpoch(t0))
+	db, err := NewDB(h, WithEpoch(t0))
 	if err != nil {
 		t.Fatal(err)
 	}

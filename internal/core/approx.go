@@ -12,7 +12,7 @@ import (
 // very short delay and approximate answers would suffice ... with certain
 // quality guarantees."
 //
-// ApproxTopK runs TopK's search (Tree.search) but relaxes the termination
+// ApproxTopK runs TopK's search (Postings.search) but relaxes the termination
 // condition: the search stops as soon as the current k-th best exact degree
 // reaches (1−ε) times the largest remaining upper bound. Every
 // entity left unexplored then has degree at most UBmax ≤ kth/(1−ε), which
@@ -24,9 +24,9 @@ import (
 type ApproxOptions struct {
 	// Epsilon ∈ [0, 1): relative slack. 0 reproduces the exact search.
 	Epsilon float64
-	// MaxChecked caps exact degree computations (0 = unlimited; on the
-	// traversal a leaf in progress completes). When the cap fires before the
-	// ε-condition holds, the result carries the achieved epsilon instead.
+	// MaxChecked caps exact degree computations (0 = unlimited). When the cap
+	// fires before the ε-condition holds, the result carries the achieved
+	// epsilon instead.
 	MaxChecked int
 }
 
@@ -46,9 +46,9 @@ type ApproxStats struct {
 // ApproxTopK answers a top-k query approximately, with the guarantee that
 // the returned k-th degree is at least (1−AchievedEpsilon) times the true
 // k-th degree. With Epsilon = 0 and MaxChecked = 0 it is exactly TopK.
-func (t *Tree) ApproxTopK(q *trace.Sequences, k int, measure adm.Measure, opts ApproxOptions) ([]Result, ApproxStats, error) {
+func (p *Postings) ApproxTopK(q *trace.Sequences, k int, measure adm.Measure, opts ApproxOptions) ([]Result, ApproxStats, error) {
 	if opts.Epsilon < 0 || opts.Epsilon >= 1 {
 		return nil, ApproxStats{}, fmt.Errorf("core: epsilon %v outside [0,1)", opts.Epsilon)
 	}
-	return t.search(q, k, measure, opts, true)
+	return p.search(q, k, measure, opts)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"fmt"
 	"maps"
 	"math/bits"
 	"slices"
@@ -17,11 +18,12 @@ import (
 // Invariant: for every indexed entity e and every level-1 cell c of its
 // current sequences, e is in postings(c) — a missing pair would be a wrong
 // answer. Pairs are only ever added. The stale pairs of an entity that is
-// still indexed (Update with different data) only loosen its bound; an entity
-// removed outright stays in gone until it is inserted again, so that no
-// search scores it. Build, Clone and Snapshot.Tree seal from the sequences,
-// which drops the stale pairs; an image written with its sequences stores the
-// pairs minus those of gone, and Snapshot.MappedTree adopts them as the base.
+// still indexed (re-indexed with different data) only loosen its bound; an
+// entity removed outright stays in gone until it is indexed again, so that no
+// search scores it. BuildPostings and Snapshot.Postings seal from the
+// sequences, which drops the stale pairs; an image written with its sequences
+// stores the pairs minus those of gone, and Snapshot.MappedPostings adopts
+// them as the base.
 //
 // By the Section 4.1 derivation every shared level-l cell has its level-1
 // ancestor shared. So an entity in none of the postings of a query's level-1
@@ -34,7 +36,7 @@ type cellIndex struct {
 	keys  []trace.Cell
 	offs  []uint32
 	posts []trace.EntityID
-	// added holds the pairs added since; private to one tree generation.
+	// added holds the pairs added since; private to one generation.
 	added      map[trace.Cell][]trace.EntityID
 	addedPairs int
 	maxID      trace.EntityID // largest entity ID posted; -1 when none
@@ -126,7 +128,7 @@ func (ci *cellIndex) pairs(drop map[trace.EntityID]struct{}) func(post func(trac
 }
 
 // derive returns an independently writable index over the same pairs for the
-// next tree generation: the base is shared, the added pairs are copied — or,
+// next generation: the base is shared, the added pairs are copied — or,
 // once they reach the compaction threshold, both fold into a fresh base, an
 // O(pairs) step that amortizes to O(1) per added pair. The fold keeps the
 // stale pairs, so gone is carried over either way.
@@ -146,12 +148,15 @@ func (ci *cellIndex) derive() *cellIndex {
 	return d
 }
 
-// scratch is the state one search recycles through scratchPool: the
-// traversal's buffers, or the query's view of the cell index and the
-// bound-ordered candidates drawn from it.
+// memoryBytes estimates the index's size: 12 bytes per cell key and 4 per
+// posting, the added layer and the gone set included.
+func (ci *cellIndex) memoryBytes() int {
+	return 12*(len(ci.keys)+len(ci.added)) + 4*(len(ci.posts)+ci.addedPairs+len(ci.gone))
+}
+
+// scratch is the state one search recycles through scratchPool: the query's
+// view of the cell index and the bound-ordered candidates drawn from it.
 type scratch struct {
-	cands []*candidate // the candidate heap's backing array
-	anc   []trace.Cell // expand's ancestor-cell buffer
 	// mask[e] has bit min(i, 63) set when e is posted under the query's i-th
 	// level-1 cell; far holds the masks of the posted IDs the table does not
 	// reach, and hits every entity with a non-zero mask, in the order stamp
@@ -196,18 +201,18 @@ func (sc *scratch) maskOf(e trace.EntityID) uint64 {
 }
 
 // mark fills the scratch's view of the cell index for the query — masks,
-// bounds and the candidates in bound order — and reports whether the index
-// applies: the measure bounds an entity with no overlap by 0, so that an
-// entity no posting list names has degree exactly 0.
-func (f *frontier) mark() bool {
-	sc, ci, m := f.pooled, f.t.cells, f.t.m
+// bounds and the candidates in bound order. The postings serve only a measure
+// that bounds an entity with no overlap by 0, so that an entity no posting
+// list names has degree exactly 0; any other is refused by name.
+func (f *frontier) mark() error {
+	sc, ci, m := f.pooled, f.p.cells, f.p.m
 	sc.x = append(sc.x[:0], make([]int, m)...)
-	if f.measure.UpperBound(sc.x, f.qCounts) != 0 {
-		return false
+	if ub := f.measure.UpperBound(sc.x, f.qCounts); ub != 0 {
+		return fmt.Errorf("core: measure %s bounds an entity sharing no cell with the query by %v, not 0, so the postings cannot serve it (Tree.SignatureTopK can)", f.measure.Name(), ub)
 	}
 	// The table stays within a constant factor of the population whatever
 	// IDs arrive; negative IDs and IDs past it go to the far map.
-	n := min(int(ci.maxID)+1, 2*f.t.Len()+64)
+	n := min(int(ci.maxID)+1, 2*f.p.Len()+64)
 	if cap(sc.mask) < n {
 		sc.mask = make([]uint64, n)
 	}
@@ -217,7 +222,7 @@ func (f *frontier) mark() bool {
 	sc.under = append(sc.under[:0], make([]int, min(len(roots), 64)*m)...)
 	for l := 1; l <= m; l++ {
 		for _, c := range f.q.At(l) {
-			i, _ := slices.BinarySearch(roots, trace.MakeCell(c.Time(), f.t.ix.Root(c.Unit())))
+			i, _ := slices.BinarySearch(roots, trace.MakeCell(c.Time(), f.p.ix.Root(c.Unit())))
 			sc.under[min(i, 63)*m+l-1]++
 		}
 	}
@@ -226,7 +231,7 @@ func (f *frontier) mark() bool {
 	// posted nowhere the query is; visit moves the scored ones to Checked.
 	f.stats.BoundSkipped = len(sc.order)
 	f.stats.ZeroSkipped = f.n - len(sc.order)
-	return true
+	return nil
 }
 
 // stamp sets the bit of each of the query's level-1 cells in the mask of
@@ -236,7 +241,7 @@ func (f *frontier) stamp() {
 	mask, hits := sc.mask, sc.hits
 	for i, c := range f.q.At(1) {
 		bit := uint64(1) << min(i, 63)
-		sealed, added := f.t.cells.postings(c)
+		sealed, added := f.p.cells.postings(c)
 		for _, list := range [2][]trace.EntityID{sealed, added} {
 			for _, e := range list {
 				if uint(e) < uint(len(mask)) {
@@ -261,7 +266,7 @@ func (f *frontier) stamp() {
 // counting sort over the distinct masks, far fewer than the hits. A hit that
 // is the query itself, or the stale pair of a removed entity, is no candidate.
 func (f *frontier) rankCandidates() {
-	sc, gone := f.pooled, f.t.cells.gone
+	sc, gone := f.pooled, f.p.cells.gone
 	sc.rehash(max(64, len(sc.slots))) // no buckets yet: an empty table
 	sc.bkt = sc.bkt[:0]
 	last := int32(-1) // neighbours in a posting list often share their mask
@@ -344,9 +349,7 @@ func (f *frontier) release() {
 		}
 	}
 	sc.hits, sc.buckets = sc.hits[:0], sc.buckets[:0]
-	clear(f.cands) // drop the candidates, keep the array
-	sc.cands, sc.anc = f.cands[:0], f.scratch[:0]
-	f.cands, f.scratch, f.marked, f.pooled = nil, nil, false, nil
+	f.pooled = nil
 	scratchPool.Put(sc)
 }
 

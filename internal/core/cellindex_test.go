@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"digitaltraces/internal/adm"
-	"digitaltraces/internal/sighash"
 	"digitaltraces/internal/spindex"
 	"digitaltraces/internal/trace"
 )
@@ -70,22 +69,22 @@ func cellMeasures(t testing.TB) []adm.Measure {
 	return append(out, blind)
 }
 
-// cellWorld is a population under maintenance: the newest tree generation,
-// the store it reads, and every generation frozen behind it.
+// cellWorld is a population under maintenance: the newest generation of
+// postings, the store it reads, and every generation derived from behind it.
 type cellWorld struct {
 	t     *testing.T
 	rng   *rand.Rand
 	ix    *spindex.Index
 	st    *trace.Store
-	tree  *Tree
+	post  *Postings
 	fresh []trace.EntityID // IDs not used yet
 	past  []frozenCells
 }
 
-// frozenCells is a generation Derive froze, with a deep copy of its cell
-// index taken at that moment.
+// frozenCells is a generation Derive was called on, with a deep copy of its
+// cell index taken at that moment.
 type frozenCells struct {
-	tree              *Tree
+	post              *Postings
 	keys              []trace.Cell
 	offs              []uint32
 	posts             []trace.EntityID
@@ -111,11 +110,8 @@ func newCellWorld(t *testing.T, seed int64) *cellWorld {
 	const companion = trace.EntityID(70) // shares exactly the bit-63 tail of the wide example
 	w.st.Put(trace.NewSequencesFromCells(w.ix, companion, lateCells(w.ix)))
 	built = append(built, companion)
-	fam, err := sighash.NewFamily(w.ix, cellHorizon, 16, uint64(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.tree, err = Build(w.ix, fam, w.st, built); err != nil {
+	var err error
+	if w.post, err = BuildPostings(w.ix, w.st, built); err != nil {
 		t.Fatal(err)
 	}
 	return w
@@ -134,13 +130,13 @@ func (w *cellWorld) records(e trace.EntityID) []trace.Record {
 }
 
 func (w *cellWorld) pick(n int) []trace.EntityID {
-	es := w.tree.Entities()
+	es := w.post.Entities()
 	w.rng.Shuffle(len(es), func(i, j int) { es[i], es[j] = es[j], es[i] })
 	return es[:min(n, len(es))]
 }
 
 // derive is a refresh: appended visits for some indexed entities and
-// brand-new entities, folded by Store.Derive + Tree.Derive.
+// brand-new entities, folded by Store.Derive + Postings.Derive.
 func (w *cellWorld) derive() {
 	dirty := w.pick(3)
 	dst := w.st.Derive()
@@ -154,33 +150,33 @@ func (w *cellWorld) derive() {
 		dirty = append(dirty, e)
 	}
 	w.past = append(w.past, w.freeze())
-	next, err := w.tree.Derive(dst, dirty)
+	next, err := w.post.Derive(dst, dirty)
 	if err != nil {
 		w.t.Fatalf("Derive: %v", err)
 	}
-	w.st, w.tree = dst, next
+	w.st, w.post = dst, next
 }
 
 func (w *cellWorld) freeze() frozenCells {
-	ci := w.tree.cells
+	ci := w.post.cells
 	fz := frozenCells{
-		tree: w.tree, keys: slices.Clone(ci.keys), offs: slices.Clone(ci.offs), posts: slices.Clone(ci.posts),
-		added: map[trace.Cell][]trace.EntityID{}, entities: fmt.Sprint(w.tree.Entities()),
+		post: w.post, keys: slices.Clone(ci.keys), offs: slices.Clone(ci.offs), posts: slices.Clone(ci.posts),
+		added: map[trace.Cell][]trace.EntityID{}, entities: fmt.Sprint(w.post.Entities()),
 	}
 	for c, es := range ci.added {
 		fz.added[c] = slices.Clone(es)
 	}
-	fz.answers = w.fingerprint(w.tree)
+	fz.answers = w.fingerprint(w.post)
 	return fz
 }
 
-// fingerprint renders a few answers of a tree, to show a frozen generation
-// still answers as it did.
-func (w *cellWorld) fingerprint(tree *Tree) string {
+// fingerprint renders a few answers of an index, to show an earlier
+// generation still answers as it did.
+func (w *cellWorld) fingerprint(p *Postings) string {
 	m := cellMeasures(w.t)[0]
 	var out []Result
-	for _, e := range tree.Entities()[:3] {
-		res, _, err := tree.TopK(tree.src.Get(e), 5, m)
+	for _, e := range p.Entities()[:3] {
+		res, _, err := p.TopK(p.src.Get(e), 5, m)
 		if err != nil {
 			w.t.Fatal(err)
 		}
@@ -190,80 +186,73 @@ func (w *cellWorld) fingerprint(tree *Tree) string {
 }
 
 // update replaces entities' data outright (the old cells are gone, the
-// index keeps their pairs) in place, through the copy-on-write Update of a
-// derived tree or the plain one of a private tree.
+// index keeps their pairs) in place, as Tree.Update re-posts an entity.
 func (w *cellWorld) update() {
 	for _, e := range w.pick(3) {
-		w.st.AddRecords(e, w.records(e))
-		if err := w.tree.Update(e); err != nil {
-			w.t.Fatalf("Update(%d): %v", e, err)
-		}
+		w.post.add(e, w.st.AddRecords(e, w.records(e)))
 	}
 }
 
+// remove unindexes entities in place, as Tree.Remove does.
 func (w *cellWorld) remove() {
 	for _, e := range w.pick(2) {
-		if err := w.tree.Remove(e); err != nil {
-			w.t.Fatalf("Remove(%d): %v", e, err)
-		}
+		w.post.remove(e)
 	}
 }
 
-func (w *cellWorld) clone() {
+// rebuild seals fresh postings over a flat copy of the store.
+func (w *cellWorld) rebuild() {
 	st := w.st.Clone()
-	tree, err := w.tree.Clone(st)
+	p, err := BuildPostings(w.ix, st, w.post.Entities())
 	if err != nil {
-		w.t.Fatalf("Clone: %v", err)
+		w.t.Fatalf("BuildPostings: %v", err)
 	}
-	w.st, w.tree = st, tree
+	w.st, w.post = st, p
 }
 
-// reload replaces the tree by what an image of it loads as: replayed over the
-// store with its cell index re-sealed (a stream read of an image without
-// sequences), or served in place with the stored cell index — base, added
-// pairs and stale pairs folded by the writer — adopted as is.
+// reload replaces the index by what an image of it loads as: sealed over the
+// store (a stream read of an image without sequences), or served in place
+// with the stored cell index — base, added pairs and stale pairs folded by
+// the writer — adopted as is.
 func (w *cellWorld) reload(mapped bool) {
 	var buf bytes.Buffer
 	var seqs SequenceSource
 	if mapped {
 		seqs = w.st
 	}
-	if _, err := w.tree.WriteSnapshot(&buf, SnapshotMeta{TimeUnit: time.Hour}, seqs, snapshotNames); err != nil {
+	if _, err := w.post.WriteSnapshot(&buf, SnapshotMeta{TimeUnit: time.Hour}, seqs, snapshotNames); err != nil {
 		w.t.Fatalf("WriteSnapshot: %v", err)
 	}
-	load := func() (*Tree, error) { return readSnapshot(&buf, w.ix, w.st) }
+	load := func() (*Postings, error) { return readSnapshot(&buf, w.ix, w.st) }
 	if mapped {
-		load = func() (*Tree, error) { return openMapped(buf.Bytes(), w.ix, w.st) }
+		load = func() (*Postings, error) { return openMapped(buf.Bytes(), w.ix, w.st) }
 	}
-	tree, err := load()
+	p, err := load()
 	if err != nil {
-		w.t.Fatalf("reloading the tree (mapped %t): %v", mapped, err)
+		w.t.Fatalf("reloading the index (mapped %t): %v", mapped, err)
 	}
-	w.tree = tree
+	w.post = p
 }
 
 // step advances the world by one generation; the schedule strings several
 // derives together so the added layer reaches its compaction fold.
 func (w *cellWorld) step(gen int) string {
-	switch []string{"derive", "derive", "update", "derive", "remove", "derive", "derive", "remap", "clone", "derive", "update", "reload"}[gen%12] {
+	op := []string{"derive", "derive", "update", "derive", "remove", "derive", "derive", "remap", "rebuild", "derive", "update", "reload"}[gen%12]
+	switch op {
 	case "derive":
 		w.derive()
-		return "derive"
 	case "update":
 		w.update()
-		return "update"
 	case "remove":
 		w.remove()
-		return "remove"
-	case "clone":
-		w.clone()
-		return "clone"
+	case "rebuild":
+		w.rebuild()
 	case "remap":
 		w.reload(true)
-		return "remap"
+	case "reload":
+		w.reload(false)
 	}
-	w.reload(false)
-	return "reload"
+	return op
 }
 
 // queries returns indexed entities' own sequences plus query-by-example
@@ -315,21 +304,18 @@ func lateCells(ix *spindex.Index) []trace.Cell {
 // requireMarksSound checks the two facts the skips rest on, entity by entity:
 // an unmarked entity has degree exactly 0, and a marked one's cell-index
 // bound dominates its degree.
-func requireMarksSound(t *testing.T, label string, tree *Tree, q *trace.Sequences, m adm.Measure) {
+func requireMarksSound(t *testing.T, label string, p *Postings, q *trace.Sequences, m adm.Measure) {
 	t.Helper()
-	f, err := tree.newFrontier(q, m, true)
+	f, err := p.newFrontier(q, m)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s %s: %v", label, m.Name(), err)
 	}
 	defer f.release()
-	if !f.marked {
-		t.Fatalf("%s %s: the cell index does not apply", label, m.Name())
-	}
-	for _, e := range tree.Entities() {
+	for _, e := range p.Entities() {
 		if e == q.Entity {
 			continue
 		}
-		deg, mask := m.Degree(q, tree.src.Get(e)), f.pooled.maskOf(e)
+		deg, mask := m.Degree(q, p.src.Get(e)), f.pooled.maskOf(e)
 		if mask == 0 && deg != 0 {
 			t.Fatalf("%s %s: entity %d is unmarked but has degree %v", label, m.Name(), e, deg)
 		}
@@ -343,32 +329,32 @@ func requireMarksSound(t *testing.T, label string, tree *Tree, q *trace.Sequence
 // scan, bit for bit; the counters' identity; Iter.Bound non-increasing and
 // above every later degree; and ApproxTopK's guarantee with ε > 0 and with a
 // budget.
-func requireExact(t *testing.T, label string, tree *Tree, q *trace.Sequences, k int, m adm.Measure) SearchStats {
+func requireExact(t *testing.T, label string, p *Postings, q *trace.Sequences, k int, m adm.Measure) SearchStats {
 	t.Helper()
-	want := BruteForceTopK(tree.src, tree.Entities(), q, k, m)
-	got, stats, err := tree.TopK(q, k, m)
+	want := BruteForceTopK(p.src, p.Entities(), q, k, m)
+	got, stats, err := p.TopK(q, k, m)
 	if err != nil {
 		t.Fatalf("%s: TopK: %v", label, err)
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("%s k=%d %s: TopK\n got  %v\n want %v", label, k, m.Name(), got, want)
 	}
-	approx, as, err := tree.ApproxTopK(q, k, m, ApproxOptions{})
+	approx, as, err := p.ApproxTopK(q, k, m, ApproxOptions{})
 	if err != nil {
 		t.Fatalf("%s: ApproxTopK: %v", label, err)
 	}
 	if !slices.Equal(approx, want) || as.SearchStats != stats {
 		t.Fatalf("%s k=%d %s: ApproxTopK(ε=0)\n got  %v %+v\n want %v %+v", label, k, m.Name(), approx, as.SearchStats, want, stats)
 	}
-	others := tree.Len()
-	if tree.Contains(q.Entity) {
+	others := p.Len()
+	if p.Contains(q.Entity) {
 		others--
 	}
 	if stats.Reached() != others || stats.NodesPopped != 0 {
 		t.Fatalf("%s k=%d %s: %+v does not account for %d entities once each, without a traversal", label, k, m.Name(), stats, others)
 	}
 	for _, opts := range []ApproxOptions{{Epsilon: 0.3}, {MaxChecked: 2}, {Epsilon: 0.1, MaxChecked: 4}} {
-		approx, as, err := tree.ApproxTopK(q, k, m, opts)
+		approx, as, err := p.ApproxTopK(q, k, m, opts)
 		if err != nil || len(approx) > len(want) || len(approx) == 0 && len(want) > 0 {
 			t.Fatalf("%s k=%d %s: ApproxTopK(%+v) = %v, %v; the scan has %d", label, k, m.Name(), opts, approx, err, len(want))
 		}
@@ -380,16 +366,16 @@ func requireExact(t *testing.T, label string, tree *Tree, q *trace.Sequences, k 
 		}
 		// The guarantee: no entity left out beats the last one returned by
 		// more than the achieved ε.
-		for _, e := range tree.Entities() {
+		for _, e := range p.Entities() {
 			if e == q.Entity || slices.ContainsFunc(approx, func(r Result) bool { return r.Entity == e }) {
 				continue
 			}
-			if last, deg := approx[len(approx)-1].Degree, m.Degree(q, tree.src.Get(e)); last < (1-as.AchievedEpsilon)*deg-1e-12 {
+			if last, deg := approx[len(approx)-1].Degree, m.Degree(q, p.src.Get(e)); last < (1-as.AchievedEpsilon)*deg-1e-12 {
 				t.Fatalf("%s k=%d %s: ApproxTopK(%+v) ends at %v with achieved ε %v, entity %d left out has %v", label, k, m.Name(), opts, last, as.AchievedEpsilon, e, deg)
 			}
 		}
 	}
-	it, err := tree.NewIter(q, m)
+	it, err := p.NewIter(q, m)
 	if err != nil {
 		t.Fatalf("%s: NewIter: %v", label, err)
 	}
@@ -415,12 +401,43 @@ func requireExact(t *testing.T, label string, tree *Tree, q *trace.Sequences, k 
 
 // requireCellInvariant checks the index invariant — every level-1 cell of
 // every indexed entity's current sequences lists the entity — and the
-// structure postings and add rely on.
-func requireCellInvariant(t *testing.T, label string, tree *Tree) {
+// structure (requireCellStructure).
+func requireCellInvariant(t testing.TB, label string, p *Postings) {
 	t.Helper()
-	ci := tree.cells
+	requireCellStructure(t, label, p)
+	for _, e := range p.Entities() {
+		if e > p.cells.maxID {
+			t.Fatalf("%s: entity %d above maxID %d", label, e, p.cells.maxID)
+		}
+		for _, c := range p.src.Get(e).At(1) {
+			sealed, added := p.cells.postings(c)
+			if !slices.Contains(sealed, e) && !slices.Contains(added, e) {
+				t.Fatalf("%s: entity %d missing from the postings of its level-1 cell %v", label, e, c)
+			}
+		}
+	}
+}
+
+// requireCellStructure checks what postings, add and the entity table rely
+// on: ascending keys, lists and table, consistent counts.
+func requireCellStructure(t testing.TB, label string, p *Postings) {
+	t.Helper()
+	ci := p.cells
 	if ci == nil {
-		t.Fatalf("%s: tree has no cell index", label)
+		t.Fatalf("%s: no cell index", label)
+	}
+	for _, list := range [][]trace.EntityID{p.ents, p.added} {
+		if !slices.IsSorted(list) || len(slices.Compact(slices.Clone(list))) != len(list) {
+			t.Fatalf("%s: entity table list not strictly ascending: %v", label, list)
+		}
+	}
+	for _, e := range p.added {
+		if _, dup := slices.BinarySearch(p.ents, e); dup {
+			t.Fatalf("%s: entity %d in both the table's base and its added list", label, e)
+		}
+	}
+	if es := p.Entities(); len(es) != p.Len() || !slices.IsSorted(es) {
+		t.Fatalf("%s: Len %d, table lists %d entities", label, p.Len(), len(es))
 	}
 	if !slices.IsSorted(ci.keys) || len(slices.Compact(slices.Clone(ci.keys))) != len(ci.keys) || len(ci.offs) != len(ci.keys)+1 {
 		t.Fatalf("%s: keys not strictly ascending, or offsets misshapen", label)
@@ -437,17 +454,6 @@ func requireCellInvariant(t *testing.T, label string, tree *Tree) {
 	if pairs != ci.addedPairs {
 		t.Fatalf("%s: addedPairs = %d, added layer holds %d", label, ci.addedPairs, pairs)
 	}
-	for _, e := range tree.Entities() {
-		if e > ci.maxID {
-			t.Fatalf("%s: entity %d above maxID %d", label, e, ci.maxID)
-		}
-		for _, c := range tree.src.Get(e).At(1) {
-			sealed, added := ci.postings(c)
-			if !slices.Contains(sealed, e) && !slices.Contains(added, e) {
-				t.Fatalf("%s: entity %d missing from the postings of its level-1 cell %v", label, e, c)
-			}
-		}
-	}
 }
 
 func TestCellIndexExactnessProperty(t *testing.T) {
@@ -460,14 +466,12 @@ func TestCellIndexExactnessProperty(t *testing.T) {
 			if gen > 0 {
 				label = fmt.Sprintf("seed %d gen %d (%s)", seed, gen, w.step(gen-1))
 			}
-			if err := w.tree.Validate(); err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
+			requireCellInvariant(t, label, w.post)
 			for _, q := range w.queries() {
 				for _, m := range measures {
-					requireMarksSound(t, label, w.tree, q, m)
-					for _, k := range []int{1, 10, w.tree.Len() + 5} {
-						stats := requireExact(t, label, w.tree, q, k, m)
+					requireMarksSound(t, label, w.post, q, m)
+					for _, k := range []int{1, 10, w.post.Len() + 5} {
+						stats := requireExact(t, label, w.post, q, k, m)
 						zeroSkipped += stats.ZeroSkipped
 						boundSkipped += stats.BoundSkipped
 					}
@@ -482,27 +486,27 @@ func TestCellIndexExactnessProperty(t *testing.T) {
 
 // TestCellIndexInvariantModel checks the invariant itself after every
 // maintenance step, and that copy-on-write generations never disturb the
-// ones frozen behind them.
+// ones derived from before them.
 func TestCellIndexInvariantModel(t *testing.T) {
 	w := newCellWorld(t, 11)
-	requireCellInvariant(t, "build", w.tree)
+	requireCellInvariant(t, "build", w.post)
 	folds, remaps := 0, 0
 	for gen := 0; gen < 33; gen++ {
-		before := w.tree.cells
+		before := w.post.cells
 		op := w.step(gen)
 		label := fmt.Sprintf("gen %d (%s)", gen+1, op)
-		requireCellInvariant(t, label, w.tree)
-		if op == "derive" && len(w.tree.cells.posts) > 0 && len(before.posts) > 0 {
-			if &w.tree.cells.posts[0] != &before.posts[0] {
+		requireCellInvariant(t, label, w.post)
+		if op == "derive" && len(w.post.cells.posts) > 0 && len(before.posts) > 0 {
+			if &w.post.cells.posts[0] != &before.posts[0] {
 				folds++ // compaction built a fresh base
-			} else if len(w.tree.cells.posts) != len(before.posts) {
+			} else if len(w.post.cells.posts) != len(before.posts) {
 				t.Fatalf("%s: derived base shares the parent's array but not its length", label)
 			}
 		}
 		if op == "remap" {
 			// A stored index is the writer's fold: nothing added, nothing
 			// gone, every pair of base and added outside the removed entities.
-			got := w.tree.cells
+			got := w.post.cells
 			if len(got.added)+len(got.gone) != 0 {
 				t.Fatalf("%s: adopted index has %d added cells and %d removed entities", label, len(got.added), len(got.gone))
 			}
@@ -513,10 +517,10 @@ func TestCellIndexInvariantModel(t *testing.T) {
 				remaps++
 			}
 		}
-		if op == "clone" || op == "reload" {
+		if op == "rebuild" || op == "reload" {
 			// A re-sealed index is exactly the current sequences' pairs.
-			want := sealCells(w.st, w.tree.Entities())
-			if got := w.tree.cells; !slices.Equal(got.keys, want.keys) || !slices.Equal(got.offs, want.offs) || !slices.Equal(got.posts, want.posts) || len(got.added) != 0 {
+			want := sealCells(w.st, w.post.Entities())
+			if got := w.post.cells; !slices.Equal(got.keys, want.keys) || !slices.Equal(got.offs, want.offs) || !slices.Equal(got.posts, want.posts) || len(got.added) != 0 {
 				t.Fatalf("%s: re-sealed index differs from one sealed over the current sequences", label)
 			}
 		}
@@ -528,15 +532,15 @@ func TestCellIndexInvariantModel(t *testing.T) {
 		t.Fatal("no image was written from an index with added pairs and removed entities")
 	}
 	for i, fz := range w.past {
-		ci := fz.tree.cells
+		ci := fz.post.cells
 		if !slices.Equal(ci.keys, fz.keys) || !slices.Equal(ci.offs, fz.offs) || !slices.Equal(ci.posts, fz.posts) ||
 			!maps.EqualFunc(ci.added, fz.added, slices.Equal[[]trace.EntityID]) {
 			t.Fatalf("frozen generation %d: cell index changed after it was derived from", i)
 		}
-		if got := fmt.Sprint(fz.tree.Entities()); got != fz.entities {
+		if got := fmt.Sprint(fz.post.Entities()); got != fz.entities {
 			t.Fatalf("frozen generation %d: entities changed", i)
 		}
-		if got := w.fingerprint(fz.tree); got != fz.answers {
+		if got := w.fingerprint(fz.post); got != fz.answers {
 			t.Fatalf("frozen generation %d: answers changed\n was %s\n now %s", i, fz.answers, got)
 		}
 	}
@@ -558,15 +562,11 @@ func TestCellIndexDeriveIsODirty(t *testing.T) {
 		}
 		st.Put(trace.NewSequencesFromCells(ix, ids[i], base))
 	}
-	fam, err := sighash.NewFamily(ix, cellHorizon, 4, 1)
+	parent, err := BuildPostings(ix, st, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := Build(ix, fam, st, ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(tree.cells.posts); n != 100000 {
+	if n := len(parent.cells.posts); n != 100000 {
 		t.Fatalf("parent has %d postings, want 100000", n)
 	}
 	// Entity 3 changes, 20000 is new, 7000 is dirty with unchanged cells:
@@ -578,27 +578,31 @@ func TestCellIndexDeriveIsODirty(t *testing.T) {
 	}
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	next, err := tree.Derive(dst, dirty)
+	next, err := parent.Derive(dst, dirty)
 	runtime.ReadMemStats(&m1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &next.cells.posts[0] != &tree.cells.posts[0] || &next.cells.keys[0] != &tree.cells.keys[0] {
+	if &next.cells.posts[0] != &parent.cells.posts[0] || &next.cells.keys[0] != &parent.cells.keys[0] || &next.ents[0] != &parent.ents[0] {
 		t.Fatal("derived index copied the parent's base")
+	}
+	if !slices.Equal(next.added, []trace.EntityID{20000}) {
+		t.Fatalf("derived entity table added %v; only 20000 is new", next.added)
 	}
 	if next.cells.addedPairs < 2 || next.cells.addedPairs > 4 {
 		t.Fatalf("derived index added %d pairs; entity 20000 brings 2, entity 3 at most 2, entity 7000 none", next.cells.addedPairs)
 	}
-	if got, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(len(tree.cells.posts)*4/2); got > limit {
+	if got, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(len(parent.cells.posts)*4/2); got > limit {
 		t.Fatalf("Derive allocated %d bytes; half a copy of the postings is %d", got, limit)
 	}
 	requireCellInvariant(t, "derived", next)
-	requireCellInvariant(t, "parent", tree)
+	requireCellInvariant(t, "parent", parent)
 }
 
-// TestCellIndexSiblingDerives: Derive freezes its receiver but may be called
-// on it again, so two generations can descend from one parent; a pair one of
-// them adds must never appear in (or overwrite a pair of) the other.
+// TestCellIndexSiblingDerives: Derive leaves its receiver untouched and may be
+// called on it again, so two generations can descend from one parent; a pair
+// or table entry one of them adds must never appear in (or overwrite one of)
+// the other.
 func TestCellIndexSiblingDerives(t *testing.T) {
 	ix := forest(2)
 	st := trace.NewStore(ix)
@@ -608,23 +612,18 @@ func TestCellIndexSiblingDerives(t *testing.T) {
 		st.Put(trace.NewSequencesFromCells(ix, e, here))
 		sealed = append(sealed, e)
 	}
-	fam, err := sighash.NewFamily(ix, 4, 8, 3)
+	parent, err := BuildPostings(ix, st, sealed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parent, err := Build(ix, fam, st, sealed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Plain inserts leave the parent's added list for the cell with spare
-	// capacity — the array a careless sibling would append into.
+	// In-place inserts (Tree.Insert's) leave the parent's added list for the
+	// cell, and its table's added list, with spare capacity — the arrays a
+	// careless sibling would write into.
 	for e := trace.EntityID(1); e <= 3; e++ {
 		st.Put(trace.NewSequencesFromCells(ix, e, here))
-		if err := parent.Insert(e); err != nil {
-			t.Fatal(err)
-		}
+		parent.add(e, st.Get(e))
 	}
-	sibling := func(e trace.EntityID) *Tree {
+	sibling := func(e trace.EntityID) *Postings {
 		dst := st.Derive()
 		dst.Put(trace.NewSequencesFromCells(ix, e, here))
 		d, err := parent.Derive(dst, []trace.EntityID{e})
@@ -634,8 +633,11 @@ func TestCellIndexSiblingDerives(t *testing.T) {
 		return d
 	}
 	a, b := sibling(10), sibling(20)
-	for _, tree := range []*Tree{parent, a, b} {
-		requireCellInvariant(t, fmt.Sprint(tree.Entities()), tree)
+	for _, p := range []*Postings{parent, a, b} {
+		requireCellInvariant(t, fmt.Sprint(p.Entities()), p)
+	}
+	if a.Contains(20) || b.Contains(10) || parent.Contains(10) || parent.Contains(20) {
+		t.Fatalf("entity tables leaked: a %v, b %v, parent %v", a.Entities(), b.Entities(), parent.Entities())
 	}
 	c := trace.MakeCell(1, ix.Root(ix.BaseUnit(0)))
 	if _, added := a.cells.postings(c); slices.Contains(added, 20) {
@@ -660,12 +662,8 @@ func TestIterInterleavesScoredZeros(t *testing.T) {
 	for e, base := range map[trace.EntityID]int{1: 4, 2: 3, 3: 4, 4: 3, 5: 0, 6: 4, 7: 3} {
 		st.Put(trace.NewSequencesFromCells(ix, e, []trace.Cell{at(1, base)}))
 	}
-	fam, err := sighash.NewFamily(ix, 4, 8, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ids := []trace.EntityID{1, 2, 3, 4, 5, 6, 7, 100}
-	tree, err := Build(ix, fam, st, ids)
+	tree, err := BuildPostings(ix, st, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -737,11 +735,7 @@ func FuzzTopKAgainstScan(f *testing.F) {
 			st.Put(trace.NewSequencesFromCells(ix, e, cells()))
 			ids = append(ids, e)
 		}
-		fam, err := sighash.NewFamily(ix, 8, 4, 1) // some cells fall past the horizon
-		if err != nil {
-			t.Fatal(err)
-		}
-		tree, err := Build(ix, fam, st, ids)
+		tree, err := BuildPostings(ix, st, ids)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -796,11 +790,7 @@ func TestPostingOrderEdges(t *testing.T) {
 		for _, e := range []trace.EntityID{-7, 0, 60, 2000, 1<<30 + 1} { // posted nowhere the query is
 			put(e, at(2, 0), at(1, 9))
 		}
-		fam, err := sighash.NewFamily(ix, 8, 8, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tree, err := Build(ix, fam, st, ids)
+		tree, err := BuildPostings(ix, st, ids)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -808,7 +798,7 @@ func TestPostingOrderEdges(t *testing.T) {
 		for _, m := range cellMeasures(t) {
 			label := fmt.Sprintf("low IDs under base %d", lowIDsUnder)
 			requireMarksSound(t, label, tree, q, m)
-			f, err := tree.newFrontier(q, m, true)
+			f, err := tree.newFrontier(q, m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -830,8 +820,9 @@ func TestPostingOrderEdges(t *testing.T) {
 
 // TestRemovedEntityIsNoCandidate: the index keeps a removed entity's pairs,
 // and postings are the candidate list — so a query on exactly its cells must
-// not bring it back, on the tree it was removed from or on any generation
-// derived from that, the compaction fold included, until it is inserted again.
+// not bring it back, on the index it was removed from (in place, as
+// Tree.Remove removes) or on any generation derived from that, the compaction
+// fold included, until it is indexed again.
 func TestRemovedEntityIsNoCandidate(t *testing.T) {
 	ix := forest(2)
 	at := func(t trace.Time, base int) trace.Cell { return trace.MakeCell(t, ix.BaseUnit(spindex.BaseID(base))) }
@@ -842,17 +833,13 @@ func TestRemovedEntityIsNoCandidate(t *testing.T) {
 		ids = append(ids, e)
 	}
 	const victim, second = trace.EntityID(7), trace.EntityID(3)
-	fam, err := sighash.NewFamily(ix, 8, 8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := Build(ix, fam, st, ids)
+	tree, err := BuildPostings(ix, st, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := cellMeasures(t)[0]
 	example := trace.NewSequencesFromCells(ix, -1, st.Get(victim).Base())
-	check := func(label string, tree *Tree, present bool) {
+	check := func(label string, tree *Postings, present bool) {
 		t.Helper()
 		for _, k := range []int{1, 3, tree.Len() + 1} {
 			requireExact(t, label, tree, example, k, m) // against the scan of tree.Entities(), through TopK, ApproxTopK and Iter
@@ -866,9 +853,7 @@ func TestRemovedEntityIsNoCandidate(t *testing.T) {
 		}
 	}
 	check("built", tree, true)
-	if err := tree.Remove(victim); err != nil {
-		t.Fatal(err)
-	}
+	tree.remove(victim)
 	check("removed", tree, false)
 	// Derive until the added pairs fold into a fresh base, which rebuilds
 	// from pairs and so keeps the victim's.
@@ -887,16 +872,12 @@ func TestRemovedEntityIsNoCandidate(t *testing.T) {
 	if sealed, _ := tree.cells.postings(trace.MakeCell(3, ix.Root(ix.BaseUnit(7)))); !slices.Contains(sealed, victim) {
 		t.Fatal("fixture: the fold dropped the victim's pairs; the test checks nothing")
 	}
-	// A copy-on-write Remove on the derived generation is tracked too.
-	if err := tree.Remove(second); err != nil {
-		t.Fatal(err)
-	}
+	// A Remove on the derived generation is tracked too.
+	tree.remove(second)
 	if got, _, _ := tree.TopK(trace.NewSequencesFromCells(ix, -1, st.Get(second).Base()), tree.Len(), m); slices.ContainsFunc(got, func(r Result) bool { return r.Entity == second }) {
 		t.Fatalf("removed entity %d returned: %v", second, got)
 	}
-	if err := tree.Insert(victim); err != nil {
-		t.Fatal(err)
-	}
+	tree.add(victim, st.Get(victim))
 	check("re-inserted", tree, true)
 	if n := len(tree.cells.gone); n != 1 {
 		t.Fatalf("gone holds %d entities, want only %d", n, second)
@@ -904,11 +885,11 @@ func TestRemovedEntityIsNoCandidate(t *testing.T) {
 }
 
 // TestConcurrentSearchesShareNoScratch runs TopK, ApproxTopK and Iters that
-// stay open across them on one tree from several goroutines (go test -race):
+// stay open across them on one index from several goroutines (go test -race):
 // the pooled scratch holds a query's masks, buckets and ordered candidates,
 // and an Iter keeps its own until its flush.
 func TestConcurrentSearchesShareNoScratch(t *testing.T) {
-	_, st, tree := buildRandomWorld(t, 71, 120, 16)
+	_, st, tree := buildRandomPostings(t, 71, 120)
 	m := measuresFor(t, 3)[0]
 	want := make([][]Result, 8)
 	for e := range want {

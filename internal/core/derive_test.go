@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"digitaltraces/internal/sighash"
 	"digitaltraces/internal/spindex"
 	"digitaltraces/internal/trace"
 )
@@ -121,79 +120,9 @@ func TestDeriveIsolation(t *testing.T) {
 	}
 }
 
-// TestDeriveSharesUntouchedSubtrees is the whole point of path-copying: a
-// level-1 subtree none of the dirty entities route through must be the same
-// node, by pointer, in both generations.
-func TestDeriveSharesUntouchedSubtrees(t *testing.T) {
-	ix, st, tree := buildRandomWorld(t, 23, 80, 24)
-	dirty := []trace.EntityID{5}
-	dst := dirtyWorld(t, ix, st, dirty, 9)
-	derived, err := tree.Derive(dst, dirty)
-	if err != nil {
-		t.Fatalf("Derive: %v", err)
-	}
-	oldSig, _ := tree.sigs.get(5)
-	newSig, _ := derived.sigs.get(5)
-	touched := map[uint32]bool{oldSig[0].Routing: true, newSig[0].Routing: true}
-	shared, copied := 0, 0
-	for _, n := range tree.root.children {
-		r := n.routing
-		if touched[r] {
-			copied++
-			if derived.root.child(r) == n {
-				t.Fatalf("level-1 node %d on the dirty path is shared, must be copied", r)
-			}
-			continue
-		}
-		shared++
-		if derived.root.child(r) != n {
-			t.Errorf("level-1 node %d off the dirty path was copied, must be shared", r)
-		}
-	}
-	if shared == 0 {
-		t.Fatalf("degenerate world: every level-1 subtree was on the dirty path (%d copied)", copied)
-	}
-}
-
-// TestDeriveFreezesReceiver: after Derive the receiver refuses mutation —
-// its nodes are shared with the newer generation — while queries and further
-// derivations keep working.
-func TestDeriveFreezesReceiver(t *testing.T) {
-	ix, st, tree := buildRandomWorld(t, 11, 40, 16)
-	dst := dirtyWorld(t, ix, st, []trace.EntityID{1}, 3)
-	derived, err := tree.Derive(dst, []trace.EntityID{1})
-	if err != nil {
-		t.Fatalf("Derive: %v", err)
-	}
-	if err := tree.Insert(trace.EntityID(900)); err == nil {
-		t.Fatal("Insert on a frozen tree succeeded")
-	}
-	if err := tree.Remove(0); err == nil {
-		t.Fatal("Remove on a frozen tree succeeded")
-	}
-	if err := tree.Update(0); err == nil {
-		t.Fatal("Update on a frozen tree succeeded")
-	}
-	if err := tree.Rebuild(); err == nil {
-		t.Fatal("Rebuild on a frozen tree succeeded")
-	}
-	m := measuresFor(t, 3)[0]
-	if _, _, err := tree.TopK(st.Get(0), 3, m); err != nil {
-		t.Fatalf("TopK on a frozen tree failed: %v", err)
-	}
-	// The derived generation is mutable and derivable in turn.
-	if err := derived.Update(2); err != nil {
-		t.Fatalf("Update on the derived tree: %v", err)
-	}
-	if _, err := derived.Derive(dst.Derive(), nil); err != nil {
-		t.Fatalf("second-generation Derive: %v", err)
-	}
-}
-
 // TestDerivedTreeMutationIsCOW: public Insert/Remove/Update on a derived
-// tree must also copy-on-write — the derived tree retains its owned set, so
-// even direct mutation (not via Derive) can never write a node still shared
-// with the frozen parent.
+// tree never reach its parent — the derived tree's nodes are its own, and its
+// postings share the parent's sealed base copy-on-write.
 func TestDerivedTreeMutationIsCOW(t *testing.T) {
 	ix, st, tree := buildRandomWorld(t, 53, 60, 24)
 	m := measuresFor(t, 3)[0]
@@ -232,7 +161,7 @@ func TestDerivedTreeMutationIsCOW(t *testing.T) {
 		t.Fatalf("derived invalid after public mutation: %v", err)
 	}
 
-	// The frozen parent is byte-for-byte untouched.
+	// The parent is byte-for-byte untouched.
 	if err := tree.Validate(); err != nil {
 		t.Fatalf("parent invalid after derived mutation: %v", err)
 	}
@@ -240,7 +169,7 @@ func TestDerivedTreeMutationIsCOW(t *testing.T) {
 		t.Fatalf("parent stats changed: %+v, was %+v", got, statsBefore)
 	}
 	if tree.Contains(newbie) || !tree.Contains(30) {
-		t.Fatal("derived mutation leaked into the frozen parent")
+		t.Fatal("derived mutation leaked into the parent")
 	}
 	for e := range before {
 		res, _, err := tree.TopK(st.Get(trace.EntityID(e)), 4, m)
@@ -253,9 +182,9 @@ func TestDerivedTreeMutationIsCOW(t *testing.T) {
 	}
 }
 
-// TestDeriveChain: many successive derivations (the auto-refresh steady
-// state) stay valid and exact, including through sigTable compactions, and
-// answer like a fresh build at the end.
+// TestDeriveChain: many successive derivations stay valid and exact,
+// including through the postings' compactions, and answer like a fresh build
+// at the end.
 func TestDeriveChain(t *testing.T) {
 	ix, st, tree := buildRandomWorld(t, 47, 50, 16)
 	m := measuresFor(t, 3)[0]
@@ -295,7 +224,8 @@ func TestDeriveChain(t *testing.T) {
 	}
 }
 
-// TestDeriveRejectsFullSignatureMode mirrors Clone's refusal.
+// TestDeriveRejectsFullSignatureMode: the ablation configuration keeps no
+// replayable digest of its coordinates and must refuse loudly.
 func TestDeriveRejectsFullSignatureMode(t *testing.T) {
 	st, _, full := buildBothModes(t, 11, 30, 16)
 	if _, err := full.Derive(st, nil); err == nil {
@@ -304,66 +234,94 @@ func TestDeriveRejectsFullSignatureMode(t *testing.T) {
 }
 
 // TestDeriveMissingSequences: a dirty entity absent from the source fails
-// loudly, like Insert — and a failed Derive shares nothing, so the receiver
-// must NOT be frozen by it.
+// loudly, like Insert, and leaves the receiver as it was — still mutable.
 func TestDeriveMissingSequences(t *testing.T) {
 	_, st, tree := buildRandomWorld(t, 13, 30, 16)
 	if _, err := tree.Derive(st.Derive(), []trace.EntityID{5000}); err == nil {
 		t.Fatal("Derive accepted an entity with no sequences")
 	}
+	if _, err := tree.post.Derive(st.Derive(), []trace.EntityID{5000}); err == nil {
+		t.Fatal("Postings.Derive accepted an entity with no sequences")
+	}
 	newbie := trace.EntityID(700)
 	st2 := st.Derive()
 	st2.AddRecords(newbie, []trace.Record{{Entity: newbie, Base: spindex.BaseID(0), Start: 1, End: 4}})
-	tree.src = st2
+	tree.post.src = st2
 	if err := tree.Insert(newbie); err != nil {
-		t.Fatalf("errored Derive froze the receiver: %v", err)
+		t.Fatalf("Insert after a refused Derive: %v", err)
 	}
 }
 
-// TestSigTableLayering exercises the COW table directly: tombstones, the
-// no-copy first derive, and the compaction threshold.
-func TestSigTableLayering(t *testing.T) {
-	digest := func(v uint64) sighash.EntitySig {
-		return sighash.EntitySig{{Routing: 0, Value: v}}
+// TestDeriveWithoutDirtAnswersIdentically: a Derive with no dirt is a pure
+// replay of the stored digests: same shape, same answers, for every measure,
+// by both searches.
+func TestDeriveWithoutDirtAnswersIdentically(t *testing.T) {
+	_, st, tree := buildRandomWorld(t, 23, 70, 24)
+	replay, err := tree.Derive(st, nil)
+	if err != nil {
+		t.Fatalf("Derive: %v", err)
 	}
-	root := newSigTable(8)
-	for e := trace.EntityID(0); e < 8; e++ {
-		root.put(e, digest(uint64(e)))
+	if err := replay.Validate(); err != nil {
+		t.Fatalf("replay invalid: %v", err)
 	}
-	if root.len() != 8 {
-		t.Fatalf("root len %d", root.len())
+	if got, want := replay.Stats(), tree.Stats(); got != want {
+		t.Fatalf("replay stats %+v != original %+v", got, want)
 	}
-	child := root.derive()
-	if child.len() != 8 {
-		t.Fatalf("child len %d", child.len())
+	for _, m := range measuresFor(t, 3) {
+		for e := trace.EntityID(0); e < 10; e++ {
+			for name, search := range map[string]func(*Tree) ([]Result, SearchStats, error){
+				"TopK":          func(tr *Tree) ([]Result, SearchStats, error) { return tr.TopK(st.Get(e), 5, m) },
+				"SignatureTopK": func(tr *Tree) ([]Result, SearchStats, error) { return tr.SignatureTopK(st.Get(e), 5, m) },
+			} {
+				want, ws, err := search(tree)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, gs, err := search(replay)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) || gs != ws {
+					t.Fatalf("%s, entity %d: replay %v %+v, original %v %+v", name, e, got, gs, want, ws)
+				}
+			}
+		}
 	}
-	child.del(3)
-	if _, ok := child.get(3); ok {
-		t.Fatal("tombstone not honored")
+}
+
+// TestDeriveReplayTightensAfterRemoves: Remove leaves group coordinates
+// conservatively low; the replay recomputes them from the remaining members'
+// digests, so the derived tree validates, answers identically and prunes at
+// least as well.
+func TestDeriveReplayTightensAfterRemoves(t *testing.T) {
+	_, st, tree := buildRandomWorld(t, 41, 50, 24)
+	for e := trace.EntityID(0); e < 10; e++ {
+		if err := tree.Remove(e); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, ok := root.get(3); !ok {
-		t.Fatal("tombstone leaked into the frozen base")
+	replay, err := tree.Derive(st, nil)
+	if err != nil {
+		t.Fatalf("Derive: %v", err)
 	}
-	child.put(9, digest(9))
-	if child.len() != 8 {
-		t.Fatalf("len after del+put = %d, want 8", child.len())
+	if err := replay.Validate(); err != nil {
+		t.Fatalf("replay invalid: %v", err)
 	}
-	ids := child.entities()
-	if len(ids) != 8 || ids[0] != 0 || ids[len(ids)-1] != 9 {
-		t.Fatalf("entities = %v", ids)
-	}
-	// A child whose overlay has grown past half its base compacts on derive.
-	for e := trace.EntityID(20); e < 40; e++ {
-		child.put(e, digest(uint64(e)))
-	}
-	gc := child.derive()
-	if gc.base == nil || len(gc.overlay) != 0 {
-		t.Fatalf("expected compacted derive: base=%v overlay=%d", gc.base != nil, len(gc.overlay))
-	}
-	if gc.len() != child.len() {
-		t.Fatalf("compaction changed len: %d vs %d", gc.len(), child.len())
-	}
-	if _, ok := gc.get(3); ok {
-		t.Fatal("compaction resurrected a tombstoned entity")
+	m := measuresFor(t, 3)[0]
+	for e := trace.EntityID(10); e < 20; e++ {
+		want, wStats, err := tree.SignatureTopK(st.Get(e), 5, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gStats, err := replay.SignatureTopK(st.Get(e), 5, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("entity %d: replay answers %v, original %v", e, got, want)
+		}
+		if gStats.Checked > wStats.Checked {
+			t.Errorf("entity %d: tight replay checked %d > loose original's %d", e, gStats.Checked, wStats.Checked)
+		}
 	}
 }

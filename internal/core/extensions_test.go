@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -26,23 +27,24 @@ func decodeSnapshot(r io.Reader, ix *spindex.Index) (*Snapshot, error) {
 	return DecodeSnapshot(sr, ix)
 }
 
-// readSnapshot decodes an image from a stream and replays it over src,
+// readSnapshot decodes an image from a stream and loads it over src,
 // trusting stored IDs.
-func readSnapshot(r io.Reader, ix *spindex.Index, src SequenceSource) (*Tree, error) {
+func readSnapshot(r io.Reader, ix *spindex.Index, src SequenceSource) (*Postings, error) {
 	snap, err := decodeSnapshot(r, ix)
 	if err != nil {
 		return nil, err
 	}
-	return snap.Tree(ix, src, nil)
+	return snap.Postings(ix, src, nil)
 }
 
-// TestSnapshotRoundTrip: WriteSnapshot + DecodeSnapshot + Tree reproduces an
-// identical index: same structure, same stats, same query answers, and
-// still updatable.
+// TestSnapshotRoundTrip: WriteSnapshot + DecodeSnapshot + Postings reproduces
+// an identical index: same entities, same size, same query answers and work,
+// and still derivable.
 func TestSnapshotRoundTrip(t *testing.T) {
-	ix, st, tree := buildRandomWorld(t, 17, 60, 24)
+	_, st, post := buildRandomPostings(t, 17, 60)
+	ix := post.ix
 	var buf bytes.Buffer
-	n, err := tree.WriteSnapshot(&buf, SnapshotMeta{TimeUnit: time.Hour}, nil, snapshotNames)
+	n, err := post.WriteSnapshot(&buf, SnapshotMeta{TimeUnit: time.Hour}, nil, snapshotNames)
 	if err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
@@ -53,15 +55,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadSnapshot: %v", err)
 	}
-	if err := loaded.Validate(); err != nil {
-		t.Fatalf("loaded tree invalid: %v", err)
-	}
-	if got, want := loaded.Stats(), tree.Stats(); got != want {
-		t.Errorf("stats diverge: %+v vs %+v", got, want)
+	if !slices.Equal(loaded.Entities(), post.Entities()) || loaded.MemoryBytes() != post.MemoryBytes() {
+		t.Errorf("loaded index differs: %d entities, %d bytes; saved %d, %d", loaded.Len(), loaded.MemoryBytes(), post.Len(), post.MemoryBytes())
 	}
 	m := measuresFor(t, 3)[0]
 	for e := trace.EntityID(0); e < 10; e++ {
-		a, sa, err := tree.TopK(st.Get(e), 5, m)
+		a, sa, err := post.TopK(st.Get(e), 5, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,19 +72,16 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("query %d diverges after reload: %v vs %v", e, a, b)
 		}
 	}
-	// The loaded tree stays maintainable.
-	if err := loaded.Remove(0); err != nil {
-		t.Fatalf("Remove on loaded tree: %v", err)
-	}
-	if err := loaded.Validate(); err != nil {
-		t.Fatalf("Validate after Remove: %v", err)
+	// The loaded index stays maintainable.
+	if _, err := loaded.Derive(st, []trace.EntityID{0}); err != nil {
+		t.Fatalf("Derive on the loaded index: %v", err)
 	}
 }
 
 func TestSnapshotErrors(t *testing.T) {
-	ix, st, tree := buildRandomWorld(t, 19, 10, 8)
+	ix, st, post := buildRandomPostings(t, 19, 10)
 	var buf bytes.Buffer
-	if _, err := tree.WriteSnapshot(&buf, SnapshotMeta{TimeUnit: time.Hour}, nil, snapshotNames); err != nil {
+	if _, err := post.WriteSnapshot(&buf, SnapshotMeta{TimeUnit: time.Hour}, nil, snapshotNames); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
@@ -104,15 +100,6 @@ func TestSnapshotErrors(t *testing.T) {
 	wrongIx, _, _ := fixture411(t) // height 2, snapshot has 3
 	if _, err := readSnapshot(bytes.NewReader(good), wrongIx, st); err == nil {
 		t.Error("mismatched sp-index accepted")
-	}
-	// TableHasher-based trees cannot persist.
-	ixEx, th, stEx := fixture411(t)
-	exTree, err := Build(ixEx, th, stEx, []trace.EntityID{0, 1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := exTree.WriteSnapshot(&bytes.Buffer{}, SnapshotMeta{TimeUnit: time.Hour}, nil, snapshotNames); err == nil {
-		t.Error("TableHasher tree persisted")
 	}
 }
 
@@ -187,10 +174,8 @@ func TestApproxBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The budget is a soft cap: a leaf in progress completes.
-	maxLeaf := tree.Stats().MaxLeafSize
-	if stats.Checked > 10+maxLeaf {
-		t.Errorf("checked %d with budget 10 (max leaf %d)", stats.Checked, maxLeaf)
+	if stats.Checked > 10 {
+		t.Errorf("checked %d with budget 10", stats.Checked)
 	}
 	if !stats.BudgetExhausted && stats.Checked >= tree.Len()-1 {
 		t.Log("population smaller than budget path; acceptable")
@@ -238,11 +223,11 @@ func TestApproxSavesWork(t *testing.T) {
 // TestKNNJoinMatchesPerQuery: the join returns exactly the per-query TopK
 // answers, for 1 and many workers.
 func TestKNNJoinMatchesPerQuery(t *testing.T) {
-	_, st, tree := buildRandomWorld(t, 41, 60, 16)
+	_, st, post := buildRandomPostings(t, 41, 60)
 	m := measuresFor(t, 3)[0]
 	queries := st.Entities()[:20]
 	for _, workers := range []int{1, 4} {
-		joined, js, err := tree.KNNJoin(queries, 4, m, workers)
+		joined, js, err := post.KNNJoin(queries, 4, m, workers)
 		if err != nil {
 			t.Fatalf("KNNJoin(workers=%d): %v", workers, err)
 		}
@@ -250,7 +235,7 @@ func TestKNNJoinMatchesPerQuery(t *testing.T) {
 			t.Fatalf("join answered %d queries, want 20", js.Queries)
 		}
 		for _, jr := range joined {
-			want, _, err := tree.TopK(st.Get(jr.Query), 4, m)
+			want, _, err := post.TopK(st.Get(jr.Query), 4, m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -265,10 +250,10 @@ func TestKNNJoinMatchesPerQuery(t *testing.T) {
 			t.Errorf("TotalChecked = %d", js.TotalChecked)
 		}
 	}
-	if _, _, err := tree.KNNJoin(nil, 3, m, 1); err == nil {
+	if _, _, err := post.KNNJoin(nil, 3, m, 1); err == nil {
 		t.Error("empty join accepted")
 	}
-	if _, _, err := tree.KNNJoin([]trace.EntityID{9999}, 3, m, 1); err == nil {
+	if _, _, err := post.KNNJoin([]trace.EntityID{9999}, 3, m, 1); err == nil {
 		t.Error("unknown query entity accepted")
 	}
 }
@@ -288,7 +273,21 @@ func TestLeafOrderedEntities(t *testing.T) {
 		}
 		seen[e] = true
 	}
-	pos := tree.leafOrder()
+	pos, n := map[trace.EntityID]int{}, 0 // each entity's leaf, numbered in depth-first order
+	var walk func(nd *node)
+	walk = func(nd *node) {
+		if nd.level == tree.m {
+			n++
+			for _, e := range nd.entities {
+				pos[e] = n
+			}
+			return
+		}
+		for _, c := range nd.children {
+			walk(c)
+		}
+	}
+	walk(tree.root)
 	for i := 1; i < len(order); i++ {
 		if pos[order[i]] < pos[order[i-1]] {
 			t.Fatal("leaf order not monotone in leaf position")

@@ -3,7 +3,6 @@ package core
 import (
 	"slices"
 
-	"digitaltraces/internal/sighash"
 	"digitaltraces/internal/spindex"
 	"digitaltraces/internal/trace"
 )
@@ -25,45 +24,41 @@ type Options struct {
 	FullSignatures bool
 }
 
-// BuildWithOptions is Build with construction options. The level-1 cell
-// index is sealed once, from the sequences the insertions just read.
-func BuildWithOptions(ix *spindex.Index, hasher sighash.Hasher, src SequenceSource, entities []trace.EntityID, opts Options) (*Tree, error) {
+// BuildWithOptions is Build with construction options. The postings are
+// built first, which validates the entities; the tree then signs each one in
+// the given order.
+func BuildWithOptions(ix *spindex.Index, hasher Hasher, src SequenceSource, entities []trace.EntityID, opts Options) (*Tree, error) {
+	post, err := BuildPostings(ix, src, entities)
+	if err != nil {
+		return nil, err
+	}
 	t := &Tree{
 		ix:     ix,
 		hasher: hasher,
-		src:    src,
 		root:   &node{},
-		sigs:   newSigTable(len(entities)),
+		sigs:   make(map[trace.EntityID][]levelSig, len(entities)),
+		post:   post,
 		m:      ix.Height(),
 		full:   opts.FullSignatures,
 	}
 	for _, e := range entities {
-		if _, err := t.insert(e); err != nil {
-			return nil, err
-		}
+		t.sign(e, src.Get(e))
 	}
-	t.cells = sealCells(src, entities)
 	return t, nil
 }
 
 // insertFull descends like insertWithSig but also folds the entity's
 // complete per-level signatures into each node's group signature.
 func (t *Tree) insertFull(e trace.EntityID, s *trace.Sequences) {
-	nh := t.hasher.NumFuncs()
-	digest := make(sighash.EntitySig, t.m)
+	digest := make([]levelSig, t.m)
 	fulls := make([][]uint64, t.m)
 	for l := 1; l <= t.m; l++ {
-		full := sighash.FullSignature(t.hasher, s.At(l))
+		full := make([]uint64, t.hasher.NumFuncs())
+		minsInto(t.hasher, s.At(l), full)
 		fulls[l-1] = full
-		best := 0
-		for u := 1; u < nh; u++ {
-			if full[u] > full[best] {
-				best = u
-			}
-		}
-		digest[l-1] = sighash.LevelSig{Routing: uint32(best), Value: full[best]}
+		digest[l-1] = argmax(full)
 	}
-	t.sigs.put(e, digest)
+	t.sigs[e] = digest
 	cur := t.root
 	cur.count++
 	for l, ls := range digest {

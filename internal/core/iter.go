@@ -9,7 +9,7 @@ import (
 
 // Iter is an incremental exact top-k search: instead of materializing one
 // k-sized answer, it streams entities out one at a time in exactly the order
-// Tree.TopK ranks them — degree descending, ties by ascending entity ID —
+// Postings.TopK ranks them — degree descending, ties by ascending entity ID —
 // together with an admissible upper bound on everything not yet emitted.
 //
 // The iterator is the per-shard half of the threshold-style scatter-gather
@@ -20,22 +20,18 @@ import (
 //
 // It is TopK's search recast as a best-first emitter (the incremental
 // nearest-neighbor transformation of Hjaltason & Samet): the frontier queues
-// the groups not yet examined — buckets of cell-index candidates, or the
-// MinSigTree nodes of Algorithm 2 where the index cannot serve — keyed by
-// their Theorem-4 upper bound, beside a heap of exactly-scored entities keyed
-// by their true degree. A group is examined whenever its bound ties or beats
-// the best scored entity — an equal bound may still hide an equal-degree
-// entity with a smaller ID, which must be emitted first to preserve TopK's tie
-// order — so when an entity finally surfaces, nothing unexamined can outrank
-// it.
+// the buckets of candidates not yet examined, keyed by their Theorem-4 upper
+// bound, beside a heap of exactly-scored entities keyed by their true degree.
+// A bucket is examined whenever its bound ties or beats the best scored
+// entity — an equal bound may still hide an equal-degree entity with a
+// smaller ID, which must be emitted first to preserve TopK's tie order — so
+// when an entity finally surfaces, nothing unexamined can outrank it.
 //
-// An Iter pins the tree it was opened on until Close: like TopK it is
-// read-only, but it holds its search frontier across calls, so the tree must
-// stay unmutated for the iterator's whole lifetime (the root package
-// guarantees this by only opening iterators on immutable snapshot trees). An
-// Iter is not safe for concurrent use; open one per goroutine.
+// An Iter pins the index it was opened on until Close: like TopK it is
+// read-only, but it holds its search frontier across calls. An Iter is not
+// safe for concurrent use; open one per goroutine.
 type Iter struct {
-	frontier                  // groups not yet examined, in descending bound order
+	frontier                  // buckets not yet examined, in descending bound order
 	exact    []Result         // scored entities of positive degree, heap in canonical answer order
 	skipped  []trace.EntityID // scored entities of degree 0, unordered
 	zeros    []trace.EntityID // zero-flush tail, ascending ID (nil until everything left has degree 0)
@@ -44,8 +40,8 @@ type Iter struct {
 
 // NewIter opens an incremental search for the query sequences q (excluding
 // the entity q.Entity itself, like TopK). The validation mirrors TopK's.
-func (t *Tree) NewIter(q *trace.Sequences, measure adm.Measure) (*Iter, error) {
-	f, err := t.newFrontier(q, measure, true)
+func (p *Postings) NewIter(q *trace.Sequences, measure adm.Measure) (*Iter, error) {
+	f, err := p.newFrontier(q, measure)
 	if err != nil {
 		return nil, err
 	}
@@ -55,16 +51,16 @@ func (t *Tree) NewIter(q *trace.Sequences, measure adm.Measure) (*Iter, error) {
 // Next returns the next entity in exact rank order (degree descending, ties
 // by ascending entity ID), or ok = false when every indexed entity has been
 // emitted — or, under a positive floor, every one at or above it. The first k
-// results of an iterator are bit-identical to Tree.TopK(q, k) for every k.
+// results of an iterator are bit-identical to Postings.TopK(q, k) for every k.
 func (it *Iter) Next() (Result, bool, error) {
 	if it.zeros != nil {
 		return it.nextZero()
 	}
-	// Examine groups until the best scored entity provably outranks every
-	// queued one. The condition is ≥, not >: a group whose bound equals the
+	// Examine buckets until the best scored entity provably outranks every
+	// queued one. The condition is ≥, not >: a bucket whose bound equals the
 	// best degree may contain an equal-degree entity with a smaller ID, which
-	// the tie order puts first. For the same reason a group bounded exactly at
-	// the floor is still examined.
+	// the tie order puts first. For the same reason a bucket bounded exactly
+	// at the floor is still examined.
 	keep := func(r Result) {
 		if r.Degree == 0 {
 			it.skipped = append(it.skipped, r.Entity)
@@ -126,17 +122,18 @@ func (it *Iter) Bound() float64 {
 }
 
 // RaiseFloor lifts the floor to floor; a lower value than the current one is
-// ignored. From then on Next examines no group bounded below the floor,
+// ignored. From then on Next examines no bucket bounded below the floor,
 // returns no entity below it, and reports ok = false once Bound() < floor.
 // Entities exactly at the floor are still returned: they can win a tie.
 func (it *Iter) RaiseFloor(floor float64) { it.floor = max(it.floor, floor) }
 
 // Close ends the iterator before it is drained: its pooled scratch goes back
-// for reuse and the tree is no longer referenced, so Next reports ok = false
-// and Bound 0 from then on. Stats stay readable. Calling it again is a no-op.
+// for reuse and the index is no longer referenced, so Next reports ok =
+// false and Bound 0 from then on. Stats stay readable. Calling it again is a
+// no-op.
 func (it *Iter) Close() {
 	it.release()
-	it.t = nil
+	it.p = nil
 	it.exact, it.skipped, it.zeros = nil, nil, []trace.EntityID{}
 }
 

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -14,12 +18,12 @@ import (
 	"digitaltraces/internal/trace"
 )
 
-// writeImage serializes tree with the e<ID> naming, with or without the
+// writeImage serializes p with the e<ID> naming, with or without the
 // sequence section.
-func writeImage(t testing.TB, tree *Tree, seqs SequenceSource) []byte {
+func writeImage(t testing.TB, p *Postings, seqs SequenceSource) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, err := tree.WriteSnapshot(&buf, SnapshotMeta{TimeUnit: time.Hour}, seqs, snapshotNames); err != nil {
+	if _, err := p.WriteSnapshot(&buf, SnapshotMeta{TimeUnit: time.Hour}, seqs, snapshotNames); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	return buf.Bytes()
@@ -35,8 +39,8 @@ func sections(t testing.TB, img []byte) []secfile.Section {
 	return sr.Secs
 }
 
-// openMapped decodes img by offset and replays it in place over src.
-func openMapped(img []byte, ix *spindex.Index, src SequenceSource) (*Tree, error) {
+// openMapped decodes img by offset and serves it in place over src.
+func openMapped(img []byte, ix *spindex.Index, src SequenceSource) (*Postings, error) {
 	sr, err := secfile.NewReaderAt(bytes.NewReader(img), int64(len(img)))
 	if err != nil {
 		return nil, err
@@ -45,16 +49,17 @@ func openMapped(img []byte, ix *spindex.Index, src SequenceSource) (*Tree, error
 	if err != nil {
 		return nil, err
 	}
-	return snap.MappedTree(ix, src)
+	return snap.MappedPostings(ix, src)
 }
 
-// TestSnapshotV2RoundTrip: WriteSnapshot + DecodeSnapshot + Tree reproduces
-// an identical index and surfaces the meta, names and folded counts.
+// TestSnapshotV2RoundTrip: WriteSnapshot + DecodeSnapshot + Postings
+// reproduces an identical index and surfaces the meta, names and folded
+// counts.
 func TestSnapshotV2RoundTrip(t *testing.T) {
-	ix, st, tree := buildRandomWorld(t, 29, 40, 16)
+	ix, st, post := buildRandomPostings(t, 29, 40)
 	meta := SnapshotMeta{TimeUnit: time.Hour, EpochNanos: 123456789, MeasureU: 2, MeasureV: 3}
 	var buf bytes.Buffer
-	if _, err := tree.WriteSnapshot(&buf, meta, nil, func(e trace.EntityID) (string, uint32) {
+	if _, err := post.WriteSnapshot(&buf, meta, nil, func(e trace.EntityID) (string, uint32) {
 		return fmt.Sprintf("e%d", e), uint32(e)
 	}); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
@@ -65,21 +70,19 @@ func TestSnapshotV2RoundTrip(t *testing.T) {
 		t.Fatalf("DecodeSnapshot: %v", err)
 	}
 	var seen []SnapshotEntity
-	loaded, err := snap.Tree(ix, st, func(se SnapshotEntity) (trace.EntityID, bool, error) {
+	loaded, err := snap.Postings(ix, st, func(se SnapshotEntity) (trace.EntityID, bool, error) {
 		seen = append(seen, se)
 		return se.ID, true, nil
 	})
 	if err != nil {
-		t.Fatalf("Tree: %v", err)
+		t.Fatalf("Postings: %v", err)
 	}
-	if err := loaded.Validate(); err != nil {
-		t.Fatalf("loaded tree invalid: %v", err)
+	requireCellInvariant(t, "loaded", loaded)
+	if !slices.Equal(loaded.Entities(), post.Entities()) || loaded.MemoryBytes() != post.MemoryBytes() {
+		t.Errorf("loaded index differs: %d entities, %d bytes; saved %d, %d", loaded.Len(), loaded.MemoryBytes(), post.Len(), post.MemoryBytes())
 	}
-	if got, want := loaded.Stats(), tree.Stats(); got != want {
-		t.Errorf("stats diverge: %+v vs %+v", got, want)
-	}
-	if info := snap.Info; info.Meta != meta || info.NH != 16 || len(snap.Entities) != 40 || snap.HasSeqs {
-		t.Errorf("info = %+v (HasSeqs %t), want meta %+v, nh 16, 40 entities, no sequences", info, snap.HasSeqs, meta)
+	if snap.Meta != meta || len(snap.Entities) != 40 || snap.HasSeqs {
+		t.Errorf("meta = %+v (HasSeqs %t, %d entities), want %+v, 40 entities, no sequences", snap.Meta, snap.HasSeqs, len(snap.Entities), meta)
 	}
 	if len(seen) != 40 {
 		t.Fatalf("resolver saw %d entities, want 40", len(seen))
@@ -91,7 +94,7 @@ func TestSnapshotV2RoundTrip(t *testing.T) {
 	}
 	m := measuresFor(t, 3)[0]
 	for e := trace.EntityID(0); e < 10; e++ {
-		a, _, err := tree.TopK(st.Get(e), 5, m)
+		a, _, err := post.TopK(st.Get(e), 5, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,24 +109,22 @@ func TestSnapshotV2RoundTrip(t *testing.T) {
 }
 
 // TestSnapshotOneImageBothReaders: one image written with its sequences reads
-// as a stream into a name-resolved tree (which stops before the sequences and
-// seals its own cell index) and by offset into a tree served in place (which
-// adopts the stored one) — and both are the tree that was saved: same shape,
-// same memory, same answers, same work per query. The saved tree is a refresh
+// as a stream into name-resolved postings (which stop before the sequences and
+// seal their own cell index) and by offset into postings served in place
+// (which adopt the stored one) — and both are the index that was saved: same
+// entities, same answers, same work per query. The saved index is a refresh
 // generation with added pairs, a stale pair and a removed entity, so the
-// stored index is the fold the writer makes, not the sealed base.
+// stored cell index is the fold the writer makes, not the sealed base.
 func TestSnapshotOneImageBothReaders(t *testing.T) {
-	ix, st, base := buildRandomWorld(t, 53, 40, 16)
+	ix, st, base := buildRandomPostings(t, 53, 40)
 	st2 := st.Derive()
 	st2.Put(trace.NewSequences(ix, 7, []trace.Record{{Entity: 7, Base: 2, Start: 40, End: 43}}))
-	tree, err := base.Derive(st2, []trace.EntityID{7})
+	post, err := base.Derive(st2, []trace.EntityID{7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tree.Remove(11); err != nil {
-		t.Fatal(err)
-	}
-	img := writeImage(t, tree, st2)
+	post.remove(11)
+	img := writeImage(t, post, st2)
 
 	streamed, err := readSnapshot(bytes.NewReader(img), ix, st2)
 	if err != nil {
@@ -133,51 +134,49 @@ func TestSnapshotOneImageBothReaders(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read by offset: %v", err)
 	}
-	// A replay retightens group signatures and drops entity 7's stale pairs,
-	// which the stored index keeps (superset semantics): the references are
-	// the tree rebuilt from scratch and the saved tree's own postings.
-	rebuilt, err := tree.Clone(st2)
+	// A stream read re-seals and so drops entity 7's stale pairs, which the
+	// stored index keeps (superset semantics): the references are the index
+	// sealed from scratch and the saved index's own postings.
+	rebuilt, err := BuildPostings(ix, st2, post.Entities())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := streamed.Stats(), rebuilt.Stats(); got != want {
-		t.Errorf("streamed stats %+v, rebuilt %+v", got, want)
+	if got, want := streamed.MemoryBytes(), rebuilt.MemoryBytes(); got != want {
+		t.Errorf("streamed index of %d bytes, rebuilt %d", got, want)
 	}
-	if got, want := len(mapped.cells.posts), len(tree.cells.posts)+tree.cells.addedPairs-len(tree.cells.postingsOf(11)); got != want {
-		t.Errorf("mapped tree adopted %d postings, the saved tree posts %d outside its removed entity", got, want)
+	if got, want := len(mapped.cells.posts), len(post.cells.posts)+post.cells.addedPairs-len(post.cells.postingsOf(11)); got != want {
+		t.Errorf("mapped index adopted %d postings, the saved index posts %d outside its removed entity", got, want)
 	}
-	for _, loaded := range []*Tree{streamed, mapped} {
-		if err := loaded.Validate(); err != nil {
-			t.Fatalf("loaded tree invalid: %v", err)
-		}
-		if loaded.Contains(11) || !loaded.Contains(7) {
-			t.Fatal("loaded tree's population differs from the saved one")
+	for _, loaded := range []*Postings{streamed, mapped} {
+		requireCellInvariant(t, "loaded", loaded)
+		if loaded.Contains(11) || !loaded.Contains(7) || !slices.Equal(loaded.Entities(), post.Entities()) {
+			t.Fatal("loaded index's population differs from the saved one")
 		}
 	}
 	for _, m := range measuresFor(t, 3) {
 		for e := trace.EntityID(0); e < 40; e++ {
 			q := st2.Get(e)
-			want, ws, err := tree.TopK(q, 5, m)
+			want, ws, err := post.TopK(q, 5, m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for name, loaded := range map[string]*Tree{"streamed": streamed, "mapped": mapped} {
+			for name, loaded := range map[string]*Postings{"streamed": streamed, "mapped": mapped} {
 				got, gs, err := loaded.TopK(q, 5, m)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s tree, query %d: %v, saved tree %v", name, e, got, want)
+					t.Fatalf("%s index, query %d: %v, saved index %v", name, e, got, want)
 				}
 				if name == "mapped" && gs.ZeroSkipped+gs.BoundSkipped != ws.ZeroSkipped+ws.BoundSkipped {
-					t.Fatalf("mapped tree, query %d: skipped %d+%d, saved tree %d+%d", e, gs.ZeroSkipped, gs.BoundSkipped, ws.ZeroSkipped, ws.BoundSkipped)
+					t.Fatalf("mapped index, query %d: skipped %d+%d, saved index %d+%d", e, gs.ZeroSkipped, gs.BoundSkipped, ws.ZeroSkipped, ws.BoundSkipped)
 				}
 			}
 		}
 	}
 	// An image without sequences cannot be served in place.
-	if _, err := openMapped(writeImage(t, tree, nil), ix, st2); err == nil || !strings.Contains(err.Error(), "no sequence section") {
-		t.Errorf("MappedTree over an image without sequences: %v", err)
+	if _, err := openMapped(writeImage(t, post, nil), ix, st2); err == nil || !strings.Contains(err.Error(), "no sequence section") {
+		t.Errorf("MappedPostings over an image without sequences: %v", err)
 	}
 }
 
@@ -194,9 +193,9 @@ func (ci *cellIndex) postingsOf(e trace.EntityID) (out []trace.Cell) {
 // TestSnapshotV2DefaultReaderTrustsIDs: a nil resolver maps stored IDs
 // verbatim.
 func TestSnapshotV2DefaultReaderTrustsIDs(t *testing.T) {
-	ix, st, tree := buildRandomWorld(t, 31, 25, 8)
+	ix, st, post := buildRandomPostings(t, 31, 25)
 	var buf bytes.Buffer
-	if _, err := tree.WriteSnapshot(&buf, SnapshotMeta{TimeUnit: time.Hour}, nil, func(e trace.EntityID) (string, uint32) {
+	if _, err := post.WriteSnapshot(&buf, SnapshotMeta{TimeUnit: time.Hour}, nil, func(e trace.EntityID) (string, uint32) {
 		return fmt.Sprintf("e%d", e), FoldedUnknown
 	}); err != nil {
 		t.Fatal(err)
@@ -205,22 +204,22 @@ func TestSnapshotV2DefaultReaderTrustsIDs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("nil-resolver read: %v", err)
 	}
-	if loaded.Len() != tree.Len() {
-		t.Fatalf("loaded %d entities, want %d", loaded.Len(), tree.Len())
+	if loaded.Len() != post.Len() {
+		t.Fatalf("loaded %d entities, want %d", loaded.Len(), post.Len())
 	}
 }
 
 // TestSnapshotV2ResolverRemapsAndSkips: the resolver's mapped IDs land in
-// the tree, skipped entities stay out, and a resolver error aborts the load
+// the index, skipped entities stay out, and a resolver error aborts the load
 // verbatim.
 func TestSnapshotV2ResolverRemapsAndSkips(t *testing.T) {
-	ix, st, tree := buildRandomWorld(t, 37, 20, 8)
-	snap, err := decodeSnapshot(bytes.NewReader(writeImage(t, tree, nil)), ix)
+	ix, st, post := buildRandomPostings(t, 37, 20)
+	snap, err := decodeSnapshot(bytes.NewReader(writeImage(t, post, nil)), ix)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Skip odd entities.
-	loaded, err := snap.Tree(ix, st, func(se SnapshotEntity) (trace.EntityID, bool, error) {
+	loaded, err := snap.Postings(ix, st, func(se SnapshotEntity) (trace.EntityID, bool, error) {
 		if se.ID%2 == 1 {
 			return 0, false, nil
 		}
@@ -232,9 +231,7 @@ func TestSnapshotV2ResolverRemapsAndSkips(t *testing.T) {
 	if len(snap.Entities) != 20 || loaded.Len() != 10 {
 		t.Fatalf("stored %d / kept %d, want 20 / 10", len(snap.Entities), loaded.Len())
 	}
-	if err := loaded.Validate(); err != nil {
-		t.Fatalf("tree with skips invalid: %v", err)
-	}
+	requireCellInvariant(t, "loaded with skips", loaded)
 	for e := trace.EntityID(0); e < 20; e++ {
 		if got := loaded.Contains(e); got != (e%2 == 0) {
 			t.Errorf("Contains(%d) = %t", e, got)
@@ -242,12 +239,12 @@ func TestSnapshotV2ResolverRemapsAndSkips(t *testing.T) {
 	}
 
 	// Two stored entities resolved onto one ID are a repeat.
-	if _, err := snap.Tree(ix, st, func(SnapshotEntity) (trace.EntityID, bool, error) { return 3, true, nil }); err == nil || !strings.Contains(err.Error(), "repeats") {
+	if _, err := snap.Postings(ix, st, func(SnapshotEntity) (trace.EntityID, bool, error) { return 3, true, nil }); err == nil || !strings.Contains(err.Error(), "listed twice") {
 		t.Errorf("two entities resolved to one ID: %v", err)
 	}
 	// Resolver errors abort.
 	boom := fmt.Errorf("boom")
-	if _, err := snap.Tree(ix, st, func(SnapshotEntity) (trace.EntityID, bool, error) { return 0, false, boom }); err != boom {
+	if _, err := snap.Postings(ix, st, func(SnapshotEntity) (trace.EntityID, bool, error) { return 0, false, boom }); err != boom {
 		t.Fatalf("resolver error not propagated: %v", err)
 	}
 }
@@ -255,13 +252,13 @@ func TestSnapshotV2ResolverRemapsAndSkips(t *testing.T) {
 // TestSnapshotLoadTimeSourceValidation: an entity the source has no
 // sequences for fails at load time with an error naming it.
 func TestSnapshotLoadTimeSourceValidation(t *testing.T) {
-	ix, bigStore, tree := buildRandomWorld(t, 41, 30, 8)
+	ix, bigStore, post := buildRandomPostings(t, 41, 30)
 	// A store that only knows the first 10 entities.
 	small := trace.NewStore(ix)
 	for e := trace.EntityID(0); e < 10; e++ {
 		small.Put(bigStore.Get(e))
 	}
-	if _, err := readSnapshot(bytes.NewReader(writeImage(t, tree, nil)), ix, small); err == nil || !strings.Contains(err.Error(), `"e10"`) {
+	if _, err := readSnapshot(bytes.NewReader(writeImage(t, post, nil)), ix, small); err == nil || !strings.Contains(err.Error(), `"e10"`) {
 		t.Errorf("load against a smaller source did not name the first missing entity: %v", err)
 	}
 }
@@ -269,18 +266,17 @@ func TestSnapshotLoadTimeSourceValidation(t *testing.T) {
 // TestSnapshotV2Errors is the image's corruption table, each case through
 // both readers: truncation at every section, every bounded scalar, every
 // entity-record check and every cell-index check is a descriptive error —
-// never a panic, never a tree. (The container's own checks — magic, claimed
+// never a panic, never an index. (The container's own checks — magic, claimed
 // size, alignment, section bounds — are internal/secfile's table.)
 func TestSnapshotV2Errors(t *testing.T) {
-	ix, st, tree := buildRandomWorld(t, 43, 10, 8)
-	good := writeImage(t, tree, st)
+	ix, st, post := buildRandomPostings(t, 43, 10)
+	good := writeImage(t, post, st)
 	secs := sections(t, good)
 	meta, names, ents, cells, seqs := secs[0], secs[1], secs[2], secs[3], secs[4]
-	const rec = entFixed + 12*3
-	restamp := func(b []byte) { // recompute the cell index's CRC after editing it
-		body := b[cells.Off : cells.End()-4]
-		binary.LittleEndian.PutUint32(b[cells.End()-4:], crc32c(body))
+	restamp := func(b []byte, sec secfile.Section) { // recompute a section's CRC after editing it
+		binary.LittleEndian.PutUint32(b[sec.End()-4:], crc32c(b[sec.Off:sec.End()-4]))
 	}
+	entry := func(i int) int { return len(secfile.Magic) + 16 + 20*i } // section i's table entry: kind tag, offset u64, length u64
 	nk := int64(binary.LittleEndian.Uint64(good[cells.Off:]))
 	firstPost := cells.Off + 16 + 8*nk + 4*(nk+1)
 	// The first key that posts at least two entities.
@@ -301,19 +297,36 @@ func TestSnapshotV2Errors(t *testing.T) {
 		want   string
 	}{
 		{"level mismatch", func(b []byte) { b[meta.Off] = 2 }, "levels"},
-		{"zero hash functions", func(b []byte) { clear(b[meta.Off+8 : meta.Off+16]) }, "hash functions"},
-		{"hash functions past the cap", func(b []byte) { binary.LittleEndian.PutUint64(b[meta.Off+8:], maxSnapshotNH+1) }, "hash functions"},
-		{"zero horizon", func(b []byte) { clear(b[meta.Off+24 : meta.Off+32]) }, "horizon"},
-		{"entity count past int32", func(b []byte) { binary.LittleEndian.PutUint64(b[meta.Off+32:], 1<<40) }, "entities"},
-		{"entity table ≠ count × record", func(b []byte) { b[meta.Off+32] += 3 }, "entity table is"},
-		{"non-positive time unit", func(b []byte) { clear(b[meta.Off+40 : meta.Off+48]) }, "time unit"},
-		{"unknown flag bit", func(b []byte) { b[meta.Off+72] |= 0x80 }, "flag"},
-		{"name span outside its section", func(b []byte) { binary.LittleEndian.PutUint64(b[ents.Off+4:], uint64(names.Len)) }, "name span"},
-		{"name span offset overflow", func(b []byte) { binary.LittleEndian.PutUint64(b[ents.Off+4:], 1<<63) }, "name span"},
-		{"sequence span outside its section", func(b []byte) { binary.LittleEndian.PutUint32(b[ents.Off+24:], 0x7FFFFFF0) }, "sequence span"},
-		{"sequence span offset past the section", func(b []byte) { binary.LittleEndian.PutUint64(b[ents.Off+16:], uint64(seqs.Len)) }, "sequence span"},
-		{"repeated ID", func(b []byte) { copy(b[ents.Off+rec:ents.Off+rec+4], b[ents.Off:ents.Off+4]) }, "repeats entity"},
-		{"routing ≥ nh", func(b []byte) { binary.LittleEndian.PutUint32(b[ents.Off+entFixed:], 8) }, "routing"},
+		{"entity count past int32", func(b []byte) { binary.LittleEndian.PutUint64(b[meta.Off+8:], 1<<40) }, "entities"},
+		{"entity table ≠ count × record", func(b []byte) { b[meta.Off+8] += 3 }, "entity table is"},
+		{"non-positive time unit", func(b []byte) { clear(b[meta.Off+16 : meta.Off+24]) }, "time unit"},
+		{"unknown flag bit", func(b []byte) { b[meta.Off+48] |= 0x80 }, "flag"},
+		{"pre-postings image: entity section with signature digests", func(b []byte) { copy(b[entry(2):], secfile.SignedEntities) }, "retired index format — re-save"},
+		{"etab: one bit flipped", func(b []byte) { b[ents.Off+entSize+1] ^= 1 }, "entity table checksum"},
+		{"name span outside its section", func(b []byte) {
+			binary.LittleEndian.PutUint64(b[ents.Off+4:], uint64(names.Len))
+			restamp(b, ents)
+		}, "name span"},
+		{"name span offset overflow", func(b []byte) {
+			binary.LittleEndian.PutUint64(b[ents.Off+4:], 1<<63)
+			restamp(b, ents)
+		}, "name span"},
+		{"sequence span outside its section", func(b []byte) {
+			binary.LittleEndian.PutUint32(b[ents.Off+24:], 0x7FFFFFF0)
+			restamp(b, ents)
+		}, "sequence span"},
+		{"sequence span offset past the section", func(b []byte) {
+			binary.LittleEndian.PutUint64(b[ents.Off+16:], uint64(seqs.Len))
+			restamp(b, ents)
+		}, "sequence span"},
+		{"repeated ID", func(b []byte) {
+			copy(b[ents.Off+entSize:ents.Off+entSize+4], b[ents.Off:ents.Off+4])
+			restamp(b, ents)
+		}, "repeats entity"},
+		{"etab: CRC re-stamped, IDs descending", func(b []byte) {
+			binary.LittleEndian.PutUint32(b[ents.Off+entSize:], 1<<20)
+			restamp(b, ents)
+		}, "not ascending"},
 		{"cells: one posting removed, CRC stale", func(b []byte) {
 			copy(b[firstPost:cells.End()-8], b[firstPost+4:cells.End()-4])
 		}, "checksum"},
@@ -323,31 +336,31 @@ func TestSnapshotV2Errors(t *testing.T) {
 			for i := range x {
 				x[i], y[i] = y[i], x[i]
 			}
-			restamp(b)
+			restamp(b, cells)
 		}, "not ascending"},
 		{"cells: CRC re-stamped, entity posted twice", func(b []byte) {
 			copy(b[twoPosts+4:twoPosts+8], b[twoPosts:twoPosts+4])
-			restamp(b)
+			restamp(b, cells)
 		}, "not ascending"},
 		{"cells: CRC re-stamped, keys out of order", func(b []byte) {
 			copy(b[cells.Off+16+8:cells.Off+16+16], b[cells.Off+16:cells.Off+16+8])
-			restamp(b)
+			restamp(b, cells)
 		}, "keys not ascending"},
 		{"cells: CRC re-stamped, offsets decrease", func(b []byte) {
 			binary.LittleEndian.PutUint32(b[cells.Off+16+8*nk+4:], 0xFFFFFF00)
-			restamp(b)
+			restamp(b, cells)
 		}, "offsets"},
 		{"cells: CRC re-stamped, offsets stop short of the postings", func(b []byte) {
 			b[cells.Off+16+8*nk+4*nk]--
-			restamp(b)
+			restamp(b, cells)
 		}, "offsets"},
 		{"cells: CRC re-stamped, unknown entity posted", func(b []byte) {
 			binary.LittleEndian.PutUint32(b[firstPost:], 999)
-			restamp(b)
+			restamp(b, cells)
 		}, "does not hold"},
 		{"cells: CRC re-stamped, counts disagree with the section", func(b []byte) {
 			b[cells.Off+8]++
-			restamp(b)
+			restamp(b, cells)
 		}, "claims"},
 	}
 	for _, tc := range cases {
@@ -365,7 +378,7 @@ func TestSnapshotV2Errors(t *testing.T) {
 
 	// A stream cut anywhere before the sequences is refused; one cut inside
 	// them is not read that far. By offset every cut is a size mismatch.
-	for _, cut := range []int64{0, 5, 12, 40, meta.Off + 3, names.Off + 1, ents.Off + 5, ents.Off + rec + entFixed + 2, cells.Off + 7, cells.End() - 2} {
+	for _, cut := range []int64{0, 5, 12, 40, meta.Off + 3, names.Off + 1, ents.Off + 5, ents.Off + entSize + 2, cells.Off + 7, cells.End() - 2} {
 		if _, err := readSnapshot(bytes.NewReader(good[:cut]), ix, st); err == nil {
 			t.Errorf("stream truncated at %d of %d bytes accepted", cut, len(good))
 		}
@@ -396,23 +409,22 @@ func TestSnapshotV2Errors(t *testing.T) {
 		t.Error("mismatched sp-index accepted")
 	}
 	// Oversized names fail at write time.
-	if _, err := tree.WriteSnapshot(&bytes.Buffer{}, SnapshotMeta{TimeUnit: time.Hour}, nil, func(e trace.EntityID) (string, uint32) {
+	if _, err := post.WriteSnapshot(&bytes.Buffer{}, SnapshotMeta{TimeUnit: time.Hour}, nil, func(e trace.EntityID) (string, uint32) {
 		return strings.Repeat("x", 1<<17), 0
 	}); err == nil || !strings.Contains(err.Error(), "name") {
 		t.Errorf("oversized name accepted: %v", err)
 	}
 	// A nil info callback is refused (readers resolve by name).
-	if _, err := tree.WriteSnapshot(&bytes.Buffer{}, SnapshotMeta{TimeUnit: time.Hour}, nil, nil); err == nil {
+	if _, err := post.WriteSnapshot(&bytes.Buffer{}, SnapshotMeta{TimeUnit: time.Hour}, nil, nil); err == nil {
 		t.Error("nil info callback accepted")
 	}
 }
 
-// TestSnapshotV2LoadedTreeStaysMaintainable: a loaded tree — replayed over
-// the reader's sequences or served in place — accepts Remove/Update like a
-// built one.
+// TestSnapshotV2LoadedTreeStaysMaintainable: a loaded index — sealed over the
+// reader's sequences or served in place — derives like a built one.
 func TestSnapshotV2LoadedTreeStaysMaintainable(t *testing.T) {
-	ix, st, tree := buildRandomWorld(t, 47, 15, 8)
-	img := writeImage(t, tree, st)
+	ix, st, post := buildRandomPostings(t, 47, 15)
+	img := writeImage(t, post, st)
 	streamed, err := readSnapshot(bytes.NewReader(img), ix, st)
 	if err != nil {
 		t.Fatal(err)
@@ -421,15 +433,45 @@ func TestSnapshotV2LoadedTreeStaysMaintainable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, loaded := range []*Tree{streamed, mapped} {
-		if err := loaded.Remove(3); err != nil {
-			t.Fatalf("Remove on a loaded tree: %v", err)
+	dst := st.Derive()
+	dst.AddRecords(7, []trace.Record{{Entity: 7, Base: 3, Start: 2, End: 5}})
+	dst.AddRecords(99, []trace.Record{{Entity: 99, Base: 4, Start: 1, End: 3}})
+	for _, loaded := range []*Postings{streamed, mapped} {
+		derived, err := loaded.Derive(dst, []trace.EntityID{7, 99})
+		if err != nil {
+			t.Fatalf("Derive on a loaded index: %v", err)
 		}
-		if err := loaded.Update(7); err != nil {
-			t.Fatalf("Update on a loaded tree: %v", err)
+		requireCellInvariant(t, "derived from a loaded index", derived)
+		if derived.Len() != 16 || loaded.Len() != 15 {
+			t.Fatalf("derived %d entities from %d, want 16 from 15", derived.Len(), loaded.Len())
 		}
-		if err := loaded.Validate(); err != nil {
-			t.Fatalf("Validate after maintenance: %v", err)
+	}
+}
+
+// TestRetiredImagesRefused: the FuzzOpenSnapshot seeds written before the
+// index dropped its signatures (retired-image-*) are refused by name, through
+// both readers.
+func TestRetiredImagesRefused(t *testing.T) {
+	ix, st, _ := buildRandomPostings(t, 59, 4)
+	paths, err := filepath.Glob("testdata/fuzz/FuzzOpenSnapshot/retired-image-*")
+	if err != nil || len(paths) != 2 {
+		t.Fatalf("retired seeds %v, %v", paths, err)
+	}
+	for _, path := range paths {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit := strings.TrimSuffix(strings.TrimPrefix(string(raw), "go test fuzz v1\n[]byte("), ")\n")
+		img, err := strconv.Unquote(lit)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if _, err := readSnapshot(strings.NewReader(img), ix, st); err == nil || !strings.Contains(err.Error(), "retired index format — re-save") {
+			t.Errorf("%s, stream: %v", path, err)
+		}
+		if _, err := openMapped([]byte(img), ix, st); err == nil || !strings.Contains(err.Error(), "retired index format — re-save") {
+			t.Errorf("%s, by offset: %v", path, err)
 		}
 	}
 }
@@ -441,16 +483,18 @@ type anySource struct{ s *trace.Sequences }
 func (a anySource) Get(trace.EntityID) *trace.Sequences { return a.s }
 
 // FuzzOpenSnapshot: arbitrary bytes through the one decoder, as a stream and
-// by offset, are an error or an image whose tree passes Validate — never a
-// panic, never an allocation sized by an unchecked word. The committed corpus
-// (testdata/fuzz/FuzzOpenSnapshot) holds one real image with and without its
-// sequences and one cluster envelope; fresh ones are added here so the corpus
-// follows the format.
+// by offset, are an error or an image whose index is well formed and
+// answers — never a panic, never an allocation sized by an unchecked word.
+// The committed corpus (testdata/fuzz/FuzzOpenSnapshot) holds one real image
+// with and without its sequences and one cluster envelope, and the same three
+// written before the index dropped its signatures (retired-*), which must be
+// refused; fresh ones are added here so the corpus follows the format.
 func FuzzOpenSnapshot(f *testing.F) {
-	ix, st, tree := buildRandomWorld(f, 59, 4, 8)
-	f.Add(writeImage(f, tree, nil))
-	f.Add(writeImage(f, tree, st))
+	ix, st, post := buildRandomPostings(f, 59, 4)
+	f.Add(writeImage(f, post, nil))
+	f.Add(writeImage(f, post, st))
 	src := anySource{st.Get(0)}
+	m := measuresFor(f, 3)[0]
 	f.Fuzz(func(t *testing.T, b []byte) {
 		open := map[string]func() (*secfile.Reader, error){
 			"stream":    func() (*secfile.Reader, error) { return secfile.NewReader(bytes.NewReader(b)) },
@@ -462,22 +506,21 @@ func FuzzOpenSnapshot(f *testing.F) {
 				continue
 			}
 			snap, err := DecodeSnapshot(sr, ix)
-			// A loader checks the scalars against its configuration before it
-			// builds the hash family they size (DB.checkSnapshotInfo).
-			if err != nil || snap.Info.NH > 64 || snap.Info.Horizon > 1<<12 {
+			if err != nil {
 				continue
 			}
-			var loaded *Tree
+			var loaded *Postings
 			if snap.HasSeqs {
-				loaded, err = snap.MappedTree(ix, src)
+				loaded, err = snap.MappedPostings(ix, src)
 			} else {
-				loaded, err = snap.Tree(ix, src, nil)
+				loaded, err = snap.Postings(ix, src, nil)
 			}
 			if err != nil {
-				t.Fatalf("%s: decoded image does not replay: %v", name, err)
+				t.Fatalf("%s: decoded image does not load: %v", name, err)
 			}
-			if err := loaded.Validate(); err != nil {
-				t.Fatalf("%s: replayed tree invalid: %v", name, err)
+			requireCellStructure(t, name, loaded)
+			if _, _, err := loaded.TopK(src.s, 3, m); err != nil {
+				t.Fatalf("%s: loaded index does not answer: %v", name, err)
 			}
 		}
 	})

@@ -1,21 +1,26 @@
-// Package core implements the MinSigTree (Section 4.2.2 of "Top-k Queries
-// over Digital Traces") and top-k query processing over it (Chapter 5) —
-// the paper's primary contribution.
+// Package core implements top-k query processing over digital traces
+// (Chapter 5 of "Top-k Queries over Digital Traces") over two indexes.
 //
-// The MinSigTree is an m-level tree (m = sp-index height) that groups
-// entities by the routing index (argmax position) of their per-level MinHash
-// signatures. Each node stores a single signature coordinate — the minimum,
-// over its entities, of the signature value at the node's routing index —
-// which is the paper's storage-reduced "partial" signature (Section 4.2.2).
-// From that coordinate and Theorem 2, the search derives a partial pruned
-// set of query ST-cells that no entity below the node can share, yielding an
-// admissible upper bound on the association degree (Theorem 4) that
-// tightens monotonically along root-to-leaf paths (Theorem 3).
+// Postings is the served index: an entity table and the level-1 cell index.
+// Its searches draw their candidates from the postings of the query's level-1
+// cells and score them in the order of the Theorem-4 bound their occupancy
+// yields; it carries no signatures, so building and deriving it hash nothing.
+//
+// Tree is the paper's MinSigTree (Section 4.2.2), kept for the reproduction:
+// an m-level tree (m = sp-index height) that groups entities by the routing
+// index (argmax position) of their per-level MinHash signatures. Each node
+// stores a single signature coordinate — the minimum, over its entities, of
+// the signature value at the node's routing index — which is the paper's
+// storage-reduced "partial" signature (Section 4.2.2). From that coordinate
+// and Theorem 2, the search derives a partial pruned set of query ST-cells
+// that no entity below the node can share, yielding an admissible upper bound
+// on the association degree (Theorem 4) that tightens monotonically along
+// root-to-leaf paths (Theorem 3).
 //
 // Build is Algorithm 1; Tree.SignatureTopK is Algorithm 2 with early
-// termination, and Tree.TopK the same search fed by the level-1 cell index's
-// postings wherever those apply; Insert/Remove/Update realize the incremental
-// maintenance of Section 4.2.3.
+// termination; Insert/Remove/Update realize the incremental maintenance of
+// Section 4.2.3. A Tree composes a Postings over the same entities, which its
+// TopK, ApproxTopK and NewIter delegate to.
 package core
 
 import (
@@ -24,19 +29,9 @@ import (
 	"slices"
 
 	"digitaltraces/internal/adm"
-	"digitaltraces/internal/sighash"
 	"digitaltraces/internal/spindex"
 	"digitaltraces/internal/trace"
 )
-
-// SequenceSource supplies entity ST-cell set sequences to the index and the
-// query processor. *trace.Store implements it in memory;
-// *storage.Store (internal/storage) implements it through a block file and
-// buffer pool for the memory-bounded experiments of Section 7.6.
-type SequenceSource interface {
-	// Get returns the sequences of an entity, or nil if unknown.
-	Get(e trace.EntityID) *trace.Sequences
-}
 
 // node is one MinSigTree node. A node at tree level l groups entities whose
 // level-l signature has routing index routing; value is the group-level
@@ -69,25 +64,136 @@ func (n *node) child(r uint32) *node {
 }
 
 // childFor is the descent step every insertion shares: it returns n's child
-// for the level signature ls with its group coordinate lowered to cover
-// ls.Value, creating the child (at level n.level+1) when there is none.
-func (n *node) childFor(ls sighash.LevelSig) (child *node, created bool) {
-	i, ok := n.childIndex(ls.Routing)
+// for the level digest ls with its group coordinate lowered to cover
+// ls.value, creating the child (at level n.level+1) when there is none.
+func (n *node) childFor(ls levelSig) (child *node, created bool) {
+	i, ok := n.childIndex(ls.routing)
 	if !ok {
-		child = &node{routing: ls.Routing, value: ls.Value, level: n.level + 1}
+		child = &node{routing: ls.routing, value: ls.value, level: n.level + 1}
 		n.children = slices.Insert(n.children, i, child)
 		return child, true
 	}
 	child = n.children[i]
-	if ls.Value < child.value {
-		child.value = ls.Value
+	if ls.value < child.value {
+		child.value = ls.value
 	}
 	return child, false
 }
 
-// removeEntity deletes e from the leaf at the end of path and prunes the
-// nodes it empties, bottom-up. Every node on path must be writable.
-func removeEntity(path []*node, e trace.EntityID) {
+// Tree is the MinSigTree index over an entity population. It is not safe for
+// concurrent mutation; concurrent queries against a tree that no goroutine is
+// mutating are safe.
+type Tree struct {
+	ix     *spindex.Index
+	hasher Hasher
+	root   *node
+	sigs   map[trace.EntityID][]levelSig // every indexed entity's per-level digests
+	post   *Postings                     // the same entities' postings, and the sequence source
+	m      int
+	full   bool // full-signature mode (Options.FullSignatures)
+}
+
+// Build constructs a MinSigTree over the given entities (Algorithm 1).
+// Sequences are fetched from src; entities without sequences are rejected.
+func Build(ix *spindex.Index, hasher Hasher, src SequenceSource, entities []trace.EntityID) (*Tree, error) {
+	return BuildWithOptions(ix, hasher, src, entities, Options{})
+}
+
+// Len returns the number of indexed entities (|E|).
+func (t *Tree) Len() int { return t.root.count }
+
+// Hasher returns the hash family the tree was built with.
+func (t *Tree) Hasher() Hasher { return t.hasher }
+
+// Contains reports whether the entity is indexed.
+func (t *Tree) Contains(e trace.EntityID) bool {
+	_, ok := t.sigs[e]
+	return ok
+}
+
+// Entities returns the indexed entity IDs in ascending order.
+func (t *Tree) Entities() []trace.EntityID { return t.post.Entities() }
+
+// TopK answers a top-k query from the tree's postings (Postings.TopK).
+func (t *Tree) TopK(q *trace.Sequences, k int, measure adm.Measure) ([]Result, SearchStats, error) {
+	return t.post.TopK(q, k, measure)
+}
+
+// ApproxTopK answers approximately from the tree's postings
+// (Postings.ApproxTopK).
+func (t *Tree) ApproxTopK(q *trace.Sequences, k int, measure adm.Measure, opts ApproxOptions) ([]Result, ApproxStats, error) {
+	return t.post.ApproxTopK(q, k, measure, opts)
+}
+
+// NewIter opens an incremental search over the tree's postings
+// (Postings.NewIter).
+func (t *Tree) NewIter(q *trace.Sequences, measure adm.Measure) (*Iter, error) {
+	return t.post.NewIter(q, measure)
+}
+
+// Insert adds an entity to the index: compute its signature list, descend by
+// per-level routing indexes (creating nodes as needed), lower group
+// signature coordinates along the path, append the entity to the level-m
+// leaf, and post it under its level-1 cells. Cost is O(C·nh + m) where C is
+// the entity's cell count (Section 4.2.3).
+func (t *Tree) Insert(e trace.EntityID) error {
+	if t.Contains(e) {
+		return fmt.Errorf("core: entity %d already indexed", e)
+	}
+	s, err := sequencesOf(t.post.src, e, t.m)
+	if err != nil {
+		return err
+	}
+	t.sign(e, s)
+	t.post.add(e, s)
+	return nil
+}
+
+// sign computes e's signatures from s and inserts it into the tree's nodes.
+func (t *Tree) sign(e trace.EntityID, s *trace.Sequences) {
+	if t.full {
+		t.insertFull(e, s)
+	} else {
+		t.insertWithSig(e, signature(t.hasher, s))
+	}
+}
+
+// insertWithSig inserts an entity into the nodes by its digests, without
+// touching its sequences.
+func (t *Tree) insertWithSig(e trace.EntityID, sig []levelSig) {
+	t.sigs[e] = sig
+	cur := t.root
+	cur.count++
+	for _, ls := range sig {
+		cur, _ = cur.childFor(ls)
+		cur.count++
+	}
+	cur.entities = append(cur.entities, e)
+}
+
+// Remove deletes an entity from the index by retracing its signature path
+// (steps 1-2 of the Section 7.8 update procedure). Emptied nodes are pruned.
+// Group signatures of surviving ancestors are left unchanged: they remain
+// valid lower bounds of their members' signature values (never too large),
+// so query results stay exact; they may be smaller than necessary, which
+// only loosens upper bounds. Derive restores tight signatures.
+func (t *Tree) Remove(e trace.EntityID) error {
+	sig, ok := t.sigs[e]
+	if !ok {
+		return fmt.Errorf("core: entity %d not indexed", e)
+	}
+	delete(t.sigs, e)
+	t.post.remove(e)
+	path := make([]*node, 0, t.m+1)
+	cur := t.root
+	path = append(path, cur)
+	for l := 1; l <= t.m; l++ {
+		cur = cur.child(sig[l-1].routing)
+		if cur == nil {
+			panic(fmt.Sprintf("core: index corrupt: entity %d signature path broken at level %d", e, l))
+		}
+		path = append(path, cur)
+	}
 	leaf := path[len(path)-1]
 	i := slices.Index(leaf.entities, e)
 	if i < 0 {
@@ -103,163 +209,6 @@ func removeEntity(path []*node, e trace.EntityID) {
 			path[l-1].children = slices.Delete(path[l-1].children, i, i+1)
 		}
 	}
-}
-
-// Tree is the MinSigTree index over a fixed entity population. It is not
-// safe for concurrent mutation; concurrent TopK/ApproxTopK/KNNJoin queries
-// against a tree that no goroutine is mutating are safe (the query path is
-// verified read-only; see Tree.TopK). Callers mixing maintenance with
-// queries must keep the two apart — the root-package DB does so by never
-// mutating a served tree at all: queries search immutable, atomically
-// swapped snapshots while maintenance updates a Clone aside.
-type Tree struct {
-	ix     *spindex.Index
-	hasher sighash.Hasher
-	src    SequenceSource
-	root   *node
-	sigs   *sigTable
-	cells  *cellIndex // level-1 cell index (cellindex.go): the postings searches draw candidates from
-	m      int
-	full   bool // full-signature mode (Options.FullSignatures)
-
-	// removals counts Remove operations since the last Build/Rebuild;
-	// group signatures are conservative (never too large) after removals,
-	// so queries stay exact but prune slightly less until a Rebuild.
-	// Derive carries the counter into the derived generation.
-	removals int
-
-	// frozen is set by Derive on the receiver: a derived tree shares this
-	// tree's nodes and digests, so any further mutation here would tear the
-	// derived generation (and the queries pinned to this one). Mutating
-	// operations refuse on a frozen tree; queries and further Derives are
-	// unaffected.
-	frozen bool
-
-	// owned, on a Derive-built tree, marks the nodes private to it —
-	// everything else is shared with the frozen parent generation. Mutating
-	// operations copy a shared node before the first write (derive.go), so
-	// Insert/Remove/Update on a derived tree can never corrupt the parent.
-	// nil on fully private trees (Build, Clone, snapshot replay), whose
-	// mutations write in place.
-	owned map[*node]bool
-}
-
-// Build constructs a MinSigTree over the given entities (Algorithm 1).
-// Sequences are fetched from src; entities without sequences are rejected.
-func Build(ix *spindex.Index, hasher sighash.Hasher, src SequenceSource, entities []trace.EntityID) (*Tree, error) {
-	return BuildWithOptions(ix, hasher, src, entities, Options{})
-}
-
-// Len returns the number of indexed entities (|E|).
-func (t *Tree) Len() int { return t.root.count }
-
-// Height returns m, the number of grouping levels.
-func (t *Tree) Height() int { return t.m }
-
-// Hasher returns the hash family the tree was built with.
-func (t *Tree) Hasher() sighash.Hasher { return t.hasher }
-
-// Source returns the sequence source queries read exact traces from.
-func (t *Tree) Source() SequenceSource { return t.src }
-
-// Contains reports whether the entity is indexed.
-func (t *Tree) Contains(e trace.EntityID) bool {
-	_, ok := t.sigs.get(e)
-	return ok
-}
-
-// Removals reports how many Remove operations this tree's lineage has
-// absorbed since the last tight construction (Build, Rebuild, Clone or
-// snapshot replay) — Update and Derive count their embedded removals, and
-// Derive carries the total across generations. Group signatures are
-// conservative (never too large, possibly too small) after removals, so
-// answers stay exact but pruning loosens; callers use this to schedule a
-// re-tightening replay (the root package escalates an incremental refresh
-// to a full copy once Removals exceeds Len).
-func (t *Tree) Removals() int { return t.removals }
-
-// errFrozen is the refusal every mutating operation returns once Derive has
-// shared this tree's structure with a newer generation.
-func (t *Tree) errFrozen(op string) error {
-	return fmt.Errorf("core: %s on a frozen tree (Derive shared its nodes with a newer generation; mutate the derived tree instead)", op)
-}
-
-// Insert adds an entity to the index: compute its signature list, descend by
-// per-level routing indexes (creating nodes as needed), lower group
-// signature coordinates along the path, append the entity to the level-m
-// leaf, and post it under its level-1 cells. Cost is O(C·nh + m) where C is
-// the entity's cell count (Section 4.2.3).
-func (t *Tree) Insert(e trace.EntityID) error {
-	if t.frozen {
-		return t.errFrozen("Insert")
-	}
-	s, err := t.insert(e)
-	if err != nil {
-		return err
-	}
-	t.cells.add(e, s.At(1))
-	return nil
-}
-
-// insert is Insert without the cell index, which Build seals in one pass
-// once every entity is in. It returns the sequences it signed.
-func (t *Tree) insert(e trace.EntityID) (*trace.Sequences, error) {
-	if _, dup := t.sigs.get(e); dup {
-		return nil, fmt.Errorf("core: entity %d already indexed", e)
-	}
-	s := t.src.Get(e)
-	if s == nil {
-		return nil, fmt.Errorf("core: entity %d has no sequences in the source", e)
-	}
-	if s.Levels() != t.m {
-		return nil, fmt.Errorf("core: entity %d has %d levels, index has %d", e, s.Levels(), t.m)
-	}
-	switch {
-	case t.full:
-		t.insertFull(e, s)
-	case t.owned != nil:
-		sig := sighash.Signature(t.hasher, s)
-		t.sigs.put(e, sig)
-		t.insertCOW(e, sig, t.owned)
-	default:
-		t.insertWithSig(e, sighash.Signature(t.hasher, s))
-	}
-	return s, nil
-}
-
-// Remove deletes an entity from the index by retracing its signature path
-// (steps 1-2 of the Section 7.8 update procedure). Emptied nodes are pruned.
-// Group signatures of surviving ancestors are left unchanged: they remain
-// valid lower bounds of their members' signature values (never too large),
-// so query results stay exact; they may be smaller than necessary, which
-// only loosens upper bounds. Rebuild restores tight signatures.
-func (t *Tree) Remove(e trace.EntityID) error {
-	if t.frozen {
-		return t.errFrozen("Remove")
-	}
-	sig, ok := t.sigs.get(e)
-	if !ok {
-		return fmt.Errorf("core: entity %d not indexed", e)
-	}
-	t.sigs.del(e)
-	t.cells.gone[e] = struct{}{} // its pairs stay posted; no search may score it
-	if t.owned != nil {
-		t.removeCOW(e, sig, t.owned)
-		t.removals++
-		return nil
-	}
-	path := make([]*node, 0, t.m+1)
-	cur := t.root
-	path = append(path, cur)
-	for l := 1; l <= t.m; l++ {
-		cur = cur.child(sig[l-1].Routing)
-		if cur == nil {
-			panic(fmt.Sprintf("core: index corrupt: entity %d signature path broken at level %d", e, l))
-		}
-		path = append(path, cur)
-	}
-	removeEntity(path, e)
-	t.removals++
 	return nil
 }
 
@@ -277,62 +226,37 @@ func (t *Tree) Update(e trace.EntityID) error {
 	return t.Insert(e)
 }
 
-// Clone returns a structurally independent copy of the tree reading entity
-// sequences from src (pass t.Source() to keep the same source): fresh nodes
-// and a fresh signature map, replayed from the stored signature digests in
-// ascending entity order — the snapshot replay, so the cost is O(|E|·m)
-// with no re-hashing. The receiver is not touched and keeps serving
-// concurrent queries; the clone is the build-aside entry point for
-// maintenance that must never mutate a live tree (the root package's
-// non-blocking Refresh updates a clone, then atomically swaps it in).
-//
-// Replay recomputes each group signature as the minimum over current
-// members, so a clone taken after Removes has tight signatures again and
-// prunes at least as well as the original. The stored per-entity digests are
-// shared with the receiver; that is safe because no maintenance operation
-// mutates a digest in place (Update replaces the map entry with a freshly
-// computed one). The level-1 cell index is re-sealed from the sequences in
-// src, dropping the stale pairs Remove and Update left behind.
-// Full-signature trees (Options.FullSignatures) are an ablation-only
-// configuration and are not cloneable.
-func (t *Tree) Clone(src SequenceSource) (*Tree, error) {
+// Derive returns a new tree over src with the dirty entities re-signed from
+// it (their updated sequences must already be there; a dirty entity not yet
+// indexed is inserted, matching Update). It replays every clean entity from
+// its stored digest into fresh nodes — O(|E|·m), no clean entity re-hashed —
+// so the derived tree's group signatures are tight, and it shares no node
+// with the receiver, which is left untouched. Full-signature trees keep no
+// replayable digest of their coordinates and are not derivable.
+func (t *Tree) Derive(src SequenceSource, dirty []trace.EntityID) (*Tree, error) {
 	if t.full {
-		return nil, fmt.Errorf("core: full-signature trees do not support Clone")
+		return nil, fmt.Errorf("core: full-signature trees do not support Derive")
 	}
-	c := &Tree{
-		ix:     t.ix,
-		hasher: t.hasher,
-		src:    src,
-		root:   &node{},
-		sigs:   newSigTable(t.sigs.len()),
-		m:      t.m,
-	}
-	entities := t.Entities()
-	for _, e := range entities {
-		sig, _ := t.sigs.get(e)
-		c.insertWithSig(e, sig)
-	}
-	c.cells = sealCells(src, entities)
-	return c, nil
-}
-
-// Rebuild reconstructs the tree from the current entity set, restoring tight
-// group signatures after removals.
-func (t *Tree) Rebuild() error {
-	if t.frozen {
-		return t.errFrozen("Rebuild")
-	}
-	fresh, err := Build(t.ix, t.hasher, t.src, t.sigs.entities())
+	post, err := t.post.Derive(src, dirty)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	*t = *fresh
-	return nil
-}
-
-// Entities returns the indexed entity IDs in ascending order.
-func (t *Tree) Entities() []trace.EntityID {
-	return t.sigs.entities()
+	d := &Tree{ix: t.ix, hasher: t.hasher, root: &node{}, sigs: make(map[trace.EntityID][]levelSig, len(t.sigs)+len(dirty)), post: post, m: t.m}
+	resign := make(map[trace.EntityID]bool, len(dirty))
+	for _, e := range dirty {
+		resign[e] = true
+	}
+	for _, e := range t.Entities() {
+		if !resign[e] {
+			d.insertWithSig(e, t.sigs[e])
+		}
+	}
+	for _, e := range dirty {
+		if !d.Contains(e) { // not a repeat
+			d.sign(e, src.Get(e))
+		}
+	}
+	return d, nil
 }
 
 // IndexStats describes the size and shape of the tree (Figure 7.8 reports
@@ -365,36 +289,36 @@ func (t *Tree) Stats() IndexStats {
 	}
 	walk(t.root)
 	// Per node: routing (4) + value (8) + level (1) + child-slice slot and
-	// header (16); per entity: m LevelSig digests (12 each) + leaf slot; per
-	// level-1 cell key 12 and per posting 4, added layer and gone set included.
-	c := t.cells
-	st.MemoryBytes = st.Nodes*29 + st.Entities*(t.m*12+4) + 12*(len(c.keys)+len(c.added)) + 4*(len(c.posts)+c.addedPairs+len(c.gone))
+	// header (16); per entity: m level digests (12 each) + leaf slot; the
+	// level-1 cell index on top.
+	st.MemoryBytes = st.Nodes*29 + st.Entities*(t.m*12+4) + t.post.cells.memoryBytes()
 	if t.full {
 		// Full-signature mode stores nh coordinates per node (§5.1).
 		st.MemoryBytes += st.Nodes * t.hasher.NumFuncs() * 8
 	}
-	if f, ok := t.hasher.(*sighash.Family); ok {
-		st.MemoryBytes += f.MemoryBytes()
+	if f, ok := t.hasher.(interface{ MemoryBytes() int }); ok {
+		st.MemoryBytes += f.MemoryBytes() // the family's tables (sighash.Family)
 	}
 	return st
 }
 
 // Validate checks index invariants: counts are consistent, every entity's
-// stored signature path reaches the leaf containing it, and every node's
-// group coordinate is ≤ the signature values of all entities below it (with
-// equality guaranteed only when no Remove happened since the last build).
+// stored signature path reaches the leaf containing it, every node's group
+// coordinate is ≤ the signature values of all entities below it (with
+// equality guaranteed only when no Remove happened since the last build), and
+// the postings hold exactly the tree's entities.
 func (t *Tree) Validate() error {
 	seen := 0
 	var walk func(n *node) (int, error)
 	walk = func(n *node) (int, error) {
 		if n.level == t.m {
 			for _, e := range n.entities {
-				sig, ok := t.sigs.get(e)
+				sig, ok := t.sigs[e]
 				if !ok {
 					return 0, fmt.Errorf("core: leaf holds unknown entity %d", e)
 				}
-				if sig[n.level-1].Routing != n.routing {
-					return 0, fmt.Errorf("core: entity %d routing %d in leaf %d", e, sig[n.level-1].Routing, n.routing)
+				if sig[n.level-1].routing != n.routing {
+					return 0, fmt.Errorf("core: entity %d routing %d in leaf %d", e, sig[n.level-1].routing, n.routing)
 				}
 				seen++
 			}
@@ -428,29 +352,49 @@ func (t *Tree) Validate() error {
 	if _, err := walk(t.root); err != nil {
 		return err
 	}
-	if seen != t.sigs.len() {
-		return fmt.Errorf("core: %d entities in leaves, %d signatures stored", seen, t.sigs.len())
+	if seen != len(t.sigs) {
+		return fmt.Errorf("core: %d entities in leaves, %d signatures stored", seen, len(t.sigs))
+	}
+	if t.post.Len() != seen {
+		return fmt.Errorf("core: %d entities in leaves, %d in the postings", seen, t.post.Len())
 	}
 	// Signature-path and value invariants per entity.
-	for _, e := range t.sigs.entities() {
-		sig, _ := t.sigs.get(e)
+	for e, sig := range t.sigs {
+		if !t.post.Contains(e) {
+			return fmt.Errorf("core: entity %d missing from the postings", e)
+		}
 		cur := t.root
 		for l := 1; l <= t.m; l++ {
-			cur = cur.child(sig[l-1].Routing)
+			cur = cur.child(sig[l-1].routing)
 			if cur == nil {
 				return fmt.Errorf("core: entity %d path broken at level %d", e, l)
 			}
-			if cur.value > sig[l-1].Value {
+			if cur.value > sig[l-1].value {
 				return fmt.Errorf("core: entity %d level %d: node value %d > entity value %d",
-					e, l, cur.value, sig[l-1].Value)
+					e, l, cur.value, sig[l-1].value)
 			}
 		}
 	}
 	return nil
 }
 
-// ensure interface compliance of the in-memory store.
-var _ SequenceSource = (*trace.Store)(nil)
-
-// ensure adm dependency is used here (Measure threaded through search.go).
-var _ adm.Measure = (*adm.LevelWeighted)(nil)
+// LeafOrderedEntities returns the indexed entities in MinSigTree leaf
+// order — the record layout Section 7.6 stores on disk so closely
+// associated entities share blocks.
+func (t *Tree) LeafOrderedEntities() []trace.EntityID {
+	out := make([]trace.EntityID, 0, len(t.sigs))
+	var walk func(nd *node)
+	walk = func(nd *node) {
+		if nd.level == t.m {
+			sorted := append([]trace.EntityID(nil), nd.entities...)
+			slices.Sort(sorted)
+			out = append(out, sorted...)
+			return
+		}
+		for _, c := range nd.children {
+			walk(c)
+		}
+	}
+	walk(t.root)
+	return out
+}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"digitaltraces/internal/adm"
@@ -141,8 +143,36 @@ func TestSearchExample521(t *testing.T) {
 	}
 }
 
+// buildRandomWorld builds a MinSigTree of nh hash functions over a random
+// population (randomWorld).
 func buildRandomWorld(t testing.TB, seed int64, entities, nh int) (*spindex.Index, *trace.Store, *Tree) {
 	t.Helper()
+	ix, st, ids := randomWorld(seed, entities)
+	fam, err := sighash.NewFamily(ix, 48, nh, uint64(seed)+1)
+	if err != nil {
+		t.Fatalf("NewFamily: %v", err)
+	}
+	tree, err := Build(ix, fam, st, ids)
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	return ix, st, tree
+}
+
+// buildRandomPostings indexes randomWorld's population in postings alone.
+func buildRandomPostings(t testing.TB, seed int64, entities int) (*spindex.Index, *trace.Store, *Postings) {
+	t.Helper()
+	ix, st, ids := randomWorld(seed, entities)
+	p, err := BuildPostings(ix, st, ids)
+	if err != nil {
+		t.Fatalf("BuildPostings: %v", err)
+	}
+	return ix, st, p
+}
+
+// randomWorld is a random population over 48 hours of a 3-level sp-index of
+// 12 base units, IDs 0 … entities-1.
+func randomWorld(seed int64, entities int) (*spindex.Index, *trace.Store, []trace.EntityID) {
 	rng := rand.New(rand.NewSource(seed))
 	ix := spindex.NewUniform(3, []int{3, 4}) // 12 base units
 	const horizon = 48
@@ -161,15 +191,7 @@ func buildRandomWorld(t testing.TB, seed int64, entities, nh int) (*spindex.Inde
 		}
 		st.AddRecords(e, recs)
 	}
-	fam, err := sighash.NewFamily(ix, horizon, nh, uint64(seed)+1)
-	if err != nil {
-		t.Fatalf("NewFamily: %v", err)
-	}
-	tree, err := Build(ix, fam, st, ids)
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	return ix, st, tree
+	return ix, st, ids
 }
 
 func measuresFor(t testing.TB, levels int) []adm.Measure {
@@ -237,18 +259,14 @@ func TestUpperBoundDominatesSubtree(t *testing.T) {
 						continue
 					}
 					deg := m.Degree(q, st.Get(e))
-					sig, _ := tree.sigs.get(e)
-					f, err := tree.newFrontier(q, m, false)
-					if err != nil {
-						t.Fatal(err)
-					}
-					cand := f.cands[0]
+					sig := tree.sigs[e]
+					tr, cand := tree.newTraversal(q, m)
 					for l := 1; l <= tree.m; l++ {
-						child := cand.n.child(sig[l-1].Routing)
+						child := cand.n.child(sig[l-1].routing)
 						if child == nil {
 							t.Fatalf("entity %d path broken at level %d", e, l)
 						}
-						next := f.expand(cand, child)
+						next := tr.expand(cand, child)
 						if next.ub > cand.ub+1e-12 {
 							t.Fatalf("bound grew along path: %v -> %v (level %d)", cand.ub, next.ub, l)
 						}
@@ -343,12 +361,13 @@ func TestIncrementalEqualsRebuilt(t *testing.T) {
 			}
 		}
 	}
-	// Rebuild in place restores tight signatures and identical answers.
-	if err := tree.Rebuild(); err != nil {
-		t.Fatalf("Rebuild: %v", err)
+	// A Derive with no dirt replays to tight signatures.
+	replayed, err := tree.Derive(st, nil)
+	if err != nil {
+		t.Fatalf("Derive: %v", err)
 	}
-	if err := tree.Validate(); err != nil {
-		t.Fatalf("Validate after Rebuild: %v", err)
+	if err := replayed.Validate(); err != nil {
+		t.Fatalf("Validate after the replay: %v", err)
 	}
 }
 
@@ -553,6 +572,56 @@ func TestSingleLevelIndex(t *testing.T) {
 	for i := range want {
 		if got[i].Degree != want[i].Degree {
 			t.Fatalf("m=1 degrees diverge: %v vs %v", got, want)
+		}
+	}
+}
+
+// floorMeasure lifts every degree of an inner measure onto [floor, 1]: an
+// entity that shares no cell with the query scores floor, so the measure's
+// zero-overlap bound is floor too — admissible, and not 0.
+type floorMeasure struct {
+	adm.Measure
+	floor float64
+}
+
+func (m floorMeasure) Name() string { return fmt.Sprintf("floor(%g)", m.floor) }
+
+func (m floorMeasure) Degree(a, b *trace.Sequences) float64 {
+	return m.floor + (1-m.floor)*m.Measure.Degree(a, b)
+}
+
+func (m floorMeasure) UpperBound(surviving, qSize []int) float64 {
+	return m.floor + (1-m.floor)*m.Measure.UpperBound(surviving, qSize)
+}
+
+// TestPositiveFloorMeasure: the postings refuse, by name, a measure under
+// which an entity posted nowhere the query is can still score; Algorithm 2
+// serves it, equal to the scan.
+func TestPositiveFloorMeasure(t *testing.T) {
+	_, st, tree := buildRandomWorld(t, 61, 40, 16)
+	for _, inner := range measuresFor(t, 3) {
+		m := floorMeasure{inner, 0.25}
+		q := st.Get(3)
+		if _, _, err := tree.post.TopK(q, 5, m); err == nil || !strings.Contains(err.Error(), m.Name()) {
+			t.Errorf("Postings.TopK under %s: %v", m.Name(), err)
+		}
+		if _, _, err := tree.post.ApproxTopK(q, 5, m, ApproxOptions{Epsilon: 0.1}); err == nil || !strings.Contains(err.Error(), m.Name()) {
+			t.Errorf("Postings.ApproxTopK under %s: %v", m.Name(), err)
+		}
+		if _, err := tree.post.NewIter(q, m); err == nil || !strings.Contains(err.Error(), m.Name()) {
+			t.Errorf("Postings.NewIter under %s: %v", m.Name(), err)
+		}
+		for _, k := range []int{1, 5, 39, 60} {
+			for _, e := range []trace.EntityID{0, 3, 17} {
+				q := st.Get(e)
+				got, _, err := tree.SignatureTopK(q, k, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := BruteForceTopK(st, tree.Entities(), q, k, m); !slices.Equal(got, want) {
+					t.Fatalf("SignatureTopK(%d, k=%d) under %s:\n got  %v\n want %v", e, k, m.Name(), got, want)
+				}
+			}
 		}
 	}
 }

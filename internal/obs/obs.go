@@ -149,8 +149,8 @@ type QueryTrace struct {
 	Start time.Time
 	Total time.Duration
 	// Err is the query's error, if any (failed queries are traced too —
-	// an unknown entity or a beyond-horizon rebuild failure is exactly the
-	// kind of outlier tracing exists to surface).
+	// an unknown entity or a failed lazy build is exactly the kind of
+	// outlier tracing exists to surface).
 	Err string
 }
 

@@ -5,7 +5,7 @@
 //	section table: count × { kind [4]byte · offset u64 · length u64 }
 //	sections, zero-padded up to their offsets
 //
-// A DB image is the sections {meta, ents, name} plus, when it carries the
+// A DB image is the sections {meta, name, etab} plus, when it carries the
 // sequence data, {cell, seqs}; a cluster envelope is {slot, ords} and one shrd
 // section per shard, each of which is a DB image. Paged kinds start on a page
 // boundary, so a mapping of the file — or of a shard section inside an
@@ -48,14 +48,19 @@ const (
 type Kind string
 
 const (
-	Meta     Kind = "meta" // DB image: the hash-family and engine scalars
-	Entities Kind = "ents" // DB image: fixed-width entity records
+	Meta     Kind = "meta" // DB image: the engine scalars
+	Entities Kind = "etab" // DB image: fixed-width entity records, checksummed
 	Names    Kind = "name" // DB image: concatenated entity names
 	Cells    Kind = "cell" // DB image: the level-1 cell index, checksummed
 	Seqs     Kind = "seqs" // DB image: concatenated sequence blobs, read lazily; paged
 	Slots    Kind = "slot" // envelope: the slot map
 	Ordinals Kind = "ords" // envelope: entity names in global arrival order
 	Shard    Kind = "shrd" // envelope: one shard's DB image (empty for an empty shard); paged
+
+	// SignedEntities is the entity section of the images written before the
+	// index dropped its signatures: records carrying signature digests, beside
+	// a meta section with the hash family's scalars. Readers refuse it by name.
+	SignedEntities Kind = "ents"
 )
 
 func (k Kind) paged() bool { return k == Seqs || k == Shard }

@@ -78,14 +78,14 @@ func FullSignature(h Hasher, cells []trace.Cell) []uint64 {
 }
 
 func fullSignatureInto(h Hasher, cells []trace.Cell, mins []uint64) {
-	for u := range mins {
-		mins[u] = ^uint64(0)
-	}
 	if f, ok := h.(*Family); ok {
 		// Fast path: inline the A+B decomposition to avoid an interface
 		// call per (cell, function).
-		f.signatureInto(cells, mins)
+		f.MinsInto(cells, mins)
 		return
+	}
+	for u := range mins {
+		mins[u] = ^uint64(0)
 	}
 	for _, c := range cells {
 		for u := range mins {
@@ -230,10 +230,16 @@ func (f *Family) computeA(fn int, t trace.Time) uint64 {
 	return splitmix64(f.seeds[fn]^(uint64(uint32(t))*0xc4ceb9fe1a85ec53+2)) % f.aSpan
 }
 
-// signatureInto is the tuned inner loop of Signature for Family: per cell,
-// one contiguous sweep over the memoized A row plus the per-function B
-// lookups — no hashing arithmetic at all for in-horizon cells.
-func (f *Family) signatureInto(cells []trace.Cell, mins []uint64) {
+// MinsInto sets mins[u], for each of the nh functions, to the minimum of
+// h_u over cells: the full signature of a cell set, by the tuned inner loop
+// Signature runs — per cell, one contiguous sweep over the memoized A row
+// plus the per-function B lookups, no hashing arithmetic at all for
+// in-horizon cells. Exported so internal/core's MinSigTree signs entities at
+// the same speed without importing this package.
+func (f *Family) MinsInto(cells []trace.Cell, mins []uint64) {
+	for u := range mins {
+		mins[u] = ^uint64(0)
+	}
 	nh := f.nh
 	for _, c := range cells {
 		unit := int(uint32(c.Unit()))

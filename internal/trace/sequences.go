@@ -216,10 +216,10 @@ func sortDedup(cells []Cell) []Cell {
 
 // OverlayNeedsCompaction is the shared compaction rule for the repo's
 // two-layer copy-on-write structures (Store.Derive here and core's
-// sigTable): fold the layers once the private overlay has grown to half the
-// frozen base. Both structures cite the same amortization argument — the
-// occasional O(|E|) fold costs O(1) per write — so the threshold lives in
-// exactly one place.
+// postings): fold the layers once the private overlay has grown to half the
+// frozen base. Both cite the same amortization argument — the occasional
+// O(|E|) fold costs O(1) per write — so the threshold lives in exactly one
+// place.
 func OverlayNeedsCompaction(overlay, base int) bool {
 	return 2*overlay >= base
 }

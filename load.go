@@ -3,16 +3,15 @@ package digitaltraces
 // Loading a saved index: two loaders over the one decoder.
 //
 // LoadIndex is the warm restart: "replay the log, then LoadIndex". It reads
-// digests, names and scalars — never visits or sequences — re-maps every
-// stored entity onto the re-ingested log by name, reconstructs the exact store
-// state the signatures describe, and so skips the O(|E|·C·nh) hashing rebuild.
+// the entity table, names and scalars — never visits or sequences — re-maps
+// every stored entity onto the re-ingested log by name, and reconstructs the
+// exact store state the saved index covered.
 //
 // LoadMappedIndex is the out-of-core boot: it serves a file saved with its
 // sequence section straight off a read-only mapping. Only the scalars, names,
 // entity table and cell index decode eagerly; sequence pages fault in as
-// queries touch them, so time-to-first-query is the O(entities · levels)
-// signature replay and resident memory follows the hot entities, not the
-// index size.
+// queries touch them, so time-to-first-query is the decode and resident
+// memory follows the hot entities, not the index size.
 //
 // Both publish through the same atomic.Pointer swap every builder uses, so
 // queries racing a load keep answering from whatever was published before.
@@ -34,9 +33,9 @@ import (
 )
 
 // ErrNoVisits reports a LoadIndex against a DB whose visit log is empty: a
-// snapshot stores signatures, not visits, so the log must be re-ingested
-// before the index can be published over it.
-var ErrNoVisits = errors.New("digitaltraces: LoadIndex on an empty DB — re-ingest the visit log first (a snapshot stores signatures, not visits)")
+// snapshot stores the entity table, not visits, so the log must be
+// re-ingested before the index can be published over it.
+var ErrNoVisits = errors.New("digitaltraces: LoadIndex on an empty DB — re-ingest the visit log first (a snapshot stores the entity table, not visits)")
 
 // LoadIndex reads a saved index — with or without the sequence section; it
 // stops reading before one — and publishes it as the serving index (for a
@@ -44,16 +43,16 @@ var ErrNoVisits = errors.New("digitaltraces: LoadIndex on an empty DB — re-ing
 //
 // The snapshot resolves entities by name against the current visit log; the
 // save-time ID order is irrelevant, so the log may have been re-ingested in
-// any entity order. The stored scalars (time unit, epoch, measure, hash
-// family) must match this DB's configuration — a mismatch is a descriptive
-// error, never a silently different answer. Entities whose logs grew past
+// any entity order. The stored scalars (time unit, epoch, measure) must
+// match this DB's configuration — a mismatch is a descriptive error, never a
+// silently different answer. Entities whose logs grew past
 // what the snapshot covers (and entities the snapshot does not know at all)
 // land in the dirty set and serve from the snapshot state until the next
 // Refresh — or the next query — folds them, exactly like visits ingested
 // after a build; per-entity visit order must be replayed as ingested for the
 // covered-prefix reconstruction to hold. A log that fell *behind* the
-// snapshot (fewer visits than a signature covers) cannot be reconstructed and
-// errors.
+// snapshot (fewer visits than the saved index covers) cannot be reconstructed
+// and errors.
 func (db *DB) LoadIndex(r io.Reader) error { return db.loadIndex(r, false) }
 
 // LoadIndexLenient loads like LoadIndex but skips snapshot entities whose
@@ -85,7 +84,7 @@ func (db *DB) loadIndex(r io.Reader, lenient bool) error {
 	}
 	// Stage every captured entity's sequences up front, in parallel: the
 	// cell expansion + per-level sort-dedup is the dominant cost of a load
-	// (there is no hashing to hide it behind) and is per-entity independent.
+	// and is per-entity independent.
 	// Entities the snapshot turns out not to cover stay out of the store —
 	// a handful of wasted builds, never a behavioral difference.
 	ids := slices.Sorted(maps.Keys(v.visits))       // ingest order: the visit slices' allocation order
@@ -95,7 +94,7 @@ func (db *DB) loadIndex(r io.Reader, lenient bool) error {
 	})
 
 	store := trace.NewStore(db.ix)
-	covered := make(map[trace.EntityID]uint32) // entities loaded whole → the visit count their signature covers
+	covered := make(map[trace.EntityID]uint32) // entities loaded whole → the visit count the saved index covers
 	resolve := func(se core.SnapshotEntity) (trace.EntityID, bool, error) {
 		e, ok := byName[se.Name]
 		if !ok {
@@ -107,16 +106,15 @@ func (db *DB) loadIndex(r io.Reader, lenient bool) error {
 		recs := v.visits[e]
 		switch {
 		case se.Folded == core.FoldedUnknown:
-			// Dirty at save time: the signature describes no reconstructible
-			// visit prefix. Leave the entity out; the first refresh re-signs
-			// it from the current log.
+			// Dirty at save time: the saved index covers no reconstructible
+			// visit prefix. Leave the entity out; the first refresh indexes it
+			// from the current log.
 			return 0, false, nil
 		case int(se.Folded) > len(recs):
-			return 0, false, fmt.Errorf("digitaltraces: entity %q has %d visits in the log but the snapshot's signature covers %d — the log is behind the snapshot; re-ingest it fully before LoadIndex", se.Name, len(recs), se.Folded)
+			return 0, false, fmt.Errorf("digitaltraces: entity %q has %d visits in the log but the snapshot covers %d — the log is behind the snapshot; re-ingest it fully before LoadIndex", se.Name, len(recs), se.Folded)
 		case int(se.Folded) < len(recs):
-			// Newer visits than the signature covers: serve the covered
-			// prefix (tree and store must agree within a snapshot) and leave
-			// the entity dirty so the suffix folds in next.
+			// Newer visits than the snapshot covers: serve the covered prefix
+			// and leave the entity dirty so the suffix folds in next.
 			store.Put(trace.NewSequences(db.ix, e, recs[:se.Folded]))
 		default:
 			store.Put(staged[e])
@@ -124,11 +122,11 @@ func (db *DB) loadIndex(r io.Reader, lenient bool) error {
 		}
 		return e, true, nil
 	}
-	tree, err := snap.Tree(db.ix, store, resolve)
+	post, err := snap.Postings(db.ix, store, resolve)
 	if err != nil {
 		return fmt.Errorf("digitaltraces: loading index: %w", err)
 	}
-	ns, err := db.loadedSnapshot(store, tree, snap.Info.Horizon, start)
+	ns, err := db.loadedSnapshot(store, post, start)
 	if err != nil {
 		return err
 	}
@@ -227,11 +225,11 @@ func (db *DB) LoadMappedIndexAt(r io.ReaderAt, size int64) error {
 		return fmt.Errorf("digitaltraces: loading mapped index: %w", err)
 	}
 	store := trace.NewBackedStore(db.ix, pool)
-	tree, err := snap.MappedTree(db.ix, store)
+	post, err := snap.MappedPostings(db.ix, store)
 	if err != nil {
 		return fmt.Errorf("digitaltraces: loading mapped index: %w", err)
 	}
-	ns, err := db.loadedSnapshot(store, tree, snap.Info.Horizon, start)
+	ns, err := db.loadedSnapshot(store, post, start)
 	if err != nil {
 		return err
 	}
@@ -252,7 +250,7 @@ func (db *DB) LoadMappedIndexAt(r io.ReaderAt, size int64) error {
 		// A mapped boot has no visit to infer an epoch from, and the stored
 		// sequences are discretized against exactly this one.
 		if !db.epochSet {
-			db.epoch = time.Unix(0, snap.Info.Meta.EpochNanos).UTC()
+			db.epoch = time.Unix(0, snap.Meta.EpochNanos).UTC()
 			db.epochSet = true
 			db.epochExplicit = true
 		}
@@ -265,7 +263,7 @@ func (db *DB) LoadMappedIndexAt(r io.ReaderAt, size int64) error {
 
 // decodeIndex decodes and validates an index image through the reader a
 // secfile constructor returned, and checks its scalars against this DB's
-// configuration — before anything they size (the hash family) is built.
+// configuration.
 func (db *DB) decodeIndex(sr *secfile.Reader, err error) (*core.Snapshot, error) {
 	var snap *core.Snapshot
 	if err == nil {
@@ -274,28 +272,28 @@ func (db *DB) decodeIndex(sr *secfile.Reader, err error) (*core.Snapshot, error)
 	if err != nil {
 		return nil, fmt.Errorf("digitaltraces: loading index: %w", err)
 	}
-	return snap, db.checkSnapshotInfo(snap.Info)
+	return snap, db.checkSnapshotMeta(snap.Meta)
 }
 
-// loadedSnapshot wraps a loaded tree as a snapshot. The load is this
+// loadedSnapshot wraps loaded postings as a snapshot. The load is this
 // lineage's full construction: its cost is reported where a cold lineage
 // reports BuildIndex's.
-func (db *DB) loadedSnapshot(store *trace.Store, tree *core.Tree, horizon trace.Time, start time.Time) (*snapshot, error) {
+func (db *DB) loadedSnapshot(store *trace.Store, post *core.Postings, start time.Time) (*snapshot, error) {
 	measure, err := db.newMeasure()
 	if err != nil {
 		return nil, err
 	}
-	return &snapshot{store: store, tree: tree, measure: measure, horizon: horizon, buildTime: time.Since(start)}, nil
+	return &snapshot{store: store, post: post, measure: measure, buildTime: time.Since(start)}, nil
 }
 
 // publishLoaded swaps a loaded snapshot in and recomputes the dirty set over
 // its registry, as one atomic step against writers (callers hold mu). covered
-// gives, per entity the loaded tree serves whole, the visit count its
-// signature covers. An entity is clean when it has no retained visits — it
-// serves purely from the loaded sequences — or when its retained log is
-// exactly what is covered; anything else — grown logs, covered prefixes,
-// save-time dirt, registry entities the tree does not hold — is dirty and the
-// next Refresh folds it in. Entities registered after ns.byID was captured
+// gives, per entity the loaded index serves whole, the visit count it covers.
+// An entity is clean when it has no retained visits — it serves purely from
+// the loaded sequences — or when its retained log is exactly what is covered;
+// anything else — grown logs, covered prefixes, save-time dirt, registry
+// entities the index does not hold — is dirty and the next Refresh folds it
+// in. Entities registered after ns.byID was captured
 // were marked dirty by their own ingest and are untouched.
 func (db *DB) publishLoaded(ns *snapshot, covered map[trace.EntityID]uint32) {
 	db.swapIn(ns)
@@ -310,18 +308,11 @@ func (db *DB) publishLoaded(ns *snapshot, covered map[trace.EntityID]uint32) {
 	}
 }
 
-// checkSnapshotInfo verifies a loaded snapshot's recorded scalars against
-// this DB's configuration. The hash family and the discretization + measure
-// scalars all change what an answer means, so any mismatch is an error
-// naming both sides rather than a silent semantic shift.
-func (db *DB) checkSnapshotInfo(info core.SnapshotInfo) error {
-	if info.NH != db.nh {
-		return fmt.Errorf("digitaltraces: snapshot was built with %d hash functions, DB is configured with %d (WithHashFunctions)", info.NH, db.nh)
-	}
-	if info.Seed != db.seed {
-		return fmt.Errorf("digitaltraces: snapshot was built with hash seed %d, DB is configured with %d (WithSeed)", info.Seed, db.seed)
-	}
-	m := info.Meta
+// checkSnapshotMeta verifies a loaded snapshot's recorded scalars against
+// this DB's configuration. The discretization and measure scalars change
+// what an answer means, so any mismatch is an error naming both sides rather
+// than a silent semantic shift.
+func (db *DB) checkSnapshotMeta(m core.SnapshotMeta) error {
 	if m.TimeUnit != db.unit {
 		return fmt.Errorf("digitaltraces: snapshot discretized time into %v units, DB uses %v (WithTimeUnit)", m.TimeUnit, db.unit)
 	}

@@ -9,21 +9,23 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"digitaltraces/internal/core"
 	"digitaltraces/internal/secfile"
 	"digitaltraces/internal/spindex"
+	"digitaltraces/internal/trace"
 )
 
 // mappedWorld builds a city, indexes it, and saves a mapped snapshot file,
 // returning the source DB, the file path and the full visit log.
 func mappedWorld(t *testing.T, entities int, opts ...Option) (*DB, string, []VisitRecord) {
 	t.Helper()
-	opts = append([]Option{WithHashFunctions(32)}, opts...)
 	db, err := SyntheticCity(CityConfig{Side: 4, Entities: entities, Days: 3}, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +50,6 @@ func mappedWorld(t *testing.T, entities int, opts ...Option) (*DB, string, []Vis
 // emptyGrid returns a DB shaped like mappedWorld's with nothing ingested.
 func emptyGrid(t *testing.T, opts ...Option) *DB {
 	t.Helper()
-	opts = append([]Option{WithHashFunctions(32)}, opts...)
 	db, err := NewGridDB(4, 0, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -127,8 +128,8 @@ func TestLoadMappedIndexReingestedLog(t *testing.T) {
 // TestMappedUnionFoldRefresh: visits ingested after a no-ingest mapped load
 // are only a suffix of each entity's history, so refreshes must union them
 // into the mapped sequences — ending bit-identical to a cold rebuild over
-// the full grown log. Exercises both the within-horizon incremental fold and
-// the beyond-horizon full union rebuild.
+// the full grown log — growth inside the saved data's time span and far past
+// it alike.
 func TestMappedUnionFoldRefresh(t *testing.T) {
 	_, path, log := mappedWorld(t, 40)
 	db := emptyGrid(t)
@@ -147,7 +148,7 @@ func TestMappedUnionFoldRefresh(t *testing.T) {
 		return added
 	}
 
-	// Within-horizon growth: the next query union-folds it.
+	// Growth inside the saved span: the next query union-folds it.
 	added := grow(6)
 	if _, err := db.AddVisits(added); err != nil {
 		t.Fatal(err)
@@ -164,9 +165,8 @@ func TestMappedUnionFoldRefresh(t *testing.T) {
 		t.Error("union-fold refresh dropped the pool from the snapshot lineage")
 	}
 
-	// Beyond-horizon growth forces the full union rebuild (new hash family).
-	horizon := db.snap.Load().horizon
-	far := int(horizon) + 5
+	// Growth far past the saved span folds the same way.
+	far := 3*24 + 100
 	beyond := VisitRecord{Entity: "entity-7", Venue: VenueName(0), Start: TimeAt(far), End: TimeAt(far + 2)}
 	if _, err := db.AddVisits([]VisitRecord{beyond}); err != nil {
 		t.Fatal(err)
@@ -337,7 +337,7 @@ func TestRefusedMappedLoadLeavesDBUntouched(t *testing.T) {
 		}
 		return log
 	}
-	saver := newDB(WithHashFunctions(32))
+	saver := newDB()
 	if _, err := saver.AddVisits(visits(TimeAt(0).Add(1000 * day))); err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestRefusedMappedLoadLeavesDBUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	ents := sr.Secs[2]
-	const rec = 32 + 12*4
+	const rec = 32
 	write := func(b []byte) string {
 		p := filepath.Join(t.TempDir(), "index.map")
 		if err := os.WriteFile(p, b, 0o644); err != nil {
@@ -362,7 +362,24 @@ func TestRefusedMappedLoadLeavesDBUntouched(t *testing.T) {
 	mutated := func(mutate func(b []byte)) string {
 		b := append([]byte(nil), good...)
 		mutate(b)
+		binary.LittleEndian.PutUint32(b[ents.End()-4:], crc32.Checksum(b[ents.Off:ents.End()-4], crc32.MakeTable(crc32.Castagnoli)))
 		return write(b)
+	}
+	// A well-formed image whose table skips ID 0: the saver's index without
+	// its first entity.
+	sparse := func() string {
+		s := saver.snap.Load()
+		post, err := core.BuildPostings(saver.ix, s.store, s.post.Entities()[1:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		epoch, _, _ := saver.epochInfo()
+		var buf bytes.Buffer
+		meta := core.SnapshotMeta{TimeUnit: saver.unit, EpochNanos: epoch.UnixNano(), MeasureU: saver.measureU, MeasureV: saver.measureV}
+		if _, err := post.WriteSnapshot(&buf, meta, s.store, func(e trace.EntityID) (string, uint32) { return s.byID[e], 1 }); err != nil {
+			t.Fatal(err)
+		}
+		return write(buf.Bytes())
 	}
 	cases := []struct {
 		name string
@@ -370,22 +387,16 @@ func TestRefusedMappedLoadLeavesDBUntouched(t *testing.T) {
 		opts []Option
 		want string
 	}{
-		{"scalar mismatch", write(good), []Option{WithHashFunctions(16)}, "hash functions"},
-		{"IDs not dense", mutated(func(b []byte) {
-			// Swap the first two records: still distinct IDs, no longer 0, 1, 2 …
-			x, y := b[ents.Off:ents.Off+rec], b[ents.Off+rec:ents.Off+2*rec]
-			for i := range x {
-				x[i], y[i] = y[i], x[i]
-			}
-		}), []Option{WithHashFunctions(32)}, "not dense"},
+		{"scalar mismatch", write(good), []Option{WithJaccardMeasure()}, "jaccard"},
+		{"IDs not dense", sparse(), nil, "not dense"},
 		{"repeated name", mutated(func(b []byte) {
 			copy(b[ents.Off+rec+4:ents.Off+rec+14], b[ents.Off+4:ents.Off+14]) // entity 1 takes entity 0's name span
-		}), []Option{WithHashFunctions(32)}, "repeats entity name"},
+		}), nil, "repeats entity name"},
 	}
 	// The log the refused DB ingests afterwards starts a thousand days before
 	// the file's epoch: against an adopted epoch every visit would be refused.
 	later := visits(TimeAt(0))
-	ref := newDB(WithHashFunctions(16))
+	ref := newDB(WithJaccardMeasure()) // configured like the scalar-mismatch DB, the one that ingests
 	if _, err := ref.AddVisits(later); err != nil {
 		t.Fatal(err)
 	}
@@ -434,8 +445,6 @@ func TestLoadMappedIndexValidationErrors(t *testing.T) {
 		db   func(t *testing.T) *DB
 		want string
 	}{
-		{"hash-function mismatch", func(t *testing.T) *DB { return emptyGrid(t, WithHashFunctions(64)) }, "hash functions"},
-		{"seed mismatch", func(t *testing.T) *DB { return emptyGrid(t, WithSeed(99)) }, "seed"},
 		{"jaccard mismatch", func(t *testing.T) *DB { return emptyGrid(t, WithJaccardMeasure()) }, "jaccard"},
 		{"measure mismatch", func(t *testing.T) *DB { return emptyGrid(t, WithPaperMeasure(3, 1)) }, "measure"},
 		{"permuted registry", func(t *testing.T) *DB {
@@ -490,10 +499,10 @@ func TestMappedCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	var (
-		offClaimed  = len(secfile.Magic) + 4
-		offSeqsOff  = len(secfile.Magic) + 16 + 20*4 + 4 // fifth table entry, its offset word
-		offCount    = sr.Secs[0].Off + 4*8
-		offFirstRec = sr.Secs[2].Off
+		offClaimed = len(secfile.Magic) + 4
+		offSeqsOff = len(secfile.Magic) + 16 + 20*4 + 4 // fifth table entry, its offset word
+		offCount   = sr.Secs[0].Off + 8
+		ents       = sr.Secs[2]
 	)
 	const pageSize = secfile.Page
 	load := func(t *testing.T, mutate func(b []byte) []byte) error {
@@ -549,7 +558,8 @@ func TestMappedCorruption(t *testing.T) {
 	})
 	t.Run("sequence span outside region", func(t *testing.T) {
 		err := load(t, func(b []byte) []byte {
-			binary.LittleEndian.PutUint32(b[offFirstRec+24:], 0x7FFFFFF0)
+			binary.LittleEndian.PutUint32(b[ents.Off+24:], 0x7FFFFFF0)
+			binary.LittleEndian.PutUint32(b[ents.End()-4:], crc32.Checksum(b[ents.Off:ents.End()-4], crc32.MakeTable(crc32.Castagnoli)))
 			return b
 		})
 		if !strings.Contains(err.Error(), "sequence span") {

@@ -58,7 +58,7 @@ func (db *DB) SearchByExample(visits []Visit) (*Search, error) {
 }
 
 func newSearch(s *snapshot, q *trace.Sequences) (*Search, error) {
-	it, err := s.tree.NewIter(q, s.measure)
+	it, err := s.post.NewIter(q, s.measure)
 	if err != nil {
 		return nil, err
 	}

@@ -36,7 +36,7 @@ func TestTracesCarryShardAddr(t *testing.T) {
 	var clients []*remote.Client
 	var backends []shard.Backend
 	for i := 0; i < 2; i++ {
-		db, err := digitaltraces.NewGridDB(4, 3, digitaltraces.WithHashFunctions(16))
+		db, err := digitaltraces.NewGridDB(4, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestTracesCarryShardAddr(t *testing.T) {
 // 503 naming the failing address.
 func TestHealthzReadinessRemoteShards(t *testing.T) {
 	newShard := func() (*remote.Client, *httptest.Server) {
-		db, err := digitaltraces.NewGridDB(4, 3, digitaltraces.WithHashFunctions(16))
+		db, err := digitaltraces.NewGridDB(4, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,7 +34,6 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -321,13 +320,7 @@ func (s *Server) handleVisits(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := VisitsResponse{Added: added}
 	if req.Refresh {
-		err := s.eng.Refresh()
-		if errors.Is(err, digitaltraces.ErrBeyondHorizon) {
-			// The incremental path can't extend the indexed horizon; pay for
-			// the rebuild here rather than failing the ingest.
-			err = s.eng.BuildIndex()
-		}
-		if err != nil {
+		if err := s.eng.Refresh(); err != nil {
 			// The visits are in even though the fold failed; keep telling
 			// the client how many.
 			s.failVisits(w, http.StatusConflict, added, fmt.Errorf("refresh: %w", err))
@@ -465,8 +458,6 @@ type ShardStat struct {
 	// Slots is how many of the 256 routing slots the map assigns here.
 	Slots         int     `json:"slots"`
 	IndexEntities int     `json:"index_entities"`
-	Nodes         int     `json:"nodes"`
-	Leaves        int     `json:"leaves"`
 	MemoryBytes   int     `json:"memory_bytes"`
 	BuildMS       float64 `json:"build_ms"`
 	Generation    uint64  `json:"generation"`
@@ -486,8 +477,6 @@ type ShardStat struct {
 type StatsResponse struct {
 	Index struct {
 		Entities      int     `json:"entities"`
-		Nodes         int     `json:"nodes"`
-		Leaves        int     `json:"leaves"`
 		MemoryBytes   int     `json:"memory_bytes"`
 		BuildMS       float64 `json:"build_ms"`
 		Generation    uint64  `json:"generation"`
@@ -543,8 +532,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	var resp StatsResponse
 	ix := s.eng.IndexStats()
 	resp.Index.Entities = ix.Entities
-	resp.Index.Nodes = ix.Nodes
-	resp.Index.Leaves = ix.Leaves
 	resp.Index.MemoryBytes = ix.MemoryBytes
 	resp.Index.BuildMS = float64(ix.BuildTime.Microseconds()) / 1e3
 	resp.Index.Generation = ix.Generation
@@ -582,8 +569,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 				Owned:         st.Owned,
 				Slots:         st.Slots,
 				IndexEntities: st.Index.Entities,
-				Nodes:         st.Index.Nodes,
-				Leaves:        st.Index.Leaves,
 				MemoryBytes:   st.Index.MemoryBytes,
 				BuildMS:       float64(st.Index.BuildTime.Microseconds()) / 1e3,
 				Generation:    st.Index.Generation,

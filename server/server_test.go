@@ -20,8 +20,7 @@ import (
 
 func newTestServer(t *testing.T) (*digitaltraces.DB, *httptest.Server) {
 	t.Helper()
-	db, err := digitaltraces.SyntheticCity(digitaltraces.CityConfig{Side: 4, Entities: 40, Days: 3},
-		digitaltraces.WithHashFunctions(32))
+	db, err := digitaltraces.SyntheticCity(digitaltraces.CityConfig{Side: 4, Entities: 40, Days: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,6 +172,51 @@ func TestVisitIngestOverHTTP(t *testing.T) {
 	}
 }
 
+// TestVisitsPastBuiltDataRefreshIncrementally: visits far past everything
+// the index was built over, posted with refresh, fold in incrementally —
+// /stats shows one more generation, the build time kept and the refresh's own
+// duration — and the answers equal a DB built from scratch over the same data.
+func TestVisitsPastBuiltDataRefreshIncrementally(t *testing.T) {
+	_, ts := newTestServer(t)
+	var before StatsResponse
+	getJSON(t, ts.URL+"/stats", &before)
+	far := digitaltraces.TimeAt(3*24 + 100)
+	visits := []Visit{
+		{Entity: "traveler", Venue: "venue-0", Start: far, End: far.Add(2 * time.Hour)},
+		{Entity: "entity-3", Venue: "venue-0", Start: far.Add(time.Hour), End: far.Add(3 * time.Hour)},
+	}
+	var ing VisitsResponse
+	if code, body := postJSON(t, ts.URL+"/visits", VisitsRequest{Visits: visits, Refresh: true}, &ing); code != http.StatusOK || !ing.Refreshed {
+		t.Fatalf("POST /visits: %d: %s", code, body)
+	}
+	var after StatsResponse
+	getJSON(t, ts.URL+"/stats", &after)
+	if after.Index.Generation != before.Index.Generation+1 || after.Index.BuildMS != before.Index.BuildMS || after.Index.LastRefreshMS <= 0 || after.Index.DirtyCount != 0 {
+		t.Fatalf("stats %+v after, %+v before: want one incremental refresh", after.Index, before.Index)
+	}
+	twin, err := digitaltraces.SyntheticCity(digitaltraces.CityConfig{Side: 4, Entities: 40, Days: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range visits {
+		if err := twin.AddVisit(v.Entity, v.Venue, v.Start, v.End); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := twin.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"traveler", "entity-3", "entity-0"} {
+		want, _, err := twin.TopK(q, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got TopKResponse
+		getJSON(t, ts.URL+"/topk?entity="+q+"&k=5", &got)
+		requireMatches(t, got.Matches, want)
+	}
+}
+
 // TestHTTPErrors covers the rejection paths.
 func TestHTTPErrors(t *testing.T) {
 	_, ts := newTestServer(t)
@@ -309,8 +353,7 @@ func TestConcurrentHTTP(t *testing.T) {
 // endpoint answers bit-identically to the single-DB server, and /stats adds
 // the per-shard breakdown.
 func TestShardedServer(t *testing.T) {
-	db, err := digitaltraces.SyntheticCity(digitaltraces.CityConfig{Side: 4, Entities: 40, Days: 3},
-		digitaltraces.WithHashFunctions(32))
+	db, err := digitaltraces.SyntheticCity(digitaltraces.CityConfig{Side: 4, Entities: 40, Days: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +363,7 @@ func TestShardedServer(t *testing.T) {
 	cluster, err := shard.Partition(db, shard.Config{
 		Shards: 4,
 		NewShard: func(i int) (*digitaltraces.DB, error) {
-			return digitaltraces.NewGridDB(4, 4, digitaltraces.WithHashFunctions(32))
+			return digitaltraces.NewGridDB(4, 4)
 		},
 	})
 	if err != nil {
@@ -413,7 +456,7 @@ func TestShardedIngestPartialFailureReportsCount(t *testing.T) {
 	cluster, err := shard.NewCluster(shard.Config{
 		Shards: 2,
 		NewShard: func(i int) (*digitaltraces.DB, error) {
-			return digitaltraces.NewGridDB(4, 0, digitaltraces.WithHashFunctions(16))
+			return digitaltraces.NewGridDB(4, 0)
 		},
 	})
 	if err != nil {
@@ -491,8 +534,7 @@ func TestSingleDBIngestFailureReportsCount(t *testing.T) {
 // TestSaveIndexEndpoint: POST /index/save persists a snapshot a fresh DB
 // warm-restarts from with identical answers.
 func TestSaveIndexEndpoint(t *testing.T) {
-	db, err := digitaltraces.SyntheticCity(digitaltraces.CityConfig{Side: 4, Entities: 30, Days: 3},
-		digitaltraces.WithHashFunctions(32))
+	db, err := digitaltraces.SyntheticCity(digitaltraces.CityConfig{Side: 4, Entities: 30, Days: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +561,7 @@ func TestSaveIndexEndpoint(t *testing.T) {
 	}
 
 	// A restarted engine loads it and answers identically.
-	fresh, err := digitaltraces.NewGridDB(4, 0, digitaltraces.WithHashFunctions(32))
+	fresh, err := digitaltraces.NewGridDB(4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,8 +601,7 @@ func TestSaveIndexEndpoint(t *testing.T) {
 // writes the memory-mappable format, a fresh empty DB boots off it with no
 // re-ingest, and /stats on the mapped server reports the buffer pool.
 func TestSaveMappedIndexEndpoint(t *testing.T) {
-	db, err := digitaltraces.SyntheticCity(digitaltraces.CityConfig{Side: 4, Entities: 30, Days: 3},
-		digitaltraces.WithHashFunctions(32))
+	db, err := digitaltraces.SyntheticCity(digitaltraces.CityConfig{Side: 4, Entities: 30, Days: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,7 +621,7 @@ func TestSaveMappedIndexEndpoint(t *testing.T) {
 	}
 
 	// A fresh EMPTY DB serves straight off the file — no re-ingest.
-	fresh, err := digitaltraces.NewGridDB(4, 0, digitaltraces.WithHashFunctions(32))
+	fresh, err := digitaltraces.NewGridDB(4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

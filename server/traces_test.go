@@ -23,7 +23,7 @@ import (
 func tracedTestServer(t *testing.T, ring int) (*digitaltraces.DB, *httptest.Server) {
 	t.Helper()
 	db, err := digitaltraces.SyntheticCity(digitaltraces.CityConfig{Side: 4, Entities: 40, Days: 3},
-		digitaltraces.WithHashFunctions(32), digitaltraces.WithTracing(ring))
+		digitaltraces.WithTracing(ring))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,8 +217,7 @@ func TestTracesAnomalies(t *testing.T) {
 // checked counts sum consistently with the QueryStats the same /topk calls
 // returned over the wire — and /stats gains the latency quantiles.
 func TestTracesShardedEndToEnd(t *testing.T) {
-	db, err := digitaltraces.SyntheticCity(digitaltraces.CityConfig{Side: 4, Entities: 40, Days: 3},
-		digitaltraces.WithHashFunctions(32))
+	db, err := digitaltraces.SyntheticCity(digitaltraces.CityConfig{Side: 4, Entities: 40, Days: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +228,7 @@ func TestTracesShardedEndToEnd(t *testing.T) {
 		Shards:    4,
 		TraceSize: 32,
 		NewShard: func(i int) (*digitaltraces.DB, error) {
-			return digitaltraces.NewGridDB(4, 4, digitaltraces.WithHashFunctions(32))
+			return digitaltraces.NewGridDB(4, 4)
 		},
 	})
 	if err != nil {

@@ -48,11 +48,7 @@ type Backend interface {
 	// same snapshot out to sibling shards (TopK must never mix two states of
 	// the query entity).
 	OpenSearchEntity(entity string, want int) ([]digitaltraces.Visit, Stream, Batch, error)
-	// BuildIndex rebuilds the shard's index; Refresh folds pending dirt,
-	// escalating to a local rebuild itself when the dirt extends past the
-	// indexed horizon (a remote shard cannot surface ErrBeyondHorizon
-	// usefully across the wire, so escalation is the implementation's job;
-	// the local adapter leaves it to Cluster.Refresh, which handles it).
+	// BuildIndex rebuilds the shard's index; Refresh folds pending dirt.
 	BuildIndex() error
 	Refresh() error
 	// Shape and serving state. On a remote shard the mutable values —

@@ -28,7 +28,7 @@ func benchCity(b *testing.B) *digitaltraces.DB {
 	b.Helper()
 	db, err := digitaltraces.SyntheticCity(digitaltraces.CityConfig{
 		Side: benchSide, Levels: benchLevels, Entities: benchEntities, Days: benchDays, Seed: 1,
-	}, digitaltraces.WithHashFunctions(benchHash))
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func benchCluster(b *testing.B, src *digitaltraces.DB, n int) *Cluster {
 	c, err := Partition(src, Config{
 		Shards: n,
 		NewShard: func(i int) (*digitaltraces.DB, error) {
-			return digitaltraces.NewGridDB(benchSide, benchLevels, digitaltraces.WithHashFunctions(benchHash))
+			return digitaltraces.NewGridDB(benchSide, benchLevels)
 		},
 	})
 	if err != nil {

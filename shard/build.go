@@ -4,12 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-
-	"digitaltraces"
 )
 
-// BuildIndex (re)builds every shard's MinSigTree concurrently — the
-// cluster's headline scale win: signature hashing and tree construction are
+// BuildIndex (re)builds every shard's index concurrently — the cluster's
+// headline scale win: sequence building and sealing the postings are
 // CPU-bound and per-shard independent, so an N-shard build approaches 1/N of
 // the single-DB wall clock on N cores (cmd/bench records the actual curve).
 // Empty shards are skipped; a cluster with no visits at all errors like an
@@ -26,39 +24,25 @@ func (c *Cluster) BuildIndex() error {
 	})
 }
 
-// Refresh folds dirty entities into every shard's index concurrently. A
-// shard whose new visits extend past its indexed horizon rebuilds just
-// itself — unlike a single DB, which surfaces ErrBeyondHorizon for the
-// caller to decide, the cluster absorbs it locally: falling back to a
-// cluster-wide BuildIndex would pay N full rebuilds when one shard needed
-// it. Either way queries stay unblocked — each shard builds its next
-// snapshot aside and atomically swaps it, so even the rebuild-one-shard
-// path serves reads from the shard's previous snapshot throughout.
+// Refresh folds dirty entities into every shard's index concurrently.
+// Queries stay unblocked — each shard builds its next snapshot aside and
+// atomically swaps it.
 func (c *Cluster) Refresh() error {
 	return c.eachShard(func(sh Backend) error {
 		if sh.NumEntities() == 0 {
 			return nil
 		}
-		if err := sh.Refresh(); err != nil {
-			// The local adapter surfaces ErrBeyondHorizon for the cluster to
-			// escalate here; a remote shard already escalated server-side
-			// (the sentinel does not cross the wire) and never returns it.
-			if errors.Is(err, digitaltraces.ErrBeyondHorizon) {
-				return sh.BuildIndex()
-			}
-			return err
-		}
-		return nil
+		return sh.Refresh()
 	})
 }
 
 // eachShard runs fn on every shard over a pool of min(GOMAXPROCS, N)
 // workers and joins the failures, each tagged with its shard index (error
-// identity is preserved through the wrapping, so errors.Is sees sentinels
-// like ErrBeyondHorizon). Builds are CPU-bound, so more workers than cores
-// would only interleave shards on the scheduler — same wall clock, but every
-// shard's measured BuildTime would absorb its neighbors' CPU time and the
-// critical-path statistic (IndexStats.BuildTime) would be meaningless.
+// identity is preserved through the wrapping). Builds are CPU-bound, so more
+// workers than cores would only interleave shards on the scheduler — same
+// wall clock, but every shard's measured BuildTime would absorb its
+// neighbors' CPU time and the critical-path statistic (IndexStats.BuildTime)
+// would be meaningless.
 func (c *Cluster) eachShard(fn func(sh Backend) error) error {
 	errs := make([]error, len(c.shards))
 	runPool(len(c.shards), runtime.GOMAXPROCS(0), func(i int) {

@@ -22,7 +22,7 @@ func cachedCluster(t *testing.T, src *digitaltraces.DB, n, capacity int) *Cluste
 		Shards:    n,
 		CacheSize: capacity,
 		NewShard: func(int) (*digitaltraces.DB, error) {
-			return digitaltraces.NewGridDB(propSide, propLevels, digitaltraces.WithHashFunctions(propHash))
+			return digitaltraces.NewGridDB(propSide, propLevels)
 		},
 	})
 	if err != nil {

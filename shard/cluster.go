@@ -712,8 +712,6 @@ func (c *Cluster) IndexStats() digitaltraces.IndexStats {
 	for _, sh := range c.shards {
 		s := sh.IndexStats()
 		agg.Entities += s.Entities
-		agg.Nodes += s.Nodes
-		agg.Leaves += s.Leaves
 		agg.MemoryBytes += s.MemoryBytes
 		agg.Generation += s.Generation
 		agg.DirtyCount += s.DirtyCount

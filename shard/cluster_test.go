@@ -15,7 +15,6 @@ const (
 	cityLevels   = 4
 	cityEntities = 120
 	cityDays     = 3
-	cityHash     = 32
 	citySeed     = 7
 )
 
@@ -24,7 +23,7 @@ func testCity(t testing.TB) *digitaltraces.DB {
 	t.Helper()
 	db, err := digitaltraces.SyntheticCity(digitaltraces.CityConfig{
 		Side: citySide, Levels: cityLevels, Entities: cityEntities, Days: cityDays, Seed: citySeed,
-	}, digitaltraces.WithHashFunctions(cityHash))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +36,7 @@ func testCluster(t testing.TB, src *digitaltraces.DB, n int) *Cluster {
 	c, err := Partition(src, Config{
 		Shards: n,
 		NewShard: func(i int) (*digitaltraces.DB, error) {
-			return digitaltraces.NewGridDB(citySide, cityLevels, digitaltraces.WithHashFunctions(cityHash))
+			return digitaltraces.NewGridDB(citySide, cityLevels)
 		},
 	})
 	if err != nil {
@@ -440,7 +439,7 @@ func TestClusterShardStats(t *testing.T) {
 	if len(stats) != 4 {
 		t.Fatalf("ShardStats has %d entries", len(stats))
 	}
-	entities, nodes := 0, 0
+	entities, memory := 0, 0
 	for i, s := range stats {
 		if s.Shard != i {
 			t.Errorf("stat %d has Shard=%d", i, s.Shard)
@@ -449,13 +448,13 @@ func TestClusterShardStats(t *testing.T) {
 			t.Errorf("shard %d: %d routed entities, %d indexed", i, s.Entities, s.Index.Entities)
 		}
 		entities += s.Entities
-		nodes += s.Index.Nodes
+		memory += s.Index.MemoryBytes
 	}
 	if entities != cityEntities {
 		t.Errorf("shard entity counts sum to %d, want %d", entities, cityEntities)
 	}
 	agg := c.IndexStats()
-	if agg.Entities != cityEntities || agg.Nodes != nodes || agg.MemoryBytes <= 0 {
+	if agg.Entities != cityEntities || agg.MemoryBytes != memory || memory <= 0 {
 		t.Errorf("aggregate IndexStats %+v inconsistent with per-shard sums", agg)
 	}
 	if c.NumVenues() != citySide*citySide || c.Levels() != cityLevels {
@@ -481,24 +480,50 @@ func TestRouterDeterminism(t *testing.T) {
 	}
 }
 
-// TestRefreshBeyondHorizon: a visit past a shard's indexed horizon is
-// absorbed by Refresh rebuilding just that shard — no error surfaces and the
-// entity is immediately queryable.
+// TestRefreshBeyondHorizon: visits far past everything the shards were
+// built over fold in by an incremental Refresh of the shards they route to —
+// the cluster's generation moves by one per refreshed shard, no shard
+// rebuilds, and the answers equal a single DB built over the same data.
 func TestRefreshBeyondHorizon(t *testing.T) {
 	db := testCity(t)
 	c := testCluster(t, db, 2)
 	if err := c.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
+	before := c.IndexStats()
 	far := digitaltraces.TimeAt(cityDays*24 + 1000)
-	if err := c.AddVisit("wanderer", "venue-0", far, far.Add(2*time.Hour)); err != nil {
-		t.Fatal(err)
+	ref := testCity(t)
+	for _, e := range []interface {
+		AddVisit(entity, venue string, start, end time.Time) error
+	}{c, ref} {
+		if err := e.AddVisit("wanderer", "venue-0", far, far.Add(2*time.Hour)); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.AddVisit("entity-5", "venue-0", far.Add(time.Hour), far.Add(3*time.Hour)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := c.Refresh(); err != nil {
-		t.Fatalf("Refresh = %v, want self-healing per-shard rebuild", err)
+		t.Fatalf("Refresh: %v", err)
 	}
-	if _, _, err := c.TopK("wanderer", 3); err != nil {
+	after := c.IndexStats()
+	if moved := after.Generation - before.Generation; moved < 1 || moved > 2 || after.BuildTime != before.BuildTime || after.LastRefreshDuration <= 0 || after.DirtyCount != 0 {
+		t.Fatalf("generation %d → %d, build time %v → %v, last refresh %v, dirty %d: want incremental refreshes of the touched shards",
+			before.Generation, after.Generation, before.BuildTime, after.BuildTime, after.LastRefreshDuration, after.DirtyCount)
+	}
+	if err := ref.BuildIndex(); err != nil {
 		t.Fatal(err)
+	}
+	for _, q := range []string{"wanderer", "entity-5", "entity-0"} {
+		got, _, err := c.TopK(q, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := ref.TopK(q, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameMatches(t, q, got, want)
 	}
 }
 
@@ -509,7 +534,6 @@ func TestRefreshBeyondHorizon(t *testing.T) {
 func TestClusterDirtyAggregationAndAutoRefresh(t *testing.T) {
 	c, err := NewCluster(Config{Shards: 3, NewShard: func(i int) (*digitaltraces.DB, error) {
 		return digitaltraces.NewGridDB(citySide, cityLevels,
-			digitaltraces.WithHashFunctions(cityHash),
 			digitaltraces.WithAutoRefresh(1, 0))
 	}})
 	if err != nil {

@@ -21,7 +21,6 @@ import (
 const (
 	propSide   = proptest.Side // 16 venues
 	propLevels = proptest.Levels
-	propHash   = proptest.Hash
 )
 
 // randomLog delegates to the shared generator (internal/proptest), which

@@ -12,14 +12,14 @@ func gatherBenchCluster(b *testing.B, shards int) *Cluster {
 	b.Helper()
 	src, err := digitaltraces.SyntheticCity(digitaltraces.CityConfig{
 		Side: 16, Levels: 4, Entities: 2000, Days: 7, Seed: 1,
-	}, digitaltraces.WithHashFunctions(128))
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	c, err := Partition(src, Config{
 		Shards: shards,
 		NewShard: func(int) (*digitaltraces.DB, error) {
-			return digitaltraces.NewGridDB(16, 4, digitaltraces.WithHashFunctions(128))
+			return digitaltraces.NewGridDB(16, 4)
 		},
 	})
 	if err != nil {

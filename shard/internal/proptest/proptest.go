@@ -13,18 +13,17 @@ import (
 	"digitaltraces"
 )
 
-// Grid parameters every suite DB shares: 16 venues, 3 hierarchy levels, 16
-// hash functions — small enough that trials are fast, collision-rich enough
-// that tie-breaking and bound slack are genuinely exercised.
+// Grid parameters every suite DB shares: 16 venues, 3 hierarchy levels —
+// small enough that trials are fast, collision-rich enough that tie-breaking
+// and bound slack are genuinely exercised.
 const (
 	Side   = 4
 	Levels = 3
-	Hash   = 16
 )
 
 // NewDB builds a suite-compatible grid DB.
 func NewDB() (*digitaltraces.DB, error) {
-	return digitaltraces.NewGridDB(Side, Levels, digitaltraces.WithHashFunctions(Hash))
+	return digitaltraces.NewGridDB(Side, Levels)
 }
 
 // RandomLog generates a visit log with adversarial degree structure:

@@ -23,7 +23,7 @@ func emptyCluster(t *testing.T, shards int) *Cluster {
 	c, err := NewCluster(Config{
 		Shards: shards,
 		NewShard: func(i int) (*digitaltraces.DB, error) {
-			return digitaltraces.NewGridDB(4, 0, digitaltraces.WithHashFunctions(32))
+			return digitaltraces.NewGridDB(4, 0)
 		},
 	})
 	if err != nil {
@@ -264,7 +264,7 @@ func TestClusterRefusedMappedLoadKeepsSlotMap(t *testing.T) {
 		skewed[s] = s % 3 // shard 3 owns nothing
 	}
 	c1, err := NewCluster(Config{Shards: 4, InitialSlots: skewed, NewShard: func(int) (*digitaltraces.DB, error) {
-		return digitaltraces.NewGridDB(4, 0, digitaltraces.WithHashFunctions(32))
+		return digitaltraces.NewGridDB(4, 0)
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -29,7 +29,6 @@ package shard
 // shard servers alike, since both sit behind Backend.
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -105,11 +104,9 @@ func (c *Cluster) MigrateSlot(slot, target int) error {
 			return fmt.Errorf("shard: migrating slot %d: shipping %d visits to shard %d: %w", slot, len(recs), target, err)
 		}
 		// Warm the target so the move, not the next query, pays the fold.
-		// This is NOT deferrable across moves: shipped visits can lie beyond
-		// the target's indexed horizon, and only warmShard's full-rebuild
-		// fallback extends it — a query-time lazy fold cannot, so a query
-		// racing an unwarmed target could miss the shipped entities.
-		c.warmShard(target)
+		// Warmth only: a query folds the shipped visits lazily otherwise, so a
+		// failed refresh is no error.
+		c.shards[target].Refresh() //nolint:errcheck
 	}
 
 	next := sm.clone()
@@ -123,16 +120,4 @@ func (c *Cluster) MigrateSlot(slot, target int) error {
 	}
 	c.publishSlotMap(next)
 	return nil
-}
-
-// warmShard folds a shard's pending visits so the next query doesn't pay the
-// fold. Warmth only — queries fold lazily per entity regardless — so a
-// refresh failure is not an error, beyond falling back to a full build when
-// the pending visits outgrew the indexed horizon.
-func (c *Cluster) warmShard(ord int) {
-	if err := c.shards[ord].Refresh(); err != nil {
-		if errors.Is(err, digitaltraces.ErrBeyondHorizon) {
-			c.shards[ord].BuildIndex()
-		}
-	}
 }

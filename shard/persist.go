@@ -271,7 +271,7 @@ func (c *Cluster) LoadIndex(r io.Reader) error {
 
 // LoadMappedIndex maps a SaveMappedIndex envelope read-only and publishes
 // every shard's section straight off the mapping (DB.LoadMappedIndexAt): no
-// visit re-ingest, query-ready after the per-shard signature replays. The
+// visit re-ingest, query-ready after the per-shard decodes. The
 // sections are physical images served in place, so the envelope's shard count
 // must equal this cluster's (change topology through LoadIndex), its slot map
 // must be the serving one, and the stored global ordinals must agree with any

@@ -16,12 +16,12 @@ import (
 
 // persistCluster builds an N-shard cluster over a deterministic synthetic
 // city's visit log.
-func persistCluster(t *testing.T, shards int, log []digitaltraces.VisitRecord) *Cluster {
+func persistCluster(t testing.TB, shards int, log []digitaltraces.VisitRecord) *Cluster {
 	t.Helper()
 	c, err := NewCluster(Config{
 		Shards: shards,
 		NewShard: func(i int) (*digitaltraces.DB, error) {
-			return digitaltraces.NewGridDB(4, 0, digitaltraces.WithHashFunctions(32))
+			return digitaltraces.NewGridDB(4, 0)
 		},
 	})
 	if err != nil {
@@ -33,9 +33,9 @@ func persistCluster(t *testing.T, shards int, log []digitaltraces.VisitRecord) *
 	return c
 }
 
-func cityLog(t *testing.T, entities int) []digitaltraces.VisitRecord {
+func cityLog(t testing.TB, entities int) []digitaltraces.VisitRecord {
 	t.Helper()
-	src, err := digitaltraces.SyntheticCity(digitaltraces.CityConfig{Side: 4, Entities: entities, Days: 3}, digitaltraces.WithHashFunctions(32))
+	src, err := digitaltraces.SyntheticCity(digitaltraces.CityConfig{Side: 4, Entities: entities, Days: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +132,14 @@ func TestClusterLoadIndexShardCountChange(t *testing.T) {
 // it found — never a panic — and keeps serving its previous snapshot
 // unchanged. The four the one container replaced (MSIGTREE2, MSIGMAP1,
 // MSIGCLUST2, MSIGCMAP2) are the ones a deployment may still hold: for those
-// the error also says what to do, re-save.
+// the error also says what to do, re-save. So are MSIGIDX1 files written
+// before the index dropped its signatures (testdata/pre-postings-*, an image
+// and an envelope of this test's log): they are refused by their entity
+// section, with the same advice.
 func TestLegacyMagicsRejected(t *testing.T) {
 	log := cityLog(t, 20)
 	queries := []string{"entity-0", "entity-7", "entity-19"}
-	db, err := digitaltraces.NewGridDB(4, 0, digitaltraces.WithHashFunctions(32))
+	db, err := digitaltraces.NewGridDB(4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,54 +148,72 @@ func TestLegacyMagicsRejected(t *testing.T) {
 	}
 	c := persistCluster(t, 2, log)
 	loaders := []struct {
-		name string
-		eng  digitaltraces.Engine
-		load func(path string, b []byte) error
+		name      string
+		eng       digitaltraces.Engine
+		load      func(path string, b []byte) error
+		preChange string // a file of this loader's kind written before the index dropped its signatures
 	}{
-		{"DB.LoadIndex", db, func(_ string, b []byte) error { return db.LoadIndex(bytes.NewReader(b)) }},
-		{"DB.LoadMappedIndex", db, func(path string, _ []byte) error { return db.LoadMappedIndex(path) }},
-		{"Cluster.LoadIndex", c, func(_ string, b []byte) error { return c.LoadIndex(bytes.NewReader(b)) }},
-		{"Cluster.LoadMappedIndex", c, func(path string, _ []byte) error { return c.LoadMappedIndex(path) }},
+		{"DB.LoadIndex", db, func(_ string, b []byte) error { return db.LoadIndex(bytes.NewReader(b)) }, "testdata/pre-postings-image.idx"},
+		{"DB.LoadMappedIndex", db, func(path string, _ []byte) error { return db.LoadMappedIndex(path) }, "testdata/pre-postings-image.idx"},
+		{"Cluster.LoadIndex", c, func(_ string, b []byte) error { return c.LoadIndex(bytes.NewReader(b)) }, "testdata/pre-postings-envelope.idx"},
+		{"Cluster.LoadMappedIndex", c, func(path string, _ []byte) error { return c.LoadMappedIndex(path) }, "testdata/pre-postings-envelope.idx"},
 	}
 	for _, l := range loaders {
 		if err := l.eng.BuildIndex(); err != nil {
 			t.Fatal(err)
 		}
 	}
+	// refused loads path through l and requires an error containing every
+	// want, the engine serving on unchanged.
+	refused := func(l int, path string, want ...string) {
+		t.Helper()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := loaders[l].eng
+		gen := eng.IndexStats().Generation
+		var before [][]digitaltraces.Match
+		for _, q := range queries {
+			ms, _, err := eng.TopK(q, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before = append(before, ms)
+		}
+		err = loaders[l].load(path, b)
+		for _, w := range want {
+			if err == nil || !strings.Contains(err.Error(), w) {
+				t.Errorf("%s(%s): want an error containing %q, got: %v", loaders[l].name, path, w, err)
+			}
+		}
+		if got := eng.IndexStats().Generation; got != gen {
+			t.Errorf("%s(%s): generation moved %d → %d on a refused load", loaders[l].name, path, gen, got)
+		}
+		for i, q := range queries {
+			ms, _, err := eng.TopK(q, 5)
+			if err != nil || !reflect.DeepEqual(ms, before[i]) {
+				t.Errorf("%s(%s): TopK(%s) changed after a refused load: %v (err %v), want %v", loaders[l].name, path, q, ms, err, before[i])
+			}
+		}
+	}
 	for i, magic := range []string{"MSIGTREE1", "MSIGCLUST1", "MSIGCMAP1", "MSIGTREE2", "MSIGMAP1", "MSIGCLUST2", "MSIGCMAP2"} {
 		// Magic plus a few zero words: long enough that every loader gets
 		// past its minimum-header check and fails on the magic itself.
-		b := append([]byte(magic+"\n"), make([]byte, 64)...)
 		path := filepath.Join(t.TempDir(), magic)
-		if err := os.WriteFile(path, b, 0o644); err != nil {
+		if err := os.WriteFile(path, append([]byte(magic+"\n"), make([]byte, 64)...), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		for _, l := range loaders {
-			gen := l.eng.IndexStats().Generation
-			var before [][]digitaltraces.Match
-			for _, q := range queries {
-				ms, _, err := l.eng.TopK(q, 5)
-				if err != nil {
-					t.Fatal(err)
-				}
-				before = append(before, ms)
-			}
-			err := l.load(path, b)
-			if err == nil || !strings.Contains(err.Error(), magic) {
-				t.Errorf("%s(%s): want an error naming the magic, got: %v", l.name, magic, err)
-			} else if i >= 3 && !strings.Contains(err.Error(), "retired index format — re-save") {
-				t.Errorf("%s(%s): want the error to call the format retired and say re-save, got: %v", l.name, magic, err)
-			}
-			if got := l.eng.IndexStats().Generation; got != gen {
-				t.Errorf("%s(%s): generation moved %d → %d on a refused load", l.name, magic, gen, got)
-			}
-			for i, q := range queries {
-				ms, _, err := l.eng.TopK(q, 5)
-				if err != nil || !reflect.DeepEqual(ms, before[i]) {
-					t.Errorf("%s(%s): TopK(%s) changed after a refused load: %v (err %v), want %v", l.name, magic, q, ms, err, before[i])
-				}
-			}
+		want := []string{magic}
+		if i >= 3 {
+			want = append(want, "retired index format — re-save")
 		}
+		for l := range loaders {
+			refused(l, path, want...)
+		}
+	}
+	for l := range loaders {
+		refused(l, loaders[l].preChange, `"ents"`, "retired index format — re-save")
 	}
 }
 
@@ -301,4 +322,55 @@ func TestClusterSaveLoadWithEmptyShard(t *testing.T) {
 	if !reflect.DeepEqual(g, w) {
 		t.Fatalf("answers diverge: %v vs %v", g, w)
 	}
+}
+
+// FuzzReadEnvelope: arbitrary bytes through the one envelope reader, as a
+// stream and by offset, are an error or a decoded envelope whose tables agree
+// with the sections — never a panic, never an allocation sized by an
+// unchecked word. The committed corpus (testdata/fuzz/FuzzReadEnvelope) holds
+// two real envelopes, one of them with an empty shard, and a single-DB image;
+// fresh ones are added here so the corpus follows the format.
+func FuzzReadEnvelope(f *testing.F) {
+	log := cityLog(f, 6)
+	for _, shards := range []int{1, 3} {
+		c := persistCluster(f, shards, log)
+		if err := c.BuildIndex(); err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := c.SaveIndex(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		c.Close()
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		open := map[string]func() (*secfile.Reader, error){
+			"stream":    func() (*secfile.Reader, error) { return secfile.NewReader(bytes.NewReader(b)) },
+			"by offset": func() (*secfile.Reader, error) { return secfile.NewReaderAt(bytes.NewReader(b), int64(len(b))) },
+		}
+		for name, fn := range open {
+			sr, err := fn()
+			if err != nil {
+				continue
+			}
+			env, err := readEnvelope(sr)
+			if err != nil {
+				continue
+			}
+			if len(env.touched) != len(sr.Secs)-2 {
+				t.Fatalf("%s: %d touched flags for %d shard sections", name, len(env.touched), len(sr.Secs)-2)
+			}
+			for s, sh := range env.assign {
+				if sh < 0 || sh >= len(env.touched) {
+					t.Fatalf("%s: slot %d assigned to shard %d of %d", name, s, sh, len(env.touched))
+				}
+			}
+			for i, sec := range sr.Secs[2:] {
+				if sec.Kind != secfile.Shard || sec.Len > maxShardSection {
+					t.Fatalf("%s: section %d is %v of %d bytes", name, 2+i, sec.Kind, sec.Len)
+				}
+			}
+		}
+	})
 }

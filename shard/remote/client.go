@@ -444,8 +444,6 @@ func (c *Client) BuildIndex() error {
 }
 
 func (c *Client) Refresh() error {
-	// The server escalates beyond-horizon dirt to a local rebuild itself,
-	// so this never surfaces digitaltraces.ErrBeyondHorizon.
 	_, err := c.call("/shard/refresh", []byte{}, c.ctrlT, true)
 	if err == nil {
 		err = c.refreshStats()

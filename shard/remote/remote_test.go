@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -76,6 +77,59 @@ func seedLog(t *testing.T, c *Client, seed int64, entities int) []digitaltraces.
 		t.Fatal(err)
 	}
 	return log
+}
+
+// TestRemoteRefreshPastBuiltData: visits far past everything a remote shard
+// was built over fold in through /shard/refresh incrementally — generation +1,
+// the build time kept, the refresh's own duration reported — and the shard
+// then answers over the wire like a DB built from scratch over the same log.
+func TestRemoteRefreshPastBuiltData(t *testing.T) {
+	_, _, hs := newShardServer(t, ServerConfig{})
+	c := dialTest(t, hs.URL, Options{})
+	log := seedLog(t, c, 11, 30)
+	before := c.IndexStats()
+	far := digitaltraces.TimeAt(24 + 500)
+	late := []digitaltraces.VisitRecord{
+		{Entity: "traveler", Venue: digitaltraces.VenueName(0), Start: far, End: far.Add(2 * time.Hour)},
+		{Entity: log[0].Entity, Venue: digitaltraces.VenueName(0), Start: far.Add(time.Hour), End: far.Add(3 * time.Hour)},
+	}
+	if n, err := c.AddVisits(late); err != nil || n != len(late) {
+		t.Fatalf("AddVisits: stored %d of %d, err %v", n, len(late), err)
+	}
+	if err := c.Refresh(); err != nil {
+		t.Fatalf("/shard/refresh: %v", err)
+	}
+	after := c.IndexStats()
+	if after.Generation != before.Generation+1 || after.BuildTime != before.BuildTime || after.LastRefreshDuration <= 0 || after.DirtyCount != 0 {
+		t.Fatalf("generation %d → %d, build time %v → %v, last refresh %v, dirty %d: want one incremental refresh",
+			before.Generation, after.Generation, before.BuildTime, after.BuildTime, after.LastRefreshDuration, after.DirtyCount)
+	}
+	twin, err := proptest.NewDB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twin.Close()
+	if _, err := twin.AddVisits(append(append([]digitaltraces.VisitRecord{}, log...), late...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := twin.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"traveler", log[0].Entity, log[len(log)-1].Entity} {
+		// The stream searches by the entity's visits, so it ranks the entity
+		// itself too; TopK leaves it out.
+		_, st, b, err := c.OpenSearchEntity(q, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+		got := slices.DeleteFunc(b.Matches, func(m digitaltraces.Match) bool { return m.Entity == q })
+		want, _, err := twin.TopK(q, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameMatches(t, q, got[:min(len(got), 5)], want)
+	}
 }
 
 // TestRemoteBackendEndToEnd drives every Backend method over the wire and

@@ -2,7 +2,6 @@ package remote
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -436,19 +435,7 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
-	// The ErrBeyondHorizon sentinel cannot usefully cross the wire (errors
-	// travel as strings), so the escalation the cluster performs for local
-	// shards happens here instead: dirt past the indexed horizon rebuilds
-	// this one shard.
 	if err := s.db.Refresh(); err != nil {
-		if errors.Is(err, digitaltraces.ErrBeyondHorizon) {
-			if err := s.db.BuildIndex(); err != nil {
-				httpError(w, http.StatusUnprocessableEntity, err.Error())
-				return
-			}
-			w.WriteHeader(http.StatusNoContent)
-			return
-		}
 		httpError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}

@@ -21,7 +21,7 @@ func tracedCluster(t *testing.T, n, traceSize, cacheSize int) *Cluster {
 		TraceSize: traceSize,
 		CacheSize: cacheSize,
 		NewShard: func(i int) (*digitaltraces.DB, error) {
-			return digitaltraces.NewGridDB(citySide, cityLevels, digitaltraces.WithHashFunctions(cityHash))
+			return digitaltraces.NewGridDB(citySide, cityLevels)
 		},
 	})
 	if err != nil {

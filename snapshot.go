@@ -4,7 +4,7 @@ package digitaltraces
 //
 // A DB serves queries from an immutable *snapshot published through an
 // atomic.Pointer. Builders (BuildIndex, Refresh, and the query path's lazy
-// escalation) construct the next snapshot entirely off to the side — from a
+// fold) construct the next snapshot entirely off to the side — from a
 // visit view captured under the ingest lock — and then swap the pointer, so
 // a multi-second rebuild never blocks a read the previous snapshot can
 // serve: queries arriving while a build is in flight keep answering from it
@@ -12,7 +12,6 @@ package digitaltraces
 // "Concurrency model" for the full contract.
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -20,24 +19,21 @@ import (
 	"digitaltraces/internal/adm"
 	"digitaltraces/internal/core"
 	"digitaltraces/internal/parallel"
-	"digitaltraces/internal/sighash"
 	"digitaltraces/internal/storage"
 	"digitaltraces/internal/trace"
 )
 
 // snapshot is one frozen, fully consistent index state: the sequence store,
-// the MinSigTree over it, the degree measure, the indexed time horizon and
-// the name table of every entity that existed at capture. A snapshot is
-// immutable after publication — the tree is only ever read (core.Tree.TopK is
-// verified read-only), the store is never Put into again, and byID is a
-// length-capped prefix whose elements never change — so any number of queries
-// search it lock-free while maintenance builds the next snapshot aside
-// instead of mutating this one.
+// the postings over it, the degree measure and the name table of every
+// entity that existed at capture. A snapshot is immutable after publication —
+// the postings are only ever read (core.Postings searches are read-only), the
+// store is never Put into again, and byID is a length-capped prefix whose
+// elements never change — so any number of queries search it lock-free while
+// maintenance builds the next snapshot aside instead of mutating this one.
 type snapshot struct {
 	store   *trace.Store
-	tree    *core.Tree
+	post    *core.Postings
 	measure adm.Measure
-	horizon trace.Time
 	byID    []string // entity name by EntityID, frozen at capture
 
 	// pool is the storage buffer pool behind a mapped (or disk-backed)
@@ -54,10 +50,10 @@ type snapshot struct {
 }
 
 // topK runs the exact search against this frozen snapshot. No locks: the
-// tree, store, measure and name table are immutable after publication.
+// postings, store, measure and name table are immutable after publication.
 func (s *snapshot) topK(q *trace.Sequences, k int) ([]Match, QueryStats, error) {
 	startT := time.Now()
-	res, stats, err := s.tree.TopK(q, k, s.measure)
+	res, stats, err := s.post.TopK(q, k, s.measure)
 	if err != nil {
 		return nil, QueryStats{}, err
 	}
@@ -121,8 +117,8 @@ func (db *DB) captureView(dirtyOnly bool) view {
 }
 
 // buildSnapshot constructs a full snapshot from a freshly captured visit view
-// and publishes it. Callers must hold buildMu. Cost is O(|E|·C·nh) signature
-// hashing plus tree insertion (Section 4.3) — all of it outside every lock
+// and publishes it. Callers must hold buildMu. Cost is the sequence building
+// plus sealing the postings, O(total cells) — all of it outside every lock
 // queries touch.
 func (db *DB) buildSnapshot() (*snapshot, error) {
 	start := time.Now()
@@ -133,14 +129,6 @@ func (db *DB) buildSnapshot() (*snapshot, error) {
 	if len(v.visits) == 0 {
 		return nil, fmt.Errorf("digitaltraces: no visits to index")
 	}
-	var horizon trace.Time
-	for _, recs := range v.visits {
-		for _, r := range recs {
-			if r.End > horizon {
-				horizon = r.End
-			}
-		}
-	}
 	store := trace.NewStore(db.ix)
 	ids := make([]trace.EntityID, 0, len(v.visits))
 	for e := range v.visits {
@@ -150,11 +138,7 @@ func (db *DB) buildSnapshot() (*snapshot, error) {
 	for _, e := range ids {
 		store.AddRecords(e, v.visits[e])
 	}
-	fam, err := sighash.NewFamily(db.ix, horizon, db.nh, db.seed)
-	if err != nil {
-		return nil, err
-	}
-	tree, err := core.Build(db.ix, fam, store, ids)
+	post, err := core.BuildPostings(db.ix, store, ids)
 	if err != nil {
 		return nil, err
 	}
@@ -164,9 +148,8 @@ func (db *DB) buildSnapshot() (*snapshot, error) {
 	}
 	ns := &snapshot{
 		store:     store,
-		tree:      tree,
+		post:      post,
 		measure:   measure,
-		horizon:   horizon,
 		byID:      v.byID,
 		buildTime: time.Since(start),
 	}
@@ -178,20 +161,11 @@ func (db *DB) buildSnapshot() (*snapshot, error) {
 // previous snapshot's store is the only complete record of each entity's
 // cells, so the rebuild derives from it and unions the captured visits on
 // top — exact because cell sets union idempotently, whether the log holds an
-// entity's full history, only a suffix, or nothing at all. The horizon grows
-// to cover the new visits and the whole tree re-hashes (the hash family is
-// horizon-parameterized), reading sequences through the backing as needed;
-// the buffer pool carries over. Callers must hold buildMu.
+// entity's full history, only a suffix, or nothing at all. The postings are
+// re-sealed over every entity, reading sequences through the backing as
+// needed; the buffer pool carries over. Callers must hold buildMu.
 func (db *DB) rebuildUnionSnapshot(prev *snapshot, start time.Time) (*snapshot, error) {
 	v := db.captureView(false)
-	horizon := prev.horizon
-	for _, recs := range v.visits {
-		for _, r := range recs {
-			if r.End > horizon {
-				horizon = r.End
-			}
-		}
-	}
 	store := prev.store.Derive()
 	ids := make([]trace.EntityID, 0, len(v.visits))
 	for e := range v.visits {
@@ -206,14 +180,7 @@ func (db *DB) rebuildUnionSnapshot(prev *snapshot, start time.Time) (*snapshot, 
 	for _, s := range merged {
 		store.Put(s)
 	}
-	all := store.Entities()
-	all = append([]trace.EntityID(nil), all...)
-	slices.Sort(all)
-	fam, err := sighash.NewFamily(db.ix, horizon, db.nh, db.seed)
-	if err != nil {
-		return nil, err
-	}
-	tree, err := core.Build(db.ix, fam, store, all)
+	post, err := core.BuildPostings(db.ix, store, store.Entities())
 	if err != nil {
 		return nil, err
 	}
@@ -223,9 +190,8 @@ func (db *DB) rebuildUnionSnapshot(prev *snapshot, start time.Time) (*snapshot, 
 	}
 	ns := &snapshot{
 		store:     store,
-		tree:      tree,
+		post:      post,
 		measure:   measure,
-		horizon:   horizon,
 		byID:      v.byID,
 		pool:      prev.pool,
 		buildTime: time.Since(start),
@@ -238,69 +204,28 @@ func (db *DB) rebuildUnionSnapshot(prev *snapshot, start time.Time) (*snapshot, 
 // mutated, so queries pinned to it keep searching it bit-identically.
 //
 // The refresh is copy-on-write: the store derives a child sharing every
-// clean entity's sequences (trace.Store.Derive) and the tree path-copies
-// only the nodes the dirty entities' signatures route through
-// (core.Tree.Derive), so the whole refresh costs O(dirty) — independent of
-// |E| — and swaps can run at very high frequency.
-//
-// A dirty visit past prev's indexed horizon fails with ErrBeyondHorizon: the
-// hash family is parameterized by the horizon, so only a full buildSnapshot
-// can absorb it. Callers must hold buildMu.
+// clean entity's sequences (trace.Store.Derive) and the postings add only the
+// dirty entities' pairs (core.Postings.Derive), so the whole refresh costs
+// O(dirty) — independent of |E| — and swaps can run at very high frequency.
+// Callers must hold buildMu.
 func (db *DB) refreshSnapshot(prev *snapshot) (*snapshot, error) {
 	start := time.Now()
 	v := db.captureView(true)
 	if len(v.dirty) == 0 {
 		return prev, nil
 	}
-	for _, e := range v.dirty {
-		for _, r := range v.visits[e] {
-			if r.End > prev.horizon {
-				return nil, ErrBeyondHorizon
-			}
-		}
+	store := prev.store.Derive()
+	for _, s := range db.stageDirtySequences(v, prev) {
+		store.Put(s)
 	}
-	var (
-		store *trace.Store
-		tree  *core.Tree
-		err   error
-	)
-	// Repeated incremental updates leave group signatures conservatively
-	// loose (each embedded removal may strand a too-small coordinate);
-	// answers stay exact but pruning decays. Once the lineage has absorbed
-	// more removals than it has entities, pay one full-copy refresh — the
-	// replay recomputes tight signatures — then return to O(dirty) derives.
-	// At most one O(|E|) replay per |E| updates keeps the amortized cost
-	// O(1) per update.
-	retighten := prev.tree.Removals() > prev.tree.Len()
-	if retighten {
-		store = prev.store.Clone()
-		if tree, err = prev.tree.Clone(store); err != nil {
-			return nil, err
-		}
-		for _, e := range v.dirty {
-			if db.unionFold {
-				store.Put(trace.NewSequencesMerged(db.ix, e, v.visits[e], prev.store.Get(e)))
-			} else {
-				store.AddRecords(e, v.visits[e])
-			}
-			if err := tree.Update(e); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		store = prev.store.Derive()
-		for _, s := range db.stageDirtySequences(v, prev) {
-			store.Put(s)
-		}
-		if tree, err = prev.tree.Derive(store, v.dirty); err != nil {
-			return nil, err
-		}
+	post, err := prev.post.Derive(store, v.dirty)
+	if err != nil {
+		return nil, err
 	}
 	ns := &snapshot{
 		store:       store,
-		tree:        tree,
+		post:        post,
 		measure:     prev.measure,
-		horizon:     prev.horizon,
 		byID:        v.byID,
 		pool:        prev.pool,
 		buildTime:   prev.buildTime,
@@ -311,9 +236,8 @@ func (db *DB) refreshSnapshot(prev *snapshot) (*snapshot, error) {
 
 // stageDirtySequences converts the dirty entities' captured visit histories
 // into ST-cell sequences, in v.dirty order. Sequence building (cell
-// expansion plus per-level sort-dedup) is the refresh path's second-largest
-// cost after signature hashing and equally per-entity independent, so it
-// fans out across a bounded worker pool; each worker touches only its own
+// expansion plus per-level sort-dedup) is the refresh path's largest cost and
+// per-entity independent, so it fans out across a bounded worker pool; each worker touches only its own
 // output slot. A union-fold DB's captured visits may be only a suffix of an
 // entity's history (the rest lives in prev's store, possibly on disk), so
 // they union into the previously folded sequence instead of replacing it.
@@ -413,10 +337,8 @@ func (db *DB) PendingEntities() int {
 //   - otherwise the query waits on buildMu. If the build it waited out
 //     published a snapshot covering the write sequence the query read at
 //     start, it answers from that even if newer writes have arrived since;
-//     else it becomes the builder: it folds the dirt aside (escalating to a
-//     full rebuild when a dirty visit extends past the indexed horizon, so
-//     one out-of-horizon ingest can never wedge the query path), or builds
-//     the first index, and swaps before answering.
+//     else it becomes the builder: it folds the dirt aside, or builds the
+//     first index, and swaps before answering.
 func (db *DB) snapshotForQuery() (*snapshot, error) {
 	s, seq := db.covering()
 	if s != nil {
@@ -432,11 +354,7 @@ func (db *DB) snapshotForQuery() (*snapshot, error) {
 	case s.seq >= seq:
 		return s, nil
 	}
-	ns, err := db.refreshSnapshot(s)
-	if errors.Is(err, ErrBeyondHorizon) {
-		return db.buildSnapshot()
-	}
-	return ns, err
+	return db.refreshSnapshot(s)
 }
 
 // lookup resolves an entity name against a snapshot: the ID comes from the

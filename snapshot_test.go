@@ -21,7 +21,7 @@ import (
 // between the lock-free readers and the builder.
 func TestQueriesDuringRebuildNeverTorn(t *testing.T) {
 	const population = 50
-	db, err := SyntheticCity(CityConfig{Side: 4, Entities: population, Days: 3}, WithHashFunctions(32))
+	db, err := SyntheticCity(CityConfig{Side: 4, Entities: population, Days: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestQueriesDuringRebuildNeverTorn(t *testing.T) {
 // queries keep answering from the previous snapshot instead of queueing
 // behind the build — the latency cliff this refactor removes.
 func TestQueriesNotBlockedByRebuild(t *testing.T) {
-	db, err := SyntheticCity(CityConfig{Side: 8, Entities: 400, Days: 5}, WithHashFunctions(128))
+	db, err := SyntheticCity(CityConfig{Side: 8, Entities: 400, Days: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestQueriesNotBlockedByRebuild(t *testing.T) {
 // TestSnapshotGenerationAndSwapTime: the generation counter advances by one
 // per swap (build or refresh) and LastSwap moves forward.
 func TestSnapshotGenerationAndSwapTime(t *testing.T) {
-	db, err := SyntheticCity(CityConfig{Side: 4, Entities: 20, Days: 2}, WithHashFunctions(16))
+	db, err := SyntheticCity(CityConfig{Side: 4, Entities: 20, Days: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,18 +202,18 @@ func TestSnapshotGenerationAndSwapTime(t *testing.T) {
 }
 
 // TestSwappedSnapshotSaveLoad: SaveIndex on a refresh-swapped snapshot round
-// trips through core.DecodeSnapshot — the replayed tree validates, matches the
-// serving tree's shape, and answers queries identically.
+// trips through core.DecodeSnapshot — the loaded index holds the serving
+// one's entities and answers queries identically.
 func TestSwappedSnapshotSaveLoad(t *testing.T) {
-	db, err := SyntheticCity(CityConfig{Side: 4, Entities: 30, Days: 3}, WithHashFunctions(32))
+	db, err := SyntheticCity(CityConfig{Side: 4, Entities: 30, Days: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := db.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	// Swap at least once past the initial build so the persisted tree is a
-	// refresh-produced clone, not the Build output.
+	// Swap at least once past the initial build so the persisted index is a
+	// refresh-derived generation, not the build output.
 	if err := db.AddVisit("entity-2", VenueName(3), TimeAt(2), TimeAt(6)); err != nil {
 		t.Fatal(err)
 	}
@@ -242,16 +242,12 @@ func TestSwappedSnapshotSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := decoded.Tree(db.ix, serving.store, nil)
+	loaded, err := decoded.Postings(db.ix, serving.store, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := loaded.Validate(); err != nil {
-		t.Fatalf("loaded tree invalid: %v", err)
-	}
-	ls, ss := loaded.Stats(), serving.tree.Stats()
-	if ls.Entities != ss.Entities || ls.Nodes != ss.Nodes || ls.Leaves != ss.Leaves {
-		t.Fatalf("loaded shape %+v != serving shape %+v", ls, ss)
+	if !reflect.DeepEqual(loaded.Entities(), serving.post.Entities()) {
+		t.Fatalf("loaded entities %v != serving entities %v", loaded.Entities(), serving.post.Entities())
 	}
 	for _, q := range []string{"entity-0", "entity-2", "entity-9"} {
 		want, _, err := db.TopK(q, 4)
@@ -271,7 +267,7 @@ func TestSwappedSnapshotSaveLoad(t *testing.T) {
 			got[i] = Match{Entity: serving.byID[r.Entity], Degree: r.Degree}
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("loaded tree answers %v for %s, serving snapshot answers %v", got, q, want)
+			t.Fatalf("loaded index answers %v for %s, serving snapshot answers %v", got, q, want)
 		}
 	}
 }
@@ -279,7 +275,7 @@ func TestSwappedSnapshotSaveLoad(t *testing.T) {
 // TestLookupErrorsNameTheEntity: Degree and TopKApprox identify which entity
 // is missing instead of the old anonymous "entity has no indexed visits".
 func TestLookupErrorsNameTheEntity(t *testing.T) {
-	db, err := SyntheticCity(CityConfig{Side: 4, Entities: 10, Days: 2}, WithHashFunctions(16))
+	db, err := SyntheticCity(CityConfig{Side: 4, Entities: 10, Days: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,6 @@ import (
 // restarted process would replay).
 func restartWorld(t *testing.T, entities int, opts ...Option) (*DB, []byte, []VisitRecord) {
 	t.Helper()
-	opts = append([]Option{WithHashFunctions(32)}, opts...)
 	db, err := SyntheticCity(CityConfig{Side: 4, Entities: entities, Days: 3}, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +42,6 @@ func restartWorld(t *testing.T, entities int, opts ...Option) (*DB, []byte, []Vi
 // re-ingested.
 func freshGrid(t *testing.T, log []VisitRecord, opts ...Option) *DB {
 	t.Helper()
-	opts = append([]Option{WithHashFunctions(32)}, opts...)
 	db, err := NewGridDB(4, 0, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +197,7 @@ func TestLoadIndexStaleEntitySkipped(t *testing.T) {
 	var buf bytes.Buffer
 	epoch, _, _ := src.epochInfo()
 	meta := core.SnapshotMeta{TimeUnit: src.unit, EpochNanos: epoch.UnixNano(), MeasureU: src.measureU, MeasureV: src.measureV}
-	if _, err := s.tree.WriteSnapshot(&buf, meta, nil, func(e trace.EntityID) (string, uint32) {
+	if _, err := s.post.WriteSnapshot(&buf, meta, nil, func(e trace.EntityID) (string, uint32) {
 		if s.byID[e] == "entity-5" {
 			return s.byID[e], core.FoldedUnknown
 		}
@@ -228,18 +226,12 @@ func TestLoadIndexValidationErrors(t *testing.T) {
 		want string
 	}{
 		{"empty DB", func(t *testing.T) *DB {
-			db, err := NewGridDB(4, 0, WithHashFunctions(32))
+			db, err := NewGridDB(4, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return db
 		}, "re-ingest"},
-		{"hash-function mismatch", func(t *testing.T) *DB {
-			return freshGrid(t, log, WithHashFunctions(64))
-		}, "hash functions"},
-		{"seed mismatch", func(t *testing.T) *DB {
-			return freshGrid(t, log, WithSeed(99))
-		}, "seed"},
 		{"time-unit mismatch", func(t *testing.T) *DB {
 			return freshGrid(t, log, WithTimeUnit(30*time.Minute))
 		}, "unit"},
@@ -272,7 +264,7 @@ func TestLoadIndexValidationErrors(t *testing.T) {
 	}
 
 	t.Run("log behind snapshot", func(t *testing.T) {
-		// Drop entity-5's last visit: its signature covers more than the log.
+		// Drop entity-5's last visit: the snapshot covers more than the log.
 		last := -1
 		for i, v := range log {
 			if v.Entity == "entity-5" {
