@@ -107,46 +107,14 @@ func (db *DB) TimeUnit() time.Duration { return db.unit }
 // nothing the index ever saw — the result discretizes to the identical cell
 // set, so every degree computed from it is unchanged.
 func (db *DB) VisitsOf(entity string) ([]Visit, error) {
-	db.mu.RLock()
-	e, ok := db.names[entity]
-	if !ok {
-		db.mu.RUnlock()
-		return nil, fmt.Errorf("digitaltraces: unknown entity %q", entity)
-	}
-	if !db.unionFold {
-		defer db.mu.RUnlock()
-		recs := db.visits[e]
-		out := make([]Visit, len(recs))
-		for i, r := range recs {
-			out[i] = db.visitFromRecordLocked(r)
-		}
-		return out, nil
-	}
-	db.mu.RUnlock()
-	// Union-fold mode: the full history is the serving snapshot's stored
-	// cells plus everything ingested since the load — reading the snapshot
-	// first keeps the union complete even against a concurrent fold (folds
-	// never remove retained post-load visits).
-	var seq *trace.Sequences
-	if s := db.snap.Load(); s != nil {
-		seq = s.store.Get(e)
-	}
+	snap := db.snap.Load()
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	var out []Visit
-	if seq != nil {
-		for _, p := range seq.PresenceInstances(db.ix.Height()) {
-			out = append(out, Visit{
-				Venue: db.baseNames[db.ix.BaseOf(p.Unit)],
-				Start: db.epoch.Add(time.Duration(p.Start) * db.unit),
-				End:   db.epoch.Add(time.Duration(p.End) * db.unit),
-			})
-		}
+	e, ok := db.names[entity]
+	if !ok {
+		return nil, fmt.Errorf("digitaltraces: unknown entity %q", entity)
 	}
-	for _, r := range db.visits[e] {
-		out = append(out, db.visitFromRecordLocked(r))
-	}
-	return out, nil
+	return db.visitsLocked(snap, e), nil
 }
 
 // AllVisits exports every recorded visit, grouped by entity in first-ingest
@@ -156,18 +124,39 @@ func (db *DB) VisitsOf(entity string) ([]Visit, error) {
 // — which fixes degree-tie-breaking — so it is the bulk re-partitioning path
 // (shard.Partition) as well as a full logical dump.
 func (db *DB) AllVisits() []VisitRecord {
+	snap := db.snap.Load()
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	n := 0
-	for _, recs := range db.visits {
-		n += len(recs)
-	}
-	out := make([]VisitRecord, 0, n)
+	var out []VisitRecord
 	for id, name := range db.byID {
-		for _, r := range db.visits[trace.EntityID(id)] {
-			v := db.visitFromRecordLocked(r)
+		for _, v := range db.visitsLocked(snap, trace.EntityID(id)) {
 			out = append(out, VisitRecord{Entity: name, Venue: v.Venue, Start: v.Start, End: v.End})
 		}
+	}
+	return out
+}
+
+// visitsLocked returns e's visits given snap, the serving snapshot read
+// before mu was taken. With the full history retained that is the log. On a
+// DB serving without one (union-fold) it is the presence periods of e's
+// stored sequences followed by everything ingested since the load; reading
+// the snapshot first keeps the union complete even against a concurrent fold
+// (folds never remove retained post-load visits). Callers hold mu.
+func (db *DB) visitsLocked(snap *snapshot, e trace.EntityID) []Visit {
+	out := make([]Visit, 0, len(db.visits[e]))
+	if db.unionFold && snap != nil {
+		if seq := snap.store.Get(e); seq != nil {
+			for _, p := range seq.PresenceInstances(db.ix.Height()) {
+				out = append(out, Visit{
+					Venue: db.baseNames[db.ix.BaseOf(p.Unit)],
+					Start: db.epoch.Add(time.Duration(p.Start) * db.unit),
+					End:   db.epoch.Add(time.Duration(p.End) * db.unit),
+				})
+			}
+		}
+	}
+	for _, r := range db.visits[e] {
+		out = append(out, db.visitFromRecordLocked(r))
 	}
 	return out
 }

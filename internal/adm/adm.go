@@ -25,8 +25,9 @@ import (
 
 // Measure is the pluggable association degree measure contract. The top-k
 // search (internal/core) is correct for any implementation whose UpperBound
-// is admissible: UpperBound(x, q) must dominate Degree(a, b) for every
-// entity b whose per-level overlap with the query a is at most x.
+// is admissible: UpperBound(x, q, bSize) must dominate Degree(a, b) for every
+// entity b whose per-level overlap with the query a is at most x and whose
+// per-level sizes are bSize.
 type Measure interface {
 	// Name identifies the measure in reports.
 	Name() string
@@ -40,8 +41,10 @@ type Measure interface {
 	DegreeFromCounts(overlap, aSize, bSize []int) float64
 	// UpperBound returns the Theorem-4 bound on Degree(a, ·) over any
 	// entity whose shared level-l cells with the query are limited to
-	// surviving[l-1] of the query's own qSize[l-1] cells.
-	UpperBound(surviving, qSize []int) float64
+	// surviving[l-1] of the query's own qSize[l-1] cells. bSize gives the
+	// candidate's own level sizes |P^l_b|, a negative entry for a level whose
+	// size is unknown; nil means none is known.
+	UpperBound(surviving, qSize, bSize []int) float64
 }
 
 // Kind selects the per-level set-similarity ratio of a LevelWeighted
@@ -209,25 +212,27 @@ func (m *LevelWeighted) pow(r float64) float64 {
 // For Dice the per-level bound is x/(x+q) (the candidate has at least x
 // cells); for Jaccard it is x/q (|A∪B| ≥ |A| = q), clamped to the
 // self-similarity maximum.
-func (m *LevelWeighted) UpperBound(surviving, qSize []int) float64 {
+//
+// A known candidate size b tightens a level: the candidate shares at most
+// y = min(x, b) cells, so Dice is at most y/(q+b) and Jaccard at most
+// y/(q+b−y), both increasing in the intersection. Either never exceeds the
+// size-free value, which a level of unknown size keeps bit for bit.
+func (m *LevelWeighted) UpperBound(surviving, qSize, bSize []int) float64 {
 	score := 0.0
 	for l := range m.weights {
 		x, q := surviving[l], qSize[l]
 		var r float64
-		switch m.kind {
-		case Dice:
+		switch {
+		case bSize != nil && bSize[l] >= 0:
+			r = m.ratio(min(x, bSize[l]), q, bSize[l])
+		case m.kind == Dice:
 			if x+q > 0 {
 				r = float64(x) / float64(x+q)
 			}
-		case Jaccard:
-			if q > 0 {
-				r = float64(x) / float64(q)
-			}
-			if r > 1 {
-				r = 1
-			}
+		case q > 0:
+			r = float64(x) / float64(q)
 		}
-		score += m.weights[l] * m.pow(r)
+		score += m.weights[l] * m.pow(min(r, 1))
 	}
 	return score / m.norm
 }

@@ -201,11 +201,11 @@ func TestUpperBoundAdmissible(t *testing.T) {
 		}
 		for _, m := range measures {
 			deg := m.Degree(a, b)
-			tight := m.UpperBound(overlap, qSize)
+			tight := m.UpperBound(overlap, qSize, nil)
 			if tight < deg-1e-12 {
 				return false
 			}
-			if m.UpperBound(loose, qSize) < tight-1e-12 {
+			if m.UpperBound(loose, qSize, nil) < tight-1e-12 {
 				return false
 			}
 		}
@@ -216,13 +216,81 @@ func TestUpperBoundAdmissible(t *testing.T) {
 	}
 }
 
+// TestSizedUpperBoundAdmissible is Theorem 4 with the candidate's sizes, as a
+// property over random sequence pairs: for every x at or above the true
+// per-level overlap, UpperBound(x, |A|, |B|) dominates Degree(a, b) — with
+// every size known, with some levels unknown (negative), and with none (nil)
+// — never exceeds the size-free bound, and the size-free bound is the formula
+// it always was, bit for bit.
+func TestSizedUpperBoundAdmissible(t *testing.T) {
+	ix := fixtureIndex(t)
+	var measures []*LevelWeighted
+	for _, kind := range []Kind{Dice, Jaccard} {
+		for _, v := range []float64{1, 1.5, 2, 3} {
+			for _, norm := range []bool{true, false} {
+				m, err := NewLevelWeighted("sized", kind, []float64{1, 4, 9}, v, norm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				measures = append(measures, m)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 400; trial++ {
+		a, b := randomSeq(rng, ix, 0), randomSeq(rng, ix, 1)
+		if trial%5 == 0 {
+			b = a // the self pair: every bound is tight somewhere
+		}
+		overlap := trace.OverlapDurations(a, b)
+		x, qSize, bSize, some := make([]int, 3), make([]int, 3), make([]int, 3), make([]int, 3)
+		for l := range x {
+			x[l] = overlap[l] + rng.Intn(3)*rng.Intn(2)
+			qSize[l], bSize[l] = a.Size(l+1), b.Size(l+1)
+			some[l] = bSize[l]
+			if rng.Intn(3) == 0 {
+				some[l] = -1
+			}
+		}
+		for _, m := range measures {
+			deg, free := m.Degree(a, b), m.UpperBound(x, qSize, nil)
+			if free != sizeFreeBound(m, x, qSize) {
+				t.Fatalf("%v v=%v: size-free bound %v, the formula gives %v", m.kind, m.v, free, sizeFreeBound(m, x, qSize))
+			}
+			for _, sizes := range [][]int{bSize, some, {-1, -1, -1}} {
+				ub := m.UpperBound(x, qSize, sizes)
+				if ub < deg || ub > free {
+					t.Fatalf("%v v=%v norm=%v x=%v q=%v b=%v: bound %v outside [degree %v, size-free %v]", m.kind, m.v, m.norm, x, qSize, sizes, ub, deg, free)
+				}
+			}
+		}
+	}
+}
+
+// sizeFreeBound is the bound before candidates' sizes were known: per level
+// x/(x+q) for Dice and min(x/q, 1) for Jaccard.
+func sizeFreeBound(m *LevelWeighted, x, q []int) float64 {
+	score := 0.0
+	for l, w := range m.weights {
+		var r float64
+		switch {
+		case m.kind == Dice && x[l]+q[l] > 0:
+			r = float64(x[l]) / float64(x[l]+q[l])
+		case m.kind == Jaccard && q[l] > 0:
+			r = min(float64(x[l])/float64(q[l]), 1)
+		}
+		score += w * m.pow(r)
+	}
+	return score / m.norm
+}
+
 // TestUpperBoundFullSurvival: with all query cells surviving, the bound must
 // reach the measure's maximum (1 for normalized measures), matching the
 // root-node initialization of Algorithm 2.
 func TestUpperBoundFullSurvival(t *testing.T) {
 	q := []int{5, 9, 20}
 	for _, m := range allMeasures(t, 3) {
-		if got := m.UpperBound(q, q); got < 1-1e-12 {
+		if got := m.UpperBound(q, q, nil); got < 1-1e-12 {
 			t.Errorf("%s: full-survival UB = %v, want 1", m.Name(), got)
 		}
 	}

@@ -224,7 +224,7 @@ func (b *Bitmap) TopK(q *trace.Sequences, k int, measure adm.Measure) ([]core.Re
 				counts[ref.level-1] += n
 			}
 		}
-		ranked = append(ranked, scored{g: g, ub: measure.UpperBound(counts, qCounts)})
+		ranked = append(ranked, scored{g: g, ub: measure.UpperBound(counts, qCounts, nil)})
 	}
 	sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].ub > ranked[j].ub })
 

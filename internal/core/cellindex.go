@@ -168,7 +168,8 @@ type scratch struct {
 	// under[i*m+l-1] counts the query's level-l cells below its i-th level-1
 	// cell (bit 63 stands for every cell from the 64th on).
 	under []int
-	x     []int // bound's overlap vector
+	x     []int // the overlap vector of the bucket bound or visited
+	bs    []int // a candidate's level sizes (sizedBound)
 	// The candidates (rankCandidates): one bucket per distinct mask among the
 	// hits, rank lists the bucket ids by bound descending, order holds the
 	// candidates bucket after bucket in that order. slots is the table that
@@ -206,8 +207,9 @@ func (sc *scratch) maskOf(e trace.EntityID) uint64 {
 // list names has degree exactly 0; any other is refused by name.
 func (f *frontier) mark() error {
 	sc, ci, m := f.pooled, f.p.cells, f.p.m
-	sc.x = append(sc.x[:0], make([]int, m)...)
-	if ub := f.measure.UpperBound(sc.x, f.qCounts); ub != 0 {
+	xs := append(sc.x[:0], make([]int, 2*m)...) // one array for both, so a fresh scratch allocates once
+	sc.x, sc.bs = xs[:m], xs[m:]
+	if ub := f.measure.UpperBound(sc.x, f.qCounts, nil); ub != 0 {
 		return fmt.Errorf("core: measure %s bounds an entity sharing no cell with the query by %v, not 0, so the postings cannot serve it (Tree.SignatureTopK can)", f.measure.Name(), ub)
 	}
 	// The table stays within a constant factor of the population whatever
@@ -354,8 +356,16 @@ func (f *frontier) release() {
 }
 
 // bound returns the Theorem-4 bound on the degree of an entity with the given
-// mask: per level it shares at most the query's cells below the mask's cells.
+// mask, its bucket's bound.
 func (f *frontier) bound(mask uint64) float64 {
+	f.overlap(mask)
+	return f.measure.UpperBound(f.pooled.x, f.qCounts, nil)
+}
+
+// overlap sets the scratch's x to the overlap vector of an entity with the
+// given mask: per level it shares at most the query's cells below the mask's
+// cells.
+func (f *frontier) overlap(mask uint64) {
 	sc := f.pooled
 	clear(sc.x)
 	m := len(sc.x)
@@ -365,5 +375,11 @@ func (f *frontier) bound(mask uint64) float64 {
 			sc.x[l] += sc.under[i*m+l]
 		}
 	}
-	return f.measure.UpperBound(sc.x, f.qCounts)
+}
+
+// sizedBound returns the bound on e's degree that also knows e's own level
+// sizes, the scratch's x holding its bucket's overlap vector.
+func (f *frontier) sizedBound(e trace.EntityID) float64 {
+	sc := f.pooled
+	return f.measure.UpperBound(sc.x, f.qCounts, f.p.levelSizesOf(e, sc.bs))
 }

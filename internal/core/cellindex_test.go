@@ -301,9 +301,10 @@ func lateCells(ix *spindex.Index) []trace.Cell {
 	return out
 }
 
-// requireMarksSound checks the two facts the skips rest on, entity by entity:
-// an unmarked entity has degree exactly 0, and a marked one's cell-index
-// bound dominates its degree.
+// requireMarksSound checks the facts the skips rest on, entity by entity: an
+// unmarked entity has degree exactly 0, a marked one's cell-index bound
+// dominates its degree, and the bound its own level sizes give lies between
+// the two.
 func requireMarksSound(t *testing.T, label string, p *Postings, q *trace.Sequences, m adm.Measure) {
 	t.Helper()
 	f, err := p.newFrontier(q, m)
@@ -321,6 +322,8 @@ func requireMarksSound(t *testing.T, label string, p *Postings, q *trace.Sequenc
 		}
 		if ub := f.bound(mask); mask != 0 && ub < deg {
 			t.Fatalf("%s %s: entity %d mask %#x: bound %v < degree %v", label, m.Name(), e, mask, ub, deg)
+		} else if sized := f.sizedBound(e); mask != 0 && (sized < deg || sized > ub) {
+			t.Fatalf("%s %s: entity %d mask %#x sizes %v: sized bound %v outside [degree %v, bucket bound %v]", label, m.Name(), e, mask, p.sizes(e), sized, deg, ub)
 		}
 	}
 }
@@ -409,6 +412,9 @@ func requireCellInvariant(t testing.TB, label string, p *Postings) {
 		if e > p.cells.maxID {
 			t.Fatalf("%s: entity %d above maxID %d", label, e, p.cells.maxID)
 		}
+		if got, want := p.sizes(e), levelSizes(nil, p.src.Get(e)); !slices.Equal(got, want) {
+			t.Fatalf("%s: entity %d's table entry %v, its sequences' sizes %v", label, e, got, want)
+		}
 		for _, c := range p.src.Get(e).At(1) {
 			sealed, added := p.cells.postings(c)
 			if !slices.Contains(sealed, e) && !slices.Contains(added, e) {
@@ -426,17 +432,17 @@ func requireCellStructure(t testing.TB, label string, p *Postings) {
 	if ci == nil {
 		t.Fatalf("%s: no cell index", label)
 	}
-	for _, list := range [][]trace.EntityID{p.ents, p.added} {
-		if !slices.IsSorted(list) || len(slices.Compact(slices.Clone(list))) != len(list) {
-			t.Fatalf("%s: entity table list not strictly ascending: %v", label, list)
+	for _, tab := range []sizeTable{p.base, p.added} {
+		if !slices.IsSorted(tab.ids) || len(slices.Compact(slices.Clone(tab.ids))) != len(tab.ids) || len(tab.far) != p.m*len(tab.ids) || tab.m != p.m {
+			t.Fatalf("%s: entity table list not strictly ascending or misshapen: %v", label, tab.ids)
 		}
+		tab.ascend(func(e trace.EntityID) {
+			if (e >= 0 && int(e) < tab.reach) == slices.Contains(tab.ids, e) {
+				t.Fatalf("%s: entity %d on the wrong side of the table's reach %d", label, e, tab.reach)
+			}
+		})
 	}
-	for _, e := range p.added {
-		if _, dup := slices.BinarySearch(p.ents, e); dup {
-			t.Fatalf("%s: entity %d in both the table's base and its added list", label, e)
-		}
-	}
-	if es := p.Entities(); len(es) != p.Len() || !slices.IsSorted(es) {
+	if es := p.Entities(); len(es) != p.Len() || !slices.IsSorted(es) || len(slices.Compact(slices.Clone(es))) != len(es) {
 		t.Fatalf("%s: Len %d, table lists %d entities", label, p.Len(), len(es))
 	}
 	if !slices.IsSorted(ci.keys) || len(slices.Compact(slices.Clone(ci.keys))) != len(ci.keys) || len(ci.offs) != len(ci.keys)+1 {
@@ -583,11 +589,11 @@ func TestCellIndexDeriveIsODirty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &next.cells.posts[0] != &parent.cells.posts[0] || &next.cells.keys[0] != &parent.cells.keys[0] || &next.ents[0] != &parent.ents[0] {
+	if &next.cells.posts[0] != &parent.cells.posts[0] || &next.cells.keys[0] != &parent.cells.keys[0] || &next.base.dense[0] != &parent.base.dense[0] {
 		t.Fatal("derived index copied the parent's base")
 	}
-	if !slices.Equal(next.added, []trace.EntityID{20000}) {
-		t.Fatalf("derived entity table added %v; only 20000 is new", next.added)
+	if !slices.Equal(next.added.ids, dirty) || next.Len() != parent.Len()+1 {
+		t.Fatalf("derived entity table wrote %v, %d entities; want the dirty %v, one new", next.added.ids, next.Len(), dirty)
 	}
 	if next.cells.addedPairs < 2 || next.cells.addedPairs > 4 {
 		t.Fatalf("derived index added %d pairs; entity 20000 brings 2, entity 3 at most 2, entity 7000 none", next.cells.addedPairs)
@@ -743,20 +749,217 @@ func FuzzTopKAgainstScan(f *testing.F) {
 		if next()%2 == 1 {
 			q = trace.NewSequencesFromCells(ix, -999, cells())
 		}
+		// Before pull i the floor may rise to the degree of a result a
+		// few places on, so floors land on ties and between results.
+		floors := func(i int, full []Result) float64 {
+			if next()%3 != 0 || len(full) == 0 {
+				return 0
+			}
+			return full[min(i+next()%4, len(full)-1)].Degree
+		}
 		requireExact(t, "built", tree, q, k, m)
+		requireFloorPrefix(t, "built", tree, q, m, floors)
 		// One refresh: an indexed entity gets different data, a new one
-		// arrives.
+		// of any shape arrives.
 		dst := st.Derive()
-		changed := ids[next()%len(ids)]
+		changed, arrived := ids[next()%len(ids)], shapes[next()%len(shapes)](len(ids))
 		dst.Put(trace.NewSequencesFromCells(ix, changed, cells()))
-		dst.Put(trace.NewSequencesFromCells(ix, 50, cells()))
-		derived, err := tree.Derive(dst, []trace.EntityID{changed, 50})
+		dst.Put(trace.NewSequencesFromCells(ix, arrived, cells()))
+		derived, err := tree.Derive(dst, []trace.EntityID{changed, arrived})
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireExact(t, "derived", derived, q, k, m)
+		requireFloorPrefix(t, "derived", derived, q, m, floors)
 		requireExact(t, "parent", tree, q, k, m)
 	})
+}
+
+// requireFloorPrefix pulls an Iter whose floor rises to raise(i, scan) before
+// pull i, and requires the scan's order for as long as it stays at or above
+// the floor — ties at the floor included — then the end of the stream.
+func requireFloorPrefix(t *testing.T, label string, p *Postings, q *trace.Sequences, m adm.Measure, raise func(i int, full []Result) float64) {
+	t.Helper()
+	full := BruteForceTopK(p.src, p.Entities(), q, p.Len(), m)
+	it, err := p.NewIter(q, m)
+	if err != nil {
+		t.Fatalf("%s: NewIter: %v", label, err)
+	}
+	defer it.Close()
+	floor := 0.0
+	for i := 0; ; i++ {
+		floor = max(floor, raise(i, full))
+		it.RaiseFloor(floor)
+		r, ok, err := it.Next()
+		want := i < len(full) && full[i].Degree >= floor
+		if err != nil || ok != want || ok && r != full[i] {
+			t.Fatalf("%s %s: Iter[%d] under floor %v = %v %t %v; the scan ranks %v", label, m.Name(), i, floor, r, ok, err, full)
+		}
+		if !ok {
+			return
+		}
+	}
+}
+
+// TestIterRandomFloorSchedules: an Iter whose floor rises at random points —
+// onto a result's degree, between two, past every one — streams exactly the
+// scan's prefix at or above it, on every ID shape the table holds and on
+// derived generations.
+func TestIterRandomFloorSchedules(t *testing.T) {
+	measures := cellMeasures(t)
+	for seed := int64(1); seed <= 3; seed++ {
+		w := newCellWorld(t, seed)
+		for gen := 0; gen < 6; gen++ {
+			label := fmt.Sprintf("seed %d gen %d", seed, gen)
+			for _, q := range w.queries() {
+				for _, m := range measures {
+					requireFloorPrefix(t, label, w.post, q, m, func(i int, full []Result) float64 {
+						switch j := i + w.rng.Intn(6); {
+						case w.rng.Intn(4) != 0 || len(full) == 0:
+							return 0
+						case j >= len(full):
+							return 1.5
+						case j+1 < len(full) && w.rng.Intn(2) == 0:
+							return (full[j].Degree + full[j+1].Degree) / 2
+						default:
+							return full[j].Degree
+						}
+					})
+				}
+			}
+			w.derive()
+		}
+	}
+}
+
+// TestSizedBoundSaturation: an entity with more cells at a level than a size
+// byte holds (saturated there, its size unknown to the bound) is found and
+// ranked exactly, as a candidate and as the query, before and after a Derive
+// that shrinks one of them below saturation and grows another past it.
+func TestSizedBoundSaturation(t *testing.T) {
+	ix := forest(4) // 4 roots, 8 mid, 16 base units
+	rng := rand.New(rand.NewSource(3))
+	st := trace.NewStore(ix)
+	span := func(e trace.EntityID, hours, bases int) *trace.Sequences {
+		var cells []trace.Cell
+		for h := 0; h < hours; h++ {
+			for b := 0; b < bases; b++ {
+				cells = append(cells, trace.MakeCell(trace.Time(h), ix.BaseUnit(spindex.BaseID(b))))
+			}
+		}
+		return trace.NewSequencesFromCells(ix, e, cells)
+	}
+	var ids []trace.EntityID
+	put := func(s *trace.Sequences) {
+		st.Put(s)
+		ids = append(ids, s.Entity)
+	}
+	put(span(0, 20, 16))  // 80 / 160 / 320 cells: the finest level saturated
+	put(span(1, 70, 16))  // 280 / 560 / 1120: every level saturated
+	put(span(-4, 20, 16)) // the same, off the dense table
+	put(span(1<<30, 70, 4))
+	for e := trace.EntityID(2); e < 40; e++ {
+		var cells []trace.Cell
+		for n := 1 + rng.Intn(12); n > 0; n-- {
+			cells = append(cells, trace.MakeCell(trace.Time(rng.Intn(70)), ix.BaseUnit(spindex.BaseID(rng.Intn(16)))))
+		}
+		put(trace.NewSequencesFromCells(ix, e, cells))
+	}
+	post, err := BuildPostings(ix, st, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := post.sizes(0); !slices.Equal(got, []byte{81, 161, sizeSaturated}) {
+		t.Fatalf("entity 0's entry %v, want 81 161 saturated", got)
+	}
+	if got := post.sizes(1); !slices.Equal(got, []byte{sizeSaturated, sizeSaturated, sizeSaturated}) {
+		t.Fatalf("entity 1's entry %v, want saturated at every level", got)
+	}
+	check := func(label string, p *Postings) {
+		t.Helper()
+		requireCellInvariant(t, label, p)
+		for _, qe := range []trace.EntityID{0, 1, -4, 1 << 30, 2, 9} {
+			for _, m := range cellMeasures(t) {
+				requireMarksSound(t, label, p, p.src.Get(qe), m)
+				for _, k := range []int{1, 3, 10} {
+					requireExact(t, label, p, p.src.Get(qe), k, m)
+				}
+			}
+		}
+	}
+	check("built", post)
+	dst := st.Derive()
+	dst.Put(span(0, 3, 16))  // shrinks below saturation
+	dst.Put(span(2, 30, 16)) // grows past it
+	derived, err := post.Derive(dst, []trace.EntityID{0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("derived", derived)
+	check("parent", post)
+}
+
+// TestDeriveChainResizes re-indexes entities along a chain of Derives with
+// sequences both smaller and larger than before — the stale pairs of a shrunk
+// entity stay posted while its table entry is its current sizes — through the
+// compaction fold, on every ID shape, and requires every generation exact.
+func TestDeriveChainResizes(t *testing.T) {
+	ix := forest(4)
+	rng := rand.New(rand.NewSource(8))
+	seq := func(e trace.EntityID, n int) *trace.Sequences {
+		var cells []trace.Cell
+		for ; n > 0; n-- {
+			cells = append(cells, trace.MakeCell(trace.Time(rng.Intn(30)), ix.BaseUnit(spindex.BaseID(rng.Intn(16)))))
+		}
+		return trace.NewSequencesFromCells(ix, e, cells)
+	}
+	st := trace.NewStore(ix)
+	ids := []trace.EntityID{-5, 1 << 30, 4000}
+	for e := trace.EntityID(0); e < 40; e++ {
+		ids = append(ids, e)
+	}
+	for _, e := range ids {
+		st.Put(seq(e, 1+rng.Intn(10)))
+	}
+	post, err := BuildPostings(ix, st, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	measures := cellMeasures(t)
+	folds := 0
+	for gen := 1; gen <= 30; gen++ {
+		dst := st.Derive()
+		var dirty []trace.EntityID
+		for i := 0; i < 4; i++ {
+			e := ids[rng.Intn(len(ids))]
+			size := 1 + rng.Intn(2) // smaller …
+			if i%2 == 1 {
+				size = 20 + rng.Intn(40) // … and larger
+			}
+			dst.Put(seq(e, size))
+			dirty = append(dirty, e)
+		}
+		next, err := post.Derive(dst, dirty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &next.base.dense[0] != &post.base.dense[0] {
+			folds++
+		}
+		st, post = dst, next
+		label := fmt.Sprintf("gen %d", gen)
+		requireCellInvariant(t, label, post)
+		for _, qe := range []trace.EntityID{dirty[0], dirty[1], ids[rng.Intn(len(ids))]} {
+			m := measures[rng.Intn(len(measures))]
+			requireMarksSound(t, label, post, st.Get(qe), m)
+			for _, k := range []int{1, 5} {
+				requireExact(t, label, post, st.Get(qe), k, m)
+			}
+		}
+	}
+	if folds == 0 {
+		t.Fatal("no Derive reached the compaction fold")
+	}
 }
 
 // TestPostingOrderEdges drives the candidate order through the shapes where

@@ -35,7 +35,6 @@ type Iter struct {
 	exact    []Result         // scored entities of positive degree, heap in canonical answer order
 	skipped  []trace.EntityID // scored entities of degree 0, unordered
 	zeros    []trace.EntityID // zero-flush tail, ascending ID (nil until everything left has degree 0)
-	floor    float64          // nothing bounded below it is examined or returned
 }
 
 // NewIter opens an incremental search for the query sequences q (excluding
@@ -108,11 +107,11 @@ func (it *Iter) nextZero() (Result, bool, error) {
 }
 
 // Bound returns an admissible upper bound on the degree of every entity Next
-// has not yet returned: no future Next result exceeds it. Once the iterator
-// is exhausted it returns 0 (degrees are in [0, 1], so an exhausted shard
-// never blocks a coordinator's termination check — but coordinators should
-// cut on Next's ok = false, since a real entity with degree 0 may remain
-// behind a Bound of 0).
+// has not yet returned and that is not below the floor: no future Next result
+// exceeds it. Once the iterator is exhausted it returns 0 (degrees are in
+// [0, 1], so an exhausted shard never blocks a coordinator's termination
+// check — but coordinators should cut on Next's ok = false, since a real
+// entity with degree 0 may remain behind a Bound of 0).
 func (it *Iter) Bound() float64 {
 	b, _ := it.peek()
 	if len(it.exact) > 0 && it.exact[0].Degree > b {
@@ -123,7 +122,8 @@ func (it *Iter) Bound() float64 {
 
 // RaiseFloor lifts the floor to floor; a lower value than the current one is
 // ignored. From then on Next examines no bucket bounded below the floor,
-// returns no entity below it, and reports ok = false once Bound() < floor.
+// scores no candidate whose own bound is below it, returns no entity below
+// it, and reports ok = false once Bound() < floor.
 // Entities exactly at the floor are still returned: they can win a tie.
 func (it *Iter) RaiseFloor(floor float64) { it.floor = max(it.floor, floor) }
 

@@ -29,7 +29,7 @@ type Result struct {
 type SearchStats struct {
 	Checked      int     // entities whose exact degree was computed
 	ZeroSkipped  int     // entities under none of the query's level-1 cells: degree exactly 0, never scored
-	BoundSkipped int     // candidates never scored: their cell bound could not displace the k-th answer, or the search ended first
+	BoundSkipped int     // candidates never scored: their cell or size bound could not displace the k-th answer (or lay below the floor), or the search ended first
 	NodesPopped  int     // candidate nodes dequeued
 	LeavesRead   int     // leaf nodes whose entities were scanned
 	CellsHashed  int     // query-cell hash evaluations
@@ -148,6 +148,7 @@ type frontier struct {
 	pooled  *scratch // the query's candidates; nil once released
 	pos     int      // the next bucket is pooled.rank[pos]
 	limit   int      // stop scoring at this many exact degrees (0 = never)
+	floor   float64  // nothing bounded below it is scored or returned (Iter.RaiseFloor)
 	stats   SearchStats
 }
 
@@ -190,19 +191,23 @@ func (f *frontier) peek() (ub float64, ok bool) {
 }
 
 // visit dequeues the bucket peek reported: its candidates are scored exactly
-// and handed to offer. With a selection to fill (best non-nil), a candidate
-// that could not displace the k-th answer even at its bucket's bound, ties
-// included, is dropped as offer would drop it; a bucket the limit interrupts
-// keeps its unscored rest queued.
+// and handed to offer. A candidate that is sure to miss the answer (beaten) at
+// its bucket's bound, or at the bound its own level sizes give once there is a
+// cut to miss, is dropped as offer would drop it; a bucket the limit
+// interrupts keeps its unscored rest queued.
 func (f *frontier) visit(best *kBest, offer func(Result)) error {
 	sc := f.pooled
 	b := &sc.buckets[sc.rank[f.pos]]
+	f.overlap(b.mask)
 	for i, e := range sc.order[b.end-b.n : b.end] {
 		if f.limit > 0 && f.stats.Checked >= f.limit {
 			b.n -= i // the rest of the bucket stays queued
 			return nil
 		}
-		if best != nil && best.full() && !ranksBefore(Result{e, b.ub}, best.kth()) {
+		if f.beaten(best, Result{e, b.ub}) {
+			continue
+		}
+		if (f.floor > 0 || best != nil && best.full()) && f.beaten(best, Result{e, f.sizedBound(e)}) {
 			continue
 		}
 		s := f.p.src.Get(e)
@@ -215,6 +220,14 @@ func (f *frontier) visit(best *kBest, offer func(Result)) error {
 	}
 	f.pos++
 	return nil
+}
+
+// beaten reports whether a candidate whose degree is at most r.Degree is sure
+// to miss the answer: it cannot displace the k-th result of a full selection
+// (best non-nil), ties included, or it lies below the floor. Floors only rise,
+// so a candidate below one is never needed again.
+func (f *frontier) beaten(best *kBest, r Result) bool {
+	return best != nil && best.full() && !ranksBefore(r, best.kth()) || r.Degree < f.floor
 }
 
 // rest calls fn for every entity still queued, the unscored candidates and

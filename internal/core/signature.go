@@ -188,7 +188,7 @@ func (t *Tree) newTraversal(q *trace.Sequences, measure adm.Measure) (*traversal
 	for l := 1; l <= t.m; l++ {
 		tr.qCounts[l-1] = q.Size(l)
 	}
-	return tr, &candidate{n: t.root, ub: measure.UpperBound(tr.qCounts, tr.qCounts), surviving: q.Base(), counts: tr.qCounts}
+	return tr, &candidate{n: t.root, ub: measure.UpperBound(tr.qCounts, tr.qCounts, nil), surviving: q.Base(), counts: tr.qCounts}
 }
 
 // expand builds the candidate for a child node: filter the surviving query
@@ -247,7 +247,7 @@ func (tr *traversal) expand(parent *candidate, child *node) *candidate {
 		}
 		tr.anc = anc
 	}
-	cc.ub = tr.measure.UpperBound(cc.counts, tr.qCounts)
+	cc.ub = tr.measure.UpperBound(cc.counts, tr.qCounts, nil)
 	return cc
 }
 

@@ -24,17 +24,19 @@ import (
 //	etab      the entity table, ascending by ID: one fixed-width record per
 //	          entity — id, name span, sequence span, covered visit count —
 //	          closed by a CRC32C
+//	size      each entity's level sizes, m bytes in the entity table's
+//	          encoding (Postings), in etab order, closed by a CRC32C
 //	cells     the level-1 cell index (CSR), closed by a CRC32C
 //	seqs      the concatenated storage.EncodeSequences blobs, page-aligned
 //
-// cells and seqs are written together or not at all. Without them the image
-// serves a warm restart: the loader re-ingests the visit log, resolves
-// entities by name and seals the cell index from the sequences it staged
-// (Snapshot.Postings). With them it is served in place off a read-only
-// mapping, IDs trusted, sequence pages faulting in as queries touch them
-// (Snapshot.MappedPostings). A structural slip anywhere trips a bounds check;
-// a flipped ID, span or count in the entity table, or a posting missing from
-// the cell index, would only show as a wrong answer — so those two sections
+// size, cells and seqs are written together or not at all, the sizes from
+// the sequences seqs holds. Without them the image serves a warm restart: the
+// loader re-ingests the visit log, resolves entities by name and seals the
+// cell index and sizes from the sequences it staged (Snapshot.Postings). With
+// them it is served in place off a read-only mapping, IDs trusted, sequence
+// pages faulting in as queries touch them (Snapshot.MappedPostings). A structural slip anywhere trips a bounds check;
+// a flipped ID, span, count or size in the entity table, or a posting missing
+// from the cell index, would only show as a wrong answer — so those sections
 // carry a checksum.
 
 // FoldedUnknown is the folded-count sentinel for an entity whose exact
@@ -82,6 +84,7 @@ type Snapshot struct {
 	Meta     SnapshotMeta
 	Entities []SnapshotEntity // ascending by ID
 	HasSeqs  bool
+	sizes    []byte     // the stored level sizes, m bytes an entity in table order; nil without sequences
 	cells    *cellIndex // the stored cell index; nil without sequences
 }
 
@@ -117,6 +120,7 @@ func (p *Postings) WriteSnapshot(w io.Writer, meta SnapshotMeta, seqs SequenceSo
 		head = binary.LittleEndian.AppendUint64(head, v)
 	}
 	ents := make([]byte, 0, len(entities)*entSize+4)
+	var sizes []byte
 	var seqsLen int64
 	for _, e := range entities {
 		name, folded := info(e)
@@ -130,6 +134,7 @@ func (p *Postings) WriteSnapshot(w io.Writer, meta SnapshotMeta, seqs SequenceSo
 				return 0, fmt.Errorf("core: entity %d has no sequences in the source", e)
 			}
 			seqLen = storage.EncodedSize(s)
+			sizes = levelSizes(sizes, s)
 		}
 		ents = binary.LittleEndian.AppendUint32(ents, uint32(e))
 		ents = binary.LittleEndian.AppendUint64(ents, uint64(len(names)))
@@ -144,8 +149,8 @@ func (p *Postings) WriteSnapshot(w io.Writer, meta SnapshotMeta, seqs SequenceSo
 	parts := [][]byte{head, names, ents}
 	secs := []secfile.Section{{Kind: secfile.Meta}, {Kind: secfile.Names}, {Kind: secfile.Entities}}
 	if seqs != nil {
-		parts = append(parts, p.cells.encode())
-		secs = append(secs, secfile.Section{Kind: secfile.Cells}, secfile.Section{Kind: secfile.Seqs, Len: seqsLen})
+		parts = append(parts, binary.LittleEndian.AppendUint32(sizes, crc32c(sizes)), p.cells.encode())
+		secs = append(secs, secfile.Section{Kind: secfile.Sizes}, secfile.Section{Kind: secfile.Cells}, secfile.Section{Kind: secfile.Seqs, Len: seqsLen})
 	}
 	for i, part := range parts {
 		secs[i].Len = int64(len(part))
@@ -267,13 +272,17 @@ func decodeCells(b []byte, holds func(trace.EntityID) bool) (*cellIndex, error) 
 // and sequence span must fall inside its section, and the cell index must
 // check out in full — so a corrupt file is a descriptive error here, not an
 // OOM now or a SIGBUS at query time. An image written before the index
-// dropped its signatures is refused by name.
+// dropped its signatures, or before it kept its entities' level sizes, is
+// refused by name.
 func DecodeSnapshot(sr *secfile.Reader, ix *spindex.Index) (*Snapshot, error) {
-	kinds := []secfile.Kind{secfile.Meta, secfile.Names, secfile.Entities, secfile.Cells, secfile.Seqs}
+	kinds := []secfile.Kind{secfile.Meta, secfile.Names, secfile.Entities, secfile.Sizes, secfile.Cells, secfile.Seqs}
+	switch secs := sr.Secs; {
+	case len(secs) > 2 && secs[2].Kind == secfile.SignedEntities:
+		return nil, fmt.Errorf("core: the image's entity section is %q, with signature digests: a retired index format — re-save the index with this version (SaveIndex or SaveMappedIndex over the rebuilt data)", secs[2].Kind)
+	case len(secs) > 3 && secs[3].Kind == secfile.Cells:
+		return nil, fmt.Errorf("core: the image's entity table is followed by %q, with no level sizes: a retired index format — re-save the index with this version (SaveMappedIndex over the rebuilt data)", secs[3].Kind)
+	}
 	for i, sec := range sr.Secs {
-		if i == 2 && sec.Kind == secfile.SignedEntities {
-			return nil, fmt.Errorf("core: the image's entity section is %q, with signature digests: a retired index format — re-save the index with this version (SaveIndex or SaveMappedIndex over the rebuilt data)", sec.Kind)
-		}
 		if (len(sr.Secs) != 3 && len(sr.Secs) != len(kinds)) || sec.Kind != kinds[i] {
 			return nil, fmt.Errorf("core: not an index image: section %d of %d is %q (a cluster envelope loads through shard.Cluster)", i, len(sr.Secs), sec.Kind)
 		}
@@ -281,7 +290,7 @@ func DecodeSnapshot(sr *secfile.Reader, ix *spindex.Index) (*Snapshot, error) {
 	s := &Snapshot{HasSeqs: len(sr.Secs) == len(kinds)}
 	ents, seqs := sr.Secs[2], secfile.Section{}
 	if s.HasSeqs {
-		seqs = sr.Secs[4]
+		seqs = sr.Secs[5]
 	}
 
 	if sr.Secs[0].Len != 8*metaWords {
@@ -319,19 +328,33 @@ func DecodeSnapshot(sr *secfile.Reader, ix *spindex.Index) (*Snapshot, error) {
 	if ents.Len != int64(count)*entSize+4 {
 		return nil, fmt.Errorf("core: corrupt snapshot: entity table is %d bytes, %d entities need %d", ents.Len, count, int64(count)*entSize+4)
 	}
+	m := ix.Height()
+	if s.HasSeqs && sr.Secs[3].Len != int64(count*m)+4 {
+		return nil, fmt.Errorf("core: corrupt snapshot: level sizes are %d bytes, %d entities need %d", sr.Secs[3].Len, count, count*m+4)
+	}
 	names, err := sr.ReadAll(1)
 	var table, cells []byte
 	if err == nil {
 		table, err = sr.ReadAll(2)
 	}
 	if err == nil && s.HasSeqs {
-		cells, err = sr.ReadAll(3)
+		if s.sizes, err = sr.ReadAll(3); err == nil {
+			cells, err = sr.ReadAll(4)
+		}
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: reading snapshot: %w", err)
 	}
 	if table, err = checksummed(table, "entity table"); err != nil {
 		return nil, err
+	}
+	if s.HasSeqs {
+		if s.sizes, err = checksummed(s.sizes, "level sizes"); err != nil {
+			return nil, err
+		}
+		if i := slices.Index(s.sizes, 0); i >= 0 {
+			return nil, fmt.Errorf("core: corrupt snapshot: level-size byte %d is 0, which marks no entity", i)
+		}
 	}
 	// count records arrived: from here it sizes what it describes.
 	s.Entities = make([]SnapshotEntity, count)
@@ -404,16 +427,17 @@ func (s *Snapshot) Postings(ix *spindex.Index, src SequenceSource, resolve Resol
 
 // MappedPostings loads an image that carries its sequences (HasSeqs) into an
 // index served in place: src reads the entities' Seq spans, IDs are the
-// stored ones, the cell index is the stored one. The load never touches src —
-// sequence pages fault in at query time; the spans were bounds-checked by
-// DecodeSnapshot.
+// stored ones, the level sizes and the cell index the stored ones. The load
+// never touches src — sequence pages fault in at query time; the spans were
+// bounds-checked by DecodeSnapshot.
 func (s *Snapshot) MappedPostings(ix *spindex.Index, src SequenceSource) (*Postings, error) {
 	if !s.HasSeqs {
 		return nil, fmt.Errorf("core: snapshot carries no sequence section, so no index can be served off it in place")
 	}
-	ents := make([]trace.EntityID, len(s.Entities))
+	m := ix.Height()
+	base := newSizeTable(m, len(s.Entities))
 	for i, se := range s.Entities {
-		ents[i] = se.ID
+		base.put(se.ID, s.sizes[i*m:(i+1)*m])
 	}
-	return &Postings{ix: ix, src: src, m: ix.Height(), ents: ents, n: len(ents), cells: s.cells.derive()}, nil
+	return &Postings{ix: ix, src: src, m: m, base: base, added: sizeTable{m: m}, n: len(s.Entities), cells: s.cells.derive()}, nil
 }

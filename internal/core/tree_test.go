@@ -590,8 +590,8 @@ func (m floorMeasure) Degree(a, b *trace.Sequences) float64 {
 	return m.floor + (1-m.floor)*m.Measure.Degree(a, b)
 }
 
-func (m floorMeasure) UpperBound(surviving, qSize []int) float64 {
-	return m.floor + (1-m.floor)*m.Measure.UpperBound(surviving, qSize)
+func (m floorMeasure) UpperBound(surviving, qSize, bSize []int) float64 {
+	return m.floor + (1-m.floor)*m.Measure.UpperBound(surviving, qSize, bSize)
 }
 
 // TestPositiveFloorMeasure: the postings refuse, by name, a measure under

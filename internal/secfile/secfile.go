@@ -51,6 +51,7 @@ const (
 	Meta     Kind = "meta" // DB image: the engine scalars
 	Entities Kind = "etab" // DB image: fixed-width entity records, checksummed
 	Names    Kind = "name" // DB image: concatenated entity names
+	Sizes    Kind = "size" // DB image: each entity's level sizes, checksummed
 	Cells    Kind = "cell" // DB image: the level-1 cell index, checksummed
 	Seqs     Kind = "seqs" // DB image: concatenated sequence blobs, read lazily; paged
 	Slots    Kind = "slot" // envelope: the slot map

@@ -500,7 +500,7 @@ func TestMappedCorruption(t *testing.T) {
 	}
 	var (
 		offClaimed = len(secfile.Magic) + 4
-		offSeqsOff = len(secfile.Magic) + 16 + 20*4 + 4 // fifth table entry, its offset word
+		offSeqsOff = len(secfile.Magic) + 16 + 20*5 + 4 // sixth table entry (seqs), its offset word
 		offCount   = sr.Secs[0].Off + 8
 		ents       = sr.Secs[2]
 	)

@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"digitaltraces"
 	"digitaltraces/internal/secfile"
@@ -311,4 +312,85 @@ func TestClusterRefusedMappedLoadKeepsSlotMap(t *testing.T) {
 		t.Error("the loaded cluster did not adopt the envelope's slot map")
 	}
 	sameTopK(t, c1, c2, []string{"entity-0", "entity-7", "entity-19"}, 5)
+}
+
+// TestPartitionMappedLoadedDB: a DB booted off a mapped image keeps no visit
+// log for what it loaded, yet Partition replays its AllVisits — so they must
+// carry the stored sequences' presence, and the cluster must answer every
+// entity exactly as the source does, with and without visits ingested after
+// the load.
+func TestPartitionMappedLoadedDB(t *testing.T) {
+	src := testCity(t)
+	if err := src.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "db.map")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.SaveMappedIndex(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	later := []digitaltraces.VisitRecord{
+		{Entity: "entity-3", Venue: "venue-5", Start: time.Unix(0, 0).Add(80 * time.Hour), End: time.Unix(0, 0).Add(83 * time.Hour)},
+		{Entity: "newcomer", Venue: "venue-5", Start: time.Unix(0, 0).Add(81 * time.Hour), End: time.Unix(0, 0).Add(82 * time.Hour)},
+		{Entity: "entity-9", Venue: "venue-40", Start: time.Unix(0, 0).Add(2 * time.Hour), End: time.Unix(0, 0).Add(9 * time.Hour)},
+	}
+	for _, tail := range [][]digitaltraces.VisitRecord{nil, later} {
+		t.Run(fmt.Sprintf("post-load visits=%d", len(tail)), func(t *testing.T) {
+			mapped, err := digitaltraces.NewGridDB(citySide, cityLevels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mapped.Close()
+			if err := mapped.LoadMappedIndex(path); err != nil {
+				t.Fatal(err)
+			}
+			want, queries := src, []string{}
+			for e := 0; e < cityEntities; e++ {
+				queries = append(queries, fmt.Sprintf("entity-%d", e))
+			}
+			if len(tail) > 0 {
+				// The source's twin with the same visits ingested after it.
+				if want, err = digitaltraces.NewGridDB(citySide, cityLevels); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := want.AddVisits(append(src.AllVisits(), tail...)); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := mapped.AddVisits(tail); err != nil {
+					t.Fatal(err)
+				}
+				for _, db := range []*digitaltraces.DB{want, mapped} {
+					if err := db.BuildIndex(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				queries = append(queries, "newcomer")
+			}
+			c := testCluster(t, mapped, 2)
+			defer c.Close()
+			if err := c.BuildIndex(); err != nil {
+				t.Fatal(err)
+			}
+			if got, w := c.NumEntities(), want.NumEntities(); got != w {
+				t.Fatalf("cluster of the mapped DB holds %d entities, the source %d", got, w)
+			}
+			for _, q := range queries {
+				w, _, err := want.TopK(q, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g, _, err := c.TopK(q, 5)
+				if err != nil {
+					t.Fatalf("TopK(%s) on the cluster of the mapped DB: %v", q, err)
+				}
+				requireSameMatches(t, "TopK("+q+")", g, w)
+			}
+		})
+	}
 }

@@ -134,8 +134,10 @@ func TestClusterLoadIndexShardCountChange(t *testing.T) {
 // MSIGCLUST2, MSIGCMAP2) are the ones a deployment may still hold: for those
 // the error also says what to do, re-save. So are MSIGIDX1 files written
 // before the index dropped its signatures (testdata/pre-postings-*, an image
-// and an envelope of this test's log): they are refused by their entity
-// section, with the same advice.
+// and an envelope of this test's log), refused by their entity section, and
+// mapped ones written before the index kept its entities' level sizes
+// (testdata/pre-sizes-*), refused by the cell section where the sizes
+// belong — both with the same advice.
 func TestLegacyMagicsRejected(t *testing.T) {
 	log := cityLog(t, 20)
 	queries := []string{"entity-0", "entity-7", "entity-19"}
@@ -152,11 +154,12 @@ func TestLegacyMagicsRejected(t *testing.T) {
 		eng       digitaltraces.Engine
 		load      func(path string, b []byte) error
 		preChange string // a file of this loader's kind written before the index dropped its signatures
+		preSizes  string // a mapped one written before the index kept level sizes
 	}{
-		{"DB.LoadIndex", db, func(_ string, b []byte) error { return db.LoadIndex(bytes.NewReader(b)) }, "testdata/pre-postings-image.idx"},
-		{"DB.LoadMappedIndex", db, func(path string, _ []byte) error { return db.LoadMappedIndex(path) }, "testdata/pre-postings-image.idx"},
-		{"Cluster.LoadIndex", c, func(_ string, b []byte) error { return c.LoadIndex(bytes.NewReader(b)) }, "testdata/pre-postings-envelope.idx"},
-		{"Cluster.LoadMappedIndex", c, func(path string, _ []byte) error { return c.LoadMappedIndex(path) }, "testdata/pre-postings-envelope.idx"},
+		{"DB.LoadIndex", db, func(_ string, b []byte) error { return db.LoadIndex(bytes.NewReader(b)) }, "testdata/pre-postings-image.idx", "testdata/pre-sizes-image.idx"},
+		{"DB.LoadMappedIndex", db, func(path string, _ []byte) error { return db.LoadMappedIndex(path) }, "testdata/pre-postings-image.idx", "testdata/pre-sizes-image.idx"},
+		{"Cluster.LoadIndex", c, func(_ string, b []byte) error { return c.LoadIndex(bytes.NewReader(b)) }, "testdata/pre-postings-envelope.idx", "testdata/pre-sizes-envelope.idx"},
+		{"Cluster.LoadMappedIndex", c, func(path string, _ []byte) error { return c.LoadMappedIndex(path) }, "testdata/pre-postings-envelope.idx", "testdata/pre-sizes-envelope.idx"},
 	}
 	for _, l := range loaders {
 		if err := l.eng.BuildIndex(); err != nil {
@@ -214,6 +217,7 @@ func TestLegacyMagicsRejected(t *testing.T) {
 	}
 	for l := range loaders {
 		refused(l, loaders[l].preChange, `"ents"`, "retired index format — re-save")
+		refused(l, loaders[l].preSizes, `"cell"`, "no level sizes", "retired index format — re-save")
 	}
 }
 
