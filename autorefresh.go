@@ -112,7 +112,7 @@ func (db *DB) autoRefreshTick() {
 }
 
 // Close stops the background auto-refresh goroutine, blocking until it has
-// exited, and unmaps any index file mappings (LoadMappedIndex). Close is
+// exited, and unmaps any index file mappings (OpenIndex). Close is
 // idempotent and the error is always nil (the signature is io.Closer-shaped
 // for composition). Queries and ingest remain usable after Close on a
 // heap-served DB — only the background policy stops — but a mapped DB's

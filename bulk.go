@@ -36,11 +36,9 @@ type BulkConfig struct {
 	// os.TempDir(). The load needs roughly 2× the input file there.
 	TempDir string
 	// RetainVisits keeps the raw visit log in the heap after the build, like
-	// LoadRecordFile — O(records) memory, but SaveIndex, VisitsOf and
-	// AllVisits keep working. The default drops it: the DB holds only the
-	// index and flips into union-fold mode (like a mapped load), so new
-	// visits still fold in exactly, and persistence goes through
-	// SaveMappedIndex.
+	// LoadRecordFile — O(records) memory. The default drops it: the DB holds
+	// only the index and flips into union-fold mode (like OpenIndex), so new
+	// visits still fold in exactly.
 	RetainVisits bool
 }
 

@@ -92,8 +92,8 @@ func TestBulkLoadMatchesInMemory(t *testing.T) {
 }
 
 // TestBulkLoadUnionFold: the default (visits not retained) flips the DB into
-// union-fold mode — SaveIndex refuses, new visits still fold in exactly, and
-// SaveMappedIndex round-trips the grown index.
+// union-fold mode — new visits still fold in exactly, and SaveIndex
+// round-trips the grown index.
 func TestBulkLoadUnionFold(t *testing.T) {
 	path := bulkLog(t, 40, 12, 2)
 	cfg := BulkConfig{PageSize: 256, BufferPages: 4}
@@ -102,9 +102,6 @@ func TestBulkLoadUnionFold(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer bulk.Close()
-	if _, err := bulk.SaveIndex(&bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "SaveMappedIndex") {
-		t.Errorf("SaveIndex on a bulk-loaded DB: want refusal naming SaveMappedIndex, got %v", err)
-	}
 
 	// Grow the log after the bulk load: a suffix of new visits for an
 	// existing entity plus a brand-new entity, then compare with an
@@ -135,13 +132,13 @@ func TestBulkLoadUnionFold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bulk.SaveMappedIndex(f); err != nil {
-		t.Fatalf("SaveMappedIndex from a bulk-loaded DB: %v", err)
+	if _, err := bulk.SaveIndex(f); err != nil {
+		t.Fatalf("SaveIndex from a bulk-loaded DB: %v", err)
 	}
 	f.Close()
 	served := emptyGrid(t)
 	defer served.Close()
-	if err := served.LoadMappedIndex(mapped); err != nil {
+	if err := served.OpenIndex(mapped); err != nil {
 		t.Fatal(err)
 	}
 	assertSameAnswers(t, mem, served, []string{"entity-10", "latecomer", "entity-38"}, 5)
@@ -161,8 +158,8 @@ func TestBulkLoadRetainVisits(t *testing.T) {
 		t.Fatalf("SaveIndex on a visit-retaining bulk DB: %v", err)
 	}
 	restored := freshGrid(t, bulk.AllVisits())
-	if err := restored.LoadIndex(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatalf("LoadIndex of the bulk DB's snapshot: %v", err)
+	if err := restored.OpenIndexAt(bytes.NewReader(buf.Bytes()), int64(buf.Len())); err != nil {
+		t.Fatalf("OpenIndexAt of the bulk DB's image: %v", err)
 	}
 	assertSameAnswers(t, bulk, restored, []string{"entity-3", "entity-80", "entity-206"}, 5)
 }

@@ -11,23 +11,19 @@
 // single-DB run is the baseline the N-shard parallel build speedup is read
 // against.
 //
-// The -scenario restart mode measures the warm-restart path: the time to a
-// query-ready index on a freshly re-ingested population, once cold
-// (BuildIndex: sequence staging + sealing the postings) and once warm
-// (LoadIndex over a SaveIndex snapshot: sequence staging against the stored
-// entity table), across population sizes, verifying the two serve identical
-// answers:
+// The -scenario restart mode measures the restart path: the time to a
+// query-ready index, once cold (BuildIndex over a freshly re-ingested
+// population: sequence staging + sealing the postings) and once by opening a
+// SaveIndex image (OpenIndex: no re-ingested visit log at all; it publishes
+// after validating the header and decoding the entity table, level sizes and
+// cell index, faulting sequence pages in lazily), across population sizes,
+// verifying the two serve identical answers:
 //
 //	bench -label restart -scenario restart -restart-sizes 1000,4000,16000
 //
-// writes BENCH_restart.json. The headline is the per-size load speedup —
-// what a restarted server saves before its first query. A third "mmap" row
-// per size measures LoadMappedIndex over a SaveMappedIndex file: the mapped
-// boot needs no re-ingested visit log at all and publishes after validating
-// the header and decoding the entity table and cell index, faulting sequence
-// pages in lazily, so
-// its time-to-first-query should sit well under the load row and grow
-// sub-linearly with the population.
+// writes BENCH_restart.json. The headline is the per-size speedup — what a
+// restarted server saves before its first query; the open's time should sit
+// well under the cold build and grow sub-linearly with the population.
 //
 // The -scenario trace mode measures the cost of leaving per-query tracing
 // on: sequential latency over the same query sequence with the trace ring
@@ -80,7 +76,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -120,20 +115,17 @@ type Run struct {
 }
 
 // RestartRun is one (mode, population) cell of the -scenario restart
-// matrix: the wall-clock cost of reaching a query-ready published index
-// snapshot over a freshly ingested population. Mode "cold" is BuildIndex;
-// mode "load" is LoadIndex over a SaveIndex snapshot (SnapshotBytes big);
-// mode "mmap" is LoadMappedIndex over a SaveMappedIndex file — no
-// re-ingested log at all, sequence pages fault in lazily. SpeedupVsCold is
-// cold/this at the same population (load and mmap rows); SpeedupVsLoad is
-// load/mmap (mmap rows only) — the decode-vs-map headline.
+// matrix: the wall-clock cost of reaching a query-ready published index.
+// Mode "cold" is BuildIndex over a freshly ingested population; mode "mmap"
+// is OpenIndex over a SaveIndex image (SnapshotBytes big) — no re-ingested
+// log at all, sequence pages fault in lazily. SpeedupVsCold is cold/this at
+// the same population (mmap rows).
 type RestartRun struct {
-	Mode          string  `json:"mode"` // "cold", "load" or "mmap"
+	Mode          string  `json:"mode"` // "cold" or "mmap"
 	Entities      int     `json:"entities"`
 	Seconds       float64 `json:"seconds"` // time to a query-ready snapshot
 	SnapshotBytes int64   `json:"snapshot_bytes,omitempty"`
 	SpeedupVsCold float64 `json:"speedup_vs_cold,omitempty"`
-	SpeedupVsLoad float64 `json:"speedup_vs_load,omitempty"`
 }
 
 // IngestRun is one mode of the -scenario ingest comparison: building a
@@ -377,15 +369,14 @@ func writeReport(report Report, out, label string) {
 	log.Printf("wrote %s", path)
 }
 
-// restartScenario measures, per population size, the wall clock from a
-// freshly ingested DB to a query-ready published index: cold (BuildIndex)
-// versus warm (LoadIndex from a SaveIndex snapshot of an identically
-// generated DB). The generators are deterministic, so the warm DB's visit
-// log is the "re-ingested record file" of a real restart; the scenario
-// verifies the two modes answer sample queries identically before
-// reporting. Each timed mode runs with only its own DB live (the previous
-// mode's is released and the heap compacted first) — a real restart has one
-// process image, not three populations sharing a garbage collector.
+// restartScenario measures, per population size, the wall clock to a
+// query-ready published index: cold (BuildIndex over a freshly generated
+// DB) versus OpenIndex of a SaveIndex image of an identically generated DB.
+// The generators are deterministic, so the scenario verifies the two modes
+// answer sample queries identically before reporting. Each timed mode runs
+// with only its own DB live (the previous mode's is released and the heap
+// compacted first) — a real restart has one process image, not two
+// populations sharing a garbage collector.
 func restartScenario(cfg digitaltraces.CityConfig, popSizes []int, k int) ([]RestartRun, error) {
 	var runs []RestartRun
 	for _, pop := range popSizes {
@@ -397,16 +388,10 @@ func restartScenario(cfg digitaltraces.CityConfig, popSizes []int, k int) ([]Res
 			queries[q] = fmt.Sprintf("entity-%d", (q*97)%pop)
 		}
 
-		// The snapshots a restart would load: built and saved once per size,
-		// in both formats (heap snapshot for LoadIndex, mapped file for
-		// LoadMappedIndex).
+		// The image a restart would open: built and saved once per size.
 		src, err := fresh()
 		if err != nil {
 			return nil, fmt.Errorf("restart scenario: %w", err)
-		}
-		var snap bytes.Buffer
-		if _, err := src.SaveIndex(&snap); err != nil {
-			return nil, fmt.Errorf("restart scenario: saving %d-entity index: %w", pop, err)
 		}
 		mapFile, err := os.CreateTemp("", "bench-restart-*.map")
 		if err != nil {
@@ -414,9 +399,9 @@ func restartScenario(cfg digitaltraces.CityConfig, popSizes []int, k int) ([]Res
 		}
 		mapPath := mapFile.Name()
 		defer os.Remove(mapPath)
-		mapBytes, err := src.SaveMappedIndex(mapFile)
+		mapBytes, err := src.SaveIndex(mapFile)
 		if err != nil {
-			return nil, fmt.Errorf("restart scenario: saving %d-entity mapped index: %w", pop, err)
+			return nil, fmt.Errorf("restart scenario: saving %d-entity index: %w", pop, err)
 		}
 		if err := mapFile.Close(); err != nil {
 			return nil, fmt.Errorf("restart scenario: %w", err)
@@ -435,8 +420,8 @@ func restartScenario(cfg digitaltraces.CityConfig, popSizes []int, k int) ([]Res
 		coldSecs := time.Since(t0).Seconds()
 		runs = append(runs, RestartRun{Mode: "cold", Entities: pop, Seconds: coldSecs})
 		log.Printf("restart scenario |E|=%d: cold build %.3fs", pop, coldSecs)
-		// Record the reference answers, then release the cold DB so the warm
-		// measurement does not pay GC rent on a dead population.
+		// Record the reference answers, then release the cold DB so the open
+		// does not pay GC rent on a dead population.
 		coldAnswers := make([][]digitaltraces.Match, len(queries))
 		for q, name := range queries {
 			if coldAnswers[q], _, err = cold.TopK(name, k); err != nil {
@@ -445,59 +430,29 @@ func restartScenario(cfg digitaltraces.CityConfig, popSizes []int, k int) ([]Res
 		}
 		cold = nil
 
-		warm, err := fresh()
-		if err != nil {
-			return nil, fmt.Errorf("restart scenario: %w", err)
-		}
-		runtime.GC()
-		t0 = time.Now()
-		if err := warm.LoadIndex(bytes.NewReader(snap.Bytes())); err != nil {
-			return nil, fmt.Errorf("restart scenario: LoadIndex (%d entities): %w", pop, err)
-		}
-		loadSecs := time.Since(t0).Seconds()
-		run := RestartRun{Mode: "load", Entities: pop, Seconds: loadSecs, SnapshotBytes: int64(snap.Len())}
-		if loadSecs > 0 {
-			run.SpeedupVsCold = coldSecs / loadSecs
-		}
-		log.Printf("restart scenario |E|=%d: LoadIndex %.3fs (%.1f KiB snapshot, %.1fx vs cold)",
-			pop, loadSecs, float64(snap.Len())/1024, run.SpeedupVsCold)
-		runs = append(runs, run)
-
-		// The whole point is identical answers; a divergence is a bug, not a
-		// data point.
-		for q, name := range queries {
-			got, _, err := warm.TopK(name, k)
-			if err != nil {
-				return nil, fmt.Errorf("restart scenario: warm TopK(%s): %w", name, err)
-			}
-			if !reflect.DeepEqual(got, coldAnswers[q]) {
-				return nil, fmt.Errorf("restart scenario: warm answers diverge for %s: %v vs %v", name, got, coldAnswers[q])
-			}
-		}
-		warm = nil
-
-		// Mapped boot: no re-ingested log to stand up at all — an empty grid
-		// DB publishes straight off the file mapping, so the measured time is
-		// the whole restart, not just the index phase.
+		// No re-ingested log to stand up at all — an empty grid DB publishes
+		// straight off the file mapping, so the measured time is the whole
+		// restart, not just the index phase.
 		mapped, err := digitaltraces.NewGridDB(ccfg.Side, ccfg.Levels)
 		if err != nil {
 			return nil, fmt.Errorf("restart scenario: %w", err)
 		}
 		runtime.GC()
 		t0 = time.Now()
-		if err := mapped.LoadMappedIndex(mapPath); err != nil {
-			return nil, fmt.Errorf("restart scenario: LoadMappedIndex (%d entities): %w", pop, err)
+		if err := mapped.OpenIndex(mapPath); err != nil {
+			return nil, fmt.Errorf("restart scenario: OpenIndex (%d entities): %w", pop, err)
 		}
 		mmapSecs := time.Since(t0).Seconds()
 		mrun := RestartRun{Mode: "mmap", Entities: pop, Seconds: mmapSecs, SnapshotBytes: mapBytes}
 		if mmapSecs > 0 {
 			mrun.SpeedupVsCold = coldSecs / mmapSecs
-			mrun.SpeedupVsLoad = loadSecs / mmapSecs
 		}
-		log.Printf("restart scenario |E|=%d: LoadMappedIndex %.4fs (%.1f KiB mapped, %.1fx vs cold, %.1fx vs load)",
-			pop, mmapSecs, float64(mapBytes)/1024, mrun.SpeedupVsCold, mrun.SpeedupVsLoad)
+		log.Printf("restart scenario |E|=%d: OpenIndex %.4fs (%.1f KiB image, %.1fx vs cold)",
+			pop, mmapSecs, float64(mapBytes)/1024, mrun.SpeedupVsCold)
 		runs = append(runs, mrun)
 
+		// The whole point is identical answers; a divergence is a bug, not a
+		// data point.
 		for q, name := range queries {
 			got, _, err := mapped.TopK(name, k)
 			if err != nil {

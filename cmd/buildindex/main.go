@@ -6,10 +6,9 @@
 //
 //	buildindex -in traces.bin -side 24 -levels 4 -buffers 64
 //
-// -index writes the index without its sequence section (warm restart over a
-// re-ingested log); -index-mmap writes it with the sequences, page-aligned,
-// so serve -index-mmap maps and serves it in place, no re-ingest needed (and
-// topk -index still loads it by name).
+// -index writes the index image, sequences included and page-aligned, so
+// serve -index maps and serves it in place with no re-ingest, and topk -index
+// answers from it.
 package main
 
 import (
@@ -35,8 +34,7 @@ func main() {
 		levels  = flag.Int("levels", 4, "sp-index height used at generation time")
 		buffers = flag.Int("buffers", 64, "buffer pages for the external sort (B)")
 		page    = flag.Int("page", 4096, "page size in bytes")
-		out     = flag.String("index", "", "optional path to persist the index snapshot (loadable by topk -index and serve -index-load)")
-		outMap  = flag.String("index-mmap", "", "optional path to persist the page-aligned mapped snapshot (servable in place by serve -index-mmap)")
+		out     = flag.String("index", "", "optional path to persist the index image (served in place by serve -index and topk -index)")
 		u       = flag.Float64("u", 2, "ADM level exponent stamped into the snapshot meta")
 		v       = flag.Float64("v", 2, "ADM duration exponent stamped into the snapshot meta")
 	)
@@ -81,33 +79,26 @@ func main() {
 	fmt.Printf("index: %d entities, %.1f KB, built in %v\n",
 		post.Len(), float64(post.MemoryBytes())/1024, time.Since(t1).Round(time.Millisecond))
 
+	if *out == "" {
+		return
+	}
 	// Entity names follow the record-file convention ("entity-<fileID>", the
 	// naming LoadRecordFile and the synthetic cities use), so topk and serve
-	// -index-load resolve entities by name regardless of ingest order; the
-	// meta records the tracegen discretization (Unix epoch, hourly units).
-	save := func(path string, seqs core.SequenceSource) int64 {
-		f, err := os.Create(path)
-		if err != nil {
-			log.Fatal(err)
-		}
-		meta := core.SnapshotMeta{TimeUnit: time.Hour, MeasureU: *u, MeasureV: *v}
-		n, err := post.WriteSnapshot(f, meta, seqs, func(e trace.EntityID) (string, uint32) {
-			return fmt.Sprintf("entity-%d", e), counts[e]
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		return n
+	// check the image against the records by name; the meta records the
+	// tracegen discretization (Unix epoch, hourly units).
+	f, err := os.Create(*out)
+	if err != nil {
+		log.Fatal(err)
 	}
-	if *out != "" {
-		fmt.Printf("snapshot: %d bytes written to %s\n", save(*out, nil), *out)
+	meta := core.SnapshotMeta{TimeUnit: time.Hour, MeasureU: *u, MeasureV: *v}
+	n, err := post.WriteSnapshot(f, meta, store, func(e trace.EntityID) (string, uint32) {
+		return fmt.Sprintf("entity-%d", e), counts[e]
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
-	if *outMap != "" {
-		// With the sequence data, so serve -index-mmap can fault it in lazily
-		// without re-ingesting the record file.
-		fmt.Printf("mapped snapshot: %d bytes written to %s\n", save(*outMap, store), *outMap)
+	if err := f.Close(); err != nil {
+		log.Fatal(err)
 	}
+	fmt.Printf("index image: %d bytes written to %s\n", n, *out)
 }

@@ -19,22 +19,21 @@
 //	curl -d '{"entities":["entity-0","entity-1"],"k":5}' localhost:8080/topk/batch
 //	curl localhost:8080/stats   # includes per-shard breakdown when -shards > 1
 //
-// Warm restart: with -index-save the server persists its index snapshot on
-// SIGTERM/SIGINT (and on POST /index/save); with -index-load it republishes
-// that snapshot over the re-ingested records at the next boot instead of
-// paying the full rebuild. Point both at the same file:
+// Restart without re-ingest: with -index the server saves its index image to
+// the file on SIGTERM/SIGINT (and on POST /index/save) and, when the file
+// exists at boot, serves straight off a read-only mapping of it — query-ready
+// in the time it takes to decode the entity table and cell index, resident
+// memory growing only with the hot entities, no record re-ingest and no
+// rebuild. -bulk ingests a record file larger than memory by external-sorting
+// it under a bounded buffer budget (-sort-page, -sort-buffers) instead of
+// materializing the raw log in the heap:
 //
-//	serve -addr :8080 -in traces.bin -side 24 -index-save idx.snap -index-load idx.snap
+//	serve -addr :8080 -in huge.bin -side 24 -bulk -index idx.map   # first boot
+//	serve -addr :8080 -side 24 -index idx.map                      # restarts
 //
-// Out-of-core scale: -bulk ingests a record file larger than memory by
-// external-sorting it under a bounded buffer budget (-sort-page, -sort-buffers)
-// instead of materializing the raw log in the heap, and -index-mmap serves the
-// index straight off a read-only file mapping — the server is query-ready in
-// the time it takes to decode the entity table and cell index, resident memory
-// grows only with the hot entities, and no record re-ingest is needed at all:
-//
-//	serve -addr :8080 -in huge.bin -side 24 -bulk -index-mmap idx.map   # first boot
-//	serve -addr :8080 -side 24 -index-mmap idx.map                      # restarts
+// The same holds for -shards N and -shards-remote: the cluster envelope holds
+// one image per shard, and a remote shard's section is opened on its shard
+// server. A restart at another shard count re-ingests the data instead.
 //
 // Network-distributed shards: -shards-remote runs this process as the
 // coordinator of shard server processes (cmd/shardserve), each hosting one
@@ -92,9 +91,7 @@ func main() {
 		maxBatch  = flag.Int("maxbatch", 10000, "most entities one /topk/batch request may name")
 		refDirty  = flag.Int("refresh-dirty", 0, "auto-refresh: fold ingested visits into the index once this many entities are dirty (0 = no dirty trigger)")
 		refStale  = flag.Duration("refresh-staleness", 0, "auto-refresh: fold dirt once the serving snapshot is older than this (0 = no staleness trigger)")
-		idxSave   = flag.String("index-save", "", "persist the index (without its sequence section) to this file on SIGTERM/SIGINT and on POST /index/save")
-		idxLoad   = flag.String("index-load", "", "warm restart: publish the index file at this path (saved with or without its sequence section) over the re-ingested records instead of rebuilding (cold-builds when the file does not exist yet)")
-		idxMmap   = flag.String("index-mmap", "", "serve the index off a read-only mapping of this file (no re-ingest; boots without -in/-synthetic when the file exists) and save it there, sequence section included, on shutdown and POST /index/save; wins over -index-load/-index-save")
+		idxPath   = flag.String("index", "", "serve the index off a read-only mapping of this file when it exists (no re-ingest, no rebuild; boots without -in/-synthetic) and save it there on SIGTERM/SIGINT and POST /index/save")
 		rebAuto   = flag.Duration("rebalance-auto", 0, "skew-aware auto-rebalance period for sharded engines (0 = manual via POST /rebalance): every period, plan slot moves from per-shard owned-entity skew and migrate them live")
 		slotsInit = flag.String("slots-initial", "", `initial slot→shard placement as shard:slots pairs summing to 256 (e.g. "0:192,1:32,2:32" gives shard 0 three quarters of the keyspace); empty = even; applied before any ingest`)
 		bulk      = flag.Bool("bulk", false, "out-of-core ingest: external-sort -in by entity under the -sort-* buffer budget instead of loading the raw log into the heap")
@@ -105,13 +102,8 @@ func main() {
 
 	opts := []digitaltraces.Option{digitaltraces.WithPaperMeasure(*u, *v)}
 	clustered := *shards > 1 || *shardsRem != ""
-	if *shardsRem != "" {
-		if *shards > 1 {
-			log.Fatal("-shards and -shards-remote are mutually exclusive: the shard servers are the partition")
-		}
-		if *idxMmap != "" {
-			log.Fatal("-index-mmap needs in-process shards: mapped cluster envelopes splice per-shard mappings, which cannot cross the network (use -index-save/-index-load for remote clusters)")
-		}
+	if *shardsRem != "" && *shards > 1 {
+		log.Fatal("-shards and -shards-remote are mutually exclusive: the shard servers are the partition")
 	}
 	if *cacheSize > 0 && !clustered {
 		// Single DB: the cache lives in the DB itself. For -shards > 1 the
@@ -137,7 +129,6 @@ func main() {
 		opts = append(opts, digitaltraces.WithAutoRefresh(*refDirty, *refStale))
 		log.Printf("auto-refresh: maxDirty=%d maxStaleness=%v", *refDirty, *refStale)
 	}
-	mappedBoot := *idxMmap != "" && fileExists(*idxMmap)
 	var (
 		db      *digitaltraces.DB
 		err     error
@@ -177,18 +168,19 @@ func main() {
 		default:
 			log.Fatalf("unknown model %q (want im or wifi)", *model)
 		}
-	case mappedBoot:
-		// No data source at all: boot an empty grid DB and serve straight
-		// off the mapped index file — the out-of-core restart path.
-		log.Printf("booting with no data source; serving off mapped index %s", *idxMmap)
-		db, err = digitaltraces.NewGridDB(*side, *levels, opts...)
 	case *shardsRem != "":
 		// A coordinator may boot with no data source: the remote cluster
-		// starts empty and fills through /visits (shard servers boot empty
-		// too — all ingest routes through the coordinator's router).
-		log.Printf("booting empty coordinator; ingest via POST /visits")
+		// starts empty and fills through /visits or the index image (shard
+		// servers boot empty too — all ingest routes through the
+		// coordinator's router).
+		log.Printf("booting empty coordinator")
+	case *idxPath != "" && fileExists(*idxPath):
+		// No data source at all: boot an empty grid DB and serve straight
+		// off the mapped index image — the no-re-ingest restart path.
+		log.Printf("booting with no data source; serving off index %s", *idxPath)
+		db, err = digitaltraces.NewGridDB(*side, *levels, opts...)
 	default:
-		log.Fatal("nothing to serve: pass -in <file>, -synthetic, or -index-mmap <existing file>")
+		log.Fatal("nothing to serve: pass -in <file>, -synthetic, or -index <existing file>")
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -263,11 +255,10 @@ func main() {
 
 	start := time.Now()
 	switch {
-	case mappedWarmStart(engine, *idxMmap, mappedBoot):
+	case openImage(engine, *idxPath):
 		// Serving off the mapping: no rebuild, no re-ingest.
 	case indexed:
 		// The bulk load built and published the index already.
-	case warmStart(engine, *idxLoad):
 	case engine.NumEntities() == 0:
 		// An empty coordinator (remote shards, no data source) has nothing
 		// to index yet; the first post-ingest query or refresh folds.
@@ -281,7 +272,7 @@ func main() {
 	log.Printf("indexed %d entities in %v: ~%.1f MiB",
 		st.Entities, time.Since(start).Round(time.Millisecond), float64(st.MemoryBytes)/(1<<20))
 	if st.Mapped {
-		log.Printf("serving mapped: sequence pages fault in lazily from %s", *idxMmap)
+		log.Printf("serving mapped: sequence pages fault in lazily from %s", *idxPath)
 	}
 	if c, ok := engine.(*shard.Cluster); ok {
 		for _, ss := range c.ShardStats() {
@@ -290,11 +281,8 @@ func main() {
 	}
 
 	srvOpts := []server.Option{server.WithMaxK(*maxK), server.WithMaxBatch(*maxBatch)}
-	if *idxSave != "" {
-		srvOpts = append(srvOpts, server.WithIndexPath(*idxSave))
-	}
-	if *idxMmap != "" {
-		srvOpts = append(srvOpts, server.WithMappedIndexPath(*idxMmap))
+	if *idxPath != "" {
+		srvOpts = append(srvOpts, server.WithIndexPath(*idxPath))
 	}
 	if *slotsInit != "" && !clustered {
 		log.Fatal("-slots-initial needs a sharded engine (-shards > 1 or -shards-remote)")
@@ -307,8 +295,8 @@ func main() {
 	}
 
 	// Serve until a shutdown signal, then drain in-flight requests and — the
-	// warm-restart contract — persist the index snapshot so the next boot
-	// starts from it instead of rebuilding.
+	// restart contract — persist the index image so the next boot serves off
+	// it instead of re-ingesting and rebuilding.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if *rebAuto > 0 {
@@ -351,21 +339,13 @@ func main() {
 			log.Printf("shutdown: %v", err)
 		}
 		cancel()
-		switch {
-		case *idxMmap != "":
+		if *idxPath != "" {
 			t0 := time.Now()
-			n, err := server.SaveMappedIndexFile(engine, *idxMmap)
+			n, err := server.SaveIndexFile(engine, *idxPath)
 			if err != nil {
-				log.Fatalf("saving mapped index to %s: %v", *idxMmap, err)
+				log.Fatalf("saving index to %s: %v", *idxPath, err)
 			}
-			log.Printf("saved mapped index: %d bytes to %s in %v", n, *idxMmap, time.Since(t0).Round(time.Millisecond))
-		case *idxSave != "":
-			t0 := time.Now()
-			n, err := server.SaveIndexFile(engine, *idxSave)
-			if err != nil {
-				log.Fatalf("saving index to %s: %v", *idxSave, err)
-			}
-			log.Printf("saved index snapshot: %d bytes to %s in %v", n, *idxSave, time.Since(t0).Round(time.Millisecond))
+			log.Printf("saved index: %d bytes to %s in %v", n, *idxPath, time.Since(t0).Round(time.Millisecond))
 		}
 		if c, ok := engine.(interface{ Close() error }); ok {
 			c.Close()
@@ -373,36 +353,24 @@ func main() {
 	}
 }
 
-// warmStart tries to publish a saved index snapshot over the freshly
-// ingested records. It reports whether the engine is query-ready; a missing
-// file is a normal cold start, any other failure is fatal — a snapshot that
-// does not match the data must stop the boot, not degrade into a silent
+// openImage serves the index image at path over the engine: restart cost is
+// the decode, with sequence pages faulting in lazily as queries touch them. A
+// missing file is a normal first boot. Any open failure is fatal: an image
+// that does not match the data must stop the boot, not degrade into a silent
 // rebuild the operator did not budget for.
-// mappedWarmStart publishes a mapped index over the engine: restart cost is
-// the decode, with sequence pages faulting in lazily as queries
-// touch them. A missing file is a normal first boot — unless the mapped file
-// was the only data source, in which case there is nothing to serve. Any
-// load failure is fatal, like warmStart.
-func mappedWarmStart(engine digitaltraces.Engine, path string, mappedOnly bool) bool {
+func openImage(engine digitaltraces.Engine, path string) bool {
 	if path == "" {
 		return false
 	}
 	if !fileExists(path) {
-		if mappedOnly {
-			log.Fatalf("no mapped index at %s and no -in/-synthetic data source", path)
-		}
-		log.Printf("cold start: no mapped index at %s yet", path)
+		log.Printf("cold start: no index at %s yet", path)
 		return false
 	}
-	mp, ok := engine.(digitaltraces.MappedPersister)
-	if !ok {
-		log.Fatalf("engine %T cannot serve a mapped index", engine)
-	}
 	t0 := time.Now()
-	if err := mp.LoadMappedIndex(path); err != nil {
-		log.Fatalf("mapped restart from %s failed: %v", path, err)
+	if err := engine.OpenIndex(path); err != nil {
+		log.Fatalf("restart from %s failed: %v", path, err)
 	}
-	log.Printf("mapped restart: serving off %s after %v", path, time.Since(t0).Round(time.Millisecond))
+	log.Printf("restart: serving off %s after %v", path, time.Since(t0).Round(time.Millisecond))
 	return true
 }
 
@@ -439,25 +407,4 @@ func parseSlotsInitial(spec string, shards int) []int {
 		log.Fatalf("-slots-initial: slot counts sum to %d, want %d", len(assign), shard.NumSlots)
 	}
 	return assign
-}
-
-func warmStart(engine digitaltraces.Engine, path string) bool {
-	if path == "" {
-		return false
-	}
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		log.Printf("cold start: no index snapshot at %s yet", path)
-		return false
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	t0 := time.Now()
-	if err := engine.LoadIndex(f); err != nil {
-		log.Fatalf("warm restart from %s failed: %v", path, err)
-	}
-	log.Printf("warm restart: loaded index snapshot %s in %v", path, time.Since(t0).Round(time.Millisecond))
-	return true
 }

@@ -22,6 +22,7 @@ import (
 	"digitaltraces/internal/extsort"
 	"digitaltraces/internal/secfile"
 	"digitaltraces/internal/spindex"
+	"digitaltraces/internal/storage"
 	"digitaltraces/internal/trace"
 )
 
@@ -36,7 +37,7 @@ func main() {
 		queries = flag.String("query", "0", "comma-separated entity ids to query")
 		u       = flag.Float64("u", 2, "ADM level exponent")
 		v       = flag.Float64("v", 2, "ADM duration exponent")
-		index   = flag.String("index", "", "optional snapshot from buildindex -index or -index-mmap, checked against the record file")
+		index   = flag.String("index", "", "optional index image from buildindex -index, checked against the record file and served in place")
 	)
 	flag.Parse()
 
@@ -66,42 +67,44 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		// Snapshots resolve by the record-file naming convention
-		// ("entity-<fileID>") and cross-check the covered visit counts, so a
-		// snapshot built over a different or stale record set errors instead
-		// of silently serving another data set.
-		byName := make(map[string]trace.EntityID, len(ids))
-		for _, e := range ids {
-			byName[fmt.Sprintf("entity-%d", e)] = e
+		defer f.Close()
+		fi, err := f.Stat()
+		if err != nil {
+			log.Fatal(err)
 		}
-		resolve := func(se core.SnapshotEntity) (trace.EntityID, bool, error) {
-			e, ok := byName[se.Name]
-			if !ok {
-				return 0, false, fmt.Errorf("snapshot entity %q is not in %s — the snapshot was built over a different record set", se.Name, *in)
-			}
-			if se.Folded == core.FoldedUnknown {
-				// Stamped "dirty while the save ran": the snapshot covers an
-				// unknown visit prefix of this entity.
-				return 0, false, fmt.Errorf("snapshot's entry for %q is stale (the entity was receiving visits while the snapshot was saved); rebuild it with buildindex -index", se.Name)
-			}
-			if int(se.Folded) != counts[e] {
-				return 0, false, fmt.Errorf("snapshot covers %d visits for %q but %s has %d — stale snapshot; rebuild it with buildindex -index", se.Folded, se.Name, *in, counts[e])
-			}
-			return e, true, nil
-		}
-		sr, err := secfile.NewReader(f)
+		sr, err := secfile.NewReaderAt(f, fi.Size())
 		if err != nil {
 			log.Fatal(err)
 		}
 		snap, err := core.DecodeSnapshot(sr, ix)
-		f.Close()
 		if err != nil {
 			log.Fatal(err)
 		}
-		if post, err = snap.Postings(ix, store, resolve); err != nil {
+		// Images name entities by the record-file convention
+		// ("entity-<fileID>") and record the covered visit counts, so an image
+		// built over a different or stale record set errors instead of
+		// silently serving another data set.
+		spans := make(map[trace.EntityID]storage.Span, len(snap.Entities))
+		order := make([]trace.EntityID, len(snap.Entities))
+		for i, se := range snap.Entities {
+			switch {
+			case se.Name != fmt.Sprintf("entity-%d", se.ID) || counts[se.ID] == 0:
+				log.Fatalf("image entity %q (ID %d) is not in %s — the image was built over a different record set", se.Name, se.ID, *in)
+			case se.Folded == core.FoldedUnknown:
+				// Stamped "dirty while the save ran": the image covers an
+				// unknown visit prefix of this entity.
+				log.Fatalf("image's entry for %q is stale (the entity was receiving visits while the image was saved); rebuild it with buildindex -index", se.Name)
+			case int(se.Folded) != counts[se.ID]:
+				log.Fatalf("image covers %d visits for %q but %s has %d — stale image; rebuild it with buildindex -index", se.Folded, se.Name, *in, counts[se.ID])
+			}
+			spans[se.ID], order[i] = se.Seq, se.ID
+		}
+		pool, err := storage.OpenSpans(ix, f, fi.Size(), spans, order, storage.Options{BlockSize: secfile.Page})
+		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("loaded snapshot %s (%d entities)\n", *index, post.Len())
+		post = snap.MappedPostings(ix, trace.NewBackedStore(ix, pool))
+		fmt.Printf("opened index %s (%d entities)\n", *index, post.Len())
 	} else if post, err = core.BuildPostings(ix, store, ids); err != nil {
 		log.Fatal(err)
 	}

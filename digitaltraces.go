@@ -53,12 +53,12 @@
 //
 // # Persistence
 //
-// SaveIndex persists the serving index (the entity table, entity names and
-// the engine scalars — not the visit data) and LoadIndex republishes it over
-// a re-ingested visit log, so a restarted process serves queries without
-// rebuilding: the warm-restart path (cmd/serve -index-save / -index-load).
-// Entities resolve by name, and a log that drifted from the snapshot's data
-// is a load-time error, never a silently different answer.
+// SaveIndex persists the serving index as one image, sequences included, and
+// OpenIndex serves such an image straight off a read-only mapping, so a
+// restarted process answers queries with no visit re-ingest and no rebuild
+// (cmd/serve -index). The image's scalars must match the DB's configuration,
+// and into a populated registry its entities must keep their IDs — either
+// mismatch is an open-time error, never a silently different answer.
 //
 // See examples/ for complete programs, README.md for a tour, DESIGN.md for
 // the architecture and the concurrency model, and EXPERIMENTS.md for the
@@ -332,7 +332,7 @@ type DB struct {
 	// retention): builders must union new visits into the previously folded
 	// sequences instead of rebuilding them from the log, which is exact
 	// because cell sets union idempotently. Guarded by buildMu (set by
-	// LoadMappedIndex / BulkLoadRecordFile, read by builders); never cleared.
+	// OpenIndex / BulkLoadRecordFile, read by builders); never cleared.
 	unionFold bool
 
 	// mappings are the file mappings live snapshots may serve sequences
@@ -663,38 +663,20 @@ func (db *DB) KNNJoin(entities []string, k int, workers int) (map[string][]Match
 	return out, err
 }
 
-// SaveIndex persists the built index to w without the sequence section: the
-// entity table with each entity's name and covered visit count, and the
-// time-unit / epoch / measure scalars. The visit data itself is not included
-// — LoadIndex republishes the snapshot over a re-ingested visit log,
-// resolving entities by name.
+// SaveIndex persists the built index to w as one image: the entity table
+// with each entity's name and covered visit count, the time-unit / epoch /
+// measure scalars, every entity's level sizes, the level-1 cell index and
+// every entity's serialized sequences, page-aligned — so OpenIndex serves
+// queries straight off a read-only mapping of the file with no visit
+// re-ingest at all.
 //
 // Pending dirt is folded (or the index built, if absent) before saving, so
-// the snapshot covers everything ingested when the save began; entities that
+// the image covers everything ingested when the save began; entities that
 // receive visits while the save is in flight are stamped with an unknown
-// covered count and re-indexed on load instead of served stale.
-func (db *DB) SaveIndex(w io.Writer) (int64, error) { return db.saveIndex(w, false) }
-
-// SaveMappedIndex persists the built index to w with the sequence section:
-// everything SaveIndex writes, folded first the same way, plus every entity's
-// serialized sequences, page-aligned, and the level-1 cell index — so
-// LoadMappedIndex can serve queries straight off a read-only mapping of the
-// file with no visit re-ingest at all, and LoadIndex can still load it by name
-// over a re-ingested log.
-func (db *DB) SaveMappedIndex(w io.Writer) (int64, error) { return db.saveIndex(w, true) }
-
-// saveIndex is the one save routine: fold first, capture the covered counts,
-// write outside every lock — with the sequence section (and the cell index
-// that goes with it) or without.
-func (db *DB) saveIndex(w io.Writer, withSeqs bool) (int64, error) {
+// covered count and re-folded after an open instead of counted clean. The
+// write itself runs outside every lock.
+func (db *DB) SaveIndex(w io.Writer) (int64, error) {
 	db.buildMu.Lock()
-	if db.unionFold && !withSeqs {
-		// The visit log no longer covers the index (mapped or bulk load), so
-		// the per-entity covered counts would be wrong — and LoadIndex could
-		// not reconstruct the store from the log anyway.
-		db.buildMu.Unlock()
-		return 0, fmt.Errorf("digitaltraces: SaveIndex on a mapped- or bulk-loaded DB whose visit log does not cover the index; use SaveMappedIndex, which persists the sequences themselves")
-	}
 	s := db.snap.Load()
 	var err error
 	switch {
@@ -711,7 +693,7 @@ func (db *DB) saveIndex(w io.Writer, withSeqs bool) (int64, error) {
 	// publishers: a clean entity's count is exactly what s folded (publish
 	// retires dirt only when the counts match), and an entity dirtied since
 	// the fold above gets the stale sentinel. On a union-fold DB with no
-	// retained visits this records 0 — a mapped load treats an empty log as
+	// retained visits this records 0 — OpenIndex treats an empty log as
 	// clean regardless, and a re-ingested log simply refolds (unions are
 	// idempotent).
 	ents := s.post.Entities()
@@ -734,13 +716,9 @@ func (db *DB) saveIndex(w io.Writer, withSeqs bool) (int64, error) {
 		MeasureV:   db.measureV,
 		Jaccard:    db.jaccard,
 	}
-	var seqs core.SequenceSource
-	if withSeqs {
-		seqs = s.store
-	}
 	// The postings, store and captured tables are immutable from here; write
 	// outside every lock.
-	return s.post.WriteSnapshot(w, meta, seqs, func(e trace.EntityID) (string, uint32) {
+	return s.post.WriteSnapshot(w, meta, s.store, func(e trace.EntityID) (string, uint32) {
 		return s.byID[e], folded[e]
 	})
 }

@@ -38,16 +38,18 @@ type Engine interface {
 	BuildIndex() error
 	// Refresh folds visits added since the last build into the index.
 	Refresh() error
-	// SaveIndex persists the serving index without the sequence section
-	// (the entity table, engine scalars, entity names — not the visit data)
-	// to w, folding pending dirt first so the snapshot covers everything
-	// ingested so far.
+	// SaveIndex persists the serving index to w as one image — entity table,
+	// names, engine scalars, level sizes, the level-1 cell index and every
+	// entity's sequences, page-aligned — folding pending dirt first so the
+	// image covers everything ingested so far.
 	SaveIndex(w io.Writer) (int64, error)
-	// LoadIndex publishes a previously saved index over the engine's
-	// re-ingested visit log — the warm-restart path. Entities resolve by
-	// name, and a log that drifted from the snapshot's data is an error,
-	// never a silently wrong answer.
-	LoadIndex(r io.Reader) error
+	// OpenIndex maps the image at path read-only and serves queries straight
+	// off it, with no visit re-ingest and no rebuild: restart cost is the
+	// decode plus lazy page faults, and resident memory follows the hot
+	// entities. Into an empty engine the image brings its names; into a
+	// populated one every stored (name, ID) pair must agree, or the open is
+	// an error, never a silently different answer.
+	OpenIndex(path string) error
 	// NumEntities, NumVenues and Levels describe the data shape.
 	NumEntities() int
 	NumVenues() int
@@ -61,23 +63,6 @@ type Engine interface {
 }
 
 var _ Engine = (*DB)(nil)
-
-// MappedPersister is the optional out-of-core persistence surface: engines
-// that can write the index with its sequence section and republish such a
-// file straight off a read-only mapping, skipping both the index rebuild
-// and the visit re-ingest of the SaveIndex/LoadIndex warm-restart path.
-// *DB and shard.Cluster implement it.
-type MappedPersister interface {
-	// SaveMappedIndex persists the serving index with the sequence section
-	// (page-aligned) and the cell index, folding pending dirt first.
-	SaveMappedIndex(w io.Writer) (int64, error)
-	// LoadMappedIndex maps the file at path read-only and serves queries
-	// straight off it: restart cost is the decode plus lazy page faults, and
-	// resident memory is bounded by the hot entities.
-	LoadMappedIndex(path string) error
-}
-
-var _ MappedPersister = (*DB)(nil)
 
 // Epoch returns the start of the observation horizon and whether it has been
 // fixed yet — either by WithEpoch or by the first ingested visit. Engines

@@ -80,7 +80,8 @@ func TestKNNJoinFacade(t *testing.T) {
 	}
 }
 
-// TestSaveIndex: a snapshot is produced and non-trivial.
+// TestSaveIndex: an image is produced, non-trivial, and a fresh DB over the
+// same hierarchy serves it with the saver's answers.
 func TestSaveIndex(t *testing.T) {
 	h := NewHierarchy(2).AddPath("a", "v1").AddPath("a", "v2")
 	db, err := NewDB(h, WithEpoch(t0))
@@ -101,4 +102,12 @@ func TestSaveIndex(t *testing.T) {
 	if n == 0 || buf.Len() == 0 || int64(buf.Len()) != n {
 		t.Fatalf("SaveIndex wrote %d bytes, buffer has %d", n, buf.Len())
 	}
+	fresh, err := NewDB(h, WithEpoch(t0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.OpenIndexAt(bytes.NewReader(buf.Bytes()), n); err != nil {
+		t.Fatal(err)
+	}
+	assertSameAnswers(t, db, fresh, []string{"x", "y"}, 1)
 }

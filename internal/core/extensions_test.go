@@ -27,24 +27,23 @@ func decodeSnapshot(r io.Reader, ix *spindex.Index) (*Snapshot, error) {
 	return DecodeSnapshot(sr, ix)
 }
 
-// readSnapshot decodes an image from a stream and loads it over src,
-// trusting stored IDs.
+// readSnapshot decodes an image from a stream and serves it over src.
 func readSnapshot(r io.Reader, ix *spindex.Index, src SequenceSource) (*Postings, error) {
 	snap, err := decodeSnapshot(r, ix)
 	if err != nil {
 		return nil, err
 	}
-	return snap.Postings(ix, src, nil)
+	return snap.MappedPostings(ix, src), nil
 }
 
-// TestSnapshotRoundTrip: WriteSnapshot + DecodeSnapshot + Postings reproduces
+// TestSnapshotRoundTrip: WriteSnapshot + DecodeSnapshot + MappedPostings reproduces
 // an identical index: same entities, same size, same query answers and work,
 // and still derivable.
 func TestSnapshotRoundTrip(t *testing.T) {
 	_, st, post := buildRandomPostings(t, 17, 60)
 	ix := post.ix
 	var buf bytes.Buffer
-	n, err := post.WriteSnapshot(&buf, SnapshotMeta{TimeUnit: time.Hour}, nil, snapshotNames)
+	n, err := post.WriteSnapshot(&buf, SnapshotMeta{TimeUnit: time.Hour}, st, snapshotNames)
 	if err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
@@ -81,7 +80,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestSnapshotErrors(t *testing.T) {
 	ix, st, post := buildRandomPostings(t, 19, 10)
 	var buf bytes.Buffer
-	if _, err := post.WriteSnapshot(&buf, SnapshotMeta{TimeUnit: time.Hour}, nil, snapshotNames); err != nil {
+	if _, err := post.WriteSnapshot(&buf, SnapshotMeta{TimeUnit: time.Hour}, st, snapshotNames); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
@@ -90,11 +89,17 @@ func TestSnapshotErrors(t *testing.T) {
 	if _, err := readSnapshot(bytes.NewReader(bad), ix, st); err == nil {
 		t.Error("bad magic accepted")
 	}
-	// Truncations at every prefix length must error, not panic.
-	for _, cut := range []int{0, 5, 12, 40, len(good) - 3} {
+	// Truncations must error, not panic: a stream cut before the end of the
+	// cell index (a stream read stops before the sequences), a file cut
+	// anywhere.
+	cellsEnd := int(sections(t, good)[4].End())
+	for _, cut := range []int{0, 5, 12, 40, cellsEnd - 3} {
 		if _, err := readSnapshot(bytes.NewReader(good[:cut]), ix, st); err == nil {
 			t.Errorf("truncated snapshot (%d bytes) accepted", cut)
 		}
+	}
+	if _, err := openMapped(good[:len(good)-3], ix, st); err == nil {
+		t.Errorf("file cut 3 bytes short accepted")
 	}
 	// Wrong sp-index height.
 	wrongIx, _, _ := fixture411(t) // height 2, snapshot has 3

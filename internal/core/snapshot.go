@@ -29,15 +29,12 @@ import (
 //	cells     the level-1 cell index (CSR), closed by a CRC32C
 //	seqs      the concatenated storage.EncodeSequences blobs, page-aligned
 //
-// size, cells and seqs are written together or not at all, the sizes from
-// the sequences seqs holds. Without them the image serves a warm restart: the
-// loader re-ingests the visit log, resolves entities by name and seals the
-// cell index and sizes from the sequences it staged (Snapshot.Postings). With
-// them it is served in place off a read-only mapping, IDs trusted, sequence
-// pages faulting in as queries touch them (Snapshot.MappedPostings). A structural slip anywhere trips a bounds check;
-// a flipped ID, span, count or size in the entity table, or a posting missing
-// from the cell index, would only show as a wrong answer — so those sections
-// carry a checksum.
+// The image is served in place off a read-only mapping (or any ReaderAt), IDs
+// trusted, the sizes and cell index adopted as stored, sequence pages faulting
+// in as queries touch them (Snapshot.MappedPostings). A structural slip
+// anywhere trips a bounds check; a flipped ID, span, count or size in the
+// entity table, or a posting missing from the cell index, would only show as
+// a wrong answer — so those sections carry a checksum.
 
 // FoldedUnknown is the folded-count sentinel for an entity whose exact
 // covered visit count was unknown at save time (it had visits newer than the
@@ -75,7 +72,7 @@ type SnapshotEntity struct {
 	ID     trace.EntityID // the entity's ID at save time
 	Name   string
 	Folded uint32       // visits the saved index covers; FoldedUnknown for entities dirty at save time
-	Seq    storage.Span // the entity's sequence blob, absolute; empty in an image without sequences
+	Seq    storage.Span // the entity's sequence blob, absolute
 }
 
 // Snapshot is a decoded, validated image. It holds no reference to the reader
@@ -83,26 +80,19 @@ type SnapshotEntity struct {
 type Snapshot struct {
 	Meta     SnapshotMeta
 	Entities []SnapshotEntity // ascending by ID
-	HasSeqs  bool
-	sizes    []byte     // the stored level sizes, m bytes an entity in table order; nil without sequences
-	cells    *cellIndex // the stored cell index; nil without sequences
+	sizes    []byte           // the stored level sizes, m bytes an entity in table order
+	cells    *cellIndex       // the stored cell index
 }
 
-// Resolve maps a stored entity into the reader's ID space. Returning
-// keep=false leaves the entity out of the loaded index without error (the
-// caller folds it back in by other means); a non-nil error aborts the load.
-type Resolve func(se SnapshotEntity) (mapped trace.EntityID, keep bool, err error)
-
-// WriteSnapshot serializes the index. info supplies each entity's name and
-// the visit count the index covers (FoldedUnknown for an entity whose indexed
-// state is stale relative to its latest visits). A non-nil seqs — the store
-// the index was built over — adds every entity's sequences and the cell
-// index, which makes the image servable in place. Names longer than 64 KiB
-// are rejected. Returns the bytes written; the output is deterministic for a
-// given index and store.
+// WriteSnapshot serializes the index with every entity's sequences, read from
+// seqs — the store the index was built over. info supplies each entity's name
+// and the visit count the index covers (FoldedUnknown for an entity whose
+// indexed state is stale relative to its latest visits). Names longer than
+// 64 KiB are rejected. Returns the bytes written; the output is deterministic
+// for a given index and store.
 func (p *Postings) WriteSnapshot(w io.Writer, meta SnapshotMeta, seqs SequenceSource, info func(e trace.EntityID) (name string, folded uint32)) (int64, error) {
-	if info == nil {
-		return 0, fmt.Errorf("core: WriteSnapshot needs an entity info callback (readers resolve entities by name)")
+	if seqs == nil || info == nil {
+		return 0, fmt.Errorf("core: WriteSnapshot needs the sequence source and an entity info callback")
 	}
 	// The sections before seqs are small (under 100 bytes an entity) and are
 	// assembled whole; their sizes and the blobs' fix the layout before a byte
@@ -127,15 +117,12 @@ func (p *Postings) WriteSnapshot(w io.Writer, meta SnapshotMeta, seqs SequenceSo
 		if len(name) > math.MaxUint16 {
 			return 0, fmt.Errorf("core: entity %d name is %d bytes, the format caps names at %d", e, len(name), math.MaxUint16)
 		}
-		seqLen := 0
-		if seqs != nil {
-			s := seqs.Get(e)
-			if s == nil {
-				return 0, fmt.Errorf("core: entity %d has no sequences in the source", e)
-			}
-			seqLen = storage.EncodedSize(s)
-			sizes = levelSizes(sizes, s)
+		s := seqs.Get(e)
+		if s == nil {
+			return 0, fmt.Errorf("core: entity %d has no sequences in the source", e)
 		}
+		seqLen := storage.EncodedSize(s)
+		sizes = levelSizes(sizes, s)
 		ents = binary.LittleEndian.AppendUint32(ents, uint32(e))
 		ents = binary.LittleEndian.AppendUint64(ents, uint64(len(names)))
 		ents = binary.LittleEndian.AppendUint32(ents, uint32(len(name))) // u16 length, u16 zero pad
@@ -146,12 +133,8 @@ func (p *Postings) WriteSnapshot(w io.Writer, meta SnapshotMeta, seqs SequenceSo
 		seqsLen += int64(seqLen)
 	}
 	ents = binary.LittleEndian.AppendUint32(ents, crc32c(ents))
-	parts := [][]byte{head, names, ents}
-	secs := []secfile.Section{{Kind: secfile.Meta}, {Kind: secfile.Names}, {Kind: secfile.Entities}}
-	if seqs != nil {
-		parts = append(parts, binary.LittleEndian.AppendUint32(sizes, crc32c(sizes)), p.cells.encode())
-		secs = append(secs, secfile.Section{Kind: secfile.Sizes}, secfile.Section{Kind: secfile.Cells}, secfile.Section{Kind: secfile.Seqs, Len: seqsLen})
-	}
+	parts := [][]byte{head, names, ents, binary.LittleEndian.AppendUint32(sizes, crc32c(sizes)), p.cells.encode()}
+	secs := []secfile.Section{{Kind: secfile.Meta}, {Kind: secfile.Names}, {Kind: secfile.Entities}, {Kind: secfile.Sizes}, {Kind: secfile.Cells}, {Kind: secfile.Seqs, Len: seqsLen}}
 	for i, part := range parts {
 		secs[i].Len = int64(len(part))
 	}
@@ -163,9 +146,6 @@ func (p *Postings) WriteSnapshot(w io.Writer, meta SnapshotMeta, seqs SequenceSo
 		if _, err := sw.Write(part); err != nil {
 			return 0, err
 		}
-	}
-	if seqs == nil {
-		return sw.Close()
 	}
 	for i, e := range entities {
 		blob := storage.EncodeSequences(seqs.Get(e))
@@ -267,31 +247,30 @@ func decodeCells(b []byte, holds func(trace.EntityID) bool) (*cellIndex, error) 
 // DecodeSnapshot reads and validates an image through sr — a stream or a
 // mapping, the decoding is the same — up to but excluding the sequence blobs.
 // It never trusts a stored word: every scalar is bounded before it sizes an
-// allocation or is narrowed by a cast, both checksums must hold, the entity
+// allocation or is narrowed by a cast, every checksum must hold, the entity
 // table must be exactly count records with IDs strictly ascending, every name
 // and sequence span must fall inside its section, and the cell index must
 // check out in full — so a corrupt file is a descriptive error here, not an
 // OOM now or a SIGBUS at query time. An image written before the index
-// dropped its signatures, or before it kept its entities' level sizes, is
-// refused by name.
+// dropped its signatures, before it kept its entities' level sizes, or
+// without its sequences is refused by name.
 func DecodeSnapshot(sr *secfile.Reader, ix *spindex.Index) (*Snapshot, error) {
 	kinds := []secfile.Kind{secfile.Meta, secfile.Names, secfile.Entities, secfile.Sizes, secfile.Cells, secfile.Seqs}
 	switch secs := sr.Secs; {
 	case len(secs) > 2 && secs[2].Kind == secfile.SignedEntities:
-		return nil, fmt.Errorf("core: the image's entity section is %q, with signature digests: a retired index format — re-save the index with this version (SaveIndex or SaveMappedIndex over the rebuilt data)", secs[2].Kind)
+		return nil, fmt.Errorf("core: the image's entity section is %q, with signature digests: a retired index format — re-save the index with this version (SaveIndex over the rebuilt data)", secs[2].Kind)
+	case len(secs) == 3 && secs[0].Kind == secfile.Meta && secs[2].Kind == secfile.Entities:
+		return nil, fmt.Errorf("core: the image ends at its entity table %q, with no sequence section: a retired index format — re-save the index with this version (SaveIndex over the rebuilt data)", secs[2].Kind)
 	case len(secs) > 3 && secs[3].Kind == secfile.Cells:
-		return nil, fmt.Errorf("core: the image's entity table is followed by %q, with no level sizes: a retired index format — re-save the index with this version (SaveMappedIndex over the rebuilt data)", secs[3].Kind)
+		return nil, fmt.Errorf("core: the image's entity table is followed by %q, with no level sizes: a retired index format — re-save the index with this version (SaveIndex over the rebuilt data)", secs[3].Kind)
 	}
 	for i, sec := range sr.Secs {
-		if (len(sr.Secs) != 3 && len(sr.Secs) != len(kinds)) || sec.Kind != kinds[i] {
-			return nil, fmt.Errorf("core: not an index image: section %d of %d is %q (a cluster envelope loads through shard.Cluster)", i, len(sr.Secs), sec.Kind)
+		if len(sr.Secs) != len(kinds) || sec.Kind != kinds[i] {
+			return nil, fmt.Errorf("core: not an index image: section %d of %d is %q (a cluster envelope opens through shard.Cluster)", i, len(sr.Secs), sec.Kind)
 		}
 	}
-	s := &Snapshot{HasSeqs: len(sr.Secs) == len(kinds)}
-	ents, seqs := sr.Secs[2], secfile.Section{}
-	if s.HasSeqs {
-		seqs = sr.Secs[5]
-	}
+	s := &Snapshot{}
+	ents, seqs := sr.Secs[2], sr.Secs[5]
 
 	if sr.Secs[0].Len != 8*metaWords {
 		return nil, fmt.Errorf("core: corrupt snapshot: meta section of %d bytes, want %d", sr.Secs[0].Len, 8*metaWords)
@@ -329,7 +308,7 @@ func DecodeSnapshot(sr *secfile.Reader, ix *spindex.Index) (*Snapshot, error) {
 		return nil, fmt.Errorf("core: corrupt snapshot: entity table is %d bytes, %d entities need %d", ents.Len, count, int64(count)*entSize+4)
 	}
 	m := ix.Height()
-	if s.HasSeqs && sr.Secs[3].Len != int64(count*m)+4 {
+	if sr.Secs[3].Len != int64(count*m)+4 {
 		return nil, fmt.Errorf("core: corrupt snapshot: level sizes are %d bytes, %d entities need %d", sr.Secs[3].Len, count, count*m+4)
 	}
 	names, err := sr.ReadAll(1)
@@ -337,10 +316,11 @@ func DecodeSnapshot(sr *secfile.Reader, ix *spindex.Index) (*Snapshot, error) {
 	if err == nil {
 		table, err = sr.ReadAll(2)
 	}
-	if err == nil && s.HasSeqs {
-		if s.sizes, err = sr.ReadAll(3); err == nil {
-			cells, err = sr.ReadAll(4)
-		}
+	if err == nil {
+		s.sizes, err = sr.ReadAll(3)
+	}
+	if err == nil {
+		cells, err = sr.ReadAll(4)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: reading snapshot: %w", err)
@@ -348,13 +328,11 @@ func DecodeSnapshot(sr *secfile.Reader, ix *spindex.Index) (*Snapshot, error) {
 	if table, err = checksummed(table, "entity table"); err != nil {
 		return nil, err
 	}
-	if s.HasSeqs {
-		if s.sizes, err = checksummed(s.sizes, "level sizes"); err != nil {
-			return nil, err
-		}
-		if i := slices.Index(s.sizes, 0); i >= 0 {
-			return nil, fmt.Errorf("core: corrupt snapshot: level-size byte %d is 0, which marks no entity", i)
-		}
+	if s.sizes, err = checksummed(s.sizes, "level sizes"); err != nil {
+		return nil, err
+	}
+	if i := slices.Index(s.sizes, 0); i >= 0 {
+		return nil, fmt.Errorf("core: corrupt snapshot: level-size byte %d is 0, which marks no entity", i)
 	}
 	// count records arrived: from here it sizes what it describes.
 	s.Entities = make([]SnapshotEntity, count)
@@ -381,63 +359,28 @@ func DecodeSnapshot(sr *secfile.Reader, ix *spindex.Index) (*Snapshot, error) {
 		se.Seq = storage.Span{Off: seqs.Off + seqOff, Len: int32(seqLen)}
 		s.Entities[i] = se
 	}
-	if s.HasSeqs {
-		holds := func(e trace.EntityID) bool {
-			_, ok := slices.BinarySearchFunc(s.Entities, e, func(se SnapshotEntity, e trace.EntityID) int { return int(se.ID) - int(e) })
-			return ok
-		}
-		if count > 0 && s.Entities[0].ID == 0 && int(s.Entities[count-1].ID) == count-1 {
-			holds = func(e trace.EntityID) bool { return uint(e) < uint(count) } // dense: the usual case
-		}
-		if s.cells, err = decodeCells(cells, holds); err != nil {
-			return nil, err
-		}
+	holds := func(e trace.EntityID) bool {
+		_, ok := slices.BinarySearchFunc(s.Entities, e, func(se SnapshotEntity, e trace.EntityID) int { return int(se.ID) - int(e) })
+		return ok
+	}
+	if count > 0 && s.Entities[0].ID == 0 && int(s.Entities[count-1].ID) == count-1 {
+		holds = func(e trace.EntityID) bool { return uint(e) < uint(count) } // dense: the usual case
+	}
+	if s.cells, err = decodeCells(cells, holds); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
-// Postings loads the image over the reader's own sequences: the load that
-// follows a re-ingested visit log. A non-nil resolve maps each stored entity
-// into the caller's ID space and may skip entities; nil trusts stored IDs and
-// keeps everything. Every kept entity must have sequences in src — a missing
-// one fails the load with an error naming it, not at the first query that
-// reaches it. IDs may have moved, so a stored cell index is not used: the
-// loaded one is sealed from src.
-func (s *Snapshot) Postings(ix *spindex.Index, src SequenceSource, resolve Resolve) (*Postings, error) {
-	ents := make([]trace.EntityID, 0, len(s.Entities))
-	for _, se := range s.Entities {
-		e := se.ID
-		if resolve != nil {
-			mapped, keep, err := resolve(se)
-			if err != nil {
-				return nil, err
-			}
-			if !keep {
-				continue
-			}
-			e = mapped
-		}
-		if src.Get(e) == nil {
-			return nil, fmt.Errorf("core: snapshot entity %q (saved as ID %d, ID %d here) has no sequences in the source (data set differs from the one the snapshot was built over)", se.Name, se.ID, e)
-		}
-		ents = append(ents, e)
-	}
-	return BuildPostings(ix, src, ents)
-}
-
-// MappedPostings loads an image that carries its sequences (HasSeqs) into an
-// index served in place: src reads the entities' Seq spans, IDs are the
-// stored ones, the level sizes and the cell index the stored ones. The load
-// never touches src — sequence pages fault in at query time; the spans were
-// bounds-checked by DecodeSnapshot.
-func (s *Snapshot) MappedPostings(ix *spindex.Index, src SequenceSource) (*Postings, error) {
-	if !s.HasSeqs {
-		return nil, fmt.Errorf("core: snapshot carries no sequence section, so no index can be served off it in place")
-	}
+// MappedPostings serves the image in place: src reads the entities' Seq
+// spans, IDs are the stored ones, the level sizes and the cell index the
+// stored ones. The load never touches src — sequence pages fault in at query
+// time; the spans were bounds-checked by DecodeSnapshot.
+func (s *Snapshot) MappedPostings(ix *spindex.Index, src SequenceSource) *Postings {
 	m := ix.Height()
 	base := newSizeTable(m, len(s.Entities))
 	for i, se := range s.Entities {
 		base.put(se.ID, s.sizes[i*m:(i+1)*m])
 	}
-	return &Postings{ix: ix, src: src, m: m, base: base, added: sizeTable{m: m}, n: len(s.Entities), cells: s.cells.derive()}, nil
+	return &Postings{ix: ix, src: src, m: m, base: base, added: sizeTable{m: m}, n: len(s.Entities), cells: s.cells.derive()}
 }

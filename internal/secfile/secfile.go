@@ -5,9 +5,9 @@
 //	section table: count × { kind [4]byte · offset u64 · length u64 }
 //	sections, zero-padded up to their offsets
 //
-// A DB image is the sections {meta, name, etab} plus, when it carries the
-// sequence data, {cell, seqs}; a cluster envelope is {slot, ords} and one shrd
-// section per shard, each of which is a DB image. Paged kinds start on a page
+// A DB image is the sections {meta, name, etab, size, cell, seqs}; a cluster
+// envelope is {slot, ords} and one shrd section per shard, each of which is a
+// DB image. Paged kinds start on a page
 // boundary, so a mapping of the file — or of a shard section inside an
 // envelope — serves them in place.
 //
@@ -200,7 +200,7 @@ func newReader(r io.Reader, size int64) (*Reader, error) {
 	if string(hdr[:len(Magic)]) != Magic {
 		for _, old := range retired {
 			if bytes.HasPrefix(hdr, []byte(old+"\n")) {
-				return nil, fmt.Errorf("secfile: %s is a retired index format — re-save the index with this version (SaveIndex or SaveMappedIndex over the rebuilt data)", old)
+				return nil, fmt.Errorf("secfile: %s is a retired index format — re-save the index with this version (SaveIndex over the rebuilt data)", old)
 			}
 		}
 		return nil, fmt.Errorf("secfile: not an index file (magic %q)", hdr[:12])

@@ -1,9 +1,9 @@
 package digitaltraces
 
-// Mapped-snapshot tests: SaveMappedIndex → LoadMappedIndex must serve answers
-// bit-identical to the heap-decoded DB that saved the file — with no visit
-// re-ingest at all — and every way the file can be truncated or corrupted
-// must be a descriptive open-time error, never a SIGBUS at query time.
+// Mapped-image tests: SaveIndex → OpenIndex must serve answers bit-identical
+// to the DB that saved the file — with no visit re-ingest at all — and every
+// way the file can be truncated or corrupted must be a descriptive open-time
+// error, never a SIGBUS at query time.
 
 import (
 	"bytes"
@@ -22,7 +22,7 @@ import (
 	"digitaltraces/internal/trace"
 )
 
-// mappedWorld builds a city, indexes it, and saves a mapped snapshot file,
+// mappedWorld builds a city, indexes it, and saves an index image file,
 // returning the source DB, the file path and the full visit log.
 func mappedWorld(t *testing.T, entities int, opts ...Option) (*DB, string, []VisitRecord) {
 	t.Helper()
@@ -38,8 +38,8 @@ func mappedWorld(t *testing.T, entities int, opts ...Option) (*DB, string, []Vis
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.SaveMappedIndex(f); err != nil {
-		t.Fatalf("SaveMappedIndex: %v", err)
+	if _, err := db.SaveIndex(f); err != nil {
+		t.Fatalf("SaveIndex: %v", err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
@@ -64,8 +64,8 @@ func TestLoadMappedIndexNoIngest(t *testing.T) {
 	src, path, _ := mappedWorld(t, 40)
 	db := emptyGrid(t)
 	defer db.Close()
-	if err := db.LoadMappedIndex(path); err != nil {
-		t.Fatalf("LoadMappedIndex: %v", err)
+	if err := db.OpenIndex(path); err != nil {
+		t.Fatalf("OpenIndex: %v", err)
 	}
 	st := db.IndexStats()
 	if st.Generation != 1 {
@@ -89,38 +89,34 @@ func TestLoadMappedIndexNoIngest(t *testing.T) {
 	}
 }
 
-// TestLoadMappedIndexReingestedLog: a mapped load over a re-ingested log (the
-// -in + -index-mmap boot) resolves IDs, retires all dirt, answers identically
-// — and SaveIndex is refused in union-fold mode while SaveMappedIndex
-// round-trips.
+// TestLoadMappedIndexReingestedLog: an open over a re-ingested log (the
+// -in + -index boot) resolves IDs, retires all dirt, answers identically —
+// and the opened DB saves an image that opens again.
 func TestLoadMappedIndexReingestedLog(t *testing.T) {
 	src, path, log := mappedWorld(t, 40)
 	db := freshGrid(t, log)
 	defer db.Close()
-	if err := db.LoadMappedIndex(path); err != nil {
-		t.Fatalf("LoadMappedIndex over re-ingested log: %v", err)
+	if err := db.OpenIndex(path); err != nil {
+		t.Fatalf("OpenIndex over re-ingested log: %v", err)
 	}
 	if st := db.IndexStats(); st.DirtyCount != 0 {
-		t.Errorf("dirty count = %d, want 0 (log matches the snapshot)", st.DirtyCount)
+		t.Errorf("dirty count = %d, want 0 (log matches the image)", st.DirtyCount)
 	}
 	assertSameAnswers(t, src, db, someEntities, 5)
 
-	if _, err := db.SaveIndex(&bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "SaveMappedIndex") {
-		t.Errorf("SaveIndex on a mapped DB: want refusal naming SaveMappedIndex, got %v", err)
-	}
 	resaved := filepath.Join(t.TempDir(), "resaved.map")
 	f, err := os.Create(resaved)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.SaveMappedIndex(f); err != nil {
-		t.Fatalf("SaveMappedIndex from a mapped DB: %v", err)
+	if _, err := db.SaveIndex(f); err != nil {
+		t.Fatalf("SaveIndex from an opened DB: %v", err)
 	}
 	f.Close()
 	again := emptyGrid(t)
 	defer again.Close()
-	if err := again.LoadMappedIndex(resaved); err != nil {
-		t.Fatalf("reloading the re-saved mapped index: %v", err)
+	if err := again.OpenIndex(resaved); err != nil {
+		t.Fatalf("reopening the re-saved index: %v", err)
 	}
 	assertSameAnswers(t, src, again, someEntities, 5)
 }
@@ -134,7 +130,7 @@ func TestMappedUnionFoldRefresh(t *testing.T) {
 	_, path, log := mappedWorld(t, 40)
 	db := emptyGrid(t)
 	defer db.Close()
-	if err := db.LoadMappedIndex(path); err != nil {
+	if err := db.OpenIndex(path); err != nil {
 		t.Fatal(err)
 	}
 	grow := func(hmax int) []VisitRecord {
@@ -180,7 +176,7 @@ func TestMappedUnionFoldRefresh(t *testing.T) {
 
 // TestMappedIndexGainsCellIndexAtBuild: the level-1 cell index a mapped DB
 // serves with is gained at the *saver's* build — the file carries it — so
-// right after LoadMappedIndex — no BuildIndex, no sequence read — the mapped
+// right after OpenIndex — no BuildIndex, no sequence read — the mapped
 // DB is the DB that saved it: same answers, the same entities
 // skipped per query (so the search is posting-driven, ZeroSkipped > 0), the
 // same index memory; and it stays that DB through a refresh and a rebuild.
@@ -205,7 +201,7 @@ func TestMappedIndexGainsCellIndexAtBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := src.SaveMappedIndex(f); err != nil {
+	if _, err := src.SaveIndex(f); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -213,7 +209,7 @@ func TestMappedIndexGainsCellIndexAtBuild(t *testing.T) {
 	}
 	db := emptyGrid(t)
 	defer db.Close()
-	if err := db.LoadMappedIndex(path); err != nil {
+	if err := db.OpenIndex(path); err != nil {
 		t.Fatal(err)
 	}
 	requireSameIndex := func(stage string) {
@@ -261,45 +257,64 @@ func TestMappedIndexGainsCellIndexAtBuild(t *testing.T) {
 	requireSameIndex("after a rebuild")
 }
 
-// TestOneFileLoadsBothWays: a file saved with its sequence section loads by
-// name over the re-ingested log (LoadIndex stops reading before the
-// sequences) and in place on an empty DB (LoadMappedIndex), both bit-identical
-// to the saver; a file saved without one loads only the first way — the
-// second refuses it by name.
+// TestOneFileLoadsBothWays: one image opens over the re-ingested log and on
+// an empty DB, both bit-identical to the saver; an image in the retired
+// layout without sequences (meta, name and entity table only) is refused by
+// name and leaves nothing behind.
 func TestOneFileLoadsBothWays(t *testing.T) {
 	src, path, log := mappedWorld(t, 40)
-	withSeqs, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	reingested := freshGrid(t, log)
+	defer reingested.Close()
+	if err := reingested.OpenIndex(path); err != nil {
+		t.Fatalf("OpenIndex over the re-ingested log: %v", err)
 	}
-	heap := freshGrid(t, log)
-	if err := heap.LoadIndex(bytes.NewReader(withSeqs)); err != nil {
-		t.Fatalf("LoadIndex of a file that carries sequences: %v", err)
-	}
-	if st := heap.IndexStats(); st.DirtyCount != 0 || st.Mapped {
-		t.Errorf("after LoadIndex: %d dirty, mapped %t — want a clean heap-served index", st.DirtyCount, st.Mapped)
+	if st := reingested.IndexStats(); st.DirtyCount != 0 || !st.Mapped {
+		t.Errorf("after the open: %d dirty, mapped %t — want a clean mapped index", st.DirtyCount, st.Mapped)
 	}
 	mapped := emptyGrid(t)
 	defer mapped.Close()
-	if err := mapped.LoadMappedIndex(path); err != nil {
+	if err := mapped.OpenIndex(path); err != nil {
 		t.Fatal(err)
 	}
-	assertSameAnswers(t, src, heap, someEntities, 5)
+	assertSameAnswers(t, src, reingested, someEntities, 5)
 	assertSameAnswers(t, src, mapped, someEntities, 5)
 
-	var without bytes.Buffer
-	if _, err := src.SaveIndex(&without); err != nil {
+	raw, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	bare := filepath.Join(t.TempDir(), "index.snap")
-	if err := os.WriteFile(bare, without.Bytes(), 0o644); err != nil {
+	sr, err := secfile.NewReaderAt(bytes.NewReader(raw), int64(len(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bare bytes.Buffer
+	var secs []secfile.Section
+	for _, sec := range sr.Secs[:3] {
+		secs = append(secs, secfile.Section{Kind: sec.Kind, Len: sec.Len})
+	}
+	sw, err := secfile.NewWriter(&bare, secs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range secs {
+		b, err := sr.ReadAll(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw.Write(b)
+	}
+	if _, err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	barePath := filepath.Join(t.TempDir(), "index.snap")
+	if err := os.WriteFile(barePath, bare.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	fresh := emptyGrid(t)
 	defer fresh.Close()
-	err = fresh.LoadMappedIndex(bare)
-	if err == nil || !strings.Contains(err.Error(), "carries no sequence section — load it with LoadIndex over a re-ingested log") {
-		t.Fatalf("LoadMappedIndex of a SaveIndex file: want the named refusal, got: %v", err)
+	err = fresh.OpenIndex(barePath)
+	if err == nil || !strings.Contains(err.Error(), "no sequence section") || !strings.Contains(err.Error(), "re-save") {
+		t.Fatalf("OpenIndex of a sequence-less image: want the named refusal, got: %v", err)
 	}
 	if fresh.NumEntities() != 0 || fresh.IndexStats().Generation != 0 {
 		t.Error("the refused file left entities or an index behind")
@@ -307,7 +322,7 @@ func TestOneFileLoadsBothWays(t *testing.T) {
 }
 
 // TestRefusedMappedLoadLeavesDBUntouched: every check runs before the first
-// write, so a refused LoadMappedIndex — scalar mismatch, an entity table that
+// write, so a refused OpenIndex — scalar mismatch, an entity table that
 // cannot seed a registry (IDs not dense, a name twice) — leaves no epoch, no
 // names and no index behind: the DB then ingests, builds and answers like one
 // that never saw the file, and a good file still loads.
@@ -342,7 +357,7 @@ func TestRefusedMappedLoadLeavesDBUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	var img bytes.Buffer
-	if _, err := saver.SaveMappedIndex(&img); err != nil {
+	if _, err := saver.SaveIndex(&img); err != nil {
 		t.Fatal(err)
 	}
 	good := img.Bytes()
@@ -404,7 +419,7 @@ func TestRefusedMappedLoadLeavesDBUntouched(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			db := newDB(tc.opts...)
-			if err := db.LoadMappedIndex(tc.path); err == nil || !strings.Contains(err.Error(), tc.want) {
+			if err := db.OpenIndex(tc.path); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("want a refusal containing %q, got: %v", tc.want, err)
 			}
 			if _, set := db.Epoch(); set {
@@ -418,7 +433,7 @@ func TestRefusedMappedLoadLeavesDBUntouched(t *testing.T) {
 			}
 			// A good file still loads …
 			if tc.name != "scalar mismatch" {
-				if err := db.LoadMappedIndex(write(good)); err != nil {
+				if err := db.OpenIndex(write(good)); err != nil {
 					t.Fatalf("good load after the refused one: %v", err)
 				}
 				assertSameAnswers(t, saver, db, queries, 4)
@@ -470,7 +485,7 @@ func TestLoadMappedIndexValidationErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.db(t).LoadMappedIndex(path)
+			err := tc.db(t).OpenIndex(path)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("want error containing %q, got: %v", tc.want, err)
 			}
@@ -514,7 +529,7 @@ func TestMappedCorruption(t *testing.T) {
 		}
 		db := emptyGrid(t)
 		defer db.Close()
-		err := db.LoadMappedIndex(p)
+		err := db.OpenIndex(p)
 		if err == nil {
 			t.Fatal("corrupt mapped snapshot accepted")
 		}

@@ -8,8 +8,8 @@
 //	GET/POST /topk        one top-k query (?entity=alice&k=10, or JSON body)
 //	POST     /topk/batch  many top-k queries on the worker pool (TopKBatch)
 //	POST     /visits      ingest visit records; optional immediate refresh
-//	POST     /index/save  persist the serving index snapshot to the
-//	                      configured path (WithIndexPath / serve -index-save)
+//	POST     /index/save  persist the serving index image to the
+//	                      configured path (WithIndexPath / serve -index)
 //	GET      /stats       index + server statistics: snapshot generation and
 //	                      last-swap time, shape, serving counters (+ per-shard
 //	                      breakdown when the engine is sharded, + per-kind
@@ -35,7 +35,6 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -50,14 +49,13 @@ import (
 
 // Server is an http.Handler serving one Engine.
 type Server struct {
-	eng        digitaltraces.Engine
-	mux        *http.ServeMux
-	maxK       int
-	maxBatch   int
-	indexPath  string     // /index/save heap-snapshot target; empty disables
-	mappedPath string     // /index/save mapped-snapshot target; wins over indexPath
-	saveMu     sync.Mutex // serializes /index/save writers
-	started    time.Time
+	eng       digitaltraces.Engine
+	mux       *http.ServeMux
+	maxK      int
+	maxBatch  int
+	indexPath string     // /index/save target; empty disables
+	saveMu    sync.Mutex // serializes /index/save writers
+	started   time.Time
 
 	queries    atomic.Int64 // /topk requests answered
 	batches    atomic.Int64 // /topk/batch requests answered
@@ -84,21 +82,12 @@ func WithMaxBatch(n int) Option {
 }
 
 // WithIndexPath names the file POST /index/save persists the serving index
-// snapshot to (atomically: temp file + rename). Empty (the default) leaves
-// the endpoint answering 409: operators must opt in to letting HTTP clients
-// write server-local files (cmd/serve -index-save).
+// to (atomically: temp file + rename), in the one image format OpenIndex
+// serves. Empty (the default) leaves the endpoint answering 409: operators
+// must opt in to letting HTTP clients write server-local files (cmd/serve
+// -index).
 func WithIndexPath(path string) Option {
 	return func(s *Server) { s.indexPath = path }
-}
-
-// WithMappedIndexPath names the file POST /index/save persists the serving
-// index to with its sequence section (page-aligned, memory-mappable),
-// loadable with no visit re-ingest via LoadMappedIndex (cmd/serve
-// -index-mmap). The engine must implement digitaltraces.MappedPersister (*DB
-// and *shard.Cluster both do). When both paths are configured the mapped one
-// wins — a DB serving without a retained visit log can only save mapped.
-func WithMappedIndexPath(path string) Option {
-	return func(s *Server) { s.mappedPath = path }
 }
 
 // New wraps an Engine — a *digitaltraces.DB or a *shard.Cluster — in an HTTP
@@ -340,13 +329,10 @@ func (s *Server) failVisits(w http.ResponseWriter, status, added int, err error)
 	json.NewEncoder(w).Encode(VisitsResponse{Added: added, Error: err.Error()})
 }
 
-// SaveIndexResponse is the /index/save reply. Mapped reports whether the
-// file was written with the sequence section (WithMappedIndexPath) or without
-// (WithIndexPath).
+// SaveIndexResponse is the /index/save reply.
 type SaveIndexResponse struct {
 	Path      string  `json:"path"`
 	Bytes     int64   `json:"bytes"`
-	Mapped    bool    `json:"mapped,omitempty"`
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
@@ -355,60 +341,33 @@ func (s *Server) handleSaveIndex(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	if s.indexPath == "" && s.mappedPath == "" {
-		s.fail(w, http.StatusConflict, "no snapshot path configured; start the server with an index path (cmd/serve -index-save or -index-mmap)")
+	if s.indexPath == "" {
+		s.fail(w, http.StatusConflict, "no index path configured; start the server with an index file (cmd/serve -index)")
 		return
 	}
 	s.saveMu.Lock()
 	defer s.saveMu.Unlock()
 	start := time.Now()
-	var (
-		n    int64
-		err  error
-		path = s.indexPath
-	)
-	if s.mappedPath != "" {
-		path = s.mappedPath
-		n, err = SaveMappedIndexFile(s.eng, s.mappedPath)
-	} else {
-		n, err = SaveIndexFile(s.eng, s.indexPath)
-	}
+	n, err := SaveIndexFile(s.eng, s.indexPath)
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, "saving index: %v", err)
 		return
 	}
 	s.reply(w, SaveIndexResponse{
-		Path:      path,
+		Path:      s.indexPath,
 		Bytes:     n,
-		Mapped:    s.mappedPath != "",
 		ElapsedMS: float64(time.Since(start).Microseconds()) / 1e3,
 	})
 }
 
-// SaveIndexFile persists the engine's serving index snapshot to path
-// atomically and durably: the snapshot is written to a uniquely named
-// same-directory temp file (concurrent savers — a /index/save request
-// racing the shutdown hook — each write their own file, and the last
-// complete rename wins), fsynced, and renamed into place, so a crash at any
-// point never leaves a truncated snapshot where a warm restart would look
-// for one. Shared by the /index/save handler and cmd/serve's shutdown hook.
-func SaveIndexFile(eng digitaltraces.Engine, path string) (int64, error) {
-	return saveAtomic(path, eng.SaveIndex)
-}
-
-// SaveMappedIndexFile is SaveIndexFile with the sequence section
-// (digitaltraces.MappedPersister.SaveMappedIndex), with the same atomic
-// temp-file + rename durability. Shared by the /index/save handler
-// and cmd/serve's -index-mmap shutdown hook.
-func SaveMappedIndexFile(eng digitaltraces.Engine, path string) (int64, error) {
-	mp, ok := eng.(digitaltraces.MappedPersister)
-	if !ok {
-		return 0, fmt.Errorf("engine %T cannot write mapped index snapshots", eng)
-	}
-	return saveAtomic(path, mp.SaveMappedIndex)
-}
-
-func saveAtomic(path string, save func(w io.Writer) (int64, error)) (_ int64, err error) {
+// SaveIndexFile persists the engine's serving index to path atomically and
+// durably: the image is written to a uniquely named same-directory temp file
+// (concurrent savers — a /index/save request racing the shutdown hook — each
+// write their own file, and the last complete rename wins), fsynced, and
+// renamed into place, so a crash at any point never leaves a truncated image
+// where a restart would open one. Shared by the /index/save handler and
+// cmd/serve's shutdown hook.
+func SaveIndexFile(eng digitaltraces.Engine, path string) (_ int64, err error) {
 	dir, base := filepath.Split(path)
 	if dir == "" {
 		dir = "."
@@ -423,7 +382,7 @@ func saveAtomic(path string, save func(w io.Writer) (int64, error)) (_ int64, er
 			os.Remove(tmp)
 		}
 	}()
-	n, err := save(f)
+	n, err := eng.SaveIndex(f)
 	if err == nil {
 		err = f.Sync() // data durable before the rename can publish it
 	}
@@ -493,7 +452,7 @@ type StatsResponse struct {
 		CacheEvictions uint64 `json:"cache_evictions"`
 		CacheEntries   int    `json:"cache_entries"`
 		// Mapped reports that the index serves off a read-only file mapping
-		// (LoadMappedIndex); the pool counters are the sequence buffer pool's
+		// (OpenIndex); the pool counters are the sequence buffer pool's
 		// block-cache traffic — PoolHitRate near 1 means the hot entities'
 		// pages are resident and queries rarely touch the file.
 		Mapped      bool    `json:"mapped,omitempty"`

@@ -531,9 +531,87 @@ func TestSingleDBIngestFailureReportsCount(t *testing.T) {
 	}
 }
 
-// TestSaveIndexEndpoint: POST /index/save persists a snapshot a fresh DB
-// warm-restarts from with identical answers.
+// TestSaveIndexEndpoint: POST /index/save persists the image, and a DB over
+// the re-ingested log opens it and answers identically.
 func TestSaveIndexEndpoint(t *testing.T) {
+	db, path, ts := saveIndexThroughServer(t)
+
+	reingested, err := digitaltraces.NewGridDB(4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { reingested.Close() })
+	if _, err := reingested.AddVisits(db.AllVisits()); err != nil {
+		t.Fatal(err)
+	}
+	if err := reingested.OpenIndex(path); err != nil {
+		t.Fatalf("OpenIndex from /index/save output: %v", err)
+	}
+	want, _, err := db.TopK("entity-3", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := reingested.TopK("entity-3", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireMatches(t, toMatches(got), want)
+
+	// GET is not allowed.
+	r, err := http.Get(ts.URL + "/index/save")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	if r.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("GET /index/save: %d, want 405", r.StatusCode)
+	}
+}
+
+// TestSaveMappedIndexEndpoint: a fresh empty DB boots off the file POST
+// /index/save wrote, with no re-ingest, and /stats on a server over it
+// reports the buffer pool.
+func TestSaveMappedIndexEndpoint(t *testing.T) {
+	db, path, _ := saveIndexThroughServer(t)
+
+	fresh, err := digitaltraces.NewGridDB(4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fresh.Close() })
+	if err := fresh.OpenIndex(path); err != nil {
+		t.Fatalf("OpenIndex from /index/save output: %v", err)
+	}
+	want, _, err := db.TopK("entity-3", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := fresh.TopK("entity-3", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireMatches(t, toMatches(got), want)
+
+	ts := httptest.NewServer(New(fresh))
+	t.Cleanup(ts.Close)
+	var stats StatsResponse
+	getJSON(t, ts.URL+"/stats", &stats)
+	if !stats.Index.Mapped {
+		t.Error("/stats mapped = false on a mapped engine")
+	}
+	if stats.Index.PoolHits+stats.Index.PoolMisses == 0 {
+		t.Error("/stats reports no buffer-pool traffic after queries")
+	}
+	if stats.Index.PoolHitRate < 0 || stats.Index.PoolHitRate > 1 {
+		t.Errorf("pool hit rate %v outside [0,1]", stats.Index.PoolHitRate)
+	}
+}
+
+// saveIndexThroughServer builds a small city, saves its index with POST
+// /index/save and checks the response against the file written. It returns
+// the DB, the file's path and the server.
+func saveIndexThroughServer(t *testing.T) (*digitaltraces.DB, string, *httptest.Server) {
+	t.Helper()
 	db, err := digitaltraces.SyntheticCity(digitaltraces.CityConfig{Side: 4, Entities: 30, Days: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -541,7 +619,7 @@ func TestSaveIndexEndpoint(t *testing.T) {
 	if err := db.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "index.snap")
+	path := filepath.Join(t.TempDir(), "index.map")
 	ts := httptest.NewServer(New(db, WithIndexPath(path)))
 	t.Cleanup(ts.Close)
 
@@ -559,100 +637,7 @@ func TestSaveIndexEndpoint(t *testing.T) {
 	if fi.Size() != resp.Bytes {
 		t.Fatalf("file is %d bytes, response says %d", fi.Size(), resp.Bytes)
 	}
-
-	// A restarted engine loads it and answers identically.
-	fresh, err := digitaltraces.NewGridDB(4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fresh.AddVisits(db.AllVisits()); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := fresh.LoadIndex(f); err != nil {
-		t.Fatalf("LoadIndex from /index/save output: %v", err)
-	}
-	want, _, err := db.TopK("entity-3", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := fresh.TopK("entity-3", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireMatches(t, toMatches(got), want)
-
-	// GET is not allowed.
-	r, err := http.Get(ts.URL + "/index/save")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Body.Close()
-	if r.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /index/save: %d, want 405", r.StatusCode)
-	}
-}
-
-// TestSaveMappedIndexEndpoint: with WithMappedIndexPath, POST /index/save
-// writes the memory-mappable format, a fresh empty DB boots off it with no
-// re-ingest, and /stats on the mapped server reports the buffer pool.
-func TestSaveMappedIndexEndpoint(t *testing.T) {
-	db, err := digitaltraces.SyntheticCity(digitaltraces.CityConfig{Side: 4, Entities: 30, Days: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.BuildIndex(); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "index.map")
-	ts := httptest.NewServer(New(db, WithMappedIndexPath(path)))
-	t.Cleanup(ts.Close)
-
-	var resp SaveIndexResponse
-	if code, body := postJSON(t, ts.URL+"/index/save", struct{}{}, &resp); code != http.StatusOK {
-		t.Fatalf("POST /index/save: %d: %s", code, body)
-	}
-	if resp.Path != path || resp.Bytes <= 0 || !resp.Mapped {
-		t.Fatalf("save response = %+v, want the mapped path with bytes and mapped=true", resp)
-	}
-
-	// A fresh EMPTY DB serves straight off the file — no re-ingest.
-	fresh, err := digitaltraces.NewGridDB(4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { fresh.Close() })
-	if err := fresh.LoadMappedIndex(path); err != nil {
-		t.Fatalf("LoadMappedIndex from /index/save output: %v", err)
-	}
-	want, _, err := db.TopK("entity-3", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := fresh.TopK("entity-3", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireMatches(t, toMatches(got), want)
-
-	// A server over the mapped DB exposes the pool in /stats.
-	ts2 := httptest.NewServer(New(fresh))
-	t.Cleanup(ts2.Close)
-	var stats StatsResponse
-	getJSON(t, ts2.URL+"/stats", &stats)
-	if !stats.Index.Mapped {
-		t.Error("/stats mapped = false on a mapped engine")
-	}
-	if stats.Index.PoolHits+stats.Index.PoolMisses == 0 {
-		t.Error("/stats reports no buffer-pool traffic after queries")
-	}
-	if stats.Index.PoolHitRate < 0 || stats.Index.PoolHitRate > 1 {
-		t.Errorf("pool hit rate %v outside [0,1]", stats.Index.PoolHitRate)
-	}
+	return db, path, ts
 }
 
 // TestSaveIndexEndpointUnconfigured: without WithIndexPath the endpoint
@@ -663,7 +648,7 @@ func TestSaveIndexEndpointUnconfigured(t *testing.T) {
 	if code != http.StatusConflict {
 		t.Errorf("unconfigured /index/save: %d (%s), want 409", code, body)
 	}
-	if !strings.Contains(body, "index-save") {
+	if !strings.Contains(body, "cmd/serve -index)") {
 		t.Errorf("error %q does not point the operator at the flag", body)
 	}
 }

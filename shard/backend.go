@@ -64,15 +64,12 @@ type Backend interface {
 	SnapshotGeneration() (uint64, bool)
 	PendingEntities() int
 	IndexStats() digitaltraces.IndexStats
-	// SaveIndex / LoadIndex move the shard's index image bytes, for
-	// the cluster envelope (persist.go). A remote backend streams them over
-	// the wire; the shard server folds/loads on its side. LoadIndexLenient
-	// skips section entities absent from the shard's current log instead of
-	// erroring — the slot-routed envelope load, where a saved section may
-	// describe entities the slot map now routes elsewhere.
+	// SaveIndex writes the shard's index image (DB.SaveIndex) and OpenIndexAt
+	// serves one, for the cluster envelope (persist.go). A local shard serves
+	// the image in place off r; a remote one sends it to its shard server,
+	// which opens it there — either way with DB.OpenIndexAt's checks.
 	SaveIndex(w io.Writer) (int64, error)
-	LoadIndex(r io.Reader) error
-	LoadIndexLenient(r io.Reader) error
+	OpenIndexAt(r io.ReaderAt, size int64) error
 	// Close releases the backend: a local shard stops its auto-refresh
 	// goroutine, a remote client closes its pooled connections.
 	Close() error

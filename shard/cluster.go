@@ -146,14 +146,11 @@ type Cluster struct {
 	tracer *obs.Tracer
 
 	// mappings holds the read-only envelope mappings opened by
-	// LoadMappedIndex (guarded by mu); Close unmaps them after the shards.
+	// OpenIndex (guarded by mu); Close unmaps them after the shards.
 	mappings []*mmap.Mapping
 }
 
-var (
-	_ digitaltraces.Engine          = (*Cluster)(nil)
-	_ digitaltraces.MappedPersister = (*Cluster)(nil)
-)
+var _ digitaltraces.Engine = (*Cluster)(nil)
 
 // Local wraps an in-process DB as a Backend, for mixing library-held shards
 // into a Config.Backends composition (NewCluster's Config.NewShard path wraps
@@ -736,7 +733,7 @@ func (c *Cluster) IndexStats() digitaltraces.IndexStats {
 // Close closes every shard, stopping any per-shard background auto-refresh
 // goroutines (shards constructed with digitaltraces.WithAutoRefresh fold
 // their own partitions' dirt independently), then unmaps any cluster envelope
-// opened by LoadMappedIndex — after the shards, since their snapshots read
+// opened by OpenIndex — after the shards, since their snapshots read
 // through it. Idempotent, like DB.Close; a mapped cluster must not be
 // queried after Close.
 func (c *Cluster) Close() error {

@@ -1,8 +1,8 @@
 package shard
 
-// Mapped cluster envelope tests: SaveMappedIndex → LoadMappedIndex must boot
-// a cluster with NO visit re-ingest and answer bit-identically to the saving
-// cluster, across shard counts, including clusters with empty shards.
+// Cluster envelope tests: SaveIndex → OpenIndex must boot a cluster with NO
+// visit re-ingest and answer bit-identically to the saving cluster, across
+// shard counts, including clusters with empty shards.
 
 import (
 	"bytes"
@@ -33,7 +33,7 @@ func emptyCluster(t *testing.T, shards int) *Cluster {
 	return c
 }
 
-// saveMapped writes c's mapped envelope to a temp file and returns its path.
+// saveMapped writes c's envelope to a temp file and returns its path.
 func saveMapped(t *testing.T, c *Cluster) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "cluster.map")
@@ -41,16 +41,16 @@ func saveMapped(t *testing.T, c *Cluster) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := c.SaveMappedIndex(f)
+	n, err := c.SaveIndex(f)
 	if err != nil {
-		t.Fatalf("SaveMappedIndex: %v", err)
+		t.Fatalf("SaveIndex: %v", err)
 	}
 	st, err := f.Stat()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != st.Size() {
-		t.Fatalf("SaveMappedIndex reported %d bytes, wrote %d", n, st.Size())
+		t.Fatalf("SaveIndex reported %d bytes, wrote %d", n, st.Size())
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func sameTopK(t *testing.T, want, got digitaltraces.Engine, queries []string, k 
 
 // TestClusterMappedRoundTrip: the no-re-ingest restart — an EMPTY cluster
 // serves bit-identical answers straight off the envelope, reports itself
-// mapped with live pool counters, and refuses the heap SaveIndex.
+// mapped with live pool counters, and saves an envelope of its own.
 func TestClusterMappedRoundTrip(t *testing.T) {
 	log := cityLog(t, 40)
 	queries := []string{"entity-0", "entity-7", "entity-19", "entity-33"}
@@ -92,8 +92,8 @@ func TestClusterMappedRoundTrip(t *testing.T) {
 
 			c2 := emptyCluster(t, shards)
 			defer c2.Close()
-			if err := c2.LoadMappedIndex(path); err != nil {
-				t.Fatalf("LoadMappedIndex into an empty cluster: %v", err)
+			if err := c2.OpenIndex(path); err != nil {
+				t.Fatalf("OpenIndex into an empty cluster: %v", err)
 			}
 			if got, want := c2.NumEntities(), c1.NumEntities(); got != want {
 				t.Fatalf("mapped cluster adopted %d entities, want %d", got, want)
@@ -109,8 +109,8 @@ func TestClusterMappedRoundTrip(t *testing.T) {
 			if st.DirtyCount != 0 {
 				t.Errorf("dirty count = %d after a no-ingest mapped load, want 0", st.DirtyCount)
 			}
-			if _, err := c2.SaveIndex(&bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "SaveMappedIndex") {
-				t.Errorf("cluster SaveIndex after mapped load: want refusal naming SaveMappedIndex, got %v", err)
+			if _, err := c2.SaveIndex(&bytes.Buffer{}); err != nil {
+				t.Errorf("cluster SaveIndex after the open: %v", err)
 			}
 		})
 	}
@@ -130,8 +130,8 @@ func TestClusterMappedReingestedLog(t *testing.T) {
 
 	c2 := persistCluster(t, 4, log)
 	defer c2.Close()
-	if err := c2.LoadMappedIndex(path); err != nil {
-		t.Fatalf("LoadMappedIndex over a re-ingested cluster: %v", err)
+	if err := c2.OpenIndex(path); err != nil {
+		t.Fatalf("OpenIndex over a re-ingested cluster: %v", err)
 	}
 	sameTopK(t, c1, c2, []string{"entity-0", "entity-19"}, 5)
 
@@ -162,15 +162,15 @@ func TestClusterMappedEmptyShard(t *testing.T) {
 	path := saveMapped(t, c1)
 	c2 := emptyCluster(t, 4)
 	defer c2.Close()
-	if err := c2.LoadMappedIndex(path); err != nil {
-		t.Fatalf("LoadMappedIndex with empty shards: %v", err)
+	if err := c2.OpenIndex(path); err != nil {
+		t.Fatalf("OpenIndex with empty shards: %v", err)
 	}
 	sameTopK(t, c1, c2, []string{"entity-0"}, 3)
 }
 
-// TestClusterMappedEnvelopeErrors: wrong shard count, a single-DB mapped file,
-// and truncation all fail descriptively (the envelope's own tables:
-// TestClusterLoadIndexEnvelopeErrors, through both loaders).
+// TestClusterMappedEnvelopeErrors: wrong shard count, a single-DB image, and
+// truncation all fail descriptively (the envelope's own tables:
+// TestClusterLoadIndexEnvelopeErrors).
 func TestClusterMappedEnvelopeErrors(t *testing.T) {
 	log := cityLog(t, 20)
 	c1 := persistCluster(t, 4, log)
@@ -183,7 +183,7 @@ func TestClusterMappedEnvelopeErrors(t *testing.T) {
 	t.Run("shard count mismatch", func(t *testing.T) {
 		c2 := emptyCluster(t, 2)
 		defer c2.Close()
-		err := c2.LoadMappedIndex(path)
+		err := c2.OpenIndex(path)
 		if err == nil || !strings.Contains(err.Error(), "shard count") {
 			t.Fatalf("want shard-count mismatch error, got: %v", err)
 		}
@@ -194,13 +194,13 @@ func TestClusterMappedEnvelopeErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c1.shards[0].(local).SaveMappedIndex(f); err != nil {
+		if _, err := c1.shards[0].(local).SaveIndex(f); err != nil {
 			t.Fatal(err)
 		}
 		f.Close()
 		c2 := emptyCluster(t, 4)
 		defer c2.Close()
-		err = c2.LoadMappedIndex(dbPath)
+		err = c2.OpenIndex(dbPath)
 		if err == nil || !strings.Contains(err.Error(), "not a cluster envelope") {
 			t.Fatalf("want a not-an-envelope error, got: %v", err)
 		}
@@ -216,41 +216,11 @@ func TestClusterMappedEnvelopeErrors(t *testing.T) {
 		}
 		c2 := emptyCluster(t, 4)
 		defer c2.Close()
-		err = c2.LoadMappedIndex(cut)
+		err = c2.OpenIndex(cut)
 		if err == nil || !strings.Contains(err.Error(), "claims") {
 			t.Fatalf("want size-mismatch error, got: %v", err)
 		}
 	})
-}
-
-// TestClusterMappedEnvelopeLoadsByName: the envelope SaveMappedIndex writes is
-// the one format — Cluster.LoadIndex loads it by name over a re-ingested log
-// (each shard stops reading its section before the sequences), at the saved
-// shard count or another, with the saver's answers.
-func TestClusterMappedEnvelopeLoadsByName(t *testing.T) {
-	log := cityLog(t, 40)
-	c1 := persistCluster(t, 4, log)
-	defer c1.Close()
-	if err := c1.BuildIndex(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(saveMapped(t, c1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{4, 2} {
-		c2 := persistCluster(t, shards, log)
-		defer c2.Close()
-		if err := c2.LoadIndex(bytes.NewReader(raw)); err != nil {
-			t.Fatalf("LoadIndex of a mapped envelope into %d shards: %v", shards, err)
-		}
-		// At another shard count the entities whose section landed elsewhere
-		// stay dirty until their first refresh; at the saved one nothing does.
-		if st := c2.IndexStats(); st.Mapped || (shards == 4 && st.DirtyCount != 0) {
-			t.Errorf("%d shards: mapped %t, %d dirty — want a heap-served cluster, clean at the saved count", shards, st.Mapped, st.DirtyCount)
-		}
-		sameTopK(t, c1, c2, []string{"entity-0", "entity-7", "entity-19", "entity-33"}, 5)
-	}
 }
 
 // TestClusterRefusedMappedLoadKeepsSlotMap: the slot map an empty cluster
@@ -296,7 +266,7 @@ func TestClusterRefusedMappedLoadKeepsSlotMap(t *testing.T) {
 	c2 := emptyCluster(t, 4)
 	defer c2.Close()
 	epoch, assign := c2.SlotEpoch(), c2.SlotAssignment()
-	if err := c2.LoadMappedIndex(badPath); err == nil || !strings.Contains(err.Error(), "ordinal table truncated") {
+	if err := c2.OpenIndex(badPath); err == nil || !strings.Contains(err.Error(), "ordinal table truncated") {
 		t.Fatalf("want the ordinal-table refusal, got: %v", err)
 	}
 	if c2.SlotEpoch() != epoch || !reflect.DeepEqual(c2.SlotAssignment(), assign) {
@@ -305,7 +275,7 @@ func TestClusterRefusedMappedLoadKeepsSlotMap(t *testing.T) {
 	if n := c2.NumEntities(); n != 0 {
 		t.Errorf("refused load left %d entities", n)
 	}
-	if err := c2.LoadMappedIndex(path); err != nil {
+	if err := c2.OpenIndex(path); err != nil {
 		t.Fatalf("intact envelope after the refused one: %v", err)
 	}
 	if !reflect.DeepEqual(c2.SlotAssignment(), skewed) {
@@ -329,7 +299,7 @@ func TestPartitionMappedLoadedDB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := src.SaveMappedIndex(f); err != nil {
+	if _, err := src.SaveIndex(f); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -347,7 +317,7 @@ func TestPartitionMappedLoadedDB(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer mapped.Close()
-			if err := mapped.LoadMappedIndex(path); err != nil {
+			if err := mapped.OpenIndex(path); err != nil {
 				t.Fatal(err)
 			}
 			want, queries := src, []string{}

@@ -22,8 +22,8 @@ package shard
 //
 // State ships through the existing ingest primitives — VisitsOf on the
 // source, one AddVisits batch on the target, then a Refresh to warm the
-// target's index — not through the /shard/index snapshot POST: a snapshot
-// load replaces a shard's whole index, which is a restart-time operation,
+// target's index — not through the /shard/index image POST: an image open
+// replaces a shard's whole index, which is a restart-time operation,
 // while a migration must compose with whatever else the target is serving.
 // The same code therefore moves slots between in-process DBs and remote
 // shard servers alike, since both sit behind Backend.

@@ -27,10 +27,21 @@ func persistCluster(t testing.TB, shards int, log []digitaltraces.VisitRecord) *
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { c.Close() })
 	if n, err := c.AddVisits(log); err != nil || n != len(log) {
 		t.Fatalf("ingest: %d of %d, err %v", n, len(log), err)
 	}
 	return c
+}
+
+// openEnvelope writes b to a file and opens it on c.
+func openEnvelope(t *testing.T, c *Cluster, b []byte) error {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "cluster.idx")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return c.OpenIndex(path)
 }
 
 func cityLog(t testing.TB, entities int) []digitaltraces.VisitRecord {
@@ -42,10 +53,10 @@ func cityLog(t testing.TB, entities int) []digitaltraces.VisitRecord {
 	return src.AllVisits()
 }
 
-// TestClusterSaveLoadRoundTrip: a warm-restarted cluster (re-ingest the log,
-// LoadIndex the envelope) answers bit-identically to the cluster that saved
-// it — and to a single rebuilt DB over the same data, preserving the
-// cluster exactness invariant through persistence.
+// TestClusterSaveLoadRoundTrip: a restarted cluster over the re-ingested log
+// (re-ingest, then OpenIndex the envelope) answers bit-identically to the
+// cluster that saved it, preserving the cluster exactness invariant through
+// persistence.
 func TestClusterSaveLoadRoundTrip(t *testing.T) {
 	log := cityLog(t, 40)
 	queries := []string{"entity-0", "entity-7", "entity-19", "entity-33"}
@@ -65,8 +76,8 @@ func TestClusterSaveLoadRoundTrip(t *testing.T) {
 			}
 
 			c2 := persistCluster(t, shards, log)
-			if err := c2.LoadIndex(bytes.NewReader(buf.Bytes())); err != nil {
-				t.Fatalf("LoadIndex: %v", err)
+			if err := openEnvelope(t, c2, buf.Bytes()); err != nil {
+				t.Fatalf("OpenIndex: %v", err)
 			}
 			if got, want := c2.IndexStats().Entities, c1.IndexStats().Entities; got != want {
 				t.Fatalf("loaded cluster indexes %d entities, want %d", got, want)
@@ -88,10 +99,10 @@ func TestClusterSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestClusterLoadIndexShardCountChange: a slot-mapped envelope saved at one
-// shard count loads into a cluster of another — sections are matched to
-// shards by slot overlap and loaded leniently — and the restarted cluster
-// answers bit-identically to the one that saved it.
+// TestClusterLoadIndexShardCountChange: an envelope saved at one shard count
+// is refused by a cluster of another, naming re-ingest, with its slot map and
+// epoch untouched — and that re-ingest at the new count, built, answers
+// bit-identically to the cluster that saved the envelope.
 func TestClusterLoadIndexShardCountChange(t *testing.T) {
 	log := cityLog(t, 40)
 	queries := []string{"entity-0", "entity-7", "entity-19", "entity-33"}
@@ -106,8 +117,15 @@ func TestClusterLoadIndexShardCountChange(t *testing.T) {
 	for _, shards := range []int{2, 8} {
 		t.Run(fmt.Sprintf("into=%d", shards), func(t *testing.T) {
 			c2 := persistCluster(t, shards, log)
-			if err := c2.LoadIndex(bytes.NewReader(buf.Bytes())); err != nil {
-				t.Fatalf("LoadIndex 4→%d: %v", shards, err)
+			epoch, assign := c2.SlotEpoch(), c2.SlotAssignment()
+			if err := openEnvelope(t, c2, buf.Bytes()); err == nil || !strings.Contains(err.Error(), "re-ingest") {
+				t.Fatalf("OpenIndex 4→%d: want a refusal naming re-ingest, got %v", shards, err)
+			}
+			if c2.SlotEpoch() != epoch || !reflect.DeepEqual(c2.SlotAssignment(), assign) {
+				t.Fatalf("the refused open moved the slot map: epoch %d → %d", epoch, c2.SlotEpoch())
+			}
+			if err := c2.BuildIndex(); err != nil {
+				t.Fatal(err)
 			}
 			for _, q := range queries {
 				w, _, err := c4.TopK(q, 5)
@@ -119,25 +137,26 @@ func TestClusterLoadIndexShardCountChange(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(g, w) {
-					t.Fatalf("TopK(%s) diverges after 4→%d reload:\n  loaded: %v\n  saved:  %v", q, shards, g, w)
+					t.Fatalf("TopK(%s) diverges after the 4→%d re-ingest:\n  rebuilt: %v\n  saved:   %v", q, shards, g, w)
 				}
 			}
 		})
 	}
 }
 
-// TestLegacyMagicsRejected: the retired formats are not snapshots to any
-// loader. Each of DB.LoadIndex, DB.LoadMappedIndex, Cluster.LoadIndex and
-// Cluster.LoadMappedIndex refuses each of them with an error naming the magic
-// it found — never a panic — and keeps serving its previous snapshot
-// unchanged. The four the one container replaced (MSIGTREE2, MSIGMAP1,
-// MSIGCLUST2, MSIGCMAP2) are the ones a deployment may still hold: for those
-// the error also says what to do, re-save. So are MSIGIDX1 files written
-// before the index dropped its signatures (testdata/pre-postings-*, an image
-// and an envelope of this test's log), refused by their entity section, and
-// mapped ones written before the index kept its entities' level sizes
-// (testdata/pre-sizes-*), refused by the cell section where the sizes
-// belong — both with the same advice.
+// TestLegacyMagicsRejected: the retired formats are not index files to
+// either opener. DB.OpenIndex and Cluster.OpenIndex refuse each of them with
+// an error naming what they found — never a panic — and keep serving their
+// previous snapshot unchanged. The four magics the one container replaced
+// (MSIGTREE2, MSIGMAP1, MSIGCLUST2, MSIGCMAP2) are the ones a deployment may
+// still hold: for those the error also says what to do, re-save. So are
+// MSIGIDX1 files written before the index dropped its signatures
+// (testdata/pre-postings-*, an image and an envelope of this test's log),
+// refused by their entity section; ones written before the index kept its
+// entities' level sizes (testdata/pre-sizes-*), refused by the cell section
+// where the sizes belong; and ones written without their sequences
+// (testdata/no-seqs-*: an image, and an envelope of such images), refused by
+// the missing sequence section — all with the same advice.
 func TestLegacyMagicsRejected(t *testing.T) {
 	log := cityLog(t, 20)
 	queries := []string{"entity-0", "entity-7", "entity-19"}
@@ -152,28 +171,22 @@ func TestLegacyMagicsRejected(t *testing.T) {
 	loaders := []struct {
 		name      string
 		eng       digitaltraces.Engine
-		load      func(path string, b []byte) error
-		preChange string // a file of this loader's kind written before the index dropped its signatures
-		preSizes  string // a mapped one written before the index kept level sizes
+		preChange string // a file of this opener's kind written before the index dropped its signatures
+		preSizes  string // one written before the index kept level sizes
+		noSeqs    string // one written without its sequences
 	}{
-		{"DB.LoadIndex", db, func(_ string, b []byte) error { return db.LoadIndex(bytes.NewReader(b)) }, "testdata/pre-postings-image.idx", "testdata/pre-sizes-image.idx"},
-		{"DB.LoadMappedIndex", db, func(path string, _ []byte) error { return db.LoadMappedIndex(path) }, "testdata/pre-postings-image.idx", "testdata/pre-sizes-image.idx"},
-		{"Cluster.LoadIndex", c, func(_ string, b []byte) error { return c.LoadIndex(bytes.NewReader(b)) }, "testdata/pre-postings-envelope.idx", "testdata/pre-sizes-envelope.idx"},
-		{"Cluster.LoadMappedIndex", c, func(path string, _ []byte) error { return c.LoadMappedIndex(path) }, "testdata/pre-postings-envelope.idx", "testdata/pre-sizes-envelope.idx"},
+		{"DB.OpenIndex", db, "testdata/pre-postings-image.idx", "testdata/pre-sizes-image.idx", "testdata/no-seqs-image.idx"},
+		{"Cluster.OpenIndex", c, "testdata/pre-postings-envelope.idx", "testdata/pre-sizes-envelope.idx", "testdata/no-seqs-envelope.idx"},
 	}
 	for _, l := range loaders {
 		if err := l.eng.BuildIndex(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// refused loads path through l and requires an error containing every
+	// refused opens path through l and requires an error containing every
 	// want, the engine serving on unchanged.
 	refused := func(l int, path string, want ...string) {
 		t.Helper()
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
 		eng := loaders[l].eng
 		gen := eng.IndexStats().Generation
 		var before [][]digitaltraces.Match
@@ -184,7 +197,7 @@ func TestLegacyMagicsRejected(t *testing.T) {
 			}
 			before = append(before, ms)
 		}
-		err = loaders[l].load(path, b)
+		err := eng.OpenIndex(path)
 		for _, w := range want {
 			if err == nil || !strings.Contains(err.Error(), w) {
 				t.Errorf("%s(%s): want an error containing %q, got: %v", loaders[l].name, path, w, err)
@@ -218,12 +231,13 @@ func TestLegacyMagicsRejected(t *testing.T) {
 	for l := range loaders {
 		refused(l, loaders[l].preChange, `"ents"`, "retired index format — re-save")
 		refused(l, loaders[l].preSizes, `"cell"`, "no level sizes", "retired index format — re-save")
+		refused(l, loaders[l].noSeqs, "no sequence section", "retired index format — re-save")
 	}
 }
 
 // TestClusterLoadIndexEnvelopeErrors: truncation and every corruption of the
-// envelope's own tables are descriptive errors from both loaders, and a
-// single-DB image fed to a cluster is told apart by its sections.
+// envelope's own tables are descriptive errors, and a single-DB image fed to
+// a cluster is told apart by its sections.
 func TestClusterLoadIndexEnvelopeErrors(t *testing.T) {
 	log := cityLog(t, 20)
 	c := persistCluster(t, 2, log)
@@ -238,7 +252,7 @@ func TestClusterLoadIndexEnvelopeErrors(t *testing.T) {
 
 	c2 := persistCluster(t, 2, log)
 	for _, cut := range []int{0, 5, 15, 25, len(good) / 2, len(good) - 3} {
-		if err := c2.LoadIndex(bytes.NewReader(good[:cut])); err == nil {
+		if err := openEnvelope(t, c2, good[:cut]); err == nil {
 			t.Errorf("truncated envelope (%d of %d bytes) accepted", cut, len(good))
 		}
 	}
@@ -268,29 +282,35 @@ func TestClusterLoadIndexEnvelopeErrors(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			b := append([]byte(nil), good...)
 			tc.mutate(b)
-			if err := c2.LoadIndex(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("LoadIndex: want an error containing %q, got: %v", tc.want, err)
-			}
 			if tc.name == "oversized section" {
-				return // a mapping knows the file's real size: the header's claim fails first
+				// A mapping knows the file's real size, so the header's claim
+				// fails first; a reader that cannot know it (a stream) meets
+				// the section's own cap.
+				if err := openEnvelope(t, c2, b); err == nil || !strings.Contains(err.Error(), "claims") {
+					t.Errorf("OpenIndex: want the header's claim refused, got: %v", err)
+				}
+				sr, err := secfile.NewReader(bytes.NewReader(b))
+				if err == nil {
+					_, err = readEnvelope(sr)
+				}
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("stream: want an error containing %q, got: %v", tc.want, err)
+				}
+				return
 			}
-			path := filepath.Join(t.TempDir(), "corrupt.env")
-			if err := os.WriteFile(path, b, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if err := c2.LoadMappedIndex(path); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("LoadMappedIndex: want an error containing %q, got: %v", tc.want, err)
+			if err := openEnvelope(t, c2, b); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("OpenIndex: want an error containing %q, got: %v", tc.want, err)
 			}
 		})
 	}
 
-	// A single-DB snapshot is not a cluster envelope.
+	// A single-DB image is not a cluster envelope.
 	var dbSnap bytes.Buffer
 	if _, err := c.shards[0].SaveIndex(&dbSnap); err != nil {
 		t.Fatal(err)
 	}
-	if err := c2.LoadIndex(bytes.NewReader(dbSnap.Bytes())); err == nil || !strings.Contains(err.Error(), "not a cluster envelope") {
-		t.Errorf("single-DB snapshot accepted as cluster envelope: %v", err)
+	if err := openEnvelope(t, c2, dbSnap.Bytes()); err == nil || !strings.Contains(err.Error(), "not a cluster envelope") {
+		t.Errorf("single-DB image accepted as cluster envelope: %v", err)
 	}
 }
 
@@ -312,8 +332,8 @@ func TestClusterSaveLoadWithEmptyShard(t *testing.T) {
 		t.Fatalf("SaveIndex with empty shards: %v", err)
 	}
 	c2 := persistCluster(t, 4, log)
-	if err := c2.LoadIndex(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatalf("LoadIndex with empty shards: %v", err)
+	if err := openEnvelope(t, c2, buf.Bytes()); err != nil {
+		t.Fatalf("OpenIndex with empty shards: %v", err)
 	}
 	w, _, err := c1.TopK("entity-0", 3)
 	if err != nil {
@@ -332,8 +352,9 @@ func TestClusterSaveLoadWithEmptyShard(t *testing.T) {
 // stream and by offset, are an error or a decoded envelope whose tables agree
 // with the sections — never a panic, never an allocation sized by an
 // unchecked word. The committed corpus (testdata/fuzz/FuzzReadEnvelope) holds
-// two real envelopes, one of them with an empty shard, and a single-DB image;
-// fresh ones are added here so the corpus follows the format.
+// two real envelopes, one of them with an empty shard, and a single-DB image,
+// all written by SaveIndex; fresh ones are added here so the corpus follows
+// the format.
 func FuzzReadEnvelope(f *testing.F) {
 	log := cityLog(f, 6)
 	for _, shards := range []int{1, 3} {

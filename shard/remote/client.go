@@ -34,7 +34,7 @@ type Options struct {
 	// budget. Default DefaultCallTimeout.
 	CallTimeout time.Duration
 	// ControlTimeout bounds slow control-plane RPCs: build, refresh and
-	// index save/load, which scale with the shard's data. Default
+	// index save/open, which scale with the shard's data. Default
 	// DefaultControlTimeout.
 	ControlTimeout time.Duration
 	// MaxConns caps connections to this shard (idle keep-alives are pooled
@@ -495,20 +495,12 @@ func (c *Client) SaveIndex(w io.Writer) (int64, error) {
 	return n, nil
 }
 
-func (c *Client) LoadIndex(r io.Reader) error { return c.loadIndex(r, "/shard/index") }
-
-// LoadIndexLenient streams a snapshot like LoadIndex but asks the server to
-// skip section entities absent from its current log (DB.LoadIndexLenient) —
-// the slot-routed cluster envelope path, where a saved section may describe
-// entities the slot map now routes elsewhere.
-func (c *Client) LoadIndexLenient(r io.Reader) error {
-	return c.loadIndex(r, "/shard/index?lenient=1")
-}
-
-func (c *Client) loadIndex(r io.Reader, path string) error {
+// OpenIndexAt sends the image in r to the shard server, which opens it there
+// (DB.OpenIndexAt) — the remote half of Cluster.OpenIndex.
+func (c *Client) OpenIndexAt(r io.ReaderAt, size int64) error {
 	ctx, cancel := context.WithTimeout(context.Background(), c.ctrlT)
 	defer cancel()
-	if _, err := c.do(ctx, http.MethodPost, path, nil, r); err != nil {
+	if _, err := c.do(ctx, http.MethodPost, "/shard/index", nil, io.NewSectionReader(r, 0, size)); err != nil {
 		return fmt.Errorf("shard %s: %w", c.addr, err)
 	}
 	return c.refreshStats()

@@ -1,19 +1,22 @@
 package remote
 
-// Live slot migration over the wire, and topology-change reload through the
-// lenient remote index load. The migration protocol ships state through the
-// same Backend primitives the transport already serves (VisitsOf, AddVisits,
-// Refresh), so the in-process property re-run against loopback shard servers
-// is the acceptance bar: random slots move between HTTP shards while a query
-// stream races, and no answer may ever diverge from the single-DB reference.
+// Live slot migration over the wire, and a local cluster's index file opened
+// by a remote fleet (and refused at another shard count). The migration
+// protocol ships state through the same Backend primitives the transport
+// already serves (VisitsOf, AddVisits, Refresh), so the in-process property
+// re-run against loopback shard servers is the acceptance bar: random slots
+// move between HTTP shards while a query stream races, and no answer may ever
+// diverge from the single-DB reference.
 // The epoch piggyback is asserted too — after migrations every shard server
 // must report the coordinator's final slot-map epoch, the signal a second,
 // staler coordinator refuses to route on.
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -165,10 +168,11 @@ func TestRemoteMigrationExactness(t *testing.T) {
 }
 
 // TestRemoteClusterShardCountReload saves a 4-shard local cluster's envelope
-// and loads it into an 8-shard loopback-remote cluster: each remote shard
-// receives the best-overlap section via the lenient load (POST
-// /shard/index?lenient=1), skipping entities the slot map routes elsewhere,
-// and the restarted fleet answers bit-identically to the saver.
+// and opens the same file on a 4-shard loopback-remote cluster — each section
+// sent to its shard server (POST /shard/index) and opened there — which then
+// answers bit-identically to the saver. An 8-shard remote fleet refuses the
+// file, naming re-ingest, and once the log is re-ingested at 8 shards and
+// built it answers bit-identically too.
 func TestRemoteClusterShardCountReload(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	log := proptest.RandomLog(rng, 40, 24)
@@ -187,17 +191,32 @@ func TestRemoteClusterShardCountReload(t *testing.T) {
 	if err := c4.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := c4.SaveIndex(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "cluster.idx")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c4.SaveIndex(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 
+	r4, _ := remoteClusterClients(t, 4, shard.Config{})
+	t.Cleanup(func() { r4.Close() })
+	if err := r4.OpenIndex(path); err != nil {
+		t.Fatalf("OpenIndex local→remote over the wire: %v", err)
+	}
 	c8, _ := remoteClusterClients(t, 8, shard.Config{})
+	if err := c8.OpenIndex(path); err == nil || !strings.Contains(err.Error(), "re-ingest") {
+		t.Fatalf("OpenIndex 4→8: want a refusal naming re-ingest, got %v", err)
+	}
 	if _, err := c8.AddVisits(log); err != nil {
 		t.Fatal(err)
 	}
-	if err := c8.LoadIndex(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatalf("LoadIndex 4→8 over the wire: %v", err)
+	if err := c8.BuildIndex(); err != nil {
+		t.Fatal(err)
 	}
 
 	queries := proptest.SampleQueries(rng, 40)
@@ -207,11 +226,13 @@ func TestRemoteClusterShardCountReload(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := c8.TopK(q, k)
-			if err != nil {
-				t.Fatal(err)
+			for name, c := range map[string]*shard.Cluster{"local→remote open": r4, "8-shard re-ingest": c8} {
+				got, _, err := c.TopK(q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameMatches(t, fmt.Sprintf("%s TopK(%s,%d)", name, q, k), got, want)
 			}
-			sameMatches(t, fmt.Sprintf("4→8 remote reload TopK(%s,%d)", q, k), got, want)
 		}
 	}
 }

@@ -14,6 +14,9 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -772,56 +775,77 @@ func TestRemoteClusterCache(t *testing.T) {
 	_ = after
 }
 
-// TestRemoteIndexSaveLoad: an index snapshot streamed off one shard server
-// restores into another hosting the same log, and answers are identical —
-// also when the image sent carries its sequence section, which the receiving
-// server stops reading before (a file saved for a mapped boot, loaded by name
-// over the wire).
+// TestRemoteIndexSaveLoad: a 4-shard cluster of loopback shard servers
+// ingests, builds and saves its envelope; a new coordinator over 4 fresh
+// shard servers opens the file with no re-ingest — each section sent to its
+// server and opened there — and answers bit-identically. A 3-shard cluster
+// refuses the file, naming re-ingest, with its slot map and epoch unchanged.
 func TestRemoteIndexSaveLoad(t *testing.T) {
-	dbA, _, hsA := newShardServer(t, ServerConfig{})
-	_, _, hsB := newShardServer(t, ServerConfig{})
-	_, _, hsC := newShardServer(t, ServerConfig{})
-	ca := dialTest(t, hsA.URL, Options{})
-	cb := dialTest(t, hsB.URL, Options{})
-	cc := dialTest(t, hsC.URL, Options{})
-
-	log := seedLog(t, ca, 16, 30)
-	for _, c := range []*Client{cb, cc} {
-		if n, err := c.AddVisits(log); err != nil || n != len(log) {
-			t.Fatalf("replaying log: %d, %v", n, err)
-		}
-	}
-
-	var buf strings.Builder
-	if _, err := ca.SaveIndex(&buf); err != nil {
+	rng := rand.New(rand.NewSource(63))
+	log := proptest.RandomLog(rng, 40, 24)
+	src, _ := remoteClusterClients(t, 4, shard.Config{})
+	if _, err := src.AddVisits(log); err != nil {
 		t.Fatal(err)
 	}
-	if err := cb.LoadIndex(strings.NewReader(buf.String())); err != nil {
+	if err := src.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	var withSeqs strings.Builder
-	if _, err := dbA.SaveMappedIndex(&withSeqs); err != nil {
-		t.Fatal(err)
-	}
-	if withSeqs.Len() <= buf.Len() {
-		t.Fatalf("image with sequences is %d bytes, without %d", withSeqs.Len(), buf.Len())
-	}
-	if err := cc.LoadIndex(strings.NewReader(withSeqs.String())); err != nil {
-		t.Fatalf("loading an image that carries sequences over the wire: %v", err)
-	}
-
-	visits, err := ca.VisitsOf("e001")
+	path := filepath.Join(t.TempDir(), "cluster.idx")
+	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	top := func(c *Client) []digitaltraces.Match {
-		st, b, err := c.OpenSearch(visits, 8, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer st.Close()
-		return b.Matches
+	if _, err := src.SaveIndex(f); err != nil {
+		t.Fatalf("remote cluster SaveIndex: %v", err)
 	}
-	sameMatches(t, "loaded index answers", top(cb), top(ca))
-	sameMatches(t, "index loaded from an image with sequences answers", top(cc), top(ca))
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	opened, _ := remoteClusterClients(t, 4, shard.Config{})
+	t.Cleanup(func() { opened.Close() })
+	if err := opened.OpenIndex(path); err != nil {
+		t.Fatalf("OpenIndex on fresh shard servers: %v", err)
+	}
+	if got, want := opened.NumEntities(), src.NumEntities(); got != want {
+		t.Fatalf("opened cluster holds %d entities, want %d", got, want)
+	}
+	for _, q := range proptest.SampleQueries(rng, 40) {
+		for _, k := range []int{1, 5, 45} {
+			want, _, err := src.TopK(q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := opened.TopK(q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameMatches(t, fmt.Sprintf("opened TopK(%s,%d)", q, k), got, want)
+		}
+	}
+
+	three, _ := remoteClusterClients(t, 3, shard.Config{})
+	epoch, assign := three.SlotEpoch(), three.SlotAssignment()
+	if err := three.OpenIndex(path); err == nil || !strings.Contains(err.Error(), "re-ingest") {
+		t.Fatalf("3-shard open of a 4-shard envelope: want a refusal naming re-ingest, got %v", err)
+	}
+	if three.SlotEpoch() != epoch || !reflect.DeepEqual(three.SlotAssignment(), assign) {
+		t.Errorf("the refused open moved the slot map: epoch %d → %d", epoch, three.SlotEpoch())
+	}
+}
+
+// TestRemoteSaveFailureIsAnError: a shard server whose SaveIndex fails — here
+// an empty one, with no visits to index — answers with an error status, and
+// the client returns that error instead of a short image and no error.
+func TestRemoteSaveFailureIsAnError(t *testing.T) {
+	_, _, hs := newShardServer(t, ServerConfig{})
+	c := dialTest(t, hs.URL, Options{})
+	var buf bytes.Buffer
+	n, err := c.SaveIndex(&buf)
+	if err == nil || !strings.Contains(err.Error(), "no visits to index") {
+		t.Fatalf("SaveIndex on an empty shard server: n=%d err=%v, want the server's error", n, err)
+	}
+	if n != 0 || buf.Len() != 0 {
+		t.Errorf("a failed save wrote %d bytes (reported %d)", buf.Len(), n)
+	}
 }

@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -232,7 +233,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /shard/build", s.handleBuild)
 	mux.HandleFunc("POST /shard/refresh", s.handleRefresh)
 	mux.HandleFunc("GET /shard/index", s.handleSaveIndex)
-	mux.HandleFunc("POST /shard/index", s.handleLoadIndex)
+	mux.HandleFunc("POST /shard/index", s.handleOpenIndex)
 	mux.HandleFunc("POST /shard/epoch", s.handleEpoch)
 	mux.HandleFunc("GET /shard/healthz", s.handleHealthz)
 	return protoCheck(mux)
@@ -442,25 +443,28 @@ func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
+// handleSaveIndex buffers the image before the first byte goes out, so a
+// failed save is an error status, never a 200 with a short body.
 func (s *Server) handleSaveIndex(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/octet-stream")
-	if _, err := s.db.SaveIndex(w); err != nil {
-		// Headers are gone; the client detects the short body by the
-		// snapshot format's own framing.
+	var buf bytes.Buffer
+	if _, err := s.db.SaveIndex(&buf); err != nil {
+		httpError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.Write(buf.Bytes())
 }
 
-func (s *Server) handleLoadIndex(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, maxRequestBytes)
-	load := s.db.LoadIndex
-	if r.URL.Query().Get("lenient") == "1" {
-		// The slot-routed envelope path: the section may name entities the
-		// slot map no longer routes to this shard; skip them instead of
-		// refusing the whole load.
-		load = s.db.LoadIndexLenient
+// handleOpenIndex opens the image in the request body. The DB serves it off
+// the received bytes, which it keeps.
+func (s *Server) handleOpenIndex(w http.ResponseWriter, r *http.Request) {
+	b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	if err != nil {
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("reading index image: %v", err))
+		return
 	}
-	if err := load(body); err != nil {
+	if err := s.db.OpenIndexAt(bytes.NewReader(b), int64(len(b))); err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}

@@ -242,10 +242,7 @@ func TestSwappedSnapshotSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := decoded.Postings(db.ix, serving.store, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := decoded.MappedPostings(db.ix, serving.store)
 	if !reflect.DeepEqual(loaded.Entities(), serving.post.Entities()) {
 		t.Fatalf("loaded entities %v != serving entities %v", loaded.Entities(), serving.post.Entities())
 	}

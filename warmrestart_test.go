@@ -1,10 +1,9 @@
 package digitaltraces
 
-// Warm-restart tests: SaveIndex → re-ingest → LoadIndex must serve answers
-// bit-identical to a cold rebuild, across ingest-order permutations, growth
-// since the save, and concurrent traffic — and every way the snapshot and
-// the log can disagree must be a descriptive error, never a silently
-// different answer.
+// Restart tests over a re-ingested log: SaveIndex → re-ingest → OpenIndex
+// must serve answers bit-identical to a cold rebuild, across growth since the
+// save and concurrent traffic — and every way the image and the DB can
+// disagree must be a descriptive error, never a silently different answer.
 
 import (
 	"bytes"
@@ -20,7 +19,7 @@ import (
 )
 
 // restartWorld builds a city, indexes it, saves the index, and returns the
-// DB, its snapshot bytes, and its full visit log (the "record file" a
+// DB, its image bytes, and its full visit log (the "record file" a
 // restarted process would replay).
 func restartWorld(t *testing.T, entities int, opts ...Option) (*DB, []byte, []VisitRecord) {
 	t.Helper()
@@ -84,21 +83,26 @@ func assertSameAnswers(t *testing.T, want, got Engine, entities []string, k int)
 
 var someEntities = []string{"entity-0", "entity-3", "entity-11", "entity-17", "entity-29"}
 
-// TestLoadIndexEquivalence: a LoadIndex-ed DB over a replayed log answers
-// bit-identically to the DB that saved the snapshot, publishes generation 1,
-// and reports a query-ready index with no pending dirt.
+// openImage serves img on db in place, as OpenIndex serves a file.
+func openImage(db *DB, img []byte) error {
+	return db.OpenIndexAt(bytes.NewReader(img), int64(len(img)))
+}
+
+// TestLoadIndexEquivalence: an image opened over a replayed log answers
+// bit-identically to the DB that saved it, publishes generation 1, and
+// reports a query-ready index with no pending dirt.
 func TestLoadIndexEquivalence(t *testing.T) {
 	src, snap, log := restartWorld(t, 40)
 	db := freshGrid(t, log)
-	if err := db.LoadIndex(bytes.NewReader(snap)); err != nil {
-		t.Fatalf("LoadIndex: %v", err)
+	if err := openImage(db, snap); err != nil {
+		t.Fatalf("OpenIndexAt: %v", err)
 	}
 	st := db.IndexStats()
 	if st.Generation != 1 {
-		t.Errorf("generation after LoadIndex = %d, want 1", st.Generation)
+		t.Errorf("generation after the open = %d, want 1", st.Generation)
 	}
 	if st.DirtyCount != 0 {
-		t.Errorf("dirty count after LoadIndex = %d, want 0", st.DirtyCount)
+		t.Errorf("dirty count after the open = %d, want 0", st.DirtyCount)
 	}
 	if st.Entities != src.NumEntities() {
 		t.Errorf("loaded index has %d entities, want %d", st.Entities, src.NumEntities())
@@ -109,15 +113,15 @@ func TestLoadIndexEquivalence(t *testing.T) {
 	assertSameAnswers(t, src, db, someEntities, 5)
 }
 
-// TestLoadIndexPermutedIngest: the acceptance-criteria scenario — a
-// snapshot loaded against a re-ingest whose entity order was permuted (so
-// every entity ID differs from save time) either answers identically to a
-// rebuilt DB over the same permuted log, or errors; here it must answer.
+// TestLoadIndexPermutedIngest: an image resolves entities by ID, so a
+// re-ingest whose entity order was permuted (every entity ID differs from
+// save time) is refused by name before the DB changes — and the DB then
+// builds and answers like a rebuild over the same permuted log.
 func TestLoadIndexPermutedIngest(t *testing.T) {
 	_, snap, log := restartWorld(t, 40)
 	// Permute by reversing entity groups: each entity's own visit order is
-	// preserved (the replay contract), but first arrival — and therefore ID
-	// assignment — is reversed.
+	// preserved, but first arrival — and therefore ID assignment — is
+	// reversed.
 	var groups [][]VisitRecord
 	seen := map[string]int{}
 	for _, v := range log {
@@ -135,8 +139,14 @@ func TestLoadIndexPermutedIngest(t *testing.T) {
 	}
 
 	loaded := freshGrid(t, permuted)
-	if err := loaded.LoadIndex(bytes.NewReader(snap)); err != nil {
-		t.Fatalf("LoadIndex over permuted ingest: %v", err)
+	if err := openImage(loaded, snap); err == nil || !strings.Contains(err.Error(), "resolve by ID") {
+		t.Fatalf("open over a permuted re-ingest: want the by-ID refusal, got %v", err)
+	}
+	if st := loaded.IndexStats(); st.Generation != 0 || st.Mapped {
+		t.Fatalf("the refused open published an index: %+v", st)
+	}
+	if err := loaded.BuildIndex(); err != nil {
+		t.Fatal(err)
 	}
 	rebuilt := freshGrid(t, permuted)
 	if err := rebuilt.BuildIndex(); err != nil {
@@ -146,7 +156,7 @@ func TestLoadIndexPermutedIngest(t *testing.T) {
 }
 
 // TestLoadIndexNewerVisitsGoDirty: entities whose logs grew past the save
-// serve the covered prefix first, land in the dirty set, and fold to full
+// serve the saved state first, land in the dirty set, and fold to full
 // freshness on the next query — ending bit-identical to a cold rebuild over
 // the grown log.
 func TestLoadIndexNewerVisitsGoDirty(t *testing.T) {
@@ -164,16 +174,16 @@ func TestLoadIndexNewerVisitsGoDirty(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := db.LoadIndex(bytes.NewReader(snap)); err != nil {
-		t.Fatalf("LoadIndex with grown log: %v", err)
+	if err := openImage(db, snap); err != nil {
+		t.Fatalf("open with grown log: %v", err)
 	}
 	st := db.IndexStats()
 	if st.DirtyCount != 3 {
 		t.Errorf("dirty count after load = %d, want 3 (entity-3, entity-17, newcomer)", st.DirtyCount)
 	}
-	// The published snapshot covers the saved prefix only.
+	// The published snapshot is the saved index.
 	if st.Entities != 40 {
-		t.Errorf("loaded tree has %d entities, want the 40 saved ones", st.Entities)
+		t.Errorf("opened index has %d entities, want the 40 saved ones", st.Entities)
 	}
 
 	rebuilt := freshGrid(t, db.AllVisits())
@@ -189,15 +199,16 @@ func TestLoadIndexNewerVisitsGoDirty(t *testing.T) {
 }
 
 // TestLoadIndexStaleEntitySkipped: an entity stamped FoldedUnknown (dirty
-// while the save ran) is left out of the published tree, marked dirty, and
-// re-signed by the next fold instead of being served with a stale signature.
+// while the save ran) is never counted clean: the open marks it dirty, and
+// the next fold unions its whole log into the stored sequences instead of
+// serving the save-time state as current.
 func TestLoadIndexStaleEntitySkipped(t *testing.T) {
 	src, _, log := restartWorld(t, 30)
 	s := src.snap.Load()
 	var buf bytes.Buffer
 	epoch, _, _ := src.epochInfo()
 	meta := core.SnapshotMeta{TimeUnit: src.unit, EpochNanos: epoch.UnixNano(), MeasureU: src.measureU, MeasureV: src.measureV}
-	if _, err := s.post.WriteSnapshot(&buf, meta, nil, func(e trace.EntityID) (string, uint32) {
+	if _, err := s.post.WriteSnapshot(&buf, meta, s.store, func(e trace.EntityID) (string, uint32) {
 		if s.byID[e] == "entity-5" {
 			return s.byID[e], core.FoldedUnknown
 		}
@@ -206,17 +217,17 @@ func TestLoadIndexStaleEntitySkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := freshGrid(t, log)
-	if err := db.LoadIndex(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := openImage(db, buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if st := db.IndexStats(); st.Entities != 29 || st.DirtyCount != 1 {
-		t.Fatalf("after load: %d entities, %d dirty — want 29 and 1 (entity-5 deferred)", st.Entities, st.DirtyCount)
+	if st := db.IndexStats(); st.Entities != 30 || st.DirtyCount != 1 {
+		t.Fatalf("after the open: %d entities, %d dirty — want 30 and 1 (entity-5 refolds)", st.Entities, st.DirtyCount)
 	}
 	assertSameAnswers(t, src, db, append([]string{"entity-5"}, someEntities...), 5)
 }
 
-// TestLoadIndexValidationErrors: every detectable mismatch between snapshot
-// and DB is a load-time error naming the problem.
+// TestLoadIndexValidationErrors: every detectable mismatch between an image
+// and a re-ingested DB is an open-time error naming the problem.
 func TestLoadIndexValidationErrors(t *testing.T) {
 	_, snap, log := restartWorld(t, 30)
 
@@ -225,13 +236,6 @@ func TestLoadIndexValidationErrors(t *testing.T) {
 		db   func(t *testing.T) *DB
 		want string
 	}{
-		{"empty DB", func(t *testing.T) *DB {
-			db, err := NewGridDB(4, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return db
-		}, "re-ingest"},
 		{"time-unit mismatch", func(t *testing.T) *DB {
 			return freshGrid(t, log, WithTimeUnit(30*time.Minute))
 		}, "unit"},
@@ -256,96 +260,116 @@ func TestLoadIndexValidationErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.db(t).LoadIndex(bytes.NewReader(snap))
+			err := openImage(tc.db(t), snap)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("want error containing %q, got: %v", tc.want, err)
 			}
 		})
 	}
 
-	t.Run("log behind snapshot", func(t *testing.T) {
-		// Drop entity-5's last visit: the snapshot covers more than the log.
-		last := -1
-		for i, v := range log {
-			if v.Entity == "entity-5" {
-				last = i
-			}
-		}
-		trimmed := append(append([]VisitRecord{}, log[:last]...), log[last+1:]...)
-		err := freshGrid(t, trimmed).LoadIndex(bytes.NewReader(snap))
-		if err == nil || !strings.Contains(err.Error(), "behind the snapshot") {
-			t.Fatalf("want log-behind error, got: %v", err)
-		}
-	})
-
 	t.Run("truncated snapshot", func(t *testing.T) {
-		err := freshGrid(t, log).LoadIndex(bytes.NewReader(snap[:len(snap)/2]))
+		err := openImage(freshGrid(t, log), snap[:len(snap)/2])
 		if err == nil || !strings.Contains(err.Error(), "truncated") {
 			t.Fatalf("want truncation error, got: %v", err)
 		}
 	})
 }
 
-// TestLoadIndexConcurrentTraffic (-race): LoadIndex races ingest and
-// queries; afterwards the DB must converge to the same answers as a cold
-// rebuild over the final log.
+// TestLoadIndexConcurrentTraffic (-race): OpenIndexAt races ingest and
+// queries. Over a re-ingested log the open succeeds, queries never error,
+// and the DB converges to a cold rebuild over the final log. Into an empty
+// DB whose writers register new entities meanwhile, the open either succeeds
+// and converges the same way, or is refused by name — "retry" when the
+// registry filled while the open ran, "not in the registry" when it already
+// had — with nothing of the image published.
 func TestLoadIndexConcurrentTraffic(t *testing.T) {
 	_, snap, log := restartWorld(t, 40)
-	db := freshGrid(t, log)
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				name := fmt.Sprintf("entity-%d", (g*13+i)%40)
-				h := i % 20
-				if err := db.AddVisit(name, VenueName(h%db.NumVenues()), TimeAt(h), TimeAt(h+1)); err != nil {
-					t.Errorf("writer: %v", err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			// Before the load publishes anything a query may block briefly
-			// behind buildMu and then answer; it must never error.
-			if _, _, err := db.TopK("entity-1", 3); err != nil {
-				t.Errorf("query during load: %v", err)
-				return
-			}
+	converged := func(t *testing.T, db *DB) {
+		t.Helper()
+		rebuilt := freshGrid(t, db.AllVisits())
+		if err := rebuilt.BuildIndex(); err != nil {
+			t.Fatal(err)
 		}
-	}()
-	if err := db.LoadIndex(bytes.NewReader(snap)); err != nil {
-		t.Fatalf("LoadIndex under traffic: %v", err)
+		assertSameAnswers(t, rebuilt, db, someEntities, 5)
 	}
-	close(stop)
-	wg.Wait()
+	// race runs writers — name(g, i) picks the entity of writer g's i-th
+	// visit — and, with query set, a reader, until open returns.
+	race := func(db *DB, name func(g, i int) string, query bool, open func() error) error {
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					h := i % 20
+					if err := db.AddVisit(name(g, i), VenueName(h%db.NumVenues()), TimeAt(h), TimeAt(h+1)); err != nil {
+						t.Errorf("writer: %v", err)
+						return
+					}
+				}
+			}(g)
+		}
+		if query {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					// Before the open publishes anything a query may block
+					// briefly behind buildMu and then answer; it must never
+					// error.
+					if _, _, err := db.TopK("entity-1", 3); err != nil {
+						t.Errorf("query during the open: %v", err)
+						return
+					}
+				}
+			}()
+		}
+		err := open()
+		close(stop)
+		wg.Wait()
+		return err
+	}
 
-	rebuilt := freshGrid(t, db.AllVisits())
-	if err := rebuilt.BuildIndex(); err != nil {
+	db := freshGrid(t, log)
+	if err := race(db, func(g, i int) string { return fmt.Sprintf("entity-%d", (g*13+i)%40) }, true, func() error { return openImage(db, snap) }); err != nil {
+		t.Fatalf("open under traffic: %v", err)
+	}
+	converged(t, db)
+
+	empty, err := NewGridDB(4, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameAnswers(t, rebuilt, db, someEntities, 5)
+	err = race(empty, func(g, i int) string { return fmt.Sprintf("writer%d-%d", g, i%7) }, false, func() error { return openImage(empty, snap) })
+	t.Logf("open into an empty DB racing writers: %v", err)
+	switch {
+	case err == nil:
+		converged(t, empty)
+	case strings.Contains(err.Error(), "retry") || strings.Contains(err.Error(), "not in the registry"):
+		if _, verr := empty.VisitsOf("entity-0"); verr == nil {
+			t.Error("the refused open registered the image's entities")
+		}
+		if st := empty.IndexStats(); st.Generation != 0 || st.Mapped {
+			t.Errorf("the refused open published an index: %+v", st)
+		}
+	default:
+		t.Fatalf("open racing writers on an empty DB: %v", err)
+	}
 }
 
 // TestSaveIndexFoldsDirtFirst: SaveIndex covers visits ingested since the
-// last build, so a snapshot is never staler than the data at save time.
+// last build, so an image is never staler than the data at save time.
 func TestSaveIndexFoldsDirtFirst(t *testing.T) {
 	db, _, _ := restartWorld(t, 30)
 	if err := db.AddVisit("entity-2", VenueName(1), TimeAt(1), TimeAt(4)); err != nil {
@@ -359,11 +383,17 @@ func TestSaveIndexFoldsDirtFirst(t *testing.T) {
 		t.Errorf("SaveIndex left %d dirty entities unfolded", st.DirtyCount)
 	}
 	fresh := freshGrid(t, db.AllVisits())
-	if err := fresh.LoadIndex(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := openImage(fresh, buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if st := fresh.IndexStats(); st.DirtyCount != 0 {
-		t.Errorf("loaded DB has %d dirty entities, want the post-ingest visit covered", st.DirtyCount)
+		t.Errorf("opened DB has %d dirty entities, want the post-ingest visit covered", st.DirtyCount)
 	}
 	assertSameAnswers(t, db, fresh, someEntities, 5)
+	// The image alone, in an empty DB, is the same index.
+	empty := emptyGrid(t)
+	if err := openImage(empty, buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	assertSameAnswers(t, db, empty, someEntities, 5)
 }
