@@ -405,6 +405,31 @@ func BenchmarkStoreGet(b *testing.B) {
 	}
 }
 
+// BenchmarkVisitsOf times the home-shard lookup a remote query pays once:
+// an entity's folded sequences coalesced back into presence periods.
+func BenchmarkVisitsOf(b *testing.B) {
+	db, err := SyntheticWiFiCity(WiFiCityConfig{Side: 32, Devices: 2000, Days: 14})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.BuildIndex(); err != nil {
+		b.Fatal(err)
+	}
+	names := db.Entities()
+	b.ReportAllocs()
+	b.ResetTimer()
+	visits := 0
+	for i := 0; i < b.N; i++ {
+		vs, err := db.VisitsOf(names[i%len(names)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		visits += len(vs)
+	}
+	benchSink = float64(visits)
+}
+
 // BenchmarkTopKParallel measures concurrent query throughput against one
 // immutable MinSigTree: core.Tree.TopK is read-only, so goroutines share the
 // index with no locking at all. Compare ns/op with BenchmarkTopK k=10 to see

@@ -20,7 +20,6 @@ import (
 
 	"digitaltraces/internal/core"
 	"digitaltraces/internal/extsort"
-	"digitaltraces/internal/parallel"
 	"digitaltraces/internal/spindex"
 	"digitaltraces/internal/trace"
 )
@@ -35,11 +34,6 @@ type BulkConfig struct {
 	// TempDir holds the remapped copy and the sorted runs; empty means
 	// os.TempDir(). The load needs roughly 2× the input file there.
 	TempDir string
-	// RetainVisits keeps the raw visit log in the heap after the build, like
-	// LoadRecordFile — O(records) memory. The default drops it: the DB holds
-	// only the index and flips into union-fold mode (like OpenIndex), so new
-	// visits still fold in exactly.
-	RetainVisits bool
 }
 
 // BulkStats reports what a bulk load did and what it cost.
@@ -66,8 +60,9 @@ type BulkStats struct {
 // The load makes three bounded-memory passes: validate + remap entity IDs
 // while streaming the file to a temp copy, external-sort that copy by entity
 // under the configured buffer budget, then stream the sorted groups through
-// parallel sequence construction straight into the index build. See
-// BulkConfig.RetainVisits for what remains resident afterwards.
+// parallel sequence construction straight into the index build. What remains
+// resident afterwards is what any built DB holds: the sequences and the
+// postings, no visit log.
 func BulkLoadRecordFile(path string, side, levels int, cfg BulkConfig, opts ...Option) (*DB, *BulkStats, error) {
 	ecfg := extsort.DefaultConfig()
 	if cfg.PageSize > 0 {
@@ -168,33 +163,30 @@ func BulkLoadRecordFile(path string, side, levels int, cfg BulkConfig, opts ...O
 	stats.TheoreticalPageIO = extsort.TheoreticalPageIO(stats.Sort.DataPages, ecfg.BufferPages)
 	os.Remove(remapped)
 
-	// Pass 3: stream sorted groups (ascending dense ID) into sequences —
-	// batched across the worker pool, since cell expansion + sort-dedup
-	// dominates — and seal the postings over the finished store.
+	// Pass 3: stream sorted groups (ascending dense ID) through the staging
+	// step every build runs, a batch at a time, and seal the postings over
+	// the finished store. Each entity's count is stamped as ingested and
+	// folded, so an image saved from the DB records it.
 	buildStart := time.Now()
+	for _, fileID := range fileIDs {
+		db.register(fmt.Sprintf("entity-%d", fileID))
+	}
 	store := trace.NewStore(db.ix)
-	type group struct {
-		e    trace.EntityID
-		recs []trace.Record
-	}
 	const batchGroups = 512
-	var batch []group
+	var (
+		ids  []trace.EntityID
+		recs [][]trace.Record
+	)
 	flush := func() {
-		seqs := make([]*trace.Sequences, len(batch))
-		parallel.For(len(batch), func(i int) {
-			seqs[i] = trace.NewSequences(db.ix, batch[i].e, batch[i].recs)
-		})
-		for i, s := range seqs {
+		for _, s := range db.stage(nil, ids, recs) {
 			store.Put(s)
-			if cfg.RetainVisits {
-				db.visits[batch[i].e] = batch[i].recs
-			}
 		}
-		batch = batch[:0]
+		ids, recs = ids[:0], recs[:0]
 	}
-	if err := extsort.GroupByEntity(sorted, func(e trace.EntityID, recs []trace.Record) error {
-		batch = append(batch, group{e, slices.Clone(recs)})
-		if len(batch) >= batchGroups {
+	if err := extsort.GroupByEntity(sorted, func(e trace.EntityID, group []trace.Record) error {
+		ids, recs = append(ids, e), append(recs, slices.Clone(group))
+		db.ingested[e] = uint32(len(group))
+		if len(ids) >= batchGroups {
 			flush()
 		}
 		return nil
@@ -202,17 +194,7 @@ func BulkLoadRecordFile(path string, side, levels int, cfg BulkConfig, opts ...O
 		return nil, nil, err
 	}
 	flush()
-
-	for d, fileID := range fileIDs {
-		name := fmt.Sprintf("entity-%d", fileID)
-		db.names[name] = trace.EntityID(d)
-		db.byID = append(db.byID, name)
-	}
-	ids := make([]trace.EntityID, len(fileIDs))
-	for i := range ids {
-		ids[i] = trace.EntityID(i)
-	}
-	post, err := core.BuildPostings(db.ix, store, ids)
+	post, err := core.BuildPostings(db.ix, store, store.Entities())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -230,8 +212,5 @@ func BulkLoadRecordFile(path string, side, levels int, cfg BulkConfig, opts ...O
 	}
 	// The DB is still private — publish without the usual locking dance.
 	db.swapIn(ns)
-	if !cfg.RetainVisits {
-		db.unionFold = true
-	}
 	return db, stats, nil
 }

@@ -91,8 +91,8 @@ func TestBulkLoadMatchesInMemory(t *testing.T) {
 	}
 }
 
-// TestBulkLoadUnionFold: the default (visits not retained) flips the DB into
-// union-fold mode — new visits still fold in exactly, and SaveIndex
+// TestBulkLoadUnionFold: a bulk-loaded DB keeps no visit log — new visits
+// fold in exactly by union with the loaded sequences, and SaveIndex
 // round-trips the grown index.
 func TestBulkLoadUnionFold(t *testing.T) {
 	path := bulkLog(t, 40, 12, 2)
@@ -144,22 +144,31 @@ func TestBulkLoadUnionFold(t *testing.T) {
 	assertSameAnswers(t, mem, served, []string{"entity-10", "latecomer", "entity-38"}, 5)
 }
 
-// TestBulkLoadRetainVisits: with the log retained the DB behaves like
-// LoadRecordFile+BuildIndex in every way, including SaveIndex.
-func TestBulkLoadRetainVisits(t *testing.T) {
+// TestBulkLoadImageOpensOverLog: a bulk-loaded DB keeps no visit log, yet
+// its image records every entity's covered count, so it opens over the
+// re-ingested record file with nothing pending and answers like the bulk DB.
+func TestBulkLoadImageOpensOverLog(t *testing.T) {
 	path := bulkLog(t, 30, 10, 3)
-	bulk, _, err := BulkLoadRecordFile(path, 4, 4, BulkConfig{PageSize: 256, BufferPages: 4, RetainVisits: true})
+	bulk, _, err := BulkLoadRecordFile(path, 4, 4, BulkConfig{PageSize: 256, BufferPages: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer bulk.Close()
 	var buf bytes.Buffer
 	if _, err := bulk.SaveIndex(&buf); err != nil {
-		t.Fatalf("SaveIndex on a visit-retaining bulk DB: %v", err)
+		t.Fatalf("SaveIndex on a bulk-loaded DB: %v", err)
 	}
-	restored := freshGrid(t, bulk.AllVisits())
+	mem, err := LoadRecordFile(path, 4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mem.Close()
+	restored := freshGrid(t, mem.AllVisits())
 	if err := restored.OpenIndexAt(bytes.NewReader(buf.Bytes()), int64(buf.Len())); err != nil {
 		t.Fatalf("OpenIndexAt of the bulk DB's image: %v", err)
+	}
+	if n := restored.PendingEntities(); n != 0 {
+		t.Errorf("%d entities pending after opening the bulk image over its own log, want 0", n)
 	}
 	assertSameAnswers(t, bulk, restored, []string{"entity-3", "entity-80", "entity-206"}, 5)
 }

@@ -141,9 +141,6 @@ func main() {
 		db, bstats, err = digitaltraces.BulkLoadRecordFile(*in, *side, *levels, digitaltraces.BulkConfig{
 			PageSize:    *sortPage,
 			BufferPages: *sortBufs,
-			// Partitioning replays the visit log through the router, so a
-			// sharded bulk load must retain it; a single DB serves without.
-			RetainVisits: clustered,
 		}, opts...)
 		if err == nil {
 			log.Printf("bulk load: %d records, %d entities; sort %v (%d page I/Os, theoretical bound %d), build %v",

@@ -6,8 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"digitaltraces/internal/extsort"
 	"digitaltraces/internal/trace"
@@ -266,5 +269,166 @@ func TestLoadRecordFile(t *testing.T) {
 	}
 	if _, err := LoadRecordFile(path, 2, levels); err == nil {
 		t.Error("out-of-grid base accepted (side too small)")
+	}
+}
+
+// TestVisitsOfConcurrentFold (-race): a fold drops the pending records it
+// folded, so VisitsOf must read the serving sequences and the pending tail as
+// one state. A writer ingests while Refresh runs in a loop, and every
+// VisitsOf result covers every visit acknowledged before the call — checked
+// on the cells TopKByExample discretizes it to, which it then answers over.
+// The writer waits for a read after each visit, so reads and folds keep
+// interleaving; each probe entity takes a short run of visits, so a read
+// stays cheap.
+func TestVisitsOfConcurrentFold(t *testing.T) {
+	const writes, run = 300, 20
+	db, err := NewGridDB(4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	// Visit i is probe-(i/run)'s, hour i at venue i mod 16: no two coalesce,
+	// so each stands for one cell.
+	visit := func(i int) (string, string, time.Time, time.Time) {
+		return fmt.Sprintf("probe-%d", i/run), VenueName(i % 16), TimeAt(i), TimeAt(i + 1)
+	}
+	entity, venue, start, end := visit(0)
+	if err := db.AddVisit(entity, venue, start, end); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	var (
+		acked atomic.Int64 // visits 0..acked-1 are acknowledged
+		reads atomic.Int64
+		wg    sync.WaitGroup
+		stop  = make(chan struct{})
+	)
+	acked.Store(1)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 1; i < writes; i++ {
+			if err := db.AddVisit(visit(i)); err != nil {
+				t.Error(err)
+				return
+			}
+			acked.Store(int64(i + 1))
+			for reads.Load() < int64(i) {
+				select {
+				case <-stop:
+					return
+				default:
+					runtime.Gosched()
+				}
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := db.Refresh(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for k := 0; k < writes; reads.Add(1) {
+		k = int(acked.Load())
+		entity, _, _, _ := visit(k - 1)
+		got, err := db.VisitsOf(entity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := db.exampleSequences(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := (k - 1) / run * run; i < k; i++ {
+			_, venue, start, _ := visit(i)
+			if !q.Contains(q.Levels(), trace.MakeCell(trace.Time(i), db.ix.BaseUnit(db.venues[venue]))) {
+				t.Fatalf("VisitsOf(%s) lost visit %d (%s at %v), acknowledged before the call", entity, i, venue, start)
+			}
+		}
+		if _, _, err := db.TopKByExample(got, 1); err != nil {
+			t.Fatalf("TopKByExample of VisitsOf(%s): %v", entity, err)
+		}
+	}
+}
+
+// TestVisitsOfConcurrentFoldAtPublish pins the interleaving the stress test
+// above can only hope for: a VisitsOf or AllVisits that starts while a fold
+// waits to publish.
+// Holding the ingest lock shared parks the fold's publish, and a read
+// arriving behind the waiting publish is parked too; once the lock is
+// released, the publish swaps the snapshot and drops the folded visit before
+// the read proceeds, so the read must take the snapshot under the lock, not
+// before it. (A read that arrives late instead sees the published state, so
+// the test cannot fail spuriously.)
+func TestVisitsOfConcurrentFoldAtPublish(t *testing.T) {
+	db, err := NewGridDB(4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.AddVisit("probe", VenueName(1), TimeAt(0), TimeAt(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AddVisit("probe", VenueName(2), TimeAt(5), TimeAt(6)); err != nil {
+		t.Fatal(err)
+	}
+	db.mu.RLock()
+	folded := make(chan error, 1)
+	go func() { folded <- db.Refresh() }()
+	// The fold stages, then waits to publish: from then on the lock refuses
+	// new readers.
+	for db.mu.TryRLock() {
+		db.mu.RUnlock()
+		runtime.Gosched()
+	}
+	reads := make(chan []Visit, 2)
+	go func() {
+		got, err := db.VisitsOf("probe")
+		if err != nil {
+			t.Error(err)
+		}
+		reads <- got
+	}()
+	go func() {
+		var got []Visit
+		for _, v := range db.AllVisits() {
+			got = append(got, Visit{Venue: v.Venue, Start: v.Start, End: v.End})
+		}
+		reads <- got
+	}()
+	// No event marks a read parked on the lock; the pause only lets them
+	// get there; a read that is late sees the published state.
+	time.Sleep(20 * time.Millisecond)
+	db.mu.RUnlock()
+	if err := <-folded; err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		got := <-reads
+		q, err := db.exampleSequences(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !q.Contains(q.Levels(), trace.MakeCell(5, db.ix.BaseUnit(db.venues[VenueName(2)]))) {
+			t.Fatalf("read %+v lost the visit a concurrent fold published", got)
+		}
 	}
 }

@@ -36,13 +36,13 @@
 // and atomically swap it in. Refresh is copy-on-write: the next snapshot
 // shares every clean entity's state with the previous one and adds only the
 // dirty entities' postings, so a fold-and-swap costs O(dirty), independent
-// of database size. Ingest (AddVisit, AddVisits) touches only a
-// small mutex-guarded visit log. A query always reads every write
-// acknowledged before it began: against a stale index (visits added since
-// the last swap) it waits for the build in flight or folds the dirt itself
-// first — and WithAutoRefresh folds dirt proactively from a background
-// goroutine (stop it with Close), so queries virtually never find a stale
-// index at all.
+// of database size. Ingest (AddVisit, AddVisits) touches only a small
+// mutex-guarded tail of visits not yet folded, which each fold drops again.
+// A query always reads every write acknowledged before it began: against a
+// stale index (visits added since the last swap) it waits for the build in
+// flight or folds the dirt itself first — and WithAutoRefresh folds dirt
+// proactively from a background goroutine (stop it with Close), so queries
+// virtually never find a stale index at all.
 //
 // # Scaling out
 //
@@ -274,22 +274,24 @@ func WithJaccardMeasure() Option {
 	}
 }
 
-// DB is a digital-trace database: a store of entity visits plus, after
-// BuildIndex, the postings serving exact top-k association queries.
+// DB is a digital-trace database: each entity's ST-cell sequences — the
+// data every query, refresh and save reads — plus, after BuildIndex, the
+// postings serving exact top-k association queries over them.
 //
 // A DB is safe for concurrent use by multiple goroutines, and its two halves
-// have independent synchronization. The ingest side (the entity registry,
-// the raw visit log and the dirty set) lives under a small read-write lock
-// whose critical sections are O(visits added). The index side is an
-// immutable snapshot — store, postings, measure, name table — published
-// through an atomic pointer: queries load it once and search lock-free
-// (core.Postings searches are read-only), while BuildIndex and Refresh
-// construct the next snapshot aside and atomically swap it in, so a
-// multi-second rebuild never blocks a read that the published snapshot
-// serves. A query is served only by a snapshot covering every write
-// acknowledged before it began; if the published one does not, the query
-// waits for the build in flight and re-checks, or folds the dirt itself.
-// Every query answers exactly over the one frozen snapshot it pinned.
+// have independent synchronization. The ingest side (the entity registry and
+// the pending visits — those not yet folded into the sequences) lives under a
+// small read-write lock whose critical sections are O(visits added). The
+// index side is an immutable snapshot — store, postings, measure, name table
+// — published through an atomic pointer: queries load it once and search
+// lock-free (core.Postings searches are read-only), while BuildIndex and
+// Refresh fold the pending visits into the next snapshot aside and atomically
+// swap it in, dropping the visits it folded, so a multi-second rebuild never
+// blocks a read that the published snapshot serves. A query is served only
+// by a snapshot covering every write acknowledged before it began; if the
+// published one does not, the query waits for the build in flight and
+// re-checks, or folds the pending visits itself. Every query answers exactly
+// over the one frozen snapshot it pinned.
 type DB struct {
 	// Immutable after construction.
 	ix        *spindex.Index
@@ -301,17 +303,23 @@ type DB struct {
 	measureV float64
 	jaccard  bool
 
-	// mu guards the small ingest side: the entity name registry, the raw
-	// visit log, the dirty set, the write sequence and the (write-once)
+	// mu guards the small ingest side: the entity name registry, the pending
+	// visits, the ingested counts, the write sequence and the (write-once)
 	// epoch. Nothing under mu is ever held across an index build or a search.
-	mu     sync.RWMutex
-	names  map[string]trace.EntityID
-	byID   []string
-	visits map[trace.EntityID][]trace.Record
-	dirty  map[trace.EntityID]bool
+	mu    sync.RWMutex
+	names map[string]trace.EntityID
+	byID  []string
+	// pending holds each entity's visits the serving snapshot does not cover
+	// yet, in ingest order; a publish drops exactly the prefix its build
+	// folded. Its key set is the dirty set.
+	pending map[trace.EntityID][]trace.Record
+	// ingested counts each entity's acknowledged visits by ID, folded or
+	// pending: ingested[e] − len(pending[e]) is what the serving snapshot
+	// covers — the count an image records.
+	ingested []uint32
 	// writeSeq counts ingested visits, from 1: a built snapshot records the
 	// count its view captured and covers every visit up to it, while a
-	// loaded one records 0 and so covers by the dirt check alone
+	// loaded one records 0 and so covers by the pending check alone
 	// (snapshotForQuery).
 	writeSeq      uint64
 	epoch         time.Time
@@ -326,14 +334,6 @@ type DB struct {
 	// the query path's lazy escalation). A query waits on it only when the
 	// published snapshot misses a write acknowledged before the query began.
 	buildMu sync.Mutex
-
-	// unionFold marks a DB whose serving snapshots may cover visits the
-	// ingest log does not retain (mapped loads, bulk loads without visit
-	// retention): builders must union new visits into the previously folded
-	// sequences instead of rebuilding them from the log, which is exact
-	// because cell sets union idempotently. Guarded by buildMu (set by
-	// OpenIndex / BulkLoadRecordFile, read by builders); never cleared.
-	unionFold bool
 
 	// mappings are the file mappings live snapshots may serve sequences
 	// from. A replaced mapping is never unmapped mid-flight — queries pinned
@@ -381,8 +381,7 @@ func newDB(ix *spindex.Index, venues map[string]spindex.BaseID, opts ...Option) 
 		measureU:  2,
 		measureV:  2,
 		names:     map[string]trace.EntityID{},
-		visits:    map[trace.EntityID][]trace.Record{},
-		dirty:     map[trace.EntityID]bool{},
+		pending:   map[trace.EntityID][]trace.Record{},
 		writeSeq:  1,
 	}
 	for _, opt := range opts {
@@ -469,16 +468,24 @@ func (db *DB) addVisitLocked(entity, venue string, start, end time.Time) error {
 	if eu <= su {
 		eu = su + 1
 	}
-	e, ok := db.names[entity]
-	if !ok {
-		e = trace.EntityID(len(db.byID))
-		db.names[entity] = e
-		db.byID = append(db.byID, entity)
-	}
-	db.visits[e] = append(db.visits[e], trace.Record{Entity: e, Base: base, Start: trace.Time(su), End: trace.Time(eu)})
-	db.dirty[e] = true
+	e := db.register(entity)
+	db.pending[e] = append(db.pending[e], trace.Record{Entity: e, Base: base, Start: trace.Time(su), End: trace.Time(eu)})
+	db.ingested[e]++
 	db.writeSeq++
 	return nil
+}
+
+// register returns the entity's ID, assigning the next one on first sight.
+// Callers hold mu, or own a DB no one else can reach yet.
+func (db *DB) register(name string) trace.EntityID {
+	e, ok := db.names[name]
+	if !ok {
+		e = trace.EntityID(len(db.byID))
+		db.names[name] = e
+		db.byID = append(db.byID, name)
+		db.ingested = append(db.ingested, 0)
+	}
+	return e
 }
 
 // BuildIndex (re)builds the index over all current visits. Cost is the
@@ -670,11 +677,11 @@ func (db *DB) KNNJoin(entities []string, k int, workers int) (map[string][]Match
 // queries straight off a read-only mapping of the file with no visit
 // re-ingest at all.
 //
-// Pending dirt is folded (or the index built, if absent) before saving, so
-// the image covers everything ingested when the save began; entities that
-// receive visits while the save is in flight are stamped with an unknown
-// covered count and re-folded after an open instead of counted clean. The
-// write itself runs outside every lock.
+// Pending visits are folded (or the index built, if absent) before saving,
+// so the image covers everything ingested when the save began. Each entity's
+// covered count is exact — what it has ingested minus what is still pending —
+// even for one that receives visits while the save is in flight. The write
+// itself runs outside every lock.
 func (db *DB) SaveIndex(w io.Writer) (int64, error) {
 	db.buildMu.Lock()
 	s := db.snap.Load()
@@ -689,23 +696,15 @@ func (db *DB) SaveIndex(w io.Writer) (int64, error) {
 		db.buildMu.Unlock()
 		return 0, err
 	}
-	// Capture the per-entity covered counts while buildMu still serializes
-	// publishers: a clean entity's count is exactly what s folded (publish
-	// retires dirt only when the counts match), and an entity dirtied since
-	// the fold above gets the stale sentinel. On a union-fold DB with no
-	// retained visits this records 0 — OpenIndex treats an empty log as
-	// clean regardless, and a re-ingested log simply refolds (unions are
-	// idempotent).
+	// Capture the covered counts while buildMu still serializes publishers:
+	// writers grow ingested and pending together, so the difference is what
+	// s folded whatever arrives meanwhile.
 	ents := s.post.Entities()
 	folded := make([]uint32, len(s.byID))
 	db.mu.RLock()
 	epoch := db.epoch
 	for _, e := range ents {
-		if db.dirty[e] {
-			folded[e] = core.FoldedUnknown
-		} else {
-			folded[e] = uint32(len(db.visits[e]))
-		}
+		folded[e] = db.ingested[e] - uint32(len(db.pending[e]))
 	}
 	db.mu.RUnlock()
 	db.buildMu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"digitaltraces/internal/obs"
+	"digitaltraces/internal/spindex"
 	"digitaltraces/internal/trace"
 )
 
@@ -79,39 +80,36 @@ func (db *DB) Epoch() (time.Time, bool) {
 func (db *DB) TimeUnit() time.Duration { return db.unit }
 
 // VisitsOf returns the visits of an entity, with venue names and absolute
-// times reconstructed from the DB's epoch and time unit. The reconstruction
-// round-trips exactly: feeding the result to TopKByExample (or re-ingesting
-// it under the same epoch and unit) reproduces the entity's stored ST-cells
-// bit-for-bit. Package shard uses this to resolve a query entity on its home
-// shard before fanning the query out by example.
-//
-// On a DB serving without a retained visit log (a mapped or bulk load), the
-// recorded history is gone, so VisitsOf instead coalesces the entity's
-// stored base ST-cells back into presence periods and appends any visits
-// ingested since the load. That loses the original record boundaries but
-// nothing the index ever saw — the result discretizes to the identical cell
-// set, so every degree computed from it is unchanged.
+// times reconstructed from the DB's epoch and time unit: the coalesced
+// presence periods of its folded ST-cells, then the visits still pending a
+// fold as ingested. The reconstruction round-trips exactly: feeding the
+// result to TopKByExample (or re-ingesting it under the same epoch and unit)
+// reproduces the entity's ST-cells bit-for-bit. Folded visits come back as
+// presence periods, not as the records that were ingested — adjacent records
+// at one venue merge — which loses nothing the index ever saw, so every
+// degree computed from the result is unchanged. Package shard uses this to
+// resolve a query entity on its home shard before fanning the query out by
+// example.
 func (db *DB) VisitsOf(entity string) ([]Visit, error) {
-	snap := db.snap.Load()
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	e, ok := db.names[entity]
 	if !ok {
 		return nil, fmt.Errorf("digitaltraces: unknown entity %q", entity)
 	}
-	return db.visitsLocked(snap, e), nil
+	return db.visitsLocked(db.snap.Load(), e), nil
 }
 
-// AllVisits exports every recorded visit, grouped by entity in first-ingest
-// order (the order entity IDs were assigned), with absolute times
-// reconstructed like VisitsOf. Replaying the result into an empty engine in
-// slice order reproduces both the visit data and the entity insertion order
-// — which fixes degree-tie-breaking — so it is the bulk re-partitioning path
+// AllVisits exports every entity's visits as VisitsOf returns them, grouped
+// by entity in first-ingest order (the order entity IDs were assigned).
+// Replaying the result into an empty engine in slice order reproduces both
+// the ST-cells and the entity insertion order — which fixes
+// degree-tie-breaking — so it is the bulk re-partitioning path
 // (shard.Partition) as well as a full logical dump.
 func (db *DB) AllVisits() []VisitRecord {
-	snap := db.snap.Load()
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	snap := db.snap.Load()
 	var out []VisitRecord
 	for id, name := range db.byID {
 		for _, v := range db.visitsLocked(snap, trace.EntityID(id)) {
@@ -121,37 +119,35 @@ func (db *DB) AllVisits() []VisitRecord {
 	return out
 }
 
-// visitsLocked returns e's visits given snap, the serving snapshot read
-// before mu was taken. With the full history retained that is the log. On a
-// DB serving without one (union-fold) it is the presence periods of e's
-// stored sequences followed by everything ingested since the load; reading
-// the snapshot first keeps the union complete even against a concurrent fold
-// (folds never remove retained post-load visits). Callers hold mu.
+// visitsLocked returns e's visits: the presence periods of the sequences snap
+// serves for it, then its pending tail. Callers hold mu and load snap under
+// that same hold: publish swaps the snapshot and drops the records it folded
+// under mu, so the two halves always meet exactly — nothing is read twice or
+// missed.
 func (db *DB) visitsLocked(snap *snapshot, e trace.EntityID) []Visit {
-	out := make([]Visit, 0, len(db.visits[e]))
-	if db.unionFold && snap != nil {
+	var folded []trace.PresenceInstance
+	if snap != nil {
 		if seq := snap.store.Get(e); seq != nil {
-			for _, p := range seq.PresenceInstances(db.ix.Height()) {
-				out = append(out, Visit{
-					Venue: db.baseNames[db.ix.BaseOf(p.Unit)],
-					Start: db.epoch.Add(time.Duration(p.Start) * db.unit),
-					End:   db.epoch.Add(time.Duration(p.End) * db.unit),
-				})
-			}
+			folded = seq.PresenceInstances(db.ix.Height())
 		}
 	}
-	for _, r := range db.visits[e] {
-		out = append(out, db.visitFromRecordLocked(r))
+	pending := db.pending[e]
+	out := make([]Visit, 0, len(folded)+len(pending))
+	for _, p := range folded {
+		out = append(out, db.visitLocked(db.ix.BaseOf(p.Unit), p.Start, p.End))
+	}
+	for _, r := range pending {
+		out = append(out, db.visitLocked(r.Base, r.Start, r.End))
 	}
 	return out
 }
 
-// visitFromRecordLocked converts a stored record back to wall-clock form;
-// callers must hold mu (read or write).
-func (db *DB) visitFromRecordLocked(r trace.Record) Visit {
+// visitLocked converts a presence at base b over [start, end) units back to
+// wall-clock form; callers must hold mu (read or write).
+func (db *DB) visitLocked(b spindex.BaseID, start, end trace.Time) Visit {
 	return Visit{
-		Venue: db.baseNames[r.Base],
-		Start: db.epoch.Add(time.Duration(r.Start) * db.unit),
-		End:   db.epoch.Add(time.Duration(r.End) * db.unit),
+		Venue: db.baseNames[b],
+		Start: db.epoch.Add(time.Duration(start) * db.unit),
+		End:   db.epoch.Add(time.Duration(end) * db.unit),
 	}
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"slices"
@@ -70,7 +71,7 @@ func (s *Sequences) Clone() *Sequences {
 //
 // Records may overlap and repeat; the resulting sets are deduplicated.
 func NewSequences(ix *spindex.Index, entity EntityID, recs []Record) *Sequences {
-	return NewSequencesMerged(ix, entity, recs, nil)
+	return NewSequencesMerged(ix, entity, recs)
 }
 
 // NewSequencesFromCells builds a sequence directly from base-level cells
@@ -81,18 +82,19 @@ func NewSequencesFromCells(ix *spindex.Index, entity EntityID, base []Cell) *Seq
 }
 
 // NewSequencesMerged builds an entity's sequence from raw records unioned
-// with a previously folded sequence. Because cell sets are sorted-deduped
-// sets and visits are append-only, the union is exact whether recs is the
-// entity's full history, only the suffix since prev was folded, or any
-// overlapping mix — re-unioning already-folded cells is idempotent. This is
-// how mmap-loaded snapshots (which never re-ingest the visit log) fold new
-// visits on refresh. prev == nil means there is nothing to union with.
-func NewSequencesMerged(ix *spindex.Index, entity EntityID, recs []Record, prev *Sequences) *Sequences {
-	var folded []Cell
-	if prev != nil {
-		folded = prev.Base()
+// with previously folded sequences (nil ones are skipped). Because cell sets
+// are sorted-deduped sets and visits are append-only, the union is exact
+// whether recs is the entity's full history, only the suffix since prev was
+// folded, or any overlapping mix — re-unioning already-folded cells is
+// idempotent. This is how every fold adds pending visits to what an entity's
+// sequence already covers.
+func NewSequencesMerged(ix *spindex.Index, entity EntityID, recs []Record, prev ...*Sequences) *Sequences {
+	span := 0
+	for _, p := range prev {
+		if p != nil {
+			span += len(p.Base())
+		}
 	}
-	span := len(folded)
 	for _, r := range recs {
 		span += r.Span()
 	}
@@ -103,7 +105,11 @@ func NewSequencesMerged(ix *spindex.Index, entity EntityID, recs []Record, prev 
 			base = append(base, MakeCell(t, u))
 		}
 	}
-	base = append(base, folded...)
+	for _, p := range prev {
+		if p != nil {
+			base = append(base, p.Base()...)
+		}
+	}
 	return newSequencesFromBase(ix, entity, base)
 }
 
@@ -147,33 +153,61 @@ func newSequencesFromBase(ix *spindex.Index, entity EntityID, base []Cell) *Sequ
 // PresenceInstances reconstructs the entity's presence instances at a given
 // level by coalescing consecutive cells at the same unit into continuous
 // periods (the inverse of discretization, up to merging of adjacent
-// records).
+// records), ordered by unit, then time.
 func (s *Sequences) PresenceInstances(level int) []PresenceInstance {
 	cells := s.At(level)
-	// Group by unit, then coalesce consecutive times.
-	byUnit := make(map[spindex.UnitID][]Time)
+	if len(cells) == 0 {
+		return nil
+	}
+	// The cells come time-major, so each unit's times arrive ascending: one
+	// pass extends the unit's latest period or opens its next, keeping each
+	// unit's periods in time order. Only the few distinct units are sorted;
+	// the periods then move into unit order by counting.
+	var (
+		ubuf   [16]spindex.UnitID
+		lbuf   [16]int
+		units  = ubuf[:0] // distinct units, in order of first sight
+		latest = lbuf[:0] // latest[i]: index in runs of units[i]'s last period
+		runs   = make([]PresenceInstance, 0, len(cells))
+		at     int // the units index of the previous cell's unit
+	)
 	for _, c := range cells {
-		byUnit[c.Unit()] = append(byUnit[c.Unit()], c.Time())
-	}
-	units := make([]spindex.UnitID, 0, len(byUnit))
-	for u := range byUnit {
-		units = append(units, u)
-	}
-	slices.Sort(units)
-	var out []PresenceInstance
-	for _, u := range units {
-		times := byUnit[u]
-		slices.Sort(times)
-		start := times[0]
-		prev := times[0]
-		for _, t := range times[1:] {
-			if t != prev+1 {
-				out = append(out, PresenceInstance{Entity: s.Entity, Unit: u, Start: start, End: prev + 1})
-				start = t
+		u, t := c.Unit(), c.Time()
+		if at >= len(units) || units[at] != u {
+			if at = slices.Index(units, u); at < 0 {
+				at = len(units)
+				units, latest = append(units, u), append(latest, -1)
 			}
-			prev = t
 		}
-		out = append(out, PresenceInstance{Entity: s.Entity, Unit: u, Start: start, End: prev + 1})
+		if i := latest[at]; i >= 0 && runs[i].End == t {
+			runs[i].End++
+			continue
+		}
+		latest[at] = len(runs)
+		// Entity carries the units index until the period is placed.
+		runs = append(runs, PresenceInstance{Entity: EntityID(at), Unit: u, Start: t, End: t + 1})
+	}
+	var obuf [16]int
+	order := obuf[:0] // units indices in unit order
+	for i := range units {
+		order = append(order, i)
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(units[a], units[b]) })
+	next := latest // reused: next[i] is where units[i]'s next period goes
+	clear(next)
+	for _, p := range runs {
+		next[p.Entity]++
+	}
+	sum := 0
+	for _, i := range order {
+		sum, next[i] = sum+next[i], sum
+	}
+	out := make([]PresenceInstance, len(runs))
+	for _, p := range runs {
+		i := p.Entity
+		p.Entity = s.Entity
+		out[next[i]] = p
+		next[i]++
 	}
 	return out
 }

@@ -14,6 +14,7 @@ import (
 
 	"digitaltraces/internal/core"
 	"digitaltraces/internal/mmap"
+	"digitaltraces/internal/parallel"
 	"digitaltraces/internal/secfile"
 	"digitaltraces/internal/storage"
 	"digitaltraces/internal/trace"
@@ -33,11 +34,13 @@ import (
 // configuration. A refused open leaves the DB exactly as it found it: every
 // check runs before the first field is written.
 //
-// After an open the DB is in union-fold mode: new visits fold in by unioning
-// into the previously folded sequences (exact — cell sets union
-// idempotently), so ingest, Refresh, queries and SaveIndex all keep working
-// even though the visit log does not cover the index. Close unmaps the file —
-// stop queries first.
+// No visit acknowledged before the open is lost: each entity then serves
+// the union of what the image covers, what the DB had already folded, and its
+// pending visits, which the next fold unions in like any others (exact — cell
+// sets union idempotently). The image's covered counts only spare work: an
+// empty registry adopts them, and a registered entity whose count the image
+// matches — it covers every visit the entity has ingested — has nothing left
+// pending. Close unmaps the file — stop queries first.
 func (db *DB) OpenIndex(path string) error {
 	m, err := mmap.Open(path)
 	if err != nil {
@@ -77,9 +80,24 @@ func (db *DB) OpenIndexAt(r io.ReaderAt, size int64) error {
 	if err != nil {
 		return err
 	}
+	spans := make(map[trace.EntityID]storage.Span, len(snap.Entities))
+	order := make([]trace.EntityID, len(snap.Entities))
+	covered := make(map[trace.EntityID]uint32, len(snap.Entities))
+	for i, se := range snap.Entities {
+		spans[se.ID], order[i], covered[se.ID] = se.Seq, se.ID, se.Folded
+	}
 	// Registry reconciliation, read-only: a fresh registry will adopt the
 	// table, which must then be dense and free of repeated names; a populated
-	// one must already agree with it on every (name, ID) pair.
+	// one must already agree with it on every (name, ID) pair. There, an
+	// entity whose every ingested visit the image covers — its count matches
+	// — leaves nothing pending (drop); any other keeps its pending tail and,
+	// if the DB had folded some of its visits, serves their union with the
+	// image (carry). buildMu keeps the folded counts stable: writers grow
+	// ingested and pending together.
+	var (
+		carry []trace.EntityID
+		drop  = map[trace.EntityID]int{}
+	)
 	db.mu.RLock()
 	fresh := len(db.byID) == 0
 	seen := make(map[string]bool, len(snap.Entities))
@@ -99,28 +117,37 @@ func (db *DB) OpenIndexAt(r io.ReaderAt, size int64) error {
 		}
 		seen[se.Name] = true
 	}
+	for id, n := range db.ingested {
+		e := trace.EntityID(id)
+		tail := len(db.pending[e])
+		switch c, ok := covered[e]; {
+		case ok && c != core.FoldedUnknown && c == n:
+			drop[e] = tail
+		case int(n) > tail:
+			carry = append(carry, e)
+		}
+	}
 	db.mu.RUnlock()
 	if err != nil {
 		return err
 	}
 
-	spans := make(map[trace.EntityID]storage.Span, len(snap.Entities))
-	order := make([]trace.EntityID, len(snap.Entities))
-	covered := make(map[trace.EntityID]uint32, len(snap.Entities))
-	for i, se := range snap.Entities {
-		spans[se.ID], order[i], covered[se.ID] = se.Seq, se.ID, se.Folded
-	}
 	pool, err := storage.OpenSpans(db.ix, r, size, spans, order, storage.Options{BlockSize: secfile.Page})
 	if err != nil {
 		return fmt.Errorf("digitaltraces: opening index: %w", err)
 	}
 	store := trace.NewBackedStore(db.ix, pool)
+	ns := &snapshot{store: store, post: snap.MappedPostings(db.ix, store), measure: measure, pool: pool}
+	if err := db.carryFolded(ns, carry); err != nil {
+		return err
+	}
 	// The open is this lineage's full construction: its cost is reported
 	// where a cold lineage reports BuildIndex's.
-	ns := &snapshot{store: store, post: snap.MappedPostings(db.ix, store), measure: measure, pool: pool, buildTime: time.Since(start)}
+	ns.buildTime = time.Since(start)
 	// Every check has passed; from here the open only writes, all of it one
-	// atomic step against writers: adopt names and epoch on a fresh registry,
-	// publish, recompute the dirty set, and flip the DB into union-fold mode.
+	// atomic step against writers: adopt names, counts and epoch on a fresh
+	// registry, or drop the covered pending visits on a populated one, and
+	// publish.
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if fresh {
@@ -128,8 +155,9 @@ func (db *DB) OpenIndexAt(r io.ReaderAt, size int64) error {
 			return fmt.Errorf("digitaltraces: opening index: %d entities were ingested while the open ran — an index image seeds an empty registry or matches a populated one; retry", len(db.byID))
 		}
 		for _, se := range snap.Entities {
-			db.names[se.Name] = se.ID
-			db.byID = append(db.byID, se.Name)
+			if db.register(se.Name); se.Folded != core.FoldedUnknown {
+				db.ingested[se.ID] = se.Folded
+			}
 		}
 		// An image boot has no visit to infer an epoch from, and the stored
 		// sequences are discretized against exactly this one.
@@ -139,22 +167,39 @@ func (db *DB) OpenIndexAt(r io.ReaderAt, size int64) error {
 			db.epochExplicit = true
 		}
 	}
-	ns.byID = db.byID[:len(db.byID):len(db.byID)]
-	db.unionFold = true
-	// An entity is clean when it has no retained visits — it serves purely
-	// from the image — or when its retained log is exactly what the image
-	// covers; anything else — grown logs, save-time dirt, registry entities
-	// the image does not hold — is dirty and the next Refresh folds it in.
-	db.swapIn(ns)
-	for id := range ns.byID {
-		e := trace.EntityID(id)
-		n := len(db.visits[e])
-		if c, ok := covered[e]; n == 0 || (ok && c != core.FoldedUnknown && int(c) == n) {
-			delete(db.dirty, e)
-		} else {
-			db.dirty[e] = true
+	// The covered visits are a prefix of the tail: writers only append.
+	for e, n := range drop {
+		if n > 0 {
+			db.dropPending(e, n)
 		}
 	}
+	ns.byID = db.byID[:len(db.byID):len(db.byID)]
+	db.swapIn(ns)
+	return nil
+}
+
+// carryFolded makes ns, the image's snapshot, cover what the DB had already
+// folded for the carry entities: each serves the union of its image and its
+// currently served sequences. Callers hold buildMu.
+func (db *DB) carryFolded(ns *snapshot, carry []trace.EntityID) error {
+	if len(carry) == 0 {
+		return nil
+	}
+	old := db.snap.Load()
+	merged := make([]*trace.Sequences, len(carry))
+	parallel.For(len(carry), func(i int) {
+		e := carry[i]
+		merged[i] = trace.NewSequencesMerged(db.ix, e, nil, old.store.Get(e), ns.store.Get(e))
+	})
+	store := ns.store.Derive()
+	for _, s := range merged {
+		store.Put(s)
+	}
+	post, err := ns.post.Derive(store, carry)
+	if err != nil {
+		return fmt.Errorf("digitaltraces: opening index: %w", err)
+	}
+	ns.store, ns.post = store, post
 	return nil
 }
 

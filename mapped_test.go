@@ -23,13 +23,15 @@ import (
 )
 
 // mappedWorld builds a city, indexes it, and saves an index image file,
-// returning the source DB, the file path and the full visit log.
+// returning the source DB, the file path and the full visit log as ingested
+// (read before the build folds it away).
 func mappedWorld(t *testing.T, entities int, opts ...Option) (*DB, string, []VisitRecord) {
 	t.Helper()
 	db, err := SyntheticCity(CityConfig{Side: 4, Entities: entities, Days: 3}, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	log := db.AllVisits()
 	if err := db.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +46,7 @@ func mappedWorld(t *testing.T, entities int, opts ...Option) (*DB, string, []Vis
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return db, path, db.AllVisits()
+	return db, path, log
 }
 
 // emptyGrid returns a DB shaped like mappedWorld's with nothing ingested.

@@ -48,17 +48,13 @@ func LoadRecordFile(path string, side, levels int, opts ...Option) (*DB, error) 
 		return nil, err
 	}
 	// Dense internal IDs in file order; names preserve the file's IDs.
-	for dense, fileID := range fileIDs {
-		e := trace.EntityID(dense)
-		name := fmt.Sprintf("entity-%d", fileID)
-		db.names[name] = e
-		db.byID = append(db.byID, name)
+	for _, fileID := range fileIDs {
+		e := db.register(fmt.Sprintf("entity-%d", fileID))
 		rr := byEnt[fileID]
 		for i := range rr {
 			rr[i].Entity = e
 		}
-		db.visits[e] = rr
-		db.dirty[e] = true
+		db.pending[e], db.ingested[e] = rr, uint32(len(rr))
 	}
 	return db, nil
 }

@@ -4,8 +4,9 @@ package digitaltraces
 //
 // A DB serves queries from an immutable *snapshot published through an
 // atomic.Pointer. Builders (BuildIndex, Refresh, and the query path's lazy
-// fold) construct the next snapshot entirely off to the side — from a
-// visit view captured under the ingest lock — and then swap the pointer, so
+// fold) construct the next snapshot entirely off to the side — folding the
+// pending visits captured under the ingest lock into the previous snapshot's
+// sequences — and then swap the pointer, dropping what they folded, so
 // a multi-second rebuild never blocks a read the previous snapshot can
 // serve: queries arriving while a build is in flight keep answering from it
 // unless it misses a write acknowledged before they began. See DESIGN.md
@@ -13,6 +14,7 @@ package digitaltraces
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"time"
 
@@ -71,115 +73,76 @@ func (s *snapshot) topK(q *trace.Sequences, k int) ([]Match, QueryStats, error) 
 	}, nil
 }
 
-// view is the ingest-side state a builder captured under the ingest lock:
-// frozen visit slice headers (appends only ever write past these lengths or
-// reallocate, so the captured headers are stable), the name-table prefix, the
-// per-entity visit count the new snapshot will cover (publish retires exactly
-// that dirt — an entity that received further visits mid-build stays dirty),
-// the refresh work list, and the write sequence at capture: the new snapshot
-// covers every visit counted up to it (the dirty entities' whole logs are
-// folded, and every other entity is clean in the snapshot it derives from).
+// view is the ingest side a builder captured under the ingest lock: the
+// pending entities, ascending, with their pending records as frozen slice
+// headers (appends only ever write past these lengths or reallocate, so the
+// captured prefixes are stable), the name-table prefix, and the write
+// sequence at capture — the new snapshot covers every visit counted up to it.
+// publish drops exactly the captured prefixes.
 type view struct {
-	visits map[trace.EntityID][]trace.Record
-	byID   []string
-	folded map[trace.EntityID]int // entity → visit count folded into the build
-	dirty  []trace.EntityID       // dirty entities at capture, ascending
-	seq    uint64
+	byID []string
+	ids  []trace.EntityID
+	recs [][]trace.Record // recs[i]: ids[i]'s pending records at capture
+	seq  uint64
 }
 
-// captureView snapshots the ingest side. dirtyOnly restricts the visit copy
-// to dirty entities (the refresh path); a full capture covers every entity
-// (the build path).
-func (db *DB) captureView(dirtyOnly bool) view {
+// captureView snapshots the ingest side's pending visits.
+func (db *DB) captureView() view {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	v := view{byID: db.byID[:len(db.byID):len(db.byID)], seq: db.writeSeq}
-	if dirtyOnly {
-		v.visits = make(map[trace.EntityID][]trace.Record, len(db.dirty))
-		v.folded = make(map[trace.EntityID]int, len(db.dirty))
-		v.dirty = make([]trace.EntityID, 0, len(db.dirty))
-		for e := range db.dirty {
-			recs := db.visits[e]
-			v.visits[e] = recs[:len(recs):len(recs)]
-			v.folded[e] = len(recs)
-			v.dirty = append(v.dirty, e)
-		}
-		slices.Sort(v.dirty)
-	} else {
-		v.visits = make(map[trace.EntityID][]trace.Record, len(db.visits))
-		v.folded = make(map[trace.EntityID]int, len(db.visits))
-		for e, recs := range db.visits {
-			v.visits[e] = recs[:len(recs):len(recs)]
-			v.folded[e] = len(recs)
-		}
+	v.ids = slices.Sorted(maps.Keys(db.pending))
+	v.recs = make([][]trace.Record, len(v.ids))
+	for i, e := range v.ids {
+		recs := db.pending[e]
+		v.recs[i] = recs[:len(recs):len(recs)]
 	}
 	return v
 }
 
-// buildSnapshot constructs a full snapshot from a freshly captured visit view
-// and publishes it. Callers must hold buildMu. Cost is the sequence building
-// plus sealing the postings, O(total cells) — all of it outside every lock
-// queries touch.
-func (db *DB) buildSnapshot() (*snapshot, error) {
-	start := time.Now()
-	if prev := db.snap.Load(); db.unionFold && prev != nil {
-		return db.rebuildUnionSnapshot(prev, start)
-	}
-	v := db.captureView(false)
-	if len(v.visits) == 0 {
-		return nil, fmt.Errorf("digitaltraces: no visits to index")
-	}
-	store := trace.NewStore(db.ix)
-	ids := make([]trace.EntityID, 0, len(v.visits))
-	for e := range v.visits {
-		ids = append(ids, e)
-	}
-	slices.Sort(ids)
-	for _, e := range ids {
-		store.AddRecords(e, v.visits[e])
-	}
-	post, err := core.BuildPostings(db.ix, store, ids)
-	if err != nil {
-		return nil, err
-	}
-	measure, err := db.newMeasure()
-	if err != nil {
-		return nil, err
-	}
-	ns := &snapshot{
-		store:     store,
-		post:      post,
-		measure:   measure,
-		byID:      v.byID,
-		buildTime: time.Since(start),
-	}
-	return db.publish(ns, v), nil
+// stage folds each entity's records into the sequence prev serves for it —
+// nothing when prev is nil — the one staging step every build runs. Cell
+// sets union idempotently, so the result is exact whatever prev already
+// covers. Sequence building (cell expansion plus per-level sort-dedup) is a
+// fold's largest cost and per-entity independent, so it fans out across a
+// bounded worker pool; each worker touches only its own output slot.
+func (db *DB) stage(prev *snapshot, ids []trace.EntityID, recs [][]trace.Record) []*trace.Sequences {
+	out := make([]*trace.Sequences, len(ids))
+	parallel.For(len(ids), func(i int) {
+		var folded *trace.Sequences
+		if prev != nil {
+			folded = prev.store.Get(ids[i])
+		}
+		out[i] = trace.NewSequencesMerged(db.ix, ids[i], recs[i], folded)
+	})
+	return out
 }
 
-// rebuildUnionSnapshot is the full-rebuild path for union-fold DBs (mapped or
-// bulk loads whose visit log does not retain the folded history): the
-// previous snapshot's store is the only complete record of each entity's
-// cells, so the rebuild derives from it and unions the captured visits on
-// top — exact because cell sets union idempotently, whether the log holds an
-// entity's full history, only a suffix, or nothing at all. The postings are
-// re-sealed over every entity, reading sequences through the backing as
-// needed; the buffer pool carries over. Callers must hold buildMu.
-func (db *DB) rebuildUnionSnapshot(prev *snapshot, start time.Time) (*snapshot, error) {
-	v := db.captureView(false)
-	store := prev.store.Derive()
-	ids := make([]trace.EntityID, 0, len(v.visits))
-	for e := range v.visits {
-		ids = append(ids, e)
+// fold stages v over prev into the next store: a copy-on-write child of
+// prev's (trace.Store.Derive) sharing every other entity's sequences, or a
+// fresh store for the first build.
+func (db *DB) fold(prev *snapshot, v view) *trace.Store {
+	store := trace.NewStore(db.ix)
+	if prev != nil {
+		store = prev.store.Derive()
 	}
-	slices.Sort(ids)
-	merged := make([]*trace.Sequences, len(ids))
-	parallel.For(len(ids), func(i int) {
-		e := ids[i]
-		merged[i] = trace.NewSequencesMerged(db.ix, e, v.visits[e], prev.store.Get(e))
-	})
-	for _, s := range merged {
+	for _, s := range db.stage(prev, v.ids, v.recs) {
 		store.Put(s)
 	}
+	return store
+}
+
+// buildSnapshot folds the pending visits and re-seals the postings over the
+// whole store, then publishes. Callers must hold buildMu. Cost is the fold
+// plus sealing, O(total cells) — all of it outside every lock queries touch.
+func (db *DB) buildSnapshot() (*snapshot, error) {
+	start := time.Now()
+	prev := db.snap.Load()
+	v := db.captureView()
+	if prev == nil && len(v.ids) == 0 {
+		return nil, fmt.Errorf("digitaltraces: no visits to index")
+	}
+	store := db.fold(prev, v)
 	post, err := core.BuildPostings(db.ix, store, store.Entities())
 	if err != nil {
 		return nil, err
@@ -193,13 +156,15 @@ func (db *DB) rebuildUnionSnapshot(prev *snapshot, start time.Time) (*snapshot, 
 		post:      post,
 		measure:   measure,
 		byID:      v.byID,
-		pool:      prev.pool,
 		buildTime: time.Since(start),
+	}
+	if prev != nil {
+		ns.pool = prev.pool
 	}
 	return db.publish(ns, v), nil
 }
 
-// refreshSnapshot folds the dirty entities into the next snapshot aside
+// refreshSnapshot folds the pending visits into the next snapshot aside
 // (Section 4.2.3 incremental maintenance) and publishes it. prev is never
 // mutated, so queries pinned to it keep searching it bit-identically.
 //
@@ -210,15 +175,12 @@ func (db *DB) rebuildUnionSnapshot(prev *snapshot, start time.Time) (*snapshot, 
 // Callers must hold buildMu.
 func (db *DB) refreshSnapshot(prev *snapshot) (*snapshot, error) {
 	start := time.Now()
-	v := db.captureView(true)
-	if len(v.dirty) == 0 {
+	v := db.captureView()
+	if len(v.ids) == 0 {
 		return prev, nil
 	}
-	store := prev.store.Derive()
-	for _, s := range db.stageDirtySequences(v, prev) {
-		store.Put(s)
-	}
-	post, err := prev.post.Derive(store, v.dirty)
+	store := db.fold(prev, v)
+	post, err := prev.post.Derive(store, v.ids)
 	if err != nil {
 		return nil, err
 	}
@@ -234,41 +196,32 @@ func (db *DB) refreshSnapshot(prev *snapshot) (*snapshot, error) {
 	return db.publish(ns, v), nil
 }
 
-// stageDirtySequences converts the dirty entities' captured visit histories
-// into ST-cell sequences, in v.dirty order. Sequence building (cell
-// expansion plus per-level sort-dedup) is the refresh path's largest cost and
-// per-entity independent, so it fans out across a bounded worker pool; each worker touches only its own
-// output slot. A union-fold DB's captured visits may be only a suffix of an
-// entity's history (the rest lives in prev's store, possibly on disk), so
-// they union into the previously folded sequence instead of replacing it.
-func (db *DB) stageDirtySequences(v view, prev *snapshot) []*trace.Sequences {
-	out := make([]*trace.Sequences, len(v.dirty))
-	parallel.For(len(v.dirty), func(i int) {
-		e := v.dirty[i]
-		if db.unionFold {
-			out[i] = trace.NewSequencesMerged(db.ix, e, v.visits[e], prev.store.Get(e))
-		} else {
-			out[i] = trace.NewSequences(db.ix, e, v.visits[e])
-		}
-	})
-	return out
-}
-
-// publish swaps the new snapshot in and retires the dirt it folded. The
-// ingest lock makes the swap and the dirty-set trim one atomic step against
-// writers; builders are already serialized by buildMu, so the pointer swap
-// itself never races another publisher.
+// publish swaps the new snapshot in and drops the pending records it folded.
+// The ingest lock makes the swap and the drop one atomic step against writers
+// and readers of the pending tail (visitsLocked); builders are already
+// serialized by buildMu, so the pointer swap itself never races another
+// publisher, and each captured prefix is still a prefix of its tail.
 func (db *DB) publish(ns *snapshot, v view) *snapshot {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	ns.seq = v.seq
 	db.swapIn(ns)
-	for e, n := range v.folded {
-		if db.dirty[e] && len(db.visits[e]) == n {
-			delete(db.dirty, e)
-		}
+	for i, e := range v.ids {
+		db.dropPending(e, len(v.recs[i]))
 	}
 	return ns
+}
+
+// dropPending drops the first n of e's pending records, which the serving
+// snapshot now covers; a surviving remainder is copied so the folded prefix
+// can be freed, and an emptied map is replaced, since a map never shrinks.
+// Callers hold mu.
+func (db *DB) dropPending(e trace.EntityID, n int) {
+	if rest := db.pending[e][n:]; len(rest) > 0 {
+		db.pending[e] = slices.Clone(rest)
+	} else if delete(db.pending, e); len(db.pending) == 0 {
+		db.pending = map[trace.EntityID][]trace.Record{}
+	}
 }
 
 // swapIn publishes ns as the serving snapshot under the next generation —
@@ -300,7 +253,7 @@ func (db *DB) newMeasure() (adm.Measure, error) {
 func (db *DB) covering() (*snapshot, uint64) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if len(db.dirty) > 0 {
+	if len(db.pending) > 0 {
 		return nil, db.writeSeq
 	}
 	return db.snap.Load(), db.writeSeq
@@ -326,7 +279,7 @@ func (db *DB) SnapshotGeneration() (uint64, bool) {
 func (db *DB) PendingEntities() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return len(db.dirty)
+	return len(db.pending)
 }
 
 // snapshotForQuery returns the snapshot a query answers over: one covering

@@ -161,12 +161,9 @@ func populate(ix *spindex.Index, n int, genEntity func(trace.EntityID) []trace.R
 		return nil, err
 	}
 	for i := 0; i < n; i++ {
-		e := trace.EntityID(i)
-		name := fmt.Sprintf("entity-%d", i)
-		db.names[name] = e
-		db.byID = append(db.byID, name)
-		db.visits[e] = genEntity(e)
-		db.dirty[e] = true
+		e := db.register(fmt.Sprintf("entity-%d", i))
+		recs := genEntity(e)
+		db.pending[e], db.ingested[e] = recs, uint32(len(recs))
 	}
 	return db, nil
 }

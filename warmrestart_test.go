@@ -9,24 +9,27 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"digitaltraces/internal/core"
+	"digitaltraces/internal/secfile"
 	"digitaltraces/internal/trace"
 )
 
 // restartWorld builds a city, indexes it, saves the index, and returns the
-// DB, its image bytes, and its full visit log (the "record file" a
-// restarted process would replay).
+// DB, its image bytes, and its full visit log as ingested (the "record file"
+// a restarted process would replay) — read before the build folds it away.
 func restartWorld(t *testing.T, entities int, opts ...Option) (*DB, []byte, []VisitRecord) {
 	t.Helper()
 	db, err := SyntheticCity(CityConfig{Side: 4, Entities: entities, Days: 3}, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	log := db.AllVisits()
 	if err := db.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +37,7 @@ func restartWorld(t *testing.T, entities int, opts ...Option) (*DB, []byte, []Vi
 	if _, err := db.SaveIndex(&buf); err != nil {
 		t.Fatalf("SaveIndex: %v", err)
 	}
-	return db, buf.Bytes(), db.AllVisits()
+	return db, buf.Bytes(), log
 }
 
 // freshGrid returns an empty DB shaped like restartWorld's, with the log
@@ -212,7 +215,7 @@ func TestLoadIndexStaleEntitySkipped(t *testing.T) {
 		if s.byID[e] == "entity-5" {
 			return s.byID[e], core.FoldedUnknown
 		}
-		return s.byID[e], uint32(len(src.visits[e]))
+		return s.byID[e], src.ingested[e]
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -371,8 +374,9 @@ func TestLoadIndexConcurrentTraffic(t *testing.T) {
 // TestSaveIndexFoldsDirtFirst: SaveIndex covers visits ingested since the
 // last build, so an image is never staler than the data at save time.
 func TestSaveIndexFoldsDirtFirst(t *testing.T) {
-	db, _, _ := restartWorld(t, 30)
-	if err := db.AddVisit("entity-2", VenueName(1), TimeAt(1), TimeAt(4)); err != nil {
+	db, _, log := restartWorld(t, 30)
+	added := VisitRecord{Entity: "entity-2", Venue: VenueName(1), Start: TimeAt(1), End: TimeAt(4)}
+	if _, err := db.AddVisits([]VisitRecord{added}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -382,7 +386,7 @@ func TestSaveIndexFoldsDirtFirst(t *testing.T) {
 	if st := db.IndexStats(); st.DirtyCount != 0 {
 		t.Errorf("SaveIndex left %d dirty entities unfolded", st.DirtyCount)
 	}
-	fresh := freshGrid(t, db.AllVisits())
+	fresh := freshGrid(t, append(log, added))
 	if err := openImage(fresh, buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
@@ -396,4 +400,84 @@ func TestSaveIndexFoldsDirtFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameAnswers(t, db, empty, someEntities, 5)
+}
+
+// imageCounts decodes an image's covered visit count per entity name.
+func imageCounts(t *testing.T, db *DB, img []byte) map[string]uint32 {
+	t.Helper()
+	sr, err := secfile.NewReaderAt(bytes.NewReader(img), int64(len(img)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := core.DecodeSnapshot(sr, db.ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]uint32, len(snap.Entities))
+	for _, se := range snap.Entities {
+		out[se.Name] = se.Folded
+	}
+	return out
+}
+
+// TestResavedImageKeepsCoveredCounts: an image opened in an empty DB and
+// saved again records the same covered counts as the original, so it opens
+// over the re-ingested log with nothing pending, like the original does.
+func TestResavedImageKeepsCoveredCounts(t *testing.T) {
+	src, img, log := restartWorld(t, 40)
+	opened := emptyGrid(t)
+	defer opened.Close()
+	if err := openImage(opened, img); err != nil {
+		t.Fatal(err)
+	}
+	var resaved bytes.Buffer
+	if _, err := opened.SaveIndex(&resaved); err != nil {
+		t.Fatal(err)
+	}
+	want, got := imageCounts(t, src, img), imageCounts(t, src, resaved.Bytes())
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("re-saved image covers %v, the original %v", got, want)
+	}
+	db := freshGrid(t, log)
+	if err := openImage(db, resaved.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if n := db.PendingEntities(); n != 0 {
+		t.Errorf("%d entities pending after opening the re-saved image over the log, want 0", n)
+	}
+	assertSameAnswers(t, src, db, someEntities, 5)
+}
+
+// TestOpenKeepsFoldedVisits: an image opened over a DB that had already
+// folded visits the image does not cover, and holds more pending, serves the
+// union of all three — no visit acknowledged before the open is lost, with
+// or without the image's count for the entity.
+func TestOpenKeepsFoldedVisits(t *testing.T) {
+	_, img, log := restartWorld(t, 40)
+	folded := []VisitRecord{
+		{Entity: "entity-3", Venue: VenueName(5), Start: TimeAt(60), End: TimeAt(63)},
+		{Entity: "newcomer", Venue: VenueName(5), Start: TimeAt(61), End: TimeAt(62)},
+	}
+	pending := []VisitRecord{
+		{Entity: "entity-3", Venue: VenueName(7), Start: TimeAt(2), End: TimeAt(5)},
+		{Entity: "entity-17", Venue: VenueName(5), Start: TimeAt(60), End: TimeAt(62)},
+	}
+	db := freshGrid(t, append(slices.Clone(log), folded...))
+	if err := db.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.AddVisits(pending); err != nil {
+		t.Fatal(err)
+	}
+	if err := openImage(db, img); err != nil {
+		t.Fatal(err)
+	}
+	if n := db.PendingEntities(); n != 2 {
+		t.Errorf("%d entities pending after the open, want 2 (entity-3, entity-17)", n)
+	}
+	rebuilt := freshGrid(t, slices.Concat(log, folded, pending))
+	if err := rebuilt.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	assertSameAnswers(t, rebuilt, db, append([]string{"newcomer", "entity-17"}, someEntities...), 5)
 }
