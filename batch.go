@@ -18,7 +18,7 @@ import (
 //
 // The whole batch answers against one pinned index snapshot, so results are
 // identical to issuing TopK for each entity sequentially against that
-// snapshot — the search is deterministic, and no Refresh or BuildIndex
+// snapshot — the search is deterministic, and no fold or BuildIndex
 // swap can slide in between two queries of one batch (concurrent maintenance
 // only publishes new snapshots; it never mutates the pinned one).
 func (db *DB) TopKBatch(entities []string, k, workers int) (map[string][]Match, QueryStats, error) {

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"digitaltraces/internal/adm"
@@ -242,10 +243,9 @@ func BenchmarkTopKSparse(b *testing.B) {
 // BenchmarkPostingsDerive measures folding one writer batch of the serving
 // benchmark's zipf_mixed_ingest workload — 32 visits over 8 existing
 // entities — into a 20 000-device sparse population (benchmark/'s full
-// size). "derive" times core.Postings.Derive alone, chaining generations as
-// a refreshing DB does (so the added layer's folds are amortized in);
-// "refresh" times DB.Refresh end to end — capture, sequence staging, store
-// and postings derive, publish — for a batch ingested untimed.
+// size), timing core.Postings.Derive alone and chaining generations as a
+// written DB does (so the added layer's folds are amortized in).
+// BenchmarkAddVisitsAck times the write end to end.
 func BenchmarkPostingsDerive(b *testing.B) {
 	const devices, batchEntities, batchVisits = 20000, 8, 32
 	ix, err := spindex.NewGrid(spindex.DefaultGridConfig(32))
@@ -298,43 +298,59 @@ func BenchmarkPostingsDerive(b *testing.B) {
 			cur = next
 		}
 	})
-	b.Run("refresh", func(b *testing.B) {
-		db, err := newGridDB(ix)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer db.Close()
-		var log []VisitRecord
-		for _, e := range ids {
-			for _, v := range st.Get(e).PresenceInstances(ix.Height()) {
-				log = append(log, VisitRecord{Entity: fmt.Sprintf("d%d", e), Venue: VenueName(int(ix.BaseOf(v.Unit))), Start: TimeAt(int(v.Start)), End: TimeAt(int(v.End))})
+}
+
+// BenchmarkAddVisitsAck measures an acknowledged write end to end: the
+// serving benchmark writer's batch (8 existing entities × 4 one-hour visits)
+// stored, folded and published before AddVisits returns, on a 20 000-device
+// WiFi city. Each run starts from a freshly built city, so the chain of
+// derived generations is as long as the run; fix it with -benchtime Nx.
+// writers=4 splits the batches over four concurrent writers; folds/op counts
+// publishes per write, below 1 when one fold captures several writers'
+// batches.
+func BenchmarkAddVisitsAck(b *testing.B) {
+	const devices, batchEntities, batchVisits, days = 20000, 8, 32, 14
+	for _, writers := range []int{1, 4} {
+		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
+			db, err := SyntheticWiFiCity(WiFiCityConfig{Side: 32, Devices: devices, Days: days})
+			if err != nil {
+				b.Fatal(err)
 			}
-		}
-		if _, err := db.AddVisits(log); err != nil {
-			b.Fatal(err)
-		}
-		if err := db.BuildIndex(); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			var visits []VisitRecord
-			for e, recs := range batch() {
-				for _, r := range recs {
-					visits = append(visits, VisitRecord{Entity: fmt.Sprintf("d%d", e), Venue: VenueName(int(r.Base)), Start: TimeAt(int(r.Start)), End: TimeAt(int(r.End))})
+			if err := db.BuildIndex(); err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			batches := make([][]VisitRecord, b.N)
+			for i := range batches {
+				for range batchEntities {
+					name := fmt.Sprintf("entity-%d", rng.Intn(devices))
+					for range batchVisits / batchEntities {
+						h := rng.Intn(days*24 - 1)
+						batches[i] = append(batches[i], VisitRecord{Entity: name, Venue: VenueName(rng.Intn(db.NumVenues())), Start: TimeAt(h), End: TimeAt(h + 1)})
+					}
 				}
 			}
-			if _, err := db.AddVisits(visits); err != nil {
-				b.Fatal(err)
+			gen := db.IndexStats().Generation
+			b.ReportAllocs()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for w := range writers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := w; i < b.N; i += writers {
+						if _, err := db.AddVisits(batches[i]); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
 			}
-			b.StartTimer()
-			if err := db.Refresh(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+			wg.Wait()
+			b.StopTimer()
+			b.ReportMetric(float64(db.IndexStats().Generation-gen)/float64(b.N), "folds/op")
+		})
+	}
 }
 
 // BenchmarkDegree times the exact-degree kernel on the three overlap shapes

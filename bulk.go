@@ -178,7 +178,7 @@ func BulkLoadRecordFile(path string, side, levels int, cfg BulkConfig, opts ...O
 		recs [][]trace.Record
 	)
 	flush := func() {
-		for _, s := range db.stage(nil, ids, recs) {
+		for _, s := range db.stage(ids, recs) {
 			store.Put(s)
 		}
 		ids, recs = ids[:0], recs[:0]

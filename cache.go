@@ -2,7 +2,7 @@ package digitaltraces
 
 // The DB's side of the hot-query cache (internal/qcache, whose doc comment
 // carries the soundness argument): the version is the serving snapshot's
-// generation, usable while that snapshot covers every acknowledged write.
+// generation, which covers every acknowledged write.
 
 import (
 	"encoding/binary"
@@ -16,7 +16,8 @@ import (
 // up to capacity entries (FIFO displacement). TopK and TopKByExample consult
 // it; a hit returns the memoized exact answer with QueryStats.CacheHit set
 // and no search work, and is always the current answer (internal/qcache
-// argues why): any BuildIndex/Refresh/lazy fold starts from a cold cache.
+// argues why): every publish — BuildIndex, OpenIndex, an acknowledged
+// write's fold — starts from a cold cache.
 // Hot repeated queries (the Zipfian celebrity-lookup mix cmd/bench -scenario
 // cache models) skip the search entirely.
 func WithQueryCache(capacity int) Option {
@@ -26,12 +27,11 @@ func WithQueryCache(capacity int) Option {
 	}
 }
 
-// cacheVersion is the DB's cache version: the serving generation, usable
-// while its snapshot covers every acknowledged write — covering, the check
-// snapshotForQuery's fast path makes. The snapshot is returned for a hit's
-// trace.
+// cacheVersion is the DB's cache version: the serving generation, which
+// covers every write acknowledged before the load — none before the first
+// publish. The snapshot is returned for a hit's trace.
 func (db *DB) cacheVersion() (string, *snapshot, bool) {
-	s, _ := db.covering()
+	s := db.snap.Load()
 	if s == nil {
 		return "", nil, false
 	}

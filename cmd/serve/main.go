@@ -83,14 +83,12 @@ func main() {
 		v         = flag.Float64("v", 2, "ADM duration exponent")
 		shards    = flag.Int("shards", 1, "entity-partitioned shards (1 = single DB; >1 builds in parallel and scatter-gathers queries)")
 		shardsRem = flag.String("shards-remote", "", "comma-separated shard server addresses (host:port, cmd/shardserve); runs this process as the coordinator of a network-distributed cluster instead of -shards")
-		remTO     = flag.Duration("remote-timeout", 0, "per-RPC deadline for remote shard calls (0 = the client default); build/refresh/index transfers get a separate long deadline")
+		remTO     = flag.Duration("remote-timeout", 0, "per-RPC deadline for remote shard calls (0 = the client default); build and index transfers get a separate long deadline")
 		remConns  = flag.Int("remote-conns", 0, "pooled keep-alive connection cap per remote shard (0 = the client default)")
 		cacheSize = flag.Int("cache", 0, "generation-keyed hot-query cache entries (0 = no cache); invalidates automatically when ingest reaches the serving index")
 		traceSize = flag.Int("trace", 0, "per-query trace ring capacity (0 = tracing off); enables GET /traces and per-kind latency quantiles in /stats")
 		maxK      = flag.Int("maxk", 1000, "largest k a request may ask for")
 		maxBatch  = flag.Int("maxbatch", 10000, "most entities one /topk/batch request may name")
-		refDirty  = flag.Int("refresh-dirty", 0, "auto-refresh: fold ingested visits into the index once this many entities are dirty (0 = no dirty trigger)")
-		refStale  = flag.Duration("refresh-staleness", 0, "auto-refresh: fold dirt once the serving snapshot is older than this (0 = no staleness trigger)")
 		idxPath   = flag.String("index", "", "serve the index off a read-only mapping of this file when it exists (no re-ingest, no rebuild; boots without -in/-synthetic) and save it there on SIGTERM/SIGINT and POST /index/save")
 		rebAuto   = flag.Duration("rebalance-auto", 0, "skew-aware auto-rebalance period for sharded engines (0 = manual via POST /rebalance): every period, plan slot moves from per-shard owned-entity skew and migrate them live")
 		slotsInit = flag.String("slots-initial", "", `initial slot→shard placement as shard:slots pairs summing to 256 (e.g. "0:192,1:32,2:32" gives shard 0 three quarters of the keyspace); empty = even; applied before any ingest`)
@@ -119,15 +117,6 @@ func main() {
 		// (Config.TraceSize) — per-shard rings would miss the fan-out shape.
 		opts = append(opts, digitaltraces.WithTracing(*traceSize))
 		log.Printf("query tracing: ring of %d", *traceSize)
-	}
-	if *refDirty > 0 || *refStale > 0 {
-		// Each DB (every shard, for -shards > 1) folds its own dirt in the
-		// background, so /visits ingest reaches the serving index without
-		// clients passing refresh=true and without any query paying for the
-		// fold. O(dirty) copy-on-write swaps make even aggressive settings
-		// (single-digit milliseconds of staleness) cheap.
-		opts = append(opts, digitaltraces.WithAutoRefresh(*refDirty, *refStale))
-		log.Printf("auto-refresh: maxDirty=%d maxStaleness=%v", *refDirty, *refStale)
 	}
 	var (
 		db      *digitaltraces.DB
@@ -258,7 +247,7 @@ func main() {
 		// The bulk load built and published the index already.
 	case engine.NumEntities() == 0:
 		// An empty coordinator (remote shards, no data source) has nothing
-		// to index yet; the first post-ingest query or refresh folds.
+		// to index yet; each shard's first query builds its index.
 		log.Printf("no entities yet; skipping initial build")
 	default:
 		if err := engine.BuildIndex(); err != nil {

@@ -43,21 +43,11 @@ func main() {
 		levels    = flag.Int("levels", 4, "sp-index height (must match the coordinator's)")
 		u         = flag.Float64("u", 2, "ADM level exponent")
 		v         = flag.Float64("v", 2, "ADM duration exponent")
-		refDirty  = flag.Int("refresh-dirty", 0, "auto-refresh: fold ingested visits once this many entities are dirty (0 = no dirty trigger)")
-		refStale  = flag.Duration("refresh-staleness", 0, "auto-refresh: fold dirt once the serving snapshot is older than this (0 = no staleness trigger)")
 		streamTTL = flag.Duration("stream-ttl", 0, "expire search streams idle this long (0 = the protocol default); the backstop for coordinator crashes")
 	)
 	flag.Parse()
 
-	opts := []digitaltraces.Option{digitaltraces.WithPaperMeasure(*u, *v)}
-	if *refDirty > 0 || *refStale > 0 {
-		// The shard folds its own dirt in the background; the coordinator's
-		// generation-vector cache observes the bumps through the protocol's
-		// piggybacked serving state and invalidates automatically.
-		opts = append(opts, digitaltraces.WithAutoRefresh(*refDirty, *refStale))
-		log.Printf("auto-refresh: maxDirty=%d maxStaleness=%v", *refDirty, *refStale)
-	}
-	db, err := digitaltraces.NewGridDB(*side, *levels, opts...)
+	db, err := digitaltraces.NewGridDB(*side, *levels, digitaltraces.WithPaperMeasure(*u, *v))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package digitaltraces
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"os"
@@ -17,7 +18,7 @@ import (
 )
 
 // TestConcurrentQueriesWithWriters hammers the read API from many goroutines
-// while writers ingest visits and refresh the index. Run with -race: the
+// while writers ingest visits, each folded before it returns. Run with -race: the
 // test's job is to prove the DB's locking discipline, not any particular
 // result (results against a moving index are whatever the captured snapshot
 // says). Every call must still either succeed or fail with a real API error.
@@ -90,10 +91,6 @@ func TestConcurrentQueriesWithWriters(t *testing.T) {
 				err := db.AddVisit(name, VenueName((g*5+i)%venues), TimeAt(start), TimeAt(start+2))
 				if err != nil {
 					errs <- fmt.Errorf("AddVisit: %w", err)
-					continue
-				}
-				if err := db.Refresh(); err != nil {
-					errs <- fmt.Errorf("Refresh: %w", err)
 				}
 			}
 		}(g)
@@ -115,11 +112,10 @@ func TestConcurrentQueriesWithWriters(t *testing.T) {
 }
 
 // TestQueryAfterBeyondHorizonVisit: visits past the last time unit of the
-// first build fold in incrementally, by an explicit Refresh and by a query's
-// lazy fold alike — the index has no time horizon. Each fold moves the
-// generation by one, keeps the lineage's BuildTime, reports its own
-// LastRefreshDuration, and leaves every answer equal to a twin built from
-// scratch over the same data.
+// first build fold in incrementally when they are written — the index has no
+// time horizon. Each acknowledged batch moves the generation by one, keeps
+// the lineage's BuildTime, reports its own LastRefreshDuration, and leaves
+// every answer equal to a twin built from scratch over the same data.
 func TestQueryAfterBeyondHorizonVisit(t *testing.T) {
 	const days, population = 2, 20
 	mk := func() *DB {
@@ -133,23 +129,17 @@ func TestQueryAfterBeyondHorizonVisit(t *testing.T) {
 	if err := db.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	folds := map[string]func() error{
-		"Refresh": db.Refresh,
-		"a query": func() error { _, _, err := db.TopK("entity-0", 3); return err },
-	}
-	for round, how := range []string{"Refresh", "a query"} {
+	for round := range 2 {
+		how := fmt.Sprintf("write %d", round)
 		before := db.IndexStats()
 		far := days*24 + 100*(round+1)
 		for _, d := range []*DB{db, twin} {
-			if err := d.AddVisit("traveler", VenueName(0), TimeAt(far), TimeAt(far+2)); err != nil {
+			if _, err := d.AddVisits([]VisitRecord{
+				{Entity: "traveler", Venue: VenueName(0), Start: TimeAt(far), End: TimeAt(far + 2)},
+				{Entity: "entity-3", Venue: VenueName(0), Start: TimeAt(far + 1), End: TimeAt(far + 3)},
+			}); err != nil {
 				t.Fatal(err)
 			}
-			if err := d.AddVisit("entity-3", VenueName(0), TimeAt(far+1), TimeAt(far+3)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := folds[how](); err != nil {
-			t.Fatalf("fold by %s: %v", how, err)
 		}
 		after := db.IndexStats()
 		if after.Generation != before.Generation+1 || after.BuildTime != before.BuildTime || after.LastRefreshDuration <= 0 || after.DirtyCount != 0 {
@@ -274,8 +264,9 @@ func TestLoadRecordFile(t *testing.T) {
 
 // TestVisitsOfConcurrentFold (-race): a fold drops the pending records it
 // folded, so VisitsOf must read the serving sequences and the pending tail as
-// one state. A writer ingests while Refresh runs in a loop, and every
-// VisitsOf result covers every visit acknowledged before the call — checked
+// one state. A writer ingests, each visit folded before it returns, while a
+// second writer's folds interleave, and every VisitsOf result covers every
+// visit acknowledged before the call — checked
 // on the cells TopKByExample discretizes it to, which it then answers over.
 // The writer waits for a read after each visit, so reads and folds keep
 // interleaving; each probe entity takes a short run of visits, so a read
@@ -333,7 +324,7 @@ func TestVisitsOfConcurrentFold(t *testing.T) {
 				return
 			default:
 			}
-			if err := db.Refresh(); err != nil {
+			if err := db.AddVisit("churn", VenueName(3), TimeAt(0), TimeAt(1)); err != nil {
 				t.Error(err)
 				return
 			}
@@ -369,12 +360,14 @@ func TestVisitsOfConcurrentFold(t *testing.T) {
 // TestVisitsOfConcurrentFoldAtPublish pins the interleaving the stress test
 // above can only hope for: a VisitsOf or AllVisits that starts while a fold
 // waits to publish.
-// Holding the ingest lock shared parks the fold's publish, and a read
-// arriving behind the waiting publish is parked too; once the lock is
-// released, the publish swaps the snapshot and drops the folded visit before
-// the read proceeds, so the read must take the snapshot under the lock, not
-// before it. (A read that arrives late instead sees the published state, so
-// the test cannot fail spuriously.)
+// Holding buildMu parks a write after it stored its visit; holding the
+// ingest lock shared, then releasing buildMu, lets the write's fold capture
+// and stage but parks its publish, and a read arriving behind the waiting
+// publish is parked too; once the lock is released, the publish swaps the
+// snapshot and drops the folded visit before the read proceeds, so the read
+// must take the snapshot under the lock, not before it. (A read that arrives
+// late instead sees the published state, so the test cannot fail
+// spuriously.)
 func TestVisitsOfConcurrentFoldAtPublish(t *testing.T) {
 	db, err := NewGridDB(4, 0)
 	if err != nil {
@@ -387,12 +380,14 @@ func TestVisitsOfConcurrentFoldAtPublish(t *testing.T) {
 	if err := db.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.AddVisit("probe", VenueName(2), TimeAt(5), TimeAt(6)); err != nil {
-		t.Fatal(err)
+	db.buildMu.Lock()
+	folded := make(chan error, 1)
+	go func() { folded <- db.AddVisit("probe", VenueName(2), TimeAt(5), TimeAt(6)) }()
+	for db.PendingEntities() == 0 {
+		runtime.Gosched()
 	}
 	db.mu.RLock()
-	folded := make(chan error, 1)
-	go func() { folded <- db.Refresh() }()
+	db.buildMu.Unlock()
 	// The fold stages, then waits to publish: from then on the lock refuses
 	// new readers.
 	for db.mu.TryRLock() {
@@ -431,4 +426,89 @@ func TestVisitsOfConcurrentFoldAtPublish(t *testing.T) {
 			t.Fatalf("read %+v lost the visit a concurrent fold published", got)
 		}
 	}
+}
+
+// TestAckMeansIndexedPastParkedBuild: a write whose view a build in flight
+// missed is indexed when it returns. Holding the ingest lock shared parks
+// the build's publish after its view is captured; the write stores its visit
+// once the publish is through, and must then fold past it before returning.
+// Run on a first build, a rebuild and an open — one over a re-ingested log
+// with a pending tail, which the open folds: nothing stays pending after it.
+func TestAckMeansIndexedPastParkedBuild(t *testing.T) {
+	city := func() *DB {
+		db, err := SyntheticCity(CityConfig{Side: 4, Entities: 20, Days: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	// sees reports whether a query over the one cell at venue v, hour h
+	// ranks entity first.
+	sees := func(db *DB, entity string, v, h int) bool {
+		got, _, err := db.TopKByExample([]Visit{{Venue: VenueName(v), Start: TimeAt(h), End: TimeAt(h + 1)}}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(got) == 1 && got[0].Entity == entity && got[0].Degree > 0
+	}
+	parked := func(t *testing.T, db *DB, build func() error) {
+		const h = 500
+		db.mu.RLock()
+		built := make(chan error, 1)
+		go func() { built <- build() }()
+		for db.mu.TryRLock() {
+			db.mu.RUnlock()
+			runtime.Gosched()
+		}
+		wrote := make(chan error, 1)
+		go func() { wrote <- db.AddVisit("late", VenueName(5), TimeAt(h), TimeAt(h+1)) }()
+		// No event marks the write queued behind the publish; a write that
+		// arrives later still comes after the build's view.
+		time.Sleep(10 * time.Millisecond)
+		db.mu.RUnlock()
+		if err := <-built; err != nil {
+			t.Fatal(err)
+		}
+		if err := <-wrote; err != nil {
+			t.Fatal(err)
+		}
+		if !sees(db, "late", 5, h) {
+			t.Fatal("a query after the write returned misses it")
+		}
+		if st := db.IndexStats(); st.DirtyCount != 0 {
+			t.Fatalf("%d entities pending after the write returned", st.DirtyCount)
+		}
+	}
+	t.Run("first build", func(t *testing.T) {
+		db := city()
+		parked(t, db, db.BuildIndex)
+	})
+	t.Run("rebuild", func(t *testing.T) {
+		db := city()
+		if err := db.BuildIndex(); err != nil {
+			t.Fatal(err)
+		}
+		parked(t, db, db.BuildIndex)
+	})
+	t.Run("open", func(t *testing.T) {
+		src := city()
+		var img bytes.Buffer
+		if _, err := src.SaveIndex(&img); err != nil {
+			t.Fatal(err)
+		}
+		// The same log re-ingested, plus one visit the image lacks: a
+		// pending tail the open must fold.
+		db := city()
+		const tailHour = 300
+		if err := db.AddVisit("entity-3", VenueName(7), TimeAt(tailHour), TimeAt(tailHour+1)); err != nil {
+			t.Fatal(err)
+		}
+		parked(t, db, func() error { return db.OpenIndexAt(bytes.NewReader(img.Bytes()), int64(img.Len())) })
+		if !sees(db, "entity-3", 7, tailHour) {
+			t.Fatal("the open dropped the pending tail")
+		}
+		if n := db.PendingEntities(); n != 0 {
+			t.Fatalf("%d entities pending after the open", n)
+		}
+	})
 }

@@ -1,10 +1,10 @@
 package digitaltraces
 
-// Copy-on-write refresh tests: a snapshot pinned before a Refresh must keep
-// answering bit-identically while (and after) the refresh derives the next
-// generation from it by structural sharing and swaps it in. Run with -race —
-// the derive reads the pinned snapshot's store and postings concurrently with
-// the queries searching them.
+// Copy-on-write fold tests: a snapshot pinned before a write must keep
+// answering bit-identically while (and after) the write's fold derives the
+// next generation from it by structural sharing and swaps it in. Run with
+// -race — the derive reads the pinned snapshot's store and postings
+// concurrently with the queries searching them.
 
 import (
 	"fmt"
@@ -84,18 +84,17 @@ func TestRefreshCOWIsolation(t *testing.T) {
 		}()
 	}
 
-	// Writer+refresher: several rounds of dirtying entities (including the
-	// query entities themselves) and swapping in a derived snapshot.
+	// Writer: several rounds of one batch dirtying entities (including the
+	// query entities themselves), each swapping in a derived snapshot.
 	for round := 0; round < 5; round++ {
+		var batch []VisitRecord
 		for j := 0; j < 25; j++ {
 			name := fmt.Sprintf("entity-%d", (round*31+j)%population)
 			h := (round + j) % 24
-			if err := db.AddVisit(name, VenueName(j%db.NumVenues()), TimeAt(h), TimeAt(h+1)); err != nil {
-				t.Fatal(err)
-			}
+			batch = append(batch, VisitRecord{Entity: name, Venue: VenueName(j % db.NumVenues()), Start: TimeAt(h), End: TimeAt(h + 1)})
 		}
-		if err := db.Refresh(); err != nil {
-			t.Fatalf("round %d: Refresh: %v", round, err)
+		if _, err := db.AddVisits(batch); err != nil {
+			t.Fatalf("round %d: AddVisits: %v", round, err)
 		}
 	}
 	close(stop)
@@ -143,7 +142,7 @@ func requireSameAsRebuilt(t *testing.T, label string, db, twin *DB, population, 
 	}
 }
 
-// TestRefreshCloneAndCOWAgree: a DB maintained by copy-on-write refreshes
+// TestRefreshCloneAndCOWAgree: a DB maintained by copy-on-write folds
 // must answer bit-identically, for every entity, to a twin over the same
 // data and updates that rebuilds its index from scratch after each round.
 func TestRefreshCloneAndCOWAgree(t *testing.T) {
@@ -170,17 +169,14 @@ func TestRefreshCloneAndCOWAgree(t *testing.T) {
 				}
 			}
 		}
-		if err := cow.Refresh(); err != nil {
-			t.Fatal(err)
-		}
 		requireSameAsRebuilt(t, fmt.Sprintf("round %d", round), cow, rebuilt, population, 5)
 	}
 }
 
-// BenchmarkRefresh measures one fold-and-swap at a fixed population under
-// varying dirty fractions: the cost should scale with the dirty count, not
-// with |E|.
-func BenchmarkRefresh(b *testing.B) {
+// BenchmarkFold measures one acknowledged batch — store, fold and swap — at a
+// fixed population under varying dirty fractions: the cost should scale with
+// the dirty count, not with |E|.
+func BenchmarkFold(b *testing.B) {
 	const entities = 2000
 	for _, frac := range []float64{0.01, 0.05, 0.25} {
 		b.Run(fmt.Sprintf("dirty=%g", frac), func(b *testing.B) {
@@ -196,15 +192,13 @@ func BenchmarkRefresh(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				for j := 0; j < dirtyN; j++ {
-					name := fmt.Sprintf("entity-%d", (i*131+j)%entities)
+				batch := make([]VisitRecord, dirtyN)
+				for j := range batch {
 					h := (i + j) % 24
-					if err := db.AddVisit(name, VenueName(j%venues), TimeAt(h), TimeAt(h+1)); err != nil {
-						b.Fatal(err)
-					}
+					batch[j] = VisitRecord{Entity: fmt.Sprintf("entity-%d", (i*131+j)%entities), Venue: VenueName(j % venues), Start: TimeAt(h), End: TimeAt(h + 1)}
 				}
 				b.StartTimer()
-				if err := db.Refresh(); err != nil {
+				if _, err := db.AddVisits(batch); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -28,21 +28,19 @@
 //
 // # Concurrency
 //
-// A DB is safe for concurrent use, and reads wait for index maintenance
-// only to see a write acknowledged before they began. Queries (TopK, TopKByExample, TopKApprox, TopKBatch, KNNJoin,
+// A DB is safe for concurrent use, and queries never wait for index
+// maintenance. Queries (TopK, TopKByExample, TopKApprox, TopKBatch, KNNJoin,
 // Degree) answer against an immutable index snapshot loaded through one
 // atomic pointer read, so any number run in parallel — with each other and
-// with BuildIndex/Refresh, which construct the next snapshot off to the side
-// and atomically swap it in. Refresh is copy-on-write: the next snapshot
-// shares every clean entity's state with the previous one and adds only the
-// dirty entities' postings, so a fold-and-swap costs O(dirty), independent
-// of database size. Ingest (AddVisit, AddVisits) touches only a small
-// mutex-guarded tail of visits not yet folded, which each fold drops again.
-// A query always reads every write acknowledged before it began: against a
-// stale index (visits added since the last swap) it waits for the build in
-// flight or folds the dirt itself first — and WithAutoRefresh folds dirt
-// proactively from a background goroutine (stop it with Close), so queries
-// virtually never find a stale index at all.
+// with the builders, which construct the next snapshot off to the side and
+// atomically swap it in. Writes are indexed when acknowledged: once an index
+// exists, AddVisit and AddVisits fold their visits into the next snapshot and
+// publish it before returning (Section 4.2.3's incremental maintenance), so a
+// query always reads every write acknowledged before it began. A fold is
+// copy-on-write: the next snapshot shares every clean entity's state with the
+// previous one and adds only the written entities' postings, so it costs
+// O(dirty), independent of database size, and concurrent writers share one
+// fold when it captures all of their visits.
 //
 // # Scaling out
 //
@@ -275,7 +273,7 @@ func WithJaccardMeasure() Option {
 }
 
 // DB is a digital-trace database: each entity's ST-cell sequences — the
-// data every query, refresh and save reads — plus, after BuildIndex, the
+// data every query, fold and save reads — plus, after BuildIndex, the
 // postings serving exact top-k association queries over them.
 //
 // A DB is safe for concurrent use by multiple goroutines, and its two halves
@@ -284,14 +282,12 @@ func WithJaccardMeasure() Option {
 // small read-write lock whose critical sections are O(visits added). The
 // index side is an immutable snapshot — store, postings, measure, name table
 // — published through an atomic pointer: queries load it once and search
-// lock-free (core.Postings searches are read-only), while BuildIndex and
-// Refresh fold the pending visits into the next snapshot aside and atomically
-// swap it in, dropping the visits it folded, so a multi-second rebuild never
-// blocks a read that the published snapshot serves. A query is served only
-// by a snapshot covering every write acknowledged before it began; if the
-// published one does not, the query waits for the build in flight and
-// re-checks, or folds the pending visits itself. Every query answers exactly
-// over the one frozen snapshot it pinned.
+// lock-free (core.Postings searches are read-only), while BuildIndex and each
+// acknowledged write fold the pending visits into the next snapshot aside and
+// atomically swap it in, dropping the visits it folded, so a multi-second
+// rebuild never blocks a read. The published snapshot covers every write
+// acknowledged so far, and every query answers exactly over the one frozen
+// snapshot it pinned.
 type DB struct {
 	// Immutable after construction.
 	ix        *spindex.Index
@@ -313,14 +309,14 @@ type DB struct {
 	// yet, in ingest order; a publish drops exactly the prefix its build
 	// folded. Its key set is the dirty set.
 	pending map[trace.EntityID][]trace.Record
-	// ingested counts each entity's acknowledged visits by ID, folded or
-	// pending: ingested[e] − len(pending[e]) is what the serving snapshot
-	// covers — the count an image records.
+	// ingested counts each entity's stored visits by ID, folded or pending:
+	// ingested[e] − len(pending[e]) is what the serving snapshot covers — the
+	// count an image records.
 	ingested []uint32
-	// writeSeq counts ingested visits, from 1: a built snapshot records the
-	// count its view captured and covers every visit up to it, while a
-	// loaded one records 0 and so covers by the pending check alone
-	// (snapshotForQuery).
+	// writeSeq counts ingested visits, from 1: a published snapshot records
+	// the count its view captured and covers every visit up to it, so a
+	// writer whose count a publish covers is acknowledged without a fold of
+	// its own (ack).
 	writeSeq      uint64
 	epoch         time.Time
 	epochSet      bool
@@ -330,9 +326,9 @@ type DB struct {
 	// pointer swap. Queries load it once and search lock-free; builders
 	// construct the next snapshot aside and publish it (snapshot.go).
 	snap atomic.Pointer[snapshot]
-	// buildMu serializes snapshot publishers (BuildIndex, Refresh, loads and
-	// the query path's lazy escalation). A query waits on it only when the
-	// published snapshot misses a write acknowledged before the query began.
+	// buildMu serializes snapshot publishers (BuildIndex, opens, acknowledged
+	// writes' folds and the first query's lazy first build). A query waits
+	// on it only before the first publish.
 	buildMu sync.Mutex
 
 	// mappings are the file mappings live snapshots may serve sequences
@@ -349,14 +345,6 @@ type DB struct {
 	// tracer is the per-query trace ring (nil without WithTracing — the
 	// disabled state every obs method no-ops on; tracing.go).
 	tracer *obs.Tracer
-
-	// Background auto-refresh policy (autorefresh.go). Zero thresholds mean
-	// disabled; the goroutine channels are nil then and Close is a no-op.
-	autoMaxDirty int
-	autoMaxStale time.Duration
-	autoStop     chan struct{}
-	autoDone     chan struct{}
-	closeOnce    sync.Once
 }
 
 // NewDB creates a database over the given hierarchy.
@@ -389,7 +377,6 @@ func newDB(ix *spindex.Index, venues map[string]spindex.BaseID, opts ...Option) 
 			return nil, err
 		}
 	}
-	db.startAutoRefresh()
 	return db, nil
 }
 
@@ -416,13 +403,17 @@ func (db *DB) Entities() []string {
 }
 
 // AddVisit records that entity was present at venue during [start, end).
-// Visits may arrive in any order and may overlap. After BuildIndex, new
-// visits mark the entity dirty; call Refresh (or BuildIndex again) to fold
-// them in.
+// Visits may arrive in any order and may overlap. Once the DB has an index,
+// AddVisit returns after the index covers the visit, like AddVisits.
 func (db *DB) AddVisit(entity, venue string, start, end time.Time) error {
 	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.addVisitLocked(entity, venue, start, end)
+	err := db.addVisitLocked(entity, venue, start, end)
+	seq := db.writeSeq
+	db.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return db.ack(seq)
 }
 
 // VisitRecord is one entity's presence, for bulk ingest.
@@ -437,15 +428,36 @@ type VisitRecord struct {
 // the bulk-ingest path (one AddVisit per record would pay a lock round-trip
 // per visit). It returns the number of visits stored; on error, visits
 // before the failing one are kept.
+//
+// Once the DB has published an index (BuildIndex, OpenIndex, a bulk load or
+// the first query), the stored visits are indexed when the call returns: it
+// folds them into the next snapshot and publishes it first, unless a fold
+// already in flight captured them, so every query issued afterwards sees
+// them. Before the first index they stay pending until BuildIndex or the
+// first query builds it. A fold that fails leaves the visits stored and
+// pending — the count is then len(visits) and the error the fold's — and the
+// next acknowledged write or BuildIndex folds them.
 func (db *DB) AddVisits(visits []VisitRecord) (int, error) {
 	db.mu.Lock()
-	defer db.mu.Unlock()
-	for i, v := range visits {
-		if err := db.addVisitLocked(v.Entity, v.Venue, v.Start, v.End); err != nil {
-			return i, fmt.Errorf("visit %d: %w", i, err)
+	var (
+		n   int
+		err error
+	)
+	for ; n < len(visits); n++ {
+		v := visits[n]
+		if err = db.addVisitLocked(v.Entity, v.Venue, v.Start, v.End); err != nil {
+			err = fmt.Errorf("visit %d: %w", n, err)
+			break
 		}
 	}
-	return len(visits), nil
+	seq := db.writeSeq
+	db.mu.Unlock()
+	if n > 0 {
+		if ferr := db.ack(seq); err == nil {
+			err = ferr
+		}
+	}
+	return n, err
 }
 
 func (db *DB) addVisitLocked(entity, venue string, start, end time.Time) error {
@@ -501,28 +513,10 @@ func (db *DB) BuildIndex() error {
 	return err
 }
 
-// Refresh folds dirty entities (those with visits added since the last
-// BuildIndex/Refresh) into the index incrementally (Section 4.2.3) — like
-// BuildIndex, built aside on a copy of the serving snapshot and atomically
-// swapped, never blocking queries. Visits at any time fold in, however far
-// past the data the index was built over.
-func (db *DB) Refresh() error {
-	db.buildMu.Lock()
-	defer db.buildMu.Unlock()
-	s := db.snap.Load()
-	if s == nil {
-		_, err := db.buildSnapshot()
-		return err
-	}
-	_, err := db.refreshSnapshot(s)
-	return err
-}
-
 // TopK returns the k entities most closely associated with the named entity
 // (Definition 4), with exact degrees, plus query statistics. Safe to call
-// from any number of goroutines, and blocked by a concurrent
-// BuildIndex/Refresh only while it folds a write acknowledged before the
-// call; see the DB concurrency contract.
+// from any number of goroutines, and never blocked by index maintenance once
+// an index exists; see the DB concurrency contract.
 func (db *DB) TopK(entity string, k int) ([]Match, QueryStats, error) {
 	return db.query(obs.KindTopK, entity, k, qcache.EntityKey(entity, k), func(s *snapshot) (*trace.Sequences, error) {
 		return db.lookup(s, entity)
@@ -677,20 +671,17 @@ func (db *DB) KNNJoin(entities []string, k int, workers int) (map[string][]Match
 // queries straight off a read-only mapping of the file with no visit
 // re-ingest at all.
 //
-// Pending visits are folded (or the index built, if absent) before saving,
-// so the image covers everything ingested when the save began. Each entity's
-// covered count is exact — what it has ingested minus what is still pending —
-// even for one that receives visits while the save is in flight. The write
-// itself runs outside every lock.
+// The image covers every write acknowledged when the save began (the index
+// is built first if absent). Each entity's covered count is exact — what it
+// has ingested minus what is still pending — even for one that receives
+// visits while the save is in flight. The write itself runs outside every
+// lock.
 func (db *DB) SaveIndex(w io.Writer) (int64, error) {
 	db.buildMu.Lock()
 	s := db.snap.Load()
 	var err error
-	switch {
-	case s == nil:
+	if s == nil {
 		s, err = db.buildSnapshot()
-	case db.PendingEntities() > 0:
-		s, err = db.refreshSnapshot(s)
 	}
 	if err != nil {
 		db.buildMu.Unlock()
@@ -752,21 +743,23 @@ type IndexStats struct {
 	MemoryBytes int // the postings: entity table and level-1 cell index
 	BuildTime   time.Duration
 	// Generation counts snapshot swaps: 0 before the first build, 1 after
-	// it, +1 for every subsequent BuildIndex/Refresh swap. An aggregated
-	// engine sums its members' generations (total swaps cluster-wide).
+	// it, +1 for every subsequent swap — a BuildIndex, an open or an
+	// acknowledged write's fold. An aggregated engine sums its members'
+	// generations (total swaps cluster-wide).
 	Generation uint64
 	// LastSwap is when the serving snapshot was published (zero before the
 	// first build; on an aggregated engine, the latest member swap).
 	LastSwap time.Time
 	// DirtyCount is the number of entities with visits the serving snapshot
-	// does not cover yet — what the next Refresh will fold, and what the
-	// auto-refresh policy's dirty threshold compares against. Reported even
-	// before the first build. An aggregated engine sums its members'.
+	// does not cover yet: everything ingested before the first build, and 0
+	// after it except for writes in flight. An aggregated engine sums its
+	// members'.
 	DirtyCount int
-	// LastRefreshDuration is how long the serving snapshot's incremental
-	// Refresh took — the cost of the last O(dirty) fold-and-swap. Zero when
-	// the snapshot came from a full BuildIndex (or none exists). An
-	// aggregated engine reports its slowest member's, mirroring BuildTime.
+	// LastRefreshDuration is how long the fold that published the serving
+	// snapshot took — the cost of the last O(dirty) fold-and-swap an
+	// acknowledged write paid. Zero when the snapshot came from a full
+	// BuildIndex (or none exists). An aggregated engine reports its slowest
+	// member's, mirroring BuildTime.
 	LastRefreshDuration time.Duration
 	// Query-cache counters (all zero unless the engine was built with
 	// WithQueryCache, or shard.Config.CacheSize for a cluster). Hits and

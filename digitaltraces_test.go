@@ -196,11 +196,11 @@ func TestRefreshIncremental(t *testing.T) {
 	if m[0].Degree != 0 {
 		t.Fatalf("a and b should be unassociated: %+v", m)
 	}
-	// b moves to alice's cafe: Refresh folds it in.
+	// b moves to alice's cafe: the write folds it in.
 	if err := db.AddVisit("b", "cafe-a", t0.Add(2*time.Hour), t0.Add(5*time.Hour)); err != nil {
 		t.Fatal(err)
 	}
-	m, _, err = db.TopK("a", 1) // triggers Refresh
+	m, _, err = db.TopK("a", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,10 +209,7 @@ func TestRefreshIncremental(t *testing.T) {
 	}
 	// A visit far past everything the index was built over folds in too.
 	if err := db.AddVisit("b", "cafe-a", t0.Add(100*time.Hour), t0.Add(101*time.Hour)); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Refresh(); err != nil {
-		t.Fatalf("Refresh of a visit past the built data: %v", err)
+		t.Fatalf("fold of a visit past the built data: %v", err)
 	}
 	if _, _, err := db.TopK("a", 1); err != nil {
 		t.Fatal(err)

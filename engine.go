@@ -13,7 +13,8 @@ import (
 // Engine is the query-serving contract shared by a single *DB and any
 // composition of DBs (package shard's entity-partitioned Cluster). It covers
 // everything the HTTP layer (package server) and batch tooling need: the
-// three query modes, bulk ingest, index maintenance, and shape statistics.
+// three query modes, bulk ingest, index builds and persistence, and shape
+// statistics.
 //
 // Every Engine implementation in this repository answers queries exactly:
 // composing DBs must preserve the single-DB answer bit-for-bit (entities,
@@ -28,21 +29,23 @@ type Engine interface {
 	// TopKBatch answers top-k for every named entity over a worker pool.
 	TopKBatch(entities []string, k, workers int) (map[string][]Match, QueryStats, error)
 	// AddVisits bulk-ingests visit records, returning how many were stored.
-	// On error the count is authoritative and the error names the failing
-	// record's index; which records around the failure were kept is
-	// implementation-defined (a single DB keeps the prefix before the
-	// failing record, a partitioned engine keeps each partition's prefix —
-	// records after the failing index routed to other partitions may be
-	// stored). Callers must not blindly re-send the suffix after a failure.
+	// Once the engine has an index, the stored visits are indexed when the
+	// call returns: every query issued afterwards sees them. On error the
+	// count is authoritative and the error names the failing record's index;
+	// which records around the failure were kept is implementation-defined
+	// (a single DB keeps the prefix before the failing record, a partitioned
+	// engine keeps each partition's prefix — records after the failing index
+	// routed to other partitions may be stored). Callers must not blindly
+	// re-send the suffix after a failure. An error with every record counted
+	// is a failed fold: the visits are stored, and a later write or
+	// BuildIndex folds them.
 	AddVisits(visits []VisitRecord) (int, error)
 	// BuildIndex (re)builds the index over all current visits.
 	BuildIndex() error
-	// Refresh folds visits added since the last build into the index.
-	Refresh() error
 	// SaveIndex persists the serving index to w as one image — entity table,
 	// names, engine scalars, level sizes, the level-1 cell index and every
-	// entity's sequences, page-aligned — folding pending dirt first so the
-	// image covers everything ingested so far.
+	// entity's sequences, page-aligned — covering every write acknowledged
+	// so far.
 	SaveIndex(w io.Writer) (int64, error)
 	// OpenIndex maps the image at path read-only and serves queries straight
 	// off it, with no visit re-ingest and no rebuild: restart cost is the

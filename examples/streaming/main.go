@@ -3,9 +3,10 @@
 // absorbs them incrementally while queries keep running.
 //
 // The program indexes an initial day of data, then streams six more days
-// hour by hour; after each day it refreshes the index incrementally and
-// re-runs a standing watchlist query, showing how the answer evolves as a
-// tracked device's companion changes behavior mid-week.
+// hour by hour; every visit is folded into the index incrementally before
+// AddVisit returns, and after each day a standing watchlist query re-runs,
+// showing how the answer evolves as a tracked device's companion changes
+// behavior mid-week.
 package main
 
 import (
@@ -66,6 +67,7 @@ func main() {
 	fmt.Printf("day 0 indexed: %d entities\n", db.NumEntities())
 
 	for day := 1; day < days; day++ {
+		start := time.Now()
 		// The crowd keeps moving.
 		for d := 0; d < 60; d++ {
 			addRandomDay(fmt.Sprintf("device-%02d", d), day)
@@ -83,17 +85,12 @@ func main() {
 		} else {
 			addRandomDay("shadow", day)
 		}
-
-		start := time.Now()
-		if err := db.Refresh(); err != nil {
-			log.Fatal(err)
-		}
-		refresh := time.Since(start)
+		ingest := time.Since(start)
 		matches, stats, err := db.TopK("target", 3)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("day %d: refresh %v | top-3 for target: ", day, refresh.Round(time.Microsecond))
+		fmt.Printf("day %d: ingest+fold %v | top-3 for target: ", day, ingest.Round(time.Microsecond))
 		for i, m := range matches {
 			if i > 0 {
 				fmt.Print(", ")

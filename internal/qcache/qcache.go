@@ -9,9 +9,9 @@
 // cached answer at zero per-entry cost. The cache never extends an answer's
 // life across versions; it only short-circuits repeats within one.
 //
-// Soundness rests on two engine facts: versions only grow, and a version is
-// usable only while its state covers every acknowledged write — dirt is
-// retired only by a publish, which moves the version. So a version read
+// Soundness rests on two engine facts: versions only grow, and a usable
+// version's state covers every acknowledged write — a write is acknowledged
+// only once a publish covers it, and a publish moves the version. So a version read
 // usable and equal before and after a computation proves the computation saw
 // exactly that version's state, every read it made included (a cluster
 // TopK's home-shard visits, say): a change in between would have moved the

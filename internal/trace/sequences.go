@@ -308,7 +308,7 @@ func Intersection(a, b []Cell) []Cell {
 //
 // A Store supports two copying modes. Clone is the flat copy: a fresh table
 // and overlay sharing the *Sequences values, O(|E|). Derive is the
-// copy-on-write derivation the root package's incremental Refresh runs on:
+// copy-on-write derivation the root package's incremental folds run on:
 // the derived store shares the parent's table, frozen from then on, and
 // records its own writes in its overlay, so deriving costs O(|parent
 // overlay|) — the entities written since the last compaction — never O(|E|).
@@ -454,7 +454,7 @@ func (st *Store) Clone() *Store {
 // Derive returns a copy-on-write child sharing this store's entries: reads
 // fall through to the shared frozen table, writes land in the child's
 // private overlay. The receiver is frozen from here on (Put panics) — the
-// copy-on-write seam the root package's incremental Refresh derives new
+// copy-on-write seam the root package's incremental folds derive new
 // index snapshots through. Cost is O(|overlay|), not O(|E|); see the Store
 // comment for the layering and compaction rules.
 func (st *Store) Derive() *Store {

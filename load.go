@@ -14,7 +14,6 @@ import (
 
 	"digitaltraces/internal/core"
 	"digitaltraces/internal/mmap"
-	"digitaltraces/internal/parallel"
 	"digitaltraces/internal/secfile"
 	"digitaltraces/internal/storage"
 	"digitaltraces/internal/trace"
@@ -34,13 +33,14 @@ import (
 // configuration. A refused open leaves the DB exactly as it found it: every
 // check runs before the first field is written.
 //
-// No visit acknowledged before the open is lost: each entity then serves
-// the union of what the image covers, what the DB had already folded, and its
-// pending visits, which the next fold unions in like any others (exact — cell
-// sets union idempotently). The image's covered counts only spare work: an
-// empty registry adopts them, and a registered entity whose count the image
-// matches — it covers every visit the entity has ingested — has nothing left
-// pending. Close unmaps the file — stop queries first.
+// No visit acknowledged before the open is lost, and none stays pending:
+// each entity serves the union of what the image covers, what the DB had
+// already folded, and its pending visits, all folded before the open
+// publishes (exact — cell sets union idempotently). The image's covered
+// counts only spare work: an empty registry adopts them, and a registered
+// entity whose count the image matches — it covers every visit the entity
+// has ingested — needs no fold at all. Close unmaps the file — stop queries
+// first.
 func (db *DB) OpenIndex(path string) error {
 	m, err := mmap.Open(path)
 	if err != nil {
@@ -53,6 +53,21 @@ func (db *DB) OpenIndex(path string) error {
 	db.mu.Lock()
 	db.mappings = append(db.mappings, m)
 	db.mu.Unlock()
+	return nil
+}
+
+// Close unmaps the index file mappings OpenIndex made. Close is idempotent
+// and the error is always nil (the signature is io.Closer-shaped for
+// composition). A heap-served DB stays usable after Close, but a mapped DB's
+// snapshots must not be queried after Close unmaps their backing.
+func (db *DB) Close() error {
+	db.mu.Lock()
+	maps := db.mappings
+	db.mappings = nil
+	db.mu.Unlock()
+	for _, m := range maps {
+		m.Close()
+	}
 	return nil
 }
 
@@ -90,13 +105,14 @@ func (db *DB) OpenIndexAt(r io.ReaderAt, size int64) error {
 	// table, which must then be dense and free of repeated names; a populated
 	// one must already agree with it on every (name, ID) pair. There, an
 	// entity whose every ingested visit the image covers — its count matches
-	// — leaves nothing pending (drop); any other keeps its pending tail and,
-	// if the DB had folded some of its visits, serves their union with the
-	// image (carry). buildMu keeps the folded counts stable: writers grow
-	// ingested and pending together.
+	// — leaves nothing pending (drop); any other is folded into the image's
+	// snapshot before it publishes: the union of the image, what the DB
+	// serves for it (if it had folded some of its visits) and its pending
+	// tail, captured in the view v. buildMu keeps the folded counts stable:
+	// writers grow ingested and pending together.
 	var (
-		carry []trace.EntityID
-		drop  = map[trace.EntityID]int{}
+		v    view
+		drop = map[trace.EntityID]int{}
 	)
 	db.mu.RLock()
 	fresh := len(db.byID) == 0
@@ -119,14 +135,17 @@ func (db *DB) OpenIndexAt(r io.ReaderAt, size int64) error {
 	}
 	for id, n := range db.ingested {
 		e := trace.EntityID(id)
-		tail := len(db.pending[e])
-		switch c, ok := covered[e]; {
-		case ok && c != core.FoldedUnknown && c == n:
-			drop[e] = tail
-		case int(n) > tail:
-			carry = append(carry, e)
+		tail := db.pending[e]
+		if c, ok := covered[e]; ok && c != core.FoldedUnknown && c == n {
+			drop[e] = len(tail)
+			continue
+		}
+		if n > 0 {
+			v.ids = append(v.ids, e)
+			v.recs = append(v.recs, tail[:len(tail):len(tail)])
 		}
 	}
+	v.seq = db.writeSeq
 	db.mu.RUnlock()
 	if err != nil {
 		return err
@@ -138,16 +157,20 @@ func (db *DB) OpenIndexAt(r io.ReaderAt, size int64) error {
 	}
 	store := trace.NewBackedStore(db.ix, pool)
 	ns := &snapshot{store: store, post: snap.MappedPostings(db.ix, store), measure: measure, pool: pool}
-	if err := db.carryFolded(ns, carry); err != nil {
-		return err
+	if len(v.ids) > 0 {
+		store = db.fold(v.ids, v.recs, ns, db.snap.Load())
+		if ns.post, err = ns.post.Derive(store, v.ids); err != nil {
+			return fmt.Errorf("digitaltraces: opening index: %w", err)
+		}
+		ns.store = store
 	}
 	// The open is this lineage's full construction: its cost is reported
 	// where a cold lineage reports BuildIndex's.
 	ns.buildTime = time.Since(start)
 	// Every check has passed; from here the open only writes, all of it one
 	// atomic step against writers: adopt names, counts and epoch on a fresh
-	// registry, or drop the covered pending visits on a populated one, and
-	// publish.
+	// registry, or drop the covered and the folded pending visits on a
+	// populated one, and publish. Nothing acknowledged stays pending.
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if fresh {
@@ -174,32 +197,7 @@ func (db *DB) OpenIndexAt(r io.ReaderAt, size int64) error {
 		}
 	}
 	ns.byID = db.byID[:len(db.byID):len(db.byID)]
-	db.swapIn(ns)
-	return nil
-}
-
-// carryFolded makes ns, the image's snapshot, cover what the DB had already
-// folded for the carry entities: each serves the union of its image and its
-// currently served sequences. Callers hold buildMu.
-func (db *DB) carryFolded(ns *snapshot, carry []trace.EntityID) error {
-	if len(carry) == 0 {
-		return nil
-	}
-	old := db.snap.Load()
-	merged := make([]*trace.Sequences, len(carry))
-	parallel.For(len(carry), func(i int) {
-		e := carry[i]
-		merged[i] = trace.NewSequencesMerged(db.ix, e, nil, old.store.Get(e), ns.store.Get(e))
-	})
-	store := ns.store.Derive()
-	for _, s := range merged {
-		store.Put(s)
-	}
-	post, err := ns.post.Derive(store, carry)
-	if err != nil {
-		return fmt.Errorf("digitaltraces: opening index: %w", err)
-	}
-	ns.store, ns.post = store, post
+	db.publishLocked(ns, v)
 	return nil
 }
 

@@ -124,7 +124,7 @@ func TestLoadMappedIndexReingestedLog(t *testing.T) {
 }
 
 // TestMappedUnionFoldRefresh: visits ingested after a no-ingest mapped load
-// are only a suffix of each entity's history, so refreshes must union them
+// are only a suffix of each entity's history, so their folds must union them
 // into the mapped sequences — ending bit-identical to a cold rebuild over
 // the full grown log — growth inside the saved data's time span and far past
 // it alike.
@@ -146,13 +146,13 @@ func TestMappedUnionFoldRefresh(t *testing.T) {
 		return added
 	}
 
-	// Growth inside the saved span: the next query union-folds it.
+	// Growth inside the saved span: the write union-folds it.
 	added := grow(6)
 	if _, err := db.AddVisits(added); err != nil {
 		t.Fatal(err)
 	}
-	if st := db.IndexStats(); st.DirtyCount != 2 {
-		t.Errorf("dirty count after growth = %d, want 2", st.DirtyCount)
+	if st := db.IndexStats(); st.DirtyCount != 0 {
+		t.Errorf("dirty count after growth = %d, want 0", st.DirtyCount)
 	}
 	rebuilt := freshGrid(t, append(append([]VisitRecord{}, log...), added...))
 	if err := rebuilt.BuildIndex(); err != nil {
@@ -244,9 +244,6 @@ func TestMappedIndexGainsCellIndexAtBuild(t *testing.T) {
 	grown := VisitRecord{Entity: "p03", Venue: VenueName(9), Start: TimeAt(40), End: TimeAt(41)}
 	for _, e := range []*DB{src, db} {
 		if _, err := e.AddVisits([]VisitRecord{grown}); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Refresh(); err != nil {
 			t.Fatal(err)
 		}
 	}

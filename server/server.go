@@ -7,7 +7,7 @@
 //
 //	GET/POST /topk        one top-k query (?entity=alice&k=10, or JSON body)
 //	POST     /topk/batch  many top-k queries on the worker pool (TopKBatch)
-//	POST     /visits      ingest visit records; optional immediate refresh
+//	POST     /visits      ingest visit records, indexed when the reply arrives
 //	POST     /index/save  persist the serving index image to the
 //	                      configured path (WithIndexPath / serve -index)
 //	GET      /stats       index + server statistics: snapshot generation and
@@ -62,6 +62,7 @@ type Server struct {
 	ingested   atomic.Int64 // visits accepted via /visits
 	errors     atomic.Int64 // requests answered with a non-2xx status
 	queryNanos atomic.Int64 // cumulative /topk + /topk/batch wall time
+	hasIndex   atomic.Bool  // the engine has published an index (indexed)
 }
 
 // Option customizes a Server.
@@ -260,9 +261,9 @@ type Visit struct {
 	End    time.Time `json:"end"`
 }
 
-// VisitsRequest is the /visits POST body. With Refresh true the new visits
-// are folded into the index before replying; otherwise they are folded in
-// lazily by the next query.
+// VisitsRequest is the /visits POST body. Once the engine has an index, the
+// visits are indexed when the reply arrives. Refresh is accepted and
+// ignored, for clients that still send it.
 type VisitsRequest struct {
 	Visits  []Visit `json:"visits"`
 	Refresh bool    `json:"refresh"`
@@ -272,7 +273,8 @@ type VisitsRequest struct {
 // engine's authoritative count of records actually stored, so a client
 // receiving an error knows how much of its batch landed (on a sharded
 // engine, records after the failing one may have; see Engine.AddVisits)
-// instead of guessing from the error text.
+// instead of guessing from the error text. Refreshed reports that the
+// engine has an index, which then covers the added visits.
 type VisitsResponse struct {
 	Added     int    `json:"added"`
 	Refreshed bool   `json:"refreshed"`
@@ -298,7 +300,13 @@ func (s *Server) handleVisits(w http.ResponseWriter, r *http.Request) {
 	}
 	added, err := s.eng.AddVisits(recs)
 	s.ingested.Add(int64(added))
-	if err != nil {
+	switch {
+	case err != nil && added == len(recs):
+		// Every visit is stored but the fold that indexes them failed; keep
+		// telling the client how many landed.
+		s.failVisits(w, http.StatusConflict, added, fmt.Errorf("indexing: %w", err))
+		return
+	case err != nil:
 		// Some visits are already stored (see the Engine.AddVisits
 		// contract); the error names the failing index and Added tells the
 		// client how many records actually landed. Clients should fix the
@@ -307,17 +315,17 @@ func (s *Server) handleVisits(w http.ResponseWriter, r *http.Request) {
 		s.failVisits(w, http.StatusBadRequest, added, err)
 		return
 	}
-	resp := VisitsResponse{Added: added}
-	if req.Refresh {
-		if err := s.eng.Refresh(); err != nil {
-			// The visits are in even though the fold failed; keep telling
-			// the client how many.
-			s.failVisits(w, http.StatusConflict, added, fmt.Errorf("refresh: %w", err))
-			return
-		}
-		resp.Refreshed = true
+	s.reply(w, VisitsResponse{Added: added, Refreshed: s.indexed()})
+}
+
+// indexed reports whether the engine has published an index, after which it
+// indexes every write before acknowledging it. An index never goes away, so
+// the engine is asked only until the answer is yes.
+func (s *Server) indexed() bool {
+	if !s.hasIndex.Load() && s.eng.IndexStats().Generation > 0 {
+		s.hasIndex.Store(true)
 	}
-	s.reply(w, resp)
+	return s.hasIndex.Load()
 }
 
 // failVisits reports an ingest failure without losing the ingest count: the
@@ -430,9 +438,9 @@ type ShardStat struct {
 // the engine is sharded. Generation counts index snapshot swaps (a cluster
 // sums its shards') and LastSwap is when the serving snapshot last changed —
 // together they let operators verify that ingest is actually reaching the
-// serving index without ever blocking it. DirtyCount and LastRefreshMS
-// complete the picture for the background auto-refresh policy: how much dirt
-// is waiting and what the last incremental fold cost.
+// serving index without ever blocking it. DirtyCount is what is not indexed
+// yet (everything before the first build, writes in flight after it) and
+// LastRefreshMS what the last acknowledged write's fold cost.
 type StatsResponse struct {
 	Index struct {
 		Entities      int     `json:"entities"`

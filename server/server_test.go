@@ -119,7 +119,8 @@ func TestBatchOverHTTP(t *testing.T) {
 	}
 }
 
-// TestVisitIngestOverHTTP: ingested visits become queryable after refresh.
+// TestVisitIngestOverHTTP: ingested visits are queryable when the reply
+// arrives, with or without the (ignored) refresh flag.
 func TestVisitIngestOverHTTP(t *testing.T) {
 	_, ts := newTestServer(t)
 	epoch := time.Unix(0, 0).UTC()
@@ -148,8 +149,8 @@ func TestVisitIngestOverHTTP(t *testing.T) {
 	if st.Server.VisitsIngested != 2 || st.Server.Queries == 0 {
 		t.Errorf("server counters: %+v", st.Server)
 	}
-	// The refresh-on-ingest swapped a second snapshot in; /stats reports the
-	// generation counter, the swap timestamp, and the drained dirty set.
+	// The ingest swapped a second snapshot in; /stats reports the generation
+	// counter, the swap timestamp, and the drained dirty set.
 	if st.Index.Generation < 2 {
 		t.Errorf("generation = %d after build+refresh, want ≥ 2", st.Index.Generation)
 	}
@@ -160,15 +161,68 @@ func TestVisitIngestOverHTTP(t *testing.T) {
 		t.Errorf("dirty_count = %d after refresh, want 0", st.Index.DirtyCount)
 	}
 
-	// Ingest without refresh leaves the dirt visible until the next fold.
+	// A body without refresh is indexed when the reply arrives too.
+	gen := st.Index.Generation
+	ing = VisitsResponse{}
 	if code, body := postJSON(t, ts.URL+"/visits", VisitsRequest{Visits: []Visit{
 		{Entity: "straggler", Venue: "venue-2", Start: epoch.Add(2 * time.Hour), End: epoch.Add(3 * time.Hour)},
-	}}, nil); code != http.StatusOK {
+	}}, &ing); code != http.StatusOK {
 		t.Fatalf("POST /visits without refresh: %d: %s", code, body)
 	}
+	if ing.Added != 1 || !ing.Refreshed {
+		t.Fatalf("ingest reply without refresh = %+v, want 1 added and refreshed", ing)
+	}
 	getJSON(t, ts.URL+"/stats", &st)
-	if st.Index.DirtyCount != 1 {
-		t.Errorf("dirty_count = %d after unfolded ingest, want 1", st.Index.DirtyCount)
+	if st.Index.DirtyCount != 0 || st.Index.Generation != gen+1 || st.Index.Entities != 42 {
+		t.Errorf("after ingest without refresh: dirty %d, generation %d → %d, %d entities; want the straggler folded",
+			st.Index.DirtyCount, gen, st.Index.Generation, st.Index.Entities)
+	}
+	getJSON(t, ts.URL+"/topk?entity=straggler&k=3", &got)
+	if len(got.Matches) != 3 {
+		t.Fatalf("straggler not queryable: %+v", got)
+	}
+}
+
+// foldFailing is an engine whose every write stores its records and then
+// fails to fold them.
+type foldFailing struct{ digitaltraces.Engine }
+
+func (e foldFailing) AddVisits(visits []digitaltraces.VisitRecord) (int, error) {
+	n, err := e.Engine.AddVisits(visits)
+	if err == nil {
+		err = fmt.Errorf("fold failed")
+	}
+	return n, err
+}
+
+// TestVisitsFoldFailure: a fold that fails after the records are stored
+// answers 409 with the stored count, as a refused record answers 400 with
+// the count before it.
+func TestVisitsFoldFailure(t *testing.T) {
+	db, _ := newTestServer(t)
+	ts := httptest.NewServer(New(foldFailing{db}))
+	defer ts.Close()
+	epoch := time.Unix(0, 0).UTC()
+	visits := []Visit{
+		{Entity: "newcomer", Venue: "venue-0", Start: epoch.Add(time.Hour), End: epoch.Add(2 * time.Hour)},
+		{Entity: "newcomer", Venue: "venue-1", Start: epoch.Add(3 * time.Hour), End: epoch.Add(4 * time.Hour)},
+	}
+	var ing VisitsResponse
+	code, body := postJSON(t, ts.URL+"/visits", VisitsRequest{Visits: visits}, nil)
+	if code != http.StatusConflict || json.Unmarshal([]byte(body), &ing) != nil {
+		t.Fatalf("POST /visits with a failing fold: %d: %s, want 409", code, body)
+	}
+	if ing.Added != 2 || ing.Refreshed || !strings.Contains(ing.Error, "fold failed") {
+		t.Fatalf("reply %+v, want 2 added, not refreshed, the fold's error", ing)
+	}
+	visits[1].Venue = "no-such-venue"
+	ing = VisitsResponse{}
+	code, body = postJSON(t, ts.URL+"/visits", VisitsRequest{Visits: visits}, nil)
+	if code != http.StatusBadRequest || json.Unmarshal([]byte(body), &ing) != nil {
+		t.Fatalf("POST /visits with a refused record: %d: %s, want 400", code, body)
+	}
+	if ing.Added != 1 {
+		t.Fatalf("reply %+v, want 1 added before the refused record", ing)
 	}
 }
 

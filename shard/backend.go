@@ -29,9 +29,11 @@ import (
 // time unit and venue hierarchy — NewCluster verifies — so every member
 // discretizes a visit to the same ST-cells.
 type Backend interface {
-	// AddVisit and AddVisits ingest, with the single-DB partial-failure
-	// contract: the count is authoritative, the error names the failing
-	// record's index within the slice.
+	// AddVisit and AddVisits ingest, with the single-DB contracts: once the
+	// shard has an index the visits are indexed when the call returns, the
+	// count is authoritative, the error names the failing record's index
+	// within the slice, and an error with every record counted is a failed
+	// fold of stored visits.
 	AddVisit(entity, venue string, start, end time.Time) error
 	AddVisits(visits []digitaltraces.VisitRecord) (int, error)
 	// VisitsOf resolves an entity's visits with the exact round-tripping
@@ -48,11 +50,10 @@ type Backend interface {
 	// same snapshot out to sibling shards (TopK must never mix two states of
 	// the query entity).
 	OpenSearchEntity(entity string, want int) ([]digitaltraces.Visit, Stream, Batch, error)
-	// BuildIndex rebuilds the shard's index; Refresh folds pending dirt.
+	// BuildIndex rebuilds the shard's index.
 	BuildIndex() error
-	Refresh() error
 	// Shape and serving state. On a remote shard the mutable values —
-	// NumEntities, SnapshotGeneration, PendingEntities — answer from the
+	// NumEntities and SnapshotGeneration — answer from the
 	// client's last-seen state (every protocol response carries the shard's
 	// current state), so they cost no round trip on the query hot path; see
 	// the single-coordinator caveat in shard/remote.
@@ -62,7 +63,6 @@ type Backend interface {
 	TimeUnit() time.Duration
 	Epoch() (time.Time, bool)
 	SnapshotGeneration() (uint64, bool)
-	PendingEntities() int
 	IndexStats() digitaltraces.IndexStats
 	// SaveIndex writes the shard's index image (DB.SaveIndex) and OpenIndexAt
 	// serves one, for the cluster envelope (persist.go). A local shard serves
@@ -70,8 +70,8 @@ type Backend interface {
 	// which opens it there — either way with DB.OpenIndexAt's checks.
 	SaveIndex(w io.Writer) (int64, error)
 	OpenIndexAt(r io.ReaderAt, size int64) error
-	// Close releases the backend: a local shard stops its auto-refresh
-	// goroutine, a remote client closes its pooled connections.
+	// Close releases the backend: a local shard unmaps its opened images, a
+	// remote client closes its pooled connections.
 	Close() error
 }
 

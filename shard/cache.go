@@ -2,8 +2,8 @@ package shard
 
 // The cluster's side of the hot-query cache (internal/qcache, whose doc
 // comment carries the soundness argument): the version is the slot-map epoch
-// plus the vector of shard snapshot generations, usable while every
-// non-empty shard's snapshot covers its acknowledged writes.
+// plus the vector of shard snapshot generations, usable once every non-empty
+// shard has published a snapshot, which covers its acknowledged writes.
 
 import (
 	"encoding/binary"
@@ -15,20 +15,17 @@ import (
 
 // cacheVersion returns the cluster's serving version — the slot-map epoch
 // followed by the shard snapshot generations, also returned decoded for
-// traces — and whether it is usable: every non-empty shard has a snapshot
-// and no unfolded visits. Each shard's pending count is read before its
-// generation, so zero proves the generation covers every write the shard
-// acknowledged. An empty shard contributes generation 0, unambiguous since a
-// first publish makes 1. The epoch makes a slot migration invalidate like a
-// refresh; answers are placement-independent, so that is defense-in-depth.
+// traces — and whether it is usable: every non-empty shard has a snapshot.
+// A shard acknowledges a write only once a published snapshot covers it, so
+// its generation covers every write it acknowledged. An empty shard
+// contributes generation 0, unambiguous since a first publish makes 1. The
+// epoch makes a slot migration invalidate like a write; answers are
+// placement-independent, so that is defense-in-depth.
 func (c *Cluster) cacheVersion() (string, []uint64, bool) {
 	gens := make([]uint64, len(c.shards))
 	buf := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+8*len(c.shards)), c.slotmap().epoch)
 	for i, sh := range c.shards {
 		if sh.NumEntities() > 0 {
-			if sh.PendingEntities() > 0 {
-				return "", nil, false
-			}
 			gen, ok := sh.SnapshotGeneration()
 			if !ok {
 				return "", nil, false

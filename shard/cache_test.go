@@ -176,10 +176,9 @@ func TestClusterCacheStatsAggregation(t *testing.T) {
 			st.CacheHits, st.CacheMisses, st.CacheEntries)
 	}
 
-	// While a shard is dirty the version vector is unusable: queries must
-	// fan out (no hit) yet stay correct. snapshotForQuery folds lazily on
-	// the home shard only, so dirty OTHER shards keep the vector unusable
-	// until a refresh.
+	// A write moves its shard's generation before it is acknowledged, so
+	// the version vector moves with it: the next query must fan out (no
+	// hit) yet stay correct.
 	if _, err := c.AddVisits([]digitaltraces.VisitRecord{{
 		Entity: "e002", Venue: digitaltraces.VenueName(2),
 		Start: digitaltraces.TimeAt(0), End: digitaltraces.TimeAt(1),

@@ -1,7 +1,7 @@
 // Package shard scales digitaltraces horizontally inside one process: a
 // Cluster partitions entities across N independent digitaltraces.DB shards
 // through a versioned slot map, routes ingest to each entity's owning shard,
-// builds and refreshes all shards in parallel, and answers top-k queries by
+// builds all shards in parallel, and answers top-k queries by
 // threshold-pruned scatter-gather — resolve the query entity's visits on its
 // home shard, open one incremental exact-rank search per shard over that one
 // visit snapshot, and pull per-shard results only down to the merged k-th
@@ -164,9 +164,7 @@ func Local(db *digitaltraces.DB) Backend { return local{db} }
 // data would differ per shard and skew time discretization across the
 // partition).
 //
-// On error, shards already constructed are Closed — a shard built with
-// digitaltraces.WithAutoRefresh starts a background goroutine at
-// construction, which would otherwise outlive the failed cluster.
+// On error, shards already constructed are Closed.
 func NewCluster(cfg Config) (_ *Cluster, err error) {
 	var shards []Backend
 	defer func() {
@@ -255,7 +253,7 @@ func Partition(src *digitaltraces.DB, cfg Config) (_ *Cluster, err error) {
 	}
 	defer func() {
 		if err != nil {
-			c.Close() // stop any per-shard auto-refresh goroutines
+			c.Close()
 		}
 	}()
 	// The shards must discretize src's visits to the same ST-cells, or the
@@ -300,16 +298,19 @@ func (c *Cluster) AddVisit(entity, venue string, start, end time.Time) error {
 // AddVisits bulk-ingests visits: records are grouped by owning shard
 // (preserving arrival order within each group) and the groups are forwarded
 // in parallel, one ingest-lock acquisition per shard. It returns the total
-// number of visits stored.
+// number of visits stored, each indexed by its shard (once built) when the
+// call returns.
 //
 // Partial-failure semantics are per shard: each shard keeps the prefix of
 // its group before its first failing record (exactly DB.AddVisits), so —
 // unlike a single DB — records routed to other shards after the failing
 // one are still stored. The returned error names the failing record's index
-// in the original slice (the smallest, if several shards failed). Entity
-// ordinals are reserved at arrival even for records that then fail
-// validation; this only matters for degree-tie order and only if the same
-// new entities are later replayed to a single DB in a different order.
+// in the original slice (the smallest, if several shards failed). Without a
+// refused record, an error is the failed folds of shards that stored their
+// whole group, as from DB.AddVisits. Entity ordinals are reserved at arrival
+// even for records that then fail validation; this only matters for
+// degree-tie order and only if the same new entities are later replayed to a
+// single DB in a different order.
 func (c *Cluster) AddVisits(visits []digitaltraces.VisitRecord) (int, error) {
 	n := len(c.shards)
 	// Fence every slot this batch touches (read side, ascending slot order
@@ -356,9 +357,16 @@ func (c *Cluster) AddVisits(visits []digitaltraces.VisitRecord) (int, error) {
 		total += cnt
 	}
 	failIdx := -1
-	var failErr error
+	var (
+		failErr  error
+		foldErrs []error
+	)
 	for s, err := range errs {
 		if err == nil {
+			continue
+		}
+		if counts[s] == len(groups[s]) { // every record stored: the fold failed
+			foldErrs = append(foldErrs, fmt.Errorf("shard %d: %w", s, err))
 			continue
 		}
 		oi := origIdx[s][counts[s]] // the shard stored counts[s] records, so its group's counts[s]-th failed
@@ -372,7 +380,7 @@ func (c *Cluster) AddVisits(visits []digitaltraces.VisitRecord) (int, error) {
 		}
 		return total, fmt.Errorf("visit %d: %w", failIdx, failErr)
 	}
-	return total, nil
+	return total, errors.Join(foldErrs...)
 }
 
 // TopK returns the k entities most closely associated with the named entity,
@@ -392,8 +400,8 @@ func (c *Cluster) AddVisits(visits []digitaltraces.VisitRecord) (int, error) {
 // cluster-wide population, so they are comparable with single-DB numbers.
 //
 // With Config.CacheSize set, repeat queries against an unchanged cluster
-// (same shard snapshot generations, nothing dirty) are answered from the
-// cluster cache with no fan-out at all, QueryStats.CacheHit set.
+// (same shard snapshot generations) are answered from the cluster cache with
+// no fan-out at all, QueryStats.CacheHit set.
 func (c *Cluster) TopK(entity string, k int) ([]digitaltraces.Match, digitaltraces.QueryStats, error) {
 	return c.topKTraced(entity, k, 0)
 }
@@ -691,12 +699,12 @@ func (c *Cluster) Levels() int {
 
 // IndexStats returns cluster totals: sums of every shard's index shape,
 // snapshot generation (total swaps cluster-wide) and dirty count (entities
-// awaiting a fold anywhere in the cluster), except BuildTime and
-// LastRefreshDuration — the slowest shard's, the parallel critical path a
-// machine with ≥ NumShards cores sees — and LastSwap, the latest shard swap
-// (when the cluster's serving state last changed anywhere). The cache
-// counters are the cluster-level cache's own: shards' caches never serve a
-// cluster query.
+// awaiting a fold anywhere in the cluster: writes in flight, or shards not
+// built yet), except BuildTime and LastRefreshDuration — the slowest
+// shard's, the parallel critical path a machine with ≥ NumShards cores sees
+// — and LastSwap, the latest shard swap (when the cluster's serving state
+// last changed anywhere). The cache counters are the cluster-level cache's
+// own: shards' caches never serve a cluster query.
 func (c *Cluster) IndexStats() digitaltraces.IndexStats {
 	agg := digitaltraces.IndexStats{Latencies: c.tracer.Summaries()}
 	if c.cache != nil {
@@ -730,11 +738,8 @@ func (c *Cluster) IndexStats() digitaltraces.IndexStats {
 	return agg
 }
 
-// Close closes every shard, stopping any per-shard background auto-refresh
-// goroutines (shards constructed with digitaltraces.WithAutoRefresh fold
-// their own partitions' dirt independently), then unmaps any cluster envelope
-// opened by OpenIndex — after the shards, since their snapshots read
-// through it. Idempotent, like DB.Close; a mapped cluster must not be
+// Close closes every shard, then unmaps any cluster envelope opened by
+// OpenIndex — after the shards, since their snapshots read through it. Idempotent, like DB.Close; a mapped cluster must not be
 // queried after Close.
 func (c *Cluster) Close() error {
 	var errs []error

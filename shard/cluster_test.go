@@ -1,9 +1,11 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -204,12 +206,6 @@ func TestClusterConcurrentIngest(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := db.Refresh(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Refresh(); err != nil {
-		t.Fatal(err)
-	}
 	if c.NumEntities() != db.NumEntities() {
 		t.Fatalf("after ingest: cluster %d entities, source %d", c.NumEntities(), db.NumEntities())
 	}
@@ -273,9 +269,6 @@ func TestClusterMultiWriterRace(t *testing.T) {
 	}
 	if got, want := c.NumEntities(), cityEntities+writers*perWriter; got != want {
 		t.Fatalf("NumEntities = %d, want %d", got, want)
-	}
-	if err := c.Refresh(); err != nil {
-		t.Fatal(err)
 	}
 	// Every racer ties with every other racer; repeated queries must return
 	// the same deterministic tie order now that ingest has quiesced.
@@ -481,8 +474,8 @@ func TestRouterDeterminism(t *testing.T) {
 }
 
 // TestRefreshBeyondHorizon: visits far past everything the shards were
-// built over fold in by an incremental Refresh of the shards they route to —
-// the cluster's generation moves by one per refreshed shard, no shard
+// built over fold in incrementally on the shards they route to as they are
+// written — the cluster's generation moves by one per write, no shard
 // rebuilds, and the answers equal a single DB built over the same data.
 func TestRefreshBeyondHorizon(t *testing.T) {
 	db := testCity(t)
@@ -502,9 +495,6 @@ func TestRefreshBeyondHorizon(t *testing.T) {
 		if err := e.AddVisit("entity-5", "venue-0", far.Add(time.Hour), far.Add(3*time.Hour)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := c.Refresh(); err != nil {
-		t.Fatalf("Refresh: %v", err)
 	}
 	after := c.IndexStats()
 	if moved := after.Generation - before.Generation; moved < 1 || moved > 2 || after.BuildTime != before.BuildTime || after.LastRefreshDuration <= 0 || after.DirtyCount != 0 {
@@ -528,13 +518,12 @@ func TestRefreshBeyondHorizon(t *testing.T) {
 }
 
 // TestClusterDirtyAggregationAndAutoRefresh: IndexStats sums per-shard dirty
-// counts; shards built with digitaltraces.WithAutoRefresh fold their own
-// partitions' dirt in the background; Close stops every shard's goroutine
-// and is idempotent.
+// counts; before the build every shard's visits are pending, and after it
+// each shard folds its partition's writes automatically, before they are
+// acknowledged; Close is idempotent.
 func TestClusterDirtyAggregationAndAutoRefresh(t *testing.T) {
 	c, err := NewCluster(Config{Shards: 3, NewShard: func(i int) (*digitaltraces.DB, error) {
-		return digitaltraces.NewGridDB(citySide, cityLevels,
-			digitaltraces.WithAutoRefresh(1, 0))
+		return digitaltraces.NewGridDB(citySide, cityLevels)
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -550,44 +539,102 @@ func TestClusterDirtyAggregationAndAutoRefresh(t *testing.T) {
 	if _, err := c.AddVisits(visits); err != nil {
 		t.Fatal(err)
 	}
+	// The dirt sits on every shard until the build; the aggregate must sum
+	// the per-shard counts.
+	st := c.IndexStats()
+	sum := 0
+	for _, ss := range c.ShardStats() {
+		sum += ss.Index.DirtyCount
+	}
+	if st.DirtyCount != sum || st.DirtyCount != 30 {
+		t.Fatalf("aggregate dirty %d, shard sum %d, want both 30", st.DirtyCount, sum)
+	}
 	if err := c.BuildIndex(); err != nil {
 		t.Fatal(err)
-	}
-
-	// New dirt lands on every shard; the aggregate must sum the per-shard
-	// counts until the background policies fold it.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st := c.IndexStats()
-		sum := 0
-		for _, ss := range c.ShardStats() {
-			sum += ss.Index.DirtyCount
-		}
-		if st.DirtyCount != sum {
-			t.Fatalf("aggregate dirty %d != shard sum %d", st.DirtyCount, sum)
-		}
-		if st.DirtyCount == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("auto-refresh never drained the cluster: %d dirty", st.DirtyCount)
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
 	gen := c.IndexStats().Generation
 	if _, err := c.AddVisits(visits[:9]); err != nil {
 		t.Fatal(err)
 	}
-	for c.IndexStats().DirtyCount > 0 || c.IndexStats().Generation == gen {
-		if time.Now().After(deadline) {
-			t.Fatal("auto-refresh never folded the second batch")
+	if st := c.IndexStats(); st.DirtyCount > 0 || st.Generation == gen {
+		t.Fatalf("after an acknowledged batch: %d dirty, generation %d → %d; want it folded", st.DirtyCount, gen, st.Generation)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// foldFailing is a shard whose writes, once fail is set, store their records
+// and then fail to fold them.
+type foldFailing struct {
+	Backend
+	fail *atomic.Bool
+}
+
+func (f foldFailing) AddVisits(visits []digitaltraces.VisitRecord) (int, error) {
+	n, err := f.Backend.AddVisits(visits)
+	if err == nil && f.fail.Load() {
+		err = errors.New("fold failed")
+	}
+	return n, err
+}
+
+// TestClusterFoldFailure: a shard that stores a batch and fails to fold it
+// makes the cluster's AddVisits report every record stored plus the fold's
+// error, and makes a slot migration onto it a failed ship — an error, the
+// target marked touched, ownership unchanged.
+func TestClusterFoldFailure(t *testing.T) {
+	var fail atomic.Bool
+	backends := make([]Backend, 2)
+	for i := range backends {
+		db, err := digitaltraces.NewGridDB(citySide, cityLevels)
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(2 * time.Millisecond)
+		backends[i] = Local(db)
 	}
-	if err := c.Close(); err != nil {
+	backends[1] = foldFailing{backends[1], &fail}
+	c, err := NewCluster(Config{Backends: backends})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Close(); err != nil {
+	defer c.Close()
+	log := testCity(t).AllVisits()
+	if _, err := c.AddVisits(log); err != nil {
 		t.Fatal(err)
+	}
+	if err := c.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	fail.Store(true)
+
+	sm := c.slotmap()
+	var onOne, onZero string
+	for _, v := range log {
+		switch sm.Owner(v.Entity) {
+		case 0:
+			onZero = v.Entity
+		case 1:
+			onOne = v.Entity
+		}
+	}
+	batch := []digitaltraces.VisitRecord{
+		{Entity: onZero, Venue: "venue-1", Start: digitaltraces.TimeAt(2), End: digitaltraces.TimeAt(3)},
+		{Entity: onOne, Venue: "venue-2", Start: digitaltraces.TimeAt(2), End: digitaltraces.TimeAt(3)},
+	}
+	if n, err := c.AddVisits(batch); n != len(batch) || err == nil || !strings.Contains(err.Error(), "shard 1: fold failed") {
+		t.Fatalf("AddVisits over a failing fold: stored %d, err %v; want %d and shard 1's fold error", n, err, len(batch))
+	}
+
+	slot := SlotOf(onZero)
+	if err := c.MigrateSlot(slot, 1); err == nil || !strings.Contains(err.Error(), "fold failed") {
+		t.Fatalf("MigrateSlot onto a failing fold: %v, want the fold's error", err)
+	}
+	if after := c.slotmap(); after.assign[slot] != 0 || !after.touched[1] || after.epoch <= sm.epoch {
+		t.Fatalf("after the failed ship: slot on shard %d, target touched %t, epoch %d → %d; want ownership kept, the target touched, a new epoch",
+			after.assign[slot], after.touched[1], sm.epoch, after.epoch)
 	}
 }

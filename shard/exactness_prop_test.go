@@ -217,11 +217,6 @@ func TestPrunedGatherExactnessProperty(t *testing.T) {
 						t.Fatal(err)
 					}
 					comparePaths(t, fmt.Sprintf("dirty/shards=%d", n), db, c, entities, ks)
-					// Re-sync the single DB for the next cluster size: fold
-					// everything so the next Partition replay sees one state.
-					if err := db.Refresh(); err != nil {
-						t.Fatal(err)
-					}
 				}
 			}
 		})

@@ -86,7 +86,7 @@ func RandomLog(rng *rand.Rand, entities, horizonHours int) []digitaltraces.Visit
 }
 
 // Dirt generates fresh in-horizon visits for a random ~30% of the named
-// entities — the post-build lazy-refresh workload every suite replays
+// entities — the post-build incremental-fold workload every suite replays
 // identically into each compared engine.
 func Dirt(rng *rand.Rand, entities, horizonHours int) []digitaltraces.VisitRecord {
 	var dirt []digitaltraces.VisitRecord

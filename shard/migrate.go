@@ -21,8 +21,8 @@ package shard
 //     makes every future query run those shards' streams loose.
 //
 // State ships through the existing ingest primitives — VisitsOf on the
-// source, one AddVisits batch on the target, then a Refresh to warm the
-// target's index — not through the /shard/index image POST: an image open
+// source, one AddVisits batch on the target, which returns with the target's
+// index covering it — not through the /shard/index image POST: an image open
 // replaces a shard's whole index, which is a restart-time operation,
 // while a migration must compose with whatever else the target is serving.
 // The same code therefore moves slots between in-process DBs and remote
@@ -37,11 +37,12 @@ import (
 )
 
 // MigrateSlot moves ownership of one slot to the target shard: ships every
-// owned entity's full visit history to the target, warms the target's index,
-// and publishes a new slot map under a bumped epoch. Ingest for the slot
-// blocks for the duration (queries never block); concurrent queries stay
-// bit-for-bit exact throughout — the property suite's standard. Moving a
-// slot to its current owner is a no-op. On a failed ship the map is
+// owned entity's full visit history to the target, indexed there when the
+// ship returns, and publishes a new slot map under a bumped epoch. Ingest
+// for the slot blocks for the duration (queries never block); concurrent
+// queries stay bit-for-bit exact throughout — the property suite's
+// standard. Moving a slot to its current owner is a no-op. On a failed ship
+// — a refused record or a failed fold on the target — the map is
 // republished with the target marked touched and ownership unchanged: the
 // target may hold a partial foreign copy, which the ownership filter hides
 // forever, and the slot remains fully served by the source.
@@ -103,10 +104,6 @@ func (c *Cluster) MigrateSlot(slot, target int) error {
 			c.publishSlotMap(failed)
 			return fmt.Errorf("shard: migrating slot %d: shipping %d visits to shard %d: %w", slot, len(recs), target, err)
 		}
-		// Warm the target so the move, not the next query, pays the fold.
-		// Warmth only: a query folds the shipped visits lazily otherwise, so a
-		// failed refresh is no error.
-		c.shards[target].Refresh() //nolint:errcheck
 	}
 
 	next := sm.clone()

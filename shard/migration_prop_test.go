@@ -179,10 +179,6 @@ func TestMigrationExactnessProperty(t *testing.T) {
 					}
 				}
 				comparePaths(t, fmt.Sprintf("post-ingest-migration/shards=%d", n), db, c, queries, ks)
-				// Fold the reference so the next cluster size replays one state.
-				if err := db.Refresh(); err != nil {
-					t.Fatal(err)
-				}
 			}
 		})
 	}

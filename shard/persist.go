@@ -33,7 +33,7 @@ const maxShardSection = 1 << 34 // 16 GiB
 
 // SaveIndex persists every shard's index image as an envelope OpenIndex
 // serves on a cluster of the same shard count, local or remote. Shards save
-// in parallel, each folding its own pending dirt first; a shard with no
+// in parallel, each covering every write it acknowledged; a shard with no
 // entities writes an empty section. Implements the digitaltraces.Engine
 // persistence surface.
 func (c *Cluster) SaveIndex(w io.Writer) (int64, error) {

@@ -7,8 +7,7 @@ import (
 
 // runPool runs fn(i) for every i in [0, n) over a bounded pool of workers
 // pulling indices from a shared counter. It is the one fan-out primitive in
-// the package: TopKBatch uses it for queries, eachShard for builds and
-// refreshes.
+// the package: TopKBatch uses it for queries, BuildIndex for builds.
 func runPool(n, workers int, fn func(i int)) {
 	if workers > n {
 		workers = n

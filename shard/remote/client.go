@@ -33,8 +33,8 @@ type Options struct {
 	// hang — and is not retried: the deadline already spent the latency
 	// budget. Default DefaultCallTimeout.
 	CallTimeout time.Duration
-	// ControlTimeout bounds slow control-plane RPCs: build, refresh and
-	// index save/open, which scale with the shard's data. Default
+	// ControlTimeout bounds slow control-plane RPCs: build and index
+	// save/open, which scale with the shard's data. Default
 	// DefaultControlTimeout.
 	ControlTimeout time.Duration
 	// MaxConns caps connections to this shard (idle keep-alives are pooled
@@ -62,9 +62,9 @@ type Metrics struct {
 //
 // # Single-coordinator state caching
 //
-// The client caches the shard's serving state (entity count, pending dirt,
-// snapshot generation) from every protocol response and answers
-// NumEntities/PendingEntities/SnapshotGeneration from that cache, so the
+// The client caches the shard's serving state (entity count, snapshot
+// generation) from every protocol response and answers
+// NumEntities/SnapshotGeneration from that cache, so the
 // coordinator's cache-version derivation costs no round trips. This is
 // sound for the cluster cache under one coordinator — all ingest routes
 // through this client, so state the cache check reads can lag only behind
@@ -168,9 +168,9 @@ func (c *Client) Metrics() Metrics {
 // responses can be applied out of order (concurrent pulls land as they
 // land), and regressing the generation could revive a cache version the
 // server has moved past — a wrong hit, not just a miss. Generations only
-// grow, and within one generation entities and pending only grow (a fold
-// bumps the generation), so newest-by-generation with per-field max inside
-// a generation is always current-or-conservative.
+// grow, and within one generation entities only grow, so
+// newest-by-generation with per-field max inside a generation is always
+// current-or-conservative.
 func (c *Client) adopt(st shardState) {
 	for {
 		cur := c.slotEpoch.Load()
@@ -185,7 +185,6 @@ func (c *Client) adopt(st shardState) {
 		c.st = st
 	case st.Generation == c.st.Generation:
 		c.st.Entities = max(c.st.Entities, st.Entities)
-		c.st.Pending = max(c.st.Pending, st.Pending)
 		c.st.GenOK = c.st.GenOK || st.GenOK
 	}
 }
@@ -325,12 +324,6 @@ func (c *Client) NumEntities() int {
 	return int(c.st.Entities)
 }
 
-func (c *Client) PendingEntities() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return int(c.st.Pending)
-}
-
 func (c *Client) SnapshotGeneration() (uint64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -355,6 +348,11 @@ func (c *Client) AddVisits(visits []digitaltraces.VisitRecord) (int, error) {
 	resp, err := c.ingest(visits)
 	if err != nil {
 		return 0, err
+	}
+	if int(resp.FailIndex) == len(visits) {
+		// Every record stored, then the shard's fold failed: DB.AddVisits'
+		// failed-fold shape, the full count with the fold's error.
+		return int(resp.Stored), fmt.Errorf("shard %s: %s", c.addr, resp.ErrMsg)
 	}
 	if resp.FailIndex >= 0 {
 		// Reassemble DB.AddVisits' partial-failure shape: "visit %d: inner".
@@ -439,14 +437,6 @@ func (c *Client) BuildIndex() error {
 	_, err := c.call("/shard/build", []byte{}, c.ctrlT, true)
 	if err == nil {
 		err = c.refreshStats() // the build moved the generation
-	}
-	return err
-}
-
-func (c *Client) Refresh() error {
-	_, err := c.call("/shard/refresh", []byte{}, c.ctrlT, true)
-	if err == nil {
-		err = c.refreshStats()
 	}
 	return err
 }

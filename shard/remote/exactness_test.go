@@ -139,7 +139,7 @@ func TestRemoteGatherExactnessProperty(t *testing.T) {
 
 				// Dirty a random ~30% of entities with fresh in-horizon
 				// visits, replayed identically into every engine; answers
-				// must agree again with each side folding its own dirt.
+				// must agree again with each side folding its own writes.
 				if dirt := proptest.Dirt(rng, tr.entities, tr.horizonHours); len(dirt) > 0 {
 					if _, err := db.AddVisits(dirt); err != nil {
 						t.Fatal(err)
@@ -150,11 +150,6 @@ func TestRemoteGatherExactnessProperty(t *testing.T) {
 						}
 					}
 					compareEngines(t, fmt.Sprintf("dirty/shards=%d", n), db, localC, remoteC, entities, ks)
-					// Re-sync the single DB for the next cluster size: fold
-					// everything so the next replay sees one state.
-					if err := db.Refresh(); err != nil {
-						t.Fatal(err)
-					}
 				}
 				localC.Close()
 				remoteC.Close()

@@ -83,8 +83,9 @@ func seedLog(t *testing.T, c *Client, seed int64, entities int) []digitaltraces.
 }
 
 // TestRemoteRefreshPastBuiltData: visits far past everything a remote shard
-// was built over fold in through /shard/refresh incrementally — generation +1,
-// the build time kept, the refresh's own duration reported — and the shard
+// was built over fold in incrementally before /shard/ingest answers —
+// generation +1, the build time kept, the fold's own duration reported — and
+// the shard
 // then answers over the wire like a DB built from scratch over the same log.
 func TestRemoteRefreshPastBuiltData(t *testing.T) {
 	_, _, hs := newShardServer(t, ServerConfig{})
@@ -98,9 +99,6 @@ func TestRemoteRefreshPastBuiltData(t *testing.T) {
 	}
 	if n, err := c.AddVisits(late); err != nil || n != len(late) {
 		t.Fatalf("AddVisits: stored %d of %d, err %v", n, len(late), err)
-	}
-	if err := c.Refresh(); err != nil {
-		t.Fatalf("/shard/refresh: %v", err)
 	}
 	after := c.IndexStats()
 	if after.Generation != before.Generation+1 || after.BuildTime != before.BuildTime || after.LastRefreshDuration <= 0 || after.DirtyCount != 0 {
@@ -152,9 +150,8 @@ func TestRemoteBackendEndToEnd(t *testing.T) {
 	if cok != dok || !ce.Equal(de) {
 		t.Fatalf("epoch mismatch: client %v (%t) vs db %v (%t)", ce, cok, de, dok)
 	}
-	if c.NumEntities() != db.NumEntities() || c.PendingEntities() != db.PendingEntities() {
-		t.Fatalf("state mismatch: client (%d entities, %d pending) vs db (%d, %d)",
-			c.NumEntities(), c.PendingEntities(), db.NumEntities(), db.PendingEntities())
+	if c.NumEntities() != db.NumEntities() {
+		t.Fatalf("state mismatch: client %d entities vs db %d", c.NumEntities(), db.NumEntities())
 	}
 	cg, cgok := c.SnapshotGeneration()
 	dg, dgok := db.SnapshotGeneration()

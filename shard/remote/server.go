@@ -231,7 +231,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /shard/ingest", s.handleIngest)
 	mux.HandleFunc("GET /shard/stats", s.handleStats)
 	mux.HandleFunc("POST /shard/build", s.handleBuild)
-	mux.HandleFunc("POST /shard/refresh", s.handleRefresh)
 	mux.HandleFunc("GET /shard/index", s.handleSaveIndex)
 	mux.HandleFunc("POST /shard/index", s.handleOpenIndex)
 	mux.HandleFunc("POST /shard/epoch", s.handleEpoch)
@@ -257,9 +256,7 @@ func httpError(w http.ResponseWriter, code int, msg string) {
 	json.NewEncoder(w).Encode(errResp{Error: msg})
 }
 
-// state reads the shard's serving state, pending before generation: zero
-// pending then proves the reported generation covers every acknowledged
-// write (the order shard.Cluster's cache version reads them in).
+// state reads the shard's serving state.
 func (s *Server) state() shardState {
 	pending := s.db.PendingEntities()
 	gen, ok := s.db.SnapshotGeneration()
@@ -384,10 +381,14 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	// Partial failure travels in-band (200 with FailIndex set), not as an
 	// HTTP error: the stored count is authoritative either way and the
-	// client must see both.
+	// client must see both. A failed fold of every stored record reports
+	// FailIndex = len(records) and the fold's own error.
 	n, err := s.db.AddVisits(req.Records)
 	resp := ingestResp{Stored: uint64(n), FailIndex: -1, State: s.state()}
-	if err != nil {
+	switch {
+	case err != nil && n == len(req.Records):
+		resp.FailIndex, resp.ErrMsg = int64(n), err.Error()
+	case err != nil:
 		resp.FailIndex = int64(n) // DB.AddVisits stops at the first failure
 		resp.ErrMsg = innerIngestError(err)
 	}
@@ -429,14 +430,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 	if err := s.db.BuildIndex(); err != nil {
-		httpError(w, http.StatusUnprocessableEntity, err.Error())
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
-	if err := s.db.Refresh(); err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}

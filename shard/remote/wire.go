@@ -86,8 +86,10 @@ const (
 
 // shardState is the serving state piggybacked on every response: the
 // coordinator's cache-version inputs (cluster cacheVersion reads entity
-// count, pending dirt and snapshot generation per shard) kept fresh without
-// dedicated round trips.
+// count and snapshot generation per shard) kept fresh without dedicated
+// round trips. Pending, the shard's unfolded entity count, is carried for
+// the encoding's sake; no coordinator reads it, since a shard acknowledges a
+// write only once its published snapshot covers it.
 type shardState struct {
 	Entities   uint64
 	Pending    uint64

@@ -3,13 +3,13 @@ package digitaltraces
 // Build-aside snapshot machinery — the non-blocking index maintenance core.
 //
 // A DB serves queries from an immutable *snapshot published through an
-// atomic.Pointer. Builders (BuildIndex, Refresh, and the query path's lazy
-// fold) construct the next snapshot entirely off to the side — folding the
-// pending visits captured under the ingest lock into the previous snapshot's
-// sequences — and then swap the pointer, dropping what they folded, so
-// a multi-second rebuild never blocks a read the previous snapshot can
-// serve: queries arriving while a build is in flight keep answering from it
-// unless it misses a write acknowledged before they began. See DESIGN.md
+// atomic.Pointer. Builders (BuildIndex, an open, and each acknowledged
+// write's fold) construct the next snapshot entirely off to the side —
+// folding the pending visits captured under the ingest lock into the
+// previous snapshot's sequences — and then swap the pointer, dropping what
+// they folded, so a multi-second rebuild never blocks a read: queries
+// arriving while a build is in flight keep answering from the previous
+// snapshot, which covers every write acknowledged so far. See DESIGN.md
 // "Concurrency model" for the full contract.
 
 import (
@@ -41,13 +41,13 @@ type snapshot struct {
 	// pool is the storage buffer pool behind a mapped (or disk-backed)
 	// store — nil for heap-served snapshots. The store reads through it;
 	// it is threaded here so IndexStats can report hit rates, and so
-	// refreshes can carry it forward through derived snapshots.
+	// folds can carry it forward through derived snapshots.
 	pool *storage.Store
 
 	generation  uint64        // 1 for the first build, +1 per swap
-	seq         uint64        // write sequence the build's view captured (0 for a load)
+	seq         uint64        // write sequence the build's view captured (0 for a bulk load)
 	buildTime   time.Duration // duration of the lineage's last full BuildIndex
-	refreshTime time.Duration // duration of the last incremental Refresh (0 if this lineage ends in a full build)
+	refreshTime time.Duration // duration of the fold that published it (0 after a full build)
 	swappedAt   time.Time     // when this snapshot was published
 }
 
@@ -100,33 +100,37 @@ func (db *DB) captureView() view {
 	return v
 }
 
-// stage folds each entity's records into the sequence prev serves for it —
-// nothing when prev is nil — the one staging step every build runs. Cell
-// sets union idempotently, so the result is exact whatever prev already
-// covers. Sequence building (cell expansion plus per-level sort-dedup) is a
-// fold's largest cost and per-entity independent, so it fans out across a
-// bounded worker pool; each worker touches only its own output slot.
-func (db *DB) stage(prev *snapshot, ids []trace.EntityID, recs [][]trace.Record) []*trace.Sequences {
+// stage folds each entity's records into the sequences the snapshots in
+// prevs serve for it (nil snapshots are skipped) — the one staging step every
+// build runs. Cell sets union idempotently, so the result is exact whatever
+// the snapshots already cover. Sequence building (cell expansion plus
+// per-level sort-dedup) is a fold's largest cost and per-entity independent,
+// so it fans out across a bounded worker pool; each worker touches only its
+// own output slot.
+func (db *DB) stage(ids []trace.EntityID, recs [][]trace.Record, prevs ...*snapshot) []*trace.Sequences {
 	out := make([]*trace.Sequences, len(ids))
 	parallel.For(len(ids), func(i int) {
-		var folded *trace.Sequences
-		if prev != nil {
-			folded = prev.store.Get(ids[i])
+		var buf [2]*trace.Sequences // a build folds over at most two snapshots
+		folded := buf[:0]
+		for _, p := range prevs {
+			if p != nil {
+				folded = append(folded, p.store.Get(ids[i]))
+			}
 		}
-		out[i] = trace.NewSequencesMerged(db.ix, ids[i], recs[i], folded)
+		out[i] = trace.NewSequencesMerged(db.ix, ids[i], recs[i], folded...)
 	})
 	return out
 }
 
-// fold stages v over prev into the next store: a copy-on-write child of
-// prev's (trace.Store.Derive) sharing every other entity's sequences, or a
-// fresh store for the first build.
-func (db *DB) fold(prev *snapshot, v view) *trace.Store {
+// fold stages ids' records over prevs into the next store: a copy-on-write
+// child of prevs[0]'s (trace.Store.Derive) sharing every other entity's
+// sequences, or a fresh store for the first build.
+func (db *DB) fold(ids []trace.EntityID, recs [][]trace.Record, prevs ...*snapshot) *trace.Store {
 	store := trace.NewStore(db.ix)
-	if prev != nil {
-		store = prev.store.Derive()
+	if prevs[0] != nil {
+		store = prevs[0].store.Derive()
 	}
-	for _, s := range db.stage(prev, v.ids, v.recs) {
+	for _, s := range db.stage(ids, recs, prevs...) {
 		store.Put(s)
 	}
 	return store
@@ -142,7 +146,7 @@ func (db *DB) buildSnapshot() (*snapshot, error) {
 	if prev == nil && len(v.ids) == 0 {
 		return nil, fmt.Errorf("digitaltraces: no visits to index")
 	}
-	store := db.fold(prev, v)
+	store := db.fold(v.ids, v.recs, prev)
 	post, err := core.BuildPostings(db.ix, store, store.Entities())
 	if err != nil {
 		return nil, err
@@ -165,24 +169,25 @@ func (db *DB) buildSnapshot() (*snapshot, error) {
 }
 
 // refreshSnapshot folds the pending visits into the next snapshot aside
-// (Section 4.2.3 incremental maintenance) and publishes it. prev is never
-// mutated, so queries pinned to it keep searching it bit-identically.
+// (Section 4.2.3 incremental maintenance) and publishes it — what an
+// acknowledged write pays. prev is never mutated, so queries pinned to it
+// keep searching it bit-identically.
 //
-// The refresh is copy-on-write: the store derives a child sharing every
-// clean entity's sequences (trace.Store.Derive) and the postings add only the
-// dirty entities' pairs (core.Postings.Derive), so the whole refresh costs
+// The fold is copy-on-write: the store derives a child sharing every clean
+// entity's sequences (trace.Store.Derive) and the postings add only the
+// dirty entities' pairs (core.Postings.Derive), so the whole fold costs
 // O(dirty) — independent of |E| — and swaps can run at very high frequency.
 // Callers must hold buildMu.
-func (db *DB) refreshSnapshot(prev *snapshot) (*snapshot, error) {
+func (db *DB) refreshSnapshot(prev *snapshot) error {
 	start := time.Now()
 	v := db.captureView()
 	if len(v.ids) == 0 {
-		return prev, nil
+		return nil
 	}
-	store := db.fold(prev, v)
+	store := db.fold(v.ids, v.recs, prev)
 	post, err := prev.post.Derive(store, v.ids)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	ns := &snapshot{
 		store:       store,
@@ -193,7 +198,8 @@ func (db *DB) refreshSnapshot(prev *snapshot) (*snapshot, error) {
 		buildTime:   prev.buildTime,
 		refreshTime: time.Since(start),
 	}
-	return db.publish(ns, v), nil
+	db.publish(ns, v)
+	return nil
 }
 
 // publish swaps the new snapshot in and drops the pending records it folded.
@@ -204,12 +210,17 @@ func (db *DB) refreshSnapshot(prev *snapshot) (*snapshot, error) {
 func (db *DB) publish(ns *snapshot, v view) *snapshot {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	db.publishLocked(ns, v)
+	return ns
+}
+
+// publishLocked is publish for a caller already holding mu.
+func (db *DB) publishLocked(ns *snapshot, v view) {
 	ns.seq = v.seq
 	db.swapIn(ns)
 	for i, e := range v.ids {
 		db.dropPending(e, len(v.recs[i]))
 	}
-	return ns
 }
 
 // dropPending drops the first n of e's pending records, which the serving
@@ -245,24 +256,11 @@ func (db *DB) newMeasure() (adm.Measure, error) {
 	return adm.NewPaperADM(db.ix.Height(), db.measureU, db.measureV)
 }
 
-// covering returns the serving snapshot if it covers every write
-// acknowledged so far — nil if there is none, or dirt is pending — and the
-// write sequence. Both are read under the ingest lock publish swaps under,
-// so no publish can land between the dirt check and the load. The query
-// path's fast path and the DB's cache version make exactly this check.
-func (db *DB) covering() (*snapshot, uint64) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if len(db.pending) > 0 {
-		return nil, db.writeSeq
-	}
-	return db.snap.Load(), db.writeSeq
-}
-
 // SnapshotGeneration returns the serving snapshot's generation (1 for the
 // first build, +1 per swap) and whether a snapshot exists at all — one atomic
-// load. A generation alone does not promise freshness: read PendingEntities
-// first, as shard's cluster cache does, to know it covers every write.
+// load. A published snapshot covers every write acknowledged before the load
+// (AddVisits folds before it returns), so the generation is a version of
+// everything acknowledged so far: shard's cluster cache keys by it.
 func (db *DB) SnapshotGeneration() (uint64, bool) {
 	s := db.snap.Load()
 	if s == nil {
@@ -273,48 +271,51 @@ func (db *DB) SnapshotGeneration() (uint64, bool) {
 
 // PendingEntities returns the number of entities with visits the serving
 // snapshot does not cover yet — IndexStats().DirtyCount without the index
-// walk. Zero means the generation SnapshotGeneration reports afterwards
-// covers every write acknowledged before this call (dirt is only retired by
-// a publish, and generations only grow).
+// walk. Once an index is published that is only writes still in flight: a
+// write is acknowledged after its fold.
 func (db *DB) PendingEntities() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return len(db.pending)
 }
 
-// snapshotForQuery returns the snapshot a query answers over: one covering
-// every write acknowledged before the query began (read-your-writes).
-//
-//   - nothing dirty — the hot path: one shared-lock check, then a lock-free
-//     search, never waiting on a build;
-//   - otherwise the query waits on buildMu. If the build it waited out
-//     published a snapshot covering the write sequence the query read at
-//     start, it answers from that even if newer writes have arrived since;
-//     else it becomes the builder: it folds the dirt aside, or builds the
-//     first index, and swaps before answering.
+// ack returns once the serving snapshot covers write sequence seq: at once
+// when a publish already does — group commit, a fold in flight captured the
+// write — and otherwise after folding every pending visit aside and
+// publishing. Before the first publish there is nothing to cover it with;
+// the writer still takes buildMu, so a first build whose view missed the
+// write is waited out and then folded past.
+func (db *DB) ack(seq uint64) error {
+	db.buildMu.Lock()
+	defer db.buildMu.Unlock()
+	s := db.snap.Load()
+	if s == nil || s.seq >= seq {
+		return nil
+	}
+	return db.refreshSnapshot(s)
+}
+
+// snapshotForQuery returns the snapshot a query answers over: the published
+// one, which covers every write acknowledged before the query began, with no
+// lock and no wait. Only before the first publish does a query build the
+// first index itself (or wait out the build in flight).
 func (db *DB) snapshotForQuery() (*snapshot, error) {
-	s, seq := db.covering()
-	if s != nil {
+	if s := db.snap.Load(); s != nil {
 		return s, nil
 	}
 	db.buildMu.Lock()
 	defer db.buildMu.Unlock()
-	// Every publisher holds buildMu, so s is stable from here on.
-	s = db.snap.Load()
-	switch {
-	case s == nil:
-		return db.buildSnapshot()
-	case s.seq >= seq:
+	if s := db.snap.Load(); s != nil {
 		return s, nil
 	}
-	return db.refreshSnapshot(s)
+	return db.buildSnapshot()
 }
 
 // lookup resolves an entity name against a snapshot: the ID comes from the
 // ingest registry (IDs are append-only, so a resolved ID stays valid forever)
 // and the sequences from the snapshot's frozen store. Both failure modes name
 // the entity: names never ingested, and names whose visits arrived after the
-// queried snapshot was built (the next build or Refresh folds them in).
+// queried snapshot was built (a write in flight, not yet acknowledged).
 func (db *DB) lookup(s *snapshot, entity string) (*trace.Sequences, error) {
 	db.mu.RLock()
 	e, ok := db.names[entity]
@@ -331,7 +332,7 @@ func (db *DB) lookup(s *snapshot, entity string) (*trace.Sequences, error) {
 func (s *snapshot) sequences(e trace.EntityID, name string) (*trace.Sequences, error) {
 	q := s.store.Get(e)
 	if q == nil {
-		return nil, fmt.Errorf("digitaltraces: entity %q has no indexed visits yet (ingested after the serving snapshot was built; Refresh or the next query folds it in)", name)
+		return nil, fmt.Errorf("digitaltraces: entity %q has no indexed visits yet (its first write is still in flight)", name)
 	}
 	return q, nil
 }

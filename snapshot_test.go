@@ -182,9 +182,6 @@ func TestSnapshotGenerationAndSwapTime(t *testing.T) {
 	if err := db.AddVisit("entity-0", VenueName(1), TimeAt(1), TimeAt(3)); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Refresh(); err != nil {
-		t.Fatal(err)
-	}
 	s2 := db.IndexStats()
 	if s2.Generation != 2 {
 		t.Fatalf("after refresh: generation %d, want 2", s2.Generation)
@@ -192,9 +189,12 @@ func TestSnapshotGenerationAndSwapTime(t *testing.T) {
 	if s2.LastSwap.Before(s1.LastSwap) {
 		t.Fatalf("LastSwap went backwards: %v then %v", s1.LastSwap, s2.LastSwap)
 	}
-	// A no-op refresh publishes nothing.
-	if err := db.Refresh(); err != nil {
+	// A query and a refused write publish nothing.
+	if _, _, err := db.TopK("entity-0", 3); err != nil {
 		t.Fatal(err)
+	}
+	if err := db.AddVisit("entity-0", "no-such-venue", TimeAt(1), TimeAt(3)); err == nil {
+		t.Fatal("a visit at an unknown venue was stored")
 	}
 	if s3 := db.IndexStats(); s3.Generation != 2 {
 		t.Fatalf("no-op refresh bumped generation to %d", s3.Generation)
@@ -215,9 +215,6 @@ func TestSwappedSnapshotSaveLoad(t *testing.T) {
 	// Swap at least once past the initial build so the persisted index is a
 	// refresh-derived generation, not the build output.
 	if err := db.AddVisit("entity-2", VenueName(3), TimeAt(2), TimeAt(6)); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Refresh(); err != nil {
 		t.Fatal(err)
 	}
 	if g := db.IndexStats().Generation; g < 2 {
@@ -287,12 +284,13 @@ func TestLookupErrorsNameTheEntity(t *testing.T) {
 	}
 
 	// An entity registered after the pinned snapshot: reach the not-indexed
-	// branch by resolving against the stale snapshot directly (the public
-	// query path would transparently refresh first).
+	// branch by resolving against the snapshot pinned before its write (the
+	// write indexes it before returning).
+	stale := db.snap.Load()
 	if err := db.AddVisit("late", VenueName(0), TimeAt(1), TimeAt(2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.lookup(db.snap.Load(), "late"); err == nil || !strings.Contains(err.Error(), `"late"`) {
+	if _, err := db.lookup(stale, "late"); err == nil || !strings.Contains(err.Error(), `"late"`) {
 		t.Errorf("lookup of not-yet-indexed entity does not name it: %v", err)
 	}
 }

@@ -159,9 +159,8 @@ func TestLoadIndexPermutedIngest(t *testing.T) {
 }
 
 // TestLoadIndexNewerVisitsGoDirty: entities whose logs grew past the save
-// serve the saved state first, land in the dirty set, and fold to full
-// freshness on the next query — ending bit-identical to a cold rebuild over
-// the grown log.
+// are folded by the open itself — nothing stays pending and no query folds —
+// ending bit-identical to a cold rebuild over the grown log.
 func TestLoadIndexNewerVisitsGoDirty(t *testing.T) {
 	_, snap, log := restartWorld(t, 40)
 	db := freshGrid(t, log)
@@ -181,30 +180,30 @@ func TestLoadIndexNewerVisitsGoDirty(t *testing.T) {
 		t.Fatalf("open with grown log: %v", err)
 	}
 	st := db.IndexStats()
-	if st.DirtyCount != 3 {
-		t.Errorf("dirty count after load = %d, want 3 (entity-3, entity-17, newcomer)", st.DirtyCount)
+	if st.DirtyCount != 0 {
+		t.Errorf("dirty count after load = %d, want 0 (entity-3, entity-17 and newcomer folded by the open)", st.DirtyCount)
 	}
-	// The published snapshot is the saved index.
-	if st.Entities != 40 {
-		t.Errorf("opened index has %d entities, want the 40 saved ones", st.Entities)
+	// The published snapshot is the saved index plus the newcomer.
+	if st.Entities != 41 {
+		t.Errorf("opened index has %d entities, want the 40 saved ones and the newcomer", st.Entities)
 	}
 
 	rebuilt := freshGrid(t, db.AllVisits())
 	if err := rebuilt.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	// Queries transparently fold the dirt (lazy-freshness contract), so the
-	// answers must match the full rebuild including the new visits.
+	// The answers match the full rebuild including the new visits, and the
+	// queries published nothing.
 	assertSameAnswers(t, rebuilt, db, append([]string{"newcomer"}, someEntities...), 5)
-	if g := db.IndexStats().Generation; g < 2 {
-		t.Errorf("generation %d after the folding query, want ≥ 2", g)
+	if g := db.IndexStats().Generation; g != 1 {
+		t.Errorf("generation %d after the queries, want the open's 1", g)
 	}
 }
 
 // TestLoadIndexStaleEntitySkipped: an entity stamped FoldedUnknown (dirty
-// while the save ran) is never counted clean: the open marks it dirty, and
-// the next fold unions its whole log into the stored sequences instead of
-// serving the save-time state as current.
+// while the save ran) is never counted clean: the open unions its whole log
+// into the stored sequences instead of serving the save-time state as
+// current.
 func TestLoadIndexStaleEntitySkipped(t *testing.T) {
 	src, _, log := restartWorld(t, 30)
 	s := src.snap.Load()
@@ -223,8 +222,8 @@ func TestLoadIndexStaleEntitySkipped(t *testing.T) {
 	if err := openImage(db, buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if st := db.IndexStats(); st.Entities != 30 || st.DirtyCount != 1 {
-		t.Fatalf("after the open: %d entities, %d dirty — want 30 and 1 (entity-5 refolds)", st.Entities, st.DirtyCount)
+	if st := db.IndexStats(); st.Entities != 30 || st.DirtyCount != 0 {
+		t.Fatalf("after the open: %d entities, %d dirty — want 30 and 0 (entity-5 refolded by the open)", st.Entities, st.DirtyCount)
 	}
 	assertSameAnswers(t, src, db, append([]string{"entity-5"}, someEntities...), 5)
 }
@@ -449,9 +448,9 @@ func TestResavedImageKeepsCoveredCounts(t *testing.T) {
 }
 
 // TestOpenKeepsFoldedVisits: an image opened over a DB that had already
-// folded visits the image does not cover, and holds more pending, serves the
-// union of all three — no visit acknowledged before the open is lost, with
-// or without the image's count for the entity.
+// folded visits the image does not cover serves the union of both — no
+// visit acknowledged before the open is lost, with or without the image's
+// count for the entity — and leaves nothing pending.
 func TestOpenKeepsFoldedVisits(t *testing.T) {
 	_, img, log := restartWorld(t, 40)
 	folded := []VisitRecord{
@@ -472,8 +471,8 @@ func TestOpenKeepsFoldedVisits(t *testing.T) {
 	if err := openImage(db, img); err != nil {
 		t.Fatal(err)
 	}
-	if n := db.PendingEntities(); n != 2 {
-		t.Errorf("%d entities pending after the open, want 2 (entity-3, entity-17)", n)
+	if n := db.PendingEntities(); n != 0 {
+		t.Errorf("%d entities pending after the open, want 0", n)
 	}
 	rebuilt := freshGrid(t, slices.Concat(log, folded, pending))
 	if err := rebuilt.BuildIndex(); err != nil {
