@@ -353,6 +353,87 @@ func BenchmarkAddVisitsAck(b *testing.B) {
 	}
 }
 
+// BenchmarkCacheRevalidate drives a cached DB the way the serving
+// benchmark's zipf_mixed_ingest workload does, without the HTTP layer: on
+// its population (20 000 sparse WiFi devices, 32×32 grid, 14 days) with
+// WithQueryCache(1200), one op is a TopK (k = 10) for a Zipf(1.1)-drawn
+// device, and every 800 ops an acknowledged write of 8 devices × 4 visits
+// publishes a fold. hits/op is the cache hit rate: answers cached before a
+// fold survive it when the fold cannot change them.
+func BenchmarkCacheRevalidate(b *testing.B) {
+	const devices, days, k, writeEvery, batchEntities, visitsEach = 20000, 14, 10, 800, 8, 4
+	ix, err := spindex.NewGrid(spindex.DefaultGridConfig(32))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := mobility.DefaultWiFiConfig()
+	cfg.Horizon = days * 24
+	cfg.DetectionProb = 0.05
+	gen, err := mobility.NewWiFiGenerator(ix, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	db, err := newGridDB(ix, WithQueryCache(1200))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var names []string
+	for i := range devices {
+		recs := gen.Entity(trace.EntityID(i))
+		if len(recs) == 0 {
+			continue // never detected: nothing to index or query
+		}
+		names = append(names, fmt.Sprintf("entity-%d", i))
+		e := db.register(names[len(names)-1])
+		for j := range recs {
+			recs[j].Entity = e
+		}
+		db.pending[e], db.ingested[e] = recs, uint32(len(recs))
+	}
+	if err := db.BuildIndex(); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	perm := rng.Perm(len(names))
+	zipf := rand.NewZipf(rng, 1.1, 1, uint64(len(names)-1))
+	batch := func() []VisitRecord {
+		var out []VisitRecord
+		for range batchEntities {
+			name := names[rng.Intn(len(names))]
+			for range visitsEach {
+				h := rng.Intn(days*24 - 1)
+				out = append(out, VisitRecord{Entity: name, Venue: VenueName(rng.Intn(db.NumVenues())), Start: TimeAt(h), End: TimeAt(h + 1)})
+			}
+		}
+		return out
+	}
+	op := func(i int) bool {
+		if i%writeEvery == writeEvery-1 {
+			if _, err := db.AddVisits(batch()); err != nil {
+				b.Fatal(err)
+			}
+		}
+		_, qs, err := db.TopK(names[perm[zipf.Uint64()]], k)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return qs.CacheHit
+	}
+	for i := range 2000 { // warm the cache, as the serving benchmark does
+		op(i)
+	}
+	hits := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range b.N {
+		if op(i) {
+			hits++
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
+}
+
 // BenchmarkDegree times the exact-degree kernel on the three overlap shapes
 // a search meets: no shared cell at all (the coarse-to-fine cascade stops
 // after level 1), shared coarse cells only, and overlap down to the base

@@ -7,8 +7,13 @@ package digitaltraces
 // ingest/query/cache interleavings.
 
 import (
+	"bytes"
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -249,8 +254,8 @@ func TestCacheConcurrentIngestNeverStale(t *testing.T) {
 		if _, err := control.AddVisits(add); err != nil {
 			t.Fatal(err)
 		}
-		// Read-your-writes: the very next query must fold the ingest, cache
-		// or no cache.
+		// Read-your-writes: AddVisits published the fold before it returned,
+		// so the very next query must see it, cache or no cache.
 		got, _, err := cached.TopK("a", 4)
 		if err != nil {
 			t.Fatal(err)
@@ -304,5 +309,239 @@ func TestCacheResultIsolation(t *testing.T) {
 	}
 	if !reflect.DeepEqual(third, pristine) {
 		t.Fatalf("clobbering a hit result corrupted the cache: %v", third)
+	}
+}
+
+// TestCacheRevalidationReplay is the revalidation property test: a cached DB
+// and an uncached twin take the same write batches, interleaved with queries,
+// and every cached answer must equal the twin's bit for bit. The batches
+// cover each case the revalidation rule separates: a write to the query
+// entity, to an answer member, to a new entity, to an outside entity boosted
+// above the k-th degree, and to one boosted to tie it exactly with a smaller
+// ID; queries with k at least the population (zero-degree fills); an entry
+// staler than the dirty log reaches; and a BuildIndex and an OpenIndexAt in
+// between. It also requires that both verdicts occur, so the property is
+// never met vacuously by a cache that always misses.
+func TestCacheRevalidationReplay(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const hours, population, pairs = 48, 30, 4
+	venues := 0
+	visit := func(e string) VisitRecord {
+		h := rng.Intn(hours - 2)
+		return VisitRecord{Entity: e, Venue: VenueName(rng.Intn(venues)), Start: TimeAt(h), End: TimeAt(h + 1 + rng.Intn(2))}
+	}
+	grid, err := NewGridDB(4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	venues = grid.NumVenues()
+
+	// Tie pairs, registered around the population: tie-low-i first (the
+	// smallest IDs) with one visit only its partner shares, so degree 0
+	// against every query, and tie-high-i last with that visit plus a copy
+	// of e-i's first visits. A batch that adds the copy to tie-low-i gives it
+	// tie-high-i's exact sequences, hence its degree against any query, under
+	// a smaller ID. Random batches never touch a tie pair.
+	var setup []VisitRecord
+	lone := func(e string, i int) VisitRecord {
+		return VisitRecord{Entity: e, Venue: VenueName(i), Start: TimeAt(1000 + 10*i), End: TimeAt(1001 + 10*i)}
+	}
+	for i := range pairs {
+		setup = append(setup, lone(fmt.Sprintf("tie-low-%d", i), i))
+	}
+	names := make([]string, population)
+	for i := range names {
+		names[i] = fmt.Sprintf("e-%d", i)
+		for range 6 {
+			setup = append(setup, visit(names[i]))
+		}
+	}
+	tieCopy := make([][]VisitRecord, pairs)
+	for i := range pairs {
+		for _, v := range setup {
+			if v.Entity == names[i] && len(tieCopy[i]) < 3 {
+				tieCopy[i] = append(tieCopy[i], VisitRecord{Entity: fmt.Sprintf("tie-low-%d", i), Venue: v.Venue, Start: v.Start, End: v.End})
+			}
+		}
+		high := fmt.Sprintf("tie-high-%d", i)
+		setup = append(setup, lone(high, i))
+		for _, v := range tieCopy[i] {
+			setup = append(setup, VisitRecord{Entity: high, Venue: v.Venue, Start: v.Start, End: v.End})
+		}
+	}
+	cached, twin := cachePair(t, 256, setup)
+
+	type query struct {
+		entity string // "" for the example
+		k      int
+	}
+	example := []Visit{{Venue: VenueName(0), Start: TimeAt(3), End: TimeAt(9)}}
+	run := func(db *DB, q query) ([]Match, QueryStats) {
+		t.Helper()
+		var (
+			out []Match
+			qs  QueryStats
+			err error
+		)
+		if q.entity == "" {
+			out, qs, err = db.TopKByExample(example, q.k)
+		} else {
+			out, qs, err = db.TopK(q.entity, q.k)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, qs
+	}
+	var answers [][]Match // recent cached answers, for batches aimed at their members
+	check := func(step string, q query) ([]Match, bool) {
+		t.Helper()
+		got, qs := run(cached, q)
+		want, _ := run(twin, q)
+		if len(got) != len(want) {
+			t.Fatalf("%s: query %+v: cached %v != twin %v", step, q, got, want)
+		}
+		for i := range got {
+			if got[i].Entity != want[i].Entity || math.Float64bits(got[i].Degree) != math.Float64bits(want[i].Degree) {
+				t.Fatalf("%s: query %+v (hit %v): cached %v != twin %v", step, q, qs.CacheHit, got, want)
+			}
+		}
+		answers = append(answers[max(0, len(answers)-15):], got)
+		return got, qs.CacheHit
+	}
+	apply := func(batch []VisitRecord) {
+		t.Helper()
+		for _, db := range []*DB{cached, twin} {
+			if _, err := db.AddVisits(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	random := func() string { return names[rng.Intn(len(names))] }
+	hot := func() query {
+		switch r := rng.Intn(10); {
+		case r == 0:
+			return query{"", 4}
+		case r == 1:
+			return query{names[rng.Intn(4)], 200} // k above the population: zero-degree fills
+		default:
+			return query{names[rng.Intn(6)], 2 + rng.Intn(3)}
+		}
+	}
+	newEntities := 0
+
+	// tie caches e-i's answer cut at tie-high-i, then makes tie-low-i tie it.
+	tie := func(i int) {
+		t.Helper()
+		full, _ := run(twin, query{names[i], 200})
+		high := slices.IndexFunc(full, func(m Match) bool { return m.Entity == fmt.Sprintf("tie-high-%d", i) })
+		low := slices.IndexFunc(full, func(m Match) bool { return m.Entity == fmt.Sprintf("tie-low-%d", i) })
+		if high < 0 || low < high || full[high].Degree == 0 {
+			t.Fatalf("tie %d: tie-high at %d, tie-low at %d in %v", i, high, low, full)
+		}
+		q := query{names[i], high + 1}
+		before, _ := check("tie prime", q)
+		apply(tieCopy[i])
+		after, _ := check("tie", q)
+		if after[high].Entity != fmt.Sprintf("tie-low-%d", i) || reflect.DeepEqual(before, after) {
+			t.Fatalf("tie %d: answer %v -> %v, want tie-low-%d to take the k-th place", i, before, after, i)
+		}
+	}
+
+	for round := range 120 {
+		for range 6 {
+			check(fmt.Sprintf("round %d", round), hot())
+		}
+		var batch []VisitRecord
+		switch round % 6 {
+		case 0: // unrelated entities
+			for range 1 + rng.Intn(3) {
+				batch = append(batch, visit(random()))
+			}
+		case 1: // a query entity
+			batch = append(batch, visit(names[rng.Intn(6)]))
+		case 2: // an answer member
+			a := answers[rng.Intn(len(answers))]
+			if m := a[rng.Intn(len(a))].Entity; strings.HasPrefix(m, "e-") || strings.HasPrefix(m, "new-") {
+				batch = append(batch, visit(m))
+			} else {
+				batch = append(batch, visit(random()))
+			}
+		case 3: // a new entity
+			newEntities++
+			batch = append(batch, visit(fmt.Sprintf("new-%d", newEntities)))
+		case 4: // an outside entity boosted toward a hot query entity
+			vs, err := twin.VisitsOf(names[rng.Intn(6)])
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := random()
+			for _, v := range vs[:min(len(vs), 1+rng.Intn(4))] {
+				batch = append(batch, VisitRecord{Entity: e, Venue: v.Venue, Start: v.Start, End: v.End})
+			}
+		case 5:
+			if i := round / 6; i < pairs {
+				tie(i)
+				continue
+			}
+			batch = append(batch, visit(random()))
+		}
+		apply(batch)
+	}
+
+	// An entry staler than the dirty log reaches misses.
+	stale := []query{{names[0], 3}, {names[1], 3}, {"", 4}}
+	for _, q := range stale {
+		check("pre-gap", q)
+	}
+	for range dirtyLogLen + 1 {
+		apply([]VisitRecord{visit(names[len(names)-1])})
+	}
+	for _, q := range stale {
+		if _, hit := check("post-gap", q); hit {
+			t.Fatalf("query %+v hit across %d publishes, more than the dirty log keeps", q, dirtyLogLen+1)
+		}
+	}
+
+	// A BuildIndex and an open start an empty log: nothing cached before
+	// either is revalidated across it.
+	reopen := func() {
+		var buf bytes.Buffer
+		if _, err := cached.SaveIndex(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := cached.OpenIndexAt(bytes.NewReader(buf.Bytes()), int64(buf.Len())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rebuild := func() {
+		if err := cached.BuildIndex(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range []struct {
+		step    string
+		publish func()
+	}{{"BuildIndex", rebuild}, {"OpenIndexAt", reopen}} {
+		step, publish := p.step, p.publish
+		for _, q := range stale {
+			check("pre-"+step, q)
+		}
+		publish()
+		for _, q := range stale {
+			if _, hit := check("post-"+step, q); hit {
+				t.Fatalf("query %+v hit across %s", q, step)
+			}
+		}
+		for range 3 {
+			apply([]VisitRecord{visit(random())})
+			for range 6 {
+				check("after "+step, hot())
+			}
+		}
+	}
+
+	if st := cached.IndexStats(); st.CacheRevalidated == 0 || st.CacheInvalidated == 0 {
+		t.Fatalf("revalidated %d, invalidated %d: both verdicts must occur", st.CacheRevalidated, st.CacheInvalidated)
 	}
 }

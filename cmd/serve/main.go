@@ -85,7 +85,7 @@ func main() {
 		shardsRem = flag.String("shards-remote", "", "comma-separated shard server addresses (host:port, cmd/shardserve); runs this process as the coordinator of a network-distributed cluster instead of -shards")
 		remTO     = flag.Duration("remote-timeout", 0, "per-RPC deadline for remote shard calls (0 = the client default); build and index transfers get a separate long deadline")
 		remConns  = flag.Int("remote-conns", 0, "pooled keep-alive connection cap per remote shard (0 = the client default)")
-		cacheSize = flag.Int("cache", 0, "generation-keyed hot-query cache entries (0 = no cache); invalidates automatically when ingest reaches the serving index")
+		cacheSize = flag.Int("cache", 0, "generation-keyed hot-query cache entries (0 = no cache); a write stales only the answers it can change on a single DB, every answer on a cluster")
 		traceSize = flag.Int("trace", 0, "per-query trace ring capacity (0 = tracing off); enables GET /traces and per-kind latency quantiles in /stats")
 		maxK      = flag.Int("maxk", 1000, "largest k a request may ask for")
 		maxBatch  = flag.Int("maxbatch", 10000, "most entities one /topk/batch request may name")

@@ -338,8 +338,9 @@ type DB struct {
 	mappings []*mmap.Mapping
 
 	// cache is the generation-keyed hot-query cache (nil without
-	// WithQueryCache). Keyed by the serving snapshot's generation, so a
-	// publish invalidates every entry without any cache writes (cache.go).
+	// WithQueryCache). Entries are stamped with the serving snapshot's
+	// generation; one stamped with an older generation is revalidated
+	// against the serving snapshot's dirty log on lookup (cache.go).
 	cache *qcache.Cache[[]Match]
 
 	// tracer is the per-query trace ring (nil without WithTracing — the
@@ -547,17 +548,20 @@ func (db *DB) TopKByExample(visits []Visit, k int) ([]Match, QueryStats, error) 
 }
 
 // query answers one top-k query and records its trace. It runs through the
-// cache (qcache.Do under cacheVersion), and a miss searches the snapshot
-// snapshotForQuery pins, for the sequences resolve finds in it.
+// cache (qcache.DoRevalidating under cacheVersion, an entry stamped with an
+// older generation revalidated by stillExact), and a miss searches the
+// snapshot snapshotForQuery pins, for the sequences resolve finds in it.
 func (db *DB) query(kind obs.Kind, entity string, k int, key string, resolve func(*snapshot) (*trace.Sequences, error)) ([]Match, QueryStats, error) {
 	start := time.Now()
 	var (
 		seen, pinned *snapshot
 		qs           QueryStats
 	)
-	out, hit, err := qcache.Do(db.cache, key, func() (v string, ok bool) {
+	out, hit, err := qcache.DoRevalidating(db.cache, key, func() (v string, ok bool) {
 		v, seen, ok = db.cacheVersion()
 		return v, ok
+	}, func(since string, answer []Match) bool {
+		return db.stillExact(seen, since, k, answer, resolve)
 	}, func() (out []Match, err error) {
 		if pinned, err = db.snapshotForQuery(); err != nil {
 			return nil, err
@@ -763,14 +767,20 @@ type IndexStats struct {
 	LastRefreshDuration time.Duration
 	// Query-cache counters (all zero unless the engine was built with
 	// WithQueryCache, or shard.Config.CacheSize for a cluster). Hits and
-	// misses count lookups; evictions count capacity displacements only —
-	// generation bumps invalidate by keying, they never evict. Entries is
-	// the current live entry count for the serving generation. An aggregated
-	// engine reports its own cluster-level cache's.
-	CacheHits      uint64
-	CacheMisses    uint64
-	CacheEvictions uint64
-	CacheEntries   int
+	// misses count lookups. A lookup that finds its entry stamped with an
+	// older generation revalidates it: CacheRevalidated counts the stale
+	// entries served that way (also counted as hits), CacheInvalidated the
+	// stale entries dropped (also counted as misses; a cluster, which has
+	// no revalidator, drops every stale entry). Evictions count capacity
+	// displacements only, never staleness. Entries is the number of entries
+	// held, whatever their generation. An aggregated engine reports its own
+	// cluster-level cache's.
+	CacheHits        uint64
+	CacheMisses      uint64
+	CacheRevalidated uint64
+	CacheInvalidated uint64
+	CacheEvictions   uint64
+	CacheEntries     int
 	// Latencies summarizes per-query-kind latency histograms ("topk",
 	// "example", "batch", "merge") — nil unless tracing is on (WithTracing /
 	// shard.Config.TraceSize) and at least one query was observed. An
@@ -795,6 +805,8 @@ func (db *DB) IndexStats() IndexStats {
 		cs := db.cache.Stats()
 		out.CacheHits = cs.Hits
 		out.CacheMisses = cs.Misses
+		out.CacheRevalidated = cs.Revalidated
+		out.CacheInvalidated = cs.Invalidated
 		out.CacheEvictions = cs.Evictions
 		out.CacheEntries = cs.Entries
 	}

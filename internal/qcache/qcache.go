@@ -1,13 +1,16 @@
 // Package qcache is a version-keyed answer cache for exact query engines
 // whose serving state advances through discrete published versions (a DB's
 // snapshot generation, a cluster's slot epoch plus shard generations), and
-// the one protocol both engines answer through, Do.
+// the one protocol both engines answer through, DoRevalidating (Do without
+// a revalidator).
 //
-// Invalidation is free: entries are stored under the version that produced
-// them, and a lookup presenting a version the cache has not seen discards
-// everything it holds — a single map swap — so a publish invalidates every
-// cached answer at zero per-entry cost. The cache never extends an answer's
-// life across versions; it only short-circuits repeats within one.
+// Every entry is stamped with the version that produced it. A lookup
+// presenting that version is a hit. A lookup presenting another version finds
+// a stale entry and asks the engine's revalidator whether the entry is still
+// the exact answer under the presented version: if it is, the entry is served
+// and re-stamped at that version; if not (or the engine has no revalidator),
+// it is dropped and the lookup misses. A publish therefore costs the cache
+// nothing up front, and stales only what the engine cannot vouch for.
 //
 // Soundness rests on two engine facts: versions only grow, and a usable
 // version's state covers every acknowledged write — a write is acknowledged
@@ -16,8 +19,12 @@
 // exactly that version's state, every read it made included (a cluster
 // TopK's home-shard visits, say): a change in between would have moved the
 // version or made it unusable. Do stores only under that condition, and looks
-// up only under a usable version, so a hit is the exact current answer and a
-// racing write can cost a missed store, never a stale entry.
+// up only under a usable version, so an entry is the exact answer at its
+// stamp. A hit at the presented version is then the exact current answer; a
+// revalidated hit is one because the revalidator proves that nothing the
+// engine published between the stamp and the presented version changes the
+// answer (a DB's argument is in its cache.go). A racing write can cost a
+// missed store or a dropped entry, never a stale answer.
 package qcache
 
 import (
@@ -29,30 +36,38 @@ import (
 
 // Stats is a point-in-time counter snapshot.
 type Stats struct {
-	Hits      uint64 // lookups answered from the cache
-	Misses    uint64 // lookups that found nothing (including version wipes)
-	Evictions uint64 // entries displaced by capacity (never by version bumps)
-	Entries   int    // live entries for the current version
+	Hits        uint64 // lookups answered from the cache, revalidated ones included
+	Misses      uint64 // lookups that found no entry, or only a stale one that failed revalidation
+	Revalidated uint64 // stale entries the revalidator vouched for, served and re-stamped (counted in Hits)
+	Invalidated uint64 // stale entries dropped, rejected by the revalidator or found without one (counted in Misses)
+	Evictions   uint64 // entries displaced by capacity (never by staleness)
+	Entries     int    // entries held, whatever their version
 }
 
-// Cache maps (version, key) → V for a single current version. Safe for
-// concurrent use. The zero value is not usable; call New.
+// Cache maps key → V, each entry stamped with the version that produced it.
+// Safe for concurrent use. The zero value is not usable; call New.
 type Cache[V any] struct {
 	mu       sync.Mutex
 	capacity int
-	version  string
 	entries  map[uint64]entry[V]
-	order    []uint64 // insertion order of hashes, for FIFO eviction
+	order    []uint64 // hashes of the held entries in insertion order, for FIFO eviction
 	stats    Stats
 }
 
 // entry stores the full key alongside the value: lookups compare it so a
 // 64-bit hash collision degrades to a miss (or an overwrite on store), never
-// to a wrong answer.
+// to a wrong answer. version is the stamp: the version the value is the
+// exact answer under.
 type entry[V any] struct {
-	key string
-	val V
+	key     string
+	version string
+	val     V
 }
+
+// Revalidator reports whether val, the exact answer at version since, is
+// still the exact answer at the version the lookup presented. It runs
+// outside the cache's lock.
+type Revalidator[V any] func(since string, val V) bool
 
 // New creates a cache holding at most capacity entries (capacity ≥ 1).
 func New[V any](capacity int) *Cache[V] {
@@ -65,36 +80,41 @@ func New[V any](capacity int) *Cache[V] {
 	}
 }
 
-// Get returns the value stored under key at exactly this version. A version
-// the cache has not seen wipes it first, so an answer computed under any
-// earlier version is unreachable.
+// Get returns the value stored under key at exactly this version. An entry
+// stamped with any other version is stale: without a revalidator it is
+// dropped and the lookup misses.
 func (c *Cache[V]) Get(version, key string) (V, bool) {
 	return c.getHashed(version, hashKey(key), key)
 }
 
-// Put stores the value computed under version, wiping first when the cache
-// currently holds a different version's entries. An entry is only ever
-// reachable by a Get presenting the same version it was stored under, so
-// racing Puts and Gets across a version bump can waste work (mutual wipes)
-// but can never surface a stale answer.
+// Put stores the value computed under version, stamped with it. A held entry
+// under the same key is overwritten in place, whatever its stamp.
 func (c *Cache[V]) Put(version, key string, v V) {
 	c.putHashed(version, hashKey(key), key, v)
 }
 
-// Do answers one query through c: it reads the engine's version and, if it
-// is usable and holds key, returns a copy of the stored answer (hit).
-// Otherwise it runs compute, and stores a copy of a successful answer only if
-// the version, re-read, is still usable and unchanged (see the package
-// comment). An unusable version runs compute without touching the cache or
-// its counters; a nil cache just computes.
+// Do answers one query through c with no revalidator: a stale entry is a
+// miss. See DoRevalidating.
 func Do[E any](c *Cache[[]E], key string, version func() (string, bool), compute func() ([]E, error)) (out []E, hit bool, err error) {
+	return DoRevalidating(c, key, version, nil, compute)
+}
+
+// DoRevalidating answers one query through c: it reads the engine's version
+// and, if it is usable and c holds key stamped with it — or stamped with
+// another that revalidate vouches for — returns a copy of the stored answer
+// (hit). Otherwise it runs compute, and stores a copy of a successful answer
+// only if the version, re-read, is still usable and unchanged (see the
+// package comment). A nil revalidate makes every stale entry a miss. An
+// unusable version runs compute without touching the cache or its counters;
+// a nil cache just computes.
+func DoRevalidating[E any](c *Cache[[]E], key string, version func() (string, bool), revalidate Revalidator[[]E], compute func() ([]E, error)) (out []E, hit bool, err error) {
 	if c == nil {
 		out, err = compute()
 		return out, false, err
 	}
 	v, ok := version()
 	if ok {
-		if stored, found := c.Get(v, key); found {
+		if stored, found := c.lookup(v, hashKey(key), key, revalidate); found {
 			return slices.Clone(stored), true, nil
 		}
 	}
@@ -116,16 +136,47 @@ func EntityKey(entity string, k int) string {
 // getHashed is Get with the hash precomputed — split out so tests can force
 // two distinct keys onto one hash and exercise the collision guard.
 func (c *Cache[V]) getHashed(version string, h uint64, key string) (V, bool) {
+	return c.lookup(version, h, key, nil)
+}
+
+// lookup is the one lookup behind Get and DoRevalidating. A stale entry is
+// revalidated outside the lock, so a slow revalidation never stalls other
+// lookups; the verdict is applied only if the entry still carries the stamp
+// it judged.
+func (c *Cache[V]) lookup(version string, h uint64, key string, revalidate Revalidator[V]) (V, bool) {
 	var zero V
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.syncVersion(version)
 	e, ok := c.entries[h]
-	if !ok || e.key != key {
+	switch {
+	case !ok || e.key != key:
 		c.stats.Misses++
+		c.mu.Unlock()
+		return zero, false
+	case e.version == version:
+		c.stats.Hits++
+		c.mu.Unlock()
+		return e.val, true
+	}
+	c.mu.Unlock()
+
+	valid := revalidate != nil && revalidate(e.version, e.val)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if cur, ok := c.entries[h]; ok && cur.key == key && cur.version == e.version {
+		if valid {
+			cur.version = version
+			c.entries[h] = cur
+		} else {
+			c.drop(h)
+		}
+	}
+	if !valid {
+		c.stats.Misses++
+		c.stats.Invalidated++
 		return zero, false
 	}
 	c.stats.Hits++
+	c.stats.Revalidated++
 	return e.val, true
 }
 
@@ -133,34 +184,28 @@ func (c *Cache[V]) getHashed(version string, h uint64, key string) (V, bool) {
 func (c *Cache[V]) putHashed(version string, h uint64, key string, v V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.syncVersion(version)
 	if _, ok := c.entries[h]; ok {
 		// Same key: refresh the value. Colliding key: overwrite — the slot
 		// holds one answer and the full-key compare on Get keeps it honest.
-		c.entries[h] = entry[V]{key: key, val: v}
+		c.entries[h] = entry[V]{key: key, version: version, val: v}
 		return
 	}
 	if len(c.entries) >= c.capacity {
-		drop := c.order[0]
+		delete(c.entries, c.order[0])
 		c.order = c.order[1:]
-		delete(c.entries, drop)
 		c.stats.Evictions++
 	}
-	c.entries[h] = entry[V]{key: key, val: v}
+	c.entries[h] = entry[V]{key: key, version: version, val: v}
 	c.order = append(c.order, h)
 }
 
-// syncVersion wipes the cache when the presented version differs from the
-// stored one. Callers must hold mu.
-func (c *Cache[V]) syncVersion(version string) {
-	if version == c.version {
-		return
-	}
-	c.version = version
-	if len(c.entries) > 0 {
-		c.entries = make(map[uint64]entry[V], c.capacity)
-		c.order = c.order[:0]
-	}
+// drop removes the entry at h from the map and from the FIFO order, so the
+// order holds exactly the held entries: a later eviction can never take a
+// fresh re-put of the same key for the dropped one. Callers must hold mu.
+func (c *Cache[V]) drop(h uint64) {
+	delete(c.entries, h)
+	i := slices.Index(c.order, h)
+	c.order = slices.Delete(c.order, i, i+1)
 }
 
 // Stats returns a snapshot of the counters.

@@ -3,6 +3,7 @@ package qcache
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -299,4 +300,157 @@ func TestDoRacingVersionBumps(t *testing.T) {
 	readers.Wait()
 	close(stop)
 	wg.Wait()
+}
+
+// TestDoRevalidatingServesAndRestamps: a stale entry the revalidator vouches
+// for is a hit, judged against the stamp it carried, and is re-stamped, so
+// the next lookup at the new version hits without revalidating.
+func TestDoRevalidatingServesAndRestamps(t *testing.T) {
+	c := New[[]int](4)
+	c.Put("v1", "k", []int{1})
+	var judged []string
+	revalidate := func(since string, val []int) bool { judged = append(judged, since); return true }
+	compute := func() ([]int, error) { t.Fatal("compute ran on a revalidated hit"); return nil, nil }
+	out, hit, err := DoRevalidating(c, "k", fixedVersion("v2"), revalidate, compute)
+	if err != nil || !hit || len(out) != 1 || out[0] != 1 {
+		t.Fatalf("out=%v hit=%v err=%v, want the stored [1] as a hit", out, hit, err)
+	}
+	if _, hit, _ := DoRevalidating(c, "k", fixedVersion("v2"), revalidate, compute); !hit {
+		t.Fatal("re-stamped entry missed")
+	}
+	if !slices.Equal(judged, []string{"v1"}) {
+		t.Fatalf("revalidator judged stamps %v, want [v1] once", judged)
+	}
+	if st := c.Stats(); st != (Stats{Hits: 2, Revalidated: 1, Entries: 1}) {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestDoRevalidatingRejectDrops: a stale entry the revalidator rejects (or
+// any stale entry, without a revalidator) is dropped, and the lookup is a
+// miss whose answer is stored under the new version.
+func TestDoRevalidatingRejectDrops(t *testing.T) {
+	for _, revalidate := range []Revalidator[[]int]{nil, func(string, []int) bool { return false }} {
+		c := New[[]int](4)
+		c.Put("v1", "k", []int{1})
+		out, hit, err := DoRevalidating(c, "k", fixedVersion("v2"), revalidate, func() ([]int, error) { return []int{2}, nil })
+		if err != nil || hit || len(out) != 1 || out[0] != 2 {
+			t.Fatalf("out=%v hit=%v err=%v, want the computed [2], no hit", out, hit, err)
+		}
+		if st := c.Stats(); st != (Stats{Misses: 1, Invalidated: 1, Entries: 1}) {
+			t.Fatalf("stats = %+v", st)
+		}
+		if got, ok := c.Get("v2", "k"); !ok || got[0] != 2 {
+			t.Fatalf("Get(v2) = %v, %v; want the recomputed [2]", got, ok)
+		}
+		if _, ok := c.Get("v1", "k"); ok {
+			t.Fatal("rejected v1 entry still served")
+		}
+	}
+}
+
+// TestRevalidationVerdictNeedsItsStamp: revalidation runs outside the lock,
+// so a store can replace the entry meanwhile. The verdict then applies to
+// nothing: a rejection must not drop the replacement, and an approval must
+// not re-stamp it.
+func TestRevalidationVerdictNeedsItsStamp(t *testing.T) {
+	for _, verdict := range []bool{false, true} {
+		c := New[[]int](4)
+		c.Put("v1", "k", []int{1})
+		racingStore := func(string, []int) bool { c.Put("v3", "k", []int{3}); return verdict }
+		c.lookup("v2", hashKey("k"), "k", racingStore)
+		if got, ok := c.Get("v3", "k"); !ok || got[0] != 3 {
+			t.Fatalf("verdict %v: Get(v3) = %v, %v; the racing store's entry must stand", verdict, got, ok)
+		}
+	}
+}
+
+// TestDropLeavesFIFO: an entry dropped on lookup leaves the FIFO order too.
+// At capacity, one key is dropped and re-put across versions again and
+// again between inserts of new keys; against a model of the order, the
+// cache must hold exactly the model's entries — never more than capacity —
+// and evict exactly the oldest, never a fresh re-put ahead of older entries.
+func TestDropLeavesFIFO(t *testing.T) {
+	const capacity = 3
+	c := New[int](capacity)
+	type held struct{ version, key string }
+	var model []held // the entries a FIFO cache holds, oldest first
+	put := func(version, key string) {
+		c.Put(version, key, 0)
+		if len(model) == capacity {
+			model = model[1:]
+		}
+		model = append(model, held{version, key})
+	}
+	put("v0", "a")
+	put("v0", "b")
+	put("v0", "c")
+	for i := 1; i <= 20; i++ {
+		v := fmt.Sprint("v", i)
+		if _, ok := c.Get(v, "c"); ok {
+			t.Fatalf("round %d: stale entry served without a revalidator", i)
+		}
+		model = slices.DeleteFunc(model, func(h held) bool { return h.key == "c" })
+		put(v, "c")
+		if i%2 == 0 {
+			put(v, fmt.Sprint("x", i))
+		}
+		if st := c.Stats(); st.Entries != len(model) || st.Entries > capacity {
+			t.Fatalf("round %d: %d entries, want %d (capacity %d)", i, st.Entries, len(model), capacity)
+		}
+		for _, h := range model {
+			if _, ok := c.Get(h.version, h.key); !ok {
+				t.Fatalf("round %d: %s@%s evicted out of FIFO order; want held %v", i, h.key, h.version, model)
+			}
+		}
+	}
+}
+
+// TestDoRevalidatingRacingVersionBumps is TestDoRacingVersionBumps with a
+// revalidator: the answer under version g is g/4, so an entry stays exact
+// across the three bumps after a multiple of 4, and the revalidator vouches
+// for exactly those. Every hit, revalidated or not, must carry the answer of
+// the version it was looked up under. Run with -race this also proves the
+// unlocked revalidation and its stamp-checked verdict.
+func TestDoRevalidatingRacingVersionBumps(t *testing.T) {
+	c := New[[]uint64](8)
+	var gen atomic.Uint64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				gen.Add(1)
+				time.Sleep(10 * time.Microsecond)
+			}
+		}
+	}()
+	var readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			var seen uint64
+			version := func() (string, bool) { seen = gen.Load(); return fmt.Sprint(seen), true }
+			revalidate := func(since string, val []uint64) bool { return val[0] == seen/4 }
+			for i := 0; i < 2000; i++ {
+				out, hit, err := DoRevalidating(c, fmt.Sprint("k", i%3), version, revalidate, func() ([]uint64, error) { return []uint64{seen / 4}, nil })
+				if err != nil || len(out) != 1 || hit && out[0] != seen/4 {
+					t.Errorf("reader %d: hit=%v %v under version %d, want [%d]", r, hit, out, seen, seen/4)
+					return
+				}
+			}
+		}(r)
+	}
+	readers.Wait()
+	close(stop)
+	wg.Wait()
+	if st := c.Stats(); st.Revalidated == 0 {
+		t.Errorf("no entry was revalidated: %+v", st)
+	}
 }

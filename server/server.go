@@ -452,13 +452,17 @@ type StatsResponse struct {
 		LastRefreshMS float64 `json:"last_refresh_ms"` // 0 when the snapshot came from a full build
 		// Query-cache counters (zero unless the engine was built with a
 		// query cache — digitaltraces.WithQueryCache or a cluster
-		// CacheSize). Hits and misses count lookups, evictions count
-		// capacity displacements; a sharded engine reports its
+		// CacheSize). Hits and misses count lookups; revalidated and
+		// invalidated count the entries from an older generation a lookup
+		// served or dropped (inside hits and misses); evictions count
+		// capacity displacements. A sharded engine reports its
 		// cluster-level cache's.
-		CacheHits      uint64 `json:"cache_hits"`
-		CacheMisses    uint64 `json:"cache_misses"`
-		CacheEvictions uint64 `json:"cache_evictions"`
-		CacheEntries   int    `json:"cache_entries"`
+		CacheHits        uint64 `json:"cache_hits"`
+		CacheMisses      uint64 `json:"cache_misses"`
+		CacheRevalidated uint64 `json:"cache_revalidated"`
+		CacheInvalidated uint64 `json:"cache_invalidated"`
+		CacheEvictions   uint64 `json:"cache_evictions"`
+		CacheEntries     int    `json:"cache_entries"`
 		// Mapped reports that the index serves off a read-only file mapping
 		// (OpenIndex); the pool counters are the sequence buffer pool's
 		// block-cache traffic — PoolHitRate near 1 means the hot entities'
@@ -507,6 +511,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Index.LastRefreshMS = float64(ix.LastRefreshDuration.Microseconds()) / 1e3
 	resp.Index.CacheHits = ix.CacheHits
 	resp.Index.CacheMisses = ix.CacheMisses
+	resp.Index.CacheRevalidated = ix.CacheRevalidated
+	resp.Index.CacheInvalidated = ix.CacheInvalidated
 	resp.Index.CacheEvictions = ix.CacheEvictions
 	resp.Index.CacheEntries = ix.CacheEntries
 	resp.Index.Mapped = ix.Mapped

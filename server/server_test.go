@@ -183,6 +183,54 @@ func TestVisitIngestOverHTTP(t *testing.T) {
 	}
 }
 
+// TestStatsCacheRevalidation: a write that cannot change a cached answer
+// leaves it served (cache_revalidated), one to the query entity drops it
+// (cache_invalidated).
+func TestStatsCacheRevalidation(t *testing.T) {
+	db, err := digitaltraces.SyntheticCity(digitaltraces.CityConfig{Side: 4, Entities: 40, Days: 3},
+		digitaltraces.WithQueryCache(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(db))
+	t.Cleanup(ts.Close)
+	epoch := time.Unix(0, 0).UTC()
+	write := func(entity string, hour int) {
+		t.Helper()
+		visit := Visit{Entity: entity, Venue: "venue-0", Start: epoch.Add(time.Duration(hour) * time.Hour), End: epoch.Add(time.Duration(hour+1) * time.Hour)}
+		if code, body := postJSON(t, ts.URL+"/visits", VisitsRequest{Visits: []Visit{visit}}, nil); code != http.StatusOK {
+			t.Fatalf("POST /visits: %d: %s", code, body)
+		}
+	}
+	query := func() bool {
+		t.Helper()
+		var got TopKResponse
+		getJSON(t, ts.URL+"/topk?entity=entity-0&k=3", &got)
+		return got.Stats.CacheHit
+	}
+	var st StatsResponse
+	query()
+	write("loner", 500) // a new entity sharing no cell with anyone
+	if !query() {
+		t.Fatal("answer not served across a write that cannot change it")
+	}
+	getJSON(t, ts.URL+"/stats", &st)
+	if st.Index.CacheRevalidated != 1 || st.Index.CacheInvalidated != 0 || st.Index.CacheHits != 1 {
+		t.Fatalf("after an unrelated write: %+v", st.Index)
+	}
+	write("entity-0", 1)
+	if query() {
+		t.Fatal("answer served across a write to the query entity")
+	}
+	getJSON(t, ts.URL+"/stats", &st)
+	if st.Index.CacheRevalidated != 1 || st.Index.CacheInvalidated != 1 {
+		t.Fatalf("after a write to the query entity: %+v", st.Index)
+	}
+}
+
 // foldFailing is an engine whose every write stores its records and then
 // fails to fold them.
 type foldFailing struct{ digitaltraces.Engine }

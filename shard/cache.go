@@ -3,7 +3,10 @@ package shard
 // The cluster's side of the hot-query cache (internal/qcache, whose doc
 // comment carries the soundness argument): the version is the slot-map epoch
 // plus the vector of shard snapshot generations, usable once every non-empty
-// shard has published a snapshot, which covers its acknowledged writes.
+// shard has published a snapshot, which covers its acknowledged writes. The
+// cluster supplies no revalidator (a remote shard's dirty log does not cross
+// the wire), so an entry stamped under any other version misses and is
+// dropped.
 
 import (
 	"encoding/binary"

@@ -711,6 +711,8 @@ func (c *Cluster) IndexStats() digitaltraces.IndexStats {
 		cs := c.cache.Stats()
 		agg.CacheHits = cs.Hits
 		agg.CacheMisses = cs.Misses
+		agg.CacheRevalidated = cs.Revalidated
+		agg.CacheInvalidated = cs.Invalidated
 		agg.CacheEvictions = cs.Evictions
 		agg.CacheEntries = cs.Entries
 	}

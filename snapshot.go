@@ -44,6 +44,12 @@ type snapshot struct {
 	// folds can carry it forward through derived snapshots.
 	pool *storage.Store
 
+	// dirty is the bounded log of what the recent folds changed, oldest
+	// first: the dirty entity sets of the last ≤ dirtyLogLen publishes up to
+	// this one, when those were folds back to back — empty after a build, an
+	// open or a bulk load. The query cache revalidates against it (cache.go).
+	dirty [][]trace.EntityID
+
 	generation  uint64        // 1 for the first build, +1 per swap
 	seq         uint64        // write sequence the build's view captured (0 for a bulk load)
 	buildTime   time.Duration // duration of the lineage's last full BuildIndex
@@ -195,6 +201,7 @@ func (db *DB) refreshSnapshot(prev *snapshot) error {
 		measure:     prev.measure,
 		byID:        v.byID,
 		pool:        prev.pool,
+		dirty:       appendDirty(prev.dirty, v.ids),
 		buildTime:   prev.buildTime,
 		refreshTime: time.Since(start),
 	}
