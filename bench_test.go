@@ -477,20 +477,28 @@ func BenchmarkDegree(b *testing.B) {
 var benchSink float64
 
 // BenchmarkStoreGet times the sequence lookup a search pays once per checked
-// entity: on a root store (one indexed load) and on a derived generation
-// whose overlay holds a refresh's worth of rewritten entities (a map probe
-// in front of the load).
+// entity: on a root store (one indexed load), on a derived generation whose
+// overlay holds a refresh's worth of rewritten entities, and on a store 64
+// derives deep, each rewriting 4 entities (the overlay's levels probed in
+// front of the load).
 func BenchmarkStoreGet(b *testing.B) {
 	_, root, _, _ := benchWorld(b, 1000, 16)
 	ids := root.Entities()
-	derived := root.Clone().Derive()
+	derived := root.Derive()
 	for _, e := range ids[:8] {
 		derived.Put(root.Get(e))
+	}
+	chained := derived
+	for gen := 1; gen <= 64; gen++ {
+		chained = chained.Derive()
+		for _, e := range ids[4*gen : 4*gen+4] {
+			chained.Put(root.Get(e))
+		}
 	}
 	for _, tc := range []struct {
 		name string
 		st   *trace.Store
-	}{{"root", root}, {"derived", derived}} {
+	}{{"root", root}, {"derived", derived}, {"chained", chained}} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			cells := 0

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync"
 
+	"digitaltraces/internal/cow"
 	"digitaltraces/internal/trace"
 )
 
@@ -18,12 +19,12 @@ import (
 // Invariant: for every indexed entity e and every level-1 cell c of its
 // current sequences, e is in postings(c) — a missing pair would be a wrong
 // answer. Pairs are only ever added. The stale pairs of an entity that is
-// still indexed (re-indexed with different data) only loosen its bound; an
-// entity removed outright stays in gone until it is indexed again, so that no
-// search scores it. BuildPostings and Snapshot.Postings seal from the
-// sequences, which drops the stale pairs; an image written with its sequences
-// stores the pairs minus those of gone, and Snapshot.MappedPostings adopts
-// them as the base.
+// still indexed (re-indexed with different data) only loosen its bound; the
+// pairs of an entity removed outright stay too, and the entity table keeps
+// every search from scoring it until it is indexed again. BuildPostings seals
+// from the sequences, which drops the stale pairs; an image written with its
+// sequences stores the pairs minus those of the removed entities, and
+// Snapshot.MappedPostings adopts them as the base.
 //
 // By the Section 4.1 derivation every shared level-l cell has its level-1
 // ancestor shared. So an entity in none of the postings of a query's level-1
@@ -36,18 +37,16 @@ type cellIndex struct {
 	keys  []trace.Cell
 	offs  []uint32
 	posts []trace.EntityID
-	// added holds the pairs added since; private to one generation.
-	added      map[trace.Cell][]trace.EntityID
-	addedPairs int
-	maxID      trace.EntityID // largest entity ID posted; -1 when none
-	// gone holds the removed entities whose pairs are still posted.
-	gone map[trace.EntityID]struct{}
+	// added holds the pairs added since, a cell's in one list that a write
+	// replaces whole, so its writes count the pairs.
+	added cow.Map[trace.Cell, []trace.EntityID]
+	maxID trace.EntityID // largest entity ID posted; -1 when none
 }
 
 // seal builds an index whose base holds the pairs each yields — the same ones
 // on both of its calls: one pass counts the postings per cell, one fills them.
 func seal(each func(post func(trace.Cell, trace.EntityID))) *cellIndex {
-	ci := &cellIndex{added: map[trace.Cell][]trace.EntityID{}, maxID: -1, gone: map[trace.EntityID]struct{}{}}
+	ci := &cellIndex{maxID: -1}
 	slot := make(map[trace.Cell]uint32) // postings per cell, then the cell's fill cursor
 	each(func(c trace.Cell, e trace.EntityID) {
 		slot[c]++
@@ -90,30 +89,33 @@ func (ci *cellIndex) postings(c trace.Cell) (sealed, added []trace.EntityID) {
 	if i, ok := slices.BinarySearch(ci.keys, c); ok {
 		sealed = ci.posts[ci.offs[i]:ci.offs[i+1]]
 	}
-	return sealed, ci.added[c]
+	added, _ = ci.added.Get(c)
+	return sealed, added
 }
 
-// add posts e under each of its level-1 cells, skipping pairs already there.
+// add posts e under each of its level-1 cells, skipping pairs already there:
+// the sealed ones first, which spares their cells the probe of added.
 func (ci *cellIndex) add(e trace.EntityID, cells []trace.Cell) {
-	delete(ci.gone, e)
 	for _, c := range cells {
-		sealed, added := ci.postings(c)
-		if _, ok := slices.BinarySearch(sealed, e); ok || slices.Contains(added, e) {
-			continue
+		if i, ok := slices.BinarySearch(ci.keys, c); ok {
+			if _, ok := slices.BinarySearch(ci.posts[ci.offs[i]:ci.offs[i+1]], e); ok {
+				continue
+			}
 		}
-		ci.added[c] = append(added, e)
-		ci.addedPairs++
+		if added, _ := ci.added.Get(c); !slices.Contains(added, e) {
+			ci.added.Set(c, append(slices.Clip(added), e))
+		}
 	}
 	ci.maxID = max(ci.maxID, e)
 }
 
 // pairs yields every posted pair, sealed then added, except those of the
-// entities in drop.
-func (ci *cellIndex) pairs(drop map[trace.EntityID]struct{}) func(post func(trace.Cell, trace.EntityID)) {
+// entities drop reports (none when drop is nil).
+func (ci *cellIndex) pairs(drop func(trace.EntityID) bool) func(post func(trace.Cell, trace.EntityID)) {
 	return func(post func(trace.Cell, trace.EntityID)) {
 		each := func(c trace.Cell, es []trace.EntityID) {
 			for _, e := range es {
-				if _, dropped := drop[e]; !dropped {
+				if drop == nil || !drop(e) {
 					post(c, e)
 				}
 			}
@@ -121,37 +123,26 @@ func (ci *cellIndex) pairs(drop map[trace.EntityID]struct{}) func(post func(trac
 		for i, c := range ci.keys {
 			each(c, ci.posts[ci.offs[i]:ci.offs[i+1]])
 		}
-		for c, es := range ci.added {
+		for c, es := range ci.added.Flat() {
 			each(c, es)
 		}
 	}
 }
 
-// derive returns an independently writable index over the same pairs for the
-// next generation: the base is shared, the added pairs are copied — or,
-// once they reach the compaction threshold, both fold into a fresh base, an
-// O(pairs) step that amortizes to O(1) per added pair. The fold keeps the
-// stale pairs, so gone is carried over either way.
+// derive returns the next generation's index over the same pairs, sharing the
+// base — or, once the added pairs outgrow it, folding both into a fresh base,
+// which keeps the stale pairs.
 func (ci *cellIndex) derive() *cellIndex {
-	var d *cellIndex
-	if trace.OverlayNeedsCompaction(ci.addedPairs, len(ci.posts)) {
-		d = seal(ci.pairs(nil))
-	} else {
-		d = new(cellIndex)
-		*d = *ci
-		d.added = make(map[trace.Cell][]trace.EntityID, len(ci.added))
-		for c, es := range ci.added {
-			d.added[c] = slices.Clip(es) // an append must not write a list another generation reads
-		}
+	if ci.added.Outgrows(len(ci.posts)) {
+		return seal(ci.pairs(nil))
 	}
-	d.gone = maps.Clone(ci.gone)
-	return d
+	return &cellIndex{keys: ci.keys, offs: ci.offs, posts: ci.posts, added: ci.added.Derive(), maxID: ci.maxID}
 }
 
 // memoryBytes estimates the index's size: 12 bytes per cell key and 4 per
-// posting, the added layer and the gone set included.
+// posting, plus 16 per pair added since (a key and a posting).
 func (ci *cellIndex) memoryBytes() int {
-	return 12*(len(ci.keys)+len(ci.added)) + 4*(len(ci.posts)+ci.addedPairs+len(ci.gone))
+	return 12*len(ci.keys) + 4*len(ci.posts) + 16*ci.added.Writes()
 }
 
 // scratch is the state one search recycles through scratchPool: the query's
@@ -268,12 +259,12 @@ func (f *frontier) stamp() {
 // counting sort over the distinct masks, far fewer than the hits. A hit that
 // is the query itself, or the stale pair of a removed entity, is no candidate.
 func (f *frontier) rankCandidates() {
-	sc, gone := f.pooled, f.p.cells.gone
+	sc := f.pooled
 	sc.rehash(max(64, len(sc.slots))) // no buckets yet: an empty table
 	sc.bkt = sc.bkt[:0]
 	last := int32(-1) // neighbours in a posting list often share their mask
 	for _, e := range sc.hits {
-		if _, removed := gone[e]; e == f.q.Entity || removed {
+		if e == f.q.Entity || f.p.removed && !f.p.Contains(e) {
 			sc.bkt = append(sc.bkt, -1)
 			continue
 		}

@@ -161,10 +161,7 @@ func (w *cellWorld) freeze() frozenCells {
 	ci := w.post.cells
 	fz := frozenCells{
 		post: w.post, keys: slices.Clone(ci.keys), offs: slices.Clone(ci.offs), posts: slices.Clone(ci.posts),
-		added: map[trace.Cell][]trace.EntityID{}, entities: fmt.Sprint(w.post.Entities()),
-	}
-	for c, es := range ci.added {
-		fz.added[c] = slices.Clone(es)
+		added: addedLists(ci), entities: fmt.Sprint(w.post.Entities()),
 	}
 	fz.answers = w.fingerprint(w.post)
 	return fz
@@ -200,9 +197,9 @@ func (w *cellWorld) remove() {
 	}
 }
 
-// rebuild seals fresh postings over a flat copy of the store.
+// rebuild seals fresh postings over a derived store.
 func (w *cellWorld) rebuild() {
-	st := w.st.Clone()
+	st := w.st.Derive()
 	p, err := BuildPostings(w.ix, st, w.post.Entities())
 	if err != nil {
 		w.t.Fatalf("BuildPostings: %v", err)
@@ -427,15 +424,13 @@ func requireCellStructure(t testing.TB, label string, p *Postings) {
 	if ci == nil {
 		t.Fatalf("%s: no cell index", label)
 	}
-	for _, tab := range []sizeTable{p.base, p.added} {
-		if !slices.IsSorted(tab.ids) || len(slices.Compact(slices.Clone(tab.ids))) != len(tab.ids) || len(tab.far) != p.m*len(tab.ids) || tab.m != p.m {
-			t.Fatalf("%s: entity table list not strictly ascending or misshapen: %v", label, tab.ids)
+	if len(p.base)%p.m != 0 {
+		t.Fatalf("%s: entity table of %d bytes misshapen for %d levels", label, len(p.base), p.m)
+	}
+	for e, b := range p.added.Flat() {
+		if b != nil && len(b) != p.m { // nil: removed
+			t.Fatalf("%s: entity %d's written entry has %d levels, want %d", label, e, len(b), p.m)
 		}
-		tab.ascend(func(e trace.EntityID) {
-			if (e >= 0 && int(e) < tab.reach) == slices.Contains(tab.ids, e) {
-				t.Fatalf("%s: entity %d on the wrong side of the table's reach %d", label, e, tab.reach)
-			}
-		})
 	}
 	if es := p.Entities(); len(es) != p.Len() || !slices.IsSorted(es) || len(slices.Compact(slices.Clone(es))) != len(es) {
 		t.Fatalf("%s: Len %d, table lists %d entities", label, p.Len(), len(es))
@@ -449,12 +444,32 @@ func requireCellStructure(t testing.TB, label string, p *Postings) {
 			t.Fatalf("%s: postings of %v not ascending", label, ci.keys[i])
 		}
 	}
-	for _, es := range ci.added {
+	for _, es := range ci.added.Flat() {
 		pairs += len(es)
 	}
-	if pairs != ci.addedPairs {
-		t.Fatalf("%s: addedPairs = %d, added layer holds %d", label, ci.addedPairs, pairs)
+	if pairs != ci.added.Writes() {
+		t.Fatalf("%s: added took %d writes, holds %d pairs", label, ci.added.Writes(), pairs)
 	}
+}
+
+// addedLists copies the cell index's added lists into a plain map.
+func addedLists(ci *cellIndex) map[trace.Cell][]trace.EntityID {
+	out := map[trace.Cell][]trace.EntityID{}
+	for c, es := range ci.added.Flat() {
+		out[c] = slices.Clone(es)
+	}
+	return out
+}
+
+// removedCount counts the entities the entity table marks removed.
+func removedCount(p *Postings) int {
+	n := 0
+	for _, b := range p.added.Flat() {
+		if b == nil {
+			n++
+		}
+	}
+	return n
 }
 
 func TestCellIndexExactnessProperty(t *testing.T) {
@@ -493,7 +508,8 @@ func TestCellIndexInvariantModel(t *testing.T) {
 	requireCellInvariant(t, "build", w.post)
 	folds, remaps := 0, 0
 	for gen := 0; gen < 33; gen++ {
-		before := w.post.cells
+		prev := w.post
+		before := prev.cells
 		op := w.step(gen)
 		label := fmt.Sprintf("gen %d (%s)", gen+1, op)
 		requireCellInvariant(t, label, w.post)
@@ -508,20 +524,20 @@ func TestCellIndexInvariantModel(t *testing.T) {
 			// A stored index is the writer's fold: nothing added, nothing
 			// gone, every pair of base and added outside the removed entities.
 			got := w.post.cells
-			if len(got.added)+len(got.gone) != 0 {
-				t.Fatalf("%s: adopted index has %d added cells and %d removed entities", label, len(got.added), len(got.gone))
+			if got.added.Writes() != 0 || w.post.removed {
+				t.Fatalf("%s: adopted index took %d added pairs, or a removal", label, got.added.Writes())
 			}
-			if want := seal(before.pairs(before.gone)); !slices.Equal(got.keys, want.keys) || !slices.Equal(got.offs, want.offs) || !slices.Equal(got.posts, want.posts) {
+			if want := seal(before.pairs(func(e trace.EntityID) bool { return !prev.Contains(e) })); !slices.Equal(got.keys, want.keys) || !slices.Equal(got.offs, want.offs) || !slices.Equal(got.posts, want.posts) {
 				t.Fatalf("%s: adopted index differs from the saved one's pairs", label)
 			}
-			if before.addedPairs > 0 && len(before.gone) > 0 {
+			if before.added.Writes() > 0 && removedCount(prev) > 0 {
 				remaps++
 			}
 		}
 		if op == "rebuild" {
 			// A re-sealed index is exactly the current sequences' pairs.
 			want := sealCells(w.st, w.post.Entities())
-			if got := w.post.cells; !slices.Equal(got.keys, want.keys) || !slices.Equal(got.offs, want.offs) || !slices.Equal(got.posts, want.posts) || len(got.added) != 0 {
+			if got := w.post.cells; !slices.Equal(got.keys, want.keys) || !slices.Equal(got.offs, want.offs) || !slices.Equal(got.posts, want.posts) || got.added.Writes() != 0 {
 				t.Fatalf("%s: re-sealed index differs from one sealed over the current sequences", label)
 			}
 		}
@@ -535,7 +551,7 @@ func TestCellIndexInvariantModel(t *testing.T) {
 	for i, fz := range w.past {
 		ci := fz.post.cells
 		if !slices.Equal(ci.keys, fz.keys) || !slices.Equal(ci.offs, fz.offs) || !slices.Equal(ci.posts, fz.posts) ||
-			!maps.EqualFunc(ci.added, fz.added, slices.Equal[[]trace.EntityID]) {
+			!maps.EqualFunc(addedLists(ci), fz.added, slices.Equal[[]trace.EntityID]) {
 			t.Fatalf("frozen generation %d: cell index changed after it was derived from", i)
 		}
 		if got := fmt.Sprint(fz.post.Entities()); got != fz.entities {
@@ -584,14 +600,15 @@ func TestCellIndexDeriveIsODirty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &next.cells.posts[0] != &parent.cells.posts[0] || &next.cells.keys[0] != &parent.cells.keys[0] || &next.base.dense[0] != &parent.base.dense[0] {
+	if &next.cells.posts[0] != &parent.cells.posts[0] || &next.cells.keys[0] != &parent.cells.keys[0] || &next.base[0] != &parent.base[0] {
 		t.Fatal("derived index copied the parent's base")
 	}
-	if !slices.Equal(next.added.ids, dirty) || next.Len() != parent.Len()+1 {
-		t.Fatalf("derived entity table wrote %v, %d entities; want the dirty %v, one new", next.added.ids, next.Len(), dirty)
+	written := slices.Sorted(maps.Keys(next.added.Flat()))
+	if !slices.Equal(written, dirty) || next.added.Writes() != len(dirty) || next.Len() != parent.Len()+1 {
+		t.Fatalf("derived entity table wrote %v in %d writes, %d entities; want the dirty %v, one new", written, next.added.Writes(), next.Len(), dirty)
 	}
-	if next.cells.addedPairs < 2 || next.cells.addedPairs > 4 {
-		t.Fatalf("derived index added %d pairs; entity 20000 brings 2, entity 3 at most 2, entity 7000 none", next.cells.addedPairs)
+	if pairs := next.cells.added.Writes(); pairs < 2 || pairs > 4 {
+		t.Fatalf("derived index added %d pairs; entity 20000 brings 2, entity 3 at most 2, entity 7000 none", pairs)
 	}
 	if got, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(len(parent.cells.posts)*4/2); got > limit {
 		t.Fatalf("Derive allocated %d bytes; half a copy of the postings is %d", got, limit)
@@ -938,7 +955,7 @@ func TestDeriveChainResizes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if &next.base.dense[0] != &post.base.dense[0] {
+		if &next.base[0] != &post.base[0] {
 			folds++
 		}
 		st, post = dst, next
@@ -1077,8 +1094,8 @@ func TestRemovedEntityIsNoCandidate(t *testing.T) {
 	}
 	tree.add(victim, st.Get(victim))
 	check("re-inserted", tree, true)
-	if n := len(tree.cells.gone); n != 1 {
-		t.Fatalf("gone holds %d entities, want only %d", n, second)
+	if n := removedCount(tree); n != 1 {
+		t.Fatalf("the entity table marks %d entities removed, want only %d", n, second)
 	}
 }
 

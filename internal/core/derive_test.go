@@ -3,6 +3,8 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"digitaltraces/internal/spindex"
@@ -323,5 +325,77 @@ func TestDeriveReplayTightensAfterRemoves(t *testing.T) {
 		if gStats.Checked > wStats.Checked {
 			t.Errorf("entity %d: tight replay checked %d > loose original's %d", e, gStats.Checked, wStats.Checked)
 		}
+	}
+}
+
+// TestDeriveChainCostStaysFlat: a derive costs O(dirty), not O(what the chain
+// wrote since the last reseal). Along 1 000 derives of 8 dirty entities each
+// over 20 000 entities — a chain no reseal interrupts — the bytes Store.Derive
+// and Postings.Derive allocate in the median derive of the last 64 stay
+// within twice the median of the first 64; an overlay copied whole on every
+// derive grows every derive's bytes with the chain. The median, not the sum:
+// the copy-on-write layer's merge of its largest level is O(written) in the
+// one derive that makes it (O(log n) copies per entry amortized), so whether
+// a 64-derive window's sum holds one is a matter of where it falls.
+func TestDeriveChainCostStaysFlat(t *testing.T) {
+	const entities, chain, batch, window = 20000, 1000, 8, 64
+	ix := forest(64)
+	rng := rand.New(rand.NewSource(3))
+	cell := func() trace.Cell {
+		return trace.MakeCell(trace.Time(rng.Intn(14*24)), ix.BaseUnit(spindex.BaseID(rng.Intn(ix.NumBase()))))
+	}
+	st := trace.NewStore(ix)
+	ids := make([]trace.EntityID, entities)
+	for i := range ids {
+		ids[i] = trace.EntityID(i)
+		cells := make([]trace.Cell, 8)
+		for j := range cells {
+			cells[j] = cell()
+		}
+		st.Put(trace.NewSequencesFromCells(ix, ids[i], cells))
+	}
+	post, err := BuildPostings(ix, st, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first, last []uint64
+	var m0, m1, m2, m3 runtime.MemStats
+	for i := 0; i < chain; i++ {
+		measured := i < window || i >= chain-window
+		if measured {
+			runtime.ReadMemStats(&m0)
+		}
+		next := st.Derive()
+		if measured {
+			runtime.ReadMemStats(&m1)
+		}
+		dirty := make([]trace.EntityID, batch)
+		for j := range dirty {
+			dirty[j] = ids[rng.Intn(entities)]
+			next.Put(trace.NewSequencesFromCells(ix, dirty[j], append(slices.Clone(next.Get(dirty[j]).Base()), cell(), cell())))
+		}
+		if measured {
+			runtime.ReadMemStats(&m2)
+		}
+		if post, err = post.Derive(next, dirty); err != nil {
+			t.Fatal(err)
+		}
+		if measured {
+			runtime.ReadMemStats(&m3)
+			bytes := m1.TotalAlloc - m0.TotalAlloc + m3.TotalAlloc - m2.TotalAlloc
+			if i < window {
+				first = append(first, bytes)
+			} else {
+				last = append(last, bytes)
+			}
+		}
+		st = next
+	}
+	median := func(xs []uint64) uint64 {
+		slices.Sort(xs)
+		return xs[len(xs)/2]
+	}
+	if f, l := median(first), median(last); l > 2*f {
+		t.Fatalf("the median of the last %d derives allocated %d bytes, of the first %d %d: %.1fx", window, l, window, f, float64(l)/float64(f))
 	}
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
+	"digitaltraces/internal/cow"
 	"digitaltraces/internal/spindex"
 	"digitaltraces/internal/trace"
 )
@@ -26,41 +28,29 @@ var _ SequenceSource = (*trace.Store)(nil)
 // folds dirty entities in O(dirty).
 //
 // A Postings is never mutated once another goroutine can see it — Derive
-// builds the next generation aside and leaves the receiver untouched — so any
-// number of searches may run against one concurrently. The MinSigTree (Tree)
-// composes one and is its only writer in place.
+// builds the next generation aside and leaves the receiver reading as it did
+// — so any number of searches may run against one concurrently. The
+// MinSigTree (Tree) composes one and is its only writer in place.
 type Postings struct {
 	ix  *spindex.Index
 	src SequenceSource
 	m   int
-	// The entity table, each indexed entity's level sizes: a sealed base shared
-	// by derived generations, and the entries one generation wrote since,
-	// which shadow it. An entity in cells.gone is not indexed, whichever layer
-	// holds it.
-	base, added sizeTable
-	n           int // indexed entities
-	cells       *cellIndex
-}
-
-// sizeTable maps entity IDs to their level sizes, one byte per level: byte
-// l-1 holds min(|P^l|, 254) + 1, so an absent ID reads 0 and sizeSaturated
-// marks a level of 254 cells or more, whose size the bound takes as unknown.
-// IDs in [0, reach) sit in a dense table — the facade allocates IDs from 0
-// upward, and reach is about twice the population, as in trace.Store — and
-// the rest in a sorted list, so memory stays O(|E|) whatever IDs arrive.
-type sizeTable struct {
-	m, reach int
-	dense    []byte           // entity e's bytes are dense[e*m : (e+1)*m]
-	ids      []trace.EntityID // the entries outside [0, reach), ascending
-	far      []byte           // their bytes, m each, in the same order
+	// The entity table, each indexed entity's level sizes, one byte per level:
+	// byte l-1 holds min(|P^l|, 254) + 1, so an absent ID reads 0 and
+	// sizeSaturated marks a level of 254 cells or more, whose size the bound
+	// takes as unknown. The sealed base is dense, e's bytes at base[e*m:] (seal);
+	// added holds the rest and what was written since: nil for a removed entity.
+	base    []byte
+	added   cow.Map[trace.EntityID, []byte]
+	fresh   cow.Map[trace.EntityID, bool] // the IDs added holds and base may lack
+	n       int                           // indexed entities
+	removed bool                          // by remove: a posted entity may not be indexed
+	cells   *cellIndex
 }
 
 const sizeSaturated = 255
 
-// newSizeTable returns an empty table sized for a base of n entities.
-func newSizeTable(m, n int) sizeTable { return sizeTable{m: m, reach: 2*n + 16} }
-
-// levelSizes appends s's entry to dst.
+// levelSizes appends s's entry in the entity table to dst.
 func levelSizes(dst []byte, s *trace.Sequences) []byte {
 	for l := 1; l <= s.Levels(); l++ {
 		dst = append(dst, byte(min(s.Size(l), sizeSaturated-1)+1))
@@ -68,62 +58,11 @@ func levelSizes(dst []byte, s *trace.Sequences) []byte {
 	return dst
 }
 
-// get returns e's entry, nil when it has none.
-func (t *sizeTable) get(e trace.EntityID) []byte {
-	if i := int(e) * t.m; e >= 0 && i < len(t.dense) {
-		if b := t.dense[i : i+t.m]; b[0] != 0 {
-			return b
-		}
-		return nil
-	}
-	if i, ok := slices.BinarySearch(t.ids, e); ok {
-		return t.far[i*t.m : (i+1)*t.m]
-	}
-	return nil
-}
-
-// put sets e's entry to a copy of b.
-func (t *sizeTable) put(e trace.EntityID, b []byte) {
-	if e >= 0 && int(e) < t.reach {
-		i := int(e) * t.m
-		if len(t.dense) <= i {
-			t.dense = append(t.dense, make([]byte, i+t.m-len(t.dense))...)
-		}
-		copy(t.dense[i:], b)
-		return
-	}
-	i, ok := slices.BinarySearch(t.ids, e)
-	if ok {
-		copy(t.far[i*t.m:], b)
-		return
-	}
-	t.ids = slices.Insert(t.ids, i, e)
-	t.far = slices.Insert(t.far, i*t.m, b...)
-}
-
-// ascend calls fn for every entry's ID in ascending order.
-func (t *sizeTable) ascend(fn func(trace.EntityID)) {
-	ids := t.ids
-	for ; len(ids) > 0 && ids[0] < 0; ids = ids[1:] {
-		fn(ids[0])
-	}
-	for i := 0; i < len(t.dense); i += t.m {
-		if t.dense[i] != 0 {
-			fn(trace.EntityID(i / t.m))
-		}
-	}
-	for _, e := range ids {
-		fn(e)
-	}
-}
-
-func (t *sizeTable) memoryBytes() int { return len(t.dense) + len(t.far) + 4*len(t.ids) }
-
 // BuildPostings indexes the given entities, whose sequences src must hold.
 func BuildPostings(ix *spindex.Index, src SequenceSource, entities []trace.EntityID) (*Postings, error) {
 	ents := slices.Sorted(slices.Values(entities))
 	m := ix.Height()
-	base, entry := newSizeTable(m, len(ents)), make([]byte, 0, m)
+	p, entry := &Postings{ix: ix, src: src, m: m, n: len(ents)}, make([]byte, 0, m)
 	for i, e := range ents {
 		if i > 0 && ents[i-1] == e {
 			return nil, fmt.Errorf("core: entity %d listed twice", e)
@@ -132,9 +71,26 @@ func BuildPostings(ix *spindex.Index, src SequenceSource, entities []trace.Entit
 		if err != nil {
 			return nil, err
 		}
-		base.put(e, levelSizes(entry[:0], s))
+		p.seal(e, levelSizes(entry[:0], s))
 	}
-	return &Postings{ix: ix, src: src, m: m, base: base, added: sizeTable{m: m}, n: len(ents), cells: sealCells(src, ents)}, nil
+	p.cells = sealCells(src, ents)
+	return p, nil
+}
+
+// seal enters e's sizes in the base sealed over a population of p.n: dense
+// up to about twice that, so memory stays O(|E|) whatever IDs arrive (the
+// facade allocates them from 0 upward), and in added beyond.
+func (p *Postings) seal(e trace.EntityID, b []byte) {
+	if e < 0 || int(e) >= 2*p.n+16 {
+		p.added.Set(e, slices.Clone(b))
+		p.fresh.Set(e, true)
+		return
+	}
+	i := int(e) * p.m
+	if len(p.base) <= i {
+		p.base = append(p.base, make([]byte, i+p.m-len(p.base))...)
+	}
+	copy(p.base[i:], b)
 }
 
 // sequencesOf fetches an entity's sequences, which must exist and have m
@@ -152,10 +108,8 @@ func sequencesOf(src SequenceSource, e trace.EntityID, m int) (*trace.Sequences,
 
 // Derive returns the next generation: the receiver's entities over src, with
 // the dirty ones (re-)indexed from their sequences in src — which must hold
-// their current data — and the receiver untouched. Cost is O(dirty) plus what
-// the receiver wrote since its base was sealed, a layer that folds into a
-// fresh base once it reaches half the population, so the fold amortizes to
-// O(1) per written entry.
+// their current data — and the receiver reading as it did (write only the
+// result from then on), for O(dirty) plus the copy-on-write merges and reseals.
 func (p *Postings) Derive(src SequenceSource, dirty []trace.EntityID) (*Postings, error) {
 	seqs := make([]*trace.Sequences, len(dirty))
 	for i, e := range dirty {
@@ -165,14 +119,11 @@ func (p *Postings) Derive(src SequenceSource, dirty []trace.EntityID) (*Postings
 		}
 		seqs[i] = s
 	}
-	// Copied, so a write to added never touches an array another generation
-	// reads.
-	added := p.added
-	added.ids, added.far = slices.Clone(added.ids), slices.Clone(added.far)
-	d := &Postings{ix: p.ix, src: src, m: p.m, base: p.base, added: added, n: p.n, cells: p.cells.derive()}
-	if trace.OverlayNeedsCompaction(len(p.added.ids), p.n) {
-		d.base, d.added = newSizeTable(p.m, p.n), sizeTable{m: p.m}
-		p.each(func(e trace.EntityID) { d.base.put(e, p.sizes(e)) })
+	d := &Postings{ix: p.ix, src: src, m: p.m, n: p.n, removed: p.removed, cells: p.cells.derive()}
+	if p.added.Outgrows(p.n) {
+		p.each(func(e trace.EntityID) { d.seal(e, p.sizes(e)) })
+	} else {
+		d.base, d.added, d.fresh = p.base, p.added.Derive(), p.fresh.Derive()
 	}
 	for i, e := range dirty {
 		d.add(e, seqs[i])
@@ -186,28 +137,31 @@ func (p *Postings) Derive(src SequenceSource, dirty []trace.EntityID) (*Postings
 func (p *Postings) add(e trace.EntityID, s *trace.Sequences) {
 	if !p.Contains(e) {
 		p.n++
+		p.fresh.Set(e, true)
 	}
-	p.added.put(e, levelSizes(make([]byte, 0, p.m), s))
+	p.added.Set(e, levelSizes(make([]byte, 0, p.m), s))
 	p.cells.add(e, s.At(1))
 }
 
-// remove unindexes e. Its pairs stay posted; gone keeps every search from
-// scoring it.
+// remove unindexes e. Its pairs stay posted; its nil entry keeps every
+// search from scoring it.
 func (p *Postings) remove(e trace.EntityID) {
 	if p.Contains(e) {
 		p.n--
-		p.cells.gone[e] = struct{}{}
+		p.added.Set(e, nil)
+		p.removed = true
 	}
 }
 
 // sizes returns e's entry in the entity table, nil when it has none.
 func (p *Postings) sizes(e trace.EntityID) []byte {
-	if len(p.added.ids) > 0 {
-		if b := p.added.get(e); b != nil {
-			return b
-		}
+	if b, ok := p.added.Get(e); ok {
+		return b
 	}
-	return p.base.get(e)
+	if i := int(e) * p.m; e >= 0 && i < len(p.base) && p.base[i] != 0 {
+		return p.base[i : i+p.m]
+	}
+	return nil
 }
 
 // levelSizesOf fills dst with e's level sizes as Measure.UpperBound takes
@@ -228,23 +182,26 @@ func (p *Postings) levelSizesOf(e trace.EntityID, dst []int) []int {
 
 // Contains reports whether the entity is indexed.
 func (p *Postings) Contains(e trace.EntityID) bool {
-	_, removed := p.cells.gone[e]
-	return !removed && p.sizes(e) != nil
+	return p.sizes(e) != nil
 }
 
 // Len returns the number of indexed entities (|E|).
 func (p *Postings) Len() int { return p.n }
 
 // each calls fn for every indexed entity, in ascending ID order: the base's
-// walk with the added entries merged in.
+// walk with the fresh IDs merged in.
 func (p *Postings) each(fn func(trace.EntityID)) {
 	emit := func(e trace.EntityID) {
-		if _, removed := p.cells.gone[e]; !removed {
+		if !p.removed || p.Contains(e) {
 			fn(e)
 		}
 	}
-	rest := p.added.ids
-	p.base.ascend(func(e trace.EntityID) {
+	rest := slices.Sorted(maps.Keys(p.fresh.Flat()))
+	for i := 0; i < len(p.base); i += p.m {
+		if p.base[i] == 0 {
+			continue
+		}
+		e := trace.EntityID(i / p.m)
 		for ; len(rest) > 0 && rest[0] < e; rest = rest[1:] {
 			emit(rest[0])
 		}
@@ -252,7 +209,7 @@ func (p *Postings) each(fn func(trace.EntityID)) {
 			rest = rest[1:]
 		}
 		emit(e)
-	})
+	}
 	for _, e := range rest {
 		emit(e)
 	}
@@ -266,8 +223,8 @@ func (p *Postings) Entities() []trace.EntityID {
 }
 
 // MemoryBytes estimates the index's size: the entity table (m bytes per
-// entity in reach of its dense part, 4 + m per other entry) plus the cell
-// index.
+// entity in reach of its dense base, 4 + m per entry written since or beyond
+// its reach) plus the cell index.
 func (p *Postings) MemoryBytes() int {
-	return p.base.memoryBytes() + p.added.memoryBytes() + p.cells.memoryBytes()
+	return len(p.base) + (4+p.m)*p.added.Writes() + p.cells.memoryBytes()
 }

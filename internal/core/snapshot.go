@@ -133,7 +133,7 @@ func (p *Postings) WriteSnapshot(w io.Writer, meta SnapshotMeta, seqs SequenceSo
 		seqsLen += int64(seqLen)
 	}
 	ents = binary.LittleEndian.AppendUint32(ents, crc32c(ents))
-	parts := [][]byte{head, names, ents, binary.LittleEndian.AppendUint32(sizes, crc32c(sizes)), p.cells.encode()}
+	parts := [][]byte{head, names, ents, binary.LittleEndian.AppendUint32(sizes, crc32c(sizes)), p.encodeCells()}
 	secs := []secfile.Section{{Kind: secfile.Meta}, {Kind: secfile.Names}, {Kind: secfile.Entities}, {Kind: secfile.Sizes}, {Kind: secfile.Cells}, {Kind: secfile.Seqs, Len: seqsLen}}
 	for i, part := range parts {
 		secs[i].Len = int64(len(part))
@@ -159,14 +159,15 @@ func (p *Postings) WriteSnapshot(w io.Writer, meta SnapshotMeta, seqs SequenceSo
 	return sw.Close()
 }
 
-// encode serializes the index as the cells section: the pairs of base and
-// added, minus those of the entities in gone (the stale pairs of entities
-// still indexed stay — the index is a superset by contract), as
+// encodeCells serializes the cell index as the cells section: the pairs of
+// base and added, minus those of the removed entities (the stale pairs of
+// entities still indexed stay — the index is a superset by contract), as
 // count(keys) u64 · count(posts) u64 · keys u64 · offs u32 · posts u32 ·
 // CRC32C of all of it.
-func (ci *cellIndex) encode() []byte {
-	if len(ci.added)+len(ci.gone) > 0 {
-		ci = seal(ci.pairs(ci.gone))
+func (p *Postings) encodeCells() []byte {
+	ci := p.cells
+	if ci.added.Writes() > 0 || p.removed {
+		ci = seal(ci.pairs(func(e trace.EntityID) bool { return p.removed && !p.Contains(e) }))
 	}
 	buf := make([]byte, 0, 16+8*len(ci.keys)+4*len(ci.offs)+4*len(ci.posts)+4)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(ci.keys)))
@@ -212,8 +213,7 @@ func decodeCells(b []byte, holds func(trace.EntityID) bool) (*cellIndex, error) 
 	if nk > uint64(len(body))/12 || np > uint64(len(body))/4 || 16+8*nk+4*(nk+1)+4*np != uint64(len(body)) {
 		return nil, fmt.Errorf("core: corrupt snapshot: cell index of %d bytes claims %d cells and %d postings", len(b), nk, np)
 	}
-	ci := &cellIndex{keys: make([]trace.Cell, nk), offs: make([]uint32, nk+1), posts: make([]trace.EntityID, np),
-		added: map[trace.Cell][]trace.EntityID{}, maxID: -1, gone: map[trace.EntityID]struct{}{}}
+	ci := &cellIndex{keys: make([]trace.Cell, nk), offs: make([]uint32, nk+1), posts: make([]trace.EntityID, np), maxID: -1}
 	keys, offs, posts := body[16:], body[16+8*nk:], body[16+8*nk+4*(nk+1):]
 	for i := range ci.offs {
 		ci.offs[i] = binary.LittleEndian.Uint32(offs[4*i:])
@@ -378,9 +378,9 @@ func DecodeSnapshot(sr *secfile.Reader, ix *spindex.Index) (*Snapshot, error) {
 // time; the spans were bounds-checked by DecodeSnapshot.
 func (s *Snapshot) MappedPostings(ix *spindex.Index, src SequenceSource) *Postings {
 	m := ix.Height()
-	base := newSizeTable(m, len(s.Entities))
+	p := &Postings{ix: ix, src: src, m: m, n: len(s.Entities), cells: s.cells.derive()}
 	for i, se := range s.Entities {
-		base.put(se.ID, s.sizes[i*m:(i+1)*m])
+		p.seal(se.ID, s.sizes[i*m:(i+1)*m])
 	}
-	return &Postings{ix: ix, src: src, m: m, base: base, added: sizeTable{m: m}, n: len(s.Entities), cells: s.cells.derive()}
+	return p
 }

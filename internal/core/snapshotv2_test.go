@@ -148,7 +148,7 @@ func TestSnapshotOneImageBothReaders(t *testing.T) {
 	}
 	for name, loaded := range map[string]*Postings{"streamed": streamed, "mapped": mapped} {
 		requireCellInvariant(t, "loaded", loaded)
-		if got, want := len(loaded.cells.posts), len(post.cells.posts)+post.cells.addedPairs-len(post.cells.postingsOf(11)); got != want {
+		if got, want := len(loaded.cells.posts), len(post.cells.posts)+post.cells.added.Writes()-len(post.cells.postingsOf(11)); got != want {
 			t.Errorf("%s index adopted %d postings, the saved index posts %d outside its removed entity", name, got, want)
 		}
 		if loaded.Contains(11) || !loaded.Contains(7) || !slices.Equal(loaded.Entities(), post.Entities()) {

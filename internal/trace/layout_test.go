@@ -186,8 +186,8 @@ func (m *storeModel) clone() *storeModel {
 	return &storeModel{seqs: maps.Clone(m.seqs), order: slices.Clone(m.order)}
 }
 
-// TestStoreMatchesMapModel drives Put/Get/Derive/Clone/Entities/Len at
-// random, many generations deep and across the compaction threshold, with
+// TestStoreMatchesMapModel drives Put/Get/Derive/Entities/Len at random, many
+// generations deep and across the reseal threshold, with
 // and without a Backing, over dense, negative, sparse and huge entity IDs,
 // and checks every live generation against a plain-map model after each
 // step — so a write leaking into a frozen parent or a sibling shows up.
@@ -243,10 +243,10 @@ func TestStoreMatchesMapModel(t *testing.T) {
 						t.Fatalf("seed %d step %d gen %d: Get(%d) found an entity never put", seed, step, gi, e)
 					}
 				}
-				if g.st.ownsBase {
-					for e := range g.st.overlay {
+				if g.st.owner {
+					for e := range g.st.far {
 						if e >= 0 && int(e) < g.st.tableReach() {
-							t.Fatalf("seed %d step %d gen %d: root overlay holds %d, within the table's reach %d", seed, step, gi, e, g.st.tableReach())
+							t.Fatalf("seed %d step %d gen %d: owned base's far map holds %d, within the table's reach %d", seed, step, gi, e, g.st.tableReach())
 						}
 					}
 				}
@@ -270,11 +270,9 @@ func TestStoreMatchesMapModel(t *testing.T) {
 				}
 				g.st.Put(s)
 				g.model.put(s)
-			case op < 10:
+			default:
 				g.frozen = true
 				gens = append(gens, &generation{st: g.st.Derive(), model: g.model.clone()})
-			default:
-				gens = append(gens, &generation{st: g.st.Clone(), model: g.model.clone()})
 			}
 			if len(gens) > 6 { // keep the newest few: chains get deep, checks stay cheap
 				gens = gens[len(gens)-6:]
@@ -285,8 +283,9 @@ func TestStoreMatchesMapModel(t *testing.T) {
 }
 
 // TestStoreTableStaysProportionalToPopulation: IDs the dense table cannot
-// hold cheaply live in the overlay, so three entities cost three entries no
-// matter how large or negative their IDs are, through Derive and Clone too.
+// hold cheaply live in the base's far map, so three entities cost three
+// entries no matter how large or negative their IDs are, through Derive and a
+// reseal too.
 func TestStoreTableStaysProportionalToPopulation(t *testing.T) {
 	ix := fixture411(t)
 	build := func() *Store {
@@ -300,15 +299,22 @@ func TestStoreTableStaysProportionalToPopulation(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	st := build()
-	shapes := map[string]*Store{"root": st, "clone": st.Clone(), "derived": st.Derive()}
+	rewritten := st.Derive()
+	for _, e := range []EntityID{-1, 5, 1 << 30} {
+		rewritten.Put(st.Get(e))
+	}
+	shapes := map[string]*Store{"root": st, "derived": st.Derive(), "resealed": rewritten.Derive()}
 	shapes["derived twice"] = shapes["derived"].Derive()
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
 		t.Errorf("three entities allocated %d bytes across four store shapes", grew)
 	}
+	if !shapes["resealed"].owner {
+		t.Fatal("a derive over an overlay that outgrew the store did not reseal")
+	}
 	for name, s := range shapes {
-		if len(s.base) > 64 {
-			t.Errorf("%s: table has %d slots for IDs {-1, 5, 1<<30}", name, len(s.base))
+		if len(s.table) > 64 {
+			t.Errorf("%s: table has %d slots for IDs {-1, 5, 1<<30}", name, len(s.table))
 		}
 		for _, e := range []EntityID{-1, 5, 1 << 30} {
 			if s.Get(e) == nil {
@@ -322,9 +328,9 @@ func TestStoreTableStaysProportionalToPopulation(t *testing.T) {
 }
 
 // TestStoreOverlayDrainsIntoTable: an ID that arrives before the population
-// justifies a table slot waits in the overlay only until the table's reach
-// passes it, whatever the arrival order — so Get stays an indexed load and
-// the first Derive has nothing to copy.
+// justifies a table slot waits in the base's far map only until the table's
+// reach passes it, whatever the arrival order — so Get stays an indexed load
+// and the first Derive starts an empty overlay over the shared table.
 func TestStoreOverlayDrainsIntoTable(t *testing.T) {
 	ix := fixture411(t)
 	const n = 400
@@ -338,19 +344,25 @@ func TestStoreOverlayDrainsIntoTable(t *testing.T) {
 		for i := 0; i < n; i++ {
 			e := id(i)
 			st.AddRecords(e, []Record{{Entity: e, Base: 0, Start: 0, End: 1}})
-			waited = max(waited, len(st.overlay))
+			waited = max(waited, len(st.far))
 		}
 		if waited == 0 {
-			t.Errorf("%s: no ID ever waited in the overlay; the order exercises nothing", name)
+			t.Errorf("%s: no ID ever waited in the far map; the order exercises nothing", name)
 		}
-		if len(st.overlay) != 0 || st.baseLen != n {
-			t.Errorf("%s: %d of %d entities left in the overlay, %d in the table", name, len(st.overlay), n, st.baseLen)
+		inTable := 0
+		for _, s := range st.table {
+			if s != nil {
+				inTable++
+			}
 		}
-		if len(st.base) > st.tableReach() {
-			t.Errorf("%s: table has %d slots for %d entities", name, len(st.base), n)
+		if len(st.far) != 0 || inTable != n {
+			t.Errorf("%s: %d of %d entities left in the far map, %d in the table", name, len(st.far), n, inTable)
 		}
-		if d := st.Derive(); len(d.overlay) != 0 || d.Len() != n {
-			t.Errorf("%s: Derive copied %d overlay entries, Len %d", name, len(d.overlay), d.Len())
+		if len(st.table) > st.tableReach() {
+			t.Errorf("%s: table has %d slots for %d entities", name, len(st.table), n)
+		}
+		if d := st.Derive(); d.overlay.Writes() != 0 || &d.table[0] != &st.table[0] || d.Len() != n {
+			t.Errorf("%s: Derive started an overlay of %d writes or a table of its own, Len %d", name, d.overlay.Writes(), d.Len())
 		}
 	}
 }

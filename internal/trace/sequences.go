@@ -3,9 +3,9 @@ package trace
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"slices"
 
+	"digitaltraces/internal/cow"
 	"digitaltraces/internal/spindex"
 )
 
@@ -248,16 +248,6 @@ func sortDedup(cells []Cell) []Cell {
 	return slices.Compact(cells)
 }
 
-// OverlayNeedsCompaction is the shared compaction rule for the repo's
-// two-layer copy-on-write structures (Store.Derive here and core's
-// postings): fold the layers once the private overlay has grown to half the
-// frozen base. Both cite the same amortization argument — the occasional
-// O(|E|) fold costs O(1) per write — so the threshold lives in exactly one
-// place.
-func OverlayNeedsCompaction(overlay, base int) bool {
-	return 2*overlay >= base
-}
-
 // IntersectionSize returns |a ∩ b| for two sorted cell sets.
 func IntersectionSize(a, b []Cell) int {
 	i, j, n := 0, 0, 0
@@ -298,36 +288,34 @@ func Intersection(a, b []Cell) []Cell {
 // Store is an in-memory collection of entity sequences, the "digital-trace
 // database" the index and the query processor read from.
 //
-// Entries live in two heap layers over an optional Backing. The base layer
-// is a dense table indexed by entity ID — the facade allocates IDs from 0
-// upward by arrival, so a read is one indexed load. The overlay is a small
-// map holding whatever the table cannot: a derived store's private writes,
-// and IDs that are negative, sparse or far beyond the population (the table
-// is only ever grown to about twice the live entity count, so memory stays
-// O(|E|) whatever IDs arrive; an early ID moves in once the table reaches it).
-//
-// A Store supports two copying modes. Clone is the flat copy: a fresh table
-// and overlay sharing the *Sequences values, O(|E|). Derive is the
-// copy-on-write derivation the root package's incremental folds run on:
-// the derived store shares the parent's table, frozen from then on, and
-// records its own writes in its overlay, so deriving costs O(|parent
-// overlay|) — the entities written since the last compaction — never O(|E|).
-// A derive whose parent overlay has grown to half its base folds the layers
-// back into one, so the overlay stays small and the occasional O(|E|) fold
-// amortizes to O(1) per write. Both modes rely on ingest treating *Sequences
-// values as immutable: AddRecords replaces an entity's entry with a newly
-// built Sequences rather than mutating the old one in place.
+// Entries live in a sealed base under a copy-on-write overlay (a cow.Map),
+// over an optional Backing. The base is a dense table indexed by entity ID —
+// the facade allocates IDs from 0 upward by arrival, so a read is one indexed
+// load — and a map for the IDs the table cannot hold: negative, sparse or far
+// beyond the population (the table only ever reaches about twice the live
+// entity count, so memory stays O(|E|) whatever IDs arrive; an early ID moves
+// in once the table reaches it). A root store writes its base in place.
+// Derive, the seam of the root package's incremental folds, gives the child
+// the shared base and the next generation of the overlay, or, once the
+// overlay outgrows the store, a fresh base holding every entry: an O(|E|)
+// reseal that amortizes to O(1) per write. Both rely on *Sequences values
+// being immutable: AddRecords replaces an entity's entry, never mutates it.
 type Store struct {
-	ix       *spindex.Index
-	base     []*Sequences            // base[e] for 0 ≤ e < len(base); nil = absent here
-	baseLen  int                     // non-nil entries of base
-	ownsBase bool                    // base is private and written in place; false once shared by Derive
-	overlay  map[EntityID]*Sequences // private entries shadowing base, plus IDs base cannot hold
-	ids      []EntityID              // entities first inserted here, in insertion order
-	baseIDs  []EntityID              // insertion order of the generations before, frozen with base
-	backing  Backing                 // optional lowest layer (mmap/disk); nil for pure in-heap stores
-	n        int                     // live entities across all layers
-	frozen   bool                    // set once Derive shares this store's layers with a child
+	ix *spindex.Index
+	// The base: table[e] for 0 ≤ e < len(table) (nil = absent), far for the IDs
+	// beyond its reach, ids their insertion order; written in place only by its
+	// owner, a root or a reseal's child, until Derive shares it.
+	table []*Sequences
+	far   map[EntityID]*Sequences
+	ids   []EntityID
+	owner bool
+	// The derived generations' writes, and the entities they inserted: order
+	// maps i to the i-th.
+	overlay cow.Map[EntityID, *Sequences]
+	order   cow.Map[int, EntityID]
+	backing Backing // optional lowest layer (mmap/disk); nil for pure in-heap stores
+	n       int     // live entities across all layers
+	frozen  bool    // set once Derive shares this store's layers with a child
 }
 
 // denseSlack lets a small or empty store take its first few IDs into the
@@ -346,13 +334,13 @@ type Backing interface {
 
 // NewStore returns an empty store over the given sp-index.
 func NewStore(ix *spindex.Index) *Store {
-	return &Store{ix: ix, ownsBase: true, overlay: make(map[EntityID]*Sequences)}
+	return &Store{ix: ix, far: make(map[EntityID]*Sequences), owner: true}
 }
 
 // NewBackedStore returns a store whose lowest layer is b: every entity of b
 // is readable immediately (faulted in lazily by whatever b is), and Put
 // shadows b's entries in the heap without touching them. The backing
-// survives Clone and Derive — it is the permanent floor of the layer stack.
+// survives Derive — it is the permanent floor of the layer stack.
 func NewBackedStore(ix *spindex.Index, b Backing) *Store {
 	st := NewStore(ix)
 	st.backing, st.n = b, len(b.Entities())
@@ -370,56 +358,54 @@ func (st *Store) Put(s *Sequences) {
 		panic("trace: Put on a frozen store (Derive shared its entries with a newer generation); mutate the derived store instead")
 	}
 	if st.heapGet(s.Entity) == nil && (st.backing == nil || !st.backing.Has(s.Entity)) {
-		st.ids = append(st.ids, s.Entity)
 		st.n++
-		// The table's reach (tableReach) just grew by two IDs: move them in if
-		// they arrived early, so a root store's overlay only ever holds what
-		// the table cannot and a later Derive copies nothing it need not.
-		if st.ownsBase && len(st.overlay) != 0 {
+		if !st.owner {
+			st.order.Set(st.order.Writes(), s.Entity)
+		} else if st.ids = append(st.ids, s.Entity); len(st.far) != 0 {
+			// The table's reach grew by two IDs: move them in if they came early.
 			for e := st.tableReach() - 2; e < st.tableReach(); e++ {
-				if early, ok := st.overlay[EntityID(e)]; ok {
-					delete(st.overlay, EntityID(e))
+				if early, ok := st.far[EntityID(e)]; ok {
+					delete(st.far, EntityID(e))
 					st.place(early)
 				}
 			}
 		}
 	}
-	st.place(s)
+	if st.owner {
+		st.place(s)
+	} else {
+		st.overlay.Set(s.Entity, s)
+	}
 }
 
 // tableReach bounds the IDs the table may hold: about twice the population,
 // so memory stays O(|E|) whatever IDs arrive.
 func (st *Store) tableReach() int { return 2*st.n + denseSlack }
 
-// place stores s in the table when this store owns it and the ID is within
-// reach, in the overlay otherwise.
+// place writes s into the owned base: the table within reach, far beyond.
 func (st *Store) place(s *Sequences) {
 	e := int(s.Entity)
-	if !st.ownsBase || e < 0 || e >= st.tableReach() {
-		st.overlay[s.Entity] = s
+	if e < 0 || e >= st.tableReach() {
+		st.far[s.Entity] = s
 		return
 	}
-	if e >= len(st.base) {
-		st.base = append(st.base, make([]*Sequences, e+1-len(st.base))...)
+	if e >= len(st.table) {
+		st.table = append(st.table, make([]*Sequences, e+1-len(st.table))...)
 	}
-	if st.base[e] == nil {
-		st.baseLen++
-	}
-	st.base[e] = s
+	st.table[e] = s
 }
 
-// heapGet resolves an entity through the two in-heap layers: an overlay
-// probe, skipped while the overlay is empty, then one indexed load.
+// heapGet resolves e through the overlay, skipped while empty, then the base.
 func (st *Store) heapGet(e EntityID) *Sequences {
-	if len(st.overlay) != 0 {
-		if s, ok := st.overlay[e]; ok {
+	if st.overlay.Writes() != 0 {
+		if s, ok := st.overlay.Get(e); ok {
 			return s
 		}
 	}
-	if uint(e) < uint(len(st.base)) {
-		return st.base[e]
+	if uint(e) < uint(len(st.table)) {
+		return st.table[e]
 	}
-	return nil
+	return st.far[e]
 }
 
 // Get returns the sequences of an entity, or nil if absent.
@@ -430,47 +416,21 @@ func (st *Store) Get(e EntityID) *Sequences {
 	return st.backing.Get(e)
 }
 
-// Clone returns a flat copy — a fresh table and overlay resolving both
-// layers, sharing the *Sequences values. Put/AddRecords on the clone never
-// disturb the original. Overlay entries the table can now hold move into it.
-// Cost is O(|E|); Derive is the O(dirty) alternative.
-func (st *Store) Clone() *Store {
-	cp := &Store{
-		ix:       st.ix,
-		base:     slices.Clone(st.base),
-		baseLen:  st.baseLen,
-		ownsBase: true,
-		overlay:  make(map[EntityID]*Sequences),
-		ids:      slices.Concat(st.baseIDs, st.ids),
-		backing:  st.backing,
-		n:        st.n,
-	}
-	for _, s := range st.overlay {
-		cp.place(s)
-	}
-	return cp
-}
-
-// Derive returns a copy-on-write child sharing this store's entries: reads
-// fall through to the shared frozen table, writes land in the child's
-// private overlay. The receiver is frozen from here on (Put panics) — the
-// copy-on-write seam the root package's incremental folds derive new
-// index snapshots through. Cost is O(|overlay|), not O(|E|); see the Store
-// comment for the layering and compaction rules.
+// Derive returns a copy-on-write child sharing this store's entries (see the
+// Store comment for the reseal). The receiver is frozen from here on: Put
+// panics.
 func (st *Store) Derive() *Store {
 	st.frozen = true
-	d := &Store{ix: st.ix, base: st.base, baseLen: st.baseLen, overlay: maps.Clone(st.overlay), backing: st.backing, n: st.n}
-	switch {
-	case st.ownsBase:
-		// This store's table becomes the child's frozen base; only the
-		// entries the table could not hold are copied.
-		d.baseIDs = st.ids
-	case OverlayNeedsCompaction(len(st.overlay), st.baseLen):
-		// Fold both layers into a fresh root so the overlay stays small and
-		// future derives start from it.
-		return st.Clone().Derive()
-	default:
-		d.ids, d.baseIDs = slices.Clone(st.ids), st.baseIDs
+	if !st.overlay.Outgrows(st.n) {
+		return &Store{ix: st.ix, table: st.table, far: st.far, ids: st.ids, overlay: st.overlay.Derive(), order: st.order.Derive(), backing: st.backing, n: st.n}
+	}
+	ids := st.Entities()
+	d := NewStore(st.ix)
+	d.ids, d.backing, d.n = slices.Clone(ids[len(ids)-len(st.ids)-st.order.Writes():]), st.backing, st.n
+	for _, e := range ids {
+		if s := st.heapGet(e); s != nil {
+			d.place(s)
+		}
 	}
 	return d
 }
@@ -479,19 +439,23 @@ func (st *Store) Derive() *Store {
 func (st *Store) Len() int { return st.n }
 
 // Entities returns entity IDs in insertion order: backing first (its file
-// order), then the earlier generations' inserts, then this store's own. For
-// an unbacked root store the slice is shared — do not modify; other shapes
+// order), then the base's inserts, then the derived generations'. For an
+// unbacked root store the slice is shared — do not modify; other shapes
 // allocate the concatenation.
 func (st *Store) Entities() []EntityID {
-	if st.ownsBase && st.backing == nil {
+	if st.owner && st.backing == nil {
 		return st.ids
 	}
 	out := make([]EntityID, 0, st.n)
 	if st.backing != nil {
 		out = append(out, st.backing.Entities()...)
 	}
-	out = append(out, st.baseIDs...)
-	return append(out, st.ids...)
+	out = append(out, st.ids...)
+	for i := range st.order.Writes() {
+		e, _ := st.order.Get(i)
+		out = append(out, e)
+	}
+	return out
 }
 
 // AddRecords builds and stores the sequence of one entity from raw records.

@@ -334,7 +334,7 @@ func TestClone(t *testing.T) {
 }
 
 // TestStoreDerive: the copy-on-write derivation — shared reads, private
-// writes, frozen parents, preserved insertion order, and layer compaction.
+// writes, frozen parents, preserved insertion order, and the reseal.
 func TestStoreDerive(t *testing.T) {
 	ix := fixture411(t)
 	st := NewStore(ix)
@@ -378,30 +378,32 @@ func TestStoreDerive(t *testing.T) {
 		st.AddRecords(7, []Record{{Entity: 7, Base: 0, Start: 0, End: 1}})
 	}()
 
-	// Clone of a layered store flattens both layers.
-	cl := d.Clone()
-	if cl.Len() != 7 || cl.Get(2) != d.Get(2) || cl.Get(9) == nil {
-		t.Fatal("Clone of a derived store dropped entries")
-	}
-	if !reflect.DeepEqual(cl.Entities(), want) {
-		t.Fatalf("clone Entities = %v, want %v", cl.Entities(), want)
-	}
-	cl.AddRecords(11, []Record{{Entity: 11, Base: 0, Start: 0, End: 1}})
-	if d.Get(11) != nil {
-		t.Fatal("clone write leaked into the derived store")
-	}
-
-	// A long derive chain stays depth-2 via compaction and loses nothing.
-	cur := d
+	// A long derive chain reseals — folds the overlay into a fresh base the
+	// child writes in place — before its overlay outgrows the store, and
+	// loses nothing: every entry, the insertion order, the parents' reads.
+	cur, reseals := d, 0
 	for gen := 0; gen < 12; gen++ {
 		next := cur.Derive()
+		if next.owner {
+			reseals++
+		}
 		e := EntityID(20 + gen)
+		want = append(want, e)
 		next.AddRecords(e, []Record{{Entity: e, Base: 0, Start: 0, End: 1}})
 		next.AddRecords(2, []Record{{Entity: 2, Base: 3, Start: Time(gen), End: Time(gen) + 1}})
-		if next.base == nil {
-			t.Fatalf("gen %d: derived store has no base layer", gen)
+		if w := next.overlay.Writes(); 2*w > next.Len()+4 {
+			t.Fatalf("gen %d: overlay holds %d writes over %d entities", gen, w, next.Len())
 		}
 		cur = next
+	}
+	if reseals == 0 {
+		t.Fatal("no Derive in the chain resealed")
+	}
+	if got := cur.Entities(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("chain Entities = %v, want %v", got, want)
+	}
+	if d.Get(31) != nil || d.Get(2) == cur.Get(2) {
+		t.Fatal("the chain's writes leaked into the store it started from")
 	}
 	if cur.Len() != 7+12 {
 		t.Fatalf("chain Len = %d, want %d", cur.Len(), 7+12)
