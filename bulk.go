@@ -125,11 +125,8 @@ func BulkLoadRecordFile(path string, side, levels int, cfg BulkConfig, opts ...O
 				return err
 			}
 			r := extsort.DecodeRecord(buf[:])
-			if r.Base < 0 || int(r.Base) >= ix.NumBase() {
-				return fmt.Errorf("digitaltraces: record %d: base %d outside the %d-venue grid (wrong -side?)", i, r.Base, ix.NumBase())
-			}
-			if r.End <= r.Start || r.Start < 0 {
-				return fmt.Errorf("digitaltraces: record %d: bad span [%d,%d)", i, r.Start, r.End)
+			if err := checkRecord(ix, i, r); err != nil {
+				return err
 			}
 			d, ok := dense[r.Entity]
 			if !ok {

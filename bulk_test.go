@@ -167,9 +167,7 @@ func TestBulkLoadImageOpensOverLog(t *testing.T) {
 	if err := restored.OpenIndexAt(bytes.NewReader(buf.Bytes()), int64(buf.Len())); err != nil {
 		t.Fatalf("OpenIndexAt of the bulk DB's image: %v", err)
 	}
-	if n := restored.PendingEntities(); n != 0 {
-		t.Errorf("%d entities pending after opening the bulk image over its own log, want 0", n)
-	}
+	assertOpenFoldedNothing(t, restored)
 	assertSameAnswers(t, bulk, restored, []string{"entity-3", "entity-80", "entity-206"}, 5)
 }
 

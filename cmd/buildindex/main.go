@@ -1,6 +1,8 @@
 // Command buildindex ingests a raw record file, external-sorts it by entity
 // (Section 4.3), builds the served index (the entity table and the level-1
-// cell index), and reports indexing cost.
+// cell index), and reports indexing cost. It is digitaltraces.BulkLoadRecordFile,
+// the loader behind serve -in -bulk, so its image names and orders entities
+// exactly as serve does.
 //
 // Usage:
 //
@@ -15,14 +17,10 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
-	"path/filepath"
 	"time"
 
-	"digitaltraces/internal/core"
-	"digitaltraces/internal/extsort"
-	"digitaltraces/internal/spindex"
-	"digitaltraces/internal/trace"
+	"digitaltraces"
+	"digitaltraces/server"
 )
 
 func main() {
@@ -40,64 +38,23 @@ func main() {
 	)
 	flag.Parse()
 
-	ix, err := spindex.NewGrid(spindex.GridConfig{Side: *side, Levels: *levels, WidthExp: 2, DensityExp: 2})
+	db, bs, err := digitaltraces.BulkLoadRecordFile(*in, *side, *levels,
+		digitaltraces.BulkConfig{PageSize: *page, BufferPages: *buffers}, digitaltraces.WithPaperMeasure(*u, *v))
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// Phase 1: external sort by entity.
-	sorted := filepath.Join(os.TempDir(), "buildindex-sorted.bin")
-	defer os.Remove(sorted)
-	t0 := time.Now()
-	sortStats, err := extsort.SortFile(*in, sorted, extsort.Config{PageSize: *page, BufferPages: *buffers})
-	if err != nil {
-		log.Fatal(err)
-	}
-	sortTime := time.Since(t0)
 	fmt.Printf("sort: %d records, %d pages, %d runs, %d merge passes, %d page I/Os (formula: %d) in %v\n",
-		sortStats.Records, sortStats.DataPages, sortStats.Runs, sortStats.MergePasses,
-		sortStats.PageIO(), extsort.TheoreticalPageIO(sortStats.DataPages, *buffers), sortTime.Round(time.Millisecond))
-
-	// Phase 2: stream one entity at a time into the store and index.
-	store := trace.NewStore(ix)
-	var ids []trace.EntityID
-	counts := map[trace.EntityID]uint32{}
-	if err := extsort.GroupByEntity(sorted, func(e trace.EntityID, recs []trace.Record) error {
-		store.AddRecords(e, recs)
-		ids = append(ids, e)
-		counts[e] = uint32(len(recs))
-		return nil
-	}); err != nil {
-		log.Fatal(err)
-	}
-
-	t1 := time.Now()
-	post, err := core.BuildPostings(ix, store, ids)
-	if err != nil {
-		log.Fatal(err)
-	}
+		bs.Records, bs.Sort.DataPages, bs.Sort.Runs, bs.Sort.MergePasses,
+		bs.Sort.PageIO(), bs.TheoreticalPageIO, bs.SortTime.Round(time.Millisecond))
+	st := db.IndexStats()
 	fmt.Printf("index: %d entities, %.1f KB, built in %v\n",
-		post.Len(), float64(post.MemoryBytes())/1024, time.Since(t1).Round(time.Millisecond))
+		st.Entities, float64(st.MemoryBytes)/1024, bs.BuildTime.Round(time.Millisecond))
 
 	if *out == "" {
 		return
 	}
-	// Entity names follow the record-file convention ("entity-<fileID>", the
-	// naming LoadRecordFile and the synthetic cities use), so topk and serve
-	// check the image against the records by name; the meta records the
-	// tracegen discretization (Unix epoch, hourly units).
-	f, err := os.Create(*out)
+	n, err := server.SaveIndexFile(db, *out)
 	if err != nil {
-		log.Fatal(err)
-	}
-	meta := core.SnapshotMeta{TimeUnit: time.Hour, MeasureU: *u, MeasureV: *v}
-	n, err := post.WriteSnapshot(f, meta, store, func(e trace.EntityID) (string, uint32) {
-		return fmt.Sprintf("entity-%d", e), counts[e]
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("index image: %d bytes written to %s\n", n, *out)

@@ -1,6 +1,8 @@
 // Command topk answers top-k association queries over a record file: it
 // sorts and indexes the records, then runs queries for the requested
-// entities, printing answers with exact degrees and pruning statistics.
+// entities, printing answers with exact degrees and pruning statistics. The
+// cold run is digitaltraces.BulkLoadRecordFile and -index is LoadRecordFile
+// plus DB.OpenIndex, so its answers are serve's for the same file.
 //
 // Usage:
 //
@@ -11,19 +13,11 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
 
-	"digitaltraces/internal/adm"
-	"digitaltraces/internal/core"
-	"digitaltraces/internal/extsort"
-	"digitaltraces/internal/secfile"
-	"digitaltraces/internal/spindex"
-	"digitaltraces/internal/storage"
-	"digitaltraces/internal/trace"
+	"digitaltraces"
 )
 
 func main() {
@@ -37,101 +31,43 @@ func main() {
 		queries = flag.String("query", "0", "comma-separated entity ids to query")
 		u       = flag.Float64("u", 2, "ADM level exponent")
 		v       = flag.Float64("v", 2, "ADM duration exponent")
-		index   = flag.String("index", "", "optional index image from buildindex -index, checked against the record file and served in place")
+		index   = flag.String("index", "", "optional index image (buildindex -index, serve's save), reconciled against the record file and served in place")
 	)
 	flag.Parse()
 
-	ix, err := spindex.NewGrid(spindex.GridConfig{Side: *side, Levels: *levels, WidthExp: 2, DensityExp: 2})
+	measure := digitaltraces.WithPaperMeasure(*u, *v)
+	var (
+		db  *digitaltraces.DB
+		err error
+	)
+	if *index == "" {
+		db, _, err = digitaltraces.BulkLoadRecordFile(*in, *side, *levels, digitaltraces.BulkConfig{}, measure)
+	} else if db, err = digitaltraces.LoadRecordFile(*in, *side, *levels, measure); err == nil {
+		// An image over a different record set is refused by name and ID; a
+		// stale one is folded up to the file before it answers.
+		if err = db.OpenIndex(*index); err == nil {
+			fmt.Printf("opened index %s (%d entities)\n", *index, db.IndexStats().Entities)
+		}
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
-	sorted := filepath.Join(os.TempDir(), "topk-sorted.bin")
-	defer os.Remove(sorted)
-	if _, err := extsort.SortFile(*in, sorted, extsort.DefaultConfig()); err != nil {
-		log.Fatal(err)
-	}
-	store := trace.NewStore(ix)
-	var ids []trace.EntityID
-	counts := map[trace.EntityID]int{}
-	if err := extsort.GroupByEntity(sorted, func(e trace.EntityID, recs []trace.Record) error {
-		store.AddRecords(e, recs)
-		ids = append(ids, e)
-		counts[e] = len(recs)
-		return nil
-	}); err != nil {
-		log.Fatal(err)
-	}
-	var post *core.Postings
-	if *index != "" {
-		f, err := os.Open(*index)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		fi, err := f.Stat()
-		if err != nil {
-			log.Fatal(err)
-		}
-		sr, err := secfile.NewReaderAt(f, fi.Size())
-		if err != nil {
-			log.Fatal(err)
-		}
-		snap, err := core.DecodeSnapshot(sr, ix)
-		if err != nil {
-			log.Fatal(err)
-		}
-		// Images name entities by the record-file convention
-		// ("entity-<fileID>") and record the covered visit counts, so an image
-		// built over a different or stale record set errors instead of
-		// silently serving another data set.
-		spans := make(map[trace.EntityID]storage.Span, len(snap.Entities))
-		order := make([]trace.EntityID, len(snap.Entities))
-		for i, se := range snap.Entities {
-			switch {
-			case se.Name != fmt.Sprintf("entity-%d", se.ID) || counts[se.ID] == 0:
-				log.Fatalf("image entity %q (ID %d) is not in %s — the image was built over a different record set", se.Name, se.ID, *in)
-			case se.Folded == core.FoldedUnknown:
-				// Stamped "dirty while the save ran": the image covers an
-				// unknown visit prefix of this entity.
-				log.Fatalf("image's entry for %q is stale (the entity was receiving visits while the image was saved); rebuild it with buildindex -index", se.Name)
-			case int(se.Folded) != counts[se.ID]:
-				log.Fatalf("image covers %d visits for %q but %s has %d — stale image; rebuild it with buildindex -index", se.Folded, se.Name, *in, counts[se.ID])
-			}
-			spans[se.ID], order[i] = se.Seq, se.ID
-		}
-		pool, err := storage.OpenSpans(ix, f, fi.Size(), spans, order, storage.Options{BlockSize: secfile.Page})
-		if err != nil {
-			log.Fatal(err)
-		}
-		post = snap.MappedPostings(ix, trace.NewBackedStore(ix, pool))
-		fmt.Printf("opened index %s (%d entities)\n", *index, post.Len())
-	} else if post, err = core.BuildPostings(ix, store, ids); err != nil {
-		log.Fatal(err)
-	}
-	measure, err := adm.NewPaperADM(*levels, *u, *v)
-	if err != nil {
-		log.Fatal(err)
-	}
+	defer db.Close()
+	others := db.IndexStats().Entities - 1
 
 	for _, tok := range strings.Split(*queries, ",") {
 		id, err := strconv.Atoi(strings.TrimSpace(tok))
 		if err != nil {
 			log.Fatalf("bad query id %q: %v", tok, err)
 		}
-		q := store.Get(trace.EntityID(id))
-		if q == nil {
-			log.Fatalf("entity %d not in the data", id)
-		}
-		start := time.Now()
-		res, stats, err := post.TopK(q, *k, measure)
+		res, stats, err := db.TopK(fmt.Sprintf("entity-%d", id), *k)
 		if err != nil {
 			log.Fatal(err)
 		}
-		el := time.Since(start)
 		fmt.Printf("top-%d for entity %d (%v, checked %d of %d, PE %.4f):\n",
-			*k, id, el.Round(time.Microsecond), stats.Checked, post.Len()-1, stats.PE)
+			*k, id, stats.Elapsed.Round(time.Microsecond), stats.Checked, others, stats.PE)
 		for i, r := range res {
-			fmt.Printf("  %2d. entity %-8d deg=%.6f\n", i+1, r.Entity, r.Degree)
+			fmt.Printf("  %2d. entity %-8s deg=%.6f\n", i+1, strings.TrimPrefix(r.Entity, "entity-"), r.Degree)
 		}
 	}
 }

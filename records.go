@@ -16,7 +16,8 @@ import (
 // built; call BuildIndex (or just query, which builds lazily).
 //
 // This is the file-based path cmd/serve uses to serve a tracegen workload
-// over HTTP without going through cmd/buildindex first.
+// over HTTP, and the one topk -index opens an image over; BulkLoadRecordFile
+// is its out-of-core twin.
 func LoadRecordFile(path string, side, levels int, opts ...Option) (*DB, error) {
 	ix, err := spindex.NewGrid(spindex.GridConfig{Side: side, Levels: levels, WidthExp: 2, DensityExp: 2})
 	if err != nil {
@@ -32,11 +33,8 @@ func LoadRecordFile(path string, side, levels int, opts ...Option) (*DB, error) 
 	byEnt := map[trace.EntityID][]trace.Record{}
 	var fileIDs []trace.EntityID
 	for i, r := range recs {
-		if r.Base < 0 || int(r.Base) >= ix.NumBase() {
-			return nil, fmt.Errorf("digitaltraces: record %d: base %d outside the %d-venue grid (wrong -side?)", i, r.Base, ix.NumBase())
-		}
-		if r.End <= r.Start || r.Start < 0 {
-			return nil, fmt.Errorf("digitaltraces: record %d: bad span [%d,%d)", i, r.Start, r.End)
+		if err := checkRecord(ix, i, r); err != nil {
+			return nil, err
 		}
 		if _, ok := byEnt[r.Entity]; !ok {
 			fileIDs = append(fileIDs, r.Entity)
@@ -57,4 +55,16 @@ func LoadRecordFile(path string, side, levels int, opts ...Option) (*DB, error) 
 		db.pending[e], db.ingested[e] = rr, uint32(len(rr))
 	}
 	return db, nil
+}
+
+// checkRecord validates record i of a record file against the grid both
+// loaders build over.
+func checkRecord(ix *spindex.Index, i int, r trace.Record) error {
+	if r.Base < 0 || int(r.Base) >= ix.NumBase() {
+		return fmt.Errorf("digitaltraces: record %d: base %d outside the %d-venue grid (wrong -side?)", i, r.Base, ix.NumBase())
+	}
+	if r.End <= r.Start || r.Start < 0 {
+		return fmt.Errorf("digitaltraces: record %d: bad span [%d,%d)", i, r.Start, r.End)
+	}
+	return nil
 }

@@ -419,32 +419,74 @@ func imageCounts(t *testing.T, db *DB, img []byte) map[string]uint32 {
 	return out
 }
 
+// assertOpenFoldedNothing: the open just made on db found every entity's
+// visits covered by the image — nothing pending, and no sequence read back
+// from the image to fold into. An image recording too small a covered count
+// (a loader that stamps none) leaves nothing pending either, but only after
+// the open folds the whole log over the image's sequences.
+func assertOpenFoldedNothing(t *testing.T, db *DB) {
+	t.Helper()
+	if n := db.PendingEntities(); n != 0 {
+		t.Errorf("%d entities pending after the open, want 0", n)
+	}
+	if st := db.IndexStats(); st.PoolHits+st.PoolMisses != 0 {
+		t.Errorf("the open read %d sequence blocks to fold the log into the image, want 0 (the image's covered counts are short)", st.PoolHits+st.PoolMisses)
+	}
+}
+
 // TestResavedImageKeepsCoveredCounts: an image opened in an empty DB and
 // saved again records the same covered counts as the original, so it opens
-// over the re-ingested log with nothing pending, like the original does.
+// over the re-ingested log with nothing to fold, like the original does —
+// for an image saved by a built DB and for one saved by a bulk-loaded DB,
+// which keeps no visit log to count.
 func TestResavedImageKeepsCoveredCounts(t *testing.T) {
 	src, img, log := restartWorld(t, 40)
-	opened := emptyGrid(t)
-	defer opened.Close()
-	if err := openImage(opened, img); err != nil {
+	path := bulkLog(t, 30, 10, 3)
+	bulk, _, err := BulkLoadRecordFile(path, 4, 4, BulkConfig{PageSize: 256, BufferPages: 4})
+	if err != nil {
 		t.Fatal(err)
 	}
-	var resaved bytes.Buffer
-	if _, err := opened.SaveIndex(&resaved); err != nil {
+	defer bulk.Close()
+	var bulkImg bytes.Buffer
+	if _, err := bulk.SaveIndex(&bulkImg); err != nil {
 		t.Fatal(err)
 	}
-	want, got := imageCounts(t, src, img), imageCounts(t, src, resaved.Bytes())
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("re-saved image covers %v, the original %v", got, want)
-	}
-	db := freshGrid(t, log)
-	if err := openImage(db, resaved.Bytes()); err != nil {
+	mem, err := LoadRecordFile(path, 4, 4)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n := db.PendingEntities(); n != 0 {
-		t.Errorf("%d entities pending after opening the re-saved image over the log, want 0", n)
+	for _, tc := range []struct {
+		name     string
+		src      *DB
+		img      []byte
+		log      []VisitRecord
+		entities []string
+	}{
+		{"built", src, img, log, someEntities},
+		{"bulk", bulk, bulkImg.Bytes(), mem.AllVisits(), []string{"entity-3", "entity-80", "entity-206"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opened := emptyGrid(t)
+			defer opened.Close()
+			if err := openImage(opened, tc.img); err != nil {
+				t.Fatal(err)
+			}
+			var resaved bytes.Buffer
+			if _, err := opened.SaveIndex(&resaved); err != nil {
+				t.Fatal(err)
+			}
+			want, got := imageCounts(t, tc.src, tc.img), imageCounts(t, tc.src, resaved.Bytes())
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("re-saved image covers %v, the original %v", got, want)
+			}
+			db := freshGrid(t, tc.log)
+			if err := openImage(db, resaved.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+			assertOpenFoldedNothing(t, db)
+			assertSameAnswers(t, tc.src, db, tc.entities, 5)
+		})
 	}
-	assertSameAnswers(t, src, db, someEntities, 5)
 }
 
 // TestOpenKeepsFoldedVisits: an image opened over a DB that had already
