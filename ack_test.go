@@ -146,8 +146,9 @@ func TestAckMeansIndexedConcurrent(t *testing.T) {
 // ackRace drives the writers and readers. Writer g's i-th write is the
 // newcomer "ack-g-i", alone in its own cell past the seeded data. A reader
 // picks a writer, reads how many of its writes are acknowledged, and checks
-// the latest: TopK must resolve it by name, and a query by example over its
-// cell must rank it first. It also queries the writer's next cell, not yet
+// the latest: TopK must resolve it by name, a batch over it and another
+// writer's latest must answer both, and a query by example over its cell
+// must rank it first. It also queries the writer's next cell, not yet
 // written, so the cache holds answers the next write makes stale.
 func ackRace(t *testing.T, eng digitaltraces.Engine) {
 	const writers, readers, perWriter, base = 3, 3, 30, 200
@@ -202,6 +203,23 @@ func ackRace(t *testing.T, eng digitaltraces.Engine) {
 				if _, _, err := eng.TopK(name, 3); err != nil {
 					t.Errorf("TopK(%s) after its write was acknowledged: %v", name, err)
 					return
+				}
+				batch := []string{name}
+				other := (g + 1) % writers
+				if m := int(acked[other].Load()); m > 0 {
+					otherName, _ := cell(other, m-1)
+					batch = append(batch, otherName)
+				}
+				out, _, err := eng.TopKBatch(batch, 3, 2)
+				if err != nil {
+					t.Errorf("TopKBatch(%v) after their writes were acknowledged: %v", batch, err)
+					return
+				}
+				for _, item := range batch {
+					if len(out[item]) == 0 {
+						t.Errorf("TopKBatch(%v): no answer for %s", batch, item)
+						return
+					}
 				}
 				got, _, err := eng.TopKByExample([]digitaltraces.Visit{v}, 1)
 				if err != nil {

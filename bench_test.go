@@ -722,23 +722,6 @@ func BenchmarkApproxTopK(b *testing.B) {
 	}
 }
 
-// BenchmarkKNNJoin measures the future-work join mode (§8.2).
-func BenchmarkKNNJoin(b *testing.B) {
-	ix, st, _, m := benchWorld(b, 500, 64)
-	post, err := core.BuildPostings(ix, st, st.Entities())
-	if err != nil {
-		b.Fatal(err)
-	}
-	queries := st.Entities()[:50]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := post.KNNJoin(queries, 5, m, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkStorageGet measures record reads through the buffer pool at low
 // and full memory budgets (Figure 7.6's mechanism).
 func BenchmarkStorageGet(b *testing.B) {

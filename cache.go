@@ -39,10 +39,10 @@ const revalidateLimit = 256
 const dirtyLogLen = 64
 
 // WithQueryCache equips the DB with a generation-keyed answer cache holding
-// up to capacity entries (FIFO displacement). TopK and TopKByExample consult
-// it; a hit returns the memoized exact answer with QueryStats.CacheHit set
-// and no search work, and is always the current answer (cache.go argues
-// why). A publish stales only what it touches: an answer cached before an
+// up to capacity entries (FIFO displacement). TopK, TopKByExample and every
+// TopKBatch item consult it; a hit returns the memoized exact answer with
+// QueryStats.CacheHit set and no search work, and is always the current
+// answer (cache.go argues why). A publish stales only what it touches: an answer cached before an
 // acknowledged write's fold is revalidated against the entities the fold
 // changed and stays cached unless they can change it, while BuildIndex,
 // OpenIndex and a bulk load stale every entry. Hot repeated queries (the

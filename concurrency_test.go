@@ -202,16 +202,6 @@ func TestTopKBatchMatchesSequential(t *testing.T) {
 	if _, _, err := db.TopKBatch([]string{"nobody"}, k, 2); err == nil {
 		t.Error("unknown entity accepted")
 	}
-	// KNNJoin is TopKBatch minus the stats.
-	join, err := db.KNNJoin(names[:5], k, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range names[:5] {
-		if !reflect.DeepEqual(join[name], batch[name]) {
-			t.Fatalf("KNNJoin[%s] diverges from TopKBatch", name)
-		}
-	}
 }
 
 // TestLoadRecordFile round-trips a record file through the public loader and

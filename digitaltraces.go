@@ -29,11 +29,13 @@
 // # Concurrency
 //
 // A DB is safe for concurrent use, and queries never wait for index
-// maintenance. Queries (TopK, TopKByExample, TopKApprox, TopKBatch, KNNJoin,
-// Degree) answer against an immutable index snapshot loaded through one
-// atomic pointer read, so any number run in parallel — with each other and
-// with the builders, which construct the next snapshot off to the side and
-// atomically swap it in. Writes are indexed when acknowledged: once an index
+// maintenance. Queries (TopK, TopKByExample, TopKApprox, Degree) answer
+// against an immutable index snapshot loaded through one atomic pointer
+// read, so any number run in parallel — with each other and with the
+// builders, which construct the next snapshot off to the side and
+// atomically swap it in. TopKBatch — the paper's §8.2 kNN join, top-k for
+// many entities at once — is TopK per entity on a worker pool, each item
+// pinning its own snapshot. Writes are indexed when acknowledged: once an index
 // exists, AddVisit and AddVisits fold their visits into the next snapshot and
 // publish it before returning (Section 4.2.3's incremental maintenance), so a
 // query always reads every write acknowledged before it began. A fold is
@@ -519,7 +521,13 @@ func (db *DB) BuildIndex() error {
 // from any number of goroutines, and never blocked by index maintenance once
 // an index exists; see the DB concurrency contract.
 func (db *DB) TopK(entity string, k int) ([]Match, QueryStats, error) {
-	return db.query(obs.KindTopK, entity, k, qcache.EntityKey(entity, k), func(s *snapshot) (*trace.Sequences, error) {
+	return db.topK(entity, k, 0)
+}
+
+// topK is TopK traced under batchID, the ID linking the items of one
+// TopKBatch call (0 outside a batch).
+func (db *DB) topK(entity string, k int, batchID uint64) ([]Match, QueryStats, error) {
+	return db.query(obs.KindTopK, entity, k, batchID, qcache.EntityKey(entity, k), func(s *snapshot) (*trace.Sequences, error) {
 		return db.lookup(s, entity)
 	})
 }
@@ -541,17 +549,18 @@ func (db *DB) TopKByExample(visits []Visit, k int) ([]Match, QueryStats, error) 
 	start := time.Now()
 	q, err := db.exampleSequences(visits)
 	if err != nil {
-		db.record(obs.KindExample, "", k, nil, nil, QueryStats{}, err, start)
+		db.record(obs.KindExample, "", k, 0, nil, nil, QueryStats{}, err, start)
 		return nil, QueryStats{}, err
 	}
-	return db.query(obs.KindExample, "", k, exampleKey(q, k), func(*snapshot) (*trace.Sequences, error) { return q, nil })
+	return db.query(obs.KindExample, "", k, 0, exampleKey(q, k), func(*snapshot) (*trace.Sequences, error) { return q, nil })
 }
 
-// query answers one top-k query and records its trace. It runs through the
-// cache (qcache.DoRevalidating under cacheVersion, an entry stamped with an
-// older generation revalidated by stillExact), and a miss searches the
-// snapshot snapshotForQuery pins, for the sequences resolve finds in it.
-func (db *DB) query(kind obs.Kind, entity string, k int, key string, resolve func(*snapshot) (*trace.Sequences, error)) ([]Match, QueryStats, error) {
+// query answers one top-k query and records its trace under batchID (0
+// outside a batch). It runs through the cache (qcache.DoRevalidating under
+// cacheVersion, an entry stamped with an older generation revalidated by
+// stillExact), and a miss searches the snapshot snapshotForQuery pins, for
+// the sequences resolve finds in it.
+func (db *DB) query(kind obs.Kind, entity string, k int, batchID uint64, key string, resolve func(*snapshot) (*trace.Sequences, error)) ([]Match, QueryStats, error) {
 	start := time.Now()
 	var (
 		seen, pinned *snapshot
@@ -576,7 +585,7 @@ func (db *DB) query(kind obs.Kind, entity string, k int, key string, resolve fun
 	if hit {
 		pinned, qs = seen, QueryStats{CacheHit: true, Elapsed: time.Since(start)}
 	}
-	db.record(kind, entity, k, pinned, out, qs, err, start)
+	db.record(kind, entity, k, batchID, pinned, out, qs, err, start)
 	return out, qs, err
 }
 
@@ -658,14 +667,6 @@ func (db *DB) TopKApprox(entity string, k int, epsilon float64) ([]Match, float6
 		out[i] = Match{Entity: s.byID[r.Entity], Degree: r.Degree}
 	}
 	return out, stats.AchievedEpsilon, nil
-}
-
-// KNNJoin answers top-k for every named entity (the paper's §8.2 future
-// work), using a bounded worker pool. The result maps each query entity to
-// its matches. It is TopKBatch without the statistics.
-func (db *DB) KNNJoin(entities []string, k int, workers int) (map[string][]Match, error) {
-	out, _, err := db.TopKBatch(entities, k, workers)
-	return out, err
 }
 
 // SaveIndex persists the built index to w as one image: the entity table

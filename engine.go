@@ -26,7 +26,10 @@ type Engine interface {
 	TopK(entity string, k int) ([]Match, QueryStats, error)
 	// TopKByExample answers for a hypothetical entity described by visits.
 	TopKByExample(visits []Visit, k int) ([]Match, QueryStats, error)
-	// TopKBatch answers top-k for every named entity over a worker pool.
+	// TopKBatch answers top-k for every named entity over a worker pool
+	// (workers ≤ 0 selects GOMAXPROCS). Each item is identical to TopK for
+	// its entity, cache included; under concurrent writes two items may
+	// answer at different generations, each exactly.
 	TopKBatch(entities []string, k, workers int) (map[string][]Match, QueryStats, error)
 	// AddVisits bulk-ingests visit records, returning how many were stored.
 	// Once the engine has an index, the stored visits are indexed when the

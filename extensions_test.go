@@ -46,40 +46,6 @@ func TestTopKApprox(t *testing.T) {
 	}
 }
 
-// TestKNNJoinFacade: the join equals per-entity TopK for every query.
-func TestKNNJoinFacade(t *testing.T) {
-	db, err := SyntheticCity(CityConfig{Side: 8, Entities: 40, Days: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := []string{"entity-1", "entity-5", "entity-9"}
-	joined, err := db.KNNJoin(names, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(joined) != 3 {
-		t.Fatalf("join answered %d queries", len(joined))
-	}
-	for _, name := range names {
-		want, _, err := db.TopK(name, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := joined[name]
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d matches, want %d", name, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: join diverges: %v vs %v", name, got, want)
-			}
-		}
-	}
-	if _, err := db.KNNJoin([]string{"ghost"}, 1, 1); err == nil {
-		t.Error("unknown entity accepted")
-	}
-}
-
 // TestSaveIndex: an image is produced, non-trivial, and a fresh DB over the
 // same hierarchy serves it with the saver's answers.
 func TestSaveIndex(t *testing.T) {

@@ -225,44 +225,6 @@ func TestApproxSavesWork(t *testing.T) {
 	}
 }
 
-// TestKNNJoinMatchesPerQuery: the join returns exactly the per-query TopK
-// answers, for 1 and many workers.
-func TestKNNJoinMatchesPerQuery(t *testing.T) {
-	_, st, post := buildRandomPostings(t, 41, 60)
-	m := measuresFor(t, 3)[0]
-	queries := st.Entities()[:20]
-	for _, workers := range []int{1, 4} {
-		joined, js, err := post.KNNJoin(queries, 4, m, workers)
-		if err != nil {
-			t.Fatalf("KNNJoin(workers=%d): %v", workers, err)
-		}
-		if js.Queries != 20 || len(joined) != 20 {
-			t.Fatalf("join answered %d queries, want 20", js.Queries)
-		}
-		for _, jr := range joined {
-			want, _, err := post.TopK(st.Get(jr.Query), 4, m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(jr.Matches, want) {
-				t.Fatalf("join result for %d diverges: %v vs %v", jr.Query, jr.Matches, want)
-			}
-		}
-		if js.AvgPE < 0 || js.AvgPE > 1 {
-			t.Errorf("AvgPE = %v", js.AvgPE)
-		}
-		if js.TotalChecked < 20 {
-			t.Errorf("TotalChecked = %d", js.TotalChecked)
-		}
-	}
-	if _, _, err := post.KNNJoin(nil, 3, m, 1); err == nil {
-		t.Error("empty join accepted")
-	}
-	if _, _, err := post.KNNJoin([]trace.EntityID{9999}, 3, m, 1); err == nil {
-		t.Error("unknown query entity accepted")
-	}
-}
-
 // TestLeafOrderedEntities: the leaf order covers every entity exactly once
 // and groups leaf members contiguously.
 func TestLeafOrderedEntities(t *testing.T) {

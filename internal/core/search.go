@@ -287,7 +287,7 @@ func (f *frontier) finish(answers int) SearchStats {
 //
 // TopK is read-only: it never mutates the index, the sequence source or the
 // measure — all search state lives on this call's stack or in scratch no
-// other call holds — so any number of TopK/ApproxTopK/NewIter/KNNJoin calls
+// other call holds — so any number of TopK/ApproxTopK/NewIter calls
 // may run concurrently against one Postings.
 func (p *Postings) TopK(q *trace.Sequences, k int, measure adm.Measure) ([]Result, SearchStats, error) {
 	res, stats, err := p.search(q, k, measure, ApproxOptions{})

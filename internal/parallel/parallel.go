@@ -1,6 +1,7 @@
-// Package parallel holds the tiny fan-out primitive shared by the hot
-// maintenance paths: a bounded work-stealing parallel-for with a
-// small-input sequential fast path.
+// Package parallel holds the one bounded CPU worker pool: a work-stealing
+// parallel-for that runs inline when it would get fewer than two workers.
+// The fold's sequence staging, the cluster's shard builds and saves, and
+// every engine's TopKBatch run on it.
 package parallel
 
 import (
@@ -9,15 +10,11 @@ import (
 	"sync/atomic"
 )
 
-// threshold is the input size below which goroutine setup costs more than
-// it saves; such loops run inline.
-const threshold = 4
-
 // For runs fn(i) for every i in [0, n), fanning out across
-// min(GOMAXPROCS, n) goroutines via a work-stealing counter. fn must be
-// safe to call concurrently for distinct i (writes only to per-index
-// state); For returns once every call has. Small n runs inline on the
-// caller's goroutine.
+// min(workers, n) goroutines via a work-stealing counter; workers ≤ 0
+// selects GOMAXPROCS. fn must be safe to call concurrently for distinct i
+// (writes only to per-index state); For returns once every call has. With
+// fewer than two workers the loop runs inline on the caller's goroutine.
 //
 // A panic in fn does not crash the process from a worker goroutine: the
 // first panic is captured, every remaining iteration still runs (workers
@@ -28,53 +25,9 @@ const threshold = 4
 // threw, the same observable contract as a sequential loop wrapped in the
 // caller's own defer/recover. (Only the worker's stack trace is lost; the
 // re-raised panic unwinds the caller's.)
-func For(n int, fn func(int)) {
-	if pv := run(n, func(i int) error { fn(i); return nil }); pv != nil {
-		panic(pv.val)
-	}
-}
-
-// ForErr is For with fallible iterations: it runs fn(i) for every i in
-// [0, n) and returns the error of the smallest failing index (nil if every
-// call succeeded). All n iterations run regardless of failures — the pool
-// never short-circuits, so per-index outputs are as populated as their own
-// iterations made them — and the lowest-index error wins deterministically,
-// independent of goroutine scheduling. Panics propagate like For's.
-func ForErr(n int, fn func(int) error) error {
-	var (
-		mu      sync.Mutex
-		firstI  int
-		firstE  error
-		someErr bool
-	)
-	pv := run(n, func(i int) error {
-		if err := fn(i); err != nil {
-			mu.Lock()
-			if !someErr || i < firstI {
-				firstI, firstE, someErr = i, err, true
-			}
-			mu.Unlock()
-		}
-		return nil
-	})
-	if pv != nil {
-		panic(pv.val)
-	}
-	return firstE
-}
-
-// panicValue carries a recovered panic from a worker to the caller. The box
-// exists so the CAS can distinguish "no panic yet" from any recovered value
-// (recover never returns nil for a real panic since Go 1.21's PanicNilError,
-// but boxing keeps that assumption out of the contract).
-type panicValue struct {
-	val any
-}
-
-// run is the shared pool: a work-stealing counter over [0, n) with panic
-// capture. It returns the first recovered panic (by completion order), or
-// nil.
-func run(n int, fn func(int) error) *panicValue {
+func For(n, workers int, fn func(int)) {
+	// The box lets the CAS tell "no panic yet" from any recovered value.
+	type panicValue struct{ val any }
 	var panicked atomic.Pointer[panicValue]
 	call := func(i int) {
 		defer func() {
@@ -82,30 +35,34 @@ func run(n int, fn func(int) error) *panicValue {
 				panicked.CompareAndSwap(nil, &panicValue{val: r})
 			}
 		}()
-		fn(i) //nolint:errcheck // error collection is the caller's wrapper's job
+		fn(i)
 	}
-	workers := min(runtime.GOMAXPROCS(0), n)
-	if workers < 2 || n < threshold {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers = min(workers, n); workers < 2 {
 		for i := 0; i < n; i++ {
 			call(i)
 		}
-		return panicked.Load()
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
+	} else {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					i := int(next.Add(1)) - 1
+					if i >= n {
+						return
+					}
+					call(i)
 				}
-				call(i)
-			}
-		}()
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
-	return panicked.Load()
+	if pv := panicked.Load(); pv != nil {
+		panic(pv.val)
+	}
 }

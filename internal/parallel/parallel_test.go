@@ -1,20 +1,18 @@
 package parallel
 
 import (
-	"errors"
-	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
 )
 
-// TestForCoversEveryIndex checks the core pool contract across the inline
-// threshold and well beyond GOMAXPROCS: every index in [0, n) runs exactly
-// once, and For returns only after all of them have.
+// TestForCoversEveryIndex checks the core pool contract from the inline
+// path to well beyond GOMAXPROCS: every index in [0, n) runs exactly once,
+// and For returns only after all of them have.
 func TestForCoversEveryIndex(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 4, 5, 64, 1000} {
 		counts := make([]atomic.Int32, max(n, 1))
-		For(n, func(i int) {
+		For(n, 0, func(i int) {
 			counts[i].Add(1)
 		})
 		for i := 0; i < n; i++ {
@@ -26,66 +24,29 @@ func TestForCoversEveryIndex(t *testing.T) {
 }
 
 // TestForBoundedWorkers asserts the pool never runs more than
-// min(GOMAXPROCS, n) iterations at once — the "bounded" in bounded pool.
+// min(workers, n) iterations at once (workers ≤ 0 meaning GOMAXPROCS) —
+// the "bounded" in bounded pool.
 func TestForBoundedWorkers(t *testing.T) {
 	const n = 200
-	limit := int32(min(runtime.GOMAXPROCS(0), n))
-	var inFlight, peak atomic.Int32
-	For(n, func(int) {
-		cur := inFlight.Add(1)
-		for {
-			p := peak.Load()
-			if cur <= p || peak.CompareAndSwap(p, cur) {
-				break
-			}
+	for _, workers := range []int{0, 1, 3} {
+		limit := int32(workers)
+		if workers <= 0 {
+			limit = int32(min(runtime.GOMAXPROCS(0), n))
 		}
-		inFlight.Add(-1)
-	})
-	if got := peak.Load(); got > limit {
-		t.Fatalf("observed %d concurrent iterations, limit %d", got, limit)
-	}
-}
-
-func TestForErrNilOnSuccess(t *testing.T) {
-	if err := ForErr(100, func(int) error { return nil }); err != nil {
-		t.Fatalf("err = %v, want nil", err)
-	}
-}
-
-// TestForErrLowestIndexWins checks error selection is deterministic under
-// scheduling: many indices fail, and the returned error is always the
-// smallest failing index's — never whichever goroutine happened to lose the
-// race — while every iteration still runs.
-func TestForErrLowestIndexWins(t *testing.T) {
-	const n = 500
-	for trial := 0; trial < 20; trial++ {
-		var ran atomic.Int32
-		err := ForErr(n, func(i int) error {
-			ran.Add(1)
-			if i >= 7 && i%3 == 1 { // smallest failing index: 7
-				return fmt.Errorf("iteration %d failed", i)
+		var inFlight, peak atomic.Int32
+		For(n, workers, func(int) {
+			cur := inFlight.Add(1)
+			for {
+				p := peak.Load()
+				if cur <= p || peak.CompareAndSwap(p, cur) {
+					break
+				}
 			}
-			return nil
+			inFlight.Add(-1)
 		})
-		if err == nil || err.Error() != "iteration 7 failed" {
-			t.Fatalf("err = %v, want iteration 7 failed", err)
+		if got := peak.Load(); got > limit {
+			t.Fatalf("workers=%d: observed %d concurrent iterations, limit %d", workers, got, limit)
 		}
-		if got := ran.Load(); got != n {
-			t.Fatalf("only %d/%d iterations ran — pool short-circuited", got, n)
-		}
-	}
-}
-
-func TestForErrInlinePath(t *testing.T) {
-	// n below the threshold runs inline; the contract must not change.
-	err := ForErr(2, func(i int) error {
-		if i == 1 {
-			return errors.New("inline failure")
-		}
-		return nil
-	})
-	if err == nil || err.Error() != "inline failure" {
-		t.Fatalf("err = %v, want inline failure", err)
 	}
 }
 
@@ -99,7 +60,7 @@ type sentinel struct{ why string }
 // preserved, no pool wrapping.
 func TestForPanicContainment(t *testing.T) {
 	thrown := &sentinel{why: "boom"}
-	for _, n := range []int{2, 100} { // inline path and pooled path
+	for _, n := range []int{1, 100} { // inline path and pooled path
 		var ran atomic.Int32
 		func() {
 			defer func() {
@@ -111,7 +72,7 @@ func TestForPanicContainment(t *testing.T) {
 					t.Fatalf("n=%d: recovered %#v, want the thrown *sentinel unchanged", n, r)
 				}
 			}()
-			For(n, func(i int) {
+			For(n, 0, func(i int) {
 				ran.Add(1)
 				if i == 0 {
 					panic(thrown)
@@ -122,21 +83,4 @@ func TestForPanicContainment(t *testing.T) {
 			t.Fatalf("n=%d: %d iterations ran after panic, want all %d", n, got, n)
 		}
 	}
-}
-
-// TestForErrPanicBeatsError: a panic propagates as a panic even when other
-// iterations returned errors.
-func TestForErrPanicBeatsError(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("panic was swallowed by error collection")
-		}
-	}()
-	ForErr(50, func(i int) error {
-		if i == 10 {
-			panic("boom")
-		}
-		return errors.New("ordinary failure")
-	})
-	t.Fatal("unreachable: ForErr returned normally")
 }

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -228,6 +229,38 @@ func TestStatsCacheRevalidation(t *testing.T) {
 	getJSON(t, ts.URL+"/stats", &st)
 	if st.Index.CacheRevalidated != 1 || st.Index.CacheInvalidated != 1 {
 		t.Fatalf("after a write to the query entity: %+v", st.Index)
+	}
+}
+
+// TestStatsCacheBatch: /topk/batch items go through the cache like /topk, so
+// a repeated batch on a cached DB raises cache_hits by the batch size.
+func TestStatsCacheBatch(t *testing.T) {
+	db, err := digitaltraces.SyntheticCity(digitaltraces.CityConfig{Side: 4, Entities: 40, Days: 3},
+		digitaltraces.WithQueryCache(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(db))
+	t.Cleanup(ts.Close)
+	req := BatchRequest{Entities: []string{"entity-0", "entity-1", "entity-2"}, K: 3}
+	var first, second BatchResponse
+	var before, after StatsResponse
+	if code, body := postJSON(t, ts.URL+"/topk/batch", req, &first); code != http.StatusOK {
+		t.Fatalf("POST /topk/batch: %d: %s", code, body)
+	}
+	getJSON(t, ts.URL+"/stats", &before)
+	if code, body := postJSON(t, ts.URL+"/topk/batch", req, &second); code != http.StatusOK {
+		t.Fatalf("repeated POST /topk/batch: %d: %s", code, body)
+	}
+	getJSON(t, ts.URL+"/stats", &after)
+	if got := after.Index.CacheHits - before.Index.CacheHits; got != uint64(len(req.Entities)) {
+		t.Fatalf("repeated batch raised cache_hits by %d, want %d", got, len(req.Entities))
+	}
+	if !reflect.DeepEqual(first.Results, second.Results) {
+		t.Fatalf("repeated batch answered %v, first %v", second.Results, first.Results)
 	}
 }
 

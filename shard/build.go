@@ -3,7 +3,8 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"runtime"
+
+	"digitaltraces/internal/parallel"
 )
 
 // BuildIndex (re)builds every shard's index concurrently — the cluster's
@@ -23,7 +24,7 @@ func (c *Cluster) BuildIndex() error {
 		return fmt.Errorf("shard: no visits to index")
 	}
 	errs := make([]error, len(c.shards))
-	runPool(len(c.shards), runtime.GOMAXPROCS(0), func(i int) {
+	parallel.For(len(c.shards), 0, func(i int) {
 		if c.shards[i].NumEntities() == 0 {
 			return
 		}

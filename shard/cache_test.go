@@ -257,3 +257,57 @@ func TestClusterCacheConcurrentIngest(t *testing.T) {
 		t.Fatalf("post-stress repeat: err=%v hit=%v, want hit", err, qs.CacheHit)
 	}
 }
+
+// TestTopKBatchThroughCache: a batch runs every item through its engine's
+// TopK path, cache included, on a single DB and a cluster alike — repeating
+// a batch hits once per item, and every item equals that engine's TopK.
+func TestTopKBatchThroughCache(t *testing.T) {
+	const k = 5
+	db, err := digitaltraces.SyntheticCity(digitaltraces.CityConfig{
+		Side: citySide, Levels: cityLevels, Entities: 300, Days: cityDays, Seed: citySeed,
+	}, digitaltraces.WithQueryCache(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Partition(db, Config{
+		Shards:    2,
+		CacheSize: 64,
+		NewShard: func(int) (*digitaltraces.DB, error) {
+			return digitaltraces.NewGridDB(citySide, cityLevels)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"entity-0", "entity-7", "entity-42", "entity-299"}
+	for label, eng := range map[string]digitaltraces.Engine{"db": db, "cluster": c} {
+		var batches [2]map[string][]digitaltraces.Match
+		for i := range batches {
+			if batches[i], _, err = eng.TopKBatch(names, k, 2); err != nil {
+				t.Fatalf("%s: batch %d: %v", label, i, err)
+			}
+		}
+		st := eng.IndexStats()
+		if st.CacheHits != uint64(len(names)) || st.CacheMisses != uint64(len(names)) {
+			t.Fatalf("%s: two identical batches counted %d hits and %d misses, want %d and %d",
+				label, st.CacheHits, st.CacheMisses, len(names), len(names))
+		}
+		for _, name := range names {
+			want, _, err := eng.TopK(name, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, b := range batches {
+				if !reflect.DeepEqual(b[name], want) {
+					t.Fatalf("%s: batch %d item %s = %v, TopK %v", label, i, name, b[name], want)
+				}
+			}
+		}
+	}
+}

@@ -43,9 +43,10 @@
 // wall-clock build speedup cmd/bench records). Every shard serves queries
 // from its own atomically swapped immutable index snapshot, so a
 // scatter-gather query pins one frozen snapshot per shard for its whole
-// fan-out and is blocked by a shard rebuilding only to see a write
-// acknowledged before it began — a shard absorbing new data builds the next
-// snapshot aside and swaps it in when done. The Cluster itself adds only a
+// fan-out and never waits for a shard's fold or rebuild — a shard absorbing
+// new data builds the next snapshot aside and swaps it in before it
+// acknowledges the write, so the snapshot a query pins already covers every
+// write acknowledged before the query began. The Cluster itself adds only a
 // small mutex around the entity→ordinal routing registry; no query ever
 // holds a global lock.
 //
@@ -56,13 +57,13 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
 	"digitaltraces"
 	"digitaltraces/internal/mmap"
 	"digitaltraces/internal/obs"
+	"digitaltraces/internal/parallel"
 	"digitaltraces/internal/qcache"
 )
 
@@ -87,11 +88,11 @@ type Config struct {
 	// through the Cluster.
 	Backends []Backend
 	// CacheSize, when positive, equips the cluster with a generation-keyed
-	// hot-query cache of that many entries: TopK/TopKByExample answers are
-	// memoized under the slot-map epoch plus the vector of shard snapshot
-	// generations and served without any fan-out while every shard's
-	// snapshot covers its acknowledged writes and none has changed
-	// (cache.go). Per-shard digitaltraces.WithQueryCache caches are never
+	// hot-query cache of that many entries: TopK/TopKByExample answers, and
+	// every TopKBatch item's, are memoized under the slot-map epoch plus the
+	// vector of shard snapshot generations and served without any fan-out
+	// while every shard's snapshot covers its acknowledged writes and none
+	// has changed (cache.go). Per-shard digitaltraces.WithQueryCache caches are never
 	// consulted — cluster queries stream through the incremental search
 	// path, which bypasses them.
 	CacheSize int
@@ -499,11 +500,11 @@ func (c *Cluster) query(kind obs.Kind, entity string, k int, batchID uint64, key
 }
 
 // openSearches opens one incremental search stream per non-empty shard, in
-// parallel (opening may fold a shard's dirt, so the builds overlap; on
-// remote shards the opens are concurrent round trips), each with its first
-// pull at floor: the shard's even share of k, ⌈k/N⌉. Asking for more would
-// score deeper than the floor the gather's next round carries; asking for
-// less leaves that round a lower floor. A pre-opened home stream (TopK's
+// parallel (each open scores the shard's first pull, so local opens overlap
+// their searches; on remote shards they are concurrent round trips), each
+// with its first pull at floor: the shard's even share of k, ⌈k/N⌉. Asking
+// for more would score deeper than the floor the gather's next round
+// carries; asking for less leaves that round a lower floor. A pre-opened home stream (TopK's
 // combined resolve-and-open) slots in at homeOrd; pass homeOrd = -1 for the
 // example path. The result is aligned to c.shards, empty for shards that
 // held no entities, which gatherByShard compacts for the bounded merge. On
@@ -593,19 +594,16 @@ func (c *Cluster) gatherByShard(sm *SlotMap, byShard []opened, k int, exclude st
 	return out, c.gatherStats(checked, len(out), n, start, d), d, nil
 }
 
-// TopKBatch answers top-k for every named entity over a bounded worker pool
-// (workers ≤ 0 selects GOMAXPROCS); each query scatter-gathers across all
-// shards independently. Results are identical to issuing TopK per entity.
-// Aggregate stats follow DB.TopKBatch: Checked sums degree computations,
-// PE averages the per-query pruning effectiveness, Pruned is the batch-wide
-// pruned fraction over the cluster population.
+// TopKBatch answers top-k for every named entity on parallel.For (workers
+// ≤ 0 selects GOMAXPROCS); each item is TopK's query — cache, then
+// scatter-gather — traced under one shared batch ID. Aggregate stats follow
+// DB.TopKBatch: Checked sums degree computations, PE averages the per-query
+// pruning effectiveness, Pruned is the batch-wide pruned fraction over the
+// cluster population.
 func (c *Cluster) TopKBatch(entities []string, k, workers int) (map[string][]digitaltraces.Match, digitaltraces.QueryStats, error) {
 	start := time.Now()
 	if len(entities) == 0 {
 		return nil, digitaltraces.QueryStats{}, fmt.Errorf("shard: empty batch query set")
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	type result struct {
 		ms  []digitaltraces.Match
@@ -616,7 +614,7 @@ func (c *Cluster) TopKBatch(entities []string, k, workers int) (map[string][]dig
 	// Each batch item records its own trace, linked by one shared batch ID
 	// (0 — no linkage — when tracing is off).
 	batchID := c.tracer.NextBatchID()
-	runPool(len(entities), workers, func(i int) {
+	parallel.For(len(entities), workers, func(i int) {
 		ms, qs, err := c.topKTraced(entities[i], k, batchID)
 		results[i] = result{ms, qs, err}
 	})

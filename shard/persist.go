@@ -21,9 +21,9 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 
 	"digitaltraces/internal/mmap"
+	"digitaltraces/internal/parallel"
 	"digitaltraces/internal/secfile"
 )
 
@@ -40,7 +40,7 @@ func (c *Cluster) SaveIndex(w io.Writer) (int64, error) {
 	sm := c.slotmap()
 	bufs := make([]bytes.Buffer, len(c.shards))
 	errs := make([]error, len(c.shards))
-	runPool(len(c.shards), runtime.GOMAXPROCS(0), func(i int) {
+	parallel.For(len(c.shards), 0, func(i int) {
 		if c.shards[i].NumEntities() == 0 {
 			return // empty shard: nothing indexed, empty section
 		}

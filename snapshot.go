@@ -115,7 +115,7 @@ func (db *DB) captureView() view {
 // own output slot.
 func (db *DB) stage(ids []trace.EntityID, recs [][]trace.Record, prevs ...*snapshot) []*trace.Sequences {
 	out := make([]*trace.Sequences, len(ids))
-	parallel.For(len(ids), func(i int) {
+	parallel.For(len(ids), 0, func(i int) {
 		var buf [2]*trace.Sequences // a build folds over at most two snapshots
 		folded := buf[:0]
 		for _, p := range prevs {
@@ -330,16 +330,9 @@ func (db *DB) lookup(s *snapshot, entity string) (*trace.Sequences, error) {
 	if !ok {
 		return nil, fmt.Errorf("digitaltraces: unknown entity %q", entity)
 	}
-	return s.sequences(e, entity)
-}
-
-// sequences returns an entity's frozen sequences from this snapshot, or the
-// canonical not-yet-indexed error naming the entity (shared by lookup and
-// the batch path so the two can never drift apart).
-func (s *snapshot) sequences(e trace.EntityID, name string) (*trace.Sequences, error) {
 	q := s.store.Get(e)
 	if q == nil {
-		return nil, fmt.Errorf("digitaltraces: entity %q has no indexed visits yet (its first write is still in flight)", name)
+		return nil, fmt.Errorf("digitaltraces: entity %q has no indexed visits yet (its first write is still in flight)", entity)
 	}
 	return q, nil
 }

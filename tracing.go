@@ -35,15 +35,17 @@ func WithTracing(size int) Option {
 // nil-receiver safe, so callers may use the result unconditionally.
 func (db *DB) Tracer() *obs.Tracer { return db.tracer }
 
-// record writes one query's trace: s is the snapshot that answered (nil if
-// the query failed before pinning one), so the trace names the answering
+// record writes one query's trace: batchID links a TopKBatch item to its
+// batch (0 outside one), and s is the snapshot that answered (nil if the
+// query failed before pinning one), so the trace names the answering
 // generation. No-op when tracing is disabled.
-func (db *DB) record(kind obs.Kind, entity string, k int, s *snapshot, out []Match, qs QueryStats, err error, start time.Time) {
+func (db *DB) record(kind obs.Kind, entity string, k int, batchID uint64, s *snapshot, out []Match, qs QueryStats, err error, start time.Time) {
 	if db.tracer == nil {
 		return
 	}
 	qt := obs.QueryTrace{
 		Kind:         kind,
+		BatchID:      batchID,
 		Entity:       entity,
 		K:            k,
 		CacheHit:     qs.CacheHit,
