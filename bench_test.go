@@ -16,6 +16,7 @@ package digitaltraces
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -101,11 +102,7 @@ func benchWorld(b *testing.B, entities, nh int) (*spindex.Index, *trace.Store, *
 	if err != nil {
 		b.Fatal(err)
 	}
-	im := mobility.DefaultIMConfig()
-	im.Horizon = 7 * 24
-	im.DetectionProb = 0.06
-	im.CompanionFrac = 0.9
-	im.CompanionDeviation = 0.25
+	im := benchIM()
 	gen, err := mobility.NewGenerator(ix, im)
 	if err != nil {
 		b.Fatal(err)
@@ -124,6 +121,17 @@ func benchWorld(b *testing.B, entities, nh int) (*spindex.Index, *trace.Store, *
 		b.Fatal(err)
 	}
 	return ix, st, tree, m
+}
+
+// benchIM is benchWorld's mobility model: a week of sparse IM detections
+// with planted companions.
+func benchIM() mobility.IMConfig {
+	im := mobility.DefaultIMConfig()
+	im.Horizon = 7 * 24
+	im.DetectionProb = 0.06
+	im.CompanionFrac = 0.9
+	im.CompanionDeviation = 0.25
+	return im
 }
 
 // BenchmarkSignature measures per-entity signature computation, the
@@ -190,6 +198,60 @@ func BenchmarkTopK(b *testing.B) {
 			core.BruteForceTopK(st, st.Entities(), q, 10, m)
 		}
 	})
+}
+
+// BenchmarkMappedTopK compares warm TopK(k=10) on a built DB with the same
+// index saved and reopened (OpenIndex), on BenchmarkTopK's city. Every entity
+// is queried once before the timer starts, so "mapped" measures an image
+// whose sequences have all been decoded: it should cost what "built" does.
+func BenchmarkMappedTopK(b *testing.B) {
+	im := benchIM()
+	built, err := SyntheticCity(CityConfig{Side: 7, Entities: 1000, Days: 7, Mobility: &im})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := built.BuildIndex(); err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "index.map")
+	f, err := os.Create(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := built.SaveIndex(f); err != nil {
+		b.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		b.Fatal(err)
+	}
+	mapped, err := NewGridDB(7, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer mapped.Close()
+	if err := mapped.OpenIndex(path); err != nil {
+		b.Fatal(err)
+	}
+	names := built.Entities()
+	for _, c := range []struct {
+		name string
+		db   *DB
+	}{{"built", built}, {"mapped", mapped}} {
+		b.Run(c.name, func(b *testing.B) {
+			for _, e := range names {
+				if _, _, err := c.db.TopK(e, 10); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := c.db.TopK(names[i%len(names)], 10); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkTopKSparse is BenchmarkTopK in the regime the serving benchmark

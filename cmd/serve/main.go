@@ -258,7 +258,7 @@ func main() {
 	log.Printf("indexed %d entities in %v: ~%.1f MiB",
 		st.Entities, time.Since(start).Round(time.Millisecond), float64(st.MemoryBytes)/(1<<20))
 	if st.Mapped {
-		log.Printf("serving mapped: sequence pages fault in lazily from %s", *idxPath)
+		log.Printf("serving mapped: sequences decode lazily, once each, from %s", *idxPath)
 	}
 	if c, ok := engine.(*shard.Cluster); ok {
 		for _, ss := range c.ShardStats() {
@@ -340,8 +340,8 @@ func main() {
 }
 
 // openImage serves the index image at path over the engine: restart cost is
-// the decode, with sequence pages faulting in lazily as queries touch them. A
-// missing file is a normal first boot. Any open failure is fatal: an image
+// the decode, and each entity's sequences are decoded once, when a query
+// first touches them. A missing file is a normal first boot. Any open failure is fatal: an image
 // that does not match the data must stop the boot, not degrade into a silent
 // rebuild the operator did not budget for.
 func openImage(engine digitaltraces.Engine, path string) bool {

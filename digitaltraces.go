@@ -78,6 +78,7 @@ import (
 	"digitaltraces/internal/obs"
 	"digitaltraces/internal/qcache"
 	"digitaltraces/internal/spindex"
+	"digitaltraces/internal/storage"
 	"digitaltraces/internal/trace"
 )
 
@@ -787,15 +788,14 @@ type IndexStats struct {
 	// shard.Config.TraceSize) and at least one query was observed. An
 	// aggregated engine reports its own coordinator-level tracer's view.
 	Latencies map[string]LatencySummary
-	// Mapped reports that the serving snapshot reads sequences lazily from a
-	// mapped (or disk-backed) snapshot file instead of the heap; PoolHits
-	// and PoolMisses are its buffer pool's counters — the hit rate is the
-	// fraction of sequence reads served without touching the file. All zero
-	// on heap-served snapshots. An aggregated engine ORs Mapped and sums the
-	// counters.
-	Mapped     bool
-	PoolHits   int
-	PoolMisses int
+	// Mapped reports that the serving snapshot reads sequences lazily from
+	// an opened index image (OpenIndex) instead of building them; Decoded is
+	// how many of the image's entities have been read and decoded into the
+	// heap so far — each once, on first touch — so it tracks the resident
+	// share of the image. Both zero on built snapshots. An aggregated engine
+	// ORs Mapped and sums Decoded.
+	Mapped  bool
+	Decoded int
 }
 
 // IndexStats returns current index statistics — one atomic snapshot load
@@ -821,11 +821,9 @@ func (db *DB) IndexStats() IndexStats {
 	out.Generation = s.generation
 	out.LastSwap = s.swappedAt
 	out.LastRefreshDuration = s.refreshTime
-	if s.pool != nil {
-		ps := s.pool.Stats()
+	if b, ok := s.store.Backing().(*storage.SpanReader); ok {
 		out.Mapped = true
-		out.PoolHits = ps.Hits
-		out.PoolMisses = ps.Misses
+		out.Decoded = b.Decoded()
 	}
 	return out
 }

@@ -52,8 +52,9 @@ type Engine interface {
 	SaveIndex(w io.Writer) (int64, error)
 	// OpenIndex maps the image at path read-only and serves queries straight
 	// off it, with no visit re-ingest and no rebuild: restart cost is the
-	// decode plus lazy page faults, and resident memory follows the hot
-	// entities. Into an empty engine the image brings its names; into a
+	// decode, each entity's sequences are decoded once when a query first
+	// touches them, and resident memory follows the entities queried so
+	// far. Into an empty engine the image brings its names; into a
 	// populated one every stored (name, ID) pair must agree, or the open is
 	// an error, never a silently different answer.
 	OpenIndex(path string) error

@@ -11,9 +11,10 @@ import (
 )
 
 // SequenceSource supplies entity ST-cell set sequences to the index and the
-// query processor. *trace.Store implements it in memory;
-// *storage.Store (internal/storage) implements it through a block file and
-// buffer pool for the memory-bounded experiments of Section 7.6.
+// query processor. *trace.Store implements it, in memory or over a saved
+// image's sequence region; *storage.Store (internal/storage) implements it
+// through a block file and LRU buffer pool for the memory-bounded
+// experiments of Section 7.6 only.
 type SequenceSource interface {
 	// Get returns the sequences of an entity, or nil if unknown.
 	Get(e trace.EntityID) *trace.Sequences

@@ -30,8 +30,9 @@ import (
 //	seqs      the concatenated storage.EncodeSequences blobs, page-aligned
 //
 // The image is served in place off a read-only mapping (or any ReaderAt), IDs
-// trusted, the sizes and cell index adopted as stored, sequence pages faulting
-// in as queries touch them (Snapshot.MappedPostings). A structural slip
+// trusted, the sizes and cell index adopted as stored, each entity's sequences
+// read and decoded once, when a query first touches them
+// (Snapshot.MappedPostings over a storage.SpanReader). A structural slip
 // anywhere trips a bounds check; a flipped ID, span, count or size in the
 // entity table, or a posting missing from the cell index, would only show as
 // a wrong answer — so those sections carry a checksum.
@@ -374,7 +375,7 @@ func DecodeSnapshot(sr *secfile.Reader, ix *spindex.Index) (*Snapshot, error) {
 
 // MappedPostings serves the image in place: src reads the entities' Seq
 // spans, IDs are the stored ones, the level sizes and the cell index the
-// stored ones. The load never touches src — sequence pages fault in at query
+// stored ones. The load never touches src — sequences are read at query
 // time; the spans were bounds-checked by DecodeSnapshot.
 func (s *Snapshot) MappedPostings(ix *spindex.Index, src SequenceSource) *Postings {
 	m := ix.Height()

@@ -14,13 +14,11 @@ import (
 	"os"
 )
 
-// Mapping is a read-only view of a file. It is an io.ReaderAt; Data exposes
-// the raw mapped bytes when Mapped() is true (callers must not write to it).
+// Mapping is a read-only view of a file, read through ReadAt.
 type Mapping struct {
-	f      *os.File
-	size   int64
-	data   []byte // non-nil iff mapped
-	mapped bool
+	f    *os.File
+	size int64
+	data []byte // non-nil iff mapped
 }
 
 var _ io.ReaderAt = (*Mapping)(nil)
@@ -42,7 +40,6 @@ func Open(path string) (*Mapping, error) {
 	if m.size > 0 {
 		if data, err := mapFile(f, m.size); err == nil {
 			m.data = data
-			m.mapped = true
 		}
 	}
 	return m, nil
@@ -53,14 +50,11 @@ func (m *Mapping) Size() int64 { return m.size }
 
 // Mapped reports whether the file is served by a real memory map (true) or
 // by the ReadAt fallback (false).
-func (m *Mapping) Mapped() bool { return m.mapped }
-
-// Data returns the mapped byte slice, or nil when running on the fallback.
-func (m *Mapping) Data() []byte { return m.data }
+func (m *Mapping) Mapped() bool { return m.data != nil }
 
 // ReadAt implements io.ReaderAt over the mapping (or the file fallback).
 func (m *Mapping) ReadAt(p []byte, off int64) (int, error) {
-	if !m.mapped {
+	if m.data == nil {
 		return m.f.ReadAt(p, off)
 	}
 	if off < 0 {
@@ -79,10 +73,9 @@ func (m *Mapping) ReadAt(p []byte, off int64) (int, error) {
 // Close unmaps (when mapped) and closes the file. Safe to call once.
 func (m *Mapping) Close() error {
 	var err error
-	if m.mapped {
+	if m.data != nil {
 		err = unmapFile(m.data)
 		m.data = nil
-		m.mapped = false
 	}
 	if m.f != nil {
 		if cerr := m.f.Close(); err == nil {

@@ -1,0 +1,192 @@
+package storage
+
+import (
+	"encoding/binary"
+	"fmt"
+	"io"
+	"slices"
+	"sync/atomic"
+
+	"digitaltraces/internal/spindex"
+	"digitaltraces/internal/trace"
+)
+
+// Span locates one entity's serialized sequences within a backing reader.
+type Span struct {
+	Off int64
+	Len int32
+}
+
+// SpanReader serves entity sequences out of a region of EncodeSequences
+// blobs — the sequence section of a saved index image — as the lowest layer
+// of a trace.Store. Each entity is read and decoded on its first Get and the
+// result kept, so a warm reader answers from the heap like a built store;
+// entities never read stay on disk (or in the page cache of a mapping). Safe
+// for concurrent readers: no lock, racing first reads of one entity decode
+// it twice and agree on the first one published.
+//
+// The reader does not own its backing: the caller keeps it readable for as
+// long as the reader serves, and closes or unmaps it.
+type SpanReader struct {
+	ix      *spindex.Index
+	r       io.ReaderAt
+	order   []trace.EntityID // strictly ascending
+	spans   []Span
+	seqs    []atomic.Pointer[trace.Sequences]
+	decoded atomic.Int64
+}
+
+// NewSpanReader opens a reader over r, whose length is size: order[i]'s
+// record is spans[i], offsets relative to r, and order is strictly
+// ascending, as an image's entity table is. Every span is validated against
+// size here, at open time: a file truncated after its directory was written
+// fails with the offending entity named instead of panicking (or SIGBUS-ing
+// a mapped page) during some later query.
+func NewSpanReader(ix *spindex.Index, r io.ReaderAt, size int64, order []trace.EntityID, spans []Span) (*SpanReader, error) {
+	if len(order) != len(spans) {
+		return nil, fmt.Errorf("storage: %d entities in order, %d spans", len(order), len(spans))
+	}
+	for i, e := range order {
+		sp := spans[i]
+		if sp.Off < 0 || sp.Len < 0 || sp.Off+int64(sp.Len) > size {
+			return nil, fmt.Errorf("storage: entity %d span [%d,%d) exceeds backing size %d (truncated file?)",
+				e, sp.Off, sp.Off+int64(sp.Len), size)
+		}
+		if i > 0 && e <= order[i-1] {
+			return nil, fmt.Errorf("storage: entity %d follows entity %d (IDs must ascend strictly)", e, order[i-1])
+		}
+	}
+	return &SpanReader{
+		ix:    ix,
+		r:     r,
+		order: order,
+		spans: spans,
+		seqs:  make([]atomic.Pointer[trace.Sequences], len(order)),
+	}, nil
+}
+
+// slot returns e's position in order, spans and seqs, or -1.
+func (sr *SpanReader) slot(e trace.EntityID) int {
+	if uint(e) < uint(len(sr.order)) && sr.order[e] == e {
+		return int(e) // dense IDs, as a DB's saved image has
+	}
+	if i, ok := slices.BinarySearch(sr.order, e); ok {
+		return i
+	}
+	return -1
+}
+
+// Get returns e's sequences, reading and decoding them on the first call;
+// nil for an entity without a span. A record that cannot be read or decoded
+// panics naming the entity: a nil here would let a fold drop the image's
+// cells for it without a trace.
+func (sr *SpanReader) Get(e trace.EntityID) *trace.Sequences {
+	i := sr.slot(e)
+	if i < 0 {
+		return nil
+	}
+	if s := sr.seqs[i].Load(); s != nil {
+		return s
+	}
+	sp := sr.spans[i]
+	buf := make([]byte, sp.Len)
+	n, err := sr.r.ReadAt(buf, sp.Off)
+	if n == len(buf) {
+		var s *trace.Sequences
+		if s, err = DecodeSequences(sr.ix, buf); err == nil {
+			if sr.seqs[i].CompareAndSwap(nil, s) {
+				sr.decoded.Add(1)
+			}
+			return sr.seqs[i].Load()
+		}
+	}
+	panic(fmt.Sprintf("storage: corrupt record for entity %d: %v", e, err))
+}
+
+// Has reports whether the reader holds a record for e.
+func (sr *SpanReader) Has(e trace.EntityID) bool {
+	return sr.slot(e) >= 0
+}
+
+// Entities returns the entity IDs in the order given at open.
+func (sr *SpanReader) Entities() []trace.EntityID { return sr.order }
+
+// Decoded returns how many entities have been decoded into the heap so far.
+func (sr *SpanReader) Decoded() int { return int(sr.decoded.Load()) }
+
+// EncodedSize returns the byte length EncodeSequences would produce for s,
+// letting format writers lay out offset tables without materializing every
+// blob first.
+func EncodedSize(s *trace.Sequences) int {
+	m := s.Levels()
+	size := 8 + 4*m
+	for l := 1; l <= m; l++ {
+		size += 8 * s.Size(l)
+	}
+	return size
+}
+
+// EncodeSequences serializes one entity's sequences — the records Build
+// writes and the blobs of an index image's sequence region:
+// entity(4) m(4) [count(4) per level] [cells(8·count) per level].
+func EncodeSequences(s *trace.Sequences) []byte {
+	m := s.Levels()
+	buf := make([]byte, EncodedSize(s))
+	binary.LittleEndian.PutUint32(buf[0:], uint32(s.Entity))
+	binary.LittleEndian.PutUint32(buf[4:], uint32(m))
+	off := 8
+	for l := 1; l <= m; l++ {
+		binary.LittleEndian.PutUint32(buf[off:], uint32(s.Size(l)))
+		off += 4
+	}
+	for l := 1; l <= m; l++ {
+		for _, c := range s.At(l) {
+			binary.LittleEndian.PutUint64(buf[off:], uint64(c))
+			off += 8
+		}
+	}
+	return buf
+}
+
+// DecodeSequences reverses EncodeSequences. Only the base level is decoded
+// from storage; coarser levels are re-derived from the sp-index, which both
+// halves the I/O volume and revalidates the Section 4.1 invariant. The
+// stored coarse counts are checked against the re-derivation.
+func DecodeSequences(ix *spindex.Index, buf []byte) (*trace.Sequences, error) {
+	if len(buf) < 8 {
+		return nil, fmt.Errorf("short header")
+	}
+	e := trace.EntityID(binary.LittleEndian.Uint32(buf[0:]))
+	m := int(binary.LittleEndian.Uint32(buf[4:]))
+	if m != ix.Height() {
+		return nil, fmt.Errorf("record has %d levels, index has %d", m, ix.Height())
+	}
+	counts := make([]int, m)
+	off := 8
+	for l := 0; l < m; l++ {
+		if off+4 > len(buf) {
+			return nil, fmt.Errorf("truncated counts")
+		}
+		counts[l] = int(binary.LittleEndian.Uint32(buf[off:]))
+		off += 4
+	}
+	// Skip coarse-level cells; read the base level.
+	for l := 0; l < m-1; l++ {
+		off += 8 * counts[l]
+	}
+	base := make([]trace.Cell, counts[m-1])
+	if off+8*len(base) > len(buf) {
+		return nil, fmt.Errorf("truncated cells")
+	}
+	for i := range base {
+		base[i] = trace.Cell(binary.LittleEndian.Uint64(buf[off:]))
+		off += 8
+	}
+	s := trace.NewSequencesFromCells(ix, e, base)
+	for l := 1; l <= m; l++ {
+		if s.Size(l) != counts[l-1] {
+			return nil, fmt.Errorf("level %d: derived %d cells, stored %d", l, s.Size(l), counts[l-1])
+		}
+	}
+	return s, nil
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"strings"
+	"sync"
 	"testing"
 
 	"digitaltraces/internal/storage"
@@ -11,109 +12,218 @@ import (
 )
 
 // encodeRegion serializes every entity of mem into one contiguous buffer and
-// returns the spans OpenSpans needs — the same shape the mapped snapshot
-// writer produces.
-func encodeRegion(mem *trace.Store) ([]byte, map[trace.EntityID]storage.Span, []trace.EntityID) {
+// returns the order and spans NewSpanReader needs — the same shape the
+// mapped snapshot writer produces.
+func encodeRegion(mem *trace.Store) ([]byte, []trace.EntityID, []storage.Span) {
 	var buf bytes.Buffer
-	spans := make(map[trace.EntityID]storage.Span)
 	order := mem.Entities()
-	for _, e := range order {
+	spans := make([]storage.Span, len(order))
+	for i, e := range order {
 		blob := storage.EncodeSequences(mem.Get(e))
-		spans[e] = storage.Span{Off: int64(buf.Len()), Len: int32(len(blob))}
+		spans[i] = storage.Span{Off: int64(buf.Len()), Len: int32(len(blob))}
 		buf.Write(blob)
 	}
-	return buf.Bytes(), spans, order
+	return buf.Bytes(), order, spans
 }
 
-func TestOpenSpansRoundTrip(t *testing.T) {
+// countingReader counts the ReadAt calls that reach the backing.
+type countingReader struct {
+	io.ReaderAt
+	mu    sync.Mutex
+	calls int
+}
+
+func (c *countingReader) ReadAt(p []byte, off int64) (int, error) {
+	c.mu.Lock()
+	c.calls++
+	c.mu.Unlock()
+	return c.ReaderAt.ReadAt(p, off)
+}
+
+func (c *countingReader) count() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.calls
+}
+
+func TestSpanReaderRoundTrip(t *testing.T) {
 	ix, mem := randomStore(t, 7, 12)
-	data, spans, order := encodeRegion(mem)
-	ds, err := storage.OpenSpans(ix, bytes.NewReader(data), int64(len(data)), spans, order, storage.Options{BlockSize: 128, CapacityBlocks: 2})
+	data, order, spans := encodeRegion(mem)
+	r := &countingReader{ReaderAt: bytes.NewReader(data)}
+	sr, err := storage.NewSpanReader(ix, r, int64(len(data)), order, spans)
 	if err != nil {
-		t.Fatalf("OpenSpans: %v", err)
+		t.Fatalf("NewSpanReader: %v", err)
 	}
-	defer ds.Close()
-	for _, e := range order {
-		want, got := mem.Get(e), ds.Get(e)
-		if got == nil {
-			t.Fatalf("entity %d: Get returned nil", e)
-		}
-		if want.TotalCells() != got.TotalCells() {
-			t.Fatalf("entity %d: %d cells, want %d", e, got.TotalCells(), want.TotalCells())
-		}
-		for l := 1; l <= want.Levels(); l++ {
-			wc, gc := want.At(l), got.At(l)
-			if len(wc) != len(gc) {
-				t.Fatalf("entity %d level %d: %d cells, want %d", e, l, len(gc), len(wc))
+	if sr.Decoded() != 0 || r.count() != 0 {
+		t.Fatalf("open decoded %d entities in %d reads, want none", sr.Decoded(), r.count())
+	}
+	for pass := 0; pass < 2; pass++ {
+		for _, e := range order {
+			want, got := mem.Get(e), sr.Get(e)
+			if got == nil {
+				t.Fatalf("entity %d: Get returned nil", e)
 			}
-			for i := range wc {
-				if wc[i] != gc[i] {
-					t.Fatalf("entity %d level %d cell %d differs", e, l, i)
+			if want.TotalCells() != got.TotalCells() {
+				t.Fatalf("entity %d: %d cells, want %d", e, got.TotalCells(), want.TotalCells())
+			}
+			for l := 1; l <= want.Levels(); l++ {
+				wc, gc := want.At(l), got.At(l)
+				if len(wc) != len(gc) {
+					t.Fatalf("entity %d level %d: %d cells, want %d", e, l, len(gc), len(wc))
+				}
+				for i := range wc {
+					if wc[i] != gc[i] {
+						t.Fatalf("entity %d level %d cell %d differs", e, l, i)
+					}
 				}
 			}
 		}
+		// Each entity is read and decoded once; the second pass is all heap.
+		if sr.Decoded() != len(order) || r.count() != len(order) {
+			t.Fatalf("pass %d: %d entities decoded in %d reads, want %d of each", pass, sr.Decoded(), r.count(), len(order))
+		}
 	}
-	if !ds.Has(order[0]) {
+	if sr.Get(order[0]) != sr.Get(order[0]) {
+		t.Fatal("Get returned two copies of one entity")
+	}
+	if !sr.Has(order[0]) {
 		t.Fatal("Has(known) = false")
 	}
-	if ds.Has(trace.EntityID(1 << 20)) {
-		t.Fatal("Has(unknown) = true")
-	}
-	st := ds.Stats()
-	if st.Hits+st.Misses == 0 {
-		t.Fatal("pool saw no traffic")
+	if sr.Has(trace.EntityID(1<<20)) || sr.Get(trace.EntityID(1<<20)) != nil {
+		t.Fatal("unknown entity reported present")
 	}
 }
 
-// TestOpenSpansTruncation is the satellite-2 contract: a span extending past
-// the backing must fail at open time with the entity named, never panic in
-// a later Get.
-func TestOpenSpansTruncation(t *testing.T) {
+// TestSpanReaderSparseIDs: a reader over IDs that are not 0..n-1 (an image
+// covering part of a registry) finds each by search.
+func TestSpanReaderSparseIDs(t *testing.T) {
+	ix, mem := randomStore(t, 12, 9)
+	data, order, spans := encodeRegion(mem)
+	var sparse []trace.EntityID
+	var sparseSpans []storage.Span
+	for i := 1; i < len(order); i += 2 {
+		sparse, sparseSpans = append(sparse, order[i]), append(sparseSpans, spans[i])
+	}
+	sr, err := storage.NewSpanReader(ix, bytes.NewReader(data), int64(len(data)), sparse, sparseSpans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range order {
+		got := sr.Get(e)
+		if (got != nil) != (i%2 == 1) || sr.Has(e) != (i%2 == 1) {
+			t.Fatalf("entity %d: present = %t, want %t", e, got != nil, i%2 == 1)
+		}
+		if got != nil && got.TotalCells() != mem.Get(e).TotalCells() {
+			t.Fatalf("entity %d: %d cells, want %d", e, got.TotalCells(), mem.Get(e).TotalCells())
+		}
+	}
+}
+
+// TestSpanReaderConcurrentFirstReads: goroutines racing the first read of
+// every entity all see one published copy, and each entity counts once.
+func TestSpanReaderConcurrentFirstReads(t *testing.T) {
+	ix, mem := randomStore(t, 10, 30)
+	data, order, spans := encodeRegion(mem)
+	sr, err := storage.NewSpanReader(ix, bytes.NewReader(data), int64(len(data)), order, spans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([][]*trace.Sequences, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, e := range order {
+				got[g] = append(got[g], sr.Get(e))
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		for i, s := range got[g] {
+			if s != got[0][i] {
+				t.Fatalf("goroutine %d saw another copy of entity %d", g, order[i])
+			}
+		}
+	}
+	if sr.Decoded() != len(order) {
+		t.Fatalf("decoded %d entities, want %d", sr.Decoded(), len(order))
+	}
+}
+
+// TestSpanReaderTruncation: a span extending past the backing fails at open
+// time with the entity named, never panics in a later Get.
+func TestSpanReaderTruncation(t *testing.T) {
 	ix, mem := randomStore(t, 8, 6)
-	data, spans, order := encodeRegion(mem)
+	data, order, spans := encodeRegion(mem)
 	// Chop the tail off the region: the last entity's span now dangles.
 	short := data[:len(data)-8]
-	_, err := storage.OpenSpans(ix, bytes.NewReader(short), int64(len(short)), spans, order, storage.Options{BlockSize: 64})
+	_, err := storage.NewSpanReader(ix, bytes.NewReader(short), int64(len(short)), order, spans)
 	if err == nil {
-		t.Fatal("OpenSpans accepted a truncated backing")
+		t.Fatal("NewSpanReader accepted a truncated backing")
 	}
-	last := order[len(order)-1]
 	if !strings.Contains(err.Error(), "truncated") {
 		t.Fatalf("error does not mention truncation: %v", err)
 	}
 	if !strings.Contains(err.Error(), "entity") {
 		t.Fatalf("error does not name the entity: %v", err)
 	}
-	_ = last
 
 	// Negative offsets and lengths are rejected too.
-	bad := map[trace.EntityID]storage.Span{order[0]: {Off: -1, Len: 4}}
-	if _, err := storage.OpenSpans(ix, bytes.NewReader(data), int64(len(data)), bad, order[:1], storage.Options{BlockSize: 64}); err == nil {
-		t.Fatal("OpenSpans accepted a negative offset")
+	if _, err := storage.NewSpanReader(ix, bytes.NewReader(data), int64(len(data)), order[:1], []storage.Span{{Off: -1, Len: 4}}); err == nil {
+		t.Fatal("NewSpanReader accepted a negative offset")
 	}
-	bad = map[trace.EntityID]storage.Span{order[0]: {Off: 0, Len: -4}}
-	if _, err := storage.OpenSpans(ix, bytes.NewReader(data), int64(len(data)), bad, order[:1], storage.Options{BlockSize: 64}); err == nil {
-		t.Fatal("OpenSpans accepted a negative length")
+	if _, err := storage.NewSpanReader(ix, bytes.NewReader(data), int64(len(data)), order[:1], []storage.Span{{Off: 0, Len: -4}}); err == nil {
+		t.Fatal("NewSpanReader accepted a negative length")
 	}
 	// Order/spans mismatch.
-	if _, err := storage.OpenSpans(ix, bytes.NewReader(data), int64(len(data)), spans, order[:len(order)-1], storage.Options{BlockSize: 64}); err == nil {
-		t.Fatal("OpenSpans accepted mismatched order/spans")
+	if _, err := storage.NewSpanReader(ix, bytes.NewReader(data), int64(len(data)), order[:len(order)-1], spans); err == nil {
+		t.Fatal("NewSpanReader accepted mismatched order/spans")
+	}
+	// One entity, two spans; IDs out of order.
+	if _, err := storage.NewSpanReader(ix, bytes.NewReader(data), int64(len(data)), []trace.EntityID{order[0], order[0]}, spans[:2]); err == nil {
+		t.Fatal("NewSpanReader accepted an entity with two spans")
+	}
+	if _, err := storage.NewSpanReader(ix, bytes.NewReader(data), int64(len(data)), []trace.EntityID{order[1], order[0]}, spans[:2]); err == nil {
+		t.Fatal("NewSpanReader accepted descending IDs")
 	}
 }
 
-func TestOpenSpansDoesNotOwnReader(t *testing.T) {
-	ix, mem := randomStore(t, 9, 3)
-	data, spans, order := encodeRegion(mem)
-	r := io.NewSectionReader(bytes.NewReader(data), 0, int64(len(data)))
-	ds, err := storage.OpenSpans(ix, r, int64(len(data)), spans, order, storage.Options{BlockSize: 64})
+// TestSpanReaderCorruptRecordPanics: a record that does not decode panics
+// naming the entity — never a nil that a fold would read as "no cells".
+func TestSpanReaderCorruptRecordPanics(t *testing.T) {
+	ix, mem := randomStore(t, 11, 2)
+	data, order, spans := encodeRegion(mem)
+	data = bytes.Clone(data)
+	data[spans[0].Off+4] ^= 0xff // the level count
+	sr, err := storage.NewSpanReader(ix, bytes.NewReader(data), int64(len(data)), order, spans)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.Close(); err != nil {
-		t.Fatalf("Close on a non-owning store: %v", err)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "storage: corrupt record for entity") {
+			t.Fatalf("Get of a corrupt record: recovered %q, want a corrupt-record panic", msg)
+		}
+	}()
+	sr.Get(order[0])
+}
+
+// TestSpanReaderDoesNotOwnReader: the reader has no Close, so the caller's
+// backing is the caller's to close, and reads go through it as given.
+func TestSpanReaderDoesNotOwnReader(t *testing.T) {
+	ix, mem := randomStore(t, 9, 3)
+	data, order, spans := encodeRegion(mem)
+	r := io.NewSectionReader(bytes.NewReader(data), 0, int64(len(data)))
+	sr, err := storage.NewSpanReader(ix, r, int64(len(data)), order, spans)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Reader still usable after Close.
-	if got := ds.Get(order[0]); got == nil {
-		t.Fatal("Get failed after Close of a non-owning store")
+	if _, ok := any(sr).(io.Closer); ok {
+		t.Fatal("SpanReader can close the caller's backing")
+	}
+	if got := sr.Get(order[0]); got == nil {
+		t.Fatal("Get through a section reader failed")
 	}
 }

@@ -1,27 +1,24 @@
-// Package storage implements the disk-resident record store used by the
-// memory-sensitivity experiments of Section 7.6 of "Top-k Queries over
-// Digital Traces": entity ST-cell sequences are serialized into a block
-// file, ordered by their MinSigTree leaf position (so closely associated
-// entities tend to share blocks), and read back through a fixed-capacity
-// LRU buffer pool. The pool capacity is the experiment's "memory size";
-// optionally each miss pays a configurable latency to stand in for the
-// thesis' EBS HDD.
+// Package storage holds the on-disk encodings of entity ST-cell sequences
+// and the two readers over them.
 //
-// A Store can own a file it built (Build) or serve spans of any io.ReaderAt
-// (OpenSpans) — the latter is how mmap-served snapshots read entity
-// sequences straight out of a mapped index region without decoding the
-// whole file into the heap. Every span is bounds-checked against the
+// Store is the disk-resident record store of the memory-sensitivity
+// experiments of Section 7.6 of "Top-k Queries over Digital Traces": entity
+// sequences are serialized into a block file, ordered by their MinSigTree
+// leaf position (so closely associated entities tend to share blocks), and
+// read back through a fixed-capacity LRU buffer pool. The pool capacity is
+// the experiment's "memory size"; optionally each miss pays a configurable
+// latency to stand in for the thesis' EBS HDD. Store implements
+// core.SequenceSource, so a MinSigTree can run queries directly against it.
+//
+// SpanReader serves the sequence region of a saved index image (typically a
+// memory mapping) as a trace.Backing: it decodes each entity once, on first
+// read, and keeps the result. Every span is bounds-checked against the
 // backing size at open time, so a truncated file fails with the offending
 // entity named instead of panicking mid-query.
-//
-// Store implements core.SequenceSource, so a MinSigTree can run queries
-// directly against it.
 package storage
 
 import (
-	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 	"sync"
 	"time"
@@ -44,18 +41,11 @@ func (s PoolStats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
-// Span locates one entity's serialized sequences within the backing reader.
-type Span struct {
-	Off int64
-	Len int32
-}
-
 // Store is a block view of serialized entity sequences behind an LRU buffer
 // pool. Safe for concurrent readers.
 type Store struct {
 	ix        *spindex.Index
-	r         io.ReaderAt
-	closer    io.Closer // nil when the store does not own the backing
+	f         *os.File
 	blockSize int
 	fileSize  int64
 	dir       map[trace.EntityID]Span
@@ -101,8 +91,7 @@ func Build(path string, ix *spindex.Index, src interface {
 	}
 	st := &Store{
 		ix:        ix,
-		r:         f,
-		closer:    f,
+		f:         f,
 		blockSize: opts.BlockSize,
 		dir:       make(map[trace.EntityID]Span, len(order)),
 		order:     append([]trace.EntityID(nil), order...),
@@ -117,7 +106,7 @@ func Build(path string, ix *spindex.Index, src interface {
 			os.Remove(path)
 			return nil, fmt.Errorf("storage: entity %d missing from source", e)
 		}
-		buf := encodeSequences(s)
+		buf := EncodeSequences(s)
 		if _, err := f.Write(buf); err != nil {
 			f.Close()
 			return nil, err
@@ -134,76 +123,11 @@ func Build(path string, ix *spindex.Index, src interface {
 	return st, nil
 }
 
-// OpenSpans opens a store over an existing backing reader — typically an
-// io.SectionReader windowing the sequence region of a memory-mapped index
-// file. size is the backing's length; spans locate each entity's record
-// within it (offsets relative to the backing). The store does not own the
-// reader: Close is a no-op, the caller unmaps/closes.
-//
-// Every span is validated against size here, at open time: a block file
-// that was truncated after the directory was written fails loudly with the
-// offending entity instead of panicking (or SIGBUS-ing a mapped page)
-// during some later query.
-func OpenSpans(ix *spindex.Index, r io.ReaderAt, size int64, spans map[trace.EntityID]Span, order []trace.EntityID, opts Options) (*Store, error) {
-	if opts.BlockSize == 0 {
-		opts.BlockSize = 4096
-	}
-	if opts.BlockSize < 64 {
-		return nil, fmt.Errorf("storage: block size %d < 64", opts.BlockSize)
-	}
-	if size < 0 {
-		return nil, fmt.Errorf("storage: negative backing size %d", size)
-	}
-	if len(order) != len(spans) {
-		return nil, fmt.Errorf("storage: %d entities in order, %d spans", len(order), len(spans))
-	}
-	dir := make(map[trace.EntityID]Span, len(spans))
-	for _, e := range order {
-		sp, ok := spans[e]
-		if !ok {
-			return nil, fmt.Errorf("storage: entity %d in order but has no span", e)
-		}
-		if sp.Off < 0 || sp.Len < 0 || sp.Off+int64(sp.Len) > size {
-			return nil, fmt.Errorf("storage: entity %d span [%d,%d) exceeds backing size %d (truncated file?)",
-				e, sp.Off, sp.Off+int64(sp.Len), size)
-		}
-		dir[e] = sp
-	}
-	st := &Store{
-		ix:        ix,
-		r:         r,
-		blockSize: opts.BlockSize,
-		fileSize:  size,
-		dir:       dir,
-		order:     append([]trace.EntityID(nil), order...),
-		pool:      make(map[int64][]byte),
-		lruSeq:    make(map[int64]uint64),
-	}
-	st.capacity = opts.CapacityBlocks
-	if st.capacity <= 0 {
-		st.capacity = st.TotalBlocks()
-	}
-	st.missPenalty = opts.MissPenalty
-	return st, nil
-}
-
-// Close releases the underlying file when the store owns it (Build);
-// stores opened over a caller-provided reader (OpenSpans) leave it open.
-func (st *Store) Close() error {
-	if st.closer == nil {
-		return nil
-	}
-	return st.closer.Close()
-}
+// Close releases the block file.
+func (st *Store) Close() error { return st.f.Close() }
 
 // Len returns the number of stored entities.
 func (st *Store) Len() int { return len(st.dir) }
-
-// Has reports whether the store holds a record for e.
-func (st *Store) Has(e trace.EntityID) bool {
-	_, ok := st.dir[e]
-	return ok
-}
 
 // Entities returns the stored entity IDs in file order.
 func (st *Store) Entities() []trace.EntityID { return st.order }
@@ -268,7 +192,7 @@ func (st *Store) Get(e trace.EntityID) *trace.Sequences {
 		n := copy(buf[rel:], block[inOff:])
 		rel += int64(n)
 	}
-	s, err := decodeSequences(st.ix, buf)
+	s, err := DecodeSequences(st.ix, buf)
 	if err != nil {
 		panic(fmt.Sprintf("storage: corrupt record for entity %d: %v", e, err))
 	}
@@ -290,7 +214,7 @@ func (st *Store) block(id int64) []byte {
 
 	// Read outside the lock; duplicate reads on a race are harmless.
 	b := make([]byte, st.blockSize)
-	n, err := st.r.ReadAt(b, id*int64(st.blockSize))
+	n, err := st.f.ReadAt(b, id*int64(st.blockSize))
 	if err != nil && n == 0 {
 		panic(fmt.Sprintf("storage: read block %d: %v", id, err))
 	}
@@ -323,91 +247,4 @@ func (st *Store) evictLocked() {
 		delete(st.pool, victim)
 		delete(st.lruSeq, victim)
 	}
-}
-
-// EncodedSize returns the byte length EncodeSequences would produce for s,
-// letting format writers lay out offset tables without materializing every
-// blob first.
-func EncodedSize(s *trace.Sequences) int {
-	m := s.Levels()
-	size := 8 + 4*m
-	for l := 1; l <= m; l++ {
-		size += 8 * s.Size(l)
-	}
-	return size
-}
-
-// EncodeSequences serializes one entity's sequences in the store's record
-// format — the same blobs Build writes, exposed so the mapped snapshot
-// writer can emit a sequence region OpenSpans reads back.
-func EncodeSequences(s *trace.Sequences) []byte { return encodeSequences(s) }
-
-// DecodeSequences reverses EncodeSequences, rebuilding the coarse levels
-// from the base level and validating the recorded cell counts.
-func DecodeSequences(ix *spindex.Index, buf []byte) (*trace.Sequences, error) {
-	return decodeSequences(ix, buf)
-}
-
-// encodeSequences serializes one entity's sequences:
-// entity(4) m(4) [count(4) per level] [cells(8·count) per level].
-func encodeSequences(s *trace.Sequences) []byte {
-	m := s.Levels()
-	buf := make([]byte, EncodedSize(s))
-	binary.LittleEndian.PutUint32(buf[0:], uint32(s.Entity))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(m))
-	off := 8
-	for l := 1; l <= m; l++ {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(s.Size(l)))
-		off += 4
-	}
-	for l := 1; l <= m; l++ {
-		for _, c := range s.At(l) {
-			binary.LittleEndian.PutUint64(buf[off:], uint64(c))
-			off += 8
-		}
-	}
-	return buf
-}
-
-// decodeSequences reverses encodeSequences. Only the base level is decoded
-// from storage; coarser levels are re-derived from the sp-index, which both
-// halves the I/O volume and revalidates the Section 4.1 invariant. The
-// stored coarse counts are checked against the re-derivation.
-func decodeSequences(ix *spindex.Index, buf []byte) (*trace.Sequences, error) {
-	if len(buf) < 8 {
-		return nil, fmt.Errorf("short header")
-	}
-	e := trace.EntityID(binary.LittleEndian.Uint32(buf[0:]))
-	m := int(binary.LittleEndian.Uint32(buf[4:]))
-	if m != ix.Height() {
-		return nil, fmt.Errorf("record has %d levels, index has %d", m, ix.Height())
-	}
-	counts := make([]int, m)
-	off := 8
-	for l := 0; l < m; l++ {
-		if off+4 > len(buf) {
-			return nil, fmt.Errorf("truncated counts")
-		}
-		counts[l] = int(binary.LittleEndian.Uint32(buf[off:]))
-		off += 4
-	}
-	// Skip coarse-level cells; read the base level.
-	for l := 0; l < m-1; l++ {
-		off += 8 * counts[l]
-	}
-	base := make([]trace.Cell, counts[m-1])
-	if off+8*len(base) > len(buf) {
-		return nil, fmt.Errorf("truncated cells")
-	}
-	for i := range base {
-		base[i] = trace.Cell(binary.LittleEndian.Uint64(buf[off:]))
-		off += 8
-	}
-	s := trace.NewSequencesFromCells(ix, e, base)
-	for l := 1; l <= m; l++ {
-		if s.Size(l) != counts[l-1] {
-			return nil, fmt.Errorf("level %d: derived %d cells, stored %d", l, s.Size(l), counts[l-1])
-		}
-	}
-	return s, nil
 }

@@ -323,9 +323,9 @@ type Store struct {
 const denseSlack = 16
 
 // Backing is a read-only lowest layer of sequences living outside the heap —
-// a disk block file or a memory-mapped snapshot region. Reads that miss both
-// in-heap layers fall through to it; writes always land in the heap layers
-// and shadow it. storage.Store satisfies this.
+// the sequence region of a saved index image. Reads that miss both in-heap
+// layers fall through to it; writes always land in the heap layers and
+// shadow it. storage.SpanReader satisfies this.
 type Backing interface {
 	Get(EntityID) *Sequences
 	Has(EntityID) bool
@@ -346,6 +346,9 @@ func NewBackedStore(ix *spindex.Index, b Backing) *Store {
 	st.backing, st.n = b, len(b.Entities())
 	return st
 }
+
+// Backing returns the store's lowest layer, or nil for a pure in-heap store.
+func (st *Store) Backing() Backing { return st.backing }
 
 // Index returns the sp-index the store's sequences are built against.
 func (st *Store) Index() *spindex.Index { return st.ix }

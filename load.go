@@ -1,9 +1,10 @@
 package digitaltraces
 
 // Opening a saved index: one image, served in place. Only the scalars,
-// names, entity table, level sizes and cell index decode eagerly; sequence
-// pages fault in as queries touch them, so time-to-first-query is the decode
-// and resident memory follows the hot entities, not the index size. The open
+// names, entity table, level sizes and cell index decode eagerly; an
+// entity's sequences are read and decoded the first time a query touches
+// them, and kept, so time-to-first-query is the decode and resident memory
+// follows the entities queried so far, not the index size. The open
 // publishes through the same atomic.Pointer swap every builder uses, so
 // queries racing it keep answering from whatever was published before.
 
@@ -20,9 +21,10 @@ import (
 )
 
 // OpenIndex maps the index file at path read-only (SaveIndex wrote it) and
-// serves it in place. Sequences are read through a buffer pool over the
-// mapping (page-cache backed); where mmap is unavailable the mapping degrades
-// to pread — same semantics, no page cache residency guarantees.
+// serves it in place. Each entity's sequences are read from the mapping and
+// decoded once, on first touch, then served from the heap
+// (IndexStats.Decoded counts them); where mmap is unavailable the mapping
+// degrades to pread — same semantics, no page cache residency guarantees.
 //
 // The image resolves entities by ID — the sequence blobs embed the save-time
 // IDs — so there is no name-based remapping: an empty registry adopts the
@@ -95,11 +97,11 @@ func (db *DB) OpenIndexAt(r io.ReaderAt, size int64) error {
 	if err != nil {
 		return err
 	}
-	spans := make(map[trace.EntityID]storage.Span, len(snap.Entities))
 	order := make([]trace.EntityID, len(snap.Entities))
+	spans := make([]storage.Span, len(snap.Entities))
 	covered := make(map[trace.EntityID]uint32, len(snap.Entities))
 	for i, se := range snap.Entities {
-		spans[se.ID], order[i], covered[se.ID] = se.Seq, se.ID, se.Folded
+		order[i], spans[i], covered[se.ID] = se.ID, se.Seq, se.Folded
 	}
 	// Registry reconciliation, read-only: a fresh registry will adopt the
 	// table, which must then be dense and free of repeated names; a populated
@@ -151,12 +153,12 @@ func (db *DB) OpenIndexAt(r io.ReaderAt, size int64) error {
 		return err
 	}
 
-	pool, err := storage.OpenSpans(db.ix, r, size, spans, order, storage.Options{BlockSize: secfile.Page})
+	seqs, err := storage.NewSpanReader(db.ix, r, size, order, spans)
 	if err != nil {
 		return fmt.Errorf("digitaltraces: opening index: %w", err)
 	}
-	store := trace.NewBackedStore(db.ix, pool)
-	ns := &snapshot{store: store, post: snap.MappedPostings(db.ix, store), measure: measure, pool: pool}
+	store := trace.NewBackedStore(db.ix, seqs)
+	ns := &snapshot{store: store, post: snap.MappedPostings(db.ix, store), measure: measure}
 	if len(v.ids) > 0 {
 		store = db.fold(v.ids, v.recs, ns, db.snap.Load())
 		if ns.post, err = ns.post.Derive(store, v.ids); err != nil {

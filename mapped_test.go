@@ -10,9 +10,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -61,7 +65,8 @@ func emptyGrid(t *testing.T, opts ...Option) *DB {
 
 // TestLoadMappedIndexNoIngest: the headline restart path — a fresh DB with an
 // EMPTY visit log serves bit-identical answers straight off the mapped file,
-// query-ready at generation 1 with nothing dirty, and reports pool traffic.
+// query-ready at generation 1 with nothing dirty, and reports the image
+// entities its queries decoded.
 func TestLoadMappedIndexNoIngest(t *testing.T) {
 	src, path, _ := mappedWorld(t, 40)
 	db := emptyGrid(t)
@@ -86,8 +91,81 @@ func TestLoadMappedIndexNoIngest(t *testing.T) {
 		t.Errorf("registry adopted %d names, want %d", db.NumEntities(), src.NumEntities())
 	}
 	assertSameAnswers(t, src, db, someEntities, 5)
-	if st = db.IndexStats(); st.PoolHits+st.PoolMisses == 0 {
-		t.Error("queries reported no buffer-pool traffic")
+	if st = db.IndexStats(); st.Decoded == 0 {
+		t.Error("queries decoded no image entity")
+	}
+}
+
+// countingReaderAt counts the ReadAt calls that reach an image.
+type countingReaderAt struct {
+	r     io.ReaderAt
+	calls atomic.Int64
+}
+
+func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	c.calls.Add(1)
+	return c.r.ReadAt(p, off)
+}
+
+// TestMappedDecodesOnce: an opened image decodes each entity once, on first
+// touch. Eight goroutines racing the same queries answer like the source DB,
+// and a second pass reads nothing more from the image and decodes nothing
+// new.
+func TestMappedDecodesOnce(t *testing.T) {
+	src, path, _ := mappedWorld(t, 60)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &countingReaderAt{r: bytes.NewReader(data)}
+	db := emptyGrid(t)
+	if err := db.OpenIndexAt(r, int64(len(data))); err != nil {
+		t.Fatalf("OpenIndexAt: %v", err)
+	}
+	queries := src.Entities()[:50]
+	want := make(map[string][]Match, len(queries))
+	for _, q := range queries {
+		if want[q], _, err = src.TopK(q, 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pass := func() {
+		t.Helper()
+		errs := make(chan error, 8)
+		var wg sync.WaitGroup
+		for range 8 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, q := range queries {
+					got, _, err := db.TopK(q, 5)
+					if err == nil && !reflect.DeepEqual(got, want[q]) {
+						err = fmt.Errorf("TopK(%s) = %v, want %v", q, got, want[q])
+					}
+					if err != nil {
+						errs <- err
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+	}
+	pass()
+	reads, decoded := r.calls.Load(), db.IndexStats().Decoded
+	if decoded == 0 || decoded > src.NumEntities() {
+		t.Fatalf("first pass decoded %d image entities, want 1..%d", decoded, src.NumEntities())
+	}
+	pass()
+	if n := r.calls.Load() - reads; n != 0 {
+		t.Errorf("second pass made %d ReadAt calls on the image, want 0", n)
+	}
+	if d := db.IndexStats().Decoded; d != decoded {
+		t.Errorf("second pass decoded %d more image entities, want 0", d-decoded)
 	}
 }
 
@@ -160,7 +238,7 @@ func TestMappedUnionFoldRefresh(t *testing.T) {
 	}
 	assertSameAnswers(t, rebuilt, db, append([]string{"newcomer"}, someEntities...), 5)
 	if st := db.IndexStats(); !st.Mapped {
-		t.Error("union-fold refresh dropped the pool from the snapshot lineage")
+		t.Error("union-fold refresh dropped the image from the snapshot lineage")
 	}
 
 	// Growth far past the saved span folds the same way.

@@ -28,20 +28,6 @@ type Search struct {
 	gen  uint64
 }
 
-// Search opens an incremental query for the named entity, excluding the
-// entity itself from results, like TopK.
-func (db *DB) Search(entity string) (*Search, error) {
-	s, err := db.snapshotForQuery()
-	if err != nil {
-		return nil, err
-	}
-	q, err := db.lookup(s, entity)
-	if err != nil {
-		return nil, err
-	}
-	return newSearch(s, q)
-}
-
 // SearchByExample opens an incremental query for a hypothetical entity
 // described by visits (discretized exactly like TopKByExample; nothing is
 // excluded).

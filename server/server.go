@@ -464,13 +464,10 @@ type StatsResponse struct {
 		CacheEvictions   uint64 `json:"cache_evictions"`
 		CacheEntries     int    `json:"cache_entries"`
 		// Mapped reports that the index serves off a read-only file mapping
-		// (OpenIndex); the pool counters are the sequence buffer pool's
-		// block-cache traffic — PoolHitRate near 1 means the hot entities'
-		// pages are resident and queries rarely touch the file.
-		Mapped      bool    `json:"mapped,omitempty"`
-		PoolHits    int     `json:"pool_hits,omitempty"`
-		PoolMisses  int     `json:"pool_misses,omitempty"`
-		PoolHitRate float64 `json:"pool_hit_rate,omitempty"`
+		// (OpenIndex); Decoded counts the image's entities read and decoded
+		// into the heap so far, each once — the resident share of the image.
+		Mapped  bool `json:"mapped,omitempty"`
+		Decoded int  `json:"decoded,omitempty"`
 		// Latencies holds per-query-kind latency summaries (p50/p90/p99/max)
 		// when the engine runs with a trace ring (WithTracing / cluster
 		// TraceSize / serve -trace N); absent otherwise.
@@ -516,11 +513,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Index.CacheEvictions = ix.CacheEvictions
 	resp.Index.CacheEntries = ix.CacheEntries
 	resp.Index.Mapped = ix.Mapped
-	resp.Index.PoolHits = ix.PoolHits
-	resp.Index.PoolMisses = ix.PoolMisses
-	if t := ix.PoolHits + ix.PoolMisses; t > 0 {
-		resp.Index.PoolHitRate = float64(ix.PoolHits) / float64(t)
-	}
+	resp.Index.Decoded = ix.Decoded
 	resp.Index.Latencies = toLatencies(ix.Latencies)
 	resp.Entities = s.eng.NumEntities()
 	resp.Venues = s.eng.NumVenues()

@@ -723,8 +723,7 @@ func (c *Cluster) IndexStats() digitaltraces.IndexStats {
 		if s.Mapped {
 			agg.Mapped = true
 		}
-		agg.PoolHits += s.PoolHits
-		agg.PoolMisses += s.PoolMisses
+		agg.Decoded += s.Decoded
 		if s.BuildTime > agg.BuildTime {
 			agg.BuildTime = s.BuildTime
 		}

@@ -21,7 +21,6 @@ import (
 	"digitaltraces/internal/adm"
 	"digitaltraces/internal/core"
 	"digitaltraces/internal/parallel"
-	"digitaltraces/internal/storage"
 	"digitaltraces/internal/trace"
 )
 
@@ -37,12 +36,6 @@ type snapshot struct {
 	post    *core.Postings
 	measure adm.Measure
 	byID    []string // entity name by EntityID, frozen at capture
-
-	// pool is the storage buffer pool behind a mapped (or disk-backed)
-	// store — nil for heap-served snapshots. The store reads through it;
-	// it is threaded here so IndexStats can report hit rates, and so
-	// folds can carry it forward through derived snapshots.
-	pool *storage.Store
 
 	// dirty is the bounded log of what the recent folds changed, oldest
 	// first: the dirty entity sets of the last ≤ dirtyLogLen publishes up to
@@ -168,9 +161,6 @@ func (db *DB) buildSnapshot() (*snapshot, error) {
 		byID:      v.byID,
 		buildTime: time.Since(start),
 	}
-	if prev != nil {
-		ns.pool = prev.pool
-	}
 	return db.publish(ns, v), nil
 }
 
@@ -200,7 +190,6 @@ func (db *DB) refreshSnapshot(prev *snapshot) error {
 		post:        post,
 		measure:     prev.measure,
 		byID:        v.byID,
-		pool:        prev.pool,
 		dirty:       appendDirty(prev.dirty, v.ids),
 		buildTime:   prev.buildTime,
 		refreshTime: time.Since(start),
