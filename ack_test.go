@@ -31,8 +31,8 @@ func TestAckMeansIndexed(t *testing.T) {
 	if err := db.AddVisit("entity-0", digitaltraces.VenueName(0), digitaltraces.TimeAt(1), digitaltraces.TimeAt(2)); err != nil {
 		t.Fatal(err)
 	}
-	if st := db.IndexStats(); st.Generation != 0 || st.DirtyCount != 30 {
-		t.Fatalf("a load-phase write left generation %d, %d dirty; want no index and all 30 pending", st.Generation, st.DirtyCount)
+	if st := db.IndexStats(); st.Generation != 0 || digitaltraces.PendingCount(db) != 30 {
+		t.Fatalf("a load-phase write left generation %d, %d dirty; want no index and all 30 pending", st.Generation, digitaltraces.PendingCount(db))
 	}
 	if err := db.BuildIndex(); err != nil {
 		t.Fatal(err)
@@ -47,9 +47,9 @@ func TestAckMeansIndexed(t *testing.T) {
 		t.Fatalf("AddVisits: stored %d, err %v", n, err)
 	}
 	after := db.IndexStats()
-	if after.DirtyCount != 0 || after.Generation != before.Generation+1 || after.Entities != before.Entities+1 {
+	if digitaltraces.PendingCount(db) != 0 || after.Generation != before.Generation+1 || after.Entities != before.Entities+1 {
 		t.Fatalf("after the acknowledged write: %d dirty, generation %d → %d, %d → %d entities; want 0 dirty, one fold, the newcomer indexed",
-			after.DirtyCount, before.Generation, after.Generation, before.Entities, after.Entities)
+			digitaltraces.PendingCount(db), before.Generation, after.Generation, before.Entities, after.Entities)
 	}
 	got, _, err := db.TopK("newcomer", 1)
 	if err != nil {

@@ -86,8 +86,8 @@ func TestBulkLoadMatchesInMemory(t *testing.T) {
 	}
 	names := []string{"entity-3", "entity-10", "entity-38", "entity-157", "entity-416"}
 	assertSameAnswers(t, mem, bulk, names, 7)
-	if st := bulk.IndexStats(); st.Generation != 1 || st.DirtyCount != 0 {
-		t.Errorf("bulk DB published generation %d with %d dirty, want 1 and 0", st.Generation, st.DirtyCount)
+	if st := bulk.IndexStats(); st.Generation != 1 || pendingCount(bulk) != 0 {
+		t.Errorf("bulk DB published generation %d with %d dirty, want 1 and 0", st.Generation, pendingCount(bulk))
 	}
 }
 

@@ -142,9 +142,9 @@ func TestQueryAfterBeyondHorizonVisit(t *testing.T) {
 			}
 		}
 		after := db.IndexStats()
-		if after.Generation != before.Generation+1 || after.BuildTime != before.BuildTime || after.LastRefreshDuration <= 0 || after.DirtyCount != 0 {
+		if after.Generation != before.Generation+1 || after.BuildTime != before.BuildTime || after.LastRefreshDuration <= 0 || pendingCount(db) != 0 {
 			t.Fatalf("fold by %s: generation %d → %d, build time %v → %v, last refresh %v, dirty %d; want one incremental refresh",
-				how, before.Generation, after.Generation, before.BuildTime, after.BuildTime, after.LastRefreshDuration, after.DirtyCount)
+				how, before.Generation, after.Generation, before.BuildTime, after.BuildTime, after.LastRefreshDuration, pendingCount(db))
 		}
 		requireSameAsRebuilt(t, "fold by "+how, db, twin, population, 5)
 		got, _, err := db.TopK("traveler", 3)
@@ -373,7 +373,7 @@ func TestVisitsOfConcurrentFoldAtPublish(t *testing.T) {
 	db.buildMu.Lock()
 	folded := make(chan error, 1)
 	go func() { folded <- db.AddVisit("probe", VenueName(2), TimeAt(5), TimeAt(6)) }()
-	for db.PendingEntities() == 0 {
+	for pendingCount(db) == 0 {
 		runtime.Gosched()
 	}
 	db.mu.RLock()
@@ -465,8 +465,8 @@ func TestAckMeansIndexedPastParkedBuild(t *testing.T) {
 		if !sees(db, "late", 5, h) {
 			t.Fatal("a query after the write returned misses it")
 		}
-		if st := db.IndexStats(); st.DirtyCount != 0 {
-			t.Fatalf("%d entities pending after the write returned", st.DirtyCount)
+		if pendingCount(db) != 0 {
+			t.Fatalf("%d entities pending after the write returned", pendingCount(db))
 		}
 	}
 	t.Run("first build", func(t *testing.T) {
@@ -497,7 +497,7 @@ func TestAckMeansIndexedPastParkedBuild(t *testing.T) {
 		if !sees(db, "entity-3", 7, tailHour) {
 			t.Fatal("the open dropped the pending tail")
 		}
-		if n := db.PendingEntities(); n != 0 {
+		if n := pendingCount(db); n != 0 {
 			t.Fatalf("%d entities pending after the open", n)
 		}
 	})

@@ -57,8 +57,9 @@
 // OpenIndex serves such an image straight off a read-only mapping, so a
 // restarted process answers queries with no visit re-ingest and no rebuild
 // (cmd/serve -index). The image's scalars must match the DB's configuration,
-// and into a populated registry its entities must keep their IDs — either
-// mismatch is an open-time error, never a silently different answer.
+// and its entities must keep the IDs the registry gave them, while those it
+// does not know take the next ones — either mismatch is an open-time error,
+// never a silently different answer.
 //
 // See examples/ for complete programs, README.md for a tour, DESIGN.md for
 // the architecture and the concurrency model, and EXPERIMENTS.md for the
@@ -66,6 +67,7 @@
 package digitaltraces
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -308,6 +310,8 @@ type DB struct {
 	mu    sync.RWMutex
 	names map[string]trace.EntityID
 	byID  []string
+	// registered mirrors len(byID) for NumEntities, which reads it without mu.
+	registered atomic.Int64
 	// pending holds each entity's visits the serving snapshot does not cover
 	// yet, in ingest order; a publish drops exactly the prefix its build
 	// folded. Its key set is the dirty set.
@@ -387,12 +391,9 @@ func newDB(ix *spindex.Index, venues map[string]spindex.BaseID, opts ...Option) 
 // Levels returns the number of hierarchy levels.
 func (db *DB) Levels() int { return db.ix.Height() }
 
-// NumEntities returns the number of known entities.
-func (db *DB) NumEntities() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.names)
-}
+// NumEntities returns the number of known entities, without taking the
+// ingest lock.
+func (db *DB) NumEntities() int { return int(db.registered.Load()) }
 
 // NumVenues returns the number of venues (base spatial units).
 func (db *DB) NumVenues() int { return db.ix.NumBase() }
@@ -406,18 +407,15 @@ func (db *DB) Entities() []string {
 	return out
 }
 
-// AddVisit records that entity was present at venue during [start, end).
-// Visits may arrive in any order and may overlap. Once the DB has an index,
-// AddVisit returns after the index covers the visit, like AddVisits.
+// AddVisit records that entity was present at venue during [start, end):
+// AddVisits of one record, whose refusal comes back without the record index.
+// Visits may arrive in any order and may overlap.
 func (db *DB) AddVisit(entity, venue string, start, end time.Time) error {
-	db.mu.Lock()
-	err := db.addVisitLocked(entity, venue, start, end)
-	seq := db.writeSeq
-	db.mu.Unlock()
-	if err != nil {
-		return err
+	n, err := db.AddVisits([]VisitRecord{{Entity: entity, Venue: venue, Start: start, End: end}})
+	if n == 0 {
+		err = errors.Unwrap(err)
 	}
-	return db.ack(seq)
+	return err
 }
 
 // VisitRecord is one entity's presence, for bulk ingest.
@@ -448,8 +446,7 @@ func (db *DB) AddVisits(visits []VisitRecord) (int, error) {
 		err error
 	)
 	for ; n < len(visits); n++ {
-		v := visits[n]
-		if err = db.addVisitLocked(v.Entity, v.Venue, v.Start, v.End); err != nil {
+		if err = db.addVisitLocked(visits[n]); err != nil {
 			err = fmt.Errorf("visit %d: %w", n, err)
 			break
 		}
@@ -464,31 +461,53 @@ func (db *DB) AddVisits(visits []VisitRecord) (int, error) {
 	return n, err
 }
 
-func (db *DB) addVisitLocked(entity, venue string, start, end time.Time) error {
-	base, ok := db.venues[venue]
-	if !ok {
-		return fmt.Errorf("digitaltraces: unknown venue %q", venue)
-	}
-	if !end.After(start) {
-		return fmt.Errorf("digitaltraces: empty visit span %v..%v", start, end)
-	}
+func (db *DB) addVisitLocked(v VisitRecord) error {
+	epoch := db.epoch
 	if !db.epochSet {
-		db.epoch = start.Truncate(db.unit)
-		db.epochSet = true
+		epoch = v.Start.Truncate(db.unit) // the first stored visit fixes it
 	}
-	su := int64(start.Sub(db.epoch) / db.unit)
-	eu := int64((end.Sub(db.epoch) + db.unit - 1) / db.unit)
-	if su < 0 {
-		return fmt.Errorf("digitaltraces: visit at %v precedes the epoch %v (set WithEpoch)", start, db.epoch)
+	r, err := db.discretize(v.Venue, v.Start, v.End, epoch)
+	switch err {
+	case errVenue:
+		return fmt.Errorf("digitaltraces: unknown venue %q", v.Venue)
+	case errSpan:
+		return fmt.Errorf("digitaltraces: empty visit span %v..%v", v.Start, v.End)
+	case errEpoch:
+		return fmt.Errorf("digitaltraces: visit at %v precedes the epoch %v (set WithEpoch)", v.Start, epoch)
 	}
-	if eu <= su {
-		eu = su + 1
-	}
-	e := db.register(entity)
-	db.pending[e] = append(db.pending[e], trace.Record{Entity: e, Base: base, Start: trace.Time(su), End: trace.Time(eu)})
-	db.ingested[e]++
+	db.epoch, db.epochSet = epoch, true
+	r.Entity = db.register(v.Entity)
+	db.pending[r.Entity] = append(db.pending[r.Entity], r)
+	db.ingested[r.Entity]++
 	db.writeSeq++
 	return nil
+}
+
+// The faults discretize refuses a visit for; each caller words its own.
+var (
+	errVenue = errors.New("unknown venue")
+	errSpan  = errors.New("empty span")
+	errEpoch = errors.New("start before the epoch")
+)
+
+// discretize converts a visit to its record against epoch, entity left
+// unset — the one conversion ingest and query-by-example share, so an
+// example built from VisitsOf output reproduces the entity's stored cells
+// bit-for-bit: the start floors to its unit, the end ceils, and a sub-unit
+// span becomes one unit.
+func (db *DB) discretize(venue string, start, end, epoch time.Time) (trace.Record, error) {
+	base, ok := db.venues[venue]
+	su := int64(start.Sub(epoch) / db.unit)
+	switch {
+	case !ok:
+		return trace.Record{}, errVenue
+	case !end.After(start):
+		return trace.Record{}, errSpan
+	case su < 0:
+		return trace.Record{}, errEpoch
+	}
+	eu := max(int64((end.Sub(epoch)+db.unit-1)/db.unit), su+1)
+	return trace.Record{Base: base, Start: trace.Time(su), End: trace.Time(eu)}, nil
 }
 
 // register returns the entity's ID, assigning the next one on first sight.
@@ -500,6 +519,7 @@ func (db *DB) register(name string) trace.EntityID {
 		db.names[name] = e
 		db.byID = append(db.byID, name)
 		db.ingested = append(db.ingested, 0)
+		db.registered.Store(int64(len(db.byID)))
 	}
 	return e
 }
@@ -591,11 +611,10 @@ func (db *DB) query(kind obs.Kind, entity string, k int, batchID uint64, key str
 }
 
 // exampleSequences discretizes example visits into the hypothetical entity's
-// ST-cell sequences (entity ID −1), applying exactly the ingest-path rounding
-// so an example built from VisitsOf output reproduces the entity's stored
-// cells bit-for-bit. The epoch is write-once, so the result is stable once
-// it is set; TopKByExample and SearchByExample share this so the one-shot
-// and incremental example paths can never discretize differently.
+// ST-cell sequences (entity ID −1) through the ingest path's discretize. The
+// epoch is write-once, so the result is stable once it is set;
+// TopKByExample and SearchByExample share this so the one-shot and
+// incremental example paths can never discretize differently.
 func (db *DB) exampleSequences(visits []Visit) (*trace.Sequences, error) {
 	epoch, set, explicit := db.epochInfo()
 	if !set {
@@ -605,23 +624,18 @@ func (db *DB) exampleSequences(visits []Visit) (*trace.Sequences, error) {
 	}
 	var recs []trace.Record
 	for i, v := range visits {
-		base, ok := db.venues[v.Venue]
-		if !ok {
+		r, err := db.discretize(v.Venue, v.Start, v.End, epoch)
+		switch err {
+		case errVenue:
 			return nil, fmt.Errorf("digitaltraces: unknown venue %q", v.Venue)
-		}
-		if !v.End.After(v.Start) {
+		case errSpan:
 			return nil, fmt.Errorf("digitaltraces: example visit %d: empty span %v..%v", i, v.Start, v.End)
-		}
-		su := int64(v.Start.Sub(epoch) / db.unit)
-		eu := int64((v.End.Sub(epoch) + db.unit - 1) / db.unit)
-		if su < 0 {
+		case errEpoch:
 			return nil, fmt.Errorf("digitaltraces: example visit %d at %v precedes the epoch %v — the epoch was %s; set WithEpoch to cover the example's span",
 				i, v.Start, epoch, epochOrigin(explicit))
 		}
-		if eu <= su {
-			eu = su + 1 // sub-unit span: same rounding as ingest
-		}
-		recs = append(recs, trace.Record{Entity: -1, Base: base, Start: trace.Time(su), End: trace.Time(eu)})
+		r.Entity = -1
+		recs = append(recs, r)
 	}
 	return trace.NewSequences(db.ix, -1, recs), nil
 }
@@ -756,11 +770,6 @@ type IndexStats struct {
 	// LastSwap is when the serving snapshot was published (zero before the
 	// first build; on an aggregated engine, the latest member swap).
 	LastSwap time.Time
-	// DirtyCount is the number of entities with visits the serving snapshot
-	// does not cover yet: everything ingested before the first build, and 0
-	// after it except for writes in flight. An aggregated engine sums its
-	// members'.
-	DirtyCount int
 	// LastRefreshDuration is how long the fold that published the serving
 	// snapshot took — the cost of the last O(dirty) fold-and-swap an
 	// acknowledged write paid. Zero when the snapshot came from a full
@@ -798,10 +807,10 @@ type IndexStats struct {
 	Decoded int
 }
 
-// IndexStats returns current index statistics — one atomic snapshot load
-// plus a shared-lock dirty count, never blocked by rebuilds.
+// IndexStats returns current index statistics — one atomic snapshot load,
+// never blocked by rebuilds or ingest.
 func (db *DB) IndexStats() IndexStats {
-	out := IndexStats{DirtyCount: db.PendingEntities(), Latencies: db.tracer.Summaries()}
+	out := IndexStats{Latencies: db.tracer.Summaries()}
 	if db.cache != nil {
 		cs := db.cache.Stats()
 		out.CacheHits = cs.Hits

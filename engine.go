@@ -54,9 +54,9 @@ type Engine interface {
 	// off it, with no visit re-ingest and no rebuild: restart cost is the
 	// decode, each entity's sequences are decoded once when a query first
 	// touches them, and resident memory follows the entities queried so
-	// far. Into an empty engine the image brings its names; into a
-	// populated one every stored (name, ID) pair must agree, or the open is
-	// an error, never a silently different answer.
+	// far. Every (name, ID) pair the engine already stores must agree, or
+	// the open is an error, never a silently different answer; the image
+	// brings the names past them (all of them, into an empty engine).
 	OpenIndex(path string) error
 	// NumEntities, NumVenues and Levels describe the data shape.
 	NumEntities() int

@@ -159,7 +159,7 @@ func TestVisitRoundTrip(t *testing.T) {
 	// The TopK above folded every visit, so the export now reads the
 	// sequences — presence periods, not the ingested records — and replays
 	// to the same answers all the same.
-	if n := db.PendingEntities(); n != 0 {
+	if n := pendingCount(db); n != 0 {
 		t.Fatalf("%d entities pending after the query folded them", n)
 	}
 	db3, err := NewDB(smallHierarchy(t), WithEpoch(t0), WithTimeUnit(30*time.Minute))

@@ -27,11 +27,13 @@ import (
 // degrades to pread — same semantics, no page cache residency guarantees.
 //
 // The image resolves entities by ID — the sequence blobs embed the save-time
-// IDs — so there is no name-based remapping: an empty registry adopts the
-// file's names and, when none is fixed yet, its epoch (the no-re-ingest
-// boot), while a populated one must agree on every (name, ID) pair, which
-// holds whenever the same visit log was re-ingested in its original order.
-// The stored scalars (time unit, epoch, measure) must match the DB's
+// IDs — so there is no name-based remapping, and one rule reconciles it with
+// the registry: an image entity the registry knows must have its ID there,
+// and one it does not know must have the next ID past it. The image then
+// extends the registry with those entities — all of them into an empty
+// registry, the no-re-ingest boot; the ones written after the record file
+// was, on a restart over it — and, when none is fixed yet, lends it its
+// epoch. The stored scalars (time unit, epoch, measure) must match the DB's
 // configuration. A refused open leaves the DB exactly as it found it: every
 // check runs before the first field is written.
 //
@@ -39,10 +41,10 @@ import (
 // each entity serves the union of what the image covers, what the DB had
 // already folded, and its pending visits, all folded before the open
 // publishes (exact — cell sets union idempotently). The image's covered
-// counts only spare work: an empty registry adopts them, and a registered
-// entity whose count the image matches — it covers every visit the entity
-// has ingested — needs no fold at all. Close unmaps the file — stop queries
-// first.
+// counts only spare work: an entity the image adds to the registry takes its
+// count, and a registered entity whose count the image matches — it covers
+// every visit the entity has ingested — needs no fold at all. Close unmaps
+// the file — stop queries first.
 func (db *DB) OpenIndex(path string) error {
 	m, err := mmap.Open(path)
 	if err != nil {
@@ -103,32 +105,33 @@ func (db *DB) OpenIndexAt(r io.ReaderAt, size int64) error {
 	for i, se := range snap.Entities {
 		order[i], spans[i], covered[se.ID] = se.ID, se.Seq, se.Folded
 	}
-	// Registry reconciliation, read-only: a fresh registry will adopt the
-	// table, which must then be dense and free of repeated names; a populated
-	// one must already agree with it on every (name, ID) pair. There, an
-	// entity whose every ingested visit the image covers — its count matches
-	// — leaves nothing pending (drop); any other is folded into the image's
-	// snapshot before it publishes: the union of the image, what the DB
-	// serves for it (if it had folded some of its visits) and its pending
-	// tail, captured in the view v. buildMu keeps the folded counts stable:
-	// writers grow ingested and pending together.
+	// Registry reconciliation, read-only: an image entity the registry knows
+	// must agree on its ID, and one it does not know must take the next ID
+	// past it (adopt). Of the known ones, an entity whose every ingested
+	// visit the image covers — its count matches — leaves nothing pending
+	// (drop); any other is folded into the image's snapshot before it
+	// publishes: the union of the image, what the DB serves for it (if it had
+	// folded some of its visits) and its pending tail, captured in the view
+	// v. buildMu keeps the folded counts stable: writers grow ingested and
+	// pending together.
 	var (
-		v    view
-		drop = map[trace.EntityID]int{}
+		v     view
+		drop  = map[trace.EntityID]int{}
+		adopt []core.SnapshotEntity
 	)
 	db.mu.RLock()
-	fresh := len(db.byID) == 0
+	known := len(db.byID)
 	seen := make(map[string]bool, len(snap.Entities))
-	for i, se := range snap.Entities {
+	for _, se := range snap.Entities {
 		switch e, ok := db.names[se.Name]; {
-		case fresh && int(se.ID) != i:
-			err = fmt.Errorf("digitaltraces: index image entity IDs are not dense (ID %d at table position %d) — it cannot seed a fresh registry; re-ingest the visit log before opening", se.ID, i)
-		case fresh && seen[se.Name]:
+		case seen[se.Name]:
 			err = fmt.Errorf("digitaltraces: index image repeats entity name %q", se.Name)
-		case !fresh && !ok:
-			err = fmt.Errorf("digitaltraces: index image entity %q is not in the registry — images resolve by ID, so re-ingest the visit log in its original order (or open it in a fresh DB)", se.Name)
-		case !fresh && e != se.ID:
+		case ok && e != se.ID:
 			err = fmt.Errorf("digitaltraces: index image entity %q has ID %d in the file but %d here — images resolve by ID, so re-ingest the visit log in its original order", se.Name, se.ID, e)
+		case !ok && int(se.ID) != known+len(adopt):
+			err = fmt.Errorf("digitaltraces: index image entity %q is not in the registry, and its ID %d is not dense past the registry's %d entities — images resolve by ID, so re-ingest the visit log in its original order", se.Name, se.ID, known+len(adopt))
+		case !ok:
+			adopt = append(adopt, se)
 		}
 		if err != nil {
 			break
@@ -170,27 +173,25 @@ func (db *DB) OpenIndexAt(r io.ReaderAt, size int64) error {
 	// where a cold lineage reports BuildIndex's.
 	ns.buildTime = time.Since(start)
 	// Every check has passed; from here the open only writes, all of it one
-	// atomic step against writers: adopt names, counts and epoch on a fresh
-	// registry, or drop the covered and the folded pending visits on a
-	// populated one, and publish. Nothing acknowledged stays pending.
+	// atomic step against writers: register the adopted entities with their
+	// counts, fix the epoch if none is, drop the covered and the folded
+	// pending visits, and publish. Nothing acknowledged stays pending.
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if fresh {
-		if len(db.byID) != 0 {
-			return fmt.Errorf("digitaltraces: opening index: %d entities were ingested while the open ran — an index image seeds an empty registry or matches a populated one; retry", len(db.byID))
+	if len(adopt) > 0 && len(db.byID) != known {
+		return fmt.Errorf("digitaltraces: opening index: %d entities were registered while the open ran, taking the IDs the image's new entities need; retry", len(db.byID)-known)
+	}
+	for _, se := range adopt {
+		if db.register(se.Name); se.Folded != core.FoldedUnknown {
+			db.ingested[se.ID] = se.Folded
 		}
-		for _, se := range snap.Entities {
-			if db.register(se.Name); se.Folded != core.FoldedUnknown {
-				db.ingested[se.ID] = se.Folded
-			}
-		}
-		// An image boot has no visit to infer an epoch from, and the stored
-		// sequences are discretized against exactly this one.
-		if !db.epochSet {
-			db.epoch = time.Unix(0, snap.Meta.EpochNanos).UTC()
-			db.epochSet = true
-			db.epochExplicit = true
-		}
+	}
+	// An image boot has no visit to infer an epoch from, and the stored
+	// sequences are discretized against exactly this one.
+	if !db.epochSet {
+		db.epoch = time.Unix(0, snap.Meta.EpochNanos).UTC()
+		db.epochSet = true
+		db.epochExplicit = true
 	}
 	// The covered visits are a prefix of the tail: writers only append.
 	for e, n := range drop {

@@ -78,8 +78,8 @@ func TestLoadMappedIndexNoIngest(t *testing.T) {
 	if st.Generation != 1 {
 		t.Errorf("generation after mapped load = %d, want 1", st.Generation)
 	}
-	if st.DirtyCount != 0 {
-		t.Errorf("dirty count after mapped load = %d, want 0", st.DirtyCount)
+	if pendingCount(db) != 0 {
+		t.Errorf("dirty count after mapped load = %d, want 0", pendingCount(db))
 	}
 	if st.Entities != src.NumEntities() {
 		t.Errorf("mapped index has %d entities, want %d", st.Entities, src.NumEntities())
@@ -179,8 +179,8 @@ func TestLoadMappedIndexReingestedLog(t *testing.T) {
 	if err := db.OpenIndex(path); err != nil {
 		t.Fatalf("OpenIndex over re-ingested log: %v", err)
 	}
-	if st := db.IndexStats(); st.DirtyCount != 0 {
-		t.Errorf("dirty count = %d, want 0 (log matches the image)", st.DirtyCount)
+	if pendingCount(db) != 0 {
+		t.Errorf("dirty count = %d, want 0 (log matches the image)", pendingCount(db))
 	}
 	assertSameAnswers(t, src, db, someEntities, 5)
 
@@ -229,8 +229,8 @@ func TestMappedUnionFoldRefresh(t *testing.T) {
 	if _, err := db.AddVisits(added); err != nil {
 		t.Fatal(err)
 	}
-	if st := db.IndexStats(); st.DirtyCount != 0 {
-		t.Errorf("dirty count after growth = %d, want 0", st.DirtyCount)
+	if pendingCount(db) != 0 {
+		t.Errorf("dirty count after growth = %d, want 0", pendingCount(db))
 	}
 	rebuilt := freshGrid(t, append(append([]VisitRecord{}, log...), added...))
 	if err := rebuilt.BuildIndex(); err != nil {
@@ -345,8 +345,8 @@ func TestOneFileLoadsBothWays(t *testing.T) {
 	if err := reingested.OpenIndex(path); err != nil {
 		t.Fatalf("OpenIndex over the re-ingested log: %v", err)
 	}
-	if st := reingested.IndexStats(); st.DirtyCount != 0 || !st.Mapped {
-		t.Errorf("after the open: %d dirty, mapped %t — want a clean mapped index", st.DirtyCount, st.Mapped)
+	if st := reingested.IndexStats(); pendingCount(reingested) != 0 || !st.Mapped {
+		t.Errorf("after the open: %d dirty, mapped %t — want a clean mapped index", pendingCount(reingested), st.Mapped)
 	}
 	mapped := emptyGrid(t)
 	defer mapped.Close()

@@ -2,22 +2,22 @@ package digitaltraces
 
 // Incremental exact search — the per-shard half of the threshold-pruned
 // scatter-gather (package shard). A Search streams an engine's entities in
-// exact rank order (degree descending, ties by ascending entity ID) together
-// with an admissible upper bound on everything not yet emitted, so a
-// coordinator merging several shards can stop pulling from a shard as soon
-// as its global k-th result strictly dominates that shard's Bound — without
-// the shard ever computing a full local top-k.
+// exact rank order (degree descending, ties by ascending entity ID) in
+// batches, each with an admissible upper bound on everything not yet
+// surrendered, so a coordinator merging several shards can stop pulling from
+// a shard as soon as its global k-th result strictly dominates that shard's
+// bound — without the shard ever computing a full local top-k.
 
 import (
 	"digitaltraces/internal/core"
-	"digitaltraces/internal/trace"
 )
 
 // Search is an in-progress incremental top-k query pinned to one immutable
 // index snapshot: however long the caller holds it and however much ingest
-// or maintenance races it, every Next answers over exactly the state the
-// Search was opened on (generation Generation()). The first k results equal
-// TopK(·, k) for every k — same entities, degrees and tie order.
+// or maintenance races it, every Pull answers over exactly the state the
+// Search was opened on (generation Generation()). Its pulled matches,
+// concatenated, equal TopK(·, k)'s answer for every k they reach — same
+// entities, degrees and tie order.
 //
 // A Search holds its frontier across calls and is not safe for concurrent
 // use; open one per goroutine. It pins the snapshot's memory, and pooled
@@ -26,6 +26,17 @@ type Search struct {
 	snap *snapshot // nil once closed
 	it   *core.Iter
 	gen  uint64
+}
+
+// Batch is what one Pull surrenders: matches in exact rank order, all at or
+// above the pull's floor; an admissible upper bound on the degree of
+// everything not yet returned (0 once exhausted); and whether anything at or
+// above the floor may remain. Fewer than want matches with Live set never
+// happens: a short batch means the search ran dry or reached the floor.
+type Batch struct {
+	Matches []Match
+	Bound   float64
+	Live    bool
 }
 
 // SearchByExample opens an incremental query for a hypothetical entity
@@ -40,10 +51,6 @@ func (db *DB) SearchByExample(visits []Visit) (*Search, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newSearch(s, q)
-}
-
-func newSearch(s *snapshot, q *trace.Sequences) (*Search, error) {
 	it, err := s.post.NewIter(q, s.measure)
 	if err != nil {
 		return nil, err
@@ -51,37 +58,38 @@ func newSearch(s *snapshot, q *trace.Sequences) (*Search, error) {
 	return &Search{snap: s, it: it, gen: s.generation}, nil
 }
 
-// Next returns the next entity in exact rank order, or ok = false once every
-// indexed entity has been emitted.
-func (sr *Search) Next() (Match, bool, error) {
-	r, ok, err := sr.it.Next()
-	if err != nil || !ok {
-		return Match{}, false, err
+// Pull returns the next batch of up to want matches. floor is what the
+// caller already holds — a coordinator's k-th degree, 0 while it holds fewer
+// than k: the search scores no candidate bounded below it, returns no match
+// below it and ends (Live false) once its bound drops below it. Matches at
+// the floor are still returned — they can win the tie-break — so the pulled
+// matches stay a prefix of the exact order. A floor lower than an earlier
+// one is ignored.
+func (sr *Search) Pull(want int, floor float64) (Batch, error) {
+	sr.it.RaiseFloor(floor)
+	out := make([]Match, 0, min(want, 64)) // want may come off the wire: grow, don't trust it
+	for len(out) < want {
+		r, ok, err := sr.it.Next()
+		if err != nil {
+			return Batch{}, err
+		}
+		if !ok {
+			return Batch{Matches: out, Bound: sr.it.Bound()}, nil
+		}
+		out = append(out, Match{Entity: sr.snap.byID[r.Entity], Degree: r.Degree})
 	}
-	return Match{Entity: sr.snap.byID[r.Entity], Degree: r.Degree}, true, nil
+	b := sr.it.Bound()
+	return Batch{Matches: out, Bound: b, Live: b >= floor}, nil
 }
 
-// Bound returns an admissible upper bound on the degree of every entity Next
-// has not yet returned; 0 once exhausted. A coordinator may discard this
-// Search without draining it as soon as k merged results strictly dominate
-// Bound — no unemitted entity can outrank them (entities tied with the k-th
-// at exactly Bound may remain, which is why the cut must be strict).
-func (sr *Search) Bound() float64 { return sr.it.Bound() }
-
-// RaiseFloor tells the search that nothing below floor matters — a
-// coordinator passes the k-th degree it already holds: Next then scores no
-// candidate bounded below it, returns no match below it, and reports ok =
-// false once Bound() < floor. Matches at the floor still count (they can win
-// the tie-break). A floor lower than the current one is ignored.
-func (sr *Search) RaiseFloor(floor float64) { sr.it.RaiseFloor(floor) }
-
 // Close releases the search before it is drained: the pooled scratch goes
-// back for reuse and the snapshot is no longer pinned. Next then reports
-// ok = false; Checked and Generation still answer. Calling it again is a
-// no-op.
-func (sr *Search) Close() {
+// back for reuse and the snapshot is no longer pinned. A later Pull returns
+// an empty, dead batch; Checked and Generation still answer. Calling it
+// again is a no-op. The error is always nil (shard.Stream's signature).
+func (sr *Search) Close() error {
 	sr.it.Close()
 	sr.snap = nil
+	return nil
 }
 
 // Checked reports how many exact degree computations the search has

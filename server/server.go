@@ -429,8 +429,7 @@ type ShardStat struct {
 	BuildMS       float64 `json:"build_ms"`
 	Generation    uint64  `json:"generation"`
 	LastSwap      string  `json:"last_swap,omitempty"` // RFC 3339; empty before first build
-	DirtyCount    int     `json:"dirty_count"`
-	LastRefreshMS float64 `json:"last_refresh_ms"` // 0 when the shard's snapshot came from a full build
+	LastRefreshMS float64 `json:"last_refresh_ms"`     // 0 when the shard's snapshot came from a full build
 }
 
 // StatsResponse is the /stats reply: the index shape (cluster totals for a
@@ -438,9 +437,8 @@ type ShardStat struct {
 // the engine is sharded. Generation counts index snapshot swaps (a cluster
 // sums its shards') and LastSwap is when the serving snapshot last changed —
 // together they let operators verify that ingest is actually reaching the
-// serving index without ever blocking it. DirtyCount is what is not indexed
-// yet (everything before the first build, writes in flight after it) and
-// LastRefreshMS what the last acknowledged write's fold cost.
+// serving index without ever blocking it; LastRefreshMS is what the last
+// acknowledged write's fold cost.
 type StatsResponse struct {
 	Index struct {
 		Entities      int     `json:"entities"`
@@ -448,8 +446,7 @@ type StatsResponse struct {
 		BuildMS       float64 `json:"build_ms"`
 		Generation    uint64  `json:"generation"`
 		LastSwap      string  `json:"last_swap,omitempty"` // RFC 3339; empty before first build
-		DirtyCount    int     `json:"dirty_count"`
-		LastRefreshMS float64 `json:"last_refresh_ms"` // 0 when the snapshot came from a full build
+		LastRefreshMS float64 `json:"last_refresh_ms"`     // 0 when the snapshot came from a full build
 		// Query-cache counters (zero unless the engine was built with a
 		// query cache — digitaltraces.WithQueryCache or a cluster
 		// CacheSize). Hits and misses count lookups; revalidated and
@@ -504,7 +501,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Index.BuildMS = float64(ix.BuildTime.Microseconds()) / 1e3
 	resp.Index.Generation = ix.Generation
 	resp.Index.LastSwap = swapTime(ix.LastSwap)
-	resp.Index.DirtyCount = ix.DirtyCount
 	resp.Index.LastRefreshMS = float64(ix.LastRefreshDuration.Microseconds()) / 1e3
 	resp.Index.CacheHits = ix.CacheHits
 	resp.Index.CacheMisses = ix.CacheMisses
@@ -539,7 +535,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 				BuildMS:       float64(st.Index.BuildTime.Microseconds()) / 1e3,
 				Generation:    st.Index.Generation,
 				LastSwap:      swapTime(st.Index.LastSwap),
-				DirtyCount:    st.Index.DirtyCount,
 				LastRefreshMS: float64(st.Index.LastRefreshDuration.Microseconds()) / 1e3,
 			})
 		}

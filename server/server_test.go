@@ -158,9 +158,6 @@ func TestVisitIngestOverHTTP(t *testing.T) {
 	if ts0, err := time.Parse(time.RFC3339Nano, st.Index.LastSwap); err != nil || ts0.IsZero() {
 		t.Errorf("last_swap %q unparseable: %v", st.Index.LastSwap, err)
 	}
-	if st.Index.DirtyCount != 0 {
-		t.Errorf("dirty_count = %d after refresh, want 0", st.Index.DirtyCount)
-	}
 
 	// A body without refresh is indexed when the reply arrives too.
 	gen := st.Index.Generation
@@ -174,9 +171,9 @@ func TestVisitIngestOverHTTP(t *testing.T) {
 		t.Fatalf("ingest reply without refresh = %+v, want 1 added and refreshed", ing)
 	}
 	getJSON(t, ts.URL+"/stats", &st)
-	if st.Index.DirtyCount != 0 || st.Index.Generation != gen+1 || st.Index.Entities != 42 {
-		t.Errorf("after ingest without refresh: dirty %d, generation %d → %d, %d entities; want the straggler folded",
-			st.Index.DirtyCount, gen, st.Index.Generation, st.Index.Entities)
+	if st.Index.Generation != gen+1 || st.Index.Entities != 42 {
+		t.Errorf("after ingest without refresh: generation %d → %d, %d entities; want the straggler folded",
+			gen, st.Index.Generation, st.Index.Entities)
 	}
 	getJSON(t, ts.URL+"/topk?entity=straggler&k=3", &got)
 	if len(got.Matches) != 3 {
@@ -326,7 +323,7 @@ func TestVisitsPastBuiltDataRefreshIncrementally(t *testing.T) {
 	}
 	var after StatsResponse
 	getJSON(t, ts.URL+"/stats", &after)
-	if after.Index.Generation != before.Index.Generation+1 || after.Index.BuildMS != before.Index.BuildMS || after.Index.LastRefreshMS <= 0 || after.Index.DirtyCount != 0 {
+	if after.Index.Generation != before.Index.Generation+1 || after.Index.BuildMS != before.Index.BuildMS || after.Index.LastRefreshMS <= 0 {
 		t.Fatalf("stats %+v after, %+v before: want one incremental refresh", after.Index, before.Index)
 	}
 	twin, err := digitaltraces.SyntheticCity(digitaltraces.CityConfig{Side: 4, Entities: 40, Days: 3})

@@ -123,8 +123,8 @@ type Cluster struct {
 	// AssignSlots publish successors under a bumped epoch.
 	slots slotsPtr
 
-	// slotMu is the per-slot ingest fence: AddVisit/AddVisits hold the read
-	// side for each visited slot while routing, and MigrateSlot holds the
+	// slotMu is the per-slot ingest fence: AddVisits holds the read side for
+	// each visited slot while routing, and MigrateSlot holds the
 	// write side across ship-and-publish, so the entity state a move ships
 	// is frozen and no visit lands on the old owner after the flip.
 	slotMu [NumSlots]sync.RWMutex
@@ -278,22 +278,14 @@ func Partition(src *digitaltraces.DB, cfg Config) (_ *Cluster, err error) {
 	return c, nil
 }
 
-// AddVisit records one visit, routed to the entity's owning shard under the
-// current slot map. Only that entity's slot fence (read side, shared with
-// all concurrent ingest) and the owning shard's locks are taken, so ingest
-// for different shards — and different slots — proceeds in parallel; a
-// migration of this entity's slot briefly blocks the visit until the new
-// owner is published, which is what keeps the shipped state complete.
+// AddVisit records one visit: AddVisits of one record, whose refusal comes
+// back without the record index.
 func (c *Cluster) AddVisit(entity, venue string, start, end time.Time) error {
-	slot := SlotOf(entity)
-	c.slotMu[slot].RLock()
-	defer c.slotMu[slot].RUnlock()
-	// Resolve the map only after the fence: a migration publishes its new
-	// map while holding the write side, so a post-fence read can never see
-	// an owner the migration is about to drain.
-	sm := c.slotmap()
-	c.register([]string{entity})
-	return c.shards[sm.assign[slot]].AddVisit(entity, venue, start, end)
+	n, err := c.AddVisits([]digitaltraces.VisitRecord{{Entity: entity, Venue: venue, Start: start, End: end}})
+	if n == 0 {
+		err = errors.Unwrap(err)
+	}
+	return err
 }
 
 // AddVisits bulk-ingests visits: records are grouped by owning shard
@@ -456,7 +448,7 @@ func (c *Cluster) TopKByExample(visits []digitaltraces.Visit, k int) ([]digitalt
 // the wall-clock the open took.
 type opened struct {
 	st    Stream
-	first Batch
+	first digitaltraces.Batch
 	floor float64
 	took  time.Duration
 }
@@ -695,13 +687,11 @@ func (c *Cluster) Levels() int {
 	return c.shards[0].Levels()
 }
 
-// IndexStats returns cluster totals: sums of every shard's index shape,
-// snapshot generation (total swaps cluster-wide) and dirty count (entities
-// awaiting a fold anywhere in the cluster: writes in flight, or shards not
-// built yet), except BuildTime and LastRefreshDuration — the slowest
-// shard's, the parallel critical path a machine with ≥ NumShards cores sees
-// — and LastSwap, the latest shard swap (when the cluster's serving state
-// last changed anywhere). The cache counters are the cluster-level cache's
+// IndexStats returns cluster totals: sums of every shard's index shape and
+// snapshot generation (total swaps cluster-wide), except BuildTime and
+// LastRefreshDuration — the slowest shard's, the parallel critical path a
+// machine with ≥ NumShards cores sees — and LastSwap, the latest shard swap
+// (when the cluster's serving state last changed anywhere). The cache counters are the cluster-level cache's
 // own: shards' caches never serve a cluster query.
 func (c *Cluster) IndexStats() digitaltraces.IndexStats {
 	agg := digitaltraces.IndexStats{Latencies: c.tracer.Summaries()}
@@ -719,7 +709,6 @@ func (c *Cluster) IndexStats() digitaltraces.IndexStats {
 		agg.Entities += s.Entities
 		agg.MemoryBytes += s.MemoryBytes
 		agg.Generation += s.Generation
-		agg.DirtyCount += s.DirtyCount
 		if s.Mapped {
 			agg.Mapped = true
 		}

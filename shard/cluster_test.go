@@ -497,9 +497,9 @@ func TestRefreshBeyondHorizon(t *testing.T) {
 		}
 	}
 	after := c.IndexStats()
-	if moved := after.Generation - before.Generation; moved < 1 || moved > 2 || after.BuildTime != before.BuildTime || after.LastRefreshDuration <= 0 || after.DirtyCount != 0 {
-		t.Fatalf("generation %d → %d, build time %v → %v, last refresh %v, dirty %d: want incremental refreshes of the touched shards",
-			before.Generation, after.Generation, before.BuildTime, after.BuildTime, after.LastRefreshDuration, after.DirtyCount)
+	if moved := after.Generation - before.Generation; moved < 1 || moved > 2 || after.BuildTime != before.BuildTime || after.LastRefreshDuration <= 0 {
+		t.Fatalf("generation %d → %d, build time %v → %v, last refresh %v: want incremental refreshes of the touched shards",
+			before.Generation, after.Generation, before.BuildTime, after.BuildTime, after.LastRefreshDuration)
 	}
 	if err := ref.BuildIndex(); err != nil {
 		t.Fatal(err)
@@ -517,10 +517,9 @@ func TestRefreshBeyondHorizon(t *testing.T) {
 	}
 }
 
-// TestClusterDirtyAggregationAndAutoRefresh: IndexStats sums per-shard dirty
-// counts; before the build every shard's visits are pending, and after it
-// each shard folds its partition's writes automatically, before they are
-// acknowledged; Close is idempotent.
+// TestClusterDirtyAggregationAndAutoRefresh: before the build every shard's
+// visits are unindexed, and after it each shard folds its partition's writes
+// automatically, before they are acknowledged; Close is idempotent.
 func TestClusterDirtyAggregationAndAutoRefresh(t *testing.T) {
 	c, err := NewCluster(Config{Shards: 3, NewShard: func(i int) (*digitaltraces.DB, error) {
 		return digitaltraces.NewGridDB(citySide, cityLevels)
@@ -539,15 +538,9 @@ func TestClusterDirtyAggregationAndAutoRefresh(t *testing.T) {
 	if _, err := c.AddVisits(visits); err != nil {
 		t.Fatal(err)
 	}
-	// The dirt sits on every shard until the build; the aggregate must sum
-	// the per-shard counts.
-	st := c.IndexStats()
-	sum := 0
-	for _, ss := range c.ShardStats() {
-		sum += ss.Index.DirtyCount
-	}
-	if st.DirtyCount != sum || st.DirtyCount != 30 {
-		t.Fatalf("aggregate dirty %d, shard sum %d, want both 30", st.DirtyCount, sum)
+	// The visits sit unindexed on every shard until the build.
+	if st := c.IndexStats(); st.Generation != 0 || st.Entities != 0 {
+		t.Fatalf("before the build: generation %d, %d indexed entities; want no index", st.Generation, st.Entities)
 	}
 	if err := c.BuildIndex(); err != nil {
 		t.Fatal(err)
@@ -556,8 +549,8 @@ func TestClusterDirtyAggregationAndAutoRefresh(t *testing.T) {
 	if _, err := c.AddVisits(visits[:9]); err != nil {
 		t.Fatal(err)
 	}
-	if st := c.IndexStats(); st.DirtyCount > 0 || st.Generation == gen {
-		t.Fatalf("after an acknowledged batch: %d dirty, generation %d → %d; want it folded", st.DirtyCount, gen, st.Generation)
+	if st := c.IndexStats(); st.Generation == gen {
+		t.Fatalf("after an acknowledged batch: generation %d → %d; want it folded", gen, st.Generation)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)

@@ -10,7 +10,7 @@ package shard
 // PAPERS.md's trajectory and personal-trace search entries) is that the
 // coordinator only needs each shard's results down to the global k-th
 // degree: every digitaltraces.Search streams results in exact rank order
-// together with an admissible upper bound on its remainder (Search.Bound),
+// together with an admissible upper bound on its remainder (Batch.Bound),
 // so once the merged k-th result strictly beats a shard's bound, nothing
 // that shard has not yet emitted can enter the global answer — that shard's
 // search stops where it stands, leaf scans unperformed.
@@ -231,7 +231,7 @@ func (c *Cluster) gatherSearches(sm *SlotMap, streams []opened, ords []int, k in
 	for si, o := range ords {
 		loose[si] = sm.touched[o]
 	}
-	owned := func(i int, b Batch, took time.Duration) pullResp {
+	owned := func(i int, b digitaltraces.Batch, took time.Duration) pullResp {
 		es := make([]entry, 0, len(b.Matches))
 		for _, m := range b.Matches {
 			if sm.Owner(m.Entity) == ords[i] { // else a foreign copy: migrated away, or shipped here under a newer map

@@ -9,7 +9,7 @@ package shard
 //  1. The per-slot ingest fence (Cluster.slotMu). MigrateSlot holds the
 //     write side for the whole move, so the slot's entity state is frozen —
 //     the visit suffix shipped below is complete, and the first post-move
-//     visit routes to the new owner because AddVisit/AddVisits resolve the
+//     visit routes to the new owner because AddVisits resolves the
 //     map only after acquiring the read side.
 //  2. Atomic map publish (slotmap.go). Queries pin one map; a query that
 //     pinned the old map keeps answering from the source's (complete,

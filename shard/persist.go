@@ -165,16 +165,19 @@ func readEnvelope(sr *secfile.Reader) (*envelope, error) {
 // place off the mapping; a remote one receives it whole and its shard server
 // opens it there. The sections are physical images, so the envelope's shard
 // count must equal this cluster's (to change topology, re-ingest the log at
-// the new count), its slot map must be the serving one, and the stored global
-// ordinals must agree with any entities already registered here, so degree
-// ties break exactly as they did at save. Close unmaps the envelope — stop
-// queries first.
+// the new count), its slot map must be the serving one, and its global
+// ordinals must agree with the entities registered here, so degree ties break
+// exactly as they did at save; the envelope's names past the registered ones
+// (all of them, into an empty cluster) extend the registry. Close unmaps the
+// envelope — stop queries first.
 //
 // Every check that needs no shard open runs before the cluster changes at
 // all: a refusal up to there leaves slot map, ordinals and shards as they
 // were. On a failure inside a shard's open, shards already opened keep
 // serving their sections (the mapping stays open until Close); the error
-// names the shard that failed.
+// names the shard that failed. So do all shards when entities registered
+// while the open ran took the ordinals the envelope's new names need: the
+// open then refuses with "retry".
 func (c *Cluster) OpenIndex(path string) error {
 	m, err := mmap.Open(path)
 	if err != nil {
@@ -221,41 +224,49 @@ func (c *Cluster) OpenIndex(path string) error {
 		}
 	}
 	c.mu.Lock()
-	if len(c.ord) == 0 {
-		for i, name := range env.names {
-			c.ord[name] = i
+	defer c.mu.Unlock()
+	for i, name := range env.names {
+		if _, ok := c.ord[name]; ok {
+			continue
 		}
+		if i != len(c.ord) {
+			return fmt.Errorf("shard: %d entities were registered while the open ran, taking the ordinals the envelope's new entities need; retry", len(c.ord)-i)
+		}
+		c.ord[name] = i
 	}
-	c.mu.Unlock()
 	return nil
 }
 
 // reconcile checks an envelope's ordinals and slot map against the
 // cluster's and returns the map to publish once the load goes ahead (nil when
-// the serving one stands). An empty cluster adopts both wholesale. A populated
-// one (a re-ingested log) must agree on every stored ordinal — or cross-shard
-// tie-breaking would silently differ from the save; entities registered beyond
-// the stored ones sort after and are fine — and must already be routed exactly
-// as the image was saved: a divergent map would filter answers under ownership
-// the sections do not reflect. Either way the saved touched flags are honored:
+// the serving one stands). A name registered here must have its ordinal in
+// the envelope — or cross-shard tie-breaking would silently differ from the
+// save — and one not registered must have the next ordinal past the registry,
+// which OpenIndex then extends with it. An empty cluster adopts the slot map;
+// a populated one (a re-ingested log) must already be routed exactly as the
+// image was saved: a divergent map would filter answers under ownership the
+// sections do not reflect. Either way the saved touched flags are honored:
 // they mark shards whose image's local ingest order is misaligned with the
 // global order, a property the open preserves byte-for-byte.
 func (c *Cluster) reconcile(env *envelope) (*SlotMap, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
+	ord := len(c.ord) // the next ordinal
+	for i, name := range env.names {
+		switch o, ok := c.ord[name]; {
+		case !ok && i == ord:
+			ord++
+		case !ok:
+			return nil, fmt.Errorf("shard: entity %q is not registered here, and its global ordinal %d in the envelope is not the next one (%d) — envelopes resolve tie-break order by save-time arrival, so re-ingest the visit log in its original order", name, i, ord)
+		case o != i:
+			return nil, fmt.Errorf("shard: entity %q has global ordinal %d in the envelope but %d here — envelopes resolve tie-break order by save-time arrival, so re-ingest the visit log in its original order", name, i, o)
+		}
+	}
 	cur := c.slotmap()
 	if len(c.ord) == 0 {
 		// The epoch stays monotone past any AssignSlots publishes that
 		// preceded this load.
 		return &SlotMap{epoch: max(env.epoch, cur.epoch+1), assign: env.assign, touched: env.touched}, nil
-	}
-	for i, name := range env.names {
-		if o, ok := c.ord[name]; !ok || o != i {
-			if !ok {
-				o = -1
-			}
-			return nil, fmt.Errorf("shard: entity %q has global ordinal %d in the envelope but %d here — envelopes resolve tie-break order by save-time arrival, so re-ingest the visit log in its original order (or open it in a fresh cluster)", name, i, o)
-		}
 	}
 	for s, saved := range env.assign {
 		if cur.assign[s] != saved {

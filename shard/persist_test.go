@@ -144,6 +144,52 @@ func TestClusterLoadIndexShardCountChange(t *testing.T) {
 	}
 }
 
+// TestClusterOpenEnvelopeExtendsRegistry: an envelope saved after a write
+// added an entity opens over the re-ingested log that lacks it — the restart
+// of a coordinator that took new entities after boot. The envelope's names
+// past the registered ones take the next ordinals, and the cluster answers
+// like the one that saved it, the newcomer included.
+func TestClusterOpenEnvelopeExtendsRegistry(t *testing.T) {
+	log := cityLog(t, 30)
+	queries := []string{"newcomer", "entity-0", "entity-7", "entity-19"}
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			c1 := persistCluster(t, shards, log)
+			if err := c1.BuildIndex(); err != nil {
+				t.Fatal(err)
+			}
+			added := digitaltraces.VisitRecord{Entity: "newcomer", Venue: digitaltraces.VenueName(3), Start: digitaltraces.TimeAt(5), End: digitaltraces.TimeAt(9)}
+			if _, err := c1.AddVisits([]digitaltraces.VisitRecord{added}); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if _, err := c1.SaveIndex(&buf); err != nil {
+				t.Fatal(err)
+			}
+			c2 := persistCluster(t, shards, log)
+			if err := openEnvelope(t, c2, buf.Bytes()); err != nil {
+				t.Fatalf("open of an envelope that adds an entity: %v", err)
+			}
+			if got, want := c2.NumEntities(), c1.NumEntities(); got != want {
+				t.Fatalf("%d entities after the open, want %d", got, want)
+			}
+			for _, q := range queries {
+				w, _, err := c1.TopK(q, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g, _, err := c2.TopK(q, 5)
+				if err != nil {
+					t.Fatalf("TopK(%s) after the open: %v", q, err)
+				}
+				if !reflect.DeepEqual(g, w) {
+					t.Fatalf("TopK(%s) diverges after the open:\n  opened: %v\n  saved:  %v", q, g, w)
+				}
+			}
+		})
+	}
+}
+
 // TestLegacyMagicsRejected: the retired formats are not index files to
 // either opener. DB.OpenIndex and Cluster.OpenIndex refuse each of them with
 // an error naming what they found — never a panic — and keep serving their

@@ -305,7 +305,7 @@ func (c *Client) refreshStats() error {
 	}
 	c.unit = time.Duration(st.TimeUnitNS)
 	c.venues, c.levels = st.Venues, st.Levels
-	c.adopt(shardState{Entities: uint64(st.Entities), Pending: uint64(st.Pending), Generation: st.Generation, GenOK: st.GenOK, SlotEpoch: st.SlotEpoch})
+	c.adopt(st.State)
 	return nil
 }
 
@@ -331,18 +331,6 @@ func (c *Client) SnapshotGeneration() (uint64, bool) {
 }
 
 // --- shard.Backend: ingest ---
-
-func (c *Client) AddVisit(entity, venue string, start, end time.Time) error {
-	rec := digitaltraces.VisitRecord{Entity: entity, Venue: venue, Start: start, End: end}
-	resp, err := c.ingest([]digitaltraces.VisitRecord{rec})
-	if err != nil {
-		return err
-	}
-	if resp.FailIndex >= 0 {
-		return fmt.Errorf("shard %s: %s", c.addr, resp.ErrMsg)
-	}
-	return nil
-}
 
 func (c *Client) AddVisits(visits []digitaltraces.VisitRecord) (int, error) {
 	resp, err := c.ingest(visits)
@@ -380,30 +368,30 @@ func (c *Client) ingest(records []digitaltraces.VisitRecord) (ingestResp, error)
 
 // --- shard.Backend: search ---
 
-func (c *Client) OpenSearch(visits []digitaltraces.Visit, want int, floor float64) (shard.Stream, shard.Batch, error) {
+func (c *Client) OpenSearch(visits []digitaltraces.Visit, want int, floor float64) (shard.Stream, digitaltraces.Batch, error) {
 	_, st, b, err := c.open(openReq{Visits: visits, Want: uint64(want), Floor: floor})
 	return st, b, err
 }
 
-func (c *Client) OpenSearchEntity(entity string, want int) ([]digitaltraces.Visit, shard.Stream, shard.Batch, error) {
+func (c *Client) OpenSearchEntity(entity string, want int) ([]digitaltraces.Visit, shard.Stream, digitaltraces.Batch, error) {
 	if entity == "" {
-		return nil, nil, shard.Batch{}, fmt.Errorf("shard %s: empty entity name", c.addr)
+		return nil, nil, digitaltraces.Batch{}, fmt.Errorf("shard %s: empty entity name", c.addr)
 	}
 	return c.open(openReq{Entity: entity, Want: uint64(want)})
 }
 
-func (c *Client) open(req openReq) ([]digitaltraces.Visit, shard.Stream, shard.Batch, error) {
+func (c *Client) open(req openReq) ([]digitaltraces.Visit, shard.Stream, digitaltraces.Batch, error) {
 	// Idempotent in effect: a duplicate open only costs an orphan stream,
 	// which the server's TTL expires.
 	c.pulls.Add(1)
 	req.Release = c.takeReleases()
 	out, err := c.call("/shard/open", encodeOpenReq(req), c.callT, true)
 	if err != nil {
-		return nil, nil, shard.Batch{}, err
+		return nil, nil, digitaltraces.Batch{}, err
 	}
 	resp, err := decodeOpenResp(out)
 	if err != nil {
-		return nil, nil, shard.Batch{}, fmt.Errorf("shard %s: decoding open response: %w", c.addr, err)
+		return nil, nil, digitaltraces.Batch{}, fmt.Errorf("shard %s: decoding open response: %w", c.addr, err)
 	}
 	st := &remoteStream{c: c, id: resp.StreamID, gen: resp.Generation}
 	return resp.Visits, st, st.absorb(resp.First), nil
@@ -452,7 +440,7 @@ func (c *Client) IndexStats() digitaltraces.IndexStats {
 	if json.Unmarshal(out, &st) != nil {
 		return digitaltraces.IndexStats{}
 	}
-	c.adopt(shardState{Entities: uint64(st.Entities), Pending: uint64(st.Pending), Generation: st.Generation, GenOK: st.GenOK, SlotEpoch: st.SlotEpoch})
+	c.adopt(st.State)
 	return st.Index
 }
 
@@ -509,7 +497,7 @@ func (c *Client) Ping() error {
 	if err := json.Unmarshal(out, &h); err != nil {
 		return fmt.Errorf("shard %s: decoding health: %w", c.addr, err)
 	}
-	c.adopt(shardState{Entities: uint64(h.Entities), Pending: uint64(h.Pending), Generation: h.Generation, GenOK: h.GenOK, SlotEpoch: h.SlotEpoch})
+	c.adopt(h.State)
 	return nil
 }
 
@@ -534,27 +522,27 @@ type remoteStream struct {
 
 var _ shard.Stream = (*remoteStream)(nil)
 
-func (r *remoteStream) Pull(want int, floor float64) (shard.Batch, error) {
+func (r *remoteStream) Pull(want int, floor float64) (digitaltraces.Batch, error) {
 	r.c.pulls.Add(1)
 	body := encodePullReq(pullReq{StreamID: r.id, Offset: uint64(r.received), Want: uint64(want), Floor: floor, Release: r.c.takeReleases()})
 	out, err := r.c.call("/shard/pull", body, r.c.callT, true)
 	if err != nil {
-		return shard.Batch{}, err
+		return digitaltraces.Batch{}, err
 	}
 	resp, err := decodePullResp(out)
 	if err != nil {
-		return shard.Batch{}, fmt.Errorf("shard %s: decoding pull response: %w", r.c.addr, err)
+		return digitaltraces.Batch{}, fmt.Errorf("shard %s: decoding pull response: %w", r.c.addr, err)
 	}
 	return r.absorb(resp), nil
 }
 
 // absorb records a pull's answer: the position the next pull starts at, the
 // shard's work so far and its piggybacked state.
-func (r *remoteStream) absorb(resp pullResp) shard.Batch {
+func (r *remoteStream) absorb(resp pullResp) digitaltraces.Batch {
 	r.received += len(resp.Matches)
 	r.checked = int(resp.Checked)
 	r.c.adopt(resp.State)
-	return shard.Batch{Matches: resp.Matches, Bound: resp.Bound, Live: resp.Live}
+	return digitaltraces.Batch{Matches: resp.Matches, Bound: resp.Bound, Live: resp.Live}
 }
 
 func (r *remoteStream) Checked() int       { return r.checked }

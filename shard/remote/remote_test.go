@@ -101,9 +101,9 @@ func TestRemoteRefreshPastBuiltData(t *testing.T) {
 		t.Fatalf("AddVisits: stored %d of %d, err %v", n, len(late), err)
 	}
 	after := c.IndexStats()
-	if after.Generation != before.Generation+1 || after.BuildTime != before.BuildTime || after.LastRefreshDuration <= 0 || after.DirtyCount != 0 {
-		t.Fatalf("generation %d → %d, build time %v → %v, last refresh %v, dirty %d: want one incremental refresh",
-			before.Generation, after.Generation, before.BuildTime, after.BuildTime, after.LastRefreshDuration, after.DirtyCount)
+	if after.Generation != before.Generation+1 || after.BuildTime != before.BuildTime || after.LastRefreshDuration <= 0 {
+		t.Fatalf("generation %d → %d, build time %v → %v, last refresh %v: want one incremental refresh",
+			before.Generation, after.Generation, before.BuildTime, after.BuildTime, after.LastRefreshDuration)
 	}
 	twin, err := proptest.NewDB()
 	if err != nil {
@@ -593,14 +593,15 @@ func TestIngestPartialFailure(t *testing.T) {
 }
 
 // TestProtoVersionRejected: a mismatched protocol version — the previous
-// one, which had no fused open, included — is refused before any payload is
+// one, whose serving state carried a pending count, and the one before it,
+// which had no fused open, included — is refused before any payload is
 // decoded.
 func TestProtoVersionRejected(t *testing.T) {
-	if ProtoVersion != "3" {
-		t.Fatalf("ProtoVersion = %q, want 3", ProtoVersion)
+	if ProtoVersion != "4" {
+		t.Fatalf("ProtoVersion = %q, want 4", ProtoVersion)
 	}
 	_, _, hs := newShardServer(t, ServerConfig{})
-	for _, v := range []string{"2", "99"} {
+	for _, v := range []string{"2", "3", "99"} {
 		req, err := http.NewRequest(http.MethodGet, hs.URL+"/shard/stats", nil)
 		if err != nil {
 			t.Fatal(err)

@@ -190,31 +190,23 @@ func (s *Server) sweep() {
 }
 
 // statsResp is the JSON body of GET /shard/stats: the static shape the
-// client caches at Dial (epoch, unit, hierarchy) plus the mutable serving
-// state and full index statistics.
+// client caches at Dial (epoch, unit, hierarchy) plus the serving state and
+// full index statistics.
 type statsResp struct {
 	EpochNS    int64                    `json:"epoch_ns"`
 	EpochOK    bool                     `json:"epoch_ok"`
 	TimeUnitNS int64                    `json:"time_unit_ns"`
 	Venues     int                      `json:"venues"`
 	Levels     int                      `json:"levels"`
-	Entities   int                      `json:"entities"`
-	Pending    int                      `json:"pending"`
-	Generation uint64                   `json:"generation"`
-	GenOK      bool                     `json:"gen_ok"`
-	SlotEpoch  uint64                   `json:"slot_epoch"`
+	State      shardState               `json:"state"`
 	Index      digitaltraces.IndexStats `json:"index"`
 }
 
 // healthResp is the JSON body of GET /shard/healthz.
 type healthResp struct {
-	OK         bool   `json:"ok"`
-	Entities   int    `json:"entities"`
-	Pending    int    `json:"pending"`
-	Generation uint64 `json:"generation"`
-	GenOK      bool   `json:"gen_ok"`
-	SlotEpoch  uint64 `json:"slot_epoch"`
-	Streams    int    `json:"streams"`
+	OK      bool       `json:"ok"`
+	State   shardState `json:"state"`
+	Streams int        `json:"streams"`
 }
 
 // errResp is every non-200 body: {"error": "..."}.
@@ -256,13 +248,12 @@ func httpError(w http.ResponseWriter, code int, msg string) {
 	json.NewEncoder(w).Encode(errResp{Error: msg})
 }
 
-// state reads the shard's serving state.
+// state reads the shard's serving state — atomic loads only, so no response
+// waits on the DB's ingest lock.
 func (s *Server) state() shardState {
-	pending := s.db.PendingEntities()
 	gen, ok := s.db.SnapshotGeneration()
 	return shardState{
 		Entities:   uint64(s.db.NumEntities()),
-		Pending:    uint64(pending),
 		Generation: gen,
 		GenOK:      ok,
 		SlotEpoch:  s.slotEpoch.Load(),
@@ -298,7 +289,7 @@ func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
 	var (
 		visits []digitaltraces.Visit
 		st     shard.Stream
-		first  shard.Batch
+		first  digitaltraces.Batch
 	)
 	if req.Entity != "" {
 		visits, st, first, err = s.eng.OpenSearchEntity(req.Entity, int(req.Want))
@@ -409,16 +400,11 @@ func innerIngestError(err error) string {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := s.state()
 	resp := statsResp{
 		TimeUnitNS: s.db.TimeUnit().Nanoseconds(),
 		Venues:     s.db.NumVenues(),
 		Levels:     s.db.Levels(),
-		Entities:   int(st.Entities),
-		Pending:    int(st.Pending),
-		Generation: st.Generation,
-		GenOK:      st.GenOK,
-		SlotEpoch:  st.SlotEpoch,
+		State:      s.state(),
 		Index:      s.db.IndexStats(),
 	}
 	if e, ok := s.db.Epoch(); ok {
@@ -483,18 +469,9 @@ func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	st := s.state()
 	s.mu.Lock()
 	n := len(s.streams)
 	s.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(healthResp{
-		OK:         true,
-		Entities:   int(st.Entities),
-		Pending:    int(st.Pending),
-		Generation: st.Generation,
-		GenOK:      st.GenOK,
-		SlotEpoch:  st.SlotEpoch,
-		Streams:    n,
-	})
+	json.NewEncoder(w).Encode(healthResp{OK: true, State: s.state(), Streams: n})
 }

@@ -42,8 +42,8 @@
 // trailing bytes, non-canonical uvarints and out-of-range pull arguments, so
 // a decoded message re-encodes to exactly the bytes it came from.
 // Control-plane messages (stats, health, errors) are JSON.
-// Every response carries the shard's serving state (entities, pending,
-// snapshot generation), which the client caches so the coordinator's
+// Every response carries the shard's serving state (entities, snapshot
+// generation, slot epoch), which the client caches so the coordinator's
 // cache-version derivation costs no extra round trips; see the
 // single-coordinator caveat on Client.
 package remote
@@ -60,7 +60,7 @@ import (
 // ProtoVersion identifies the wire protocol; requests carry it in the
 // X-Shard-Proto header and the server rejects mismatches, so a rolling
 // upgrade fails loudly instead of misdecoding.
-const ProtoVersion = "3"
+const ProtoVersion = "4"
 
 // protoHeader is the HTTP header carrying ProtoVersion.
 const protoHeader = "X-Shard-Proto"
@@ -84,23 +84,20 @@ const (
 	maxWireList   = 1 << 24 // visits, records or matches per message
 )
 
-// shardState is the serving state piggybacked on every response: the
-// coordinator's cache-version inputs (cluster cacheVersion reads entity
-// count and snapshot generation per shard) kept fresh without dedicated
-// round trips. Pending, the shard's unfolded entity count, is carried for
-// the encoding's sake; no coordinator reads it, since a shard acknowledges a
-// write only once its published snapshot covers it.
+// shardState is the serving state piggybacked on every response, binary and
+// JSON alike: the coordinator's cache-version inputs (cluster cacheVersion
+// reads entity count and snapshot generation per shard) kept fresh without
+// dedicated round trips.
 type shardState struct {
-	Entities   uint64
-	Pending    uint64
-	Generation uint64
-	GenOK      bool
+	Entities   uint64 `json:"entities"`
+	Generation uint64 `json:"generation"`
+	GenOK      bool   `json:"gen_ok"`
 	// SlotEpoch is the newest slot-map epoch this shard has been told about
 	// (Server.PushSlotEpoch / POST /shard/epoch). The coordinator piggybacks
 	// it back so a *different*, staler coordinator wrong-routing through an
 	// old slot map trips shard.Cluster's epoch check instead of answering
 	// from a partition that migrated away.
-	SlotEpoch uint64
+	SlotEpoch uint64 `json:"slot_epoch"`
 }
 
 // openReq opens an incremental search stream and pulls its first Want
@@ -229,7 +226,6 @@ func appendMatches(b []byte, ms []digitaltraces.Match) []byte {
 
 func appendState(b []byte, st shardState) []byte {
 	b = binary.AppendUvarint(b, st.Entities)
-	b = binary.AppendUvarint(b, st.Pending)
 	b = binary.AppendUvarint(b, st.Generation)
 	b = appendBool(b, st.GenOK)
 	return binary.AppendUvarint(b, st.SlotEpoch)
@@ -489,7 +485,6 @@ func (r *reader) batch() pullResp {
 func (r *reader) state() shardState {
 	return shardState{
 		Entities:   r.uvarint(),
-		Pending:    r.uvarint(),
 		Generation: r.uvarint(),
 		GenOK:      r.boolean(),
 		SlotEpoch:  r.uvarint(),

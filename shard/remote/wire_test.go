@@ -54,7 +54,7 @@ func roundTrips(t *testing.T) map[string][]byte {
 	}
 
 	osr := openResp{StreamID: 42, Generation: 7, Visits: wireVisits(), First: pullResp{
-		Matches: wireMatches(), Bound: 0.25, Live: true, Checked: 12, State: shardState{Entities: 10, Pending: 3, Generation: 7, GenOK: true},
+		Matches: wireMatches(), Bound: 0.25, Live: true, Checked: 12, State: shardState{Entities: 10, Generation: 7, GenOK: true},
 	}}
 	msgs["openResp"] = encodeOpenResp(osr)
 	if got, err := decodeOpenResp(msgs["openResp"]); err != nil || got.StreamID != 42 || got.Generation != 7 || len(got.Visits) != 3 ||
@@ -99,7 +99,7 @@ func roundTrips(t *testing.T) map[string][]byte {
 		t.Fatalf("ingestReq round trip: %+v, %v", got, err)
 	}
 
-	iresp := ingestResp{Stored: 1, FailIndex: 1, ErrMsg: `unknown venue "nope"`, State: shardState{Entities: 2, Pending: 1}}
+	iresp := ingestResp{Stored: 1, FailIndex: 1, ErrMsg: `unknown venue "nope"`, State: shardState{Entities: 2}}
 	msgs["ingestResp"] = encodeIngestResp(iresp)
 	if got, err := decodeIngestResp(msgs["ingestResp"]); err != nil || got != iresp {
 		t.Fatalf("ingestResp round trip: %+v, %v", got, err)

@@ -265,16 +265,6 @@ func (db *DB) SnapshotGeneration() (uint64, bool) {
 	return s.generation, true
 }
 
-// PendingEntities returns the number of entities with visits the serving
-// snapshot does not cover yet — IndexStats().DirtyCount without the index
-// walk. Once an index is published that is only writes still in flight: a
-// write is acknowledged after its fold.
-func (db *DB) PendingEntities() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.pending)
-}
-
 // ack returns once the serving snapshot covers write sequence seq: at once
 // when a publish already does — group commit, a fold in flight captured the
 // write — and otherwise after folding every pending visit aside and

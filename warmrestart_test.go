@@ -104,8 +104,8 @@ func TestLoadIndexEquivalence(t *testing.T) {
 	if st.Generation != 1 {
 		t.Errorf("generation after the open = %d, want 1", st.Generation)
 	}
-	if st.DirtyCount != 0 {
-		t.Errorf("dirty count after the open = %d, want 0", st.DirtyCount)
+	if pendingCount(db) != 0 {
+		t.Errorf("dirty count after the open = %d, want 0", pendingCount(db))
 	}
 	if st.Entities != src.NumEntities() {
 		t.Errorf("loaded index has %d entities, want %d", st.Entities, src.NumEntities())
@@ -180,8 +180,8 @@ func TestLoadIndexNewerVisitsGoDirty(t *testing.T) {
 		t.Fatalf("open with grown log: %v", err)
 	}
 	st := db.IndexStats()
-	if st.DirtyCount != 0 {
-		t.Errorf("dirty count after load = %d, want 0 (entity-3, entity-17 and newcomer folded by the open)", st.DirtyCount)
+	if pendingCount(db) != 0 {
+		t.Errorf("dirty count after load = %d, want 0 (entity-3, entity-17 and newcomer folded by the open)", pendingCount(db))
 	}
 	// The published snapshot is the saved index plus the newcomer.
 	if st.Entities != 41 {
@@ -222,8 +222,8 @@ func TestLoadIndexStaleEntitySkipped(t *testing.T) {
 	if err := openImage(db, buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if st := db.IndexStats(); st.Entities != 30 || st.DirtyCount != 0 {
-		t.Fatalf("after the open: %d entities, %d dirty — want 30 and 0 (entity-5 refolded by the open)", st.Entities, st.DirtyCount)
+	if st := db.IndexStats(); st.Entities != 30 || pendingCount(db) != 0 {
+		t.Fatalf("after the open: %d entities, %d dirty — want 30 and 0 (entity-5 refolded by the open)", st.Entities, pendingCount(db))
 	}
 	assertSameAnswers(t, src, db, append([]string{"entity-5"}, someEntities...), 5)
 }
@@ -382,15 +382,15 @@ func TestSaveIndexFoldsDirtFirst(t *testing.T) {
 	if _, err := db.SaveIndex(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if st := db.IndexStats(); st.DirtyCount != 0 {
-		t.Errorf("SaveIndex left %d dirty entities unfolded", st.DirtyCount)
+	if pendingCount(db) != 0 {
+		t.Errorf("SaveIndex left %d dirty entities unfolded", pendingCount(db))
 	}
 	fresh := freshGrid(t, append(log, added))
 	if err := openImage(fresh, buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if st := fresh.IndexStats(); st.DirtyCount != 0 {
-		t.Errorf("opened DB has %d dirty entities, want the post-ingest visit covered", st.DirtyCount)
+	if pendingCount(fresh) != 0 {
+		t.Errorf("opened DB has %d dirty entities, want the post-ingest visit covered", pendingCount(fresh))
 	}
 	assertSameAnswers(t, db, fresh, someEntities, 5)
 	// The image alone, in an empty DB, is the same index.
@@ -426,7 +426,7 @@ func imageCounts(t *testing.T, db *DB, img []byte) map[string]uint32 {
 // the open folds the whole log over the image's sequences.
 func assertOpenFoldedNothing(t *testing.T, db *DB) {
 	t.Helper()
-	if n := db.PendingEntities(); n != 0 {
+	if n := pendingCount(db); n != 0 {
 		t.Errorf("%d entities pending after the open, want 0", n)
 	}
 	if st := db.IndexStats(); st.Decoded != 0 {
@@ -513,7 +513,7 @@ func TestOpenKeepsFoldedVisits(t *testing.T) {
 	if err := openImage(db, img); err != nil {
 		t.Fatal(err)
 	}
-	if n := db.PendingEntities(); n != 0 {
+	if n := pendingCount(db); n != 0 {
 		t.Errorf("%d entities pending after the open, want 0", n)
 	}
 	rebuilt := freshGrid(t, slices.Concat(log, folded, pending))
@@ -521,4 +521,36 @@ func TestOpenKeepsFoldedVisits(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameAnswers(t, rebuilt, db, append([]string{"newcomer", "entity-17"}, someEntities...), 5)
+}
+
+// TestOpenImageExtendsRegistry: an image saved after a write added an entity
+// opens over the record file that lacks it — the restart of a server that
+// took new entities after boot. The image's entities past the registry take
+// the next IDs, with their covered counts, so the open folds nothing and
+// answers like the DB that saved it. An unknown entity whose ID the registry
+// has already given away is refused.
+func TestOpenImageExtendsRegistry(t *testing.T) {
+	src, _, log := restartWorld(t, 30)
+	added := VisitRecord{Entity: "newcomer", Venue: VenueName(3), Start: TimeAt(5), End: TimeAt(9)}
+	if _, err := src.AddVisits([]VisitRecord{added}); err != nil {
+		t.Fatal(err)
+	}
+	var img bytes.Buffer
+	if _, err := src.SaveIndex(&img); err != nil {
+		t.Fatal(err)
+	}
+	db := freshGrid(t, log)
+	if err := openImage(db, img.Bytes()); err != nil {
+		t.Fatalf("open of an image that adds an entity: %v", err)
+	}
+	if n := db.NumEntities(); n != src.NumEntities() {
+		t.Errorf("%d entities after the open, want %d", n, src.NumEntities())
+	}
+	assertOpenFoldedNothing(t, db)
+	assertSameAnswers(t, src, db, append([]string{"newcomer"}, someEntities...), 5)
+
+	taken := freshGrid(t, append(slices.Clone(log), VisitRecord{Entity: "other", Venue: VenueName(1), Start: TimeAt(2), End: TimeAt(4)}))
+	if err := openImage(taken, img.Bytes()); err == nil || !strings.Contains(err.Error(), "not in the registry") {
+		t.Fatalf("open over a registry that gave the newcomer's ID away: want a refusal naming the registry, got %v", err)
+	}
 }
