@@ -424,18 +424,14 @@ func BenchmarkAddVisitsAck(b *testing.B) {
 // fold survive it when the fold cannot change them.
 func BenchmarkCacheRevalidate(b *testing.B) {
 	const devices, days, k, writeEvery, batchEntities, visitsEach = 20000, 14, 10, 800, 8, 4
-	ix, err := spindex.NewGrid(spindex.DefaultGridConfig(32))
+	db, err := gridDB(32, 4, WithQueryCache(1200))
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := mobility.DefaultWiFiConfig()
 	cfg.Horizon = days * 24
 	cfg.DetectionProb = 0.05
-	gen, err := mobility.NewWiFiGenerator(ix, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	db, err := newGridDB(ix, WithQueryCache(1200))
+	gen, err := mobility.NewWiFiGenerator(db.ix, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -446,11 +442,7 @@ func BenchmarkCacheRevalidate(b *testing.B) {
 			continue // never detected: nothing to index or query
 		}
 		names = append(names, fmt.Sprintf("entity-%d", i))
-		e := db.register(names[len(names)-1])
-		for j := range recs {
-			recs[j].Entity = e
-		}
-		db.pending[e], db.ingested[e] = recs, uint32(len(recs))
+		db.preload(names[len(names)-1], recs)
 	}
 	if err := db.BuildIndex(); err != nil {
 		b.Fatal(err)

@@ -20,7 +20,6 @@ import (
 
 	"digitaltraces/internal/core"
 	"digitaltraces/internal/extsort"
-	"digitaltraces/internal/spindex"
 	"digitaltraces/internal/trace"
 )
 
@@ -72,11 +71,7 @@ func BulkLoadRecordFile(path string, side, levels int, cfg BulkConfig, opts ...O
 		ecfg.BufferPages = cfg.BufferPages
 	}
 	ecfg.TempDir = cfg.TempDir
-	ix, err := spindex.NewGrid(spindex.GridConfig{Side: side, Levels: levels, WidthExp: 2, DensityExp: 2})
-	if err != nil {
-		return nil, nil, err
-	}
-	db, err := newGridDB(ix, opts...)
+	db, err := gridDB(side, levels, opts...)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -125,7 +120,7 @@ func BulkLoadRecordFile(path string, side, levels int, cfg BulkConfig, opts ...O
 				return err
 			}
 			r := extsort.DecodeRecord(buf[:])
-			if err := checkRecord(ix, i, r); err != nil {
+			if err := checkRecord(db.ix, i, r); err != nil {
 				return err
 			}
 			d, ok := dense[r.Entity]

@@ -203,8 +203,8 @@ type Match struct {
 // settled without a degree computation — under none of the query's level-1
 // cells, so provably 0, or unable to displace the k-th answer even at their
 // bound; with Checked they sum to the indexed entities other than the query.
-// Both are 0 where Algorithm 2 ran instead (a mapped index). Shard streams
-// report Checked only.
+// Every DB search fills them, an opened image's included (it is served by the
+// same posting-driven search); shard streams report Checked only.
 type QueryStats struct {
 	Checked      int
 	ZeroSkipped  int

@@ -149,12 +149,11 @@ func (ci *cellIndex) memoryBytes() int {
 // view of the cell index and the bound-ordered candidates drawn from it.
 type scratch struct {
 	// mask[e] has bit min(i, 63) set when e is posted under the query's i-th
-	// level-1 cell; far holds the masks of the posted IDs the table does not
-	// reach, and hits every entity with a non-zero mask, in the order stamp
-	// met them. All zero or empty while pooled: release clears exactly the
+	// level-1 cell, for every posted ID e (mark sizes it to the largest), and
+	// hits holds every entity with a non-zero mask, in the order stamp met
+	// them. All zero or empty while pooled: release clears exactly the
 	// entries of hits.
 	mask []uint64
-	far  map[trace.EntityID]uint64
 	hits []trace.EntityID
 	// under[i*m+l-1] counts the query's level-l cells below its i-th level-1
 	// cell (bit 63 stands for every cell from the 64th on).
@@ -181,15 +180,15 @@ type bucket struct {
 	n, end int
 }
 
-var scratchPool = sync.Pool{New: func() any { return &scratch{far: map[trace.EntityID]uint64{}} }}
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // maskOf returns e's mask: 0 for an entity under none of the query's level-1
-// cells.
+// cells, such as one posted nowhere.
 func (sc *scratch) maskOf(e trace.EntityID) uint64 {
 	if uint(e) < uint(len(sc.mask)) {
 		return sc.mask[e]
 	}
-	return sc.far[e]
+	return 0
 }
 
 // mark fills the scratch's view of the cell index for the query — masks,
@@ -203,9 +202,7 @@ func (f *frontier) mark() error {
 	if ub := f.measure.UpperBound(sc.x, f.qCounts, nil); ub != 0 {
 		return fmt.Errorf("core: measure %s bounds an entity sharing no cell with the query by %v, not 0, so the postings cannot serve it (Tree.SignatureTopK can)", f.measure.Name(), ub)
 	}
-	// The table stays within a constant factor of the population whatever
-	// IDs arrive; negative IDs and IDs past it go to the far map.
-	n := min(int(ci.maxID)+1, 2*f.p.Len()+64)
+	n := int(ci.maxID) + 1
 	if cap(sc.mask) < n {
 		sc.mask = make([]uint64, n)
 	}
@@ -237,17 +234,10 @@ func (f *frontier) stamp() {
 		sealed, added := f.p.cells.postings(c)
 		for _, list := range [2][]trace.EntityID{sealed, added} {
 			for _, e := range list {
-				if uint(e) < uint(len(mask)) {
-					if mask[e] == 0 {
-						hits = append(hits, e)
-					}
-					mask[e] |= bit
-					continue
-				}
-				if sc.far[e] == 0 {
+				if mask[e] == 0 {
 					hits = append(hits, e)
 				}
-				sc.far[e] |= bit
+				mask[e] |= bit
 			}
 		}
 	}
@@ -335,11 +325,7 @@ func (f *frontier) release() {
 		return
 	}
 	for _, e := range sc.hits {
-		if uint(e) < uint(len(sc.mask)) {
-			sc.mask[e] = 0
-		} else {
-			delete(sc.far, e)
-		}
+		sc.mask[e] = 0
 	}
 	sc.hits, sc.buckets = sc.hits[:0], sc.buckets[:0]
 	f.pooled = nil

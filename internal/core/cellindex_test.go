@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"maps"
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -20,8 +22,8 @@ import (
 // pair turns a real answer into a skipped zero — and, now that its postings
 // are the candidate list, by a stale pair of a removed entity or an order
 // that stops a bucket too early. These tests hunt all three — through every
-// constructor, across copy-on-write generations, and for every entity-ID
-// shape the mask table treats differently.
+// constructor and across copy-on-write generations — over entity IDs
+// 0..n−1, the IDs the facade hands out.
 
 // forest returns a 3-level sp-index with several roots (so that sharing a
 // time unit does not imply sharing a level-1 cell): roots × 2 × 2 base units.
@@ -77,7 +79,7 @@ type cellWorld struct {
 	ix    *spindex.Index
 	st    *trace.Store
 	post  *Postings
-	fresh []trace.EntityID // IDs not used yet
+	fresh []trace.EntityID // IDs not used yet, the next first
 	past  []frozenCells
 }
 
@@ -95,21 +97,19 @@ type frozenCells struct {
 func newCellWorld(t *testing.T, seed int64) *cellWorld {
 	w := &cellWorld{t: t, rng: rand.New(rand.NewSource(seed)), ix: forest(4)}
 	w.st = trace.NewStore(w.ix)
-	// Dense IDs the mask table holds, and the shapes it cannot: negative,
-	// sparse, and far beyond any table.
-	ids := []trace.EntityID{-7, -1, 1 << 30, 1<<30 + 1, 900, 5000, 77777}
-	for e := trace.EntityID(0); e < 70; e++ {
-		ids = append(ids, e)
-	}
-	w.rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-	built := ids[:45]
-	w.fresh = ids[45:]
-	for _, e := range built {
+	// IDs by arrival, as the facade hands them out: 45 built, a companion,
+	// and the rest arriving in derives.
+	var built []trace.EntityID
+	for e := range trace.EntityID(45) {
 		w.st.AddRecords(e, w.records(e))
+		built = append(built, e)
 	}
-	const companion = trace.EntityID(70) // shares exactly the bit-63 tail of the wide example
+	const companion = trace.EntityID(45) // shares exactly the bit-63 tail of the wide example
 	w.st.Put(trace.NewSequencesFromCells(w.ix, companion, lateCells(w.ix)))
 	built = append(built, companion)
+	for e := companion + 1; e < companion+33; e++ {
+		w.fresh = append(w.fresh, e)
+	}
 	var err error
 	if w.post, err = BuildPostings(w.ix, w.st, built); err != nil {
 		t.Fatal(err)
@@ -190,9 +190,12 @@ func (w *cellWorld) update() {
 	}
 }
 
-// remove unindexes entities in place, as Tree.Remove does.
+// remove unindexes the two entities with the largest IDs in place, as
+// Tree.Remove does — so an image written before the next arrival holds
+// entities 0..n−1 with the removed ones' pairs left out.
 func (w *cellWorld) remove() {
-	for _, e := range w.pick(2) {
+	es := w.post.Entities()
+	for _, e := range es[max(0, len(es)-2):] {
 		w.post.remove(e)
 	}
 }
@@ -209,8 +212,26 @@ func (w *cellWorld) rebuild() {
 
 // reload replaces the index by what an image of it opens as, read as a
 // stream or by offset: served in place with the stored cell index — base,
-// added pairs and stale pairs folded by the writer — adopted as is.
+// added pairs and stale pairs folded by the writer — adopted as is. An image
+// holds entities 0..n−1, so the writer refuses an index missing an entity
+// below its largest ID; such removed entities are indexed again first.
 func (w *cellWorld) reload(mapped bool) {
+	var holes []trace.EntityID
+	es := w.post.Entities()
+	for e := range es[len(es)-1] {
+		if !w.post.Contains(e) {
+			holes = append(holes, e)
+		}
+	}
+	if len(holes) > 0 {
+		_, err := w.post.WriteSnapshot(io.Discard, SnapshotMeta{TimeUnit: time.Hour}, w.st, snapshotNames)
+		if want := fmt.Sprintf("row %d would hold entity", holes[0]); err == nil || !strings.Contains(err.Error(), want) {
+			w.t.Fatalf("WriteSnapshot of an index missing entity %d: %v, want an error containing %q", holes[0], err, want)
+		}
+		for _, e := range holes {
+			w.post.add(e, w.st.Get(e))
+		}
+	}
 	var buf bytes.Buffer
 	if _, err := w.post.WriteSnapshot(&buf, SnapshotMeta{TimeUnit: time.Hour}, w.st, snapshotNames); err != nil {
 		w.t.Fatalf("WriteSnapshot: %v", err)
@@ -229,7 +250,7 @@ func (w *cellWorld) reload(mapped bool) {
 // step advances the world by one generation; the schedule strings several
 // derives together so the added layer reaches its compaction fold.
 func (w *cellWorld) step(gen int) string {
-	op := []string{"derive", "derive", "update", "derive", "remove", "derive", "derive", "remap", "rebuild", "derive", "update", "reload"}[gen%12]
+	op := []string{"derive", "derive", "update", "derive", "derive", "derive", "derive", "remove", "remap", "rebuild", "derive", "reload"}[gen%12]
 	switch op {
 	case "derive":
 		w.derive()
@@ -586,11 +607,11 @@ func TestCellIndexDeriveIsODirty(t *testing.T) {
 	if n := len(parent.cells.posts); n != 100000 {
 		t.Fatalf("parent has %d postings, want 100000", n)
 	}
-	// Entity 3 changes, 20000 is new, 7000 is dirty with unchanged cells:
+	// Entity 3 changes, 12500 is new, 7000 is dirty with unchanged cells:
 	// its pairs are all in the base already and must not be added again.
 	dst := st.Derive()
-	dirty := []trace.EntityID{3, 7000, 20000}
-	for _, e := range []trace.EntityID{3, 20000} {
+	dirty := []trace.EntityID{3, 7000, 12500}
+	for _, e := range []trace.EntityID{3, 12500} {
 		dst.Put(trace.NewSequencesFromCells(ix, e, []trace.Cell{trace.MakeCell(1, ix.BaseUnit(0)), trace.MakeCell(39, ix.BaseUnit(15))}))
 	}
 	var m0, m1 runtime.MemStats
@@ -608,7 +629,7 @@ func TestCellIndexDeriveIsODirty(t *testing.T) {
 		t.Fatalf("derived entity table wrote %v in %d writes, %d entities; want the dirty %v, one new", written, next.added.Writes(), next.Len(), dirty)
 	}
 	if pairs := next.cells.added.Writes(); pairs < 2 || pairs > 4 {
-		t.Fatalf("derived index added %d pairs; entity 20000 brings 2, entity 3 at most 2, entity 7000 none", pairs)
+		t.Fatalf("derived index added %d pairs; entity 12500 brings 2, entity 3 at most 2, entity 7000 none", pairs)
 	}
 	if got, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(len(parent.cells.posts)*4/2); got > limit {
 		t.Fatalf("Derive allocated %d bytes; half a copy of the postings is %d", got, limit)
@@ -625,9 +646,14 @@ func TestCellIndexSiblingDerives(t *testing.T) {
 	ix := forest(2)
 	st := trace.NewStore(ix)
 	here := []trace.Cell{trace.MakeCell(1, ix.BaseUnit(0))}
+	elsewhere := trace.MakeCell(5, ix.BaseUnit(3))
 	var sealed []trace.EntityID
-	for e := trace.EntityID(100); e < 110; e++ { // a base big enough that three added pairs do not fold
-		st.Put(trace.NewSequencesFromCells(ix, e, here))
+	for e := range trace.EntityID(11) { // a base big enough that three added pairs do not fold
+		cells := here
+		if e == 10 {
+			cells = []trace.Cell{elsewhere} // until sibling b re-indexes it here too
+		}
+		st.Put(trace.NewSequencesFromCells(ix, e, cells))
 		sealed = append(sealed, e)
 	}
 	parent, err := BuildPostings(ix, st, sealed)
@@ -637,29 +663,35 @@ func TestCellIndexSiblingDerives(t *testing.T) {
 	// In-place inserts (Tree.Insert's) leave the parent's added list for the
 	// cell, and its table's added list, with spare capacity — the arrays a
 	// careless sibling would write into.
-	for e := trace.EntityID(1); e <= 3; e++ {
+	for e := trace.EntityID(11); e <= 13; e++ {
 		st.Put(trace.NewSequencesFromCells(ix, e, here))
 		parent.add(e, st.Get(e))
 	}
-	sibling := func(e trace.EntityID) *Postings {
+	sibling := func(e trace.EntityID, cells []trace.Cell) *Postings {
 		dst := st.Derive()
-		dst.Put(trace.NewSequencesFromCells(ix, e, here))
+		dst.Put(trace.NewSequencesFromCells(ix, e, cells))
 		d, err := parent.Derive(dst, []trace.EntityID{e})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return d
 	}
-	a, b := sibling(10), sibling(20)
+	// a indexes a new entity under the cell; b re-indexes entity 10 under it
+	// and where it was, so both append to the cell's added list and b's entry
+	// for 10 grows.
+	a, b := sibling(14, here), sibling(10, append(slices.Clone(here), elsewhere))
 	for _, p := range []*Postings{parent, a, b} {
 		requireCellInvariant(t, fmt.Sprint(p.Entities()), p)
 	}
-	if a.Contains(20) || b.Contains(10) || parent.Contains(10) || parent.Contains(20) {
-		t.Fatalf("entity tables leaked: a %v, b %v, parent %v", a.Entities(), b.Entities(), parent.Entities())
+	if !a.Contains(14) || b.Contains(14) || parent.Contains(14) || !slices.Equal(a.sizes(10), parent.sizes(10)) || slices.Equal(b.sizes(10), parent.sizes(10)) {
+		t.Fatalf("entity tables leaked: a %v %v, b %v %v, parent %v %v", a.Entities(), a.sizes(10), b.Entities(), b.sizes(10), parent.Entities(), parent.sizes(10))
 	}
 	c := trace.MakeCell(1, ix.Root(ix.BaseUnit(0)))
-	if _, added := a.cells.postings(c); slices.Contains(added, 20) {
-		t.Fatalf("sibling a lists b's entity: %v", added)
+	if _, added := a.cells.postings(c); slices.Contains(added, 10) {
+		t.Fatalf("sibling a lists b's pair: %v", added)
+	}
+	if _, added := b.cells.postings(c); slices.Contains(added, 14) {
+		t.Fatalf("sibling b lists a's pair: %v", added)
 	}
 	if _, added := parent.cells.postings(c); len(added) != 3 {
 		t.Fatalf("parent's added list changed: %v", added)
@@ -674,21 +706,22 @@ func TestIterInterleavesScoredZeros(t *testing.T) {
 	ix := forest(2)
 	st := trace.NewStore(ix)
 	at := func(t trace.Time, base int) trace.Cell { return trace.MakeCell(t, ix.BaseUnit(spindex.BaseID(base))) }
-	// Query at base 0. Base 3 shares only its root (scored, degree 0 under
-	// w1=0); base 4 is under the other root (provable zero); base 0 matches.
-	st.Put(trace.NewSequencesFromCells(ix, 100, []trace.Cell{at(1, 0)}))
-	for e, base := range map[trace.EntityID]int{1: 4, 2: 3, 3: 4, 4: 3, 5: 0, 6: 4, 7: 3} {
-		st.Put(trace.NewSequencesFromCells(ix, e, []trace.Cell{at(1, base)}))
+	// Query (entity 7) at base 0. Base 3 shares only its root (scored,
+	// degree 0 under w1=0); base 4 is under the other root (provable zero);
+	// base 0 matches.
+	var ids []trace.EntityID
+	for e, base := range []int{4, 3, 4, 3, 0, 4, 3, 0} {
+		st.Put(trace.NewSequencesFromCells(ix, trace.EntityID(e), []trace.Cell{at(1, base)}))
+		ids = append(ids, trace.EntityID(e))
 	}
-	ids := []trace.EntityID{1, 2, 3, 4, 5, 6, 7, 100}
 	tree, err := BuildPostings(ix, st, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
 	blind := cellMeasures(t)[12]
-	q := st.Get(100)
+	q := st.Get(7)
 	want := BruteForceTopK(st, ids, q, len(ids), blind)
-	if want[0] != (Result{5, want[0].Degree}) || want[0].Degree == 0 || want[1] != (Result{Entity: 1}) || want[6] != (Result{Entity: 7}) {
+	if want[0] != (Result{4, want[0].Degree}) || want[0].Degree == 0 || want[1] != (Result{Entity: 0}) || want[6] != (Result{Entity: 6}) {
 		t.Fatalf("fixture: scan ranks %v", want)
 	}
 	it, err := tree.NewIter(q, blind)
@@ -740,16 +773,9 @@ func FuzzTopKAgainstScan(f *testing.F) {
 		}
 		m := measures[next()%len(measures)]
 		k := 1 + next()%20
-		shapes := []func(i int) trace.EntityID{
-			func(i int) trace.EntityID { return trace.EntityID(i) },
-			func(i int) trace.EntityID { return trace.EntityID(-1 - i) },
-			func(i int) trace.EntityID { return trace.EntityID(1000 * i) },
-			func(i int) trace.EntityID { return trace.EntityID(1<<30 + i) },
-		}
 		st := trace.NewStore(ix)
 		var ids []trace.EntityID
-		for i, n := 0, 1+next()%12; i < n; i++ {
-			e := shapes[next()%len(shapes)](i)
+		for e, n := trace.EntityID(0), trace.EntityID(1+next()%12); e < n; e++ {
 			st.Put(trace.NewSequencesFromCells(ix, e, cells()))
 			ids = append(ids, e)
 		}
@@ -771,10 +797,10 @@ func FuzzTopKAgainstScan(f *testing.F) {
 		}
 		requireExact(t, "built", tree, q, k, m)
 		requireFloorPrefix(t, "built", tree, q, m, floors)
-		// One refresh: an indexed entity gets different data, a new one
-		// of any shape arrives.
+		// One refresh: an indexed entity gets different data, the next one
+		// arrives.
 		dst := st.Derive()
-		changed, arrived := ids[next()%len(ids)], shapes[next()%len(shapes)](len(ids))
+		changed, arrived := ids[next()%len(ids)], trace.EntityID(len(ids))
 		dst.Put(trace.NewSequencesFromCells(ix, changed, cells()))
 		dst.Put(trace.NewSequencesFromCells(ix, arrived, cells()))
 		derived, err := tree.Derive(dst, []trace.EntityID{changed, arrived})
@@ -815,8 +841,7 @@ func requireFloorPrefix(t *testing.T, label string, p *Postings, q *trace.Sequen
 
 // TestIterRandomFloorSchedules: an Iter whose floor rises at random points —
 // onto a result's degree, between two, past every one — streams exactly the
-// scan's prefix at or above it, on every ID shape the table holds and on
-// derived generations.
+// scan's prefix at or above it, on built and derived generations.
 func TestIterRandomFloorSchedules(t *testing.T) {
 	measures := cellMeasures(t)
 	for seed := int64(1); seed <= 3; seed++ {
@@ -866,11 +891,11 @@ func TestSizedBoundSaturation(t *testing.T) {
 		st.Put(s)
 		ids = append(ids, s.Entity)
 	}
-	put(span(0, 20, 16))  // 80 / 160 / 320 cells: the finest level saturated
-	put(span(1, 70, 16))  // 280 / 560 / 1120: every level saturated
-	put(span(-4, 20, 16)) // the same, off the dense table
-	put(span(1<<30, 70, 4))
-	for e := trace.EntityID(2); e < 40; e++ {
+	put(span(0, 20, 16)) // 80 / 160 / 320 cells: the finest level saturated
+	put(span(1, 70, 16)) // 280 / 560 / 1120: every level saturated
+	put(span(2, 20, 16)) // the same as entity 0
+	put(span(3, 70, 4))
+	for e := trace.EntityID(4); e < 42; e++ {
 		var cells []trace.Cell
 		for n := 1 + rng.Intn(12); n > 0; n-- {
 			cells = append(cells, trace.MakeCell(trace.Time(rng.Intn(70)), ix.BaseUnit(spindex.BaseID(rng.Intn(16)))))
@@ -890,7 +915,7 @@ func TestSizedBoundSaturation(t *testing.T) {
 	check := func(label string, p *Postings) {
 		t.Helper()
 		requireCellInvariant(t, label, p)
-		for _, qe := range []trace.EntityID{0, 1, -4, 1 << 30, 2, 9} {
+		for _, qe := range []trace.EntityID{0, 1, 2, 3, 4, 11} {
 			for _, m := range cellMeasures(t) {
 				requireMarksSound(t, label, p, p.src.Get(qe), m)
 				for _, k := range []int{1, 3, 10} {
@@ -902,8 +927,8 @@ func TestSizedBoundSaturation(t *testing.T) {
 	check("built", post)
 	dst := st.Derive()
 	dst.Put(span(0, 3, 16))  // shrinks below saturation
-	dst.Put(span(2, 30, 16)) // grows past it
-	derived, err := post.Derive(dst, []trace.EntityID{0, 2})
+	dst.Put(span(4, 30, 16)) // grows past it
+	derived, err := post.Derive(dst, []trace.EntityID{0, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -914,7 +939,7 @@ func TestSizedBoundSaturation(t *testing.T) {
 // TestDeriveChainResizes re-indexes entities along a chain of Derives with
 // sequences both smaller and larger than before — the stale pairs of a shrunk
 // entity stay posted while its table entry is its current sizes — through the
-// compaction fold, on every ID shape, and requires every generation exact.
+// compaction fold, and requires every generation exact.
 func TestDeriveChainResizes(t *testing.T) {
 	ix := forest(4)
 	rng := rand.New(rand.NewSource(8))
@@ -926,8 +951,8 @@ func TestDeriveChainResizes(t *testing.T) {
 		return trace.NewSequencesFromCells(ix, e, cells)
 	}
 	st := trace.NewStore(ix)
-	ids := []trace.EntityID{-5, 1 << 30, 4000}
-	for e := trace.EntityID(0); e < 40; e++ {
+	var ids []trace.EntityID
+	for e := range trace.EntityID(43) {
 		ids = append(ids, e)
 	}
 	for _, e := range ids {
@@ -979,32 +1004,40 @@ func TestDeriveChainResizes(t *testing.T) {
 // their bucket's bound, split over two buckets of equal bound with the smallest
 // IDs in whichever is scanned last (a search that stopped at a tied bound would
 // miss them); k beyond the candidates (zero-fill in ascending ID, with the
-// scored zeros of the w1 = 0 measure interleaved); and IDs negative, huge and
-// past the mask table both as posted candidates and as zeros.
+// scored zeros of the w1 = 0 measure interleaved); and IDs on both sides of
+// the query's, as posted candidates and as zeros.
 func TestPostingOrderEdges(t *testing.T) {
 	ix := forest(4)
 	at := func(t trace.Time, base int) trace.Cell { return trace.MakeCell(t, ix.BaseUnit(spindex.BaseID(base))) }
-	const query = trace.EntityID(500)
 	for _, lowIDsUnder := range []int{0, 4} { // the base cell whose plateau holds the small IDs
 		st := trace.NewStore(ix)
 		var ids []trace.EntityID
-		put := func(e trace.EntityID, cells ...trace.Cell) {
+		put := func(cells ...trace.Cell) trace.EntityID {
+			e := trace.EntityID(st.Len())
 			st.Put(trace.NewSequencesFromCells(ix, e, cells))
 			ids = append(ids, e)
+			return e
 		}
-		put(query, at(1, 0), at(1, 4)) // two level-1 cells, alike underneath
-		for i := trace.EntityID(0); i < 6; i++ {
-			put(1+i, at(1, lowIDsUnder))
-			put(100+i, at(1, 4-lowIDsUnder))
+		zero := func() { put(at(2, 0), at(1, 9)) } // posted nowhere the query is
+		zero()
+		low := put(at(1, lowIDsUnder))
+		for range 5 {
+			put(at(1, lowIDsUnder))
 		}
-		put(-3, at(1, 0), at(1, 4)) // posted under both cells, IDs the table does not hold
-		put(1<<30, at(1, 0), at(1, 4))
-		put(77777, at(1, 3)) // shares a root only: degree 0 under w1 = 0
-		put(-9, at(1, 7))
-		put(50, at(1, 2))
-		for _, e := range []trace.EntityID{-7, 0, 60, 2000, 1<<30 + 1} { // posted nowhere the query is
-			put(e, at(2, 0), at(1, 9))
+		high := put(at(1, 4-lowIDsUnder))
+		for range 5 {
+			put(at(1, 4-lowIDsUnder))
 		}
+		zero()
+		query := put(at(1, 0), at(1, 4)) // two level-1 cells, alike underneath
+		put(at(1, 0), at(1, 4))          // posted under both cells
+		put(at(1, 3))                    // shares a root only: degree 0 under w1 = 0
+		zero()
+		put(at(1, 0), at(1, 4))
+		put(at(1, 7))
+		put(at(1, 2))
+		zero()
+		zero()
 		tree, err := BuildPostings(ix, st, ids)
 		if err != nil {
 			t.Fatal(err)
@@ -1017,13 +1050,13 @@ func TestPostingOrderEdges(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, e := range []trace.EntityID{1, 100} {
+			for _, e := range []trace.EntityID{low, high} {
 				if ub, deg := f.bound(f.pooled.maskOf(e)), m.Degree(q, st.Get(e)); ub != deg {
 					t.Fatalf("fixture %s: entity %d has degree %v under a bucket bound of %v: no plateau", m.Name(), e, deg, ub)
 				}
 			}
-			if len(f.pooled.mask) > 500 || len(f.pooled.far) < 4 {
-				t.Fatalf("fixture: mask table of %d with %d far IDs; the query, -3, 1<<30, 77777 and -9 must be past it", len(f.pooled.mask), len(f.pooled.far))
+			if len(f.pooled.mask) != int(tree.cells.maxID)+1 {
+				t.Fatalf("fixture: mask table of %d for posted IDs up to %d", len(f.pooled.mask), tree.cells.maxID)
 			}
 			f.release()
 			for k := 1; k <= len(ids)+2; k++ {
@@ -1043,7 +1076,7 @@ func TestRemovedEntityIsNoCandidate(t *testing.T) {
 	at := func(t trace.Time, base int) trace.Cell { return trace.MakeCell(t, ix.BaseUnit(spindex.BaseID(base))) }
 	st := trace.NewStore(ix)
 	var ids []trace.EntityID
-	for e := trace.EntityID(1); e <= 12; e++ {
+	for e := range trace.EntityID(12) {
 		st.Put(trace.NewSequencesFromCells(ix, e, []trace.Cell{at(trace.Time(e%4), int(e%8)), at(2, 5)}))
 		ids = append(ids, e)
 	}
@@ -1073,7 +1106,7 @@ func TestRemovedEntityIsNoCandidate(t *testing.T) {
 	// Derive until the added pairs fold into a fresh base, which rebuilds
 	// from pairs and so keeps the victim's.
 	folded := false
-	for next := trace.EntityID(100); !folded; next++ {
+	for next := trace.EntityID(st.Len()); !folded; next++ {
 		dst := st.Derive()
 		dst.Put(trace.NewSequencesFromCells(ix, next, []trace.Cell{at(trace.Time(next%8), int(next%8)), at(3, 7)}))
 		derived, err := tree.Derive(dst, []trace.EntityID{next})

@@ -89,7 +89,7 @@ func TestDeriveIsolation(t *testing.T) {
 		dirty = append(dirty, e)
 	}
 	dst := dirtyWorld(t, ix, st, dirty, 7)
-	newbie := trace.EntityID(1000)
+	newbie := trace.EntityID(dst.Len())
 	dst.AddRecords(newbie, []trace.Record{{Entity: newbie, Base: 0, Start: 1, End: 5}})
 	derived, err := tree.Derive(dst, append(dirty, newbie))
 	if err != nil {
@@ -151,7 +151,7 @@ func TestDerivedTreeMutationIsCOW(t *testing.T) {
 			t.Fatalf("Update(%d): %v", e, err)
 		}
 	}
-	newbie := trace.EntityID(2000)
+	newbie := trace.EntityID(dst.Len())
 	dst.AddRecords(newbie, []trace.Record{{Entity: newbie, Base: 1, Start: 2, End: 6}})
 	if err := derived.Insert(newbie); err != nil {
 		t.Fatalf("Insert: %v", err)
@@ -245,8 +245,8 @@ func TestDeriveMissingSequences(t *testing.T) {
 	if _, err := tree.post.Derive(st.Derive(), []trace.EntityID{5000}); err == nil {
 		t.Fatal("Postings.Derive accepted an entity with no sequences")
 	}
-	newbie := trace.EntityID(700)
 	st2 := st.Derive()
+	newbie := trace.EntityID(st2.Len())
 	st2.AddRecords(newbie, []trace.Record{{Entity: newbie, Base: spindex.BaseID(0), Start: 1, End: 4}})
 	tree.post.src = st2
 	if err := tree.Insert(newbie); err != nil {
@@ -397,5 +397,72 @@ func TestDeriveChainCostStaysFlat(t *testing.T) {
 	}
 	if f, l := median(first), median(last); l > 2*f {
 		t.Fatalf("the median of the last %d derives allocated %d bytes, of the first %d %d: %.1fx", window, l, window, f, float64(l)/float64(f))
+	}
+}
+
+// TestZeroFillAllocsFlatInFreshEntities: settling the zeros of a search that
+// reaches bound 0 (frontier.rest, which walks Postings.each) allocates as
+// much with 100 entities derived in since the entity table was sealed as with
+// none: the walk reads the ID range in place, with no per-call copy or sort
+// of the IDs written since.
+func TestZeroFillAllocsFlatInFreshEntities(t *testing.T) {
+	ix := forest(4)
+	at := func(t trace.Time, base int) trace.Cell { return trace.MakeCell(t, ix.BaseUnit(spindex.BaseID(base))) }
+	const sealed, k = 300, 10
+	st := trace.NewStore(ix)
+	var ids []trace.EntityID
+	for e := range trace.EntityID(sealed) {
+		ids = append(ids, e)
+		if e < 3 {
+			st.Put(trace.NewSequencesFromCells(ix, e, []trace.Cell{at(1, 0)})) // the query's only candidates
+			continue
+		}
+		st.Put(trace.NewSequencesFromCells(ix, e, []trace.Cell{at(trace.Time(10+e%20), int(e%16))}))
+	}
+	built, err := BuildPostings(ix, st, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := trace.NewSequencesFromCells(ix, -1, []trace.Cell{at(1, 0), at(2, 1)})
+	m := cellMeasures(t)[0]
+	zeroFill := func(fresh int) float64 {
+		t.Helper()
+		dst := st.Derive()
+		var dirty []trace.EntityID
+		for i := range fresh {
+			e := trace.EntityID(sealed + i)
+			dst.Put(trace.NewSequencesFromCells(ix, e, []trace.Cell{at(trace.Time(10+i%20), i%16)}))
+			dirty = append(dirty, e)
+		}
+		p, err := built.Derive(dst, dirty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.base) != len(built.base) || p.added.Writes() != fresh {
+			t.Fatalf("fixture: %d fresh entities resealed the entity table", fresh)
+		}
+		f, err := p.newFrontier(q, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.release()
+		best := newKBest(k)
+		for ub, _ := f.peek(); ub > 0; ub, _ = f.peek() {
+			if err := f.visit(&best, best.offer); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if f.stats.Checked != 3 {
+			t.Fatalf("fixture: the search scored %d candidates before bound 0, want 3", f.stats.Checked)
+		}
+		settled := 0
+		allocs := testing.AllocsPerRun(20, func() { f.rest(func(trace.EntityID) { settled++ }) })
+		if want := 21 * (sealed + fresh - 3); settled != want {
+			t.Fatalf("%d fresh: rest settled %d entities over 21 calls, want %d", fresh, settled, want)
+		}
+		return allocs
+	}
+	if none, hundred := zeroFill(0), zeroFill(100); none != hundred {
+		t.Fatalf("zero-fill allocates %v times with no fresh entities, %v with 100", none, hundred)
 	}
 }

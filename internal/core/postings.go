@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 
 	"digitaltraces/internal/cow"
@@ -39,13 +38,14 @@ type Postings struct {
 	// The entity table, each indexed entity's level sizes, one byte per level:
 	// byte l-1 holds min(|P^l|, 254) + 1, so an absent ID reads 0 and
 	// sizeSaturated marks a level of 254 cells or more, whose size the bound
-	// takes as unknown. The sealed base is dense, e's bytes at base[e*m:] (seal);
-	// added holds the rest and what was written since: nil for a removed entity.
+	// takes as unknown. Entity IDs index it: the sealed base holds e's bytes at
+	// base[e*m:] (seal), added what was written since, nil for a removed
+	// entity. Every indexed ID is below bound.
 	base    []byte
 	added   cow.Map[trace.EntityID, []byte]
-	fresh   cow.Map[trace.EntityID, bool] // the IDs added holds and base may lack
-	n       int                           // indexed entities
-	removed bool                          // by remove: a posted entity may not be indexed
+	bound   int
+	n       int  // indexed entities
+	removed bool // by remove: a posted entity may not be indexed
 	cells   *cellIndex
 }
 
@@ -60,6 +60,8 @@ func levelSizes(dst []byte, s *trace.Sequences) []byte {
 }
 
 // BuildPostings indexes the given entities, whose sequences src must hold.
+// Their IDs index the entity table, so the table spans 0 up to the largest:
+// the facade hands IDs out 0..n−1.
 func BuildPostings(ix *spindex.Index, src SequenceSource, entities []trace.EntityID) (*Postings, error) {
 	ents := slices.Sorted(slices.Values(entities))
 	m := ix.Height()
@@ -78,25 +80,22 @@ func BuildPostings(ix *spindex.Index, src SequenceSource, entities []trace.Entit
 	return p, nil
 }
 
-// seal enters e's sizes in the base sealed over a population of p.n: dense
-// up to about twice that, so memory stays O(|E|) whatever IDs arrive (the
-// facade allocates them from 0 upward), and in added beyond.
+// seal enters e's sizes in the sealed base.
 func (p *Postings) seal(e trace.EntityID, b []byte) {
-	if e < 0 || int(e) >= 2*p.n+16 {
-		p.added.Set(e, slices.Clone(b))
-		p.fresh.Set(e, true)
-		return
-	}
 	i := int(e) * p.m
 	if len(p.base) <= i {
 		p.base = append(p.base, make([]byte, i+p.m-len(p.base))...)
 	}
 	copy(p.base[i:], b)
+	p.bound = max(p.bound, int(e)+1)
 }
 
 // sequencesOf fetches an entity's sequences, which must exist and have m
-// levels.
+// levels; a negative ID indexes nothing.
 func sequencesOf(src SequenceSource, e trace.EntityID, m int) (*trace.Sequences, error) {
+	if e < 0 {
+		return nil, fmt.Errorf("core: entity ID %d is negative; indexed IDs are 0..n−1", e)
+	}
 	s := src.Get(e)
 	if s == nil {
 		return nil, fmt.Errorf("core: entity %d has no sequences in the source", e)
@@ -124,7 +123,7 @@ func (p *Postings) Derive(src SequenceSource, dirty []trace.EntityID) (*Postings
 	if p.added.Outgrows(p.n) {
 		p.each(func(e trace.EntityID) { d.seal(e, p.sizes(e)) })
 	} else {
-		d.base, d.added, d.fresh = p.base, p.added.Derive(), p.fresh.Derive()
+		d.base, d.added, d.bound = p.base, p.added.Derive(), p.bound
 	}
 	for i, e := range dirty {
 		d.add(e, seqs[i])
@@ -138,8 +137,8 @@ func (p *Postings) Derive(src SequenceSource, dirty []trace.EntityID) (*Postings
 func (p *Postings) add(e trace.EntityID, s *trace.Sequences) {
 	if !p.Contains(e) {
 		p.n++
-		p.fresh.Set(e, true)
 	}
+	p.bound = max(p.bound, int(e)+1)
 	p.added.Set(e, levelSizes(make([]byte, 0, p.m), s))
 	p.cells.add(e, s.At(1))
 }
@@ -189,30 +188,14 @@ func (p *Postings) Contains(e trace.EntityID) bool {
 // Len returns the number of indexed entities (|E|).
 func (p *Postings) Len() int { return p.n }
 
-// each calls fn for every indexed entity, in ascending ID order: the base's
-// walk with the fresh IDs merged in.
+// each calls fn for every indexed entity, in ascending ID order: a walk of
+// the ID range that reads the base's bytes in place and probes added only
+// for an ID the base lacks or a removal may have dropped.
 func (p *Postings) each(fn func(trace.EntityID)) {
-	emit := func(e trace.EntityID) {
-		if !p.removed || p.Contains(e) {
+	for e := range trace.EntityID(p.bound) {
+		if i := int(e) * p.m; i < len(p.base) && p.base[i] != 0 && !p.removed || p.Contains(e) {
 			fn(e)
 		}
-	}
-	rest := slices.Sorted(maps.Keys(p.fresh.Flat()))
-	for i := 0; i < len(p.base); i += p.m {
-		if p.base[i] == 0 {
-			continue
-		}
-		e := trace.EntityID(i / p.m)
-		for ; len(rest) > 0 && rest[0] < e; rest = rest[1:] {
-			emit(rest[0])
-		}
-		if len(rest) > 0 && rest[0] == e {
-			rest = rest[1:]
-		}
-		emit(e)
-	}
-	for _, e := range rest {
-		emit(e)
 	}
 }
 
@@ -224,8 +207,8 @@ func (p *Postings) Entities() []trace.EntityID {
 }
 
 // MemoryBytes estimates the index's size: the entity table (m bytes per
-// entity in reach of its dense base, 4 + m per entry written since or beyond
-// its reach) plus the cell index.
+// entity of its sealed base, 4 + m per entry written since) plus the cell
+// index.
 func (p *Postings) MemoryBytes() int {
 	return len(p.base) + (4+p.m)*p.added.Writes() + p.cells.memoryBytes()
 }

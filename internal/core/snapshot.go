@@ -21,7 +21,7 @@ import (
 //	meta      seven u64 words: levels, entity count, time unit, epoch,
 //	          measure exponents u and v, flags
 //	names     the concatenated entity names
-//	etab      the entity table, ascending by ID: one fixed-width record per
+//	etab      the entity table, row i entity i's: one fixed-width record per
 //	          entity — id, name span, sequence span, covered visit count —
 //	          closed by a CRC32C
 //	size      each entity's level sizes, m bytes in the entity table's
@@ -29,9 +29,9 @@ import (
 //	cells     the level-1 cell index (CSR), closed by a CRC32C
 //	seqs      the concatenated storage.EncodeSequences blobs, page-aligned
 //
-// The image is served in place off a read-only mapping (or any ReaderAt), IDs
-// trusted, the sizes and cell index adopted as stored, each entity's sequences
-// read and decoded once, when a query first touches them
+// The image is served in place off a read-only mapping (or any ReaderAt),
+// entity i at row i, the sizes and cell index adopted as stored, each
+// entity's sequences read and decoded once, when a query first touches them
 // (Snapshot.MappedPostings over a storage.SpanReader). A structural slip
 // anywhere trips a bounds check; a flipped ID, span, count or size in the
 // entity table, or a posting missing from the cell index, would only show as
@@ -68,9 +68,8 @@ type SnapshotMeta struct {
 	Jaccard    bool          // uniformly weighted Jaccard measure instead of Eq 7.1
 }
 
-// SnapshotEntity is one row of an image's entity table.
+// SnapshotEntity is one row of an image's entity table; row i is entity i's.
 type SnapshotEntity struct {
-	ID     trace.EntityID // the entity's ID at save time
 	Name   string
 	Folded uint32       // visits the saved index covers; FoldedUnknown for entities dirty at save time
 	Seq    storage.Span // the entity's sequence blob, absolute
@@ -80,7 +79,7 @@ type SnapshotEntity struct {
 // it came from.
 type Snapshot struct {
 	Meta     SnapshotMeta
-	Entities []SnapshotEntity // ascending by ID
+	Entities []SnapshotEntity // Entities[e] is entity e's row
 	sizes    []byte           // the stored level sizes, m bytes an entity in table order
 	cells    *cellIndex       // the stored cell index
 }
@@ -88,9 +87,10 @@ type Snapshot struct {
 // WriteSnapshot serializes the index with every entity's sequences, read from
 // seqs — the store the index was built over. info supplies each entity's name
 // and the visit count the index covers (FoldedUnknown for an entity whose
-// indexed state is stale relative to its latest visits). Names longer than
-// 64 KiB are rejected. Returns the bytes written; the output is deterministic
-// for a given index and store.
+// indexed state is stale relative to its latest visits). The indexed IDs must
+// be 0..n−1, the rows of the entity table, and names longer than 64 KiB are
+// rejected. Returns the bytes written; the output is deterministic for a
+// given index and store.
 func (p *Postings) WriteSnapshot(w io.Writer, meta SnapshotMeta, seqs SequenceSource, info func(e trace.EntityID) (name string, folded uint32)) (int64, error) {
 	if seqs == nil || info == nil {
 		return 0, fmt.Errorf("core: WriteSnapshot needs the sequence source and an entity info callback")
@@ -113,7 +113,10 @@ func (p *Postings) WriteSnapshot(w io.Writer, meta SnapshotMeta, seqs SequenceSo
 	ents := make([]byte, 0, len(entities)*entSize+4)
 	var sizes []byte
 	var seqsLen int64
-	for _, e := range entities {
+	for i, e := range entities {
+		if int(e) != i {
+			return 0, fmt.Errorf("core: entity table row %d would hold entity %d: an image holds entities 0..n−1, and entity %d is not indexed", i, e, i)
+		}
 		name, folded := info(e)
 		if len(name) > math.MaxUint16 {
 			return 0, fmt.Errorf("core: entity %d name is %d bytes, the format caps names at %d", e, len(name), math.MaxUint16)
@@ -200,8 +203,8 @@ func checksummed(b []byte, what string) ([]byte, error) {
 // decodeCells validates a cells section — checksum first, then every
 // structural property a search relies on: keys strictly ascending, offsets
 // non-decreasing from 0 to the posting count, every list strictly ascending,
-// every posted ID one the entity table holds (holds).
-func decodeCells(b []byte, holds func(trace.EntityID) bool) (*cellIndex, error) {
+// every posted ID one of the entity table's 0..count−1.
+func decodeCells(b []byte, count int) (*cellIndex, error) {
 	body, err := checksummed(b, "cell index")
 	if err != nil {
 		return nil, err
@@ -233,7 +236,7 @@ func decodeCells(b []byte, holds func(trace.EntityID) bool) (*cellIndex, error) 
 		}
 		for j := lo; j < hi; j++ {
 			e := trace.EntityID(binary.LittleEndian.Uint32(posts[4*j:]))
-			if !holds(e) {
+			if uint(e) >= uint(count) {
 				return nil, fmt.Errorf("core: corrupt snapshot: cell index posts entity %d, which the entity table does not hold", e)
 			}
 			if j > lo && ci.posts[j-1] >= e {
@@ -249,7 +252,7 @@ func decodeCells(b []byte, holds func(trace.EntityID) bool) (*cellIndex, error) 
 // mapping, the decoding is the same — up to but excluding the sequence blobs.
 // It never trusts a stored word: every scalar is bounded before it sizes an
 // allocation or is narrowed by a cast, every checksum must hold, the entity
-// table must be exactly count records with IDs strictly ascending, every name
+// table must be exactly count records, row i carrying entity ID i, every name
 // and sequence span must fall inside its section, and the cell index must
 // check out in full — so a corrupt file is a descriptive error here, not an
 // OOM now or a SIGBUS at query time. An image written before the index
@@ -339,49 +342,33 @@ func DecodeSnapshot(sr *secfile.Reader, ix *spindex.Index) (*Snapshot, error) {
 	s.Entities = make([]SnapshotEntity, count)
 	for i := range s.Entities {
 		rec := table[i*entSize:]
-		se := SnapshotEntity{ID: trace.EntityID(binary.LittleEndian.Uint32(rec)), Folded: binary.LittleEndian.Uint32(rec[28:])}
+		if id := binary.LittleEndian.Uint32(rec); id != uint32(i) {
+			return nil, fmt.Errorf("core: corrupt snapshot: entity table row %d carries ID %d, not %d (an image holds entities 0..n−1)", i, id, i)
+		}
+		se := SnapshotEntity{Folded: binary.LittleEndian.Uint32(rec[28:])}
 		nameOff, nameLen := int64(binary.LittleEndian.Uint64(rec[4:])), int64(binary.LittleEndian.Uint16(rec[12:]))
 		seqOff, seqLen := int64(binary.LittleEndian.Uint64(rec[16:])), int64(binary.LittleEndian.Uint32(rec[24:]))
 		if nameOff < 0 || nameOff > int64(len(names))-nameLen {
-			return nil, fmt.Errorf("core: snapshot entity %d: name span [%d,+%d) outside name section of %d bytes", se.ID, nameOff, nameLen, len(names))
+			return nil, fmt.Errorf("core: snapshot entity %d: name span [%d,+%d) outside name section of %d bytes", i, nameOff, nameLen, len(names))
 		}
 		if seqOff < 0 || seqLen > math.MaxInt32 || seqOff > seqs.Len-seqLen {
-			return nil, fmt.Errorf("core: snapshot entity %d: sequence span [%d,+%d) outside sequence section of %d bytes", se.ID, seqOff, seqLen, seqs.Len)
-		}
-		if i > 0 {
-			switch prev := s.Entities[i-1].ID; {
-			case prev == se.ID:
-				return nil, fmt.Errorf("core: snapshot repeats entity %d", se.ID)
-			case prev > se.ID:
-				return nil, fmt.Errorf("core: snapshot entity table not ascending at %d (ID %d after %d)", i, se.ID, prev)
-			}
+			return nil, fmt.Errorf("core: snapshot entity %d: sequence span [%d,+%d) outside sequence section of %d bytes", i, seqOff, seqLen, seqs.Len)
 		}
 		se.Name = string(names[nameOff : nameOff+nameLen])
 		se.Seq = storage.Span{Off: seqs.Off + seqOff, Len: int32(seqLen)}
 		s.Entities[i] = se
 	}
-	holds := func(e trace.EntityID) bool {
-		_, ok := slices.BinarySearchFunc(s.Entities, e, func(se SnapshotEntity, e trace.EntityID) int { return int(se.ID) - int(e) })
-		return ok
-	}
-	if count > 0 && s.Entities[0].ID == 0 && int(s.Entities[count-1].ID) == count-1 {
-		holds = func(e trace.EntityID) bool { return uint(e) < uint(count) } // dense: the usual case
-	}
-	if s.cells, err = decodeCells(cells, holds); err != nil {
+	if s.cells, err = decodeCells(cells, count); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
 // MappedPostings serves the image in place: src reads the entities' Seq
-// spans, IDs are the stored ones, the level sizes and the cell index the
-// stored ones. The load never touches src — sequences are read at query
-// time; the spans were bounds-checked by DecodeSnapshot.
+// spans, the stored level sizes are the sealed entity table and the stored
+// cell index the sealed cell index. The load never touches src — sequences
+// are read at query time; the spans were bounds-checked by DecodeSnapshot.
 func (s *Snapshot) MappedPostings(ix *spindex.Index, src SequenceSource) *Postings {
-	m := ix.Height()
-	p := &Postings{ix: ix, src: src, m: m, n: len(s.Entities), cells: s.cells.derive()}
-	for i, se := range s.Entities {
-		p.seal(se.ID, s.sizes[i*m:(i+1)*m])
-	}
-	return p
+	n := len(s.Entities)
+	return &Postings{ix: ix, src: src, m: ix.Height(), base: s.sizes, bound: n, n: n, cells: s.cells.derive()}
 }

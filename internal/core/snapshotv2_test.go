@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -100,9 +101,9 @@ func TestSnapshotV2RoundTrip(t *testing.T) {
 	if snap.Meta != meta || len(snap.Entities) != 40 {
 		t.Errorf("meta = %+v (%d entities), want %+v, 40 entities", snap.Meta, len(snap.Entities), meta)
 	}
-	for _, se := range snap.Entities {
-		if se.Name != fmt.Sprintf("e%d", se.ID) || se.Folded != uint32(se.ID) {
-			t.Fatalf("decoded %+v, want name e%d and folded %d", se, se.ID, se.ID)
+	for e, se := range snap.Entities {
+		if se.Name != fmt.Sprintf("e%d", e) || se.Folded != uint32(e) {
+			t.Fatalf("decoded %+v, want name e%d and folded %d", se, e, e)
 		}
 	}
 	m := measuresFor(t, 3)[0]
@@ -125,8 +126,9 @@ func TestSnapshotV2RoundTrip(t *testing.T) {
 // offset into postings served in place (which adopt the stored cell index) —
 // and both are the index that was saved: same entities, same answers, same
 // candidates per query. The saved index is a refresh generation with added
-// pairs, a stale pair and a removed entity, so the stored cell index is the
-// fold the writer makes, not the sealed base.
+// pairs, a stale pair and a removed entity — the one with the largest ID, so
+// the rest are still 0..n−1 — so the stored cell index is the fold the writer
+// makes, not the sealed base.
 func TestSnapshotOneImageBothReaders(t *testing.T) {
 	ix, st, base := buildRandomPostings(t, 53, 40)
 	st2 := st.Derive()
@@ -135,7 +137,7 @@ func TestSnapshotOneImageBothReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	post.remove(11)
+	post.remove(39)
 	img := writeImage(t, post, st2)
 
 	streamed, err := readSnapshot(bytes.NewReader(img), ix, st2)
@@ -148,10 +150,10 @@ func TestSnapshotOneImageBothReaders(t *testing.T) {
 	}
 	for name, loaded := range map[string]*Postings{"streamed": streamed, "mapped": mapped} {
 		requireCellInvariant(t, "loaded", loaded)
-		if got, want := len(loaded.cells.posts), len(post.cells.posts)+post.cells.added.Writes()-len(post.cells.postingsOf(11)); got != want {
+		if got, want := len(loaded.cells.posts), len(post.cells.posts)+post.cells.added.Writes()-len(post.cells.postingsOf(39)); got != want {
 			t.Errorf("%s index adopted %d postings, the saved index posts %d outside its removed entity", name, got, want)
 		}
-		if loaded.Contains(11) || !loaded.Contains(7) || !slices.Equal(loaded.Entities(), post.Entities()) {
+		if loaded.Contains(39) || !loaded.Contains(7) || !slices.Equal(loaded.Entities(), post.Entities()) {
 			t.Fatalf("%s index's population differs from the saved one", name)
 		}
 	}
@@ -227,6 +229,40 @@ func TestSnapshotLoadTimeSourceValidation(t *testing.T) {
 	}
 }
 
+// rowIDImage is a real image whose entity table's row 3 carries ID 5, its
+// checksum re-stamped: an image whose rows are not entities 0..n−1.
+func rowIDImage(t testing.TB) (img []byte, ix *spindex.Index, st *trace.Store) {
+	ix, st, post := buildRandomPostings(t, 61, 6)
+	img = writeImage(t, post, st)
+	ents := sections(t, img)[2]
+	binary.LittleEndian.PutUint32(img[ents.Off+3*entSize:], 5)
+	binary.LittleEndian.PutUint32(img[ents.End()-4:], crc32c(img[ents.Off:ents.End()-4]))
+	return img, ix, st
+}
+
+// TestDecodeSnapshotRefusesRowID: row i of an image's entity table must carry
+// entity ID i. The decoder refuses any other, naming the row, through both
+// readers — rowIDImage's image, which FuzzOpenSnapshot's corpus holds as
+// row-id-mismatch-image, too; the writer refuses an index missing an entity
+// below its largest ID, naming the row that entity would have filled.
+func TestDecodeSnapshotRefusesRowID(t *testing.T) {
+	img, ix, st := rowIDImage(t)
+	const want = "entity table row 3 carries ID 5, not 3"
+	for name, img := range map[string][]byte{"built": img, "seed": readSeed(t, "testdata/fuzz/FuzzOpenSnapshot/row-id-mismatch-image")} {
+		if _, err := readSnapshot(bytes.NewReader(img), ix, st); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s, stream: %v, want an error containing %q", name, err, want)
+		}
+		if _, err := openMapped(img, ix, st); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s, by offset: %v, want an error containing %q", name, err, want)
+		}
+	}
+	_, st, post := buildRandomPostings(t, 61, 6)
+	post.remove(2)
+	if _, err := post.WriteSnapshot(io.Discard, SnapshotMeta{TimeUnit: time.Hour}, st, snapshotNames); err == nil || !strings.Contains(err.Error(), "row 2 would hold entity 3") {
+		t.Errorf("WriteSnapshot of an index missing entity 2: %v", err)
+	}
+}
+
 // TestSnapshotV2Errors is the image's corruption table, each case through
 // both readers: truncation at every section, every bounded scalar, every
 // entity-record check and every cell-index check is a descriptive error —
@@ -292,11 +328,11 @@ func TestSnapshotV2Errors(t *testing.T) {
 		{"repeated ID", func(b []byte) {
 			copy(b[ents.Off+entSize:ents.Off+entSize+4], b[ents.Off:ents.Off+4])
 			restamp(b, ents)
-		}, "repeats entity"},
+		}, "row 1 carries ID 0"},
 		{"etab: CRC re-stamped, IDs descending", func(b []byte) {
 			binary.LittleEndian.PutUint32(b[ents.Off+entSize:], 1<<20)
 			restamp(b, ents)
-		}, "not ascending"},
+		}, "row 1 carries ID 1048576"},
 		{"cells: one posting removed, CRC stale", func(b []byte) {
 			copy(b[firstPost:cells.End()-8], b[firstPost+4:cells.End()-4])
 		}, "checksum"},
@@ -408,9 +444,10 @@ func TestSnapshotV2LoadedTreeStaysMaintainable(t *testing.T) {
 	}
 	dst := st.Derive()
 	dst.AddRecords(7, []trace.Record{{Entity: 7, Base: 3, Start: 2, End: 5}})
-	dst.AddRecords(99, []trace.Record{{Entity: 99, Base: 4, Start: 1, End: 3}})
+	newbie := trace.EntityID(dst.Len())
+	dst.AddRecords(newbie, []trace.Record{{Entity: newbie, Base: 4, Start: 1, End: 3}})
 	for _, loaded := range []*Postings{streamed, mapped} {
-		derived, err := loaded.Derive(dst, []trace.EntityID{7, 99})
+		derived, err := loaded.Derive(dst, []trace.EntityID{7, newbie})
 		if err != nil {
 			t.Fatalf("Derive on a loaded index: %v", err)
 		}
@@ -443,18 +480,24 @@ func TestRetiredImagesRefused(t *testing.T) {
 		}
 	}
 	for _, path := range append(append(paths, presize...), "testdata/fuzz/FuzzOpenSnapshot/image-without-seqs") {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lit := strings.TrimSuffix(strings.TrimPrefix(string(raw), "go test fuzz v1\n[]byte("), ")\n")
-		img, err := strconv.Unquote(lit)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		refused(path, []byte(img))
+		refused(path, readSeed(t, path))
 	}
 	refused("a fresh image cut to its entity table", bareImage(t, writeImage(t, post, st)))
+}
+
+// readSeed reads the bytes of a committed fuzz seed.
+func readSeed(t *testing.T, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit := strings.TrimSuffix(strings.TrimPrefix(string(raw), "go test fuzz v1\n[]byte("), ")\n")
+	b, err := strconv.Unquote(lit)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return []byte(b)
 }
 
 // anySource has sequences for every entity: what a fuzzed image's IDs resolve

@@ -168,7 +168,7 @@ func (d *dataset) paperADM(u, v float64) (adm.Measure, error) {
 // 1 − Checked/|E|.
 func avgPE(search func(*trace.Sequences, int, adm.Measure) ([]core.Result, core.SearchStats, error), d *dataset, queries, k int, m adm.Measure) (pe, pruned float64, err error) {
 	n := 0
-	for _, e := range d.store.Entities() {
+	for e := range trace.EntityID(d.store.Len()) {
 		if n >= queries {
 			break
 		}
@@ -210,8 +210,8 @@ func Fig71DataDistribution(sc Scale) ([]Table, error) {
 		type pairDur struct{ level, dur int }
 		var durs []pairDur
 		for qi := 0; qi < sc.Queries && qi < d.store.Len(); qi++ {
-			q := d.store.Get(d.store.Entities()[qi])
-			for _, e := range d.store.Entities() {
+			q := d.store.Get(trace.EntityID(qi))
+			for e := range trace.EntityID(d.store.Len()) {
 				if e == q.Entity {
 					continue
 				}
@@ -287,8 +287,8 @@ func Fig72ADMDistribution(sc Scale) ([]Table, error) {
 			}
 			var buckets [6]int
 			for qi := 0; qi < sc.Queries && qi < d.store.Len(); qi++ {
-				q := d.store.Get(d.store.Entities()[qi])
-				for _, e := range d.store.Entities() {
+				q := d.store.Get(trace.EntityID(qi))
+				for e := range trace.EntityID(d.store.Len()) {
 					if e == q.Entity {
 						continue
 					}
@@ -330,7 +330,7 @@ func Fig73PEvsHashFunctions(sc Scale) ([]Table, error) {
 		// Section 6.3 prediction.
 		const k = 10
 		avgC := 0
-		for _, e := range d.store.Entities() {
+		for e := range trace.EntityID(d.store.Len()) {
 			avgC += d.store.Get(e).Size(d.ix.Height())
 		}
 		avgC /= d.store.Len()
@@ -353,7 +353,7 @@ func Fig73PEvsHashFunctions(sc Scale) ([]Table, error) {
 			}
 			// Predicted: derive nc from the measured k-th best degree of
 			// the first query entity.
-			q := d.store.Get(d.store.Entities()[0])
+			q := d.store.Get(0)
 			res := core.BruteForceTopK(d.store, d.store.Entities(), q, k, m)
 			target := 0.0
 			if len(res) > 0 {
@@ -606,7 +606,7 @@ func Fig77ResultSize(sc Scale) ([]Table, error) {
 			}
 			var prBase float64
 			n := 0
-			for _, e := range d.store.Entities() {
+			for e := range trace.EntityID(d.store.Len()) {
 				if n >= sc.Queries {
 					break
 				}
@@ -677,6 +677,10 @@ func Fig79UpdateCost(sc Scale) ([]Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Fresh entities take the IDs past the population, the same ones every
+	// round: a round replaces the ones an earlier round stored and appends
+	// the rest.
+	population := trace.EntityID(d.store.Len())
 	for _, nh := range sc.HashSweep {
 		row := []string{fmt.Sprintf("%d", nh)}
 		for _, fracExisting := range []float64{1.0, 0.7, 0.4} {
@@ -690,11 +694,11 @@ func Fig79UpdateCost(sc Scale) ([]Table, error) {
 			var ops []trace.EntityID
 			for i := 0; i < batch; i++ {
 				if i < nExisting {
-					e := d.store.Entities()[i]
+					e := trace.EntityID(i)
 					d.store.Put(d.store.Get(e)) // same sequences, re-signed on update
 					ops = append(ops, e)
 				} else {
-					e := trace.EntityID(1_000_000 + i)
+					e := population + trace.EntityID(i-nExisting)
 					d.store.Put(gen(e))
 					ops = append(ops, e)
 				}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"slices"
 	"sync/atomic"
 
 	"digitaltraces/internal/spindex"
@@ -30,50 +29,25 @@ type Span struct {
 type SpanReader struct {
 	ix      *spindex.Index
 	r       io.ReaderAt
-	order   []trace.EntityID // strictly ascending
-	spans   []Span
+	spans   []Span // entity e's record is spans[e]
 	seqs    []atomic.Pointer[trace.Sequences]
 	decoded atomic.Int64
 }
 
-// NewSpanReader opens a reader over r, whose length is size: order[i]'s
-// record is spans[i], offsets relative to r, and order is strictly
-// ascending, as an image's entity table is. Every span is validated against
+// NewSpanReader opens a reader over r, whose length is size, for entities
+// 0..len(spans)−1: entity e's record is spans[e], offsets relative to r, as
+// an image's entity table lays them out. Every span is validated against
 // size here, at open time: a file truncated after its directory was written
 // fails with the offending entity named instead of panicking (or SIGBUS-ing
 // a mapped page) during some later query.
-func NewSpanReader(ix *spindex.Index, r io.ReaderAt, size int64, order []trace.EntityID, spans []Span) (*SpanReader, error) {
-	if len(order) != len(spans) {
-		return nil, fmt.Errorf("storage: %d entities in order, %d spans", len(order), len(spans))
-	}
-	for i, e := range order {
-		sp := spans[i]
+func NewSpanReader(ix *spindex.Index, r io.ReaderAt, size int64, spans []Span) (*SpanReader, error) {
+	for e, sp := range spans {
 		if sp.Off < 0 || sp.Len < 0 || sp.Off+int64(sp.Len) > size {
 			return nil, fmt.Errorf("storage: entity %d span [%d,%d) exceeds backing size %d (truncated file?)",
 				e, sp.Off, sp.Off+int64(sp.Len), size)
 		}
-		if i > 0 && e <= order[i-1] {
-			return nil, fmt.Errorf("storage: entity %d follows entity %d (IDs must ascend strictly)", e, order[i-1])
-		}
 	}
-	return &SpanReader{
-		ix:    ix,
-		r:     r,
-		order: order,
-		spans: spans,
-		seqs:  make([]atomic.Pointer[trace.Sequences], len(order)),
-	}, nil
-}
-
-// slot returns e's position in order, spans and seqs, or -1.
-func (sr *SpanReader) slot(e trace.EntityID) int {
-	if uint(e) < uint(len(sr.order)) && sr.order[e] == e {
-		return int(e) // dense IDs, as a DB's saved image has
-	}
-	if i, ok := slices.BinarySearch(sr.order, e); ok {
-		return i
-	}
-	return -1
+	return &SpanReader{ix: ix, r: r, spans: spans, seqs: make([]atomic.Pointer[trace.Sequences], len(spans))}, nil
 }
 
 // Get returns e's sequences, reading and decoding them on the first call;
@@ -81,35 +55,29 @@ func (sr *SpanReader) slot(e trace.EntityID) int {
 // panics naming the entity: a nil here would let a fold drop the image's
 // cells for it without a trace.
 func (sr *SpanReader) Get(e trace.EntityID) *trace.Sequences {
-	i := sr.slot(e)
-	if i < 0 {
+	if uint(e) >= uint(len(sr.spans)) {
 		return nil
 	}
-	if s := sr.seqs[i].Load(); s != nil {
+	if s := sr.seqs[e].Load(); s != nil {
 		return s
 	}
-	sp := sr.spans[i]
+	sp := sr.spans[e]
 	buf := make([]byte, sp.Len)
 	n, err := sr.r.ReadAt(buf, sp.Off)
 	if n == len(buf) {
 		var s *trace.Sequences
 		if s, err = DecodeSequences(sr.ix, buf); err == nil {
-			if sr.seqs[i].CompareAndSwap(nil, s) {
+			if sr.seqs[e].CompareAndSwap(nil, s) {
 				sr.decoded.Add(1)
 			}
-			return sr.seqs[i].Load()
+			return sr.seqs[e].Load()
 		}
 	}
 	panic(fmt.Sprintf("storage: corrupt record for entity %d: %v", e, err))
 }
 
-// Has reports whether the reader holds a record for e.
-func (sr *SpanReader) Has(e trace.EntityID) bool {
-	return sr.slot(e) >= 0
-}
-
-// Entities returns the entity IDs in the order given at open.
-func (sr *SpanReader) Entities() []trace.EntityID { return sr.order }
+// Len returns the number of entities the reader holds, 0..Len()−1.
+func (sr *SpanReader) Len() int { return len(sr.spans) }
 
 // Decoded returns how many entities have been decoded into the heap so far.
 func (sr *SpanReader) Decoded() int { return int(sr.decoded.Load()) }

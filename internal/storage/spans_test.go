@@ -12,18 +12,17 @@ import (
 )
 
 // encodeRegion serializes every entity of mem into one contiguous buffer and
-// returns the order and spans NewSpanReader needs — the same shape the
+// returns the spans NewSpanReader needs, entity e's at e — the same shape the
 // mapped snapshot writer produces.
-func encodeRegion(mem *trace.Store) ([]byte, []trace.EntityID, []storage.Span) {
+func encodeRegion(mem *trace.Store) ([]byte, []storage.Span) {
 	var buf bytes.Buffer
-	order := mem.Entities()
-	spans := make([]storage.Span, len(order))
-	for i, e := range order {
-		blob := storage.EncodeSequences(mem.Get(e))
-		spans[i] = storage.Span{Off: int64(buf.Len()), Len: int32(len(blob))}
+	spans := make([]storage.Span, mem.Len())
+	for e := range spans {
+		blob := storage.EncodeSequences(mem.Get(trace.EntityID(e)))
+		spans[e] = storage.Span{Off: int64(buf.Len()), Len: int32(len(blob))}
 		buf.Write(blob)
 	}
-	return buf.Bytes(), order, spans
+	return buf.Bytes(), spans
 }
 
 // countingReader counts the ReadAt calls that reach the backing.
@@ -48,9 +47,9 @@ func (c *countingReader) count() int {
 
 func TestSpanReaderRoundTrip(t *testing.T) {
 	ix, mem := randomStore(t, 7, 12)
-	data, order, spans := encodeRegion(mem)
+	data, spans := encodeRegion(mem)
 	r := &countingReader{ReaderAt: bytes.NewReader(data)}
-	sr, err := storage.NewSpanReader(ix, r, int64(len(data)), order, spans)
+	sr, err := storage.NewSpanReader(ix, r, int64(len(data)), spans)
 	if err != nil {
 		t.Fatalf("NewSpanReader: %v", err)
 	}
@@ -58,7 +57,7 @@ func TestSpanReaderRoundTrip(t *testing.T) {
 		t.Fatalf("open decoded %d entities in %d reads, want none", sr.Decoded(), r.count())
 	}
 	for pass := 0; pass < 2; pass++ {
-		for _, e := range order {
+		for e := range trace.EntityID(mem.Len()) {
 			want, got := mem.Get(e), sr.Get(e)
 			if got == nil {
 				t.Fatalf("entity %d: Get returned nil", e)
@@ -79,42 +78,20 @@ func TestSpanReaderRoundTrip(t *testing.T) {
 			}
 		}
 		// Each entity is read and decoded once; the second pass is all heap.
-		if sr.Decoded() != len(order) || r.count() != len(order) {
-			t.Fatalf("pass %d: %d entities decoded in %d reads, want %d of each", pass, sr.Decoded(), r.count(), len(order))
+		if sr.Decoded() != len(spans) || r.count() != len(spans) {
+			t.Fatalf("pass %d: %d entities decoded in %d reads, want %d of each", pass, sr.Decoded(), r.count(), len(spans))
 		}
 	}
-	if sr.Get(order[0]) != sr.Get(order[0]) {
+	if sr.Get(0) != sr.Get(0) {
 		t.Fatal("Get returned two copies of one entity")
 	}
-	if !sr.Has(order[0]) {
-		t.Fatal("Has(known) = false")
+	if sr.Len() != mem.Len() {
+		t.Fatalf("Len = %d, want %d", sr.Len(), mem.Len())
 	}
-	if sr.Has(trace.EntityID(1<<20)) || sr.Get(trace.EntityID(1<<20)) != nil {
-		t.Fatal("unknown entity reported present")
-	}
-}
-
-// TestSpanReaderSparseIDs: a reader over IDs that are not 0..n-1 (an image
-// covering part of a registry) finds each by search.
-func TestSpanReaderSparseIDs(t *testing.T) {
-	ix, mem := randomStore(t, 12, 9)
-	data, order, spans := encodeRegion(mem)
-	var sparse []trace.EntityID
-	var sparseSpans []storage.Span
-	for i := 1; i < len(order); i += 2 {
-		sparse, sparseSpans = append(sparse, order[i]), append(sparseSpans, spans[i])
-	}
-	sr, err := storage.NewSpanReader(ix, bytes.NewReader(data), int64(len(data)), sparse, sparseSpans)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range order {
-		got := sr.Get(e)
-		if (got != nil) != (i%2 == 1) || sr.Has(e) != (i%2 == 1) {
-			t.Fatalf("entity %d: present = %t, want %t", e, got != nil, i%2 == 1)
-		}
-		if got != nil && got.TotalCells() != mem.Get(e).TotalCells() {
-			t.Fatalf("entity %d: %d cells, want %d", e, got.TotalCells(), mem.Get(e).TotalCells())
+	// The reader holds entities 0..Len()−1 and nothing else.
+	for _, e := range []trace.EntityID{-1, trace.EntityID(mem.Len()), 1 << 20} {
+		if sr.Get(e) != nil {
+			t.Fatalf("entity %d outside 0..%d reported present", e, mem.Len()-1)
 		}
 	}
 }
@@ -123,8 +100,8 @@ func TestSpanReaderSparseIDs(t *testing.T) {
 // every entity all see one published copy, and each entity counts once.
 func TestSpanReaderConcurrentFirstReads(t *testing.T) {
 	ix, mem := randomStore(t, 10, 30)
-	data, order, spans := encodeRegion(mem)
-	sr, err := storage.NewSpanReader(ix, bytes.NewReader(data), int64(len(data)), order, spans)
+	data, spans := encodeRegion(mem)
+	sr, err := storage.NewSpanReader(ix, bytes.NewReader(data), int64(len(data)), spans)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +111,7 @@ func TestSpanReaderConcurrentFirstReads(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for _, e := range order {
+			for e := range trace.EntityID(len(spans)) {
 				got[g] = append(got[g], sr.Get(e))
 			}
 		}()
@@ -143,12 +120,12 @@ func TestSpanReaderConcurrentFirstReads(t *testing.T) {
 	for g := range got {
 		for i, s := range got[g] {
 			if s != got[0][i] {
-				t.Fatalf("goroutine %d saw another copy of entity %d", g, order[i])
+				t.Fatalf("goroutine %d saw another copy of entity %d", g, i)
 			}
 		}
 	}
-	if sr.Decoded() != len(order) {
-		t.Fatalf("decoded %d entities, want %d", sr.Decoded(), len(order))
+	if sr.Decoded() != len(spans) {
+		t.Fatalf("decoded %d entities, want %d", sr.Decoded(), len(spans))
 	}
 }
 
@@ -156,10 +133,10 @@ func TestSpanReaderConcurrentFirstReads(t *testing.T) {
 // time with the entity named, never panics in a later Get.
 func TestSpanReaderTruncation(t *testing.T) {
 	ix, mem := randomStore(t, 8, 6)
-	data, order, spans := encodeRegion(mem)
+	data, spans := encodeRegion(mem)
 	// Chop the tail off the region: the last entity's span now dangles.
 	short := data[:len(data)-8]
-	_, err := storage.NewSpanReader(ix, bytes.NewReader(short), int64(len(short)), order, spans)
+	_, err := storage.NewSpanReader(ix, bytes.NewReader(short), int64(len(short)), spans)
 	if err == nil {
 		t.Fatal("NewSpanReader accepted a truncated backing")
 	}
@@ -171,22 +148,11 @@ func TestSpanReaderTruncation(t *testing.T) {
 	}
 
 	// Negative offsets and lengths are rejected too.
-	if _, err := storage.NewSpanReader(ix, bytes.NewReader(data), int64(len(data)), order[:1], []storage.Span{{Off: -1, Len: 4}}); err == nil {
+	if _, err := storage.NewSpanReader(ix, bytes.NewReader(data), int64(len(data)), []storage.Span{{Off: -1, Len: 4}}); err == nil {
 		t.Fatal("NewSpanReader accepted a negative offset")
 	}
-	if _, err := storage.NewSpanReader(ix, bytes.NewReader(data), int64(len(data)), order[:1], []storage.Span{{Off: 0, Len: -4}}); err == nil {
+	if _, err := storage.NewSpanReader(ix, bytes.NewReader(data), int64(len(data)), []storage.Span{{Off: 0, Len: -4}}); err == nil {
 		t.Fatal("NewSpanReader accepted a negative length")
-	}
-	// Order/spans mismatch.
-	if _, err := storage.NewSpanReader(ix, bytes.NewReader(data), int64(len(data)), order[:len(order)-1], spans); err == nil {
-		t.Fatal("NewSpanReader accepted mismatched order/spans")
-	}
-	// One entity, two spans; IDs out of order.
-	if _, err := storage.NewSpanReader(ix, bytes.NewReader(data), int64(len(data)), []trace.EntityID{order[0], order[0]}, spans[:2]); err == nil {
-		t.Fatal("NewSpanReader accepted an entity with two spans")
-	}
-	if _, err := storage.NewSpanReader(ix, bytes.NewReader(data), int64(len(data)), []trace.EntityID{order[1], order[0]}, spans[:2]); err == nil {
-		t.Fatal("NewSpanReader accepted descending IDs")
 	}
 }
 
@@ -194,10 +160,10 @@ func TestSpanReaderTruncation(t *testing.T) {
 // naming the entity — never a nil that a fold would read as "no cells".
 func TestSpanReaderCorruptRecordPanics(t *testing.T) {
 	ix, mem := randomStore(t, 11, 2)
-	data, order, spans := encodeRegion(mem)
+	data, spans := encodeRegion(mem)
 	data = bytes.Clone(data)
 	data[spans[0].Off+4] ^= 0xff // the level count
-	sr, err := storage.NewSpanReader(ix, bytes.NewReader(data), int64(len(data)), order, spans)
+	sr, err := storage.NewSpanReader(ix, bytes.NewReader(data), int64(len(data)), spans)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,23 +173,23 @@ func TestSpanReaderCorruptRecordPanics(t *testing.T) {
 			t.Fatalf("Get of a corrupt record: recovered %q, want a corrupt-record panic", msg)
 		}
 	}()
-	sr.Get(order[0])
+	sr.Get(0)
 }
 
 // TestSpanReaderDoesNotOwnReader: the reader has no Close, so the caller's
 // backing is the caller's to close, and reads go through it as given.
 func TestSpanReaderDoesNotOwnReader(t *testing.T) {
 	ix, mem := randomStore(t, 9, 3)
-	data, order, spans := encodeRegion(mem)
+	data, spans := encodeRegion(mem)
 	r := io.NewSectionReader(bytes.NewReader(data), 0, int64(len(data)))
-	sr, err := storage.NewSpanReader(ix, r, int64(len(data)), order, spans)
+	sr, err := storage.NewSpanReader(ix, r, int64(len(data)), spans)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := any(sr).(io.Closer); ok {
 		t.Fatal("SpanReader can close the caller's backing")
 	}
-	if got := sr.Get(order[0]); got == nil {
+	if got := sr.Get(0); got == nil {
 		t.Fatal("Get through a section reader failed")
 	}
 }

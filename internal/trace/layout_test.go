@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -158,121 +157,102 @@ func TestValidateRejectsBrokenDerivation(t *testing.T) {
 	}
 }
 
-// mapBacking is a Backing over a plain map, in a fixed entity order.
-type mapBacking struct {
-	seqs map[EntityID]*Sequences
-	ids  []EntityID
-}
+// sliceBacking is a Backing over a plain slice: entity e is seqs[e].
+type sliceBacking []*Sequences
 
-func (b *mapBacking) Get(e EntityID) *Sequences { return b.seqs[e] }
-func (b *mapBacking) Has(e EntityID) bool       { _, ok := b.seqs[e]; return ok }
-func (b *mapBacking) Entities() []EntityID      { return b.ids }
-
-// storeModel is what a Store must behave like: a map plus first-insertion
-// order.
-type storeModel struct {
-	seqs  map[EntityID]*Sequences
-	order []EntityID
-}
-
-func (m *storeModel) put(s *Sequences) {
-	if _, ok := m.seqs[s.Entity]; !ok {
-		m.order = append(m.order, s.Entity)
-	}
-	m.seqs[s.Entity] = s
-}
-
-func (m *storeModel) clone() *storeModel {
-	return &storeModel{seqs: maps.Clone(m.seqs), order: slices.Clone(m.order)}
-}
+func (b sliceBacking) Get(e EntityID) *Sequences { return b[e] }
+func (b sliceBacking) Len() int                  { return len(b) }
 
 // TestStoreMatchesMapModel drives Put/Get/Derive/Entities/Len at random, many
-// generations deep and across the reseal threshold, with
-// and without a Backing, over dense, negative, sparse and huge entity IDs,
-// and checks every live generation against a plain-map model after each
-// step — so a write leaking into a frozen parent or a sibling shows up.
+// generations deep and across the reseal threshold, with and without a
+// Backing, and checks every live generation against a model — a slice
+// mapping each ID to its last Put — after each step — so a write leaking into a frozen parent or a sibling shows up. A Put
+// replaces a held ID or appends the next one; any other ID (negative, one
+// past the next, far beyond) panics naming both IDs and changes nothing. An
+// owned table never outgrows the population.
 func TestStoreMatchesMapModel(t *testing.T) {
 	ix := fixture411(t)
 	seq := func(e EntityID, stamp int) *Sequences {
 		return NewSequences(ix, e, []Record{{Entity: e, Base: spindex.BaseID(stamp % 4), Start: Time(stamp), End: Time(stamp) + 1}})
 	}
-	probes := []EntityID{-7, -1, 0, 1, 2, 3, 5, 40, 41, 199, 200, 5000, 1 << 20, 1 << 30}
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		randomID := func() EntityID {
-			switch rng.Intn(10) {
-			case 0:
-				return probes[rng.Intn(len(probes))]
-			case 1:
-				return EntityID(-1 - rng.Intn(3))
-			default:
-				return EntityID(rng.Intn(60)) // dense: collides often, so replacements are common
-			}
-		}
-		st, model := NewStore(ix), &storeModel{seqs: map[EntityID]*Sequences{}}
+		st, model := NewStore(ix), []*Sequences(nil)
 		if seed%2 == 1 {
-			b := &mapBacking{seqs: map[EntityID]*Sequences{}}
-			for _, e := range []EntityID{2, 0, 41, 1 << 20, -1} {
-				b.seqs[e], b.ids = seq(e, 0), append(b.ids, e)
-				model.put(b.seqs[e])
+			var b sliceBacking
+			for e := range EntityID(5) {
+				b = append(b, seq(e, 0))
 			}
-			st = NewBackedStore(ix, b)
+			st, model = NewBackedStore(ix, b), slices.Clone(b)
 		}
 		type generation struct {
 			st     *Store
-			model  *storeModel
+			model  []*Sequences
 			frozen bool
 		}
 		gens := []*generation{{st: st, model: model}}
 		check := func(step int) {
 			t.Helper()
 			for gi, g := range gens {
-				if g.st.Len() != len(g.model.seqs) {
-					t.Fatalf("seed %d step %d gen %d: Len = %d, want %d", seed, step, gi, g.st.Len(), len(g.model.seqs))
+				n := len(g.model)
+				if g.st.Len() != n {
+					t.Fatalf("seed %d step %d gen %d: Len = %d, want %d", seed, step, gi, g.st.Len(), n)
 				}
-				if got := g.st.Entities(); !slices.Equal(got, g.model.order) {
-					t.Fatalf("seed %d step %d gen %d: Entities = %v, want %v", seed, step, gi, got, g.model.order)
+				if got := g.st.Entities(); len(got) != n || n > 0 && (got[0] != 0 || got[n-1] != EntityID(n-1)) {
+					t.Fatalf("seed %d step %d gen %d: Entities = %v, want 0..%d", seed, step, gi, got, n-1)
 				}
-				for _, e := range g.model.order {
-					if g.st.Get(e) != g.model.seqs[e] {
+				for e, s := range g.model {
+					if g.st.Get(EntityID(e)) != s {
 						t.Fatalf("seed %d step %d gen %d: Get(%d) is not the last Put", seed, step, gi, e)
 					}
 				}
-				for _, e := range probes {
-					if _, ok := g.model.seqs[e]; !ok && g.st.Get(e) != nil {
+				for _, e := range []EntityID{-1, EntityID(n), EntityID(n + 1), 1 << 30} {
+					if g.st.Get(e) != nil {
 						t.Fatalf("seed %d step %d gen %d: Get(%d) found an entity never put", seed, step, gi, e)
 					}
 				}
-				if g.st.owner {
-					for e := range g.st.far {
-						if e >= 0 && int(e) < g.st.tableReach() {
-							t.Fatalf("seed %d step %d gen %d: owned base's far map holds %d, within the table's reach %d", seed, step, gi, e, g.st.tableReach())
-						}
-					}
+				if g.st.owner && len(g.st.table) > n {
+					t.Fatalf("seed %d step %d gen %d: owned table of %d slots for %d entities", seed, step, gi, len(g.st.table), n)
 				}
 			}
 		}
+		mustPanic := func(step int, what string, put func()) {
+			t.Helper()
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("seed %d step %d: %s did not panic", seed, step, what)
+				}
+			}()
+			put()
+		}
 		for step := 0; step < 250; step++ {
 			g := gens[rng.Intn(len(gens))]
-			switch op := rng.Intn(12); {
+			n := len(g.model)
+			switch op := rng.Intn(14); {
 			case op < 8:
-				s := seq(randomID(), step)
+				e := EntityID(n) // append …
+				if n > 0 && rng.Intn(2) == 0 {
+					e = EntityID(rng.Intn(n)) // … or replace, often
+				}
+				s := seq(e, step)
 				if g.frozen {
-					func() {
-						defer func() {
-							if recover() == nil {
-								t.Fatalf("seed %d step %d: Put on a frozen store did not panic", seed, step)
-							}
-						}()
-						g.st.Put(s)
-					}()
+					mustPanic(step, "Put on a frozen store", func() { g.st.Put(s) })
 					continue
 				}
 				g.st.Put(s)
-				g.model.put(s)
+				if e == EntityID(n) {
+					g.model = append(g.model, s)
+				} else {
+					g.model[e] = s
+				}
+			case op < 10:
+				if !g.frozen {
+					e := []EntityID{-1, EntityID(n + 1), EntityID(n + 2 + rng.Intn(50)), 1 << 30}[rng.Intn(4)]
+					mustPanic(step, fmt.Sprintf("Put of entity %d into a store of %d", e, n), func() { g.st.Put(seq(e, step)) })
+				}
 			default:
 				g.frozen = true
-				gens = append(gens, &generation{st: g.st.Derive(), model: g.model.clone()})
+				gens = append(gens, &generation{st: g.st.Derive(), model: slices.Clone(g.model)})
 			}
 			if len(gens) > 6 { // keep the newest few: chains get deep, checks stay cheap
 				gens = gens[len(gens)-6:]
@@ -282,25 +262,20 @@ func TestStoreMatchesMapModel(t *testing.T) {
 	}
 }
 
-// TestStoreTableStaysProportionalToPopulation: IDs the dense table cannot
-// hold cheaply live in the base's far map, so three entities cost three
-// entries no matter how large or negative their IDs are, through Derive and a
-// reseal too.
+// TestStoreTableStaysProportionalToPopulation: the table is indexed by ID and
+// IDs are 0..n−1, so three entities cost three slots in every store shape —
+// root, derived, resealed, derived twice — and allocate next to nothing.
 func TestStoreTableStaysProportionalToPopulation(t *testing.T) {
 	ix := fixture411(t)
-	build := func() *Store {
-		st := NewStore(ix)
-		for _, e := range []EntityID{-1, 5, 1 << 30} {
-			st.AddRecords(e, []Record{{Entity: e, Base: 0, Start: 0, End: 1}})
-		}
-		return st
-	}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	st := build()
+	st := NewStore(ix)
+	for e := range EntityID(3) {
+		st.AddRecords(e, []Record{{Entity: e, Base: 0, Start: 0, End: 1}})
+	}
 	rewritten := st.Derive()
-	for _, e := range []EntityID{-1, 5, 1 << 30} {
+	for e := range EntityID(3) {
 		rewritten.Put(st.Get(e))
 	}
 	shapes := map[string]*Store{"root": st, "derived": st.Derive(), "resealed": rewritten.Derive()}
@@ -313,56 +288,59 @@ func TestStoreTableStaysProportionalToPopulation(t *testing.T) {
 		t.Fatal("a derive over an overlay that outgrew the store did not reseal")
 	}
 	for name, s := range shapes {
-		if len(s.table) > 64 {
-			t.Errorf("%s: table has %d slots for IDs {-1, 5, 1<<30}", name, len(s.table))
+		if len(s.table) != 3 {
+			t.Errorf("%s: table has %d slots for IDs 0..2", name, len(s.table))
 		}
-		for _, e := range []EntityID{-1, 5, 1 << 30} {
+		for e := range EntityID(3) {
 			if s.Get(e) == nil {
 				t.Errorf("%s: lost entity %d", name, e)
 			}
 		}
-		if s.Len() != 3 || fmt.Sprint(s.Entities()) != fmt.Sprint([]EntityID{-1, 5, 1 << 30}) {
+		if s.Len() != 3 || fmt.Sprint(s.Entities()) != fmt.Sprint([]EntityID{0, 1, 2}) {
 			t.Errorf("%s: Len %d, Entities %v", name, s.Len(), s.Entities())
 		}
 	}
 }
 
-// TestStoreOverlayDrainsIntoTable: an ID that arrives before the population
-// justifies a table slot waits in the base's far map only until the table's
-// reach passes it, whatever the arrival order — so Get stays an indexed load
-// and the first Derive starts an empty overlay over the shared table.
+// TestStoreOverlayDrainsIntoTable: the writes a derived generation holds in
+// its overlay — replacements and appended IDs alike — move into a fresh table
+// at the reseal, whatever order they arrived in, so Get is an indexed load
+// again and the next Derive starts an empty overlay over that table.
 func TestStoreOverlayDrainsIntoTable(t *testing.T) {
 	ix := fixture411(t)
 	const n = 400
 	orders := map[string]func(i int) EntityID{
-		"descending":       func(i int) EntityID { return EntityID(n - 1 - i) },
-		"late block first": func(i int) EntityID { return EntityID((i + n/2) % n) },
-		"gaps, then fill":  func(i int) EntityID { return EntityID((3 * i) % n) }, // 0,3,6,… then 2,5,… then 1,4,…
+		"descending":      func(i int) EntityID { return EntityID(n - 1 - i) },
+		"strided":         func(i int) EntityID { return EntityID((7 * i) % n) },
+		"appending first": func(i int) EntityID { return EntityID((i + n/2) % n) },
 	}
 	for name, id := range orders {
-		st, waited := NewStore(ix), 0
-		for i := 0; i < n; i++ {
+		root := NewStore(ix)
+		for e := range EntityID(n / 2) {
+			root.AddRecords(e, []Record{{Entity: e, Base: 0, Start: 0, End: 1}})
+		}
+		d, want := root.Derive(), map[EntityID]*Sequences{}
+		for i := range n {
 			e := id(i)
-			st.AddRecords(e, []Record{{Entity: e, Base: 0, Start: 0, End: 1}})
-			waited = max(waited, len(st.far))
+			if int(e) > d.Len() {
+				continue // not the next ID yet: the order brings it back later
+			}
+			want[e] = d.AddRecords(e, []Record{{Entity: e, Base: spindex.BaseID(i % 4), Start: Time(i), End: Time(i) + 1}})
 		}
-		if waited == 0 {
-			t.Errorf("%s: no ID ever waited in the far map; the order exercises nothing", name)
+		if d.owner || d.overlay.Writes() == 0 {
+			t.Fatalf("%s: the writes never reached an overlay", name)
 		}
-		inTable := 0
-		for _, s := range st.table {
-			if s != nil {
-				inTable++
+		resealed := d.Derive()
+		if !resealed.owner || resealed.overlay.Writes() != 0 || len(resealed.table) != d.Len() {
+			t.Fatalf("%s: reseal left an overlay of %d writes, or a table of %d slots for %d entities", name, resealed.overlay.Writes(), len(resealed.table), d.Len())
+		}
+		for e, s := range want {
+			if resealed.table[e] != s {
+				t.Fatalf("%s: entity %d's last write did not drain into the table", name, e)
 			}
 		}
-		if len(st.far) != 0 || inTable != n {
-			t.Errorf("%s: %d of %d entities left in the far map, %d in the table", name, len(st.far), n, inTable)
-		}
-		if len(st.table) > st.tableReach() {
-			t.Errorf("%s: table has %d slots for %d entities", name, len(st.table), n)
-		}
-		if d := st.Derive(); d.overlay.Writes() != 0 || &d.table[0] != &st.table[0] || d.Len() != n {
-			t.Errorf("%s: Derive started an overlay of %d writes or a table of its own, Len %d", name, d.overlay.Writes(), d.Len())
+		if next := resealed.Derive(); next.overlay.Writes() != 0 || &next.table[0] != &resealed.table[0] || next.Len() != d.Len() {
+			t.Errorf("%s: Derive after the reseal started an overlay of %d writes or a table of its own, Len %d", name, next.overlay.Writes(), next.Len())
 		}
 	}
 }

@@ -288,53 +288,40 @@ func Intersection(a, b []Cell) []Cell {
 // Store is an in-memory collection of entity sequences, the "digital-trace
 // database" the index and the query processor read from.
 //
-// Entries live in a sealed base under a copy-on-write overlay (a cow.Map),
-// over an optional Backing. The base is a dense table indexed by entity ID —
-// the facade allocates IDs from 0 upward by arrival, so a read is one indexed
-// load — and a map for the IDs the table cannot hold: negative, sparse or far
-// beyond the population (the table only ever reaches about twice the live
-// entity count, so memory stays O(|E|) whatever IDs arrive; an early ID moves
-// in once the table reaches it). A root store writes its base in place.
-// Derive, the seam of the root package's incremental folds, gives the child
-// the shared base and the next generation of the overlay, or, once the
-// overlay outgrows the store, a fresh base holding every entry: an O(|E|)
-// reseal that amortizes to O(1) per write. Both rely on *Sequences values
-// being immutable: AddRecords replaces an entity's entry, never mutates it.
+// Entity IDs are 0..n−1: the facade hands them out densely by arrival, and
+// Put takes only an ID the store holds or the next one. Entries live in a
+// sealed base under a copy-on-write overlay (a cow.Map), over an optional
+// Backing. The base is a table indexed by entity ID, so a read is one
+// indexed load; a root store writes it in place. Derive, the seam of the
+// root package's incremental folds, gives the child the shared base and the
+// next generation of the overlay, or, once the overlay outgrows the store, a
+// fresh base holding every entry: an O(|E|) reseal that amortizes to O(1)
+// per write. Both rely on *Sequences values being immutable: AddRecords
+// replaces an entity's entry, never mutates it.
 type Store struct {
 	ix *spindex.Index
-	// The base: table[e] for 0 ≤ e < len(table) (nil = absent), far for the IDs
-	// beyond its reach, ids their insertion order; written in place only by its
-	// owner, a root or a reseal's child, until Derive shares it.
-	table []*Sequences
-	far   map[EntityID]*Sequences
-	ids   []EntityID
-	owner bool
-	// The derived generations' writes, and the entities they inserted: order
-	// maps i to the i-th.
-	overlay cow.Map[EntityID, *Sequences]
-	order   cow.Map[int, EntityID]
-	backing Backing // optional lowest layer (mmap/disk); nil for pure in-heap stores
-	n       int     // live entities across all layers
-	frozen  bool    // set once Derive shares this store's layers with a child
+	// The base: table[e] (nil = in the backing only), written in place only
+	// by its owner, a root or a reseal's child, until Derive shares it.
+	table   []*Sequences
+	owner   bool
+	overlay cow.Map[EntityID, *Sequences] // the derived generations' writes
+	backing Backing                       // optional lowest layer (mmap/disk); nil for pure in-heap stores
+	n       int                           // entities across all layers: IDs 0..n−1
+	frozen  bool                          // set once Derive shares this store's layers with a child
 }
 
-// denseSlack lets a small or empty store take its first few IDs into the
-// table without waiting for the population to justify them.
-const denseSlack = 16
-
 // Backing is a read-only lowest layer of sequences living outside the heap —
-// the sequence region of a saved index image. Reads that miss both in-heap
-// layers fall through to it; writes always land in the heap layers and
-// shadow it. storage.SpanReader satisfies this.
+// the sequence region of a saved index image, holding entities 0..Len()−1.
+// Reads that miss both in-heap layers fall through to it; writes always land
+// in the heap layers and shadow it. storage.SpanReader satisfies this.
 type Backing interface {
 	Get(EntityID) *Sequences
-	Has(EntityID) bool
-	Entities() []EntityID
+	Len() int
 }
 
 // NewStore returns an empty store over the given sp-index.
 func NewStore(ix *spindex.Index) *Store {
-	return &Store{ix: ix, far: make(map[EntityID]*Sequences), owner: true}
+	return &Store{ix: ix, owner: true}
 }
 
 // NewBackedStore returns a store whose lowest layer is b: every entity of b
@@ -342,9 +329,7 @@ func NewStore(ix *spindex.Index) *Store {
 // shadows b's entries in the heap without touching them. The backing
 // survives Derive — it is the permanent floor of the layer stack.
 func NewBackedStore(ix *spindex.Index, b Backing) *Store {
-	st := NewStore(ix)
-	st.backing, st.n = b, len(b.Entities())
-	return st
+	return &Store{ix: ix, owner: true, backing: b, n: b.Len()}
 }
 
 // Backing returns the store's lowest layer, or nil for a pure in-heap store.
@@ -353,26 +338,19 @@ func (st *Store) Backing() Backing { return st.backing }
 // Index returns the sp-index the store's sequences are built against.
 func (st *Store) Index() *spindex.Index { return st.ix }
 
-// Put inserts or replaces the sequences of an entity. Put panics on a frozen
-// store — one a Derive already shares structure with; mutate the derived
-// store instead.
+// Put replaces the sequences of an entity the store holds, or appends those
+// of the next ID, Len(). It panics on any other ID, and on a frozen store —
+// one a Derive already shares structure with; mutate the derived store
+// instead.
 func (st *Store) Put(s *Sequences) {
 	if st.frozen {
 		panic("trace: Put on a frozen store (Derive shared its entries with a newer generation); mutate the derived store instead")
 	}
-	if st.heapGet(s.Entity) == nil && (st.backing == nil || !st.backing.Has(s.Entity)) {
+	switch e := int(s.Entity); {
+	case e == st.n:
 		st.n++
-		if !st.owner {
-			st.order.Set(st.order.Writes(), s.Entity)
-		} else if st.ids = append(st.ids, s.Entity); len(st.far) != 0 {
-			// The table's reach grew by two IDs: move them in if they came early.
-			for e := st.tableReach() - 2; e < st.tableReach(); e++ {
-				if early, ok := st.far[EntityID(e)]; ok {
-					delete(st.far, EntityID(e))
-					st.place(early)
-				}
-			}
-		}
+	case e < 0 || e > st.n:
+		panic(fmt.Sprintf("trace: Put of entity %d, but the next ID is %d (IDs are 0..n−1: Put replaces a held one or appends the next)", e, st.n))
 	}
 	if st.owner {
 		st.place(s)
@@ -381,21 +359,12 @@ func (st *Store) Put(s *Sequences) {
 	}
 }
 
-// tableReach bounds the IDs the table may hold: about twice the population,
-// so memory stays O(|E|) whatever IDs arrive.
-func (st *Store) tableReach() int { return 2*st.n + denseSlack }
-
-// place writes s into the owned base: the table within reach, far beyond.
+// place writes s into the owned base.
 func (st *Store) place(s *Sequences) {
-	e := int(s.Entity)
-	if e < 0 || e >= st.tableReach() {
-		st.far[s.Entity] = s
-		return
-	}
-	if e >= len(st.table) {
+	if e := int(s.Entity); e >= len(st.table) {
 		st.table = append(st.table, make([]*Sequences, e+1-len(st.table))...)
 	}
-	st.table[e] = s
+	st.table[s.Entity] = s
 }
 
 // heapGet resolves e through the overlay, skipped while empty, then the base.
@@ -408,12 +377,12 @@ func (st *Store) heapGet(e EntityID) *Sequences {
 	if uint(e) < uint(len(st.table)) {
 		return st.table[e]
 	}
-	return st.far[e]
+	return nil
 }
 
 // Get returns the sequences of an entity, or nil if absent.
 func (st *Store) Get(e EntityID) *Sequences {
-	if s := st.heapGet(e); s != nil || st.backing == nil {
+	if s := st.heapGet(e); s != nil || st.backing == nil || uint(e) >= uint(st.backing.Len()) {
 		return s
 	}
 	return st.backing.Get(e)
@@ -425,38 +394,23 @@ func (st *Store) Get(e EntityID) *Sequences {
 func (st *Store) Derive() *Store {
 	st.frozen = true
 	if !st.overlay.Outgrows(st.n) {
-		return &Store{ix: st.ix, table: st.table, far: st.far, ids: st.ids, overlay: st.overlay.Derive(), order: st.order.Derive(), backing: st.backing, n: st.n}
+		return &Store{ix: st.ix, table: st.table, overlay: st.overlay.Derive(), backing: st.backing, n: st.n}
 	}
-	ids := st.Entities()
-	d := NewStore(st.ix)
-	d.ids, d.backing, d.n = slices.Clone(ids[len(ids)-len(st.ids)-st.order.Writes():]), st.backing, st.n
-	for _, e := range ids {
-		if s := st.heapGet(e); s != nil {
-			d.place(s)
-		}
+	d := &Store{ix: st.ix, table: make([]*Sequences, st.n), owner: true, backing: st.backing, n: st.n}
+	for e := range d.table {
+		d.table[e] = st.heapGet(EntityID(e))
 	}
 	return d
 }
 
-// Len returns the number of entities (|E|).
+// Len returns the number of entities (|E|); their IDs are 0..Len()−1.
 func (st *Store) Len() int { return st.n }
 
-// Entities returns entity IDs in insertion order: backing first (its file
-// order), then the base's inserts, then the derived generations'. For an
-// unbacked root store the slice is shared — do not modify; other shapes
-// allocate the concatenation.
+// Entities returns the entity IDs, 0..Len()−1.
 func (st *Store) Entities() []EntityID {
-	if st.owner && st.backing == nil {
-		return st.ids
-	}
-	out := make([]EntityID, 0, st.n)
-	if st.backing != nil {
-		out = append(out, st.backing.Entities()...)
-	}
-	out = append(out, st.ids...)
-	for i := range st.order.Writes() {
-		e, _ := st.order.Get(i)
-		out = append(out, e)
+	out := make([]EntityID, st.n)
+	for i := range out {
+		out[i] = EntityID(i)
 	}
 	return out
 }

@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -214,23 +216,47 @@ func TestStore(t *testing.T) {
 	if st.Len() != 0 {
 		t.Fatal("new store not empty")
 	}
-	s := st.AddRecords(5, []Record{{Entity: 5, Base: 0, Start: 0, End: 1}})
-	if st.Get(5) != s {
+	s := st.AddRecords(0, []Record{{Entity: 0, Base: 0, Start: 0, End: 1}})
+	if st.Get(0) != s {
 		t.Error("Get after AddRecords mismatch")
 	}
-	if st.Get(6) != nil {
+	if st.Get(1) != nil || st.Get(-1) != nil {
 		t.Error("Get of absent entity should be nil")
 	}
 	// Replacement keeps Len stable.
-	st.Put(NewSequences(ix, 5, []Record{{Entity: 5, Base: 1, Start: 0, End: 1}}))
+	st.Put(NewSequences(ix, 0, []Record{{Entity: 0, Base: 1, Start: 0, End: 1}}))
 	if st.Len() != 1 {
 		t.Errorf("Len after replace = %d, want 1", st.Len())
 	}
-	if got := st.Entities(); len(got) != 1 || got[0] != 5 {
+	if got := st.Entities(); len(got) != 1 || got[0] != 0 {
 		t.Errorf("Entities = %v", got)
 	}
 	if st.Index() != ix {
 		t.Error("Index() mismatch")
+	}
+}
+
+// TestStorePutRefusesNonDenseID: a Put of an ID that is neither held nor the
+// next one panics with both IDs named, and leaves the store as it was.
+func TestStorePutRefusesNonDenseID(t *testing.T) {
+	ix := fixture411(t)
+	st := NewStore(ix)
+	for e := range EntityID(3) {
+		st.AddRecords(e, []Record{{Entity: e, Base: 0, Start: 0, End: 1}})
+	}
+	for _, e := range []EntityID{4, 1000, -1} {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, fmt.Sprintf("entity %d,", e)) || !strings.Contains(msg, "next ID is 3") {
+					t.Errorf("Put(%d) panicked with %q, want both IDs named", e, msg)
+				}
+			}()
+			st.AddRecords(e, []Record{{Entity: e, Base: 0, Start: 0, End: 1}})
+		}()
+		if st.Len() != 3 || st.Get(e) != nil {
+			t.Errorf("refused Put(%d) changed the store: Len %d", e, st.Len())
+		}
 	}
 }
 
@@ -334,7 +360,7 @@ func TestClone(t *testing.T) {
 }
 
 // TestStoreDerive: the copy-on-write derivation — shared reads, private
-// writes, frozen parents, preserved insertion order, and the reseal.
+// writes, frozen parents, dense IDs, and the reseal.
 func TestStoreDerive(t *testing.T) {
 	ix := fixture411(t)
 	st := NewStore(ix)
@@ -347,24 +373,26 @@ func TestStoreDerive(t *testing.T) {
 	if d.Len() != 6 || d.Get(2) != oldSeq {
 		t.Fatalf("derived store lost shared entries: len=%d", d.Len())
 	}
+	// The first Derive starts an empty overlay over the shared table.
+	if d.overlay.Writes() != 0 || d.owner || &d.table[0] != &st.table[0] {
+		t.Fatalf("Derive started an overlay of %d writes or a table of its own", d.overlay.Writes())
+	}
 	// Writes in the child shadow the base and never reach the parent.
 	d.AddRecords(2, []Record{{Entity: 2, Base: 1, Start: 10, End: 12}})
-	d.AddRecords(9, []Record{{Entity: 9, Base: 2, Start: 1, End: 2}})
+	d.AddRecords(6, []Record{{Entity: 6, Base: 2, Start: 1, End: 2}})
 	if st.Get(2) != oldSeq {
 		t.Fatal("child write mutated the frozen parent")
 	}
-	if st.Get(9) != nil {
+	if st.Get(6) != nil {
 		t.Fatal("child insert leaked into the frozen parent")
 	}
-	if d.Get(2) == oldSeq || d.Get(9) == nil {
+	if d.Get(2) == oldSeq || d.Get(6) == nil {
 		t.Fatal("child writes not visible in the child")
 	}
 	if d.Len() != 7 || st.Len() != 6 {
 		t.Fatalf("Len: child %d (want 7), parent %d (want 6)", d.Len(), st.Len())
 	}
-	// Insertion order: base entities first, then the child's new ones;
-	// replacing entity 2 must not move it.
-	want := []EntityID{0, 1, 2, 3, 4, 5, 9}
+	want := []EntityID{0, 1, 2, 3, 4, 5, 6}
 	if got := d.Entities(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Entities = %v, want %v", got, want)
 	}
@@ -375,19 +403,22 @@ func TestStoreDerive(t *testing.T) {
 				t.Error("Put on a frozen store did not panic")
 			}
 		}()
-		st.AddRecords(7, []Record{{Entity: 7, Base: 0, Start: 0, End: 1}})
+		st.AddRecords(6, []Record{{Entity: 6, Base: 0, Start: 0, End: 1}})
 	}()
 
 	// A long derive chain reseals — folds the overlay into a fresh base the
 	// child writes in place — before its overlay outgrows the store, and
-	// loses nothing: every entry, the insertion order, the parents' reads.
+	// loses nothing: every entry, the IDs, the parents' reads.
 	cur, reseals := d, 0
 	for gen := 0; gen < 12; gen++ {
 		next := cur.Derive()
 		if next.owner {
 			reseals++
+			if len(next.table) != next.Len() {
+				t.Fatalf("gen %d: resealed table of %d slots for %d entities", gen, len(next.table), next.Len())
+			}
 		}
-		e := EntityID(20 + gen)
+		e := EntityID(7 + gen)
 		want = append(want, e)
 		next.AddRecords(e, []Record{{Entity: e, Base: 0, Start: 0, End: 1}})
 		next.AddRecords(2, []Record{{Entity: 2, Base: 3, Start: Time(gen), End: Time(gen) + 1}})
@@ -402,14 +433,11 @@ func TestStoreDerive(t *testing.T) {
 	if got := cur.Entities(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("chain Entities = %v, want %v", got, want)
 	}
-	if d.Get(31) != nil || d.Get(2) == cur.Get(2) {
+	if d.Get(18) != nil || d.Get(2) == cur.Get(2) {
 		t.Fatal("the chain's writes leaked into the store it started from")
 	}
 	if cur.Len() != 7+12 {
 		t.Fatalf("chain Len = %d, want %d", cur.Len(), 7+12)
-	}
-	if got := len(cur.Entities()); got != cur.Len() {
-		t.Fatalf("Entities len %d != Len %d", got, cur.Len())
 	}
 	for e := EntityID(0); e < 6; e++ {
 		if cur.Get(e) == nil {

@@ -99,11 +99,10 @@ func (db *DB) OpenIndexAt(r io.ReaderAt, size int64) error {
 	if err != nil {
 		return err
 	}
-	order := make([]trace.EntityID, len(snap.Entities))
-	spans := make([]storage.Span, len(snap.Entities))
-	covered := make(map[trace.EntityID]uint32, len(snap.Entities))
-	for i, se := range snap.Entities {
-		order[i], spans[i], covered[se.ID] = se.ID, se.Seq, se.Folded
+	ents := snap.Entities // row e is entity e's
+	spans := make([]storage.Span, len(ents))
+	for e, se := range ents {
+		spans[e] = se.Seq
 	}
 	// Registry reconciliation, read-only: an image entity the registry knows
 	// must agree on its ID, and one it does not know must take the next ID
@@ -112,8 +111,9 @@ func (db *DB) OpenIndexAt(r io.ReaderAt, size int64) error {
 	// (drop); any other is folded into the image's snapshot before it
 	// publishes: the union of the image, what the DB serves for it (if it had
 	// folded some of its visits) and its pending tail, captured in the view
-	// v. buildMu keeps the folded counts stable: writers grow ingested and
-	// pending together.
+	// v, as is every registered entity past the image, so the store stays
+	// 0..n−1. buildMu keeps the folded counts stable: writers grow ingested
+	// and pending together.
 	var (
 		v     view
 		drop  = map[trace.EntityID]int{}
@@ -121,15 +121,15 @@ func (db *DB) OpenIndexAt(r io.ReaderAt, size int64) error {
 	)
 	db.mu.RLock()
 	known := len(db.byID)
-	seen := make(map[string]bool, len(snap.Entities))
-	for _, se := range snap.Entities {
+	seen := make(map[string]bool, len(ents))
+	for id, se := range ents {
 		switch e, ok := db.names[se.Name]; {
 		case seen[se.Name]:
 			err = fmt.Errorf("digitaltraces: index image repeats entity name %q", se.Name)
-		case ok && e != se.ID:
-			err = fmt.Errorf("digitaltraces: index image entity %q has ID %d in the file but %d here — images resolve by ID, so re-ingest the visit log in its original order", se.Name, se.ID, e)
-		case !ok && int(se.ID) != known+len(adopt):
-			err = fmt.Errorf("digitaltraces: index image entity %q is not in the registry, and its ID %d is not dense past the registry's %d entities — images resolve by ID, so re-ingest the visit log in its original order", se.Name, se.ID, known+len(adopt))
+		case ok && int(e) != id:
+			err = fmt.Errorf("digitaltraces: index image entity %q has ID %d in the file but %d here — images resolve by ID, so re-ingest the visit log in its original order", se.Name, id, e)
+		case !ok && id != known+len(adopt):
+			err = fmt.Errorf("digitaltraces: index image entity %q is not in the registry, and its ID %d is not dense past the registry's %d entities — images resolve by ID, so re-ingest the visit log in its original order", se.Name, id, known+len(adopt))
 		case !ok:
 			adopt = append(adopt, se)
 		}
@@ -141,11 +141,11 @@ func (db *DB) OpenIndexAt(r io.ReaderAt, size int64) error {
 	for id, n := range db.ingested {
 		e := trace.EntityID(id)
 		tail := db.pending[e]
-		if c, ok := covered[e]; ok && c != core.FoldedUnknown && c == n {
+		if id < len(ents) && ents[id].Folded != core.FoldedUnknown && ents[id].Folded == n {
 			drop[e] = len(tail)
 			continue
 		}
-		if n > 0 {
+		if n > 0 || id >= len(ents) {
 			v.ids = append(v.ids, e)
 			v.recs = append(v.recs, tail[:len(tail):len(tail)])
 		}
@@ -156,7 +156,7 @@ func (db *DB) OpenIndexAt(r io.ReaderAt, size int64) error {
 		return err
 	}
 
-	seqs, err := storage.NewSpanReader(db.ix, r, size, order, spans)
+	seqs, err := storage.NewSpanReader(db.ix, r, size, spans)
 	if err != nil {
 		return fmt.Errorf("digitaltraces: opening index: %w", err)
 	}
@@ -182,8 +182,8 @@ func (db *DB) OpenIndexAt(r io.ReaderAt, size int64) error {
 		return fmt.Errorf("digitaltraces: opening index: %d entities were registered while the open ran, taking the IDs the image's new entities need; retry", len(db.byID)-known)
 	}
 	for _, se := range adopt {
-		if db.register(se.Name); se.Folded != core.FoldedUnknown {
-			db.ingested[se.ID] = se.Folded
+		if e := db.register(se.Name); se.Folded != core.FoldedUnknown {
+			db.ingested[e] = se.Folded
 		}
 	}
 	// An image boot has no visit to infer an epoch from, and the stored

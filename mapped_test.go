@@ -20,10 +20,8 @@ import (
 	"testing"
 	"time"
 
-	"digitaltraces/internal/core"
 	"digitaltraces/internal/secfile"
 	"digitaltraces/internal/spindex"
-	"digitaltraces/internal/trace"
 )
 
 // mappedWorld builds a city, indexes it, and saves an index image file,
@@ -457,22 +455,6 @@ func TestRefusedMappedLoadLeavesDBUntouched(t *testing.T) {
 		binary.LittleEndian.PutUint32(b[ents.End()-4:], crc32.Checksum(b[ents.Off:ents.End()-4], crc32.MakeTable(crc32.Castagnoli)))
 		return write(b)
 	}
-	// A well-formed image whose table skips ID 0: the saver's index without
-	// its first entity.
-	sparse := func() string {
-		s := saver.snap.Load()
-		post, err := core.BuildPostings(saver.ix, s.store, s.post.Entities()[1:])
-		if err != nil {
-			t.Fatal(err)
-		}
-		epoch, _, _ := saver.epochInfo()
-		var buf bytes.Buffer
-		meta := core.SnapshotMeta{TimeUnit: saver.unit, EpochNanos: epoch.UnixNano(), MeasureU: saver.measureU, MeasureV: saver.measureV}
-		if _, err := post.WriteSnapshot(&buf, meta, s.store, func(e trace.EntityID) (string, uint32) { return s.byID[e], 1 }); err != nil {
-			t.Fatal(err)
-		}
-		return write(buf.Bytes())
-	}
 	cases := []struct {
 		name string
 		path string
@@ -480,7 +462,9 @@ func TestRefusedMappedLoadLeavesDBUntouched(t *testing.T) {
 		want string
 	}{
 		{"scalar mismatch", write(good), []Option{WithJaccardMeasure()}, "jaccard"},
-		{"IDs not dense", sparse(), nil, "not dense"},
+		{"IDs not dense", mutated(func(b []byte) {
+			binary.LittleEndian.PutUint32(b[ents.Off:], 1) // row 0 claims entity 1
+		}), nil, "row 0 carries ID 1"},
 		{"repeated name", mutated(func(b []byte) {
 			copy(b[ents.Off+rec+4:ents.Off+rec+14], b[ents.Off+4:ents.Off+14]) // entity 1 takes entity 0's name span
 		}), nil, "repeats entity name"},

@@ -10,7 +10,8 @@ import (
 
 // LoadRecordFile builds a DB from a binary record file in the cmd/tracegen
 // format, over the same side×side power-law grid hierarchy the generator
-// used. Entity IDs in the file become names "entity-<id>" (IDs may be
+// used, under NewGridDB's rule (levels 0 means 4, the side is at least 2).
+// Entity IDs in the file become names "entity-<id>" (IDs may be
 // sparse) and venues are "venue-<n>", matching the synthetic-city naming;
 // the epoch is the Unix epoch with one-hour base units. The index is not yet
 // built; call BuildIndex (or just query, which builds lazily).
@@ -19,7 +20,7 @@ import (
 // over HTTP, and the one topk -index opens an image over; BulkLoadRecordFile
 // is its out-of-core twin.
 func LoadRecordFile(path string, side, levels int, opts ...Option) (*DB, error) {
-	ix, err := spindex.NewGrid(spindex.GridConfig{Side: side, Levels: levels, WidthExp: 2, DensityExp: 2})
+	db, err := gridDB(side, levels, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -33,7 +34,7 @@ func LoadRecordFile(path string, side, levels int, opts ...Option) (*DB, error) 
 	byEnt := map[trace.EntityID][]trace.Record{}
 	var fileIDs []trace.EntityID
 	for i, r := range recs {
-		if err := checkRecord(ix, i, r); err != nil {
+		if err := checkRecord(db.ix, i, r); err != nil {
 			return nil, err
 		}
 		if _, ok := byEnt[r.Entity]; !ok {
@@ -41,18 +42,9 @@ func LoadRecordFile(path string, side, levels int, opts ...Option) (*DB, error) 
 		}
 		byEnt[r.Entity] = append(byEnt[r.Entity], r)
 	}
-	db, err := newGridDB(ix, opts...)
-	if err != nil {
-		return nil, err
-	}
 	// Dense internal IDs in file order; names preserve the file's IDs.
 	for _, fileID := range fileIDs {
-		e := db.register(fmt.Sprintf("entity-%d", fileID))
-		rr := byEnt[fileID]
-		for i := range rr {
-			rr[i].Entity = e
-		}
-		db.pending[e], db.ingested[e] = rr, uint32(len(rr))
+		db.preload(fmt.Sprintf("entity-%d", fileID), byEnt[fileID])
 	}
 	return db, nil
 }

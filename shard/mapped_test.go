@@ -361,3 +361,57 @@ func TestPartitionMappedLoadedDB(t *testing.T) {
 		})
 	}
 }
+
+// TestExampleQueryOnEveryEngine: query by example — a hypothetical entity,
+// ID −1 below the registry, that no store ever holds — answers the same on a
+// DB, on a DB serving that DB's image in place, and on a 2-shard cluster,
+// and finds the entity whose visits it copies first.
+func TestExampleQueryOnEveryEngine(t *testing.T) {
+	src, err := digitaltraces.SyntheticCity(digitaltraces.CityConfig{Side: 4, Entities: 60, Days: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	var img bytes.Buffer
+	if _, err := src.SaveIndex(&img); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := digitaltraces.NewGridDB(4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mapped.OpenIndexAt(bytes.NewReader(img.Bytes()), int64(img.Len())); err != nil {
+		t.Fatal(err)
+	}
+	if !mapped.IndexStats().Mapped {
+		t.Fatal("the opened DB does not serve its image in place")
+	}
+	cluster, err := Partition(src, Config{Shards: 2, NewShard: func(int) (*digitaltraces.DB, error) { return digitaltraces.NewGridDB(4, 0) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"entity-0", "entity-17", "entity-59"} {
+		example, err := src.VisitsOf(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := src.TopKByExample(example, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) != 5 || want[0].Entity != name || want[0].Degree != 1 {
+			t.Fatalf("example of %s: DB answers %v, want %s first at degree 1", name, want, name)
+		}
+		for engine, e := range map[string]digitaltraces.Engine{"mapped DB": mapped, "2-shard cluster": cluster} {
+			got, _, err := e.TopKByExample(example, 5)
+			if err != nil {
+				t.Fatalf("%s, example of %s: %v", engine, name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, example of %s: %v, the DB answers %v", engine, name, got, want)
+			}
+		}
+	}
+}

@@ -34,22 +34,16 @@ type CityConfig struct {
 // and entity names "entity-<n>". The index is not yet built; call
 // BuildIndex (or just query, which builds lazily).
 func SyntheticCity(cfg CityConfig, opts ...Option) (*DB, error) {
-	if cfg.Levels == 0 {
-		cfg.Levels = 4
-	}
 	if cfg.Days == 0 {
 		cfg.Days = 30
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.Side < 2 {
-		return nil, fmt.Errorf("digitaltraces: city side %d < 2", cfg.Side)
-	}
 	if cfg.Entities < 1 {
 		return nil, fmt.Errorf("digitaltraces: city population %d < 1", cfg.Entities)
 	}
-	ix, err := spindex.NewGrid(spindex.GridConfig{Side: cfg.Side, Levels: cfg.Levels, WidthExp: 2, DensityExp: 2})
+	db, err := gridDB(cfg.Side, cfg.Levels, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -59,11 +53,11 @@ func SyntheticCity(cfg CityConfig, opts ...Option) (*DB, error) {
 	}
 	im.Horizon = trace.Time(cfg.Days * 24)
 	im.Seed = cfg.Seed
-	gen, err := mobility.NewGenerator(ix, im)
+	gen, err := mobility.NewGenerator(db.ix, im)
 	if err != nil {
 		return nil, err
 	}
-	return populate(ix, cfg.Entities, gen.Entity, opts...)
+	return populate(db, cfg.Entities, gen.Entity), nil
 }
 
 // WiFiCityConfig describes a synthetic WiFi-handshake population for
@@ -85,33 +79,27 @@ type WiFiCityConfig struct {
 // SyntheticWiFiCity builds a DB pre-loaded with a WiFi-handshake-style
 // population: Zipf-popular hotspots, home/work anchors, diurnal sessions.
 func SyntheticWiFiCity(cfg WiFiCityConfig, opts ...Option) (*DB, error) {
-	if cfg.Levels == 0 {
-		cfg.Levels = 4
-	}
 	if cfg.Days == 0 {
 		cfg.Days = 30
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.Side < 2 {
-		return nil, fmt.Errorf("digitaltraces: city side %d < 2", cfg.Side)
-	}
 	if cfg.Devices < 1 {
 		return nil, fmt.Errorf("digitaltraces: device count %d < 1", cfg.Devices)
 	}
-	ix, err := spindex.NewGrid(spindex.GridConfig{Side: cfg.Side, Levels: cfg.Levels, WidthExp: 2, DensityExp: 2})
+	db, err := gridDB(cfg.Side, cfg.Levels, opts...)
 	if err != nil {
 		return nil, err
 	}
 	w := mobility.DefaultWiFiConfig()
 	w.Horizon = trace.Time(cfg.Days * 24)
 	w.Seed = cfg.Seed
-	gen, err := mobility.NewWiFiGenerator(ix, w)
+	gen, err := mobility.NewWiFiGenerator(db.ix, w)
 	if err != nil {
 		return nil, err
 	}
-	return populate(ix, cfg.Devices, gen.Entity, opts...)
+	return populate(db, cfg.Devices, gen.Entity), nil
 }
 
 // NewGridDB creates an empty DB over the same Side×Side power-law grid
@@ -121,6 +109,14 @@ func SyntheticWiFiCity(cfg WiFiCityConfig, opts ...Option) (*DB, error) {
 // grid-backed clusters: shard.Partition over a SyntheticCity or
 // LoadRecordFile DB needs empty, epoch-compatible shards to route into.
 func NewGridDB(side, levels int, opts ...Option) (*DB, error) {
+	return gridDB(side, levels, opts...)
+}
+
+// gridDB is the one grid rule every grid-backed constructor follows: levels
+// 0 means 4, the side must be at least 2, and the DB takes the shared
+// synthetic/file conventions — venues named "venue-<n>" and (unless
+// WithEpoch overrides it) the Unix epoch with one base unit per hour.
+func gridDB(side, levels int, opts ...Option) (*DB, error) {
 	if levels == 0 {
 		levels = 4
 	}
@@ -131,16 +127,9 @@ func NewGridDB(side, levels int, opts ...Option) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newGridDB(ix, opts...)
-}
-
-// newGridDB wires a DB over a grid sp-index with the shared synthetic/file
-// conventions: venues named "venue-<n>" and (unless WithEpoch overrides it)
-// the Unix epoch with one base unit per hour.
-func newGridDB(ix *spindex.Index, opts ...Option) (*DB, error) {
 	venues := make(map[string]spindex.BaseID, ix.NumBase())
 	for b := 0; b < ix.NumBase(); b++ {
-		venues[fmt.Sprintf("venue-%d", b)] = spindex.BaseID(b)
+		venues[VenueName(b)] = spindex.BaseID(b)
 	}
 	db, err := newDB(ix, venues, opts...)
 	if err != nil {
@@ -154,18 +143,24 @@ func newGridDB(ix *spindex.Index, opts ...Option) (*DB, error) {
 	return db, nil
 }
 
-// populate wires a generated population into a DB with friendly names.
-func populate(ix *spindex.Index, n int, genEntity func(trace.EntityID) []trace.Record, opts ...Option) (*DB, error) {
-	db, err := newGridDB(ix, opts...)
-	if err != nil {
-		return nil, err
+// populate preloads n generated entities, "entity-<i>" with ID i, into a
+// grid DB no one else can reach yet.
+func populate(db *DB, n int, genEntity func(trace.EntityID) []trace.Record) *DB {
+	for i := range n {
+		db.preload(fmt.Sprintf("entity-%d", i), genEntity(trace.EntityID(i)))
 	}
-	for i := 0; i < n; i++ {
-		e := db.register(fmt.Sprintf("entity-%d", i))
-		recs := genEntity(e)
-		db.pending[e], db.ingested[e] = recs, uint32(len(recs))
+	return db
+}
+
+// preload registers an entity of a DB no one else can reach yet and stores
+// its records, pending until BuildIndex or the first query folds them: the
+// one step a generated or loaded population enters a DB by.
+func (db *DB) preload(name string, recs []trace.Record) {
+	e := db.register(name)
+	for i := range recs {
+		recs[i].Entity = e
 	}
-	return db, nil
+	db.pending[e], db.ingested[e] = recs, uint32(len(recs))
 }
 
 // VenueName returns the canonical name of the venue with ordinal b in
