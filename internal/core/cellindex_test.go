@@ -210,12 +210,12 @@ func (w *cellWorld) rebuild() {
 	w.st, w.post = st, p
 }
 
-// reload replaces the index by what an image of it opens as, read as a
-// stream or by offset: served in place with the stored cell index — base,
+// reload replaces the index by what an image of it opens as, read by
+// offset: served in place with the stored cell index — base,
 // added pairs and stale pairs folded by the writer — adopted as is. An image
 // holds entities 0..n−1, so the writer refuses an index missing an entity
 // below its largest ID; such removed entities are indexed again first.
-func (w *cellWorld) reload(mapped bool) {
+func (w *cellWorld) reload() {
 	var holes []trace.EntityID
 	es := w.post.Entities()
 	for e := range es[len(es)-1] {
@@ -236,13 +236,9 @@ func (w *cellWorld) reload(mapped bool) {
 	if _, err := w.post.WriteSnapshot(&buf, SnapshotMeta{TimeUnit: time.Hour}, w.st, snapshotNames); err != nil {
 		w.t.Fatalf("WriteSnapshot: %v", err)
 	}
-	load := func() (*Postings, error) { return readSnapshot(&buf, w.ix, w.st) }
-	if mapped {
-		load = func() (*Postings, error) { return openMapped(buf.Bytes(), w.ix, w.st) }
-	}
-	p, err := load()
+	p, err := openMapped(buf.Bytes(), w.ix, w.st)
 	if err != nil {
-		w.t.Fatalf("reloading the index (mapped %t): %v", mapped, err)
+		w.t.Fatalf("reloading the index: %v", err)
 	}
 	w.post = p
 }
@@ -260,10 +256,8 @@ func (w *cellWorld) step(gen int) string {
 		w.remove()
 	case "rebuild":
 		w.rebuild()
-	case "remap":
-		w.reload(true)
-	case "reload":
-		w.reload(false)
+	case "remap", "reload":
+		w.reload()
 	}
 	return op
 }

@@ -248,8 +248,8 @@ func decodeCells(b []byte, count int) (*cellIndex, error) {
 	return ci, nil
 }
 
-// DecodeSnapshot reads and validates an image through sr — a stream or a
-// mapping, the decoding is the same — up to but excluding the sequence blobs.
+// DecodeSnapshot reads and validates an image through sr, at its sections'
+// offsets, up to but excluding the sequence blobs.
 // It never trusts a stored word: every scalar is bounded before it sizes an
 // allocation or is narrowed by a cast, every checksum must hold, the entity
 // table must be exactly count records, row i carrying entity ID i, every name

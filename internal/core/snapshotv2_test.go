@@ -122,10 +122,10 @@ func TestSnapshotV2RoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotOneImageBothReaders: one image reads as a stream and by
-// offset into postings served in place (which adopt the stored cell index) —
-// and both are the index that was saved: same entities, same answers, same
-// candidates per query. The saved index is a refresh generation with added
+// TestSnapshotOneImageBothReaders: one image reads by offset into postings
+// served in place (which adopt the stored cell index) — and they are the
+// index that was saved: same entities, same answers, same candidates per
+// query. The saved index is a refresh generation with added
 // pairs, a stale pair and a removed entity — the one with the largest ID, so
 // the rest are still 0..n−1 — so the stored cell index is the fold the writer
 // makes, not the sealed base.
@@ -140,22 +140,16 @@ func TestSnapshotOneImageBothReaders(t *testing.T) {
 	post.remove(39)
 	img := writeImage(t, post, st2)
 
-	streamed, err := readSnapshot(bytes.NewReader(img), ix, st2)
-	if err != nil {
-		t.Fatalf("stream read: %v", err)
-	}
-	mapped, err := openMapped(img, ix, st2)
+	loaded, err := openMapped(img, ix, st2)
 	if err != nil {
 		t.Fatalf("read by offset: %v", err)
 	}
-	for name, loaded := range map[string]*Postings{"streamed": streamed, "mapped": mapped} {
-		requireCellInvariant(t, "loaded", loaded)
-		if got, want := len(loaded.cells.posts), len(post.cells.posts)+post.cells.added.Writes()-len(post.cells.postingsOf(39)); got != want {
-			t.Errorf("%s index adopted %d postings, the saved index posts %d outside its removed entity", name, got, want)
-		}
-		if loaded.Contains(39) || !loaded.Contains(7) || !slices.Equal(loaded.Entities(), post.Entities()) {
-			t.Fatalf("%s index's population differs from the saved one", name)
-		}
+	requireCellInvariant(t, "loaded", loaded)
+	if got, want := len(loaded.cells.posts), len(post.cells.posts)+post.cells.added.Writes()-len(post.cells.postingsOf(39)); got != want {
+		t.Errorf("loaded index adopted %d postings, the saved index posts %d outside its removed entity", got, want)
+	}
+	if loaded.Contains(39) || !loaded.Contains(7) || !slices.Equal(loaded.Entities(), post.Entities()) {
+		t.Fatalf("loaded index's population differs from the saved one")
 	}
 	for _, m := range measuresFor(t, 3) {
 		for e := trace.EntityID(0); e < 40; e++ {
@@ -164,22 +158,20 @@ func TestSnapshotOneImageBothReaders(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for name, loaded := range map[string]*Postings{"streamed": streamed, "mapped": mapped} {
-				got, gs, err := loaded.TopK(q, 5, m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s index, query %d: %v, saved index %v", name, e, got, want)
-				}
-				// The same candidates in the same buckets. Which of a bucket's
-				// candidates their own sizes skip depends on the k-th answer
-				// when each is met, and the stored index lists entity 7's
-				// pairs in its sealed lists where the saved one holds them
-				// added, so Checked may differ.
-				if gs.ZeroSkipped != ws.ZeroSkipped || gs.Reached() != ws.Reached() {
-					t.Fatalf("%s index, query %d: skipped %d+%d, saved index %d+%d", name, e, gs.ZeroSkipped, gs.BoundSkipped, ws.ZeroSkipped, ws.BoundSkipped)
-				}
+			got, gs, err := loaded.TopK(q, 5, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("loaded index, query %d: %v, saved index %v", e, got, want)
+			}
+			// The same candidates in the same buckets. Which of a bucket's
+			// candidates their own sizes skip depends on the k-th answer when
+			// each is met, and the stored index lists entity 7's pairs in its
+			// sealed lists where the saved one holds them added, so Checked
+			// may differ.
+			if gs.ZeroSkipped != ws.ZeroSkipped || gs.Reached() != ws.Reached() {
+				t.Fatalf("loaded index, query %d: skipped %d+%d, saved index %d+%d", e, gs.ZeroSkipped, gs.BoundSkipped, ws.ZeroSkipped, ws.BoundSkipped)
 			}
 		}
 	}
@@ -241,17 +233,14 @@ func rowIDImage(t testing.TB) (img []byte, ix *spindex.Index, st *trace.Store) {
 }
 
 // TestDecodeSnapshotRefusesRowID: row i of an image's entity table must carry
-// entity ID i. The decoder refuses any other, naming the row, through both
-// readers — rowIDImage's image, which FuzzOpenSnapshot's corpus holds as
+// entity ID i. The decoder refuses any other, naming the row — rowIDImage's
+// image, which FuzzOpenSnapshot's corpus holds as
 // row-id-mismatch-image, too; the writer refuses an index missing an entity
 // below its largest ID, naming the row that entity would have filled.
 func TestDecodeSnapshotRefusesRowID(t *testing.T) {
 	img, ix, st := rowIDImage(t)
 	const want = "entity table row 3 carries ID 5, not 3"
 	for name, img := range map[string][]byte{"built": img, "seed": readSeed(t, "testdata/fuzz/FuzzOpenSnapshot/row-id-mismatch-image")} {
-		if _, err := readSnapshot(bytes.NewReader(img), ix, st); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("%s, stream: %v, want an error containing %q", name, err, want)
-		}
 		if _, err := openMapped(img, ix, st); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s, by offset: %v, want an error containing %q", name, err, want)
 		}
@@ -263,8 +252,7 @@ func TestDecodeSnapshotRefusesRowID(t *testing.T) {
 	}
 }
 
-// TestSnapshotV2Errors is the image's corruption table, each case through
-// both readers: truncation at every section, every bounded scalar, every
+// TestSnapshotV2Errors is the image's corruption table: truncation at every section, every bounded scalar, every
 // entity-record check and every cell-index check is a descriptive error —
 // never a panic, never an index. (The container's own checks — magic, claimed
 // size, alignment, section bounds — are internal/secfile's table.)
@@ -373,27 +361,17 @@ func TestSnapshotV2Errors(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			b := append([]byte(nil), good...)
 			tc.mutate(b)
-			if _, err := readSnapshot(bytes.NewReader(b), ix, st); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("stream: want an error containing %q, got %v", tc.want, err)
-			}
 			if _, err := openMapped(b, ix, st); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("by offset: want an error containing %q, got %v", tc.want, err)
 			}
 		})
 	}
 
-	// A stream cut anywhere before the sequences is refused; one cut inside
-	// them is not read that far. By offset every cut is a size mismatch.
-	for _, cut := range []int64{0, 5, 12, 40, meta.Off + 3, names.Off + 1, ents.Off + 5, ents.Off + entSize + 2, sizes.Off + 1, sizes.End() - 2, cells.Off + 7, cells.End() - 2} {
-		if _, err := readSnapshot(bytes.NewReader(good[:cut]), ix, st); err == nil {
-			t.Errorf("stream truncated at %d of %d bytes accepted", cut, len(good))
-		}
+	// Every cut is a size mismatch, one inside the sequences too.
+	for _, cut := range []int64{0, 5, 12, 40, meta.Off + 3, names.Off + 1, ents.Off + 5, ents.Off + entSize + 2, sizes.Off + 1, sizes.End() - 2, cells.Off + 7, cells.End() - 2, seqs.Off + 1} {
 		if _, err := openMapped(good[:cut], ix, st); err == nil {
 			t.Errorf("file truncated at %d of %d bytes accepted", cut, len(good))
 		}
-	}
-	if _, err := readSnapshot(bytes.NewReader(good[:seqs.Off+1]), ix, st); err != nil {
-		t.Errorf("stream cut inside the sequence section, which a stream read never reaches: %v", err)
 	}
 
 	// Not an image: a container of the wrong sections.
@@ -429,16 +407,12 @@ func TestSnapshotV2Errors(t *testing.T) {
 	}
 }
 
-// TestSnapshotV2LoadedTreeStaysMaintainable: a loaded index — sealed over the
-// reader's sequences or served in place — derives like a built one.
+// TestSnapshotV2LoadedTreeStaysMaintainable: a loaded index, served in place,
+// derives like a built one.
 func TestSnapshotV2LoadedTreeStaysMaintainable(t *testing.T) {
 	ix, st, post := buildRandomPostings(t, 47, 15)
 	img := writeImage(t, post, st)
-	streamed, err := readSnapshot(bytes.NewReader(img), ix, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mapped, err := openMapped(img, ix, st)
+	loaded, err := openMapped(img, ix, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,15 +420,13 @@ func TestSnapshotV2LoadedTreeStaysMaintainable(t *testing.T) {
 	dst.AddRecords(7, []trace.Record{{Entity: 7, Base: 3, Start: 2, End: 5}})
 	newbie := trace.EntityID(dst.Len())
 	dst.AddRecords(newbie, []trace.Record{{Entity: newbie, Base: 4, Start: 1, End: 3}})
-	for _, loaded := range []*Postings{streamed, mapped} {
-		derived, err := loaded.Derive(dst, []trace.EntityID{7, newbie})
-		if err != nil {
-			t.Fatalf("Derive on a loaded index: %v", err)
-		}
-		requireCellInvariant(t, "derived from a loaded index", derived)
-		if derived.Len() != 16 || loaded.Len() != 15 {
-			t.Fatalf("derived %d entities from %d, want 16 from 15", derived.Len(), loaded.Len())
-		}
+	derived, err := loaded.Derive(dst, []trace.EntityID{7, newbie})
+	if err != nil {
+		t.Fatalf("Derive on a loaded index: %v", err)
+	}
+	requireCellInvariant(t, "derived from a loaded index", derived)
+	if derived.Len() != 16 || loaded.Len() != 15 {
+		t.Fatalf("derived %d entities from %d, want 16 from 15", derived.Len(), loaded.Len())
 	}
 }
 
@@ -462,7 +434,7 @@ func TestSnapshotV2LoadedTreeStaysMaintainable(t *testing.T) {
 // index dropped its signatures (retired-image-*), the one with sequences
 // written before it kept its entities' level sizes (presize-image-*), the one
 // written without its sequences (image-without-seqs), and a fresh image cut to
-// that layout are refused by name, through both readers.
+// that layout are refused by name.
 func TestRetiredImagesRefused(t *testing.T) {
 	ix, st, post := buildRandomPostings(t, 59, 4)
 	paths, err := filepath.Glob("testdata/fuzz/FuzzOpenSnapshot/retired-image-*")
@@ -472,9 +444,6 @@ func TestRetiredImagesRefused(t *testing.T) {
 	}
 	refused := func(name string, img []byte) {
 		t.Helper()
-		if _, err := readSnapshot(bytes.NewReader(img), ix, st); err == nil || !strings.Contains(err.Error(), "retired index format — re-save") {
-			t.Errorf("%s, stream: %v", name, err)
-		}
 		if _, err := openMapped(img, ix, st); err == nil || !strings.Contains(err.Error(), "retired index format — re-save") {
 			t.Errorf("%s, by offset: %v", name, err)
 		}
@@ -506,8 +475,8 @@ type anySource struct{ s *trace.Sequences }
 
 func (a anySource) Get(trace.EntityID) *trace.Sequences { return a.s }
 
-// FuzzOpenSnapshot: arbitrary bytes through the one decoder, as a stream and
-// by offset, are an error or an image whose index is well formed and
+// FuzzOpenSnapshot: arbitrary bytes through the one decoder, read by offset,
+// are an error or an image whose index is well formed and
 // answers — never a panic, never an allocation sized by an unchecked word.
 // The committed corpus (testdata/fuzz/FuzzOpenSnapshot) holds one real image
 // and one cluster envelope, and retired layouts which must be refused: an
@@ -524,24 +493,18 @@ func FuzzOpenSnapshot(f *testing.F) {
 	src := anySource{st.Get(0)}
 	m := measuresFor(f, 3)[0]
 	f.Fuzz(func(t *testing.T, b []byte) {
-		open := map[string]func() (*secfile.Reader, error){
-			"stream":    func() (*secfile.Reader, error) { return secfile.NewReader(bytes.NewReader(b)) },
-			"by offset": func() (*secfile.Reader, error) { return secfile.NewReaderAt(bytes.NewReader(b), int64(len(b))) },
+		sr, err := secfile.NewReaderAt(bytes.NewReader(b), int64(len(b)))
+		if err != nil {
+			return
 		}
-		for name, fn := range open {
-			sr, err := fn()
-			if err != nil {
-				continue
-			}
-			snap, err := DecodeSnapshot(sr, ix)
-			if err != nil {
-				continue
-			}
-			loaded := snap.MappedPostings(ix, src)
-			requireCellStructure(t, name, loaded)
-			if _, _, err := loaded.TopK(src.s, 3, m); err != nil {
-				t.Fatalf("%s: loaded index does not answer: %v", name, err)
-			}
+		snap, err := DecodeSnapshot(sr, ix)
+		if err != nil {
+			return
+		}
+		loaded := snap.MappedPostings(ix, src)
+		requireCellStructure(t, "by offset", loaded)
+		if _, _, err := loaded.TopK(src.s, 3, m); err != nil {
+			t.Fatalf("loaded index does not answer: %v", err)
 		}
 	})
 }

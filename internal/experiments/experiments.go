@@ -103,6 +103,9 @@ type dataset struct {
 	ix      *spindex.Index
 	store   *trace.Store
 	horizon trace.Time
+	// population is the generated entities' count, IDs 0..population−1; the
+	// update experiment stores fresh entities past it.
+	population int
 }
 
 // synDataset generates the SYN dataset (hierarchical IM model) with
@@ -129,7 +132,8 @@ func synDataset(sc Scale, mutate func(*mobility.IMConfig), grid *spindex.GridCon
 	if err != nil {
 		return nil, err
 	}
-	return &dataset{name: "SYN", ix: ix, store: gen.GenerateStore(sc.Entities), horizon: im.Horizon}, nil
+	store := gen.GenerateStore(sc.Entities)
+	return &dataset{name: "SYN", ix: ix, store: store, horizon: im.Horizon, population: store.Len()}, nil
 }
 
 // realDataset generates the REAL-substitute dataset (WiFi handshakes).
@@ -146,15 +150,18 @@ func realDataset(sc Scale) (*dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &dataset{name: "REAL*", ix: ix, store: gen.GenerateStore(sc.Entities), horizon: w.Horizon}, nil
+	store := gen.GenerateStore(sc.Entities)
+	return &dataset{name: "REAL*", ix: ix, store: store, horizon: w.Horizon, population: store.Len()}, nil
 }
 
+// tree builds a MinSigTree of nh hash functions over the population, never
+// over fresh entities an update round stored.
 func (d *dataset) tree(nh int, seed uint64) (*core.Tree, error) {
 	fam, err := sighash.NewFamily(d.ix, d.horizon, nh, seed)
 	if err != nil {
 		return nil, err
 	}
-	return core.Build(d.ix, fam, d.store, d.store.Entities())
+	return core.Build(d.ix, fam, d.store, d.store.Entities()[:d.population])
 }
 
 func (d *dataset) paperADM(u, v float64) (adm.Measure, error) {
@@ -679,8 +686,9 @@ func Fig79UpdateCost(sc Scale) ([]Table, error) {
 	}
 	// Fresh entities take the IDs past the population, the same ones every
 	// round: a round replaces the ones an earlier round stored and appends
-	// the rest.
-	population := trace.EntityID(d.store.Len())
+	// the rest. Every round's tree indexes the population only, so a round's
+	// fresh entities are inserts.
+	population := trace.EntityID(d.population)
 	for _, nh := range sc.HashSweep {
 		row := []string{fmt.Sprintf("%d", nh)}
 		for _, fracExisting := range []float64{1.0, 0.7, 0.4} {

@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"digitaltraces/internal/trace"
 )
 
 // micro is a fast test preset.
@@ -178,6 +180,37 @@ func TestFig78(t *testing.T) {
 func TestFig79(t *testing.T) {
 	tables, err := Fig79UpdateCost(micro)
 	checkTables(t, tables, err, 1)
+}
+
+// TestFig79RoundTreeIndexesPopulationOnly: once a Fig 7.9 round has stored
+// fresh entities past the population, the next round's tree holds every
+// population entity and none of them — so the next round's "new" entities
+// are inserts, not modifications of indexed ones.
+func TestFig79RoundTreeIndexesPopulationOnly(t *testing.T) {
+	d, err := synDataset(micro, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := freshEntityGen(d, micro)
+	if err != nil {
+		t.Fatal(err)
+	}
+	population := trace.EntityID(d.population)
+	for i := range trace.EntityID(5) {
+		d.store.Put(gen(population + i))
+	}
+	tree, err := d.tree(micro.DefaultNH, uint64(micro.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tree.Len() != d.population {
+		t.Errorf("tree holds %d entities, want the population's %d", tree.Len(), d.population)
+	}
+	for i := range trace.EntityID(5) {
+		if tree.Contains(population + i) {
+			t.Errorf("tree holds fresh entity %d stored by an earlier round", population+i)
+		}
+	}
 }
 
 func TestByName(t *testing.T) {

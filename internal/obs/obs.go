@@ -154,6 +154,30 @@ type QueryTrace struct {
 	Err string
 }
 
+// Query is the trace of one finished query with the fields every engine
+// fills alike: its kind, batch, entity and k, whether the cache answered,
+// its exact degree computations, kth (the answer's k-th degree, 0 when it
+// holds fewer than k matches), its error and the latency since start. The
+// engine adds what only it knows (a DB's pinned generation and skip counts,
+// a cluster's generation vector and shard rows) before Record.
+func Query(kind Kind, batchID uint64, entity string, k int, start time.Time, cacheHit bool, checked int, kth float64, err error) QueryTrace {
+	qt := QueryTrace{
+		Kind:      kind,
+		BatchID:   batchID,
+		Entity:    entity,
+		K:         k,
+		CacheHit:  cacheHit,
+		Checked:   checked,
+		KthDegree: kth,
+		Start:     start,
+		Total:     time.Since(start),
+	}
+	if err != nil {
+		qt.Err = err.Error()
+	}
+	return qt
+}
+
 // slot is one preallocated ring position. The per-slot mutex makes a
 // Record/Snapshot collision safe (no torn traces) while keeping writers on
 // different slots fully independent.

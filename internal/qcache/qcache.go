@@ -28,7 +28,6 @@
 package qcache
 
 import (
-	"hash/fnv"
 	"slices"
 	"strconv"
 	"sync"
@@ -49,17 +48,14 @@ type Stats struct {
 type Cache[V any] struct {
 	mu       sync.Mutex
 	capacity int
-	entries  map[uint64]entry[V]
-	order    []uint64 // hashes of the held entries in insertion order, for FIFO eviction
+	entries  map[string]entry[V]
+	order    []string // keys of the held entries in insertion order, for FIFO eviction
 	stats    Stats
 }
 
-// entry stores the full key alongside the value: lookups compare it so a
-// 64-bit hash collision degrades to a miss (or an overwrite on store), never
-// to a wrong answer. version is the stamp: the version the value is the
-// exact answer under.
+// entry is one held value and its stamp: the version the value is the exact
+// answer under.
 type entry[V any] struct {
-	key     string
 	version string
 	val     V
 }
@@ -76,7 +72,8 @@ func New[V any](capacity int) *Cache[V] {
 	}
 	return &Cache[V]{
 		capacity: capacity,
-		entries:  make(map[uint64]entry[V], capacity),
+		entries:  make(map[string]entry[V], capacity),
+		order:    make([]string, 0, capacity),
 	}
 }
 
@@ -84,13 +81,23 @@ func New[V any](capacity int) *Cache[V] {
 // stamped with any other version is stale: without a revalidator it is
 // dropped and the lookup misses.
 func (c *Cache[V]) Get(version, key string) (V, bool) {
-	return c.getHashed(version, hashKey(key), key)
+	return c.lookup(version, key, nil)
 }
 
 // Put stores the value computed under version, stamped with it. A held entry
 // under the same key is overwritten in place, whatever its stamp.
 func (c *Cache[V]) Put(version, key string, v V) {
-	c.putHashed(version, hashKey(key), key, v)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.entries[key]; !ok {
+		if len(c.entries) >= c.capacity {
+			delete(c.entries, c.order[0])
+			c.order = c.order[1:]
+			c.stats.Evictions++
+		}
+		c.order = append(c.order, key)
+	}
+	c.entries[key] = entry[V]{version: version, val: v}
 }
 
 // Do answers one query through c with no revalidator: a stale entry is a
@@ -114,7 +121,7 @@ func DoRevalidating[E any](c *Cache[[]E], key string, version func() (string, bo
 	}
 	v, ok := version()
 	if ok {
-		if stored, found := c.lookup(v, hashKey(key), key, revalidate); found {
+		if stored, found := c.lookup(v, key, revalidate); found {
 			return slices.Clone(stored), true, nil
 		}
 	}
@@ -133,22 +140,16 @@ func EntityKey(entity string, k int) string {
 	return "e|" + strconv.Itoa(k) + "|" + entity
 }
 
-// getHashed is Get with the hash precomputed — split out so tests can force
-// two distinct keys onto one hash and exercise the collision guard.
-func (c *Cache[V]) getHashed(version string, h uint64, key string) (V, bool) {
-	return c.lookup(version, h, key, nil)
-}
-
 // lookup is the one lookup behind Get and DoRevalidating. A stale entry is
 // revalidated outside the lock, so a slow revalidation never stalls other
 // lookups; the verdict is applied only if the entry still carries the stamp
 // it judged.
-func (c *Cache[V]) lookup(version string, h uint64, key string, revalidate Revalidator[V]) (V, bool) {
+func (c *Cache[V]) lookup(version, key string, revalidate Revalidator[V]) (V, bool) {
 	var zero V
 	c.mu.Lock()
-	e, ok := c.entries[h]
+	e, ok := c.entries[key]
 	switch {
-	case !ok || e.key != key:
+	case !ok:
 		c.stats.Misses++
 		c.mu.Unlock()
 		return zero, false
@@ -162,12 +163,12 @@ func (c *Cache[V]) lookup(version string, h uint64, key string, revalidate Reval
 	valid := revalidate != nil && revalidate(e.version, e.val)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if cur, ok := c.entries[h]; ok && cur.key == key && cur.version == e.version {
+	if cur, ok := c.entries[key]; ok && cur.version == e.version {
 		if valid {
 			cur.version = version
-			c.entries[h] = cur
+			c.entries[key] = cur
 		} else {
-			c.drop(h)
+			c.drop(key)
 		}
 	}
 	if !valid {
@@ -180,31 +181,12 @@ func (c *Cache[V]) lookup(version string, h uint64, key string, revalidate Reval
 	return e.val, true
 }
 
-// putHashed is Put with the hash precomputed (see getHashed).
-func (c *Cache[V]) putHashed(version string, h uint64, key string, v V) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[h]; ok {
-		// Same key: refresh the value. Colliding key: overwrite — the slot
-		// holds one answer and the full-key compare on Get keeps it honest.
-		c.entries[h] = entry[V]{key: key, version: version, val: v}
-		return
-	}
-	if len(c.entries) >= c.capacity {
-		delete(c.entries, c.order[0])
-		c.order = c.order[1:]
-		c.stats.Evictions++
-	}
-	c.entries[h] = entry[V]{key: key, version: version, val: v}
-	c.order = append(c.order, h)
-}
-
-// drop removes the entry at h from the map and from the FIFO order, so the
+// drop removes key's entry from the map and from the FIFO order, so the
 // order holds exactly the held entries: a later eviction can never take a
 // fresh re-put of the same key for the dropped one. Callers must hold mu.
-func (c *Cache[V]) drop(h uint64) {
-	delete(c.entries, h)
-	i := slices.Index(c.order, h)
+func (c *Cache[V]) drop(key string) {
+	delete(c.entries, key)
+	i := slices.Index(c.order, key)
 	c.order = slices.Delete(c.order, i, i+1)
 }
 
@@ -215,11 +197,4 @@ func (c *Cache[V]) Stats() Stats {
 	s := c.stats
 	s.Entries = len(c.entries)
 	return s
-}
-
-// hashKey is 64-bit FNV-1a over the key bytes.
-func hashKey(key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key)) //nolint:errcheck // fnv never errors
-	return h.Sum64()
 }

@@ -93,32 +93,6 @@ func TestCapacityFloorIsOne(t *testing.T) {
 	}
 }
 
-// TestHashCollision forces two distinct keys onto one hash slot via the
-// *Hashed entry points: the colliding Get must miss (never return the other
-// key's value) and a colliding Put overwrites the slot.
-func TestHashCollision(t *testing.T) {
-	c := New[string](4)
-	const h = uint64(0xdeadbeef)
-
-	c.putHashed("v", h, "keyA", "valA")
-
-	// Same hash, different key: full-key compare turns it into a miss.
-	if got, ok := c.getHashed("v", h, "keyB"); ok {
-		t.Fatalf("colliding Get returned %q — cross-key contamination", got)
-	}
-	// Colliding Put overwrites the slot; the old key is gone, new is served.
-	c.putHashed("v", h, "keyB", "valB")
-	if got, ok := c.getHashed("v", h, "keyB"); !ok || got != "valB" {
-		t.Fatalf("Get(keyB) = %q, %v; want valB, true", got, ok)
-	}
-	if _, ok := c.getHashed("v", h, "keyA"); ok {
-		t.Fatal("overwritten key still served")
-	}
-	if st := c.Stats(); st.Entries != 1 {
-		t.Fatalf("entries = %d, want 1 (one slot)", st.Entries)
-	}
-}
-
 // TestConcurrentMixedVersions hammers the cache from writers and readers
 // racing across version bumps; the correctness claim is that a Get only ever
 // returns a value stored under the exact version it presented. Run with
@@ -358,7 +332,7 @@ func TestRevalidationVerdictNeedsItsStamp(t *testing.T) {
 		c := New[[]int](4)
 		c.Put("v1", "k", []int{1})
 		racingStore := func(string, []int) bool { c.Put("v3", "k", []int{3}); return verdict }
-		c.lookup("v2", hashKey("k"), "k", racingStore)
+		c.lookup("v2", "k", racingStore)
 		if got, ok := c.Get("v3", "k"); !ok || got[0] != 3 {
 			t.Fatalf("verdict %v: Get(v3) = %v, %v; the racing store's entry must stand", verdict, got, ok)
 		}

@@ -13,9 +13,9 @@
 //
 // This package is the only code that knows the header, the table, alignment
 // and padding, and the only one that checks them: the claimed size equals the
-// real one (when that is known), every section lies inside the file after the
-// one before it, and paged sections are aligned. What a section holds is its
-// reader's business.
+// real one, every section lies inside the file after the one before it, and
+// paged sections are aligned. Sections are read at their offsets. What a
+// section holds is its reader's business.
 package secfile
 
 import (
@@ -167,34 +167,23 @@ func (sw *Writer) Close() (int64, error) {
 	return sw.n, sw.w.Flush()
 }
 
-// Reader reads a file's sections front to back: a stream (NewReader) can do
-// no other, and a mapping (NewReaderAt) needs no other — the sections a loader
-// leaves for later (Seqs, Shard) it reads by offset itself, from Secs.
+// Reader reads a file's sections at their offsets: ReadAll for what a
+// loader decodes up front, Secs for the sections it serves in place from a
+// mapping (Seqs, Shard).
 type Reader struct {
 	Secs []Section
 
-	r     *bufio.Reader
-	pos   int64 // offset of the next unread byte
-	sized bool  // the real file size is known: section lengths are bounded by bytes that exist
+	r io.ReaderAt // the file, bounded by its real size
 }
-
-// NewReader reads and validates the header and section table from a stream.
-// The real size is unknown, so a truncated file surfaces when the section it
-// cuts is read.
-func NewReader(r io.Reader) (*Reader, error) { return newReader(r, -1) }
 
 // NewReaderAt reads and validates the header and section table of a file of
-// the given real size — a mapping, or a section of one.
+// the given real size — a mapping, or a section of one. Every word is
+// corruption-controlled: each is bounded before it sizes an allocation, and
+// every section length by the real size.
 func NewReaderAt(r io.ReaderAt, size int64) (*Reader, error) {
-	return newReader(io.NewSectionReader(r, 0, size), size)
-}
-
-// newReader parses the header and the table. Every word is
-// corruption-controlled: each is bounded before it sizes an allocation.
-func newReader(r io.Reader, size int64) (*Reader, error) {
-	sr := &Reader{r: bufio.NewReader(r), sized: size >= 0}
+	sr := &Reader{r: io.NewSectionReader(r, 0, size)}
 	hdr := make([]byte, headerLen)
-	if n, err := io.ReadFull(sr.r, hdr); err != nil {
+	if n, err := sr.r.ReadAt(hdr, 0); n < headerLen {
 		return nil, fmt.Errorf("secfile: %d bytes is too short for an index file header (%d): %w", n, headerLen, err)
 	}
 	if string(hdr[:len(Magic)]) != Magic {
@@ -213,7 +202,7 @@ func newReader(r io.Reader, size int64) (*Reader, error) {
 	if claimed > math.MaxInt64 {
 		return nil, fmt.Errorf("secfile: corrupt header: claimed file size %d", claimed)
 	}
-	if size >= 0 && int64(claimed) != size {
+	if int64(claimed) != size {
 		return nil, fmt.Errorf("secfile: file is %d bytes but its header claims %d (truncated or corrupt file)", size, claimed)
 	}
 	count := binary.LittleEndian.Uint32(hdr[p+12:])
@@ -221,12 +210,11 @@ func newReader(r io.Reader, size int64) (*Reader, error) {
 		return nil, fmt.Errorf("secfile: corrupt header: %d sections", count)
 	}
 	table := make([]byte, entryLen*int(count))
-	if _, err := io.ReadFull(sr.r, table); err != nil {
+	if n, err := sr.r.ReadAt(table, int64(headerLen)); n < len(table) {
 		return nil, fmt.Errorf("secfile: file truncated inside its section table: %w", err)
 	}
 	sr.Secs = make([]Section, count)
-	sr.pos = int64(headerLen + len(table))
-	end := sr.pos
+	end := int64(headerLen + len(table))
 	for i := range sr.Secs {
 		e := table[entryLen*i:]
 		kind := Kind(e[:4])
@@ -246,26 +234,13 @@ func newReader(r io.Reader, size int64) (*Reader, error) {
 	return sr, nil
 }
 
-// ReadAll returns section i's bytes, skipping whatever lies between it and
-// the last section read; sections behind that one are out of reach. Unless the
-// length is known to be real, the buffer grows with the bytes that actually
-// arrive, so a corrupt length cannot size an allocation.
+// ReadAll returns section i's bytes, read at its offset. The table check
+// bounded its length by the real file size.
 func (sr *Reader) ReadAll(i int) ([]byte, error) {
 	s := sr.Secs[i]
-	if s.Off < sr.pos {
-		return nil, fmt.Errorf("secfile: %q section at %d lies behind the read position %d", s.Kind, s.Off, sr.pos)
-	}
-	if _, err := io.CopyN(io.Discard, sr.r, s.Off-sr.pos); err != nil {
-		return nil, fmt.Errorf("secfile: file truncated before its %q section: %w", s.Kind, err)
-	}
-	var buf bytes.Buffer
-	if sr.sized {
-		buf.Grow(int(s.Len))
-	}
-	n, err := io.CopyN(&buf, sr.r, s.Len)
-	sr.pos = s.Off + n
-	if err != nil {
+	buf := make([]byte, s.Len)
+	if n, err := sr.r.ReadAt(buf, s.Off); n < len(buf) {
 		return nil, fmt.Errorf("secfile: %q section truncated (%d of %d bytes): %w", s.Kind, n, s.Len, err)
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }

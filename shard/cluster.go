@@ -63,7 +63,6 @@ import (
 	"digitaltraces"
 	"digitaltraces/internal/mmap"
 	"digitaltraces/internal/obs"
-	"digitaltraces/internal/parallel"
 	"digitaltraces/internal/qcache"
 )
 
@@ -402,35 +401,32 @@ func (c *Cluster) TopK(entity string, k int) ([]digitaltraces.Match, digitaltrac
 // topKTraced is TopK with trace linkage: batchID groups the item traces of
 // one TopKBatch call (0 outside a batch).
 func (c *Cluster) topKTraced(entity string, k int, batchID uint64) ([]digitaltraces.Match, digitaltraces.QueryStats, error) {
-	return c.query(obs.KindTopK, entity, k, batchID, qcache.EntityKey(entity, k), func(sm *SlotMap) ([]opened, error) {
+	return c.query(obs.KindTopK, entity, k, batchID, qcache.EntityKey(entity, k), func(sm *SlotMap) (fanout, error) {
 		// Resolve the entity's visits, open its home-shard stream and pull
 		// k+1 from it in one call (one round trip on a remote home shard),
 		// then fan the same visit snapshot out to every sibling — the merged
 		// answer never mixes two states of the query entity even when a
 		// writer races the query.
 		homeOrd := sm.Owner(entity)
+		f, home := c.newFanout(homeOrd)
 		start := time.Now()
 		visits, st, first, err := c.shards[homeOrd].OpenSearchEntity(entity, k+1)
 		if err != nil {
-			return nil, err
+			return fanout{}, err
 		}
-		home := opened{st: st, first: first, took: time.Since(start)}
+		f.opened(home, sm, st, first, 0, time.Since(start))
 		// The k-th owned match other than the entity itself is a floor the
 		// siblings can open at: the merged k-th can only be higher.
 		floor, n := 0.0, 0
-		for _, m := range first.Matches {
-			if m.Entity != entity && sm.Owner(m.Entity) == homeOrd {
+		for _, e := range f.first[home].entries {
+			if e.m.Entity != entity {
 				if n++; n == k {
-					floor = m.Degree
+					floor = e.m.Degree
 					break
 				}
 			}
 		}
-		byShard, err := c.openSearches(visits, homeOrd, home, k, floor)
-		if err != nil {
-			st.Close()
-		}
-		return byShard, err
+		return f, c.openSearches(sm, &f, visits, k, floor)
 	})
 }
 
@@ -438,220 +434,156 @@ func (c *Cluster) topKTraced(entity string, k int, batchID uint64) ([]digitaltra
 // fanning the example out to every shard through the same threshold-pruned
 // gather as TopK, with no self to exclude.
 func (c *Cluster) TopKByExample(visits []digitaltraces.Visit, k int) ([]digitaltraces.Match, digitaltraces.QueryStats, error) {
-	return c.query(obs.KindExample, "", k, 0, exampleCacheKey(visits, k), func(*SlotMap) ([]opened, error) {
-		return c.openSearches(visits, -1, opened{}, k, 0)
+	return c.query(obs.KindExample, "", k, 0, exampleCacheKey(visits, k), func(sm *SlotMap) (fanout, error) {
+		f, _ := c.newFanout(-1)
+		return f, c.openSearches(sm, &f, visits, k, 0)
 	})
-}
-
-// opened is one shard's search after its fused open: the stream, the first
-// batch the open returned with it, the floor that batch was pulled at, and
-// the wall-clock the open took.
-type opened struct {
-	st    Stream
-	first digitaltraces.Batch
-	floor float64
-	took  time.Duration
 }
 
 // query answers one top-k query (entity is the one to exclude, "" for an
 // example) and records its trace. It runs through the cluster cache
-// (qcache.Do under cacheVersion), and a miss gathers over the streams open
+// (qcache.Do under cacheVersion), and a miss gathers over the fan-out open
 // opens under one pinned slot map: home resolution, the per-pull ownership
 // filter and the loose-stream decision all read that map, so a migration
 // publishing mid-query can never split the query's view of who owns what
 // (slotmap.go's exactness argument).
-func (c *Cluster) query(kind obs.Kind, entity string, k int, batchID uint64, key string, open func(*SlotMap) ([]opened, error)) ([]digitaltraces.Match, digitaltraces.QueryStats, error) {
+func (c *Cluster) query(kind obs.Kind, entity string, k int, batchID uint64, key string, open func(*SlotMap) (fanout, error)) ([]digitaltraces.Match, digitaltraces.QueryStats, error) {
 	start := time.Now()
 	if k < 1 {
 		err := fmt.Errorf("shard: k = %d < 1", k)
-		c.record(kind, entity, k, batchID, nil, digitaltraces.QueryStats{}, gatherDetail{}, err, start)
+		c.record(kind, entity, k, batchID, nil, digitaltraces.QueryStats{}, nil, nil, err, start)
 		return nil, digitaltraces.QueryStats{}, err
 	}
 	var (
 		qs   digitaltraces.QueryStats
-		d    gatherDetail
+		rows []obs.ShardTrace
 		gens []uint64
 	)
 	out, hit, err := qcache.Do(c.cache, key, func() (v string, ok bool) {
 		v, gens, ok = c.cacheVersion()
 		return v, ok
-	}, func() (out []digitaltraces.Match, err error) {
+	}, func() ([]digitaltraces.Match, error) {
 		sm := c.slotmap()
-		byShard, err := open(sm)
+		f, err := open(sm)
 		if err != nil {
 			return nil, err
 		}
-		out, qs, d, err = c.gatherByShard(sm, byShard, k, entity, start)
+		rows = f.rows
+		out, s, err := c.gather(sm, &f, k, entity, start)
+		qs = s
 		return out, err
 	})
-	if hit {
-		qs, d = digitaltraces.QueryStats{CacheHit: true, Elapsed: time.Since(start)}, gatherDetail{generations: gens}
+	switch {
+	case hit:
+		qs = digitaltraces.QueryStats{CacheHit: true, Elapsed: time.Since(start)}
+	case err != nil:
+		rows, gens = nil, nil
 	}
-	c.record(kind, entity, k, batchID, out, qs, d, err, start)
+	c.record(kind, entity, k, batchID, out, qs, rows, gens, err, start)
 	return out, qs, err
 }
 
-// openSearches opens one incremental search stream per non-empty shard, in
-// parallel (each open scores the shard's first pull, so local opens overlap
-// their searches; on remote shards they are concurrent round trips), each
-// with its first pull at floor: the shard's even share of k, ⌈k/N⌉. Asking
-// for more would score deeper than the floor the gather's next round
-// carries; asking for less leaves that round a lower floor. A pre-opened home stream (TopK's
-// combined resolve-and-open) slots in at homeOrd; pass homeOrd = -1 for the
-// example path. The result is aligned to c.shards, empty for shards that
-// held no entities, which gatherByShard compacts for the bounded merge. On
-// error every stream opened here is closed (not the caller's pre-opened
-// one).
-func (c *Cluster) openSearches(visits []digitaltraces.Visit, homeOrd int, home opened, k int, floor float64) ([]opened, error) {
-	want := (k + len(c.shards) - 1) / len(c.shards)
-	byShard := make([]opened, len(c.shards))
-	errs := make([]error, len(c.shards))
-	var wg sync.WaitGroup
-	n := 0
+// fanout is a cluster query's per-shard state, one slot per shard that
+// holds entities (the home shard always), in shard order: the stream its
+// open started, the first round that open pulled, and the row the query's
+// trace holds for it. newFanout fills a row's Shard, the open its Addr and
+// Generation, the gather its Pulled, Rounds, Cut, Exhausted, Bound and
+// Latency, and the gather's end its Checked.
+type fanout struct {
+	streams []Stream
+	first   []pullResp
+	rows    []obs.ShardTrace
+}
+
+// newFanout lays out a fan-out over the shards that hold entities (an empty
+// shard has no candidates, and no index to search) and homeOrd (−1: none),
+// returning homeOrd's slot.
+func (c *Cluster) newFanout(homeOrd int) (fanout, int) {
+	f := fanout{rows: make([]obs.ShardTrace, 0, len(c.shards))}
+	home := -1
 	for i, sh := range c.shards {
 		if i == homeOrd {
-			byShard[i] = home
-			n++
+			home = len(f.rows)
+		} else if sh.NumEntities() == 0 {
 			continue
 		}
-		if sh.NumEntities() == 0 {
-			continue // an empty shard has no candidates (and no index to search)
+		f.rows = append(f.rows, obs.ShardTrace{Shard: i})
+	}
+	f.streams = make([]Stream, len(f.rows))
+	f.first = make([]pullResp, len(f.rows))
+	return f, home
+}
+
+// opened fills slot j with its open: the stream, and the first batch it
+// pulled at floor in took, filtered by sm's ownership.
+func (f *fanout) opened(j int, sm *SlotMap, st Stream, b digitaltraces.Batch, floor float64, took time.Duration) {
+	f.streams[j] = st
+	f.first[j] = owned(sm, f.rows[j].Shard, b, took)
+	f.first[j].floor = floor
+	f.rows[j].Generation = st.Generation()
+	if a, ok := st.(interface{ Addr() string }); ok {
+		f.rows[j].Addr = a.Addr() // remote streams name their shard server
+	}
+}
+
+// close releases every opened stream.
+func (f *fanout) close() {
+	for _, st := range f.streams {
+		if st != nil {
+			st.Close()
 		}
-		n++
+	}
+}
+
+// openSearches opens a stream over visits on every slot of f that has none
+// yet, in parallel (each open scores the shard's first pull, so local opens
+// overlap their searches; on remote shards they are concurrent round
+// trips), each with its first pull at floor: the shard's even share of k,
+// ⌈k/N⌉. Asking for more would score deeper than the floor the gather's
+// next round carries; asking for less leaves that round a lower floor. A
+// slot already open is the home shard's (TopK's combined resolve-and-open).
+// On error every stream of f is closed.
+func (c *Cluster) openSearches(sm *SlotMap, f *fanout, visits []digitaltraces.Visit, k int, floor float64) error {
+	if len(f.rows) == 0 {
+		return fmt.Errorf("shard: cluster has no visits to index")
+	}
+	want := (k + len(c.shards) - 1) / len(c.shards)
+	errs := make([]error, len(f.rows))
+	var wg sync.WaitGroup
+	for j := range f.rows {
+		if f.streams[j] != nil {
+			continue
+		}
 		wg.Add(1)
-		go func(i int, sh Backend) {
+		go func() {
 			defer wg.Done()
 			start := time.Now()
-			o := opened{floor: floor}
-			o.st, o.first, errs[i] = sh.OpenSearch(visits, want, floor)
-			o.took = time.Since(start)
-			byShard[i] = o
-		}(i, sh)
-	}
-	if n == 0 {
-		return nil, fmt.Errorf("shard: cluster has no visits to index")
+			st, b, err := c.shards[f.rows[j].Shard].OpenSearch(visits, want, floor)
+			if err != nil {
+				errs[j] = fmt.Errorf("shard %d: %w", f.rows[j].Shard, err)
+				return
+			}
+			f.opened(j, sm, st, b, floor, time.Since(start))
+		}()
 	}
 	wg.Wait()
-	for i, err := range errs {
+	for _, err := range errs {
 		if err != nil {
-			if homeOrd >= 0 {
-				byShard[homeOrd] = opened{}
-			}
-			closeAll(byShard)
-			return nil, fmt.Errorf("shard %d: %w", i, err)
+			f.close()
+			return err
 		}
 	}
-	return byShard, nil
+	return nil
 }
 
-// closeAll releases every opened stream.
-func closeAll(byShard []opened) {
-	for _, o := range byShard {
-		if o.st != nil {
-			o.st.Close()
-		}
-	}
-}
-
-// gatherByShard finishes a fan-out over an openSearches result: it checks
-// the slot epoch, compacts the streams, runs the threshold-pruned gather
-// under the query's pinned slot map, maps the stream-indexed report back to
-// shard ordinals and the streams' generations for the trace detail, and
-// closes every stream.
-func (c *Cluster) gatherByShard(sm *SlotMap, byShard []opened, k int, exclude string, start time.Time) ([]digitaltraces.Match, digitaltraces.QueryStats, gatherDetail, error) {
-	defer closeAll(byShard)
-	if err := c.checkSlotEpoch(); err != nil {
-		return nil, digitaltraces.QueryStats{}, gatherDetail{}, err
-	}
-	active := make([]opened, 0, len(byShard))
-	ords := make([]int, 0, len(byShard))
-	gens := make([]uint64, len(byShard)) // 0 for shards that were empty
-	for i, o := range byShard {
-		if o.st != nil {
-			active = append(active, o)
-			ords = append(ords, i)
-			gens[i] = o.st.Generation()
-		}
-	}
-	out, checked, rep, err := c.gatherSearches(sm, active, ords, k, exclude)
-	if err != nil {
-		return nil, digitaltraces.QueryStats{}, gatherDetail{}, err
-	}
-	d := detailFromReport(rep, ords, active)
-	d.generations = gens
-	n := c.NumEntities()
-	if exclude != "" {
-		n-- // the query entity is no candidate
-	}
-	return out, c.gatherStats(checked, len(out), n, start, d), d, nil
-}
-
-// TopKBatch answers top-k for every named entity on parallel.For (workers
-// ≤ 0 selects GOMAXPROCS); each item is TopK's query — cache, then
-// scatter-gather — traced under one shared batch ID. Aggregate stats follow
-// DB.TopKBatch: Checked sums degree computations, PE averages the per-query
-// pruning effectiveness, Pruned is the batch-wide pruned fraction over the
-// cluster population.
+// TopKBatch answers top-k for every named entity on digitaltraces.RunBatch,
+// the runner DB.TopKBatch uses: each item is TopK's query — cache, then
+// scatter-gather — traced under the batch's ID, and the aggregate's Pruned
+// is over the cluster population.
 func (c *Cluster) TopKBatch(entities []string, k, workers int) (map[string][]digitaltraces.Match, digitaltraces.QueryStats, error) {
-	start := time.Now()
-	if len(entities) == 0 {
-		return nil, digitaltraces.QueryStats{}, fmt.Errorf("shard: empty batch query set")
-	}
-	type result struct {
-		ms  []digitaltraces.Match
-		qs  digitaltraces.QueryStats
-		err error
-	}
-	results := make([]result, len(entities))
-	// Each batch item records its own trace, linked by one shared batch ID
-	// (0 — no linkage — when tracing is off).
-	batchID := c.tracer.NextBatchID()
-	parallel.For(len(entities), workers, func(i int) {
-		ms, qs, err := c.topKTraced(entities[i], k, batchID)
-		results[i] = result{ms, qs, err}
+	return digitaltraces.RunBatch(entities, workers, c.tracer, c.NumEntities, func(entity string, batchID uint64) ([]digitaltraces.Match, digitaltraces.QueryStats, error) {
+		return c.topKTraced(entity, k, batchID)
 	})
-	out := make(map[string][]digitaltraces.Match, len(entities))
-	var stats digitaltraces.QueryStats
-	var peSum float64
-	for i, r := range results {
-		if r.err != nil {
-			return nil, digitaltraces.QueryStats{}, r.err
-		}
-		out[entities[i]] = r.ms
-		stats.Checked += r.qs.Checked
-		peSum += r.qs.PE
-	}
-	stats.PE = peSum / float64(len(entities))
-	if n := c.NumEntities() - 1; n > 0 {
-		stats.Pruned = 1 - float64(stats.Checked)/float64(len(entities)*n)
-	}
-	stats.Elapsed = time.Since(start)
-	// The whole batch is histogram-only; the per-item traces above carry
-	// the structured detail.
-	c.tracer.Observe(obs.KindBatch, stats.Elapsed)
-	return out, stats, nil
-}
-
-// gatherStats recomputes the Definition 5 statistics over the cluster-wide
-// candidate population n, mirroring the single-DB formulas, and carries the
-// gather detail's fan-out shape (shards touched, candidates pulled, merge
-// time — the merge/pull attribution split) into the QueryStats.
-func (c *Cluster) gatherStats(checked, returned, n int, start time.Time, d gatherDetail) digitaltraces.QueryStats {
-	qs := digitaltraces.QueryStats{
-		Checked: checked,
-		Elapsed: time.Since(start),
-		Shards:  len(d.shards),
-		Pulled:  d.pulled,
-		Merge:   d.merge,
-	}
-	if n > 0 {
-		qs.PE = float64(checked-returned) / float64(n)
-		if qs.PE < 0 {
-			qs.PE = 0
-		}
-		qs.Pruned = 1 - float64(checked)/float64(n)
-	}
-	return qs
 }
 
 // NumShards returns the number of partitions.

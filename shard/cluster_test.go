@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -340,6 +341,54 @@ func TestClusterConfigValidation(t *testing.T) {
 		return db, db.AddVisit("stowaway", "venue-0", digitaltraces.TimeAt(0), digitaltraces.TimeAt(1))
 	}}); err == nil || !strings.Contains(err.Error(), "pre-populated") {
 		t.Errorf("pre-populated shard: err = %v, want pre-populated error", err)
+	}
+}
+
+// TestTopKBatchAggregateOnEveryEngine: on a DB and on a 4-shard cluster, both
+// answering batches through digitaltraces.RunBatch, every batch item is
+// that engine's TopK answer, the aggregate's Checked (and skip counts) sum
+// the items' and its PE is their mean.
+func TestTopKBatchAggregateOnEveryEngine(t *testing.T) {
+	const k = 7
+	db := testCity(t)
+	c := testCluster(t, db, 4)
+	defer c.Close()
+	names := db.Entities()
+	for _, e := range []struct {
+		name   string
+		engine digitaltraces.Engine
+	}{{"db", db}, {"cluster", c}} {
+		t.Run(e.name, func(t *testing.T) {
+			batch, stats, err := e.engine.TopKBatch(names, k, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(batch) != len(names) {
+				t.Fatalf("batch has %d results, want %d", len(batch), len(names))
+			}
+			var sum digitaltraces.QueryStats
+			for _, name := range names {
+				seq, qs, err := e.engine.TopK(name, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameMatches(t, "batch item "+name, batch[name], seq)
+				sum.Checked += qs.Checked
+				sum.ZeroSkipped += qs.ZeroSkipped
+				sum.BoundSkipped += qs.BoundSkipped
+				sum.PE += qs.PE
+			}
+			if stats.Checked != sum.Checked || stats.ZeroSkipped != sum.ZeroSkipped || stats.BoundSkipped != sum.BoundSkipped {
+				t.Errorf("aggregate Checked/ZeroSkipped/BoundSkipped = %d/%d/%d, want the items' sums %d/%d/%d",
+					stats.Checked, stats.ZeroSkipped, stats.BoundSkipped, sum.Checked, sum.ZeroSkipped, sum.BoundSkipped)
+			}
+			if want := sum.PE / float64(len(names)); math.Abs(stats.PE-want) > 1e-9 {
+				t.Errorf("aggregate PE = %v, want the items' mean %v", stats.PE, want)
+			}
+			if stats.Pruned < 0 || stats.Pruned > 1 || stats.Elapsed <= 0 {
+				t.Errorf("aggregate stats out of range: %+v", stats)
+			}
+		})
 	}
 }
 

@@ -59,6 +59,7 @@ import (
 	"time"
 
 	"digitaltraces"
+	"digitaltraces/internal/obs"
 )
 
 // pullReq asks one stream for up to want more results at or above floor.
@@ -85,33 +86,16 @@ type pullResp struct {
 	took    time.Duration
 }
 
-// streamReport is one stream's share of a boundedGather, index-aligned with
-// the streams: what it surrendered, how it ended, and what it cost.
-type streamReport struct {
-	pulled    int
-	rounds    int
-	cut       bool // stopped by the threshold, the k+1 cap or its floor
-	exhausted bool // ran dry
-	bound     float64
-	latency   time.Duration
-}
-
-// gatherReport describes one boundedGather run: the per-stream breakdown,
-// the coordinator's cumulative merge time (the cost not attributable to any
-// stream — the satellite-2 attribution split), and the merged k-th degree
-// the cuts fired against (0 when fewer than k results exist).
-type gatherReport struct {
-	streams []streamReport
-	merge   time.Duration
-	kth     float64
-}
-
-// boundedGather merges n incremental streams into the global top-k with
-// threshold early termination, excluding the named entity. first, when not
-// nil, is every stream's first round, already pulled (by the fused opens).
-// pull must fulfill every request of a round (it may fan out in parallel)
-// and return responses in request order. Returns the merged answer, the
-// number of excluded entries skipped, and the per-stream gather report.
+// boundedGather merges the incremental streams rows stand for into the
+// global top-k with threshold early termination, excluding the named entity.
+// Each stream's state is its trace row: the gather keeps its Pulled, Rounds,
+// Cut, Exhausted, Bound and Latency, and leaves every other field to the
+// caller. first, when not nil, is every stream's first round, already pulled
+// (by the fused opens). pull must fulfill every request of a round (it may
+// fan out in parallel) and return responses in request order. Returns the
+// merged answer, the number of excluded entries skipped, and the
+// coordinator's cumulative merge time (the cost not attributable to any
+// stream).
 //
 // loose (nil = none) marks streams whose shard-local emission order no
 // longer matches the global arrival order restricted to the shard — shards
@@ -124,29 +108,28 @@ type gatherReport struct {
 // merged k-th degree — so sorting the prefix agrees with sorting the full
 // list on everything that can reach the answer. For an aligned stream the
 // sort is a no-op, so loose streams trade only pruning, never exactness.
-func boundedGather(n, k int, exclude string, loose []bool, first []pullResp, pull func([]pullReq) ([]pullResp, error)) ([]digitaltraces.Match, int, gatherReport, error) {
-	bufs := make([][]entry, n)
-	bounds := make([]float64, n)
-	live := make([]bool, n)
-	pulled := make([]int, n)
-	rep := gatherReport{streams: make([]streamReport, n)}
-	for i := range live {
-		live[i] = true
-		bounds[i] = 1 // degrees live in [0, 1]; an unpulled stream may hold anything
+func boundedGather(rows []obs.ShardTrace, k int, exclude string, loose []bool, first []pullResp, pull func([]pullReq) ([]pullResp, error)) ([]digitaltraces.Match, int, time.Duration, error) {
+	bufs := make([][]entry, len(rows))
+	for i := range rows {
+		rows[i].Bound = 1 // degrees live in [0, 1]; an unpulled stream may hold anything
 	}
 	isLoose := func(i int) bool { return loose != nil && loose[i] }
+	// A stream is live until it ends: dry (Exhausted) or cut by its floor.
+	live := func(i int) bool { return !rows[i].Cut && !rows[i].Exhausted }
 	absorb := func(i int, r pullResp) {
+		row := &rows[i]
 		bufs[i] = append(bufs[i], r.entries...)
-		bounds[i] = r.bound
+		row.Bound = r.bound
 		// No progress from a live stream would loop forever; a stream that
-		// surrendered nothing (pre-filter) is done.
-		live[i] = r.live && r.raw > 0
-		// Ended under a positive floor, a stream was cut by it; at floor 0
-		// it ran dry.
-		rep.streams[i].exhausted = !live[i] && r.floor == 0
-		pulled[i] += len(r.entries)
-		rep.streams[i].rounds++
-		rep.streams[i].latency += r.took
+		// surrendered nothing (pre-filter) is done. Ended under a positive
+		// floor, it was cut by it; at floor 0 it ran dry.
+		if !r.live || r.raw == 0 {
+			row.Exhausted = r.floor == 0
+			row.Cut = r.floor != 0
+		}
+		row.Pulled += len(r.entries)
+		row.Rounds++
+		row.Latency += r.took
 		if isLoose(i) && len(r.entries) > 0 {
 			// Restore the merge's sorted-input precondition under the
 			// global order; stable, so equal entries keep stream order.
@@ -160,51 +143,49 @@ func boundedGather(n, k int, exclude string, loose []bool, first []pullResp, pul
 	}
 	// The self entity consumes one slot wherever it ranks, so k+1 entries
 	// from one shard always contain that shard's full possible contribution.
-	// pulled counts post-filter (owned) entries, so the cap argument counts
+	// Pulled counts post-filter (owned) entries, so the cap argument counts
 	// the same entries the merge sees even when foreign copies interleave.
 	limit := k + 1
 	batch := limit // a loose stream's want; it has no cap, so it doubles per round
+	var merge time.Duration
 	for {
 		mergeStart := time.Now()
 		merged, excluded := mergeEntries(bufs, k, exclude)
-		rep.merge += time.Since(mergeStart)
+		merge += time.Since(mergeStart)
 		floor := 0.0
 		if len(merged) == k {
 			floor = merged[k-1].Degree
 		}
 		var reqs []pullReq
-		for i := 0; i < n; i++ {
-			if !live[i] || (!isLoose(i) && pulled[i] >= limit) {
+		for i := range rows {
+			if !live(i) || (!isLoose(i) && rows[i].Pulled >= limit) {
 				continue
 			}
 			// Pull while the stream could still contribute: its bound
 			// ties-or-beats the floor (ties can win on ordinal, so ≥, cut
 			// on <).
-			if bounds[i] >= floor {
+			if rows[i].Bound >= floor {
 				want := batch
 				if !isLoose(i) {
-					want = limit - pulled[i]
+					want = limit - rows[i].Pulled
 				}
 				reqs = append(reqs, pullReq{stream: i, want: want, floor: floor})
 			}
 		}
 		if len(reqs) == 0 {
-			rep.kth = floor
-			for i := 0; i < n; i++ {
-				rep.streams[i].pulled = pulled[i]
-				rep.streams[i].bound = bounds[i]
-				// A stream that did not run dry was stopped by the coordinator
-				// (threshold cut or the k+1 cap) or by its floor.
-				rep.streams[i].cut = !rep.streams[i].exhausted
+			// A stream that did not run dry was stopped by the coordinator
+			// (threshold cut or the k+1 cap) or by its floor.
+			for i := range rows {
+				rows[i].Cut = !rows[i].Exhausted
 			}
-			return merged, excluded, rep, nil
+			return merged, excluded, merge, nil
 		}
 		resps, err := pull(reqs)
 		if err != nil {
-			return nil, 0, rep, err
+			return nil, 0, merge, err
 		}
 		if len(resps) != len(reqs) {
-			return nil, 0, rep, fmt.Errorf("shard: pull returned %d responses for %d requests", len(resps), len(reqs))
+			return nil, 0, merge, fmt.Errorf("shard: pull returned %d responses for %d requests", len(resps), len(reqs))
 		}
 		for j, r := range reqs {
 			resps[j].floor = r.floor
@@ -214,48 +195,27 @@ func boundedGather(n, k int, exclude string, loose []bool, first []pullResp, pul
 	}
 }
 
-// gatherSearches runs boundedGather over opened per-shard streams, starting
-// from the first batches their opens returned and pulling each later round's
-// requests in parallel — one Stream.Pull per stream per round, so a whole
-// gather round against remote shards costs one concurrent wave of round
-// trips — and resolving global ordinals for the pulled matches. streams
-// must hold open streams and ords maps each to its shard ordinal; every
-// pulled match is filtered by sm's ownership (an entity mid-migration is
-// physically on two shards — exactly the copy sm says is the owner
-// survives), and streams on sm-touched shards run loose. checked sums every
-// stream's exact degree computations after termination (the quantity the
-// pruning saves versus a full local top-k on every shard). The report's
-// streams are aligned with streams.
-func (c *Cluster) gatherSearches(sm *SlotMap, streams []opened, ords []int, k int, exclude string) (out []digitaltraces.Match, checked int, rep gatherReport, err error) {
-	loose := make([]bool, len(streams))
-	for si, o := range ords {
-		loose[si] = sm.touched[o]
+// gather finishes a fan-out: it checks the slot epoch, runs the
+// threshold-pruned gather over f's streams under the query's pinned slot
+// map — starting from the first rounds their opens pulled, each later
+// round's pulls in parallel, one Stream.Pull per stream per round, so a
+// whole round against remote shards costs one concurrent wave of round
+// trips — fills each row's Checked, and closes every stream. Streams on
+// shards sm has touched run loose. The QueryStats it returns come from the
+// rows: Checked sums the streams' exact degree computations (the quantity
+// the pruning saves versus a full local top-k on every shard), and PE and
+// Pruned are recomputed over the cluster-wide candidate population with the
+// single-DB formulas.
+func (c *Cluster) gather(sm *SlotMap, f *fanout, k int, exclude string, start time.Time) ([]digitaltraces.Match, digitaltraces.QueryStats, error) {
+	defer f.close()
+	if err := c.checkSlotEpoch(); err != nil {
+		return nil, digitaltraces.QueryStats{}, err
 	}
-	owned := func(i int, b digitaltraces.Batch, took time.Duration) pullResp {
-		es := make([]entry, 0, len(b.Matches))
-		for _, m := range b.Matches {
-			if sm.Owner(m.Entity) == ords[i] { // else a foreign copy: migrated away, or shipped here under a newer map
-				es = append(es, entry{m: m})
-			}
-		}
-		return pullResp{entries: es, raw: len(b.Matches), bound: b.Bound, live: b.Live, took: took}
+	loose := make([]bool, len(f.rows))
+	for j, r := range f.rows {
+		loose[j] = sm.touched[r.Shard]
 	}
-	// Resolve ordinals once per round, outside the pull goroutines.
-	rank := func(resps []pullResp) {
-		c.mu.RLock()
-		defer c.mu.RUnlock()
-		for j := range resps {
-			for i := range resps[j].entries {
-				resps[j].entries[i].rank = c.rankLocked(resps[j].entries[i].m.Entity)
-			}
-		}
-	}
-	first := make([]pullResp, len(streams))
-	for i, o := range streams {
-		first[i] = owned(i, o.first, o.took)
-		first[i].floor = o.floor
-	}
-	rank(first)
+	c.rank(f.first)
 	pull := func(reqs []pullReq) ([]pullResp, error) {
 		resps := make([]pullResp, len(reqs))
 		errs := make([]error, len(reqs))
@@ -265,8 +225,8 @@ func (c *Cluster) gatherSearches(sm *SlotMap, streams []opened, ords []int, k in
 			go func() {
 				defer wg.Done()
 				pullStart := time.Now()
-				b, err := streams[r.stream].st.Pull(r.want, r.floor)
-				resps[j], errs[j] = owned(r.stream, b, time.Since(pullStart)), err
+				b, err := f.streams[r.stream].Pull(r.want, r.floor)
+				resps[j], errs[j] = owned(sm, f.rows[r.stream].Shard, b, time.Since(pullStart)), err
 			}()
 		}
 		wg.Wait()
@@ -275,19 +235,58 @@ func (c *Cluster) gatherSearches(sm *SlotMap, streams []opened, ords []int, k in
 				return nil, e
 			}
 		}
-		rank(resps)
+		c.rank(resps)
 		return resps, nil
 	}
-	out, excluded, rep, err := boundedGather(len(streams), k, exclude, loose, first, pull)
+	out, excluded, merge, err := boundedGather(f.rows, k, exclude, loose, f.first, pull)
 	if err != nil {
-		return nil, 0, rep, err
+		return nil, digitaltraces.QueryStats{}, err
 	}
-	for _, s := range streams {
-		checked += s.st.Checked()
+	qs := digitaltraces.QueryStats{Shards: len(f.rows), Merge: merge}
+	for j, st := range f.streams {
+		f.rows[j].Checked = st.Checked()
+		qs.Checked += f.rows[j].Checked
+		qs.Pulled += f.rows[j].Pulled
 	}
 	// The home shard's example search scores the query entity itself (a
 	// single DB never does); subtract what the merge skipped so
 	// Checked/PE/Pruned stay comparable with single-DB numbers.
-	checked -= excluded
-	return out, checked, rep, nil
+	qs.Checked -= excluded
+	n := c.NumEntities()
+	if exclude != "" {
+		n-- // the query entity is no candidate
+	}
+	if n > 0 {
+		qs.PE = max(0, float64(qs.Checked-len(out))/float64(n))
+		qs.Pruned = 1 - float64(qs.Checked)/float64(n)
+	}
+	qs.Elapsed = time.Since(start)
+	return out, qs, nil
+}
+
+// owned is one stream round as the gather sees it: b's matches filtered by
+// sm's ownership (an entity mid-migration is physically on two shards —
+// exactly the copy sm says is the owner survives, whether the other was
+// migrated away or shipped in under a newer map), pulled from shard ord in
+// took.
+func owned(sm *SlotMap, ord int, b digitaltraces.Batch, took time.Duration) pullResp {
+	es := make([]entry, 0, len(b.Matches))
+	for _, m := range b.Matches {
+		if sm.Owner(m.Entity) == ord {
+			es = append(es, entry{m: m})
+		}
+	}
+	return pullResp{entries: es, raw: len(b.Matches), bound: b.Bound, live: b.Live, took: took}
+}
+
+// rank resolves the global ordinals of a round's pulled matches, once per
+// round, outside the pull goroutines.
+func (c *Cluster) rank(resps []pullResp) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for j := range resps {
+		for i := range resps[j].entries {
+			resps[j].entries[i].rank = c.rankLocked(resps[j].entries[i].m.Entity)
+		}
+	}
 }

@@ -28,6 +28,7 @@ import (
 	"testing"
 
 	"digitaltraces"
+	"digitaltraces/internal/obs"
 	"sort"
 )
 
@@ -172,19 +173,20 @@ func runBoundedGather(t *testing.T, g gatherCase) ([]digitaltraces.Match, []int)
 		}
 		return resps, nil
 	}
-	got, _, rep, err := boundedGather(len(g.lists), g.k, g.exclude, g.loose, first, pull)
+	rows := make([]obs.ShardTrace, len(g.lists))
+	got, _, _, err := boundedGather(rows, g.k, g.exclude, g.loose, first, pull)
 	if err != nil {
 		t.Fatalf("boundedGather: %v", err)
 	}
-	// The report's per-stream pulled counts must agree with the simulated
+	// The rows' per-stream pulled counts must agree with the simulated
 	// stream positions — the consistency the /traces endpoint exposes.
 	for i := range g.lists {
-		if rep.streams[i].pulled != pos[i] {
-			t.Fatalf("stream %d report pulled %d, stream served %d", i, rep.streams[i].pulled, pos[i])
+		if rows[i].Pulled != pos[i] {
+			t.Fatalf("stream %d row pulled %d, stream served %d", i, rows[i].Pulled, pos[i])
 		}
-		if rep.streams[i].cut == rep.streams[i].exhausted {
+		if rows[i].Cut == rows[i].Exhausted {
 			t.Fatalf("stream %d: cut=%v exhausted=%v — exactly one must hold after a bounded gather",
-				i, rep.streams[i].cut, rep.streams[i].exhausted)
+				i, rows[i].Cut, rows[i].Exhausted)
 		}
 	}
 	return got, pos
@@ -263,7 +265,7 @@ func TestBoundedGatherPrunes(t *testing.T) {
 // TestBoundedGatherPullError verifies pull failures surface to the caller.
 func TestBoundedGatherPullError(t *testing.T) {
 	pull := func([]pullReq) ([]pullResp, error) { return nil, fmt.Errorf("shard down") }
-	if _, _, _, err := boundedGather(2, 3, "", nil, nil, pull); err == nil || err.Error() != "shard down" {
+	if _, _, _, err := boundedGather(make([]obs.ShardTrace, 2), 3, "", nil, nil, pull); err == nil || err.Error() != "shard down" {
 		t.Fatalf("err = %v, want shard down", err)
 	}
 }

@@ -14,18 +14,6 @@ import (
 	"digitaltraces/internal/obs"
 )
 
-// gatherDetail is the trace-grade breakdown of one cluster query, threaded
-// from the gather up to the trace recorder. It is collected unconditionally
-// — QueryStats.Shards/Pulled/Merge report from it even with tracing off —
-// and costs one small slice per query.
-type gatherDetail struct {
-	shards      []obs.ShardTrace
-	generations []uint64 // per-shard generation vector, aligned with c.shards
-	merge       time.Duration
-	kth         float64
-	pulled      int // candidates drawn across shards (sum of shards[i].Pulled)
-}
-
 // Tracer exposes the cluster's coordinator-level query tracer — nil when
 // Config.TraceSize was ≤ 0. Per-shard DB tracers stay empty under cluster
 // queries (the fan-out streams through the incremental search path, not the
@@ -33,59 +21,27 @@ type gatherDetail struct {
 func (c *Cluster) Tracer() *obs.Tracer { return c.tracer }
 
 // record writes one cluster query's trace and feeds the latency histograms.
-// No-op when tracing is disabled.
-func (c *Cluster) record(kind obs.Kind, entity string, k int, batchID uint64, out []digitaltraces.Match, qs digitaltraces.QueryStats, d gatherDetail, err error, start time.Time) {
+// rows are the query's per-shard rows (nil for a cache hit or a failed
+// query), and its generation vector is read off them; a cache hit passes
+// the vector its version decoded instead. No-op when tracing is disabled.
+func (c *Cluster) record(kind obs.Kind, entity string, k int, batchID uint64, out []digitaltraces.Match, qs digitaltraces.QueryStats, rows []obs.ShardTrace, gens []uint64, err error, start time.Time) {
 	if c.tracer == nil {
 		return
 	}
-	qt := obs.QueryTrace{
-		Kind:        kind,
-		BatchID:     batchID,
-		Entity:      entity,
-		K:           k,
-		Generations: d.generations,
-		CacheHit:    qs.CacheHit,
-		Checked:     qs.Checked,
-		Pulled:      d.pulled,
-		KthDegree:   d.kth,
-		Shards:      d.shards,
-		Merge:       d.merge,
-		Start:       start,
-		Total:       time.Since(start),
+	var kth float64
+	if len(out) == k && k > 0 {
+		kth = out[k-1].Degree
 	}
-	if qt.KthDegree == 0 && len(out) == k && k > 0 {
-		qt.KthDegree = out[k-1].Degree // cache hits skip the gather; read it off the answer
+	qt := obs.Query(kind, batchID, entity, k, start, qs.CacheHit, qs.Checked, kth, err)
+	if rows != nil {
+		gens = make([]uint64, len(c.shards)) // 0 for shards that were empty
+		for _, r := range rows {
+			gens[r.Shard] = r.Generation
+		}
 	}
-	if err != nil {
-		qt.Err = err.Error()
-	}
+	qt.Generations, qt.Shards, qt.Pulled, qt.Merge = gens, rows, qs.Pulled, qs.Merge
 	c.tracer.Record(qt)
-	if d.merge > 0 {
-		c.tracer.Observe(obs.KindMerge, d.merge)
+	if qs.Merge > 0 {
+		c.tracer.Observe(obs.KindMerge, qs.Merge)
 	}
-}
-
-// detailFromReport maps a gatherReport (stream-indexed) back to shard
-// ordinals and fills in what only the coordinator knows: each stream's
-// shard, pinned generation and raw checked count.
-func detailFromReport(rep gatherReport, ords []int, streams []opened) gatherDetail {
-	d := gatherDetail{merge: rep.merge, kth: rep.kth, shards: make([]obs.ShardTrace, len(rep.streams))}
-	for i, sr := range rep.streams {
-		d.pulled += sr.pulled
-		d.shards[i] = obs.ShardTrace{
-			Shard:      ords[i],
-			Generation: streams[i].st.Generation(),
-			Pulled:     sr.pulled,
-			Rounds:     sr.rounds,
-			Checked:    streams[i].st.Checked(),
-			Cut:        sr.cut,
-			Exhausted:  sr.exhausted,
-			Bound:      sr.bound,
-			Latency:    sr.latency,
-		}
-		if a, ok := streams[i].st.(interface{ Addr() string }); ok {
-			d.shards[i].Addr = a.Addr() // remote streams name their shard server
-		}
-	}
-	return d
 }

@@ -231,7 +231,7 @@ func TestSwappedSnapshotSaveLoad(t *testing.T) {
 	}
 
 	serving := db.snap.Load()
-	sr, err := secfile.NewReader(&buf)
+	sr, err := secfile.NewReaderAt(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,26 +43,14 @@ func (db *DB) record(kind obs.Kind, entity string, k int, batchID uint64, s *sna
 	if db.tracer == nil {
 		return
 	}
-	qt := obs.QueryTrace{
-		Kind:         kind,
-		BatchID:      batchID,
-		Entity:       entity,
-		K:            k,
-		CacheHit:     qs.CacheHit,
-		Checked:      qs.Checked,
-		ZeroSkipped:  qs.ZeroSkipped,
-		BoundSkipped: qs.BoundSkipped,
-		Start:        start,
-		Total:        time.Since(start),
+	var kth float64
+	if len(out) == k && k > 0 {
+		kth = out[k-1].Degree
 	}
+	qt := obs.Query(kind, batchID, entity, k, start, qs.CacheHit, qs.Checked, kth, err)
+	qt.ZeroSkipped, qt.BoundSkipped = qs.ZeroSkipped, qs.BoundSkipped
 	if s != nil {
 		qt.Generation = s.generation
-	}
-	if len(out) == k && k > 0 {
-		qt.KthDegree = out[k-1].Degree
-	}
-	if err != nil {
-		qt.Err = err.Error()
 	}
 	db.tracer.Record(qt)
 }
