@@ -52,8 +52,8 @@
 // same city partitioned across an in-process N-shard cluster and an N-shard
 // cluster of loopback HTTP shard servers (shard/remote, the engine behind
 // serve -shards-remote), answers cross-checked bit-for-bit. The remote row
-// reports RPCs, pulls and pull rounds per query — the RTT-amortization
-// evidence: one round trip per gather round, not per candidate or per pull.
+// reports RPCs, rank calls and the busiest shard's calls per query — the
+// evidence that each shard costs one round trip per query.
 // Pass -assert-remote-p99x 2.5 to exit nonzero when the loopback transport
 // costs more than 2.5× the in-process p99 (the CI guardrail):
 //

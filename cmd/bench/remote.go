@@ -6,10 +6,9 @@ package main
 // (shard/remote) — and both answer the same query sequence. The comparison
 // isolates what the transport costs when the network itself is free (~50µs
 // loopback RTT): serialization, HTTP framing and the client/server hop, but
-// crucially NOT extra round trips — the pull protocol spends one RPC per
-// shard per gather round, so the remote row's pull_rounds_per_query should
-// sit near the in-process gather's round count (~log2(k)+1), not near its
-// total pull count. Every answer is cross-checked bit-for-bit against the
+// crucially NOT extra round trips — the shard protocol spends one rank call
+// per shard asked per query, so the remote row's pull_rounds_per_query (the
+// busiest shard's calls per query) reads 1. Every answer is cross-checked bit-for-bit against the
 // in-process cluster before a row is reported.
 
 import (
@@ -40,9 +39,8 @@ type RemoteRun struct {
 	P50Micros float64 `json:"p50_us"`      // sequential single-query latency
 	P99Micros float64 `json:"p99_us"`
 	// Remote rows only: RPCs issued per query summed over all shard clients,
-	// the pull RPCs among them, and the per-query gather rounds (the max
-	// pulls any one shard answered — concurrent per-round pulls cost one
-	// round trip of wall clock, so this is the query's RTT count).
+	// the rank calls among them, and the busiest shard's rank calls per query
+	// (1: each shard is asked at most once per query).
 	RPCsPerQuery       float64 `json:"rpcs_per_query,omitempty"`
 	PullsPerQuery      float64 `json:"pulls_per_query,omitempty"`
 	PullRoundsPerQuery float64 `json:"pull_rounds_per_query,omitempty"`
@@ -174,8 +172,7 @@ func remoteScenario(cfg digitaltraces.CityConfig, side, levels, k, queries, shar
 	rrun.P99Micros = float64(percentile(lat, 99).Microseconds())
 	rrun.RPCsPerQuery = float64(rpcs) / float64(queries)
 	rrun.PullsPerQuery = float64(pulls) / float64(queries)
-	// Per-round pulls fan out concurrently, so the busiest shard's pull
-	// count is the query's wall-clock round-trip count.
+	// A query asks each shard at most once, so this reads 1.
 	rrun.PullRoundsPerQuery = float64(maxPulls) / float64(queries)
 	if local.P99Micros > 0 {
 		rrun.P99VsInProcess = rrun.P99Micros / local.P99Micros
@@ -187,8 +184,8 @@ func remoteScenario(cfg digitaltraces.CityConfig, side, levels, k, queries, shar
 	rrun.OpsPerSec = float64(queries) / time.Since(bStart).Seconds()
 	log.Printf("remote scenario remote shards=%d: %.0f q/s, p50 %.0fµs, p99 %.0fµs (%.2fx in-process)",
 		shards, rrun.OpsPerSec, rrun.P50Micros, rrun.P99Micros, rrun.P99VsInProcess)
-	log.Printf("  per query: %.1f RPCs, %.1f pulls, %.1f pull rounds (RTTs) — %d shards amortized per round",
-		rrun.RPCsPerQuery, rrun.PullsPerQuery, rrun.PullRoundsPerQuery, shards)
+	log.Printf("  per query: %.1f RPCs, %.1f rank calls over %d shards, %.1f on the busiest",
+		rrun.RPCsPerQuery, rrun.PullsPerQuery, shards, rrun.PullRoundsPerQuery)
 
 	return []RemoteRun{local, rrun}, nil
 }

@@ -37,9 +37,9 @@
 //
 // Network-distributed shards: -shards-remote runs this process as the
 // coordinator of shard server processes (cmd/shardserve), each hosting one
-// partition behind the pull-based remote shard protocol. Queries
-// scatter-gather over the network with the same threshold-pruned, exact
-// semantics as -shards, /healthz becomes a readiness probe over every shard,
+// partition behind the remote shard protocol. Queries ask each shard once
+// over the network, with the same exact semantics as -shards, /healthz
+// becomes a readiness probe over every shard,
 // and /traces rows carry each shard's address:
 //
 //	shardserve -addr :9001 -side 16 &

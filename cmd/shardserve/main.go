@@ -1,5 +1,5 @@
-// Command shardserve hosts one digitaltraces.DB shard behind the pull-based
-// remote shard protocol (package shard/remote), for coordinators started with
+// Command shardserve hosts one digitaltraces.DB shard behind the remote
+// shard protocol (package shard/remote), for coordinators started with
 // serve -shards-remote. The shard boots empty — the coordinator owns the
 // entity partition and routes every ingest, so pre-populating a shard here
 // would be rejected at cluster construction (the cluster's global
@@ -38,12 +38,11 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("shardserve: ")
 	var (
-		addr      = flag.String("addr", ":9001", "listen address")
-		side      = flag.Int("side", 16, "venue grid side (must match the coordinator's)")
-		levels    = flag.Int("levels", 4, "sp-index height (must match the coordinator's)")
-		u         = flag.Float64("u", 2, "ADM level exponent")
-		v         = flag.Float64("v", 2, "ADM duration exponent")
-		streamTTL = flag.Duration("stream-ttl", 0, "expire search streams idle this long (0 = the protocol default); the backstop for coordinator crashes")
+		addr   = flag.String("addr", ":9001", "listen address")
+		side   = flag.Int("side", 16, "venue grid side (must match the coordinator's)")
+		levels = flag.Int("levels", 4, "sp-index height (must match the coordinator's)")
+		u      = flag.Float64("u", 2, "ADM level exponent")
+		v      = flag.Float64("v", 2, "ADM duration exponent")
 	)
 	flag.Parse()
 
@@ -51,7 +50,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ss := remote.NewServer(db, remote.ServerConfig{StreamTTL: *streamTTL})
+	ss := remote.NewServer(db, remote.ServerConfig{})
 
 	log.Printf("serving empty %d² shard on %s (protocol %s at /shard/*)", *side, *addr, remote.ProtoVersion)
 	srv := &http.Server{
@@ -75,7 +74,6 @@ func main() {
 			log.Printf("shutdown: %v", err)
 		}
 		cancel()
-		ss.Close()
 		db.Close()
 	}
 }

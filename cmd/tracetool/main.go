@@ -1,6 +1,6 @@
 // Command tracetool inspects a serving instance's per-query trace ring over
 // GET /traces and distills it into operator-facing tables: the slowest
-// queries, per-shard pull skew, how often the threshold cut actually fires,
+// queries, per-shard pull skew, how often the cap or floor cuts a shard short,
 // and cache effectiveness by entity. Run it against a server started with
 // -trace N:
 //
@@ -229,13 +229,13 @@ func printShardSkew(tr server.TracesResponse, st *server.StatsResponse) {
 	fmt.Println()
 }
 
-// printCutEffectiveness reports how often the threshold cut ended a shard
-// stream before it drained — the per-stream win rate of the bounded gather.
+// printCutEffectiveness reports how often a shard's cap or floor ended its
+// search before it ran dry — the per-call win rate of the bounded gather.
 func printCutEffectiveness(tr server.TracesResponse) {
-	cut, exhausted, streams := 0, 0, 0
+	cut, exhausted, calls := 0, 0, 0
 	for _, t := range tr.Traces {
 		for _, s := range t.Shards {
-			streams++
+			calls++
 			switch {
 			case s.Cut:
 				cut++
@@ -244,11 +244,11 @@ func printCutEffectiveness(tr server.TracesResponse) {
 			}
 		}
 	}
-	if streams == 0 {
+	if calls == 0 {
 		return
 	}
-	fmt.Printf("cut effectiveness: %d/%d shard streams cut by the bound (%.1f%%), %d exhausted, %d neither (naive fan-out)\n\n",
-		cut, streams, 100*float64(cut)/float64(streams), exhausted, streams-cut-exhausted)
+	fmt.Printf("cut effectiveness: %d/%d shard calls cut by the cap or floor (%.1f%%), %d exhausted, %d neither\n\n",
+		cut, calls, 100*float64(cut)/float64(calls), exhausted, calls-cut-exhausted)
 }
 
 // printCacheByEntity reports hit rates per query entity over the shown

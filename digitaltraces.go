@@ -204,7 +204,7 @@ type Match struct {
 // cells, so provably 0, or unable to displace the k-th answer even at their
 // bound; with Checked they sum to the indexed entities other than the query.
 // Every DB search fills them, an opened image's included (it is served by the
-// same posting-driven search); shard streams report Checked only.
+// same posting-driven search); a cluster's shards report Checked only.
 type QueryStats struct {
 	Checked      int
 	ZeroSkipped  int
@@ -216,11 +216,11 @@ type QueryStats struct {
 	// query cache (WithQueryCache / shard.Config.CacheSize) without running a
 	// search: Checked is then 0 and PE/Pruned describe no work at all.
 	CacheHit bool
-	// Shards counts the shards a scatter-gather touched (0 on a single DB —
-	// no fan-out) and Pulled the candidates they surrendered to the
-	// coordinator before the threshold cut; Pulled close to Shards×(k+1)
-	// means the cut never fired. Merge is the coordinator's k-way merge
-	// time, separated from the per-shard cost inside Elapsed.
+	// Shards counts the shards a cluster query asked (0 on a single DB — no
+	// fan-out) and Pulled the matches they returned to the coordinator;
+	// Pulled close to Shards×(k+1) means no floor cut a shard short. Merge
+	// is the coordinator's merge time, separated from the per-shard cost
+	// inside Elapsed.
 	Shards int
 	Pulled int
 	Merge  time.Duration
@@ -613,8 +613,8 @@ func (db *DB) query(kind obs.Kind, entity string, k int, batchID uint64, key str
 // exampleSequences discretizes example visits into the hypothetical entity's
 // ST-cell sequences (entity ID −1) through the ingest path's discretize. The
 // epoch is write-once, so the result is stable once it is set;
-// TopKByExample and SearchByExample share this so the one-shot and
-// incremental example paths can never discretize differently.
+// TopKByExample and Rank share this so a cluster's example fan-out can never
+// discretize differently from a single DB.
 func (db *DB) exampleSequences(visits []Visit) (*trace.Sequences, error) {
 	epoch, set, explicit := db.epochInfo()
 	if !set {

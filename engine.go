@@ -98,13 +98,19 @@ func (db *DB) TimeUnit() time.Duration { return db.unit }
 // resolve a query entity on its home shard before fanning the query out by
 // example.
 func (db *DB) VisitsOf(entity string) ([]Visit, error) {
+	_, visits, err := db.visitsOf(entity)
+	return visits, err
+}
+
+// visitsOf is VisitsOf that also returns the entity's ID.
+func (db *DB) visitsOf(entity string) (trace.EntityID, []Visit, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	e, ok := db.names[entity]
 	if !ok {
-		return nil, fmt.Errorf("digitaltraces: unknown entity %q", entity)
+		return 0, nil, fmt.Errorf("digitaltraces: unknown entity %q", entity)
 	}
-	return db.visitsLocked(db.snap.Load(), e), nil
+	return e, db.visitsLocked(db.snap.Load(), e), nil
 }
 
 // AllVisits exports every entity's visits as VisitsOf returns them, grouped

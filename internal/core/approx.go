@@ -50,5 +50,6 @@ func (p *Postings) ApproxTopK(q *trace.Sequences, k int, measure adm.Measure, op
 	if opts.Epsilon < 0 || opts.Epsilon >= 1 {
 		return nil, ApproxStats{}, fmt.Errorf("core: epsilon %v outside [0,1)", opts.Epsilon)
 	}
-	return p.search(q, k, measure, opts)
+	res, stats, _, err := p.search(q, k, measure, searchOptions{ApproxOptions: opts})
+	return res, stats, err
 }

@@ -335,10 +335,9 @@ func requireMarksSound(t *testing.T, label string, p *Postings, q *trace.Sequenc
 	}
 }
 
-// requireExact checks TopK, ApproxTopK(ε=0) and the Iter prefix against the
-// scan, bit for bit; the counters' identity; Iter.Bound non-increasing and
-// above every later degree; and ApproxTopK's guarantee with ε > 0 and with a
-// budget.
+// requireExact checks TopK, ApproxTopK(ε=0) and Rank at floor 0 against the
+// scan, bit for bit; the counters' identity; Rank's Bound above every degree
+// it left out; and ApproxTopK's guarantee with ε > 0 and with a budget.
 func requireExact(t *testing.T, label string, p *Postings, q *trace.Sequences, k int, m adm.Measure) SearchStats {
 	t.Helper()
 	want := BruteForceTopK(p.src, p.Entities(), q, k, m)
@@ -385,26 +384,8 @@ func requireExact(t *testing.T, label string, p *Postings, q *trace.Sequences, k
 			}
 		}
 	}
-	it, err := p.NewIter(q, m)
-	if err != nil {
-		t.Fatalf("%s: NewIter: %v", label, err)
-	}
-	bound := it.Bound()
-	for i, wr := range want {
-		r, ok, err := it.Next()
-		if err != nil || !ok || r != wr {
-			t.Fatalf("%s k=%d %s: Iter[%d] = %v %t %v, want %v (scan %v)", label, k, m.Name(), i, r, ok, err, wr, want)
-		}
-		if b := it.Bound(); r.Degree > bound || b > bound {
-			t.Fatalf("%s k=%d %s: Iter[%d] = %v under Bound %v, then Bound %v", label, k, m.Name(), i, r, bound, b)
-		} else {
-			bound = b
-		}
-	}
-	if len(want) < k {
-		if r, ok, _ := it.Next(); ok {
-			t.Fatalf("%s: Iter emitted %v past the population", label, r)
-		}
+	if r := requireRank(t, label, p, q, m, k, 0, nil); r.Stats != stats {
+		t.Fatalf("%s k=%d %s: Rank at floor 0 did other work than TopK: %+v, TopK %+v", label, k, m.Name(), r.Stats, stats)
 	}
 	return stats
 }
@@ -692,11 +673,11 @@ func TestCellIndexSiblingDerives(t *testing.T) {
 	}
 }
 
-// TestIterInterleavesScoredZeros pins the hazard of keeping provable zeros
-// out of Iter's heap: under a measure that weighs level 1 at 0, an entity
-// sharing only a coarse cell with the query is scored and has degree exactly
-// 0, and must interleave with the set-aside zeros in ascending-ID order.
-func TestIterInterleavesScoredZeros(t *testing.T) {
+// TestRankInterleavesScoredZeros pins the hazard of offering provable zeros
+// unscored: under a measure that weighs level 1 at 0, an entity sharing only
+// a coarse cell with the query is scored and has degree exactly 0, and must
+// interleave with the unscored zeros in ascending-ID order at every cut.
+func TestRankInterleavesScoredZeros(t *testing.T) {
 	ix := forest(2)
 	st := trace.NewStore(ix)
 	at := func(t trace.Time, base int) trace.Cell { return trace.MakeCell(t, ix.BaseUnit(spindex.BaseID(base))) }
@@ -718,30 +699,22 @@ func TestIterInterleavesScoredZeros(t *testing.T) {
 	if want[0] != (Result{4, want[0].Degree}) || want[0].Degree == 0 || want[1] != (Result{Entity: 0}) || want[6] != (Result{Entity: 6}) {
 		t.Fatalf("fixture: scan ranks %v", want)
 	}
-	it, err := tree.NewIter(q, blind)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, wr := range want {
-		r, ok, err := it.Next()
-		if err != nil || !ok || r != wr {
-			t.Fatalf("Iter[%d] = %v %t %v, want %v", i, r, ok, err, wr)
-		}
+	for i := range want {
 		if got, _, _ := tree.TopK(q, i+1, blind); !slices.Equal(got, want[:i+1]) {
 			t.Fatalf("TopK(%d) = %v, want %v", i+1, got, want[:i+1])
 		}
+		requireRank(t, "blind", tree, q, blind, i+1, 0, nil)
 	}
-	if _, ok, _ := it.Next(); ok {
-		t.Fatal("Iter emitted past the population")
-	}
-	if s := it.Stats(); s.Checked != 4 || s.Checked+s.BoundSkipped+s.ZeroSkipped != len(ids)-1 {
-		t.Fatalf("Iter stats %+v, want 4 scored (3 of them to degree 0) and every other entity but the query (other root) zero-skipped", s)
+	r := requireRank(t, "blind", tree, q, blind, len(ids), 0, nil)
+	if s := r.Stats; s.Checked != 4 || s.Reached() != len(ids)-1 {
+		t.Fatalf("Rank stats %+v, want 4 scored (3 of them to degree 0) and every other entity but the query (other root) zero-skipped", s)
 	}
 }
 
 // FuzzTopKAgainstScan decodes bytes into a tiny population, one refresh, a
-// query and a measure, and requires TopK, ApproxTopK(ε=0) and the Iter
-// prefix to equal the scan on both generations.
+// query and a measure, and requires TopK, ApproxTopK(ε=0) and Rank — at
+// floor 0 and under a decoded (want, floor, filter) — to equal the scan on
+// both generations.
 func FuzzTopKAgainstScan(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 3, 4, 2, 1, 0, 1, 5, 2, 9, 3, 1, 2, 2, 9, 7, 7, 1, 3, 3})
@@ -781,16 +754,26 @@ func FuzzTopKAgainstScan(f *testing.F) {
 		if next()%2 == 1 {
 			q = trace.NewSequencesFromCells(ix, -999, cells())
 		}
-		// Before pull i the floor may rise to the degree of a result a
-		// few places on, so floors land on ties and between results.
-		floors := func(i int, full []Result) float64 {
-			if next()%3 != 0 || len(full) == 0 {
-				return 0
+		// A floor on the degree of a result a few places on, or between
+		// two, so floors land on ties and between results, and a filter
+		// that drops every entity whose ID a decoded mask's bit clears.
+		ranked := func(label string, p *Postings) {
+			full := BruteForceTopK(p.src, p.Entities(), q, p.Len(), m)
+			floor := 0.0
+			if i := next(); i%3 == 0 && len(full) > 0 {
+				floor = full[min(i/3, len(full)-1)].Degree
+			} else if i%3 == 1 && len(full) > 1 {
+				j := min(i/3, len(full)-2)
+				floor = (full[j].Degree + full[j+1].Degree) / 2
 			}
-			return full[min(i+next()%4, len(full)-1)].Degree
+			var keep func(trace.EntityID) bool
+			if mask := next(); mask != 0 {
+				keep = func(e trace.EntityID) bool { return mask>>(e%8)&1 == 1 }
+			}
+			requireRank(t, label, p, q, m, 1+next()%12, floor, keep)
 		}
 		requireExact(t, "built", tree, q, k, m)
-		requireFloorPrefix(t, "built", tree, q, m, floors)
+		ranked("built", tree)
 		// One refresh: an indexed entity gets different data, the next one
 		// arrives.
 		dst := st.Derive()
@@ -802,65 +785,9 @@ func FuzzTopKAgainstScan(f *testing.F) {
 			t.Fatal(err)
 		}
 		requireExact(t, "derived", derived, q, k, m)
-		requireFloorPrefix(t, "derived", derived, q, m, floors)
+		ranked("derived", derived)
 		requireExact(t, "parent", tree, q, k, m)
 	})
-}
-
-// requireFloorPrefix pulls an Iter whose floor rises to raise(i, scan) before
-// pull i, and requires the scan's order for as long as it stays at or above
-// the floor — ties at the floor included — then the end of the stream.
-func requireFloorPrefix(t *testing.T, label string, p *Postings, q *trace.Sequences, m adm.Measure, raise func(i int, full []Result) float64) {
-	t.Helper()
-	full := BruteForceTopK(p.src, p.Entities(), q, p.Len(), m)
-	it, err := p.NewIter(q, m)
-	if err != nil {
-		t.Fatalf("%s: NewIter: %v", label, err)
-	}
-	defer it.Close()
-	floor := 0.0
-	for i := 0; ; i++ {
-		floor = max(floor, raise(i, full))
-		it.RaiseFloor(floor)
-		r, ok, err := it.Next()
-		want := i < len(full) && full[i].Degree >= floor
-		if err != nil || ok != want || ok && r != full[i] {
-			t.Fatalf("%s %s: Iter[%d] under floor %v = %v %t %v; the scan ranks %v", label, m.Name(), i, floor, r, ok, err, full)
-		}
-		if !ok {
-			return
-		}
-	}
-}
-
-// TestIterRandomFloorSchedules: an Iter whose floor rises at random points —
-// onto a result's degree, between two, past every one — streams exactly the
-// scan's prefix at or above it, on built and derived generations.
-func TestIterRandomFloorSchedules(t *testing.T) {
-	measures := cellMeasures(t)
-	for seed := int64(1); seed <= 3; seed++ {
-		w := newCellWorld(t, seed)
-		for gen := 0; gen < 6; gen++ {
-			label := fmt.Sprintf("seed %d gen %d", seed, gen)
-			for _, q := range w.queries() {
-				for _, m := range measures {
-					requireFloorPrefix(t, label, w.post, q, m, func(i int, full []Result) float64 {
-						switch j := i + w.rng.Intn(6); {
-						case w.rng.Intn(4) != 0 || len(full) == 0:
-							return 0
-						case j >= len(full):
-							return 1.5
-						case j+1 < len(full) && w.rng.Intn(2) == 0:
-							return (full[j].Degree + full[j+1].Degree) / 2
-						default:
-							return full[j].Degree
-						}
-					})
-				}
-			}
-			w.derive()
-		}
-	}
 }
 
 // TestSizedBoundSaturation: an entity with more cells at a level than a size
@@ -1126,10 +1053,9 @@ func TestRemovedEntityIsNoCandidate(t *testing.T) {
 	}
 }
 
-// TestConcurrentSearchesShareNoScratch runs TopK, ApproxTopK and Iters that
-// stay open across them on one index from several goroutines (go test -race):
-// the pooled scratch holds a query's masks, buckets and ordered candidates,
-// and an Iter keeps its own until its flush.
+// TestConcurrentSearchesShareNoScratch runs TopK, ApproxTopK and Rank under
+// floors and filters on one index from several goroutines (go test -race):
+// the pooled scratch holds a query's masks, buckets and ordered candidates.
 func TestConcurrentSearchesShareNoScratch(t *testing.T) {
 	_, st, tree := buildRandomPostings(t, 71, 120)
 	m := measuresFor(t, 3)[0]
@@ -1137,6 +1063,7 @@ func TestConcurrentSearchesShareNoScratch(t *testing.T) {
 	for e := range want {
 		want[e] = BruteForceTopK(st, tree.Entities(), st.Get(trace.EntityID(e)), tree.Len(), m)
 	}
+	even := func(e trace.EntityID) bool { return e%2 == 0 }
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -1144,28 +1071,21 @@ func TestConcurrentSearchesShareNoScratch(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 25; round++ {
 				a, b := (g+round)%len(want), (g+3*round+1)%len(want)
-				open, err := tree.NewIter(st.Get(trace.EntityID(a)), m)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				pull := func(from, to int) {
-					for i := from; i < to; i++ {
-						if r, ok, err := open.Next(); err != nil || !ok || r != want[a][i] {
-							t.Errorf("goroutine %d round %d: Iter(%d)[%d] = %v %t %v, want %v", g, round, a, i, r, ok, err, want[a][i])
-						}
+				floor := want[a][round%9].Degree
+				var wantA []Result
+				for _, r := range want[a] {
+					if r.Degree >= floor && r.Entity%2 == 0 {
+						wantA = append(wantA, r)
 					}
 				}
-				pull(0, 4)
+				if got, err := tree.Rank(st.Get(trace.EntityID(a)), len(want[a]), floor, even, m); err != nil || !slices.Equal(got.Results, wantA) {
+					t.Errorf("goroutine %d round %d: Rank(%d) = %v %v, want %v", g, round, a, got.Results, err, wantA)
+				}
 				if got, _, err := tree.TopK(st.Get(trace.EntityID(b)), 7, m); err != nil || !slices.Equal(got, want[b][:7]) {
 					t.Errorf("goroutine %d round %d: TopK(%d) = %v %v, want %v", g, round, b, got, err, want[b][:7])
 				}
-				pull(4, 9)
 				if got, _, err := tree.ApproxTopK(st.Get(trace.EntityID(b)), 3, m, ApproxOptions{}); err != nil || !slices.Equal(got, want[b][:3]) {
 					t.Errorf("goroutine %d round %d: ApproxTopK(%d) = %v %v, want %v", g, round, b, got, err, want[b][:3])
-				}
-				if round%2 == 0 {
-					pull(9, len(want[a])) // through the flush, which returns the scratch; odd rounds abandon theirs
 				}
 			}
 		}()

@@ -448,7 +448,7 @@ func TestZeroFillAllocsFlatInFreshEntities(t *testing.T) {
 		defer f.release()
 		best := newKBest(k)
 		for ub, _ := f.peek(); ub > 0; ub, _ = f.peek() {
-			if err := f.visit(&best, best.offer); err != nil {
+			if err := f.visit(&best); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -99,10 +99,12 @@ func heapPop[T any](h []T, before func(a, b T) bool) (T, []T) {
 // kBest is the bounded k-best selection every exact search and the scan
 // share: a heap of at most k results whose root is the current k-th answer
 // (Result.minKey in Algorithm 2), so the threshold is O(1). Ties prefer
-// keeping the smaller entity ID, for deterministic output.
+// keeping the smaller entity ID, for deterministic output. out is the largest
+// degree it turned away or evicted, an admissible bound on all it dropped.
 type kBest struct {
-	k int
-	h []Result
+	k   int
+	h   []Result
+	out float64
 }
 
 // newKBest sizes the selection for k answers up front; k is caller-supplied,
@@ -117,10 +119,13 @@ func (b *kBest) kth() Result { return b.h[0] }
 func (b *kBest) offer(r Result) {
 	if len(b.h) < b.k {
 		b.h = heapPush(b.h, r, ranksAfter)
-	} else if b.k > 0 && ranksBefore(r, b.h[0]) {
-		b.h[0] = r
+		return
+	}
+	if b.k > 0 && ranksBefore(r, b.h[0]) {
+		r, b.h[0] = b.h[0], r
 		heapFix(b.h, ranksAfter)
 	}
+	b.out = max(b.out, r.Degree)
 }
 
 // ranked returns the kept results in canonical order, consuming the
@@ -135,20 +140,22 @@ func (b *kBest) ranked() []Result {
 	return b.h
 }
 
-// frontier is the best-first state TopK, ApproxTopK and Iter share: the
-// buckets of candidates the postings of the query's level-1 cells yield, in
-// descending order of their Theorem-4 bound in the pooled scratch, with the
-// rest of the population behind them at bound 0.
+// frontier is the best-first state of one search: the buckets of candidates
+// the postings of the query's level-1 cells yield, in descending order of
+// their Theorem-4 bound in the pooled scratch, with the rest of the
+// population behind them at bound 0.
 type frontier struct {
 	p       *Postings
 	q       *trace.Sequences
 	measure adm.Measure
 	qCounts []int
-	n       int      // indexed entities other than the query
-	pooled  *scratch // the query's candidates; nil once released
-	pos     int      // the next bucket is pooled.rank[pos]
-	limit   int      // stop scoring at this many exact degrees (0 = never)
-	floor   float64  // nothing bounded below it is scored or returned (Iter.RaiseFloor)
+	n       int                       // indexed entities other than the query
+	pooled  *scratch                  // the query's candidates; nil once released
+	pos     int                       // the next bucket is pooled.rank[pos]
+	limit   int                       // stop scoring at this many exact degrees (0 = never)
+	floor   float64                   // nothing bounded below it is scored or returned
+	keep    func(trace.EntityID) bool // nil, or the candidates it admits; checked before scoring
+	passed  float64                   // the largest bound or degree of a candidate passed over unreturned
 	stats   SearchStats
 }
 
@@ -191,11 +198,12 @@ func (f *frontier) peek() (ub float64, ok bool) {
 }
 
 // visit dequeues the bucket peek reported: its candidates are scored exactly
-// and handed to offer. A candidate that is sure to miss the answer (beaten) at
-// its bucket's bound, or at the bound its own level sizes give once there is a
-// cut to miss, is dropped as offer would drop it; a bucket the limit
-// interrupts keeps its unscored rest queued.
-func (f *frontier) visit(best *kBest, offer func(Result)) error {
+// and offered to best. A candidate keep refuses is skipped unscored; one that
+// is sure to miss the answer (beaten) at its bucket's bound, or at the bound
+// its own level sizes give once there is a cut to miss, is dropped as offer
+// would drop it, and so is a scored degree below the floor. A bucket the
+// limit interrupts keeps its unscored rest queued.
+func (f *frontier) visit(best *kBest) error {
 	sc := f.pooled
 	b := &sc.buckets[sc.rank[f.pos]]
 	f.overlap(b.mask)
@@ -204,10 +212,10 @@ func (f *frontier) visit(best *kBest, offer func(Result)) error {
 			b.n -= i // the rest of the bucket stays queued
 			return nil
 		}
-		if f.beaten(best, Result{e, b.ub}) {
+		if f.keep != nil && !f.keep(e) || f.beaten(best, Result{e, b.ub}) {
 			continue
 		}
-		if (f.floor > 0 || best != nil && best.full()) && f.beaten(best, Result{e, f.sizedBound(e)}) {
+		if (f.floor > 0 || best.full()) && f.beaten(best, Result{e, f.sizedBound(e)}) {
 			continue
 		}
 		s := f.p.src.Get(e)
@@ -216,35 +224,46 @@ func (f *frontier) visit(best *kBest, offer func(Result)) error {
 		}
 		f.stats.Checked++
 		f.stats.BoundSkipped--
-		offer(Result{Entity: e, Degree: f.measure.Degree(f.q, s)})
+		d := f.measure.Degree(f.q, s)
+		if d < f.floor {
+			f.passed = max(f.passed, d)
+			continue
+		}
+		best.offer(Result{Entity: e, Degree: d})
 	}
 	f.pos++
 	return nil
 }
 
 // beaten reports whether a candidate whose degree is at most r.Degree is sure
-// to miss the answer: it cannot displace the k-th result of a full selection
-// (best non-nil), ties included, or it lies below the floor. Floors only rise,
-// so a candidate below one is never needed again.
+// to miss the answer — it cannot displace the k-th result of a full
+// selection, ties included, or it lies below the floor — and records the
+// bound as passed over if so.
 func (f *frontier) beaten(best *kBest, r Result) bool {
-	return best != nil && best.full() && !ranksBefore(r, best.kth()) || r.Degree < f.floor
+	if best.full() && !ranksBefore(r, best.kth()) || r.Degree < f.floor {
+		f.passed = max(f.passed, r.Degree)
+		return true
+	}
+	return false
 }
 
-// rest calls fn for every entity still queued, the unscored candidates and
-// the entity table's entries no posting list named. Sound as a way to settle
-// them without touching the sequence source only once peek reports 0:
-// admissibility plus non-negative degrees then force every remaining degree
-// to exactly 0.
+// rest calls fn for every entity still queued that keep admits, the
+// unscored candidates and the entity table's entries no posting list named.
+// Sound as a way to settle them without touching the sequence source only
+// once peek reports 0: admissibility plus non-negative degrees then force
+// every remaining degree to exactly 0.
 func (f *frontier) rest(fn func(trace.EntityID)) {
 	sc := f.pooled
 	if f.pos < len(sc.rank) {
 		b := sc.buckets[sc.rank[f.pos]]
 		for _, e := range sc.order[b.end-b.n:] {
-			fn(e)
+			if f.keep == nil || f.keep(e) {
+				fn(e)
+			}
 		}
 	}
 	f.p.each(func(e trace.EntityID) {
-		if e != f.q.Entity && sc.maskOf(e) == 0 {
+		if e != f.q.Entity && sc.maskOf(e) == 0 && (f.keep == nil || f.keep(e)) {
 			fn(e)
 		}
 	})
@@ -287,35 +306,73 @@ func (f *frontier) finish(answers int) SearchStats {
 //
 // TopK is read-only: it never mutates the index, the sequence source or the
 // measure — all search state lives on this call's stack or in scratch no
-// other call holds — so any number of TopK/ApproxTopK/NewIter calls
-// may run concurrently against one Postings.
+// other call holds — so any number of TopK/ApproxTopK/Rank calls may run
+// concurrently against one Postings.
 func (p *Postings) TopK(q *trace.Sequences, k int, measure adm.Measure) ([]Result, SearchStats, error) {
-	res, stats, err := p.search(q, k, measure, ApproxOptions{})
+	res, stats, _, err := p.search(q, k, measure, searchOptions{})
 	return res, stats.SearchStats, err
 }
 
-// search is the one loop behind TopK and ApproxTopK: score buckets in bound
-// order until the k-th exact degree beats (1−ε) times every remaining bound,
-// or the budget is spent.
-func (p *Postings) search(q *trace.Sequences, k int, measure adm.Measure, opts ApproxOptions) ([]Result, ApproxStats, error) {
+// Ranked is what Rank returns: the results, an admissible upper bound on the
+// degree of every admitted entity they leave out, whether want of them came
+// back (the cap, not the floor or the population, may have ended the search),
+// and the search's work.
+type Ranked struct {
+	Results []Result
+	Bound   float64
+	Capped  bool
+	Stats   SearchStats
+}
+
+// Rank is TopK under a floor and a filter: exactly the first want entries of
+// the canonical order (degree descending, entity ID ascending) restricted to
+// the entities keep admits (every one when keep is nil) whose degree is at
+// least floor. Entries at the floor are returned, since they can win a tie.
+// keep is asked before a candidate is scored, so an entity it refuses costs
+// no exact degree and never counts toward want. It is the per-shard half of
+// a cluster query (package shard).
+func (p *Postings) Rank(q *trace.Sequences, want int, floor float64, keep func(trace.EntityID) bool, measure adm.Measure) (Ranked, error) {
+	if !(floor >= 0) {
+		return Ranked{}, fmt.Errorf("core: floor %v is negative or NaN", floor)
+	}
+	res, stats, bound, err := p.search(q, want, measure, searchOptions{floor: floor, keep: keep})
+	return Ranked{Results: res, Bound: bound, Capped: len(res) == want, Stats: stats.SearchStats}, err
+}
+
+// searchOptions tunes the one search loop: ApproxTopK's slack and budget,
+// Rank's floor and filter. The zero value is TopK.
+type searchOptions struct {
+	ApproxOptions
+	floor float64
+	keep  func(trace.EntityID) bool
+}
+
+// search is the one loop behind TopK, ApproxTopK and Rank: score buckets in
+// bound order until the k-th exact degree beats (1−ε) times every remaining
+// bound, the remaining bound falls below the floor, or the budget is spent.
+// Everything left once the bound reaches 0 has degree exactly 0 and is
+// offered unscored, at floor 0 only. The bound it returns is admissible for
+// every admitted entity the answer leaves out.
+func (p *Postings) search(q *trace.Sequences, k int, measure adm.Measure, opts searchOptions) ([]Result, ApproxStats, float64, error) {
 	var stats ApproxStats
 	if k < 1 {
-		return nil, stats, fmt.Errorf("core: k = %d < 1", k)
+		return nil, stats, 0, fmt.Errorf("core: k = %d < 1", k)
 	}
 	f, err := p.newFrontier(q, measure)
 	if err != nil {
-		return nil, stats, err
+		return nil, stats, 0, err
 	}
 	defer f.release()
-	f.limit = opts.MaxChecked
+	f.limit, f.floor, f.keep = opts.MaxChecked, opts.floor, opts.keep
 	best := newKBest(k)
 	remainingUB := 0.0
 	for ub, ok := f.peek(); ok; ub, ok = f.peek() {
 		// Early termination: the k-th best exact degree strictly beats every
 		// remaining upper bound (relaxed by ε). Strict, not ≥: at equality the
 		// bucket may hide an equal-degree entity with a smaller ID, which the
-		// canonical tie order puts ahead of the current k-th.
-		if best.full() && best.kth().Degree > (1-opts.Epsilon)*ub {
+		// canonical tie order puts ahead of the current k-th. For the same
+		// reason a bucket bounded exactly at the floor is still examined.
+		if best.full() && best.kth().Degree > (1-opts.Epsilon)*ub || ub < f.floor {
 			remainingUB = ub
 			break
 		}
@@ -330,9 +387,9 @@ func (p *Postings) search(q *trace.Sequences, k int, measure adm.Measure, opts A
 			remainingUB = ub
 			break
 		}
-		if err := f.visit(&best, best.offer); err != nil {
+		if err := f.visit(&best); err != nil {
 			stats.SearchStats = f.stats
-			return nil, stats, err
+			return nil, stats, 0, err
 		}
 	}
 	out := best.ranked()
@@ -343,7 +400,7 @@ func (p *Postings) search(q *trace.Sequences, k int, measure adm.Measure, opts A
 			stats.AchievedEpsilon = 1 - kth/remainingUB
 		}
 	}
-	return out, stats, nil
+	return out, stats, max(remainingUB, f.passed, best.out), nil
 }
 
 // BruteForceTopK computes the exact top-k answers by scanning every entity

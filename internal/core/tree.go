@@ -20,7 +20,7 @@
 // Build is Algorithm 1; Tree.SignatureTopK is Algorithm 2 with early
 // termination; Insert/Remove/Update realize the incremental maintenance of
 // Section 4.2.3. A Tree composes a Postings over the same entities, which its
-// TopK, ApproxTopK and NewIter delegate to.
+// TopK and ApproxTopK delegate to.
 package core
 
 import (
@@ -123,12 +123,6 @@ func (t *Tree) TopK(q *trace.Sequences, k int, measure adm.Measure) ([]Result, S
 // (Postings.ApproxTopK).
 func (t *Tree) ApproxTopK(q *trace.Sequences, k int, measure adm.Measure, opts ApproxOptions) ([]Result, ApproxStats, error) {
 	return t.post.ApproxTopK(q, k, measure, opts)
-}
-
-// NewIter opens an incremental search over the tree's postings
-// (Postings.NewIter).
-func (t *Tree) NewIter(q *trace.Sequences, measure adm.Measure) (*Iter, error) {
-	return t.post.NewIter(q, measure)
 }
 
 // Insert adds an entity to the index: compute its signature list, descend by

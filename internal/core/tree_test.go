@@ -608,8 +608,8 @@ func TestPositiveFloorMeasure(t *testing.T) {
 		if _, _, err := tree.post.ApproxTopK(q, 5, m, ApproxOptions{Epsilon: 0.1}); err == nil || !strings.Contains(err.Error(), m.Name()) {
 			t.Errorf("Postings.ApproxTopK under %s: %v", m.Name(), err)
 		}
-		if _, err := tree.post.NewIter(q, m); err == nil || !strings.Contains(err.Error(), m.Name()) {
-			t.Errorf("Postings.NewIter under %s: %v", m.Name(), err)
+		if _, err := tree.post.Rank(q, 5, 0.5, nil, m); err == nil || !strings.Contains(err.Error(), m.Name()) {
+			t.Errorf("Postings.Rank under %s: %v", m.Name(), err)
 		}
 		for _, k := range []int{1, 5, 39, 60} {
 			for _, e := range []trace.EntityID{0, 3, 17} {

@@ -47,9 +47,9 @@ const (
 	// KindBatch is a whole TopKBatch call (its items are traced as KindTopK
 	// linked by a shared BatchID; the batch itself is histogram-only).
 	KindBatch Kind = "batch"
-	// KindMerge is the coordinator's k-way merge inside a sharded
-	// scatter-gather — histogram-only, so per-shard pull cost and merge cost
-	// are separable in /stats without fetching traces.
+	// KindMerge is the coordinator's merge of the shards' replies —
+	// histogram-only, so per-shard call cost and merge cost are separable in
+	// /stats without fetching traces.
 	KindMerge Kind = "merge"
 )
 
@@ -72,32 +72,29 @@ type ShardTrace struct {
 	// Generation is the shard snapshot generation the per-shard search
 	// pinned — one coordinate of the query's generation vector.
 	Generation uint64
-	// Pulled counts candidates this shard actually surrendered to the
-	// coordinator (including a later-excluded self entity). Summed over
-	// shards it equals the trace's Pulled and QueryStats.Pulled.
+	// Pulled counts the matches this shard returned to the coordinator.
+	// Summed over shards it equals the trace's Pulled and QueryStats.Pulled.
 	Pulled int
-	// Rounds counts the pull rounds this shard participated in, its open's
-	// first pull included.
+	// Rounds counts the calls this shard answered for the query: 1, since a
+	// cluster query asks each shard once.
 	Rounds int
 	// Checked counts the exact degree computations the shard's search
 	// performed — the work early termination exists to bound.
 	Checked int
-	// Cut reports the stream was stopped while it still had candidates: by
-	// the coordinator (threshold cut or the k+1 per-shard cap) or on the
-	// shard by its floor; Exhausted reports it ran dry. Exactly one is set
-	// on every gathered row.
+	// Cut reports the shard's search was stopped while it may still have had
+	// candidates: by the k+1 per-shard cap or by its floor; Exhausted
+	// reports it ran dry. Exactly one is set on every gathered row.
 	Cut       bool
 	Exhausted bool
-	// Bound is the shard's final admissible remainder bound — compare with
-	// the trace's KthDegree to see the margin the cut fired at.
+	// Bound is the shard's admissible bound on what it did not return —
+	// compare with the trace's KthDegree to see the margin the cut fired at.
 	Bound float64
 	// Addr names the shard's server address when the shard is remote
 	// (shard/remote); empty for in-process shards. Lets a trace reader tell
 	// which host answered slowly without an ordinal→address lookup.
 	Addr string `json:",omitempty"`
-	// Latency is the wall-clock this shard's pulls cost, summed over rounds
-	// (rounds run in parallel across shards, so these overlap; the slowest
-	// shard's Latency approximates the fan-out's critical path).
+	// Latency is the wall-clock this shard's call cost (the calls of one
+	// wave run in parallel across shards, so these overlap).
 	Latency time.Duration
 }
 
@@ -129,11 +126,11 @@ type QueryTrace struct {
 	Checked int
 	// ZeroSkipped and BoundSkipped are QueryStats' fields of the same names:
 	// entities the posting-driven search settled without a degree computation
-	// (zero on a cluster, whose streams report Checked only).
+	// (zero on a cluster, whose shards report Checked only).
 	ZeroSkipped  int
 	BoundSkipped int
-	// Pulled counts candidates drawn across shards by the gather; equals
-	// the sum of per-shard Pulled. Zero on a single DB (no fan-out).
+	// Pulled counts the matches the shards returned; equals the sum of
+	// per-shard Pulled. Zero on a single DB (no fan-out).
 	Pulled int
 	// KthDegree is the merged k-th degree at termination (0 when fewer than
 	// k results exist) — the threshold the per-shard Bounds were cut
@@ -141,7 +138,7 @@ type QueryTrace struct {
 	KthDegree float64
 	// Shards is the per-shard breakdown, present only for cluster queries.
 	Shards []ShardTrace
-	// Merge is the coordinator's cumulative k-way merge time — the
+	// Merge is the coordinator's merge time — the
 	// scatter-gather cost that is not attributable to any shard.
 	Merge time.Duration
 	// Start is when the query began; Total is its end-to-end latency

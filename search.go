@@ -1,103 +1,98 @@
 package digitaltraces
 
-// Incremental exact search — the per-shard half of the threshold-pruned
-// scatter-gather (package shard). A Search streams an engine's entities in
-// exact rank order (degree descending, ties by ascending entity ID) in
-// batches, each with an admissible upper bound on everything not yet
-// surrendered, so a coordinator merging several shards can stop pulling from
-// a shard as soon as its global k-th result strictly dominates that shard's
-// bound — without the shard ever computing a full local top-k.
+// The floored search — one shard's part of a cluster query (package shard).
+// A cluster asks each shard once: rank my query against your entities, return
+// the first few at or above a floor, and say how far you got. The reply is
+// complete by construction, so the coordinator never comes back for more and
+// no shard keeps any state between calls.
 
 import (
-	"digitaltraces/internal/core"
+	"fmt"
+
+	"digitaltraces/internal/trace"
 )
 
-// Search is an in-progress incremental top-k query pinned to one immutable
-// index snapshot: however long the caller holds it and however much ingest
-// or maintenance races it, every Pull answers over exactly the state the
-// Search was opened on (generation Generation()). Its pulled matches,
-// concatenated, equal TopK(·, k)'s answer for every k they reach — same
-// entities, degrees and tie order.
-//
-// A Search holds its frontier across calls and is not safe for concurrent
-// use; open one per goroutine. It pins the snapshot's memory, and pooled
-// search scratch, until Close (or until it runs dry).
-type Search struct {
-	snap *snapshot // nil once closed
-	it   *core.Iter
-	gen  uint64
+// RankQuery is one floored search (DB.Rank).
+type RankQuery struct {
+	// Entity, when set, names the query entity: its visits are resolved here,
+	// returned in Ranked.Visits and ranked against as an example, and the
+	// entity itself is no candidate. Otherwise Visits is the example.
+	Entity string
+	Visits []Visit
+	// Want caps the matches (≥ 1), Floor is the least degree returned, and
+	// Keep, when not nil, admits the candidates that may be returned and
+	// counted: it is asked before a candidate is scored.
+	Want  int
+	Floor float64
+	Keep  func(entity string) bool
+	// Ties asks a capped reply to carry every further match tied with its
+	// last one, so that what the reply leaves out ranks strictly below Want
+	// of its matches under any tie order.
+	Ties bool
 }
 
-// Batch is what one Pull surrenders: matches in exact rank order, all at or
-// above the pull's floor; an admissible upper bound on the degree of
-// everything not yet returned (0 once exhausted); and whether anything at or
-// above the floor may remain. Fewer than want matches with Live set never
-// happens: a short batch means the search ran dry or reached the floor.
-type Batch struct {
-	Matches []Match
-	Bound   float64
-	Live    bool
+// Ranked is a DB.Rank reply: the matches in exact rank order (degree
+// descending, ties by ascending entity ID); the query entity's visits when
+// the query named it; an admissible upper bound on the degree of every
+// admitted entity left out; whether Want matches came back (the cap, not the
+// floor or the population, may have ended the search); the exact degree
+// computations it took; and the generation of the snapshot it answered over.
+type Ranked struct {
+	Matches    []Match
+	Visits     []Visit
+	Bound      float64
+	Capped     bool
+	Checked    int
+	Generation uint64
 }
 
-// SearchByExample opens an incremental query for a hypothetical entity
-// described by visits (discretized exactly like TopKByExample; nothing is
-// excluded).
-func (db *DB) SearchByExample(visits []Visit) (*Search, error) {
+// Rank answers one floored search over one pinned index snapshot: exactly the
+// first Want entries of the exact order over the entities Keep admits at or
+// above Floor, plus, under Ties, every entry tied with the last of a capped
+// reply — a second search over the same snapshot at that degree. The query
+// cache and the tracer are not consulted: this is a shard's half of a
+// cluster query, which caches and traces on the coordinator.
+func (db *DB) Rank(rq RankQuery) (Ranked, error) {
+	var out Ranked
+	if rq.Want < 1 {
+		return out, fmt.Errorf("digitaltraces: want = %d < 1", rq.Want)
+	}
+	self, visits := trace.EntityID(-1), rq.Visits
+	if rq.Entity != "" {
+		var err error
+		if self, visits, err = db.visitsOf(rq.Entity); err != nil {
+			return out, err
+		}
+		out.Visits = visits
+	}
 	s, err := db.snapshotForQuery()
 	if err != nil {
-		return nil, err
+		return out, err
 	}
 	q, err := db.exampleSequences(visits)
 	if err != nil {
-		return nil, err
+		return out, err
 	}
-	it, err := s.post.NewIter(q, s.measure)
+	q.Entity = self // the named entity is no candidate of its own query
+	var keep func(trace.EntityID) bool
+	if rq.Keep != nil {
+		keep = func(e trace.EntityID) bool { return rq.Keep(s.byID[e]) }
+	}
+	r, err := s.post.Rank(q, rq.Want, rq.Floor, keep, s.measure)
 	if err != nil {
-		return nil, err
+		return out, err
 	}
-	return &Search{snap: s, it: it, gen: s.generation}, nil
-}
-
-// Pull returns the next batch of up to want matches. floor is what the
-// caller already holds — a coordinator's k-th degree, 0 while it holds fewer
-// than k: the search scores no candidate bounded below it, returns no match
-// below it and ends (Live false) once its bound drops below it. Matches at
-// the floor are still returned — they can win the tie-break — so the pulled
-// matches stay a prefix of the exact order. A floor lower than an earlier
-// one is ignored.
-func (sr *Search) Pull(want int, floor float64) (Batch, error) {
-	sr.it.RaiseFloor(floor)
-	out := make([]Match, 0, min(want, 64)) // want may come off the wire: grow, don't trust it
-	for len(out) < want {
-		r, ok, err := sr.it.Next()
-		if err != nil {
-			return Batch{}, err
+	out.Checked, out.Capped = r.Stats.Checked, r.Capped
+	if rq.Ties && r.Capped {
+		if r, err = s.post.Rank(q, s.post.Len(), r.Results[len(r.Results)-1].Degree, keep, s.measure); err != nil {
+			return out, err
 		}
-		if !ok {
-			return Batch{Matches: out, Bound: sr.it.Bound()}, nil
-		}
-		out = append(out, Match{Entity: sr.snap.byID[r.Entity], Degree: r.Degree})
+		out.Checked += r.Stats.Checked
 	}
-	b := sr.it.Bound()
-	return Batch{Matches: out, Bound: b, Live: b >= floor}, nil
+	out.Matches = make([]Match, len(r.Results))
+	for i, res := range r.Results {
+		out.Matches[i] = Match{Entity: s.byID[res.Entity], Degree: res.Degree}
+	}
+	out.Bound, out.Generation = r.Bound, s.generation
+	return out, nil
 }
-
-// Close releases the search before it is drained: the pooled scratch goes
-// back for reuse and the snapshot is no longer pinned. A later Pull returns
-// an empty, dead batch; Checked and Generation still answer. Calling it
-// again is a no-op. The error is always nil (shard.Stream's signature).
-func (sr *Search) Close() error {
-	sr.it.Close()
-	sr.snap = nil
-	return nil
-}
-
-// Checked reports how many exact degree computations the search has
-// performed so far — the work early termination exists to avoid.
-func (sr *Search) Checked() int { return sr.it.Stats().Checked }
-
-// Generation identifies the snapshot this Search answers over (the value
-// IndexStats reports as Generation). Two Searches with equal generations
-// answer over identical index states — what a cluster trace reports per
-// shard.
-func (sr *Search) Generation() uint64 { return sr.gen }

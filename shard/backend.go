@@ -1,21 +1,18 @@
 package shard
 
 // The Backend seam: everything a Cluster asks of one shard — ingest a batch,
-// stream a search, report its state, and build, save or open its index —
+// rank a query, report its state, and build, save or open its index —
 // expressed as an interface so the shard can live in this process (a
 // *digitaltraces.DB behind the local adapter) or in another one
-// (shard/remote's Client speaking the pull-based search protocol over HTTP).
-// The Cluster's exactness argument is entirely in terms of this contract —
-// per-shard exact rank order, admissible bounds, shared discretization
-// parameters — so composing remote shards preserves bit-identical answers as
-// long as each implementation honors it.
+// (shard/remote's Client speaking the shard protocol over HTTP). The
+// Cluster's exactness argument is entirely in terms of this contract —
+// per-shard exact rank order under a floor, a cap and an ownership mask,
+// shared discretization parameters — so composing remote shards preserves
+// bit-identical answers as long as each implementation honors it.
 //
-// The search half is deliberately *pull-batched* rather than item-at-a-time:
-// Stream.Pull(want, floor) surrenders up to want ranked results at or above
-// the coordinator's floor and the bound after them in one call, and opening a
-// stream already carries its first pull, so an entire gather round against a
-// remote shard costs one network round trip, not want of them. A local
-// shard's stream is the DB's own *digitaltraces.Search.
+// The search half is one stateless call: Rank answers a shard's whole part of
+// a query at once, so a cluster query costs one round trip per shard asked
+// and no shard holds anything for the coordinator between calls.
 
 import (
 	"io"
@@ -40,17 +37,10 @@ type Backend interface {
 	// VisitsOf resolves an entity's visits with the exact round-tripping
 	// discretization guarantee of digitaltraces.DB.VisitsOf.
 	VisitsOf(entity string) ([]digitaltraces.Visit, error)
-	// OpenSearch opens an incremental exact-rank stream for a hypothetical
-	// entity described by visits, pinned to one immutable index snapshot, and
-	// returns its first Pull(want, floor) with it — one round trip on a
+	// Rank answers one shard's part of a cluster query over one pinned
+	// index snapshot (RankRequest; DB.Rank's contract) — one round trip on a
 	// remote shard.
-	OpenSearch(visits []digitaltraces.Visit, want int, floor float64) (Stream, digitaltraces.Batch, error)
-	// OpenSearchEntity resolves the named entity's visits and opens a stream
-	// over them, first Pull(want, 0) included, in one call — one round trip
-	// on a remote shard — returning the visits so the coordinator can fan the
-	// same snapshot out to sibling shards (TopK must never mix two states of
-	// the query entity).
-	OpenSearchEntity(entity string, want int) ([]digitaltraces.Visit, Stream, digitaltraces.Batch, error)
+	Rank(req RankRequest) (digitaltraces.Ranked, error)
 	// BuildIndex rebuilds the shard's index.
 	BuildIndex() error
 	// Shape and serving state. On a remote shard the mutable values —
@@ -76,65 +66,35 @@ type Backend interface {
 	Close() error
 }
 
-// Stream is one shard's half of an in-progress incremental top-k: results
-// arrive in the shard's exact rank order (degree descending, ties by the
-// shard's own ingest order), batched as digitaltraces.Batch. A local shard's
-// stream is its *digitaltraces.Search; a remote one's is the client half of
-// a server-side Search. A Stream pins one index snapshot until it is closed
-// and is not safe for concurrent use; the coordinator drives each stream
-// from a single goroutine per pull round.
-type Stream interface {
-	// Pull returns the next batch of up to want matches. floor is the
-	// coordinator's current k-th degree (0 while it holds fewer than k): the
-	// shard scores nothing bounded below it, returns no match below it and
-	// ends the stream (Live false) once its bound drops below it. Matches at
-	// the floor are still returned — they can win the ordinal tie-break — so
-	// a pulled prefix stays a prefix of the shard's exact order. Successive
-	// floors never decrease.
-	Pull(want int, floor float64) (digitaltraces.Batch, error)
-	// Checked reports the exact degree computations performed so far (for a
-	// remote stream, as of the last pull — exact after the final pull, since
-	// a cut stream does no further work).
-	Checked() int
-	// Generation identifies the pinned snapshot (the cluster cache's
-	// version-vector component for this shard).
-	Generation() uint64
-	// Close releases the stream's search, snapshot and pooled scratch: at
-	// once for a local stream, on the client's next request to that shard
-	// for a remote one (no round trip of its own; the server's TTL is the
-	// backstop). The Stream must not be pulled afterwards.
-	Close() error
+// RankRequest is what a cluster query asks of one shard: rank the query —
+// the named entity, whose visits the reply carries, or the example visits —
+// against the entities the shard owns under the query's pinned slot map
+// (Owned), and return the first Want of them at or above Floor in the shard's
+// exact order. Ties makes a capped reply carry every further match tied with
+// its last, for a shard whose local order a migration disturbed.
+type RankRequest struct {
+	Entity string
+	Visits []digitaltraces.Visit
+	Want   int
+	Floor  float64
+	Owned  SlotMask
+	Ties   bool
 }
 
 // local adapts an in-process *digitaltraces.DB to the Backend contract. All
-// methods but the search-opening pair are the DB's own.
+// methods but Rank are the DB's own.
 type local struct {
 	*digitaltraces.DB
 }
 
-var _ Stream = (*digitaltraces.Search)(nil)
-
-func (l local) OpenSearch(visits []digitaltraces.Visit, want int, floor float64) (Stream, digitaltraces.Batch, error) {
-	s, err := l.DB.SearchByExample(visits)
-	if err != nil {
-		return nil, digitaltraces.Batch{}, err
-	}
-	b, err := s.Pull(want, floor)
-	if err != nil {
-		s.Close()
-		return nil, digitaltraces.Batch{}, err
-	}
-	return s, b, nil
-}
-
-func (l local) OpenSearchEntity(entity string, want int) ([]digitaltraces.Visit, Stream, digitaltraces.Batch, error) {
-	visits, err := l.DB.VisitsOf(entity)
-	if err != nil {
-		return nil, nil, digitaltraces.Batch{}, err
-	}
-	st, b, err := l.OpenSearch(visits, want, 0)
-	if err != nil {
-		return nil, nil, digitaltraces.Batch{}, err
-	}
-	return visits, st, b, nil
+// Rank is DB.Rank with the ownership mask as its filter.
+func (l local) Rank(req RankRequest) (digitaltraces.Ranked, error) {
+	return l.DB.Rank(digitaltraces.RankQuery{
+		Entity: req.Entity,
+		Visits: req.Visits,
+		Want:   req.Want,
+		Floor:  req.Floor,
+		Keep:   func(e string) bool { return req.Owned.Has(SlotOf(e)) },
+		Ties:   req.Ties,
+	})
 }

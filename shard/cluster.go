@@ -1,38 +1,36 @@
 // Package shard scales digitaltraces horizontally inside one process: a
 // Cluster partitions entities across N independent digitaltraces.DB shards
 // through a versioned slot map, routes ingest to each entity's owning shard,
-// builds all shards in parallel, and answers top-k queries by
-// threshold-pruned scatter-gather — resolve the query entity's visits on its
-// home shard, open one incremental exact-rank search per shard over that one
-// visit snapshot, and pull per-shard results only down to the merged k-th
-// degree (gather.go).
+// builds all shards in parallel, and answers top-k queries with at most two
+// waves of one stateless call per shard — the query entity's home shard
+// first, for its visits and a floor, then every other shard at that floor —
+// merged by one sort (gather.go).
 //
 // # Exactness
 //
 // Partitioning preserves the paper's exact-answer guarantee. The association
 // degree between the query and a candidate depends only on their two ST-cell
 // sequences, so each shard computes exact degrees for its own entities; and
-// because every shard streams its results under the same total order the
-// single-DB search uses (degree descending, ties by ingest order), an entity
-// a shard has not yet surrendered when the gather cuts it is either strictly
-// below the merged k-th degree or preceded by at least k entities from that
-// shard alone, and can never enter the global top-k (gather.go's prefix-cut
-// argument). Merging the pulled prefixes and truncating to k is therefore
-// lossless: a Cluster returns bit-identical entities and degrees to a single
-// DB over the same data — the invariant TestClusterExactness locks in for
-// N ∈ {1, 2, 4, 8}.
+// because every shard ranks under the same total order the single-DB search
+// uses (degree descending, ties by ingest order), an entity a shard did not
+// return is either strictly below the final k-th degree or preceded by at
+// least k entities from that shard alone, and can never enter the global
+// top-k (gather.go's argument). Merging the replies and truncating to k is
+// therefore lossless: a Cluster returns bit-identical entities and degrees to
+// a single DB over the same data — the invariant TestClusterExactness locks
+// in for N ∈ {1, 2, 4, 8}.
 //
 // Placement itself is a versioned slot map rather than a fixed hash
-// (slotmap.go): every query pins one map for its whole fan-out, filters
-// every pulled candidate by that map's ownership, and treats shards whose
-// local order a past migration disturbed as loose (uncapped, re-sorted under
-// the global order) — so answers stay bit-identical before, during and after
-// a live MigrateSlot, the invariant the migration property suite locks in.
+// (slotmap.go): every query pins one map for its whole fan-out, asks each
+// shard for the entities that map assigns it, and asks shards whose local
+// order a past migration disturbed for complete ties — so answers stay
+// bit-identical before, during and after a live MigrateSlot, the invariant
+// the migration property suite locks in.
 //
 // Two mechanical preconditions make the degree computations line up:
 // every shard must share one epoch and time unit (NewCluster verifies this),
 // and the fan-out must reproduce the query entity's stored cells exactly,
-// which DB.VisitsOf / DB.SearchByExample guarantee by round-tripping the
+// which DB.VisitsOf / DB.Rank guarantee by round-tripping the
 // discretization.
 //
 // # Concurrency and locking
@@ -41,9 +39,8 @@
 // synchronization domains instead of one: ingest for entity A only touches
 // A's shard's ingest lock, and shard index builds run truly in parallel (the
 // wall-clock build speedup cmd/bench records). Every shard serves queries
-// from its own atomically swapped immutable index snapshot, so a
-// scatter-gather query pins one frozen snapshot per shard for its whole
-// fan-out and never waits for a shard's fold or rebuild — a shard absorbing
+// from its own atomically swapped immutable index snapshot, so each shard's
+// call pins one frozen snapshot and never waits for a shard's fold or rebuild — a shard absorbing
 // new data builds the next snapshot aside and swaps it in before it
 // acknowledges the write, so the snapshot a query pins already covers every
 // write acknowledged before the query began. The Cluster itself adds only a
@@ -92,8 +89,8 @@ type Config struct {
 	// vector of shard snapshot generations and served without any fan-out
 	// while every shard's snapshot covers its acknowledged writes and none
 	// has changed (cache.go). Per-shard digitaltraces.WithQueryCache caches are never
-	// consulted — cluster queries stream through the incremental search
-	// path, which bypasses them.
+	// consulted — a shard answers a cluster query through DB.Rank, which
+	// bypasses them.
 	CacheSize int
 	// InitialSlots, when non-nil, is the slot→shard assignment the cluster
 	// starts from instead of the default s mod N table: NumSlots entries,
@@ -130,9 +127,8 @@ type Cluster struct {
 
 	// mu guards ord, the global first-arrival ordinal per entity name. The
 	// single-DB search breaks degree ties by entity ID — ingest order — so
-	// the merge uses the cluster-wide arrival order for cross-shard ties to
-	// reproduce single-DB answers bit-for-bit; ties within one shard follow
-	// the shard's own order by construction of the k-way merge (merge.go).
+	// the merge sorts ties by the cluster-wide arrival order to reproduce
+	// single-DB answers bit-for-bit (merge.go).
 	mu  sync.RWMutex
 	ord map[string]int
 
@@ -376,20 +372,17 @@ func (c *Cluster) AddVisits(visits []digitaltraces.VisitRecord) (int, error) {
 }
 
 // TopK returns the k entities most closely associated with the named entity,
-// with exact degrees: the entity's visits are resolved once on its home
-// shard, and every shard — home included — ranks its own entities against
-// that one snapshot through the incremental query-by-example search, so the
-// merged answer never mixes two states of the query entity even when a
-// writer races the query. The fan-out is threshold-pruned (gather.go): the
-// home shard's first k+1 results give a k-th degree the siblings open at as
-// their floor, every later pull carries the merged k-th as the floor, and a
-// shard stops once that floor strictly dominates its remainder bound, so
-// shards whose candidates are quickly dominated never run a full local top-k
-// — while the answer stays bit-identical to a single DB
-// (TestClusterExactness). The query entity itself is excluded during the
-// merge. Stats aggregate across shards: Checked sums the exact degree
-// computations actually performed and PE/Pruned are recomputed over the
-// cluster-wide population, so they are comparable with single-DB numbers.
+// with exact degrees. The entity's home shard is asked first: it resolves the
+// entity's visits and returns them with its own first k+1 matches at floor 0.
+// Every other shard is then asked once, in parallel, to rank its entities
+// against those visits — one snapshot of the query entity, so the answer never
+// mixes two states of it even when a writer races the query — with the home's
+// k-th degree as the floor, below which nothing can reach the answer. Each
+// reply is complete (gather.go), so the merged answer is bit-identical to a
+// single DB's (TestClusterExactness). Stats aggregate across shards: Checked
+// sums the exact degree computations performed and PE/Pruned are recomputed
+// over the cluster-wide population, so they are comparable with single-DB
+// numbers.
 //
 // With Config.CacheSize set, repeat queries against an unchanged cluster
 // (same shard snapshot generations) are answered from the cluster cache with
@@ -401,53 +394,39 @@ func (c *Cluster) TopK(entity string, k int) ([]digitaltraces.Match, digitaltrac
 // topKTraced is TopK with trace linkage: batchID groups the item traces of
 // one TopKBatch call (0 outside a batch).
 func (c *Cluster) topKTraced(entity string, k int, batchID uint64) ([]digitaltraces.Match, digitaltraces.QueryStats, error) {
-	return c.query(obs.KindTopK, entity, k, batchID, qcache.EntityKey(entity, k), func(sm *SlotMap) (fanout, error) {
-		// Resolve the entity's visits, open its home-shard stream and pull
-		// k+1 from it in one call (one round trip on a remote home shard),
-		// then fan the same visit snapshot out to every sibling — the merged
-		// answer never mixes two states of the query entity even when a
-		// writer races the query.
-		homeOrd := sm.Owner(entity)
-		f, home := c.newFanout(homeOrd)
-		start := time.Now()
-		visits, st, first, err := c.shards[homeOrd].OpenSearchEntity(entity, k+1)
-		if err != nil {
-			return fanout{}, err
+	return c.query(obs.KindTopK, entity, k, batchID, qcache.EntityKey(entity, k), func(f *fanout) error {
+		if entity == "" {
+			return fmt.Errorf("shard: empty entity name") // a rank request without one is by example
 		}
-		f.opened(home, sm, st, first, 0, time.Since(start))
-		// The k-th owned match other than the entity itself is a floor the
-		// siblings can open at: the merged k-th can only be higher.
-		floor, n := 0.0, 0
-		for _, e := range f.first[home].entries {
-			if e.m.Entity != entity {
-				if n++; n == k {
-					floor = e.m.Degree
-					break
-				}
-			}
+		if err := f.call(f.home, RankRequest{Entity: entity, Want: k + 1}); err != nil {
+			return err
 		}
-		return f, c.openSearches(sm, &f, visits, k, floor)
+		// The home's k-th match is a floor the other shards can be asked at:
+		// the answer's k-th can only be higher.
+		home, floor := f.replies[f.home], 0.0
+		if len(home.Matches) >= k {
+			floor = home.Matches[k-1].Degree
+		}
+		return f.callRest(RankRequest{Visits: home.Visits, Want: k + 1, Floor: floor})
 	})
 }
 
 // TopKByExample answers for a hypothetical entity described by visits,
-// fanning the example out to every shard through the same threshold-pruned
-// gather as TopK, with no self to exclude.
+// asking every shard once at floor 0, with no self to exclude.
 func (c *Cluster) TopKByExample(visits []digitaltraces.Visit, k int) ([]digitaltraces.Match, digitaltraces.QueryStats, error) {
-	return c.query(obs.KindExample, "", k, 0, exampleCacheKey(visits, k), func(sm *SlotMap) (fanout, error) {
-		f, _ := c.newFanout(-1)
-		return f, c.openSearches(sm, &f, visits, k, 0)
+	return c.query(obs.KindExample, "", k, 0, exampleCacheKey(visits, k), func(f *fanout) error {
+		return f.callRest(RankRequest{Visits: visits, Want: k + 1})
 	})
 }
 
 // query answers one top-k query (entity is the one to exclude, "" for an
 // example) and records its trace. It runs through the cluster cache
-// (qcache.Do under cacheVersion), and a miss gathers over the fan-out open
-// opens under one pinned slot map: home resolution, the per-pull ownership
-// filter and the loose-stream decision all read that map, so a migration
-// publishing mid-query can never split the query's view of who owns what
-// (slotmap.go's exactness argument).
-func (c *Cluster) query(kind obs.Kind, entity string, k int, batchID uint64, key string, open func(*SlotMap) (fanout, error)) ([]digitaltraces.Match, digitaltraces.QueryStats, error) {
+// (qcache.Do under cacheVersion), and a miss asks the shards through ask
+// under one pinned slot map: home resolution, every shard's ownership mask
+// and ties flag all read that map, so a migration publishing mid-query can
+// never split the query's view of who owns what (slotmap.go's exactness
+// argument).
+func (c *Cluster) query(kind obs.Kind, entity string, k int, batchID uint64, key string, ask func(*fanout) error) ([]digitaltraces.Match, digitaltraces.QueryStats, error) {
 	start := time.Now()
 	if k < 1 {
 		err := fmt.Errorf("shard: k = %d < 1", k)
@@ -463,13 +442,19 @@ func (c *Cluster) query(kind obs.Kind, entity string, k int, batchID uint64, key
 		v, gens, ok = c.cacheVersion()
 		return v, ok
 	}, func() ([]digitaltraces.Match, error) {
-		sm := c.slotmap()
-		f, err := open(sm)
-		if err != nil {
+		sm, home := c.slotmap(), -1
+		if kind == obs.KindTopK {
+			home = sm.Owner(entity)
+		}
+		f := c.newFanout(sm, home)
+		if len(f.rows) == 0 {
+			return nil, fmt.Errorf("shard: cluster has no visits to index")
+		}
+		if err := ask(f); err != nil {
 			return nil, err
 		}
 		rows = f.rows
-		out, s, err := c.gather(sm, &f, k, entity, start)
+		out, s, err := c.gather(f, k, entity, start)
 		qs = s
 		return out, err
 	})
@@ -481,99 +466,6 @@ func (c *Cluster) query(kind obs.Kind, entity string, k int, batchID uint64, key
 	}
 	c.record(kind, entity, k, batchID, out, qs, rows, gens, err, start)
 	return out, qs, err
-}
-
-// fanout is a cluster query's per-shard state, one slot per shard that
-// holds entities (the home shard always), in shard order: the stream its
-// open started, the first round that open pulled, and the row the query's
-// trace holds for it. newFanout fills a row's Shard, the open its Addr and
-// Generation, the gather its Pulled, Rounds, Cut, Exhausted, Bound and
-// Latency, and the gather's end its Checked.
-type fanout struct {
-	streams []Stream
-	first   []pullResp
-	rows    []obs.ShardTrace
-}
-
-// newFanout lays out a fan-out over the shards that hold entities (an empty
-// shard has no candidates, and no index to search) and homeOrd (−1: none),
-// returning homeOrd's slot.
-func (c *Cluster) newFanout(homeOrd int) (fanout, int) {
-	f := fanout{rows: make([]obs.ShardTrace, 0, len(c.shards))}
-	home := -1
-	for i, sh := range c.shards {
-		if i == homeOrd {
-			home = len(f.rows)
-		} else if sh.NumEntities() == 0 {
-			continue
-		}
-		f.rows = append(f.rows, obs.ShardTrace{Shard: i})
-	}
-	f.streams = make([]Stream, len(f.rows))
-	f.first = make([]pullResp, len(f.rows))
-	return f, home
-}
-
-// opened fills slot j with its open: the stream, and the first batch it
-// pulled at floor in took, filtered by sm's ownership.
-func (f *fanout) opened(j int, sm *SlotMap, st Stream, b digitaltraces.Batch, floor float64, took time.Duration) {
-	f.streams[j] = st
-	f.first[j] = owned(sm, f.rows[j].Shard, b, took)
-	f.first[j].floor = floor
-	f.rows[j].Generation = st.Generation()
-	if a, ok := st.(interface{ Addr() string }); ok {
-		f.rows[j].Addr = a.Addr() // remote streams name their shard server
-	}
-}
-
-// close releases every opened stream.
-func (f *fanout) close() {
-	for _, st := range f.streams {
-		if st != nil {
-			st.Close()
-		}
-	}
-}
-
-// openSearches opens a stream over visits on every slot of f that has none
-// yet, in parallel (each open scores the shard's first pull, so local opens
-// overlap their searches; on remote shards they are concurrent round
-// trips), each with its first pull at floor: the shard's even share of k,
-// ⌈k/N⌉. Asking for more would score deeper than the floor the gather's
-// next round carries; asking for less leaves that round a lower floor. A
-// slot already open is the home shard's (TopK's combined resolve-and-open).
-// On error every stream of f is closed.
-func (c *Cluster) openSearches(sm *SlotMap, f *fanout, visits []digitaltraces.Visit, k int, floor float64) error {
-	if len(f.rows) == 0 {
-		return fmt.Errorf("shard: cluster has no visits to index")
-	}
-	want := (k + len(c.shards) - 1) / len(c.shards)
-	errs := make([]error, len(f.rows))
-	var wg sync.WaitGroup
-	for j := range f.rows {
-		if f.streams[j] != nil {
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			start := time.Now()
-			st, b, err := c.shards[f.rows[j].Shard].OpenSearch(visits, want, floor)
-			if err != nil {
-				errs[j] = fmt.Errorf("shard %d: %w", f.rows[j].Shard, err)
-				return
-			}
-			f.opened(j, sm, st, b, floor, time.Since(start))
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			f.close()
-			return err
-		}
-	}
-	return nil
 }
 
 // TopKBatch answers top-k for every named entity on digitaltraces.RunBatch,

@@ -401,6 +401,9 @@ func TestClusterErrors(t *testing.T) {
 	if _, _, err := c.TopK("entity-0", 0); err == nil {
 		t.Error("k=0 accepted")
 	}
+	if _, _, err := c.TopK("", 3); err == nil || !strings.Contains(err.Error(), "empty entity name") {
+		t.Errorf("empty entity name: %v", err)
+	}
 	if _, _, err := c.TopKBatch(nil, 3, 2); err == nil {
 		t.Error("empty batch accepted")
 	}

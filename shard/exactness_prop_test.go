@@ -1,17 +1,16 @@
 package shard
 
-// Randomized exactness property suite for the threshold-pruned scatter-
-// gather: over random visit logs — varying entity counts, time horizons,
+// Randomized exactness property suite for the one-call gather: over random
+// visit logs — varying entity counts, time horizons,
 // deliberately duplicated visit patterns (exact degree ties) and post-build
 // dirty fractions — the pruned fan-out, the full-merge reference and a single
 // DB must return bit-identical answers, tie order included, for
 // N ∈ {1, 2, 4, 8} shards. Run under -race this also exercises the
-// coordinator's parallel pull rounds against concurrent lazy refreshes.
+// coordinator's parallel calls against concurrent lazy refreshes.
 
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"digitaltraces"
@@ -53,12 +52,12 @@ func propCluster(t *testing.T, src *digitaltraces.DB, n int) *Cluster {
 	return c
 }
 
-// fullMerge is the test-only full-merge reference for the bounded gather,
-// over the same cluster state TopK reads: every non-empty shard's stream is
-// drained completely, filtered to the entities the pinned slot map assigns
-// to that shard, put under the global total order and merged whole — no
-// threshold cut, no k+1 cap. A non-empty entity names the query entity: its
-// visits are resolved on its home shard and it is excluded from the answer.
+// fullMerge is the test-only full-merge reference for the gather, over the
+// same cluster state TopK reads: every non-empty shard ranks every entity the
+// pinned slot map assigns it — no floor, no k+1 cap — and the lists are
+// merged whole under the global total order. A non-empty entity names the
+// query entity: its visits are resolved on its home shard and it is excluded
+// from the answer.
 func (c *Cluster) fullMerge(entity string, visits []digitaltraces.Visit, k int) ([]digitaltraces.Match, error) {
 	sm := c.slotmap()
 	if entity != "" {
@@ -67,35 +66,22 @@ func (c *Cluster) fullMerge(entity string, visits []digitaltraces.Visit, k int) 
 			return nil, err
 		}
 	}
-	lists := make([][]entry, len(c.shards))
+	var es []entry
 	for i, sh := range c.shards {
 		if sh.NumEntities() == 0 {
 			continue
 		}
-		st, b, err := sh.OpenSearch(visits, 64, 0)
+		r, err := sh.Rank(RankRequest{Visits: visits, Want: sh.NumEntities(), Owned: sm.Owned(i)})
 		if err != nil {
 			return nil, err
 		}
-		defer st.Close()
-		for {
-			c.mu.RLock()
-			for _, m := range b.Matches {
-				if sm.Owner(m.Entity) == i {
-					lists[i] = append(lists[i], entry{m: m, rank: c.rankLocked(m.Entity)})
-				}
-			}
-			c.mu.RUnlock()
-			if !b.Live {
-				break
-			}
-			if b, err = st.Pull(64, 0); err != nil {
-				return nil, err
-			}
+		c.mu.RLock()
+		for _, m := range r.Matches {
+			es = append(es, entry{m: m, rank: c.rankLocked(m.Entity)})
 		}
-		sort.SliceStable(lists[i], func(a, b int) bool { return entryBefore(lists[i][a], lists[i][b]) })
+		c.mu.RUnlock()
 	}
-	out, _ := mergeEntries(lists, k, entity)
-	return out, nil
+	return merge(es, k, entity), nil
 }
 
 // comparePaths asserts pruned ≡ full merge ≡ single for one query set.

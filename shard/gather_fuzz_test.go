@@ -1,19 +1,17 @@
 package shard
 
-// Fuzz target for the threshold-pruned merge/termination logic.
+// Fuzz target for the one-call gather.
 //
-// FuzzBoundedGather decodes arbitrary bytes into per-shard candidate lists
-// (coarse degrees to force ties, colliding ordinals to force name
-// tie-breaks, an optional excluded entity, and per-stream bound slack) and
-// drives boundedGather over simulated streams that serve prefixes of those
-// lists with admissible bounds and honour each pull's floor: nothing below
-// it is served, and a stream whose bound drops below it ends. Some cases
-// start from a pre-filled first round shaped like the cluster's fused opens:
-// stream 0 pulled k+1 at floor 0, every other stream pulled at the k-th
-// degree of that batch. The invariant is the acceptance property in
-// miniature: the pruned gather must return exactly what mergeEntries over
-// the FULL lists returns — it never surfaces a result a full merge wouldn't,
-// never drops or reorders one, for any list shape the decoder can produce.
+// FuzzBoundedGather decodes arbitrary bytes into a population of model
+// shards behind the Backend seam — coarse degrees to force ties, colliding
+// ordinals to force name tie-breaks, touched shards whose local order among
+// equal degrees is arbitrary, and foreign copies (entities a shard holds but
+// the slot map assigns elsewhere, at any degree) — and runs the cluster's own
+// TopK or TopKByExample over them. Each model shard answers Rank by its
+// contract: its owned entries in local order at or above the floor, cut at
+// want, with ties completed when asked. The oracle is a full sort of every
+// owned entry under the global order: the gather must return exactly its
+// first k, asking each shard at most once.
 //
 // Run the smoke in CI with:
 //
@@ -23,249 +21,218 @@ package shard
 // seeds below.
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"digitaltraces"
-	"digitaltraces/internal/obs"
-	"sort"
 )
 
-// gatherCase is a decoded fuzz input: full per-shard lists in shard-exact
-// order, the query k, the excluded entity, per-stream bound slack, and
-// per-stream looseness (a migration-touched shard: degree order only, ties
-// in arbitrary — not global — order, no k+1 cap).
+// modelShard is one shard of a gather case: the entries it holds in its local
+// rank order. It implements only what a query asks of a Backend.
+type modelShard struct {
+	Backend
+	list  []entry
+	calls int
+	err   error
+}
+
+func (s *modelShard) NumEntities() int { return len(s.list) }
+
+// Rank is the shard's contract over its local order: owned entries at or
+// above the floor, the query entity excluded, cut at want — and under ties,
+// every further entry tied with the last.
+func (s *modelShard) Rank(req RankRequest) (digitaltraces.Ranked, error) {
+	s.calls++
+	if s.err != nil {
+		return digitaltraces.Ranked{}, s.err
+	}
+	var r digitaltraces.Ranked
+	for _, e := range s.list {
+		if !req.Owned.Has(SlotOf(e.m.Entity)) || e.m.Entity == req.Entity || e.m.Degree < req.Floor {
+			continue
+		}
+		if n := len(r.Matches); n >= req.Want && !(req.Ties && e.m.Degree == r.Matches[n-1].Degree) {
+			r.Bound = max(r.Bound, e.m.Degree)
+			continue
+		}
+		r.Matches = append(r.Matches, e.m)
+	}
+	r.Capped = len(r.Matches) >= req.Want
+	return r, nil
+}
+
+// gatherCase is a decoded fuzz input: the model cluster, the query k and the
+// query entity ("" for a query by example).
 type gatherCase struct {
-	lists     [][]entry
-	k         int
-	exclude   string
-	slack     []float64
-	loose     []bool
-	firstWant int // > 0: pre-fill the first round, the other streams pulling this many
+	c      *Cluster
+	shards []*modelShard
+	owned  []entry // every entity once, at its owner's degree
+	k      int
+	entity string
 }
 
 // decodeGatherCase maps fuzz bytes onto a gather case. Every byte string
 // decodes to something valid; short inputs produce small cases.
 func decodeGatherCase(data []byte) gatherCase {
-	next := func() byte {
+	next := func() int {
 		if len(data) == 0 {
 			return 0
 		}
 		b := data[0]
 		data = data[1:]
-		return b
+		return int(b)
 	}
-	g := gatherCase{
-		k: 1 + int(next())%12,
+	g := gatherCase{k: 1 + next()%12}
+	n := 1 + next()%6
+	sm := DefaultSlotMap(n)
+	g.c = &Cluster{ord: map[string]int{}}
+	g.shards = make([]*modelShard, n)
+	for i := range g.shards {
+		g.shards[i] = &modelShard{}
+		g.c.shards = append(g.c.shards, g.shards[i])
+		sm.touched[i] = next()%3 == 0
 	}
-	n := 1 + int(next())%6
-	g.lists = make([][]entry, n)
-	g.slack = make([]float64, n)
-	g.loose = make([]bool, n)
-	for i := 0; i < n; i++ {
-		m := int(next()) % 10
-		// Slack in {0, 0.15, 0.3, 0.45}: bounds stay admissible (they only
-		// ever overestimate), exercising termination under loose bounds.
-		g.slack[i] = float64(int(next())%4) * 0.15
-		g.loose[i] = next()%4 == 0
-		for j := 0; j < m; j++ {
-			g.lists[i] = append(g.lists[i], entry{
-				m: digitaltraces.Match{
-					// Unique names across all streams (entities live on
-					// exactly one shard); coarse degree grid forces ties.
-					Entity: fmt.Sprintf("s%de%d", i, j),
-					Degree: float64(int(next())%8) / 7,
-				},
-				// Colliding ordinals are allowed: entryBefore falls back to
-				// the name, and the invariant must hold under that too.
-				rank: int(next()) % 32,
-			})
+	g.c.slots.Store(sm)
+	degree := func() float64 { return float64(next()%8) / 7 }
+	for j, m := 0, next()%40; j < m; j++ {
+		name := fmt.Sprintf("e%d", j)
+		// Colliding ordinals are allowed: compareEntries falls back to the name.
+		e := entry{m: digitaltraces.Match{Entity: name, Degree: degree()}, rank: next() % 32}
+		g.c.ord[name] = e.rank
+		g.owned = append(g.owned, e)
+		owner := g.shards[sm.Owner(name)]
+		owner.list = append(owner.list, e)
+		if b := next(); b%4 == 0 {
+			// A foreign copy, stale or shipped early, at any degree.
+			foreign := g.shards[b/4%n]
+			if foreign != owner {
+				foreign.list = append(foreign.list, entry{m: digitaltraces.Match{Entity: name, Degree: degree()}, rank: e.rank})
+			}
 		}
-		if g.loose[i] {
-			// A touched shard still emits in exact degree order, but its tie
-			// order is its own (migration reassigned local IDs) — keep the
-			// decode order within equal degrees, which entryBefore wouldn't.
-			sort.SliceStable(g.lists[i], func(a, b int) bool {
-				return g.lists[i][a].m.Degree > g.lists[i][b].m.Degree
-			})
+	}
+	for i, s := range g.shards {
+		if sm.touched[i] {
+			// A touched shard ranks by degree, its ties in its own order
+			// (here the decode order), not the global one.
+			sort.SliceStable(s.list, func(a, b int) bool { return s.list[a].m.Degree > s.list[b].m.Degree })
 		} else {
-			// Streams emit in shard-exact order.
-			sort.SliceStable(g.lists[i], func(a, b int) bool {
-				return entryBefore(g.lists[i][a], g.lists[i][b])
-			})
+			sort.SliceStable(s.list, func(a, b int) bool { return compareEntries(s.list[a], s.list[b]) < 0 })
 		}
 	}
-	// Sometimes exclude an entity that exists, sometimes one that doesn't.
-	switch next() % 4 {
-	case 0:
-		s := int(next()) % n
-		if len(g.lists[s]) > 0 {
-			g.exclude = g.lists[s][int(next())%len(g.lists[s])].m.Entity
-		}
-	case 1:
-		g.exclude = "absent"
-	}
-	if b := next(); b%2 == 1 {
-		g.firstWant = 1 + int(b/2)%(g.k+1)
+	if b := next(); b%2 == 1 && len(g.owned) > 0 {
+		g.entity = g.owned[b/2%len(g.owned)].m.Entity
 	}
 	return g
 }
 
-// runBoundedGather drives boundedGather over simulated prefix streams with
-// exact-plus-slack bounds, also returning the deepest prefix pulled per
-// stream so tests can assert the pruning actually prunes.
-func runBoundedGather(t *testing.T, g gatherCase) ([]digitaltraces.Match, []int) {
+// run answers the case's query through the cluster and returns the answer
+// with the oracle's: the first k owned entries other than the query entity
+// under the global order.
+func (g gatherCase) run(t *testing.T) (got, want []digitaltraces.Match, qs digitaltraces.QueryStats) {
 	t.Helper()
-	pos := make([]int, len(g.lists))
-	floors := make([]float64, len(g.lists))
-	// serve is one simulated Stream.Pull: the next matches at or above the
-	// floor, up to want; live while the bound after them reaches the floor.
-	serve := func(i, want int, floor float64) pullResp {
-		if want < 1 {
-			t.Fatalf("pull requested want=%d", want)
-		}
-		if floor < floors[i] {
-			t.Fatalf("stream %d: floor fell from %v to %v", i, floors[i], floor)
-		}
-		floors[i] = floor
-		l, p := g.lists[i], pos[i]
-		var es []entry
-		for len(es) < want && p < len(l) && l[p].m.Degree >= floor {
-			es = append(es, l[p])
-			p++
-		}
-		pos[i] = p
-		r := pullResp{entries: es, raw: len(es), floor: floor}
-		switch {
-		case p == len(l): // exhausted: bound 0
-		case len(es) < want: // stopped by the floor: the exact bound is below it
-			r.bound = l[p].m.Degree
-		default: // admissible bound on the remainder: the next degree plus slack
-			r.bound = l[p].m.Degree + g.slack[i]
-			r.live = r.bound >= floor
-		}
-		return r
+	var err error
+	if g.entity != "" {
+		got, qs, err = g.c.TopK(g.entity, g.k)
+	} else {
+		got, qs, err = g.c.TopKByExample(nil, g.k)
 	}
-	var first []pullResp
-	if g.firstWant > 0 {
-		// The cluster's fused opens: stream 0 is the home shard, pulled k+1
-		// at floor 0; its k-th match other than the excluded entity is the
-		// floor every sibling opens at.
-		first = make([]pullResp, len(g.lists))
-		first[0] = serve(0, g.k+1, 0)
-		floor, n := 0.0, 0
-		for _, e := range first[0].entries {
-			if e.m.Entity != g.exclude {
-				if n++; n == g.k {
-					floor = e.m.Degree
-				}
-			}
-		}
-		for i := 1; i < len(g.lists); i++ {
-			first[i] = serve(i, g.firstWant, floor)
-		}
-	}
-	pull := func(reqs []pullReq) ([]pullResp, error) {
-		resps := make([]pullResp, len(reqs))
-		for j, r := range reqs {
-			resps[j] = serve(r.stream, r.want, r.floor)
-		}
-		return resps, nil
-	}
-	rows := make([]obs.ShardTrace, len(g.lists))
-	got, _, _, err := boundedGather(rows, g.k, g.exclude, g.loose, first, pull)
 	if err != nil {
-		t.Fatalf("boundedGather: %v", err)
-	}
-	// The rows' per-stream pulled counts must agree with the simulated
-	// stream positions — the consistency the /traces endpoint exposes.
-	for i := range g.lists {
-		if rows[i].Pulled != pos[i] {
-			t.Fatalf("stream %d row pulled %d, stream served %d", i, rows[i].Pulled, pos[i])
+		if len(g.owned) == 0 && g.entity == "" {
+			return nil, nil, qs // an empty cluster has nothing to rank
 		}
-		if rows[i].Cut == rows[i].Exhausted {
-			t.Fatalf("stream %d: cut=%v exhausted=%v — exactly one must hold after a bounded gather",
-				i, rows[i].Cut, rows[i].Exhausted)
+		t.Fatalf("query %q k=%d: %v", g.entity, g.k, err)
+	}
+	all := append([]entry(nil), g.owned...)
+	slices.SortFunc(all, compareEntries)
+	want = []digitaltraces.Match{}
+	for _, e := range all {
+		if len(want) < g.k && e.m.Entity != g.entity {
+			want = append(want, e.m)
 		}
 	}
-	return got, pos
+	for i, s := range g.shards {
+		if s.calls > 1 {
+			t.Fatalf("shard %d asked %d times in one query", i, s.calls)
+		}
+	}
+	return got, want, qs
 }
 
 func FuzzBoundedGather(f *testing.F) {
-	// Seeds that reach the interesting regimes: empty case, single stream,
-	// many tied degrees, exclusion hits, zero-degree plateaus, large k.
+	// Seeds that reach the interesting regimes: empty case, single shard,
+	// many tied degrees, touched shards, foreign copies, large k, and
+	// queries by entity and by example.
 	f.Add([]byte{})
 	f.Add([]byte{3, 2, 4, 0, 7, 1, 7, 2, 6, 3, 4, 0, 5, 1, 5, 2, 3, 3, 0, 0})
 	f.Add([]byte{0, 3, 2, 1, 0, 0, 0, 1, 5, 2, 7, 0, 7, 0, 7, 0, 4, 1, 0, 2, 1})
-	f.Add([]byte{11, 4, 9, 3, 7, 7, 7, 7, 7, 7, 0, 0, 0, 0, 9, 0, 7, 7, 7, 7, 7, 7, 0, 0, 0, 0, 0, 0, 1})
-	// Pre-filled first rounds (the last byte odd): a home stream owning
-	// most of the answer, and siblings tied at the home floor.
-	f.Add([]byte{2, 2, 6, 0, 0, 7, 1, 6, 2, 5, 3, 4, 4, 3, 5, 6, 1, 0, 4, 0, 0, 3, 1, 6, 2, 1, 3, 0, 4, 3})
-	f.Add([]byte{3, 3, 4, 1, 0, 5, 1, 5, 2, 5, 3, 5, 4, 4, 2, 0, 5, 0, 6, 5, 7, 5, 8, 3, 3, 0, 5, 0, 9, 5, 10, 1, 7})
+	f.Add([]byte{11, 4, 0, 0, 1, 3, 30, 7, 7, 0, 7, 7, 4, 7, 7, 8, 7, 7, 0, 7, 7, 12, 7, 7, 0, 7, 7, 1, 0, 0, 0, 5})
+	f.Add([]byte{2, 2, 0, 3, 20, 6, 0, 0, 7, 1, 4, 6, 2, 8, 5, 3, 0, 4, 4, 12, 3, 5, 6, 1, 0, 4, 0, 0, 3, 1, 6, 2, 1, 3, 0, 4, 3})
+	f.Add([]byte{3, 3, 0, 0, 0, 25, 5, 1, 0, 5, 2, 4, 5, 3, 0, 5, 4, 8, 4, 2, 0, 5, 0, 4, 6, 5, 0, 7, 5, 12, 8, 3, 0, 3, 0, 5, 0, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := decodeGatherCase(data)
-		got, _ := runBoundedGather(t, g)
-		// The oracle merges each stream's full list in global order: for a
-		// loose stream the gather promises the answer *as if* the list were
-		// globally sorted (that is exactly the repair the buffer re-sort
-		// performs), while an aligned stream's list already is.
-		wantLists := make([][]entry, len(g.lists))
-		for i, l := range g.lists {
-			wantLists[i] = append([]entry(nil), l...)
-			if g.loose != nil && g.loose[i] {
-				sort.SliceStable(wantLists[i], func(a, b int) bool {
-					return entryBefore(wantLists[i][a], wantLists[i][b])
-				})
-			}
-		}
-		want, _ := mergeEntries(wantLists, g.k, g.exclude)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("pruned gather diverged from full merge\ncase: %+v\ngot:  %v\nwant: %v", g, got, want)
+		got, want, _ := g.run(t)
+		if !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+			t.Fatalf("gather diverged from the full sort\nquery %q k=%d\ngot:  %v\nwant: %v", g.entity, g.k, got, want)
 		}
 	})
 }
 
-// TestBoundedGatherPrunes pins the point of the whole exercise: with one hot
-// stream owning the answer and cold streams whose bounds are immediately
-// dominated, the cold streams are pulled once (the initial round) and never
-// drained — while the answer stays the exact full merge.
+// TestBoundedGatherPrunes pins what the floor buys: with the home shard
+// owning the answer and cold shards whose every entry lies below the home's
+// k-th degree, the cold shards return nothing, the home at most k+1, and each
+// shard is asked once — while the answer stays the full sort's.
 func TestBoundedGatherPrunes(t *testing.T) {
 	const n, k, cold = 4, 3, 40
-	g := gatherCase{k: k, lists: make([][]entry, n), slack: make([]float64, n)}
-	for j := 0; j < k+1; j++ {
-		g.lists[0] = append(g.lists[0], entry{
-			m:    digitaltraces.Match{Entity: fmt.Sprintf("hot%02d", j), Degree: 1 - float64(j)/100},
-			rank: j,
-		})
+	sm := DefaultSlotMap(n)
+	c := &Cluster{ord: map[string]int{}}
+	shards := make([]*modelShard, n)
+	for i := range shards {
+		shards[i] = &modelShard{}
+		c.shards = append(c.shards, shards[i])
 	}
-	for i := 1; i < n; i++ {
-		for j := 0; j < cold; j++ {
-			g.lists[i] = append(g.lists[i], entry{
-				m:    digitaltraces.Match{Entity: fmt.Sprintf("s%dc%02d", i, j), Degree: 0.1 - float64(j)/1000},
-				rank: 100 + i*cold + j,
-			})
+	c.slots.Store(sm)
+	var hot []string
+	for j := 0; len(hot) < k+2; j++ {
+		if name := fmt.Sprintf("hot%02d", j); sm.Owner(name) == 0 {
+			hot = append(hot, name)
+			c.ord[name] = len(c.ord)
+			shards[0].list = append(shards[0].list, entry{m: digitaltraces.Match{Entity: name, Degree: 1 - float64(len(hot))/100}, rank: c.ord[name]})
 		}
 	}
-	got, pos := runBoundedGather(t, g)
-	want, _ := mergeEntries(g.lists, g.k, "")
-	if !reflect.DeepEqual(got, want) {
+	for j := 0; j < cold*n; j++ {
+		name := fmt.Sprintf("c%03d", j)
+		if o := sm.Owner(name); o != 0 {
+			c.ord[name] = len(c.ord)
+			shards[o].list = append(shards[o].list, entry{m: digitaltraces.Match{Entity: name, Degree: 0.1 - float64(j)/10000}, rank: c.ord[name]})
+		}
+	}
+	got, qs, err := c.TopK(hot[0], k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{hot[1], hot[2], hot[3]}; len(got) != k || got[0].Entity != want[0] || got[1].Entity != want[1] || got[2].Entity != want[2] {
 		t.Fatalf("got %v, want %v", got, want)
 	}
-	for i := 1; i < n; i++ {
-		if pos[i] >= cold {
-			t.Errorf("cold stream %d fully drained (%d entries) — no pruning happened", i, pos[i])
-		}
+	if qs.Pulled != k+1 {
+		t.Errorf("the shards returned %d matches, want the home's k+1 = %d and nothing from the cold shards", qs.Pulled, k+1)
 	}
-	if pos[0] > k+1 {
-		t.Errorf("hot stream pulled %d > k+1 = %d entries", pos[0], k+1)
+	for i, s := range shards {
+		if s.calls != 1 {
+			t.Errorf("shard %d asked %d times", i, s.calls)
+		}
 	}
 }
 
-// TestBoundedGatherPullError verifies pull failures surface to the caller.
+// TestBoundedGatherPullError: a shard's failed call fails the query, named
+// by its shard.
 func TestBoundedGatherPullError(t *testing.T) {
-	pull := func([]pullReq) ([]pullResp, error) { return nil, fmt.Errorf("shard down") }
-	if _, _, _, err := boundedGather(make([]obs.ShardTrace, 2), 3, "", nil, nil, pull); err == nil || err.Error() != "shard down" {
-		t.Fatalf("err = %v, want shard down", err)
+	g := decodeGatherCase([]byte{3, 2, 0, 0, 20, 7, 1, 0, 6, 2, 0, 5, 3, 0, 4, 4, 0})
+	g.shards[1].err = errors.New("shard down")
+	if _, _, err := g.c.TopKByExample(nil, 3); err == nil || err.Error() != "shard 1: shard down" {
+		t.Fatalf("err = %v, want shard 1: shard down", err)
 	}
 }

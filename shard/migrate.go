@@ -14,11 +14,12 @@ package shard
 //  2. Atomic map publish (slotmap.go). Queries pin one map; a query that
 //     pinned the old map keeps answering from the source's (complete,
 //     frozen) copy, one that pins the new map answers from the target's —
-//     the per-pull ownership filter picks exactly one copy either way.
+//     the ownership mask each shard's search checks picks exactly one copy
+//     either way.
 //  3. The sticky touched flags. The target's local IDs for the shipped
 //     entities are fresh, so its local order stops matching global arrival
 //     order; flagging it (and the source, which now carries stale copies)
-//     makes every future query run those shards' streams loose.
+//     makes every future query ask those shards for complete ties.
 //
 // State ships through the existing ingest primitives — VisitsOf on the
 // source, one AddVisits batch on the target, which returns with the target's
@@ -44,7 +45,7 @@ import (
 // standard. Moving a slot to its current owner is a no-op. On a failed ship
 // — a refused record or a failed fold on the target — the map is
 // republished with the target marked touched and ownership unchanged: the
-// target may hold a partial foreign copy, which the ownership filter hides
+// target may hold a partial foreign copy, which the ownership mask hides
 // forever, and the slot remains fully served by the source.
 func (c *Cluster) MigrateSlot(slot, target int) error {
 	if slot < 0 || slot >= NumSlots {

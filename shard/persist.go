@@ -27,10 +27,6 @@ import (
 	"digitaltraces/internal/secfile"
 )
 
-// maxShardSection caps a shard section's claimed length — corrupt tables must
-// not look like a 2^60-byte index.
-const maxShardSection = 1 << 34 // 16 GiB
-
 // SaveIndex persists every shard's index image as an envelope OpenIndex
 // serves on a cluster of the same shard count, local or remote. Shards save
 // in parallel, each covering every write it acknowledged; a shard with no
@@ -108,7 +104,8 @@ type envelope struct {
 }
 
 // readEnvelope is the one envelope reader: it checks that sr holds a cluster
-// envelope, bounds every shard section, and decodes the slot map and the
+// envelope whose every section after the tables is a shard image (secfile
+// has already bounded each by the file's real size), and decodes the slot map and the
 // ordinal table.
 func readEnvelope(sr *secfile.Reader) (*envelope, error) {
 	if len(sr.Secs) < 3 || sr.Secs[0].Kind != secfile.Slots || sr.Secs[1].Kind != secfile.Ordinals {
@@ -118,9 +115,6 @@ func readEnvelope(sr *secfile.Reader) (*envelope, error) {
 	for i, sec := range sr.Secs[2:] {
 		if sec.Kind != secfile.Shard {
 			return nil, fmt.Errorf("shard: corrupt envelope: section %d is %v, want a shard image", 2+i, sec.Kind)
-		}
-		if sec.Len > maxShardSection {
-			return nil, fmt.Errorf("shard: envelope section of shard %d claims %d bytes — corrupt envelope", i, sec.Len)
 		}
 	}
 	if want := int64(8 + 2*NumSlots + count); sr.Secs[0].Len != want {

@@ -28,10 +28,10 @@ const (
 
 // Options tunes a Client.
 type Options struct {
-	// CallTimeout bounds each hot-path RPC (open, pull, visits, ingest,
-	// ping). A pull that outlives it returns a named shard error — never a
-	// hang — and is not retried: the deadline already spent the latency
-	// budget. Default DefaultCallTimeout.
+	// CallTimeout bounds each hot-path RPC (rank, visits, ingest, ping). A
+	// call that outlives it returns a named shard error — never a hang — and
+	// is not retried: the deadline already spent the latency budget. Default
+	// DefaultCallTimeout.
 	CallTimeout time.Duration
 	// ControlTimeout bounds slow control-plane RPCs: build and index
 	// save/open, which scale with the shard's data. Default
@@ -39,7 +39,7 @@ type Options struct {
 	ControlTimeout time.Duration
 	// MaxConns caps connections to this shard (idle keep-alives are pooled
 	// up to the same cap, so a steady coordinator reuses warm connections
-	// for every gather round). Default DefaultMaxConns.
+	// for every query). Default DefaultMaxConns.
 	MaxConns int
 	// Retries is how many times a transport-level failure (connection
 	// refused, reset, broken keep-alive) is retried, on idempotent calls
@@ -52,12 +52,12 @@ type Options struct {
 // remote's round-trips-per-query accounting.
 type Metrics struct {
 	RPCs    int64 // requests issued, retries included
-	Pulls   int64 // pulls, one per shard per gather round — an open counts, since it carries its stream's first pull
+	Pulls   int64 // rank calls, at most one per shard per query
 	Retries int64 // transport-level retries performed
 }
 
-// Client is a remote shard: it implements shard.Backend over the pull-based
-// search protocol, so a coordinator lists it in shard.Config.Backends and
+// Client is a remote shard: it implements shard.Backend over the shard
+// protocol, so a coordinator lists it in shard.Config.Backends and
 // the cluster's scatter-gather, cache and trace machinery work unchanged.
 //
 // # Single-coordinator state caching
@@ -69,7 +69,7 @@ type Metrics struct {
 // sound for the cluster cache under one coordinator — all ingest routes
 // through this client, so state the cache check reads can lag only behind
 // responses still in flight, and the cluster stores only when the version
-// it re-reads after the fan-out (whose open responses refresh this state)
+// it re-reads after the fan-out (whose rank responses refresh this state)
 // is unchanged — a stale cache can cost a missed store, never a wrong hit.
 // Running several coordinators against one shard server keeps answers
 // exact (every query pins real server-side snapshots) but is outside the
@@ -91,9 +91,8 @@ type Client struct {
 	venues  int
 	levels  int
 
-	mu  sync.Mutex
-	st  shardState
-	rel []uint64 // closed streams whose release rides on the next open or pull
+	mu sync.Mutex
+	st shardState
 
 	// slotEpoch is the max slot-map epoch seen on any response, held apart
 	// from st: adopt replaces st wholesale on a generation advance, and the
@@ -165,7 +164,7 @@ func (c *Client) Metrics() Metrics {
 }
 
 // adopt folds a response's piggybacked state into the cache, monotonically:
-// responses can be applied out of order (concurrent pulls land as they
+// responses can be applied out of order (concurrent calls land as they
 // land), and regressing the generation could revive a cache version the
 // server has moved past — a wrong hit, not just a miss. Generations only
 // grow, and within one generation entities only grow, so
@@ -368,42 +367,19 @@ func (c *Client) ingest(records []digitaltraces.VisitRecord) (ingestResp, error)
 
 // --- shard.Backend: search ---
 
-func (c *Client) OpenSearch(visits []digitaltraces.Visit, want int, floor float64) (shard.Stream, digitaltraces.Batch, error) {
-	_, st, b, err := c.open(openReq{Visits: visits, Want: uint64(want), Floor: floor})
-	return st, b, err
-}
-
-func (c *Client) OpenSearchEntity(entity string, want int) ([]digitaltraces.Visit, shard.Stream, digitaltraces.Batch, error) {
-	if entity == "" {
-		return nil, nil, digitaltraces.Batch{}, fmt.Errorf("shard %s: empty entity name", c.addr)
-	}
-	return c.open(openReq{Entity: entity, Want: uint64(want)})
-}
-
-func (c *Client) open(req openReq) ([]digitaltraces.Visit, shard.Stream, digitaltraces.Batch, error) {
-	// Idempotent in effect: a duplicate open only costs an orphan stream,
-	// which the server's TTL expires.
+func (c *Client) Rank(req shard.RankRequest) (digitaltraces.Ranked, error) {
 	c.pulls.Add(1)
-	req.Release = c.takeReleases()
-	out, err := c.call("/shard/open", encodeOpenReq(req), c.callT, true)
+	// Idempotent: the server keeps nothing, so a re-sent call asks again.
+	out, err := c.call("/shard/rank", encodeRankReq(req), c.callT, true)
 	if err != nil {
-		return nil, nil, digitaltraces.Batch{}, err
+		return digitaltraces.Ranked{}, err
 	}
-	resp, err := decodeOpenResp(out)
+	resp, err := decodeRankResp(out)
 	if err != nil {
-		return nil, nil, digitaltraces.Batch{}, fmt.Errorf("shard %s: decoding open response: %w", c.addr, err)
+		return digitaltraces.Ranked{}, fmt.Errorf("shard %s: decoding rank response: %w", c.addr, err)
 	}
-	st := &remoteStream{c: c, id: resp.StreamID, gen: resp.Generation}
-	return resp.Visits, st, st.absorb(resp.First), nil
-}
-
-// takeReleases hands the pending releases to the request about to be sent.
-func (c *Client) takeReleases() []uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ids := c.rel
-	c.rel = nil
-	return ids
+	c.adopt(resp.State)
+	return resp.Ranked, nil
 }
 
 func (c *Client) VisitsOf(entity string) ([]digitaltraces.Visit, error) {
@@ -505,61 +481,5 @@ func (c *Client) Ping() error {
 // its DB) live on — Close severs this coordinator only.
 func (c *Client) Close() error {
 	c.hc.CloseIdleConnections()
-	return nil
-}
-
-// remoteStream is the client half of one server-side search stream: it
-// tracks how many results it has received, so every pull is positional
-// (offset = received) and a retried pull re-reads the same range.
-type remoteStream struct {
-	c        *Client
-	id       uint64
-	gen      uint64
-	received int
-	checked  int
-	closed   bool
-}
-
-var _ shard.Stream = (*remoteStream)(nil)
-
-func (r *remoteStream) Pull(want int, floor float64) (digitaltraces.Batch, error) {
-	r.c.pulls.Add(1)
-	body := encodePullReq(pullReq{StreamID: r.id, Offset: uint64(r.received), Want: uint64(want), Floor: floor, Release: r.c.takeReleases()})
-	out, err := r.c.call("/shard/pull", body, r.c.callT, true)
-	if err != nil {
-		return digitaltraces.Batch{}, err
-	}
-	resp, err := decodePullResp(out)
-	if err != nil {
-		return digitaltraces.Batch{}, fmt.Errorf("shard %s: decoding pull response: %w", r.c.addr, err)
-	}
-	return r.absorb(resp), nil
-}
-
-// absorb records a pull's answer: the position the next pull starts at, the
-// shard's work so far and its piggybacked state.
-func (r *remoteStream) absorb(resp pullResp) digitaltraces.Batch {
-	r.received += len(resp.Matches)
-	r.checked = int(resp.Checked)
-	r.c.adopt(resp.State)
-	return digitaltraces.Batch{Matches: resp.Matches, Bound: resp.Bound, Live: resp.Live}
-}
-
-func (r *remoteStream) Checked() int       { return r.checked }
-func (r *remoteStream) Generation() uint64 { return r.gen }
-
-// Addr names the stream's shard server, recorded in per-shard trace rows.
-func (r *remoteStream) Addr() string { return r.c.addr }
-
-// Close costs no round trip: the stream's ID rides on the client's next
-// open or pull to the same server, whose TTL sweeper is the backstop.
-func (r *remoteStream) Close() error {
-	if r.closed {
-		return nil
-	}
-	r.closed = true
-	r.c.mu.Lock()
-	r.c.rel = append(r.c.rel, r.id)
-	r.c.mu.Unlock()
 	return nil
 }

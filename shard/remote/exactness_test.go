@@ -158,13 +158,28 @@ func TestRemoteGatherExactnessProperty(t *testing.T) {
 	}
 }
 
-// FuzzRemotePullSchedule fuzzes the pull schedule against one remote stream:
-// whatever (possibly tiny) want-size the coordinator asks for, from the
-// fused open on, and whatever rising floors it sends, every batch must equal
-// the local stream's under the same schedule (bound and liveness included),
-// and the concatenated emission must be the local stream's full exact order
-// cut where a match first falls below the floor of its pull — the positional
-// buffering may never skip, duplicate or reorder a match.
+// sameRanked requires two rank replies to agree bit for bit: matches,
+// visits, bound, cap, work and generation.
+func sameRanked(t *testing.T, label string, got, want digitaltraces.Ranked) {
+	t.Helper()
+	sameMatches(t, label, got.Matches, want.Matches)
+	if len(got.Visits) != len(want.Visits) || got.Bound != want.Bound || got.Capped != want.Capped || got.Checked != want.Checked || got.Generation != want.Generation {
+		t.Fatalf("%s: remote (%d visits, bound %v, capped %t, checked %d, gen %d), local (%d visits, bound %v, capped %t, checked %d, gen %d)", label,
+			len(got.Visits), got.Bound, got.Capped, got.Checked, got.Generation, len(want.Visits), want.Bound, want.Capped, want.Checked, want.Generation)
+	}
+	for i := range got.Visits {
+		if g, w := got.Visits[i], want.Visits[i]; g.Venue != w.Venue || !g.Start.Equal(w.Start) || !g.End.Equal(w.End) {
+			t.Fatalf("%s: visit %d = %+v, want %+v", label, i, g, w)
+		}
+	}
+}
+
+// FuzzRemotePullSchedule fuzzes a schedule of rank calls — by entity and by
+// example, under fuzzed want sizes, floors on and between the exact order's
+// degrees, random slot masks and the ties flag — against one remote shard:
+// every reply must equal the in-process shard's under the same arguments,
+// and both must be the exact order restricted to the mask at or above the
+// floor, cut at want and, under ties, completed through the last degree.
 func FuzzRemotePullSchedule(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(0))
 	f.Add(int64(2), uint8(1), uint8(0))
@@ -186,7 +201,6 @@ func FuzzRemotePullSchedule(f *testing.F) {
 			t.Fatal(err)
 		}
 		srv := NewServer(db, ServerConfig{})
-		defer srv.Close()
 		hs := httptest.NewServer(srv.Handler())
 		defer hs.Close()
 		c, err := Dial(hs.URL, Options{})
@@ -195,73 +209,57 @@ func FuzzRemotePullSchedule(f *testing.F) {
 		}
 		defer c.Close()
 
-		// The full exact order, drained at floor 0.
-		visits, full, b, err := shard.Local(db).OpenSearchEntity("e000", 1<<20)
-		if err != nil || b.Live {
-			t.Fatalf("draining: live=%v, %v", b.Live, err)
-		}
-		full.Close()
-		exact := b.Matches
-		// The floor schedule: 0 throughout, or rising through the list's
-		// distinct degrees, step levels per round.
-		var levels []float64
-		for i := len(exact) - 1; i >= 0; i-- {
-			if d := exact[i].Degree; len(levels) == 0 || d != levels[len(levels)-1] {
-				levels = append(levels, d)
-			}
-		}
-		step := int(floorByte % 4)
-		floorAt := func(round int) float64 {
-			if step == 0 || len(levels) == 0 {
-				return 0
-			}
-			return levels[min(round*step, len(levels)-1)]
-		}
-
-		want := int(wantByte%16) + 1
-		lst, lb, err := shard.Local(db).OpenSearch(visits, want, floorAt(0))
+		// The full exact order, e000 included: a query by example at floor 0
+		// over every slot.
+		visits, err := db.VisitsOf("e000")
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer lst.Close()
-		rst, rb, err := c.OpenSearch(visits, want, floorAt(0))
+		all := shard.DefaultSlotMap(1).Owned(0)
+		full, err := shard.Local(db).Rank(shard.RankRequest{Visits: visits, Want: 1 << 20, Owned: all})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer rst.Close()
-		var remote []digitaltraces.Match
-		for round := 0; ; round++ {
-			label := fmt.Sprintf("schedule want=%d step=%d round %d", want, step, round)
-			if round > 0 {
-				var lerr, rerr error
-				lb, lerr = lst.Pull(want, floorAt(round))
-				rb, rerr = rst.Pull(want, floorAt(round))
-				if lerr != nil || rerr != nil {
-					t.Fatalf("%s: local %v, remote %v", label, lerr, rerr)
+		exact := full.Matches
+		for round := 0; round < 6; round++ {
+			req := shard.RankRequest{Want: 1 + int(wantByte%16) + rng.Intn(3), Owned: all, Ties: (int(floorByte)>>2+round)%2 == 1}
+			if round%2 == 0 {
+				req.Entity = "e000"
+			} else {
+				req.Visits = visits
+			}
+			if step := int(floorByte % 4); step > 0 && len(exact) > 0 {
+				j := min(round*step+rng.Intn(3), len(exact)-1)
+				req.Floor = exact[j].Degree
+				if rng.Intn(2) == 0 && j+1 < len(exact) {
+					req.Floor = (exact[j].Degree + exact[j+1].Degree) / 2
 				}
 			}
-			sameMatches(t, label, rb.Matches, lb.Matches)
-			if rb.Bound != lb.Bound || rb.Live != lb.Live {
-				t.Fatalf("%s: (bound, live) remote (%v, %t), local (%v, %t)", label, rb.Bound, rb.Live, lb.Bound, lb.Live)
-			}
-			for _, m := range rb.Matches {
-				if m.Degree < floorAt(round) {
-					t.Fatalf("%s: %+v below the floor %v", label, m, floorAt(round))
+			if rng.Intn(2) == 0 {
+				for s := range shard.NumSlots {
+					if rng.Intn(3) == 0 {
+						req.Owned[s/64] &^= 1 << (s % 64)
+					}
 				}
 			}
-			remote = append(remote, rb.Matches...)
-			if !rb.Live {
-				// Ended: exhausted, or the next match in exact order is
-				// below the floor that ended it.
-				if n := len(remote); n < len(exact) && exact[n].Degree >= floorAt(round) {
-					t.Fatalf("%s: ended before %+v, at or above its floor %v", label, exact[n], floorAt(round))
+			label := fmt.Sprintf("round %d %+v", round, req)
+			local, lerr := shard.Local(db).Rank(req)
+			remote, rerr := c.Rank(req)
+			if lerr != nil || rerr != nil {
+				t.Fatalf("%s: local %v, remote %v", label, lerr, rerr)
+			}
+			sameRanked(t, label, remote, local)
+			var expect []digitaltraces.Match
+			for _, m := range exact {
+				if m.Degree < req.Floor || !req.Owned.Has(shard.SlotOf(m.Entity)) || req.Entity == m.Entity {
+					continue
 				}
-				break
+				if n := len(expect); n >= req.Want && !(req.Ties && m.Degree == expect[n-1].Degree) {
+					break
+				}
+				expect = append(expect, m)
 			}
-			if round > 10_000 {
-				t.Fatal("remote stream never ended")
-			}
+			sameMatches(t, label+" against the exact order", remote.Matches, expect)
 		}
-		sameMatches(t, fmt.Sprintf("schedule want=%d step=%d", want, step), remote, exact[:len(remote)])
 	})
 }

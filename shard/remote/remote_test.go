@@ -1,14 +1,13 @@
 package remote
 
 // Client/server integration over loopback HTTP: end-to-end answer parity
-// with the in-process engine, retry idempotence of re-sent positional pulls,
-// named (never hanging) deadline errors, bounded transient retries, TTL
-// stream expiry, partial-failure ingest parity, and coordinator health
-// probing of a dead shard.
+// with the in-process engine, refusal of malformed rank calls, named (never
+// hanging) deadline errors, bounded transient retries, partial-failure
+// ingest parity, and coordinator health probing of a dead shard.
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -17,9 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -117,19 +114,15 @@ func TestRemoteRefreshPastBuiltData(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range []string{"traveler", log[0].Entity, log[len(log)-1].Entity} {
-		// The stream searches by the entity's visits, so it ranks the entity
-		// itself too; TopK leaves it out.
-		_, st, b, err := c.OpenSearchEntity(q, 6)
+		got, err := c.Rank(shard.RankRequest{Entity: q, Want: 5, Owned: shard.DefaultSlotMap(1).Owned(0)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		st.Close()
-		got := slices.DeleteFunc(b.Matches, func(m digitaltraces.Match) bool { return m.Entity == q })
 		want, _, err := twin.TopK(q, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameMatches(t, q, got[:min(len(got), 5)], want)
+		sameMatches(t, q, got.Matches, want)
 	}
 }
 
@@ -180,156 +173,79 @@ func TestRemoteBackendEndToEnd(t *testing.T) {
 		t.Fatalf("VisitsOf(nobody) should fail naming the shard, got %v", err)
 	}
 
-	// The remote stream and a local stream over the same DB emit identical
-	// (matches, bound, live) sequences under the same pull schedule, the
-	// open's fused first pull included.
-	lVisits, lst, lb, err := shard.Local(db).OpenSearchEntity("e003", 1)
+	// A remote rank call and the in-process one over the same DB answer
+	// identically — matches, visits, bound, cap, work and generation — by
+	// entity and by example, under floors, masks and ties.
+	visits, err := db.VisitsOf("e003")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lst.Close()
-	rVisits, rst, rb, err := c.OpenSearchEntity("e003", 1)
-	if err != nil {
-		t.Fatal(err)
+	var odd shard.SlotMask
+	for s := 1; s < shard.NumSlots; s += 2 {
+		odd[s/64] |= 1 << (s % 64)
 	}
-	defer rst.Close()
-	if len(lVisits) != len(rVisits) {
-		t.Fatalf("open returned %d visits remotely, %d locally", len(rVisits), len(lVisits))
-	}
-	if lst.Generation() != rst.Generation() {
-		t.Fatalf("stream generations differ: remote %d, local %d", rst.Generation(), lst.Generation())
-	}
-	for round, want := range []int{1, 2, 4, 8, 16} {
-		if round > 0 {
-			var lerr, rerr error
-			lb, lerr = lst.Pull(want, 0)
-			rb, rerr = rst.Pull(want, 0)
-			if lerr != nil || rerr != nil {
-				t.Fatalf("round %d: pull errors local=%v remote=%v", round, lerr, rerr)
-			}
-		}
-		sameMatches(t, fmt.Sprintf("round %d", round), rb.Matches, lb.Matches)
-		if lb.Bound != rb.Bound || lb.Live != rb.Live {
-			t.Fatalf("round %d: (bound, live) remote (%v, %t) vs local (%v, %t)", round, rb.Bound, rb.Live, lb.Bound, lb.Live)
-		}
-		if !lb.Live {
-			break
-		}
-	}
-	if lst.Checked() != rst.Checked() {
-		t.Fatalf("checked: remote %d, local %d", rst.Checked(), lst.Checked())
-	}
-}
-
-// TestPullResendIdempotent re-sends the same positional pull and requires a
-// byte-identical response — the property that makes transport retries safe —
-// for plain and floored pulls, the final pull of a stream included. A re-sent
-// fused open answers with a fresh stream and the same first batch.
-func TestPullResendIdempotent(t *testing.T) {
-	_, _, hs := newShardServer(t, ServerConfig{})
-	c := dialTest(t, hs.URL, Options{})
-	seedLog(t, c, 8, 30)
-
-	resend := func(path string, body []byte) []byte {
-		t.Helper()
-		first, err := c.call(path, body, c.callT, true)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		second, err := c.call(path, body, c.callT, true)
-		if err != nil {
-			t.Fatalf("re-sent %s: %v", path, err)
-		}
-		if string(first) != string(second) {
-			t.Fatalf("re-sent %s returned different bytes:\n%x\n%x", path, first, second)
-		}
-		return first
-	}
-
-	// The fused open: everything but the stream handle repeats.
-	open := encodeOpenReq(openReq{Entity: "e001", Want: 4})
-	a, err := c.call("/shard/open", open, c.callT, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := c.call("/shard/open", open, c.callT, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra, errA := decodeOpenResp(a)
-	rb, errB := decodeOpenResp(b)
-	if errA != nil || errB != nil || ra.StreamID == rb.StreamID || !ra.First.Live {
-		t.Fatalf("re-sent open: %+v (%v) and %+v (%v)", ra, errA, rb, errB)
-	}
-	id, id2 := ra.StreamID, rb.StreamID
-	if rb.StreamID = id; !bytes.Equal(encodeOpenResp(ra), encodeOpenResp(rb)) {
-		t.Fatalf("re-sent open answered differently:\n%+v\n%+v", ra, rb)
-	}
-
-	// Replay ranges both at and before the high-water mark (4, from the
-	// open's first pull).
-	for _, req := range []pullReq{
-		{StreamID: id, Offset: 0, Want: 4},  // fully re-served range
-		{StreamID: id, Offset: 2, Want: 2},  // interior range
-		{StreamID: id, Offset: 4, Want: 8},  // extends past the high-water mark
-		{StreamID: id, Offset: 4, Want: 8},  // ...and its exact replay
-		{StreamID: id, Offset: 0, Want: 50}, // spans old and new, and drains the stream
+	all := shard.DefaultSlotMap(1).Owned(0)
+	for _, req := range []shard.RankRequest{
+		{Entity: "e003", Want: 1, Owned: all},
+		{Entity: "e003", Want: 8, Owned: all},
+		{Entity: "e003", Want: 4, Owned: odd, Ties: true},
+		{Visits: visits, Want: 16, Floor: 0.05, Owned: all},
+		{Visits: visits, Want: 2, Floor: 0.01, Owned: odd, Ties: true},
+		{Visits: visits, Want: 64, Owned: all},
 	} {
-		resend("/shard/pull", encodePullReq(req))
-	}
-
-	// Floored pulls on the second stream: one that stays live, then one
-	// that ends the stream below its floor — re-served after the search is
-	// released.
-	lo, hi := rb.First.Matches[3].Degree/2, rb.First.Matches[1].Degree // [0] is e001 itself
-	if lo == 0 {
-		t.Fatal("test premise broken: e001 shares too little with anyone")
-	}
-	resp, err := decodePullResp(resend("/shard/pull", encodePullReq(pullReq{StreamID: id2, Offset: 4, Want: 1, Floor: lo})))
-	if err != nil || len(resp.Matches) != 1 || resp.Matches[0].Degree < lo {
-		t.Fatalf("pull at floor %v: %+v, %v — want one match at or above it", lo, resp, err)
-	}
-	resp, err = decodePullResp(resend("/shard/pull", encodePullReq(pullReq{StreamID: id2, Offset: 5, Want: 50, Floor: hi})))
-	if err != nil || resp.Live || resp.Bound >= hi {
-		t.Fatalf("pull at floor %v: %+v, %v — want the stream ended below it", hi, resp, err)
-	}
-
-	// An offset beyond anything emitted is a protocol error, not a hang.
-	if _, err := c.call("/shard/pull", encodePullReq(pullReq{StreamID: id, Offset: 10_000, Want: 1}), c.callT, true); err == nil || !strings.Contains(err.Error(), "beyond") {
-		t.Fatalf("far-future offset should be rejected, got %v", err)
+		want, err := shard.Local(db).Rank(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.Rank(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRanked(t, fmt.Sprintf("Rank(%+v)", req), got, want)
 	}
 }
 
-// TestMalformedPullRejected: a pull whose want no response could carry is
-// refused at decode time with a 400, and the stream and the server keep
+// TestMalformedRankRejected: a rank call whose want no response could
+// carry, whose floor is outside [0, 1] or NaN, or whose slot mask has the
+// wrong length is refused at decode time with a 400, and the server keeps
 // serving — within the call timeout — afterwards.
-func TestMalformedPullRejected(t *testing.T) {
+func TestMalformedRankRejected(t *testing.T) {
 	_, _, hs := newShardServer(t, ServerConfig{})
 	c := dialTest(t, hs.URL, Options{CallTimeout: 5 * time.Second})
 	seedLog(t, c, 12, 20)
 
-	_, st, _, err := c.OpenSearchEntity("e001", 1)
-	if err != nil {
-		t.Fatal(err)
+	// body encodes a rank request field by field, so that every field can
+	// be out of range.
+	body := func(want uint64, floor float64, maskLen int) []byte {
+		b := appendVisits(appendString([]byte{tagRankReq}, "e001"), nil)
+		b = appendF64(binary.AppendUvarint(b, want), floor)
+		b = append(binary.AppendUvarint(b, uint64(maskLen)), make([]byte, maskLen)...)
+		return appendBool(b, false)
 	}
-	defer st.Close()
-	id := st.(*remoteStream).id
-	for _, want := range []uint64{math.MaxUint64, 1 << 62} {
-		body := encodePullReq(pullReq{StreamID: id, Offset: 1, Want: want})
-		resp, err := http.Post(hs.URL+"/shard/pull", "application/octet-stream", bytes.NewReader(body))
+	if _, err := decodeRankReq(body(4, 0.5, maskBytes)); err != nil {
+		t.Fatalf("the well-formed request is refused: %v", err)
+	}
+	for _, bad := range [][]byte{
+		body(math.MaxUint64, 0, maskBytes),
+		body(maxWireList+1, 0, maskBytes),
+		body(0, 0, maskBytes),
+		body(4, -0.5, maskBytes),
+		body(4, 1.5, maskBytes),
+		body(4, math.NaN(), maskBytes),
+		body(4, 0, maskBytes-1),
+		body(4, 0, maskBytes+8),
+	} {
+		resp, err := http.Post(hs.URL+"/shard/rank", "application/octet-stream", bytes.NewReader(bad))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("want %d got HTTP %d, want 400", want, resp.StatusCode)
+			t.Fatalf("%x got HTTP %d, want 400", bad, resp.StatusCode)
 		}
 	}
-	if _, err := st.Pull(2, 0); err != nil {
-		t.Fatalf("pull after the malformed ones: %v", err)
-	}
-	if _, _, _, err := c.OpenSearchEntity("e002", 1); err != nil {
-		t.Fatalf("open after the malformed pulls: %v", err)
+	if _, err := c.Rank(shard.RankRequest{Entity: "e002", Want: 2, Owned: shard.DefaultSlotMap(1).Owned(0)}); err != nil {
+		t.Fatalf("rank after the malformed ones: %v", err)
 	}
 }
 
@@ -350,67 +266,9 @@ func TestHealthzSlotEpoch(t *testing.T) {
 	}
 }
 
-// TestStreamsReleasedWithoutClose: a stream's release rides on the next
-// request to its server, so across many queries the server holds at most one
-// query's streams and no close request is ever sent.
-func TestStreamsReleasedWithoutClose(t *testing.T) {
-	db, err := proptest.NewDB()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	srv := NewServer(db, ServerConfig{})
-	defer srv.Close()
-	inner := srv.Handler()
-	var mu sync.Mutex
-	paths := map[string]int{}
-	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		paths[r.URL.Path]++
-		mu.Unlock()
-		inner.ServeHTTP(w, r)
-	}))
-	defer hs.Close()
-	c := dialTest(t, hs.URL, Options{})
-	cl, err := shard.NewCluster(shard.Config{Backends: []shard.Backend{c}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	log := proptest.RandomLog(rand.New(rand.NewSource(17)), 30, 24)
-	if _, err := cl.AddVisits(log); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.BuildIndex(); err != nil {
-		t.Fatal(err)
-	}
-	health := func() healthResp {
-		resp, err := http.Get(hs.URL + "/shard/healthz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var h healthResp
-		if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-			t.Fatal(err)
-		}
-		return h
-	}
-	for i := 0; i < 200; i++ {
-		if _, _, err := cl.TopK(fmt.Sprintf("e%03d", i%30), 3); err != nil {
-			t.Fatal(err)
-		}
-		if n := health().Streams; n > 1 {
-			t.Fatalf("after query %d the server holds %d streams, want at most one query's (1)", i, n)
-		}
-	}
-	if n := paths["/shard/close"]; n != 0 {
-		t.Fatalf("%d close requests sent", n)
-	}
-}
-
-// TestPullDeadlineNamed: a pull that outlives its deadline returns promptly
-// with an error naming the shard — and is not retried (the latency budget is
-// already spent).
+// TestPullDeadlineNamed: a rank call that outlives its deadline returns
+// promptly with an error naming the shard — and is not retried (the latency
+// budget is already spent).
 func TestPullDeadlineNamed(t *testing.T) {
 	db, err := proptest.NewDB()
 	if err != nil {
@@ -421,7 +279,7 @@ func TestPullDeadlineNamed(t *testing.T) {
 	defer srv.Close()
 	inner := srv.Handler()
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/shard/pull" {
+		if r.URL.Path == "/shard/rank" {
 			time.Sleep(2 * time.Second) // far beyond the client deadline
 		}
 		inner.ServeHTTP(w, r)
@@ -430,23 +288,18 @@ func TestPullDeadlineNamed(t *testing.T) {
 
 	c := dialTest(t, hs.URL, Options{CallTimeout: 80 * time.Millisecond})
 	seedLog(t, c, 9, 10)
-	_, st, _, err := c.OpenSearchEntity("e001", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
 
 	start := time.Now()
-	_, err = st.Pull(4, 0)
+	_, err = c.Rank(shard.RankRequest{Entity: "e001", Want: 4})
 	elapsed := time.Since(start)
 	if err == nil {
-		t.Fatal("deadline-expired pull returned no error")
+		t.Fatal("deadline-expired rank call returned no error")
 	}
 	if !strings.Contains(err.Error(), "shard "+c.Addr()) {
 		t.Fatalf("deadline error does not name the shard: %v", err)
 	}
 	if elapsed > time.Second {
-		t.Fatalf("deadline-expired pull took %v — it retried or hung instead of failing fast", elapsed)
+		t.Fatalf("deadline-expired rank call took %v — it retried or hung instead of failing fast", elapsed)
 	}
 	if r := c.Metrics().Retries; r != 0 {
 		t.Fatalf("deadline expiry was retried %d times; deadlines must never retry", r)
@@ -536,28 +389,6 @@ func TestIngestNeverRetried(t *testing.T) {
 	}
 }
 
-// TestStreamExpiry: a stream idle past the server TTL is swept, and a late
-// pull gets a named not-found error rather than a hang or a silent restart.
-func TestStreamExpiry(t *testing.T) {
-	_, _, hs := newShardServer(t, ServerConfig{StreamTTL: 60 * time.Millisecond})
-	c := dialTest(t, hs.URL, Options{})
-	seedLog(t, c, 11, 10)
-
-	_, st, _, err := c.OpenSearchEntity("e001", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	time.Sleep(300 * time.Millisecond) // several sweep ticks past the TTL
-	_, err = st.Pull(4, 0)
-	if err == nil {
-		t.Fatal("pull on an expired stream returned no error")
-	}
-	if !strings.Contains(err.Error(), "not found") || !strings.Contains(err.Error(), "shard "+c.Addr()) {
-		t.Fatalf("expired-stream error should be a named not-found, got: %v", err)
-	}
-}
-
 // TestIngestPartialFailure: a mid-batch failure crosses the wire with the
 // same "visit %d:" shape and stored count the in-process DB reports.
 func TestIngestPartialFailure(t *testing.T) {
@@ -593,15 +424,14 @@ func TestIngestPartialFailure(t *testing.T) {
 }
 
 // TestProtoVersionRejected: a mismatched protocol version — the previous
-// one, whose serving state carried a pending count, and the one before it,
-// which had no fused open, included — is refused before any payload is
-// decoded.
+// one, which searched through open/pull streams, and older ones included —
+// is refused before any payload is decoded.
 func TestProtoVersionRejected(t *testing.T) {
-	if ProtoVersion != "4" {
-		t.Fatalf("ProtoVersion = %q, want 4", ProtoVersion)
+	if ProtoVersion != "5" {
+		t.Fatalf("ProtoVersion = %q, want 5", ProtoVersion)
 	}
 	_, _, hs := newShardServer(t, ServerConfig{})
-	for _, v := range []string{"2", "3", "99"} {
+	for _, v := range []string{"2", "3", "4", "99"} {
 		req, err := http.NewRequest(http.MethodGet, hs.URL+"/shard/stats", nil)
 		if err != nil {
 			t.Fatal(err)
@@ -618,17 +448,20 @@ func TestProtoVersionRejected(t *testing.T) {
 	}
 }
 
-// TestShardTopKRouteGone: the full-local-top-k op is not part of the shard
-// protocol; the pull-based search (open/pull) is the only query path.
+// TestShardTopKRouteGone: neither the full-local-top-k op nor the retired
+// stream routes (open/pull) are part of the shard protocol; the one-call rank
+// is the only query path.
 func TestShardTopKRouteGone(t *testing.T) {
 	_, _, hs := newShardServer(t, ServerConfig{})
-	resp, err := http.Post(hs.URL+"/shard/topk", "application/octet-stream", strings.NewReader(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("POST /shard/topk got HTTP %d, want 404", resp.StatusCode)
+	for _, path := range []string{"/shard/topk", "/shard/open", "/shard/pull"} {
+		resp, err := http.Post(hs.URL+path, "application/octet-stream", strings.NewReader(""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("POST %s got HTTP %d, want 404", path, resp.StatusCode)
+		}
 	}
 }
 

@@ -1,37 +1,28 @@
 // Package remote distributes a shard.Cluster across processes: a Server
-// hosts one digitaltraces.DB shard behind an HTTP handler speaking the
-// pull-based search protocol, and a Client implements shard.Backend over
-// that protocol, so a coordinator composes remote shards through
-// shard.Config.Backends exactly like in-process ones — same threshold-pruned
-// gather, same generation-vector cache, same bit-identical answers (the
-// exactness property suite runs unchanged against loopback remote shards).
+// hosts one digitaltraces.DB shard behind an HTTP handler speaking the shard
+// protocol, and a Client implements shard.Backend over that protocol, so a
+// coordinator composes remote shards through shard.Config.Backends exactly
+// like in-process ones — same one-call gather, same generation-vector cache,
+// same bit-identical answers (the exactness property suite runs unchanged
+// against loopback remote shards).
 //
-// # RTT amortization
+// # One round trip per shard
 //
-// Ported naively — one RPC per result — a gather round asking a shard for
-// want results would cost want round trips, and the pruning's work savings
-// would drown in network latency. The protocol therefore transports the
-// shard.Stream contract itself: one pull request carries (streamID, offset,
-// want, floor) and one response carries up to want ranked matches at or
-// above the floor plus the admissible remainder bound, so an entire gather
-// round against a shard is exactly one round trip. The open carries the
-// stream's first pull and answers it with the handle, and a closed stream's
-// release rides, as a list of IDs, on the client's next open or pull to the
-// same shard, so a TopK costs at most three serial stages: the home open,
-// the sibling opens at the home's k-th degree as their floor, and one pull
-// round.
+// A cluster query's whole part on one shard is one request: POST /shard/rank
+// carries shard.Backend.Rank's arguments (the entity or the example visits,
+// want, floor, the owned-slot mask and the ties flag) and one response
+// carries the complete reply — the ranked matches, the remainder bound,
+// whether the cap ended it, the work, the snapshot generation and, for a
+// query by entity, the entity's visits. A TopK therefore costs two serial
+// stages at most: the home shard's call, then one concurrent wave over the
+// others. The server keeps nothing between calls.
 //
 // # Idempotence
 //
-// Pulls are positional: the client names the offset it has received up to,
-// and the server buffers everything a stream has emitted until the stream is
-// released, so a re-sent pull (a retry after a lost response) returns
-// byte-identical results instead of skipping a batch — floors only rise, so
-// a re-served range is the one first served. A stream that ends on the shard
-// releases its search at once and keeps only that buffer. A re-sent open
-// opens a second stream over the same state; the orphan expires. Releasing
-// is idempotent. Retries are bounded, only for transport-level failures, and
-// only on idempotent calls — ingest is never retried.
+// A rank call is stateless and reads only a pinned snapshot, so a re-sent
+// one (a retry after a lost response) answers the same question again.
+// Retries are bounded, only for transport-level failures, and only on
+// idempotent calls — ingest is never retried.
 //
 // # Encoding
 //
@@ -39,7 +30,7 @@
 // counts, 8-byte little-endian float64 degrees and nanosecond timestamps),
 // each tagged with a leading type byte so a payload routed to the wrong
 // endpoint is rejected instead of misparsed; decoding rejects truncated and
-// trailing bytes, non-canonical uvarints and out-of-range pull arguments, so
+// trailing bytes, non-canonical uvarints and out-of-range rank arguments, so
 // a decoded message re-encodes to exactly the bytes it came from.
 // Control-plane messages (stats, health, errors) are JSON.
 // Every response carries the shard's serving state (entities, snapshot
@@ -55,22 +46,21 @@ import (
 	"time"
 
 	"digitaltraces"
+	"digitaltraces/shard"
 )
 
 // ProtoVersion identifies the wire protocol; requests carry it in the
 // X-Shard-Proto header and the server rejects mismatches, so a rolling
 // upgrade fails loudly instead of misdecoding.
-const ProtoVersion = "4"
+const ProtoVersion = "5"
 
 // protoHeader is the HTTP header carrying ProtoVersion.
 const protoHeader = "X-Shard-Proto"
 
 // Message type tags — the first byte of every binary message.
 const (
-	tagOpenReq byte = iota + 1
-	tagOpenResp
-	tagPullReq
-	tagPullResp
+	tagRankReq byte = iota + 1
+	tagRankResp
 	tagVisitsOfReq
 	tagVisitsOfResp
 	tagIngestReq
@@ -100,51 +90,11 @@ type shardState struct {
 	SlotEpoch uint64 `json:"slot_epoch"`
 }
 
-// openReq opens an incremental search stream and pulls its first Want
-// matches at Floor. Entity != "" resolves that entity's visits server-side
-// and opens over them in one round trip (the home-shard path), returning the
-// visits in the response for sibling fan-out; otherwise Visits is the
-// example snapshot to search by. Release lists streams the client is done
-// with (on opens and pulls alike).
-type openReq struct {
-	Entity  string
-	Visits  []digitaltraces.Visit
-	Want    uint64
-	Floor   float64
-	Release []uint64
-}
-
-// openResp answers an open: the stream handle, the snapshot generation the
-// stream pinned, (entity mode only) the resolved visits, and the first pull.
-type openResp struct {
-	StreamID   uint64
-	Generation uint64
-	Visits     []digitaltraces.Visit
-	First      pullResp
-}
-
-// pullReq asks a stream for results: up to Want matches at or above Floor,
-// starting at position Offset in the stream's emission order. Offset makes
-// the request idempotent — the server re-serves any already-emitted range
-// identically.
-type pullReq struct {
-	StreamID uint64
-	Offset   uint64
-	Want     uint64
-	Floor    float64
-	Release  []uint64
-}
-
-// pullResp carries one gather round's worth of a stream: the matches (in
-// the shard's exact rank order), the admissible bound on everything after
-// them, whether more may remain, and the stream's exact-degree-computation
-// count so far.
-type pullResp struct {
-	Matches []digitaltraces.Match
-	Bound   float64
-	Live    bool
-	Checked uint64
-	State   shardState
+// rankResp answers a rank request: the shard's reply (DB.Rank) and its
+// serving state.
+type rankResp struct {
+	digitaltraces.Ranked
+	State shardState
 }
 
 type visitsOfReq struct {
@@ -231,52 +181,30 @@ func appendState(b []byte, st shardState) []byte {
 	return binary.AppendUvarint(b, st.SlotEpoch)
 }
 
-// appendPull encodes the fields every pull carries: want, floor and the
-// piggybacked releases.
-func appendPull(b []byte, want uint64, floor float64, release []uint64) []byte {
-	b = binary.AppendUvarint(b, want)
-	b = appendF64(b, floor)
-	b = binary.AppendUvarint(b, uint64(len(release)))
-	for _, id := range release {
-		b = binary.AppendUvarint(b, id)
-	}
-	return b
-}
+// maskBytes is the wire length of a slot mask.
+const maskBytes = shard.NumSlots / 8
 
-// appendBatch encodes a pull's answer (the body of a pullResp, and the tail
-// of an openResp).
-func appendBatch(b []byte, m pullResp) []byte {
-	b = appendMatches(b, m.Matches)
-	b = appendF64(b, m.Bound)
-	b = appendBool(b, m.Live)
-	b = binary.AppendUvarint(b, m.Checked)
-	return appendState(b, m.State)
-}
-
-func encodeOpenReq(m openReq) []byte {
-	b := []byte{tagOpenReq}
+func encodeRankReq(m shard.RankRequest) []byte {
+	b := []byte{tagRankReq}
 	b = appendString(b, m.Entity)
 	b = appendVisits(b, m.Visits)
-	return appendPull(b, m.Want, m.Floor, m.Release)
+	b = binary.AppendUvarint(b, uint64(m.Want))
+	b = appendF64(b, m.Floor)
+	b = binary.AppendUvarint(b, maskBytes)
+	for _, w := range m.Owned {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	return appendBool(b, m.Ties)
 }
 
-func encodeOpenResp(m openResp) []byte {
-	b := []byte{tagOpenResp}
-	b = binary.AppendUvarint(b, m.StreamID)
+func encodeRankResp(m rankResp) []byte {
+	b := appendVisits([]byte{tagRankResp}, m.Visits)
+	b = appendMatches(b, m.Matches)
+	b = appendF64(b, m.Bound)
+	b = appendBool(b, m.Capped)
+	b = binary.AppendUvarint(b, uint64(m.Checked))
 	b = binary.AppendUvarint(b, m.Generation)
-	b = appendVisits(b, m.Visits)
-	return appendBatch(b, m.First)
-}
-
-func encodePullReq(m pullReq) []byte {
-	b := []byte{tagPullReq}
-	b = binary.AppendUvarint(b, m.StreamID)
-	b = binary.AppendUvarint(b, m.Offset)
-	return appendPull(b, m.Want, m.Floor, m.Release)
-}
-
-func encodePullResp(m pullResp) []byte {
-	return appendBatch([]byte{tagPullResp}, m)
+	return appendState(b, m.State)
 }
 
 func encodeVisitsOfReq(m visitsOfReq) []byte {
@@ -462,24 +390,17 @@ func (r *reader) matches() []digitaltraces.Match {
 	return ms
 }
 
-// pull decodes appendPull's fields, capping them: want at the wire's list
-// cap (no response could carry more), the floor to the degree range [0, 1].
-func (r *reader) pull() (want uint64, floor float64, release []uint64) {
-	if want = r.uvarint(); want > maxWireList {
-		r.fail("want %d exceeds the %d-match wire cap", want, maxWireList)
+// mask decodes a slot mask, refusing any length but the slot space's.
+func (r *reader) mask() (m shard.SlotMask) {
+	if n := r.uvarint(); n != maskBytes && r.err == nil {
+		r.fail("slot mask of %d bytes, want %d", n, maskBytes)
 	}
-	if floor = r.f64(); !(floor >= 0 && floor <= 1) {
-		r.fail("floor %v outside [0, 1]", floor)
+	if b := r.raw(maskBytes); b != nil {
+		for i := range m {
+			m[i] = binary.LittleEndian.Uint64(b[8*i:])
+		}
 	}
-	n := r.count()
-	for i := 0; i < n && r.err == nil; i++ {
-		release = append(release, r.uvarint())
-	}
-	return want, floor, release
-}
-
-func (r *reader) batch() pullResp {
-	return pullResp{Matches: r.matches(), Bound: r.f64(), Live: r.boolean(), Checked: r.uvarint(), State: r.state()}
+	return m
 }
 
 func (r *reader) state() shardState {
@@ -501,33 +422,32 @@ func (r *reader) finish() error {
 	return nil
 }
 
-func decodeOpenReq(b []byte) (openReq, error) {
+// decodeRankReq decodes a rank request, capping its arguments: want to
+// [1, the wire's list cap] (no response could carry more), the floor to the
+// degree range [0, 1], NaN refused.
+func decodeRankReq(b []byte) (shard.RankRequest, error) {
 	r := reader{b: b}
-	r.tag(tagOpenReq)
-	m := openReq{Entity: r.str(), Visits: r.visits()}
-	m.Want, m.Floor, m.Release = r.pull()
+	r.tag(tagRankReq)
+	m := shard.RankRequest{Entity: r.str(), Visits: r.visits()}
+	if want := r.uvarint(); r.err == nil && (want < 1 || want > maxWireList) {
+		r.fail("want %d outside [1, %d]", want, maxWireList)
+	} else {
+		m.Want = int(want)
+	}
+	if m.Floor = r.f64(); r.err == nil && !(m.Floor >= 0 && m.Floor <= 1) {
+		r.fail("floor %v outside [0, 1]", m.Floor)
+	}
+	m.Owned, m.Ties = r.mask(), r.boolean()
 	return m, r.finish()
 }
 
-func decodeOpenResp(b []byte) (openResp, error) {
+func decodeRankResp(b []byte) (rankResp, error) {
 	r := reader{b: b}
-	r.tag(tagOpenResp)
-	m := openResp{StreamID: r.uvarint(), Generation: r.uvarint(), Visits: r.visits(), First: r.batch()}
-	return m, r.finish()
-}
-
-func decodePullReq(b []byte) (pullReq, error) {
-	r := reader{b: b}
-	r.tag(tagPullReq)
-	m := pullReq{StreamID: r.uvarint(), Offset: r.uvarint()}
-	m.Want, m.Floor, m.Release = r.pull()
-	return m, r.finish()
-}
-
-func decodePullResp(b []byte) (pullResp, error) {
-	r := reader{b: b}
-	r.tag(tagPullResp)
-	m := r.batch()
+	r.tag(tagRankResp)
+	var m rankResp
+	m.Visits, m.Matches = r.visits(), r.matches()
+	m.Bound, m.Capped, m.Checked, m.Generation = r.f64(), r.boolean(), int(r.uvarint()), r.uvarint()
+	m.State = r.state()
 	return m, r.finish()
 }
 

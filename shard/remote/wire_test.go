@@ -10,12 +10,13 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"digitaltraces"
+	"digitaltraces/shard"
 )
 
 func wireVisits() []digitaltraces.Visit {
@@ -41,42 +42,29 @@ func roundTrips(t *testing.T) map[string][]byte {
 	t.Helper()
 	msgs := map[string][]byte{}
 
-	or := openReq{Entity: "e007", Want: 11}
-	msgs["openReq/entity"] = encodeOpenReq(or)
-	if got, err := decodeOpenReq(msgs["openReq/entity"]); err != nil || got.Entity != "e007" || got.Visits != nil || got.Want != 11 || got.Floor != 0 || got.Release != nil {
-		t.Fatalf("openReq entity round trip: %+v, %v", got, err)
+	mask := shard.DefaultSlotMap(3).Owned(1)
+	rr := shard.RankRequest{Entity: "e007", Want: 11, Owned: mask}
+	msgs["rankReq/entity"] = encodeRankReq(rr)
+	if got, err := decodeRankReq(msgs["rankReq/entity"]); err != nil || !reflect.DeepEqual(got, rr) {
+		t.Fatalf("rankReq entity round trip: %+v, %v", got, err)
 	}
-	or2 := openReq{Visits: wireVisits(), Want: 3, Floor: 0.375, Release: []uint64{1, 300, 1 << 40}}
-	msgs["openReq/visits"] = encodeOpenReq(or2)
-	if got, err := decodeOpenReq(msgs["openReq/visits"]); err != nil || len(got.Visits) != 3 || got.Visits[2].Venue != or2.Visits[2].Venue || !got.Visits[0].Start.Equal(or2.Visits[0].Start) ||
-		got.Want != 3 || got.Floor != 0.375 || !slices.Equal(got.Release, or2.Release) {
-		t.Fatalf("openReq visits round trip: %+v, %v", got, err)
-	}
-
-	osr := openResp{StreamID: 42, Generation: 7, Visits: wireVisits(), First: pullResp{
-		Matches: wireMatches(), Bound: 0.25, Live: true, Checked: 12, State: shardState{Entities: 10, Generation: 7, GenOK: true},
-	}}
-	msgs["openResp"] = encodeOpenResp(osr)
-	if got, err := decodeOpenResp(msgs["openResp"]); err != nil || got.StreamID != 42 || got.Generation != 7 || len(got.Visits) != 3 ||
-		!slices.Equal(got.First.Matches, osr.First.Matches) || got.First.Bound != 0.25 || !got.First.Live || got.First.Checked != 12 || got.First.State != osr.First.State {
-		t.Fatalf("openResp round trip: %+v, %v", got, err)
+	rr2 := shard.RankRequest{Visits: wireVisits(), Want: 3, Floor: 0.375, Owned: mask, Ties: true}
+	msgs["rankReq/visits"] = encodeRankReq(rr2)
+	if got, err := decodeRankReq(msgs["rankReq/visits"]); err != nil || len(got.Visits) != 3 || got.Visits[2].Venue != rr2.Visits[2].Venue || !got.Visits[0].Start.Equal(rr2.Visits[0].Start) ||
+		got.Want != 3 || got.Floor != 0.375 || got.Owned != mask || !got.Ties {
+		t.Fatalf("rankReq visits round trip: %+v, %v", got, err)
 	}
 
-	pr := pullReq{StreamID: 42, Offset: 17, Want: 8, Floor: 0.5, Release: []uint64{41}}
-	msgs["pullReq"] = encodePullReq(pr)
-	if got, err := decodePullReq(msgs["pullReq"]); err != nil || got.StreamID != 42 || got.Offset != 17 || got.Want != 8 || got.Floor != 0.5 || !slices.Equal(got.Release, pr.Release) {
-		t.Fatalf("pullReq round trip: %+v, %v", got, err)
-	}
-
-	psr := pullResp{Matches: wireMatches(), Bound: 0.75, Live: true, Checked: 99, State: shardState{Entities: 5, Generation: 2, GenOK: true}}
-	msgs["pullResp"] = encodePullResp(psr)
-	got, err := decodePullResp(msgs["pullResp"])
-	if err != nil || len(got.Matches) != 4 || got.Bound != 0.75 || !got.Live || got.Checked != 99 || got.State != psr.State {
-		t.Fatalf("pullResp round trip: %+v, %v", got, err)
+	rs := rankResp{Ranked: digitaltraces.Ranked{Matches: wireMatches(), Visits: wireVisits(), Bound: 0.25, Capped: true, Checked: 12, Generation: 7},
+		State: shardState{Entities: 10, Generation: 7, GenOK: true}}
+	msgs["rankResp"] = encodeRankResp(rs)
+	got, err := decodeRankResp(msgs["rankResp"])
+	if err != nil || len(got.Visits) != 3 || len(got.Matches) != 4 || got.Bound != 0.25 || !got.Capped || got.Checked != 12 || got.Generation != 7 || got.State != rs.State {
+		t.Fatalf("rankResp round trip: %+v, %v", got, err)
 	}
 	for i, m := range got.Matches {
-		if m != psr.Matches[i] {
-			t.Fatalf("pullResp match %d: %+v != %+v (degrees must survive bit-exactly)", i, m, psr.Matches[i])
+		if m != rs.Matches[i] {
+			t.Fatalf("rankResp match %d: %+v != %+v (degrees must survive bit-exactly)", i, m, rs.Matches[i])
 		}
 	}
 
@@ -116,14 +104,10 @@ func TestWireRoundTrip(t *testing.T) {
 func decodeAny(name string, b []byte) error {
 	var err error
 	switch name {
-	case "openReq/entity", "openReq/visits":
-		_, err = decodeOpenReq(b)
-	case "openResp":
-		_, err = decodeOpenResp(b)
-	case "pullReq":
-		_, err = decodePullReq(b)
-	case "pullResp":
-		_, err = decodePullResp(b)
+	case "rankReq/entity", "rankReq/visits":
+		_, err = decodeRankReq(b)
+	case "rankResp":
+		_, err = decodeRankResp(b)
 	case "visitsOfReq":
 		_, err = decodeVisitsOfReq(b)
 	case "visitsOfResp":
@@ -178,19 +162,16 @@ func TestWireGarbageRejected(t *testing.T) {
 	}
 	// Random-ish garbage across all decoders.
 	junk := []byte{0x9b, 0x01, 0x02, 0x03, 0xff, 0xfe}
-	for _, name := range []string{"pullReq", "pullResp", "openResp", "ingestResp"} {
+	for _, name := range []string{"rankReq/entity", "rankResp", "ingestResp"} {
 		if err := decodeAny(name, junk); err == nil {
 			t.Errorf("%s: garbage accepted", name)
 		}
 	}
-	// Pull arguments out of range: a want no response could carry, floors
-	// outside the degree range, and a padded uvarint.
-	for _, m := range []pullReq{{Want: maxWireList + 1}, {Want: math.MaxUint64}, {Floor: -0.5}, {Floor: 1.5}, {Floor: math.NaN()}} {
-		if _, err := decodePullReq(encodePullReq(m)); err == nil {
-			t.Errorf("pull request %+v accepted", m)
-		}
-		if _, err := decodeOpenReq(encodeOpenReq(openReq{Want: m.Want, Floor: m.Floor})); err == nil {
-			t.Errorf("open request with want %d, floor %v accepted", m.Want, m.Floor)
+	// Rank arguments out of range: a want no response could carry or none,
+	// floors outside the degree range, and a padded uvarint.
+	for _, m := range []shard.RankRequest{{Want: maxWireList + 1}, {Want: 0}, {Want: 1, Floor: -0.5}, {Want: 1, Floor: 1.5}, {Want: 1, Floor: math.NaN()}} {
+		if _, err := decodeRankReq(encodeRankReq(m)); err == nil {
+			t.Errorf("rank request %+v accepted", m)
 		}
 	}
 	if _, err := decodeVisitsOfReq([]byte{tagVisitsOfReq, 0x81, 0x00, 'e'}); err == nil {
@@ -201,14 +182,15 @@ func TestWireGarbageRejected(t *testing.T) {
 // TestWireBoolStrict pins that bools reject bytes other than 0/1 (a
 // corrupted flag must not silently read as true).
 func TestWireBoolStrict(t *testing.T) {
-	msg := encodePullResp(pullResp{Bound: 0.5, Live: true, Checked: 1})
-	// The Live bool sits right after the empty match list and the bound.
-	idx := 1 + 1 + 8 // tag, count=0, bound
+	msg := encodeRankResp(rankResp{Ranked: digitaltraces.Ranked{Bound: 0.5, Capped: true, Checked: 1}})
+	// The Capped bool sits right after the empty visit and match lists and
+	// the bound.
+	idx := 1 + 1 + 1 + 8 // tag, visits=0, matches=0, bound
 	if msg[idx] != 1 {
-		t.Fatalf("test layout drifted: byte %d = %#x, want Live=1", idx, msg[idx])
+		t.Fatalf("test layout drifted: byte %d = %#x, want Capped=1", idx, msg[idx])
 	}
 	msg[idx] = 2
-	if _, err := decodePullResp(msg); err == nil {
+	if _, err := decodeRankResp(msg); err == nil {
 		t.Error("bool byte 2 accepted")
 	}
 }
@@ -219,7 +201,7 @@ func TestWireFloatBitExact(t *testing.T) {
 	vals := []float64{0, math.Copysign(0, -1), 1, math.Nextafter(1, 0), math.SmallestNonzeroFloat64, 0.1 + 0.2}
 	for _, v := range vals {
 		ms := []digitaltraces.Match{{Entity: "e", Degree: v}}
-		got, err := decodePullResp(encodePullResp(pullResp{Matches: ms, Bound: v, Live: false}))
+		got, err := decodeRankResp(encodeRankResp(rankResp{Ranked: digitaltraces.Ranked{Matches: ms, Bound: v}}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,8 +214,7 @@ func TestWireFloatBitExact(t *testing.T) {
 
 // TestWireTagsDistinct guards against two messages sharing a tag byte.
 func TestWireTagsDistinct(t *testing.T) {
-	tags := []byte{tagOpenReq, tagOpenResp, tagPullReq, tagPullResp,
-		tagVisitsOfReq, tagVisitsOfResp, tagIngestReq, tagIngestResp}
+	tags := []byte{tagRankReq, tagRankResp, tagVisitsOfReq, tagVisitsOfResp, tagIngestReq, tagIngestResp}
 	seen := map[byte]bool{}
 	for _, tag := range tags {
 		if seen[tag] {
@@ -241,8 +222,8 @@ func TestWireTagsDistinct(t *testing.T) {
 		}
 		seen[tag] = true
 	}
-	if len(seen) != 8 {
-		t.Fatalf("expected 8 distinct tags, got %d", len(seen))
+	if len(seen) != 6 {
+		t.Fatalf("expected 6 distinct tags, got %d", len(seen))
 	}
 }
 
@@ -259,14 +240,10 @@ func FuzzWireDecode(f *testing.F) {
 				t.Fatalf("%s: decoded message re-encodes to\n%x\nnot\n%x", name, reencode(), b)
 			}
 		}
-		openReq, err := decodeOpenReq(b)
-		check("openReq", err, func() []byte { return encodeOpenReq(openReq) })
-		openResp, err := decodeOpenResp(b)
-		check("openResp", err, func() []byte { return encodeOpenResp(openResp) })
-		pullReq, err := decodePullReq(b)
-		check("pullReq", err, func() []byte { return encodePullReq(pullReq) })
-		pullResp, err := decodePullResp(b)
-		check("pullResp", err, func() []byte { return encodePullResp(pullResp) })
+		rankReq, err := decodeRankReq(b)
+		check("rankReq", err, func() []byte { return encodeRankReq(rankReq) })
+		rankResp, err := decodeRankResp(b)
+		check("rankResp", err, func() []byte { return encodeRankResp(rankResp) })
 		visitsOfReq, err := decodeVisitsOfReq(b)
 		check("visitsOfReq", err, func() []byte { return encodeVisitsOfReq(visitsOfReq) })
 		visitsOfResp, err := decodeVisitsOfResp(b)

@@ -18,10 +18,12 @@ package shard
 //
 // # Exactness across publishes
 //
-// Every query pins one *SlotMap for its whole fan-out and filters each pulled
-// candidate by that map's ownership (gather.go), so an entity mid-migration —
-// physically present on both the old and the new shard — contributes exactly
-// one copy to every answer: the copy its pinned map says is the owner.
+// Every query pins one *SlotMap for its whole fan-out and sends each shard the
+// slots that map assigns it (SlotMask); the shard's search checks a
+// candidate's slot against that mask before scoring it (gather.go), so an
+// entity mid-migration — physically present on both the old and the new
+// shard — contributes exactly one copy to every answer: the copy its pinned
+// map says is the owner, and the other never counts toward its shard's cap.
 // Ingest takes a per-slot read fence (Cluster.slotMu) and resolves the map
 // after acquiring it, while a migration holds the slot's write fence across
 // ship-and-publish — so the entity state a move ships is frozen, and no visit
@@ -29,14 +31,16 @@ package shard
 //
 // # Touched shards
 //
-// The k+1 stream cap and the merge's same-shard tie argument rely on a
-// shard's local ingest order matching the global arrival order restricted to
-// that shard (merge.go). A migration target assigns fresh local IDs to the
-// shipped entities, breaking that alignment permanently — so the map carries
-// a sticky per-shard "touched" flag: queries treat a touched shard's stream
-// as loose (no k+1 cap, buffer re-sorted under the global order; gather.go),
-// which keeps answers bit-identical at a small pruning cost on exactly the
-// shards that have absorbed or surrendered a migration.
+// The k+1 per-shard cap relies on a shard's local order among equal degrees
+// (ascending local ID, which is ingest order) matching the global arrival
+// order restricted to that shard (gather.go). A migration target assigns
+// fresh local IDs to the shipped entities, breaking that alignment
+// permanently — so the map carries a sticky per-shard "touched" flag, which
+// means "complete ties": a touched shard's capped reply also carries every
+// match tied with its (k+1)-th, so what it withholds is strictly below k+1 of
+// its own matches whatever their order. Answers stay bit-identical, at the
+// cost of the tied entries, on exactly the shards that have absorbed or
+// surrendered a migration.
 
 import (
 	"fmt"
@@ -79,8 +83,9 @@ type SlotMap struct {
 	// touched marks shards whose local ingest order no longer matches the
 	// global arrival order restricted to the shard (they absorbed a shipped
 	// slot) or that may hold entries they do not own (they surrendered one,
-	// or a ship into them failed partway). Sticky for the life of the
-	// process: alignment, once broken, does not heal. len == shard count.
+	// or a ship into them failed partway): their replies complete ties.
+	// Sticky for the life of the process: alignment, once broken, does not
+	// heal. len == shard count.
 	touched []bool
 }
 
@@ -91,6 +96,24 @@ func DefaultSlotMap(n int) *SlotMap {
 		m.assign[s] = s % n
 	}
 	return m
+}
+
+// SlotMask is a set of slots, one bit each: the slots one shard owns under
+// one map, as a query sends them to that shard.
+type SlotMask [NumSlots / 64]uint64
+
+// Has reports whether slot is in the set.
+func (m *SlotMask) Has(slot int) bool { return m[slot/64]>>(slot%64)&1 == 1 }
+
+// Owned returns the slots this map assigns to shard.
+func (m *SlotMap) Owned(shard int) SlotMask {
+	var mask SlotMask
+	for s, sh := range m.assign {
+		if sh == shard {
+			mask[s/64] |= 1 << (s % 64)
+		}
+	}
+	return mask
 }
 
 // Owner returns the shard ordinal owning the entity under this map.

@@ -2,9 +2,9 @@ package shard
 
 // Cluster-level query tracing: the coordinator records one obs.QueryTrace
 // per TopK/TopKByExample/TopKBatch-item with the per-shard scatter-gather
-// breakdown the single-DB tracer cannot see — which shards were touched,
-// what each surrendered before the threshold cut, and how the wall-clock
-// split between per-shard pulls and the coordinator merge. Config.TraceSize
+// breakdown the single-DB tracer cannot see — which shards were asked, what
+// each returned, and how the wall-clock split between per-shard calls and the
+// coordinator merge. Config.TraceSize
 // ≤ 0 (the default) leaves the tracer nil and every record call a no-op.
 
 import (
@@ -16,8 +16,8 @@ import (
 
 // Tracer exposes the cluster's coordinator-level query tracer — nil when
 // Config.TraceSize was ≤ 0. Per-shard DB tracers stay empty under cluster
-// queries (the fan-out streams through the incremental search path, not the
-// shard's TopK), so this is the one place cluster queries are recorded.
+// queries (a shard answers through DB.Rank, not its TopK), so this is the
+// one place cluster queries are recorded.
 func (c *Cluster) Tracer() *obs.Tracer { return c.tracer }
 
 // record writes one cluster query's trace and feeds the latency histograms.
