@@ -759,23 +759,6 @@ func BenchmarkAblationSignatures(b *testing.B) {
 	}
 }
 
-// BenchmarkApproxTopK measures the future-work approximate mode (§8.2)
-// against the exact search on the same queries.
-func BenchmarkApproxTopK(b *testing.B) {
-	_, st, tree, m := benchWorld(b, 1000, 128)
-	for _, eps := range []float64{0, 0.25, 0.5} {
-		b.Run(fmt.Sprintf("eps=%.2f", eps), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				q := st.Get(trace.EntityID(i % 50))
-				if _, _, err := tree.ApproxTopK(q, 10, m, core.ApproxOptions{Epsilon: eps}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkStorageGet measures record reads through the buffer pool at low
 // and full memory budgets (Figure 7.6's mechanism).
 func BenchmarkStorageGet(b *testing.B) {

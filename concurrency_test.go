@@ -56,8 +56,8 @@ func TestConcurrentQueriesWithWriters(t *testing.T) {
 						errs <- fmt.Errorf("TopK: %w", err)
 					}
 				case 2:
-					if _, _, err := db.TopKApprox(name, 5, 0.3); err != nil {
-						errs <- fmt.Errorf("TopKApprox: %w", err)
+					if _, err := db.Rank(RankQuery{Entity: name, Want: 5, Keep: func(e string) bool { return len(e)%2 == 0 }}); err != nil {
+						errs <- fmt.Errorf("Rank: %w", err)
 					}
 				case 3:
 					other := fmt.Sprintf("entity-%d", (g*17+i+1)%population)

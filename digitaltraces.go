@@ -29,7 +29,7 @@
 // # Concurrency
 //
 // A DB is safe for concurrent use, and queries never wait for index
-// maintenance. Queries (TopK, TopKByExample, TopKApprox, Degree) answer
+// maintenance. Queries (TopK, TopKByExample, Rank, Degree) answer
 // against an immutable index snapshot loaded through one atomic pointer
 // read, so any number run in parallel — with each other and with the
 // builders, which construct the next snapshot off to the side and
@@ -656,32 +656,6 @@ func epochOrigin(explicit bool) string {
 		return "fixed at construction (WithEpoch, or the grid convention of the Unix epoch)"
 	}
 	return "inferred from the first ingested visit"
-}
-
-// TopKApprox answers a top-k query approximately (the paper's §8.2 future
-// work): the search stops once the k-th found degree is within a factor
-// (1−epsilon) of every remaining bound. The returned guarantee is the
-// smallest epsilon that actually holds for this answer: the k-th returned
-// degree is at least (1−guarantee) times the true k-th degree. epsilon = 0
-// reproduces the exact TopK.
-func (db *DB) TopKApprox(entity string, k int, epsilon float64) ([]Match, float64, error) {
-	s, err := db.snapshotForQuery()
-	if err != nil {
-		return nil, 0, err
-	}
-	q, err := db.lookup(s, entity)
-	if err != nil {
-		return nil, 0, err
-	}
-	res, stats, err := s.post.ApproxTopK(q, k, s.measure, core.ApproxOptions{Epsilon: epsilon})
-	if err != nil {
-		return nil, 0, err
-	}
-	out := make([]Match, len(res))
-	for i, r := range res {
-		out[i] = Match{Entity: s.byID[r.Entity], Degree: r.Degree}
-	}
-	return out, stats.AchievedEpsilon, nil
 }
 
 // SaveIndex persists the built index to w as one image: the entity table

@@ -335,9 +335,8 @@ func requireMarksSound(t *testing.T, label string, p *Postings, q *trace.Sequenc
 	}
 }
 
-// requireExact checks TopK, ApproxTopK(ε=0) and Rank at floor 0 against the
-// scan, bit for bit; the counters' identity; Rank's Bound above every degree
-// it left out; and ApproxTopK's guarantee with ε > 0 and with a budget.
+// requireExact checks TopK and Rank at floor 0 against the scan, bit for bit;
+// the counters' identity; and Rank's Bound above every degree it left out.
 func requireExact(t *testing.T, label string, p *Postings, q *trace.Sequences, k int, m adm.Measure) SearchStats {
 	t.Helper()
 	want := BruteForceTopK(p.src, p.Entities(), q, k, m)
@@ -348,41 +347,12 @@ func requireExact(t *testing.T, label string, p *Postings, q *trace.Sequences, k
 	if !slices.Equal(got, want) {
 		t.Fatalf("%s k=%d %s: TopK\n got  %v\n want %v", label, k, m.Name(), got, want)
 	}
-	approx, as, err := p.ApproxTopK(q, k, m, ApproxOptions{})
-	if err != nil {
-		t.Fatalf("%s: ApproxTopK: %v", label, err)
-	}
-	if !slices.Equal(approx, want) || as.SearchStats != stats {
-		t.Fatalf("%s k=%d %s: ApproxTopK(ε=0)\n got  %v %+v\n want %v %+v", label, k, m.Name(), approx, as.SearchStats, want, stats)
-	}
 	others := p.Len()
 	if p.Contains(q.Entity) {
 		others--
 	}
 	if stats.Reached() != others || stats.NodesPopped != 0 {
 		t.Fatalf("%s k=%d %s: %+v does not account for %d entities once each, without a traversal", label, k, m.Name(), stats, others)
-	}
-	for _, opts := range []ApproxOptions{{Epsilon: 0.3}, {MaxChecked: 2}, {Epsilon: 0.1, MaxChecked: 4}} {
-		approx, as, err := p.ApproxTopK(q, k, m, opts)
-		if err != nil || len(approx) > len(want) || len(approx) == 0 && len(want) > 0 {
-			t.Fatalf("%s k=%d %s: ApproxTopK(%+v) = %v, %v; the scan has %d", label, k, m.Name(), opts, approx, err, len(want))
-		}
-		if opts.MaxChecked > 0 && as.Checked > opts.MaxChecked {
-			t.Fatalf("%s k=%d %s: ApproxTopK(%+v) computed %d degrees", label, k, m.Name(), opts, as.Checked)
-		}
-		if !as.BudgetExhausted && (as.AchievedEpsilon > opts.Epsilon+1e-12 || len(approx) < len(want)) {
-			t.Fatalf("%s k=%d %s: ApproxTopK(%+v) = %v, achieved ε %v, with budget to spare", label, k, m.Name(), opts, approx, as.AchievedEpsilon)
-		}
-		// The guarantee: no entity left out beats the last one returned by
-		// more than the achieved ε.
-		for _, e := range p.Entities() {
-			if e == q.Entity || slices.ContainsFunc(approx, func(r Result) bool { return r.Entity == e }) {
-				continue
-			}
-			if last, deg := approx[len(approx)-1].Degree, m.Degree(q, p.src.Get(e)); last < (1-as.AchievedEpsilon)*deg-1e-12 {
-				t.Fatalf("%s k=%d %s: ApproxTopK(%+v) ends at %v with achieved ε %v, entity %d left out has %v", label, k, m.Name(), opts, last, as.AchievedEpsilon, e, deg)
-			}
-		}
 	}
 	if r := requireRank(t, label, p, q, m, k, 0, nil); r.Stats != stats {
 		t.Fatalf("%s k=%d %s: Rank at floor 0 did other work than TopK: %+v, TopK %+v", label, k, m.Name(), r.Stats, stats)
@@ -712,9 +682,8 @@ func TestRankInterleavesScoredZeros(t *testing.T) {
 }
 
 // FuzzTopKAgainstScan decodes bytes into a tiny population, one refresh, a
-// query and a measure, and requires TopK, ApproxTopK(ε=0) and Rank — at
-// floor 0 and under a decoded (want, floor, filter) — to equal the scan on
-// both generations.
+// query and a measure, and requires TopK and Rank — at floor 0 and under a
+// decoded (want, floor, filter) — to equal the scan on both generations.
 func FuzzTopKAgainstScan(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 3, 4, 2, 1, 0, 1, 5, 2, 9, 3, 1, 2, 2, 9, 7, 7, 1, 3, 3})
@@ -1011,7 +980,7 @@ func TestRemovedEntityIsNoCandidate(t *testing.T) {
 	check := func(label string, tree *Postings, present bool) {
 		t.Helper()
 		for _, k := range []int{1, 3, tree.Len() + 1} {
-			requireExact(t, label, tree, example, k, m) // against the scan of tree.Entities(), through TopK, ApproxTopK and Iter
+			requireExact(t, label, tree, example, k, m) // against the scan of tree.Entities(), through TopK and Rank
 		}
 		got, _, err := tree.TopK(example, 1, m)
 		if err != nil {
@@ -1053,7 +1022,7 @@ func TestRemovedEntityIsNoCandidate(t *testing.T) {
 	}
 }
 
-// TestConcurrentSearchesShareNoScratch runs TopK, ApproxTopK and Rank under
+// TestConcurrentSearchesShareNoScratch runs TopK and Rank under
 // floors and filters on one index from several goroutines (go test -race):
 // the pooled scratch holds a query's masks, buckets and ordered candidates.
 func TestConcurrentSearchesShareNoScratch(t *testing.T) {
@@ -1083,9 +1052,6 @@ func TestConcurrentSearchesShareNoScratch(t *testing.T) {
 				}
 				if got, _, err := tree.TopK(st.Get(trace.EntityID(b)), 7, m); err != nil || !slices.Equal(got, want[b][:7]) {
 					t.Errorf("goroutine %d round %d: TopK(%d) = %v %v, want %v", g, round, b, got, err, want[b][:7])
-				}
-				if got, _, err := tree.ApproxTopK(st.Get(trace.EntityID(b)), 3, m, ApproxOptions{}); err != nil || !slices.Equal(got, want[b][:3]) {
-					t.Errorf("goroutine %d round %d: ApproxTopK(%d) = %v %v, want %v", g, round, b, got, err, want[b][:3])
 				}
 			}
 		}()

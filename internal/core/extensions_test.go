@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -104,123 +103,6 @@ func TestSnapshotErrors(t *testing.T) {
 	wrongIx, _, _ := fixture411(t) // height 2, snapshot has 3
 	if _, err := readSnapshot(bytes.NewReader(good), wrongIx, st); err == nil {
 		t.Error("mismatched sp-index accepted")
-	}
-}
-
-// TestApproxExactWhenEpsilonZero: ε = 0 with no budget reproduces TopK
-// exactly (results and work done).
-func TestApproxExactWhenEpsilonZero(t *testing.T) {
-	_, st, tree := buildRandomWorld(t, 23, 50, 16)
-	m := measuresFor(t, 3)[0]
-	for e := trace.EntityID(0); e < 8; e++ {
-		q := st.Get(e)
-		exact, es, err := tree.TopK(q, 5, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		approx, as, err := tree.ApproxTopK(q, 5, m, ApproxOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(exact, approx) {
-			t.Fatalf("ε=0 diverged: %v vs %v", exact, approx)
-		}
-		if as.AchievedEpsilon != 0 {
-			t.Errorf("ε=0 reported achieved epsilon %v", as.AchievedEpsilon)
-		}
-		if as.SearchStats != es {
-			t.Errorf("ε=0 work differs: %+v vs %+v", as.SearchStats, es)
-		}
-	}
-}
-
-// TestApproxQualityGuarantee: for any ε, the returned k-th degree is at
-// least (1−AchievedEpsilon) times the true k-th degree, and the achieved
-// epsilon never exceeds the requested one when no budget fires.
-func TestApproxQualityGuarantee(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	_, st, tree := buildRandomWorld(t, 29, 80, 16)
-	m := measuresFor(t, 3)[0]
-	for trial := 0; trial < 20; trial++ {
-		q := st.Get(trace.EntityID(rng.Intn(80)))
-		eps := rng.Float64() * 0.6
-		k := 1 + rng.Intn(10)
-		approx, as, err := tree.ApproxTopK(q, k, m, ApproxOptions{Epsilon: eps})
-		if err != nil {
-			t.Fatal(err)
-		}
-		truth := BruteForceTopK(st, st.Entities(), q, k, m)
-		if len(approx) != len(truth) {
-			t.Fatalf("result size %d vs %d", len(approx), len(truth))
-		}
-		if as.BudgetExhausted {
-			t.Fatal("budget fired without a budget")
-		}
-		if as.AchievedEpsilon > eps+1e-12 {
-			t.Fatalf("achieved ε %v exceeds requested %v", as.AchievedEpsilon, eps)
-		}
-		kthApprox := approx[len(approx)-1].Degree
-		kthTrue := truth[len(truth)-1].Degree
-		if kthApprox < (1-as.AchievedEpsilon)*kthTrue-1e-9 {
-			t.Fatalf("guarantee violated: approx k-th %v < (1-%v)·true k-th %v",
-				kthApprox, as.AchievedEpsilon, kthTrue)
-		}
-	}
-}
-
-// TestApproxBudget: MaxChecked caps exact evaluations and reports the
-// exhaustion plus the honest achieved epsilon.
-func TestApproxBudget(t *testing.T) {
-	_, st, tree := buildRandomWorld(t, 31, 100, 4)
-	m := measuresFor(t, 3)[0]
-	q := st.Get(0)
-	res, stats, err := tree.ApproxTopK(q, 5, m, ApproxOptions{MaxChecked: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Checked > 10 {
-		t.Errorf("checked %d with budget 10", stats.Checked)
-	}
-	if !stats.BudgetExhausted && stats.Checked >= tree.Len()-1 {
-		t.Log("population smaller than budget path; acceptable")
-	}
-	if len(res) == 0 {
-		t.Fatal("no results under budget")
-	}
-	if _, _, err := tree.ApproxTopK(q, 0, m, ApproxOptions{}); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, _, err := tree.ApproxTopK(q, 1, m, ApproxOptions{Epsilon: 1}); err == nil {
-		t.Error("ε=1 accepted")
-	}
-}
-
-// TestApproxSavesWork: on a clustered world a generous ε must neither reach
-// nor check more entities than the exact search.
-func TestApproxSavesWork(t *testing.T) {
-	_, st, tree := buildRandomWorld(t, 37, 150, 64)
-	m := measuresFor(t, 3)[0]
-	exactChecked, approxChecked := 0, 0
-	exactReached, approxReached := 0, 0
-	for e := trace.EntityID(0); e < 15; e++ {
-		_, es, err := tree.TopK(st.Get(e), 3, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, as, err := tree.ApproxTopK(st.Get(e), 3, m, ApproxOptions{Epsilon: 0.5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		exactChecked += es.Checked
-		approxChecked += as.Checked
-		exactReached += es.Reached()
-		approxReached += as.Reached()
-	}
-	if approxChecked > exactChecked {
-		t.Errorf("ε=0.5 checked %d > exact %d", approxChecked, exactChecked)
-	}
-	if approxReached > exactReached {
-		t.Errorf("ε=0.5 reached %d > exact %d", approxReached, exactReached)
 	}
 }
 

@@ -22,10 +22,10 @@ type SequenceSource interface {
 var _ SequenceSource = (*trace.Store)(nil)
 
 // Postings is the served index: an entity table and the level-1 cell index
-// over a sequence source. It answers TopK, ApproxTopK and Rank
-// from the postings of the query's level-1 cells (DESIGN.md, "Posting-driven
-// search") and carries no signatures: building it hashes nothing, and Derive
-// folds dirty entities in O(dirty).
+// over a sequence source. It answers TopK and Rank from the postings of the
+// query's level-1 cells (DESIGN.md, "Posting-driven search") and carries no
+// signatures: building it hashes nothing, and Derive folds dirty entities in
+// O(dirty).
 //
 // A Postings is never mutated once another goroutine can see it — Derive
 // builds the next generation aside and leaves the receiver reading as it did

@@ -85,12 +85,75 @@ func TestRankBoundIsAdmissible(t *testing.T) {
 	for _, m := range measuresFor(t, ix.Height()) {
 		q := st.Get(5)
 		full := BruteForceTopK(st, tree.Entities(), q, tree.Len(), m)
-		for _, want := range []int{1, 3, 8, 20, len(full)} {
-			for _, i := range []int{0, 2, 7, 19} {
-				requireRank(t, "bound", tree.post, q, m, want, full[i].Degree, nil)
+		for _, keep := range []func(trace.EntityID) bool{nil, func(e trace.EntityID) bool { return e%3 != 0 }} {
+			for _, want := range []int{1, 3, 8, 20, len(full)} {
+				for _, i := range []int{0, 2, 7, 19} {
+					requireRank(t, "bound", tree.post, q, m, want, full[i].Degree, keep)
+				}
+				if r := requireRank(t, "bound", tree.post, q, m, want, 0, keep); want == len(full) && r.Bound != 0 {
+					t.Fatalf("%s: a drain left Bound %v", m.Name(), r.Bound)
+				}
 			}
-			if r := requireRank(t, "bound", tree.post, q, m, want, 0, nil); want == len(full) && r.Bound != 0 {
-				t.Fatalf("%s: a drain left Bound %v", m.Name(), r.Bound)
+		}
+	}
+}
+
+// TestRankAsksKeepLast: the filter is asked only of a candidate the bounds
+// leave in, so what it admits is what the search goes on to use. Above floor
+// 0 every admitted candidate is scored: the admitted calls equal Checked. At
+// floor 0 the zero-fill settles degree-0 entries unscored, but asks only of
+// those the selection takes in, so the admitted calls exceed Checked by at
+// most the degree-0 entries a selection replaying them takes in.
+func TestRankAsksKeepLast(t *testing.T) {
+	for _, seed := range []int64{3, 17, 29} {
+		ix, st, p := buildRandomPostings(t, seed, 70)
+		for _, m := range measuresFor(t, ix.Height()) {
+			for _, qe := range []trace.EntityID{0, 7, 33} {
+				q := st.Get(qe)
+				degree := map[trace.EntityID]float64{}
+				full := BruteForceTopK(st, p.Entities(), q, p.Len(), m)
+				for _, r := range full {
+					degree[r.Entity] = r.Degree
+				}
+				for _, refuse := range []trace.EntityID{0, 3} {
+					admit := func(e trace.EntityID) bool { return refuse == 0 || e%refuse != 0 }
+					for _, want := range []int{1, 3, 11} {
+						for _, floor := range []float64{0, full[2].Degree, full[5].Degree} {
+							label := fmt.Sprintf("seed %d %s q%d refuse %%%d want %d floor %v", seed, m.Name(), qe, refuse, want, floor)
+							var admitted []trace.EntityID
+							r, err := p.Rank(q, want, floor, func(e trace.EntityID) bool {
+								ok := admit(e)
+								if ok {
+									admitted = append(admitted, e)
+								}
+								return ok
+							}, m)
+							if err != nil {
+								t.Fatalf("%s: %v", label, err)
+							}
+							if expect := requireRank(t, label, p, q, m, want, floor, admit); !slices.Equal(r.Results, expect.Results) {
+								t.Fatalf("%s: the counting filter changed the answer: %v, want %v", label, r.Results, expect.Results)
+							}
+							if floor > 0 {
+								if len(admitted) != r.Stats.Checked {
+									t.Fatalf("%s: keep admitted %d candidates, %d were scored", label, len(admitted), r.Stats.Checked)
+								}
+								continue
+							}
+							sel, zeros := newKBest(want), 0
+							for _, e := range admitted {
+								res := Result{e, degree[e]}
+								if res.Degree == 0 && (!sel.full() || ranksBefore(res, sel.kth())) {
+									zeros++
+								}
+								sel.offer(res)
+							}
+							if extra := len(admitted) - r.Stats.Checked; extra > zeros {
+								t.Fatalf("%s: keep admitted %d unscored entities, the selection took in %d at degree 0", label, extra, zeros)
+							}
+						}
+					}
+				}
 			}
 		}
 	}

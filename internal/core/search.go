@@ -152,9 +152,8 @@ type frontier struct {
 	n       int                       // indexed entities other than the query
 	pooled  *scratch                  // the query's candidates; nil once released
 	pos     int                       // the next bucket is pooled.rank[pos]
-	limit   int                       // stop scoring at this many exact degrees (0 = never)
 	floor   float64                   // nothing bounded below it is scored or returned
-	keep    func(trace.EntityID) bool // nil, or the candidates it admits; checked before scoring
+	keep    func(trace.EntityID) bool // nil, or the candidates it admits; asked after the bounds, before scoring
 	passed  float64                   // the largest bound or degree of a candidate passed over unreturned
 	stats   SearchStats
 }
@@ -198,24 +197,20 @@ func (f *frontier) peek() (ub float64, ok bool) {
 }
 
 // visit dequeues the bucket peek reported: its candidates are scored exactly
-// and offered to best. A candidate keep refuses is skipped unscored; one that
-// is sure to miss the answer (beaten) at its bucket's bound, or at the bound
-// its own level sizes give once there is a cut to miss, is dropped as offer
-// would drop it, and so is a scored degree below the floor. A bucket the
-// limit interrupts keeps its unscored rest queued.
+// and offered to best. A candidate that is sure to miss the answer (beaten) at
+// its bucket's bound, or at the bound its own level sizes give once there is a
+// cut to miss, is dropped as offer would drop it, and so is a scored degree
+// below the floor. keep is asked last, of a candidate about to be scored, and
+// one it refuses is skipped unscored: the bound checks are arithmetic on the
+// scratch, while keep may resolve and hash a name.
 func (f *frontier) visit(best *kBest) error {
 	sc := f.pooled
 	b := &sc.buckets[sc.rank[f.pos]]
 	f.overlap(b.mask)
-	for i, e := range sc.order[b.end-b.n : b.end] {
-		if f.limit > 0 && f.stats.Checked >= f.limit {
-			b.n -= i // the rest of the bucket stays queued
-			return nil
-		}
-		if f.keep != nil && !f.keep(e) || f.beaten(best, Result{e, b.ub}) {
-			continue
-		}
-		if (f.floor > 0 || best.full()) && f.beaten(best, Result{e, f.sizedBound(e)}) {
+	for _, e := range sc.order[b.end-b.n : b.end] {
+		if f.beaten(best, Result{e, b.ub}) ||
+			(f.floor > 0 || best.full()) && f.beaten(best, Result{e, f.sizedBound(e)}) ||
+			!f.admits(e) {
 			continue
 		}
 		s := f.p.src.Get(e)
@@ -247,23 +242,24 @@ func (f *frontier) beaten(best *kBest, r Result) bool {
 	return false
 }
 
-// rest calls fn for every entity still queued that keep admits, the
-// unscored candidates and the entity table's entries no posting list named.
-// Sound as a way to settle them without touching the sequence source only
-// once peek reports 0: admissibility plus non-negative degrees then force
-// every remaining degree to exactly 0.
+// admits reports whether keep admits e (every entity when keep is nil).
+func (f *frontier) admits(e trace.EntityID) bool { return f.keep == nil || f.keep(e) }
+
+// rest calls fn for every entity still queued, the unscored candidates and
+// the entity table's entries no posting list named. Sound as a way to settle
+// them without touching the sequence source only once peek reports 0:
+// admissibility plus non-negative degrees then force every remaining degree
+// to exactly 0.
 func (f *frontier) rest(fn func(trace.EntityID)) {
 	sc := f.pooled
 	if f.pos < len(sc.rank) {
 		b := sc.buckets[sc.rank[f.pos]]
 		for _, e := range sc.order[b.end-b.n:] {
-			if f.keep == nil || f.keep(e) {
-				fn(e)
-			}
+			fn(e)
 		}
 	}
 	f.p.each(func(e trace.EntityID) {
-		if e != f.q.Entity && sc.maskOf(e) == 0 && (f.keep == nil || f.keep(e)) {
+		if e != f.q.Entity && sc.maskOf(e) == 0 {
 			fn(e)
 		}
 	})
@@ -306,11 +302,11 @@ func (f *frontier) finish(answers int) SearchStats {
 //
 // TopK is read-only: it never mutates the index, the sequence source or the
 // measure — all search state lives on this call's stack or in scratch no
-// other call holds — so any number of TopK/ApproxTopK/Rank calls may run
-// concurrently against one Postings.
+// other call holds — so any number of TopK/Rank calls may run concurrently
+// against one Postings.
 func (p *Postings) TopK(q *trace.Sequences, k int, measure adm.Measure) ([]Result, SearchStats, error) {
-	res, stats, _, err := p.search(q, k, measure, searchOptions{})
-	return res, stats.SearchStats, err
+	res, stats, _, err := p.search(q, k, measure, 0, nil)
+	return res, stats, err
 }
 
 // Ranked is what Rank returns: the results, an admissible upper bound on the
@@ -328,79 +324,64 @@ type Ranked struct {
 // the canonical order (degree descending, entity ID ascending) restricted to
 // the entities keep admits (every one when keep is nil) whose degree is at
 // least floor. Entries at the floor are returned, since they can win a tie.
-// keep is asked before a candidate is scored, so an entity it refuses costs
-// no exact degree and never counts toward want. It is the per-shard half of
-// a cluster query (package shard).
+// keep is asked last, of a candidate neither its bucket's bound nor its own
+// level sizes rule out, just before it would be scored: an entity it refuses
+// costs no exact degree and never counts toward want, and one the bounds drop
+// never reaches keep. It is the per-shard half of a cluster query (package
+// shard).
 func (p *Postings) Rank(q *trace.Sequences, want int, floor float64, keep func(trace.EntityID) bool, measure adm.Measure) (Ranked, error) {
 	if !(floor >= 0) {
 		return Ranked{}, fmt.Errorf("core: floor %v is negative or NaN", floor)
 	}
-	res, stats, bound, err := p.search(q, want, measure, searchOptions{floor: floor, keep: keep})
-	return Ranked{Results: res, Bound: bound, Capped: len(res) == want, Stats: stats.SearchStats}, err
+	res, stats, bound, err := p.search(q, want, measure, floor, keep)
+	return Ranked{Results: res, Bound: bound, Capped: len(res) == want, Stats: stats}, err
 }
 
-// searchOptions tunes the one search loop: ApproxTopK's slack and budget,
-// Rank's floor and filter. The zero value is TopK.
-type searchOptions struct {
-	ApproxOptions
-	floor float64
-	keep  func(trace.EntityID) bool
-}
-
-// search is the one loop behind TopK, ApproxTopK and Rank: score buckets in
-// bound order until the k-th exact degree beats (1−ε) times every remaining
-// bound, the remaining bound falls below the floor, or the budget is spent.
-// Everything left once the bound reaches 0 has degree exactly 0 and is
-// offered unscored, at floor 0 only. The bound it returns is admissible for
-// every admitted entity the answer leaves out.
-func (p *Postings) search(q *trace.Sequences, k int, measure adm.Measure, opts searchOptions) ([]Result, ApproxStats, float64, error) {
-	var stats ApproxStats
+// search is the one loop behind TopK and Rank: score buckets in bound order
+// until the k-th exact degree beats every remaining bound or the remaining
+// bound falls below the floor. Everything left once the bound reaches 0 has
+// degree exactly 0 and is offered unscored, at floor 0 only. The bound it
+// returns is admissible for every admitted entity the answer leaves out.
+func (p *Postings) search(q *trace.Sequences, k int, measure adm.Measure, floor float64, keep func(trace.EntityID) bool) ([]Result, SearchStats, float64, error) {
 	if k < 1 {
-		return nil, stats, 0, fmt.Errorf("core: k = %d < 1", k)
+		return nil, SearchStats{}, 0, fmt.Errorf("core: k = %d < 1", k)
 	}
 	f, err := p.newFrontier(q, measure)
 	if err != nil {
-		return nil, stats, 0, err
+		return nil, SearchStats{}, 0, err
 	}
 	defer f.release()
-	f.limit, f.floor, f.keep = opts.MaxChecked, opts.floor, opts.keep
+	f.floor, f.keep = floor, keep
 	best := newKBest(k)
 	remainingUB := 0.0
 	for ub, ok := f.peek(); ok; ub, ok = f.peek() {
 		// Early termination: the k-th best exact degree strictly beats every
-		// remaining upper bound (relaxed by ε). Strict, not ≥: at equality the
-		// bucket may hide an equal-degree entity with a smaller ID, which the
-		// canonical tie order puts ahead of the current k-th. For the same
-		// reason a bucket bounded exactly at the floor is still examined.
-		if best.full() && best.kth().Degree > (1-opts.Epsilon)*ub || ub < f.floor {
+		// remaining upper bound. Strict, not ≥: at equality the bucket may
+		// hide an equal-degree entity with a smaller ID, which the canonical
+		// tie order puts ahead of the current k-th. For the same reason a
+		// bucket bounded exactly at the floor is still examined.
+		if best.full() && best.kth().Degree > ub || ub < f.floor {
 			remainingUB = ub
 			break
 		}
 		if ub == 0 {
 			// Everything still queued has degree exactly 0: offer it to the
 			// selection without computing degrees. The answer stays exact.
-			f.rest(func(e trace.EntityID) { best.offer(Result{Entity: e}) })
-			break
-		}
-		if opts.MaxChecked > 0 && f.stats.Checked >= opts.MaxChecked {
-			stats.BudgetExhausted = true
-			remainingUB = ub
+			// As in visit, an entry a full selection turns away is dropped
+			// before keep is asked.
+			f.rest(func(e trace.EntityID) {
+				if !f.beaten(&best, Result{Entity: e}) && f.admits(e) {
+					best.offer(Result{Entity: e})
+				}
+			})
 			break
 		}
 		if err := f.visit(&best); err != nil {
-			stats.SearchStats = f.stats
-			return nil, stats, 0, err
+			return nil, f.stats, 0, err
 		}
 	}
 	out := best.ranked()
-	stats.SearchStats = f.finish(len(out))
-	// Achieved quality: smallest ε such that kth ≥ (1−ε)·remainingUB.
-	if remainingUB > 0 && len(out) > 0 {
-		if kth := out[len(out)-1].Degree; kth < remainingUB {
-			stats.AchievedEpsilon = 1 - kth/remainingUB
-		}
-	}
-	return out, stats, max(remainingUB, f.passed, best.out), nil
+	return out, f.finish(len(out)), max(remainingUB, f.passed, best.out), nil
 }
 
 // BruteForceTopK computes the exact top-k answers by scanning every entity

@@ -17,7 +17,11 @@ import (
 // "topk" is Postings.TopK end to end and reports the exact degrees it
 // computed (checked/op); "mark" is newFrontier alone — stamp the query's
 // postings, bucket the hits, rank the buckets — and reports the candidates it
-// queues (candidates/op). Scoring is the difference of the two.
+// queues (candidates/op). Scoring is the difference of the two. "rank" is
+// one non-home shard's call of a 4-shard cluster query: Rank for want 11 at
+// the query's own k-th degree, under a filter that admits every fourth entity
+// ID; it reports the exact degrees computed (checked/op) and the filter's
+// calls (keeps/op).
 func BenchmarkPostingsSearch(b *testing.B) {
 	ix, err := spindex.NewGrid(spindex.DefaultGridConfig(32))
 	if err != nil {
@@ -55,6 +59,28 @@ func BenchmarkPostingsSearch(b *testing.B) {
 			checked += stats.Checked
 		}
 		b.ReportMetric(float64(checked)/float64(n), "checked/op")
+	})
+	b.Run("rank", func(b *testing.B) {
+		floors := make([]float64, len(queries))
+		for i, q := range queries {
+			res, _, err := post.TopK(q, 10, m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			floors[i] = res[len(res)-1].Degree
+		}
+		n, checked, keeps := 0, 0, 0
+		keep := func(e trace.EntityID) bool { keeps++; return e%4 == 0 }
+		b.ReportAllocs()
+		for ; b.Loop(); n++ {
+			r, err := post.Rank(queries[n%len(queries)], 11, floors[n%len(queries)], keep, m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			checked += r.Stats.Checked
+		}
+		b.ReportMetric(float64(checked)/float64(n), "checked/op")
+		b.ReportMetric(float64(keeps)/float64(n), "keeps/op")
 	})
 	b.Run("mark", func(b *testing.B) {
 		n, candidates := 0, 0

@@ -20,7 +20,7 @@
 // Build is Algorithm 1; Tree.SignatureTopK is Algorithm 2 with early
 // termination; Insert/Remove/Update realize the incremental maintenance of
 // Section 4.2.3. A Tree composes a Postings over the same entities, which its
-// TopK and ApproxTopK delegate to.
+// TopK delegates to.
 package core
 
 import (
@@ -117,12 +117,6 @@ func (t *Tree) Entities() []trace.EntityID { return t.post.Entities() }
 // TopK answers a top-k query from the tree's postings (Postings.TopK).
 func (t *Tree) TopK(q *trace.Sequences, k int, measure adm.Measure) ([]Result, SearchStats, error) {
 	return t.post.TopK(q, k, measure)
-}
-
-// ApproxTopK answers approximately from the tree's postings
-// (Postings.ApproxTopK).
-func (t *Tree) ApproxTopK(q *trace.Sequences, k int, measure adm.Measure, opts ApproxOptions) ([]Result, ApproxStats, error) {
-	return t.post.ApproxTopK(q, k, measure, opts)
 }
 
 // Insert adds an entity to the index: compute its signature list, descend by

@@ -605,9 +605,6 @@ func TestPositiveFloorMeasure(t *testing.T) {
 		if _, _, err := tree.post.TopK(q, 5, m); err == nil || !strings.Contains(err.Error(), m.Name()) {
 			t.Errorf("Postings.TopK under %s: %v", m.Name(), err)
 		}
-		if _, _, err := tree.post.ApproxTopK(q, 5, m, ApproxOptions{Epsilon: 0.1}); err == nil || !strings.Contains(err.Error(), m.Name()) {
-			t.Errorf("Postings.ApproxTopK under %s: %v", m.Name(), err)
-		}
 		if _, err := tree.post.Rank(q, 5, 0.5, nil, m); err == nil || !strings.Contains(err.Error(), m.Name()) {
 			t.Errorf("Postings.Rank under %s: %v", m.Name(), err)
 		}

@@ -21,7 +21,8 @@ type RankQuery struct {
 	Visits []Visit
 	// Want caps the matches (≥ 1), Floor is the least degree returned, and
 	// Keep, when not nil, admits the candidates that may be returned and
-	// counted: it is asked before a candidate is scored.
+	// counted: it is asked last, of a candidate the bucket and size bounds
+	// leave in, just before it is scored.
 	Want  int
 	Floor float64
 	Keep  func(entity string) bool

@@ -34,10 +34,12 @@ package shard
 //     own matches, whatever their order.
 //
 // Ownership is checked inside each shard's search, against the slot mask of
-// the query's pinned map, before a candidate is scored: a copy the map does
-// not assign to the shard (a migration's source or target mid-move) is never
-// returned and never counts toward the cap, so every entity contributes
-// exactly its owner's copy. Under ingest racing new entities onto one shard,
+// the query's pinned map, after the bucket and size bounds and before a
+// candidate is scored: a copy the map does not assign to the shard (a
+// migration's source or target mid-move) is never returned and never counts
+// toward the cap, so every entity contributes exactly its owner's copy, and a
+// candidate the bounds drop is never hashed. A refused copy the bounds drop
+// may raise the reply's Bound, which stays admissible. Under ingest racing new entities onto one shard,
 // shard-local ID order can disagree with the registry's arrival order; the
 // answer's degrees stay exact, and only the order among racing tied entities
 // depends on the interleaving.

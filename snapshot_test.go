@@ -266,7 +266,7 @@ func TestSwappedSnapshotSaveLoad(t *testing.T) {
 	}
 }
 
-// TestLookupErrorsNameTheEntity: Degree and TopKApprox identify which entity
+// TestLookupErrorsNameTheEntity: Degree and TopK identify which entity
 // is missing instead of the old anonymous "entity has no indexed visits".
 func TestLookupErrorsNameTheEntity(t *testing.T) {
 	db, err := SyntheticCity(CityConfig{Side: 4, Entities: 10, Days: 2})
@@ -279,8 +279,8 @@ func TestLookupErrorsNameTheEntity(t *testing.T) {
 	if _, err := db.Degree("entity-0", "ghost"); err == nil || !strings.Contains(err.Error(), `"ghost"`) {
 		t.Errorf("Degree unknown-entity error does not name the entity: %v", err)
 	}
-	if _, _, err := db.TopKApprox("ghost", 3, 0); err == nil || !strings.Contains(err.Error(), `"ghost"`) {
-		t.Errorf("TopKApprox unknown-entity error does not name the entity: %v", err)
+	if _, _, err := db.TopK("ghost", 3); err == nil || !strings.Contains(err.Error(), `"ghost"`) {
+		t.Errorf("TopK unknown-entity error does not name the entity: %v", err)
 	}
 
 	// An entity registered after the pinned snapshot: reach the not-indexed
