@@ -58,10 +58,11 @@ type Engine interface {
 	// the open is an error, never a silently different answer; the image
 	// brings the names past them (all of them, into an empty engine).
 	OpenIndex(path string) error
-	// NumEntities, NumVenues and Levels describe the data shape.
+	// NumEntities, NumVenues, Levels and TimeUnit describe the data shape.
 	NumEntities() int
 	NumVenues() int
 	Levels() int
+	TimeUnit() time.Duration
 	// IndexStats describes the built index (aggregated, for compositions).
 	IndexStats() IndexStats
 	// Tracer exposes the engine's query-trace ring — nil when tracing is

@@ -146,27 +146,41 @@ func (ci *cellIndex) memoryBytes() int {
 }
 
 // scratch is the state one search recycles through scratchPool: the query's
-// view of the cell index and the bound-ordered candidates drawn from it.
+// view of the cell index, split into tiers, and the candidates bucketed from
+// the tiers the frontier reached.
 type scratch struct {
-	// mask[e] has bit min(i, 63) set when e is posted under the query's i-th
-	// level-1 cell, for every posted ID e (mark sizes it to the largest), and
-	// hits holds every entity with a non-zero mask, in the order stamp met
-	// them. All zero or empty while pooled: release clears exactly the
-	// entries of hits.
+	// mask[e] has bit min(j, 63) set when e is posted under the j-th of the
+	// query's level-1 cells in stamp order — shortest posting list first —
+	// for every posted ID e (mark sizes it to the largest), and hits holds
+	// every entity with a non-zero mask, in the order stamp met them. All zero
+	// or empty while pooled: release clears exactly the entries of hits.
 	mask []uint64
 	hits []trace.EntityID
-	// under[i*m+l-1] counts the query's level-l cells below its i-th level-1
-	// cell (bit 63 stands for every cell from the 64th on).
-	under []int
-	x     []int // the overlap vector of the bucket bound or visited
-	bs    []int // a candidate's level sizes (sizedBound)
-	// The candidates (rankCandidates): one bucket per distinct mask among the
-	// hits, rank lists the bucket ids by bound descending, order holds the
-	// candidates bucket after bucket in that order. slots is the table that
+	// ints is one allocation, carved per query (carve) into the slices below.
+	ints []int
+	// cells[j] is the index in the query's level-1 cells of the j-th stamped
+	// one, and pos its inverse; size[i] is the i-th cell's posting count.
+	cells, pos, size []int
+	// Tier j is hits[tiers[j]:tiers[j+1]], the hits first met under the j-th
+	// stamped cell — bit j and bits above it only. The cells from the 64th on
+	// share bit 63 and form one tier, the last.
+	tiers []int
+	// under[j*m+l-1] counts the query's level-l cells below the j-th stamped
+	// cell (row 63 stands for every cell from the 64th on), and rx sums
+	// the rows of the next tier to bucket and all after it: the overlap
+	// vector of the frontier's reach.
+	under, rx []int
+	x         []int // the overlap vector of the bucket bound or visited
+	bs        []int // a candidate's level sizes (sizedBound)
+	// The candidates of the bucketed tiers (rankTier): one bucket per distinct
+	// mask, queue the unvisited ones as a heap (bucketBefore), order their
+	// candidates bucket after bucket and tier after tier. A mask's tier is its
+	// lowest bit, so no two tiers share a bucket. slots is the table that
 	// finds a mask's bucket (id + 1, open addressing, at most half full) and
-	// bkt[i] the bucket of hits[i], -1 for a hit that is no candidate.
+	// bkt[i] the bucket of the tier's i-th hit, -1 for a hit that is no
+	// candidate.
 	buckets []bucket
-	rank    []int32
+	queue   []bucket
 	order   []trace.EntityID
 	slots   []int32
 	bkt     []int32
@@ -180,7 +194,36 @@ type bucket struct {
 	n, end int
 }
 
+// bucketBefore is the queue's order: bound descending, then the larger
+// bucket, then the smaller mask.
+func bucketBefore(a, b bucket) bool {
+	if a.ub != b.ub {
+		return a.ub > b.ub
+	}
+	if a.n != b.n {
+		return a.n > b.n
+	}
+	return a.mask < b.mask
+}
+
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// carve lays out the scratch's int slices for a query of r level-1 cells at
+// m levels, all zero.
+func (sc *scratch) carve(r, m int) {
+	t := min(r, 64)
+	n := 3*r + t + 1 + (t+3)*m
+	sc.ints = slices.Grow(sc.ints[:0], n)[:n]
+	clear(sc.ints)
+	rest := sc.ints
+	take := func(n int) []int {
+		s := rest[:n:n]
+		rest = rest[n:]
+		return s
+	}
+	sc.cells, sc.pos, sc.size, sc.tiers = take(r), take(r), take(r), take(t+1)
+	sc.under, sc.rx, sc.x, sc.bs = take(t*m), take(m), take(m), take(m)
+}
 
 // maskOf returns e's mask: 0 for an entity under none of the query's level-1
 // cells, such as one posted nowhere.
@@ -191,14 +234,16 @@ func (sc *scratch) maskOf(e trace.EntityID) uint64 {
 	return 0
 }
 
-// mark fills the scratch's view of the cell index for the query — masks,
-// bounds and the candidates in bound order. The postings serve only a measure
-// that bounds an entity with no overlap by 0, so that an entity no posting
-// list names has degree exactly 0; any other is refused by name.
+// mark fills the scratch's view of the cell index for the query — the masks,
+// the tiers and the reach of the first — and queues nothing: the frontier
+// buckets a tier only once its reach is in the running (visit). The postings
+// serve only a measure that bounds an entity with no overlap by 0, so that an
+// entity no posting list names has degree exactly 0; any other is refused by
+// name.
 func (f *frontier) mark() error {
 	sc, ci, m := f.pooled, f.p.cells, f.p.m
-	xs := append(sc.x[:0], make([]int, 2*m)...) // one array for both, so a fresh scratch allocates once
-	sc.x, sc.bs = xs[:m], xs[m:]
+	roots := f.q.At(1)
+	sc.carve(len(roots), m)
 	if ub := f.measure.UpperBound(sc.x, f.qCounts, nil); ub != 0 {
 		return fmt.Errorf("core: measure %s bounds an entity sharing no cell with the query by %v, not 0, so the postings cannot serve it (Tree.SignatureTopK can)", f.measure.Name(), ub)
 	}
@@ -207,81 +252,132 @@ func (f *frontier) mark() error {
 		sc.mask = make([]uint64, n)
 	}
 	sc.mask = sc.mask[:n]
+	for i, c := range roots {
+		sealed, added := ci.postings(c)
+		sc.cells[i], sc.size[i] = i, len(sealed)+len(added)
+	}
+	slices.SortStableFunc(sc.cells, func(a, b int) int { return cmp.Compare(sc.size[a], sc.size[b]) })
+	for j, i := range sc.cells {
+		sc.pos[i] = j
+	}
 	f.stamp()
-	roots := f.q.At(1)
-	sc.under = append(sc.under[:0], make([]int, min(len(roots), 64)*m)...)
 	for l := 1; l <= m; l++ {
 		for _, c := range f.q.At(l) {
 			i, _ := slices.BinarySearch(roots, trace.MakeCell(c.Time(), f.p.ix.Root(c.Unit())))
-			sc.under[min(i, 63)*m+l-1]++
+			sc.under[min(sc.pos[i], 63)*m+l-1]++
+			sc.rx[l-1]++
 		}
 	}
-	f.rankCandidates()
+	f.tier, f.reach = 0, f.measure.UpperBound(sc.rx, f.qCounts, nil)
+	sc.buckets, sc.queue = sc.buckets[:0], sc.queue[:0]
+	sc.rehash(max(64, len(sc.slots))) // no buckets yet: an empty table
+	sc.order = slices.Grow(sc.order[:0], len(sc.hits))
 	// Every entity other than the query is a candidate still to score or
 	// posted nowhere the query is; visit moves the scored ones to Checked.
-	f.stats.BoundSkipped = len(sc.order)
-	f.stats.ZeroSkipped = f.n - len(sc.order)
+	candidates := len(sc.hits)
+	if f.p.removed {
+		for _, e := range sc.hits {
+			if !f.candidate(e) {
+				candidates--
+			}
+		}
+	} else if sc.maskOf(f.q.Entity) != 0 {
+		candidates--
+	}
+	f.stats.BoundSkipped = candidates
+	f.stats.ZeroSkipped = f.n - candidates
 	return nil
 }
 
-// stamp sets the bit of each of the query's level-1 cells in the mask of
-// every entity posted under it, recording an entity in hits the first time.
+// stamp sets the bit of each of the query's level-1 cells, in stamp order, in
+// the mask of every entity posted under it, recording an entity in hits the
+// first time and where each tier of hits begins.
 func (f *frontier) stamp() {
 	sc := f.pooled
-	mask, hits := sc.mask, sc.hits
-	for i, c := range f.q.At(1) {
-		bit := uint64(1) << min(i, 63)
-		sealed, added := f.p.cells.postings(c)
+	posted := 0
+	for _, n := range sc.size {
+		posted += n
+	}
+	// Room for every posting, so each is written at the cursor and kept by
+	// moving it only if new: no branch on the mask just loaded.
+	hits := slices.Grow(sc.hits[:0], posted)[:posted]
+	mask, roots, last, n := sc.mask, f.q.At(1), len(sc.tiers)-1, 0
+	for j, i := range sc.cells {
+		if j < last {
+			sc.tiers[j] = n
+		}
+		bit := uint64(1) << min(j, 63)
+		sealed, added := f.p.cells.postings(roots[i])
 		for _, list := range [2][]trace.EntityID{sealed, added} {
 			for _, e := range list {
-				if mask[e] == 0 {
-					hits = append(hits, e)
+				old := mask[e]
+				mask[e] = old | bit
+				hits[n] = e
+				if old == 0 {
+					n++
 				}
-				mask[e] |= bit
 			}
 		}
 	}
-	sc.hits = hits
+	sc.tiers[last] = n
+	sc.hits = hits[:n]
 }
 
-// rankCandidates groups the hits by mask and lays them out in descending
-// bound order, the order every posting-driven search scores them in: a
-// counting sort over the distinct masks, far fewer than the hits. A hit that
-// is the query itself, or the stale pair of a removed entity, is no candidate.
-func (f *frontier) rankCandidates() {
-	sc := f.pooled
-	sc.rehash(max(64, len(sc.slots))) // no buckets yet: an empty table
+// candidate reports whether a hit is ever scored: it is not the query itself,
+// nor the stale pair of a removed entity.
+func (f *frontier) candidate(e trace.EntityID) bool {
+	return e != f.q.Entity && !(f.p.removed && !f.p.Contains(e))
+}
+
+// pending reports whether a tier is left to bucket.
+func (f *frontier) pending() bool { return f.tier < len(f.pooled.tiers)-1 }
+
+// rankTier buckets the next tier: it groups the tier's candidates by mask,
+// bounds the buckets, lays the candidates out on order bucket after bucket (a
+// counting sort over the tier's distinct masks, far fewer than its hits) and
+// queues the buckets. Then it moves the reach to the tier after.
+func (f *frontier) rankTier() {
+	sc, j := f.pooled, f.tier
+	hits := sc.hits[sc.tiers[j]:sc.tiers[j+1]]
+	first := len(sc.buckets)
 	sc.bkt = sc.bkt[:0]
 	last := int32(-1) // neighbours in a posting list often share their mask
-	for _, e := range sc.hits {
-		if e == f.q.Entity || f.p.removed && !f.p.Contains(e) {
+	for _, e := range hits {
+		if !f.candidate(e) {
 			sc.bkt = append(sc.bkt, -1)
 			continue
 		}
-		if mask := sc.maskOf(e); last < 0 || sc.buckets[last].mask != mask {
+		if mask := sc.mask[e]; last < 0 || sc.buckets[last].mask != mask {
 			last = sc.bucketOf(mask)
 		}
 		sc.buckets[last].n++
 		sc.bkt = append(sc.bkt, last)
 	}
-	sc.rank = sc.rank[:0]
-	for id := range sc.buckets {
-		sc.buckets[id].ub = f.bound(sc.buckets[id].mask)
-		sc.rank = append(sc.rank, int32(id))
+	total := len(sc.order)
+	for id := first; id < len(sc.buckets); id++ {
+		b := &sc.buckets[id]
+		b.ub = f.bound(b.mask)
+		b.end = total // the scatter's cursor: it stops at the bucket's end
+		total += b.n
 	}
-	slices.SortFunc(sc.rank, func(a, b int32) int { return cmp.Compare(sc.buckets[b].ub, sc.buckets[a].ub) })
-	total := 0
-	for _, id := range sc.rank {
-		sc.buckets[id].end = total // the scatter's cursor: it stops at the bucket's end
-		total += sc.buckets[id].n
-	}
-	sc.order = slices.Grow(sc.order[:0], total)[:total]
+	sc.order, f.stats.bucketed = sc.order[:total], total
 	for i, id := range sc.bkt {
 		if id >= 0 {
 			b := &sc.buckets[id]
-			sc.order[b.end] = sc.hits[i]
+			sc.order[b.end] = hits[i]
 			b.end++
 		}
+	}
+	for _, b := range sc.buckets[first:] {
+		sc.queue = heapPush(sc.queue, b, bucketBefore)
+	}
+	f.tier++
+	if f.pending() {
+		m := len(sc.rx)
+		for l := range sc.rx {
+			sc.rx[l] -= sc.under[j*m+l]
+		}
+		f.reach = f.measure.UpperBound(sc.rx, f.qCounts, nil)
 	}
 }
 
@@ -327,7 +423,7 @@ func (f *frontier) release() {
 	for _, e := range sc.hits {
 		sc.mask[e] = 0
 	}
-	sc.hits, sc.buckets = sc.hits[:0], sc.buckets[:0]
+	sc.hits = sc.hits[:0]
 	f.pooled = nil
 	scratchPool.Put(sc)
 }

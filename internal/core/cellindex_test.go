@@ -826,6 +826,139 @@ func TestSizedBoundSaturation(t *testing.T) {
 	check("parent", post)
 }
 
+// TestTiersBucketOnlyWhatTheFrontierReaches: the frontier buckets a tier of
+// hits only once its reach is in the running. A hub cell's long posting list
+// is stamped last, so the entities only it names form the last tier; with its
+// reach below the k-th degree (or a floor), TopK and Rank must answer exactly
+// without bucketing any of them. And past 64 level-1 cells, the cells that
+// share bit 63 form one tier, so no mask is bucketed twice and no entity comes
+// back twice.
+func TestTiersBucketOnlyWhatTheFrontierReaches(t *testing.T) {
+	ix := forest(4)
+	at := func(t trace.Time, base int) trace.Cell { return trace.MakeCell(t, ix.BaseUnit(spindex.BaseID(base))) }
+	t.Run("hub", func(t *testing.T) {
+		st := trace.NewStore(ix)
+		var ids []trace.EntityID
+		put := func(cells ...trace.Cell) {
+			e := trace.EntityID(st.Len())
+			st.Put(trace.NewSequencesFromCells(ix, e, cells))
+			ids = append(ids, e)
+		}
+		query := []trace.Cell{at(1, 0), at(2, 1), at(3, 2), at(10, 4)} // three level-1 cells under root 0, the hub under root 1
+		for range 6 {
+			put(query...) // the query and five copies
+		}
+		for i := range 4 {
+			put(at(2, 1), at(10, 4+i)) // first met under the second cell
+		}
+		hubOnly := 60
+		for i := range hubOnly {
+			put(at(10, 4+i%4), at(trace.Time(20+i%7), 8+i%8), at(trace.Time(30+i%5), 12+i%4))
+		}
+		post, err := BuildPostings(ix, st, ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := st.Get(0)
+		for _, m := range cellMeasures(t) {
+			f, err := post.newFrontier(q, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc, hub := f.pooled, len(f.pooled.tiers)-2
+			if got := sc.tiers[hub+1] - sc.tiers[hub]; hub != 3 || got != hubOnly {
+				t.Fatalf("fixture %s: the last of %d tiers holds %d hits, want the %d only the hub names", m.Name(), hub+1, got, hubOnly)
+			}
+			// The hits met before the hub tier, the query among them: a
+			// search that buckets more candidates reached the hub tier.
+			before := sc.tiers[hub]
+			top, reach := m.Degree(q, q), f.bound(1<<hub)
+			f.release()
+			if !(reach < top) {
+				t.Fatalf("fixture %s: the hub tier's reach %v is not below the copies' degree %v", m.Name(), reach, top)
+			}
+			for k := 1; k <= 5; k++ {
+				label := fmt.Sprintf("hub k=%d", k)
+				requireExact(t, label, post, q, k, m)
+				got, stats, err := post.TopK(q, k, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := BruteForceTopK(st, ids, q, k, m); !slices.Equal(got, want) || stats.bucketed > before {
+					t.Fatalf("%s %s: TopK %v bucketing %d candidates, want %v bucketing at most the %d hits before the hub tier", label, m.Name(), got, stats.bucketed, want, before)
+				}
+				odd := func(e trace.EntityID) bool { return e%2 == 1 }
+				if r := requireRank(t, label, post, q, m, k, top, odd); r.Stats.bucketed > before {
+					t.Fatalf("%s %s: Rank at floor %v bucketed %d candidates, more than the %d hits before the hub tier", label, m.Name(), top, r.Stats.bucketed, before)
+				}
+			}
+			for k := 6; k <= len(ids); k += 7 {
+				requireExact(t, fmt.Sprintf("hub k=%d", k), post, q, k, m)
+			}
+		}
+	})
+
+	t.Run("past 64 cells", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(5))
+		st := trace.NewStore(ix)
+		var ids []trace.EntityID
+		put := func(cells []trace.Cell) {
+			e := trace.EntityID(st.Len())
+			st.Put(trace.NewSequencesFromCells(ix, e, cells))
+			ids = append(ids, e)
+		}
+		const hours = 70 // the query's level-1 cells: (h, root 0) for every hour
+		var query []trace.Cell
+		for h := range hours {
+			query = append(query, at(trace.Time(h), h%4))
+		}
+		put(query)
+		// Entity i is posted under the cells of hours i and on, so hour h's
+		// list holds h+2 entities — every length distinct — and the entities
+		// first met from the 64th cell on all carry bit 63 alone.
+		for i := range hours {
+			var cells []trace.Cell
+			for h := i; h < hours; h++ {
+				cells = append(cells, at(trace.Time(h), rng.Intn(4)))
+			}
+			put(cells)
+		}
+		for range 20 { // strays under other roots: posted nowhere the query is
+			put([]trace.Cell{at(trace.Time(rng.Intn(hours)), 4+rng.Intn(12))})
+		}
+		post, err := BuildPostings(ix, st, ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := st.Get(0)
+		lengths := map[int]bool{}
+		for _, c := range q.At(1) {
+			sealed, added := post.cells.postings(c)
+			lengths[len(sealed)+len(added)] = true
+		}
+		if len(q.At(1)) != hours || len(lengths) != hours {
+			t.Fatalf("fixture: the query has %d level-1 cells and %d distinct list lengths, want %d of each", len(q.At(1)), len(lengths), hours)
+		}
+		for _, m := range cellMeasures(t) {
+			requireMarksSound(t, "past 64 cells", post, q, m)
+			for k := 1; k <= len(ids); k++ {
+				requireExact(t, fmt.Sprintf("past 64 cells k=%d", k), post, q, k, m)
+				got, _, err := post.TopK(q, k, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				seen := map[trace.EntityID]bool{}
+				for _, r := range got {
+					if seen[r.Entity] {
+						t.Fatalf("past 64 cells k=%d %s: entity %d returned twice in %v", k, m.Name(), r.Entity, got)
+					}
+					seen[r.Entity] = true
+				}
+			}
+		}
+	})
+}
+
 // TestDeriveChainResizes re-indexes entities along a chain of Derives with
 // sequences both smaller and larger than before — the stale pairs of a shrunk
 // entity stay posted while its table entry is its current sizes — through the
@@ -1024,7 +1157,7 @@ func TestRemovedEntityIsNoCandidate(t *testing.T) {
 
 // TestConcurrentSearchesShareNoScratch runs TopK and Rank under
 // floors and filters on one index from several goroutines (go test -race):
-// the pooled scratch holds a query's masks, buckets and ordered candidates.
+// the pooled scratch holds a query's masks, tiers, bucket heap and candidates.
 func TestConcurrentSearchesShareNoScratch(t *testing.T) {
 	_, st, tree := buildRandomPostings(t, 71, 120)
 	m := measuresFor(t, 3)[0]

@@ -35,6 +35,8 @@ type SearchStats struct {
 	CellsHashed  int     // query-cell hash evaluations
 	PE           float64 // (Checked − k) / |E|, Definition 5
 	Pruned       float64 // 1 − Checked/|E|
+
+	bucketed int // candidates a posting-driven search bucketed: those of the tiers it reached
 }
 
 // Reached returns the entities the search arrived at, scored or not. On the
@@ -140,10 +142,10 @@ func (b *kBest) ranked() []Result {
 	return b.h
 }
 
-// frontier is the best-first state of one search: the buckets of candidates
-// the postings of the query's level-1 cells yield, in descending order of
-// their Theorem-4 bound in the pooled scratch, with the rest of the
-// population behind them at bound 0.
+// frontier is the best-first state of one search over the pooled scratch: the
+// queued buckets of candidates the postings of the query's level-1 cells
+// yield, best Theorem-4 bound first, the tiers of hits not yet bucketed behind
+// their reach, and the rest of the population behind both at bound 0.
 type frontier struct {
 	p       *Postings
 	q       *trace.Sequences
@@ -151,7 +153,8 @@ type frontier struct {
 	qCounts []int
 	n       int                       // indexed entities other than the query
 	pooled  *scratch                  // the query's candidates; nil once released
-	pos     int                       // the next bucket is pooled.rank[pos]
+	tier    int                       // the next tier to bucket
+	reach   float64                   // a bound on every hit of that tier and all after it
 	floor   float64                   // nothing bounded below it is scored or returned
 	keep    func(trace.EntityID) bool // nil, or the candidates it admits; asked after the bounds, before scoring
 	passed  float64                   // the largest bound or degree of a candidate passed over unreturned
@@ -159,8 +162,7 @@ type frontier struct {
 }
 
 // newFrontier validates the query and the measure against the index and
-// queues the buckets of the query's candidates. A search that ends calls
-// release.
+// marks the query's candidates. A search that ends calls release.
 func (p *Postings) newFrontier(q *trace.Sequences, measure adm.Measure) (*frontier, error) {
 	if q.Levels() != p.m {
 		return nil, fmt.Errorf("core: query has %d levels, index has %d", q.Levels(), p.m)
@@ -182,30 +184,42 @@ func (p *Postings) newFrontier(q *trace.Sequences, measure adm.Measure) (*fronti
 	return f, nil
 }
 
-// peek returns the largest bound among the queued buckets — 0 behind the
-// last one, where only the entities no posting list named are left; ok is
+// peek returns the largest bound on what is still queued: the best queued
+// bucket's bound or the next tier's reach, whichever is larger — 0 once both
+// are spent, where only the entities no posting list named are left; ok is
 // false once the search is released.
 func (f *frontier) peek() (ub float64, ok bool) {
 	sc := f.pooled
 	if sc == nil {
 		return 0, false
 	}
-	if f.pos < len(sc.rank) {
-		return sc.buckets[sc.rank[f.pos]].ub, true
+	if len(sc.queue) > 0 {
+		ub = sc.queue[0].ub
 	}
-	return 0, true
+	if f.pending() {
+		ub = max(ub, f.reach)
+	}
+	return ub, true
 }
 
-// visit dequeues the bucket peek reported: its candidates are scored exactly
-// and offered to best. A candidate that is sure to miss the answer (beaten) at
-// its bucket's bound, or at the bound its own level sizes give once there is a
-// cut to miss, is dropped as offer would drop it, and so is a scored degree
-// below the floor. keep is asked last, of a candidate about to be scored, and
-// one it refuses is skipped unscored: the bound checks are arithmetic on the
+// visit takes the step behind what peek reported. While the next tier's reach
+// is at least the best queued bucket's bound, that tier may hold a better
+// bucket, so visit buckets it (rankTier) and scores nothing. Otherwise it
+// dequeues the best bucket: its candidates are scored exactly and offered to
+// best. A candidate that is sure to miss the answer (beaten) at its bucket's
+// bound, or at the bound its own level sizes give once there is a cut to
+// miss, is dropped as offer would drop it, and so is a scored degree below
+// the floor. keep is asked last, of a candidate about to be scored, and one
+// it refuses is skipped unscored: the bound checks are arithmetic on the
 // scratch, while keep may resolve and hash a name.
 func (f *frontier) visit(best *kBest) error {
 	sc := f.pooled
-	b := &sc.buckets[sc.rank[f.pos]]
+	if f.pending() && (len(sc.queue) == 0 || f.reach >= sc.queue[0].ub) {
+		f.rankTier()
+		return nil
+	}
+	var b bucket
+	b, sc.queue = heapPop(sc.queue, bucketBefore)
 	f.overlap(b.mask)
 	for _, e := range sc.order[b.end-b.n : b.end] {
 		if f.beaten(best, Result{e, b.ub}) ||
@@ -226,7 +240,6 @@ func (f *frontier) visit(best *kBest) error {
 		}
 		best.offer(Result{Entity: e, Degree: d})
 	}
-	f.pos++
 	return nil
 }
 
@@ -245,16 +258,20 @@ func (f *frontier) beaten(best *kBest, r Result) bool {
 // admits reports whether keep admits e (every entity when keep is nil).
 func (f *frontier) admits(e trace.EntityID) bool { return f.keep == nil || f.keep(e) }
 
-// rest calls fn for every entity still queued, the unscored candidates and
-// the entity table's entries no posting list named. Sound as a way to settle
-// them without touching the sequence source only once peek reports 0:
-// admissibility plus non-negative degrees then force every remaining degree
-// to exactly 0.
+// rest calls fn for every entity still queued: the candidates of the queued
+// buckets, those of the tiers not yet bucketed, and the entity table's
+// entries no posting list named. Sound as a way to settle them without
+// touching the sequence source only once peek reports 0: admissibility plus
+// non-negative degrees then force every remaining degree to exactly 0.
 func (f *frontier) rest(fn func(trace.EntityID)) {
 	sc := f.pooled
-	if f.pos < len(sc.rank) {
-		b := sc.buckets[sc.rank[f.pos]]
-		for _, e := range sc.order[b.end-b.n:] {
+	for _, b := range sc.queue {
+		for _, e := range sc.order[b.end-b.n : b.end] {
+			fn(e)
+		}
+	}
+	for _, e := range sc.hits[sc.tiers[f.tier]:] {
+		if f.candidate(e) {
 			fn(e)
 		}
 	}
@@ -284,10 +301,12 @@ func (f *frontier) finish(answers int) SearchStats {
 //
 // The candidates are the entities posted under the query's level-1 cells,
 // bucketed by which of them they occupy and scored bucket by bucket in bound
-// order. That needs a measure that bounds an entity sharing no cell with the
-// query by 0 — every entity no posting list names then has degree exactly 0
-// — and any other measure is refused with an error naming it
-// (Tree.SignatureTopK serves those).
+// order; the hits first met under a cell with a long posting list are
+// bucketed only once the bound on all they can share is in reach. That needs
+// a measure that bounds an entity sharing no cell with the query by 0 —
+// every entity no posting list names then has degree exactly 0 — and any
+// other measure is refused with an error naming it (Tree.SignatureTopK
+// serves those).
 //
 // The answer is canonical: it is exactly the first k entries of the total
 // order (degree descending, entity ID ascending) over the population.

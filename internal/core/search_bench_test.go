@@ -15,13 +15,17 @@ import (
 // devices, detection 0.05, a 32×32 grid of 4 levels, 14 days) under the
 // paper measure u = v = 2, k = 10, over a fixed sequence of random queries.
 // "topk" is Postings.TopK end to end and reports the exact degrees it
-// computed (checked/op); "mark" is newFrontier alone — stamp the query's
-// postings, bucket the hits, rank the buckets — and reports the candidates it
-// queues (candidates/op). Scoring is the difference of the two. "rank" is
-// one non-home shard's call of a 4-shard cluster query: Rank for want 11 at
-// the query's own k-th degree, under a filter that admits every fourth entity
-// ID; it reports the exact degrees computed (checked/op) and the filter's
-// calls (keeps/op).
+// computed (checked/op) and the candidates of the tiers it bucketed
+// (bucketed/op). "mark" is newFrontier alone — stamp the query's postings
+// shortest list first, lay out the tiers and the first one's reach — and
+// reports the hits it stamped (hits/op); it buckets nothing, so bucketing the
+// reached tiers and scoring are the difference of the two (before tiers,
+// "mark" also bucketed and ranked every hit, so its older figures are not
+// comparable). "rank" is one non-home shard's call of a 4-shard cluster
+// query: Rank for want 11 at the query's own k-th degree, under a filter that
+// admits every fourth entity ID; it reports the exact degrees computed
+// (checked/op), the candidates bucketed (bucketed/op) and the filter's calls
+// (keeps/op).
 func BenchmarkPostingsSearch(b *testing.B) {
 	ix, err := spindex.NewGrid(spindex.DefaultGridConfig(32))
 	if err != nil {
@@ -49,7 +53,7 @@ func BenchmarkPostingsSearch(b *testing.B) {
 		queries[i] = st.Get(trace.EntityID(rng.Intn(post.Len())))
 	}
 	b.Run("topk", func(b *testing.B) {
-		n, checked := 0, 0
+		n, checked, bucketed := 0, 0, 0
 		b.ReportAllocs()
 		for ; b.Loop(); n++ {
 			_, stats, err := post.TopK(queries[n%len(queries)], 10, m)
@@ -57,8 +61,10 @@ func BenchmarkPostingsSearch(b *testing.B) {
 				b.Fatal(err)
 			}
 			checked += stats.Checked
+			bucketed += stats.bucketed
 		}
 		b.ReportMetric(float64(checked)/float64(n), "checked/op")
+		b.ReportMetric(float64(bucketed)/float64(n), "bucketed/op")
 	})
 	b.Run("rank", func(b *testing.B) {
 		floors := make([]float64, len(queries))
@@ -69,7 +75,7 @@ func BenchmarkPostingsSearch(b *testing.B) {
 			}
 			floors[i] = res[len(res)-1].Degree
 		}
-		n, checked, keeps := 0, 0, 0
+		n, checked, bucketed, keeps := 0, 0, 0, 0
 		keep := func(e trace.EntityID) bool { keeps++; return e%4 == 0 }
 		b.ReportAllocs()
 		for ; b.Loop(); n++ {
@@ -78,21 +84,23 @@ func BenchmarkPostingsSearch(b *testing.B) {
 				b.Fatal(err)
 			}
 			checked += r.Stats.Checked
+			bucketed += r.Stats.bucketed
 		}
 		b.ReportMetric(float64(checked)/float64(n), "checked/op")
+		b.ReportMetric(float64(bucketed)/float64(n), "bucketed/op")
 		b.ReportMetric(float64(keeps)/float64(n), "keeps/op")
 	})
 	b.Run("mark", func(b *testing.B) {
-		n, candidates := 0, 0
+		n, hits := 0, 0
 		b.ReportAllocs()
 		for ; b.Loop(); n++ {
 			f, err := post.newFrontier(queries[n%len(queries)], m)
 			if err != nil {
 				b.Fatal(err)
 			}
-			candidates += len(f.pooled.order)
+			hits += len(f.pooled.hits)
 			f.release()
 		}
-		b.ReportMetric(float64(candidates)/float64(n), "candidates/op")
+		b.ReportMetric(float64(hits)/float64(n), "hits/op")
 	})
 }

@@ -294,6 +294,9 @@ func (s *Server) handleVisits(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "no visits in request")
 		return
 	}
+	if !s.checkVisitUnits(w, req.Visits) {
+		return
+	}
 	recs := make([]digitaltraces.VisitRecord, len(req.Visits))
 	for i, v := range req.Visits {
 		recs[i] = digitaltraces.VisitRecord{Entity: v.Entity, Venue: v.Venue, Start: v.Start, End: v.End}
@@ -658,6 +661,37 @@ func (s *Server) checkK(w http.ResponseWriter, k int) bool {
 	if k < 1 || k > s.maxK {
 		s.fail(w, http.StatusBadRequest, "k %d outside [1,%d]", k, s.maxK)
 		return false
+	}
+	return true
+}
+
+// maxVisitUnits caps the time units (the engine's TimeUnit) one /visits
+// request's visits may last in total: 2^18, 30 years at the default hour.
+// What storing and indexing a visit costs grows with the units it lasts, not
+// with its bytes on the wire — about 190 bytes a unit once the engine has an
+// index, so 50 MB at the cap — and without it one short body could ask for
+// gigabytes.
+const maxVisitUnits = 1 << 18
+
+// checkVisitUnits rejects a /visits request whose visits last more than
+// maxVisitUnits in total, each rounded up to whole units, before anything is
+// stored. An empty or reversed span counts 0: the engine refuses it by name.
+func (s *Server) checkVisitUnits(w http.ResponseWriter, visits []Visit) bool {
+	unit, total := s.eng.TimeUnit(), int64(0)
+	if unit <= 0 {
+		return true // a zero-value engine stores nothing
+	}
+	for _, v := range visits {
+		d := max(v.End.Sub(v.Start), 0)
+		n := int64(d / unit)
+		if d%unit != 0 {
+			n++
+		}
+		if n > maxVisitUnits-total {
+			s.failVisits(w, http.StatusBadRequest, 0, fmt.Errorf("visits last more than %d time units (%v each) in total; split the request", maxVisitUnits, unit))
+			return false
+		}
+		total += n
 	}
 	return true
 }

@@ -304,6 +304,48 @@ func TestVisitsFoldFailure(t *testing.T) {
 	}
 }
 
+// TestVisitsRequestSpanIsBounded: what a visit costs grows with the time
+// units it lasts, so one request's visits may last at most maxVisitUnits
+// units in total. A request past the cap is refused with a 400 that names it,
+// before anything is stored, whether one visit or the sum of many passes it;
+// a request at the cap is stored.
+func TestVisitsRequestSpanIsBounded(t *testing.T) {
+	db, ts := newTestServer(t)
+	epoch := time.Unix(0, 0).UTC()
+	stay := func(entity string, from, hours int) Visit {
+		start := epoch.Add(time.Duration(from) * time.Hour)
+		return Visit{Entity: entity, Venue: "venue-0", Start: start, End: start.Add(time.Duration(hours) * time.Hour)}
+	}
+	const half = maxVisitUnits / 2
+	entities := db.NumEntities()
+	for label, visits := range map[string][]Visit{
+		"one long visit": {stay("long", 0, maxVisitUnits+1)},
+		"many visits":    {stay("long", 0, half), stay("long", half, half/2), stay("other", 0, half/2+1)},
+	} {
+		var ing VisitsResponse
+		code, body := postJSON(t, ts.URL+"/visits", VisitsRequest{Visits: visits}, nil)
+		if code != http.StatusBadRequest || json.Unmarshal([]byte(body), &ing) != nil {
+			t.Fatalf("%s past the cap: %d: %s, want 400", label, code, body)
+		}
+		if ing.Added != 0 || !strings.Contains(ing.Error, fmt.Sprintf("%d time units", maxVisitUnits)) {
+			t.Fatalf("%s past the cap: reply %+v, want nothing added and the cap named", label, ing)
+		}
+	}
+	if n := db.NumEntities(); n != entities {
+		t.Fatalf("refused requests registered %d entities", n-entities)
+	}
+	// At the cap, on a DB with no index yet: the visits are stored, not folded.
+	fresh, err := digitaltraces.SyntheticCity(digitaltraces.CityConfig{Side: 4, Entities: 4, Days: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := httptest.NewServer(New(fresh))
+	defer at.Close()
+	if code, body := postJSON(t, at.URL+"/visits", VisitsRequest{Visits: []Visit{stay("long", 0, half), stay("other", 0, half)}}, nil); code != http.StatusOK {
+		t.Fatalf("a request at the cap: %d: %s", code, body)
+	}
+}
+
 // TestVisitsPastBuiltDataRefreshIncrementally: visits far past everything
 // the index was built over, posted with refresh, fold in incrementally —
 // /stats shows one more generation, the build time kept and the refresh's own

@@ -511,6 +511,16 @@ func (c *Cluster) Levels() int {
 	return c.shards[0].Levels()
 }
 
+// TimeUnit returns the base temporal unit visits are discretized into
+// (identical on every shard, which NewCluster verified). A zero-value Cluster
+// reports 0.
+func (c *Cluster) TimeUnit() time.Duration {
+	if len(c.shards) == 0 {
+		return 0
+	}
+	return c.shards[0].TimeUnit()
+}
+
 // IndexStats returns cluster totals: sums of every shard's index shape and
 // snapshot generation (total swaps cluster-wide), except BuildTime and
 // LastRefreshDuration — the slowest shard's, the parallel critical path a

@@ -201,3 +201,61 @@ func TestForeignCopiesAskedOnce(t *testing.T) {
 		t.Fatalf("the source's row %+v: want its k+1 owned entities from one call", row)
 	}
 }
+
+// TestLongStayRoundTrips: a stay is as long as the visits it coalesces, so
+// 8 193 back-to-back one-hour visits come back from VisitsOf as one stay of
+// 8 193 units. Every path that feeds a stay back in must take it: the home
+// shard's visits asked of its sibling by example, a slot migration, a
+// partition of the single DB, and the single DB's own query by example.
+func TestLongStayRoundTrips(t *testing.T) {
+	const k, hours = 3, 8193
+	c, _, db := twinClusters(t)
+	long := namesIn("long", 1, func(s int) bool { return c.slotmap().assign[s] == 0 })[0]
+	var recs []digitaltraces.VisitRecord
+	for h := range hours {
+		recs = append(recs, stay(long, 0, h, h+1))
+	}
+	for i, e := range append(namesIn("near", 2, func(s int) bool { return c.slotmap().assign[s] == 0 }),
+		namesIn("far", 2, func(s int) bool { return c.slotmap().assign[s] == 1 })...) {
+		recs = append(recs, stay(e, 0, 10*i, 10*i+5+i))
+	}
+	ingestBoth(t, c, db, recs)
+
+	want, _, err := db.TopK(long, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	visits, err := db.VisitsOf(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(visits) != 1 {
+		t.Fatalf("fixture: VisitsOf returned %d stays, want the one coalesced stay", len(visits))
+	}
+	byExample, _, err := db.TopKByExample(visits, k+1)
+	if err != nil {
+		t.Fatalf("the single DB by example of its own stay: %v", err)
+	}
+	if byExample[0].Entity != long {
+		t.Fatalf("by example: %v, want %s first (itself)", byExample, long)
+	}
+	requireSameMatches(t, "by example, itself left out", byExample[1:], want)
+	got, _, err := c.TopK(long, k)
+	if err != nil {
+		t.Fatalf("cluster: %v", err)
+	}
+	requireSameMatches(t, "cluster", got, want)
+	if err := c.MigrateSlot(SlotOf(long), 1); err != nil {
+		t.Fatalf("migrating the long stay's slot: %v", err)
+	}
+	if got, _, err = c.TopK(long, k); err != nil {
+		t.Fatalf("cluster after the migration: %v", err)
+	}
+	requireSameMatches(t, "cluster after the migration", got, want)
+	p := propCluster(t, db, 2)
+	t.Cleanup(func() { p.Close() })
+	if got, _, err = p.TopK(long, k); err != nil {
+		t.Fatalf("partitioned: %v", err)
+	}
+	requireSameMatches(t, "partitioned", got, want)
+}
