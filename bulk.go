@@ -161,7 +161,7 @@ func BulkLoadRecordFile(path string, side, levels int, cfg BulkConfig, opts ...O
 	// folded, so an image saved from the DB records it.
 	buildStart := time.Now()
 	for _, fileID := range fileIDs {
-		db.register(fmt.Sprintf("entity-%d", fileID))
+		db.register(fmt.Sprintf("entity-%d", fileID), -1)
 	}
 	store := trace.NewStore(db.ix)
 	const batchGroups = 512
@@ -200,6 +200,7 @@ func BulkLoadRecordFile(path string, side, levels int, cfg BulkConfig, opts ...O
 		post:      post,
 		measure:   measure,
 		byID:      db.byID[:len(db.byID):len(db.byID)],
+		keys:      db.keys[:len(db.keys):len(db.keys)],
 		buildTime: stats.BuildTime,
 	}
 	// The DB is still private — publish without the usual locking dance.

@@ -70,6 +70,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -310,6 +311,9 @@ type DB struct {
 	mu    sync.RWMutex
 	names map[string]trace.EntityID
 	byID  []string
+	// keys is each entity's tie key by ID: the ID itself, or on a cluster's
+	// shard the ordinal the coordinator gave it (AddKeyedVisits).
+	keys []uint32
 	// registered mirrors len(byID) for NumEntities, which reads it without mu.
 	registered atomic.Int64
 	// pending holds each entity's visits the serving snapshot does not cover
@@ -440,13 +444,27 @@ type VisitRecord struct {
 // pending — the count is then len(visits) and the error the fold's — and the
 // next acknowledged write or BuildIndex folds them.
 func (db *DB) AddVisits(visits []VisitRecord) (int, error) {
+	return db.AddKeyedVisits(visits, nil)
+}
+
+// AddKeyedVisits is AddVisits for a cluster's shard: keys[i] is the tie key of
+// visits[i]'s entity — the ordinal the coordinator gave it on first arrival —
+// taken where that record registers the entity. Rank breaks degree ties by
+// it, so the shard ranks in the cluster's order whatever order its entities
+// arrived in. Keys must be distinct per entity, one per visit; nil keys make
+// each new entity's key its ID, which is AddVisits.
+func (db *DB) AddKeyedVisits(visits []VisitRecord, keys []uint32) (int, error) {
 	db.mu.Lock()
 	var (
 		n   int
 		err error
 	)
 	for ; n < len(visits); n++ {
-		if err = db.addVisitLocked(visits[n]); err != nil {
+		key := int64(-1)
+		if keys != nil {
+			key = int64(keys[n])
+		}
+		if err = db.addVisitLocked(visits[n], key); err != nil {
 			err = fmt.Errorf("visit %d: %w", n, err)
 			break
 		}
@@ -461,7 +479,7 @@ func (db *DB) AddVisits(visits []VisitRecord) (int, error) {
 	return n, err
 }
 
-func (db *DB) addVisitLocked(v VisitRecord) error {
+func (db *DB) addVisitLocked(v VisitRecord, key int64) error {
 	epoch := db.epoch
 	if !db.epochSet {
 		epoch = v.Start.Truncate(db.unit) // the first stored visit fixes it
@@ -474,9 +492,11 @@ func (db *DB) addVisitLocked(v VisitRecord) error {
 		return fmt.Errorf("digitaltraces: empty visit span %v..%v", v.Start, v.End)
 	case errEpoch:
 		return fmt.Errorf("digitaltraces: visit at %v precedes the epoch %v (set WithEpoch)", v.Start, epoch)
+	case ErrTimeRange:
+		return fmt.Errorf("%w: the visit ends at %v, more than 2³¹−1 units of %v past the epoch %v", ErrTimeRange, v.End, db.unit, epoch)
 	}
 	db.epoch, db.epochSet = epoch, true
-	r.Entity = db.register(v.Entity)
+	r.Entity = db.register(v.Entity, key)
 	db.pending[r.Entity] = append(db.pending[r.Entity], r)
 	db.ingested[r.Entity]++
 	db.writeSeq++
@@ -490,14 +510,20 @@ var (
 	errEpoch = errors.New("start before the epoch")
 )
 
+// ErrTimeRange refuses a visit, stored or an example, ending more than 2³¹−1
+// time units past the epoch, where a stored 32-bit offset would wrap.
+var ErrTimeRange = errors.New("digitaltraces: visit ends past the time range")
+
 // discretize converts a visit to its record against epoch, entity left
 // unset — the one conversion ingest and query-by-example share, so an
 // example built from VisitsOf output reproduces the entity's stored cells
 // bit-for-bit: the start floors to its unit, the end ceils, and a sub-unit
-// span becomes one unit.
+// span becomes one unit. An end whose offset overflows a Duration or a
+// trace.Time is ErrTimeRange.
 func (db *DB) discretize(venue string, start, end, epoch time.Time) (trace.Record, error) {
 	base, ok := db.venues[venue]
-	su := int64(start.Sub(epoch) / db.unit)
+	su, d := int64(start.Sub(epoch)/db.unit), end.Sub(epoch)
+	eu := max(int64(d/db.unit+(d%db.unit+db.unit-1)/db.unit), su+1) // ceil, overflow-free
 	switch {
 	case !ok:
 		return trace.Record{}, errVenue
@@ -505,17 +531,23 @@ func (db *DB) discretize(venue string, start, end, epoch time.Time) (trace.Recor
 		return trace.Record{}, errSpan
 	case su < 0:
 		return trace.Record{}, errEpoch
+	case eu > math.MaxInt32 || !epoch.Add(d).Equal(end):
+		return trace.Record{}, ErrTimeRange
 	}
-	eu := max(int64((end.Sub(epoch)+db.unit-1)/db.unit), su+1)
 	return trace.Record{Base: base, Start: trace.Time(su), End: trace.Time(eu)}, nil
 }
 
-// register returns the entity's ID, assigning the next one on first sight.
-// Callers hold mu, or own a DB no one else can reach yet.
-func (db *DB) register(name string) trace.EntityID {
+// register returns the entity's ID, assigning the next one on first sight with
+// key as its tie key (the ID when negative). Callers hold mu, or own a DB no
+// one else can reach yet.
+func (db *DB) register(name string, key int64) trace.EntityID {
 	e, ok := db.names[name]
 	if !ok {
 		e = trace.EntityID(len(db.byID))
+		if key < 0 {
+			key = int64(e)
+		}
+		db.keys = append(db.keys, uint32(key))
 		db.names[name] = e
 		db.byID = append(db.byID, name)
 		db.ingested = append(db.ingested, 0)
@@ -633,6 +665,8 @@ func (db *DB) exampleSequences(visits []Visit) (*trace.Sequences, error) {
 		case errEpoch:
 			return nil, fmt.Errorf("digitaltraces: example visit %d at %v precedes the epoch %v — the epoch was %s; set WithEpoch to cover the example's span",
 				i, v.Start, epoch, epochOrigin(explicit))
+		case ErrTimeRange:
+			return nil, fmt.Errorf("%w: example visit %d ends at %v, more than 2³¹−1 units of %v past the epoch %v", ErrTimeRange, i, v.End, db.unit, epoch)
 		}
 		r.Entity = -1
 		recs = append(recs, r)
@@ -659,11 +693,10 @@ func epochOrigin(explicit bool) string {
 }
 
 // SaveIndex persists the built index to w as one image: the entity table
-// with each entity's name and covered visit count, the time-unit / epoch /
-// measure scalars, every entity's level sizes, the level-1 cell index and
-// every entity's serialized sequences, page-aligned — so OpenIndex serves
-// queries straight off a read-only mapping of the file with no visit
-// re-ingest at all.
+// with each entity's name, tie key and covered visit count, the time-unit /
+// epoch / measure scalars, every entity's level sizes, the level-1 cell index
+// and every entity's serialized sequences, page-aligned — so OpenIndex serves
+// queries straight off a read-only mapping of the file with no re-ingest.
 //
 // The image covers every write acknowledged when the save began (the index
 // is built first if absent). Each entity's covered count is exact — what it
@@ -702,8 +735,8 @@ func (db *DB) SaveIndex(w io.Writer) (int64, error) {
 	}
 	// The postings, store and captured tables are immutable from here; write
 	// outside every lock.
-	return s.post.WriteSnapshot(w, meta, s.store, func(e trace.EntityID) (string, uint32) {
-		return s.byID[e], folded[e]
+	return s.post.WriteSnapshot(w, meta, s.store, func(e trace.EntityID) (string, uint32, uint32) {
+		return s.byID[e], s.keys[e], folded[e]
 	})
 }
 

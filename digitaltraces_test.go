@@ -1,6 +1,8 @@
 package digitaltraces
 
 import (
+	"errors"
+	"math"
 	"testing"
 	"time"
 )
@@ -286,5 +288,38 @@ func TestBuildIndexEmpty(t *testing.T) {
 	}
 	if err := db.BuildIndex(); err == nil {
 		t.Error("empty BuildIndex accepted")
+	}
+}
+
+// TestVisitPastTimeRange: a stored time is a 32-bit unit offset, which at a
+// one-second unit spans 68 years. A visit 80 years past the epoch is refused
+// with ErrTimeRange instead of wrapping to 1962 — by ingest, storing nothing,
+// and by query-by-example alike — while one ending at the last unit reads
+// back as it went in.
+func TestVisitPastTimeRange(t *testing.T) {
+	db, err := NewDB(smallHierarchy(t), WithTimeUnit(time.Second), WithEpoch(t0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := t0.AddDate(80, 0, 0)
+	if err := db.AddVisit("alice", "cafe-a", late, late.Add(time.Hour)); !errors.Is(err, ErrTimeRange) {
+		got, _ := db.VisitsOf("alice")
+		t.Fatalf("a visit 80 years past the epoch: err %v, read back as %v; want ErrTimeRange", err, got)
+	}
+	if n := db.NumEntities(); n != 0 {
+		t.Fatalf("the refused visit registered %d entities", n)
+	}
+	last := t0.Add(math.MaxInt32 * time.Second)
+	if err := db.AddVisit("bob", "cafe-a", last.Add(-time.Hour), last); err != nil {
+		t.Fatalf("a visit ending at the last unit: %v", err)
+	}
+	if got, err := db.VisitsOf("bob"); err != nil || len(got) != 1 || !got[0].Start.Equal(last.Add(-time.Hour)) || !got[0].End.Equal(last) {
+		t.Fatalf("the visit ending at the last unit reads back as %v (%v)", got, err)
+	}
+	if err := db.AddVisit("bob", "cafe-a", last, last.Add(time.Nanosecond)); !errors.Is(err, ErrTimeRange) {
+		t.Fatalf("a visit one unit past the range: %v, want ErrTimeRange", err)
+	}
+	if _, _, err := db.TopKByExample([]Visit{{Venue: "cafe-a", Start: late, End: late.Add(time.Hour)}}, 3); !errors.Is(err, ErrTimeRange) {
+		t.Fatalf("an example 80 years past the epoch: %v, want ErrTimeRange", err)
 	}
 }

@@ -2,7 +2,9 @@ package digitaltraces
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -62,4 +64,60 @@ func TestGridConstructorsShareOneRule(t *testing.T) {
 			}
 		}
 	}
+}
+
+// recordFileUnits bounds the time units a fuzzed record file's valid-looking
+// records may last in total, as the server bounds a /visits request
+// (maxVisitUnits): a record file may ask for a span of any length, and what
+// loading it costs grows with the units, which is no fault of the loaders.
+const recordFileUnits = 1 << 12
+
+// recordFileRefusals are the faults the loaders refuse a record file for,
+// each by name.
+var recordFileRefusals = []string{"outside the", "bad span", "not a whole number of records", "is empty"}
+
+// FuzzRecordFile: arbitrary bytes as a record file, through LoadRecordFile
+// and BulkLoadRecordFile over one grid. Neither panics, each refusal names
+// one of recordFileRefusals, both refuse or both load, and where both load,
+// they hold the same entities and answer every one's top-k alike. Inputs
+// whose records last more than recordFileUnits in total are skipped. The seed
+// corpus under testdata/fuzz/FuzzRecordFile holds a valid file, one record
+// of each refused kind, a truncated file and an empty one.
+//
+//	go test -run=^$ -fuzz=FuzzRecordFile -fuzztime=15s .
+func FuzzRecordFile(f *testing.F) {
+	const side, levels, k = 4, 3, 3
+	f.Fuzz(func(t *testing.T, b []byte) {
+		units := int64(0)
+		for i := 0; i+extsort.RecordSize <= len(b); i += extsort.RecordSize {
+			if r := extsort.DecodeRecord(b[i:]); r.Start >= 0 && r.End > r.Start {
+				units += int64(r.End) - int64(r.Start)
+			}
+		}
+		if units > recordFileUnits {
+			return
+		}
+		path := filepath.Join(t.TempDir(), "fuzz.rec")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		mem, memErr := LoadRecordFile(path, side, levels)
+		bulk, _, bulkErr := BulkLoadRecordFile(path, side, levels, BulkConfig{TempDir: t.TempDir()})
+		for name, err := range map[string]error{"LoadRecordFile": memErr, "BulkLoadRecordFile": bulkErr} {
+			if err != nil && !slices.ContainsFunc(recordFileRefusals, func(s string) bool { return strings.Contains(err.Error(), s) }) {
+				t.Fatalf("%s refused the file with an unnamed error: %v", name, err)
+			}
+		}
+		if (memErr == nil) != (bulkErr == nil) {
+			t.Fatalf("LoadRecordFile: %v; BulkLoadRecordFile: %v — one loader refused what the other loaded", memErr, bulkErr)
+		}
+		if memErr != nil {
+			return
+		}
+		entities := mem.Entities()
+		if got := bulk.Entities(); !slices.Equal(got, entities) {
+			t.Fatalf("LoadRecordFile holds %v, BulkLoadRecordFile %v", entities, got)
+		}
+		assertSameAnswers(t, mem, bulk, entities[:min(len(entities), 8)], k)
+	})
 }

@@ -1180,7 +1180,7 @@ func TestConcurrentSearchesShareNoScratch(t *testing.T) {
 						wantA = append(wantA, r)
 					}
 				}
-				if got, err := tree.Rank(st.Get(trace.EntityID(a)), len(want[a]), floor, even, m); err != nil || !slices.Equal(got.Results, wantA) {
+				if got, err := tree.Rank(st.Get(trace.EntityID(a)), len(want[a]), floor, even, nil, m); err != nil || !slices.Equal(got.Results, wantA) {
 					t.Errorf("goroutine %d round %d: Rank(%d) = %v %v, want %v", g, round, a, got.Results, err, wantA)
 				}
 				if got, _, err := tree.TopK(st.Get(trace.EntityID(b)), 7, m); err != nil || !slices.Equal(got, want[b][:7]) {

@@ -446,7 +446,7 @@ func TestZeroFillAllocsFlatInFreshEntities(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer f.release()
-		best := newKBest(k)
+		best := newKBest(k, nil)
 		for ub, _ := f.peek(); ub > 0; ub, _ = f.peek() {
 			if err := f.visit(&best); err != nil {
 				t.Fatal(err)

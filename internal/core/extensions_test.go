@@ -15,7 +15,9 @@ import (
 )
 
 // snapshotNames is the entity info callback the snapshot tests write with.
-func snapshotNames(e trace.EntityID) (string, uint32) { return fmt.Sprintf("e%d", e), 1 }
+func snapshotNames(e trace.EntityID) (string, uint32, uint32) {
+	return fmt.Sprintf("e%d", e), uint32(e), 1
+}
 
 // decodeSnapshot decodes the image r holds, read whole and then at offsets.
 func decodeSnapshot(r io.Reader, ix *spindex.Index) (*Snapshot, error) {

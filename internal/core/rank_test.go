@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -19,8 +20,21 @@ import (
 // counters account for every entity other than the query once.
 func requireRank(t *testing.T, label string, p *Postings, q *trace.Sequences, m adm.Measure, want int, floor float64, keep func(trace.EntityID) bool) Ranked {
 	t.Helper()
+	return requireKeyedRank(t, label, p, q, m, want, floor, keep, nil)
+}
+
+// requireKeyedRank is requireRank under a tie-key table: the canonical order
+// breaks degree ties by keys[e] instead of the entity ID.
+func requireKeyedRank(t *testing.T, label string, p *Postings, q *trace.Sequences, m adm.Measure, want int, floor float64, keep func(trace.EntityID) bool, keys []uint32) Ranked {
+	t.Helper()
+	full := BruteForceTopK(p.src, p.Entities(), q, p.Len(), m)
+	if keys != nil {
+		slices.SortStableFunc(full, func(a, b Result) int {
+			return cmp.Or(cmp.Compare(b.Degree, a.Degree), cmp.Compare(keys[a.Entity], keys[b.Entity]))
+		})
+	}
 	var expect, left []Result
-	for _, r := range BruteForceTopK(p.src, p.Entities(), q, p.Len(), m) {
+	for _, r := range full {
 		switch {
 		case keep != nil && !keep(r.Entity):
 		case r.Degree >= floor && len(expect) < want:
@@ -29,7 +43,7 @@ func requireRank(t *testing.T, label string, p *Postings, q *trace.Sequences, m 
 			left = append(left, r)
 		}
 	}
-	got, err := p.Rank(q, want, floor, keep, m)
+	got, err := p.Rank(q, want, floor, keep, keys, m)
 	if err != nil {
 		t.Fatalf("%s: Rank(want %d, floor %v): %v", label, want, floor, err)
 	}
@@ -98,6 +112,41 @@ func TestRankBoundIsAdmissible(t *testing.T) {
 	}
 }
 
+// TestRankTieKeys: under a tie-key table — the shard's cluster-wide ordinals,
+// here the reversed IDs and a random permutation — Rank returns exactly the
+// first want entries of (degree descending, key ascending), also where the
+// cut falls inside a tie: the degree-0 plateau behind the last positive
+// degree, and any tie above it.
+func TestRankTieKeys(t *testing.T) {
+	for _, seed := range []int64{3, 17} {
+		ix, st, p := buildRandomPostings(t, seed, 70)
+		rng := rand.New(rand.NewSource(seed))
+		reversed, shuffled := make([]uint32, 70), make([]uint32, 70)
+		for e := range reversed {
+			reversed[e] = uint32(69 - e)
+		}
+		for e, k := range rng.Perm(70) {
+			shuffled[e] = uint32(k) * 3 // sparse, as a shard's ordinals are
+		}
+		for _, m := range measuresFor(t, ix.Height()) {
+			for _, qe := range []trace.EntityID{0, 7, 33} {
+				q := st.Get(qe)
+				full := BruteForceTopK(st, p.Entities(), q, p.Len(), m)
+				positive := slices.IndexFunc(full, func(r Result) bool { return r.Degree == 0 })
+				for _, keys := range [][]uint32{reversed, shuffled} {
+					for _, keep := range []func(trace.EntityID) bool{nil, func(e trace.EntityID) bool { return e%3 != 0 }} {
+						for _, want := range []int{1, 3, 11, positive + 2, len(full)} {
+							label := fmt.Sprintf("seed %d q%d want %d", seed, qe, want)
+							requireKeyedRank(t, label, p, q, m, want, 0, keep, keys)
+							requireKeyedRank(t, label, p, q, m, want, full[2].Degree, keep, keys)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestRankAsksKeepLast: the filter is asked only of a candidate the bounds
 // leave in, so what it admits is what the search goes on to use. Above floor
 // 0 every admitted candidate is scored: the admitted calls equal Checked. At
@@ -127,7 +176,7 @@ func TestRankAsksKeepLast(t *testing.T) {
 									admitted = append(admitted, e)
 								}
 								return ok
-							}, m)
+							}, nil, m)
 							if err != nil {
 								t.Fatalf("%s: %v", label, err)
 							}
@@ -140,10 +189,10 @@ func TestRankAsksKeepLast(t *testing.T) {
 								}
 								continue
 							}
-							sel, zeros := newKBest(want), 0
+							sel, zeros := newKBest(want, nil), 0
 							for _, e := range admitted {
 								res := Result{e, degree[e]}
-								if res.Degree == 0 && (!sel.full() || ranksBefore(res, sel.kth())) {
+								if res.Degree == 0 && (!sel.full() || sel.before(res, sel.kth())) {
 									zeros++
 								}
 								sel.offer(res)
@@ -186,7 +235,7 @@ func TestRankFloor(t *testing.T) {
 		t.Fatalf("a floor above every degree returned %v", r.Results)
 	}
 	for _, bad := range []float64{-0.1, math.Inf(-1), math.NaN()} {
-		if _, err := tree.post.Rank(q, 5, bad, nil, m); err == nil {
+		if _, err := tree.post.Rank(q, 5, bad, nil, nil, m); err == nil {
 			t.Errorf("floor %v accepted", bad)
 		}
 	}

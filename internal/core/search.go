@@ -44,17 +44,6 @@ type SearchStats struct {
 // Checked); a posting-driven search reaches every entity other than the query.
 func (s SearchStats) Reached() int { return s.Checked + s.ZeroSkipped + s.BoundSkipped }
 
-// ranksBefore is the canonical answer order: degree descending, ties by
-// ascending entity ID.
-func ranksBefore(a, b Result) bool {
-	if a.Degree != b.Degree {
-		return a.Degree > b.Degree
-	}
-	return a.Entity < b.Entity
-}
-
-func ranksAfter(a, b Result) bool { return ranksBefore(b, a) }
-
 // heapPush, heapFix and heapPop are container/heap's sift algorithms over a
 // plain slice ordered by before (the root is the element before all others),
 // so queue entries are never boxed into interfaces.
@@ -101,17 +90,35 @@ func heapPop[T any](h []T, before func(a, b T) bool) (T, []T) {
 // kBest is the bounded k-best selection every exact search and the scan
 // share: a heap of at most k results whose root is the current k-th answer
 // (Result.minKey in Algorithm 2), so the threshold is O(1). Ties prefer
-// keeping the smaller entity ID, for deterministic output. out is the largest
+// keeping the smaller tie key, for deterministic output. out is the largest
 // degree it turned away or evicted, an admissible bound on all it dropped.
 type kBest struct {
-	k   int
-	h   []Result
-	out float64
+	k    int
+	h    []Result
+	out  float64
+	keys []uint32 // tie key by entity ID; nil: the ID itself
 }
 
 // newKBest sizes the selection for k answers up front; k is caller-supplied,
-// so very large values grow on demand instead.
-func newKBest(k int) kBest { return kBest{k: k, h: make([]Result, 0, min(k, 1024))} }
+// so very large values grow on demand instead. keys is the tie order (nil:
+// entity ID).
+func newKBest(k int, keys []uint32) kBest {
+	return kBest{k: k, h: make([]Result, 0, min(k, 1024)), keys: keys}
+}
+
+// before is the canonical answer order: degree descending, ties by ascending
+// tie key — the entity ID unless the selection carries a key table.
+func (b *kBest) before(x, y Result) bool {
+	switch {
+	case x.Degree != y.Degree:
+		return x.Degree > y.Degree
+	case b.keys != nil:
+		return b.keys[x.Entity] < b.keys[y.Entity]
+	}
+	return x.Entity < y.Entity
+}
+
+func (b *kBest) after(x, y Result) bool { return b.before(y, x) }
 
 func (b *kBest) full() bool { return len(b.h) == b.k }
 
@@ -120,12 +127,12 @@ func (b *kBest) kth() Result { return b.h[0] }
 
 func (b *kBest) offer(r Result) {
 	if len(b.h) < b.k {
-		b.h = heapPush(b.h, r, ranksAfter)
+		b.h = heapPush(b.h, r, b.after)
 		return
 	}
-	if b.k > 0 && ranksBefore(r, b.h[0]) {
+	if b.k > 0 && b.before(r, b.h[0]) {
 		r, b.h[0] = b.h[0], r
-		heapFix(b.h, ranksAfter)
+		heapFix(b.h, b.after)
 	}
 	b.out = max(b.out, r.Degree)
 }
@@ -134,7 +141,7 @@ func (b *kBest) offer(r Result) {
 // selection.
 func (b *kBest) ranked() []Result {
 	slices.SortFunc(b.h, func(x, y Result) int {
-		if ranksBefore(x, y) {
+		if b.before(x, y) {
 			return -1
 		}
 		return 1
@@ -248,7 +255,7 @@ func (f *frontier) visit(best *kBest) error {
 // selection, ties included, or it lies below the floor — and records the
 // bound as passed over if so.
 func (f *frontier) beaten(best *kBest, r Result) bool {
-	if best.full() && !ranksBefore(r, best.kth()) || r.Degree < f.floor {
+	if best.full() && !best.before(r, best.kth()) || r.Degree < f.floor {
 		f.passed = max(f.passed, r.Degree)
 		return true
 	}
@@ -324,7 +331,7 @@ func (f *frontier) finish(answers int) SearchStats {
 // other call holds — so any number of TopK/Rank calls may run concurrently
 // against one Postings.
 func (p *Postings) TopK(q *trace.Sequences, k int, measure adm.Measure) ([]Result, SearchStats, error) {
-	res, stats, _, err := p.search(q, k, measure, 0, nil)
+	res, stats, _, err := p.search(q, k, measure, 0, nil, nil)
 	return res, stats, err
 }
 
@@ -339,20 +346,21 @@ type Ranked struct {
 	Stats   SearchStats
 }
 
-// Rank is TopK under a floor and a filter: exactly the first want entries of
-// the canonical order (degree descending, entity ID ascending) restricted to
-// the entities keep admits (every one when keep is nil) whose degree is at
-// least floor. Entries at the floor are returned, since they can win a tie.
-// keep is asked last, of a candidate neither its bucket's bound nor its own
-// level sizes rule out, just before it would be scored: an entity it refuses
-// costs no exact degree and never counts toward want, and one the bounds drop
-// never reaches keep. It is the per-shard half of a cluster query (package
-// shard).
-func (p *Postings) Rank(q *trace.Sequences, want int, floor float64, keep func(trace.EntityID) bool, measure adm.Measure) (Ranked, error) {
+// Rank is TopK under a floor, a filter and a tie order: exactly the first
+// want entries of the order (degree descending, tie key ascending) restricted
+// to the entities keep admits (every one when keep is nil) whose degree is at
+// least floor. keys[e] is entity e's tie key, distinct per entity; nil keys
+// mean the entity ID, TopK's order. Entries at the floor are returned, since
+// they can win a tie. keep is asked last, of a candidate neither its bucket's
+// bound nor its own level sizes rule out, just before it would be scored: an
+// entity it refuses costs no exact degree and never counts toward want, and
+// one the bounds drop never reaches keep. It is the per-shard half of a
+// cluster query (package shard).
+func (p *Postings) Rank(q *trace.Sequences, want int, floor float64, keep func(trace.EntityID) bool, keys []uint32, measure adm.Measure) (Ranked, error) {
 	if !(floor >= 0) {
 		return Ranked{}, fmt.Errorf("core: floor %v is negative or NaN", floor)
 	}
-	res, stats, bound, err := p.search(q, want, measure, floor, keep)
+	res, stats, bound, err := p.search(q, want, measure, floor, keep, keys)
 	return Ranked{Results: res, Bound: bound, Capped: len(res) == want, Stats: stats}, err
 }
 
@@ -361,7 +369,7 @@ func (p *Postings) Rank(q *trace.Sequences, want int, floor float64, keep func(t
 // bound falls below the floor. Everything left once the bound reaches 0 has
 // degree exactly 0 and is offered unscored, at floor 0 only. The bound it
 // returns is admissible for every admitted entity the answer leaves out.
-func (p *Postings) search(q *trace.Sequences, k int, measure adm.Measure, floor float64, keep func(trace.EntityID) bool) ([]Result, SearchStats, float64, error) {
+func (p *Postings) search(q *trace.Sequences, k int, measure adm.Measure, floor float64, keep func(trace.EntityID) bool, keys []uint32) ([]Result, SearchStats, float64, error) {
 	if k < 1 {
 		return nil, SearchStats{}, 0, fmt.Errorf("core: k = %d < 1", k)
 	}
@@ -371,13 +379,13 @@ func (p *Postings) search(q *trace.Sequences, k int, measure adm.Measure, floor 
 	}
 	defer f.release()
 	f.floor, f.keep = floor, keep
-	best := newKBest(k)
+	best := newKBest(k, keys)
 	remainingUB := 0.0
 	for ub, ok := f.peek(); ok; ub, ok = f.peek() {
 		// Early termination: the k-th best exact degree strictly beats every
 		// remaining upper bound. Strict, not ≥: at equality the bucket may
-		// hide an equal-degree entity with a smaller ID, which the canonical
-		// tie order puts ahead of the current k-th. For the same reason a
+		// hide an equal-degree entity with a smaller tie key, which the
+		// canonical order puts ahead of the current k-th. For the same reason a
 		// bucket bounded exactly at the floor is still examined.
 		if best.full() && best.kth().Degree > ub || ub < f.floor {
 			remainingUB = ub
@@ -407,7 +415,7 @@ func (p *Postings) search(q *trace.Sequences, k int, measure adm.Measure, floor 
 // in the source — the paper's ground-truth comparator (Chapter 4 opening).
 // It shares the tie-breaking of TopK so results are directly comparable.
 func BruteForceTopK(src SequenceSource, entities []trace.EntityID, q *trace.Sequences, k int, measure adm.Measure) []Result {
-	best := newKBest(k)
+	best := newKBest(k, nil)
 	for _, e := range entities {
 		if e == q.Entity {
 			continue

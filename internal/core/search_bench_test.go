@@ -79,7 +79,7 @@ func BenchmarkPostingsSearch(b *testing.B) {
 		keep := func(e trace.EntityID) bool { keeps++; return e%4 == 0 }
 		b.ReportAllocs()
 		for ; b.Loop(); n++ {
-			r, err := post.Rank(queries[n%len(queries)], 11, floors[n%len(queries)], keep, m)
+			r, err := post.Rank(queries[n%len(queries)], 11, floors[n%len(queries)], keep, nil, m)
 			if err != nil {
 				b.Fatal(err)
 			}

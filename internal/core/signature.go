@@ -127,7 +127,7 @@ func (t *Tree) SignatureTopK(q *trace.Sequences, k int, measure adm.Measure) ([]
 	tr, root := t.newTraversal(q, measure)
 	queue := []*candidate{root}
 	seq := 1
-	best := newKBest(k)
+	best := newKBest(k, nil)
 	for len(queue) > 0 {
 		ub := queue[0].ub
 		// Early termination, strict: at equality the node may hide an

@@ -22,8 +22,8 @@ import (
 //	          measure exponents u and v, flags
 //	names     the concatenated entity names
 //	etab      the entity table, row i entity i's: one fixed-width record per
-//	          entity — id, name span, sequence span, covered visit count —
-//	          closed by a CRC32C
+//	          entity — tie key, name span, sequence span, covered visit
+//	          count — closed by a CRC32C
 //	size      each entity's level sizes, m bytes in the entity table's
 //	          encoding (Postings), in etab order, closed by a CRC32C
 //	cells     the level-1 cell index (CSR), closed by a CRC32C
@@ -33,9 +33,12 @@ import (
 // entity i at row i, the sizes and cell index adopted as stored, each
 // entity's sequences read and decoded once, when a query first touches them
 // (Snapshot.MappedPostings over a storage.SpanReader). A structural slip
-// anywhere trips a bounds check; a flipped ID, span, count or size in the
+// anywhere trips a bounds check; a flipped key, span, count or size in the
 // entity table, or a posting missing from the cell index, would only show as
 // a wrong answer — so those sections carry a checksum.
+//
+// A tie key (Postings.Rank) is the entity's ID on a single DB, whose image so
+// stores key i in row i, and its cluster-wide ordinal on a cluster's shard.
 
 // FoldedUnknown is the folded-count sentinel for an entity whose exact
 // covered visit count was unknown at save time (it had visits newer than the
@@ -49,7 +52,7 @@ const (
 	// this reader does not understand.
 	flagJaccard = 1 << 0
 	metaWords   = 7
-	entSize     = 32 // id(4) nameOff(8) nameLen(2) pad(2) seqOff(8) seqLen(4) folded(4)
+	entSize     = 32 // key(4) nameOff(8) nameLen(2) pad(2) seqOff(8) seqLen(4) folded(4)
 )
 
 // crc32c checksums the entity table and the cells section (the table is built
@@ -71,6 +74,7 @@ type SnapshotMeta struct {
 // SnapshotEntity is one row of an image's entity table; row i is entity i's.
 type SnapshotEntity struct {
 	Name   string
+	Key    uint32       // the entity's tie key
 	Folded uint32       // visits the saved index covers; FoldedUnknown for entities dirty at save time
 	Seq    storage.Span // the entity's sequence blob, absolute
 }
@@ -85,13 +89,14 @@ type Snapshot struct {
 }
 
 // WriteSnapshot serializes the index with every entity's sequences, read from
-// seqs — the store the index was built over. info supplies each entity's name
-// and the visit count the index covers (FoldedUnknown for an entity whose
-// indexed state is stale relative to its latest visits). The indexed IDs must
+// seqs — the store the index was built over. info supplies each entity's
+// name, its tie key and the visit count the index covers (FoldedUnknown for an
+// entity whose indexed state is stale relative to its latest visits); keys
+// must be distinct. The indexed IDs must
 // be 0..n−1, the rows of the entity table, and names longer than 64 KiB are
 // rejected. Returns the bytes written; the output is deterministic for a
 // given index and store.
-func (p *Postings) WriteSnapshot(w io.Writer, meta SnapshotMeta, seqs SequenceSource, info func(e trace.EntityID) (name string, folded uint32)) (int64, error) {
+func (p *Postings) WriteSnapshot(w io.Writer, meta SnapshotMeta, seqs SequenceSource, info func(e trace.EntityID) (name string, key, folded uint32)) (int64, error) {
 	if seqs == nil || info == nil {
 		return 0, fmt.Errorf("core: WriteSnapshot needs the sequence source and an entity info callback")
 	}
@@ -117,7 +122,7 @@ func (p *Postings) WriteSnapshot(w io.Writer, meta SnapshotMeta, seqs SequenceSo
 		if int(e) != i {
 			return 0, fmt.Errorf("core: entity table row %d would hold entity %d: an image holds entities 0..n−1, and entity %d is not indexed", i, e, i)
 		}
-		name, folded := info(e)
+		name, key, folded := info(e)
 		if len(name) > math.MaxUint16 {
 			return 0, fmt.Errorf("core: entity %d name is %d bytes, the format caps names at %d", e, len(name), math.MaxUint16)
 		}
@@ -127,7 +132,7 @@ func (p *Postings) WriteSnapshot(w io.Writer, meta SnapshotMeta, seqs SequenceSo
 		}
 		seqLen := storage.EncodedSize(s)
 		sizes = levelSizes(sizes, s)
-		ents = binary.LittleEndian.AppendUint32(ents, uint32(e))
+		ents = binary.LittleEndian.AppendUint32(ents, key)
 		ents = binary.LittleEndian.AppendUint64(ents, uint64(len(names)))
 		ents = binary.LittleEndian.AppendUint32(ents, uint32(len(name))) // u16 length, u16 zero pad
 		ents = binary.LittleEndian.AppendUint64(ents, uint64(seqsLen))
@@ -252,8 +257,8 @@ func decodeCells(b []byte, count int) (*cellIndex, error) {
 // offsets, up to but excluding the sequence blobs.
 // It never trusts a stored word: every scalar is bounded before it sizes an
 // allocation or is narrowed by a cast, every checksum must hold, the entity
-// table must be exactly count records, row i carrying entity ID i, every name
-// and sequence span must fall inside its section, and the cell index must
+// table must be exactly count records with distinct tie keys, every name and
+// sequence span must fall inside its section, and the cell index must
 // check out in full — so a corrupt file is a descriptive error here, not an
 // OOM now or a SIGBUS at query time. An image written before the index
 // dropped its signatures, before it kept its entities' level sizes, or
@@ -340,12 +345,11 @@ func DecodeSnapshot(sr *secfile.Reader, ix *spindex.Index) (*Snapshot, error) {
 	}
 	// count records arrived: from here it sizes what it describes.
 	s.Entities = make([]SnapshotEntity, count)
+	keys := make([]uint32, count)
 	for i := range s.Entities {
 		rec := table[i*entSize:]
-		if id := binary.LittleEndian.Uint32(rec); id != uint32(i) {
-			return nil, fmt.Errorf("core: corrupt snapshot: entity table row %d carries ID %d, not %d (an image holds entities 0..n−1)", i, id, i)
-		}
-		se := SnapshotEntity{Folded: binary.LittleEndian.Uint32(rec[28:])}
+		se := SnapshotEntity{Key: binary.LittleEndian.Uint32(rec), Folded: binary.LittleEndian.Uint32(rec[28:])}
+		keys[i] = se.Key
 		nameOff, nameLen := int64(binary.LittleEndian.Uint64(rec[4:])), int64(binary.LittleEndian.Uint16(rec[12:]))
 		seqOff, seqLen := int64(binary.LittleEndian.Uint64(rec[16:])), int64(binary.LittleEndian.Uint32(rec[24:]))
 		if nameOff < 0 || nameOff > int64(len(names))-nameLen {
@@ -357,6 +361,12 @@ func DecodeSnapshot(sr *secfile.Reader, ix *spindex.Index) (*Snapshot, error) {
 		se.Name = string(names[nameOff : nameOff+nameLen])
 		se.Seq = storage.Span{Off: seqs.Off + seqOff, Len: int32(seqLen)}
 		s.Entities[i] = se
+	}
+	slices.Sort(keys)
+	for i := 1; i < count; i++ {
+		if keys[i-1] == keys[i] {
+			return nil, fmt.Errorf("core: corrupt snapshot: two entities share tie key %d", keys[i])
+		}
 	}
 	if s.cells, err = decodeCells(cells, count); err != nil {
 		return nil, err

@@ -77,14 +77,14 @@ func openMapped(img []byte, ix *spindex.Index, src SequenceSource) (*Postings, e
 }
 
 // TestSnapshotV2RoundTrip: WriteSnapshot + DecodeSnapshot + MappedPostings
-// reproduces an identical index and surfaces the meta, names and folded
-// counts.
+// reproduces an identical index and surfaces the meta, names, tie keys and
+// folded counts.
 func TestSnapshotV2RoundTrip(t *testing.T) {
 	ix, st, post := buildRandomPostings(t, 29, 40)
 	meta := SnapshotMeta{TimeUnit: time.Hour, EpochNanos: 123456789, MeasureU: 2, MeasureV: 3}
 	var buf bytes.Buffer
-	if _, err := post.WriteSnapshot(&buf, meta, st, func(e trace.EntityID) (string, uint32) {
-		return fmt.Sprintf("e%d", e), uint32(e)
+	if _, err := post.WriteSnapshot(&buf, meta, st, func(e trace.EntityID) (string, uint32, uint32) {
+		return fmt.Sprintf("e%d", e), 3*uint32(40-e) + 7, uint32(e)
 	}); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
@@ -102,8 +102,8 @@ func TestSnapshotV2RoundTrip(t *testing.T) {
 		t.Errorf("meta = %+v (%d entities), want %+v, 40 entities", snap.Meta, len(snap.Entities), meta)
 	}
 	for e, se := range snap.Entities {
-		if se.Name != fmt.Sprintf("e%d", e) || se.Folded != uint32(e) {
-			t.Fatalf("decoded %+v, want name e%d and folded %d", se, e, e)
+		if se.Name != fmt.Sprintf("e%d", e) || se.Key != 3*uint32(40-e)+7 || se.Folded != uint32(e) {
+			t.Fatalf("decoded %+v, want name e%d, key %d and folded %d", se, e, 3*(40-e)+7, e)
 		}
 	}
 	m := measuresFor(t, 3)[0]
@@ -192,8 +192,8 @@ func (ci *cellIndex) postingsOf(e trace.EntityID) (out []trace.Cell) {
 func TestSnapshotV2DefaultReaderTrustsIDs(t *testing.T) {
 	ix, st, post := buildRandomPostings(t, 31, 25)
 	var buf bytes.Buffer
-	if _, err := post.WriteSnapshot(&buf, SnapshotMeta{TimeUnit: time.Hour}, st, func(e trace.EntityID) (string, uint32) {
-		return fmt.Sprintf("e%d", e), FoldedUnknown
+	if _, err := post.WriteSnapshot(&buf, SnapshotMeta{TimeUnit: time.Hour}, st, func(e trace.EntityID) (string, uint32, uint32) {
+		return fmt.Sprintf("e%d", e), uint32(e), FoldedUnknown
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -221,9 +221,9 @@ func TestSnapshotLoadTimeSourceValidation(t *testing.T) {
 	}
 }
 
-// rowIDImage is a real image whose entity table's row 3 carries ID 5, its
-// checksum re-stamped: an image whose rows are not entities 0..n−1.
-func rowIDImage(t testing.TB) (img []byte, ix *spindex.Index, st *trace.Store) {
+// sharedKeyImage is a real image whose entity table's row 3 carries tie key 5,
+// row 5's, its checksum re-stamped: an image whose tie order is not total.
+func sharedKeyImage(t testing.TB) (img []byte, ix *spindex.Index, st *trace.Store) {
 	ix, st, post := buildRandomPostings(t, 61, 6)
 	img = writeImage(t, post, st)
 	ents := sections(t, img)[2]
@@ -232,14 +232,14 @@ func rowIDImage(t testing.TB) (img []byte, ix *spindex.Index, st *trace.Store) {
 	return img, ix, st
 }
 
-// TestDecodeSnapshotRefusesRowID: row i of an image's entity table must carry
-// entity ID i. The decoder refuses any other, naming the row — rowIDImage's
-// image, which FuzzOpenSnapshot's corpus holds as
+// TestDecodeSnapshotRefusesSharedKey: the tie keys of an image's entity table
+// must be distinct. The decoder refuses a repeated one, naming it —
+// sharedKeyImage's image, which FuzzOpenSnapshot's corpus holds as
 // row-id-mismatch-image, too; the writer refuses an index missing an entity
 // below its largest ID, naming the row that entity would have filled.
-func TestDecodeSnapshotRefusesRowID(t *testing.T) {
-	img, ix, st := rowIDImage(t)
-	const want = "entity table row 3 carries ID 5, not 3"
+func TestDecodeSnapshotRefusesSharedKey(t *testing.T) {
+	img, ix, st := sharedKeyImage(t)
+	const want = "two entities share tie key 5"
 	for name, img := range map[string][]byte{"built": img, "seed": readSeed(t, "testdata/fuzz/FuzzOpenSnapshot/row-id-mismatch-image")} {
 		if _, err := openMapped(img, ix, st); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s, by offset: %v, want an error containing %q", name, err, want)
@@ -313,14 +313,15 @@ func TestSnapshotV2Errors(t *testing.T) {
 			binary.LittleEndian.PutUint64(b[ents.Off+16:], uint64(seqs.Len))
 			restamp(b, ents)
 		}, "sequence span"},
-		{"repeated ID", func(b []byte) {
+		{"repeated tie key", func(b []byte) {
 			copy(b[ents.Off+entSize:ents.Off+entSize+4], b[ents.Off:ents.Off+4])
 			restamp(b, ents)
-		}, "row 1 carries ID 0"},
-		{"etab: CRC re-stamped, IDs descending", func(b []byte) {
+		}, "share tie key 0"},
+		{"etab: CRC re-stamped, a tie key repeated", func(b []byte) {
 			binary.LittleEndian.PutUint32(b[ents.Off+entSize:], 1<<20)
+			binary.LittleEndian.PutUint32(b[ents.Off+8*entSize:], 1<<20)
 			restamp(b, ents)
-		}, "row 1 carries ID 1048576"},
+		}, "share tie key 1048576"},
 		{"cells: one posting removed, CRC stale", func(b []byte) {
 			copy(b[firstPost:cells.End()-8], b[firstPost+4:cells.End()-4])
 		}, "checksum"},
@@ -393,8 +394,8 @@ func TestSnapshotV2Errors(t *testing.T) {
 		t.Error("mismatched sp-index accepted")
 	}
 	// Oversized names fail at write time.
-	if _, err := post.WriteSnapshot(&bytes.Buffer{}, SnapshotMeta{TimeUnit: time.Hour}, st, func(e trace.EntityID) (string, uint32) {
-		return strings.Repeat("x", 1<<17), 0
+	if _, err := post.WriteSnapshot(&bytes.Buffer{}, SnapshotMeta{TimeUnit: time.Hour}, st, func(e trace.EntityID) (string, uint32, uint32) {
+		return strings.Repeat("x", 1<<17), uint32(e), 0
 	}); err == nil || !strings.Contains(err.Error(), "name") {
 		t.Errorf("oversized name accepted: %v", err)
 	}

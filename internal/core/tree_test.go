@@ -605,7 +605,7 @@ func TestPositiveFloorMeasure(t *testing.T) {
 		if _, _, err := tree.post.TopK(q, 5, m); err == nil || !strings.Contains(err.Error(), m.Name()) {
 			t.Errorf("Postings.TopK under %s: %v", m.Name(), err)
 		}
-		if _, err := tree.post.Rank(q, 5, 0.5, nil, m); err == nil || !strings.Contains(err.Error(), m.Name()) {
+		if _, err := tree.post.Rank(q, 5, 0.5, nil, nil, m); err == nil || !strings.Contains(err.Error(), m.Name()) {
 			t.Errorf("Postings.Rank under %s: %v", m.Name(), err)
 		}
 		for _, k := range []int{1, 5, 39, 60} {
@@ -638,7 +638,7 @@ func TestBruteForceTopKEdges(t *testing.T) {
 		t.Fatalf("k=100 over %d entities: %d results", st.Len(), len(all))
 	}
 	for i := 1; i < len(all); i++ {
-		if !ranksBefore(all[i-1], all[i]) {
+		if best := newKBest(0, nil); !best.before(all[i-1], all[i]) {
 			t.Errorf("results %d and %d out of canonical order: %v", i-1, i, all)
 		}
 	}

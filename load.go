@@ -105,15 +105,15 @@ func (db *DB) OpenIndexAt(r io.ReaderAt, size int64) error {
 		spans[e] = se.Seq
 	}
 	// Registry reconciliation, read-only: an image entity the registry knows
-	// must agree on its ID, and one it does not know must take the next ID
-	// past it (adopt). Of the known ones, an entity whose every ingested
-	// visit the image covers — its count matches — leaves nothing pending
-	// (drop); any other is folded into the image's snapshot before it
-	// publishes: the union of the image, what the DB serves for it (if it had
-	// folded some of its visits) and its pending tail, captured in the view
-	// v, as is every registered entity past the image, so the store stays
-	// 0..n−1. buildMu keeps the folded counts stable: writers grow ingested
-	// and pending together.
+	// must agree on its ID (it keeps its tie key), and one it does not know
+	// must take the next ID past it (adopt, with the image's tie key). Of the
+	// known ones, an entity whose every ingested visit the image covers — its
+	// count matches — leaves nothing pending (drop); any other is folded into
+	// the image's snapshot before it publishes: the union of the image, what
+	// the DB serves for it (if it had folded some of its visits) and its
+	// pending tail, captured in the view v, as is every registered entity
+	// past the image, so the store stays 0..n−1. buildMu keeps the folded
+	// counts stable: writers grow ingested and pending together.
 	var (
 		v     view
 		drop  = map[trace.EntityID]int{}
@@ -182,7 +182,7 @@ func (db *DB) OpenIndexAt(r io.ReaderAt, size int64) error {
 		return fmt.Errorf("digitaltraces: opening index: %d entities were registered while the open ran, taking the IDs the image's new entities need; retry", len(db.byID)-known)
 	}
 	for _, se := range adopt {
-		if e := db.register(se.Name); se.Folded != core.FoldedUnknown {
+		if e := db.register(se.Name, int64(se.Key)); se.Folded != core.FoldedUnknown {
 			db.ingested[e] = se.Folded
 		}
 	}
@@ -199,7 +199,7 @@ func (db *DB) OpenIndexAt(r io.ReaderAt, size int64) error {
 			db.dropPending(e, n)
 		}
 	}
-	ns.byID = db.byID[:len(db.byID):len(db.byID)]
+	ns.byID, ns.keys = db.byID[:len(db.byID):len(db.byID)], db.keys[:len(db.keys):len(db.keys)]
 	db.publishLocked(ns, v)
 	return nil
 }

@@ -398,7 +398,7 @@ func TestOneFileLoadsBothWays(t *testing.T) {
 
 // TestRefusedMappedLoadLeavesDBUntouched: every check runs before the first
 // write, so a refused OpenIndex — scalar mismatch, an entity table that
-// cannot seed a registry (IDs not dense, a name twice) — leaves no epoch, no
+// cannot seed a registry (tie keys not distinct, a name twice) — leaves no epoch, no
 // names and no index behind: the DB then ingests, builds and answers like one
 // that never saw the file, and a good file still loads.
 func TestRefusedMappedLoadLeavesDBUntouched(t *testing.T) {
@@ -462,9 +462,9 @@ func TestRefusedMappedLoadLeavesDBUntouched(t *testing.T) {
 		want string
 	}{
 		{"scalar mismatch", write(good), []Option{WithJaccardMeasure()}, "jaccard"},
-		{"IDs not dense", mutated(func(b []byte) {
-			binary.LittleEndian.PutUint32(b[ents.Off:], 1) // row 0 claims entity 1
-		}), nil, "row 0 carries ID 1"},
+		{"tie keys not distinct", mutated(func(b []byte) {
+			binary.LittleEndian.PutUint32(b[ents.Off:], 1) // row 0 takes entity 1's tie key
+		}), nil, "share tie key 1"},
 		{"repeated name", mutated(func(b []byte) {
 			copy(b[ents.Off+rec+4:ents.Off+rec+14], b[ents.Off+4:ents.Off+14]) // entity 1 takes entity 0's name span
 		}), nil, "repeats entity name"},

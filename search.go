@@ -26,20 +26,19 @@ type RankQuery struct {
 	Want  int
 	Floor float64
 	Keep  func(entity string) bool
-	// Ties asks a capped reply to carry every further match tied with its
-	// last one, so that what the reply leaves out ranks strictly below Want
-	// of its matches under any tie order.
-	Ties bool
 }
 
 // Ranked is a DB.Rank reply: the matches in exact rank order (degree
-// descending, ties by ascending entity ID); the query entity's visits when
-// the query named it; an admissible upper bound on the degree of every
-// admitted entity left out; whether Want matches came back (the cap, not the
-// floor or the population, may have ended the search); the exact degree
-// computations it took; and the generation of the snapshot it answered over.
+// descending, ties by ascending tie key — the entity ID on a single DB, the
+// cluster-wide ordinal on a shard; AddKeyedVisits) and each match's key; the
+// query entity's visits when the query named it; an admissible upper bound on
+// the degree of every admitted entity left out; whether Want matches came
+// back (the cap, not the floor or the population, may have ended the search);
+// the exact degree computations it took; and the generation of the snapshot
+// it answered over.
 type Ranked struct {
 	Matches    []Match
+	Keys       []uint32
 	Visits     []Visit
 	Bound      float64
 	Capped     bool
@@ -49,10 +48,8 @@ type Ranked struct {
 
 // Rank answers one floored search over one pinned index snapshot: exactly the
 // first Want entries of the exact order over the entities Keep admits at or
-// above Floor, plus, under Ties, every entry tied with the last of a capped
-// reply — a second search over the same snapshot at that degree. The query
-// cache and the tracer are not consulted: this is a shard's half of a
-// cluster query, which caches and traces on the coordinator.
+// above Floor. The query cache and the tracer are not consulted: this is a
+// shard's half of a cluster query, which caches and traces on the coordinator.
 func (db *DB) Rank(rq RankQuery) (Ranked, error) {
 	var out Ranked
 	if rq.Want < 1 {
@@ -79,20 +76,14 @@ func (db *DB) Rank(rq RankQuery) (Ranked, error) {
 	if rq.Keep != nil {
 		keep = func(e trace.EntityID) bool { return rq.Keep(s.byID[e]) }
 	}
-	r, err := s.post.Rank(q, rq.Want, rq.Floor, keep, s.measure)
+	r, err := s.post.Rank(q, rq.Want, rq.Floor, keep, s.keys, s.measure)
 	if err != nil {
 		return out, err
 	}
 	out.Checked, out.Capped = r.Stats.Checked, r.Capped
-	if rq.Ties && r.Capped {
-		if r, err = s.post.Rank(q, s.post.Len(), r.Results[len(r.Results)-1].Degree, keep, s.measure); err != nil {
-			return out, err
-		}
-		out.Checked += r.Stats.Checked
-	}
-	out.Matches = make([]Match, len(r.Results))
+	out.Matches, out.Keys = make([]Match, len(r.Results)), make([]uint32, len(r.Results))
 	for i, res := range r.Results {
-		out.Matches[i] = Match{Entity: s.byID[res.Entity], Degree: res.Degree}
+		out.Matches[i], out.Keys[i] = Match{Entity: s.byID[res.Entity], Degree: res.Degree}, s.keys[res.Entity]
 	}
 	out.Bound, out.Generation = r.Bound, s.generation
 	return out, nil

@@ -7,19 +7,19 @@ import (
 	"testing"
 )
 
-// TestRankFloored: over random (want, floor, filter, ties) and both query
-// shapes, a Rank reply is exactly TopKByExample's full order restricted to
-// the admitted entities at or above the floor, cut at want — and, under
-// ties, extended by every entry tied with the last of a capped reply. Capped
-// says whether want came back, Bound is at least every admitted degree left
-// out, and a query by name excludes the entity and returns its visits.
+// TestRankFloored: over random (want, floor, filter) and both query shapes, a
+// Rank reply is exactly TopKByExample's full order restricted to the admitted
+// entities at or above the floor, cut at want — also where the cut falls
+// inside a tie. Capped says whether want came back, Bound is at least every
+// admitted degree left out, and a query by name excludes the entity and
+// returns its visits.
 func TestRankFloored(t *testing.T) {
 	db, err := SyntheticCity(CityConfig{Side: 4, Entities: 60, Days: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Clones of a third of the entities: exact degree ties for ties to
-	// complete.
+	// Clones of a third of the entities: exact degree ties for the cap to
+	// fall inside.
 	for i := 0; i < 20; i++ {
 		visits, err := db.VisitsOf(fmt.Sprintf("entity-%d", 3*i))
 		if err != nil {
@@ -36,7 +36,7 @@ func TestRankFloored(t *testing.T) {
 	}
 	n := db.NumEntities()
 	rng := rand.New(rand.NewSource(1))
-	cut, tied := 0, 0 // trials a floor ended early; trials ties extended
+	cut, tied := 0, 0 // trials a floor ended early; trials cut inside a tie
 	for trial := 0; trial < 200; trial++ {
 		q := fmt.Sprintf("entity-%d", rng.Intn(60))
 		visits, err := db.VisitsOf(q)
@@ -47,7 +47,7 @@ func TestRankFloored(t *testing.T) {
 		if err != nil || len(full) != n {
 			t.Fatalf("%s: TopKByExample ranked %d of %d entities, err %v", q, len(full), n, err)
 		}
-		rq := RankQuery{Visits: visits, Want: 1 + rng.Intn(8), Ties: rng.Intn(2) == 0}
+		rq := RankQuery{Visits: visits, Want: 1 + rng.Intn(8)}
 		if rng.Intn(10) == 0 {
 			rq.Want = n
 		}
@@ -68,8 +68,7 @@ func TestRankFloored(t *testing.T) {
 		}
 		var expect, left []Match
 		for _, m := range admitted {
-			last := len(expect) > 0 && rq.Ties && len(expect) >= rq.Want && m.Degree == expect[len(expect)-1].Degree
-			if m.Degree >= rq.Floor && (len(expect) < rq.Want || last) {
+			if m.Degree >= rq.Floor && len(expect) < rq.Want {
 				expect = append(expect, m)
 			} else {
 				left = append(left, m)
@@ -97,12 +96,12 @@ func TestRankFloored(t *testing.T) {
 		if len(expect) < len(admitted) && rq.Floor > 0 && len(expect) < rq.Want {
 			cut++
 		}
-		if len(expect) > rq.Want {
+		if len(expect) == rq.Want && len(left) > 0 && left[0].Degree == expect[rq.Want-1].Degree && left[0].Degree > 0 {
 			tied++
 		}
 	}
 	if cut == 0 || tied == 0 {
-		t.Fatalf("%d of 200 replies ended at their floor and %d were extended by ties; the schedule must exercise both", cut, tied)
+		t.Fatalf("%d of 200 replies ended at their floor and %d were cut inside a tie; the schedule must exercise both", cut, tied)
 	}
 	if _, err := db.Rank(RankQuery{Entity: "entity-0", Want: 0}); err == nil {
 		t.Fatal("want 0 accepted")

@@ -346,6 +346,28 @@ func TestVisitsRequestSpanIsBounded(t *testing.T) {
 	}
 }
 
+// TestVisitsPastTimeRange: a visit ending past the 2³¹−1 units a stored time
+// can hold — 68 years at a one-second unit — is a 400 naming the range, with
+// nothing stored, not a visit that wraps into the past.
+func TestVisitsPastTimeRange(t *testing.T) {
+	epoch := time.Date(2018, 12, 1, 0, 0, 0, 0, time.UTC)
+	db, err := digitaltraces.NewGridDB(4, 0, digitaltraces.WithTimeUnit(time.Second), digitaltraces.WithEpoch(epoch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(db))
+	defer ts.Close()
+	late := epoch.AddDate(80, 0, 0)
+	var ing VisitsResponse
+	code, body := postJSON(t, ts.URL+"/visits", VisitsRequest{Visits: []Visit{{Entity: "x", Venue: "venue-0", Start: late, End: late.Add(time.Hour)}}}, nil)
+	if code != http.StatusBadRequest || json.Unmarshal([]byte(body), &ing) != nil {
+		t.Fatalf("a visit 80 years past the epoch: %d: %s, want 400", code, body)
+	}
+	if ing.Added != 0 || !strings.Contains(ing.Error, "past the time range") || db.NumEntities() != 0 {
+		t.Fatalf("reply %+v with %d entities stored; want nothing added and the range named", ing, db.NumEntities())
+	}
+}
+
 // TestVisitsPastBuiltDataRefreshIncrementally: visits far past everything
 // the index was built over, posted with refresh, fold in incrementally —
 // /stats shows one more generation, the build time kept and the refresh's own

@@ -6,9 +6,10 @@ package shard
 // *digitaltraces.DB behind the local adapter) or in another one
 // (shard/remote's Client speaking the shard protocol over HTTP). The
 // Cluster's exactness argument is entirely in terms of this contract —
-// per-shard exact rank order under a floor, a cap and an ownership mask,
-// shared discretization parameters — so composing remote shards preserves
-// bit-identical answers as long as each implementation honors it.
+// per-shard exact rank order, ties by the global ordinal, under a floor, a
+// cap and an ownership mask, and shared discretization parameters — so
+// composing remote shards preserves bit-identical answers as long as each
+// implementation honors it.
 //
 // The search half is one stateless call: Rank answers a shard's whole part of
 // a query at once, so a cluster query costs one round trip per shard asked
@@ -28,12 +29,13 @@ import (
 // time unit and venue hierarchy — NewCluster verifies — so every member
 // discretizes a visit to the same ST-cells.
 type Backend interface {
-	// AddVisits ingests, with the single-DB contract: once the shard has an
-	// index the visits are indexed when the call returns, the count is
+	// AddKeyedVisits ingests, with the single-DB contract: once the shard has
+	// an index the visits are indexed when the call returns, the count is
 	// authoritative, the error names the failing record's index within the
 	// slice, and an error with every record counted is a failed fold of
-	// stored visits.
-	AddVisits(visits []digitaltraces.VisitRecord) (int, error)
+	// stored visits. keys[i] is the global ordinal of visits[i]'s entity,
+	// which the shard breaks degree ties by (DB.AddKeyedVisits).
+	AddKeyedVisits(visits []digitaltraces.VisitRecord, keys []uint32) (int, error)
 	// VisitsOf resolves an entity's visits with the exact round-tripping
 	// discretization guarantee of digitaltraces.DB.VisitsOf.
 	VisitsOf(entity string) ([]digitaltraces.Visit, error)
@@ -70,15 +72,13 @@ type Backend interface {
 // the named entity, whose visits the reply carries, or the example visits —
 // against the entities the shard owns under the query's pinned slot map
 // (Owned), and return the first Want of them at or above Floor in the shard's
-// exact order. Ties makes a capped reply carry every further match tied with
-// its last, for a shard whose local order a migration disturbed.
+// exact order, which is the cluster's restricted to the shard.
 type RankRequest struct {
 	Entity string
 	Visits []digitaltraces.Visit
 	Want   int
 	Floor  float64
 	Owned  SlotMask
-	Ties   bool
 }
 
 // local adapts an in-process *digitaltraces.DB to the Backend contract. All
@@ -95,6 +95,5 @@ func (l local) Rank(req RankRequest) (digitaltraces.Ranked, error) {
 		Want:   req.Want,
 		Floor:  req.Floor,
 		Keep:   func(e string) bool { return req.Owned.Has(SlotOf(e)) },
-		Ties:   req.Ties,
 	})
 }

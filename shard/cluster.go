@@ -12,7 +12,8 @@
 // degree between the query and a candidate depends only on their two ST-cell
 // sequences, so each shard computes exact degrees for its own entities; and
 // because every shard ranks under the same total order the single-DB search
-// uses (degree descending, ties by ingest order), an entity a shard did not
+// uses (degree descending, ties by cluster-wide arrival order, which each
+// record carries to its shard), an entity a shard did not
 // return is either strictly below the final k-th degree or preceded by at
 // least k entities from that shard alone, and can never enter the global
 // top-k (gather.go's argument). Merging the replies and truncating to k is
@@ -21,11 +22,10 @@
 // in for N ∈ {1, 2, 4, 8}.
 //
 // Placement itself is a versioned slot map rather than a fixed hash
-// (slotmap.go): every query pins one map for its whole fan-out, asks each
-// shard for the entities that map assigns it, and asks shards whose local
-// order a past migration disturbed for complete ties — so answers stay
-// bit-identical before, during and after a live MigrateSlot, the invariant
-// the migration property suite locks in.
+// (slotmap.go): every query pins one map for its whole fan-out and asks each
+// shard for the entities that map assigns it — so answers stay bit-identical
+// before, during and after a live MigrateSlot, the invariant the migration
+// property suite locks in.
 //
 // Two mechanical preconditions make the degree computations line up:
 // every shard must share one epoch and time unit (NewCluster verifies this),
@@ -127,8 +127,8 @@ type Cluster struct {
 
 	// mu guards ord, the global first-arrival ordinal per entity name. The
 	// single-DB search breaks degree ties by entity ID — ingest order — so
-	// the merge sorts ties by the cluster-wide arrival order to reproduce
-	// single-DB answers bit-for-bit (merge.go).
+	// every shard ranks and the merge sorts ties by the cluster-wide arrival
+	// order to reproduce single-DB answers bit-for-bit (merge.go).
 	mu  sync.RWMutex
 	ord map[string]int
 
@@ -284,8 +284,9 @@ func (c *Cluster) AddVisit(entity, venue string, start, end time.Time) error {
 }
 
 // AddVisits bulk-ingests visits: records are grouped by owning shard
-// (preserving arrival order within each group) and the groups are forwarded
-// in parallel, one ingest-lock acquisition per shard. It returns the total
+// (preserving arrival order within each group), each with its entity's
+// global ordinal, and the groups are forwarded in parallel, one ingest-lock
+// acquisition per shard. It returns the total
 // number of visits stored, each indexed by its shard (once built) when the
 // call returns.
 //
@@ -316,16 +317,16 @@ func (c *Cluster) AddVisits(visits []digitaltraces.VisitRecord) (int, error) {
 		}
 	}
 	sm := c.slotmap()
+	ords := c.register(visits)
 	groups := make([][]digitaltraces.VisitRecord, n)
+	keys := make([][]uint32, n)
 	origIdx := make([][]int, n)
-	names := make([]string, len(visits))
 	for i, v := range visits {
 		s := sm.Owner(v.Entity)
 		groups[s] = append(groups[s], v)
+		keys[s] = append(keys[s], ords[i])
 		origIdx[s] = append(origIdx[s], i)
-		names[i] = v.Entity
 	}
-	c.register(names)
 	counts := make([]int, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -336,7 +337,7 @@ func (c *Cluster) AddVisits(visits []digitaltraces.VisitRecord) (int, error) {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			counts[s], errs[s] = c.shards[s].AddVisits(groups[s])
+			counts[s], errs[s] = c.shards[s].AddKeyedVisits(groups[s], keys[s])
 		}(s)
 	}
 	wg.Wait()
@@ -422,8 +423,8 @@ func (c *Cluster) TopKByExample(visits []digitaltraces.Visit, k int) ([]digitalt
 // query answers one top-k query (entity is the one to exclude, "" for an
 // example) and records its trace. It runs through the cluster cache
 // (qcache.Do under cacheVersion), and a miss asks the shards through ask
-// under one pinned slot map: home resolution, every shard's ownership mask
-// and ties flag all read that map, so a migration publishing mid-query can
+// under one pinned slot map: home resolution and every shard's ownership mask
+// read that map, so a migration publishing mid-query can
 // never split the query's view of who owns what (slotmap.go's exactness
 // argument).
 func (c *Cluster) query(kind obs.Kind, entity string, k int, batchID uint64, key string, ask func(*fanout) error) ([]digitaltraces.Match, digitaltraces.QueryStats, error) {

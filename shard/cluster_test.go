@@ -619,8 +619,8 @@ type foldFailing struct {
 	fail *atomic.Bool
 }
 
-func (f foldFailing) AddVisits(visits []digitaltraces.VisitRecord) (int, error) {
-	n, err := f.Backend.AddVisits(visits)
+func (f foldFailing) AddKeyedVisits(visits []digitaltraces.VisitRecord, keys []uint32) (int, error) {
+	n, err := f.Backend.AddKeyedVisits(visits, keys)
 	if err == nil && f.fail.Load() {
 		err = errors.New("fold failed")
 	}
@@ -629,8 +629,9 @@ func (f foldFailing) AddVisits(visits []digitaltraces.VisitRecord) (int, error) 
 
 // TestClusterFoldFailure: a shard that stores a batch and fails to fold it
 // makes the cluster's AddVisits report every record stored plus the fold's
-// error, and makes a slot migration onto it a failed ship — an error, the
-// target marked touched, ownership unchanged.
+// error, and makes a slot migration onto it a failed ship — an error and the
+// map unchanged — after which the target's foreign copy of the slot stays
+// hidden by the ownership mask: every answer is still the single DB's.
 func TestClusterFoldFailure(t *testing.T) {
 	var fail atomic.Bool
 	backends := make([]Backend, 2)
@@ -647,7 +648,8 @@ func TestClusterFoldFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	log := testCity(t).AllVisits()
+	db := testCity(t)
+	log := db.AllVisits()
 	if _, err := c.AddVisits(log); err != nil {
 		t.Fatal(err)
 	}
@@ -673,13 +675,26 @@ func TestClusterFoldFailure(t *testing.T) {
 	if n, err := c.AddVisits(batch); n != len(batch) || err == nil || !strings.Contains(err.Error(), "shard 1: fold failed") {
 		t.Fatalf("AddVisits over a failing fold: stored %d, err %v; want %d and shard 1's fold error", n, err, len(batch))
 	}
+	if _, err := db.AddVisits(batch); err != nil {
+		t.Fatal(err)
+	}
 
 	slot := SlotOf(onZero)
 	if err := c.MigrateSlot(slot, 1); err == nil || !strings.Contains(err.Error(), "fold failed") {
 		t.Fatalf("MigrateSlot onto a failing fold: %v, want the fold's error", err)
 	}
-	if after := c.slotmap(); after.assign[slot] != 0 || !after.touched[1] || after.epoch <= sm.epoch {
-		t.Fatalf("after the failed ship: slot on shard %d, target touched %t, epoch %d → %d; want ownership kept, the target touched, a new epoch",
-			after.assign[slot], after.touched[1], sm.epoch, after.epoch)
+	if after := c.slotmap(); after != sm {
+		t.Fatalf("after the failed ship: slot on shard %d, epoch %d → %d; want the map unchanged", after.assign[slot], sm.epoch, after.epoch)
+	}
+	for _, e := range db.Entities() {
+		want, _, err := db.TopK(e, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := c.TopK(e, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameMatches(t, "after the failed ship: "+e, got, want)
 	}
 }

@@ -55,7 +55,8 @@ func propCluster(t *testing.T, src *digitaltraces.DB, n int) *Cluster {
 // fullMerge is the test-only full-merge reference for the gather, over the
 // same cluster state TopK reads: every non-empty shard ranks every entity the
 // pinned slot map assigns it — no floor, no k+1 cap — and the lists are
-// merged whole under the global total order. A non-empty entity names the
+// merged whole under the global total order, read from the coordinator's
+// registry. A non-empty entity names the
 // query entity: its visits are resolved on its home shard and it is excluded
 // from the answer.
 func (c *Cluster) fullMerge(entity string, visits []digitaltraces.Visit, k int) ([]digitaltraces.Match, error) {
@@ -75,9 +76,9 @@ func (c *Cluster) fullMerge(entity string, visits []digitaltraces.Visit, k int) 
 		if err != nil {
 			return nil, err
 		}
-		c.mu.RLock()
+		c.mu.RLock() // the registry's ordinals, not the keys the shard returned
 		for _, m := range r.Matches {
-			es = append(es, entry{m: m, rank: c.rankLocked(m.Entity)})
+			es = append(es, entry{m: m, rank: uint32(c.ord[m.Entity])})
 		}
 		c.mu.RUnlock()
 	}

@@ -25,13 +25,10 @@ package shard
 //     it can win on the ordinal.
 //   - x comes after k+1 owned entries of its own shard that rank ahead of it
 //     globally; then at least k of them are not the query, and x is not in
-//     the answer. On a shard no migration has touched, local order (degree,
-//     then local ID, which is ingest order) is the global order restricted to
-//     the shard, so the shard's first k+1 rank ahead of everything after
-//     them. On a touched shard local IDs no longer follow the global order,
-//     so the request sets Ties and a capped reply also carries every entry
-//     tied with its (k+1)-th: what it withholds is strictly below k+1 of its
-//     own matches, whatever their order.
+//     the answer. A shard breaks degree ties by the global ordinal each
+//     entity's records arrived with, in whatever order they reached it (a
+//     racing batch, a migration's ship), so its order is the global one
+//     restricted to it, and its first k+1 rank ahead of all after them.
 //
 // Ownership is checked inside each shard's search, against the slot mask of
 // the query's pinned map, after the bucket and size bounds and before a
@@ -39,10 +36,7 @@ package shard
 // migration's source or target mid-move) is never returned and never counts
 // toward the cap, so every entity contributes exactly its owner's copy, and a
 // candidate the bounds drop is never hashed. A refused copy the bounds drop
-// may raise the reply's Bound, which stays admissible. Under ingest racing new entities onto one shard,
-// shard-local ID order can disagree with the registry's arrival order; the
-// answer's degrees stay exact, and only the order among racing tied entities
-// depends on the interleaving.
+// may raise the reply's Bound, which stays admissible.
 
 import (
 	"fmt"
@@ -81,11 +75,11 @@ func (c *Cluster) newFanout(sm *SlotMap, homeOrd int) *fanout {
 	return f
 }
 
-// call asks slot j's shard for req under the pinned map — the slots it owns,
-// and complete ties if the map marks it touched — and fills its reply and row.
+// call asks slot j's shard for req over the slots it owns under the pinned
+// map, and fills its reply and row.
 func (f *fanout) call(j int, req RankRequest) error {
 	sh := f.rows[j].Shard
-	req.Owned, req.Ties = f.sm.Owned(sh), f.sm.touched[sh]
+	req.Owned = f.sm.Owned(sh)
 	start := time.Now()
 	r, err := f.c.shards[sh].Rank(req)
 	if err != nil {
@@ -149,13 +143,11 @@ func (c *Cluster) gather(f *fanout, k int, exclude string, start time.Time) ([]d
 	}
 	mergeStart := time.Now()
 	es := make([]entry, 0, qs.Pulled)
-	c.mu.RLock()
 	for _, r := range f.replies {
-		for _, m := range r.Matches {
-			es = append(es, entry{m: m, rank: c.rankLocked(m.Entity)})
+		for i, m := range r.Matches {
+			es = append(es, entry{m: m, rank: r.Keys[i]})
 		}
 	}
-	c.mu.RUnlock()
 	out := merge(es, k, exclude)
 	qs.Merge = time.Since(mergeStart)
 	n := c.NumEntities()

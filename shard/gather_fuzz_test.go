@@ -4,14 +4,14 @@ package shard
 //
 // FuzzBoundedGather decodes arbitrary bytes into a population of model
 // shards behind the Backend seam — coarse degrees to force ties, colliding
-// ordinals to force name tie-breaks, touched shards whose local order among
-// equal degrees is arbitrary, and foreign copies (entities a shard holds but
-// the slot map assigns elsewhere, at any degree) — and runs the cluster's own
-// TopK or TopKByExample over them. Each model shard answers Rank by its
-// contract: its owned entries in local order at or above the floor, cut at
-// want, with ties completed when asked. The oracle is a full sort of every
-// owned entry under the global order: the gather must return exactly its
-// first k, asking each shard at most once.
+// ordinals to force name tie-breaks, and foreign copies (entities a shard
+// holds but the slot map assigns elsewhere, at any degree) — and runs the
+// cluster's own TopK or TopKByExample over them. Each model shard answers
+// Rank by its contract: its owned entries in the global order (a shard ranks
+// by the ordinal each entity arrived with) at or above the floor, cut at
+// want. The oracle is a full sort of every owned entry under the global
+// order: the gather must return exactly its first k, asking each shard at
+// most once.
 //
 // Run the smoke in CI with:
 //
@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
-	"sort"
 	"testing"
 
 	"digitaltraces"
@@ -42,9 +41,8 @@ type modelShard struct {
 
 func (s *modelShard) NumEntities() int { return len(s.list) }
 
-// Rank is the shard's contract over its local order: owned entries at or
-// above the floor, the query entity excluded, cut at want — and under ties,
-// every further entry tied with the last.
+// Rank is the shard's contract over its order: owned entries at or above the
+// floor, the query entity excluded, cut at want.
 func (s *modelShard) Rank(req RankRequest) (digitaltraces.Ranked, error) {
 	s.calls++
 	if s.err != nil {
@@ -55,11 +53,11 @@ func (s *modelShard) Rank(req RankRequest) (digitaltraces.Ranked, error) {
 		if !req.Owned.Has(SlotOf(e.m.Entity)) || e.m.Entity == req.Entity || e.m.Degree < req.Floor {
 			continue
 		}
-		if n := len(r.Matches); n >= req.Want && !(req.Ties && e.m.Degree == r.Matches[n-1].Degree) {
+		if len(r.Matches) >= req.Want {
 			r.Bound = max(r.Bound, e.m.Degree)
 			continue
 		}
-		r.Matches = append(r.Matches, e.m)
+		r.Matches, r.Keys = append(r.Matches, e.m), append(r.Keys, e.rank)
 	}
 	r.Capped = len(r.Matches) >= req.Want
 	return r, nil
@@ -94,15 +92,14 @@ func decodeGatherCase(data []byte) gatherCase {
 	for i := range g.shards {
 		g.shards[i] = &modelShard{}
 		g.c.shards = append(g.c.shards, g.shards[i])
-		sm.touched[i] = next()%3 == 0
 	}
 	g.c.slots.Store(sm)
 	degree := func() float64 { return float64(next()%8) / 7 }
 	for j, m := 0, next()%40; j < m; j++ {
 		name := fmt.Sprintf("e%d", j)
 		// Colliding ordinals are allowed: compareEntries falls back to the name.
-		e := entry{m: digitaltraces.Match{Entity: name, Degree: degree()}, rank: next() % 32}
-		g.c.ord[name] = e.rank
+		e := entry{m: digitaltraces.Match{Entity: name, Degree: degree()}, rank: uint32(next() % 32)}
+		g.c.ord[name] = int(e.rank)
 		g.owned = append(g.owned, e)
 		owner := g.shards[sm.Owner(name)]
 		owner.list = append(owner.list, e)
@@ -114,14 +111,8 @@ func decodeGatherCase(data []byte) gatherCase {
 			}
 		}
 	}
-	for i, s := range g.shards {
-		if sm.touched[i] {
-			// A touched shard ranks by degree, its ties in its own order
-			// (here the decode order), not the global one.
-			sort.SliceStable(s.list, func(a, b int) bool { return s.list[a].m.Degree > s.list[b].m.Degree })
-		} else {
-			sort.SliceStable(s.list, func(a, b int) bool { return compareEntries(s.list[a], s.list[b]) < 0 })
-		}
+	for _, s := range g.shards {
+		slices.SortStableFunc(s.list, compareEntries)
 	}
 	if b := next(); b%2 == 1 && len(g.owned) > 0 {
 		g.entity = g.owned[b/2%len(g.owned)].m.Entity
@@ -164,14 +155,14 @@ func (g gatherCase) run(t *testing.T) (got, want []digitaltraces.Match, qs digit
 
 func FuzzBoundedGather(f *testing.F) {
 	// Seeds that reach the interesting regimes: empty case, single shard,
-	// many tied degrees, touched shards, foreign copies, large k, and
+	// many tied degrees, foreign copies, large k, and
 	// queries by entity and by example.
 	f.Add([]byte{})
-	f.Add([]byte{3, 2, 4, 0, 7, 1, 7, 2, 6, 3, 4, 0, 5, 1, 5, 2, 3, 3, 0, 0})
-	f.Add([]byte{0, 3, 2, 1, 0, 0, 0, 1, 5, 2, 7, 0, 7, 0, 7, 0, 4, 1, 0, 2, 1})
-	f.Add([]byte{11, 4, 0, 0, 1, 3, 30, 7, 7, 0, 7, 7, 4, 7, 7, 8, 7, 7, 0, 7, 7, 12, 7, 7, 0, 7, 7, 1, 0, 0, 0, 5})
-	f.Add([]byte{2, 2, 0, 3, 20, 6, 0, 0, 7, 1, 4, 6, 2, 8, 5, 3, 0, 4, 4, 12, 3, 5, 6, 1, 0, 4, 0, 0, 3, 1, 6, 2, 1, 3, 0, 4, 3})
-	f.Add([]byte{3, 3, 0, 0, 0, 25, 5, 1, 0, 5, 2, 4, 5, 3, 0, 5, 4, 8, 4, 2, 0, 5, 0, 4, 6, 5, 0, 7, 5, 12, 8, 3, 0, 3, 0, 5, 0, 9})
+	f.Add([]byte{3, 2, 1, 7, 2, 6, 3, 4, 0, 5, 1, 5, 2, 3, 3, 0, 0})
+	f.Add([]byte{0, 3, 0, 1, 5, 2, 7, 0, 7, 0, 7, 0, 4, 1, 0, 2, 1})
+	f.Add([]byte{11, 4, 7, 7, 0, 7, 7, 4, 7, 7, 8, 7, 7, 0, 7, 7, 12, 7, 7, 0, 7, 7, 1, 0, 0, 0, 5})
+	f.Add([]byte{2, 2, 6, 0, 0, 7, 1, 4, 6, 2, 8, 5, 3, 0, 4, 4, 12, 3, 5, 6, 1, 0, 4, 0, 0, 3, 1, 6, 2, 1, 3, 0, 4, 3})
+	f.Add([]byte{3, 3, 5, 1, 0, 5, 2, 4, 5, 3, 0, 5, 4, 8, 4, 2, 0, 5, 0, 4, 6, 5, 0, 7, 5, 12, 8, 3, 0, 3, 0, 5, 0, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := decodeGatherCase(data)
 		got, want, _ := g.run(t)
@@ -200,14 +191,14 @@ func TestBoundedGatherPrunes(t *testing.T) {
 		if name := fmt.Sprintf("hot%02d", j); sm.Owner(name) == 0 {
 			hot = append(hot, name)
 			c.ord[name] = len(c.ord)
-			shards[0].list = append(shards[0].list, entry{m: digitaltraces.Match{Entity: name, Degree: 1 - float64(len(hot))/100}, rank: c.ord[name]})
+			shards[0].list = append(shards[0].list, entry{m: digitaltraces.Match{Entity: name, Degree: 1 - float64(len(hot))/100}, rank: uint32(c.ord[name])})
 		}
 	}
 	for j := 0; j < cold*n; j++ {
 		name := fmt.Sprintf("c%03d", j)
 		if o := sm.Owner(name); o != 0 {
 			c.ord[name] = len(c.ord)
-			shards[o].list = append(shards[o].list, entry{m: digitaltraces.Match{Entity: name, Degree: 0.1 - float64(j)/10000}, rank: c.ord[name]})
+			shards[o].list = append(shards[o].list, entry{m: digitaltraces.Match{Entity: name, Degree: 0.1 - float64(j)/10000}, rank: uint32(c.ord[name])})
 		}
 	}
 	got, qs, err := c.TopK(hot[0], k)
@@ -230,7 +221,7 @@ func TestBoundedGatherPrunes(t *testing.T) {
 // TestBoundedGatherPullError: a shard's failed call fails the query, named
 // by its shard.
 func TestBoundedGatherPullError(t *testing.T) {
-	g := decodeGatherCase([]byte{3, 2, 0, 0, 20, 7, 1, 0, 6, 2, 0, 5, 3, 0, 4, 4, 0})
+	g := decodeGatherCase([]byte{3, 2, 7, 1, 0, 6, 2, 0, 5, 3, 0, 4, 4, 0})
 	g.shards[1].err = errors.New("shard down")
 	if _, _, err := g.c.TopKByExample(nil, 3); err == nil || err.Error() != "shard 1: shard down" {
 		t.Fatalf("err = %v, want shard 1: shard down", err)

@@ -2,12 +2,16 @@ package shard
 
 import (
 	"fmt"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"digitaltraces"
+	"digitaltraces/internal/mobility"
 	"digitaltraces/internal/obs"
+	"digitaltraces/internal/spindex"
+	"digitaltraces/internal/trace"
 )
 
 // countingBackend counts the Rank calls its shard answers.
@@ -93,12 +97,12 @@ func lastRow(t *testing.T, c *Cluster, shard int) obs.ShardTrace {
 	return obs.ShardTrace{}
 }
 
-// TestTieAcrossCapAfterMigration: a migration target's local order disagrees
-// with the global order on a degree tie that straddles its (k+1)-th entry —
+// TestTieAcrossCapAfterMigration: a degree tie straddles a migration target's
+// (k+1)-th entry, and its local IDs disagree with the global order there —
 // its own entities hold the low local IDs, the shipped ones arrived first in
-// the cluster — so its first k+1 by local order are the wrong k+1. The
-// touched flag makes its reply carry the whole tie, and the answer is the
-// single DB's.
+// the cluster. The ship carried their global ordinals, which the target ranks
+// by, so its first k+1 are the shipped ones, its capped reply is k+1 matches,
+// not the whole tie, and the answer is the single DB's.
 func TestTieAcrossCapAfterMigration(t *testing.T) {
 	const k = 3
 	c, backends, db := twinClusters(t)
@@ -117,19 +121,23 @@ func TestTieAcrossCapAfterMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The fixture: untied, the target's first k+1 are its own entities,
-	// while the answer is the shipped ones, which arrived first.
+	// The fixture: the target registered its own entities before the
+	// shipped ones (AllVisits lists them in local ID order), while the
+	// shipped ones arrived first in the cluster.
+	if first := backends[1].Backend.(local).AllVisits()[0].Entity; first != own[0] {
+		t.Fatalf("fixture: the target's first local ID is %s, want its own %s", first, own[0])
+	}
 	visits, err := db.VisitsOf(query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	untied, err := backends[1].Backend.Rank(RankRequest{Visits: visits, Want: k + 1, Owned: c.slotmap().Owned(1)})
+	capped, err := backends[1].Backend.Rank(RankRequest{Visits: visits, Want: k + 1, Owned: c.slotmap().Owned(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, m := range untied.Matches {
-		if i < k && m.Entity != own[i] {
-			t.Fatalf("fixture: the target's local order ranks %v first, want its own %v", untied.Matches, own)
+	for i, m := range capped.Matches {
+		if m.Entity != shipped[i] {
+			t.Fatalf("the target ranks %v first, want the shipped %v by their global ordinals", capped.Matches, shipped)
 		}
 	}
 
@@ -145,8 +153,8 @@ func TestTieAcrossCapAfterMigration(t *testing.T) {
 	if want[0].Entity != shipped[0] {
 		t.Fatalf("fixture: the single DB answers %v, not the shipped entities %v", want, shipped)
 	}
-	if row := lastRow(t, c, 1); row.Pulled != 2*(k+1) {
-		t.Fatalf("the target returned %d matches, want its whole tie of %d (the query excluded)", row.Pulled, 2*(k+1))
+	if row := lastRow(t, c, 1); row.Pulled != k+1 {
+		t.Fatalf("the target returned %d matches, want its cap of k+1 = %d", row.Pulled, k+1)
 	}
 }
 
@@ -258,4 +266,169 @@ func TestLongStayRoundTrips(t *testing.T) {
 		t.Fatalf("partitioned: %v", err)
 	}
 	requireSameMatches(t, "partitioned", got, want)
+}
+
+// holdingBackend holds a batch that hold picks at the shard's door until
+// release closes, signalling held once it waits: a later batch then lands on
+// the shard first.
+type holdingBackend struct {
+	Backend
+	hold          func([]digitaltraces.VisitRecord) bool
+	held, release chan struct{}
+}
+
+func (b *holdingBackend) AddKeyedVisits(visits []digitaltraces.VisitRecord, keys []uint32) (int, error) {
+	if b.hold(visits) {
+		close(b.held)
+		<-b.release
+	}
+	return b.Backend.AddKeyedVisits(visits, keys)
+}
+
+// TestRacingIngestIsExact: batch A registers its entities with the
+// coordinator before batch B does, but B lands on their shard first, so the
+// shard gives B's entities the lower local IDs. A degree tie spans both
+// batches and the shard's cap falls inside it. The shard ranks by the global
+// ordinals the records carried, so the answer is the single DB's that
+// ingested A, then B.
+func TestRacingIngestIsExact(t *testing.T) {
+	const k = 3
+	hb := &holdingBackend{
+		Backend: Local(propDB(t)),
+		hold:    func(v []digitaltraces.VisitRecord) bool { return v[0].Entity[0] == 'a' },
+		held:    make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	c, err := NewCluster(Config{Backends: []Backend{Local(propDB(t)), hb}, TraceSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	db := propDB(t)
+	defer db.Close()
+	onOne := func(s int) bool { return c.slotmap().assign[s] == 1 }
+	batch := func(names []string) (recs []digitaltraces.VisitRecord) {
+		for _, e := range names {
+			recs = append(recs, stay(e, 0, 1, 4)) // one tie: every entity the query's twin
+		}
+		return recs
+	}
+	query, a, b := batch(namesIn("q", 1, onOne)), batch(namesIn("a", k+1, onOne)), batch(namesIn("b", k+1, onOne))
+	ingestBoth(t, c, db, query)
+	done := make(chan error)
+	go func() {
+		_, err := c.AddVisits(a)
+		done <- err
+	}()
+	<-hb.held // A has its ordinals and waits at the shard
+	_, errB := c.AddVisits(b)
+	close(hb.release)
+	if errA := <-done; errA != nil || errB != nil {
+		t.Fatalf("batch A: %v; batch B: %v", errA, errB)
+	}
+	if first := hb.Backend.(local).AllVisits()[1].Entity; first != b[0].Entity {
+		t.Fatalf("fixture: the shard registered %s after the query, want B's %s first", first, b[0].Entity)
+	}
+	for _, recs := range [][]digitaltraces.VisitRecord{a, b} {
+		if _, err := db.AddVisits(recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	want, _, err := db.TopK(query[0].Entity, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := c.TopK(query[0].Entity, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameMatches(t, "after the racing batches", got, want)
+	if want[0].Entity != a[0].Entity {
+		t.Fatalf("fixture: the single DB answers %v, not batch A's entities", want)
+	}
+	if row := lastRow(t, c, 1); !row.Cut || row.Pulled != k+1 {
+		t.Fatalf("the shard returned %d matches (cut %t), want its cap of k+1 = %d inside the tie", row.Pulled, row.Cut, k+1)
+	}
+}
+
+// TestMigratedClusterAsksKPlusOne: a 4-shard cluster of 1 000 sparse WiFi
+// devices answers 500 queries at k = 10 exactly like the single DB, with no
+// shard returning more than its k+1 — before any migration, after
+// MigrateSlot(0, 1), and after MigrateSlot(2, 3) too: a migration target ranks
+// the shipped entities by the global ordinals they carried, so no later query
+// pays for the move.
+func TestMigratedClusterAsksKPlusOne(t *testing.T) {
+	const (
+		k, shards, side, levels = 10, 4, 32, 4
+		devices, queries        = 1000, 500
+	)
+	ix, err := spindex.NewGrid(spindex.GridConfig{Side: side, Levels: levels, WidthExp: 2, DensityExp: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := mobility.DefaultWiFiConfig()
+	cfg.Horizon, cfg.Seed, cfg.DetectionProb = 14*24, 1, 0.05
+	gen, err := mobility.NewWiFiGenerator(ix, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := digitaltraces.NewGridDB(side, levels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for i := range devices {
+		name := fmt.Sprintf("d%d", i)
+		var recs []digitaltraces.VisitRecord
+		for _, r := range gen.Entity(trace.EntityID(i)) {
+			recs = append(recs, digitaltraces.VisitRecord{Entity: name, Venue: digitaltraces.VenueName(int(r.Base)),
+				Start: digitaltraces.TimeAt(int(r.Start)), End: digitaltraces.TimeAt(int(r.End))})
+		}
+		if len(recs) > 0 {
+			if _, err := db.AddVisits(recs); err != nil {
+				t.Fatal(err)
+			}
+			names = append(names, name)
+		}
+	}
+	c, err := Partition(db, Config{Shards: shards, NewShard: func(int) (*digitaltraces.DB, error) { return digitaltraces.NewGridDB(side, levels) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	qs := make([]string, queries)
+	for i := range qs {
+		qs[i] = names[rng.Intn(len(names))]
+	}
+	check := func(state string) {
+		t.Helper()
+		most := 0
+		for _, q := range qs {
+			want, _, err := db.TopK(q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, st, err := c.TopK(q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameMatches(t, state+": "+q, got, want)
+			most = max(most, st.Pulled)
+		}
+		if most > shards*(k+1) {
+			t.Errorf("%s: a query pulled %d matches, past the %d of every shard's k+1", state, most, shards*(k+1))
+		}
+	}
+	check("no migration")
+	for _, move := range [][2]int{{0, 1}, {2, 3}} {
+		if err := c.MigrateSlot(move[0], move[1]); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("after MigrateSlot(%d, %d)", move[0], move[1]))
+	}
 }

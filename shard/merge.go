@@ -2,7 +2,6 @@ package shard
 
 import (
 	"cmp"
-	"math"
 	"slices"
 	"strings"
 
@@ -10,21 +9,10 @@ import (
 )
 
 // entry is one per-shard candidate inside the merge: the match plus its
-// global first-arrival ordinal (resolved from the cluster registry once,
-// outside the selection loop).
+// global first-arrival ordinal, the tie key its shard ranked it by.
 type entry struct {
 	m    digitaltraces.Match
-	rank int
-}
-
-// rankLocked resolves an entity's global first-arrival ordinal; callers hold
-// c.mu. Unknown names (defensive: every answer was ingested through the
-// router) sort last.
-func (c *Cluster) rankLocked(entity string) int {
-	if o, ok := c.ord[entity]; ok {
-		return o
-	}
-	return math.MaxInt
+	rank uint32
 }
 
 // merge is the coordinator's whole merge: every reply's entries but the

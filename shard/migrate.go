@@ -4,7 +4,7 @@ package shard
 // ingest and queries keep running, without ever returning a non-exact
 // answer.
 //
-// The protocol leans on three fences already in place:
+// The protocol leans on three properties already in place:
 //
 //  1. The per-slot ingest fence (Cluster.slotMu). MigrateSlot holds the
 //     write side for the whole move, so the slot's entity state is frozen —
@@ -16,10 +16,9 @@ package shard
 //     frozen) copy, one that pins the new map answers from the target's —
 //     the ownership mask each shard's search checks picks exactly one copy
 //     either way.
-//  3. The sticky touched flags. The target's local IDs for the shipped
-//     entities are fresh, so its local order stops matching global arrival
-//     order; flagging it (and the source, which now carries stale copies)
-//     makes every future query ask those shards for complete ties.
+//  3. Tie keys. Each record ships with its entity's global ordinal, which
+//     the target ranks by whatever local IDs it assigns, so the k+1 cap stays
+//     sound there.
 //
 // State ships through the existing ingest primitives — VisitsOf on the
 // source, one AddVisits batch on the target, which returns with the target's
@@ -43,10 +42,9 @@ import (
 // for the slot blocks for the duration (queries never block); concurrent
 // queries stay bit-for-bit exact throughout — the property suite's
 // standard. Moving a slot to its current owner is a no-op. On a failed ship
-// — a refused record or a failed fold on the target — the map is
-// republished with the target marked touched and ownership unchanged: the
-// target may hold a partial foreign copy, which the ownership mask hides
-// forever, and the slot remains fully served by the source.
+// — a refused record or a failed fold on the target — the map stands: the
+// target may hold a partial foreign copy, which the ownership mask hides, and
+// the slot remains fully served by the source.
 func (c *Cluster) MigrateSlot(slot, target int) error {
 	if slot < 0 || slot >= NumSlots {
 		return fmt.Errorf("shard: MigrateSlot slot %d out of range [0,%d)", slot, NumSlots)
@@ -80,6 +78,7 @@ func (c *Cluster) MigrateSlot(slot, target int) error {
 	sort.Slice(members, func(a, b int) bool { return members[a].ord < members[b].ord })
 
 	var recs []digitaltraces.VisitRecord
+	var keys []uint32
 	for _, m := range members {
 		vs, err := c.shards[src].VisitsOf(m.name)
 		if err != nil {
@@ -92,30 +91,18 @@ func (c *Cluster) MigrateSlot(slot, target int) error {
 		}
 		for _, v := range vs {
 			recs = append(recs, digitaltraces.VisitRecord{Entity: m.name, Venue: v.Venue, Start: v.Start, End: v.End})
+			keys = append(keys, uint32(m.ord))
 		}
 	}
 	if len(recs) > 0 {
-		if _, err := c.shards[target].AddVisits(recs); err != nil {
-			// The target may now hold a partial foreign copy; publish the
-			// touched flag (ownership unchanged) so no future query trusts
-			// the target's local order, then surface the failure.
-			failed := sm.clone()
-			failed.epoch++
-			failed.touched[target] = true
-			c.publishSlotMap(failed)
+		if _, err := c.shards[target].AddKeyedVisits(recs, keys); err != nil {
 			return fmt.Errorf("shard: migrating slot %d: shipping %d visits to shard %d: %w", slot, len(recs), target, err)
 		}
 	}
 
-	next := sm.clone()
+	next := *sm
 	next.epoch++
 	next.assign[slot] = target
-	if len(recs) > 0 {
-		// The target's fresh local IDs break its order alignment; the source
-		// keeps copies it no longer owns. An empty move disturbs neither.
-		next.touched[src] = true
-		next.touched[target] = true
-	}
-	c.publishSlotMap(next)
+	c.publishSlotMap(&next)
 	return nil
 }

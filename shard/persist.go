@@ -3,11 +3,12 @@ package shard
 // Cluster persistence: one envelope — a secfile container of
 //
 //	slots     the slot map that placed the entities: epoch u64, 256 × u16
-//	          assignment, one touched flag per shard
+//	          assignment
 //	ordinals  the cluster-wide first-arrival order: u16-length-prefixed entity
 //	          names
 //	shard ×n  one DB image per shard (the root package's format), page-aligned;
-//	          empty for a shard that held no entities
+//	          empty for a shard that held no entities; its entity table
+//	          carries each entity's global ordinal as its tie key
 //
 // written by SaveIndex and opened by OpenIndex, which serves every section
 // through its shard's Backend.OpenIndexAt with no re-ingest: in place off one
@@ -47,16 +48,9 @@ func (c *Cluster) SaveIndex(w io.Writer) (int64, error) {
 			return 0, fmt.Errorf("shard: saving shard %d index: %w", i, err)
 		}
 	}
-	slots := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+2*NumSlots+len(c.shards)), sm.epoch)
+	slots := binary.LittleEndian.AppendUint64(make([]byte, 0, slotsLen), sm.epoch)
 	for _, sh := range sm.assign {
 		slots = binary.LittleEndian.AppendUint16(slots, uint16(sh))
-	}
-	for _, t := range sm.touched {
-		b := byte(0)
-		if t {
-			b = 1
-		}
-		slots = append(slots, b)
 	}
 	// The global ordinal table, in first-arrival order: an open has no
 	// re-ingest to derive it from, and cross-shard degree ties must break as
@@ -94,13 +88,15 @@ func (c *Cluster) SaveIndex(w io.Writer) (int64, error) {
 	return sw.Close()
 }
 
+// slotsLen is the slot map section's size: the epoch and the assignment.
+const slotsLen = 8 + 2*NumSlots
+
 // envelope is a cluster file's two tables, decoded and validated; shard i's
 // image is section 2+i of the reader it came from.
 type envelope struct {
-	epoch   uint64
-	assign  [NumSlots]int
-	touched []bool   // per saved shard
-	names   []string // entity names in global arrival order
+	epoch  uint64
+	assign [NumSlots]int
+	names  []string // entity names in global arrival order
 }
 
 // readEnvelope is the one envelope reader: it checks that sr holds a cluster
@@ -117,22 +113,22 @@ func readEnvelope(sr *secfile.Reader) (*envelope, error) {
 			return nil, fmt.Errorf("shard: corrupt envelope: section %d is %v, want a shard image", 2+i, sec.Kind)
 		}
 	}
-	if want := int64(8 + 2*NumSlots + count); sr.Secs[0].Len != want {
-		return nil, fmt.Errorf("shard: corrupt envelope: slot map of %d bytes, %d shard sections need %d", sr.Secs[0].Len, count, want)
+	switch l := sr.Secs[0].Len; {
+	case l == slotsLen+int64(count):
+		return nil, fmt.Errorf("shard: the envelope's slot map carries a flag per shard, from before shards ranked by global ordinal: a retired index format — re-save the cluster index with this version")
+	case l != slotsLen:
+		return nil, fmt.Errorf("shard: corrupt envelope: slot map of %d bytes, want %d", l, slotsLen)
 	}
 	slots, err := sr.ReadAll(0)
 	if err != nil {
 		return nil, fmt.Errorf("shard: reading envelope slot map: %w", err)
 	}
-	env := &envelope{epoch: binary.LittleEndian.Uint64(slots), touched: make([]bool, count)}
+	env := &envelope{epoch: binary.LittleEndian.Uint64(slots)}
 	for s := range env.assign {
 		env.assign[s] = int(binary.LittleEndian.Uint16(slots[8+2*s:]))
 		if env.assign[s] >= count {
 			return nil, fmt.Errorf("shard: envelope slot %d assigned to shard %d of %d — corrupt envelope", s, env.assign[s], count)
 		}
-	}
-	for i := range env.touched {
-		env.touched[i] = slots[8+2*NumSlots+i] != 0
 	}
 	ord, err := sr.ReadAll(1)
 	if err != nil {
@@ -191,8 +187,8 @@ func (c *Cluster) OpenIndex(path string) error {
 	if err != nil {
 		return err
 	}
-	if len(env.touched) != len(c.shards) {
-		return fmt.Errorf("shard: envelope has %d shard sections, cluster has %d shards — each section is one shard's image, so the shard count is pinned; to change topology, re-ingest the log at the new count and build", len(env.touched), len(c.shards))
+	if n := len(sr.Secs) - 2; n != len(c.shards) {
+		return fmt.Errorf("shard: envelope has %d shard sections, cluster has %d shards — each section is one shard's image, so the shard count is pinned; to change topology, re-ingest the log at the new count and build", n, len(c.shards))
 	}
 	next, err := c.reconcile(env)
 	if err != nil {
@@ -239,9 +235,7 @@ func (c *Cluster) OpenIndex(path string) error {
 // which OpenIndex then extends with it. An empty cluster adopts the slot map;
 // a populated one (a re-ingested log) must already be routed exactly as the
 // image was saved: a divergent map would filter answers under ownership the
-// sections do not reflect. Either way the saved touched flags are honored:
-// they mark shards whose image's local ingest order is misaligned with the
-// global order, a property the open preserves byte-for-byte.
+// sections do not reflect.
 func (c *Cluster) reconcile(env *envelope) (*SlotMap, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -260,22 +254,12 @@ func (c *Cluster) reconcile(env *envelope) (*SlotMap, error) {
 	if len(c.ord) == 0 {
 		// The epoch stays monotone past any AssignSlots publishes that
 		// preceded this load.
-		return &SlotMap{epoch: max(env.epoch, cur.epoch+1), assign: env.assign, touched: env.touched}, nil
+		return &SlotMap{epoch: max(env.epoch, cur.epoch+1), assign: env.assign}, nil
 	}
 	for s, saved := range env.assign {
 		if cur.assign[s] != saved {
 			return nil, fmt.Errorf("shard: envelope assigns slot %d to shard %d but this cluster routes it to shard %d — the log was re-ingested under a different slot map than the image froze; restore the saved map (AssignSlots before ingest) or open it in a fresh cluster", s, saved, cur.assign[s])
 		}
 	}
-	var next *SlotMap
-	for i, t := range env.touched {
-		if t && !cur.touched[i] {
-			if next == nil {
-				next = cur.clone()
-				next.epoch++
-			}
-			next.touched[i] = true
-		}
-	}
-	return next, nil
+	return nil, nil
 }

@@ -331,8 +331,8 @@ func (c *Client) SnapshotGeneration() (uint64, bool) {
 
 // --- shard.Backend: ingest ---
 
-func (c *Client) AddVisits(visits []digitaltraces.VisitRecord) (int, error) {
-	resp, err := c.ingest(visits)
+func (c *Client) AddKeyedVisits(visits []digitaltraces.VisitRecord, keys []uint32) (int, error) {
+	resp, err := c.ingest(ingestReq{Records: visits, Keys: keys})
 	if err != nil {
 		return 0, err
 	}
@@ -350,10 +350,10 @@ func (c *Client) AddVisits(visits []digitaltraces.VisitRecord) (int, error) {
 	return int(resp.Stored), nil
 }
 
-func (c *Client) ingest(records []digitaltraces.VisitRecord) (ingestResp, error) {
+func (c *Client) ingest(req ingestReq) (ingestResp, error) {
 	// Not idempotent: a lost response leaves the records stored, and a
 	// replay would double them.
-	out, err := c.call("/shard/ingest", encodeIngestReq(ingestReq{Records: records}), c.callT, false)
+	out, err := c.call("/shard/ingest", encodeIngestReq(req), c.callT, false)
 	if err != nil {
 		return ingestResp{}, err
 	}

@@ -176,10 +176,11 @@ func sameRanked(t *testing.T, label string, got, want digitaltraces.Ranked) {
 
 // FuzzRemotePullSchedule fuzzes a schedule of rank calls — by entity and by
 // example, under fuzzed want sizes, floors on and between the exact order's
-// degrees, random slot masks and the ties flag — against one remote shard:
-// every reply must equal the in-process shard's under the same arguments,
-// and both must be the exact order restricted to the mask at or above the
-// floor, cut at want and, under ties, completed through the last degree.
+// degrees, and random slot masks — against one remote shard whose entities
+// arrived over the wire with tie keys that reverse their arrival order: every
+// reply must equal the in-process shard's under the same arguments, and both
+// must be the exact order — degree descending, tie key ascending — restricted
+// to the mask at or above the floor, cut at want.
 func FuzzRemotePullSchedule(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(0))
 	f.Add(int64(2), uint8(1), uint8(0))
@@ -192,14 +193,6 @@ func FuzzRemotePullSchedule(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer db.Close()
-		rng := rand.New(rand.NewSource(seed))
-		log := proptest.RandomLog(rng, 20, 12)
-		if _, err := db.AddVisits(log); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.BuildIndex(); err != nil {
-			t.Fatal(err)
-		}
 		srv := NewServer(db, ServerConfig{})
 		hs := httptest.NewServer(srv.Handler())
 		defer hs.Close()
@@ -208,6 +201,22 @@ func FuzzRemotePullSchedule(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer c.Close()
+		rng := rand.New(rand.NewSource(seed))
+		log := proptest.RandomLog(rng, 20, 12)
+		key := map[string]uint32{}
+		keys := make([]uint32, len(log))
+		for i, v := range log {
+			if _, ok := key[v.Entity]; !ok {
+				key[v.Entity] = 1<<20 - 3*uint32(len(key))
+			}
+			keys[i] = key[v.Entity]
+		}
+		if _, err := c.AddKeyedVisits(log, keys); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.BuildIndex(); err != nil {
+			t.Fatal(err)
+		}
 
 		// The full exact order, e000 included: a query by example at floor 0
 		// over every slot.
@@ -221,8 +230,13 @@ func FuzzRemotePullSchedule(f *testing.F) {
 			t.Fatal(err)
 		}
 		exact := full.Matches
+		for i := 1; i < len(exact); i++ {
+			if a, b := exact[i-1], exact[i]; a.Degree == b.Degree && key[a.Entity] > key[b.Entity] {
+				t.Fatalf("the exact order ranks %v before %v, tied, against their tie keys %d > %d", a, b, key[a.Entity], key[b.Entity])
+			}
+		}
 		for round := 0; round < 6; round++ {
-			req := shard.RankRequest{Want: 1 + int(wantByte%16) + rng.Intn(3), Owned: all, Ties: (int(floorByte)>>2+round)%2 == 1}
+			req := shard.RankRequest{Want: 1 + int(wantByte%16) + rng.Intn(3), Owned: all}
 			if round%2 == 0 {
 				req.Entity = "e000"
 			} else {
@@ -254,7 +268,7 @@ func FuzzRemotePullSchedule(f *testing.F) {
 				if m.Degree < req.Floor || !req.Owned.Has(shard.SlotOf(m.Entity)) || req.Entity == m.Entity {
 					continue
 				}
-				if n := len(expect); n >= req.Want && !(req.Ties && m.Degree == expect[n-1].Degree) {
+				if len(expect) >= req.Want {
 					break
 				}
 				expect = append(expect, m)

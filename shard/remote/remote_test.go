@@ -66,11 +66,28 @@ func sameMatches(t *testing.T, label string, got, want []digitaltraces.Match) {
 	}
 }
 
-// seedLog ingests a deterministic random log through the client and builds.
+// arrivalKeys returns the tie keys a coordinator over this one shard sends
+// with recs: each entity's first-arrival ordinal, counted on from the
+// entities ord already holds (and adds to) — the IDs a single DB gives them.
+func arrivalKeys(ord map[string]uint32, recs []digitaltraces.VisitRecord) []uint32 {
+	keys := make([]uint32, len(recs))
+	for i, r := range recs {
+		k, ok := ord[r.Entity]
+		if !ok {
+			k = uint32(len(ord))
+			ord[r.Entity] = k
+		}
+		keys[i] = k
+	}
+	return keys
+}
+
+// seedLog ingests a deterministic random log through the client, keyed as a
+// single DB would be, and builds.
 func seedLog(t *testing.T, c *Client, seed int64, entities int) []digitaltraces.VisitRecord {
 	t.Helper()
 	log := proptest.RandomLog(rand.New(rand.NewSource(seed)), entities, 24)
-	if n, err := c.AddVisits(log); err != nil || n != len(log) {
+	if n, err := c.AddKeyedVisits(log, arrivalKeys(map[string]uint32{}, log)); err != nil || n != len(log) {
 		t.Fatalf("AddVisits: stored %d of %d, err %v", n, len(log), err)
 	}
 	if err := c.BuildIndex(); err != nil {
@@ -94,7 +111,9 @@ func TestRemoteRefreshPastBuiltData(t *testing.T) {
 		{Entity: "traveler", Venue: digitaltraces.VenueName(0), Start: far, End: far.Add(2 * time.Hour)},
 		{Entity: log[0].Entity, Venue: digitaltraces.VenueName(0), Start: far.Add(time.Hour), End: far.Add(3 * time.Hour)},
 	}
-	if n, err := c.AddVisits(late); err != nil || n != len(late) {
+	ord := map[string]uint32{}
+	arrivalKeys(ord, log)
+	if n, err := c.AddKeyedVisits(late, arrivalKeys(ord, late)); err != nil || n != len(late) {
 		t.Fatalf("AddVisits: stored %d of %d, err %v", n, len(late), err)
 	}
 	after := c.IndexStats()
@@ -175,7 +194,7 @@ func TestRemoteBackendEndToEnd(t *testing.T) {
 
 	// A remote rank call and the in-process one over the same DB answer
 	// identically — matches, visits, bound, cap, work and generation — by
-	// entity and by example, under floors, masks and ties.
+	// entity and by example, under floors and masks.
 	visits, err := db.VisitsOf("e003")
 	if err != nil {
 		t.Fatal(err)
@@ -188,9 +207,9 @@ func TestRemoteBackendEndToEnd(t *testing.T) {
 	for _, req := range []shard.RankRequest{
 		{Entity: "e003", Want: 1, Owned: all},
 		{Entity: "e003", Want: 8, Owned: all},
-		{Entity: "e003", Want: 4, Owned: odd, Ties: true},
+		{Entity: "e003", Want: 4, Owned: odd},
 		{Visits: visits, Want: 16, Floor: 0.05, Owned: all},
-		{Visits: visits, Want: 2, Floor: 0.01, Owned: odd, Ties: true},
+		{Visits: visits, Want: 2, Floor: 0.01, Owned: odd},
 		{Visits: visits, Want: 64, Owned: all},
 	} {
 		want, err := shard.Local(db).Rank(req)
@@ -219,8 +238,7 @@ func TestMalformedRankRejected(t *testing.T) {
 	body := func(want uint64, floor float64, maskLen int) []byte {
 		b := appendVisits(appendString([]byte{tagRankReq}, "e001"), nil)
 		b = appendF64(binary.AppendUvarint(b, want), floor)
-		b = append(binary.AppendUvarint(b, uint64(maskLen)), make([]byte, maskLen)...)
-		return appendBool(b, false)
+		return append(binary.AppendUvarint(b, uint64(maskLen)), make([]byte, maskLen)...)
 	}
 	if _, err := decodeRankReq(body(4, 0.5, maskBytes)); err != nil {
 		t.Fatalf("the well-formed request is refused: %v", err)
@@ -374,10 +392,10 @@ func TestIngestNeverRetried(t *testing.T) {
 	defer hs.Close()
 
 	c := dialTest(t, hs.URL, Options{Retries: 3})
-	_, err = c.AddVisits([]digitaltraces.VisitRecord{{
+	_, err = c.AddKeyedVisits([]digitaltraces.VisitRecord{{
 		Entity: "e", Venue: digitaltraces.VenueName(0),
 		Start: digitaltraces.TimeAt(0), End: digitaltraces.TimeAt(1),
-	}})
+	}}, []uint32{0})
 	if err == nil {
 		t.Fatal("ingest over a killed connection must error, not silently retry")
 	}
@@ -411,7 +429,7 @@ func TestIngestPartialFailure(t *testing.T) {
 		t.Fatal("reference DB accepted an unknown venue; test premise broken")
 	}
 
-	gotN, gotErr := c.AddVisits(recs)
+	gotN, gotErr := c.AddKeyedVisits(recs, arrivalKeys(map[string]uint32{}, recs))
 	if gotN != wantN {
 		t.Fatalf("stored %d remotely, %d locally", gotN, wantN)
 	}
@@ -427,11 +445,11 @@ func TestIngestPartialFailure(t *testing.T) {
 // one, which searched through open/pull streams, and older ones included —
 // is refused before any payload is decoded.
 func TestProtoVersionRejected(t *testing.T) {
-	if ProtoVersion != "5" {
-		t.Fatalf("ProtoVersion = %q, want 5", ProtoVersion)
+	if ProtoVersion != "6" {
+		t.Fatalf("ProtoVersion = %q, want 6", ProtoVersion)
 	}
 	_, _, hs := newShardServer(t, ServerConfig{})
-	for _, v := range []string{"2", "3", "4", "99"} {
+	for _, v := range []string{"2", "3", "4", "5", "99"} {
 		req, err := http.NewRequest(http.MethodGet, hs.URL+"/shard/stats", nil)
 		if err != nil {
 			t.Fatal(err)

@@ -181,7 +181,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// HTTP error: the stored count is authoritative either way and the
 	// client must see both. A failed fold of every stored record reports
 	// FailIndex = len(records) and the fold's own error.
-	n, err := s.db.AddVisits(req.Records)
+	n, err := s.db.AddKeyedVisits(req.Records, req.Keys)
 	resp := ingestResp{Stored: uint64(n), FailIndex: -1, State: s.state()}
 	switch {
 	case err != nil && n == len(req.Records):

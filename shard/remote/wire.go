@@ -10,7 +10,7 @@
 //
 // A cluster query's whole part on one shard is one request: POST /shard/rank
 // carries shard.Backend.Rank's arguments (the entity or the example visits,
-// want, floor, the owned-slot mask and the ties flag) and one response
+// want, floor and the owned-slot mask) and one response
 // carries the complete reply — the ranked matches, the remainder bound,
 // whether the cap ended it, the work, the snapshot generation and, for a
 // query by entity, the entity's visits. A TopK therefore costs two serial
@@ -52,7 +52,7 @@ import (
 // ProtoVersion identifies the wire protocol; requests carry it in the
 // X-Shard-Proto header and the server rejects mismatches, so a rolling
 // upgrade fails loudly instead of misdecoding.
-const ProtoVersion = "5"
+const ProtoVersion = "6"
 
 // protoHeader is the HTTP header carrying ProtoVersion.
 const protoHeader = "X-Shard-Proto"
@@ -106,9 +106,11 @@ type visitsOfResp struct {
 	State  shardState
 }
 
-// ingestReq bulk-ingests visit records. Never retried.
+// ingestReq bulk-ingests visit records, each with its entity's global
+// ordinal (DB.AddKeyedVisits). Never retried.
 type ingestReq struct {
 	Records []digitaltraces.VisitRecord
+	Keys    []uint32
 }
 
 // ingestResp reports the DB.AddVisits outcome: how many records were
@@ -154,22 +156,24 @@ func appendVisits(b []byte, vs []digitaltraces.Visit) []byte {
 	return b
 }
 
-func appendRecords(b []byte, rs []digitaltraces.VisitRecord) []byte {
+func appendRecords(b []byte, rs []digitaltraces.VisitRecord, keys []uint32) []byte {
 	b = binary.AppendUvarint(b, uint64(len(rs)))
-	for _, r := range rs {
+	for i, r := range rs {
 		b = appendString(b, r.Entity)
 		b = appendString(b, r.Venue)
 		b = appendI64(b, r.Start.UnixNano())
 		b = appendI64(b, r.End.UnixNano())
+		b = binary.AppendUvarint(b, uint64(keys[i]))
 	}
 	return b
 }
 
-func appendMatches(b []byte, ms []digitaltraces.Match) []byte {
+func appendMatches(b []byte, ms []digitaltraces.Match, keys []uint32) []byte {
 	b = binary.AppendUvarint(b, uint64(len(ms)))
-	for _, m := range ms {
+	for i, m := range ms {
 		b = appendString(b, m.Entity)
 		b = appendF64(b, m.Degree)
+		b = binary.AppendUvarint(b, uint64(keys[i]))
 	}
 	return b
 }
@@ -194,12 +198,12 @@ func encodeRankReq(m shard.RankRequest) []byte {
 	for _, w := range m.Owned {
 		b = binary.LittleEndian.AppendUint64(b, w)
 	}
-	return appendBool(b, m.Ties)
+	return b
 }
 
 func encodeRankResp(m rankResp) []byte {
 	b := appendVisits([]byte{tagRankResp}, m.Visits)
-	b = appendMatches(b, m.Matches)
+	b = appendMatches(b, m.Matches, m.Keys)
 	b = appendF64(b, m.Bound)
 	b = appendBool(b, m.Capped)
 	b = binary.AppendUvarint(b, uint64(m.Checked))
@@ -217,7 +221,7 @@ func encodeVisitsOfResp(m visitsOfResp) []byte {
 }
 
 func encodeIngestReq(m ingestReq) []byte {
-	return appendRecords([]byte{tagIngestReq}, m.Records)
+	return appendRecords([]byte{tagIngestReq}, m.Records, m.Keys)
 }
 
 func encodeIngestResp(m ingestResp) []byte {
@@ -356,38 +360,48 @@ func (r *reader) visits() []digitaltraces.Visit {
 	return vs
 }
 
-func (r *reader) records() []digitaltraces.VisitRecord {
+func (r *reader) records() ([]digitaltraces.VisitRecord, []uint32) {
 	n := r.count()
 	if r.err != nil || n == 0 {
-		return nil
+		return nil, nil
 	}
-	rs := make([]digitaltraces.VisitRecord, 0, min(n, 4096))
+	rs, keys := make([]digitaltraces.VisitRecord, 0, min(n, 4096)), make([]uint32, 0, min(n, 4096))
 	for i := 0; i < n; i++ {
 		entity, venue := r.str(), r.str()
-		start, end := r.i64(), r.i64()
+		start, end, key := r.i64(), r.i64(), r.key()
 		if r.err != nil {
-			return nil
+			return nil, nil
 		}
 		rs = append(rs, digitaltraces.VisitRecord{Entity: entity, Venue: venue, Start: time.Unix(0, start).UTC(), End: time.Unix(0, end).UTC()})
+		keys = append(keys, key)
 	}
-	return rs
+	return rs, keys
 }
 
-func (r *reader) matches() []digitaltraces.Match {
+func (r *reader) matches() ([]digitaltraces.Match, []uint32) {
 	n := r.count()
 	if r.err != nil || n == 0 {
-		return nil
+		return nil, nil
 	}
-	ms := make([]digitaltraces.Match, 0, min(n, 4096))
+	ms, keys := make([]digitaltraces.Match, 0, min(n, 4096)), make([]uint32, 0, min(n, 4096))
 	for i := 0; i < n; i++ {
-		entity := r.str()
-		degree := r.f64()
+		entity, degree, key := r.str(), r.f64(), r.key()
 		if r.err != nil {
-			return nil
+			return nil, nil
 		}
 		ms = append(ms, digitaltraces.Match{Entity: entity, Degree: degree})
+		keys = append(keys, key)
 	}
-	return ms
+	return ms, keys
+}
+
+// key decodes a tie key, refusing one past 32 bits.
+func (r *reader) key() uint32 {
+	k := r.uvarint()
+	if k > math.MaxUint32 {
+		r.fail("tie key %d exceeds 32 bits", k)
+	}
+	return uint32(k)
 }
 
 // mask decodes a slot mask, refusing any length but the slot space's.
@@ -437,7 +451,7 @@ func decodeRankReq(b []byte) (shard.RankRequest, error) {
 	if m.Floor = r.f64(); r.err == nil && !(m.Floor >= 0 && m.Floor <= 1) {
 		r.fail("floor %v outside [0, 1]", m.Floor)
 	}
-	m.Owned, m.Ties = r.mask(), r.boolean()
+	m.Owned = r.mask()
 	return m, r.finish()
 }
 
@@ -445,7 +459,8 @@ func decodeRankResp(b []byte) (rankResp, error) {
 	r := reader{b: b}
 	r.tag(tagRankResp)
 	var m rankResp
-	m.Visits, m.Matches = r.visits(), r.matches()
+	m.Visits = r.visits()
+	m.Matches, m.Keys = r.matches()
 	m.Bound, m.Capped, m.Checked, m.Generation = r.f64(), r.boolean(), int(r.uvarint()), r.uvarint()
 	m.State = r.state()
 	return m, r.finish()
@@ -468,7 +483,8 @@ func decodeVisitsOfResp(b []byte) (visitsOfResp, error) {
 func decodeIngestReq(b []byte) (ingestReq, error) {
 	r := reader{b: b}
 	r.tag(tagIngestReq)
-	m := ingestReq{Records: r.records()}
+	var m ingestReq
+	m.Records, m.Keys = r.records()
 	return m, r.finish()
 }
 

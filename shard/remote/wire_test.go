@@ -6,6 +6,7 @@ package remote
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
@@ -48,18 +49,18 @@ func roundTrips(t *testing.T) map[string][]byte {
 	if got, err := decodeRankReq(msgs["rankReq/entity"]); err != nil || !reflect.DeepEqual(got, rr) {
 		t.Fatalf("rankReq entity round trip: %+v, %v", got, err)
 	}
-	rr2 := shard.RankRequest{Visits: wireVisits(), Want: 3, Floor: 0.375, Owned: mask, Ties: true}
+	rr2 := shard.RankRequest{Visits: wireVisits(), Want: 3, Floor: 0.375, Owned: mask}
 	msgs["rankReq/visits"] = encodeRankReq(rr2)
 	if got, err := decodeRankReq(msgs["rankReq/visits"]); err != nil || len(got.Visits) != 3 || got.Visits[2].Venue != rr2.Visits[2].Venue || !got.Visits[0].Start.Equal(rr2.Visits[0].Start) ||
-		got.Want != 3 || got.Floor != 0.375 || got.Owned != mask || !got.Ties {
+		got.Want != 3 || got.Floor != 0.375 || got.Owned != mask {
 		t.Fatalf("rankReq visits round trip: %+v, %v", got, err)
 	}
 
-	rs := rankResp{Ranked: digitaltraces.Ranked{Matches: wireMatches(), Visits: wireVisits(), Bound: 0.25, Capped: true, Checked: 12, Generation: 7},
+	rs := rankResp{Ranked: digitaltraces.Ranked{Matches: wireMatches(), Keys: []uint32{3, 0, math.MaxUint32, 1 << 20}, Visits: wireVisits(), Bound: 0.25, Capped: true, Checked: 12, Generation: 7},
 		State: shardState{Entities: 10, Generation: 7, GenOK: true}}
 	msgs["rankResp"] = encodeRankResp(rs)
 	got, err := decodeRankResp(msgs["rankResp"])
-	if err != nil || len(got.Visits) != 3 || len(got.Matches) != 4 || got.Bound != 0.25 || !got.Capped || got.Checked != 12 || got.Generation != 7 || got.State != rs.State {
+	if err != nil || len(got.Visits) != 3 || len(got.Matches) != 4 || !reflect.DeepEqual(got.Keys, rs.Keys) || got.Bound != 0.25 || !got.Capped || got.Checked != 12 || got.Generation != 7 || got.State != rs.State {
 		t.Fatalf("rankResp round trip: %+v, %v", got, err)
 	}
 	for i, m := range got.Matches {
@@ -81,9 +82,9 @@ func roundTrips(t *testing.T) map[string][]byte {
 	ir := ingestReq{Records: []digitaltraces.VisitRecord{
 		{Entity: "e1", Venue: "v1", Start: time.Unix(0, 1e9).UTC(), End: time.Unix(0, 2e9).UTC()},
 		{Entity: "e2", Venue: "v2", Start: time.Unix(0, 3e9).UTC(), End: time.Unix(0, 4e9).UTC()},
-	}}
+	}, Keys: []uint32{7, math.MaxUint32}}
 	msgs["ingestReq"] = encodeIngestReq(ir)
-	if got, err := decodeIngestReq(msgs["ingestReq"]); err != nil || len(got.Records) != 2 || got.Records[1] != ir.Records[1] {
+	if got, err := decodeIngestReq(msgs["ingestReq"]); err != nil || len(got.Records) != 2 || got.Records[1] != ir.Records[1] || !reflect.DeepEqual(got.Keys, ir.Keys) {
 		t.Fatalf("ingestReq round trip: %+v, %v", got, err)
 	}
 
@@ -177,6 +178,11 @@ func TestWireGarbageRejected(t *testing.T) {
 	if _, err := decodeVisitsOfReq([]byte{tagVisitsOfReq, 0x81, 0x00, 'e'}); err == nil {
 		t.Error("non-canonical uvarint length accepted")
 	}
+	// A tie key past 32 bits: the record's last field.
+	one := encodeIngestReq(ingestReq{Records: []digitaltraces.VisitRecord{{Entity: "e"}}, Keys: []uint32{0}})
+	if _, err := decodeIngestReq(binary.AppendUvarint(one[:len(one)-1], 1<<32)); err == nil || !strings.Contains(err.Error(), "tie key") {
+		t.Errorf("a 33-bit tie key: %v, want it refused", err)
+	}
 }
 
 // TestWireBoolStrict pins that bools reject bytes other than 0/1 (a
@@ -201,7 +207,7 @@ func TestWireFloatBitExact(t *testing.T) {
 	vals := []float64{0, math.Copysign(0, -1), 1, math.Nextafter(1, 0), math.SmallestNonzeroFloat64, 0.1 + 0.2}
 	for _, v := range vals {
 		ms := []digitaltraces.Match{{Entity: "e", Degree: v}}
-		got, err := decodeRankResp(encodeRankResp(rankResp{Ranked: digitaltraces.Ranked{Matches: ms, Bound: v}}))
+		got, err := decodeRankResp(encodeRankResp(rankResp{Ranked: digitaltraces.Ranked{Matches: ms, Keys: []uint32{0}, Bound: v}}))
 		if err != nil {
 			t.Fatal(err)
 		}

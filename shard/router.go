@@ -7,18 +7,27 @@ package shard
 // computable by any process holding the (tiny) current map, and the map can
 // change: MigrateSlot moves a slot's entities to another shard and publishes
 // a new map under a bumped epoch. The arrival order is the cluster-wide
-// substitute for the single DB's entity-ID assignment order, used only to
-// break exact-degree ties across shards deterministically; it is placement-
-// independent, which is why answers stay bit-identical across migrations.
+// substitute for the single DB's entity-ID assignment order: every record
+// carries its entity's ordinal to the shard, which breaks degree ties by it.
+// It is placement-independent, which is why answers stay bit-identical
+// across migrations.
 
-// register assigns global first-arrival ordinals to any names not seen
-// before, in slice order, under one lock acquisition.
-func (c *Cluster) register(names []string) {
+import "digitaltraces"
+
+// register assigns global first-arrival ordinals to the visits' entities not
+// seen before, in slice order, under one lock acquisition, and returns each
+// visit's entity's ordinal.
+func (c *Cluster) register(visits []digitaltraces.VisitRecord) []uint32 {
+	ords := make([]uint32, len(visits))
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, name := range names {
-		if _, ok := c.ord[name]; !ok {
-			c.ord[name] = len(c.ord)
+	for i, v := range visits {
+		o, ok := c.ord[v.Entity]
+		if !ok {
+			o = len(c.ord)
+			c.ord[v.Entity] = o
 		}
+		ords[i] = uint32(o)
 	}
+	return ords
 }

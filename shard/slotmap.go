@@ -27,20 +27,8 @@ package shard
 // Ingest takes a per-slot read fence (Cluster.slotMu) and resolves the map
 // after acquiring it, while a migration holds the slot's write fence across
 // ship-and-publish — so the entity state a move ships is frozen, and no visit
-// can land on the old owner after the new map is visible.
-//
-// # Touched shards
-//
-// The k+1 per-shard cap relies on a shard's local order among equal degrees
-// (ascending local ID, which is ingest order) matching the global arrival
-// order restricted to that shard (gather.go). A migration target assigns
-// fresh local IDs to the shipped entities, breaking that alignment
-// permanently — so the map carries a sticky per-shard "touched" flag, which
-// means "complete ties": a touched shard's capped reply also carries every
-// match tied with its (k+1)-th, so what it withholds is strictly below k+1 of
-// its own matches whatever their order. Answers stay bit-identical, at the
-// cost of the tied entries, on exactly the shards that have absorbed or
-// surrendered a migration.
+// can land on the old owner after the new map is visible. The map carries
+// nothing but ownership: every shard ranks by global ordinal (gather.go).
 
 import (
 	"fmt"
@@ -80,18 +68,11 @@ type SlotMap struct {
 	epoch uint64
 	// assign maps slot → shard ordinal.
 	assign [NumSlots]int
-	// touched marks shards whose local ingest order no longer matches the
-	// global arrival order restricted to the shard (they absorbed a shipped
-	// slot) or that may hold entries they do not own (they surrendered one,
-	// or a ship into them failed partway): their replies complete ties.
-	// Sticky for the life of the process: alignment, once broken, does not
-	// heal. len == shard count.
-	touched []bool
 }
 
 // DefaultSlotMap is the epoch-0 assignment for n shards: slot s → s mod n.
 func DefaultSlotMap(n int) *SlotMap {
-	m := &SlotMap{touched: make([]bool, n)}
+	m := &SlotMap{}
 	for s := range m.assign {
 		m.assign[s] = s % n
 	}
@@ -127,13 +108,6 @@ func (m *SlotMap) Assignment() []int {
 	out := make([]int, NumSlots)
 	copy(out, m.assign[:])
 	return out
-}
-
-// clone returns a mutable deep copy, for building the next version.
-func (m *SlotMap) clone() *SlotMap {
-	n := &SlotMap{epoch: m.epoch, assign: m.assign, touched: make([]bool, len(m.touched))}
-	copy(n.touched, m.touched)
-	return n
 }
 
 // slotmap returns the cluster's current map. Callers that correlate several
@@ -189,10 +163,10 @@ func (c *Cluster) AssignSlots(assign []int) error {
 	if populated {
 		return fmt.Errorf("shard: AssignSlots on a populated cluster — slots move with MigrateSlot once entities exist")
 	}
-	next := c.slotmap().clone()
+	next := *c.slotmap()
 	next.epoch++
 	copy(next.assign[:], assign)
-	c.publishSlotMap(next)
+	c.publishSlotMap(&next)
 	return nil
 }
 

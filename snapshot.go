@@ -25,17 +25,19 @@ import (
 )
 
 // snapshot is one frozen, fully consistent index state: the sequence store,
-// the postings over it, the degree measure and the name table of every
-// entity that existed at capture. A snapshot is immutable after publication —
-// the postings are only ever read (core.Postings searches are read-only), the
-// store is never Put into again, and byID is a length-capped prefix whose
-// elements never change — so any number of queries search it lock-free while
-// maintenance builds the next snapshot aside instead of mutating this one.
+// the postings over it, the degree measure and the name and tie-key tables of
+// every entity that existed at capture. A snapshot is immutable after
+// publication — the postings are only ever read (core.Postings searches are
+// read-only), the store is never Put into again, and byID and keys are
+// length-capped prefixes whose elements never change — so any number of
+// queries search it lock-free while maintenance builds the next snapshot
+// aside instead of mutating this one.
 type snapshot struct {
 	store   *trace.Store
 	post    *core.Postings
 	measure adm.Measure
 	byID    []string // entity name by EntityID, frozen at capture
+	keys    []uint32 // tie key by EntityID, frozen at capture
 
 	// dirty is the bounded log of what the recent folds changed, oldest
 	// first: the dirty entity sets of the last ≤ dirtyLogLen publishes up to
@@ -80,6 +82,7 @@ func (s *snapshot) topK(q *trace.Sequences, k int) ([]Match, QueryStats, error) 
 // publish drops exactly the captured prefixes.
 type view struct {
 	byID []string
+	keys []uint32
 	ids  []trace.EntityID
 	recs [][]trace.Record // recs[i]: ids[i]'s pending records at capture
 	seq  uint64
@@ -89,7 +92,7 @@ type view struct {
 func (db *DB) captureView() view {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	v := view{byID: db.byID[:len(db.byID):len(db.byID)], seq: db.writeSeq}
+	v := view{byID: db.byID[:len(db.byID):len(db.byID)], keys: db.keys[:len(db.keys):len(db.keys)], seq: db.writeSeq}
 	v.ids = slices.Sorted(maps.Keys(db.pending))
 	v.recs = make([][]trace.Record, len(v.ids))
 	for i, e := range v.ids {
@@ -159,6 +162,7 @@ func (db *DB) buildSnapshot() (*snapshot, error) {
 		post:      post,
 		measure:   measure,
 		byID:      v.byID,
+		keys:      v.keys,
 		buildTime: time.Since(start),
 	}
 	return db.publish(ns, v), nil
@@ -190,6 +194,7 @@ func (db *DB) refreshSnapshot(prev *snapshot) error {
 		post:        post,
 		measure:     prev.measure,
 		byID:        v.byID,
+		keys:        v.keys,
 		dirty:       appendDirty(prev.dirty, v.ids),
 		buildTime:   prev.buildTime,
 		refreshTime: time.Since(start),

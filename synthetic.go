@@ -156,7 +156,7 @@ func populate(db *DB, n int, genEntity func(trace.EntityID) []trace.Record) *DB 
 // its records, pending until BuildIndex or the first query folds them: the
 // one step a generated or loaded population enters a DB by.
 func (db *DB) preload(name string, recs []trace.Record) {
-	e := db.register(name)
+	e := db.register(name, -1)
 	for i := range recs {
 		recs[i].Entity = e
 	}

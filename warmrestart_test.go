@@ -210,11 +210,11 @@ func TestLoadIndexStaleEntitySkipped(t *testing.T) {
 	var buf bytes.Buffer
 	epoch, _, _ := src.epochInfo()
 	meta := core.SnapshotMeta{TimeUnit: src.unit, EpochNanos: epoch.UnixNano(), MeasureU: src.measureU, MeasureV: src.measureV}
-	if _, err := s.post.WriteSnapshot(&buf, meta, s.store, func(e trace.EntityID) (string, uint32) {
+	if _, err := s.post.WriteSnapshot(&buf, meta, s.store, func(e trace.EntityID) (string, uint32, uint32) {
 		if s.byID[e] == "entity-5" {
-			return s.byID[e], core.FoldedUnknown
+			return s.byID[e], uint32(e), core.FoldedUnknown
 		}
-		return s.byID[e], src.ingested[e]
+		return s.byID[e], uint32(e), src.ingested[e]
 	}); err != nil {
 		t.Fatal(err)
 	}
