@@ -164,8 +164,8 @@ func TestBulkLoadImageOpensOverLog(t *testing.T) {
 	}
 	defer mem.Close()
 	restored := freshGrid(t, mem.AllVisits())
-	if err := restored.OpenIndexAt(bytes.NewReader(buf.Bytes()), int64(buf.Len())); err != nil {
-		t.Fatalf("OpenIndexAt of the bulk DB's image: %v", err)
+	if err := restored.OpenImage(buf.Bytes()); err != nil {
+		t.Fatalf("OpenImage of the bulk DB's image: %v", err)
 	}
 	assertOpenFoldedNothing(t, restored)
 	assertSameAnswers(t, bulk, restored, []string{"entity-3", "entity-80", "entity-206"}, 5)

@@ -319,7 +319,7 @@ func TestCacheResultIsolation(t *testing.T) {
 // entity, to an answer member, to a new entity, to an outside entity boosted
 // above the k-th degree, and to one boosted to tie it exactly with a smaller
 // ID; queries with k at least the population (zero-degree fills); an entry
-// staler than the dirty log reaches; and a BuildIndex and an OpenIndexAt in
+// staler than the dirty log reaches; and a BuildIndex and an OpenImage in
 // between. It also requires that both verdicts occur, so the property is
 // never met vacuously by a cache that always misses.
 func TestCacheRevalidationReplay(t *testing.T) {
@@ -510,7 +510,7 @@ func TestCacheRevalidationReplay(t *testing.T) {
 		if _, err := cached.SaveIndex(&buf); err != nil {
 			t.Fatal(err)
 		}
-		if err := cached.OpenIndexAt(bytes.NewReader(buf.Bytes()), int64(buf.Len())); err != nil {
+		if err := cached.OpenImage(buf.Bytes()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -522,7 +522,7 @@ func TestCacheRevalidationReplay(t *testing.T) {
 	for _, p := range []struct {
 		step    string
 		publish func()
-	}{{"BuildIndex", rebuild}, {"OpenIndexAt", reopen}} {
+	}{{"BuildIndex", rebuild}, {"OpenImage", reopen}} {
 		step, publish := p.step, p.publish
 		for _, q := range stale {
 			check("pre-"+step, q)

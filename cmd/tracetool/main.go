@@ -176,13 +176,11 @@ func fetchStats(base string) *server.StatsResponse {
 // read against the placement that caused it.
 func printShardSkew(tr server.TracesResponse, st *server.StatsResponse) {
 	pulled := map[int]int{}
-	rounds := map[int]int{}
 	addrs := map[int]string{}
 	total := 0
 	for _, t := range tr.Traces {
 		for _, s := range t.Shards {
 			pulled[s.Shard] += s.Pulled
-			rounds[s.Shard] += s.Rounds
 			if s.Addr != "" {
 				addrs[s.Shard] = s.Addr
 			}
@@ -209,7 +207,7 @@ func printShardSkew(tr server.TracesResponse, st *server.StatsResponse) {
 	} else {
 		fmt.Println("per-shard pull skew (across shown traces):")
 	}
-	fmt.Printf("  %5s  %7s  %6s  %6s  %s\n", "shard", "pulled", "share", "rounds", "vs fair")
+	fmt.Printf("  %5s  %7s  %6s  %s\n", "shard", "pulled", "share", "vs fair")
 	for _, o := range ords {
 		ratio := float64(pulled[o]) / fair
 		bar := ""
@@ -220,8 +218,8 @@ func printShardSkew(tr server.TracesResponse, st *server.StatsResponse) {
 		if s, ok := byOrd[o]; ok {
 			note = fmt.Sprintf("  [slots=%d owned=%d entities=%d]", s.Slots, s.Owned, s.Entities)
 		}
-		fmt.Printf("  %5d  %7d  %5.1f%%  %6d  %.2fx %s%s\n",
-			o, pulled[o], 100*float64(pulled[o])/float64(total), rounds[o], ratio, bar, note)
+		fmt.Printf("  %5d  %7d  %5.1f%%  %.2fx %s%s\n",
+			o, pulled[o], 100*float64(pulled[o])/float64(total), ratio, bar, note)
 		if a := addrs[o]; a != "" {
 			fmt.Printf("         @ %s\n", a)
 		}

@@ -493,7 +493,7 @@ func TestAckMeansIndexedPastParkedBuild(t *testing.T) {
 		if err := db.AddVisit("entity-3", VenueName(7), TimeAt(tailHour), TimeAt(tailHour+1)); err != nil {
 			t.Fatal(err)
 		}
-		parked(t, db, func() error { return db.OpenIndexAt(bytes.NewReader(img.Bytes()), int64(img.Len())) })
+		parked(t, db, func() error { return db.OpenImage(img.Bytes()) })
 		if !sees(db, "entity-3", 7, tailHour) {
 			t.Fatal("the open dropped the pending tail")
 		}

@@ -529,7 +529,7 @@ func (db *DB) discretize(venue string, start, end, epoch time.Time) (trace.Recor
 		return trace.Record{}, errVenue
 	case !end.After(start):
 		return trace.Record{}, errSpan
-	case su < 0:
+	case start.Before(epoch): // su truncates toward zero: test the instant
 		return trace.Record{}, errEpoch
 	case eu > math.MaxInt32 || !epoch.Add(d).Equal(end):
 		return trace.Record{}, ErrTimeRange

@@ -97,6 +97,31 @@ func TestTopKByExampleValidation(t *testing.T) {
 	}
 }
 
+// TestStartBeforeEpochRefused: a visit starting before the epoch is refused,
+// however little before — one that starts inside the unit before the epoch
+// is not stored from the epoch — on ingest and as a query example alike.
+func TestStartBeforeEpochRefused(t *testing.T) {
+	db, err := NewDB(smallHierarchy(t), WithEpoch(t0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AddVisit("a", "gym", t0, t0.Add(2*time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	for _, before := range []time.Duration{time.Nanosecond, 30 * time.Minute, 90 * time.Minute} {
+		start := t0.Add(-before)
+		if err := db.AddVisit("b", "gym", start, t0.Add(time.Hour)); err == nil || !strings.Contains(err.Error(), "precedes the epoch") {
+			t.Errorf("visit starting %v before the epoch: %v", before, err)
+		}
+		if _, _, err := db.TopKByExample([]Visit{{Venue: "gym", Start: start, End: t0.Add(time.Hour)}}, 1); err == nil || !strings.Contains(err.Error(), "precedes the epoch") {
+			t.Errorf("example starting %v before the epoch: %v", before, err)
+		}
+	}
+	if vs, err := db.VisitsOf("b"); err == nil {
+		t.Errorf("a refused visit was stored: %v", vs)
+	}
+}
+
 // TestVisitRoundTrip: VisitsOf and AllVisits reconstruct wall-clock visits
 // that re-discretize to the identical stored cells — the invariant the
 // cluster fan-out and Partition depend on.

@@ -32,7 +32,7 @@ func TestSaveIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.OpenIndexAt(bytes.NewReader(buf.Bytes()), n); err != nil {
+	if err := fresh.OpenImage(buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	assertSameAnswers(t, db, fresh, []string{"x", "y"}, 1)

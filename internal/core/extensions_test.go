@@ -25,7 +25,7 @@ func decodeSnapshot(r io.Reader, ix *spindex.Index) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	sr, err := secfile.NewReaderAt(bytes.NewReader(b), int64(len(b)))
+	sr, err := secfile.NewReader(b)
 	if err != nil {
 		return nil, err
 	}

@@ -29,9 +29,10 @@ import (
 //	cells     the level-1 cell index (CSR), closed by a CRC32C
 //	seqs      the concatenated storage.EncodeSequences blobs, page-aligned
 //
-// The image is served in place off a read-only mapping (or any ReaderAt),
-// entity i at row i, the sizes and cell index adopted as stored, each
-// entity's sequences read and decoded once, when a query first touches them
+// The image is served in place off its bytes — a read-only mapping, or an
+// image received whole — entity i at row i, the sizes adopted as a slice of
+// the image and the cell index as stored, each entity's sequences decoded
+// once, when a query first touches them
 // (Snapshot.MappedPostings over a storage.SpanReader). A structural slip
 // anywhere trips a bounds check; a flipped key, span, count or size in the
 // entity table, or a posting missing from the cell index, would only show as
@@ -39,12 +40,6 @@ import (
 //
 // A tie key (Postings.Rank) is the entity's ID on a single DB, whose image so
 // stores key i in row i, and its cluster-wide ordinal on a cluster's shard.
-
-// FoldedUnknown is the folded-count sentinel for an entity whose exact
-// covered visit count was unknown at save time (it had visits newer than the
-// saved index). Readers must treat such an entity's stored state as stale:
-// usable only after re-indexing from current data, never served as-is.
-const FoldedUnknown = ^uint32(0)
 
 const (
 	// flagJaccard is the one assigned bit of the meta flags word. Unknown
@@ -75,12 +70,13 @@ type SnapshotMeta struct {
 type SnapshotEntity struct {
 	Name   string
 	Key    uint32       // the entity's tie key
-	Folded uint32       // visits the saved index covers; FoldedUnknown for entities dirty at save time
+	Folded uint32       // visits the saved index covers
 	Seq    storage.Span // the entity's sequence blob, absolute
 }
 
-// Snapshot is a decoded, validated image. It holds no reference to the reader
-// it came from.
+// Snapshot is a decoded, validated image. Its level sizes are a slice of the
+// image's bytes, which may be a read-only mapping: no Postings writes its
+// base in place (Derive reseals into a fresh one).
 type Snapshot struct {
 	Meta     SnapshotMeta
 	Entities []SnapshotEntity // Entities[e] is entity e's row
@@ -90,12 +86,10 @@ type Snapshot struct {
 
 // WriteSnapshot serializes the index with every entity's sequences, read from
 // seqs — the store the index was built over. info supplies each entity's
-// name, its tie key and the visit count the index covers (FoldedUnknown for an
-// entity whose indexed state is stale relative to its latest visits); keys
-// must be distinct. The indexed IDs must
-// be 0..n−1, the rows of the entity table, and names longer than 64 KiB are
-// rejected. Returns the bytes written; the output is deterministic for a
-// given index and store.
+// name, its tie key and the visit count the index covers; keys must be
+// distinct. The indexed IDs must be 0..n−1, the rows of the entity table, and
+// names longer than 64 KiB are rejected. Returns the bytes written; the
+// output is deterministic for a given index and store.
 func (p *Postings) WriteSnapshot(w io.Writer, meta SnapshotMeta, seqs SequenceSource, info func(e trace.EntityID) (name string, key, folded uint32)) (int64, error) {
 	if seqs == nil || info == nil {
 		return 0, fmt.Errorf("core: WriteSnapshot needs the sequence source and an entity info callback")
@@ -198,7 +192,7 @@ func checksummed(b []byte, what string) ([]byte, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("core: corrupt snapshot: %s of %d bytes", what, len(b))
 	}
-	body, sum := b[:len(b)-4], binary.LittleEndian.Uint32(b[len(b)-4:])
+	body, sum := b[:len(b)-4:len(b)-4], binary.LittleEndian.Uint32(b[len(b)-4:])
 	if got := crc32c(body); got != sum {
 		return nil, fmt.Errorf("core: corrupt snapshot: %s checksum %#x, stored %#x", what, got, sum)
 	}
@@ -253,8 +247,8 @@ func decodeCells(b []byte, count int) (*cellIndex, error) {
 	return ci, nil
 }
 
-// DecodeSnapshot reads and validates an image through sr, at its sections'
-// offsets, up to but excluding the sequence blobs.
+// DecodeSnapshot validates the image sr holds, up to but excluding the
+// sequence blobs.
 // It never trusts a stored word: every scalar is bounded before it sizes an
 // allocation or is narrowed by a cast, every checksum must hold, the entity
 // table must be exactly count records with distinct tie keys, every name and
@@ -284,10 +278,7 @@ func DecodeSnapshot(sr *secfile.Reader, ix *spindex.Index) (*Snapshot, error) {
 	if sr.Secs[0].Len != 8*metaWords {
 		return nil, fmt.Errorf("core: corrupt snapshot: meta section of %d bytes, want %d", sr.Secs[0].Len, 8*metaWords)
 	}
-	raw, err := sr.ReadAll(0)
-	if err != nil {
-		return nil, fmt.Errorf("core: reading snapshot meta: %w", err)
-	}
+	raw := sr.Bytes(0)
 	var w [metaWords]uint64
 	for i := range w {
 		w[i] = binary.LittleEndian.Uint64(raw[8*i:])
@@ -320,24 +311,12 @@ func DecodeSnapshot(sr *secfile.Reader, ix *spindex.Index) (*Snapshot, error) {
 	if sr.Secs[3].Len != int64(count*m)+4 {
 		return nil, fmt.Errorf("core: corrupt snapshot: level sizes are %d bytes, %d entities need %d", sr.Secs[3].Len, count, count*m+4)
 	}
-	names, err := sr.ReadAll(1)
-	var table, cells []byte
-	if err == nil {
-		table, err = sr.ReadAll(2)
-	}
-	if err == nil {
-		s.sizes, err = sr.ReadAll(3)
-	}
-	if err == nil {
-		cells, err = sr.ReadAll(4)
-	}
+	names := sr.Bytes(1)
+	table, err := checksummed(sr.Bytes(2), "entity table")
 	if err != nil {
-		return nil, fmt.Errorf("core: reading snapshot: %w", err)
-	}
-	if table, err = checksummed(table, "entity table"); err != nil {
 		return nil, err
 	}
-	if s.sizes, err = checksummed(s.sizes, "level sizes"); err != nil {
+	if s.sizes, err = checksummed(sr.Bytes(3), "level sizes"); err != nil {
 		return nil, err
 	}
 	if i := slices.Index(s.sizes, 0); i >= 0 {
@@ -368,7 +347,7 @@ func DecodeSnapshot(sr *secfile.Reader, ix *spindex.Index) (*Snapshot, error) {
 			return nil, fmt.Errorf("core: corrupt snapshot: two entities share tie key %d", keys[i])
 		}
 	}
-	if s.cells, err = decodeCells(cells, count); err != nil {
+	if s.cells, err = decodeCells(sr.Bytes(4), count); err != nil {
 		return nil, err
 	}
 	return s, nil

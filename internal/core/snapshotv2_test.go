@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -56,7 +57,7 @@ func bareImage(t testing.TB, img []byte) []byte {
 // sections returns an image's section table.
 func sections(t testing.TB, img []byte) []secfile.Section {
 	t.Helper()
-	sr, err := secfile.NewReaderAt(bytes.NewReader(img), int64(len(img)))
+	sr, err := secfile.NewReader(img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func sections(t testing.TB, img []byte) []secfile.Section {
 
 // openMapped decodes img by offset and serves it in place over src.
 func openMapped(img []byte, ix *spindex.Index, src SequenceSource) (*Postings, error) {
-	sr, err := secfile.NewReaderAt(bytes.NewReader(img), int64(len(img)))
+	sr, err := secfile.NewReader(img)
 	if err != nil {
 		return nil, err
 	}
@@ -188,12 +189,12 @@ func (ci *cellIndex) postingsOf(e trace.EntityID) (out []trace.Cell) {
 }
 
 // TestSnapshotV2DefaultReaderTrustsIDs: the reader serves stored IDs
-// verbatim, entities stamped FoldedUnknown included.
+// verbatim, whatever covered counts they were stamped with.
 func TestSnapshotV2DefaultReaderTrustsIDs(t *testing.T) {
 	ix, st, post := buildRandomPostings(t, 31, 25)
 	var buf bytes.Buffer
 	if _, err := post.WriteSnapshot(&buf, SnapshotMeta{TimeUnit: time.Hour}, st, func(e trace.EntityID) (string, uint32, uint32) {
-		return fmt.Sprintf("e%d", e), uint32(e), FoldedUnknown
+		return fmt.Sprintf("e%d", e), uint32(e), math.MaxUint32 - uint32(e)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +495,7 @@ func FuzzOpenSnapshot(f *testing.F) {
 	src := anySource{st.Get(0)}
 	m := measuresFor(f, 3)[0]
 	f.Fuzz(func(t *testing.T, b []byte) {
-		sr, err := secfile.NewReaderAt(bytes.NewReader(b), int64(len(b)))
+		sr, err := secfile.NewReader(b)
 		if err != nil {
 			return
 		}

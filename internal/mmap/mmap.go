@@ -1,87 +1,55 @@
-// Package mmap provides a tiny read-only memory-mapped file wrapper with a
-// portable io.ReaderAt fallback.
+// Package mmap opens a file as read-only bytes.
 //
-// On unix builds Open maps the whole file PROT_READ/MAP_SHARED, so ReadAt is
-// a copy from the page cache and the resident set is whatever the kernel has
+// On unix builds Open maps the whole file PROT_READ/MAP_SHARED, so Bytes is
+// the page cache itself and the resident set is whatever the kernel has
 // faulted in — the caller never pays for bytes it does not touch. On other
-// platforms (or when mapping fails) the same API is served by plain
-// os.File.ReadAt, trading laziness for portability without changing callers.
+// platforms, or when mapping fails (an empty file cannot be mapped), Open
+// reads the file into the heap: the same bytes, without the laziness.
 package mmap
 
 import (
-	"fmt"
 	"io"
 	"os"
 )
 
-// Mapping is a read-only view of a file, read through ReadAt.
+// Mapping is a read-only view of a file's bytes.
 type Mapping struct {
-	f    *os.File
-	size int64
-	data []byte // non-nil iff mapped
+	data   []byte
+	mapped bool // data is a memory map, unmapped by Close
 }
 
-var _ io.ReaderAt = (*Mapping)(nil)
-
-// Open maps path read-only. When the platform (or the file — empty files
-// cannot be mapped) does not support mmap the Mapping transparently falls
-// back to pread-style ReadAt on the open file.
+// Open maps path read-only, or reads it whole where it cannot be mapped.
 func Open(path string) (*Mapping, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	defer f.Close() // a mapping outlives its descriptor
 	fi, err := f.Stat()
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
-	m := &Mapping{f: f, size: fi.Size()}
-	if m.size > 0 {
-		if data, err := mapFile(f, m.size); err == nil {
-			m.data = data
+	if size := fi.Size(); size > 0 {
+		if data, err := mapFile(f, size); err == nil {
+			return &Mapping{data: data, mapped: true}, nil
 		}
 	}
-	return m, nil
+	data, err := io.ReadAll(f)
+	if err != nil {
+		return nil, err
+	}
+	return &Mapping{data: data}, nil
 }
 
-// Size returns the length of the underlying file at Open time.
-func (m *Mapping) Size() int64 { return m.size }
+// Bytes returns the file's bytes, valid until Close. They must not be written.
+func (m *Mapping) Bytes() []byte { return m.data }
 
-// Mapped reports whether the file is served by a real memory map (true) or
-// by the ReadAt fallback (false).
-func (m *Mapping) Mapped() bool { return m.data != nil }
-
-// ReadAt implements io.ReaderAt over the mapping (or the file fallback).
-func (m *Mapping) ReadAt(p []byte, off int64) (int, error) {
-	if m.data == nil {
-		return m.f.ReadAt(p, off)
-	}
-	if off < 0 {
-		return 0, fmt.Errorf("mmap: negative offset %d", off)
-	}
-	if off >= m.size {
-		return 0, io.EOF
-	}
-	n := copy(p, m.data[off:])
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
-// Close unmaps (when mapped) and closes the file. Safe to call once.
+// Close unmaps the file (when mapped). Safe to call more than once.
 func (m *Mapping) Close() error {
 	var err error
-	if m.data != nil {
+	if m.mapped {
 		err = unmapFile(m.data)
-		m.data = nil
 	}
-	if m.f != nil {
-		if cerr := m.f.Close(); err == nil {
-			err = cerr
-		}
-		m.f = nil
-	}
+	m.data, m.mapped = nil, false
 	return err
 }

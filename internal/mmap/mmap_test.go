@@ -2,13 +2,12 @@ package mmap
 
 import (
 	"bytes"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-func TestOpenReadAt(t *testing.T) {
+func TestOpenBytes(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "data.bin")
 	payload := bytes.Repeat([]byte("0123456789abcdef"), 512)
@@ -20,26 +19,12 @@ func TestOpenReadAt(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	if m.Size() != int64(len(payload)) {
-		t.Fatalf("Size = %d, want %d", m.Size(), len(payload))
-	}
-	buf := make([]byte, 16)
-	if _, err := m.ReadAt(buf, 32); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, payload[32:48]) {
-		t.Fatalf("ReadAt mismatch: %q", buf)
-	}
-	// Short read at the tail must return io.EOF with the partial data.
-	n, err := m.ReadAt(buf, m.Size()-5)
-	if n != 5 || err != io.EOF {
-		t.Fatalf("tail read: n=%d err=%v, want 5, io.EOF", n, err)
-	}
-	if _, err := m.ReadAt(buf, m.Size()); err != io.EOF {
-		t.Fatalf("past-end read: err=%v, want io.EOF", err)
+	if !bytes.Equal(m.Bytes(), payload) {
+		t.Fatalf("Bytes is %d bytes, not the file's %d", len(m.Bytes()), len(payload))
 	}
 }
 
+// TestOpenEmptyFile: an empty file cannot be mapped; it opens as no bytes.
 func TestOpenEmptyFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "empty.bin")
 	if err := os.WriteFile(path, nil, 0o644); err != nil {
@@ -50,11 +35,8 @@ func TestOpenEmptyFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	if m.Mapped() {
-		t.Fatal("empty file should use the fallback, not a zero-length map")
-	}
-	if _, err := m.ReadAt(make([]byte, 1), 0); err != io.EOF {
-		t.Fatalf("read from empty file: err=%v, want io.EOF", err)
+	if len(m.Bytes()) != 0 {
+		t.Fatalf("empty file opened as %d bytes", len(m.Bytes()))
 	}
 }
 

@@ -75,9 +75,6 @@ type ShardTrace struct {
 	// Pulled counts the matches this shard returned to the coordinator.
 	// Summed over shards it equals the trace's Pulled and QueryStats.Pulled.
 	Pulled int
-	// Rounds counts the calls this shard answered for the query: 1, since a
-	// cluster query asks each shard once.
-	Rounds int
 	// Checked counts the exact degree computations the shard's search
 	// performed — the work early termination exists to bound.
 	Checked int

@@ -14,8 +14,8 @@
 // This package is the only code that knows the header, the table, alignment
 // and padding, and the only one that checks them: the claimed size equals the
 // real one, every section lies inside the file after the one before it, and
-// paged sections are aligned. Sections are read at their offsets. What a
-// section holds is its reader's business.
+// paged sections are aligned. A section is a slice of the file's bytes. What
+// it holds is its reader's business.
 package secfile
 
 import (
@@ -53,7 +53,7 @@ const (
 	Names    Kind = "name" // DB image: concatenated entity names
 	Sizes    Kind = "size" // DB image: each entity's level sizes, checksummed
 	Cells    Kind = "cell" // DB image: the level-1 cell index, checksummed
-	Seqs     Kind = "seqs" // DB image: concatenated sequence blobs, read lazily; paged
+	Seqs     Kind = "seqs" // DB image: concatenated sequence blobs, decoded lazily; paged
 	Slots    Kind = "slot" // envelope: the slot map
 	Ordinals Kind = "ords" // envelope: entity names in global arrival order
 	Shard    Kind = "shrd" // envelope: one shard's DB image (empty for an empty shard); paged
@@ -167,25 +167,24 @@ func (sw *Writer) Close() (int64, error) {
 	return sw.n, sw.w.Flush()
 }
 
-// Reader reads a file's sections at their offsets: ReadAll for what a
-// loader decodes up front, Secs for the sections it serves in place from a
-// mapping (Seqs, Shard).
+// Reader is a validated file: its section table, and Bytes for each
+// section's bytes — a loader decodes some up front and serves the others in
+// place (Seqs, Shard).
 type Reader struct {
 	Secs []Section
 
-	r io.ReaderAt // the file, bounded by its real size
+	b []byte // the file
 }
 
-// NewReaderAt reads and validates the header and section table of a file of
-// the given real size — a mapping, or a section of one. Every word is
+// NewReader validates the header and section table of a file's bytes — a
+// mapping, a section of one, or an image received whole. Every word is
 // corruption-controlled: each is bounded before it sizes an allocation, and
 // every section length by the real size.
-func NewReaderAt(r io.ReaderAt, size int64) (*Reader, error) {
-	sr := &Reader{r: io.NewSectionReader(r, 0, size)}
-	hdr := make([]byte, headerLen)
-	if n, err := sr.r.ReadAt(hdr, 0); n < headerLen {
-		return nil, fmt.Errorf("secfile: %d bytes is too short for an index file header (%d): %w", n, headerLen, err)
+func NewReader(b []byte) (*Reader, error) {
+	if len(b) < headerLen {
+		return nil, fmt.Errorf("secfile: %d bytes is too short for an index file header (%d)", len(b), headerLen)
 	}
+	hdr := b[:headerLen]
 	if string(hdr[:len(Magic)]) != Magic {
 		for _, old := range retired {
 			if bytes.HasPrefix(hdr, []byte(old+"\n")) {
@@ -202,18 +201,18 @@ func NewReaderAt(r io.ReaderAt, size int64) (*Reader, error) {
 	if claimed > math.MaxInt64 {
 		return nil, fmt.Errorf("secfile: corrupt header: claimed file size %d", claimed)
 	}
-	if int64(claimed) != size {
-		return nil, fmt.Errorf("secfile: file is %d bytes but its header claims %d (truncated or corrupt file)", size, claimed)
+	if int64(claimed) != int64(len(b)) {
+		return nil, fmt.Errorf("secfile: file is %d bytes but its header claims %d (truncated or corrupt file)", len(b), claimed)
 	}
 	count := binary.LittleEndian.Uint32(hdr[p+12:])
 	if count == 0 || count > maxSections {
 		return nil, fmt.Errorf("secfile: corrupt header: %d sections", count)
 	}
-	table := make([]byte, entryLen*int(count))
-	if n, err := sr.r.ReadAt(table, int64(headerLen)); n < len(table) {
-		return nil, fmt.Errorf("secfile: file truncated inside its section table: %w", err)
+	if headerLen+entryLen*int(count) > len(b) {
+		return nil, fmt.Errorf("secfile: file truncated inside its section table (%d sections in %d bytes)", count, len(b))
 	}
-	sr.Secs = make([]Section, count)
+	table := b[headerLen : headerLen+entryLen*int(count)]
+	sr := &Reader{Secs: make([]Section, count), b: b}
 	end := int64(headerLen + len(table))
 	for i := range sr.Secs {
 		e := table[entryLen*i:]
@@ -234,13 +233,10 @@ func NewReaderAt(r io.ReaderAt, size int64) (*Reader, error) {
 	return sr, nil
 }
 
-// ReadAll returns section i's bytes, read at its offset. The table check
-// bounded its length by the real file size.
-func (sr *Reader) ReadAll(i int) ([]byte, error) {
+// Bytes returns section i as a slice of the file: no copy, and no room to
+// append into the bytes that follow it. The table check bounded it by the
+// file's real size. The bytes may be a read-only mapping: never write them.
+func (sr *Reader) Bytes(i int) []byte {
 	s := sr.Secs[i]
-	buf := make([]byte, s.Len)
-	if n, err := sr.r.ReadAt(buf, s.Off); n < len(buf) {
-		return nil, fmt.Errorf("secfile: %q section truncated (%d of %d bytes): %w", s.Kind, n, s.Len, err)
-	}
-	return buf, nil
+	return sr.b[s.Off:s.End():s.End()]
 }

@@ -47,7 +47,7 @@ func TestRoundTrip(t *testing.T) {
 	if pad := file[secs[1].End():secs[2].Off]; !bytes.Equal(pad, make([]byte, len(pad))) {
 		t.Error("padding is not zeros")
 	}
-	sr, err := NewReaderAt(bytes.NewReader(file), int64(len(file)))
+	sr, err := NewReader(file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +59,12 @@ func TestRoundTrip(t *testing.T) {
 			t.Errorf("section %d = %+v, want %+v", i, sr.Secs[i], want)
 		}
 	}
-	// Sections read at their offsets, in any order, padding skipped.
+	// Sections are slices at their offsets, in any order, padding skipped,
+	// with no room to append into what follows them.
 	for _, i := range []int{2, 3, 0, 1} {
 		want := []string{"hello", "", "sequenc", ""}[i]
-		if got, err := sr.ReadAll(i); err != nil || string(got) != want {
-			t.Errorf("section %d = %q, %v; want %q", i, got, err, want)
+		if got := sr.Bytes(i); string(got) != want || cap(got) != len(got) {
+			t.Errorf("section %d = %q (cap %d); want %q", i, got, cap(got), want)
 		}
 	}
 }
@@ -155,7 +156,7 @@ func TestHeaderErrors(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			b := tc.mutate(append([]byte(nil), good...))
-			if _, err := NewReaderAt(bytes.NewReader(b), int64(len(b))); err == nil || !strings.Contains(err.Error(), tc.want) {
+			if _, err := NewReader(b); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("want an error containing %q, got %v", tc.want, err)
 			}
 		})
@@ -167,13 +168,13 @@ func TestHeaderErrors(t *testing.T) {
 func TestRetiredMagicsNamed(t *testing.T) {
 	for _, old := range retired {
 		b := append([]byte(old+"\n"), make([]byte, 64)...)
-		_, err := NewReaderAt(bytes.NewReader(b), int64(len(b)))
+		_, err := NewReader(b)
 		if err == nil || !strings.Contains(err.Error(), old+" is a retired index format") || !strings.Contains(err.Error(), "re-save") {
 			t.Errorf("%s: %v", old, err)
 		}
 	}
 	b := append([]byte("MSIGCLUST1\n"), make([]byte, 64)...)
-	_, err := NewReaderAt(bytes.NewReader(b), int64(len(b)))
+	_, err := NewReader(b)
 	if err == nil || !strings.Contains(err.Error(), "MSIGCLUST1") || strings.Contains(err.Error(), "retired") {
 		t.Errorf("an older magic still: %v", err)
 	}

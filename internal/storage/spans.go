@@ -3,14 +3,13 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"sync/atomic"
 
 	"digitaltraces/internal/spindex"
 	"digitaltraces/internal/trace"
 )
 
-// Span locates one entity's serialized sequences within a backing reader.
+// Span locates one entity's serialized sequences within a backing region.
 type Span struct {
 	Off int64
 	Len int32
@@ -18,42 +17,42 @@ type Span struct {
 
 // SpanReader serves entity sequences out of a region of EncodeSequences
 // blobs — the sequence section of a saved index image — as the lowest layer
-// of a trace.Store. Each entity is read and decoded on its first Get and the
-// result kept, so a warm reader answers from the heap like a built store;
-// entities never read stay on disk (or in the page cache of a mapping). Safe
-// for concurrent readers: no lock, racing first reads of one entity decode
-// it twice and agree on the first one published.
+// of a trace.Store. Each entity is decoded from its slice on its first Get
+// and the result kept, so a warm reader answers from the heap like a built
+// store; entities never touched stay on disk (or in the page cache of a
+// mapping). Safe for concurrent readers: no lock, racing first reads of one
+// entity decode it twice and agree on the first one published.
 //
-// The reader does not own its backing: the caller keeps it readable for as
-// long as the reader serves, and closes or unmaps it.
+// The reader does not own its bytes: the caller keeps them valid for as long
+// as the reader serves, and unmaps them.
 type SpanReader struct {
 	ix      *spindex.Index
-	r       io.ReaderAt
+	b       []byte
 	spans   []Span // entity e's record is spans[e]
 	seqs    []atomic.Pointer[trace.Sequences]
 	decoded atomic.Int64
 }
 
-// NewSpanReader opens a reader over r, whose length is size, for entities
-// 0..len(spans)−1: entity e's record is spans[e], offsets relative to r, as
-// an image's entity table lays them out. Every span is validated against
-// size here, at open time: a file truncated after its directory was written
-// fails with the offending entity named instead of panicking (or SIGBUS-ing
-// a mapped page) during some later query.
-func NewSpanReader(ix *spindex.Index, r io.ReaderAt, size int64, spans []Span) (*SpanReader, error) {
+// NewSpanReader opens a reader over b for entities 0..len(spans)−1: entity
+// e's record is spans[e], offsets into b, as an image's entity table lays
+// them out. Every span is validated against len(b) here, at open time: a file
+// truncated after its directory was written fails with the offending entity
+// named instead of panicking (or SIGBUS-ing a mapped page) during some later
+// query.
+func NewSpanReader(ix *spindex.Index, b []byte, spans []Span) (*SpanReader, error) {
 	for e, sp := range spans {
-		if sp.Off < 0 || sp.Len < 0 || sp.Off+int64(sp.Len) > size {
+		if sp.Off < 0 || sp.Len < 0 || sp.Off+int64(sp.Len) > int64(len(b)) {
 			return nil, fmt.Errorf("storage: entity %d span [%d,%d) exceeds backing size %d (truncated file?)",
-				e, sp.Off, sp.Off+int64(sp.Len), size)
+				e, sp.Off, sp.Off+int64(sp.Len), len(b))
 		}
 	}
-	return &SpanReader{ix: ix, r: r, spans: spans, seqs: make([]atomic.Pointer[trace.Sequences], len(spans))}, nil
+	return &SpanReader{ix: ix, b: b, spans: spans, seqs: make([]atomic.Pointer[trace.Sequences], len(spans))}, nil
 }
 
-// Get returns e's sequences, reading and decoding them on the first call;
-// nil for an entity without a span. A record that cannot be read or decoded
-// panics naming the entity: a nil here would let a fold drop the image's
-// cells for it without a trace.
+// Get returns e's sequences, decoding them on the first call; nil for an
+// entity without a span. A record that does not decode panics naming the
+// entity: a nil here would let a fold drop the image's cells for it without a
+// trace.
 func (sr *SpanReader) Get(e trace.EntityID) *trace.Sequences {
 	if uint(e) >= uint(len(sr.spans)) {
 		return nil
@@ -62,18 +61,14 @@ func (sr *SpanReader) Get(e trace.EntityID) *trace.Sequences {
 		return s
 	}
 	sp := sr.spans[e]
-	buf := make([]byte, sp.Len)
-	n, err := sr.r.ReadAt(buf, sp.Off)
-	if n == len(buf) {
-		var s *trace.Sequences
-		if s, err = DecodeSequences(sr.ix, buf); err == nil {
-			if sr.seqs[e].CompareAndSwap(nil, s) {
-				sr.decoded.Add(1)
-			}
-			return sr.seqs[e].Load()
-		}
+	s, err := DecodeSequences(sr.ix, sr.b[sp.Off:sp.Off+int64(sp.Len)])
+	if err != nil {
+		panic(fmt.Sprintf("storage: corrupt record for entity %d: %v", e, err))
 	}
-	panic(fmt.Sprintf("storage: corrupt record for entity %d: %v", e, err))
+	if sr.seqs[e].CompareAndSwap(nil, s) {
+		sr.decoded.Add(1)
+	}
+	return sr.seqs[e].Load()
 }
 
 // Len returns the number of entities the reader holds, 0..Len()−1.
@@ -138,14 +133,15 @@ func DecodeSequences(ix *spindex.Index, buf []byte) (*trace.Sequences, error) {
 		counts[l] = int(binary.LittleEndian.Uint32(buf[off:]))
 		off += 4
 	}
-	// Skip coarse-level cells; read the base level.
+	// Skip coarse-level cells; read the base level. Its count is bounded by
+	// the bytes left before it sizes an allocation.
 	for l := 0; l < m-1; l++ {
 		off += 8 * counts[l]
 	}
-	base := make([]trace.Cell, counts[m-1])
-	if off+8*len(base) > len(buf) {
+	if off > len(buf) || counts[m-1] > (len(buf)-off)/8 {
 		return nil, fmt.Errorf("truncated cells")
 	}
+	base := make([]trace.Cell, counts[m-1])
 	for i := range base {
 		base[i] = trace.Cell(binary.LittleEndian.Uint64(buf[off:]))
 		off += 8

@@ -25,36 +25,15 @@ func encodeRegion(mem *trace.Store) ([]byte, []storage.Span) {
 	return buf.Bytes(), spans
 }
 
-// countingReader counts the ReadAt calls that reach the backing.
-type countingReader struct {
-	io.ReaderAt
-	mu    sync.Mutex
-	calls int
-}
-
-func (c *countingReader) ReadAt(p []byte, off int64) (int, error) {
-	c.mu.Lock()
-	c.calls++
-	c.mu.Unlock()
-	return c.ReaderAt.ReadAt(p, off)
-}
-
-func (c *countingReader) count() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.calls
-}
-
 func TestSpanReaderRoundTrip(t *testing.T) {
 	ix, mem := randomStore(t, 7, 12)
 	data, spans := encodeRegion(mem)
-	r := &countingReader{ReaderAt: bytes.NewReader(data)}
-	sr, err := storage.NewSpanReader(ix, r, int64(len(data)), spans)
+	sr, err := storage.NewSpanReader(ix, data, spans)
 	if err != nil {
 		t.Fatalf("NewSpanReader: %v", err)
 	}
-	if sr.Decoded() != 0 || r.count() != 0 {
-		t.Fatalf("open decoded %d entities in %d reads, want none", sr.Decoded(), r.count())
+	if sr.Decoded() != 0 {
+		t.Fatalf("open decoded %d entities, want none", sr.Decoded())
 	}
 	for pass := 0; pass < 2; pass++ {
 		for e := range trace.EntityID(mem.Len()) {
@@ -77,9 +56,9 @@ func TestSpanReaderRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		// Each entity is read and decoded once; the second pass is all heap.
-		if sr.Decoded() != len(spans) || r.count() != len(spans) {
-			t.Fatalf("pass %d: %d entities decoded in %d reads, want %d of each", pass, sr.Decoded(), r.count(), len(spans))
+		// Each entity is decoded once; the second pass is all heap.
+		if sr.Decoded() != len(spans) {
+			t.Fatalf("pass %d: %d entities decoded, want %d", pass, sr.Decoded(), len(spans))
 		}
 	}
 	if sr.Get(0) != sr.Get(0) {
@@ -101,7 +80,7 @@ func TestSpanReaderRoundTrip(t *testing.T) {
 func TestSpanReaderConcurrentFirstReads(t *testing.T) {
 	ix, mem := randomStore(t, 10, 30)
 	data, spans := encodeRegion(mem)
-	sr, err := storage.NewSpanReader(ix, bytes.NewReader(data), int64(len(data)), spans)
+	sr, err := storage.NewSpanReader(ix, data, spans)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +115,7 @@ func TestSpanReaderTruncation(t *testing.T) {
 	data, spans := encodeRegion(mem)
 	// Chop the tail off the region: the last entity's span now dangles.
 	short := data[:len(data)-8]
-	_, err := storage.NewSpanReader(ix, bytes.NewReader(short), int64(len(short)), spans)
+	_, err := storage.NewSpanReader(ix, short, spans)
 	if err == nil {
 		t.Fatal("NewSpanReader accepted a truncated backing")
 	}
@@ -148,10 +127,10 @@ func TestSpanReaderTruncation(t *testing.T) {
 	}
 
 	// Negative offsets and lengths are rejected too.
-	if _, err := storage.NewSpanReader(ix, bytes.NewReader(data), int64(len(data)), []storage.Span{{Off: -1, Len: 4}}); err == nil {
+	if _, err := storage.NewSpanReader(ix, data, []storage.Span{{Off: -1, Len: 4}}); err == nil {
 		t.Fatal("NewSpanReader accepted a negative offset")
 	}
-	if _, err := storage.NewSpanReader(ix, bytes.NewReader(data), int64(len(data)), []storage.Span{{Off: 0, Len: -4}}); err == nil {
+	if _, err := storage.NewSpanReader(ix, data, []storage.Span{{Off: 0, Len: -4}}); err == nil {
 		t.Fatal("NewSpanReader accepted a negative length")
 	}
 }
@@ -163,7 +142,7 @@ func TestSpanReaderCorruptRecordPanics(t *testing.T) {
 	data, spans := encodeRegion(mem)
 	data = bytes.Clone(data)
 	data[spans[0].Off+4] ^= 0xff // the level count
-	sr, err := storage.NewSpanReader(ix, bytes.NewReader(data), int64(len(data)), spans)
+	sr, err := storage.NewSpanReader(ix, data, spans)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,19 +156,23 @@ func TestSpanReaderCorruptRecordPanics(t *testing.T) {
 }
 
 // TestSpanReaderDoesNotOwnReader: the reader has no Close, so the caller's
-// backing is the caller's to close, and reads go through it as given.
+// bytes are the caller's to unmap, and it decodes them in place, at the
+// spans' offsets within a larger region.
 func TestSpanReaderDoesNotOwnReader(t *testing.T) {
 	ix, mem := randomStore(t, 9, 3)
 	data, spans := encodeRegion(mem)
-	r := io.NewSectionReader(bytes.NewReader(data), 0, int64(len(data)))
-	sr, err := storage.NewSpanReader(ix, r, int64(len(data)), spans)
+	region := append(make([]byte, 100), data...)
+	for e := range spans {
+		spans[e].Off += 100
+	}
+	sr, err := storage.NewSpanReader(ix, region, spans)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := any(sr).(io.Closer); ok {
-		t.Fatal("SpanReader can close the caller's backing")
+		t.Fatal("SpanReader can close the caller's bytes")
 	}
-	if got := sr.Get(0); got == nil {
-		t.Fatal("Get through a section reader failed")
+	if got := sr.Get(2); got == nil || got.TotalCells() != mem.Get(2).TotalCells() {
+		t.Fatal("Get at an offset within the region failed")
 	}
 }

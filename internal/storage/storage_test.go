@@ -1,9 +1,12 @@
 package storage_test
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -219,5 +222,22 @@ func TestEncodeDecode(t *testing.T) {
 	bad[4] = 9 // wrong level count
 	if _, err := storage.DecodeSequences(ix, bad); err == nil {
 		t.Error("wrong level count accepted")
+	}
+	// A record that claims more base cells than it holds is refused before
+	// the claim sizes an allocation: the sequence section has no checksum,
+	// and a shard server takes images off the network.
+	for _, claim := range []uint32{1 << 24, math.MaxUint32} {
+		lie := append([]byte(nil), buf[:8+4*ix.Height()]...)
+		binary.LittleEndian.PutUint32(lie[8+4*(ix.Height()-1):], claim)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := storage.DecodeSequences(ix, lie)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("a %d-byte record claiming %d base cells accepted", len(lie), claim)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("a %d-byte record claiming %d base cells allocated %d bytes before it was refused", len(lie), claim, n)
+		}
 	}
 }

@@ -1,16 +1,15 @@
 package digitaltraces
 
 // Opening a saved index: one image, served in place. Only the scalars,
-// names, entity table, level sizes and cell index decode eagerly; an
-// entity's sequences are read and decoded the first time a query touches
-// them, and kept, so time-to-first-query is the decode and resident memory
-// follows the entities queried so far, not the index size. The open
-// publishes through the same atomic.Pointer swap every builder uses, so
-// queries racing it keep answering from whatever was published before.
+// names, entity table and cell index decode eagerly, and the level sizes are
+// read where they lie; an entity's sequences are decoded the first time a
+// query touches them, and kept, so time-to-first-query is the decode and
+// resident memory follows the entities queried so far, not the index size.
+// The open publishes through the same atomic.Pointer swap every builder uses,
+// so queries racing it keep answering from whatever was published before.
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"digitaltraces/internal/core"
@@ -21,36 +20,15 @@ import (
 )
 
 // OpenIndex maps the index file at path read-only (SaveIndex wrote it) and
-// serves it in place. Each entity's sequences are read from the mapping and
-// decoded once, on first touch, then served from the heap
-// (IndexStats.Decoded counts them); where mmap is unavailable the mapping
-// degrades to pread — same semantics, no page cache residency guarantees.
-//
-// The image resolves entities by ID — the sequence blobs embed the save-time
-// IDs — so there is no name-based remapping, and one rule reconciles it with
-// the registry: an image entity the registry knows must have its ID there,
-// and one it does not know must have the next ID past it. The image then
-// extends the registry with those entities — all of them into an empty
-// registry, the no-re-ingest boot; the ones written after the record file
-// was, on a restart over it — and, when none is fixed yet, lends it its
-// epoch. The stored scalars (time unit, epoch, measure) must match the DB's
-// configuration. A refused open leaves the DB exactly as it found it: every
-// check runs before the first field is written.
-//
-// No visit acknowledged before the open is lost, and none stays pending:
-// each entity serves the union of what the image covers, what the DB had
-// already folded, and its pending visits, all folded before the open
-// publishes (exact — cell sets union idempotently). The image's covered
-// counts only spare work: an entity the image adds to the registry takes its
-// count, and a registered entity whose count the image matches — it covers
-// every visit the entity has ingested — needs no fold at all. Close unmaps
+// serves it in place (OpenImage). Where mmap is unavailable the file is read
+// into the heap instead — same semantics, without the laziness. Close unmaps
 // the file — stop queries first.
 func (db *DB) OpenIndex(path string) error {
 	m, err := mmap.Open(path)
 	if err != nil {
 		return fmt.Errorf("digitaltraces: mapping index %s: %w", path, err)
 	}
-	if err := db.OpenIndexAt(m, m.Size()); err != nil {
+	if err := db.OpenImage(m.Bytes()); err != nil {
 		m.Close()
 		return err
 	}
@@ -75,16 +53,36 @@ func (db *DB) Close() error {
 	return nil
 }
 
-// OpenIndexAt is OpenIndex over an arbitrary ReaderAt — a section of a
-// larger mapping, as in shard cluster envelopes, or an image received whole
-// over the network. The caller owns r's lifetime and must keep it readable
-// for as long as the DB serves (and until Close, for queries pinned to old
-// snapshots).
-func (db *DB) OpenIndexAt(r io.ReaderAt, size int64) error {
+// OpenImage serves the index image b in place: a mapping, a section of a
+// cluster envelope's mapping, or an image received whole over the network.
+// Each entity's sequences are decoded from b once, on first touch, then
+// served from the heap (IndexStats.Decoded counts them). The caller owns b,
+// must never write it, and must keep it valid for as long as the DB serves
+// (and until Close, for queries pinned to old snapshots).
+//
+// The image resolves entities by ID — the sequence blobs embed the save-time
+// IDs — so there is no name-based remapping, and one rule reconciles it with
+// the registry: an image entity the registry knows must have its ID there,
+// and one it does not know must have the next ID past it. The image then
+// extends the registry with those entities — all of them into an empty
+// registry, the no-re-ingest boot; the ones written after the record file
+// was, on a restart over it — and, when none is fixed yet, lends it its
+// epoch. The stored scalars (time unit, epoch, measure) must match the DB's
+// configuration. A refused open leaves the DB exactly as it found it: every
+// check runs before the first field is written.
+//
+// No visit acknowledged before the open is lost, and none stays pending:
+// each entity serves the union of what the image covers, what the DB had
+// already folded, and its pending visits, all folded before the open
+// publishes (exact — cell sets union idempotently). The image's covered
+// counts only spare work: an entity the image adds to the registry takes its
+// count, and a registered entity whose count the image matches — it covers
+// every visit the entity has ingested — needs no fold at all.
+func (db *DB) OpenImage(b []byte) error {
 	start := time.Now()
 	db.buildMu.Lock()
 	defer db.buildMu.Unlock()
-	sr, err := secfile.NewReaderAt(r, size)
+	sr, err := secfile.NewReader(b)
 	var snap *core.Snapshot
 	if err == nil {
 		snap, err = core.DecodeSnapshot(sr, db.ix)
@@ -141,7 +139,7 @@ func (db *DB) OpenIndexAt(r io.ReaderAt, size int64) error {
 	for id, n := range db.ingested {
 		e := trace.EntityID(id)
 		tail := db.pending[e]
-		if id < len(ents) && ents[id].Folded != core.FoldedUnknown && ents[id].Folded == n {
+		if id < len(ents) && ents[id].Folded == n {
 			drop[e] = len(tail)
 			continue
 		}
@@ -156,7 +154,7 @@ func (db *DB) OpenIndexAt(r io.ReaderAt, size int64) error {
 		return err
 	}
 
-	seqs, err := storage.NewSpanReader(db.ix, r, size, spans)
+	seqs, err := storage.NewSpanReader(db.ix, b, spans)
 	if err != nil {
 		return fmt.Errorf("digitaltraces: opening index: %w", err)
 	}
@@ -182,9 +180,7 @@ func (db *DB) OpenIndexAt(r io.ReaderAt, size int64) error {
 		return fmt.Errorf("digitaltraces: opening index: %d entities were registered while the open ran, taking the IDs the image's new entities need; retry", len(db.byID)-known)
 	}
 	for _, se := range adopt {
-		if e := db.register(se.Name, int64(se.Key)); se.Folded != core.FoldedUnknown {
-			db.ingested[e] = se.Folded
-		}
+		db.ingested[db.register(se.Name, int64(se.Key))] = se.Folded
 	}
 	// An image boot has no visit to infer an epoch from, and the stored
 	// sequences are discretized against exactly this one.

@@ -10,13 +10,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -94,31 +92,18 @@ func TestLoadMappedIndexNoIngest(t *testing.T) {
 	}
 }
 
-// countingReaderAt counts the ReadAt calls that reach an image.
-type countingReaderAt struct {
-	r     io.ReaderAt
-	calls atomic.Int64
-}
-
-func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
-	c.calls.Add(1)
-	return c.r.ReadAt(p, off)
-}
-
 // TestMappedDecodesOnce: an opened image decodes each entity once, on first
 // touch. Eight goroutines racing the same queries answer like the source DB,
-// and a second pass reads nothing more from the image and decodes nothing
-// new.
+// and a second pass decodes nothing new: it is served from the heap.
 func TestMappedDecodesOnce(t *testing.T) {
 	src, path, _ := mappedWorld(t, 60)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &countingReaderAt{r: bytes.NewReader(data)}
 	db := emptyGrid(t)
-	if err := db.OpenIndexAt(r, int64(len(data))); err != nil {
-		t.Fatalf("OpenIndexAt: %v", err)
+	if err := db.OpenImage(data); err != nil {
+		t.Fatalf("OpenImage: %v", err)
 	}
 	queries := src.Entities()[:50]
 	want := make(map[string][]Match, len(queries))
@@ -154,14 +139,11 @@ func TestMappedDecodesOnce(t *testing.T) {
 		}
 	}
 	pass()
-	reads, decoded := r.calls.Load(), db.IndexStats().Decoded
+	decoded := db.IndexStats().Decoded
 	if decoded == 0 || decoded > src.NumEntities() {
 		t.Fatalf("first pass decoded %d image entities, want 1..%d", decoded, src.NumEntities())
 	}
 	pass()
-	if n := r.calls.Load() - reads; n != 0 {
-		t.Errorf("second pass made %d ReadAt calls on the image, want 0", n)
-	}
 	if d := db.IndexStats().Decoded; d != decoded {
 		t.Errorf("second pass decoded %d more image entities, want 0", d-decoded)
 	}
@@ -358,7 +340,7 @@ func TestOneFileLoadsBothWays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := secfile.NewReaderAt(bytes.NewReader(raw), int64(len(raw)))
+	sr, err := secfile.NewReader(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,11 +354,7 @@ func TestOneFileLoadsBothWays(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range secs {
-		b, err := sr.ReadAll(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sw.Write(b)
+		sw.Write(sr.Bytes(i))
 	}
 	if _, err := sw.Close(); err != nil {
 		t.Fatal(err)
@@ -436,7 +414,7 @@ func TestRefusedMappedLoadLeavesDBUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := img.Bytes()
-	sr, err := secfile.NewReaderAt(bytes.NewReader(good), int64(len(good)))
+	sr, err := secfile.NewReader(good)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -570,7 +548,7 @@ func TestMappedCorruption(t *testing.T) {
 	// {kind u32, offset u64, length u64} per section); the entity count is
 	// the fifth word of the meta section, the first entity record opens the
 	// entities section (the third) with its sequence length at record offset 24.
-	sr, err := secfile.NewReaderAt(bytes.NewReader(raw), int64(len(raw)))
+	sr, err := secfile.NewReader(raw)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,6 @@ type TraceShard struct {
 	Addr       string  `json:"addr,omitempty"` // remote shard server address; empty in-process
 	Generation uint64  `json:"generation"`
 	Pulled     int     `json:"pulled"`
-	Rounds     int     `json:"rounds"`
 	Checked    int     `json:"checked"`
 	Cut        bool    `json:"cut,omitempty"`
 	Exhausted  bool    `json:"exhausted,omitempty"`
@@ -93,7 +92,6 @@ func toTrace(qt obs.QueryTrace, anomalies []string) Trace {
 			Addr:       st.Addr,
 			Generation: st.Generation,
 			Pulled:     st.Pulled,
-			Rounds:     st.Rounds,
 			Checked:    st.Checked,
 			Cut:        st.Cut,
 			Exhausted:  st.Exhausted,

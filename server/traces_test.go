@@ -173,9 +173,9 @@ func TestTracesAnomalies(t *testing.T) {
 		Kind: obs.KindTopK, Entity: "skewed", K: 5, Start: now, Total: time.Millisecond,
 		Pulled: 99,
 		Shards: []obs.ShardTrace{
-			{Shard: 0, Pulled: 90, Rounds: 4, Checked: 90},
-			{Shard: 1, Pulled: 5, Rounds: 1, Checked: 5},
-			{Shard: 2, Pulled: 4, Rounds: 1, Checked: 4},
+			{Shard: 0, Pulled: 90, Checked: 90},
+			{Shard: 1, Pulled: 5, Checked: 5},
+			{Shard: 2, Pulled: 4, Checked: 4},
 		},
 	})
 

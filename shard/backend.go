@@ -57,12 +57,12 @@ type Backend interface {
 	Epoch() (time.Time, bool)
 	SnapshotGeneration() (uint64, bool)
 	IndexStats() digitaltraces.IndexStats
-	// SaveIndex writes the shard's index image (DB.SaveIndex) and OpenIndexAt
+	// SaveIndex writes the shard's index image (DB.SaveIndex) and OpenImage
 	// serves one, for the cluster envelope (persist.go). A local shard serves
-	// the image in place off r; a remote one sends it to its shard server,
-	// which opens it there — either way with DB.OpenIndexAt's checks.
+	// the image in place off b; a remote one sends it to its shard server,
+	// which opens it there — either way with DB.OpenImage's checks.
 	SaveIndex(w io.Writer) (int64, error)
-	OpenIndexAt(r io.ReaderAt, size int64) error
+	OpenImage(b []byte) error
 	// Close releases the backend: a local shard unmaps its opened images, a
 	// remote client closes its pooled connections.
 	Close() error

@@ -88,7 +88,7 @@ func (f *fanout) call(j int, req RankRequest) error {
 	row := &f.rows[j]
 	row.Latency = time.Since(start)
 	row.Generation, row.Checked, row.Bound = r.Generation, r.Checked, r.Bound
-	row.Pulled, row.Rounds = len(r.Matches), 1
+	row.Pulled = len(r.Matches)
 	// A reply the cap or the floor ended was cut; one at floor 0 that came
 	// back short ran dry.
 	row.Cut = r.Capped || req.Floor > 0

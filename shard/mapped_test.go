@@ -249,7 +249,7 @@ func TestClusterRefusedMappedLoadKeepsSlotMap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := secfile.NewReaderAt(bytes.NewReader(raw), int64(len(raw)))
+	sr, err := secfile.NewReader(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func TestExampleQueryOnEveryEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mapped.OpenIndexAt(bytes.NewReader(img.Bytes()), int64(img.Len())); err != nil {
+	if err := mapped.OpenImage(img.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if !mapped.IndexStats().Mapped {

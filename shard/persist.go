@@ -11,7 +11,7 @@ package shard
 //	          carries each entity's global ordinal as its tie key
 //
 // written by SaveIndex and opened by OpenIndex, which serves every section
-// through its shard's Backend.OpenIndexAt with no re-ingest: in place off one
+// through its shard's Backend.OpenImage with no re-ingest: in place off one
 // mapping for a local shard, sent whole to its shard server for a remote one.
 // Shard count, slot map and ordinals must be the saved ones; a change of
 // shard count re-ingests the log at the new count instead.
@@ -101,8 +101,8 @@ type envelope struct {
 
 // readEnvelope is the one envelope reader: it checks that sr holds a cluster
 // envelope whose every section after the tables is a shard image (secfile
-// has already bounded each by the file's real size), and decodes the slot map and the
-// ordinal table.
+// has already bounded each by the file's real size), and decodes the slot
+// map and the ordinal table.
 func readEnvelope(sr *secfile.Reader) (*envelope, error) {
 	if len(sr.Secs) < 3 || sr.Secs[0].Kind != secfile.Slots || sr.Secs[1].Kind != secfile.Ordinals {
 		return nil, fmt.Errorf("shard: not a cluster envelope (first section is %v; a single-DB index opens through DB.OpenIndex)", sr.Secs[0].Kind)
@@ -119,10 +119,7 @@ func readEnvelope(sr *secfile.Reader) (*envelope, error) {
 	case l != slotsLen:
 		return nil, fmt.Errorf("shard: corrupt envelope: slot map of %d bytes, want %d", l, slotsLen)
 	}
-	slots, err := sr.ReadAll(0)
-	if err != nil {
-		return nil, fmt.Errorf("shard: reading envelope slot map: %w", err)
-	}
+	slots := sr.Bytes(0)
 	env := &envelope{epoch: binary.LittleEndian.Uint64(slots)}
 	for s := range env.assign {
 		env.assign[s] = int(binary.LittleEndian.Uint16(slots[8+2*s:]))
@@ -130,10 +127,7 @@ func readEnvelope(sr *secfile.Reader) (*envelope, error) {
 			return nil, fmt.Errorf("shard: envelope slot %d assigned to shard %d of %d — corrupt envelope", s, env.assign[s], count)
 		}
 	}
-	ord, err := sr.ReadAll(1)
-	if err != nil {
-		return nil, fmt.Errorf("shard: reading envelope ordinal table: %w", err)
-	}
+	ord := sr.Bytes(1)
 	for q := 0; q < len(ord); {
 		if q+2 > len(ord) {
 			return nil, fmt.Errorf("shard: envelope ordinal table truncated at entry %d", len(env.names))
@@ -150,7 +144,7 @@ func readEnvelope(sr *secfile.Reader) (*envelope, error) {
 }
 
 // OpenIndex maps a SaveIndex envelope read-only and serves every shard's
-// section through that shard's Backend.OpenIndexAt: no visit re-ingest,
+// section through that shard's Backend.OpenImage: no visit re-ingest,
 // query-ready after the per-shard opens. A local shard serves its section in
 // place off the mapping; a remote one receives it whole and its shard server
 // opens it there. The sections are physical images, so the envelope's shard
@@ -179,7 +173,7 @@ func (c *Cluster) OpenIndex(path string) error {
 			m.Close()
 		}
 	}()
-	sr, err := secfile.NewReaderAt(m, m.Size())
+	sr, err := secfile.NewReader(m.Bytes())
 	if err != nil {
 		return fmt.Errorf("shard: opening cluster index: %w", err)
 	}
@@ -205,11 +199,11 @@ func (c *Cluster) OpenIndex(path string) error {
 	c.mu.Unlock()
 	adopted = true
 	for i, sh := range c.shards {
-		sec := sr.Secs[2+i]
-		if sec.Len == 0 {
+		b := sr.Bytes(2 + i)
+		if len(b) == 0 {
 			continue // empty shard at save time: stays index-less, builds lazily
 		}
-		if err := sh.OpenIndexAt(io.NewSectionReader(m, sec.Off, sec.Len), sec.Len); err != nil {
+		if err := sh.OpenImage(b); err != nil {
 			return fmt.Errorf("shard: opening shard %d index: %w", i, err)
 		}
 	}

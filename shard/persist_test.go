@@ -307,7 +307,7 @@ func TestClusterLoadIndexEnvelopeErrors(t *testing.T) {
 		}
 	}
 
-	sr, err := secfile.NewReaderAt(bytes.NewReader(good), int64(len(good)))
+	sr, err := secfile.NewReader(good)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func FuzzReadEnvelope(f *testing.F) {
 		c.Close()
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		sr, err := secfile.NewReaderAt(bytes.NewReader(b), int64(len(b)))
+		sr, err := secfile.NewReader(b)
 		if err != nil {
 			return
 		}

@@ -220,12 +220,9 @@ func (e errTransport) Unwrap() error { return e.err }
 // do issues one HTTP round trip and returns the response body. Non-200
 // responses become errors carrying the server's message. Transport-level
 // failures are wrapped in errTransport for call's retry decision.
-func (c *Client) do(ctx context.Context, method, path string, body []byte, stream io.Reader) ([]byte, error) {
+func (c *Client) do(ctx context.Context, method, path string, body []byte) ([]byte, error) {
 	var rd io.Reader
-	switch {
-	case stream != nil:
-		rd = stream
-	case body != nil:
+	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
@@ -271,7 +268,7 @@ func (c *Client) call(path string, body []byte, timeout time.Duration, idempoten
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		ctx, cancel := context.WithTimeout(context.Background(), timeout)
-		out, err := c.do(ctx, http.MethodPost, path, body, nil)
+		out, err := c.do(ctx, http.MethodPost, path, body)
 		cancel()
 		if err == nil {
 			return out, nil
@@ -291,7 +288,7 @@ func (c *Client) call(path string, body []byte, timeout time.Duration, idempoten
 func (c *Client) refreshStats() error {
 	ctx, cancel := context.WithTimeout(context.Background(), c.callT)
 	defer cancel()
-	out, err := c.do(ctx, http.MethodGet, "/shard/stats", nil, nil)
+	out, err := c.do(ctx, http.MethodGet, "/shard/stats", nil)
 	if err != nil {
 		return fmt.Errorf("shard %s: %w", c.addr, err)
 	}
@@ -408,7 +405,7 @@ func (c *Client) BuildIndex() error {
 func (c *Client) IndexStats() digitaltraces.IndexStats {
 	ctx, cancel := context.WithTimeout(context.Background(), c.callT)
 	defer cancel()
-	out, err := c.do(ctx, http.MethodGet, "/shard/stats", nil, nil)
+	out, err := c.do(ctx, http.MethodGet, "/shard/stats", nil)
 	if err != nil {
 		return digitaltraces.IndexStats{}
 	}
@@ -449,12 +446,12 @@ func (c *Client) SaveIndex(w io.Writer) (int64, error) {
 	return n, nil
 }
 
-// OpenIndexAt sends the image in r to the shard server, which opens it there
-// (DB.OpenIndexAt) — the remote half of Cluster.OpenIndex.
-func (c *Client) OpenIndexAt(r io.ReaderAt, size int64) error {
+// OpenImage sends the image b to the shard server, which opens it there
+// (DB.OpenImage) — the remote half of Cluster.OpenIndex.
+func (c *Client) OpenImage(b []byte) error {
 	ctx, cancel := context.WithTimeout(context.Background(), c.ctrlT)
 	defer cancel()
-	if _, err := c.do(ctx, http.MethodPost, "/shard/index", nil, io.NewSectionReader(r, 0, size)); err != nil {
+	if _, err := c.do(ctx, http.MethodPost, "/shard/index", b); err != nil {
 		return fmt.Errorf("shard %s: %w", c.addr, err)
 	}
 	return c.refreshStats()
@@ -465,7 +462,7 @@ func (c *Client) OpenIndexAt(r io.ReaderAt, size int64) error {
 func (c *Client) Ping() error {
 	ctx, cancel := context.WithTimeout(context.Background(), c.callT)
 	defer cancel()
-	out, err := c.do(ctx, http.MethodGet, "/shard/healthz", nil, nil)
+	out, err := c.do(ctx, http.MethodGet, "/shard/healthz", nil)
 	if err != nil {
 		return fmt.Errorf("shard %s: %w", c.addr, err)
 	}

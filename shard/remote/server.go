@@ -250,7 +250,7 @@ func (s *Server) handleOpenIndex(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("reading index image: %v", err))
 		return
 	}
-	if err := s.db.OpenIndexAt(bytes.NewReader(b), int64(len(b))); err != nil {
+	if err := s.db.OpenImage(b); err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}

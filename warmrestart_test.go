@@ -88,7 +88,7 @@ var someEntities = []string{"entity-0", "entity-3", "entity-11", "entity-17", "e
 
 // openImage serves img on db in place, as OpenIndex serves a file.
 func openImage(db *DB, img []byte) error {
-	return db.OpenIndexAt(bytes.NewReader(img), int64(len(img)))
+	return db.OpenImage(img)
 }
 
 // TestLoadIndexEquivalence: an image opened over a replayed log answers
@@ -98,7 +98,7 @@ func TestLoadIndexEquivalence(t *testing.T) {
 	src, snap, log := restartWorld(t, 40)
 	db := freshGrid(t, log)
 	if err := openImage(db, snap); err != nil {
-		t.Fatalf("OpenIndexAt: %v", err)
+		t.Fatalf("OpenImage: %v", err)
 	}
 	st := db.IndexStats()
 	if st.Generation != 1 {
@@ -200,10 +200,10 @@ func TestLoadIndexNewerVisitsGoDirty(t *testing.T) {
 	}
 }
 
-// TestLoadIndexStaleEntitySkipped: an entity stamped FoldedUnknown (dirty
-// while the save ran) is never counted clean: the open unions its whole log
-// into the stored sequences instead of serving the save-time state as
-// current.
+// TestLoadIndexStaleEntitySkipped: an entity stamped with a covered count
+// other than what it ingested is never counted clean: the open unions its
+// whole log into the stored sequences instead of serving the save-time state
+// as current.
 func TestLoadIndexStaleEntitySkipped(t *testing.T) {
 	src, _, log := restartWorld(t, 30)
 	s := src.snap.Load()
@@ -212,7 +212,7 @@ func TestLoadIndexStaleEntitySkipped(t *testing.T) {
 	meta := core.SnapshotMeta{TimeUnit: src.unit, EpochNanos: epoch.UnixNano(), MeasureU: src.measureU, MeasureV: src.measureV}
 	if _, err := s.post.WriteSnapshot(&buf, meta, s.store, func(e trace.EntityID) (string, uint32, uint32) {
 		if s.byID[e] == "entity-5" {
-			return s.byID[e], uint32(e), core.FoldedUnknown
+			return s.byID[e], uint32(e), src.ingested[e] + 1
 		}
 		return s.byID[e], uint32(e), src.ingested[e]
 	}); err != nil {
@@ -277,7 +277,7 @@ func TestLoadIndexValidationErrors(t *testing.T) {
 	})
 }
 
-// TestLoadIndexConcurrentTraffic (-race): OpenIndexAt races ingest and
+// TestLoadIndexConcurrentTraffic (-race): OpenImage races ingest and
 // queries. Over a re-ingested log the open succeeds, queries never error,
 // and the DB converges to a cold rebuild over the final log. Into an empty
 // DB whose writers register new entities meanwhile, the open either succeeds
@@ -404,7 +404,7 @@ func TestSaveIndexFoldsDirtFirst(t *testing.T) {
 // imageCounts decodes an image's covered visit count per entity name.
 func imageCounts(t *testing.T, db *DB, img []byte) map[string]uint32 {
 	t.Helper()
-	sr, err := secfile.NewReaderAt(bytes.NewReader(img), int64(len(img)))
+	sr, err := secfile.NewReader(img)
 	if err != nil {
 		t.Fatal(err)
 	}
