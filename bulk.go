@@ -190,15 +190,10 @@ func BulkLoadRecordFile(path string, side, levels int, cfg BulkConfig, opts ...O
 	if err != nil {
 		return nil, nil, err
 	}
-	measure, err := db.newMeasure()
-	if err != nil {
-		return nil, nil, err
-	}
 	stats.BuildTime = time.Since(buildStart)
 	ns := &snapshot{
 		store:     store,
 		post:      post,
-		measure:   measure,
 		byID:      db.byID[:len(db.byID):len(db.byID)],
 		keys:      db.keys[:len(db.keys):len(db.keys)],
 		buildTime: stats.BuildTime,

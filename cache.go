@@ -146,7 +146,7 @@ func (db *DB) stillExact(s *snapshot, since string, k int, answer []Match, resol
 		if cs == nil {
 			return false
 		}
-		if d := s.measure.Degree(q, cs); d > kth || d == kth && c < kthID {
+		if d := db.measure.Degree(q, cs); d > kth || d == kth && c < kthID {
 			return false
 		}
 	}

@@ -230,23 +230,20 @@ func printShardSkew(tr server.TracesResponse, st *server.StatsResponse) {
 // printCutEffectiveness reports how often a shard's cap or floor ended its
 // search before it ran dry — the per-call win rate of the bounded gather.
 func printCutEffectiveness(tr server.TracesResponse) {
-	cut, exhausted, calls := 0, 0, 0
+	cut, calls := 0, 0
 	for _, t := range tr.Traces {
 		for _, s := range t.Shards {
 			calls++
-			switch {
-			case s.Cut:
+			if s.Cut {
 				cut++
-			case s.Exhausted:
-				exhausted++
 			}
 		}
 	}
 	if calls == 0 {
 		return
 	}
-	fmt.Printf("cut effectiveness: %d/%d shard calls cut by the cap or floor (%.1f%%), %d exhausted, %d neither\n\n",
-		cut, calls, 100*float64(cut)/float64(calls), exhausted, calls-cut-exhausted)
+	fmt.Printf("cut effectiveness: %d/%d shard calls cut by the cap or floor (%.1f%%), %d exhausted\n\n",
+		cut, calls, 100*float64(cut)/float64(calls), calls-cut)
 }
 
 // printCacheByEntity reports hit rates per query entity over the shown

@@ -24,7 +24,7 @@ func pinnedAnswers(t testing.TB, db *DB, s *snapshot, queries []string, k int) m
 		if err != nil {
 			t.Fatalf("lookup(%s): %v", q, err)
 		}
-		res, _, err := s.topK(seq, k)
+		res, _, err := s.topK(seq, k, db.measure)
 		if err != nil {
 			t.Fatalf("pinned topK(%s): %v", q, err)
 		}
@@ -71,7 +71,7 @@ func TestRefreshCOWIsolation(t *testing.T) {
 					errs <- err
 					return
 				}
-				res, _, err := pinned.topK(seq, k)
+				res, _, err := pinned.topK(seq, k, db.measure)
 				if err != nil {
 					errs <- err
 					return

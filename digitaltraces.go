@@ -76,6 +76,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"digitaltraces/internal/adm"
 	"digitaltraces/internal/core"
 	"digitaltraces/internal/mmap"
 	"digitaltraces/internal/obs"
@@ -260,7 +261,8 @@ func WithEpoch(t time.Time) Option {
 }
 
 // WithPaperMeasure selects the paper's association degree measure (Eq 7.1)
-// with level exponent u and duration exponent v (defaults u = v = 2).
+// with level exponent u and duration exponent v (defaults u = v = 2); NewDB
+// refuses exponents the measure does not admit.
 func WithPaperMeasure(u, v float64) Option {
 	return func(db *DB) error {
 		db.measureU, db.measureV = u, v
@@ -304,6 +306,7 @@ type DB struct {
 	measureU float64
 	measureV float64
 	jaccard  bool
+	measure  adm.Measure // built from the three above by newDB
 
 	// mu guards the small ingest side: the entity name registry, the pending
 	// visits, the ingested counts, the write sequence and the (write-once)
@@ -388,6 +391,15 @@ func newDB(ix *spindex.Index, venues map[string]spindex.BaseID, opts ...Option) 
 		if err := opt(db); err != nil {
 			return nil, err
 		}
+	}
+	var err error
+	if db.jaccard {
+		db.measure, err = adm.NewJaccardADM(ix.Height())
+	} else {
+		db.measure, err = adm.NewPaperADM(ix.Height(), db.measureU, db.measureV)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("digitaltraces: %w", err)
 	}
 	return db, nil
 }
@@ -632,7 +644,7 @@ func (db *DB) query(kind obs.Kind, entity string, k int, batchID uint64, key str
 		if err != nil {
 			return nil, err
 		}
-		out, qs, err = pinned.topK(q, k)
+		out, qs, err = pinned.topK(q, k, db.measure)
 		return out, err
 	})
 	if hit {
@@ -757,7 +769,7 @@ func (db *DB) Degree(a, b string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return s.measure.Degree(sa, sb), nil
+	return db.measure.Degree(sa, sb), nil
 }
 
 // IndexStats describes the serving index snapshot (zero value before the

@@ -3,6 +3,7 @@ package digitaltraces
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -130,6 +131,11 @@ func TestVisitValidation(t *testing.T) {
 func TestOptions(t *testing.T) {
 	if _, err := NewDB(smallHierarchy(t), WithTimeUnit(0)); err == nil {
 		t.Error("zero time unit accepted")
+	}
+	// The measure is built once, with the DB: a bad one is refused there,
+	// not at the first build.
+	if _, err := NewDB(smallHierarchy(t), WithPaperMeasure(2, 0.5)); err == nil || !strings.Contains(err.Error(), "duration exponent") {
+		t.Errorf("duration exponent 0.5 < 1: %v", err)
 	}
 	db, err := NewDB(smallHierarchy(t),
 		WithTimeUnit(30*time.Minute),

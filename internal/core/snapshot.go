@@ -247,17 +247,14 @@ func decodeCells(b []byte, count int) (*cellIndex, error) {
 	return ci, nil
 }
 
-// DecodeSnapshot validates the image sr holds, up to but excluding the
-// sequence blobs.
-// It never trusts a stored word: every scalar is bounded before it sizes an
-// allocation or is narrowed by a cast, every checksum must hold, the entity
-// table must be exactly count records with distinct tie keys, every name and
-// sequence span must fall inside its section, and the cell index must
-// check out in full — so a corrupt file is a descriptive error here, not an
-// OOM now or a SIGBUS at query time. An image written before the index
-// dropped its signatures, before it kept its entities' level sizes, or
-// without its sequences is refused by name.
-func DecodeSnapshot(sr *secfile.Reader, ix *spindex.Index) (*Snapshot, error) {
+// ReadEntities validates an image's section layout and decodes its entity
+// table: the one entity-table reader, DecodeSnapshot's and a cluster
+// envelope's. It never trusts a stored word: the count is bounded by the
+// table's real size, the checksum must hold, every name and sequence span
+// must fall inside its section and the tie keys must be distinct. An image
+// written before the index dropped its signatures, before it kept its
+// entities' level sizes, or without its sequences is refused by name.
+func ReadEntities(sr *secfile.Reader) ([]SnapshotEntity, error) {
 	kinds := []secfile.Kind{secfile.Meta, secfile.Names, secfile.Entities, secfile.Sizes, secfile.Cells, secfile.Seqs}
 	switch secs := sr.Secs; {
 	case len(secs) > 2 && secs[2].Kind == secfile.SignedEntities:
@@ -272,60 +269,26 @@ func DecodeSnapshot(sr *secfile.Reader, ix *spindex.Index) (*Snapshot, error) {
 			return nil, fmt.Errorf("core: not an index image: section %d of %d is %q (a cluster envelope opens through shard.Cluster)", i, len(sr.Secs), sec.Kind)
 		}
 	}
-	s := &Snapshot{}
-	ents, seqs := sr.Secs[2], sr.Secs[5]
-
 	if sr.Secs[0].Len != 8*metaWords {
 		return nil, fmt.Errorf("core: corrupt snapshot: meta section of %d bytes, want %d", sr.Secs[0].Len, 8*metaWords)
 	}
-	raw := sr.Bytes(0)
-	var w [metaWords]uint64
-	for i := range w {
-		w[i] = binary.LittleEndian.Uint64(raw[8*i:])
+	ents, seqs := sr.Secs[2], sr.Secs[5]
+	count := binary.LittleEndian.Uint64(sr.Bytes(0)[8:])
+	if count > math.MaxInt32 {
+		return nil, fmt.Errorf("core: corrupt snapshot meta: %d entities", count)
 	}
-	if w[0] != uint64(ix.Height()) {
-		return nil, fmt.Errorf("core: snapshot has %d levels, sp-index has %d", w[0], ix.Height())
-	}
-	if w[1] > math.MaxInt32 {
-		return nil, fmt.Errorf("core: corrupt snapshot meta: %d entities", w[1])
-	}
-	if w[6]&^uint64(flagJaccard) != 0 {
-		return nil, fmt.Errorf("core: snapshot meta has unknown flag bits %#x (written by a newer version?)", w[6])
-	}
-	count := int(w[1])
-	s.Meta = SnapshotMeta{
-		TimeUnit:   time.Duration(int64(w[2])),
-		EpochNanos: int64(w[3]),
-		MeasureU:   math.Float64frombits(w[4]),
-		MeasureV:   math.Float64frombits(w[5]),
-		Jaccard:    w[6]&flagJaccard != 0,
-	}
-	if s.Meta.TimeUnit <= 0 {
-		return nil, fmt.Errorf("core: corrupt snapshot meta: non-positive time unit %d", s.Meta.TimeUnit)
-	}
-
 	if ents.Len != int64(count)*entSize+4 {
 		return nil, fmt.Errorf("core: corrupt snapshot: entity table is %d bytes, %d entities need %d", ents.Len, count, int64(count)*entSize+4)
-	}
-	m := ix.Height()
-	if sr.Secs[3].Len != int64(count*m)+4 {
-		return nil, fmt.Errorf("core: corrupt snapshot: level sizes are %d bytes, %d entities need %d", sr.Secs[3].Len, count, count*m+4)
 	}
 	names := sr.Bytes(1)
 	table, err := checksummed(sr.Bytes(2), "entity table")
 	if err != nil {
 		return nil, err
 	}
-	if s.sizes, err = checksummed(sr.Bytes(3), "level sizes"); err != nil {
-		return nil, err
-	}
-	if i := slices.Index(s.sizes, 0); i >= 0 {
-		return nil, fmt.Errorf("core: corrupt snapshot: level-size byte %d is 0, which marks no entity", i)
-	}
 	// count records arrived: from here it sizes what it describes.
-	s.Entities = make([]SnapshotEntity, count)
+	out := make([]SnapshotEntity, count)
 	keys := make([]uint32, count)
-	for i := range s.Entities {
+	for i := range out {
 		rec := table[i*entSize:]
 		se := SnapshotEntity{Key: binary.LittleEndian.Uint32(rec), Folded: binary.LittleEndian.Uint32(rec[28:])}
 		keys[i] = se.Key
@@ -339,13 +302,58 @@ func DecodeSnapshot(sr *secfile.Reader, ix *spindex.Index) (*Snapshot, error) {
 		}
 		se.Name = string(names[nameOff : nameOff+nameLen])
 		se.Seq = storage.Span{Off: seqs.Off + seqOff, Len: int32(seqLen)}
-		s.Entities[i] = se
+		out[i] = se
 	}
 	slices.Sort(keys)
-	for i := 1; i < count; i++ {
+	for i := 1; i < len(keys); i++ {
 		if keys[i-1] == keys[i] {
 			return nil, fmt.Errorf("core: corrupt snapshot: two entities share tie key %d", keys[i])
 		}
+	}
+	return out, nil
+}
+
+// DecodeSnapshot validates the image sr holds, up to but excluding the
+// sequence blobs: its entity table (ReadEntities), then the meta scalars
+// against ix, the level sizes and the cell index, which must check out in
+// full — so a corrupt file is a descriptive error here, not an OOM now or a
+// SIGBUS at query time.
+func DecodeSnapshot(sr *secfile.Reader, ix *spindex.Index) (*Snapshot, error) {
+	ents, err := ReadEntities(sr)
+	if err != nil {
+		return nil, err
+	}
+	s := &Snapshot{Entities: ents}
+	raw := sr.Bytes(0)
+	var w [metaWords]uint64
+	for i := range w {
+		w[i] = binary.LittleEndian.Uint64(raw[8*i:])
+	}
+	if w[0] != uint64(ix.Height()) {
+		return nil, fmt.Errorf("core: snapshot has %d levels, sp-index has %d", w[0], ix.Height())
+	}
+	if w[6]&^uint64(flagJaccard) != 0 {
+		return nil, fmt.Errorf("core: snapshot meta has unknown flag bits %#x (written by a newer version?)", w[6])
+	}
+	s.Meta = SnapshotMeta{
+		TimeUnit:   time.Duration(int64(w[2])),
+		EpochNanos: int64(w[3]),
+		MeasureU:   math.Float64frombits(w[4]),
+		MeasureV:   math.Float64frombits(w[5]),
+		Jaccard:    w[6]&flagJaccard != 0,
+	}
+	if s.Meta.TimeUnit <= 0 {
+		return nil, fmt.Errorf("core: corrupt snapshot meta: non-positive time unit %d", s.Meta.TimeUnit)
+	}
+	count, m := len(ents), ix.Height()
+	if sr.Secs[3].Len != int64(count*m)+4 {
+		return nil, fmt.Errorf("core: corrupt snapshot: level sizes are %d bytes, %d entities need %d", sr.Secs[3].Len, count, count*m+4)
+	}
+	if s.sizes, err = checksummed(sr.Bytes(3), "level sizes"); err != nil {
+		return nil, err
+	}
+	if i := slices.Index(s.sizes, 0); i >= 0 {
+		return nil, fmt.Errorf("core: corrupt snapshot: level-size byte %d is 0, which marks no entity", i)
 	}
 	if s.cells, err = decodeCells(sr.Bytes(4), count); err != nil {
 		return nil, err

@@ -79,10 +79,9 @@ type ShardTrace struct {
 	// performed — the work early termination exists to bound.
 	Checked int
 	// Cut reports the shard's search was stopped while it may still have had
-	// candidates: by the k+1 per-shard cap or by its floor; Exhausted
-	// reports it ran dry. Exactly one is set on every gathered row.
-	Cut       bool
-	Exhausted bool
+	// candidates: by the k+1 per-shard cap or by its floor; a row not cut ran
+	// dry.
+	Cut bool
 	// Bound is the shard's admissible bound on what it did not return —
 	// compare with the trace's KthDegree to see the margin the cut fired at.
 	Bound float64

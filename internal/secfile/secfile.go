@@ -6,8 +6,8 @@
 //	sections, zero-padded up to their offsets
 //
 // A DB image is the sections {meta, name, etab, size, cell, seqs}; a cluster
-// envelope is {slot, ords} and one shrd section per shard, each of which is a
-// DB image. Paged kinds start on a page
+// envelope is {slot} and one shrd section per shard, each of which is a DB
+// image. Paged kinds start on a page
 // boundary, so a mapping of the file — or of a shard section inside an
 // envelope — serves them in place.
 //
@@ -40,8 +40,8 @@ const (
 	headerLen = len(Magic) + 4 + 8 + 4
 	entryLen  = 4 + 8 + 8
 	// maxSections bounds the table a header may claim before it is allocated:
-	// an envelope of the most shards a slot map can name, plus its two tables.
-	maxSections = math.MaxUint16 + 2
+	// an envelope of the most shards a slot map can name, plus its slot map.
+	maxSections = math.MaxUint16 + 1
 )
 
 // Kind names what a section holds: a four-byte tag, stored verbatim.
@@ -55,8 +55,8 @@ const (
 	Cells    Kind = "cell" // DB image: the level-1 cell index, checksummed
 	Seqs     Kind = "seqs" // DB image: concatenated sequence blobs, decoded lazily; paged
 	Slots    Kind = "slot" // envelope: the slot map
-	Ordinals Kind = "ords" // envelope: entity names in global arrival order
 	Shard    Kind = "shrd" // envelope: one shard's DB image (empty for an empty shard); paged
+	Ordinals Kind = "ords" // retired envelope: names in arrival order, which the images carry; refused
 
 	// SignedEntities is the entity section of the images written before the
 	// index dropped its signatures: records carrying signature digests, beside

@@ -90,11 +90,7 @@ func (db *DB) OpenImage(b []byte) error {
 	if err != nil {
 		return fmt.Errorf("digitaltraces: opening index: %w", err)
 	}
-	measure, err := db.newMeasure()
-	if err == nil {
-		err = db.checkSnapshotMeta(snap.Meta)
-	}
-	if err != nil {
+	if err := db.checkSnapshotMeta(snap.Meta); err != nil {
 		return err
 	}
 	ents := snap.Entities // row e is entity e's
@@ -159,7 +155,7 @@ func (db *DB) OpenImage(b []byte) error {
 		return fmt.Errorf("digitaltraces: opening index: %w", err)
 	}
 	store := trace.NewBackedStore(db.ix, seqs)
-	ns := &snapshot{store: store, post: snap.MappedPostings(db.ix, store), measure: measure}
+	ns := &snapshot{store: store, post: snap.MappedPostings(db.ix, store)}
 	if len(v.ids) > 0 {
 		store = db.fold(v.ids, v.recs, ns, db.snap.Load())
 		if ns.post, err = ns.post.Derive(store, v.ids); err != nil {

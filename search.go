@@ -76,7 +76,7 @@ func (db *DB) Rank(rq RankQuery) (Ranked, error) {
 	if rq.Keep != nil {
 		keep = func(e trace.EntityID) bool { return rq.Keep(s.byID[e]) }
 	}
-	r, err := s.post.Rank(q, rq.Want, rq.Floor, keep, s.keys, s.measure)
+	r, err := s.post.Rank(q, rq.Want, rq.Floor, keep, s.keys, db.measure)
 	if err != nil {
 		return out, err
 	}

@@ -106,7 +106,7 @@ func TestHealthzReadinessRemoteShards(t *testing.T) {
 		rs := remote.NewServer(db, remote.ServerConfig{})
 		hs := httptest.NewServer(rs.Handler())
 		t.Cleanup(func() { hs.Close(); rs.Close(); db.Close() })
-		c, err := remote.Dial(hs.URL, remote.Options{Retries: -1})
+		c, err := remote.Dial(hs.URL, remote.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

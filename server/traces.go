@@ -23,7 +23,6 @@ type TraceShard struct {
 	Pulled     int     `json:"pulled"`
 	Checked    int     `json:"checked"`
 	Cut        bool    `json:"cut,omitempty"`
-	Exhausted  bool    `json:"exhausted,omitempty"`
 	Bound      float64 `json:"bound"`
 	LatencyUS  int64   `json:"latency_us"`
 }
@@ -94,7 +93,6 @@ func toTrace(qt obs.QueryTrace, anomalies []string) Trace {
 			Pulled:     st.Pulled,
 			Checked:    st.Checked,
 			Cut:        st.Cut,
-			Exhausted:  st.Exhausted,
 			Bound:      st.Bound,
 			LatencyUS:  st.Latency.Microseconds(),
 		})

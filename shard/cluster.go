@@ -125,12 +125,16 @@ type Cluster struct {
 	// is frozen and no visit lands on the old owner after the flip.
 	slotMu [NumSlots]sync.RWMutex
 
-	// mu guards ord, the global first-arrival ordinal per entity name. The
-	// single-DB search breaks degree ties by entity ID — ingest order — so
-	// every shard ranks and the merge sorts ties by the cluster-wide arrival
-	// order to reproduce single-DB answers bit-for-bit (merge.go).
-	mu  sync.RWMutex
-	ord map[string]int
+	// mu guards the registry (router.go): ord, the global first-arrival
+	// ordinal of every entity name some shard stored; pending, the ordinals
+	// reserved for names none has stored yet; and next. The single-DB search
+	// breaks degree ties by entity ID — ingest order — so every shard ranks
+	// and the merge sorts ties by the cluster-wide arrival order to reproduce
+	// single-DB answers bit-for-bit (merge.go).
+	mu      sync.RWMutex
+	ord     map[string]int
+	pending map[string]int
+	next    int
 
 	// cache is the cluster-level generation-keyed query cache (nil unless
 	// Config.CacheSize > 0); cache.go supplies its version, internal/qcache
@@ -222,7 +226,7 @@ func NewCluster(cfg Config) (_ *Cluster, err error) {
 			return nil, fmt.Errorf("shard: shard %d is pre-populated with %d entities; route all ingest through the Cluster", i, sh.NumEntities())
 		}
 	}
-	c := &Cluster{shards: shards, ord: map[string]int{}, tracer: obs.New(cfg.TraceSize)}
+	c := &Cluster{shards: shards, ord: map[string]int{}, pending: map[string]int{}, tracer: obs.New(cfg.TraceSize)}
 	c.slots.Store(DefaultSlotMap(len(shards)))
 	if cfg.InitialSlots != nil {
 		if err := c.AssignSlots(cfg.InitialSlots); err != nil {
@@ -296,10 +300,10 @@ func (c *Cluster) AddVisit(entity, venue string, start, end time.Time) error {
 // one are still stored. The returned error names the failing record's index
 // in the original slice (the smallest, if several shards failed). Without a
 // refused record, an error is the failed folds of shards that stored their
-// whole group, as from DB.AddVisits. Entity ordinals are reserved at arrival
-// even for records that then fail validation; this only matters for
-// degree-tie order and only if the same new entities are later replayed to a
-// single DB in a different order.
+// whole group, as from DB.AddVisits. Entity ordinals are reserved at arrival,
+// so concurrent batches agree on them, but a name counts as an entity only
+// once some shard stored it. A refused name keeps its ordinal: stored later,
+// it ties ahead of the names that arrived between, unlike on a single DB.
 func (c *Cluster) AddVisits(visits []digitaltraces.VisitRecord) (int, error) {
 	n := len(c.shards)
 	// Fence every slot this batch touches (read side, ascending slot order
@@ -317,7 +321,7 @@ func (c *Cluster) AddVisits(visits []digitaltraces.VisitRecord) (int, error) {
 		}
 	}
 	sm := c.slotmap()
-	ords := c.register(visits)
+	ords, fresh := c.register(visits)
 	groups := make([][]digitaltraces.VisitRecord, n)
 	keys := make([][]uint32, n)
 	origIdx := make([][]int, n)
@@ -341,6 +345,9 @@ func (c *Cluster) AddVisits(visits []digitaltraces.VisitRecord) (int, error) {
 		}(s)
 	}
 	wg.Wait()
+	if len(fresh) > 0 {
+		c.acknowledge(fresh, groups, counts)
+	}
 	total := 0
 	for _, cnt := range counts {
 		total += cnt
@@ -482,8 +489,8 @@ func (c *Cluster) TopKBatch(entities []string, k, workers int) (map[string][]dig
 // NumShards returns the number of partitions.
 func (c *Cluster) NumShards() int { return len(c.shards) }
 
-// NumEntities returns the cluster-wide entity count: the size of the global
-// arrival registry. Summing per-shard counts would double-count after a
+// NumEntities returns the cluster-wide entity count: the names some shard
+// stored, each once. Summing per-shard counts would double-count after a
 // migration — the source shard keeps its stale copies forever — while every
 // entity registers exactly once however its slot moves.
 func (c *Cluster) NumEntities() int {

@@ -92,7 +92,6 @@ func (f *fanout) call(j int, req RankRequest) error {
 	// A reply the cap or the floor ended was cut; one at floor 0 that came
 	// back short ran dry.
 	row.Cut = r.Capped || req.Floor > 0
-	row.Exhausted = !row.Cut
 	if a, ok := f.c.shards[sh].(interface{ Addr() string }); ok {
 		row.Addr = a.Addr() // remote shards name their server
 	}

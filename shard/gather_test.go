@@ -102,7 +102,8 @@ func lastRow(t *testing.T, c *Cluster, shard int) obs.ShardTrace {
 // its own entities hold the low local IDs, the shipped ones arrived first in
 // the cluster. The ship carried their global ordinals, which the target ranks
 // by, so its first k+1 are the shipped ones, its capped reply is k+1 matches,
-// not the whole tie, and the answer is the single DB's.
+// not the whole tie, and the answer is the single DB's — also in a fresh
+// cluster the migrated one's envelope opens into.
 func TestTieAcrossCapAfterMigration(t *testing.T) {
 	const k = 3
 	c, backends, db := twinClusters(t)
@@ -155,6 +156,23 @@ func TestTieAcrossCapAfterMigration(t *testing.T) {
 	}
 	if row := lastRow(t, c, 1); row.Pulled != k+1 {
 		t.Fatalf("the target returned %d matches, want its cap of k+1 = %d", row.Pulled, k+1)
+	}
+
+	// A fresh cluster the envelope opens into reads the same ordinals off
+	// the images, the source's stale copies included, and answers alike.
+	opened, _, _ := twinClusters(t)
+	if err := opened.OpenIndex(saveMapped(t, c)); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := opened.NumEntities(), db.NumEntities(); got != want {
+		t.Fatalf("the opened cluster counts %d entities, the single DB %d", got, want)
+	}
+	if got, _, err = opened.TopK(query, k); err != nil {
+		t.Fatal(err)
+	}
+	requireSameMatches(t, "opened after the migration", got, want)
+	if row := lastRow(t, opened, 1); row.Pulled != k+1 {
+		t.Fatalf("the opened target returned %d matches, want its cap of k+1 = %d", row.Pulled, k+1)
 	}
 }
 
@@ -357,7 +375,8 @@ func TestRacingIngestIsExact(t *testing.T) {
 // shard returning more than its k+1 — before any migration, after
 // MigrateSlot(0, 1), and after MigrateSlot(2, 3) too: a migration target ranks
 // the shipped entities by the global ordinals they carried, so no later query
-// pays for the move.
+// pays for the move. So does a fresh cluster the migrated one's envelope
+// opens into, whose registry is read from images holding the stale copies.
 func TestMigratedClusterAsksKPlusOne(t *testing.T) {
 	const (
 		k, shards, side, levels = 10, 4, 32, 4
@@ -405,7 +424,7 @@ func TestMigratedClusterAsksKPlusOne(t *testing.T) {
 	for i := range qs {
 		qs[i] = names[rng.Intn(len(names))]
 	}
-	check := func(state string) {
+	check := func(state string, c *Cluster) {
 		t.Helper()
 		most := 0
 		for _, q := range qs {
@@ -424,11 +443,23 @@ func TestMigratedClusterAsksKPlusOne(t *testing.T) {
 			t.Errorf("%s: a query pulled %d matches, past the %d of every shard's k+1", state, most, shards*(k+1))
 		}
 	}
-	check("no migration")
+	check("no migration", c)
 	for _, move := range [][2]int{{0, 1}, {2, 3}} {
 		if err := c.MigrateSlot(move[0], move[1]); err != nil {
 			t.Fatal(err)
 		}
-		check(fmt.Sprintf("after MigrateSlot(%d, %d)", move[0], move[1]))
+		check(fmt.Sprintf("after MigrateSlot(%d, %d)", move[0], move[1]), c)
 	}
+	opened, err := NewCluster(Config{Shards: shards, NewShard: func(int) (*digitaltraces.DB, error) { return digitaltraces.NewGridDB(side, levels) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer opened.Close()
+	if err := opened.OpenIndex(saveMapped(t, c)); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := opened.NumEntities(), db.NumEntities(); got != want {
+		t.Fatalf("the opened cluster counts %d entities, the single DB %d", got, want)
+	}
+	check("opened after the migrations", opened)
 }

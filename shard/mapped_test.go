@@ -222,9 +222,9 @@ func TestClusterMappedEnvelopeErrors(t *testing.T) {
 
 // TestClusterRefusedMappedLoadKeepsSlotMap: the slot map an empty cluster
 // adopts from an envelope is published only once every check that needs no
-// shard load has passed — an envelope refused for its ordinal table leaves the
-// cluster's routing, registry and shards as they were, and the intact envelope
-// still loads.
+// shard load has passed — an envelope refused for a shard image's entity
+// table, which the registry is read from, leaves the cluster's routing,
+// registry and shards as they were, and the intact envelope still loads.
 func TestClusterRefusedMappedLoadKeepsSlotMap(t *testing.T) {
 	log := cityLog(t, 30)
 	skewed := make([]int, NumSlots)
@@ -253,8 +253,12 @@ func TestClusterRefusedMappedLoadKeepsSlotMap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	img, err := secfile.NewReader(raw[sr.Secs[1].Off:sr.Secs[1].End()])
+	if err != nil {
+		t.Fatal(err)
+	}
 	bad := append([]byte(nil), raw...)
-	bad[sr.Secs[1].Off]++ // one more ordinal claimed than stored
+	bad[sr.Secs[1].Off+img.Secs[2].Off]++ // shard 0's entity table fails its checksum
 	badPath := filepath.Join(t.TempDir(), "bad.map")
 	if err := os.WriteFile(badPath, bad, 0o644); err != nil {
 		t.Fatal(err)
@@ -263,8 +267,8 @@ func TestClusterRefusedMappedLoadKeepsSlotMap(t *testing.T) {
 	c2 := emptyCluster(t, 4)
 	defer c2.Close()
 	epoch, assign := c2.SlotEpoch(), c2.SlotAssignment()
-	if err := c2.OpenIndex(badPath); err == nil || !strings.Contains(err.Error(), "ordinal table truncated") {
-		t.Fatalf("want the ordinal-table refusal, got: %v", err)
+	if err := c2.OpenIndex(badPath); err == nil || !strings.Contains(err.Error(), "entity table checksum") {
+		t.Fatalf("want the entity-table refusal, got: %v", err)
 	}
 	if c2.SlotEpoch() != epoch || !reflect.DeepEqual(c2.SlotAssignment(), assign) {
 		t.Errorf("refused load changed the slot map: epoch %d → %d", epoch, c2.SlotEpoch())

@@ -31,7 +31,6 @@ package shard
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"digitaltraces"
 )
@@ -61,8 +60,8 @@ func (c *Cluster) MigrateSlot(slot, target int) error {
 	}
 
 	// Snapshot the slot's members from the registry, in global arrival
-	// order. Any entity ingested after this point is blocked on the fence,
-	// so the list is complete.
+	// order: the names the source stored. Any entity ingested after this
+	// point is blocked on the fence, so the list is complete.
 	type member struct {
 		name string
 		ord  int
@@ -82,11 +81,6 @@ func (c *Cluster) MigrateSlot(slot, target int) error {
 	for _, m := range members {
 		vs, err := c.shards[src].VisitsOf(m.name)
 		if err != nil {
-			// A registered name the source has never stored: the entity's
-			// every visit failed validation. There is no state to move.
-			if strings.Contains(err.Error(), "unknown entity") {
-				continue
-			}
 			return fmt.Errorf("shard: migrating slot %d: reading %q from shard %d: %w", slot, m.name, src, err)
 		}
 		for _, v := range vs {

@@ -4,25 +4,23 @@ package shard
 //
 //	slots     the slot map that placed the entities: epoch u64, 256 × u16
 //	          assignment
-//	ordinals  the cluster-wide first-arrival order: u16-length-prefixed entity
-//	          names
 //	shard ×n  one DB image per shard (the root package's format), page-aligned;
 //	          empty for a shard that held no entities; its entity table
-//	          carries each entity's global ordinal as its tie key
+//	          carries each entity's name and global ordinal (its tie key)
 //
-// written by SaveIndex and opened by OpenIndex, which serves every section
-// through its shard's Backend.OpenImage with no re-ingest: in place off one
-// mapping for a local shard, sent whole to its shard server for a remote one.
-// Shard count, slot map and ordinals must be the saved ones; a change of
-// shard count re-ingests the log at the new count instead.
+// written by SaveIndex and opened by OpenIndex, which reads the registry from
+// the images and serves every section through its shard's Backend.OpenImage
+// with no re-ingest: in place off one mapping for a local shard, sent whole to
+// its shard server for a remote one. Shard count, slot map and registered
+// ordinals must be the saved ones; a change of shard count re-ingests.
 
 import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
+	"digitaltraces/internal/core"
 	"digitaltraces/internal/mmap"
 	"digitaltraces/internal/parallel"
 	"digitaltraces/internal/secfile"
@@ -52,26 +50,8 @@ func (c *Cluster) SaveIndex(w io.Writer) (int64, error) {
 	for _, sh := range sm.assign {
 		slots = binary.LittleEndian.AppendUint16(slots, uint16(sh))
 	}
-	// The global ordinal table, in first-arrival order: an open has no
-	// re-ingest to derive it from, and cross-shard degree ties must break as
-	// they did at save.
-	c.mu.RLock()
-	names := make([]string, len(c.ord))
-	for name, o := range c.ord {
-		names[o] = name
-	}
-	c.mu.RUnlock()
-	var ord []byte
-	for _, name := range names {
-		if len(name) > math.MaxUint16 {
-			return 0, fmt.Errorf("shard: entity name is %d bytes, the envelope caps names at %d", len(name), math.MaxUint16)
-		}
-		ord = binary.LittleEndian.AppendUint16(ord, uint16(len(name)))
-		ord = append(ord, name...)
-	}
-
-	parts := [][]byte{slots, ord}
-	secs := []secfile.Section{{Kind: secfile.Slots, Len: int64(len(slots))}, {Kind: secfile.Ordinals, Len: int64(len(ord))}}
+	parts := [][]byte{slots}
+	secs := []secfile.Section{{Kind: secfile.Slots, Len: int64(len(slots))}}
 	for i := range bufs {
 		parts = append(parts, bufs[i].Bytes())
 		secs = append(secs, secfile.Section{Kind: secfile.Shard, Len: int64(bufs[i].Len())})
@@ -91,77 +71,83 @@ func (c *Cluster) SaveIndex(w io.Writer) (int64, error) {
 // slotsLen is the slot map section's size: the epoch and the assignment.
 const slotsLen = 8 + 2*NumSlots
 
-// envelope is a cluster file's two tables, decoded and validated; shard i's
-// image is section 2+i of the reader it came from.
+// envelope is a cluster file's slot map and registry, decoded and validated;
+// shard i's image is section 1+i of the reader it came from.
 type envelope struct {
 	epoch  uint64
 	assign [NumSlots]int
-	names  []string // entity names in global arrival order
+	ords   map[string]int // every entity a shard image holds, by its global ordinal
 }
 
-// readEnvelope is the one envelope reader: it checks that sr holds a cluster
-// envelope whose every section after the tables is a shard image (secfile
-// has already bounded each by the file's real size), and decodes the slot
-// map and the ordinal table.
+// readEnvelope is the one envelope reader: it checks that sr holds a slot map
+// and shard images (secfile has already bounded each by the file's real
+// size) and reads the registry from the images' entity tables. A stale copy a
+// migration left behind carries its entity's ordinal; a name with two
+// ordinals is a corrupt envelope.
 func readEnvelope(sr *secfile.Reader) (*envelope, error) {
-	if len(sr.Secs) < 3 || sr.Secs[0].Kind != secfile.Slots || sr.Secs[1].Kind != secfile.Ordinals {
+	switch {
+	case len(sr.Secs) < 2 || sr.Secs[0].Kind != secfile.Slots:
 		return nil, fmt.Errorf("shard: not a cluster envelope (first section is %v; a single-DB index opens through DB.OpenIndex)", sr.Secs[0].Kind)
+	case sr.Secs[1].Kind == secfile.Ordinals:
+		return nil, fmt.Errorf("shard: the envelope carries an ordinal table %q, from before the registry was read from the shard images: a retired index format — re-save the cluster index with this version", secfile.Ordinals)
 	}
-	count := len(sr.Secs) - 2
-	for i, sec := range sr.Secs[2:] {
-		if sec.Kind != secfile.Shard {
-			return nil, fmt.Errorf("shard: corrupt envelope: section %d is %v, want a shard image", 2+i, sec.Kind)
-		}
-	}
-	switch l := sr.Secs[0].Len; {
-	case l == slotsLen+int64(count):
-		return nil, fmt.Errorf("shard: the envelope's slot map carries a flag per shard, from before shards ranked by global ordinal: a retired index format — re-save the cluster index with this version")
-	case l != slotsLen:
+	count := len(sr.Secs) - 1
+	if l := sr.Secs[0].Len; l != slotsLen {
 		return nil, fmt.Errorf("shard: corrupt envelope: slot map of %d bytes, want %d", l, slotsLen)
 	}
 	slots := sr.Bytes(0)
-	env := &envelope{epoch: binary.LittleEndian.Uint64(slots)}
+	env := &envelope{epoch: binary.LittleEndian.Uint64(slots), ords: map[string]int{}}
 	for s := range env.assign {
 		env.assign[s] = int(binary.LittleEndian.Uint16(slots[8+2*s:]))
 		if env.assign[s] >= count {
 			return nil, fmt.Errorf("shard: envelope slot %d assigned to shard %d of %d — corrupt envelope", s, env.assign[s], count)
 		}
 	}
-	ord := sr.Bytes(1)
-	for q := 0; q < len(ord); {
-		if q+2 > len(ord) {
-			return nil, fmt.Errorf("shard: envelope ordinal table truncated at entry %d", len(env.names))
+	for i := range count {
+		if k := sr.Secs[1+i].Kind; k != secfile.Shard {
+			return nil, fmt.Errorf("shard: corrupt envelope: section %d is %v, want a shard image", 1+i, k)
 		}
-		l := int(binary.LittleEndian.Uint16(ord[q:]))
-		q += 2
-		if q+l > len(ord) {
-			return nil, fmt.Errorf("shard: envelope ordinal table truncated inside entry %d", len(env.names))
+		b := sr.Bytes(1 + i)
+		if len(b) == 0 {
+			continue // an empty shard
 		}
-		env.names = append(env.names, string(ord[q:q+l]))
-		q += l
+		img, err := secfile.NewReader(b)
+		var ents []core.SnapshotEntity
+		if err == nil {
+			ents, err = core.ReadEntities(img)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("shard: envelope shard %d image: %w", i, err)
+		}
+		for _, e := range ents {
+			if o, ok := env.ords[e.Name]; ok && o != int(e.Key) {
+				return nil, fmt.Errorf("shard: corrupt envelope: entity %q has global ordinal %d on shard %d but %d on another shard", e.Name, e.Key, i, o)
+			}
+			env.ords[e.Name] = int(e.Key)
+		}
 	}
 	return env, nil
 }
 
 // OpenIndex maps a SaveIndex envelope read-only and serves every shard's
-// section through that shard's Backend.OpenImage: no visit re-ingest,
-// query-ready after the per-shard opens. A local shard serves its section in
-// place off the mapping; a remote one receives it whole and its shard server
+// section through that shard's Backend.OpenImage, with no visit re-ingest: a
+// local shard serves it in place off the mapping, a remote one's shard server
 // opens it there. The sections are physical images, so the envelope's shard
 // count must equal this cluster's (to change topology, re-ingest the log at
-// the new count), its slot map must be the serving one, and its global
-// ordinals must agree with the entities registered here, so degree ties break
-// exactly as they did at save; the envelope's names past the registered ones
-// (all of them, into an empty cluster) extend the registry. Close unmaps the
-// envelope — stop queries first.
+// the new count), its slot map must be the serving one, and the global
+// ordinals its images carry must agree with the entities registered here, so
+// degree ties break exactly as they did at save; the images' other entities
+// (all of them, into an empty cluster) extend the registry, and the next
+// ordinal given out is past every saved one. Close unmaps the envelope —
+// stop queries first.
 //
 // Every check that needs no shard open runs before the cluster changes at
-// all: a refusal up to there leaves slot map, ordinals and shards as they
+// all: a refusal up to there leaves slot map, registry and shards as they
 // were. On a failure inside a shard's open, shards already opened keep
 // serving their sections (the mapping stays open until Close); the error
 // names the shard that failed. So do all shards when entities registered
-// while the open ran took the ordinals the envelope's new names need: the
-// open then refuses with "retry".
+// while the open ran took ordinals the envelope's entities need: the open
+// then refuses with "retry".
 func (c *Cluster) OpenIndex(path string) error {
 	m, err := mmap.Open(path)
 	if err != nil {
@@ -181,10 +167,12 @@ func (c *Cluster) OpenIndex(path string) error {
 	if err != nil {
 		return err
 	}
-	if n := len(sr.Secs) - 2; n != len(c.shards) {
+	if n := len(sr.Secs) - 1; n != len(c.shards) {
 		return fmt.Errorf("shard: envelope has %d shard sections, cluster has %d shards — each section is one shard's image, so the shard count is pinned; to change topology, re-ingest the log at the new count and build", n, len(c.shards))
 	}
+	c.mu.RLock()
 	next, err := c.reconcile(env)
+	c.mu.RUnlock()
 	if err != nil {
 		return err
 	}
@@ -199,7 +187,7 @@ func (c *Cluster) OpenIndex(path string) error {
 	c.mu.Unlock()
 	adopted = true
 	for i, sh := range c.shards {
-		b := sr.Bytes(2 + i)
+		b := sr.Bytes(1 + i)
 		if len(b) == 0 {
 			continue // empty shard at save time: stays index-less, builds lazily
 		}
@@ -209,43 +197,40 @@ func (c *Cluster) OpenIndex(path string) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i, name := range env.names {
-		if _, ok := c.ord[name]; ok {
-			continue
-		}
-		if i != len(c.ord) {
-			return fmt.Errorf("shard: %d entities were registered while the open ran, taking the ordinals the envelope's new entities need; retry", len(c.ord)-i)
-		}
-		c.ord[name] = i
+	if _, err := c.reconcile(env); err != nil {
+		return fmt.Errorf("%w; entities were registered while the open ran — retry", err)
+	}
+	for name, o := range env.ords {
+		delete(c.pending, name)
+		c.ord[name] = o
+		c.next = max(c.next, o+1)
 	}
 	return nil
 }
 
-// reconcile checks an envelope's ordinals and slot map against the
-// cluster's and returns the map to publish once the load goes ahead (nil when
-// the serving one stands). A name registered here must have its ordinal in
-// the envelope — or cross-shard tie-breaking would silently differ from the
-// save — and one not registered must have the next ordinal past the registry,
-// which OpenIndex then extends with it. An empty cluster adopts the slot map;
-// a populated one (a re-ingested log) must already be routed exactly as the
-// image was saved: a divergent map would filter answers under ownership the
-// sections do not reflect.
+// reconcile checks an envelope's registry and slot map against the cluster's,
+// under c.mu, and returns the map to publish once the load goes ahead (nil
+// when the serving one stands). A name with an ordinal here must have that
+// ordinal in the envelope — or cross-shard tie-breaking would silently differ
+// from the save — and one without must have one no name here was given. An
+// empty cluster adopts the slot map; a populated one (a re-ingested log) must
+// already be routed exactly as the image was saved: a divergent map would
+// filter answers under ownership the sections do not reflect.
 func (c *Cluster) reconcile(env *envelope) (*SlotMap, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	ord := len(c.ord) // the next ordinal
-	for i, name := range env.names {
-		switch o, ok := c.ord[name]; {
-		case !ok && i == ord:
-			ord++
-		case !ok:
-			return nil, fmt.Errorf("shard: entity %q is not registered here, and its global ordinal %d in the envelope is not the next one (%d) — envelopes resolve tie-break order by save-time arrival, so re-ingest the visit log in its original order", name, i, ord)
-		case o != i:
-			return nil, fmt.Errorf("shard: entity %q has global ordinal %d in the envelope but %d here — envelopes resolve tie-break order by save-time arrival, so re-ingest the visit log in its original order", name, i, o)
+	for name, saved := range env.ords {
+		o, ok := c.ord[name]
+		if !ok {
+			o, ok = c.pending[name]
+		}
+		switch {
+		case ok && o != saved:
+			return nil, fmt.Errorf("shard: entity %q has global ordinal %d in the envelope but %d here — envelopes resolve tie-break order by save-time arrival, so re-ingest the visit log in its original order", name, saved, o)
+		case !ok && saved < c.next:
+			return nil, fmt.Errorf("shard: entity %q is not registered here, and its global ordinal %d in the envelope was already given out here (the next is %d) — envelopes resolve tie-break order by save-time arrival, so re-ingest the visit log in its original order", name, saved, c.next)
 		}
 	}
 	cur := c.slotmap()
-	if len(c.ord) == 0 {
+	if c.next == 0 {
 		// The epoch stays monotone past any AssignSlots publishes that
 		// preceded this load.
 		return &SlotMap{epoch: max(env.epoch, cur.epoch+1), assign: env.assign}, nil

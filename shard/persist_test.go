@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"digitaltraces"
@@ -203,9 +205,11 @@ func TestClusterOpenEnvelopeExtendsRegistry(t *testing.T) {
 // where the sizes belong; and ones written without their sequences
 // (testdata/no-seqs-*: an image, and an envelope of such images), refused by
 // the missing sequence section — all with the same advice. Each of those
-// envelopes also predates shards ranking by global ordinal: its slot map
-// carries a flag per shard, which the envelope reader refuses, with the same
-// advice, before it reaches a shard image.
+// envelopes also carries the ordinal table envelopes kept before the
+// registry was read from the shard images, which the envelope reader
+// refuses by name, with the same advice, before it reaches a shard image —
+// as it refuses an envelope of current images that carries one
+// (testdata/ords-envelope.idx, this test's log at two shards).
 func TestLegacyMagicsRejected(t *testing.T) {
 	log := cityLog(t, 20)
 	queries := []string{"entity-0", "entity-7", "entity-19"}
@@ -280,14 +284,16 @@ func TestLegacyMagicsRejected(t *testing.T) {
 	refused(0, loaders[0].preChange, `"ents"`, "retired index format — re-save")
 	refused(0, loaders[0].preSizes, `"cell"`, "no level sizes", "retired index format — re-save")
 	refused(0, loaders[0].noSeqs, "no sequence section", "retired index format — re-save")
-	for _, path := range []string{loaders[1].preChange, loaders[1].preSizes, loaders[1].noSeqs} {
-		refused(1, path, "a flag per shard", "retired index format — re-save")
+	for _, path := range []string{loaders[1].preChange, loaders[1].preSizes, loaders[1].noSeqs, "testdata/ords-envelope.idx"} {
+		refused(1, path, `ordinal table "ords"`, "retired index format — re-save")
 	}
 }
 
-// TestClusterLoadIndexEnvelopeErrors: truncation and every corruption of the
-// envelope's own tables are descriptive errors, and a single-DB image fed to
-// a cluster is told apart by its sections.
+// TestClusterLoadIndexEnvelopeErrors: truncation, every corruption of the
+// envelope's slot map and section table, a shard image whose entity table
+// fails its checksum, and shard images giving one name two ordinals are
+// descriptive errors, and a single-DB image fed to a cluster is told apart by
+// its sections.
 func TestClusterLoadIndexEnvelopeErrors(t *testing.T) {
 	log := cityLog(t, 20)
 	c := persistCluster(t, 2, log)
@@ -311,7 +317,12 @@ func TestClusterLoadIndexEnvelopeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slots, ord := sr.Secs[0], sr.Secs[1]
+	slots, shard0 := sr.Secs[0], sr.Secs[1]
+	img, err := secfile.NewReader(good[shard0.Off:shard0.End()])
+	if err != nil {
+		t.Fatal(err)
+	}
+	etab := shard0.Off + img.Secs[2].Off                               // shard 0's entity table
 	entry := func(i int) int { return len(secfile.Magic) + 16 + 20*i } // section i's table entry: kind tag, offset u64, length u64
 	cases := []struct {
 		name   string
@@ -324,10 +335,10 @@ func TestClusterLoadIndexEnvelopeErrors(t *testing.T) {
 			// A shard section of 2^35 bytes in a file the header says is
 			// larger still: the real size refuses the header's claim.
 			binary.LittleEndian.PutUint64(b[len(secfile.Magic)+4:], 1<<36)
-			binary.LittleEndian.PutUint64(b[entry(3)+12:], 1<<35)
+			binary.LittleEndian.PutUint64(b[entry(2)+12:], 1<<35)
 		}, "its header claims 68719476736"},
-		{"truncated ordinals", func(b []byte) { b[ord.End()-int64(len("entity-19"))-2] = 200 }, "ordinal table truncated inside entry 19"},
-		{"a table where a shard image belongs", func(b []byte) { copy(b[entry(2):], secfile.Names) }, "want a shard image"},
+		{"corrupt shard entity table", func(b []byte) { b[etab]++ }, "shard 0 image: core: corrupt snapshot: entity table checksum"},
+		{"a table where a shard image belongs", func(b []byte) { copy(b[entry(2):], secfile.Names) }, "section 2 is name, want a shard image"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -337,6 +348,48 @@ func TestClusterLoadIndexEnvelopeErrors(t *testing.T) {
 				t.Errorf("OpenIndex: want an error containing %q, got: %v", tc.want, err)
 			}
 		})
+	}
+
+	// Two shard images that give one name two ordinals: single-DB images
+	// of the same two entities, ingested in opposite orders.
+	table := binary.LittleEndian.AppendUint64(nil, 0)
+	for _, sh := range DefaultSlotMap(2).assign {
+		table = binary.LittleEndian.AppendUint16(table, uint16(sh))
+	}
+	parts := [][]byte{table}
+	secs := []secfile.Section{{Kind: secfile.Slots, Len: int64(len(table))}}
+	for _, order := range [][]string{{"a", "b"}, {"b", "a"}} {
+		db, err := digitaltraces.NewGridDB(4, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range order {
+			if _, err := db.AddVisits([]digitaltraces.VisitRecord{stay(e, 0, 1, 2)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var img bytes.Buffer
+		if _, err := db.SaveIndex(&img); err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, img.Bytes())
+		secs = append(secs, secfile.Section{Kind: secfile.Shard, Len: int64(img.Len())})
+	}
+	var twoKeys bytes.Buffer
+	sw, err := secfile.NewWriter(&twoKeys, secs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range parts {
+		if _, err := sw.Write(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := openEnvelope(t, c2, twoKeys.Bytes()); err == nil || !strings.Contains(err.Error(), "on another shard") {
+		t.Errorf("an envelope giving one name two ordinals: %v", err)
 	}
 
 	// A single-DB image is not a cluster envelope.
@@ -383,13 +436,13 @@ func TestClusterSaveLoadWithEmptyShard(t *testing.T) {
 	}
 }
 
-// FuzzReadEnvelope: arbitrary bytes through the one envelope reader, read by
-// offset, are an error or a decoded envelope whose tables agree with the
-// sections — never a panic, never an allocation sized by an
-// unchecked word. The committed corpus (testdata/fuzz/FuzzReadEnvelope) holds
-// two real envelopes, one of them with an empty shard, and a single-DB image,
-// all written by SaveIndex; fresh ones are added here so the corpus follows
-// the format.
+// FuzzReadEnvelope: arbitrary bytes through the one envelope reader are an
+// error or a decoded envelope whose slot map and registry agree with the
+// sections — never a panic, never an allocation sized by an unchecked word.
+// The committed corpus (testdata/fuzz/FuzzReadEnvelope) holds two real
+// envelopes — two shards, and five with an empty one and a migration's stale
+// copies — and a single-DB image, all written by SaveIndex; fresh ones are
+// added here so the corpus follows the format.
 func FuzzReadEnvelope(f *testing.F) {
 	log := cityLog(f, 6)
 	for _, shards := range []int{1, 3} {
@@ -414,14 +467,166 @@ func FuzzReadEnvelope(f *testing.F) {
 			return
 		}
 		for s, sh := range env.assign {
-			if sh < 0 || sh >= len(sr.Secs)-2 {
-				t.Fatalf("slot %d assigned to shard %d of %d", s, sh, len(sr.Secs)-2)
+			if sh < 0 || sh >= len(sr.Secs)-1 {
+				t.Fatalf("slot %d assigned to shard %d of %d", s, sh, len(sr.Secs)-1)
 			}
 		}
-		for i, sec := range sr.Secs[2:] {
+		for i, sec := range sr.Secs[1:] {
 			if sec.Kind != secfile.Shard || sec.End() > int64(len(b)) {
-				t.Fatalf("section %d is %v of %d bytes", 2+i, sec.Kind, sec.Len)
+				t.Fatalf("section %d is %v of %d bytes", 1+i, sec.Kind, sec.Len)
 			}
 		}
 	})
+}
+
+// TestRefusedRecordLeavesNoEntity: a record the shards refuse — a new name
+// at an unknown venue — leaves no entity behind, as on a single DB:
+// NumEntities and the slot loads count only the names some shard stored, and
+// the refused name's slot migrates. Its ordinal stays reserved, so the entity
+// stored after it leaves a gap in the saved ordinals; an open into a fresh
+// cluster restores the count and the answers, and a name registered after
+// the open takes an ordinal past every saved one, tying behind the saved
+// entity it ties with as on the single DB.
+func TestRefusedRecordLeavesNoEntity(t *testing.T) {
+	db := testCity(t)
+	c := testCluster(t, db, 2)
+	ghost := stay("ghost", 0, 1, 2)
+	ghost.Venue = "no-such-venue"
+	for _, eng := range []digitaltraces.Engine{db, c} {
+		if n, err := eng.AddVisits([]digitaltraces.VisitRecord{ghost}); n != 0 || err == nil {
+			t.Fatalf("a record at an unknown venue stored %d, err %v", n, err)
+		}
+	}
+	counts := func(state string, c *Cluster) {
+		t.Helper()
+		if got, want := c.NumEntities(), db.NumEntities(); got != want {
+			t.Fatalf("%s: the cluster counts %d entities, the single DB %d", state, got, want)
+		}
+		sum := 0
+		for _, l := range c.SlotLoads() {
+			sum += l
+		}
+		if sum != c.NumEntities() {
+			t.Fatalf("%s: the slot loads sum to %d, the cluster counts %d entities", state, sum, c.NumEntities())
+		}
+	}
+	counts("after the refusal", c)
+	s := SlotOf(ghost.Entity)
+	if err := c.MigrateSlot(s, 1-c.slotmap().assign[s]); err != nil {
+		t.Fatalf("migrating the refused name's slot: %v", err)
+	}
+	counts("after the migration", c)
+
+	// A stored newcomer takes the ordinal past the reserved one; late, added
+	// after the open, ties with it and sorts before it by name.
+	newcomer := stay("newcomer", 3, 5, 9)
+	visits := []digitaltraces.Visit{{Venue: newcomer.Venue, Start: newcomer.Start, End: newcomer.End}}
+	ingestBoth(t, c, db, []digitaltraces.VisitRecord{newcomer})
+	counts("after a newcomer", c)
+	path := saveMapped(t, c)
+	opened, err := NewCluster(Config{Shards: 2, NewShard: func(int) (*digitaltraces.DB, error) {
+		return digitaltraces.NewGridDB(citySide, cityLevels)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { opened.Close() })
+	if err := opened.OpenIndex(path); err != nil {
+		t.Fatalf("OpenIndex into a fresh cluster: %v", err)
+	}
+	counts("after the open", opened)
+	queries := append(db.Entities()[:20], "newcomer")
+	sameTopK(t, db, opened, queries, 5)
+	sameTopK(t, c, opened, queries, 5)
+
+	ingestBoth(t, opened, db, []digitaltraces.VisitRecord{stay("late", 3, 5, 9)})
+	if late, saved := opened.ord["late"], opened.ord["newcomer"]; late <= saved {
+		t.Fatalf("late took ordinal %d, not past the saved newcomer's %d", late, saved)
+	}
+	want, _, err := db.TopKByExample(visits, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := opened.TopKByExample(visits, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameMatches(t, "the newcomer's twins", got, want)
+	if want[0].Entity != "newcomer" || want[1].Entity != "late" {
+		t.Fatalf("fixture: the single DB answers %v, not newcomer then late", want)
+	}
+}
+
+// saveHook is a shard that calls after once its SaveIndex has written the
+// image, before it returns.
+type saveHook struct {
+	Backend
+	after func()
+}
+
+func (b saveHook) SaveIndex(w io.Writer) (int64, error) {
+	n, err := b.Backend.SaveIndex(w)
+	b.after()
+	return n, err
+}
+
+// TestNameRegisteredDuringSaveIsNoGhost: an entity ingested onto a shard
+// that has already written its image, while the cluster's save still runs,
+// is in no image, so the envelope brings back no trace of it — not a name
+// without visits that counts as an entity after the open.
+func TestNameRegisteredDuringSaveIsNoGhost(t *testing.T) {
+	log := cityLog(t, 20)
+	var c *Cluster
+	var once sync.Once
+	late := log[0]
+	cfg := Config{}
+	for i := range 2 {
+		db, err := digitaltraces.NewGridDB(4, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sh Backend = Local(db)
+		if i == 0 {
+			sh = saveHook{sh, func() {
+				once.Do(func() {
+					if _, err := c.AddVisits([]digitaltraces.VisitRecord{late}); err != nil {
+						t.Error(err)
+					}
+				})
+			}}
+		}
+		cfg.Backends = append(cfg.Backends, sh)
+	}
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	late.Entity = namesIn("late", 1, func(s int) bool { return c.slotmap().assign[s] == 0 })[0]
+	if _, err := c.AddVisits(log); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	saved := c.NumEntities()
+	path := saveMapped(t, c)
+	if c.NumEntities() != saved+1 {
+		t.Fatalf("fixture: the save hook's ingest left %d entities, want %d", c.NumEntities(), saved+1)
+	}
+	opened := emptyCluster(t, 2)
+	defer opened.Close()
+	if err := opened.OpenIndex(path); err != nil {
+		t.Fatal(err)
+	}
+	if got := opened.NumEntities(); got != saved {
+		t.Fatalf("the opened cluster counts %d entities, the images hold %d", got, saved)
+	}
+	sum := 0
+	for _, l := range opened.SlotLoads() {
+		sum += l
+	}
+	if sum != saved {
+		t.Fatalf("the opened cluster's slot loads sum to %d, the images hold %d", sum, saved)
+	}
 }

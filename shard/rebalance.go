@@ -12,9 +12,10 @@ package shard
 import "fmt"
 
 // SlotLoads counts the entities owned by each slot, from the global
-// registry. This is the planner's load signal: it reflects ownership under
-// any map (SlotOf is map-independent) and, unlike per-shard physical counts,
-// is immune to the stale copies migrations leave behind.
+// registry: the names some shard stored. This is the planner's load signal:
+// it reflects ownership under any map (SlotOf is map-independent) and, unlike
+// per-shard physical counts, is immune to the stale copies migrations leave
+// behind.
 func (c *Cluster) SlotLoads() [NumSlots]int {
 	var loads [NumSlots]int
 	c.mu.RLock()

@@ -20,10 +20,18 @@ import (
 
 // Defaults for Options zero values.
 const (
-	DefaultCallTimeout    = 10 * time.Second
-	DefaultControlTimeout = 10 * time.Minute
-	DefaultMaxConns       = 16
-	DefaultRetries        = 2
+	DefaultCallTimeout = 10 * time.Second
+	DefaultMaxConns    = 16
+)
+
+const (
+	// controlTimeout bounds slow control-plane RPCs: build and index
+	// save/open, which scale with the shard's data.
+	controlTimeout = 10 * time.Minute
+	// retries is how many times a transport-level failure (refused, reset,
+	// broken keep-alive) is retried, on idempotent calls only: never ingest,
+	// an HTTP-level error or an expired deadline.
+	retries = 2
 )
 
 // Options tunes a Client.
@@ -33,19 +41,10 @@ type Options struct {
 	// is not retried: the deadline already spent the latency budget. Default
 	// DefaultCallTimeout.
 	CallTimeout time.Duration
-	// ControlTimeout bounds slow control-plane RPCs: build and index
-	// save/open, which scale with the shard's data. Default
-	// DefaultControlTimeout.
-	ControlTimeout time.Duration
 	// MaxConns caps connections to this shard (idle keep-alives are pooled
 	// up to the same cap, so a steady coordinator reuses warm connections
 	// for every query). Default DefaultMaxConns.
 	MaxConns int
-	// Retries is how many times a transport-level failure (connection
-	// refused, reset, broken keep-alive) is retried, on idempotent calls
-	// only — ingest is never retried, and HTTP-level errors and expired
-	// deadlines never retry. Default DefaultRetries; negative disables.
-	Retries int
 }
 
 // Metrics counts a client's network activity, for cmd/bench -scenario
@@ -80,8 +79,6 @@ type Client struct {
 	hc   *http.Client
 
 	callT time.Duration
-	ctrlT time.Duration
-	retry int
 
 	// Static shape, fetched once at Dial: NewCluster's compatibility checks
 	// read these without network calls.
@@ -116,17 +113,8 @@ func Dial(addr string, opts Options) (*Client, error) {
 	if opts.CallTimeout <= 0 {
 		opts.CallTimeout = DefaultCallTimeout
 	}
-	if opts.ControlTimeout <= 0 {
-		opts.ControlTimeout = DefaultControlTimeout
-	}
 	if opts.MaxConns <= 0 {
 		opts.MaxConns = DefaultMaxConns
-	}
-	if opts.Retries == 0 {
-		opts.Retries = DefaultRetries
-	}
-	if opts.Retries < 0 {
-		opts.Retries = 0
 	}
 	base := addr
 	if !strings.Contains(base, "://") {
@@ -136,8 +124,6 @@ func Dial(addr string, opts Options) (*Client, error) {
 		addr:  strings.TrimPrefix(strings.TrimPrefix(base, "http://"), "https://"),
 		base:  strings.TrimRight(base, "/"),
 		callT: opts.CallTimeout,
-		ctrlT: opts.ControlTimeout,
-		retry: opts.Retries,
 		hc: &http.Client{
 			Transport: &http.Transport{
 				DialContext:         (&net.Dialer{Timeout: opts.CallTimeout, KeepAlive: 30 * time.Second}).DialContext,
@@ -275,7 +261,7 @@ func (c *Client) call(path string, body []byte, timeout time.Duration, idempoten
 		}
 		lastErr = err
 		var te errTransport
-		if !idempotent || !errors.As(err, &te) || attempt >= c.retry {
+		if !idempotent || !errors.As(err, &te) || attempt >= retries {
 			break
 		}
 		c.retries.Add(1)
@@ -395,7 +381,7 @@ func (c *Client) VisitsOf(entity string) ([]digitaltraces.Visit, error) {
 // --- shard.Backend: maintenance ---
 
 func (c *Client) BuildIndex() error {
-	_, err := c.call("/shard/build", []byte{}, c.ctrlT, true)
+	_, err := c.call("/shard/build", []byte{}, controlTimeout, true)
 	if err == nil {
 		err = c.refreshStats() // the build moved the generation
 	}
@@ -418,7 +404,7 @@ func (c *Client) IndexStats() digitaltraces.IndexStats {
 }
 
 func (c *Client) SaveIndex(w io.Writer) (int64, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), c.ctrlT)
+	ctx, cancel := context.WithTimeout(context.Background(), controlTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/shard/index", nil)
 	if err != nil {
@@ -449,7 +435,7 @@ func (c *Client) SaveIndex(w io.Writer) (int64, error) {
 // OpenImage sends the image b to the shard server, which opens it there
 // (DB.OpenImage) — the remote half of Cluster.OpenIndex.
 func (c *Client) OpenImage(b []byte) error {
-	ctx, cancel := context.WithTimeout(context.Background(), c.ctrlT)
+	ctx, cancel := context.WithTimeout(context.Background(), controlTimeout)
 	defer cancel()
 	if _, err := c.do(ctx, http.MethodPost, "/shard/index", b); err != nil {
 		return fmt.Errorf("shard %s: %w", c.addr, err)

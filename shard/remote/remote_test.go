@@ -336,7 +336,7 @@ func TestTransientRetry(t *testing.T) {
 	defer srv.Close()
 	inner := srv.Handler()
 	var drops atomic.Int32
-	drops.Store(2) // kill the first two attempts
+	drops.Store(retries) // kill every attempt but the last the client makes
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/shard/visitsof" && drops.Add(-1) >= 0 {
 			conn, _, err := w.(http.Hijacker).Hijack()
@@ -349,7 +349,7 @@ func TestTransientRetry(t *testing.T) {
 	}))
 	defer hs.Close()
 
-	c := dialTest(t, hs.URL, Options{Retries: 3})
+	c := dialTest(t, hs.URL, Options{})
 	seedLog(t, c, 10, 10)
 
 	want, err := db.VisitsOf("e001")
@@ -363,8 +363,8 @@ func TestTransientRetry(t *testing.T) {
 	if len(got) != len(want) {
 		t.Fatalf("retried VisitsOf returned %d visits, want %d", len(got), len(want))
 	}
-	if r := c.Metrics().Retries; r < 2 {
-		t.Fatalf("expected ≥ 2 transport retries, counted %d", r)
+	if r := c.Metrics().Retries; r != retries {
+		t.Fatalf("expected %d transport retries, counted %d", retries, r)
 	}
 }
 
@@ -391,7 +391,7 @@ func TestIngestNeverRetried(t *testing.T) {
 	}))
 	defer hs.Close()
 
-	c := dialTest(t, hs.URL, Options{Retries: 3})
+	c := dialTest(t, hs.URL, Options{})
 	_, err = c.AddKeyedVisits([]digitaltraces.VisitRecord{{
 		Entity: "e", Venue: digitaltraces.VenueName(0),
 		Start: digitaltraces.TimeAt(0), End: digitaltraces.TimeAt(1),
@@ -489,8 +489,8 @@ func TestShardTopKRouteGone(t *testing.T) {
 func TestClusterHealthNamesDeadShard(t *testing.T) {
 	_, _, hs0 := newShardServer(t, ServerConfig{})
 	_, _, hs1 := newShardServer(t, ServerConfig{})
-	c0 := dialTest(t, hs0.URL, Options{CallTimeout: time.Second, Retries: -1})
-	c1 := dialTest(t, hs1.URL, Options{CallTimeout: time.Second, Retries: -1})
+	c0 := dialTest(t, hs0.URL, Options{CallTimeout: time.Second})
+	c1 := dialTest(t, hs1.URL, Options{CallTimeout: time.Second})
 
 	cl, err := shard.NewCluster(shard.Config{Backends: []shard.Backend{c0, c1}})
 	if err != nil {
@@ -681,6 +681,98 @@ func TestRemoteIndexSaveLoad(t *testing.T) {
 	if three.SlotEpoch() != epoch || !reflect.DeepEqual(three.SlotAssignment(), assign) {
 		t.Errorf("the refused open moved the slot map: epoch %d → %d", epoch, three.SlotEpoch())
 	}
+}
+
+// TestRemoteRefusedRecordLeavesNoEntity: on a cluster of loopback shard
+// servers as on a local one, a record the shards refuse for a new name
+// leaves no entity: NumEntities is the single DB's. The envelope saved
+// afterwards opens into fresh shard servers with the same count and
+// bit-identical answers, and a name registered after the open takes an
+// ordinal past every saved one — so it ties behind the newcomer stored
+// after the refusal, as on the single DB, though its name sorts first.
+func TestRemoteRefusedRecordLeavesNoEntity(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	log := proptest.RandomLog(rng, 40, 24)
+	db, err := proptest.NewDB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	src, _ := remoteClusterClients(t, 2, shard.Config{})
+	t.Cleanup(func() { src.Close() })
+	at := func(entity, venue string) digitaltraces.VisitRecord {
+		return digitaltraces.VisitRecord{Entity: entity, Venue: venue, Start: digitaltraces.TimeAt(30), End: digitaltraces.TimeAt(34)}
+	}
+	ingest := func(recs []digitaltraces.VisitRecord, engines ...digitaltraces.Engine) {
+		t.Helper()
+		for _, e := range engines {
+			if _, err := e.AddVisits(recs); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.BuildIndex(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ingest(log, db, src)
+	for _, e := range []digitaltraces.Engine{db, src} {
+		if n, err := e.AddVisits([]digitaltraces.VisitRecord{at("ghost", "no-such-venue")}); n != 0 || err == nil {
+			t.Fatalf("a record at an unknown venue stored %d, err %v", n, err)
+		}
+	}
+	if got, want := src.NumEntities(), db.NumEntities(); got != want {
+		t.Fatalf("after the refusal the cluster counts %d entities, the single DB %d", got, want)
+	}
+	newcomer := at("newcomer", digitaltraces.VenueName(3))
+	ingest([]digitaltraces.VisitRecord{newcomer}, db, src)
+	path := filepath.Join(t.TempDir(), "cluster.idx")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.SaveIndex(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	opened, _ := remoteClusterClients(t, 2, shard.Config{})
+	t.Cleanup(func() { opened.Close() })
+	if err := opened.OpenIndex(path); err != nil {
+		t.Fatalf("OpenIndex on fresh shard servers: %v", err)
+	}
+	if got, want := opened.NumEntities(), db.NumEntities(); got != want {
+		t.Fatalf("the opened cluster counts %d entities, the single DB %d", got, want)
+	}
+	for _, q := range append(proptest.SampleQueries(rng, 40), "newcomer") {
+		for _, k := range []int{1, 5, 45} {
+			want, _, err := src.TopK(q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := opened.TopK(q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameMatches(t, fmt.Sprintf("opened TopK(%s,%d)", q, k), got, want)
+		}
+	}
+
+	ingest([]digitaltraces.VisitRecord{at("late", newcomer.Venue)}, db, opened)
+	visits := []digitaltraces.Visit{{Venue: newcomer.Venue, Start: newcomer.Start, End: newcomer.End}}
+	want, _, err := db.TopKByExample(visits, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want[0].Entity != "newcomer" || want[1].Entity != "late" {
+		t.Fatalf("fixture: the single DB answers %v, not newcomer then late", want)
+	}
+	got, _, err := opened.TopKByExample(visits, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameMatches(t, "the newcomer's twins after the open", got, want)
 }
 
 // TestRemoteSaveFailureIsAnError: a shard server whose SaveIndex fails — here

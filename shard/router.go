@@ -14,20 +14,57 @@ package shard
 
 import "digitaltraces"
 
-// register assigns global first-arrival ordinals to the visits' entities not
+// register reserves global first-arrival ordinals for the visits' names not
 // seen before, in slice order, under one lock acquisition, and returns each
-// visit's entity's ordinal.
-func (c *Cluster) register(visits []digitaltraces.VisitRecord) []uint32 {
-	ords := make([]uint32, len(visits))
+// visit's entity's ordinal and fresh: the names no shard has stored yet.
+func (c *Cluster) register(visits []digitaltraces.VisitRecord) (ords []uint32, fresh []string) {
+	ords = make([]uint32, len(visits))
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	first := c.next // a pending ordinal from here on was reserved by this call, its name already fresh
 	for i, v := range visits {
 		o, ok := c.ord[v.Entity]
 		if !ok {
-			o = len(c.ord)
-			c.ord[v.Entity] = o
+			switch o, ok = c.pending[v.Entity]; {
+			case !ok:
+				o = c.next
+				c.next++
+				c.pending[v.Entity] = o
+				fresh = append(fresh, v.Entity)
+			case o < first: // reserved by another batch, refused or still in flight
+				fresh = append(fresh, v.Entity)
+			}
 		}
 		ords[i] = uint32(o)
 	}
-	return ords
+	return ords, fresh
+}
+
+// acknowledge registers the fresh names some shard stored: a shard stores a
+// prefix of its group. A name no shard stored stays reserved, with its
+// ordinal, and counts for nothing — nor does one whose shard's reply was
+// lost: the cluster counts what shards acknowledged.
+func (c *Cluster) acknowledge(fresh []string, groups [][]digitaltraces.VisitRecord, counts []int) {
+	var stored map[string]bool // nil: every shard stored its whole group
+	for s := range groups {
+		if counts[s] < len(groups[s]) {
+			stored = map[string]bool{}
+		}
+	}
+	for s := 0; stored != nil && s < len(groups); s++ {
+		for _, v := range groups[s][:counts[s]] {
+			stored[v.Entity] = true
+		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, name := range fresh {
+		if o, ok := c.pending[name]; ok && (stored == nil || stored[name]) {
+			c.ord[name] = o
+			delete(c.pending, name)
+		}
+	}
+	if len(c.pending) == 0 {
+		c.pending = map[string]int{} // a drained map keeps its buckets: drop them
+	}
 }

@@ -158,7 +158,7 @@ func (c *Cluster) AssignSlots(assign []int) error {
 		}
 	}
 	c.mu.RLock()
-	populated := len(c.ord) > 0
+	populated := c.next > 0 // an ordinal given out: a batch stored or in flight
 	c.mu.RUnlock()
 	if populated {
 		return fmt.Errorf("shard: AssignSlots on a populated cluster — slots move with MigrateSlot once entities exist")

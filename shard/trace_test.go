@@ -2,7 +2,7 @@ package shard
 
 // Coordinator-level tracing tests: every cluster query must record a trace
 // whose per-shard breakdown is internally consistent (pulled counts sum,
-// cut/exhausted well-defined, generation vector matches the shards) and
+// generation vector matches the shards) and
 // whose fan-out shape matches the QueryStats the same call returned.
 
 import (
@@ -34,9 +34,8 @@ func tracedCluster(t *testing.T, n, traceSize, cacheSize int) *Cluster {
 }
 
 // TestClusterTraceConsistency: a pruned scatter-gather trace's per-shard
-// pulled counts sum to the trace's (and the QueryStats') Pulled, every
-// touched shard ended either cut or exhausted, and the generation vector
-// matches what the shards serve.
+// pulled counts sum to the trace's (and the QueryStats') Pulled, and the
+// generation vector matches what the shards serve.
 func TestClusterTraceConsistency(t *testing.T) {
 	const shards = 4
 	c := tracedCluster(t, shards, 16, 0)
@@ -67,9 +66,6 @@ func TestClusterTraceConsistency(t *testing.T) {
 	for _, st := range qt.Shards {
 		sumPulled += st.Pulled
 		sumChecked += st.Checked
-		if st.Cut == st.Exhausted {
-			t.Fatalf("shard %d: cut=%v exhausted=%v — exactly one must hold", st.Shard, st.Cut, st.Exhausted)
-		}
 		if st.Shard < 0 || st.Shard >= shards || seenShard[st.Shard] {
 			t.Fatalf("bad or duplicate shard ordinal %d", st.Shard)
 		}

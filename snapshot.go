@@ -25,7 +25,7 @@ import (
 )
 
 // snapshot is one frozen, fully consistent index state: the sequence store,
-// the postings over it, the degree measure and the name and tie-key tables of
+// the postings over it and the name and tie-key tables of
 // every entity that existed at capture. A snapshot is immutable after
 // publication — the postings are only ever read (core.Postings searches are
 // read-only), the store is never Put into again, and byID and keys are
@@ -33,11 +33,10 @@ import (
 // queries search it lock-free while maintenance builds the next snapshot
 // aside instead of mutating this one.
 type snapshot struct {
-	store   *trace.Store
-	post    *core.Postings
-	measure adm.Measure
-	byID    []string // entity name by EntityID, frozen at capture
-	keys    []uint32 // tie key by EntityID, frozen at capture
+	store *trace.Store
+	post  *core.Postings
+	byID  []string // entity name by EntityID, frozen at capture
+	keys  []uint32 // tie key by EntityID, frozen at capture
 
 	// dirty is the bounded log of what the recent folds changed, oldest
 	// first: the dirty entity sets of the last ≤ dirtyLogLen publishes up to
@@ -53,10 +52,10 @@ type snapshot struct {
 }
 
 // topK runs the exact search against this frozen snapshot. No locks: the
-// postings, store, measure and name table are immutable after publication.
-func (s *snapshot) topK(q *trace.Sequences, k int) ([]Match, QueryStats, error) {
+// postings, store and name table are immutable after publication.
+func (s *snapshot) topK(q *trace.Sequences, k int, measure adm.Measure) ([]Match, QueryStats, error) {
 	startT := time.Now()
-	res, stats, err := s.post.TopK(q, k, s.measure)
+	res, stats, err := s.post.TopK(q, k, measure)
 	if err != nil {
 		return nil, QueryStats{}, err
 	}
@@ -153,14 +152,9 @@ func (db *DB) buildSnapshot() (*snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	measure, err := db.newMeasure()
-	if err != nil {
-		return nil, err
-	}
 	ns := &snapshot{
 		store:     store,
 		post:      post,
-		measure:   measure,
 		byID:      v.byID,
 		keys:      v.keys,
 		buildTime: time.Since(start),
@@ -192,7 +186,6 @@ func (db *DB) refreshSnapshot(prev *snapshot) error {
 	ns := &snapshot{
 		store:       store,
 		post:        post,
-		measure:     prev.measure,
 		byID:        v.byID,
 		keys:        v.keys,
 		dirty:       appendDirty(prev.dirty, v.ids),
@@ -247,14 +240,6 @@ func (db *DB) swapIn(ns *snapshot) {
 	}
 	ns.swappedAt = time.Now()
 	db.snap.Store(ns)
-}
-
-// newMeasure constructs the configured association degree measure.
-func (db *DB) newMeasure() (adm.Measure, error) {
-	if db.jaccard {
-		return adm.NewJaccardADM(db.ix.Height())
-	}
-	return adm.NewPaperADM(db.ix.Height(), db.measureU, db.measureV)
 }
 
 // SnapshotGeneration returns the serving snapshot's generation (1 for the

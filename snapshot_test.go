@@ -252,7 +252,7 @@ func TestSwappedSnapshotSaveLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, _, err := loaded.TopK(qseq, 4, serving.measure)
+		res, _, err := loaded.TopK(qseq, 4, db.measure)
 		if err != nil {
 			t.Fatal(err)
 		}
